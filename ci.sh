@@ -33,6 +33,12 @@
 #     achieved/offered >= 0.75 below saturation, p99 <= 100ms there,
 #     and show >= 2x p99 divergence at 2x capacity — the
 #     queueing-collapse signal the open-loop harness exists to measure,
+#   * the benchmark of record is built and RUN the way BENCHMARK.json
+#     declares it (its own package under crates/bench/src/bin/marketbench,
+#     which no other stanza builds): `run --smoke` on the durable
+#     dataflow workload and on one memory workload must end in a result
+#     line with "correct":true and "failed":0 — a code-path check, not a
+#     measurement,
 #   * all examples must keep compiling, and failure_recovery *runs* as a
 #     smoke step (it asserts zero lost epochs across a disk-backed
 #     platform rebuild),
@@ -93,6 +99,16 @@ cargo run --release --offline -p om_bench --bin bench_guard -- results/bench_a2_
 echo "==> bench smoke: b5 scenario slice + SLO guard (3x flash-sale floor, open-loop achieved/offered + collapse checks)"
 OM_BENCH_SMOKE=1 OM_BENCH_BASELINE=BENCH_PR9.json cargo bench --offline --bench b5_scenarios
 cargo run --release --offline -p om_bench --bin bench_guard -- results/bench_b5_scenarios.json results/b5_floor.json
+
+echo "==> benchmark of record: marketbench --smoke via the BENCHMARK.json command (outputs correct, nothing failed)"
+mapfile -t MARKETBENCH < <(python3 -c 'import json; print("\n".join(json.load(open("BENCHMARK.json"))["command"]))')
+for workload in checkout_df_disk checkout_tx_mem; do
+    verdict=$("${MARKETBENCH[@]}" run --smoke --workload "$workload" | tail -n 1)
+    if [[ ! $verdict =~ \"correct\":true || ! $verdict =~ \"failed\":0[,}] ]]; then
+        echo "marketbench run --smoke --workload $workload ended with: $verdict" >&2
+        exit 1
+    fi
+done
 
 echo "==> cargo build --examples"
 cargo build --examples --offline

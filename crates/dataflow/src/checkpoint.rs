@@ -1,8 +1,10 @@
 //! Durable checkpoint storage for the dataflow runtime.
 //!
 //! The runtime commits one checkpoint per epoch: the epoch number, the
-//! per-partition ingress offsets, and every keyed-state entry the epoch
-//! touched. [`CheckpointStore`] is the seam those commits flow through —
+//! per-partition ingress offsets, and every state **row** the epoch
+//! touched (the state of an address `(fn_type, key)` is an ordered set of
+//! rows; an epoch that appends one row to a large address commits one
+//! row). [`CheckpointStore`] is the seam those commits flow through —
 //! the runtime never cares *where* a checkpoint lives, only that commit
 //! is all-or-nothing enough to restart from.
 //!
@@ -13,10 +15,11 @@
 //!   of the *process* loses it; only in-process rollback works.
 //! * [`BackendCheckpointStore`] — persists through any
 //!   [`om_storage::StateBackend`] with one atomic multi-key commit per
-//!   epoch (the meta record is ordered last in the batch, so a torn
-//!   per-key apply on the eventual backend still points at the previous
-//!   epoch). A rebuilt [`Dataflow`](crate::Dataflow) over the same
-//!   backend restarts from the last committed epoch.
+//!   epoch, one backend key per row (the meta record is ordered last in
+//!   the batch, so a torn per-key apply on the eventual backend still
+//!   points at the previous epoch). A rebuilt
+//!   [`Dataflow`](crate::Dataflow) over the same backend restarts from
+//!   the last committed epoch.
 //!
 //! ```
 //! use om_dataflow::{BackendCheckpointStore, CheckpointStore, StateDelta};
@@ -29,7 +32,7 @@
 //! store
 //!     .commit_epoch(1, &[3, 0], vec![StateDelta::put(0, "counter", 7, vec![42])])
 //!     .unwrap();
-//! assert_eq!(store.get_state(0, "counter", 7), Some(vec![42]));
+//! assert_eq!(store.get_row(0, "counter", 7, b""), Some(vec![42]));
 //! let snap = store.load().unwrap().expect("one committed checkpoint");
 //! assert_eq!((snap.epoch, snap.offsets), (1, vec![3, 0]));
 //! ```
@@ -38,12 +41,12 @@ use om_common::config::BackendKind;
 use om_common::{OmError, OmResult};
 use om_storage::{StateBackend, WriteOp};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One keyed-state change of an epoch commit. `value == None` means the
-/// function deleted its state.
+/// One state-row change of an epoch commit. `value == None` means the
+/// function deleted the row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateDelta {
     /// Partition the state lives in.
@@ -52,30 +55,65 @@ pub struct StateDelta {
     pub fn_type: &'static str,
     /// Function key within the type.
     pub key: u64,
-    /// New state bytes, or `None` for a deletion.
+    /// Row within the address; empty for single-row state.
+    pub row: Vec<u8>,
+    /// New row bytes, or `None` for a deletion.
     pub value: Option<Vec<u8>>,
 }
 
 impl StateDelta {
-    /// A state write.
+    /// A write of the address's single (empty-named) row.
     pub fn put(partition: usize, fn_type: &'static str, key: u64, value: Vec<u8>) -> Self {
+        Self::put_row(partition, fn_type, key, Vec::new(), value)
+    }
+
+    /// A deletion of the address's single (empty-named) row.
+    pub fn delete(partition: usize, fn_type: &'static str, key: u64) -> Self {
+        Self::delete_row(partition, fn_type, key, Vec::new())
+    }
+
+    /// A row write.
+    pub fn put_row(
+        partition: usize,
+        fn_type: &'static str,
+        key: u64,
+        row: Vec<u8>,
+        value: Vec<u8>,
+    ) -> Self {
         Self {
             partition,
             fn_type,
             key,
+            row,
             value: Some(value),
         }
     }
 
-    /// A state deletion.
-    pub fn delete(partition: usize, fn_type: &'static str, key: u64) -> Self {
+    /// A row deletion.
+    pub fn delete_row(partition: usize, fn_type: &'static str, key: u64, row: Vec<u8>) -> Self {
         Self {
             partition,
             fn_type,
             key,
+            row,
             value: None,
         }
     }
+}
+
+/// One live state row of a loaded checkpoint.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct StateRow {
+    /// Partition the row lives in.
+    pub partition: usize,
+    /// Function type owning the row.
+    pub fn_type: String,
+    /// Function key within the type.
+    pub key: u64,
+    /// Row within the address; empty for single-row state.
+    pub row: Vec<u8>,
+    /// The row's bytes.
+    pub value: Vec<u8>,
 }
 
 /// The last committed checkpoint, as loaded back from a store.
@@ -89,16 +127,16 @@ pub struct CheckpointSnapshot {
     pub epoch: u64,
     /// Per-partition ingress offsets as of that epoch.
     pub offsets: Vec<u64>,
-    /// Every live keyed-state entry: `(partition, fn_type, key, bytes)`.
-    pub states: Vec<(usize, String, u64, Vec<u8>)>,
+    /// Every live state row.
+    pub states: Vec<StateRow>,
 }
 
 /// Where epoch checkpoints live.
 ///
 /// Implementations must make [`commit_epoch`](Self::commit_epoch)
 /// atomic enough that [`load`](Self::load) never observes a mix of two
-/// epochs' metadata, and must serve [`get_state`](Self::get_state) from
-/// committed data only.
+/// epochs' metadata, and must serve [`get_row`](Self::get_row) and
+/// [`scan_rows`](Self::scan_rows) from committed data only.
 pub trait CheckpointStore: Send + Sync {
     /// Short label for reports and bench ids (`"in_memory"`,
     /// `"eventual_kv"`, `"snapshot_isolation"`).
@@ -110,13 +148,23 @@ pub trait CheckpointStore: Send + Sync {
         None
     }
 
-    /// Commits one epoch: metadata plus the keyed-state entries the epoch
+    /// Commits one epoch: metadata plus the state rows the epoch
     /// touched. Called with monotonically increasing `epoch` under the
     /// runtime's epoch mutex (never concurrently).
     fn commit_epoch(&self, epoch: u64, offsets: &[u64], dirty: Vec<StateDelta>) -> OmResult<()>;
 
-    /// Committed keyed state of `(partition, fn_type, key)`.
-    fn get_state(&self, partition: usize, fn_type: &str, key: u64) -> Option<Vec<u8>>;
+    /// Committed bytes of one row of `(partition, fn_type, key)`.
+    fn get_row(&self, partition: usize, fn_type: &str, key: u64, row: &[u8]) -> Option<Vec<u8>>;
+
+    /// Committed rows of `(partition, fn_type, key)` whose name starts
+    /// with `prefix`, as `(row, bytes)` ordered by row.
+    fn scan_rows(
+        &self,
+        partition: usize,
+        fn_type: &str,
+        key: u64,
+        prefix: &[u8],
+    ) -> Vec<(Vec<u8>, Vec<u8>)>;
 
     /// Loads the last committed checkpoint, or `None` if nothing was ever
     /// committed.
@@ -147,6 +195,21 @@ pub trait CheckpointStore: Send + Sync {
     }
 }
 
+/// The rows of one address, ordered by row name.
+pub(crate) type Rows = BTreeMap<Vec<u8>, Vec<u8>>;
+
+/// The rows of one address whose name starts with `prefix`, in row order
+/// — the one ordered-iteration primitive the in-memory store and the
+/// runtime's live state view share.
+pub(crate) fn rows_with_prefix<'a>(
+    rows: &'a Rows,
+    prefix: &'a [u8],
+) -> impl Iterator<Item = (&'a [u8], &'a [u8])> {
+    rows.range::<[u8], _>((std::ops::Bound::Included(prefix), std::ops::Bound::Unbounded))
+        .take_while(move |(row, _)| row.starts_with(prefix))
+        .map(|(row, bytes)| (row.as_slice(), bytes.as_slice()))
+}
+
 // ---------------------------------------------------------------------------
 // In-memory store
 // ---------------------------------------------------------------------------
@@ -156,9 +219,10 @@ struct InMemoryInner {
     committed: bool,
     epoch: u64,
     offsets: Vec<u64>,
-    /// fn_type → (partition, key) → bytes. Keying the outer map by the
-    /// registered `&'static str` keeps the commit path allocation-free.
-    states: HashMap<&'static str, HashMap<(usize, u64), Vec<u8>>>,
+    /// fn_type → (partition, key) → row → bytes. Keying the outer map
+    /// by the registered `&'static str` keeps the commit path free of
+    /// per-delta string allocation.
+    states: HashMap<&'static str, HashMap<(usize, u64), Rows>>,
 }
 
 /// The process-local checkpoint store: deep copies behind a mutex.
@@ -191,12 +255,18 @@ impl CheckpointStore for InMemoryCheckpointStore {
         inner.offsets = offsets.to_vec();
         for delta in dirty {
             let per_fn = inner.states.entry(delta.fn_type).or_default();
+            let address = (delta.partition, delta.key);
             match delta.value {
                 Some(bytes) => {
-                    per_fn.insert((delta.partition, delta.key), bytes);
+                    per_fn.entry(address).or_default().insert(delta.row, bytes);
                 }
                 None => {
-                    per_fn.remove(&(delta.partition, delta.key));
+                    if let Some(rows) = per_fn.get_mut(&address) {
+                        rows.remove(&delta.row);
+                        if rows.is_empty() {
+                            per_fn.remove(&address);
+                        }
+                    }
                 }
             }
         }
@@ -204,13 +274,34 @@ impl CheckpointStore for InMemoryCheckpointStore {
         Ok(())
     }
 
-    fn get_state(&self, partition: usize, fn_type: &str, key: u64) -> Option<Vec<u8>> {
+    fn get_row(&self, partition: usize, fn_type: &str, key: u64, row: &[u8]) -> Option<Vec<u8>> {
         self.inner
             .lock()
             .states
             .get(fn_type)
             .and_then(|m| m.get(&(partition, key)))
+            .and_then(|rows| rows.get(row))
             .cloned()
+    }
+
+    fn scan_rows(
+        &self,
+        partition: usize,
+        fn_type: &str,
+        key: u64,
+        prefix: &[u8],
+    ) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let inner = self.inner.lock();
+        let Some(rows) = inner
+            .states
+            .get(fn_type)
+            .and_then(|m| m.get(&(partition, key)))
+        else {
+            return Vec::new();
+        };
+        rows_with_prefix(rows, prefix)
+            .map(|(row, bytes)| (row.to_vec(), bytes.to_vec()))
+            .collect()
     }
 
     fn load(&self) -> OmResult<Option<CheckpointSnapshot>> {
@@ -220,8 +311,16 @@ impl CheckpointStore for InMemoryCheckpointStore {
         }
         let mut states = Vec::new();
         for (fn_type, per_fn) in &inner.states {
-            for (&(partition, key), bytes) in per_fn {
-                states.push((partition, (*fn_type).to_string(), key, bytes.clone()));
+            for (&(partition, key), rows) in per_fn {
+                for (row, value) in rows {
+                    states.push(StateRow {
+                        partition,
+                        fn_type: (*fn_type).to_string(),
+                        key,
+                        row: row.clone(),
+                        value: value.clone(),
+                    });
+                }
             }
         }
         Ok(Some(CheckpointSnapshot {
@@ -258,7 +357,9 @@ const COMMIT_RETRIES: usize = 8;
 ///
 /// * `df!/meta` — `epoch (u64 LE) ++ n (u32 LE) ++ n × offset (u64 LE)`;
 /// * `df!/s/` + partition (u32 BE) + fn-type length (u16 BE) + fn-type
-///   bytes + key (u64 BE) — raw keyed-state bytes.
+///   bytes + key (u64 BE) + row bytes — the row's raw bytes. Everything
+///   before the row is the address, so one address is one
+///   `scan_prefix` and its rows come back in row order.
 ///
 /// The meta record is the **last** op of every commit batch. The snapshot
 /// backend applies the batch atomically anyway; the eventual backend
@@ -294,18 +395,20 @@ impl BackendCheckpointStore {
         self.conflicts.load(Ordering::Relaxed)
     }
 
-    fn state_key(partition: usize, fn_type: &str, key: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(STATE_PREFIX.len() + 4 + 2 + fn_type.len() + 8);
+    fn state_key(partition: usize, fn_type: &str, key: u64, row: &[u8]) -> Vec<u8> {
+        let mut out =
+            Vec::with_capacity(STATE_PREFIX.len() + 4 + 2 + fn_type.len() + 8 + row.len());
         out.extend_from_slice(STATE_PREFIX);
         out.extend_from_slice(&(partition as u32).to_be_bytes());
         out.extend_from_slice(&(fn_type.len() as u16).to_be_bytes());
         out.extend_from_slice(fn_type.as_bytes());
         out.extend_from_slice(&key.to_be_bytes());
+        out.extend_from_slice(row);
         out
     }
 
-    /// Decodes a state key back into `(partition, fn_type, key)`.
-    fn parse_state_key(raw: &[u8]) -> Option<(usize, String, u64)> {
+    /// Decodes a state key back into `(partition, fn_type, key, row)`.
+    fn parse_state_key(raw: &[u8]) -> Option<(usize, String, u64, Vec<u8>)> {
         let rest = raw.strip_prefix(STATE_PREFIX)?;
         if rest.len() < 4 + 2 + 8 {
             return None;
@@ -313,12 +416,12 @@ impl BackendCheckpointStore {
         let partition = u32::from_be_bytes(rest[0..4].try_into().ok()?) as usize;
         let fn_len = u16::from_be_bytes(rest[4..6].try_into().ok()?) as usize;
         let fn_end = 6 + fn_len;
-        if rest.len() != fn_end + 8 {
+        if rest.len() < fn_end + 8 {
             return None;
         }
         let fn_type = std::str::from_utf8(&rest[6..fn_end]).ok()?.to_string();
-        let key = u64::from_be_bytes(rest[fn_end..].try_into().ok()?);
-        Some((partition, fn_type, key))
+        let key = u64::from_be_bytes(rest[fn_end..fn_end + 8].try_into().ok()?);
+        Some((partition, fn_type, key, rest[fn_end + 8..].to_vec()))
     }
 
     fn encode_meta(epoch: u64, offsets: &[u64]) -> Vec<u8> {
@@ -376,7 +479,7 @@ impl CheckpointStore for BackendCheckpointStore {
         let mut ops = Vec::with_capacity(dirty.len() + 1);
         for delta in dirty {
             ops.push(WriteOp {
-                key: Self::state_key(delta.partition, delta.fn_type, delta.key),
+                key: Self::state_key(delta.partition, delta.fn_type, delta.key, &delta.row),
                 value: delta.value,
             });
         }
@@ -405,8 +508,27 @@ impl CheckpointStore for BackendCheckpointStore {
         Err(last_err.unwrap_or_else(|| OmError::Internal("checkpoint commit failed".into())))
     }
 
-    fn get_state(&self, partition: usize, fn_type: &str, key: u64) -> Option<Vec<u8>> {
-        self.backend.get(&Self::state_key(partition, fn_type, key))
+    fn get_row(&self, partition: usize, fn_type: &str, key: u64, row: &[u8]) -> Option<Vec<u8>> {
+        self.backend
+            .get(&Self::state_key(partition, fn_type, key, row))
+    }
+
+    fn scan_rows(
+        &self,
+        partition: usize,
+        fn_type: &str,
+        key: u64,
+        prefix: &[u8],
+    ) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let address_len = STATE_PREFIX.len() + 4 + 2 + fn_type.len() + 8;
+        self.backend
+            .scan_prefix(&Self::state_key(partition, fn_type, key, prefix))
+            .into_iter()
+            .map(|(mut raw_key, bytes)| {
+                raw_key.drain(..address_len);
+                (raw_key, bytes)
+            })
+            .collect()
     }
 
     fn load(&self) -> OmResult<Option<CheckpointSnapshot>> {
@@ -416,8 +538,14 @@ impl CheckpointStore for BackendCheckpointStore {
         let (epoch, offsets) = Self::decode_meta(&meta_raw)?;
         let mut states = Vec::new();
         for (raw_key, bytes) in self.backend.scan_prefix(STATE_PREFIX) {
-            if let Some((partition, fn_type, key)) = Self::parse_state_key(&raw_key) {
-                states.push((partition, fn_type, key, bytes));
+            if let Some((partition, fn_type, key, row)) = Self::parse_state_key(&raw_key) {
+                states.push(StateRow {
+                    partition,
+                    fn_type,
+                    key,
+                    row,
+                    value: bytes,
+                });
             }
         }
         Ok(Some(CheckpointSnapshot {
@@ -446,11 +574,22 @@ mod tests {
         out
     }
 
+    fn row(partition: usize, fn_type: &str, key: u64, row: &[u8], value: &[u8]) -> StateRow {
+        StateRow {
+            partition,
+            fn_type: fn_type.to_string(),
+            key,
+            row: row.to_vec(),
+            value: value.to_vec(),
+        }
+    }
+
     #[test]
     fn empty_store_loads_none() {
         for store in stores() {
             assert!(store.load().unwrap().is_none(), "{}", store.label());
-            assert_eq!(store.get_state(0, "f", 1), None, "{}", store.label());
+            assert_eq!(store.get_row(0, "f", 1, b""), None, "{}", store.label());
+            assert!(store.scan_rows(0, "f", 1, b"").is_empty(), "{}", store.label());
         }
     }
 
@@ -475,13 +614,13 @@ mod tests {
             assert_eq!(
                 states,
                 vec![
-                    (0, "counter".to_string(), 1, vec![1, 2, 3]),
-                    (1, "sink".to_string(), 9, vec![4]),
+                    row(0, "counter", 1, b"", &[1, 2, 3]),
+                    row(1, "sink", 9, b"", &[4]),
                 ],
                 "{}",
                 store.label()
             );
-            assert_eq!(store.get_state(0, "counter", 1), Some(vec![1, 2, 3]));
+            assert_eq!(store.get_row(0, "counter", 1, b""), Some(vec![1, 2, 3]));
             assert_eq!(store.commits(), 1, "{}", store.label());
         }
     }
@@ -495,7 +634,7 @@ mod tests {
             store
                 .commit_epoch(2, &[2], vec![StateDelta::delete(0, "f", 1)])
                 .unwrap();
-            assert_eq!(store.get_state(0, "f", 1), None, "{}", store.label());
+            assert_eq!(store.get_row(0, "f", 1, b""), None, "{}", store.label());
             let snap = store.load().unwrap().unwrap();
             assert_eq!(snap.epoch, 2);
             assert!(snap.states.is_empty(), "{}", store.label());
@@ -503,11 +642,56 @@ mod tests {
     }
 
     #[test]
+    fn rows_of_one_address_scan_in_order_and_stay_apart_from_neighbours() {
+        for store in stores() {
+            store
+                .commit_epoch(
+                    1,
+                    &[1],
+                    vec![
+                        StateDelta::put_row(0, "f", 1, b"e\x02".to_vec(), vec![2]),
+                        StateDelta::put_row(0, "f", 1, b"e\x01".to_vec(), vec![1]),
+                        StateDelta::put_row(0, "f", 1, b"x".to_vec(), vec![9]),
+                        StateDelta::put(0, "f", 1, vec![0]),
+                        // Neighbours a byte-prefix scan could confuse:
+                        // the next key, and a longer function name.
+                        StateDelta::put_row(0, "f", 2, b"e\x01".to_vec(), vec![7]),
+                        StateDelta::put_row(0, "fe", 1, b"e\x01".to_vec(), vec![8]),
+                    ],
+                )
+                .unwrap();
+            store
+                .commit_epoch(2, &[2], vec![StateDelta::delete_row(0, "f", 1, b"x".to_vec())])
+                .unwrap();
+            assert_eq!(
+                store.scan_rows(0, "f", 1, b""),
+                vec![
+                    (vec![], vec![0]),
+                    (b"e\x01".to_vec(), vec![1]),
+                    (b"e\x02".to_vec(), vec![2]),
+                ],
+                "{}",
+                store.label()
+            );
+            assert_eq!(
+                store.scan_rows(0, "f", 1, b"e"),
+                vec![(b"e\x01".to_vec(), vec![1]), (b"e\x02".to_vec(), vec![2])],
+                "{}",
+                store.label()
+            );
+            assert_eq!(store.get_row(0, "f", 1, b"x"), None, "{}", store.label());
+            assert_eq!(store.load().unwrap().unwrap().states.len(), 5, "{}", store.label());
+        }
+    }
+
+    #[test]
     fn backend_state_keys_roundtrip_odd_fn_names() {
         for fn_type in ["a", "with/slash", "ünïcode", ""] {
-            let key = BackendCheckpointStore::state_key(7, fn_type, u64::MAX);
-            let (p, f, k) = BackendCheckpointStore::parse_state_key(&key).expect("parses");
-            assert_eq!((p, f.as_str(), k), (7, fn_type, u64::MAX));
+            for row in [&b""[..], b"e\x00\xff"] {
+                let key = BackendCheckpointStore::state_key(7, fn_type, u64::MAX, row);
+                let (p, f, k, r) = BackendCheckpointStore::parse_state_key(&key).expect("parses");
+                assert_eq!((p, f.as_str(), k, r.as_slice()), (7, fn_type, u64::MAX, row));
+            }
         }
     }
 

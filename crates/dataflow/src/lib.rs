@@ -8,9 +8,16 @@
 //! ## Model
 //!
 //! * Applications register **stateful functions** ([`FnLogic`]) addressed
-//!   by `(function type, key)`. Each invocation receives the function's
-//!   keyed state and the message, and emits [`Effects`]: state updates,
-//!   messages to other functions, and egress records.
+//!   by `(function type, key)`. The state of an address is an ordered set
+//!   of **rows** `row → bytes` (Flink's `MapState`): an invocation reads
+//!   the rows it needs through a [`StateView`] (`get`, ordered `prefix`
+//!   iteration) and emits [`Effects`]: row writes and deletions, messages
+//!   to other functions, and egress records. A function whose state is
+//!   one value uses the row with the empty name — a plain closure over
+//!   `Option<&[u8]>` with [`Effects::set_state`]; one that keeps a
+//!   growing collection registers through [`RowFn`] and keys one row per
+//!   element, so an invocation costs the rows it touches and a checkpoint
+//!   the rows that changed, however much the instance has accumulated.
 //! * The runtime is **partitioned**: key-hash partitioning assigns every
 //!   address to one of `p` partitions, each processed by one worker, so
 //!   invocations for the same key are serialized (per-key FIFO) while
@@ -20,7 +27,7 @@
 //!   setting: an epoch pulls a bounded batch from the replayable ingress
 //!   log (`om-log`), processes it (including all transitively produced
 //!   internal messages) to quiescence, then atomically commits
-//!   *(state snapshot, ingress offsets, buffered egress)*. A crash rolls
+//!   *(changed state rows, ingress offsets, buffered egress)*. A crash rolls
 //!   back to the previous checkpoint and replays — inputs are never lost
 //!   and egress is never duplicated. The structural costs (barrier
 //!   alignment, state snapshots, output buffering until commit) are the
@@ -33,7 +40,7 @@
 //! [`InMemoryCheckpointStore`] keeps deep copies in process memory (fast,
 //! lost on rebuild), while [`BackendCheckpointStore`] persists every epoch
 //! through an [`om_storage::StateBackend`] with one atomic multi-key
-//! commit — so a rebuilt runtime (or one recovering from an injected
+//! commit, one backend key per row — so a rebuilt runtime (or one recovering from an injected
 //! crash) restarts from the last committed epoch instead of rolling back
 //! in-memory copies. See [`Dataflow::recover`].
 //!
@@ -46,8 +53,9 @@ pub mod runtime;
 
 pub use checkpoint::{
     BackendCheckpointStore, CheckpointSnapshot, CheckpointStore, InMemoryCheckpointStore,
-    StateDelta,
+    StateDelta, StateRow,
 };
 pub use runtime::{
-    Address, Dataflow, DataflowBuilder, Effects, EpochOutcome, FnLogic, RecoveryReport,
+    Address, Dataflow, DataflowBuilder, Effects, EpochOutcome, FnLogic, RecoveryReport, RowFn,
+    StateView,
 };

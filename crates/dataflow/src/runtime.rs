@@ -24,16 +24,29 @@
 //!   count); small epochs (≤ 8 records) skip the fan-out because the
 //!   handoff costs more than the work.
 //!
+//! ## Row-keyed state
+//!
+//! The state of an address `(fn_type, key)` is an ordered set of **rows**
+//! `row → bytes`. An invocation reads through a [`StateView`] (`get` one
+//! row, iterate a row prefix in order) and writes through
+//! [`Effects::put_row`] / [`Effects::delete_row`]; the runtime applies
+//! those writes to the partition's live rows as soon as the invocation
+//! returns, so every later invocation of the epoch reads them, and the
+//! epoch's checkpoint commits exactly the rows that changed (a write that
+//! leaves a row's bytes as they were dirties nothing). Single-row
+//! state (`set_state` / `clear_state` / `state_of`) is the row with the
+//! empty name.
+//!
 //! ## Epoch poisoning
 //!
-//! A worker panic or an `OmError` inside the parallel epoch poisons it
-//! deterministically: **no** partition's staged state or egress is
-//! committed (even for partitions that finished cleanly), live state is
-//! rebuilt from the last committed checkpoint, offsets stay untouched,
-//! and the next epoch replays the same batch. An injected crash
-//! (`inject_crash_after`) follows the same discard path but reports
-//! [`EpochOutcome::CrashedAndRecovered`]; a panic surfaces as an
-//! `OmError::Internal` to the epoch's driver.
+//! A logic panic or a logic `Err` inside an epoch — on a pool worker or
+//! on the serial path — poisons it deterministically: **no** partition's
+//! dirty rows or egress are committed (even for partitions that finished
+//! cleanly), live state is rebuilt from the last committed checkpoint,
+//! offsets stay untouched, and the next epoch replays the same batch. An
+//! injected crash (`inject_crash_after`) follows the same discard path
+//! but reports [`EpochOutcome::CrashedAndRecovered`]; a poisoned epoch
+//! surfaces as an `OmError::Internal` to the epoch's driver.
 //!
 //! ## Lock discipline
 //!
@@ -47,14 +60,16 @@
 //!    group's state locks once (ascending), process, and **release
 //!    them before staging results at the barrier**, so the committing
 //!    leader (which re-acquires each `states[p]` transiently, ascending,
-//!    to fold dirty keys) never contends with a processing worker.
+//!    to fold dirty rows) never contends with a processing worker.
 //! 3. `committed_egress` is acquired last and alone. Egress is staged
 //!    per partition and concatenated in **partition index order** at
 //!    commit time — never appended by workers as they finish — so the
 //!    committed egress order is independent of which partition
 //!    completes first, and a late poison can still discard all of it.
 
-use crate::checkpoint::{CheckpointStore, InMemoryCheckpointStore, StateDelta};
+use crate::checkpoint::{
+    rows_with_prefix, CheckpointStore, InMemoryCheckpointStore, Rows, StateDelta, StateRow,
+};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use om_common::commit_group::{CommitGroup, CommitGroupStats};
 use om_common::pool::WorkerPool;
@@ -86,11 +101,12 @@ impl Address {
     }
 }
 
-/// Effects produced by one function invocation: a state update, messages
+/// Effects produced by one function invocation: row updates, messages
 /// to other functions and egress records. Effects are buffered and become
 /// externally visible atomically with the epoch's checkpoint commit.
 pub struct Effects<M> {
-    state: Option<Option<Vec<u8>>>,
+    /// Row writes (`Some`) and deletions (`None`), applied in call order.
+    rows: Vec<(Vec<u8>, Option<Vec<u8>>)>,
     sends: Vec<(Address, M)>,
     egress: Vec<M>,
 }
@@ -98,20 +114,31 @@ pub struct Effects<M> {
 impl<M> Effects<M> {
     fn new() -> Self {
         Self {
-            state: None,
+            rows: Vec::new(),
             sends: Vec::new(),
             egress: Vec::new(),
         }
     }
 
-    /// Replaces this function instance's keyed state.
-    pub fn set_state(&mut self, bytes: Vec<u8>) {
-        self.state = Some(Some(bytes));
+    /// Writes one row of this function instance's state.
+    pub fn put_row(&mut self, row: impl Into<Vec<u8>>, bytes: Vec<u8>) {
+        self.rows.push((row.into(), Some(bytes)));
     }
 
-    /// Deletes this function instance's keyed state.
+    /// Deletes one row of this function instance's state.
+    pub fn delete_row(&mut self, row: impl Into<Vec<u8>>) {
+        self.rows.push((row.into(), None));
+    }
+
+    /// Replaces this function instance's single-row state (the row with
+    /// the empty name).
+    pub fn set_state(&mut self, bytes: Vec<u8>) {
+        self.put_row(Vec::new(), bytes);
+    }
+
+    /// Deletes this function instance's single-row state.
     pub fn clear_state(&mut self) {
-        self.state = Some(None);
+        self.delete_row(Vec::new());
     }
 
     /// Sends a message to another function (delivered within the same
@@ -127,23 +154,62 @@ impl<M> Effects<M> {
     }
 }
 
+/// Read access to the invoked instance's rows: the last checkpoint plus
+/// every write of the running epoch's earlier invocations.
+#[derive(Clone, Copy)]
+pub struct StateView<'a> {
+    rows: Option<&'a Rows>,
+}
+
+impl<'a> StateView<'a> {
+    /// The bytes of `row`, if it exists.
+    pub fn get(&self, row: &[u8]) -> Option<&'a [u8]> {
+        self.rows?.get(row).map(Vec::as_slice)
+    }
+
+    /// `(row, bytes)` of every row whose name starts with `prefix`, in
+    /// row order (the empty prefix iterates the whole instance).
+    pub fn prefix(&self, prefix: &'a [u8]) -> impl Iterator<Item = (&'a [u8], &'a [u8])> {
+        self.rows
+            .into_iter()
+            .flat_map(move |rows| rows_with_prefix(rows, prefix))
+    }
+}
+
 /// A stateful function: logic over `(key, state, message) -> effects`.
 pub trait FnLogic<M>: Send + Sync {
     /// Processes one message addressed to `(fn_type, key)` given the
-    /// instance's current keyed state.
-    fn invoke(&self, key: u64, state: Option<&[u8]>, msg: M, out: &mut Effects<M>);
+    /// instance's current rows. An `Err` poisons the epoch (see the
+    /// module docs): nothing of it commits and its batch is replayed.
+    fn invoke(&self, key: u64, state: StateView<'_>, msg: M, out: &mut Effects<M>) -> OmResult<()>;
 }
 
+/// Single-row functions: a closure over the instance's one (empty-named)
+/// row that cannot fail.
 impl<M, F> FnLogic<M> for F
 where
     F: Fn(u64, Option<&[u8]>, M, &mut Effects<M>) + Send + Sync,
 {
-    fn invoke(&self, key: u64, state: Option<&[u8]>, msg: M, out: &mut Effects<M>) {
-        self(key, state, msg, out)
+    fn invoke(&self, key: u64, state: StateView<'_>, msg: M, out: &mut Effects<M>) -> OmResult<()> {
+        self(key, state.get(b""), msg, out);
+        Ok(())
     }
 }
 
-type PartitionState = HashMap<(&'static str, u64), Vec<u8>>;
+/// Adapter registering a function that reads its rows through the
+/// [`StateView`] and may fail: `register("orders", RowFn(order_fn))`.
+pub struct RowFn<F>(pub F);
+
+impl<M, F> FnLogic<M> for RowFn<F>
+where
+    F: Fn(u64, StateView<'_>, M, &mut Effects<M>) -> OmResult<()> + Send + Sync,
+{
+    fn invoke(&self, key: u64, state: StateView<'_>, msg: M, out: &mut Effects<M>) -> OmResult<()> {
+        (self.0)(key, state, msg, out)
+    }
+}
+
+type PartitionState = HashMap<(&'static str, u64), Rows>;
 
 /// The committed epoch/offset coordinates — an in-memory mirror of what
 /// the [`CheckpointStore`] holds, so the hot paths (epoch start,
@@ -176,7 +242,7 @@ pub enum EpochOutcome {
 pub struct RecoveryReport {
     /// Epoch the runtime restarted from (0 = nothing was ever committed).
     pub epoch: u64,
-    /// Keyed-state entries rebuilt into the live partitions.
+    /// State rows rebuilt into the live partitions.
     pub restored_keys: u64,
     /// Ingress records between the restored offsets and the log end —
     /// committed upstream but not yet processed; the next epochs replay
@@ -332,7 +398,10 @@ impl<M: Send + Clone + 'static> DataflowBuilder<M> {
 /// commit (see the module docs on lock discipline: staged per partition,
 /// concatenated in partition order, never appended on completion).
 struct PartitionStage<M> {
-    dirty: HashSet<(&'static str, u64)>,
+    /// Rows written or deleted this epoch. Incremental checkpointing:
+    /// the commit copies only these, so checkpoint cost scales with the
+    /// batch, not with the accumulated state (the Flink/RocksDB approach).
+    dirty: HashSet<(&'static str, u64, Vec<u8>)>,
     egress: Vec<M>,
 }
 
@@ -624,76 +693,48 @@ impl<M: Send + Clone + 'static> Dataflow<M> {
         // Serial baseline (`workers(1)` / small auto epochs): one thread
         // walks the partitions round-robin. This path is the reference
         // the parallel path's committed results are tested against.
-        let crashed = AtomicBool::new(false);
-        let invocations = AtomicU64::new(0);
-        let mut egress_buffers: Vec<Vec<M>> = Vec::new();
-        // Incremental checkpointing: commits copy only the keys an epoch
-        // touched, so checkpoint cost scales with the batch, not with the
-        // total accumulated state (the Flink/RocksDB approach).
-        let mut dirty_sets: Vec<HashSet<(&'static str, u64)>> =
+        let mut invocations = 0u64;
+        let mut stages: Vec<PartitionStage<M>> =
             (0..core.partitions).map(|_| Default::default()).collect();
-        // Lock discipline: all partition state locks taken upfront in
-        // ascending order, released before the commit re-acquires them.
-        let mut states: Vec<_> = core.states.iter().map(|m| m.lock()).collect();
-        for _ in 0..core.partitions {
-            egress_buffers.push(Vec::new());
-        }
-        'outer: loop {
-            let mut progressed = false;
-            for p in 0..core.partitions {
-                while let Ok((to, msg)) = channels[p].1.try_recv() {
-                    progressed = true;
-                    let cd = core.crash_countdown.fetch_sub(1, Ordering::SeqCst);
-                    if cd == 0 {
-                        crashed.store(true, Ordering::Release);
-                        break 'outer;
-                    }
-                    let Some(logic) = core.functions.get(to.fn_type).cloned() else {
-                        core.unroutable.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    };
-                    let state = &mut states[p];
-                    let mut effects = Effects::new();
-                    let state_key = (to.fn_type, to.key);
-                    logic.invoke(
-                        to.key,
-                        state.get(&state_key).map(|v| v.as_slice()),
-                        msg,
-                        &mut effects,
-                    );
-                    invocations.fetch_add(1, Ordering::Relaxed);
-                    if let Some(update) = effects.state {
-                        dirty_sets[p].insert(state_key);
-                        match update {
-                            Some(bytes) => {
-                                state.insert(state_key, bytes);
-                            }
-                            None => {
-                                state.remove(&state_key);
-                            }
+        // A logic panic must not escape with this epoch's writes left in
+        // the live state: it gets the pool path's verdict below.
+        // `Ok(crashed)`: whether the injected crash fired.
+        let processed = catch_poison(|| {
+            // Lock discipline: all partition state locks taken upfront in
+            // ascending order, released before the commit re-acquires them.
+            let mut states: Vec<_> = core.states.iter().map(|m| m.lock()).collect();
+            loop {
+                let mut progressed = false;
+                for p in 0..core.partitions {
+                    while let Ok((to, msg)) = channels[p].1.try_recv() {
+                        progressed = true;
+                        if core.crash_countdown.fetch_sub(1, Ordering::SeqCst) == 0 {
+                            return Ok(true);
                         }
-                    }
-                    egress_buffers[p].extend(effects.egress);
-                    for (addr, m) in effects.sends {
-                        let _ = senders[addr.partition(core.partitions)].send((addr, m));
+                        let routed =
+                            core.invoke_one(to, msg, &mut states[p], &mut stages[p], |addr, m| {
+                                let _ = senders[addr.partition(core.partitions)].send((addr, m));
+                            })?;
+                        invocations += u64::from(routed);
                     }
                 }
+                if !progressed {
+                    return Ok(false);
+                }
             }
-            if !progressed {
-                break;
-            }
-        }
-        drop(states);
+        });
         core.invocations_total
-            .fetch_add(invocations.load(Ordering::Relaxed), Ordering::Relaxed);
-        if crashed.load(Ordering::Acquire) {
-            return core.crash_restore();
+            .fetch_add(invocations, Ordering::Relaxed);
+        match processed {
+            Err(poison) => return core.poisoned(poison),
+            Ok(true) => return core.crash_restore(),
+            Ok(false) => {}
         }
-        core.commit_epoch(&offsets, &batch_lens, &mut dirty_sets, egress_buffers)?;
+        core.commit_epoch(&offsets, &batch_lens, stages)?;
         core.epochs.fetch_add(1, Ordering::Relaxed);
         Ok(EpochOutcome::Committed {
             ingress: ingress_count,
-            invocations: invocations.load(Ordering::Relaxed),
+            invocations,
         })
     }
 
@@ -726,12 +767,52 @@ impl<M: Send + Clone + 'static> Dataflow<M> {
         std::mem::take(&mut *self.core.committed_egress.lock())
     }
 
-    /// Committed keyed state of `(fn_type, key)` as of the last
+    /// Committed single-row state of `(fn_type, key)` as of the last
     /// checkpoint (served by the checkpoint store, never live state).
     pub fn state_of(&self, addr: Address) -> Option<Vec<u8>> {
-        self.core
-            .store
-            .get_state(addr.partition(self.core.partitions), addr.fn_type, addr.key)
+        self.row_of(addr, b"")
+    }
+
+    /// Committed bytes of one row of `(fn_type, key)`.
+    pub fn row_of(&self, addr: Address, row: &[u8]) -> Option<Vec<u8>> {
+        self.core.store.get_row(
+            addr.partition(self.core.partitions),
+            addr.fn_type,
+            addr.key,
+            row,
+        )
+    }
+
+    /// Committed rows of `(fn_type, key)` whose name starts with
+    /// `prefix`, as `(row, bytes)` in row order.
+    pub fn rows_of(&self, addr: Address, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.core.store.scan_rows(
+            addr.partition(self.core.partitions),
+            addr.fn_type,
+            addr.key,
+            prefix,
+        )
+    }
+
+    /// Keys of every `fn_type` instance that holds state as of the last
+    /// checkpoint, ascending. Waits out an epoch in flight, then reads the
+    /// live partitions (equal to the checkpoint between epochs) — a
+    /// restarted application lists its entities without a second load of
+    /// the store.
+    pub fn keys_of(&self, fn_type: &str) -> Vec<u64> {
+        let _epoch_guard = self.core.epoch_mutex.lock();
+        let mut keys: Vec<u64> = Vec::new();
+        for state in &self.core.states {
+            keys.extend(
+                state
+                    .lock()
+                    .keys()
+                    .filter(|(f, _)| *f == fn_type)
+                    .map(|(_, key)| *key),
+            );
+        }
+        keys.sort_unstable();
+        keys
     }
 
     /// Committed epoch number.
@@ -795,13 +876,23 @@ impl<M: Send + Clone + 'static> DfCore<M> {
                 meta.offsets = (0..self.partitions)
                     .map(|p| snap.offsets[p].min(self.ingress.end_offset(p)))
                     .collect();
-                for (partition, fn_type, key, bytes) in snap.states {
+                for StateRow {
+                    partition,
+                    fn_type,
+                    key,
+                    row,
+                    value,
+                } in snap.states
+                {
                     if partition >= self.partitions {
                         continue;
                     }
                     match self.functions.get_key_value(fn_type.as_str()) {
                         Some((&interned, _)) => {
-                            rebuilt[partition].insert((interned, key), bytes);
+                            rebuilt[partition]
+                                .entry((interned, key))
+                                .or_default()
+                                .insert(row, value);
                             restored_keys += 1;
                         }
                         None => {
@@ -847,16 +938,85 @@ impl<M: Send + Clone + 'static> DfCore<M> {
         Ok(EpochOutcome::CrashedAndRecovered)
     }
 
-    /// Folds the epoch's dirty keys into checkpoint deltas and commits
+    /// The verdict of an epoch a logic panic or error poisoned: every
+    /// partition's dirty rows and egress are discarded (live state
+    /// rebuilt from the last committed checkpoint), offsets untouched —
+    /// the next epoch replays the same batch.
+    fn poisoned(&self, poison: String) -> OmResult<EpochOutcome> {
+        self.recover_locked()?;
+        self.replays.fetch_add(1, Ordering::Relaxed);
+        Err(OmError::Internal(format!(
+            "dataflow epoch poisoned by {poison}"
+        )))
+    }
+
+    /// One invocation, the same on the serial and the pool path: look up
+    /// the logic, invoke it over the instance's live rows, apply its row
+    /// updates to `state` and mark them dirty in `stage`, buffer its
+    /// egress, hand its sends to `route`. `Ok(false)` = unroutable
+    /// (counted, nothing ran).
+    fn invoke_one(
+        &self,
+        to: Address,
+        msg: M,
+        state: &mut PartitionState,
+        stage: &mut PartitionStage<M>,
+        mut route: impl FnMut(Address, M),
+    ) -> Result<bool, String> {
+        let Some(logic) = self.functions.get(to.fn_type) else {
+            self.unroutable.fetch_add(1, Ordering::Relaxed);
+            return Ok(false);
+        };
+        let address = (to.fn_type, to.key);
+        let mut effects = Effects::new();
+        let view = StateView {
+            rows: state.get(&address),
+        };
+        logic
+            .invoke(to.key, view, msg, &mut effects)
+            .map_err(|e| format!("function error at {}/{}: {e}", to.fn_type, to.key))?;
+        for (row, update) in effects.rows {
+            // A write that leaves the row as it was dirties nothing.
+            let changed = match update {
+                Some(bytes) => {
+                    let rows = state.entry(address).or_default();
+                    rows.get(&row) != Some(&bytes) && {
+                        rows.insert(row.clone(), bytes);
+                        true
+                    }
+                }
+                None => match state.get_mut(&address) {
+                    Some(rows) => {
+                        let existed = rows.remove(&row).is_some();
+                        if rows.is_empty() {
+                            state.remove(&address);
+                        }
+                        existed
+                    }
+                    None => false,
+                },
+            };
+            if changed {
+                stage.dirty.insert((to.fn_type, to.key, row));
+            }
+        }
+        stage.egress.extend(effects.egress);
+        for (addr, m) in effects.sends {
+            route(addr, m);
+        }
+        Ok(true)
+    }
+
+    /// Folds the epoch's dirty rows into checkpoint deltas and commits
     /// them (with the advanced offsets) through the store, then updates
-    /// the in-memory meta mirror. On a store-side commit failure the live
-    /// state is rolled back to the last committed checkpoint.
+    /// the in-memory meta mirror and releases the staged egress. On a
+    /// store-side commit failure the live state is rolled back to the
+    /// last committed checkpoint.
     fn commit_epoch(
         &self,
         offsets: &[u64],
         batch_lens: &[u64],
-        dirty_sets: &mut [HashSet<(&'static str, u64)>],
-        egress_buffers: Vec<Vec<M>>,
+        stages: Vec<PartitionStage<M>>,
     ) -> OmResult<()> {
         let next_epoch = self.meta.lock().epoch + 1;
         let new_offsets: Vec<u64> = (0..self.partitions)
@@ -865,16 +1025,25 @@ impl<M: Send + Clone + 'static> DfCore<M> {
             .map(|p| offsets[p] + batch_lens[p])
             .collect();
         let mut deltas = Vec::new();
-        for (p, dirty) in dirty_sets.iter_mut().enumerate() {
+        let mut egress_buffers = Vec::with_capacity(stages.len());
+        for (p, stage) in stages.into_iter().enumerate() {
             // Lock discipline: states re-acquired transiently, one at a
             // time, in ascending partition order, with meta released.
             let live = self.states[p].lock();
-            for (fn_type, key) in dirty.drain() {
-                deltas.push(match live.get(&(fn_type, key)) {
-                    Some(bytes) => StateDelta::put(p, fn_type, key, bytes.clone()),
-                    None => StateDelta::delete(p, fn_type, key),
+            for (fn_type, key, row) in stage.dirty {
+                let value = live
+                    .get(&(fn_type, key))
+                    .and_then(|rows| rows.get(&row))
+                    .cloned();
+                deltas.push(StateDelta {
+                    partition: p,
+                    fn_type,
+                    key,
+                    row,
+                    value,
                 });
             }
+            egress_buffers.push(stage.egress);
         }
         if let Err(e) = self.store.commit_epoch(next_epoch, &new_offsets, deltas) {
             // The epoch's effects never became durable: roll the live
@@ -904,17 +1073,10 @@ impl<M: Send + Clone + 'static> DfCore<M> {
     fn epoch_worker(&self, ctx: &EpochCtx<M>, g: usize) {
         // Static group assignment: group g owns partitions p ≡ g (mod G).
         let own: Vec<usize> = (g..self.partitions).step_by(ctx.groups).collect();
-        let stages = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.process_group(ctx, &own)
-        })) {
+        let stages = match catch_poison(|| self.process_group(ctx, &own)) {
             Ok(stages) => stages,
-            Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "worker panicked".into());
-                ctx.poison.lock().get_or_insert(msg);
+            Err(poison) => {
+                ctx.poison.lock().get_or_insert(poison);
                 // Other groups stop pulling instead of spinning on
                 // in_flight the dead group will never drain.
                 ctx.crashed.store(true, Ordering::Release);
@@ -937,8 +1099,12 @@ impl<M: Send + Clone + 'static> DfCore<M> {
     }
 
     /// The processing loop of one worker group: pull → apply → track
-    /// dirty keys, over the group's own partitions only.
-    fn process_group(&self, ctx: &EpochCtx<M>, own: &[usize]) -> Vec<(usize, PartitionStage<M>)> {
+    /// dirty rows, over the group's own partitions only.
+    fn process_group(
+        &self,
+        ctx: &EpochCtx<M>,
+        own: &[usize],
+    ) -> Result<Vec<(usize, PartitionStage<M>)>, String> {
         // Lock discipline: the group's state locks, taken once in
         // ascending partition order (own is ascending by construction),
         // held for the whole processing phase, released before staging.
@@ -968,43 +1134,16 @@ impl<M: Send + Clone + 'static> DfCore<M> {
                         ctx.crashed.store(true, Ordering::Release);
                         break 'epoch;
                     }
-                    let logic = match self.functions.get(to.fn_type) {
-                        Some(l) => l.clone(),
-                        None => {
-                            self.unroutable.fetch_add(1, Ordering::Relaxed);
-                            ctx.in_flight.fetch_sub(1, Ordering::AcqRel);
-                            continue;
-                        }
-                    };
-                    let state = &mut guards[i];
-                    let mut effects = Effects::new();
-                    let state_key = (to.fn_type, to.key);
-                    logic.invoke(
-                        to.key,
-                        state.get(&state_key).map(|v| v.as_slice()),
-                        msg,
-                        &mut effects,
-                    );
-                    ctx.invocations.fetch_add(1, Ordering::Relaxed);
-                    if let Some(update) = effects.state {
-                        stages[i].dirty.insert(state_key);
-                        match update {
-                            Some(bytes) => {
-                                state.insert(state_key, bytes);
-                            }
-                            None => {
-                                state.remove(&state_key);
-                            }
-                        }
-                    }
-                    stages[i].egress.extend(effects.egress);
-                    // Route internal sends before declaring this message
-                    // done so in_flight never dips to zero while
-                    // cascades are pending.
-                    for (addr, m) in effects.sends {
-                        ctx.in_flight.fetch_add(1, Ordering::AcqRel);
-                        let _ = ctx.senders[addr.partition(self.partitions)].send((addr, m));
-                    }
+                    // Sends are routed (and counted in flight) before this
+                    // message is declared done, so in_flight never dips to
+                    // zero while cascades are pending.
+                    let routed =
+                        self.invoke_one(to, msg, &mut guards[i], &mut stages[i], |addr, m| {
+                            ctx.in_flight.fetch_add(1, Ordering::AcqRel);
+                            let _ = ctx.senders[addr.partition(self.partitions)].send((addr, m));
+                        })?;
+                    ctx.invocations
+                        .fetch_add(u64::from(routed), Ordering::Relaxed);
                     ctx.in_flight.fetch_sub(1, Ordering::AcqRel);
                 }
             }
@@ -1028,7 +1167,7 @@ impl<M: Send + Clone + 'static> DfCore<M> {
         // Lock discipline: state released before the barrier, so the
         // committing leader never contends with a processing worker.
         drop(guards);
-        own.iter().copied().zip(stages).collect()
+        Ok(own.iter().copied().zip(stages).collect())
     }
 
     /// The barrier leader's duty, run by exactly one participant at a
@@ -1068,33 +1207,20 @@ impl<M: Send + Clone + 'static> DfCore<M> {
         self.invocations_total
             .fetch_add(ctx.invocations.load(Ordering::Relaxed), Ordering::Relaxed);
         let verdict: OmResult<EpochOutcome> = (|| {
-            if let Some(msg) = ctx.poison.lock().take() {
-                // A worker panicked: every partition's staged state and
-                // egress is discarded (live state rebuilt from the last
-                // committed checkpoint), offsets untouched — the next
-                // epoch replays the same batch.
-                self.recover_locked()?;
-                self.replays.fetch_add(1, Ordering::Relaxed);
-                return Err(OmError::Internal(format!(
-                    "dataflow epoch poisoned by worker panic: {msg}"
-                )));
+            if let Some(poison) = ctx.poison.lock().take() {
+                return self.poisoned(poison);
             }
             if ctx.crashed.load(Ordering::Acquire) {
                 // Injected crash: same discard, reported as an outcome.
                 return self.crash_restore();
             }
-            let mut dirty_sets: Vec<HashSet<(&'static str, u64)>> =
-                Vec::with_capacity(self.partitions);
-            let mut egress_buffers: Vec<Vec<M>> = Vec::with_capacity(self.partitions);
-            {
-                let mut staged = ctx.staged.lock();
-                for slot in staged.iter_mut() {
-                    let stage = slot.take().expect("every partition staged by its group");
-                    dirty_sets.push(stage.dirty);
-                    egress_buffers.push(stage.egress);
-                }
-            }
-            self.commit_epoch(&ctx.offsets, &ctx.batch_lens, &mut dirty_sets, egress_buffers)?;
+            let stages: Vec<PartitionStage<M>> = ctx
+                .staged
+                .lock()
+                .iter_mut()
+                .map(|slot| slot.take().expect("every partition staged by its group"))
+                .collect();
+            self.commit_epoch(&ctx.offsets, &ctx.batch_lens, stages)?;
             self.epochs.fetch_add(1, Ordering::Relaxed);
             Ok(EpochOutcome::Committed {
                 ingress: ctx.ingress_count,
@@ -1104,4 +1230,17 @@ impl<M: Send + Clone + 'static> DfCore<M> {
         *ctx.result.lock() = Some(verdict);
         Ok(ctx.top_ticket)
     }
+}
+
+/// Runs `work`, turning a panic into the poison message an `Err` of
+/// `work` carries anyway — both abort the epoch the same way.
+fn catch_poison<T>(work: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)).unwrap_or_else(|panic| {
+        let msg = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "opaque payload".into());
+        Err(format!("worker panic: {msg}"))
+    })
 }

@@ -163,9 +163,9 @@ fn recover_racing_epochs_never_deadlocks_nor_corrupts() {
 /// the fault clears the replay applies everything exactly once.
 #[test]
 fn worker_panic_poisons_epoch_and_replay_is_exactly_once() {
-    // Pool path only: with workers(1) the serial loop runs in the caller
-    // thread and a logic panic propagates to the caller by design.
-    for workers in [2usize, 4] {
+    // workers(1) runs the serial loop in the caller's thread; it must give
+    // a logic panic the same verdict as a pool worker does.
+    for workers in [1usize, 2, 4] {
         let bomb = Arc::new(AtomicBool::new(true));
         let armed = bomb.clone();
         let df = Dataflow::builder()
@@ -214,6 +214,58 @@ fn worker_panic_poisons_epoch_and_replay_is_exactly_once() {
         assert!(replays >= 1, "poisoning counts as a replay (workers={workers})");
 
         // Fault cleared: the replay applies every record exactly once.
+        bomb.store(false, Ordering::SeqCst);
+        df.run_to_completion().unwrap();
+        assert_eq!(state_sum(&df, 12), 12, "workers={workers}");
+        assert_eq!(df.committed_egress_len(), 12, "workers={workers}");
+    }
+}
+
+/// A logic `Err` (e.g. a state row that does not decode) gets the same
+/// verdict as a panic at every worker count: the epoch's dirty rows are
+/// discarded — including those of invocations that ran before the
+/// failing one — offsets stay, and the replay is exactly-once.
+#[test]
+fn logic_error_poisons_epoch_and_replay_is_exactly_once() {
+    for workers in [1usize, 2, 4] {
+        let bomb = Arc::new(AtomicBool::new(true));
+        let armed = bomb.clone();
+        let df = Dataflow::builder()
+            .partitions(4)
+            .max_batch(64)
+            .workers(workers)
+            .register(
+                "counter",
+                om_dataflow::RowFn(
+                    move |_key: u64,
+                          state: om_dataflow::StateView<'_>,
+                          msg: (u64, u64),
+                          out: &mut Effects<(u64, u64)>| {
+                        if msg.0 == 7 && armed.load(Ordering::SeqCst) {
+                            return Err(om_common::OmError::Internal("row does not decode".into()));
+                        }
+                        let cur = state
+                            .get(b"")
+                            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+                            .unwrap_or(0);
+                        out.set_state((cur + msg.1).to_le_bytes().to_vec());
+                        out.emit((msg.0, cur + msg.1));
+                        Ok(())
+                    },
+                ),
+            )
+            .build();
+        for k in 0..12u64 {
+            df.submit(Address::new("counter", k), (k, 1));
+        }
+        let err = df.run_epoch().expect_err("a failing function poisons the epoch");
+        assert!(
+            err.to_string().contains("poisoned") && err.to_string().contains("row does not decode"),
+            "error names the poisoning and its cause: {err} (workers={workers})"
+        );
+        assert_eq!(df.committed_epoch(), 0, "workers={workers}");
+        assert_eq!(df.committed_offsets(), vec![0; 4], "workers={workers}");
+        assert_eq!(df.stats().1, 1, "one replay (workers={workers})");
         bomb.store(false, Ordering::SeqCst);
         df.run_to_completion().unwrap();
         assert_eq!(state_sum(&df, 12), 12, "workers={workers}");

@@ -342,3 +342,52 @@ fn take_committed_egress_drains() {
         assert_eq!(df.committed_egress_len(), 0);
     }
 }
+
+mod common;
+use common::{ledger_builder, model, submit_all, workload, Observed};
+
+/// Row-keyed state, parallel ≡ serial ≡ the sequential model: the final
+/// rows and every per-key fold (which reads the rows earlier messages of
+/// the same epoch wrote) are identical at every worker count.
+#[test]
+fn row_state_matches_the_sequential_model_at_every_worker_count() {
+    let ops = workload(300, 5);
+    let expected = model(&ops);
+    for workers in WORKER_COUNTS {
+        // A small batch spreads the run over many epochs; within each,
+        // several messages still hit the same ledger.
+        let df = ledger_builder(4, 16, workers).build();
+        submit_all(&df, &ops);
+        df.run_to_completion().unwrap();
+        let mut observed = Observed::default();
+        observed.absorb(df.take_committed_egress());
+        observed.read_rows(&df, 5);
+        assert_eq!(observed, expected, "workers={workers}");
+    }
+}
+
+/// A crash after **every possible invocation count** of the run: the
+/// dirty rows of the interrupted epoch are discarded, the batch replays,
+/// and rows and folds still equal the model — no append applied twice,
+/// no tombstone lost, no fold emitted twice.
+#[test]
+fn row_state_survives_a_crash_at_every_invocation() {
+    let ops = workload(60, 3);
+    let expected = model(&ops);
+    for workers in WORKER_COUNTS {
+        for crash_at in 0..ops.len() as u64 {
+            let df = ledger_builder(2, 8, workers).build();
+            submit_all(&df, &ops);
+            // The countdown spans epochs: it fires at the crash_at-th
+            // invocation of the run, wherever that epoch boundary falls.
+            df.inject_crash_after(crash_at);
+            df.run_to_completion().unwrap();
+            let (_, replays, _, _) = df.stats();
+            assert_eq!(replays, 1, "crash {crash_at} fired once (workers={workers})");
+            let mut observed = Observed::default();
+            observed.absorb(df.take_committed_egress());
+            observed.read_rows(&df, 3);
+            assert_eq!(observed, expected, "crash_at={crash_at} workers={workers}");
+        }
+    }
+}

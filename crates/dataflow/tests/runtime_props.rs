@@ -145,3 +145,49 @@ proptest! {
         }
     }
 }
+
+mod common;
+use common::{ledger_builder, model, submit_all, Observed, RowMsg};
+
+fn row_ops() -> impl Strategy<Value = Vec<(u64, RowMsg)>> {
+    let op = (0u64..4, 0u64..6, 0u8..10, any::<u64>()).prop_map(|(key, id, kind, value)| {
+        let msg = match kind {
+            0 | 1 => RowMsg::Delete { id },
+            2 => RowMsg::Fold,
+            _ => RowMsg::Append { id, value },
+        };
+        (key, msg)
+    });
+    proptest::collection::vec(op, 1..90)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Row-keyed state under arbitrary crash schedules, partitionings,
+    /// batch sizes and worker counts: committed rows and every per-key
+    /// ordered fold equal the sequential model — so serial and parallel
+    /// runs, which both equal the model, also equal each other.
+    #[test]
+    fn prop_row_state_is_exactly_once_and_worker_count_transparent(
+        ops in row_ops(),
+        crash_points in proptest::collection::vec(1u64..40, 0..4),
+        partitions in 1usize..5,
+        max_batch in 1usize..24,
+    ) {
+        let expected = model(&ops);
+        for workers in [1usize, 2, 4] {
+            let df = ledger_builder(partitions, max_batch, workers).build();
+            submit_all(&df, &ops);
+            for cp in &crash_points {
+                df.inject_crash_after(*cp);
+                let _ = df.run_epoch().unwrap();
+            }
+            df.run_to_completion().unwrap();
+            let mut observed = Observed::default();
+            observed.absorb(df.take_committed_egress());
+            observed.read_rows(&df, 4);
+            prop_assert_eq!(&observed, &expected, "workers {}", workers);
+        }
+    }
+}

@@ -10,22 +10,33 @@
 //! met only in the absence of logic-level rejections, and the dashboard
 //! remains two non-atomic reads (paper: Statefun "shows lower scalability
 //! compared to Orleans Eventual but outperforms Orleans Transactions").
+//!
+//! Function state is **row-keyed** (`om_dataflow`'s `StateView` /
+//! `put_row`): the four aggregates that grow with the run — a seller's
+//! dashboard entries, a customer's orders and payments, a seller's
+//! packages — keep one row per entity beside a small header row, so an
+//! invocation decodes and re-encodes the entities its message names and a
+//! checkpoint commits the rows that changed, never the history. The
+//! business rules stay in [`crate::domain`]: each function loads the
+//! touched rows into the (otherwise empty) domain service, calls the
+//! service's own method, and writes the service's contents back as rows.
 
 use crossbeam::channel::{bounded, Sender};
-use om_common::entity::{
-    Customer, OrderEntry, OrderStatus, PaymentMethod, Product, Seller, SellerDashboard,
-};
 use om_common::entity::CartItem;
+use om_common::entity::{
+    Customer, Order, OrderEntry, OrderStatus, Package, Payment, PaymentMethod, Product, Seller,
+    SellerDashboard,
+};
 use om_common::event::OrderLineRef;
 use om_common::ids::*;
 use om_common::stats::CounterSet;
 use om_common::time::EventTime;
 use om_common::{Money, OmError, OmResult};
-use om_dataflow::{Address, CheckpointStore, Dataflow, Effects};
+use om_dataflow::{Address, CheckpointStore, Dataflow, Effects, RowFn, StateView};
 use parking_lot::{Mutex, RwLock};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -177,16 +188,67 @@ impl WaiterRegistry {
     }
 }
 
-// Keyed state is encoded with the workspace's compact binary codec: the
+// State rows are encoded with the workspace's compact binary codec: the
 // runtime checkpoints raw bytes, and every invocation pays a decode +
-// encode, so the codec's speed directly bounds function throughput
-// (real Statefun uses binary Protobuf state for the same reason).
-fn load<T: DeserializeOwned>(state: Option<&[u8]>) -> Option<T> {
-    state.map(|b| om_common::codec::from_bytes(b).expect("state deserializes"))
+// encode of the rows it touches, so the codec's speed directly bounds
+// function throughput (real Statefun uses binary Protobuf state for the
+// same reason).
+//
+// Row names. An address's header (or its whole state, when it does not
+// grow) is the row with the empty name; the growing aggregates add one
+// row per entity under a tag byte followed by big-endian ids, so a prefix
+// scan of a tag returns rows in id order and an invocation touches only
+// the rows of the entities its message names.
+const ROOT: &[u8] = b"";
+/// Seller: one row per `(order, product)` dashboard entry.
+const ENTRY: u8 = b'e';
+/// Order function: one row per order (with its delivered-package count).
+const ORDER: u8 = b'o';
+/// Order function: one row per checkout assembly still collecting answers.
+const PENDING: u8 = b'p';
+/// Payment: one row per payment.
+const PAYMENT: u8 = b'p';
+/// Shipment: one row per package, under its order.
+const PACKAGE: u8 = b'k';
+/// Shipment: the open-orders index, `(shipped_at, order)` of every order
+/// with an undelivered package — its first row is the seller's oldest.
+const OPEN: u8 = b'u';
+
+fn row(tag: u8, ids: &[u64]) -> Vec<u8> {
+    let mut name = Vec::with_capacity(1 + 8 * ids.len());
+    name.push(tag);
+    for id in ids {
+        name.extend_from_slice(&id.to_be_bytes());
+    }
+    name
 }
 
-fn save<T: Serialize>(out: &mut Effects<DfMsg>, value: &T) {
-    out.set_state(om_common::codec::to_bytes(value).expect("state serializes"));
+/// The `n`-th id of a name built by [`row`].
+fn row_id(name: &[u8], n: usize) -> OmResult<u64> {
+    name.get(1 + 8 * n..9 + 8 * n)
+        .and_then(|b| b.try_into().ok())
+        .map(u64::from_be_bytes)
+        .ok_or_else(|| OmError::Internal(format!("malformed dataflow row name {name:?}")))
+}
+
+fn decode<T: DeserializeOwned>(bytes: &[u8]) -> OmResult<T> {
+    om_common::codec::from_bytes(bytes)
+        .map_err(|e| OmError::Internal(format!("dataflow state row does not decode: {e:?}")))
+}
+
+fn load<T: DeserializeOwned>(bytes: Option<&[u8]>) -> OmResult<Option<T>> {
+    bytes.map(decode).transpose()
+}
+
+type Out = Effects<DfMsg>;
+
+/// Writes `value` to `row` (the runtime drops a write that leaves the row
+/// as it was, so functions write back their whole working set).
+fn save<T: Serialize>(out: &mut Out, row: &[u8], value: &T) -> OmResult<()> {
+    let bytes = om_common::codec::to_bytes(value)
+        .map_err(|e| OmError::Internal(format!("dataflow state row does not encode: {e:?}")))?;
+    out.put_row(row, bytes);
+    Ok(())
 }
 
 fn addr(fn_type: &'static str, key: u64) -> Address {
@@ -334,97 +396,87 @@ fn build_dataflow(
         builder = builder.ingress_topic(ingress);
     }
     builder
-        .register(kinds::PRODUCT, product_fn)
-        .register(kinds::REPLICA, replica_fn)
-        .register(kinds::STOCK, stock_fn)
-        .register(kinds::CART, cart_fn)
-        .register(kinds::ORDER, order_fn)
-        .register(kinds::PAYMENT, payment_fn)
-        .register(kinds::SHIPMENT, shipment_fn)
-        .register(kinds::SELLER, seller_fn)
-        .register(kinds::CUSTOMER, customer_fn)
-        .register(DELIVERY_FN, delivery_fn)
+        .register(kinds::PRODUCT, RowFn(product_fn))
+        .register(kinds::REPLICA, RowFn(replica_fn))
+        .register(kinds::STOCK, RowFn(stock_fn))
+        .register(kinds::CART, RowFn(cart_fn))
+        .register(kinds::ORDER, RowFn(order_fn))
+        .register(kinds::PAYMENT, RowFn(payment_fn))
+        .register(kinds::SHIPMENT, RowFn(shipment_fn))
+        .register(kinds::SELLER, RowFn(seller_fn))
+        .register(kinds::CUSTOMER, RowFn(customer_fn))
+        .register(DELIVERY_FN, RowFn(delivery_fn))
         .register(DRILL_FN, |_key, _state: Option<&[u8]>, _msg: DfMsg, _out: &mut Effects<DfMsg>| {})
         .build()
 }
 
-fn product_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfMsg>) {
-    let mut product: Option<Product> = load(state);
+fn product_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
+    let mut product: Option<Product> = load(state.get(ROOT))?;
     match msg {
         DfMsg::IngestProduct(p) => {
-            let replica = ProductReplica {
-                price: p.price,
-                freight_value: p.freight_value,
-                version: p.version,
-                active: p.active,
-            };
             out.send(
                 addr(kinds::REPLICA, key),
                 DfMsg::ReplicaUpdate {
-                    price: replica.price,
-                    version: replica.version,
+                    price: p.price,
+                    version: p.version,
                 },
             );
-            save(out, &p);
-            product = Some(p);
-            let _ = product;
+            save(out, ROOT, &p)?;
         }
         DfMsg::PriceUpdate { price } => {
-            if let Some(p) = product.as_mut() {
-                if p.active {
-                    p.set_price(price);
-                    out.send(
-                        addr(kinds::REPLICA, key),
-                        DfMsg::ReplicaUpdate {
-                            price,
-                            version: p.version,
-                        },
-                    );
-                    save(out, p);
-                }
+            if let Some(p) = product.as_mut().filter(|p| p.active) {
+                p.set_price(price);
+                out.send(
+                    addr(kinds::REPLICA, key),
+                    DfMsg::ReplicaUpdate {
+                        price,
+                        version: p.version,
+                    },
+                );
+                save(out, ROOT, p)?;
             }
         }
         DfMsg::ProductDelete => {
-            if let Some(p) = product.as_mut() {
-                if p.active {
-                    p.delete();
-                    out.send(addr(kinds::REPLICA, key), DfMsg::ReplicaDelete { version: p.version });
-                    out.send(addr(kinds::STOCK, key), DfMsg::StockDelete { version: p.version });
-                    save(out, p);
-                }
+            if let Some(p) = product.as_mut().filter(|p| p.active) {
+                p.delete();
+                out.send(addr(kinds::REPLICA, key), DfMsg::ReplicaDelete { version: p.version });
+                out.send(addr(kinds::STOCK, key), DfMsg::StockDelete { version: p.version });
+                save(out, ROOT, p)?;
             }
         }
         _ => {}
     }
+    Ok(())
 }
 
-fn replica_fn(_key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfMsg>) {
-    let mut replica: ProductReplica =
-        load(state).unwrap_or_else(|| ProductReplica::new(Money::ZERO, Money::ZERO));
+fn replica_fn(_key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
+    let mut replica: ProductReplica = load(state.get(ROOT))?
+        .unwrap_or_else(|| ProductReplica::new(Money::ZERO, Money::ZERO));
     match msg {
         DfMsg::ReplicaUpdate { price, version } => {
             // Version 0 is initial ingestion (always applied).
             if version == 0 {
                 replica.price = price;
-                save(out, &replica);
+                save(out, ROOT, &replica)?;
             } else if replica.apply_update(price, version) {
-                save(out, &replica);
+                save(out, ROOT, &replica)?;
             }
         }
         DfMsg::ReplicaDelete { version } if replica.apply_delete(version) => {
-            save(out, &replica);
+            save(out, ROOT, &replica)?;
         }
         _ => {}
     }
+    Ok(())
 }
 
-fn stock_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfMsg>) {
-    let mut stock: Option<StockService> = load(state);
+fn stock_fn(_key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
+    let mut stock: Option<StockService> = load(state.get(ROOT))?;
     match msg {
         DfMsg::IngestStock { key: sk, qty } => {
             let mut s = stock.unwrap_or_else(|| StockService::new(sk, 0));
             s.item.replenish(qty);
-            save(out, &s);
+            save(out, ROOT, &s)?;
         }
         DfMsg::Reserve {
             tid,
@@ -437,7 +489,7 @@ fn stock_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfMsg>
             let reserved = match stock.as_mut() {
                 Some(s) => {
                     let ok = s.reserve(item.quantity).is_ok();
-                    save(out, s);
+                    save(out, ROOT, s)?;
                     ok
                 }
                 None => false,
@@ -458,33 +510,34 @@ fn stock_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfMsg>
         DfMsg::StockConfirm { qty } => {
             if let Some(s) = stock.as_mut() {
                 s.confirm(qty);
-                save(out, s);
+                save(out, ROOT, s)?;
             }
         }
         DfMsg::StockCancel { qty } => {
             if let Some(s) = stock.as_mut() {
                 s.cancel(qty);
-                save(out, s);
+                save(out, ROOT, s)?;
             }
         }
         DfMsg::StockDelete { version } => {
             if let Some(s) = stock.as_mut() {
                 s.apply_product_delete(version);
-                save(out, s);
+                save(out, ROOT, s)?;
             }
         }
         _ => {}
     }
-    let _ = key;
+    Ok(())
 }
 
-fn cart_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfMsg>) {
+fn cart_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
     let customer = CustomerId(key);
-    let mut cart: CartService = load(state).unwrap_or_else(|| CartService::new(customer));
+    let mut cart: CartService =
+        load(state.get(ROOT))?.unwrap_or_else(|| CartService::new(customer));
     match msg {
         DfMsg::CartAdd(item) => {
             let _ = cart.add_item(item);
-            save(out, &cart);
+            save(out, ROOT, &cart)?;
         }
         DfMsg::Checkout {
             tid,
@@ -508,7 +561,7 @@ fn cart_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfMsg>)
                         DfMsg::Reserve {
                             tid,
                             customer,
-                            item: item.clone(),
+                            item,
                             method,
                             decline_rate_bp,
                             at,
@@ -516,7 +569,7 @@ fn cart_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfMsg>)
                     );
                 }
                 cart.finish_checkout();
-                save(out, &cart);
+                save(out, ROOT, &cart)?;
             }
             Err(e) => {
                 out.emit(DfMsg::Egress(Eg::CheckoutDone {
@@ -535,30 +588,87 @@ fn cart_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfMsg>)
                 changed |= cart.apply_price_update(item.product, price, version);
             }
             if changed {
-                save(out, &cart);
+                save(out, ROOT, &cart)?;
             }
         }
         _ => {}
     }
+    Ok(())
 }
 
-fn order_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfMsg>) {
-    let customer = CustomerId(key);
-    #[derive(Serialize, Deserialize)]
-    struct OrderFnState {
-        svc: OrderService,
-        delivered: BTreeMap<OrderId, u32>,
+/// One order row: the order and how many of its packages were reported
+/// delivered so far. The one codec `order_fn` and `snapshot()` share.
+#[derive(Serialize, Deserialize)]
+struct OrderRow {
+    order: Order,
+    delivered: u32,
+}
+
+/// The working set of one `order_fn` invocation: the customer's
+/// [`OrderService`] holding **only the rows the message touches** — the
+/// header row is the service with empty collections (customer, invoice
+/// sequence), orders and pending assemblies are loaded into it by id —
+/// so the service's own methods run unchanged on O(1) state.
+struct OrderRows<'a> {
+    state: StateView<'a>,
+    svc: OrderService,
+    delivered: BTreeMap<OrderId, u32>,
+    loaded_pending: Option<TransactionId>,
+}
+
+impl<'a> OrderRows<'a> {
+    fn open(customer: CustomerId, state: StateView<'a>) -> OmResult<Self> {
+        Ok(Self {
+            state,
+            svc: load(state.get(ROOT))?.unwrap_or_else(|| OrderService::new(customer)),
+            delivered: BTreeMap::new(),
+            loaded_pending: None,
+        })
     }
-    let mut st: OrderFnState = load(state).unwrap_or_else(|| OrderFnState {
-        svc: OrderService::new(customer),
-        delivered: BTreeMap::new(),
-    });
+
+    fn load_order(&mut self, id: OrderId) -> OmResult<()> {
+        if let Some(OrderRow { order, delivered }) = load(self.state.get(&row(ORDER, &[id.0])))? {
+            self.svc.orders.insert(id, order);
+            self.delivered.insert(id, delivered);
+        }
+        Ok(())
+    }
+
+    fn load_pending(&mut self, tid: TransactionId) -> OmResult<()> {
+        if let Some(pending) = load(self.state.get(&row(PENDING, &[tid.0])))? {
+            self.svc.pending.insert(tid, pending);
+            self.loaded_pending = Some(tid);
+        }
+        Ok(())
+    }
+
+    /// Writes the working set back: one row per order and per pending
+    /// assembly it holds, the loaded assembly's row deleted if the service
+    /// completed it, and the header with the collections taken out.
+    fn store(mut self, out: &mut Out) -> OmResult<()> {
+        for (id, order) in std::mem::take(&mut self.svc.orders) {
+            let delivered = self.delivered.get(&id).copied().unwrap_or(0);
+            save(out, &row(ORDER, &[id.0]), &OrderRow { order, delivered })?;
+        }
+        let pending = std::mem::take(&mut self.svc.pending);
+        if let Some(tid) = self.loaded_pending.filter(|tid| !pending.contains_key(tid)) {
+            out.delete_row(row(PENDING, &[tid.0]));
+        }
+        for (tid, assembly) in pending {
+            save(out, &row(PENDING, &[tid.0]), &assembly)?;
+        }
+        save(out, ROOT, &self.svc)
+    }
+}
+
+fn order_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
+    let customer = CustomerId(key);
+    let mut st = OrderRows::open(customer, state)?;
     match msg {
         DfMsg::BeginAssembly {
             tid, expected, at, ..
         } => {
             st.svc.begin_assembly(tid, expected, at);
-            save(out, &st);
         }
         DfMsg::StockAnswer {
             tid,
@@ -569,6 +679,7 @@ fn order_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfMsg>
             decline_rate_bp,
             at,
         } => {
+            st.load_pending(tid)?;
             let completed = st.svc.record_stock_answer(tid, item, reserved);
             if let Some(done) = completed {
                 if done.confirmed.is_empty() {
@@ -633,38 +744,31 @@ fn order_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfMsg>
                     }
                 }
             }
-            save(out, &st);
         }
         DfMsg::SetStatus { order, status, at } => {
+            st.load_order(order)?;
             let _ = st.svc.set_status(order, status, at);
-            save(out, &st);
         }
         DfMsg::PackagesDelivered { order, packages, at } => {
-            let total = {
-                let e = st.delivered.entry(order).or_insert(0);
-                *e += packages;
-                *e
-            };
-            let expected = st
-                .svc
-                .orders
-                .get(&order)
-                .map(|o| o.items.len() as u32)
-                .unwrap_or(u32::MAX);
-            if total >= expected {
-                let _ = st.svc.set_status(order, OrderStatus::Delivered, at);
-                out.send(addr(kinds::CUSTOMER, customer.0), DfMsg::CustomerDelivery);
+            st.load_order(order)?;
+            // A delivery for an order this customer never placed has no
+            // row to count against and is dropped.
+            if let Some(expected) = st.svc.orders.get(&order).map(|o| o.items.len() as u32) {
+                let total = st.delivered.entry(order).or_insert(0);
+                *total += packages;
+                if *total >= expected {
+                    let _ = st.svc.set_status(order, OrderStatus::Delivered, at);
+                    out.send(addr(kinds::CUSTOMER, customer.0), DfMsg::CustomerDelivery);
+                }
             }
-            save(out, &st);
         }
-        _ => {}
+        _ => return Ok(()),
     }
+    st.store(out)
 }
 
-fn payment_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfMsg>) {
-    let customer = CustomerId(key);
-    let mut svc: PaymentService = load(state).unwrap_or_else(|| PaymentService::new(customer));
-    if let DfMsg::ProcessPayment {
+fn payment_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
+    let DfMsg::ProcessPayment {
         tid,
         order,
         customer: cust,
@@ -674,89 +778,123 @@ fn payment_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfMs
         lines,
         at,
     } = msg
-    {
-        let payment = svc.process(
+    else {
+        return Ok(());
+    };
+    // The header row is the service with no payments in it (id sequence,
+    // counters); `process` adds the one payment this message creates.
+    let mut svc: PaymentService =
+        load(state.get(ROOT))?.unwrap_or_else(|| PaymentService::new(CustomerId(key)));
+    let payment = svc.process(
+        order,
+        method,
+        amount,
+        decline_rate_bp as f64 / 10_000.0,
+        at,
+    );
+    for (id, payment) in std::mem::take(&mut svc.payments) {
+        save(out, &row(PAYMENT, &[id.0]), &payment)?;
+    }
+    save(out, ROOT, &svc)?;
+    let status = if payment.approved {
+        OrderStatus::Paid
+    } else {
+        OrderStatus::PaymentFailed
+    };
+    out.send(
+        addr(kinds::ORDER, cust.0),
+        DfMsg::SetStatus {
             order,
-            method,
-            amount,
-            decline_rate_bp as f64 / 10_000.0,
-            at,
+            status,
+            at: EventTime(at.0 + 1),
+        },
+    );
+    out.send(
+        addr(kinds::CUSTOMER, cust.0),
+        DfMsg::PaymentResult {
+            approved: payment.approved,
+            amount: payment.amount,
+        },
+    );
+    for line in &lines {
+        out.send(
+            addr(kinds::SELLER, line.seller.0),
+            DfMsg::ApplyStatus { order, status },
         );
-        save(out, &svc);
-        let status = if payment.approved {
-            OrderStatus::Paid
+    }
+    for line in &lines {
+        let settle = if payment.approved {
+            DfMsg::StockConfirm { qty: line.quantity }
         } else {
-            OrderStatus::PaymentFailed
+            DfMsg::StockCancel { qty: line.quantity }
         };
-        out.send(
-            addr(kinds::ORDER, cust.0),
-            DfMsg::SetStatus {
-                order,
-                status,
-                at: EventTime(at.0 + 1),
-            },
-        );
-        out.send(
-            addr(kinds::CUSTOMER, cust.0),
-            DfMsg::PaymentResult {
-                approved: payment.approved,
-                amount: payment.amount,
-            },
-        );
-        for line in &lines {
+        out.send(addr(kinds::STOCK, line.product.0), settle);
+    }
+    if payment.approved {
+        let mut by_seller: HashMap<SellerId, Vec<OrderLineRef>> = HashMap::new();
+        for line in lines {
+            by_seller.entry(line.seller).or_default().push(line);
+        }
+        for (seller, seller_lines) in by_seller {
             out.send(
-                addr(kinds::SELLER, line.seller.0),
-                DfMsg::ApplyStatus { order, status },
+                addr(kinds::SHIPMENT, seller.0),
+                DfMsg::CreatePackages {
+                    tid,
+                    shipment: ShipmentId(order.0),
+                    order,
+                    customer: cust,
+                    lines: seller_lines,
+                    at: EventTime(at.0 + 2),
+                },
             );
         }
-        for line in &lines {
-            let settle = if payment.approved {
-                DfMsg::StockConfirm { qty: line.quantity }
-            } else {
-                DfMsg::StockCancel { qty: line.quantity }
-            };
-            out.send(addr(kinds::STOCK, line.product.0), settle);
-        }
-        if payment.approved {
-            let mut by_seller: HashMap<SellerId, Vec<OrderLineRef>> = HashMap::new();
-            for line in lines {
-                by_seller.entry(line.seller).or_default().push(line);
-            }
-            for (seller, seller_lines) in by_seller {
-                out.send(
-                    addr(kinds::SHIPMENT, seller.0),
-                    DfMsg::CreatePackages {
-                        tid,
-                        shipment: ShipmentId(order.0),
-                        order,
-                        customer: cust,
-                        lines: seller_lines,
-                        at: EventTime(at.0 + 2),
-                    },
-                );
-            }
-            out.emit(DfMsg::Egress(Eg::CheckoutDone {
-                tid,
-                order: Some(order),
-                total: Some(payment.amount),
-                accepted: true,
-                reason: String::new(),
-            }));
-        } else {
-            out.emit(DfMsg::Egress(Eg::CheckoutDone {
-                tid,
-                order: Some(order),
-                total: None,
-                accepted: false,
-                reason: "payment declined".into(),
-            }));
-        }
+        out.emit(DfMsg::Egress(Eg::CheckoutDone {
+            tid,
+            order: Some(order),
+            total: Some(payment.amount),
+            accepted: true,
+            reason: String::new(),
+        }));
+    } else {
+        out.emit(DfMsg::Egress(Eg::CheckoutDone {
+            tid,
+            order: Some(order),
+            total: None,
+            accepted: false,
+            reason: "payment declined".into(),
+        }));
+    }
+    Ok(())
+}
+
+/// Writes a shipment working set back: one row per package the service
+/// holds, then the header (package sequence, delivered counter) with the
+/// packages taken out.
+fn store_shipment(out: &mut Out, mut svc: ShipmentService) -> OmResult<()> {
+    for package in std::mem::take(&mut svc.packages) {
+        save(out, &row(PACKAGE, &[package.order.0, package.id.0]), &package)?;
+    }
+    save(out, ROOT, &svc)
+}
+
+/// Head of a seller's open-orders index: the order `deliver_oldest_order`
+/// would pick over the whole package history, `min (shipped_at, order)`.
+fn oldest_open(state: StateView<'_>) -> OmResult<Option<(EventTime, OrderId)>> {
+    match state.prefix(&[OPEN]).next() {
+        Some((name, _)) => Ok(Some((
+            EventTime(row_id(name, 0)?),
+            OrderId(row_id(name, 1)?),
+        ))),
+        None => Ok(None),
     }
 }
 
-fn shipment_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfMsg>) {
+fn shipment_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
     let seller = SellerId(key);
-    let mut svc: ShipmentService = load(state).unwrap_or_else(|| ShipmentService::new(seller));
+    // The header row is the service with no packages in it; each message
+    // loads the packages of the one order it concerns.
+    let mut svc: ShipmentService =
+        load(state.get(ROOT))?.unwrap_or_else(|| ShipmentService::new(seller));
     match msg {
         DfMsg::CreatePackages {
             shipment,
@@ -766,8 +904,10 @@ fn shipment_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfM
             at,
             ..
         } => {
-            svc.create_packages(shipment, order, customer, &lines, at);
-            save(out, &svc);
+            if !svc.create_packages(shipment, order, customer, &lines, at).is_empty() {
+                out.put_row(row(OPEN, &[at.0, order.0]), Vec::new());
+            }
+            store_shipment(out, svc)?;
             out.send(
                 addr(kinds::ORDER, customer.0),
                 DfMsg::SetStatus {
@@ -790,15 +930,27 @@ fn shipment_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfM
                 DfMsg::OldestReply {
                     tid,
                     seller,
-                    oldest: svc.oldest_undelivered(),
+                    oldest: oldest_open(state)?.map(|(shipped_at, _)| shipped_at),
                 },
             );
         }
         DfMsg::DeliverOldest { tid, at } => {
             let mut packages = 0;
+            if let Some((_, oldest)) = oldest_open(state)? {
+                for (_, bytes) in state.prefix(&row(PACKAGE, &[oldest.0])) {
+                    svc.packages.push(decode(bytes)?);
+                }
+            }
             if let Some((order, pkgs)) = svc.deliver_oldest_order(at) {
                 packages = pkgs.len() as u32;
-                save(out, &svc);
+                // The order leaves the open index under every shipping
+                // time its packages carry.
+                let shipped: BTreeSet<EventTime> =
+                    svc.packages.iter().map(|p| p.shipped_at).collect();
+                for shipped_at in shipped {
+                    out.delete_row(row(OPEN, &[shipped_at.0, order.0]));
+                }
+                store_shipment(out, svc)?;
                 out.send(
                     addr(
                         kinds::ORDER,
@@ -829,37 +981,49 @@ fn shipment_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfM
         }
         _ => {}
     }
+    Ok(())
 }
 
-fn seller_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfMsg>) {
-    let seller = SellerId(key);
-    let mut view: Option<SellerView> = load(state);
-    match msg {
-        DfMsg::IngestSeller(s) => {
-            save(out, &SellerView::new(s));
-        }
-        DfMsg::AddEntry(entry) => {
-            if let Some(v) = view.as_mut() {
-                v.add_entry(entry);
-                save(out, v);
+fn seller_fn(_key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
+    // The header row is the view with no entries in it (profile and the
+    // continuous aggregate); each message loads the entries of the one
+    // order it concerns, so `SellerView`'s own methods maintain both.
+    let mut view = match (msg, load::<SellerView>(state.get(ROOT))?) {
+        (DfMsg::IngestSeller(s), _) => {
+            for (name, _) in state.prefix(&[ENTRY]) {
+                out.delete_row(name);
             }
+            SellerView::new(s)
         }
-        DfMsg::ApplyStatus { order, status } => {
-            if let Some(v) = view.as_mut() {
-                v.apply_status(order, status);
-                save(out, v);
+        (DfMsg::AddEntry(entry), Some(mut view)) => {
+            view.add_entry(entry);
+            view
+        }
+        (DfMsg::ApplyStatus { order, status }, Some(mut view)) => {
+            for (_, bytes) in state.prefix(&row(ENTRY, &[order.0])) {
+                let entry: OrderEntry = decode(bytes)?;
+                view.entries.insert((entry.order, entry.product.0), entry);
             }
+            let loaded: Vec<(OrderId, u64)> = view.entries.keys().copied().collect();
+            view.apply_status(order, status);
+            for retired in loaded.iter().filter(|k| !view.entries.contains_key(k)) {
+                out.delete_row(row(ENTRY, &[retired.0 .0, retired.1]));
+            }
+            view
         }
-        _ => {}
+        _ => return Ok(()),
+    };
+    for ((order, product), entry) in std::mem::take(&mut view.entries) {
+        save(out, &row(ENTRY, &[order.0, product]), &entry)?;
     }
-    let _ = seller;
+    save(out, ROOT, &view)
 }
 
-fn customer_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfMsg>) {
-    let mut customer: Option<Customer> = load(state);
+fn customer_fn(_key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
+    let mut customer: Option<Customer> = load(state.get(ROOT))?;
     match msg {
         DfMsg::IngestCustomer(c) => {
-            save(out, &c);
+            save(out, ROOT, &c)?;
         }
         DfMsg::PaymentResult { approved, amount } => {
             if let Some(c) = customer.as_mut() {
@@ -869,21 +1033,21 @@ fn customer_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfM
                 } else {
                     c.failed_payment_count += 1;
                 }
-                save(out, c);
+                save(out, ROOT, c)?;
             }
         }
         DfMsg::CustomerDelivery => {
             if let Some(c) = customer.as_mut() {
                 c.delivery_count += 1;
-                save(out, c);
+                save(out, ROOT, c)?;
             }
         }
         _ => {}
     }
-    let _ = key;
+    Ok(())
 }
 
-fn delivery_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfMsg>) {
+fn delivery_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
     let tid = TransactionId(key);
     match msg {
         DfMsg::DeliveryRequest {
@@ -891,7 +1055,7 @@ fn delivery_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfM
         } => {
             if sellers.is_empty() {
                 out.emit(DfMsg::Egress(Eg::DeliveryDone { tid, packages: 0 }));
-                return;
+                return Ok(());
             }
             let st = DeliveryState {
                 max,
@@ -904,11 +1068,11 @@ fn delivery_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfM
             for s in sellers {
                 out.send(addr(kinds::SHIPMENT, s.0), DfMsg::OldestQuery { tid });
             }
-            save(out, &st);
+            save(out, ROOT, &st)?;
         }
         DfMsg::OldestReply { seller, oldest, .. } => {
-            let Some(mut st) = load::<DeliveryState>(state) else {
-                return;
+            let Some(mut st) = load::<DeliveryState>(state.get(ROOT))? else {
+                return Ok(());
             };
             st.waiting_oldest -= 1;
             if let Some(t) = oldest {
@@ -925,7 +1089,7 @@ fn delivery_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfM
                 if chosen.is_empty() {
                     out.emit(DfMsg::Egress(Eg::DeliveryDone { tid, packages: 0 }));
                     out.clear_state();
-                    return;
+                    return Ok(());
                 }
                 st.waiting_deliver = chosen.len();
                 let at = st.at;
@@ -933,11 +1097,11 @@ fn delivery_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfM
                     out.send(addr(kinds::SHIPMENT, s.0), DfMsg::DeliverOldest { tid, at });
                 }
             }
-            save(out, &st);
+            save(out, ROOT, &st)?;
         }
         DfMsg::DeliverReply { packages, .. } => {
-            let Some(mut st) = load::<DeliveryState>(state) else {
-                return;
+            let Some(mut st) = load::<DeliveryState>(state.get(ROOT))? else {
+                return Ok(());
             };
             st.packages += packages;
             st.waiting_deliver -= 1;
@@ -948,11 +1112,12 @@ fn delivery_fn(key: u64, state: Option<&[u8]>, msg: DfMsg, out: &mut Effects<DfM
                 }));
                 out.clear_state();
             } else {
-                save(out, &st);
+                save(out, ROOT, &st)?;
             }
         }
         _ => {}
     }
+    Ok(())
 }
 
 /// Configuration for the dataflow platform.
@@ -1047,15 +1212,14 @@ impl DataflowPlatform {
         // will replay into function state, so they belong in the
         // catalog too.
         let catalog = super::actor_core::Catalog::default();
-        if let Ok(Some(snap)) = df.checkpoint_store().load() {
-            for (_, fn_type, key, _) in &snap.states {
-                match fn_type.as_str() {
-                    kinds::SELLER => catalog.add_seller(SellerId(*key)),
-                    kinds::CUSTOMER => catalog.add_customer(CustomerId(*key)),
-                    kinds::PRODUCT => catalog.add_product(ProductId(*key)),
-                    _ => {}
-                }
-            }
+        for key in df.keys_of(kinds::SELLER) {
+            catalog.add_seller(SellerId(key));
+        }
+        for key in df.keys_of(kinds::CUSTOMER) {
+            catalog.add_customer(CustomerId(key));
+        }
+        for key in df.keys_of(kinds::PRODUCT) {
+            catalog.add_product(ProductId(key));
         }
         let ingress = df.ingress_topic();
         for (partition, &from) in df.committed_offsets().iter().enumerate() {
@@ -1202,22 +1366,40 @@ impl DataflowPlatform {
         drove
     }
 
-    fn replica_view(&self, product: ProductId) -> Option<ProductReplica> {
+    /// The committed header (or whole single-row state) of an address.
+    fn committed<T: DeserializeOwned>(&self, fn_type: &'static str, key: u64) -> Option<T> {
         self.df
-            .state_of(addr(kinds::REPLICA, product.0))
-            .and_then(|b| om_common::codec::from_bytes(&b).ok())
+            .state_of(addr(fn_type, key))
+            .and_then(|b| decode(&b).ok())
+    }
+
+    /// The committed rows of an address under `tag`, decoded, in row
+    /// order — one ordered scan.
+    fn committed_rows<T: DeserializeOwned>(
+        &self,
+        fn_type: &'static str,
+        key: u64,
+        tag: u8,
+    ) -> Vec<T> {
+        self.df
+            .rows_of(addr(fn_type, key), &[tag])
+            .iter()
+            .filter_map(|(_, bytes)| decode(bytes).ok())
+            .collect()
+    }
+
+    fn replica_view(&self, product: ProductId) -> Option<ProductReplica> {
+        self.committed(kinds::REPLICA, product.0)
     }
 
     fn product_view(&self, product: ProductId) -> Option<Product> {
-        self.df
-            .state_of(addr(kinds::PRODUCT, product.0))
-            .and_then(|b| om_common::codec::from_bytes(&b).ok())
+        self.committed(kinds::PRODUCT, product.0)
     }
 
-    fn seller_view(&self, seller: SellerId) -> Option<SellerView> {
-        self.df
-            .state_of(addr(kinds::SELLER, seller.0))
-            .and_then(|b| om_common::codec::from_bytes(&b).ok())
+    /// The seller's header row: profile and continuous aggregate, no
+    /// entries.
+    fn seller_header(&self, seller: SellerId) -> Option<SellerView> {
+        self.committed(kinds::SELLER, seller.0)
     }
 }
 
@@ -1384,23 +1566,22 @@ impl MarketplacePlatform for DataflowPlatform {
         }
     }
 
-    /// Two reads of the committed seller state. The pump may commit a
-    /// checkpoint between them, so the halves can disagree — the
+    /// Two reads of the committed seller state: the aggregate from the
+    /// header row, then the entry rows in one ordered scan. The pump may
+    /// commit a checkpoint between them, so the halves can disagree — the
     /// consistent-querying criterion Statefun does not provide.
     fn seller_dashboard(&self, seller: SellerId) -> OmResult<SellerDashboard> {
-        let v1 = self
-            .seller_view(seller)
+        let header = self
+            .seller_header(seller)
             .ok_or_else(|| OmError::NotFound(format!("{seller}")))?;
-        let (amount, count) = v1.aggregate();
-        let v2 = self
-            .seller_view(seller)
-            .ok_or_else(|| OmError::NotFound(format!("{seller}")))?;
+        let (amount, count) = header.aggregate();
+        let entries = self.committed_rows(kinds::SELLER, seller.0, ENTRY);
         self.counters.incr("dashboards");
         Ok(SellerDashboard {
-            seller: v1.seller.id,
+            seller: header.seller.id,
             in_progress_amount: amount,
             in_progress_count: count,
-            entries: v2.entry_list(),
+            entries,
         })
     }
 
@@ -1418,57 +1599,41 @@ impl MarketplacePlatform for DataflowPlatform {
             if let Some(prod) = self.product_view(p) {
                 snap.products.push(prod);
             }
-            if let Some(b) = self.df.state_of(addr(kinds::STOCK, p.0)) {
-                if let Ok(s) = om_common::codec::from_bytes::<StockService>(&b) {
-                    snap.stock.push(StockSnapshot {
-                        item: s.item.clone(),
-                        qty_sold: s.qty_sold,
-                    });
-                }
+            if let Some(s) = self.committed::<StockService>(kinds::STOCK, p.0) {
+                snap.stock.push(StockSnapshot {
+                    item: s.item,
+                    qty_sold: s.qty_sold,
+                });
             }
         }
         for &c in self.catalog.customers.read().iter() {
-            if let Some(b) = self.df.state_of(addr(kinds::ORDER, c.0)) {
-                // Must mirror order_fn's state exactly: the binary codec
-                // is positional, so partial probe structs cannot skip
-                // fields the way JSON could.
-                #[derive(Deserialize)]
-                struct OrderFnState {
-                    svc: OrderService,
-                    #[allow(dead_code)]
-                    delivered: BTreeMap<OrderId, u32>,
-                }
-                if let Ok(st) = om_common::codec::from_bytes::<OrderFnState>(&b) {
-                    snap.stuck_assemblies += st.svc.stuck_assemblies() as u64;
-                    snap.orders.extend(st.svc.orders.values().cloned());
-                }
-            }
-            if let Some(b) = self.df.state_of(addr(kinds::PAYMENT, c.0)) {
-                if let Ok(svc) = om_common::codec::from_bytes::<PaymentService>(&b) {
-                    snap.payments.extend(svc.payments.values().cloned());
-                }
-            }
-            if let Some(b) = self.df.state_of(addr(kinds::CUSTOMER, c.0)) {
-                if let Ok(profile) = om_common::codec::from_bytes::<Customer>(&b) {
-                    snap.customers.push(profile);
-                }
-            }
+            snap.stuck_assemblies += self
+                .df
+                .rows_of(addr(kinds::ORDER, c.0), &[PENDING])
+                .len() as u64;
+            snap.orders.extend(
+                self.committed_rows::<OrderRow>(kinds::ORDER, c.0, ORDER)
+                    .into_iter()
+                    .map(|r| r.order),
+            );
+            snap.payments
+                .extend(self.committed_rows::<Payment>(kinds::PAYMENT, c.0, PAYMENT));
+            snap.customers.extend(self.committed::<Customer>(kinds::CUSTOMER, c.0));
         }
         for &s in self.catalog.sellers.read().iter() {
-            if let Some(v) = self.seller_view(s) {
-                snap.sellers.push(v.seller.clone());
-            }
-            if let Some(b) = self.df.state_of(addr(kinds::SHIPMENT, s.0)) {
-                if let Ok(svc) = om_common::codec::from_bytes::<ShipmentService>(&b) {
-                    snap.shipments.extend(svc.packages.iter().map(|p| PackageSnapshot {
+            snap.sellers
+                .extend(self.seller_header(s).map(|header| header.seller));
+            snap.shipments.extend(
+                self.committed_rows::<Package>(kinds::SHIPMENT, s.0, PACKAGE)
+                    .iter()
+                    .map(|p| PackageSnapshot {
                         order: p.order,
                         seller: p.seller,
                         product: p.product,
                         delivered: p.status == om_common::entity::PackageStatus::Delivered,
                         shipped_at: p.shipped_at.raw(),
-                    }));
-                }
-            }
+                    }),
+            );
         }
         Ok(snap)
     }

@@ -19,7 +19,9 @@ pub struct OrderService {
     next_seq: u64,
     /// Checkout assemblies in progress: stock confirmations collected per
     /// transaction until `expected` lines answered (event-driven bindings).
-    pending: BTreeMap<TransactionId, PendingCheckout>,
+    /// Public like `orders`: the row-keyed dataflow binding loads only the
+    /// assembly a message names into an otherwise empty service.
+    pub pending: BTreeMap<TransactionId, PendingCheckout>,
 }
 
 /// Space reserved per customer in the order-id namespace.

@@ -75,7 +75,7 @@ use om_common::checksum::{parse_frame, push_frame};
 use om_common::config::{BackendKind, DurableOptions, GroupCommitPolicy, SnapshotMode};
 use om_common::{OmError, OmResult};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fs::{self, File};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -446,10 +446,11 @@ fn resolved_recovery_threads(configured: usize) -> usize {
 
 /// One in-memory shard: the live map plus the keys dirtied since the
 /// last snapshot file (base or delta) — what the next incremental
-/// snapshot writes.
+/// snapshot writes. The map is ordered so a prefix scan visits only the
+/// matching keys of each shard, not the whole store.
 #[derive(Default)]
 struct Shard {
-    map: HashMap<Vec<u8>, Vec<u8>>,
+    map: BTreeMap<Vec<u8>, Vec<u8>>,
     dirty: HashSet<Vec<u8>>,
 }
 
@@ -1303,13 +1304,13 @@ impl FileBackend {
         let mut parts: Vec<PartEntries> = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
             let shard = shard.read();
-            let mut part: PartEntries = shard
-                .map
-                .iter()
-                .map(|(k, v)| (k.clone(), Some(v.clone())))
-                .collect();
-            part.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            parts.push(part);
+            parts.push(
+                shard
+                    .map
+                    .iter()
+                    .map(|(k, v)| (k.clone(), Some(v.clone())))
+                    .collect(),
+            );
         }
         let (out, index) = build_v2_file(true, seq, &parts);
         let tmp = self.dir.join("snap").join(format!("snap-{seq}.tmp"));
@@ -1576,8 +1577,8 @@ impl StateBackend for FileBackend {
                 shard
                     .read()
                     .map
-                    .iter()
-                    .filter(|(k, _)| k.starts_with(prefix))
+                    .range::<[u8], _>((std::ops::Bound::Included(prefix), std::ops::Bound::Unbounded))
+                    .take_while(|(k, _)| k.starts_with(prefix))
                     .map(|(k, v)| (k.clone(), v.clone())),
             );
         }
