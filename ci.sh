@@ -36,8 +36,10 @@
 #   * the benchmark of record is built and RUN the way BENCHMARK.json
 #     declares it (its own package under crates/bench/src/bin/marketbench,
 #     which no other stanza builds): `run --smoke` on the durable
-#     dataflow workload and on one memory workload must end in a result
-#     line with "correct":true and "failed":0 — a code-path check, not a
+#     dataflow workload, on one memory workload and on the dashboard
+#     workload (bounded snapshot scan, streaming JSON encode, the "no
+#     torn dashboard" audit) must end in a result line with
+#     "correct":true and "failed":0 — a code-path check, not a
 #     measurement,
 #   * all examples must keep compiling, and failure_recovery *runs* as a
 #     smoke step (it asserts zero lost epochs across a disk-backed
@@ -102,7 +104,7 @@ cargo run --release --offline -p om_bench --bin bench_guard -- results/bench_b5_
 
 echo "==> benchmark of record: marketbench --smoke via the BENCHMARK.json command (outputs correct, nothing failed)"
 mapfile -t MARKETBENCH < <(python3 -c 'import json; print("\n".join(json.load(open("BENCHMARK.json"))["command"]))')
-for workload in checkout_df_disk checkout_tx_mem; do
+for workload in checkout_df_disk checkout_tx_mem dashboard_cu_mem; do
     verdict=$("${MARKETBENCH[@]}" run --smoke --workload "$workload" | tail -n 1)
     if [[ ! $verdict =~ \"correct\":true || ! $verdict =~ \"failed\":0[,}] ]]; then
         echo "marketbench run --smoke --workload $workload ended with: $verdict" >&2

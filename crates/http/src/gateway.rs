@@ -459,7 +459,7 @@ mod tests {
         let body = match body {
             Some(v) => {
                 headers.insert("content-type", "application/json");
-                Bytes::from(serde_json::to_vec(&v).unwrap())
+                crate::response::json_bytes(&v)
             }
             None => Bytes::new(),
         };

@@ -32,10 +32,9 @@ impl Response {
 
     /// A response whose body is the JSON encoding of `value`.
     pub fn json<T: Serialize>(status: u16, value: &T) -> Self {
-        let body = serde_json::to_vec(value).expect("serializable response body");
         let mut resp = Response::new(status);
         resp.headers.insert("content-type", "application/json");
-        resp.body = Bytes::from(body);
+        resp.body = json_bytes(value);
         resp
     }
 
@@ -104,6 +103,13 @@ impl Response {
         let _ = write!(head, "content-length: {}\r\n\r\n", self.body.len());
         out.extend_from_slice(head.as_bytes());
     }
+}
+
+/// The JSON encoding of `value` as a message body — the one place a body
+/// is encoded: the serializer writes into the buffer that `Bytes` then
+/// takes over, so the text exists once.
+pub(crate) fn json_bytes<T: Serialize + ?Sized>(value: &T) -> Bytes {
+    Bytes::from(serde_json::to_vec(value).expect("serializable JSON body"))
 }
 
 /// Attempts to parse one response from the front of `buf` (client side).

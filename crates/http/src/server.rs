@@ -18,7 +18,7 @@ use crate::error::HttpError;
 use crate::gateway::MarketplaceGateway;
 use crate::pipe::{close_weak, Connection, Pipe, ReadStatus};
 use crate::request::{parse_request, Headers, Method, ParserConfig, Request, Version};
-use crate::response::{parse_head_response, parse_response, Response};
+use crate::response::{json_bytes, parse_head_response, parse_response, Response};
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -421,7 +421,7 @@ impl HttpClient {
         let body = match json {
             Some(v) => {
                 headers.insert("content-type", "application/json");
-                Bytes::from(serde_json::to_vec(v).expect("serializable json body"))
+                json_bytes(v)
             }
             None => Bytes::new(),
         };

@@ -9,10 +9,10 @@
 //! * a **product replica cache** read through the unified
 //!   [`StateBackend`]'s read-your-writes sessions (the paper's Redis
 //!   primary/secondary deployment);
-//! * a **seller dashboard projection** — per-order entries plus a running
-//!   aggregate, maintained with one multi-key backend commit per business
-//!   transaction and read back with one prefix scan (the paper's
-//!   PostgreSQL offload);
+//! * a **seller dashboard projection** — a running aggregate row plus the
+//!   seller's entries in a fixed number of page rows, maintained with one
+//!   multi-key backend commit per business transaction and read back with
+//!   one prefix scan (the paper's PostgreSQL offload);
 //! * `om-log` as the audit log of committed business transactions
 //!   (Fig. 1's "log storage").
 //!
@@ -61,11 +61,11 @@ fn replica_key(product: ProductId) -> Vec<u8> {
 }
 
 /// Prefix under which one seller's whole dashboard lives. The aggregate
-/// row (`…/a`) sorts before the entry rows (`…/e/…`), so a single prefix
+/// row (`…/a`) sorts before the entry pages (`…/e/…`), so a single prefix
 /// scan returns the aggregate followed by its entries — under snapshot
 /// isolation that scan is one consistent snapshot of both halves.
 fn dashboard_prefix(seller: SellerId) -> Vec<u8> {
-    let mut key = Vec::with_capacity(7 + 8 + 1);
+    let mut key = Vec::with_capacity(7 + 8 + 4);
     key.extend_from_slice(b"cdash!/");
     key.extend_from_slice(&seller.0.to_be_bytes());
     key.push(b'/');
@@ -79,22 +79,31 @@ fn agg_key(seller: SellerId) -> Vec<u8> {
     key
 }
 
-/// Key of one dashboard entry, ordered so one `(seller, order)`'s entries
-/// form a contiguous range.
-fn entry_key(seller: SellerId, order: OrderId, product: ProductId) -> Vec<u8> {
+/// Entry pages per seller. A seller's in-progress entries are kept as at
+/// most this many rows, each the encoded `Vec<OrderEntry>` of the orders
+/// that hash to it: a dashboard reads `ENTRY_PAGES + 1` rows however many
+/// entries it returns, and a checkout or delivery rewrites one page (a
+/// sixteenth of the seller's entries) per seller it touches.
+const ENTRY_PAGES: u64 = 16;
+
+/// Key of the page holding every entry of `(seller, order)`. Order ids
+/// are `customer × k + seq`, so the page is drawn from a multiplicative
+/// hash of the id, not from its low bits.
+fn page_key(seller: SellerId, order: OrderId) -> Vec<u8> {
+    let page = order.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
     let mut key = dashboard_prefix(seller);
     key.extend_from_slice(b"e/");
-    key.extend_from_slice(&order.0.to_be_bytes());
-    key.extend_from_slice(&product.0.to_be_bytes());
+    key.push((page % ENTRY_PAGES) as u8);
     key
 }
 
-/// Prefix of every entry of `(seller, order)`.
-fn order_entries_prefix(seller: SellerId, order: OrderId) -> Vec<u8> {
-    let mut key = dashboard_prefix(seller);
-    key.extend_from_slice(b"e/");
-    key.extend_from_slice(&order.0.to_be_bytes());
-    key
+fn decode_page(raw: &[u8]) -> Vec<OrderEntry> {
+    om_common::codec::from_bytes(raw).unwrap_or_default()
+}
+
+fn encode_page(entries: &[OrderEntry]) -> OmResult<Vec<u8>> {
+    om_common::codec::to_bytes(&entries)
+        .map_err(|e| OmError::Internal(format!("encode entry page: {e}")))
 }
 
 fn encode_agg(amount_cents: i64, count: u64) -> Vec<u8> {
@@ -196,42 +205,53 @@ impl CustomizedPlatform {
         Err(last.unwrap_or_else(|| OmError::Internal("projection commit failed".into())))
     }
 
+    /// The seller's aggregate row as it stands, zero if never written.
+    fn read_agg(&self, seller: SellerId) -> (i64, u64) {
+        self.backend
+            .get(&agg_key(seller))
+            .map(|raw| decode_agg(&raw))
+            .unwrap_or((0, 0))
+    }
+
+    /// The entry page `key` as it stands, empty if never written.
+    fn read_page(&self, key: &[u8]) -> Vec<OrderEntry> {
+        self.backend
+            .get(key)
+            .map(|raw| decode_page(&raw))
+            .unwrap_or_default()
+    }
+
     /// Registers the order's dashboard entries and bumps the per-seller
-    /// aggregates in one multi-key backend commit.
+    /// aggregates in one multi-key backend commit: per seller, the page
+    /// the order hashes to and the aggregate row.
     fn project_add_order(
         &self,
         order: &om_common::entity::Order,
         status: OrderStatus,
     ) -> OmResult<()> {
         self.project(|| {
-            let mut batch = WriteBatch::new();
-            let mut by_seller: std::collections::BTreeMap<u64, (i64, u64)> = Default::default();
+            let mut by_seller: std::collections::BTreeMap<u64, Vec<OrderEntry>> =
+                Default::default();
             for item in &order.items {
-                let entry = OrderEntry {
+                by_seller.entry(item.seller.0).or_default().push(OrderEntry {
                     order: order.id,
                     seller: item.seller,
                     product: item.product,
                     quantity: item.quantity,
                     total_amount: item.total_amount,
                     status,
-                };
-                batch = batch.put(
-                    entry_key(item.seller, order.id, item.product),
-                    om_common::codec::to_bytes(&entry)
-                        .map_err(|e| OmError::Internal(format!("encode entry: {e}")))?,
-                );
-                let slot = by_seller.entry(item.seller.0).or_insert((0, 0));
-                slot.0 += item.total_amount.cents();
-                slot.1 += 1;
+                });
             }
-            for (seller, (amount, count)) in &by_seller {
-                let seller = SellerId(*seller);
-                let (cur_amount, cur_count) = self
-                    .backend
-                    .get(&agg_key(seller))
-                    .map(|raw| decode_agg(&raw))
-                    .unwrap_or((0, 0));
-                batch = batch.put(
+            let mut batch = WriteBatch::new();
+            for (seller, added) in by_seller {
+                let seller = SellerId(seller);
+                let amount: i64 = added.iter().map(|e| e.total_amount.cents()).sum();
+                let count = added.len() as u64;
+                let key = page_key(seller, order.id);
+                let mut page = self.read_page(&key);
+                page.extend(added);
+                let (cur_amount, cur_count) = self.read_agg(seller);
+                batch = batch.put(key, encode_page(&page)?).put(
                     agg_key(seller),
                     encode_agg(cur_amount + amount, cur_count + count),
                 );
@@ -243,30 +263,27 @@ impl CustomizedPlatform {
     /// Retires an order's entries for one seller (delivery/terminal).
     fn project_retire_order(&self, seller: SellerId, order: OrderId) -> OmResult<()> {
         self.project(|| {
-            let rows = self.backend.scan_prefix(&order_entries_prefix(seller, order));
-            let mut batch = WriteBatch::new();
-            let mut amount = 0i64;
-            for (key, raw) in &rows {
-                if let Ok(entry) = om_common::codec::from_bytes::<OrderEntry>(raw) {
-                    amount += entry.total_amount.cents();
-                }
-                batch = batch.delete(key.clone());
+            let key = page_key(seller, order);
+            let page = self.read_page(&key);
+            let (retired, kept): (Vec<OrderEntry>, Vec<OrderEntry>) =
+                page.into_iter().partition(|e| e.order == order);
+            if retired.is_empty() {
+                return Ok(WriteBatch::new());
             }
-            if !rows.is_empty() {
-                let (cur_amount, cur_count) = self
-                    .backend
-                    .get(&agg_key(seller))
-                    .map(|raw| decode_agg(&raw))
-                    .unwrap_or((0, 0));
-                batch = batch.put(
-                    agg_key(seller),
-                    encode_agg(
-                        cur_amount - amount,
-                        cur_count.saturating_sub(rows.len() as u64),
-                    ),
-                );
-            }
-            Ok(batch)
+            let amount: i64 = retired.iter().map(|e| e.total_amount.cents()).sum();
+            let (cur_amount, cur_count) = self.read_agg(seller);
+            let batch = if kept.is_empty() {
+                WriteBatch::new().delete(key)
+            } else {
+                WriteBatch::new().put(key, encode_page(&kept)?)
+            };
+            Ok(batch.put(
+                agg_key(seller),
+                encode_agg(
+                    cur_amount - amount,
+                    cur_count.saturating_sub(retired.len() as u64),
+                ),
+            ))
         })
     }
 
@@ -458,7 +475,7 @@ impl MarketplacePlatform for CustomizedPlatform {
     }
 
     /// The consistent dashboard: **one prefix scan** returns the seller's
-    /// aggregate row and entry rows together. Under the snapshot-isolation
+    /// aggregate row and entry pages together. Under the snapshot-isolation
     /// backend the scan reads a single MVCC snapshot — torn reads are
     /// impossible by construction (paper: "offloads consistent querying
     /// ... to PostgreSQL"). Under the eventual backend the same scan can
@@ -472,13 +489,15 @@ impl MarketplacePlatform for CustomizedPlatform {
         let mut entries = Vec::new();
         for (key, raw) in rows {
             if key == agg {
-                let (a, c) = decode_agg(&raw);
-                amount = a;
-                count = c;
-            } else if let Ok(entry) = om_common::codec::from_bytes::<OrderEntry>(&raw) {
-                entries.push(entry);
+                (amount, count) = decode_agg(&raw);
+                entries.reserve(count as usize);
+            } else {
+                entries.extend(decode_page(&raw));
             }
         }
+        // Pages are hash buckets; the answer lists entries by order, then
+        // product.
+        entries.sort_unstable_by_key(|e| (e.order, e.product));
         self.inner.core().counters.incr("dashboards");
         Ok(SellerDashboard {
             seller,

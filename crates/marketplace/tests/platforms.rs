@@ -259,6 +259,64 @@ fn customized_dashboard_is_always_snapshot_consistent() {
 }
 
 #[test]
+fn customized_dashboard_pages_hold_each_entry_once() {
+    // The projection keeps a seller's entries in a bounded number of page
+    // rows: a dashboard reads those rows however many entries it lists,
+    // lists each entry once in (order, product) order, and delivery
+    // retires whole orders out of their pages until none is left.
+    let p = CustomizedPlatform::new(CustomizedConfig {
+        actor: ActorPlatformConfig {
+            decline_rate: 0.0,
+            backend: om_common::config::BackendKind::SnapshotIsolation,
+            ..Default::default()
+        },
+    });
+    ingest(&p);
+    for i in 0..40u64 {
+        let c = (i % 4) + 1;
+        checkout_items(&p, c, &[(1, 1, 1), (1, 2, 2), (2, 4, 1)]);
+        p.checkout(CheckoutRequest {
+            customer: CustomerId(c),
+            items: vec![],
+            method: PaymentMethod::CreditCard,
+        })
+        .unwrap();
+    }
+    p.quiesce();
+
+    let seller_rows = |seller: u64| {
+        let mut prefix = b"cdash!/".to_vec();
+        prefix.extend_from_slice(&seller.to_be_bytes());
+        p.state_backend().scan_prefix(&prefix).len()
+    };
+    let dash = p.seller_dashboard(SellerId(1)).unwrap();
+    assert_eq!(dash.entries.len(), 80, "40 orders x 2 lines from seller 1");
+    assert!(dash.is_snapshot_consistent());
+    let keys: Vec<_> = dash.entries.iter().map(|e| (e.order, e.product)).collect();
+    assert!(keys.windows(2).all(|w| w[0] < w[1]), "sorted, no duplicate");
+    assert!(
+        (2..=17).contains(&seller_rows(1)),
+        "aggregate + at most 16 pages, got {} rows",
+        seller_rows(1)
+    );
+
+    let mut left = dash.entries.len();
+    for _ in 0..200 {
+        if p.update_delivery(10).unwrap() == 0 {
+            break;
+        }
+        p.quiesce();
+        let dash = p.seller_dashboard(SellerId(1)).unwrap();
+        assert!(dash.is_snapshot_consistent());
+        assert!(dash.entries.len() <= left, "delivery only retires entries");
+        left = dash.entries.len();
+    }
+    assert_eq!(left, 0, "every order delivered, every entry retired");
+    assert_eq!(seller_rows(1), 1, "empty pages are deleted; the aggregate stays");
+    assert_eq!(seller_rows(2), 1);
+}
+
+#[test]
 fn transactional_checkout_is_atomic_under_contention() {
     // Many concurrent checkouts on the same hot product: stock must be
     // conserved exactly (no lost updates, no partial effects).

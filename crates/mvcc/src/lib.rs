@@ -34,6 +34,6 @@ pub mod tx;
 pub mod wal;
 
 pub use oracle::{Timestamp, TsOracle};
-pub use table::Table;
+pub use table::{prefix_range, Table};
 pub use tx::{IsolationLevel, Tx, TxManager, TxOutcome};
 pub use wal::CommitLog;

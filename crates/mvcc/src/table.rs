@@ -4,7 +4,7 @@ use crate::oracle::Timestamp;
 use crate::tx::{Tx, TxId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::ops::RangeBounds;
+use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
 /// One version of a row. `data == None` is a deletion tombstone.
@@ -108,36 +108,32 @@ impl<K: Ord + Clone + Send + Sync + 'static, R: Clone + Send + Sync + 'static> T
     }
 
     /// Snapshot scan over a key range, yielding live rows that satisfy
-    /// `pred`. The transaction's own writes shadow committed rows.
+    /// `pred`. The transaction's own writes shadow committed rows. `pred`
+    /// sees the row by reference: only rows it accepts are cloned.
     pub fn scan_filter<B, F>(&self, tx: &Tx, range: B, mut pred: F) -> Vec<(K, R)>
     where
         B: RangeBounds<K>,
         F: FnMut(&K, &R) -> bool,
     {
-        let own: BTreeMap<K, Option<R>> = self
-            .pending
-            .lock()
-            .get(&tx.id())
-            .cloned()
-            .unwrap_or_default();
+        let own = self.pending.lock().get(&tx.id()).cloned();
         let rows = self.rows.read();
         let mut out = Vec::new();
         for (k, chain) in rows.range((range.start_bound(), range.end_bound())) {
-            let effective: Option<R> = if let Some(own_write) = own.get(k) {
-                own_write.clone()
-            } else {
-                Self::visible(chain, tx.snapshot()).and_then(|v| v.data.clone())
+            let effective = match own.as_ref().and_then(|writes| writes.get(k)) {
+                Some(own_write) => own_write.as_ref(),
+                None => Self::visible(chain, tx.snapshot()).and_then(|v| v.data.as_ref()),
             };
             if let Some(r) = effective {
-                if pred(k, &r) {
+                if pred(k, r) {
                     self.track_read(tx, k);
-                    out.push((k.clone(), r));
+                    out.push((k.clone(), r.clone()));
                 }
             }
         }
         // Own inserts on keys never committed are missed by rows.range();
-        // add the ones inside the range here.
-        for (k, v) in own {
+        // add the ones inside the range here and restore key order.
+        let committed = out.len();
+        for (k, v) in own.into_iter().flatten() {
             if range.contains(&k) && !rows.contains_key(&k) {
                 if let Some(r) = v {
                     if pred(&k, &r) {
@@ -146,7 +142,9 @@ impl<K: Ord + Clone + Send + Sync + 'static, R: Clone + Send + Sync + 'static> T
                 }
             }
         }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
+        if out.len() > committed {
+            out.sort_by(|a, b| a.0.cmp(&b.0));
+        }
         out
     }
 
@@ -170,6 +168,24 @@ impl<K: Ord + Clone + Send + Sync + 'static, R: Clone + Send + Sync + 'static> T
     pub fn total_versions(&self) -> usize {
         self.rows.read().values().map(|c| c.len()).sum()
     }
+}
+
+/// The key range holding exactly the keys that start with `prefix`, for
+/// [`Table::scan_filter`]: a prefix scan over it costs the rows it
+/// returns, however many keys sort after the prefix. The range ends
+/// before the prefix's successor — trailing `0xFF` bytes dropped, the
+/// last remaining byte incremented — and is unbounded only when no such
+/// successor exists (empty or all-`0xFF` prefix).
+pub fn prefix_range(prefix: &[u8]) -> (Bound<Vec<u8>>, Bound<Vec<u8>>) {
+    let end = match prefix.iter().rposition(|&b| b != 0xFF) {
+        Some(last) => {
+            let mut successor = prefix[..=last].to_vec();
+            successor[last] += 1;
+            Bound::Excluded(successor)
+        }
+        None => Bound::Unbounded,
+    };
+    (Bound::Included(prefix.to_vec()), end)
 }
 
 impl<K: Ord + Clone + Send + Sync + 'static, R: Clone + Send + Sync + 'static> TableCore
@@ -260,3 +276,70 @@ impl<K: Ord + Clone + Send + Sync + 'static, R: Clone + Send + Sync + 'static> T
 
 /// Type-erased handle used by the manager's registry.
 pub(crate) type DynTable = Arc<dyn TableCore>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tx::{IsolationLevel, TxManager};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A row that counts how often it is cloned.
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Counted(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn prefix_range_ends_at_the_successor() {
+        let end = |p: &[u8]| prefix_range(p).1;
+        assert_eq!(end(b"ab"), Bound::Excluded(b"ac".to_vec()));
+        assert_eq!(end(&[b'a', 0xFF]), Bound::Excluded(vec![b'b']));
+        assert_eq!(end(&[b'a', 0xFF, 0xFF]), Bound::Excluded(vec![b'b']));
+        assert_eq!(end(&[]), Bound::Unbounded);
+        assert_eq!(end(&[0xFF, 0xFF]), Bound::Unbounded);
+    }
+
+    #[test]
+    fn prefix_scan_costs_the_rows_it_returns() {
+        let mgr = TxManager::new();
+        let t = mgr.create_table::<Vec<u8>, Counted>("t");
+        let clones = Arc::new(AtomicUsize::new(0));
+        mgr.run(IsolationLevel::Snapshot, 0, |tx| {
+            for i in 0..10_100u32 {
+                let group: &[u8] = if i < 100 { b"a/" } else { b"b/" };
+                let key = [group, &i.to_be_bytes()[..]].concat();
+                t.put(tx, key, Counted(clones.clone()));
+            }
+            Ok(())
+        })
+        .unwrap();
+
+        let tx = mgr.begin(IsolationLevel::Snapshot);
+        clones.store(0, Ordering::Relaxed);
+        let rows = t.scan_filter(&tx, prefix_range(b"a/"), |_, _| true);
+        assert_eq!(rows.len(), 100);
+        assert!(rows.iter().all(|(k, _)| k.starts_with(b"a/")));
+        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "key order");
+        assert_eq!(
+            clones.load(Ordering::Relaxed),
+            100,
+            "one clone per returned row"
+        );
+
+        let mut visited = 0;
+        t.scan_filter(&tx, prefix_range(b"a/"), |_, _| {
+            visited += 1;
+            false
+        });
+        assert!(visited <= 101, "visited {visited} rows for 100 matches");
+        assert_eq!(
+            clones.load(Ordering::Relaxed),
+            100,
+            "a rejected row is not cloned"
+        );
+    }
+}

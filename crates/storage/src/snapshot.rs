@@ -14,7 +14,7 @@ use crate::backend::{shard_of, StateBackend, StateSession, WriteBatch, WriteOp};
 use crate::shards_pow2;
 use om_common::config::BackendKind;
 use om_common::{OmError, OmResult};
-use om_mvcc::{IsolationLevel, Table, TxManager};
+use om_mvcc::{prefix_range, IsolationLevel, Table, TxManager};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -132,11 +132,19 @@ impl StateBackend for SnapshotBackend {
 
     fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         let tx = self.mgr.begin(IsolationLevel::Snapshot);
+        let (from, to) = prefix_range(prefix);
         let mut out = Vec::new();
+        let mut contributing = 0;
         for table in &self.shards {
-            out.extend(table.scan_filter(&tx, prefix.to_vec().., |k, _| k.starts_with(prefix)));
+            let rows = table.scan_filter(&tx, (from.as_ref(), to.as_ref()), |_, _| true);
+            contributing += usize::from(!rows.is_empty());
+            out.extend(rows);
         }
-        out.sort();
+        // Each shard's rows arrive in key order and a key lives on one
+        // shard, so only a result drawn from several shards needs sorting.
+        if contributing > 1 {
+            out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        }
         out
     }
 

@@ -160,6 +160,65 @@ proptest! {
     }
 }
 
+/// `scan_prefix(p)` is the model's keys that start with `p`, in key
+/// order, on every backend — for the prefixes whose successor is the
+/// awkward part of a bounded range scan.
+#[test]
+fn scan_prefix_agrees_with_the_model_on_every_backend() {
+    for kind in BackendKind::ALL {
+        let backend = make_backend(kind, 8);
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        // 256 keys under one prefix land on every one of the 8 shards.
+        let mut keys: Vec<Vec<u8>> = (0..=255u8).map(|i| vec![b'p', b'/', i]).collect();
+        keys.extend([
+            b"p".to_vec(),
+            b"p/".to_vec(),
+            b"o/z".to_vec(),
+            b"q".to_vec(),
+            vec![b'p', 0xFF],
+            vec![b'p', 0xFF, 0xFF],
+            vec![b'p', 0xFF, 0xFF, 7],
+            vec![0xFF],
+            vec![0xFF, 0xFF, 1],
+        ]);
+        for (i, key) in keys.iter().enumerate() {
+            backend.put(key, &val_bytes(i as u16));
+            model.insert(key.clone(), val_bytes(i as u16));
+        }
+        // One key deleted for good, one deleted and put again.
+        backend.delete(&keys[3]);
+        model.remove(&keys[3]);
+        backend.delete(&keys[4]);
+        backend.put(&keys[4], b"again");
+        model.insert(keys[4].clone(), b"again".to_vec());
+        backend.quiesce();
+
+        let prefixes: [&[u8]; 9] = [
+            b"",
+            b"p",
+            b"p/",
+            &[b'p', b'/', 4],
+            &[b'p', 0xFF],
+            &[b'p', 0xFF, 0xFF],
+            &[0xFF],
+            &[0xFF, 0xFF],
+            b"nothing",
+        ];
+        for prefix in prefixes {
+            let expected: Vec<(Vec<u8>, Vec<u8>)> = model
+                .iter()
+                .filter(|(k, _)| k.starts_with(prefix))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            assert_eq!(
+                backend.scan_prefix(prefix),
+                expected,
+                "{kind:?}, prefix {prefix:?}"
+            );
+        }
+    }
+}
+
 /// The snapshot-isolation backend must never expose a torn multi-key
 /// commit: every commit writes one round number to *all* keys, so any
 /// consistent snapshot sees a single distinct value across them.

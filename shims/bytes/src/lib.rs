@@ -1,7 +1,8 @@
 //! Offline shim for the `bytes` crate.
 //!
-//! `Bytes` is a cheaply clonable immutable byte buffer (an `Arc<[u8]>`
-//! plus a range, so `clone` and slicing are O(1) like the real crate);
+//! `Bytes` is a cheaply clonable immutable byte buffer (an `Arc<Vec<u8>>`
+//! plus a range, so `clone` and slicing are O(1) and `From<Vec<u8>>`
+//! takes the vector over without copying it, like the real crate);
 //! `BytesMut` is a growable buffer with `advance`/`freeze`. Only the
 //! API surface the workspace uses is provided.
 
@@ -73,7 +74,7 @@ impl Buf for BytesMut {
 /// Immutable, cheaply clonable byte buffer.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -88,12 +89,7 @@ impl Bytes {
     }
 
     pub fn copy_from_slice(slice: &[u8]) -> Self {
-        let data: Arc<[u8]> = Arc::from(slice);
-        Bytes {
-            start: 0,
-            end: data.len(),
-            data,
-        }
+        Bytes::from(slice.to_vec())
     }
 
     pub fn len(&self) -> usize {
@@ -156,11 +152,10 @@ impl Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        let data: Arc<[u8]> = Arc::from(v.into_boxed_slice());
         Bytes {
             start: 0,
-            end: data.len(),
-            data,
+            end: v.len(),
+            data: Arc::new(v),
         }
     }
 }
@@ -374,6 +369,19 @@ mod tests {
         assert_eq!(&s[..], &[2, 3]);
         let c = b.clone();
         assert_eq!(b, c);
+    }
+
+    #[test]
+    fn from_vec_takes_the_allocation_over() {
+        let v = vec![1u8, 2, 3, 4];
+        let at = v.as_ptr();
+        let mut b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), at, "no copy");
+        assert_eq!(b.clone().as_ptr(), at);
+        assert_eq!(b.slice(1..).as_ptr(), at.wrapping_add(1));
+        b.advance(2);
+        assert_eq!(b.as_ptr(), at.wrapping_add(2));
+        assert_eq!(&b[..], &[3, 4]);
     }
 
     #[test]

@@ -2,17 +2,25 @@
 //!
 //! Implements the subset of serde_json this workspace uses: `Value`,
 //! `Number`, the `json!` macro (full TT-muncher, nested literals work),
-//! `to_string`/`to_string_pretty`/`to_vec`/`to_value` and
+//! `to_string`/`to_string_pretty`/`to_vec`/`to_writer`/`to_value` and
 //! `from_str`/`from_slice`/`from_value`, all built on the sibling
-//! `serde` shim's data model. Serialization routes through `Value`
-//! (build the tree, then print); deserialization parses text into
-//! `Value` and drives the target type's `Deserialize` from it. Integer
-//! map keys serialize to strings and parse back, like real serde_json.
+//! `serde` shim's data model.
+//!
+//! Encoding is streaming, as upstream: `to_vec`/`to_string`/`to_writer`
+//! drive one serializer that writes bytes straight into the output,
+//! so a derived struct's fields appear **in declaration order** and
+//! nothing is allocated per field. A `Value::Object` is a `BTreeMap` and
+//! therefore prints **key-sorted** — which is also what
+//! `to_string_pretty` prints for any type, because it goes through
+//! `to_value` first. Decoding parses text into `Value` and drives the
+//! target type's `Deserialize` from it. Integer map keys serialize to
+//! strings and parse back, like real serde_json.
 
 use serde::de::{self, DeserializeOwned, IntoDeserializer, MapAccess, SeqAccess, Visitor};
 use serde::ser::{self, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io;
 
 pub mod value {
     pub use crate::{to_value, Map, Number, Value};
@@ -44,6 +52,12 @@ impl fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
+
+impl From<io::Error> for Error {
+    fn from(e: io::Error) -> Self {
+        Error::new(e.to_string())
+    }
+}
 
 impl ser::Error for Error {
     fn custom<T: fmt::Display>(msg: T) -> Self {
@@ -347,9 +361,7 @@ impl<I: Index> std::ops::Index<I> for Value {
 impl fmt::Display for Value {
     /// Compact JSON text.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        write_value(&mut out, self, None, 0);
-        f.write_str(&out)
+        f.write_str(&to_string(self).map_err(|_| fmt::Error)?)
     }
 }
 
@@ -482,86 +494,356 @@ impl From<Map<String, Value>> for Value {
 }
 
 // ---------------------------------------------------------------------------
-// Printing
+// Printing: the streaming serializer
 // ---------------------------------------------------------------------------
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+/// What a byte turns into inside a JSON string: 0 = copied as is, `u` =
+/// `\u00XX`, anything else = that character after a backslash. Bytes
+/// from 0x80 up are UTF-8 sequences and pass through.
+const ESCAPE: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = b'u';
+        b += 1;
     }
-    out.push('"');
+    table[0x08] = b'b';
+    table[b'\t' as usize] = b't';
+    table[b'\n' as usize] = b'n';
+    table[0x0c] = b'f';
+    table[b'\r' as usize] = b'r';
+    table[b'"' as usize] = b'"';
+    table[b'\\' as usize] = b'\\';
+    table
+};
+
+/// Writes `s` quoted, copying each run of bytes that need no escape in
+/// one piece.
+fn write_str<W: io::Write>(out: &mut W, s: &str) -> io::Result<()> {
+    out.write_all(b"\"")?;
+    let bytes = s.as_bytes();
+    let mut copied = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape = ESCAPE[b as usize];
+        if escape == 0 {
+            continue;
+        }
+        out.write_all(&bytes[copied..i])?;
+        match escape {
+            b'u' => write!(out, "\\u{b:04x}")?,
+            c => out.write_all(&[b'\\', c])?,
+        }
+        copied = i + 1;
+    }
+    out.write_all(&bytes[copied..])?;
+    out.write_all(b"\"")
 }
 
-/// Writes `value` to `out`; `indent = Some(width)` selects pretty mode.
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: usize) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => out.push_str(&n.to_string()),
-        Value::String(s) => write_escaped(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if let Some(w) = indent {
-                    out.push('\n');
-                    out.push_str(&" ".repeat(w * (depth + 1)));
-                }
-                write_value(out, item, indent, depth + 1);
-            }
-            if let Some(w) = indent {
-                out.push('\n');
-                out.push_str(&" ".repeat(w * depth));
-            }
-            out.push(']');
+/// Writes the decimal digits of `n` from a stack buffer.
+fn write_u64<W: io::Write>(out: &mut W, mut n: u64) -> io::Result<()> {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return out.write_all(&buf[at..]);
         }
-        Value::Object(map) => {
-            if map.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, v)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if let Some(w) = indent {
-                    out.push('\n');
-                    out.push_str(&" ".repeat(w * (depth + 1)));
-                }
-                write_escaped(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, v, indent, depth + 1);
-            }
-            if let Some(w) = indent {
-                out.push('\n');
-                out.push_str(&" ".repeat(w * depth));
-            }
-            out.push('}');
+    }
+}
+
+fn write_i64<W: io::Write>(out: &mut W, n: i64) -> io::Result<()> {
+    if n < 0 {
+        out.write_all(b"-")?;
+    }
+    write_u64(out, n.unsigned_abs())
+}
+
+/// The one JSON printer: writes a `Serialize` value to `out` as it is
+/// visited. `indent = Some(width)` selects pretty mode.
+struct Serializer<W> {
+    out: W,
+    indent: Option<usize>,
+    depth: usize,
+}
+
+/// An array or object being written. `close` holds the brackets still to
+/// be written, innermost first: one for a sequence, map or struct, two
+/// for the `{"Variant":[..]}` / `{"Variant":{..}}` forms of an enum.
+struct Compound<'a, W> {
+    ser: &'a mut Serializer<W>,
+    close: &'static str,
+    empty: bool,
+}
+
+impl<W: io::Write> Serializer<W> {
+    /// Pretty mode only: a line break and the current indentation.
+    fn line_break(&mut self) -> io::Result<()> {
+        if let Some(width) = self.indent {
+            write!(self.out, "\n{:1$}", "", width * self.depth)?;
         }
+        Ok(())
+    }
+
+    fn open(&mut self, bracket: &[u8]) -> io::Result<()> {
+        self.depth += 1;
+        self.out.write_all(bracket)
+    }
+
+    fn key(&mut self, key: &str) -> io::Result<()> {
+        write_str(&mut self.out, key)?;
+        self.out
+            .write_all(if self.indent.is_some() { b": " } else { b":" })
+    }
+
+    fn compound<'a>(
+        &'a mut self,
+        open: &'static str,
+        close: &'static str,
+    ) -> Result<Compound<'a, W>, Error> {
+        self.open(open.as_bytes())?;
+        Ok(Compound {
+            ser: self,
+            close,
+            empty: true,
+        })
+    }
+
+    /// Starts `{"variant":` and then the payload's own bracket.
+    fn variant_compound<'a>(
+        &'a mut self,
+        variant: &str,
+        open: &'static str,
+        close: &'static str,
+    ) -> Result<Compound<'a, W>, Error> {
+        self.open(b"{")?;
+        self.line_break()?;
+        self.key(variant)?;
+        self.compound(open, close)
+    }
+}
+
+impl<W: io::Write> Compound<'_, W> {
+    /// The separator and line break in front of an element or entry.
+    fn next(&mut self) -> io::Result<()> {
+        if !self.empty {
+            self.ser.out.write_all(b",")?;
+        }
+        self.empty = false;
+        self.ser.line_break()
+    }
+
+    fn element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
+        self.next()?;
+        value.serialize(&mut *self.ser)
+    }
+
+    fn field<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) -> Result<(), Error> {
+        self.next()?;
+        self.ser.key(key)?;
+        value.serialize(&mut *self.ser)
+    }
+
+    fn finish(self) -> Result<(), Error> {
+        let mut empty = self.empty;
+        for bracket in self.close.bytes() {
+            self.ser.depth -= 1;
+            if !empty {
+                self.ser.line_break()?;
+            }
+            self.ser.out.write_all(&[bracket])?;
+            empty = false;
+        }
+        Ok(())
+    }
+}
+
+macro_rules! write_integers {
+    ($($method:ident: $ty:ty => $write:ident as $wide:ty,)*) => {$(
+        fn $method(self, v: $ty) -> Result<(), Error> {
+            Ok($write(&mut self.out, v as $wide)?)
+        }
+    )*};
+}
+
+impl<'a, W: io::Write> ser::Serializer for &'a mut Serializer<W> {
+    type Ok = ();
+    type Error = Error;
+    type SerializeSeq = Compound<'a, W>;
+    type SerializeTuple = Compound<'a, W>;
+    type SerializeTupleStruct = Compound<'a, W>;
+    type SerializeTupleVariant = Compound<'a, W>;
+    type SerializeMap = Compound<'a, W>;
+    type SerializeStruct = Compound<'a, W>;
+    type SerializeStructVariant = Compound<'a, W>;
+
+    write_integers! {
+        serialize_i8: i8 => write_i64 as i64,
+        serialize_i16: i16 => write_i64 as i64,
+        serialize_i32: i32 => write_i64 as i64,
+        serialize_i64: i64 => write_i64 as i64,
+        serialize_u8: u8 => write_u64 as u64,
+        serialize_u16: u16 => write_u64 as u64,
+        serialize_u32: u32 => write_u64 as u64,
+        serialize_u64: u64 => write_u64 as u64,
+    }
+
+    fn serialize_bool(self, v: bool) -> Result<(), Error> {
+        Ok(self.out.write_all(if v { b"true" } else { b"false" })?)
+    }
+    fn serialize_f32(self, v: f32) -> Result<(), Error> {
+        self.serialize_f64(v as f64)
+    }
+    fn serialize_f64(self, v: f64) -> Result<(), Error> {
+        // `Number`'s Display: a non-finite float prints as `null`, which
+        // is also what `Value::from` makes of it.
+        Ok(write!(self.out, "{}", Number { n: N::Float(v) })?)
+    }
+    fn serialize_char(self, v: char) -> Result<(), Error> {
+        self.serialize_str(v.encode_utf8(&mut [0; 4]))
+    }
+    fn serialize_str(self, v: &str) -> Result<(), Error> {
+        Ok(write_str(&mut self.out, v)?)
+    }
+    fn serialize_bytes(self, v: &[u8]) -> Result<(), Error> {
+        v.serialize(self)
+    }
+    fn serialize_none(self) -> Result<(), Error> {
+        self.serialize_unit()
+    }
+    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), Error> {
+        value.serialize(self)
+    }
+    fn serialize_unit(self) -> Result<(), Error> {
+        Ok(self.out.write_all(b"null")?)
+    }
+    fn serialize_unit_struct(self, _name: &'static str) -> Result<(), Error> {
+        self.serialize_unit()
+    }
+    fn serialize_unit_variant(
+        self,
+        _name: &'static str,
+        _variant_index: u32,
+        variant: &'static str,
+    ) -> Result<(), Error> {
+        self.serialize_str(variant)
+    }
+    fn serialize_newtype_struct<T: Serialize + ?Sized>(
+        self,
+        _name: &'static str,
+        value: &T,
+    ) -> Result<(), Error> {
+        value.serialize(self)
+    }
+    fn serialize_newtype_variant<T: Serialize + ?Sized>(
+        self,
+        _name: &'static str,
+        _variant_index: u32,
+        variant: &'static str,
+        value: &T,
+    ) -> Result<(), Error> {
+        let mut object = self.compound("{", "}")?;
+        object.field(variant, value)?;
+        object.finish()
+    }
+    fn serialize_seq(self, _len: Option<usize>) -> Result<Compound<'a, W>, Error> {
+        self.compound("[", "]")
+    }
+    fn serialize_tuple(self, _len: usize) -> Result<Compound<'a, W>, Error> {
+        self.compound("[", "]")
+    }
+    fn serialize_tuple_struct(
+        self,
+        _name: &'static str,
+        _len: usize,
+    ) -> Result<Compound<'a, W>, Error> {
+        self.compound("[", "]")
+    }
+    fn serialize_tuple_variant(
+        self,
+        _name: &'static str,
+        _variant_index: u32,
+        variant: &'static str,
+        _len: usize,
+    ) -> Result<Compound<'a, W>, Error> {
+        self.variant_compound(variant, "[", "]}")
+    }
+    fn serialize_map(self, _len: Option<usize>) -> Result<Compound<'a, W>, Error> {
+        self.compound("{", "}")
+    }
+    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Compound<'a, W>, Error> {
+        self.compound("{", "}")
+    }
+    fn serialize_struct_variant(
+        self,
+        _name: &'static str,
+        _variant_index: u32,
+        variant: &'static str,
+        _len: usize,
+    ) -> Result<Compound<'a, W>, Error> {
+        self.variant_compound(variant, "{", "}}")
+    }
+}
+
+macro_rules! compound_of_elements {
+    ($($trait:ident :: $method:ident,)*) => {$(
+        impl<W: io::Write> ser::$trait for Compound<'_, W> {
+            type Ok = ();
+            type Error = Error;
+            fn $method<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
+                self.element(value)
+            }
+            fn end(self) -> Result<(), Error> {
+                self.finish()
+            }
+        }
+    )*};
+}
+
+compound_of_elements! {
+    SerializeSeq::serialize_element,
+    SerializeTuple::serialize_element,
+    SerializeTupleStruct::serialize_field,
+    SerializeTupleVariant::serialize_field,
+}
+
+macro_rules! compound_of_fields {
+    ($($trait:ident,)*) => {$(
+        impl<W: io::Write> ser::$trait for Compound<'_, W> {
+            type Ok = ();
+            type Error = Error;
+            fn serialize_field<T: Serialize + ?Sized>(
+                &mut self,
+                key: &'static str,
+                value: &T,
+            ) -> Result<(), Error> {
+                self.field(key, value)
+            }
+            fn end(self) -> Result<(), Error> {
+                self.finish()
+            }
+        }
+    )*};
+}
+
+compound_of_fields! {
+    SerializeStruct,
+    SerializeStructVariant,
+}
+
+impl<W: io::Write> ser::SerializeMap for Compound<'_, W> {
+    type Ok = ();
+    type Error = Error;
+    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), Error> {
+        self.next()?;
+        Ok(self.ser.key(&key.serialize(KeySerializer)?)?)
+    }
+    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
+        value.serialize(&mut *self.ser)
+    }
+    fn end(self) -> Result<(), Error> {
+        self.finish()
     }
 }
 
@@ -828,22 +1110,33 @@ fn utf8_len(b: u8) -> Option<usize> {
 // Public entry points
 // ---------------------------------------------------------------------------
 
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let v = to_value(value)?;
-    let mut out = String::new();
-    write_value(&mut out, &v, None, 0);
-    Ok(out)
-}
-
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let v = to_value(value)?;
-    let mut out = String::new();
-    write_value(&mut out, &v, Some(2), 0);
-    Ok(out)
+pub fn to_writer<W: io::Write, T: Serialize + ?Sized>(writer: W, value: &T) -> Result<(), Error> {
+    value.serialize(&mut Serializer {
+        out: writer,
+        indent: None,
+        depth: 0,
+    })
 }
 
 pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
-    to_string(value).map(String::into_bytes)
+    let mut out = Vec::with_capacity(128);
+    to_writer(&mut out, value)?;
+    Ok(out)
+}
+
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    Ok(String::from_utf8(to_vec(value)?).expect("the serializer writes UTF-8"))
+}
+
+/// Key-sorted and indented by two spaces.
+pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    let mut ser = Serializer {
+        out: Vec::new(),
+        indent: Some(2),
+        depth: 0,
+    };
+    to_value(value)?.serialize(&mut ser)?;
+    Ok(String::from_utf8(ser.out).expect("the serializer writes UTF-8"))
 }
 
 pub fn from_str<T: DeserializeOwned>(s: &str) -> Result<T, Error> {
@@ -2116,6 +2409,25 @@ mod tests {
         );
         // Required fields still error when absent.
         assert!(from_str::<Body>(r#"{"note": "x"}"#).is_err());
+    }
+
+    #[test]
+    fn to_writer_streams_and_reports_the_writers_error() {
+        let mut out = Vec::new();
+        to_writer(&mut out, &json!({"a": [1, "two"]})).unwrap();
+        assert_eq!(out, br#"{"a":[1,"two"]}"#);
+
+        struct Full;
+        impl io::Write for Full {
+            fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = to_writer(Full, &json!([1])).unwrap_err();
+        assert!(err.to_string().contains("disk full"), "{err}");
     }
 
     #[test]
