@@ -15,19 +15,13 @@
 //!
 //! A fourth group (`a2_workers`) sweeps the partition-parallel worker
 //! pool over a CPU-weighted workload, past the host's core count —
-//! `w1` is the serial baseline every parallel cell is judged against
-//! (`results/a2_floor.json`, `min_cores`-gated so single-core CI skips
-//! the speedup check). `OM_BENCH_SMOKE=1` shrinks the sweep to {1, 4}.
+//! `w1` is the serial baseline every parallel cell is judged against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use om_bench::{make_checkpoint_store, CHECKPOINT_STORES};
 use om_common::config::BackendKind;
 use om_dataflow::{Address, CheckpointStore, Dataflow, Effects};
 use std::sync::Arc;
-
-fn smoke() -> bool {
-    std::env::var("OM_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
 
 fn build(max_batch: usize, store: Option<Arc<dyn CheckpointStore>>) -> Dataflow<u64> {
     let mut builder = Dataflow::builder().partitions(4).max_batch(max_batch);
@@ -144,9 +138,8 @@ fn bench_crash_recovery(c: &mut Criterion) {
 fn bench_workers(c: &mut Criterion) {
     let mut group = c.benchmark_group("a2_workers");
     group.sample_size(10);
-    let records: u64 = if smoke() { 512 } else { 1_024 };
-    let sweep: &[usize] = if smoke() { &[1, 4] } else { &[1, 2, 4, 8] };
-    for &workers in sweep {
+    const RECORDS: u64 = 1_024;
+    for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("w{workers}")),
             &workers,
@@ -173,7 +166,7 @@ fn bench_workers(c: &mut Criterion) {
                                 },
                             )
                             .build();
-                        for i in 0..records {
+                        for i in 0..RECORDS {
                             df.submit(Address::new("work", i % 64), i);
                         }
                         df

@@ -17,8 +17,7 @@
 //!   10×/100× the 1× reference state (2k keys) from disk alone, with
 //!   serial (1 thread) vs parallel (4 threads) snapshot-section
 //!   loading. The parallel cell can only beat serial on multi-core
-//!   hosts; the guard enforces "never slower" everywhere and ≥2×
-//!   where cores allow.
+//!   hosts.
 //! * `b2_group_commit` — the tentpole cell: 1/4/16 concurrent writers
 //!   committing under `sync_commits`, sweeping the whole policy axis:
 //!   off (per-commit fsync), fixed 0/50/200µs windows, and the
@@ -38,11 +37,10 @@
 //! * `b2_snapshot_mode_recovery` — cold-open cost of the two snapshot
 //!   disciplines (one base vs base + delta chain).
 //!
-//! The criterion shim reports min/median/p95 over repeated samples and
-//! records every group to `results/bench_<group>.json` — cite the
-//! medians.
+//! The criterion shim reports min/median/p95 over repeated samples —
+//! cite the medians.
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use om_bench::{make_checkpoint_store, BACKENDS, CHECKPOINT_STORES};
 use om_common::config::{GroupCommitPolicy, SnapshotMode};
 use om_dataflow::StateDelta;
@@ -53,12 +51,6 @@ use om_storage::{
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// `OM_BENCH_SMOKE=1` shrinks the sweep to the CI guard slice: only the
-/// contended group-commit cells, fewer samples.
-fn smoke() -> bool {
-    std::env::var("OM_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
 
 fn commit_ops(round: u64) -> Vec<WriteOp> {
     (0..16u64)
@@ -165,10 +157,9 @@ fn populate_state(backend: &FileBackend, keys: u64) {
 fn bench_cold_recovery(c: &mut Criterion) {
     const BASE_KEYS: u64 = 2_000; // the 1x reference state
     let mut group = c.benchmark_group("b2_cold_recovery");
-    group.sample_size(if smoke() { 5 } else { 10 });
-    group.measurement_time(Duration::from_millis(if smoke() { 300 } else { 1_000 }));
-    let scales: &[u64] = if smoke() { &[10] } else { &[10, 100] };
-    for &scale in scales {
+    group.sample_size(10);
+    group.measurement_time(Duration::from_millis(1_000));
+    for scale in [10u64, 100] {
         let keys = BASE_KEYS * scale;
         let dir = scratch_dir();
         let write_opts = FileBackendOptions {
@@ -220,10 +211,9 @@ fn bench_cold_point_get(c: &mut Criterion) {
     const KEYS: u64 = 4_000;
     const CHURN_PER_DELTA: u64 = 512;
     let mut group = c.benchmark_group("b2_cold_point_get");
-    group.sample_size(if smoke() { 5 } else { 10 });
-    group.measurement_time(Duration::from_millis(if smoke() { 300 } else { 1_000 }));
-    let chains: &[u64] = if smoke() { &[1, 64] } else { &[1, 16, 64] };
-    for &chain in chains {
+    group.sample_size(10);
+    group.measurement_time(Duration::from_millis(1_000));
+    for chain in [1u64, 16, 64] {
         let dir = scratch_dir();
         {
             let opts = FileBackendOptions {
@@ -287,29 +277,20 @@ fn bench_cold_point_get(c: &mut Criterion) {
 fn bench_group_commit(c: &mut Criterion) {
     const COMMITS_PER_WRITER: u64 = 32;
     let mut group = c.benchmark_group("b2_group_commit");
-    group.sample_size(if smoke() { 7 } else { 12 });
-    group.measurement_time(Duration::from_millis(if smoke() { 400 } else { 1_500 }));
-    let writer_counts: &[usize] = if smoke() { &[1, 16] } else { &[1, 4, 16] };
+    group.sample_size(12);
+    group.measurement_time(Duration::from_millis(1_500));
     // The policy axis: no barrier, fixed windows (0 = flush as soon as
     // the leader drains, 50/200µs = park hoping for company), and the
     // adaptive controller that sizes its wait from observed cohorts.
-    let policies: &[(&str, GroupCommitPolicy)] = if smoke() {
-        &[
-            ("group_on", GroupCommitPolicy::Fixed(0)),
-            ("group_off", GroupCommitPolicy::Off),
-            ("adaptive", GroupCommitPolicy::adaptive_default()),
-        ]
-    } else {
-        &[
-            ("group_on", GroupCommitPolicy::Fixed(0)),
-            ("group_off", GroupCommitPolicy::Off),
-            ("fixed50", GroupCommitPolicy::Fixed(50)),
-            ("fixed200", GroupCommitPolicy::Fixed(200)),
-            ("adaptive", GroupCommitPolicy::adaptive_default()),
-        ]
-    };
-    for &writers in writer_counts {
-        for &(label, policy) in policies {
+    let policies = [
+        ("group_on", GroupCommitPolicy::Fixed(0)),
+        ("group_off", GroupCommitPolicy::Off),
+        ("fixed50", GroupCommitPolicy::Fixed(50)),
+        ("fixed200", GroupCommitPolicy::Fixed(200)),
+        ("adaptive", GroupCommitPolicy::adaptive_default()),
+    ];
+    for writers in [1usize, 4, 16] {
+        for (label, policy) in policies {
             let opts = FileBackendOptions {
                 shards: 16,
                 sync_commits: true,
@@ -446,14 +427,4 @@ criterion_group!(
     bench_snapshot_mode,
     bench_snapshot_mode_recovery
 );
-criterion_group!(b2_smoke, bench_group_commit, bench_cold_recovery, bench_cold_point_get);
-
-fn main() {
-    if smoke() {
-        // CI guard slice: the group-commit policy cells plus the
-        // recovery/point-get cells the multi-check floor gates on.
-        b2_smoke();
-    } else {
-        b2();
-    }
-}
+criterion_main!(b2);

@@ -103,16 +103,6 @@ pub fn standard_config(scale_factor: u64) -> RunConfig {
     }
 }
 
-/// A fast config for Criterion micro-runs.
-pub fn quick_config() -> RunConfig {
-    RunConfig {
-        workers: 2,
-        ops_per_worker: 50,
-        warmup_ops_per_worker: 5,
-        ..standard_config(1)
-    }
-}
-
 /// Runs one platform under `config` (which selects the storage backend),
 /// returning the report.
 pub fn run_platform(

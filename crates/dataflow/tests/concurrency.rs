@@ -56,13 +56,16 @@ fn racing_try_run_epoch_serializes_epochs_exactly() {
         const KEYS: u64 = 16;
         let df = Arc::new(build(4, 16, workers));
         let committed = Arc::new(AtomicU64::new(0));
-        let done_submitting = Arc::new(AtomicBool::new(false));
+        // Drivers may stop only once *both* producers have finished:
+        // one producer done while the other still submits leaves the
+        // ingress momentarily empty but not final.
+        let producers_done = Arc::new(AtomicU64::new(0));
 
         std::thread::scope(|scope| {
             // Two producers racing the drivers.
             for half in 0..2u64 {
                 let df = df.clone();
-                let done = done_submitting.clone();
+                let done = producers_done.clone();
                 scope.spawn(move || {
                     for i in 0..RECORDS / 2 {
                         let k = (half * RECORDS / 2 + i) % KEYS;
@@ -71,16 +74,14 @@ fn racing_try_run_epoch_serializes_epochs_exactly() {
                             std::thread::yield_now();
                         }
                     }
-                    if half == 1 {
-                        done.store(true, Ordering::SeqCst);
-                    }
+                    done.fetch_add(1, Ordering::SeqCst);
                 });
             }
             // Four drivers hammering try_run_epoch.
             for _ in 0..4 {
                 let df = df.clone();
                 let committed = committed.clone();
-                let done = done_submitting.clone();
+                let done = producers_done.clone();
                 scope.spawn(move || loop {
                     match df.try_run_epoch().unwrap() {
                         Some(EpochOutcome::Committed { .. }) => {
@@ -88,7 +89,7 @@ fn racing_try_run_epoch_serializes_epochs_exactly() {
                         }
                         Some(_) | None => std::thread::yield_now(),
                     }
-                    if done.load(Ordering::SeqCst) && df.pending_ingress() == 0 {
+                    if done.load(Ordering::SeqCst) == 2 && df.pending_ingress() == 0 {
                         break;
                     }
                 });

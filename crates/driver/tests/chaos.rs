@@ -3,8 +3,8 @@
 //! zero lost committed epochs and a clean audit — no negative stock, no
 //! partial checkout, no double charge.
 //!
-//! Wired into `tests/` so tier-1 catches a regression; the `b5_scenarios`
-//! bench sweeps the same cells for numbers.
+//! Wired into `tests/` so tier-1 catches a regression; `experiments --
+//! a7` sweeps the same cells for numbers.
 
 use om_common::config::{BackendKind, RunConfig, ScaleConfig, ScenarioConfig, WorkloadMix};
 use om_common::OmError;

@@ -13,6 +13,7 @@
 //! leases a keep-alive connection, so the pool mirrors the persistent
 //! connections of a load balancer fronting the silos.
 
+use crate::conn::EventConfig;
 use crate::error::HttpError;
 use crate::gateway::{CheckoutBody, DeliveryResult, IngestProductBody, MarketplaceGateway, PriceUpdateBody};
 use crate::request::Method;
@@ -59,27 +60,15 @@ pub struct HttpPlatform {
 }
 
 impl HttpPlatform {
-    /// Fronts `platform` with a threaded HTTP server of `workers`
-    /// accept threads (the historical constructor).
+    /// Fronts `platform` with an HTTP server of `workers` gateway
+    /// workers.
     pub fn front(platform: Arc<dyn MarketplacePlatform>, workers: usize) -> Self {
-        Self::front_with_options(
-            platform,
-            crate::server::ServerOptions {
-                engine: crate::server::EngineKind::Threaded { acceptors: workers },
-                ..Default::default()
-            },
-        )
-    }
-
-    /// Fronts `platform` with an HTTP server built from `opts` — the way
-    /// to put the event-driven engine under the benchmark driver.
-    pub fn front_with_options(
-        platform: Arc<dyn MarketplacePlatform>,
-        opts: crate::server::ServerOptions,
-    ) -> Self {
-        let server = Arc::new(HttpServer::start_with_options(
+        let server = Arc::new(HttpServer::start_event_driven(
             Arc::new(MarketplaceGateway::new(platform.clone())),
-            opts,
+            EventConfig {
+                workers,
+                ..EventConfig::default()
+            },
         ));
         HttpPlatform {
             inner: platform,
@@ -355,17 +344,26 @@ mod tests {
                 ..Default::default()
             },
         ));
-        let p = HttpPlatform::front_with_options(
-            inner,
-            crate::server::ServerOptions {
-                engine: crate::server::EngineKind::EventDriven(Default::default()),
-                ..Default::default()
-            },
-        );
+        let p = HttpPlatform::front(inner, 3);
         seed(&p);
-        assert_eq!(p.server().engine_name(), "event");
         let dash = p.seller_dashboard(SellerId(1)).unwrap();
         assert_eq!(dash.seller, SellerId(1));
+    }
+
+    #[test]
+    fn front_runs_workers_plus_one_threads_regardless_of_connections() {
+        let inner = Arc::new(EventualPlatform::new(Default::default()));
+        let p = HttpPlatform::front(inner, 3);
+        let mut clients: Vec<_> = (0..16).map(|_| p.server().connect()).collect();
+        for client in clients.iter_mut() {
+            assert_eq!(client.request(Method::Get, "/health", None).unwrap().status, 200);
+        }
+        // 16 live keep-alive connections, yet the engine is still its
+        // workers plus the poller thread.
+        assert_eq!(p.server().stats().engine_threads, 3 + 1);
+        for client in &clients {
+            client.close();
+        }
     }
 
     #[test]

@@ -93,8 +93,7 @@ pub struct ServerStats {
     pub timeouts_408: u64,
     /// High-water mark of one connection's `inbuf + outbuf` bytes.
     pub max_conn_buffer_bytes: usize,
-    /// Threads owned by the engine (event loop + workers); the threaded
-    /// engine reports its current serving-thread count here instead.
+    /// Threads owned by the engine (event loop + workers).
     pub engine_threads: usize,
 }
 
@@ -113,27 +112,6 @@ pub(crate) struct StatCounters {
 impl StatCounters {
     fn record_buffer(&self, bytes: usize) {
         self.max_conn_buffer.fetch_max(bytes, Ordering::Relaxed);
-    }
-
-    /// A connection was handed to the engine (threaded engine hook).
-    pub(crate) fn conn_accepted(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A serving thread / state machine came alive (threaded hook).
-    pub(crate) fn conn_opened(&self) {
-        let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
-        self.max_live.fetch_max(live, Ordering::Relaxed);
-    }
-
-    /// Its connection finished (threaded hook).
-    pub(crate) fn conn_closed(&self) {
-        self.live.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// A half-received request was answered 408 (threaded hook).
-    pub(crate) fn timeout_408(&self) {
-        self.timeouts_408.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn snapshot(&self, engine_threads: usize) -> ServerStats {

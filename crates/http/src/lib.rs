@@ -20,16 +20,17 @@
 //!   multiplexing every connection, a bounded gateway worker pool, and
 //!   end-to-end backpressure (bounded accept + dispatch queues with
 //!   load-shed, capped per-connection buffers, idle timeouts);
-//! * [`server`] — [`HttpServer`] over either engine (thread-per-
-//!   connection baseline or event-driven) plus a blocking client.
+//! * [`server`] — [`HttpServer`] over the event-driven engine plus a
+//!   blocking client.
 //!
 //! ```
-//! use om_http::{gateway::MarketplaceGateway, server::HttpServer, Method};
+//! use om_http::{gateway::MarketplaceGateway, server::HttpServer, EventConfig, Method};
 //! use om_marketplace::EventualPlatform;
 //! use std::sync::Arc;
 //!
 //! let platform = Arc::new(EventualPlatform::new(Default::default()));
-//! let server = HttpServer::start(Arc::new(MarketplaceGateway::new(platform)), 2);
+//! let gateway = Arc::new(MarketplaceGateway::new(platform));
+//! let server = HttpServer::start_event_driven(gateway, EventConfig::default());
 //! let mut client = server.connect();
 //! let resp = client.request(Method::Get, "/health", None).unwrap();
 //! assert_eq!(resp.status, 200);
@@ -57,4 +58,4 @@ pub use poller::{Interest, Poller, Readiness, Token};
 pub use request::{parse_request, Headers, Method, ParserConfig, Request, Version};
 pub use response::{parse_head_response, parse_response, Response};
 pub use router::{PathParams, RouteError, Router};
-pub use server::{EngineKind, HttpClient, HttpServer, ServerOptions};
+pub use server::{HttpClient, HttpServer, ServerOptions};

@@ -5,10 +5,9 @@
 //! transport is in-process so the stack needs no sockets and stays
 //! deterministic. Pipes support two modes of use:
 //!
-//! * **blocking** (the threaded server and the [`HttpClient`]): reads
-//!   park on a condvar until bytes arrive, writes park when the peer's
-//!   receive buffer is at capacity — the analogue of a full TCP send
-//!   window;
+//! * **blocking** (the [`HttpClient`]): reads park on a condvar until
+//!   bytes arrive, writes park when the peer's receive buffer is at
+//!   capacity — the analogue of a full TCP send window;
 //! * **non-blocking** (the event-driven engine): `Connection::try_read`
 //!   / `Connection::try_write` never park; instead each pipe pushes
 //!   readiness edges (bytes arrived, space freed, closed) to a
@@ -20,19 +19,12 @@
 use crate::poller::{Readiness, Watcher};
 use bytes::BytesMut;
 use parking_lot::{Condvar, Mutex};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// Capacity used by [`Connection::duplex`]: effectively unbounded, which
-/// preserves the historical "writes never block" behavior for plain
-/// blocking clients and tests. The event engine caps its pipes via
-/// [`Connection::duplex_with_capacity`] so a never-reading peer exerts
-/// backpressure instead of growing server memory.
-pub(crate) const UNBOUNDED_CAPACITY: usize = usize::MAX;
 
 /// Outcome of a blocking read with a deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ReadStatus {
+enum ReadStatus {
     /// Bytes were moved into the caller's buffer.
     Data,
     /// The pipe is closed and fully drained.
@@ -63,7 +55,7 @@ struct PipeState {
 }
 
 /// One direction of an in-memory duplex connection.
-pub(crate) struct Pipe {
+struct Pipe {
     capacity: usize,
     state: Mutex<PipeState>,
     readable: Condvar,
@@ -217,15 +209,10 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Creates a connected pair (client end, server end) with unbounded
-    /// buffers — writes never block.
-    pub fn duplex() -> (Connection, Connection) {
-        Self::duplex_with_capacity(UNBOUNDED_CAPACITY)
-    }
-
-    /// Creates a connected pair whose per-direction buffers are capped
-    /// at `capacity` bytes: once a receiver stops draining, writers stall
-    /// (blocking mode) or see partial writes (non-blocking mode).
+    /// Creates a connected pair (client end, server end) whose
+    /// per-direction buffers are capped at `capacity` bytes: once a
+    /// receiver stops draining, writers stall (blocking mode) or see
+    /// partial writes (non-blocking mode).
     pub(crate) fn duplex_with_capacity(capacity: usize) -> (Connection, Connection) {
         let a = Pipe::new(capacity);
         let b = Pipe::new(capacity);
@@ -245,20 +232,12 @@ impl Connection {
         self.tx.write_all(data, crate::server::READ_TIMEOUT);
     }
 
-    /// Blocking read; returns `false` on EOF *or* after an idle timeout
-    /// (kept for API compatibility — the server distinguishes the two
-    /// via `read_with_timeout`).
+    /// Blocking read; returns `false` on EOF *or* after an idle timeout.
     pub fn read_into(&self, out: &mut BytesMut) -> bool {
         matches!(
             self.rx.read_with_timeout(out, crate::server::READ_TIMEOUT),
             ReadStatus::Data
         )
-    }
-
-    /// Blocking read with an explicit deadline, distinguishing EOF from
-    /// an idle timeout.
-    pub(crate) fn read_with_timeout(&self, out: &mut BytesMut, timeout: Duration) -> ReadStatus {
-        self.rx.read_with_timeout(out, timeout)
     }
 
     /// Non-blocking read of everything currently buffered.
@@ -293,13 +272,6 @@ impl Connection {
             writable: self.tx.writable_level(),
         }
     }
-
-    /// A weak handle to the receive pipe, kept by the threaded server so
-    /// `shutdown()` can wake readers parked on idle keep-alive
-    /// connections.
-    pub(crate) fn rx_weak(&self) -> Weak<Pipe> {
-        Arc::downgrade(&self.rx)
-    }
 }
 
 impl Drop for Connection {
@@ -309,21 +281,13 @@ impl Drop for Connection {
     }
 }
 
-/// Closes a pipe through the weak handle from [`Connection::rx_weak`],
-/// waking any parked reader.
-pub(crate) fn close_weak(pipe: &Weak<Pipe>) {
-    if let Some(pipe) = pipe.upgrade() {
-        pipe.close();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn duplex_pipes_carry_bytes_both_ways() {
-        let (a, b) = Connection::duplex();
+        let (a, b) = Connection::duplex_with_capacity(1 << 16);
         a.send(b"ping");
         let mut buf = BytesMut::new();
         assert!(b.read_into(&mut buf));
@@ -336,7 +300,7 @@ mod tests {
 
     #[test]
     fn closed_pipe_reports_eof_after_drain() {
-        let (a, b) = Connection::duplex();
+        let (a, b) = Connection::duplex_with_capacity(1 << 16);
         a.send(b"last");
         a.close();
         let mut buf = BytesMut::new();
@@ -344,24 +308,24 @@ mod tests {
         assert_eq!(&buf[..], b"last");
         assert!(!b.read_into(&mut buf), "drained + closed => EOF");
         assert_eq!(
-            b.read_with_timeout(&mut buf, Duration::from_millis(10)),
+            b.rx.read_with_timeout(&mut buf, Duration::from_millis(10)),
             ReadStatus::Eof
         );
     }
 
     #[test]
     fn write_after_peer_close_is_dropped() {
-        let (a, b) = Connection::duplex();
+        let (a, b) = Connection::duplex_with_capacity(1 << 16);
         drop(b);
         a.send(b"into the void"); // must not panic
     }
 
     #[test]
     fn read_timeout_is_distinguished_from_eof() {
-        let (_a, b) = Connection::duplex();
+        let (_a, b) = Connection::duplex_with_capacity(1 << 16);
         let mut buf = BytesMut::new();
         assert_eq!(
-            b.read_with_timeout(&mut buf, Duration::from_millis(5)),
+            b.rx.read_with_timeout(&mut buf, Duration::from_millis(5)),
             ReadStatus::TimedOut
         );
     }
@@ -388,7 +352,7 @@ mod tests {
         let mut buf = BytesMut::new();
         loop {
             buf.clear();
-            match b.read_with_timeout(&mut buf, Duration::from_secs(5)) {
+            match b.rx.read_with_timeout(&mut buf, Duration::from_secs(5)) {
                 ReadStatus::Data => got += buf.len(),
                 ReadStatus::Eof => break,
                 ReadStatus::TimedOut => panic!("writer stalled"),
@@ -400,14 +364,13 @@ mod tests {
 
     #[test]
     fn close_read_wakes_a_parked_reader() {
-        let (_a, b) = Connection::duplex();
-        let weak = b.rx_weak();
+        let (a, b) = Connection::duplex_with_capacity(1 << 16);
         let reader = std::thread::spawn(move || {
             let mut buf = BytesMut::new();
-            b.read_with_timeout(&mut buf, Duration::from_secs(30))
+            b.rx.read_with_timeout(&mut buf, Duration::from_secs(30))
         });
         std::thread::sleep(Duration::from_millis(20));
-        close_weak(&weak);
+        a.close();
         let status = reader.join().unwrap();
         assert_eq!(status, ReadStatus::Eof, "close must wake the reader");
     }

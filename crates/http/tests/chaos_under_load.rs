@@ -8,7 +8,7 @@
 //! rejection, conflict, or explicit shed — never a 500), and traffic
 //! keeps succeeding *after* recovery.
 
-use om_http::{EngineKind, EventConfig, HttpServer, MarketplaceGateway, Method, ServerOptions};
+use om_http::{EventConfig, HttpServer, MarketplaceGateway, Method};
 use serde_json::json;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -114,12 +114,9 @@ fn disk_fault_mid_flash_sale_sheds_503_and_unwedge_resumes_checkouts() {
                 .decline_rate(0.0)
                 .backend_instance(backend),
         ));
-        HttpServer::start_with_options(
+        HttpServer::start_event_driven(
             Arc::new(MarketplaceGateway::new(platform)),
-            ServerOptions {
-                engine: EngineKind::Threaded { acceptors: 4 },
-                ..ServerOptions::default()
-            },
+            EventConfig::default(),
         )
     }
 
@@ -330,183 +327,175 @@ fn disk_fault_mid_flash_sale_sheds_503_and_unwedge_resumes_checkouts() {
     server.shutdown();
 }
 
-/// Flash-sale checkouts racing the recovery drill, on both connection
-/// engines over the durable dataflow cell.
+/// Flash-sale checkouts racing the recovery drill over the durable
+/// dataflow cell.
 #[test]
 fn recovery_drill_mid_flash_sale_over_http() {
     use om_common::config::BackendKind;
     use om_marketplace::{PlatformKind, PlatformSpec};
 
-    for engine in [
-        EngineKind::Threaded { acceptors: 4 },
-        EngineKind::EventDriven(EventConfig::default()),
-    ] {
-        let spec = PlatformSpec::new(PlatformKind::Dataflow, BackendKind::FileDurable)
-            .parallelism(2)
-            .decline_rate(0.0);
-        let server = HttpServer::start_with_options(
-            Arc::new(MarketplaceGateway::for_spec(&spec)),
-            ServerOptions {
-                engine,
-                ..ServerOptions::default()
-            },
-        );
+    let spec = PlatformSpec::new(PlatformKind::Dataflow, BackendKind::FileDurable)
+        .parallelism(2)
+        .decline_rate(0.0);
+    let server = HttpServer::start_event_driven(
+        Arc::new(MarketplaceGateway::for_spec(&spec)),
+        EventConfig::default(),
+    );
 
-        // Catalogue over the HTTP surface: one seller, one hot product
-        // with deep stock, a pool of customers.
-        const CUSTOMERS: u64 = 6;
-        let mut client = server.connect();
+    // Catalogue over the HTTP surface: one seller, one hot product
+    // with deep stock, a pool of customers.
+    const CUSTOMERS: u64 = 6;
+    let mut client = server.connect();
+    assert_eq!(
+        client
+            .request(Method::Post, "/ingest/sellers", Some(&seller_json(1)))
+            .unwrap()
+            .status,
+        201
+    );
+    for c in 1..=CUSTOMERS {
         assert_eq!(
             client
-                .request(Method::Post, "/ingest/sellers", Some(&seller_json(1)))
+                .request(Method::Post, "/ingest/customers", Some(&customer_json(c)))
                 .unwrap()
                 .status,
             201
         );
-        for c in 1..=CUSTOMERS {
-            assert_eq!(
-                client
-                    .request(Method::Post, "/ingest/customers", Some(&customer_json(c)))
-                    .unwrap()
-                    .status,
-                201
-            );
-        }
-        assert_eq!(
-            client
-                .request(
-                    Method::Post,
-                    "/ingest/products",
-                    Some(&product_json(1, 1, 10_000)),
-                )
-                .unwrap()
-                .status,
-            201
-        );
-        // Dataflow ingestion is asynchronous; drain before the sale opens.
-        server.gateway().platform().quiesce();
-        client.close();
-
-        // Flash sale: every client thread checks out the same product in
-        // a loop while the main thread pulls the crash lever.
-        let stop = AtomicBool::new(false);
-        let drill_fired = AtomicBool::new(false);
-        let placed_before_drill = AtomicU64::new(0);
-        let placed_after_drill = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for c in 1..=CUSTOMERS {
-                let server = &server;
-                let stop = &stop;
-                let drill_fired = &drill_fired;
-                let placed_before_drill = &placed_before_drill;
-                let placed_after_drill = &placed_after_drill;
-                handles.push(scope.spawn(move || {
-                    let mut client = server.connect();
-                    let item = json!({"seller": 1, "product": 1, "quantity": 1});
-                    let checkout = json!({
-                        "items": [{"seller": 1, "product": 1, "quantity": 1}],
-                        "method": "CreditCard",
-                    });
-                    while !stop.load(Ordering::Relaxed) {
-                        let add = client
-                            .request(
-                                Method::Post,
-                                &format!("/customers/{c}/cart/items"),
-                                Some(&item),
-                            )
-                            .unwrap();
-                        assert_ne!(add.status, 500, "internal error on add-to-cart");
-                        let resp = client
-                            .request(
-                                Method::Post,
-                                &format!("/customers/{c}/checkout"),
-                                Some(&checkout),
-                            )
-                            .unwrap();
-                        // 200 placed; 409/422 business conflict/rejection;
-                        // 408/503 explicit shed while the crash lands. A
-                        // 500 is the one status chaos must never produce.
-                        match resp.status {
-                            200 => {
-                                if drill_fired.load(Ordering::Relaxed) {
-                                    placed_after_drill.fetch_add(1, Ordering::Relaxed);
-                                } else {
-                                    placed_before_drill.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            409 | 422 | 408 | 503 => {}
-                            other => panic!(
-                                "unexpected checkout status {other} under chaos: {}",
-                                String::from_utf8_lossy(&resp.body)
-                            ),
-                        }
-                    }
-                    client.close();
-                }));
-            }
-
-            // Let the sale ramp, then crash it mid-flight.
-            let mut admin = server.connect();
-            while placed_before_drill.load(Ordering::Relaxed) < 10 {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            let drill = admin
-                .request(Method::Post, "/admin/recovery-drill", None)
-                .unwrap();
-            drill_fired.store(true, Ordering::Relaxed);
-            assert_eq!(
-                drill.status,
-                200,
-                "{}",
-                String::from_utf8_lossy(&drill.body)
-            );
-            let outcome: serde_json::Value = drill.json_body().unwrap();
-            let recovered = outcome["recovered_epoch"].as_u64().unwrap();
-            let final_epoch = outcome["final_epoch"].as_u64().unwrap();
-            assert!(
-                recovered >= 1,
-                "drill must restart from a committed epoch: {outcome}"
-            );
-            assert!(
-                final_epoch >= recovered,
-                "a committed epoch was lost: {outcome}"
-            );
-            assert_eq!(outcome["store"], serde_json::Value::from("file_durable"));
-
-            // The sale keeps selling after recovery.
-            let resume_deadline =
-                std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while placed_after_drill.load(Ordering::Relaxed) < 5
-                && std::time::Instant::now() < resume_deadline
-            {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            stop.store(true, Ordering::Relaxed);
-            for h in handles {
-                h.join().expect("load thread panicked");
-            }
-            admin.close();
-        });
-
-        assert!(
-            placed_before_drill.load(Ordering::Relaxed) >= 10,
-            "sale never ramped"
-        );
-        assert!(
-            placed_after_drill.load(Ordering::Relaxed) >= 5,
-            "checkouts did not resume after the drill"
-        );
-
-        // The platform still answers health and counters after the crash.
-        server.gateway().platform().quiesce();
-        let mut client = server.connect();
-        let health = client.request(Method::Get, "/health", None).unwrap();
-        assert_eq!(health.status, 200);
-        let health: serde_json::Value = health.json_body().unwrap();
-        assert_eq!(health["status"], "ok");
-        assert_eq!(health["durable"], serde_json::Value::from(true));
-        client.close();
-        server.shutdown();
     }
+    assert_eq!(
+        client
+            .request(
+                Method::Post,
+                "/ingest/products",
+                Some(&product_json(1, 1, 10_000)),
+            )
+            .unwrap()
+            .status,
+        201
+    );
+    // Dataflow ingestion is asynchronous; drain before the sale opens.
+    server.gateway().platform().quiesce();
+    client.close();
+
+    // Flash sale: every client thread checks out the same product in
+    // a loop while the main thread pulls the crash lever.
+    let stop = AtomicBool::new(false);
+    let drill_fired = AtomicBool::new(false);
+    let placed_before_drill = AtomicU64::new(0);
+    let placed_after_drill = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for c in 1..=CUSTOMERS {
+            let server = &server;
+            let stop = &stop;
+            let drill_fired = &drill_fired;
+            let placed_before_drill = &placed_before_drill;
+            let placed_after_drill = &placed_after_drill;
+            handles.push(scope.spawn(move || {
+                let mut client = server.connect();
+                let item = json!({"seller": 1, "product": 1, "quantity": 1});
+                let checkout = json!({
+                    "items": [{"seller": 1, "product": 1, "quantity": 1}],
+                    "method": "CreditCard",
+                });
+                while !stop.load(Ordering::Relaxed) {
+                    let add = client
+                        .request(
+                            Method::Post,
+                            &format!("/customers/{c}/cart/items"),
+                            Some(&item),
+                        )
+                        .unwrap();
+                    assert_ne!(add.status, 500, "internal error on add-to-cart");
+                    let resp = client
+                        .request(
+                            Method::Post,
+                            &format!("/customers/{c}/checkout"),
+                            Some(&checkout),
+                        )
+                        .unwrap();
+                    // 200 placed; 409/422 business conflict/rejection;
+                    // 408/503 explicit shed while the crash lands. A
+                    // 500 is the one status chaos must never produce.
+                    match resp.status {
+                        200 => {
+                            if drill_fired.load(Ordering::Relaxed) {
+                                placed_after_drill.fetch_add(1, Ordering::Relaxed);
+                            } else {
+                                placed_before_drill.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        409 | 422 | 408 | 503 => {}
+                        other => panic!(
+                            "unexpected checkout status {other} under chaos: {}",
+                            String::from_utf8_lossy(&resp.body)
+                        ),
+                    }
+                }
+                client.close();
+            }));
+        }
+
+        // Let the sale ramp, then crash it mid-flight.
+        let mut admin = server.connect();
+        while placed_before_drill.load(Ordering::Relaxed) < 10 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let drill = admin
+            .request(Method::Post, "/admin/recovery-drill", None)
+            .unwrap();
+        drill_fired.store(true, Ordering::Relaxed);
+        assert_eq!(
+            drill.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&drill.body)
+        );
+        let outcome: serde_json::Value = drill.json_body().unwrap();
+        let recovered = outcome["recovered_epoch"].as_u64().unwrap();
+        let final_epoch = outcome["final_epoch"].as_u64().unwrap();
+        assert!(
+            recovered >= 1,
+            "drill must restart from a committed epoch: {outcome}"
+        );
+        assert!(
+            final_epoch >= recovered,
+            "a committed epoch was lost: {outcome}"
+        );
+        assert_eq!(outcome["store"], serde_json::Value::from("file_durable"));
+
+        // The sale keeps selling after recovery.
+        let resume_deadline =
+            std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while placed_after_drill.load(Ordering::Relaxed) < 5
+            && std::time::Instant::now() < resume_deadline
+        {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        stop.store(true, Ordering::Relaxed);
+        for h in handles {
+            h.join().expect("load thread panicked");
+        }
+        admin.close();
+    });
+
+    assert!(
+        placed_before_drill.load(Ordering::Relaxed) >= 10,
+        "sale never ramped"
+    );
+    assert!(
+        placed_after_drill.load(Ordering::Relaxed) >= 5,
+        "checkouts did not resume after the drill"
+    );
+
+    // The platform still answers health and counters after the crash.
+    server.gateway().platform().quiesce();
+    let mut client = server.connect();
+    let health = client.request(Method::Get, "/health", None).unwrap();
+    assert_eq!(health.status, 200);
+    let health: serde_json::Value = health.json_body().unwrap();
+    assert_eq!(health["status"], "ok");
+    assert_eq!(health["durable"], serde_json::Value::from(true));
+    client.close();
+    server.shutdown();
 }

@@ -1,14 +1,11 @@
-//! Regression + behavior tests for the connection engines: the
-//! event-driven loop's scaling/backpressure properties, and the four
-//! historical thread-per-connection bugs (handle leak, shutdown hang,
-//! HEAD framing, silent idle-timeout close) that must stay fixed on
-//! both engines.
+//! Regression + behavior tests for the connection engine: the event
+//! loop's scaling/backpressure properties, and the historical serving
+//! bugs (per-connection state leak, shutdown hang, silent idle-timeout
+//! close) that must stay fixed.
 
 use bytes::BytesMut;
 use om_common::OmResult;
-use om_http::{
-    EngineKind, EventConfig, HttpServer, MarketplaceGateway, Method, ServerOptions,
-};
+use om_http::{EventConfig, HttpServer, MarketplaceGateway, Method, ServerOptions};
 use om_marketplace::api::MarketplacePlatform;
 use om_marketplace::EventualPlatform;
 use parking_lot::{Condvar, Mutex};
@@ -19,13 +16,6 @@ fn eventual_gateway() -> Arc<MarketplaceGateway> {
     Arc::new(MarketplaceGateway::new(Arc::new(EventualPlatform::new(
         Default::default(),
     ))))
-}
-
-fn both_engines() -> [EngineKind; 2] {
-    [
-        EngineKind::Threaded { acceptors: 2 },
-        EngineKind::EventDriven(EventConfig::default()),
-    ]
 }
 
 /// Polls `cond` until it holds or `deadline` elapses.
@@ -49,7 +39,6 @@ fn event_engine_serves_many_keepalive_connections_with_constant_threads() {
     let cfg = EventConfig::default();
     let workers = cfg.workers;
     let server = HttpServer::start_event_driven(eventual_gateway(), cfg);
-    assert_eq!(server.engine_name(), "event");
 
     // 64 concurrent keep-alive connections, 8 pipelined requests each.
     let mut clients: Vec<_> = (0..64).map(|_| server.connect()).collect();
@@ -88,65 +77,31 @@ fn event_engine_serves_many_keepalive_connections_with_constant_threads() {
     server.shutdown();
 }
 
-#[test]
-fn threaded_engine_burns_one_thread_per_connection() {
-    // The contrast case for the test above: the baseline's thread count
-    // tracks live connections.
-    let server = HttpServer::start(eventual_gateway(), 2);
-    assert_eq!(server.engine_name(), "threaded");
-    let mut clients: Vec<_> = (0..16).map(|_| server.connect()).collect();
-    for client in clients.iter_mut() {
-        assert_eq!(client.request(Method::Get, "/health", None).unwrap().status, 200);
-    }
-    assert!(
-        wait_until(Duration::from_secs(5), || {
-            server.stats().engine_threads >= 2 + 16
-        }),
-        "threaded engine must be O(connections) threads, got {:?}",
-        server.stats()
-    );
-    for client in &clients {
-        client.close();
-    }
-    drop(clients);
-    server.shutdown();
-}
-
 // ---------------------------------------------------------------------
 // Satellite: serving-thread / per-connection state leak
 // ---------------------------------------------------------------------
 
 #[test]
 fn connection_churn_does_not_accumulate_state() {
-    for engine in both_engines() {
-        let server = HttpServer::start_with_options(
-            eventual_gateway(),
-            ServerOptions {
-                engine: engine.clone(),
-                ..ServerOptions::default()
-            },
-        );
-        for _ in 0..60 {
-            let mut client = server.connect();
-            assert_eq!(client.request(Method::Get, "/health", None).unwrap().status, 200);
-            client.close();
-        }
-        // All 60 connections are closed: live state must drain to zero
-        // (the threaded engine reaps finished JoinHandles — before the
-        // fix, `served` kept one handle per connection forever).
-        assert!(
-            wait_until(Duration::from_secs(5), || server.stats().live_connections == 0),
-            "engine {engine:?} leaked per-connection state: {:?}",
-            server.stats()
-        );
-        let threads = server.stats().engine_threads;
-        assert!(
-            threads <= 8,
-            "engine {engine:?} must not retain serving threads for closed \
-             connections; still tracking {threads}"
-        );
-        server.shutdown();
+    let server = HttpServer::start_event_driven(eventual_gateway(), EventConfig::default());
+    for _ in 0..60 {
+        let mut client = server.connect();
+        assert_eq!(client.request(Method::Get, "/health", None).unwrap().status, 200);
+        client.close();
     }
+    // All 60 connections are closed: live state must drain to zero.
+    assert!(
+        wait_until(Duration::from_secs(5), || server.stats().live_connections == 0),
+        "engine leaked per-connection state: {:?}",
+        server.stats()
+    );
+    let threads = server.stats().engine_threads;
+    assert!(
+        threads <= 8,
+        "engine must not retain serving threads for closed connections; \
+         still tracking {threads}"
+    );
+    server.shutdown();
 }
 
 // ---------------------------------------------------------------------
@@ -155,84 +110,67 @@ fn connection_churn_does_not_accumulate_state() {
 
 #[test]
 fn shutdown_with_idle_keepalive_clients_is_prompt() {
-    for engine in both_engines() {
-        let server = HttpServer::start_with_options(
-            eventual_gateway(),
-            ServerOptions {
-                engine: engine.clone(),
-                ..ServerOptions::default()
-            },
-        );
-        // Three idle keep-alive clients whose serving side is parked
-        // waiting for the next request. Before the fix, each one held
-        // threaded shutdown hostage for READ_TIMEOUT (30s).
-        let mut clients: Vec<_> = (0..3).map(|_| server.connect()).collect();
-        for client in clients.iter_mut() {
-            assert_eq!(client.request(Method::Get, "/health", None).unwrap().status, 200);
-        }
-        let started = Instant::now();
-        server.shutdown();
-        let took = started.elapsed();
-        assert!(
-            took < Duration::from_secs(1),
-            "engine {engine:?} shutdown took {took:?} with idle clients"
-        );
-        drop(clients);
+    let server = HttpServer::start_event_driven(eventual_gateway(), EventConfig::default());
+    // Three idle keep-alive clients waiting for the next response slot.
+    // Shutdown must not wait out their idle timeout (30s).
+    let mut clients: Vec<_> = (0..3).map(|_| server.connect()).collect();
+    for client in clients.iter_mut() {
+        assert_eq!(client.request(Method::Get, "/health", None).unwrap().status, 200);
     }
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "shutdown took {took:?} with idle clients"
+    );
+    drop(clients);
 }
 
 // ---------------------------------------------------------------------
 // Satellite: slowloris / idle-timeout behavior
 // ---------------------------------------------------------------------
 
+fn short_idle_server() -> HttpServer {
+    HttpServer::start_with_options(
+        eventual_gateway(),
+        ServerOptions {
+            idle_timeout: Duration::from_millis(100),
+            ..ServerOptions::default()
+        },
+    )
+}
+
 #[test]
 fn half_received_request_gets_408_on_idle_timeout() {
-    for engine in both_engines() {
-        let server = HttpServer::start_with_options(
-            eventual_gateway(),
-            ServerOptions {
-                idle_timeout: Duration::from_millis(100),
-                engine: engine.clone(),
-                ..ServerOptions::default()
-            },
-        );
-        let mut client = server.connect();
-        // A slowloris client: starts a request and goes quiet.
-        client.send_raw(b"GET /health HTTP/1.1\r\nhost: marketplace");
-        let resp = client
-            .read_response()
-            .unwrap_or_else(|e| panic!("engine {engine:?}: expected a 408, got {e}"));
-        assert_eq!(resp.status, 408, "engine {engine:?}");
-        assert_eq!(resp.headers.get("connection"), Some("close"));
-        assert!(
-            client.read_response().is_err(),
-            "connection must be closed after the 408"
-        );
-        assert_eq!(server.stats().timeouts_408, 1, "engine {engine:?}");
-        server.shutdown();
-    }
+    let server = short_idle_server();
+    let mut client = server.connect();
+    // A slowloris client: starts a request and goes quiet.
+    client.send_raw(b"GET /health HTTP/1.1\r\nhost: marketplace");
+    let resp = client
+        .read_response()
+        .unwrap_or_else(|e| panic!("expected a 408, got {e}"));
+    assert_eq!(resp.status, 408);
+    assert_eq!(resp.headers.get("connection"), Some("close"));
+    assert!(
+        client.read_response().is_err(),
+        "connection must be closed after the 408"
+    );
+    assert_eq!(server.stats().timeouts_408, 1);
+    server.shutdown();
 }
 
 #[test]
 fn idle_connection_with_no_buffered_bytes_closes_cleanly() {
-    for engine in both_engines() {
-        let server = HttpServer::start_with_options(
-            eventual_gateway(),
-            ServerOptions {
-                idle_timeout: Duration::from_millis(100),
-                engine: engine.clone(),
-                ..ServerOptions::default()
-            },
-        );
-        let mut client = server.connect();
-        // No bytes at all: the idle deadline must close without a 408.
-        assert!(
-            client.read_response().is_err(),
-            "engine {engine:?}: idle connection must see EOF"
-        );
-        assert_eq!(server.stats().timeouts_408, 0, "engine {engine:?}");
-        server.shutdown();
-    }
+    let server = short_idle_server();
+    let mut client = server.connect();
+    // No bytes at all: the idle deadline must close without a 408.
+    assert!(
+        client.read_response().is_err(),
+        "idle connection must see EOF"
+    );
+    assert_eq!(server.stats().timeouts_408, 0);
+    server.shutdown();
 }
 
 // ---------------------------------------------------------------------

@@ -17,7 +17,7 @@
 //! ```
 
 use online_marketplace::common::config::BackendKind;
-use online_marketplace::http::{HttpServer, MarketplaceGateway, Method};
+use online_marketplace::http::{EventConfig, HttpServer, MarketplaceGateway, Method};
 use online_marketplace::marketplace::{PlatformKind, PlatformSpec};
 use serde_json::json;
 use std::sync::Arc;
@@ -38,7 +38,10 @@ fn main() {
         .parallelism(4)
         .decline_rate(0.0)
         .data_dir(&data_dir);
-    let server = HttpServer::start(Arc::new(MarketplaceGateway::for_spec(&spec)), 2);
+    let server = HttpServer::start_event_driven(
+        Arc::new(MarketplaceGateway::for_spec(&spec)),
+        EventConfig::default(),
+    );
     let mut client = server.connect();
 
     let resp = client.request(Method::Get, "/health", None).unwrap();

@@ -17,9 +17,8 @@ use std::sync::Arc;
 
 fn main() {
     // 1. The full-featured platform (transactions + MVCC dashboard +
-    //    causal replication + audit log) behind the event-driven HTTP
-    //    engine: one poll loop + a fixed worker pool serves every
-    //    connection, instead of a thread per connection.
+    //    causal replication + audit log) behind the HTTP engine: one
+    //    poll loop + a fixed worker pool serves every connection.
     let platform = Arc::new(CustomizedPlatform::new(Default::default()));
     let server = HttpServer::start_event_driven(
         Arc::new(MarketplaceGateway::new(platform)),
@@ -157,8 +156,7 @@ fn main() {
     // 7. Engine stats: the whole session ran on O(workers + 1) threads.
     let stats = server.stats();
     println!(
-        "\n== engine ==\n{} engine: {} threads, peak {} live connection(s), {} accepted",
-        server.engine_name(),
+        "\n== engine ==\n{} threads, peak {} live connection(s), {} accepted",
         stats.engine_threads,
         stats.max_live_connections,
         stats.accepted,

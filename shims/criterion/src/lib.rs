@@ -2,26 +2,12 @@
 //!
 //! Compiles the workspace's benches unchanged and, when actually run
 //! (`cargo bench`), times each benchmark with a warmup pass followed by
-//! **repeated samples**, reporting min / median / p95 ns-per-iter (plus
-//! the mean) instead of a single first-order mean — the repeated-run
+//! **repeated samples**, reporting min / median / p95 ns-per-iter
+//! instead of a single first-order mean — the repeated-run
 //! statistics perf claims should cite. No plotting or baseline
 //! comparison; `cargo bench --no-run` keeps benches compiling in CI.
-//!
-//! Every benchmark result is also appended to a per-group JSON file
-//! under `$OM_BENCH_RESULTS_DIR` (default `results/`, created on
-//! demand): `results/bench_<group>.json`, schema `om-bench-stats-v1`,
-//! one entry per benchmark id with the sample statistics — the repo's
-//! machine-readable perf trajectory. Set `OM_BENCH_RESULTS_DIR=` (empty)
-//! to disable recording.
-//!
-//! Set `OM_BENCH_BASELINE=<path>` to diff each finished group against a
-//! checked-in stats file (e.g. `BENCH_PR7.json`): entries are matched by
-//! `"<group>/<id>"` and every hit prints `baseline -> current (ratio)`,
-//! so a bench run shows its drift from the recorded reference without
-//! any external tooling.
 
 use std::fmt;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Returns the input unchanged while defeating constant-propagation.
@@ -72,14 +58,6 @@ impl Default for Criterion {
             sample_size: 20,
             measurement_time: Duration::from_millis(300),
         }
-    }
-}
-
-impl Drop for Criterion {
-    fn drop(&mut self) {
-        // Benches registered directly on the Criterion (no group) land
-        // in the "misc" bucket; flush it when the harness winds down.
-        flush_group("misc");
     }
 }
 
@@ -178,11 +156,7 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Writes the group's recorded statistics to
-    /// `results/bench_<group>.json`.
-    pub fn finish(self) {
-        flush_group(&self.name);
-    }
+    pub fn finish(self) {}
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -263,141 +237,6 @@ pub enum BatchSize {
     PerIteration,
 }
 
-/// Per-iteration statistics of one benchmark over repeated samples.
-#[derive(Clone, Debug)]
-pub struct BenchStats {
-    /// Benchmark id within its group.
-    pub id: String,
-    /// Samples taken (each sample times `iters_per_sample` iterations).
-    pub samples: u64,
-    /// Iterations timed per sample.
-    pub iters_per_sample: u64,
-    pub min_ns: f64,
-    pub median_ns: f64,
-    pub p95_ns: f64,
-    pub mean_ns: f64,
-}
-
-impl BenchStats {
-    fn json(&self) -> String {
-        format!(
-            "{{\"id\": \"{}\", \"samples\": {}, \"iters_per_sample\": {}, \
-             \"min_ns\": {:.1}, \"median_ns\": {:.1}, \"p95_ns\": {:.1}, \"mean_ns\": {:.1}}}",
-            self.id.replace('\\', "\\\\").replace('"', "\\\""),
-            self.samples,
-            self.iters_per_sample,
-            self.min_ns,
-            self.median_ns,
-            self.p95_ns,
-            self.mean_ns,
-        )
-    }
-}
-
-/// Benchmarks recorded so far, keyed by group, flushed to
-/// `results/bench_<group>.json` as groups finish.
-static RESULTS: Mutex<Vec<(String, BenchStats)>> = Mutex::new(Vec::new());
-
-/// Cargo runs bench binaries with the *package* as the working
-/// directory; paths meant to be workspace-relative (results/, checked-in
-/// baselines) resolve against the outermost ancestor holding a
-/// Cargo.lock — the workspace root.
-fn workspace_root() -> Option<std::path::PathBuf> {
-    let cwd = std::env::current_dir().ok()?;
-    let root = cwd
-        .ancestors()
-        .filter(|dir| dir.join("Cargo.lock").is_file())
-        .last()
-        .unwrap_or(&cwd);
-    Some(root.to_path_buf())
-}
-
-fn results_dir() -> Option<std::path::PathBuf> {
-    match std::env::var("OM_BENCH_RESULTS_DIR") {
-        Ok(dir) if dir.is_empty() => None,
-        Ok(dir) => Some(dir.into()),
-        Err(_) => Some(workspace_root()?.join("results")),
-    }
-}
-
-/// Writes (or rewrites) the JSON result file of `group` from everything
-/// recorded for it so far, then diffs the group against the checked-in
-/// baseline if one is configured.
-fn flush_group(group: &str) {
-    let stats: Vec<BenchStats> = RESULTS
-        .lock()
-        .unwrap()
-        .iter()
-        .filter(|(g, _)| g == group)
-        .map(|(_, s)| s.clone())
-        .collect();
-    diff_against_baseline(group, &stats);
-    let Some(dir) = results_dir() else { return };
-    let entries: Vec<String> = stats.iter().map(|s| format!("    {}", s.json())).collect();
-    if entries.is_empty() {
-        return;
-    }
-    let safe: String = group
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' || c == '-' { c } else { '_' })
-        .collect();
-    let body = format!(
-        "{{\n  \"schema\": \"om-bench-stats-v1\",\n  \"group\": \"{group}\",\n  \"entries\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let _ = std::fs::write(dir.join(format!("bench_{safe}.json")), body);
-    }
-}
-
-/// Prints a baseline diff for every entry of `group` when
-/// `OM_BENCH_BASELINE` names a checked-in stats file: entries match by
-/// `"<group>/<id>"` and each hit reports the current median as a ratio
-/// of the recorded one. Missing entries are silently skipped — a
-/// baseline covers whatever slice its reference run recorded.
-fn diff_against_baseline(group: &str, stats: &[BenchStats]) {
-    let Ok(path) = std::env::var("OM_BENCH_BASELINE") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    // Relative baseline paths are workspace-relative, like results/.
-    let mut resolved = std::path::PathBuf::from(&path);
-    if resolved.is_relative() && !resolved.is_file() {
-        if let Some(root) = workspace_root() {
-            resolved = root.join(&path);
-        }
-    }
-    let Ok(body) = std::fs::read_to_string(&resolved) else {
-        eprintln!("criterion-shim: cannot read baseline {path}");
-        return;
-    };
-    for s in stats {
-        let full = format!("{group}/{}", s.id);
-        if let Some(base) = baseline_median(&body, &full) {
-            let ratio = s.median_ns / base.max(1.0);
-            println!(
-                "bench baseline {full:<50} {base:>12.1} -> {:>12.1} ns/iter ({ratio:.2}x)",
-                s.median_ns
-            );
-        }
-    }
-}
-
-/// Extracts the `median_ns` of the entry whose `"id"` equals `full_id`
-/// from a stats-JSON body (the shim's own output format — scanned
-/// textually, the shim carries no JSON dependency).
-fn baseline_median(body: &str, full_id: &str) -> Option<f64> {
-    let needle = format!("\"id\": \"{full_id}\"");
-    let rest = &body[body.find(&needle)?..];
-    let tail = rest[rest.find("\"median_ns\":")? + "\"median_ns\":".len()..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
 fn run_one<F: FnMut(&mut Bencher)>(
     group: &str,
     name: &str,
@@ -438,7 +277,6 @@ fn run_one<F: FnMut(&mut Bencher)>(
         per_sample_ns[n / 2]
     };
     let p95_ns = per_sample_ns[((n as f64 * 0.95).ceil() as usize).clamp(1, n) - 1];
-    let mean_ns = per_sample_ns.iter().sum::<f64>() / n as f64;
 
     let full = if group.is_empty() {
         name.to_string()
@@ -448,18 +286,6 @@ fn run_one<F: FnMut(&mut Bencher)>(
     println!(
         "bench {full:<50} median {median_ns:>12.1} ns/iter  (min {min_ns:.1}, p95 {p95_ns:.1}, {n} samples x {iterations} iters)"
     );
-    RESULTS.lock().unwrap().push((
-        (if group.is_empty() { "misc" } else { group }).to_string(),
-        BenchStats {
-            id: name.to_string(),
-            samples: n as u64,
-            iters_per_sample: iterations,
-            min_ns,
-            median_ns,
-            p95_ns,
-            mean_ns,
-        },
-    ));
 }
 
 #[macro_export]
@@ -485,18 +311,4 @@ macro_rules! criterion_main {
             $($group();)+
         }
     };
-}
-
-#[cfg(test)]
-mod baseline_tests {
-    #[test]
-    fn baseline_median_finds_the_matching_entry() {
-        let body = r#"{"entries": [
-            {"id": "g/w1_adaptive", "median_ns": 1500.5, "p95_ns": 2.0},
-            {"id": "g/w16_adaptive", "median_ns": 300.0}
-        ]}"#;
-        assert_eq!(super::baseline_median(body, "g/w1_adaptive"), Some(1500.5));
-        assert_eq!(super::baseline_median(body, "g/w16_adaptive"), Some(300.0));
-        assert_eq!(super::baseline_median(body, "g/absent"), None);
-    }
 }

@@ -2,7 +2,7 @@
 //! the HTTP layer (paper Fig. 1) and serve the five business
 //! transactions over the wire.
 
-use online_marketplace::http::{HttpServer, MarketplaceGateway, Method};
+use online_marketplace::http::{EventConfig, HttpServer, MarketplaceGateway, Method};
 use online_marketplace::marketplace::api::{MarketplacePlatform, PlatformKind};
 use online_marketplace::marketplace::bindings::actor_core::ActorPlatformConfig;
 use online_marketplace::marketplace::bindings::dataflow::{
@@ -38,7 +38,10 @@ fn platform(kind: PlatformKind) -> Arc<dyn MarketplacePlatform> {
 
 /// Runs the five transactions over HTTP and returns the final counters.
 fn exercise(kind: PlatformKind) -> std::collections::BTreeMap<String, u64> {
-    let server = HttpServer::start(Arc::new(MarketplaceGateway::new(platform(kind))), 2);
+    let server = HttpServer::start_event_driven(
+        Arc::new(MarketplaceGateway::new(platform(kind))),
+        EventConfig::default(),
+    );
     let mut client = server.connect();
 
     // Ingestion.
