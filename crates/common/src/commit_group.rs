@@ -19,7 +19,7 @@
 //! use om_common::commit_group::CommitGroup;
 //! use std::sync::atomic::{AtomicU64, Ordering};
 //!
-//! let group = CommitGroup::new(std::time::Duration::ZERO);
+//! let group = CommitGroup::new();
 //! let written = AtomicU64::new(0);
 //! // "Append" ticket 1, then wait for a leader (ourselves) to flush it.
 //! written.store(1, Ordering::SeqCst);
@@ -29,10 +29,8 @@
 //! assert_eq!(group.stats().flushes, 1);
 //! ```
 
-use crate::config::GroupCommitPolicy;
 use crate::{OmError, OmResult};
-use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use parking_lot::{Condvar, Mutex};
 
 /// Point-in-time counters of a [`CommitGroup`] (see
 /// [`CommitGroup::stats`]).
@@ -46,10 +44,6 @@ pub struct CommitGroupStats {
     pub released: u64,
     /// Largest single cohort released by one flush.
     pub max_cohort: u64,
-    /// Leader elections in which the adaptive policy observed
-    /// concurrency and waited for the cohort to grow (always 0 under
-    /// `Off`/`Fixed` policies).
-    pub adaptive_waits: u64,
 }
 
 impl CommitGroupStats {
@@ -63,11 +57,6 @@ impl CommitGroupStats {
 struct GroupState {
     /// Highest durable (released) ticket.
     durable: u64,
-    /// Highest ticket any writer has announced via `wait_durable`.
-    /// `highest - durable` is the cohort the adaptive leader can see;
-    /// a flush may cover tickets staged but not yet announced, so
-    /// `durable` can momentarily run ahead of `highest`.
-    highest: u64,
     /// A leader is currently running the flush closure.
     leader_active: bool,
     /// Tickets at or below this bound that never became durable were
@@ -82,84 +71,41 @@ struct GroupState {
     stats: CommitGroupStats,
 }
 
-/// How an elected leader spends the moment between election and flush.
-#[derive(Debug, Clone, Copy)]
-enum WaitPlan {
-    /// Flush as soon as leadership is acquired.
-    Immediate,
-    /// Sleep a fixed window, blind to arrivals.
-    FixedSleep(Duration),
-    /// Watch arrivals; flush at `target` pending tickets, on arrival
-    /// stall, or at the `max_window` deadline — whichever is first.
-    Adaptive { target: u64, max_window: Duration },
-}
-
 /// The commit barrier. See the module docs for the protocol.
 pub struct CommitGroup {
     state: Mutex<GroupState>,
     released: Condvar,
-    /// Wakes a leader parked in the adaptive wait when a new ticket is
-    /// announced.
-    arrivals: Condvar,
     /// Wakes [`CommitGroup::reset_after_abort`] when a waiter exits.
     drained: Condvar,
-    plan: WaitPlan,
 }
 
 impl std::fmt::Debug for CommitGroup {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CommitGroup")
-            .field("plan", &self.plan)
-            .finish()
+        f.debug_struct("CommitGroup").finish_non_exhaustive()
+    }
+}
+
+impl Default for CommitGroup {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 impl CommitGroup {
-    /// A barrier whose leaders wait up to `window` after election for
-    /// the cohort to grow before flushing. `Duration::ZERO` flushes as
-    /// soon as leadership is acquired — under contention that still
-    /// batches every ticket that queued while the previous leader was
-    /// flushing.
-    pub fn new(window: Duration) -> Self {
-        Self::with_plan(if window.is_zero() {
-            WaitPlan::Immediate
-        } else {
-            WaitPlan::FixedSleep(window)
-        })
-    }
-
-    /// A barrier driven by a [`GroupCommitPolicy`]. `Off` degenerates to
-    /// an immediate-flush barrier (callers that want *no* barrier at all
-    /// should not route commits through a `CommitGroup`).
-    pub fn with_policy(policy: GroupCommitPolicy) -> Self {
-        Self::with_plan(match policy {
-            GroupCommitPolicy::Off => WaitPlan::Immediate,
-            GroupCommitPolicy::Fixed(0) => WaitPlan::Immediate,
-            GroupCommitPolicy::Fixed(us) => WaitPlan::FixedSleep(Duration::from_micros(us)),
-            GroupCommitPolicy::Adaptive {
-                target_cohort,
-                max_window_us,
-            } => WaitPlan::Adaptive {
-                target: target_cohort.max(2),
-                max_window: Duration::from_micros(max_window_us),
-            },
-        })
-    }
-
-    fn with_plan(plan: WaitPlan) -> Self {
+    /// A barrier whose elected leader flushes as soon as it is elected —
+    /// under contention that still batches every ticket that queued
+    /// while the previous leader was flushing.
+    pub fn new() -> Self {
         Self {
             state: Mutex::new(GroupState {
                 durable: 0,
-                highest: 0,
                 leader_active: false,
                 aborted_below: 0,
                 waiters: 0,
                 stats: CommitGroupStats::default(),
             }),
             released: Condvar::new(),
-            arrivals: Condvar::new(),
             drained: Condvar::new(),
-            plan,
         }
     }
 
@@ -179,12 +125,6 @@ impl CommitGroup {
     {
         let mut st = self.state.lock();
         st.waiters += 1;
-        if ticket > st.highest {
-            st.highest = ticket;
-            // Wake a leader parked in the adaptive wait: the cohort
-            // just grew.
-            self.arrivals.notify_one();
-        }
         loop {
             // Checked BEFORE the durable floor: an abort raises the
             // floor over the dropped tickets so later cohorts release
@@ -206,19 +146,7 @@ impl CommitGroup {
                 continue;
             }
             st.leader_active = true;
-            match self.plan {
-                WaitPlan::Immediate => drop(st),
-                WaitPlan::FixedSleep(window) => {
-                    drop(st);
-                    // Let the cohort grow: appenders keep staging while
-                    // the leader waits out the window.
-                    std::thread::sleep(window);
-                }
-                WaitPlan::Adaptive { target, max_window } => {
-                    self.adaptive_wait(&mut st, target, max_window);
-                    drop(st);
-                }
-            }
+            drop(st);
             let result = flush();
             st = self.state.lock();
             st.leader_active = false;
@@ -245,51 +173,6 @@ impl CommitGroup {
         }
     }
 
-    /// The adaptive leader duty between election and flush, run with
-    /// the state lock held (released while parked on `arrivals`).
-    ///
-    /// The controller keys off *observed concurrency*, not a modelled
-    /// arrival rate: `pending = highest - durable` counts the writers
-    /// that have already announced tickets this cohort. A lone
-    /// closed-loop writer always observes `pending == 1` — it cannot
-    /// generate arrivals while it is the one parked here — so it
-    /// flushes immediately and pays zero window. With `pending >= 2`
-    /// there is real concurrency worth waiting for: park on the
-    /// `arrivals` condvar in short slices until the cohort reaches
-    /// `target`, the arrival stream stalls (a full slice passes with no
-    /// new ticket), or `max_window` expires.
-    fn adaptive_wait(&self, st: &mut MutexGuard<'_, GroupState>, target: u64, max_window: Duration) {
-        let pending = st.highest.saturating_sub(st.durable);
-        if pending <= 1 || pending >= target || max_window.is_zero() {
-            return;
-        }
-        st.stats.adaptive_waits += 1;
-        let deadline = Instant::now() + max_window;
-        // Stall-detection granularity: an eighth of the window, clamped
-        // so it neither spins (>=20us) nor sleeps past idleness (<=200us).
-        let slice = (max_window / 8).clamp(Duration::from_micros(20), Duration::from_micros(200));
-        let mut last_highest = st.highest;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            let timed_out = self
-                .arrivals
-                .wait_for(st, (deadline - now).min(slice))
-                .timed_out();
-            if st.highest.saturating_sub(st.durable) >= target {
-                return;
-            }
-            if timed_out && st.highest == last_highest {
-                // A whole slice passed without a single arrival: the
-                // burst is over, flush what we have.
-                return;
-            }
-            last_highest = st.highest;
-        }
-    }
-
     /// Highest durable ticket (0 before any flush).
     pub fn durable(&self) -> u64 {
         self.state.lock().durable
@@ -303,7 +186,6 @@ impl CommitGroup {
     pub fn reset_floor(&self, floor: u64) {
         let mut st = self.state.lock();
         st.durable = st.durable.max(floor);
-        st.highest = st.highest.max(floor);
     }
 
     /// Fails every ticket up to and including `bound` that is not yet
@@ -322,9 +204,7 @@ impl CommitGroup {
         let mut st = self.state.lock();
         st.aborted_below = st.aborted_below.max(bound);
         st.durable = st.durable.max(bound);
-        st.highest = st.highest.max(bound);
         self.released.notify_all();
-        self.arrivals.notify_all();
     }
 
     /// Completes the barrier half of a store repair after
@@ -344,7 +224,6 @@ impl CommitGroup {
         }
         st.aborted_below = 0;
         st.durable = floor;
-        st.highest = floor;
     }
 
     /// Counters accumulated so far.
@@ -356,14 +235,13 @@ impl CommitGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::GroupCommitPolicy;
     use crate::OmError;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     #[test]
     fn single_writer_leads_itself() {
-        let group = CommitGroup::new(Duration::ZERO);
+        let group = CommitGroup::new();
         let staged = AtomicU64::new(3);
         group
             .wait_durable(3, || Ok(staged.load(Ordering::SeqCst)))
@@ -378,7 +256,7 @@ mod tests {
     fn cohort_shares_flushes_under_contention() {
         const WRITERS: u64 = 8;
         const ROUNDS: u64 = 50;
-        let group = Arc::new(CommitGroup::new(Duration::ZERO));
+        let group = Arc::new(CommitGroup::new());
         let staged = Arc::new(AtomicU64::new(0));
         let flushed = Arc::new(AtomicU64::new(0));
         let next = Arc::new(AtomicU64::new(1));
@@ -416,11 +294,9 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_lone_writer_never_waits() {
-        let group = CommitGroup::with_policy(GroupCommitPolicy::Adaptive {
-            target_cohort: 8,
-            max_window_us: 50_000,
-        });
+    fn lone_writer_pays_one_flush_per_commit() {
+        let group = CommitGroup::new();
+        assert_eq!(group.stats().commits_per_flush(), 0, "no flush yet");
         let staged = AtomicU64::new(0);
         for ticket in 1..=32u64 {
             staged.store(ticket, Ordering::SeqCst);
@@ -429,93 +305,130 @@ mod tests {
                 .unwrap();
         }
         let stats = group.stats();
+        assert_eq!(stats.flushes, 32, "nothing to batch with: one flush each");
         assert_eq!(stats.released, 32);
-        assert_eq!(
-            stats.adaptive_waits, 0,
-            "a lone writer observes pending == 1 and must not wait out the window"
-        );
+        assert_eq!(stats.max_cohort, 1);
+        assert_eq!(stats.commits_per_flush(), 1);
     }
 
     #[test]
-    fn adaptive_contended_builds_cohorts() {
-        const WRITERS: u64 = 8;
-        const ROUNDS: u64 = 50;
-        let group = Arc::new(CommitGroup::with_policy(GroupCommitPolicy::Adaptive {
-            target_cohort: 4,
-            max_window_us: 2_000,
-        }));
+    fn writers_parked_behind_a_leader_share_its_flush() {
+        const WRITERS: u64 = 6;
+        let group = Arc::new(CommitGroup::new());
         let staged = Arc::new(AtomicU64::new(0));
-        let next = Arc::new(AtomicU64::new(1));
         let mut handles = Vec::new();
         for _ in 0..WRITERS {
-            let (group, staged, next) = (group.clone(), staged.clone(), next.clone());
+            let (group, staged) = (group.clone(), staged.clone());
             handles.push(std::thread::spawn(move || {
-                for _ in 0..ROUNDS {
-                    let ticket = next.fetch_add(1, Ordering::SeqCst);
-                    staged.fetch_max(ticket, Ordering::SeqCst);
-                    group
-                        .wait_durable(ticket, || {
-                            // Simulate the fsync the leader pays: long
-                            // enough for other writers to queue behind.
-                            std::thread::sleep(Duration::from_micros(200));
-                            Ok(staged.load(Ordering::SeqCst))
-                        })
-                        .unwrap();
-                }
+                let ticket = staged.fetch_add(1, Ordering::SeqCst) + 1;
+                group
+                    .wait_durable(ticket, || {
+                        // Whoever leads holds the flush open until every
+                        // writer has staged: the rest queue behind it.
+                        while staged.load(Ordering::SeqCst) < WRITERS {
+                            std::thread::yield_now();
+                        }
+                        Ok(staged.load(Ordering::SeqCst))
+                    })
+                    .unwrap();
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
         let stats = group.stats();
-        assert_eq!(stats.released, WRITERS * ROUNDS, "every ticket released");
-        assert!(
-            stats.flushes < WRITERS * ROUNDS,
-            "adaptive leaders must amortize flushes under contention \
-             (got {} flushes for {} commits)",
-            stats.flushes,
-            WRITERS * ROUNDS
-        );
-        assert!(stats.max_cohort >= 2);
-        assert_eq!(group.durable(), WRITERS * ROUNDS);
+        assert_eq!(stats.flushes, 1, "one leader flush covers the whole cohort");
+        assert_eq!(stats.released, WRITERS);
+        assert_eq!(stats.max_cohort, WRITERS);
+        assert_eq!(stats.commits_per_flush(), WRITERS);
     }
 
     #[test]
-    fn adaptive_pending_cohort_waits_then_stall_flushes() {
-        // Announcing ticket 2 against durable floor 0 means the leader
-        // observes pending == 2: real concurrency, so it must enter the
-        // adaptive wait — and with no further arrivals the stall
-        // detector must flush long before the (deliberately huge)
-        // max_window deadline.
-        let group = CommitGroup::with_policy(GroupCommitPolicy::Adaptive {
-            target_cohort: 8,
-            max_window_us: 2_000_000,
-        });
-        let start = Instant::now();
+    fn a_flush_covering_later_tickets_releases_them_without_another() {
+        let group = CommitGroup::new();
+        // The leader's flush made tickets 2 and 3 durable too (they were
+        // staged before it ran but not yet waited on).
+        group.wait_durable(1, || Ok(3)).unwrap();
+        group
+            .wait_durable(2, || panic!("ticket 2 is already durable"))
+            .unwrap();
+        group
+            .wait_durable(3, || panic!("ticket 3 is already durable"))
+            .unwrap();
+        let stats = group.stats();
+        assert_eq!((stats.flushes, stats.released, stats.max_cohort), (1, 3, 3));
+        group.wait_durable(4, || Ok(4)).unwrap();
+        let stats = group.stats();
+        assert_eq!((stats.flushes, stats.released, stats.max_cohort), (2, 4, 3));
+    }
+
+    #[test]
+    fn reset_floor_keeps_recovered_history_out_of_the_cohort_stats() {
+        let group = CommitGroup::new();
+        // Recovery found 100 commits on disk.
+        group.reset_floor(100);
+        assert_eq!(group.durable(), 100);
+        group
+            .wait_durable(40, || panic!("recovered tickets are already durable"))
+            .unwrap();
+        group.wait_durable(101, || Ok(101)).unwrap();
+        let stats = group.stats();
+        assert_eq!(
+            (stats.flushes, stats.released, stats.max_cohort),
+            (1, 1, 1),
+            "the first flush after recovery releases one commit, not 101"
+        );
+        // The floor only ever rises.
+        group.reset_floor(50);
+        assert_eq!(group.durable(), 101);
+    }
+
+    #[test]
+    fn reset_after_abort_lets_dropped_ticket_numbers_be_reused() {
+        let group = Arc::new(CommitGroup::new());
         group.wait_durable(2, || Ok(2)).unwrap();
-        let elapsed = start.elapsed();
-        assert_eq!(group.durable(), 2);
-        assert_eq!(group.stats().adaptive_waits, 1);
-        assert!(
-            elapsed < Duration::from_millis(500),
-            "stall detection must flush well before the 2s window (took {elapsed:?})"
-        );
-    }
-
-    #[test]
-    fn adaptive_zero_window_flushes_immediately() {
-        let group = CommitGroup::with_policy(GroupCommitPolicy::Adaptive {
-            target_cohort: 8,
-            max_window_us: 0,
-        });
-        group.wait_durable(1, || Ok(1)).unwrap();
-        assert_eq!(group.durable(), 1);
-        assert_eq!(group.stats().adaptive_waits, 0);
+        // Tickets 3..=5 were staged, then dropped by a repair; one of
+        // their writers is still parked when the abort fires.
+        let leader_in = Arc::new(std::sync::Barrier::new(2));
+        let release = Arc::new(std::sync::Barrier::new(2));
+        let parked = {
+            let (group, leader_in, release) = (group.clone(), leader_in.clone(), release.clone());
+            std::thread::spawn(move || {
+                group.wait_durable(5, || {
+                    leader_in.wait();
+                    release.wait();
+                    Err(OmError::Wedged("store wedged".into()))
+                })
+            })
+        };
+        leader_in.wait();
+        group.abort_below(5);
+        let resetter = {
+            let group = group.clone();
+            std::thread::spawn(move || group.reset_after_abort(2))
+        };
+        // The reset cannot finish while the parked writer is inside the
+        // barrier; let its failed flush return so it drains out.
+        release.wait();
+        assert!(matches!(parked.join().unwrap(), Err(OmError::Wedged(_))));
+        resetter.join().unwrap();
+        assert_eq!(group.durable(), 2, "the floor is back on the last durable ticket");
+        // Ticket 3 is handed out again and commits normally instead of
+        // failing on the abort bound or false-releasing on the floor.
+        let flushed = AtomicU64::new(0);
+        group
+            .wait_durable(3, || {
+                flushed.fetch_add(1, Ordering::SeqCst);
+                Ok(3)
+            })
+            .unwrap();
+        assert_eq!(flushed.load(Ordering::SeqCst), 1, "the reused ticket was really flushed");
+        assert_eq!(group.durable(), 3);
     }
 
     #[test]
     fn abort_below_fails_dropped_tickets_and_frees_later_ones() {
-        let group = Arc::new(CommitGroup::new(Duration::ZERO));
+        let group = Arc::new(CommitGroup::new());
         // Ticket 1 is durable the normal way.
         group.wait_durable(1, || Ok(1)).unwrap();
         // A waiter parks on ticket 3 behind a leader that never
@@ -548,7 +461,7 @@ mod tests {
 
     #[test]
     fn failed_leader_does_not_wedge_the_cohort() {
-        let group = Arc::new(CommitGroup::new(Duration::ZERO));
+        let group = Arc::new(CommitGroup::new());
         let fail_once = Arc::new(AtomicU64::new(1));
         // Ticket 1: first flush attempt fails; the retry (same caller —
         // single-threaded here) succeeds.

@@ -191,133 +191,50 @@ impl BackendKind {
     }
 }
 
-/// Snapshot discipline of the file-durable backend.
+/// Snapshot discipline of the file-durable backend. One value: the
+/// field that carries it stays only because the benchmark of record
+/// reads it, and goes with the next change to that benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SnapshotMode {
-    /// Every snapshot rewrites the full live state — cost proportional
-    /// to total state size, but recovery reads exactly one file before
-    /// WAL replay.
-    Full,
     /// Snapshots write only the keys dirtied since the previous
     /// snapshot as a `delta-<seq>` file chained from the last full
-    /// base — cost proportional to churn, not state size. Compaction
-    /// folds a long or heavy chain back into a full base (see
-    /// [`DurableOptions::compact_max_deltas`] /
-    /// [`DurableOptions::compact_ratio_pct`]).
+    /// base — cost proportional to churn, not state size. The first
+    /// snapshot and every compaction write a full base.
     Incremental,
 }
 
-impl SnapshotMode {
-    /// Stable label for reports and bench ids.
-    pub fn label(self) -> &'static str {
-        match self {
-            SnapshotMode::Full => "full",
-            SnapshotMode::Incremental => "incremental",
-        }
-    }
-}
-
-/// Group-commit discipline of the durable write path: how long an
-/// elected cohort leader waits for more committers to queue before it
-/// performs the single flush+fsync that covers the whole cohort.
+/// Group-commit discipline of the durable write path. One value: the
+/// fields that carry it stay only because the benchmark of record reads
+/// and sets them, and go with the next change to that benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GroupCommitPolicy {
-    /// No commit barrier: every commit pays its own flush+fsync (the
-    /// PR 4 behaviour; the b2 `group_off` baseline).
-    Off,
-    /// Fixed window in microseconds: the leader sleeps this long before
-    /// flushing (0 = flush as soon as leadership is acquired, batching
-    /// whatever queued meanwhile). Trades single-writer latency for
-    /// cohort size blindly.
-    Fixed(u64),
-    /// Adaptive window: the leader watches the cohort grow and flushes
-    /// as soon as `target_cohort` commits are pending, commit arrivals
-    /// stall, or `max_window_us` elapses — whichever comes first. A
-    /// lone writer observes no concurrency and pays (close to) zero
-    /// window; contended writers amortize one fsync over ~target_cohort
-    /// commits without hand-tuning a window per host.
-    Adaptive {
-        /// Cohort size the leader waits for before flushing.
-        target_cohort: u64,
-        /// Hard cap on the wait, in microseconds.
-        max_window_us: u64,
-    },
-}
-
-impl GroupCommitPolicy {
-    /// Default adaptive shape: aim for 8-commit cohorts, never delay a
-    /// flush by more than 500 µs.
-    pub fn adaptive_default() -> Self {
-        GroupCommitPolicy::Adaptive {
-            target_cohort: 8,
-            max_window_us: 500,
-        }
-    }
-
-    /// Whether commits go through the cohort barrier at all.
-    pub fn is_grouped(self) -> bool {
-        !matches!(self, GroupCommitPolicy::Off)
-    }
-
-    /// Stable label for reports and bench ids.
-    pub fn label(self) -> &'static str {
-        match self {
-            GroupCommitPolicy::Off => "off",
-            GroupCommitPolicy::Fixed(_) => "fixed",
-            GroupCommitPolicy::Adaptive { .. } => "adaptive",
-        }
-    }
+    /// Every commit goes through a cohort barrier: committers stage and
+    /// park, and one elected leader flushes (and fsyncs) everything
+    /// staged as soon as it is elected, releasing the whole cohort.
+    Cohort,
 }
 
 /// Durability tuning of the [`BackendKind::FileDurable`] backend (and
 /// the persistent ingress log), threaded from `RunConfig` through
-/// `PlatformSpec` so every matrix cell can select its write-path
-/// discipline. Ignored by the memory-only backends.
+/// `PlatformSpec`. Ignored by the memory-only backends.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DurableOptions {
     /// `fsync` commits before acknowledging them (power-loss
     /// durability). Off by default: commits are flushed to the OS and
     /// survive a *process* crash only.
     pub sync_commits: bool,
-    /// Group-commit policy: off (per-commit fsync), fixed window, or
-    /// adaptive cohort targeting. See [`GroupCommitPolicy`].
+    /// The one group-commit policy, [`GroupCommitPolicy::Cohort`].
     pub group_commit: GroupCommitPolicy,
-    /// Full vs incremental snapshots.
+    /// The one snapshot discipline, [`SnapshotMode::Incremental`].
     pub snapshot_mode: SnapshotMode,
-    /// Incremental mode: fold the delta chain into a fresh full base
-    /// once it holds this many deltas.
-    pub compact_max_deltas: u64,
-    /// Incremental mode: fold the chain once accumulated delta bytes
-    /// exceed this percentage of the base snapshot's size.
-    pub compact_ratio_pct: u64,
-    /// Worker threads used to load snapshot/delta partitions during
-    /// cold recovery. `0` = auto (one per core, capped at 8); `1`
-    /// forces the serial path. WAL replay is sequential regardless.
-    pub recovery_threads: usize,
 }
 
 impl Default for DurableOptions {
     fn default() -> Self {
         Self {
             sync_commits: false,
-            group_commit: GroupCommitPolicy::Fixed(0),
+            group_commit: GroupCommitPolicy::Cohort,
             snapshot_mode: SnapshotMode::Incremental,
-            compact_max_deltas: 16,
-            compact_ratio_pct: 100,
-            recovery_threads: 0,
-        }
-    }
-}
-
-impl DurableOptions {
-    /// The PR 4 write path: per-commit flush/fsync, full-state
-    /// snapshots. The baseline the b2 group-commit cells compare
-    /// against.
-    pub fn legacy() -> Self {
-        Self {
-            group_commit: GroupCommitPolicy::Off,
-            snapshot_mode: SnapshotMode::Full,
-            ..Self::default()
         }
     }
 }
@@ -537,9 +454,8 @@ pub struct RunConfig {
     /// platform rebuilt over the same `data_dir` recovers from disk.
     /// Ignored by the memory-only backends.
     pub data_dir: Option<String>,
-    /// Write-path tuning of the file-durable backend: fsync policy,
-    /// group-commit window, snapshot mode and compaction thresholds.
-    /// Ignored by the memory-only backends.
+    /// Write-path tuning of the file-durable backend (whether commits
+    /// are fsynced). Ignored by the memory-only backends.
     pub durable: DurableOptions,
     /// Adversarial traffic scenario shaping the workload (`None` = the
     /// plain mixed workload). See [`ScenarioConfig`].
@@ -645,11 +561,9 @@ mod tests {
     }
 
     #[test]
-    fn durable_options_roundtrip_and_legacy() {
+    fn durable_options_roundtrip() {
         let d = DurableOptions {
             sync_commits: true,
-            group_commit: GroupCommitPolicy::Fixed(250),
-            snapshot_mode: SnapshotMode::Incremental,
             ..DurableOptions::default()
         };
         let c = RunConfig {
@@ -659,40 +573,40 @@ mod tests {
         let s = serde_json::to_string(&c).unwrap();
         let back: RunConfig = serde_json::from_str(&s).unwrap();
         assert_eq!(back.durable, d);
-        let legacy = DurableOptions::legacy();
-        assert_eq!(legacy.group_commit, GroupCommitPolicy::Off);
-        assert_eq!(legacy.snapshot_mode, SnapshotMode::Full);
-        assert_ne!(SnapshotMode::Full.label(), SnapshotMode::Incremental.label());
     }
 
     #[test]
-    fn group_commit_policy_roundtrip_and_labels() {
-        for p in [
-            GroupCommitPolicy::Off,
-            GroupCommitPolicy::Fixed(0),
-            GroupCommitPolicy::Fixed(250),
-            GroupCommitPolicy::adaptive_default(),
-            GroupCommitPolicy::Adaptive {
-                target_cohort: 32,
-                max_window_us: 2_000,
-            },
+    fn durable_options_default_to_the_one_write_path() {
+        let d = DurableOptions::default();
+        assert!(!d.sync_commits, "fsync is opt-in");
+        assert_eq!(d.group_commit, GroupCommitPolicy::Cohort);
+        assert_eq!(d.snapshot_mode, SnapshotMode::Incremental);
+        let policy: GroupCommitPolicy =
+            serde_json::from_str(&serde_json::to_string(&GroupCommitPolicy::Cohort).unwrap())
+                .unwrap();
+        assert_eq!(policy, GroupCommitPolicy::Cohort);
+        let mode: SnapshotMode =
+            serde_json::from_str(&serde_json::to_string(&SnapshotMode::Incremental).unwrap())
+                .unwrap();
+        assert_eq!(mode, SnapshotMode::Incremental);
+    }
+
+    #[test]
+    fn retired_write_path_values_are_rejected_on_parse() {
+        let json = serde_json::to_string(&DurableOptions::default()).unwrap();
+        assert!(json.contains("\"Cohort\"") && json.contains("\"Incremental\""), "{json}");
+        // A config naming a removed write path must fail loudly rather
+        // than silently run the one that remains.
+        for retired in [
+            json.replace("\"Cohort\"", "\"Off\""),
+            json.replace("\"Cohort\"", "{\"Fixed\":0}"),
+            json.replace("\"Incremental\"", "\"Full\""),
         ] {
-            let s = serde_json::to_string(&p).unwrap();
-            let back: GroupCommitPolicy = serde_json::from_str(&s).unwrap();
-            assert_eq!(back, p);
+            assert!(
+                serde_json::from_str::<DurableOptions>(&retired).is_err(),
+                "accepted {retired}"
+            );
         }
-        assert!(!GroupCommitPolicy::Off.is_grouped());
-        assert!(GroupCommitPolicy::Fixed(0).is_grouped());
-        assert!(GroupCommitPolicy::adaptive_default().is_grouped());
-        let labels: std::collections::HashSet<_> = [
-            GroupCommitPolicy::Off,
-            GroupCommitPolicy::Fixed(1),
-            GroupCommitPolicy::adaptive_default(),
-        ]
-        .iter()
-        .map(|p| p.label())
-        .collect();
-        assert_eq!(labels.len(), 3);
     }
 
     #[test]

@@ -372,7 +372,7 @@ impl<M: Send + Clone + 'static> DataflowBuilder<M> {
             // An immediate-flush barrier: the epoch leader never waits
             // out a window — the cohort is exactly this epoch's workers
             // plus the driver, all parked before the flush runs.
-            barrier: CommitGroup::new(std::time::Duration::ZERO),
+            barrier: CommitGroup::new(),
             barrier_ticket: AtomicU64::new(0),
             crash_countdown: AtomicI64::new(i64::MIN),
             epochs: AtomicU64::new(0),

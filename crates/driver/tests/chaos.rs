@@ -109,7 +109,6 @@ fn chaos_drill_is_inert_on_platforms_without_a_crash_path() {
 /// audit (conservation, atomicity, ordering) is clean.
 #[test]
 fn disk_fault_drill_mid_flash_sale_wedges_then_unwedge_restores_a_clean_audit() {
-    use om_common::config::{GroupCommitPolicy, SnapshotMode};
     use om_common::entity::{Customer, PaymentMethod, Product, Seller};
     use om_common::ids::{CustomerId, ProductId, SellerId};
     use om_common::Money;
@@ -149,8 +148,6 @@ fn disk_fault_drill_mid_flash_sale_wedges_then_unwedge_restores_a_clean_audit() 
             snapshot_every: 0,
             segment_bytes: 1 << 20,
             sync_commits: true,
-            group_commit: GroupCommitPolicy::Off,
-            snapshot_mode: SnapshotMode::Full,
             compact_max_deltas: 4,
             compact_ratio_pct: 100,
             recovery_threads: 1,

@@ -23,7 +23,6 @@
 //! `OM_TORTURE_SEED=<n>` replays a failure. Assertions carry their
 //! `seed/boundary` coordinates.
 
-use om_common::config::{GroupCommitPolicy, SnapshotMode};
 use om_common::entity::{Customer, PaymentMethod, Product, Seller};
 use om_common::ids::{CustomerId, ProductId, SellerId};
 use om_common::Money;
@@ -78,8 +77,6 @@ fn backend_options() -> FileBackendOptions {
         snapshot_every: 4,
         segment_bytes: 1024,
         sync_commits: true,
-        group_commit: GroupCommitPolicy::Off,
-        snapshot_mode: SnapshotMode::Incremental,
         compact_max_deltas: 2,
         compact_ratio_pct: 100,
         recovery_threads: 1,
@@ -89,10 +86,10 @@ fn backend_options() -> FileBackendOptions {
 fn ingress_options() -> PersistentTopicOptions {
     PersistentTopicOptions {
         segment_bytes: 1024,
-        group_commit: GroupCommitPolicy::Off,
         // A checkout ack must imply its ingress records survive power
         // loss — that is the durability floor the sweep asserts.
         sync_appends: true,
+        ..PersistentTopicOptions::default()
     }
 }
 

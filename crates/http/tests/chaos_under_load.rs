@@ -63,7 +63,7 @@ fn product_json(id: u64, seller: u64, stock: u32) -> serde_json::Value {
 /// the conservation audit stays clean.
 #[test]
 fn disk_fault_mid_flash_sale_sheds_503_and_unwedge_resumes_checkouts() {
-    use om_common::config::{BackendKind, GroupCommitPolicy, SnapshotMode};
+    use om_common::config::BackendKind;
     use om_marketplace::{build_platform, MarketplacePlatform, PlatformKind, PlatformSpec};
     use om_storage::vfs::FaultVfs;
     use om_storage::{FileBackend, FileBackendOptions, StateBackend};
@@ -98,8 +98,6 @@ fn disk_fault_mid_flash_sale_sheds_503_and_unwedge_resumes_checkouts() {
                     snapshot_every: 0,
                     segment_bytes: 1 << 20,
                     sync_commits: true,
-                    group_commit: GroupCommitPolicy::Off,
-                    snapshot_mode: SnapshotMode::Full,
                     compact_max_deltas: 4,
                     compact_ratio_pct: 100,
                     recovery_threads: 1,

@@ -93,22 +93,19 @@ impl<T: Serialize + DeserializeOwned> RecordCodec<T> for SerdeCodec {
 pub struct PersistentTopicOptions {
     /// Segment roll threshold in bytes per partition.
     pub segment_bytes: u64,
-    /// Group-flush policy per partition: anything but
-    /// [`GroupCommitPolicy::Off`] batches the per-record segment write
-    /// through a commit barrier (`om_common::commit_group`) — appenders
-    /// stage their frame into an in-memory buffer (never blocking on an
-    /// in-flight write) and park; a cohort leader performs ONE segment
-    /// write for everyone staged (growing the cohort per the policy:
-    /// fixed window or adaptive target) and only then mirrors the
-    /// cohort into memory, preserving the "written before readable"
-    /// guarantee. `Off` (the default) writes every append individually
-    /// — the PR 4 behaviour.
+    /// The one group-flush policy, [`GroupCommitPolicy::Cohort`]: every
+    /// append goes through the partition's commit barrier
+    /// (`om_common::commit_group`) — appenders stage their frame into an
+    /// in-memory buffer (never blocking on an in-flight write) and park;
+    /// a cohort leader performs ONE segment write for everyone staged
+    /// and only then mirrors the cohort into memory, preserving the
+    /// "written before readable" guarantee. The field stays only because
+    /// the benchmark of record sets it, and goes with the next change to
+    /// that benchmark.
     pub group_commit: GroupCommitPolicy,
-    /// `fsync` the segment after every acknowledged write (one sync per
-    /// record unbatched, one per cohort under group flush), and sync the
+    /// `fsync` the segment after every cohort write, and sync the
     /// partition directory when a segment is created. Off by default —
-    /// the historical behaviour, where an append is acknowledged once
-    /// the bytes reach the page cache.
+    /// an append is acknowledged once the bytes reach the page cache.
     pub sync_appends: bool,
 }
 
@@ -116,7 +113,7 @@ impl Default for PersistentTopicOptions {
     fn default() -> Self {
         Self {
             segment_bytes: 1 << 20,
-            group_commit: GroupCommitPolicy::Off,
+            group_commit: GroupCommitPolicy::Cohort,
             sync_appends: false,
         }
     }
@@ -135,9 +132,8 @@ struct PartStage<T> {
     /// Staged `(producer, seq, payload)` records. The leader leaves
     /// them here while their bytes are being written (so a racing
     /// retransmission still finds them for dedup) and mirrors them
-    /// into memory only after the write succeeds. Always empty without
-    /// group flush. The offset of `staged[i]` is
-    /// `next_offset - staged.len() + i`.
+    /// into memory only after the write succeeds. The offset of
+    /// `staged[i]` is `next_offset - staged.len() + i`.
     staged: Vec<(u64, u64, T)>,
     /// Offset the next staged record will take (`mem.end_offset` plus
     /// the staged count — assigned here so offsets stay dense while
@@ -149,8 +145,8 @@ struct PartStage<T> {
 }
 
 /// Per-partition durable state, guarded by the files mutex: the open
-/// segment pair. Held by cohort leaders (and, with group flush off, by
-/// every append) — never while merely staging.
+/// segment pair. Held by cohort leaders (and by unwedge and disk reads)
+/// — never while merely staging.
 struct PartFiles {
     log: Box<dyn VfsFile>,
     idx: Box<dyn VfsFile>,
@@ -180,7 +176,7 @@ pub struct PersistentTopic<T> {
     stages: Vec<Mutex<PartStage<T>>>,
     /// Durable half (open segment pair), per partition.
     parts: Vec<Mutex<PartFiles>>,
-    /// One commit barrier per partition for the group-flush path.
+    /// One commit barrier per partition.
     groups: Vec<CommitGroup>,
     /// Set when a segment write failed after bytes were staged: the
     /// log can no longer tell which acknowledged records a partial
@@ -261,9 +257,7 @@ impl<T: Clone + Send> PersistentTopic<T> {
             mem: Topic::new(name, partitions),
             stages: Vec::new(),
             parts: Vec::new(),
-            groups: (0..partitions)
-                .map(|_| CommitGroup::with_policy(options.group_commit))
-                .collect(),
+            groups: (0..partitions).map(|_| CommitGroup::new()).collect(),
             wedged: std::sync::atomic::AtomicBool::new(false),
             _lock: lock,
             vfs,
@@ -452,12 +446,10 @@ impl<T: Clone + Send> PersistentTopic<T> {
     /// Appends `(producer, seq, payload)` to `partition`: deduplicated
     /// against the fence first (retransmissions never touch disk), then
     /// written as one frame and flushed **before** the record becomes
-    /// readable. With [`PersistentTopicOptions::group_commit`]
-    /// the flush is batched: the record is staged into the buffered
-    /// writer and the caller parks on the partition's commit barrier
-    /// until a cohort leader has flushed (and mirrored) it — one flush
-    /// syscall shared by every record staged meanwhile. Returns the
-    /// record's offset.
+    /// readable. The flush is batched: the record is staged and the
+    /// caller parks on the partition's commit barrier until a cohort
+    /// leader has flushed (and mirrored) it — one write shared by every
+    /// record staged meanwhile. Returns the record's offset.
     pub fn append_raw(
         &self,
         partition: usize,
@@ -475,10 +467,6 @@ impl<T: Clone + Send> PersistentTopic<T> {
             .stages
             .get(partition)
             .ok_or_else(|| OmError::NotFound(format!("partition {partition}")))?;
-        if !self.options.group_commit.is_grouped() {
-            return self.append_unbatched(partition, producer, seq, payload);
-        }
-
         let offset = {
             let mut stage = stage_lock.lock();
             if let Some(offset) = self.mem.duplicate_of(partition, producer, seq)? {
@@ -518,34 +506,6 @@ impl<T: Clone + Send> PersistentTopic<T> {
         // Park: a cohort leader writes every staged byte as one unit,
         // then mirrors the cohort (making its offsets readable).
         self.groups[partition].wait_durable(offset + 1, || self.flush_partition(partition))?;
-        Ok(offset)
-    }
-
-    /// The barrier-free path ([`GroupCommitPolicy::Off`]): every
-    /// record pays its own segment write before becoming readable.
-    fn append_unbatched(
-        &self,
-        partition: usize,
-        producer: u64,
-        seq: u64,
-        payload: T,
-    ) -> OmResult<u64> {
-        let mut files = self.parts[partition].lock();
-        let mut stage = self.stages[partition].lock();
-        if let Some(offset) = self.mem.duplicate_of(partition, producer, seq)? {
-            self.duplicates.fetch_add(1, Ordering::Relaxed);
-            return Ok(offset);
-        }
-        let frame = self.encode_frame(producer, seq, &payload)?;
-        let pos = stage.seg_len;
-        self.write_segment(&mut files, &frame, &pos.to_le_bytes())?;
-        stage.seg_len += frame.len() as u64;
-        self.appended_bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
-        let offset = self.mem.append_raw(partition, producer, seq, payload)?;
-        stage.next_offset = self.mem.end_offset(partition);
-        if stage.seg_len >= self.options.segment_bytes {
-            self.roll_segment(partition, &mut files, &mut stage)?;
-        }
         Ok(offset)
     }
 
@@ -606,13 +566,12 @@ impl<T: Clone + Send> PersistentTopic<T> {
         Ok(frame)
     }
 
-    /// Cohort-leader duty of the group-flush path: swap the staged
-    /// bytes out (staging stays open — appenders keep building the
-    /// next cohort), write them as ONE `write_all` per file, then
-    /// mirror the covered records into memory in append order (making
-    /// their offsets readable) and roll the segment if due. Returns the
-    /// barrier ticket covered (`end_offset` after the mirror — tickets
-    /// are `offset + 1`).
+    /// Cohort-leader duty: swap the staged bytes out (staging stays
+    /// open — appenders keep building the next cohort), write them as
+    /// ONE `write_all` per file, then mirror the covered records into
+    /// memory in append order (making their offsets readable) and roll
+    /// the segment if due. Returns the barrier ticket covered
+    /// (`end_offset` after the mirror — tickets are `offset + 1`).
     fn flush_partition(&self, partition: usize) -> OmResult<u64> {
         if self.wedged.load(Ordering::Acquire) {
             return Err(self.wedged_err());
@@ -668,8 +627,8 @@ impl<T: Clone + Send> PersistentTopic<T> {
         Ok(self.mem.end_offset(partition))
     }
 
-    /// Group-flush statistics summed over all partitions (zero without
-    /// a group window): `(flushes, records_released, max_cohort)`.
+    /// Group-flush statistics summed over all partitions:
+    /// `(flushes, records_released, max_cohort)`.
     pub fn group_flush_stats(&self) -> (u64, u64, u64) {
         let mut flushes = 0;
         let mut released = 0;
@@ -1135,10 +1094,7 @@ mod tests {
     fn group_flush_batches_appends_and_survives_reopen() {
         let dir = scratch("group");
         let _guard = DirGuard(dir.clone());
-        let opts = PersistentTopicOptions {
-            group_commit: GroupCommitPolicy::Fixed(0),
-            ..PersistentTopicOptions::default()
-        };
+        let opts = PersistentTopicOptions::default();
         {
             let t: Arc<PersistentTopic<u64>> =
                 Arc::new(PersistentTopic::open_with(&dir, "t", 1, Arc::new(SerdeCodec), opts).unwrap());
@@ -1175,6 +1131,26 @@ mod tests {
             PersistentTopic::open_with(&dir, "t", 1, Arc::new(SerdeCodec), opts).unwrap();
         assert_eq!(EventLog::len(&t), 100);
         assert_eq!(t.counters()["log.recovered_records"], 100);
+    }
+
+    #[test]
+    fn a_lone_appender_pays_one_flush_per_record() {
+        let dir = scratch("lone");
+        let _guard = DirGuard(dir.clone());
+        {
+            let t = open(&dir, 2);
+            for i in 0..6u64 {
+                t.append_raw((i % 2) as usize, 1, i + 1, i).unwrap();
+            }
+            assert_eq!(t.group_flush_stats(), (6, 6, 1), "nothing to batch with");
+        }
+        // After recovery each partition's first flush is a cohort of one,
+        // not the replayed records plus one.
+        let t = open(&dir, 2);
+        t.append_raw(0, 2, 1, 60).unwrap();
+        t.append_raw(1, 2, 2, 61).unwrap();
+        assert_eq!(t.group_flush_stats(), (2, 2, 1));
+        assert_eq!(t.read_from(1, 3, 10)[0].payload, 61, "offsets resume past the replay");
     }
 
     #[test]
@@ -1226,7 +1202,6 @@ mod tests {
         let _guard = DirGuard(dir.clone());
         let fault = om_storage::FaultVfs::new(11).fail_nth_sync(2);
         let opts = PersistentTopicOptions {
-            group_commit: GroupCommitPolicy::Fixed(0),
             sync_appends: true,
             ..Default::default()
         };

@@ -18,7 +18,6 @@
 //! the workload and seed set, and `OM_TORTURE_SEED=<n>` replays a
 //! failure. Assertions carry their `seed/boundary` coordinates.
 
-use om_common::config::{GroupCommitPolicy, SnapshotMode};
 use om_log::{PersistentTopic, PersistentTopicOptions, SerdeCodec};
 use om_storage::vfs::{CrashImage, FaultVfs, Vfs};
 use om_storage::{FileBackend, FileBackendOptions, StateBackend, WriteBatch};
@@ -61,8 +60,6 @@ fn backend_options() -> FileBackendOptions {
         snapshot_every: 5,
         segment_bytes: 512,
         sync_commits: true,
-        group_commit: GroupCommitPolicy::Off,
-        snapshot_mode: SnapshotMode::Incremental,
         compact_max_deltas: 2,
         compact_ratio_pct: 100,
         recovery_threads: 1,
@@ -72,8 +69,8 @@ fn backend_options() -> FileBackendOptions {
 fn topic_options() -> PersistentTopicOptions {
     PersistentTopicOptions {
         segment_bytes: 256,
-        group_commit: GroupCommitPolicy::Off,
         sync_appends: true,
+        ..PersistentTopicOptions::default()
     }
 }
 
@@ -198,5 +195,81 @@ fn power_loss_at_every_boundary_recovers_backend_and_topic_prefixes() {
                 "{ctx}: topic lost acked record — recovered {n} < floor {topic_floor}"
             );
         }
+    }
+}
+
+/// Four producers race appends to one partition while the `n`th fsync
+/// fails, for each of the first twenty flushes. The topic must wedge
+/// cleanly: `unwedge` verifies the kept prefix, and a cold reopen reads
+/// every acknowledged `(producer, seq)` back at the offset its append
+/// returned.
+#[test]
+fn concurrent_appenders_never_ack_past_a_failed_fsync() {
+    const PRODUCERS: u64 = 4;
+    const RECORDS: u64 = 24;
+    for n in 1..=20u64 {
+        let root = scratch("ack-wedge");
+        let _g = DirGuard(root.clone());
+        let vfs = FaultVfs::new(torture_seed().wrapping_add(n)).fail_nth_sync(n);
+        let topic = open_topic(&root, Arc::new(vfs.clone()));
+        let (mut acked, mut wedged) = (Vec::new(), Vec::new());
+        std::thread::scope(|s| {
+            let producers: Vec<_> = (1..=PRODUCERS)
+                .map(|producer| {
+                    let topic = &topic;
+                    s.spawn(move || {
+                        let (mut acked, mut wedged) = (Vec::new(), Vec::new());
+                        for seq in 1..=RECORDS {
+                            match topic.append_raw(0, producer, seq, producer * 1_000 + seq) {
+                                Ok(offset) => acked.push((producer, seq, offset)),
+                                Err(e) if e.label() == "wedged" => {
+                                    wedged.push((producer, seq));
+                                    break;
+                                }
+                                Err(e) => {
+                                    panic!("n={n}: append {producer}/{seq} failed untyped: {e}")
+                                }
+                            }
+                        }
+                        (acked, wedged)
+                    })
+                })
+                .collect();
+            for producer in producers {
+                let (a, w) = producer.join().unwrap();
+                acked.extend(a);
+                wedged.extend(w);
+            }
+        });
+        assert!(
+            vfs.fired().iter().any(|f| f == "fsync failure"),
+            "n={n}: the scheduled fsync failure never fired"
+        );
+        assert!(
+            !wedged.is_empty(),
+            "n={n}: the failed fsync must fail some append"
+        );
+        topic
+            .unwedge()
+            .unwrap_or_else(|e| panic!("n={n}: unwedge must verify the kept prefix: {e}"));
+        drop(topic);
+        let reborn = open_topic(&root, om_storage::real_vfs());
+        let entries = reborn
+            .read_from_disk(0, 0, usize::MAX)
+            .unwrap_or_else(|e| panic!("n={n}: repaired topic must replay: {e}"));
+        for &(producer, seq, offset) in &acked {
+            let entry = entries
+                .get(offset as usize)
+                .unwrap_or_else(|| panic!("n={n}: acked {producer}/{seq} at {offset} lost"));
+            assert_eq!(
+                (entry.offset, entry.producer, entry.seq, entry.payload),
+                (offset, producer, seq, producer * 1_000 + seq),
+                "n={n}: acked {producer}/{seq} read back at another offset"
+            );
+        }
+        assert!(
+            entries.len() <= acked.len() + wedged.len(),
+            "n={n}: recovery invented records"
+        );
     }
 }

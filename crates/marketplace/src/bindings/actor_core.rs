@@ -34,9 +34,8 @@ pub struct ActorPlatformConfig {
     /// file-durable backend (which opens `<data_dir>/state` and keeps it
     /// on drop — the cold-restart seam). Memory-only backends ignore it.
     pub data_dir: Option<std::path::PathBuf>,
-    /// Write-path tuning of the file-durable backend (fsync policy,
-    /// group-commit window, snapshot mode). Memory-only backends ignore
-    /// it.
+    /// Write-path tuning of the file-durable backend (whether commits
+    /// are fsynced). Memory-only backends ignore it.
     pub durable: DurableOptions,
 }
 

@@ -61,10 +61,8 @@ pub struct PlatformSpec {
     /// no shared in-memory handles. Memory-only backends ignore the
     /// state half; the ingress half applies whenever it is set.
     pub data_dir: Option<std::path::PathBuf>,
-    /// Write-path tuning of the durable pieces: the file backend's
-    /// fsync policy, group-commit window, snapshot mode and compaction
-    /// thresholds, and the persistent ingress log's group-flush window.
-    /// Memory-only cells ignore it.
+    /// Write-path tuning of the durable pieces: whether the file backend
+    /// fsyncs its commits. Memory-only cells ignore it.
     pub durable: DurableOptions,
 }
 
@@ -157,8 +155,8 @@ impl PlatformSpec {
         self
     }
 
-    /// Selects the durable write path (fsync, group-commit window,
-    /// snapshot mode) for the file-backed pieces of this cell.
+    /// Selects the durable write-path tuning (whether commits are
+    /// fsynced) for the file-backed pieces of this cell.
     pub fn durable_options(mut self, durable: DurableOptions) -> Self {
         self.durable = durable;
         self
@@ -222,10 +220,7 @@ pub fn build_platform(spec: &PlatformSpec) -> Box<dyn MarketplacePlatform> {
                     crate::bindings::dataflow::persistent_ingress_with(
                         dir.join("ingress"),
                         spec.parallelism.max(1),
-                        om_log::PersistentTopicOptions {
-                            group_commit: spec.durable.group_commit,
-                            ..Default::default()
-                        },
+                        om_log::PersistentTopicOptions::default(),
                     )
                     .expect("open the persistent ingress topic"),
                 ),

@@ -259,8 +259,8 @@ pub fn make_backend_at(
 /// [`make_backend_at`] with explicit
 /// [`DurableOptions`](om_common::config::DurableOptions) — the full
 /// config-driven seam: `RunConfig::durable` / `PlatformSpec::durable`
-/// select the file backend's fsync policy, group-commit window and
-/// snapshot mode here. The memory-only backends ignore `durable`.
+/// select whether the file backend fsyncs its commits here. The
+/// memory-only backends ignore `durable`.
 pub fn make_backend_with(
     kind: BackendKind,
     shards: usize,

@@ -12,12 +12,11 @@
 //! [`FileBackendOptions::sync_commits`]) for everyone staged, so N
 //! concurrent committers share one sync instead of paying N.
 //!
-//! Snapshots bound WAL replay. In [`SnapshotMode::Full`] each snapshot
-//! rewrites the whole state; in [`SnapshotMode::Incremental`] (the
-//! default) only the keys dirtied since the previous snapshot are
-//! written as a `delta-<seq>` file chained from the last full base, and
-//! compaction folds a long or heavy chain back into a base — snapshot
-//! cost scales with churn, not state size.
+//! Snapshots bound WAL replay. The first snapshot writes a full base;
+//! after that only the keys dirtied since the previous snapshot are
+//! written as a `delta-<seq>` file chained from the base, and
+//! compaction folds a long or heavy chain back into a fresh base —
+//! snapshot cost scales with churn, not state size.
 //!
 //! On-disk layout under the store's directory (formats are specified
 //! byte-for-byte in `docs/DURABILITY.md`):
@@ -27,18 +26,12 @@
 //! <dir>/snap/snap-<seq>.snap       full state as of commit <seq>
 //! <dir>/snap/delta-<seq>.delta     keys dirtied since the previous
 //!                                  snapshot file, chained on the base
-//! <dir>/snap/<stem>-<seq>.idx      advisory sidecar index (bloom +
-//!                                  sparse key samples) of the base or
-//!                                  delta next to it
 //! ```
 //!
-//! Since PR 7 bases and deltas are written in the **v2 partitioned
-//! format** (`OMSNAP02`/`OMDELT02`): a section table in the header maps
-//! each in-memory shard to a key-sorted region of the file, so recovery
-//! loads sections in parallel ([`FileBackendOptions::recovery_threads`])
-//! and the sidecar indexes give [`crate::delta_index::ColdReader`]
-//! point access without replay. v1 monolithic files from older stores
-//! still load (the header magic selects the parser).
+//! Bases and deltas share one **partitioned format**
+//! (`OMSNAP02`/`OMDELT02`): a section table in the header maps each
+//! in-memory shard to a key-sorted region of the file, so recovery loads
+//! sections in parallel ([`FileBackendOptions::recovery_threads`]).
 //!
 //! Recovery ([`FileBackend::open`] over an existing directory) loads the
 //! newest base snapshot, applies the deltas chained above it in order,
@@ -67,12 +60,11 @@
 //! ```
 
 use crate::backend::{shard_of, StateBackend, StateSession, WriteBatch, WriteOp};
-use crate::delta_index::{DeltaIndex, PartBuild};
 use crate::group_commit::{ChainState, CommitGroup, SegmentFile, StagedBatch, StagedWal};
 use crate::shards_pow2;
 use crate::vfs::{real_vfs, write_all_retry, Vfs};
 use om_common::checksum::{parse_frame, push_frame};
-use om_common::config::{BackendKind, DurableOptions, GroupCommitPolicy, SnapshotMode};
+use om_common::config::{BackendKind, DurableOptions};
 use om_common::{OmError, OmResult};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashSet};
@@ -99,22 +91,11 @@ pub struct FileBackendOptions {
     /// this store claims); syncing additionally survives kernel/power
     /// failure at a latency cost that group commit amortizes.
     pub sync_commits: bool,
-    /// Group-commit policy: [`GroupCommitPolicy::Off`] disables the
-    /// barrier entirely — every commit pays its own flush+fsync,
-    /// serialized (the PR 4 write path, kept as the bench baseline).
-    /// `Fixed(w)` routes commits through the cohort barrier with a
-    /// fixed leader window of `w` µs (`0` flushes as soon as leadership
-    /// is acquired). `Adaptive{..}` lets the leader watch the cohort
-    /// grow and flush at the target size, on arrival stall, or at the
-    /// window cap — whichever is first.
-    pub group_commit: GroupCommitPolicy,
-    /// Full vs incremental snapshots.
-    pub snapshot_mode: SnapshotMode,
-    /// Incremental mode: fold the delta chain into a fresh base once it
-    /// holds this many deltas.
+    /// Fold the delta chain into a fresh base once it holds this many
+    /// deltas.
     pub compact_max_deltas: u64,
-    /// Incremental mode: fold the chain once cumulative delta bytes
-    /// exceed this percentage of the base size.
+    /// Fold the chain once cumulative delta bytes exceed this
+    /// percentage of the base size.
     pub compact_ratio_pct: u64,
     /// Worker threads used to load snapshot/delta partitions on cold
     /// recovery (`0` = auto: one per core, capped at 8; `1` forces the
@@ -129,8 +110,6 @@ impl Default for FileBackendOptions {
             snapshot_every: 1_024,
             segment_bytes: 1 << 20,
             sync_commits: false,
-            group_commit: GroupCommitPolicy::Fixed(0),
-            snapshot_mode: SnapshotMode::Incremental,
             compact_max_deltas: 16,
             compact_ratio_pct: 100,
             recovery_threads: 0,
@@ -140,17 +119,12 @@ impl Default for FileBackendOptions {
 
 impl FileBackendOptions {
     /// Maps the run-config level [`DurableOptions`] onto backend
-    /// options — the seam `RunConfig`/`PlatformSpec` select the write
-    /// path through.
+    /// options — the seam `RunConfig`/`PlatformSpec` choose whether
+    /// commits are fsynced through.
     pub fn from_durable(shards: usize, durable: &DurableOptions) -> Self {
         Self {
             shards,
             sync_commits: durable.sync_commits,
-            group_commit: durable.group_commit,
-            snapshot_mode: durable.snapshot_mode,
-            compact_max_deltas: durable.compact_max_deltas,
-            compact_ratio_pct: durable.compact_ratio_pct,
-            recovery_threads: durable.recovery_threads,
             ..Self::default()
         }
     }
@@ -180,7 +154,7 @@ fn encode_op(out: &mut Vec<u8>, key: &[u8], value: Option<&[u8]>) {
 }
 
 /// Decodes one op starting at `*at`, advancing the cursor.
-pub(crate) fn decode_op(payload: &[u8], at: &mut usize) -> Option<(Vec<u8>, Option<Vec<u8>>)> {
+fn decode_op(payload: &[u8], at: &mut usize) -> Option<(Vec<u8>, Option<Vec<u8>>)> {
     let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
         if payload.len() - *at < n {
             return None;
@@ -217,7 +191,7 @@ fn encode_batch(seq: u64, ops: &[WriteOp]) -> Vec<u8> {
     out
 }
 
-pub(crate) fn decode_batch(payload: &[u8]) -> Option<(u64, Vec<WriteOp>)> {
+fn decode_batch(payload: &[u8]) -> Option<(u64, Vec<WriteOp>)> {
     if payload.len() < 12 {
         return None;
     }
@@ -237,7 +211,7 @@ pub(crate) fn decode_batch(payload: &[u8]) -> Option<(u64, Vec<WriteOp>)> {
 
 /// Decodes a payload that holds exactly one op (a delta-snapshot
 /// entry).
-pub(crate) fn decode_op_payload(payload: &[u8]) -> Option<(Vec<u8>, Option<Vec<u8>>)> {
+fn decode_op_payload(payload: &[u8]) -> Option<(Vec<u8>, Option<Vec<u8>>)> {
     let mut at = 0usize;
     let op = decode_op(payload, &mut at)?;
     (at == payload.len()).then_some(op)
@@ -245,124 +219,95 @@ pub(crate) fn decode_op_payload(payload: &[u8]) -> Option<(Vec<u8>, Option<Vec<u
 
 // -- snapshot-family headers -------------------------------------------------
 
-/// Magic payload prefix of a v1 (monolithic) base snapshot header.
-const SNAP_MAGIC: &[u8; 8] = b"OMSNAP01";
-/// Magic payload prefix of a v1 (monolithic) delta snapshot header.
-const DELTA_MAGIC: &[u8; 8] = b"OMDELT01";
-/// Magic payload prefix of a v2 (partitioned) base snapshot header.
-const SNAP_MAGIC_V2: &[u8; 8] = b"OMSNAP02";
-/// Magic payload prefix of a v2 (partitioned) delta snapshot header.
-const DELTA_MAGIC_V2: &[u8; 8] = b"OMDELT02";
+/// Magic payload prefix of a base snapshot header.
+const SNAP_MAGIC: &[u8; 8] = b"OMSNAP02";
+/// Magic payload prefix of a delta snapshot header.
+const DELTA_MAGIC: &[u8; 8] = b"OMDELT02";
 
-/// One partition section of a v2 snapshot-family file: `n` key-sorted
+/// One partition section of a snapshot-family file: `n` key-sorted
 /// entry frames occupying the absolute byte range `[off, off+len)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Section {
-    pub off: u64,
-    pub len: u64,
-    pub n: u64,
+struct Section {
+    off: u64,
+    len: u64,
+    n: u64,
 }
 
-/// The parsed header frame of a base or delta file (v1 or v2).
+/// The parsed header frame of a base or delta file.
 #[derive(Debug, Clone)]
-pub(crate) struct SnapHeader {
-    /// Base snapshot (`OMSNAP*`) vs delta (`OMDELT*`).
-    pub is_base: bool,
-    /// v1 monolithic file: no section table, entries unsorted.
-    pub legacy: bool,
+struct SnapHeader {
+    /// Base snapshot (`OMSNAP02`) vs delta (`OMDELT02`).
+    is_base: bool,
     /// Commit sequence the file covers up to.
-    pub seq: u64,
-    /// Total entry frames in the body.
-    pub n_entries: u64,
-    /// v2 section table (empty for v1).
-    pub sections: Vec<Section>,
+    seq: u64,
+    /// The section table; section counts sum to the header's entry
+    /// count.
+    sections: Vec<Section>,
 }
 
-/// Byte length of a v2 header frame with `parts` sections — the body
+/// Byte length of a header frame with `parts` sections — the body
 /// therefore starts at this absolute offset.
-fn v2_header_len(parts: usize) -> usize {
+fn header_len(parts: usize) -> usize {
     // frame(8) ++ magic(8) ++ seq(8) ++ n_entries(8) ++ parts(4) ++
     // parts × (off(8) ++ len(8) ++ n(8))
     8 + 28 + parts * 24
 }
 
-/// Parses the header frame at the start of a snapshot-family file
-/// (either version), returning it plus the body's start offset. `None`
-/// on any structural damage.
-pub(crate) fn parse_snap_header(bytes: &[u8]) -> Option<(SnapHeader, usize)> {
-    let (payload, body_start) = parse_frame(bytes, 0).ok()??;
-    if payload.len() < 24 {
+/// Parses the header frame at the start of a snapshot-family file.
+/// `None` on any structural damage.
+fn parse_snap_header(bytes: &[u8]) -> Option<SnapHeader> {
+    let (payload, _) = parse_frame(bytes, 0).ok()??;
+    if payload.len() < 28 {
         return None;
     }
     let magic: &[u8; 8] = payload[..8].try_into().ok()?;
-    let (is_base, legacy) = match magic {
-        m if m == SNAP_MAGIC => (true, true),
-        m if m == DELTA_MAGIC => (false, true),
-        m if m == SNAP_MAGIC_V2 => (true, false),
-        m if m == DELTA_MAGIC_V2 => (false, false),
+    let is_base = match magic {
+        m if m == SNAP_MAGIC => true,
+        m if m == DELTA_MAGIC => false,
         _ => return None,
     };
     let seq = u64::from_le_bytes(payload[8..16].try_into().ok()?);
     let n_entries = u64::from_le_bytes(payload[16..24].try_into().ok()?);
-    let sections = if legacy {
-        if payload.len() != 24 {
-            return None;
-        }
-        Vec::new()
-    } else {
-        if payload.len() < 28 {
-            return None;
-        }
-        let parts = u32::from_le_bytes(payload[24..28].try_into().ok()?) as usize;
-        if parts == 0 || !parts.is_power_of_two() || payload.len() != 28 + parts * 24 {
-            return None;
-        }
-        let mut sections = Vec::with_capacity(parts);
-        for p in 0..parts {
-            let at = 28 + p * 24;
-            sections.push(Section {
-                off: u64::from_le_bytes(payload[at..at + 8].try_into().ok()?),
-                len: u64::from_le_bytes(payload[at + 8..at + 16].try_into().ok()?),
-                n: u64::from_le_bytes(payload[at + 16..at + 24].try_into().ok()?),
-            });
-        }
-        if sections.iter().map(|s| s.n).sum::<u64>() != n_entries {
-            return None;
-        }
-        sections
-    };
-    Some((
-        SnapHeader {
-            is_base,
-            legacy,
-            seq,
-            n_entries,
-            sections,
-        },
-        body_start,
-    ))
+    let parts = u32::from_le_bytes(payload[24..28].try_into().ok()?) as usize;
+    if parts == 0 || !parts.is_power_of_two() || payload.len() != 28 + parts * 24 {
+        return None;
+    }
+    let mut sections = Vec::with_capacity(parts);
+    for p in 0..parts {
+        let at = 28 + p * 24;
+        sections.push(Section {
+            off: u64::from_le_bytes(payload[at..at + 8].try_into().ok()?),
+            len: u64::from_le_bytes(payload[at + 8..at + 16].try_into().ok()?),
+            n: u64::from_le_bytes(payload[at + 16..at + 24].try_into().ok()?),
+        });
+    }
+    if sections.iter().map(|s| s.n).sum::<u64>() != n_entries {
+        return None;
+    }
+    Some(SnapHeader {
+        is_base,
+        seq,
+        sections,
+    })
 }
 
-/// One v2 partition's entries in key order (`None` value = tombstone;
+/// One partition's entries in key order (`None` value = tombstone;
 /// bases hold only puts).
 type PartEntries = Vec<(Vec<u8>, Option<Vec<u8>>)>;
 
-/// Builds a complete v2 snapshot-family file — header frame with a
-/// section table, then one key-sorted entry section per partition —
-/// together with its sidecar index (built from the exact offsets being
-/// written). `parts[i]` must already be key-sorted; base files encode
-/// `key ++ value` entries (values must be `Some`), deltas the tagged op
-/// encoding (tombstones allowed).
-fn build_v2_file(is_base: bool, seq: u64, parts: &[PartEntries]) -> (Vec<u8>, DeltaIndex) {
-    let body_start = v2_header_len(parts.len()) as u64;
+/// Builds a complete snapshot-family file — header frame with a section
+/// table, then one key-sorted entry section per partition. `parts[i]`
+/// must already be key-sorted; base files encode `key ++ value` entries
+/// (values must be `Some`), deltas the tagged op encoding (tombstones
+/// allowed).
+fn build_snapshot_file(is_base: bool, seq: u64, parts: &[PartEntries]) -> Vec<u8> {
+    let body_start = header_len(parts.len()) as u64;
     let mut body = Vec::new();
     let mut sections = Vec::with_capacity(parts.len());
-    let mut builds = Vec::with_capacity(parts.len());
     let mut n_entries = 0u64;
     let mut abs = body_start;
     for part in parts {
         let off = abs;
-        let mut build = PartBuild::default();
         for (key, value) in part {
             let mut payload = Vec::with_capacity(9 + key.len());
             if is_base {
@@ -374,7 +319,6 @@ fn build_v2_file(is_base: bool, seq: u64, parts: &[PartEntries]) -> (Vec<u8>, De
             } else {
                 encode_op(&mut payload, key, value.as_deref());
             }
-            build.add(key, abs);
             let before = body.len();
             push_frame(&mut body, &payload);
             abs += (body.len() - before) as u64;
@@ -385,10 +329,9 @@ fn build_v2_file(is_base: bool, seq: u64, parts: &[PartEntries]) -> (Vec<u8>, De
             len: abs - off,
             n: part.len() as u64,
         });
-        builds.push(build);
     }
     let mut header = Vec::with_capacity(28 + parts.len() * 24);
-    header.extend_from_slice(if is_base { SNAP_MAGIC_V2 } else { DELTA_MAGIC_V2 });
+    header.extend_from_slice(if is_base { SNAP_MAGIC } else { DELTA_MAGIC });
     header.extend_from_slice(&seq.to_le_bytes());
     header.extend_from_slice(&n_entries.to_le_bytes());
     header.extend_from_slice(&(parts.len() as u32).to_le_bytes());
@@ -401,32 +344,7 @@ fn build_v2_file(is_base: bool, seq: u64, parts: &[PartEntries]) -> (Vec<u8>, De
     push_frame(&mut out, &header);
     debug_assert_eq!(out.len() as u64, body_start);
     out.extend_from_slice(&body);
-    (out, DeltaIndex::assemble(seq, builds))
-}
-
-/// Lists `prefix<seq>ext` files in `dir`, ascending by sequence (the
-/// raw listing shared by recovery and the cold reader; tmp-file cleanup
-/// is the live backend's job).
-pub(crate) fn sorted_files_in(
-    dir: &Path,
-    prefix: &str,
-    ext: &str,
-) -> std::io::Result<Vec<(u64, PathBuf)>> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(seq) = name
-            .strip_prefix(prefix)
-            .and_then(|n| n.strip_suffix(ext))
-            .and_then(|n| n.parse().ok())
-        {
-            out.push((seq, entry.path()));
-        }
-    }
-    out.sort();
-    Ok(out)
+    out
 }
 
 /// Worker threads a recovery with `configured` resolves to: `0` = one
@@ -503,8 +421,6 @@ pub struct FileBackend {
     torn_tail_bytes: AtomicU64,
     unwedges: AtomicU64,
     maintenance_errors: AtomicU64,
-    indexes_written: AtomicU64,
-    index_rebuilds: AtomicU64,
 }
 
 impl FileBackend {
@@ -590,7 +506,7 @@ impl FileBackend {
                 durable_len: 0,
                 chain: ChainState::default(),
             }),
-            group: CommitGroup::with_policy(options.group_commit),
+            group: CommitGroup::new(),
             wedged: AtomicBool::new(false),
             multi: RwLock::new(()),
             _lock: lock,
@@ -609,8 +525,6 @@ impl FileBackend {
             torn_tail_bytes: AtomicU64::new(0),
             unwedges: AtomicU64::new(0),
             maintenance_errors: AtomicU64::new(0),
-            indexes_written: AtomicU64::new(0),
-            index_rebuilds: AtomicU64::new(0),
         };
         backend.recover()?;
         Ok(backend)
@@ -631,22 +545,32 @@ impl FileBackend {
 
     // -- recovery ----------------------------------------------------------
 
+    /// Lists `<sub>/<prefix><seq><ext>` files, ascending by sequence.
     fn sorted_files(&self, sub: &str, prefix: &str, ext: &str) -> OmResult<Vec<(u64, PathBuf)>> {
-        let dir = self.dir.join(sub);
-        // A `.tmp` is a snapshot/index the dying process never finished
-        // writing: the atomic rename never happened, so it is garbage.
-        for entry in fs::read_dir(&dir).map_err(|e| self.io_err(e))? {
+        let mut out = Vec::new();
+        for entry in fs::read_dir(self.dir.join(sub)).map_err(|e| self.io_err(e))? {
             let entry = entry.map_err(|e| self.io_err(e))?;
-            if entry.file_name().to_string_lossy().ends_with(".tmp") {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if name.ends_with(".tmp") {
+                // A snapshot the dying process never finished writing:
+                // the atomic rename never happened, so it is garbage.
                 let _ = fs::remove_file(entry.path());
+            } else if let Some(seq) = name
+                .strip_prefix(prefix)
+                .and_then(|n| n.strip_suffix(ext))
+                .and_then(|n| n.parse().ok())
+            {
+                out.push((seq, entry.path()));
             }
         }
-        sorted_files_in(&dir, prefix, ext).map_err(|e| self.io_err(e))
+        out.sort();
+        Ok(out)
     }
 
     /// Loads the newest base snapshot plus the deltas chained above it
     /// into the shard array; returns the last covered commit sequence
-    /// and records the chain state on the flusher. v2 files load their
+    /// and records the chain state on the flusher. Each file loads its
     /// partition sections on a bounded worker pool
     /// ([`FileBackendOptions::recovery_threads`]).
     fn load_snapshot_chain(&mut self) -> OmResult<u64> {
@@ -668,7 +592,7 @@ impl FileBackend {
             if *seq <= base_seq {
                 // Superseded by the base; leftover of a crash between
                 // rename and prune.
-                remove_with_index(self.vfs.as_ref(), path);
+                let _ = self.vfs.remove_file(path);
                 continue;
             }
             let size = self.load_chain_file(path, false, *seq, threads)?;
@@ -679,12 +603,15 @@ impl FileBackend {
         Ok(covered)
     }
 
-    /// Loads one base or delta file into the shard array, dispatching on
-    /// the header version, and returns its byte size. A v2 file missing
-    /// its sidecar index gets one rebuilt (the recovery walk sees every
-    /// entry anyway) and persisted best-effort.
+    /// Loads one base or delta file into the shard array and returns its
+    /// byte size. The partition sections load across `threads` workers
+    /// (each claims whole sections off a shared counter). When the file
+    /// was written with the current shard count — the common case — a
+    /// section maps 1:1 onto one in-memory shard, so each worker takes
+    /// one uncontended write lock per section; otherwise entries are
+    /// re-routed per key.
     fn load_chain_file(
-        &mut self,
+        &self,
         path: &Path,
         expect_base: bool,
         expect_seq: u64,
@@ -693,76 +620,17 @@ impl FileBackend {
         let corrupt =
             || OmError::Internal(format!("file backend {:?}: snapshot {path:?} is corrupt", self.dir));
         let bytes = self.vfs.read(path).map_err(|e| self.io_err(e))?;
-        let (header, body_start) = parse_snap_header(&bytes).ok_or_else(corrupt)?;
+        let header = parse_snap_header(&bytes).ok_or_else(corrupt)?;
         if header.is_base != expect_base || header.seq != expect_seq {
             return Err(corrupt());
         }
-        if header.legacy {
-            // v1 monolithic file: one sequential pass.
-            let mut at = body_start;
-            let mut loaded = 0u64;
-            while let Some((payload, next)) = parse_frame(&bytes, at).map_err(|_| corrupt())? {
-                at = next;
-                let (key, value) = if header.is_base {
-                    decode_snapshot_entry(payload).map(|(k, v)| (k, Some(v)))
-                } else {
-                    decode_op_payload(payload)
-                }
-                .ok_or_else(corrupt)?;
-                let shard = self.shards[shard_of(&key, self.mask)].get_mut();
-                match value {
-                    Some(v) => {
-                        shard.map.insert(key, v);
-                    }
-                    None => {
-                        shard.map.remove(&key);
-                    }
-                }
-                loaded += 1;
-            }
-            if loaded != header.n_entries {
-                return Err(corrupt());
-            }
-        } else {
-            self.load_v2_sections(&bytes, &header, path, threads)?;
-        }
-        Ok(bytes.len() as u64)
-    }
-
-    /// Loads a v2 file's partition sections across `threads` workers
-    /// (each claims whole sections off a shared counter). When the file
-    /// was written with the current shard count — the common case — a
-    /// section maps 1:1 onto one in-memory shard, so each worker takes
-    /// one uncontended write lock per section; otherwise entries are
-    /// re-routed per key. Rebuilds the sidecar index if it is missing or
-    /// fails validation.
-    fn load_v2_sections(
-        &self,
-        bytes: &[u8],
-        header: &SnapHeader,
-        path: &Path,
-        threads: usize,
-    ) -> OmResult<()> {
-        let corrupt =
-            || OmError::Internal(format!("file backend {:?}: snapshot {path:?} is corrupt", self.dir));
         for s in &header.sections {
-            if s.off < v2_header_len(header.sections.len()) as u64
+            if s.off < header_len(header.sections.len()) as u64
                 || s.off + s.len > bytes.len() as u64
             {
                 return Err(corrupt());
             }
         }
-        let idx_path = path.with_extension("idx");
-        let need_rebuild = !self
-            .vfs
-            .read(&idx_path)
-            .ok()
-            .and_then(|b| DeltaIndex::decode(&b))
-            .is_some_and(|idx| {
-                idx.seq() == header.seq && idx.parts() == header.sections.len()
-            });
-        let builds: Mutex<Vec<Option<PartBuild>>> =
-            Mutex::new((0..header.sections.len()).map(|_| None).collect());
         let next = AtomicUsize::new(0);
         let workers = threads.clamp(1, header.sections.len().max(1));
         let worker = |_: usize| -> OmResult<()> {
@@ -772,7 +640,6 @@ impl FileBackend {
                     return Ok(());
                 };
                 let slice = &bytes[section.off as usize..(section.off + section.len) as usize];
-                let mut build = need_rebuild.then(PartBuild::default);
                 let mut at = 0usize;
                 let mut loaded = 0u64;
                 let mut last_key: Option<Vec<u8>> = None;
@@ -790,13 +657,10 @@ impl FileBackend {
                     .ok_or_else(corrupt)?;
                     if let Some(prev) = &last_key {
                         if *prev >= key {
-                            // Sections must be strictly key-sorted; the
-                            // cold reader's region scans rely on it.
+                            // Sections are written strictly key-sorted:
+                            // anything else is corruption.
                             return Err(corrupt());
                         }
-                    }
-                    if let Some(b) = &mut build {
-                        b.add(&key, section.off + at as u64);
                     }
                     last_key = Some(key.clone());
                     let slot = shard_of(&key, self.mask);
@@ -818,9 +682,6 @@ impl FileBackend {
                 if loaded != section.n {
                     return Err(corrupt());
                 }
-                if let Some(b) = build {
-                    builds.lock()[i] = Some(b);
-                }
             }
         };
         if workers <= 1 {
@@ -841,17 +702,7 @@ impl FileBackend {
                 }
             })?;
         }
-        if need_rebuild {
-            let builds = builds
-                .into_inner()
-                .into_iter()
-                .map(|b| b.expect("every section built"))
-                .collect();
-            let index = DeltaIndex::assemble(header.seq, builds);
-            self.persist_index(path, &index);
-            self.index_rebuilds.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
+        Ok(bytes.len() as u64)
     }
 
     /// Replays WAL segments past the snapshot chain, truncating a torn
@@ -965,7 +816,7 @@ impl FileBackend {
     /// The typed fail-fast error of a wedged store. `Acquire` pairs
     /// with the `Release` in [`write_staged`](Self::write_staged): a
     /// committer that observes the flag also observes the failed write
-    /// that set it, so it can never ack past a concurrent failure.
+    /// that set it.
     fn wedged_err(&self) -> OmError {
         OmError::Wedged(format!(
             "file backend {:?}: a WAL write failed; commits fail fast until an \
@@ -974,21 +825,15 @@ impl FileBackend {
         ))
     }
 
+    /// The one write path: stage under the appender lock (cheap), then
+    /// park on the barrier until a cohort leader has made the staged
+    /// frame durable and applied it.
     fn commit_durable(&self, ops: &[WriteOp]) -> OmResult<usize> {
+        // Fast path only: a store that wedges after this check is caught
+        // again under the flusher lock, in `write_staged`.
         if self.wedged.load(Ordering::Acquire) {
             return Err(self.wedged_err());
         }
-        if self.options.group_commit.is_grouped() {
-            self.commit_grouped(ops)
-        } else {
-            self.commit_inline(ops)
-        }
-    }
-
-    /// The group-commit path: stage under the appender lock (cheap),
-    /// then park on the barrier until a cohort leader has made the
-    /// staged frame durable and applied it.
-    fn commit_grouped(&self, ops: &[WriteOp]) -> OmResult<usize> {
         let ticket = {
             let mut ap = self.appender.lock();
             let seq = ap.next_seq;
@@ -1013,12 +858,6 @@ impl FileBackend {
     /// sequence order, then run any due maintenance. Returns the
     /// highest durable sequence.
     fn flush_cohort(&self) -> OmResult<u64> {
-        // A prior leader's write failed: its cohort's staged batches are
-        // gone, so a fresh leader seeing an empty stage must not release
-        // those waiters as successful. Fail every re-elected leader.
-        if self.wedged.load(Ordering::Acquire) {
-            return Err(self.wedged_err());
-        }
         let mut fl = self.flusher.lock();
         let (bytes, pending, mut upto) = self.appender.lock().take();
         self.write_staged(&mut fl, &bytes, pending)?;
@@ -1040,6 +879,14 @@ impl FileBackend {
         bytes: &[u8],
         pending: Vec<StagedBatch>,
     ) -> OmResult<()> {
+        // Checked under the flusher lock, which every segment write holds
+        // and a failed write releases only after setting the flag: no
+        // writer can append (and ack) a frame after failed bytes
+        // (docs/FAULTS.md), and a re-elected leader over an empty stage
+        // cannot release the failed cohort's waiters as successful.
+        if self.wedged.load(Ordering::Acquire) {
+            return Err(self.wedged_err());
+        }
         if !bytes.is_empty() {
             let written = write_all_retry(fl.file.as_mut(), bytes).and_then(|()| {
                 if self.options.sync_commits {
@@ -1089,32 +936,6 @@ impl FileBackend {
                 }
             }
         }
-    }
-
-    /// The barrier-free path ([`GroupCommitPolicy::Off`]): the PR 4
-    /// behaviour — every commit writes, flushes and fsyncs its own
-    /// frame under the flusher lock, serialized.
-    fn commit_inline(&self, ops: &[WriteOp]) -> OmResult<usize> {
-        let mut fl = self.flusher.lock();
-        let frame = {
-            let mut ap = self.appender.lock();
-            let seq = ap.next_seq;
-            let mut frame = Vec::new();
-            push_frame(&mut frame, &encode_batch(seq, ops));
-            ap.next_seq = seq + 1;
-            ap.seg_len += frame.len() as u64;
-            ap.commits_since_snapshot += 1;
-            frame
-        };
-        self.wal_bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
-        self.write_staged(&mut fl, &frame, Vec::new())?;
-        {
-            let _gate = self.multi.write();
-            self.apply_owned(ops.to_vec());
-        }
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        self.run_maintenance(&mut fl);
-        Ok(ops.len())
     }
 
     /// Post-commit maintenance (snapshot / segment roll), run by
@@ -1226,10 +1047,10 @@ impl FileBackend {
         Ok(())
     }
 
-    /// Writes the due snapshot — a full base, or (incremental mode with
-    /// a live base and a young chain) a delta of the keys dirtied since
-    /// the last snapshot file — then prunes covered WAL segments and
-    /// rolls to a fresh one. Runs under both locks at a commit
+    /// Writes the due snapshot — a delta of the keys dirtied since the
+    /// last snapshot file, or a full base when there is none yet or the
+    /// chain is due for compaction — then prunes covered WAL segments
+    /// and rolls to a fresh one. Runs under both locks at a commit
     /// boundary: every staged batch has been written and applied.
     fn write_snapshot_locked(&self, fl: &mut SegmentFile, ap: &mut StagedWal) -> OmResult<()> {
         let seq = ap.next_seq - 1;
@@ -1238,7 +1059,7 @@ impl FileBackend {
         // a later delta omit their changes while the WAL prune deletes
         // the only durable copy — silent loss of acknowledged commits.
         let mut drained: Vec<Vec<u8>> = Vec::new();
-        if self.options.snapshot_mode == SnapshotMode::Incremental && fl.chain.base_seq > 0 {
+        if fl.chain.base_seq > 0 {
             if seq == fl.chain.base_seq {
                 // Nothing committed since the base: nothing to write.
                 ap.commits_since_snapshot = 0;
@@ -1268,7 +1089,7 @@ impl FileBackend {
                 ap.commits_since_snapshot = 0;
                 return Ok(());
             }
-            let (out, index) = build_v2_file(false, seq, &parts);
+            let out = build_snapshot_file(false, seq, &parts);
             if fl.chain.compaction_due(
                 out.len() as u64,
                 self.options.compact_max_deltas,
@@ -1288,7 +1109,6 @@ impl FileBackend {
                         return Err(e);
                     }
                 };
-                self.persist_index(&fin, &index);
                 fl.chain.chain_delta(seq, written);
                 self.deltas_written.fetch_add(1, Ordering::Relaxed);
                 self.snapshot_delta_bytes.fetch_add(written, Ordering::Relaxed);
@@ -1312,7 +1132,7 @@ impl FileBackend {
                     .collect(),
             );
         }
-        let (out, index) = build_v2_file(true, seq, &parts);
+        let out = build_snapshot_file(true, seq, &parts);
         let tmp = self.dir.join("snap").join(format!("snap-{seq}.tmp"));
         let fin = self.dir.join("snap").join(format!("snap-{seq}.snap"));
         let written = match self.persist_snapshot_file(&tmp, &fin, &out) {
@@ -1325,7 +1145,6 @@ impl FileBackend {
                 return Err(e);
             }
         };
-        self.persist_index(&fin, &index);
         // The base covers everything; dirty tracking restarts.
         for shard in &self.shards {
             shard.write().dirty.clear();
@@ -1335,37 +1154,20 @@ impl FileBackend {
         ap.commits_since_snapshot = 0;
 
         // Everything at or below `seq` is covered by the base: prune
-        // older bases, every delta (the base subsumes the chain), their
-        // index sidecars, and covered WAL segments.
+        // older bases, every delta (the base subsumes the chain), and
+        // covered WAL segments.
         for (s, path) in self.sorted_files("snap", "snap-", ".snap")? {
             if s < seq {
-                remove_with_index(self.vfs.as_ref(), &path);
+                let _ = self.vfs.remove_file(&path);
             }
         }
         for (s, path) in self.sorted_files("snap", "delta-", ".delta")? {
             if s <= seq {
-                remove_with_index(self.vfs.as_ref(), &path);
+                let _ = self.vfs.remove_file(&path);
             }
         }
         self.roll_segment_locked(fl, ap)?;
         self.prune_wal(seq)
-    }
-
-    /// Persists the sidecar index next to the data file `fin` with the
-    /// same tmp + fsync + rename + directory-fsync discipline.
-    /// Best-effort: a failure costs an index rebuild on the next open,
-    /// never durability — the data file is already on disk.
-    fn persist_index(&self, fin: &Path, index: &DeltaIndex) {
-        let tmp = fin.with_extension("idx.tmp");
-        let idx = fin.with_extension("idx");
-        match self.persist_snapshot_file(&tmp, &idx, &index.encode()) {
-            Ok(_) => {
-                self.indexes_written.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.maintenance_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Puts keys back on their shards' dirty sets — the rollback for a
@@ -1376,10 +1178,12 @@ impl FileBackend {
         }
     }
 
-    /// Forces a snapshot (base or delta, per the configured mode) + WAL
-    /// prune right now (maintenance hook; the commit path does this
-    /// automatically every [`FileBackendOptions::snapshot_every`]
-    /// commits).
+    /// Forces a snapshot (a delta, or a base when none exists yet or
+    /// compaction is due) + WAL prune right now (maintenance hook; the
+    /// commit path does this automatically every
+    /// [`FileBackendOptions::snapshot_every`] commits). Fails fast with
+    /// [`OmError::Wedged`] on a wedged store: the staged frames there
+    /// were never acknowledged and must not reach the WAL or a snapshot.
     pub fn snapshot_now(&self) -> OmResult<()> {
         let mut fl = self.flusher.lock();
         let mut ap = self.appender.lock();
@@ -1388,8 +1192,7 @@ impl FileBackend {
         self.write_snapshot_locked(&mut fl, &mut ap)
     }
 
-    /// Group-commit statistics of this store's barrier (all zero when
-    /// the barrier is disabled).
+    /// Group-commit statistics of this store's barrier.
     pub fn group_stats(&self) -> crate::group_commit::CommitGroupStats {
         self.group.stats()
     }
@@ -1478,14 +1281,7 @@ impl FileBackend {
     }
 }
 
-/// Removes a snapshot-family file together with its `.idx` sidecar (an
-/// orphaned sidecar would otherwise shadow a later rebuild).
-fn remove_with_index(vfs: &dyn Vfs, path: &Path) {
-    let _ = vfs.remove_file(&path.with_extension("idx"));
-    let _ = vfs.remove_file(path);
-}
-
-pub(crate) fn decode_snapshot_entry(payload: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
+fn decode_snapshot_entry(payload: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
     if payload.len() < 4 {
         return None;
     }
@@ -1623,16 +1419,8 @@ impl StateBackend for FileBackend {
         out.insert("backend.group_flushes".into(), group.flushes);
         out.insert("backend.max_commit_cohort".into(), group.max_cohort);
         // Mean commits amortized per sync: the headline group-commit
-        // number. 1 when the barrier is off (each commit pays its own
-        // sync), 0 before any commit.
-        out.insert(
-            "backend.commits_per_sync".into(),
-            if group.flushes > 0 {
-                group.commits_per_flush()
-            } else {
-                u64::from(commits > 0)
-            },
-        );
+        // number (0 before any commit).
+        out.insert("backend.commits_per_sync".into(), group.commits_per_flush());
         out.insert(
             "backend.segments_rolled".into(),
             self.segments_rolled.load(Ordering::Relaxed),
@@ -1650,14 +1438,6 @@ impl StateBackend for FileBackend {
         out.insert(
             "backend.maintenance_errors".into(),
             self.maintenance_errors.load(Ordering::Relaxed),
-        );
-        out.insert(
-            "backend.indexes_written".into(),
-            self.indexes_written.load(Ordering::Relaxed),
-        );
-        out.insert(
-            "backend.index_rebuilds".into(),
-            self.index_rebuilds.load(Ordering::Relaxed),
         );
         out.insert("backend.shards".into(), self.shards.len() as u64);
         out
@@ -1766,12 +1546,11 @@ mod tests {
     }
 
     #[test]
-    fn full_mode_snapshot_compacts_wal_and_survives_reopen() {
+    fn snapshots_compact_wal_and_survive_reopen() {
         let dir = scratch_path("snap");
         let _guard = DirGuard(dir.clone());
         let opts = FileBackendOptions {
             snapshot_every: 4,
-            snapshot_mode: SnapshotMode::Full,
             ..FileBackendOptions::default()
         };
         {
@@ -1781,8 +1560,8 @@ mod tests {
             }
             assert!(b.counters()["backend.snapshots"] >= 2);
         }
-        // Only the newest snapshot (plus its index sidecar) and the
-        // short post-snapshot WAL tail remain on disk.
+        // Only the newest base and the short post-snapshot WAL tail
+        // remain on disk.
         let snaps = fs::read_dir(dir.join("snap"))
             .unwrap()
             .filter(|e| {
@@ -1871,26 +1650,21 @@ mod tests {
 
     #[test]
     fn deletes_survive_snapshot_and_replay() {
-        for mode in [SnapshotMode::Full, SnapshotMode::Incremental] {
-            let dir = scratch_path("del");
-            let _guard = DirGuard(dir.clone());
-            let opts = FileBackendOptions {
-                snapshot_mode: mode,
-                ..FileBackendOptions::default()
-            };
-            {
-                let b = FileBackend::open(&dir, opts).unwrap();
-                b.put(b"gone", b"x");
-                b.put(b"kept", b"y");
-                b.delete(b"gone");
-                b.snapshot_now().unwrap();
-                b.put(b"late", b"z");
-            }
+        let dir = scratch_path("del");
+        let _guard = DirGuard(dir.clone());
+        let opts = FileBackendOptions::default();
+        {
             let b = FileBackend::open(&dir, opts).unwrap();
-            assert_eq!(b.get(b"gone"), None, "{:?}", mode);
-            assert_eq!(b.get(b"kept"), Some(b"y".to_vec()));
-            assert_eq!(b.get(b"late"), Some(b"z".to_vec()));
+            b.put(b"gone", b"x");
+            b.put(b"kept", b"y");
+            b.delete(b"gone");
+            b.snapshot_now().unwrap();
+            b.put(b"late", b"z");
         }
+        let b = FileBackend::open(&dir, opts).unwrap();
+        assert_eq!(b.get(b"gone"), None);
+        assert_eq!(b.get(b"kept"), Some(b"y".to_vec()));
+        assert_eq!(b.get(b"late"), Some(b"z".to_vec()));
     }
 
     #[test]
@@ -1941,7 +1715,6 @@ mod tests {
         let opts = FileBackendOptions {
             shards: 8,
             sync_commits: true,
-            group_commit: GroupCommitPolicy::Fixed(0),
             ..FileBackendOptions::default()
         };
         let b = std::sync::Arc::new(FileBackend::scratch_with(opts).unwrap());
@@ -1972,19 +1745,6 @@ mod tests {
     }
 
     #[test]
-    fn inline_mode_reports_one_commit_per_sync() {
-        let opts = FileBackendOptions {
-            group_commit: GroupCommitPolicy::Off,
-            ..FileBackendOptions::default()
-        };
-        let b = FileBackend::scratch_with(opts).unwrap();
-        b.put(b"k", b"v");
-        let counters = b.counters();
-        assert_eq!(counters["backend.commits_per_sync"], 1);
-        assert_eq!(counters["backend.group_flushes"], 0);
-    }
-
-    #[test]
     fn segments_roll_at_the_size_threshold() {
         let dir = scratch_path("roll");
         let _guard = DirGuard(dir.clone());
@@ -2003,58 +1763,6 @@ mod tests {
         assert_eq!(b.len(), 32, "multi-segment replay restores everything");
     }
 
-    /// Writes a v1 (monolithic, unsorted) snapshot-family file the way
-    /// PR 5's writer did.
-    fn write_v1_file(path: &Path, magic: &[u8; 8], seq: u64, payloads: &[Vec<u8>]) {
-        let mut header = Vec::with_capacity(24);
-        header.extend_from_slice(magic);
-        header.extend_from_slice(&seq.to_le_bytes());
-        header.extend_from_slice(&(payloads.len() as u64).to_le_bytes());
-        let mut out = Vec::new();
-        push_frame(&mut out, &header);
-        for p in payloads {
-            push_frame(&mut out, p);
-        }
-        fs::write(path, out).unwrap();
-    }
-
-    #[test]
-    fn legacy_v1_snapshot_files_still_recover() {
-        let dir = scratch_path("v1compat");
-        let _guard = DirGuard(dir.clone());
-        fs::create_dir_all(dir.join("snap")).unwrap();
-        fs::create_dir_all(dir.join("wal")).unwrap();
-        // v1 base at seq 2: {a: 1, b: 2} — entries deliberately unsorted.
-        let base: Vec<Vec<u8>> = [(b"b", 2u8), (b"a", 1u8)]
-            .iter()
-            .map(|(k, v)| {
-                let mut p = Vec::new();
-                p.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                p.extend_from_slice(*k);
-                p.extend_from_slice(&1u32.to_le_bytes());
-                p.push(*v);
-                p
-            })
-            .collect();
-        write_v1_file(&dir.join("snap").join("snap-2.snap"), SNAP_MAGIC, 2, &base);
-        // v1 delta at seq 4: put c=3, tombstone a.
-        let mut put = Vec::new();
-        encode_op(&mut put, b"c", Some(&[3u8]));
-        let mut del = Vec::new();
-        encode_op(&mut del, b"a", None);
-        write_v1_file(&dir.join("snap").join("delta-4.delta"), DELTA_MAGIC, 4, &[put, del]);
-        let b = FileBackend::open(&dir, FileBackendOptions::default()).unwrap();
-        assert_eq!(b.get(b"a"), None, "v1 delta tombstone applied");
-        assert_eq!(b.get(b"b"), Some(vec![2]));
-        assert_eq!(b.get(b"c"), Some(vec![3]));
-        // Legacy files carry no sections, so no index is rebuilt for
-        // them; the next snapshot upgrades the store to v2 + index.
-        assert_eq!(b.counters()["backend.index_rebuilds"], 0);
-        b.put(b"d", b"4");
-        b.snapshot_now().unwrap();
-        assert!(b.counters()["backend.indexes_written"] >= 1, "v2 upgrade writes an index");
-    }
-
     #[test]
     fn parallel_and_serial_recovery_agree() {
         let dir = scratch_path("parrec");
@@ -2071,12 +1779,12 @@ mod tests {
             for i in 0..300u32 {
                 b.put(format!("key/{i:04}").as_bytes(), &i.to_le_bytes());
             }
-            b.snapshot_now().unwrap(); // v2 base
+            b.snapshot_now().unwrap(); // base
             for i in 0..50u32 {
                 b.put(format!("key/{:04}", i * 3).as_bytes(), b"churn");
             }
             b.delete(b"key/0001");
-            b.snapshot_now().unwrap(); // v2 delta
+            b.snapshot_now().unwrap(); // delta
             b.put(b"tail", b"wal"); // WAL tail past the chain
         }
         let serial = FileBackend::open(
@@ -2113,42 +1821,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(resharded.scan_prefix(b""), expected, "re-sharded load = serial load");
-    }
-
-    #[test]
-    fn recovery_rebuilds_missing_or_damaged_indexes() {
-        let dir = scratch_path("idxrebuild");
-        let _guard = DirGuard(dir.clone());
-        let opts = FileBackendOptions {
-            snapshot_every: 0,
-            ..FileBackendOptions::default()
-        };
-        {
-            let b = FileBackend::open(&dir, opts).unwrap();
-            for i in 0..64u32 {
-                b.put(format!("k/{i}").as_bytes(), &i.to_le_bytes());
-            }
-            b.snapshot_now().unwrap();
-            assert_eq!(b.counters()["backend.indexes_written"], 1);
-        }
-        let idx_files: Vec<PathBuf> = fs::read_dir(dir.join("snap"))
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|e| e == "idx"))
-            .collect();
-        assert_eq!(idx_files.len(), 1, "one sidecar per chain file");
-        fs::remove_file(&idx_files[0]).unwrap();
-        let b = FileBackend::open(&dir, opts).unwrap();
-        assert_eq!(b.counters()["backend.index_rebuilds"], 1, "missing sidecar rebuilt");
-        assert!(idx_files[0].exists(), "rebuilt sidecar persisted");
-        assert_eq!(b.len(), 64);
-        drop(b);
-        // Damage (truncate) the sidecar: validation fails, rebuild again.
-        let bytes = fs::read(&idx_files[0]).unwrap();
-        fs::write(&idx_files[0], &bytes[..bytes.len() / 2]).unwrap();
-        let b = FileBackend::open(&dir, opts).unwrap();
-        assert_eq!(b.counters()["backend.index_rebuilds"], 1, "damaged sidecar rebuilt");
-        assert_eq!(b.len(), 64);
     }
 
     #[test]
@@ -2196,23 +1868,292 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_now_on_a_wedged_store_fails_fast() {
+        use crate::vfs::FaultVfs;
+        let dir = scratch_path("wedge-snap");
+        let _guard = DirGuard(dir.clone());
+        let opts = FileBackendOptions {
+            sync_commits: true,
+            snapshot_every: 0,
+            ..FileBackendOptions::default()
+        };
+        let vfs = FaultVfs::new(43).fail_nth_sync(2);
+        let b = FileBackend::open_with_vfs(&dir, opts, Arc::new(vfs)).unwrap();
+        b.put(b"k1", b"v1");
+        let err = b.commit(WriteBatch::new().put(b"k2".to_vec(), b"v2".to_vec()));
+        assert!(matches!(err, Err(OmError::Wedged(_))), "{err:?}");
+        // A snapshot over the wedged store would roll past k2's failed
+        // frame and leave it behind for the next open to replay.
+        let snap = b.snapshot_now();
+        assert!(matches!(snap, Err(OmError::Wedged(_))), "{snap:?}");
+        assert_eq!(b.counters()["backend.snapshots"], 0);
+        b.unwedge().unwrap();
+        assert_eq!(b.scan_prefix(b""), vec![(b"k1".to_vec(), b"v1".to_vec())]);
+        b.snapshot_now().unwrap();
+        drop(b);
+        let b = FileBackend::open(&dir, opts).unwrap();
+        assert_eq!(
+            b.scan_prefix(b""),
+            vec![(b"k1".to_vec(), b"v1".to_vec())],
+            "a cold reopen holds exactly the acknowledged prefix"
+        );
+    }
+
+    #[test]
+    fn a_lone_writer_pays_one_sync_per_commit() {
+        let dir = scratch_path("lone");
+        let _guard = DirGuard(dir.clone());
+        let opts = FileBackendOptions {
+            sync_commits: true,
+            ..FileBackendOptions::default()
+        };
+        {
+            let b = FileBackend::open(&dir, opts).unwrap();
+            for i in 0..5u8 {
+                b.put(&[b'k', i], &[i]);
+            }
+            let counters = b.counters();
+            assert_eq!(counters["backend.group_flushes"], 5, "nothing to batch with");
+            assert_eq!(counters["backend.max_commit_cohort"], 1);
+            assert_eq!(counters["backend.commits_per_sync"], 1);
+        }
+        // After recovery the first commit is still a cohort of one, not
+        // the recovered history plus one.
+        let b = FileBackend::open(&dir, opts).unwrap();
+        b.put(b"after", b"reopen");
+        let counters = b.counters();
+        assert_eq!(counters["backend.group_flushes"], 1);
+        assert_eq!(counters["backend.max_commit_cohort"], 1);
+    }
+
+    /// Names of the files in `<dir>/snap`, sorted.
+    fn snap_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir.join("snap"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn snapshots_with_nothing_new_write_no_file() {
+        let dir = scratch_path("noop-snap");
+        let _guard = DirGuard(dir.clone());
+        let opts = FileBackendOptions {
+            snapshot_every: 0,
+            compact_max_deltas: 100,
+            compact_ratio_pct: u64::MAX,
+            ..FileBackendOptions::default()
+        };
+        let b = FileBackend::open(&dir, opts).unwrap();
+        b.put(b"k", b"1");
+        b.snapshot_now().unwrap();
+        b.snapshot_now().unwrap();
+        assert_eq!(snap_files(&dir), ["snap-1.snap"], "no commit since the base");
+        b.put(b"k", b"2");
+        b.snapshot_now().unwrap();
+        b.snapshot_now().unwrap();
+        assert_eq!(
+            snap_files(&dir),
+            ["delta-2.delta", "snap-1.snap"],
+            "no commit since the delta"
+        );
+        let counters = b.counters();
+        assert_eq!((counters["backend.snapshots"], counters["backend.deltas"]), (1, 1));
+        drop(b);
+        assert_eq!(FileBackend::open(&dir, opts).unwrap().get(b"k"), Some(b"2".to_vec()));
+    }
+
+    #[test]
+    fn a_delta_superseded_by_a_newer_base_is_dropped_on_open() {
+        let dir = scratch_path("stale-delta");
+        let _guard = DirGuard(dir.clone());
+        let opts = FileBackendOptions {
+            snapshot_every: 0,
+            compact_max_deltas: 1,
+            compact_ratio_pct: u64::MAX,
+            ..FileBackendOptions::default()
+        };
+        let stale = dir.join("snap").join("delta-2.delta");
+        let stale_bytes = {
+            let b = FileBackend::open(&dir, opts).unwrap();
+            b.put(b"k", b"1");
+            b.snapshot_now().unwrap(); // base at 1
+            b.put(b"k", b"2");
+            b.snapshot_now().unwrap(); // delta at 2
+            let bytes = fs::read(&stale).unwrap();
+            b.put(b"k", b"3");
+            b.snapshot_now().unwrap(); // compaction: base at 3
+            assert!(!stale.exists(), "compaction prunes the chain it folded");
+            bytes
+        };
+        // A crash between the base's rename and the prune leaves the old
+        // delta behind. Replaying it over the newer base would roll `k`
+        // back to 2.
+        fs::write(&stale, stale_bytes).unwrap();
+        let b = FileBackend::open(&dir, opts).unwrap();
+        assert_eq!(b.get(b"k"), Some(b"3".to_vec()));
+        assert!(!stale.exists(), "the superseded delta is removed");
+    }
+
+    #[test]
+    fn unfinished_snapshot_temp_files_are_discarded_on_open() {
+        let dir = scratch_path("tmp-snap");
+        let _guard = DirGuard(dir.clone());
+        {
+            let b = FileBackend::open(&dir, FileBackendOptions::default()).unwrap();
+            b.put(b"k", b"v");
+            b.snapshot_now().unwrap();
+        }
+        // A process that died mid-snapshot never renamed its output.
+        fs::write(dir.join("snap").join("snap-7.tmp"), b"half a base").unwrap();
+        fs::write(dir.join("snap").join("delta-7.tmp"), b"half a delta").unwrap();
+        let b = FileBackend::open(&dir, FileBackendOptions::default()).unwrap();
+        assert_eq!(b.get(b"k"), Some(b"v".to_vec()));
+        assert_eq!(snap_files(&dir), ["snap-1.snap"]);
+    }
+
+    #[test]
+    fn index_sidecars_left_by_older_versions_do_not_affect_recovery() {
+        let dir = scratch_path("old-idx");
+        let _guard = DirGuard(dir.clone());
+        let opts = FileBackendOptions {
+            snapshot_every: 0,
+            compact_max_deltas: 100,
+            compact_ratio_pct: u64::MAX,
+            ..FileBackendOptions::default()
+        };
+        {
+            let b = FileBackend::open(&dir, opts).unwrap();
+            for i in 0..16u8 {
+                b.put(&[b'k', i], &[i]);
+            }
+            b.snapshot_now().unwrap(); // base at 16
+            b.delete(&[b'k', 0]);
+            b.snapshot_now().unwrap(); // delta at 17
+        }
+        // Earlier builds wrote an `.idx` sidecar beside every chain file;
+        // this one never reads them, damaged or not.
+        fs::write(dir.join("snap").join("snap-16.idx"), b"OMDIDX01 garbage").unwrap();
+        fs::write(dir.join("snap").join("delta-17.idx"), []).unwrap();
+        let b = FileBackend::open(&dir, opts).unwrap();
+        assert_eq!(b.len(), 15);
+        assert_eq!(b.get(&[b'k', 0]), None);
+        assert_eq!(b.get(&[b'k', 15]), Some(vec![15]));
+        b.put(b"more", b"x");
+        b.snapshot_now().unwrap();
+        drop(b);
+        assert_eq!(FileBackend::open(&dir, opts).unwrap().len(), 16);
+    }
+
+    /// Asserts that opening `dir` fails with the corrupt-snapshot error.
+    fn assert_refused_as_corrupt(dir: &Path) {
+        match FileBackend::open(dir, FileBackendOptions::default()) {
+            Ok(b) => panic!("opened over a bad chain file: {:?}", b.scan_prefix(b"")),
+            Err(e) => assert!(e.to_string().contains("is corrupt"), "{e}"),
+        }
+    }
+
+    /// A store directory holding one hand-built chain file.
+    fn dir_with_chain_file(tag: &str, name: &str, bytes: &[u8]) -> (PathBuf, DirGuard) {
+        let dir = scratch_path(tag);
+        fs::create_dir_all(dir.join("snap")).unwrap();
+        fs::create_dir_all(dir.join("wal")).unwrap();
+        fs::write(dir.join("snap").join(name), bytes).unwrap();
+        (dir.clone(), DirGuard(dir))
+    }
+
+    fn put_entry(key: &[u8], value: u8) -> (Vec<u8>, Option<Vec<u8>>) {
+        (key.to_vec(), Some(vec![value]))
+    }
+
+    #[test]
+    fn v1_snapshot_files_are_refused_not_misread() {
+        // The retired v1 layout: a header frame of magic ++ seq ++ count,
+        // then the entry frames, with no section table.
+        let mut header = Vec::new();
+        header.extend_from_slice(b"OMSNAP01");
+        header.extend_from_slice(&2u64.to_le_bytes());
+        header.extend_from_slice(&1u64.to_le_bytes());
+        let mut entry = Vec::new();
+        entry.extend_from_slice(&1u32.to_le_bytes());
+        entry.extend_from_slice(b"a");
+        entry.extend_from_slice(&1u32.to_le_bytes());
+        entry.push(1);
+        let mut v1 = Vec::new();
+        push_frame(&mut v1, &header);
+        push_frame(&mut v1, &entry);
+        let (dir, _guard) = dir_with_chain_file("v1", "snap-2.snap", &v1);
+        assert_refused_as_corrupt(&dir);
+        assert!(
+            dir.join("snap").join("snap-2.snap").exists(),
+            "the refused file is left for an operator"
+        );
+    }
+
+    #[test]
+    fn unsorted_snapshot_sections_are_refused_as_corrupt() {
+        let sorted = build_snapshot_file(true, 2, &[vec![put_entry(b"a", 1), put_entry(b"b", 2)]]);
+        let (dir, _guard) = dir_with_chain_file("sorted", "snap-2.snap", &sorted);
+        let b = FileBackend::open(&dir, FileBackendOptions::default()).unwrap();
+        assert_eq!(b.scan_prefix(b""), vec![(b"a".to_vec(), vec![1]), (b"b".to_vec(), vec![2])]);
+        drop(b);
+        for (tag, part) in [
+            ("unsorted", vec![put_entry(b"b", 2), put_entry(b"a", 1)]),
+            ("duplicate", vec![put_entry(b"a", 1), put_entry(b"a", 2)]),
+        ] {
+            let bytes = build_snapshot_file(true, 2, &[part]);
+            let (dir, _guard) = dir_with_chain_file(tag, "snap-2.snap", &bytes);
+            assert_refused_as_corrupt(&dir);
+        }
+    }
+
+    #[test]
+    fn chain_files_whose_header_disagrees_with_their_name_are_refused() {
+        let parts = [vec![put_entry(b"a", 1)]];
+        for (tag, bytes) in [
+            ("delta-as-base", build_snapshot_file(false, 2, &parts)),
+            ("seq-mismatch", build_snapshot_file(true, 5, &parts)),
+        ] {
+            let (dir, _guard) = dir_with_chain_file(tag, "snap-2.snap", &bytes);
+            assert_refused_as_corrupt(&dir);
+        }
+    }
+
+    #[test]
+    fn damaged_or_truncated_snapshot_files_refuse_to_open() {
+        let dir = scratch_path("damaged-snap");
+        let _guard = DirGuard(dir.clone());
+        {
+            let b = FileBackend::open(&dir, FileBackendOptions::default()).unwrap();
+            for i in 0..32u8 {
+                b.put(&[b'k', i], &[i; 16]);
+            }
+            b.snapshot_now().unwrap();
+        }
+        let base = dir.join("snap").join("snap-32.snap");
+        let pristine = fs::read(&base).unwrap();
+        let mut flipped = pristine.clone();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0xff;
+        for damaged in [flipped, pristine[..pristine.len() - 5].to_vec()] {
+            fs::write(&base, &damaged).unwrap();
+            assert_refused_as_corrupt(&dir);
+        }
+        fs::write(&base, &pristine).unwrap();
+        let b = FileBackend::open(&dir, FileBackendOptions::default()).unwrap();
+        assert_eq!(b.len(), 32, "the intact file still recovers");
+    }
+
+    #[test]
     fn options_map_from_durable_config() {
         let durable = DurableOptions {
             sync_commits: true,
-            group_commit: GroupCommitPolicy::Fixed(150),
-            snapshot_mode: SnapshotMode::Full,
-            compact_max_deltas: 5,
-            compact_ratio_pct: 50,
-            recovery_threads: 2,
+            ..DurableOptions::default()
         };
         let opts = FileBackendOptions::from_durable(4, &durable);
         assert!(opts.sync_commits);
-        assert_eq!(opts.group_commit, GroupCommitPolicy::Fixed(150));
-        assert_eq!(opts.snapshot_mode, SnapshotMode::Full);
-        assert_eq!(opts.compact_max_deltas, 5);
-        assert_eq!(opts.compact_ratio_pct, 50);
-        assert_eq!(opts.recovery_threads, 2);
-        let legacy = FileBackendOptions::from_durable(4, &DurableOptions::legacy());
-        assert_eq!(legacy.group_commit, GroupCommitPolicy::Off);
+        assert_eq!(opts.shards, 4);
     }
 }

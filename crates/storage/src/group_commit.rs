@@ -73,8 +73,7 @@ impl StagedWal {
 
 /// The durable half of the WAL, guarded by the flusher mutex: the open
 /// segment file plus the snapshot-chain bookkeeping. Only cohort
-/// leaders (and the inline commit path, when group commit is off) hold
-/// this.
+/// leaders (and the snapshot/unwedge maintenance hooks) hold this.
 pub(crate) struct SegmentFile {
     /// Open WAL segment, in append mode (behind the VFS seam so fault
     /// injection sees every byte).

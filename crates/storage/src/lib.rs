@@ -21,7 +21,7 @@
 //!   atomic: no reader snapshot ever observes a torn subset, and conflicting
 //!   commits abort with a retryable error.
 //! * [`FileBackend`] — file-backed durability (RocksDB role): every commit
-//!   is one framed, checksummed write-ahead-log batch on disk, full-state
+//!   is one framed, checksummed write-ahead-log batch on disk, incremental
 //!   snapshots bound replay, and a cold restart over the same directory
 //!   recovers exactly the committed state (torn tails are truncated). The
 //!   only backend whose state survives a process crash; see
@@ -41,7 +41,6 @@
 #![deny(missing_docs)]
 
 pub mod backend;
-pub mod delta_index;
 pub mod eventual;
 pub mod file;
 pub mod group_commit;
@@ -52,7 +51,6 @@ pub use backend::{
     make_backend, make_backend_at, make_backend_with, StateBackend, StateSession, WriteBatch,
     WriteOp,
 };
-pub use delta_index::{ColdReadStats, ColdReader, ColdReaderOptions, DeltaIndex};
 pub use eventual::EventualBackend;
 pub use file::{FileBackend, FileBackendOptions};
 pub use group_commit::{CommitGroup, CommitGroupStats};

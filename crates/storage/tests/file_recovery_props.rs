@@ -53,8 +53,6 @@ const WAL_ONLY: FileBackendOptions = FileBackendOptions {
     snapshot_every: 0,
     segment_bytes: u64::MAX,
     sync_commits: false,
-    group_commit: om_common::config::GroupCommitPolicy::Fixed(0),
-    snapshot_mode: om_common::config::SnapshotMode::Incremental,
     compact_max_deltas: 16,
     compact_ratio_pct: 100,
     recovery_threads: 0,
@@ -219,7 +217,6 @@ proptest! {
     #[test]
     fn concurrent_group_commits_truncate_to_a_prefix_at_any_byte(
         commits_per_writer in 1u8..6,
-        window_on in proptest::bool::ANY,
         cut_ratio in 0.0f64..1.0,
     ) {
         const WRITERS: u8 = 4;
@@ -227,11 +224,6 @@ proptest! {
         let _guard = DirGuard(dir.clone());
         let opts = FileBackendOptions {
             sync_commits: true,
-            group_commit: om_common::config::GroupCommitPolicy::Fixed(if window_on {
-                50
-            } else {
-                0
-            }),
             ..WAL_ONLY
         };
         {
@@ -297,89 +289,26 @@ proptest! {
         }
     }
 
-    /// Incremental and full snapshot modes recover **identical state**
-    /// from the same commit/snapshot schedule — base + delta chain +
-    /// WAL tail must equal full snapshot + WAL tail, compaction
-    /// included.
+    /// Recovery from a base + delta chain + WAL tail equals the
+    /// reference model for any commit/snapshot schedule — tombstones
+    /// and compaction back into a fresh base included.
     #[test]
-    fn incremental_and_full_snapshots_recover_identically(
+    fn incremental_snapshot_chains_recover_the_model(
         phases in prop::collection::vec(prop::collection::vec(batch_strategy(), 1..5), 1..4),
     ) {
-        use om_common::config::SnapshotMode;
-        let dir_full = scratch("eq-full");
-        let _g1 = DirGuard(dir_full.clone());
-        let dir_incr = scratch("eq-incr");
-        let _g2 = DirGuard(dir_incr.clone());
-        let full_opts = FileBackendOptions {
-            snapshot_mode: SnapshotMode::Full,
-            ..WAL_ONLY
-        };
+        let dir = scratch("chain");
+        let _guard = DirGuard(dir.clone());
         // Tiny compaction thresholds so the property also walks the
         // fold-into-base path.
-        let incr_opts = FileBackendOptions {
-            snapshot_mode: SnapshotMode::Incremental,
-            compact_max_deltas: 2,
-            compact_ratio_pct: 150,
-            ..WAL_ONLY
-        };
-        {
-            let full = FileBackend::open(&dir_full, full_opts).unwrap();
-            let incr = FileBackend::open(&dir_incr, incr_opts).unwrap();
-            // Apply every phase to both stores; snapshot both between
-            // phases (the last phase stays WAL-only).
-            for (p, phase) in phases.iter().enumerate() {
-                for batch in phase {
-                    let mut wb = WriteBatch::new();
-                    for (k, v) in batch {
-                        wb = match v {
-                            Some(v) => wb.put(key_bytes(*k), v.to_le_bytes().to_vec()),
-                            None => wb.delete(key_bytes(*k)),
-                        };
-                    }
-                    full.commit(wb.clone()).unwrap();
-                    incr.commit(wb).unwrap();
-                }
-                if p + 1 < phases.len() {
-                    full.snapshot_now().unwrap();
-                    incr.snapshot_now().unwrap();
-                }
-            }
-        }
-        let full = FileBackend::open(&dir_full, full_opts).unwrap();
-        let incr = FileBackend::open(&dir_incr, incr_opts).unwrap();
-        prop_assert_eq!(
-            full.scan_prefix(b""),
-            incr.scan_prefix(b""),
-            "snapshot modes diverged"
-        );
-        // And both keep accepting commits after recovery.
-        full.put(b"post", b"1");
-        incr.put(b"post", b"1");
-        prop_assert_eq!(full.len(), incr.len());
-    }
-
-    /// The cold reader's **indexed** point gets and prefix scans agree
-    /// with the full-chain-scan baseline AND with a reference model, for
-    /// any commit/snapshot schedule — delta chains, tombstones, WAL
-    /// tails and compaction included.
-    #[test]
-    fn indexed_cold_reads_equal_chain_scans_for_any_history(
-        phases in prop::collection::vec(prop::collection::vec(batch_strategy(), 1..5), 1..5),
-        compact in proptest::bool::ANY,
-    ) {
-        use om_storage::{ColdReader, ColdReaderOptions};
-        let dir = scratch("cold-eq");
-        let _guard = DirGuard(dir.clone());
-        // Small compaction thresholds sometimes, so the property also
-        // covers chains that folded into a fresh base mid-history.
         let opts = FileBackendOptions {
-            compact_max_deltas: if compact { 2 } else { 64 },
+            compact_max_deltas: 2,
             compact_ratio_pct: 150,
             ..WAL_ONLY
         };
         let mut all: Vec<Batch> = Vec::new();
         {
             let backend = FileBackend::open(&dir, opts).unwrap();
+            // Snapshot between phases (the last phase stays WAL-only).
             for (p, phase) in phases.iter().enumerate() {
                 for batch in phase {
                     let mut wb = WriteBatch::new();
@@ -397,42 +326,37 @@ proptest! {
                 }
             }
         }
-        let model = model_after(&all, all.len());
-        for use_index in [true, false] {
-            let reader =
-                ColdReader::open_with(&dir, ColdReaderOptions { use_index }).unwrap();
-            for k in 0..8u8 {
-                prop_assert_eq!(
-                    reader.get(&key_bytes(k)).unwrap(),
-                    model.get(&key_bytes(k)).cloned(),
-                    "key {} use_index={}",
-                    k,
-                    use_index
-                );
-            }
-            prop_assert_eq!(reader.get(b"absent").unwrap(), None);
-            let scanned: BTreeMap<Vec<u8>, Vec<u8>> =
-                reader.scan_prefix(b"").unwrap().into_iter().collect();
-            prop_assert_eq!(&scanned, &model, "use_index={}", use_index);
-        }
+        let recovered = FileBackend::open(&dir, opts).unwrap();
+        let live: BTreeMap<Vec<u8>, Vec<u8>> =
+            recovered.scan_prefix(b"").into_iter().collect();
+        prop_assert_eq!(&live, &model_after(&all, all.len()), "chain recovery diverged");
+        // And the store keeps accepting commits after recovery.
+        recovered.put(b"post", b"1");
+        prop_assert_eq!(recovered.len(), live.len() + 1);
     }
 
-    /// Damaging or deleting index sidecars never changes a cold read:
-    /// the reader detects the invalid sidecar (every index frame is
-    /// CRC-checked), rebuilds the index in memory, and serves exactly
-    /// the same state the intact chain holds.
+    /// A chain written under one shard count recovers the model under
+    /// any other shard count and any recovery worker count — the
+    /// section-per-shard fast path and the per-key re-routing path load
+    /// the same state — and a store re-snapshotted under the new shard
+    /// count reopens under the old one unchanged.
     #[test]
-    fn damaged_or_missing_indexes_degrade_safely(
-        phases in prop::collection::vec(prop::collection::vec(batch_strategy(), 1..4), 2..5),
-        damage in 0u8..3,
+    fn any_shard_and_worker_count_recovers_the_model(
+        phases in prop::collection::vec(prop::collection::vec(batch_strategy(), 1..5), 2..4),
+        shard_pow in 0u32..5,
+        threads in 1usize..5,
     ) {
-        use om_storage::ColdReader;
-        let dir = scratch("cold-damage");
+        let dir = scratch("reshard");
         let _guard = DirGuard(dir.clone());
+        let written = FileBackendOptions {
+            compact_max_deltas: 2,
+            compact_ratio_pct: 150,
+            ..WAL_ONLY
+        };
         let mut all: Vec<Batch> = Vec::new();
         {
-            let backend = FileBackend::open(&dir, WAL_ONLY).unwrap();
-            for (p, phase) in phases.iter().enumerate() {
+            let backend = FileBackend::open(&dir, written).unwrap();
+            for phase in &phases {
                 for batch in phase {
                     let mut wb = WriteBatch::new();
                     for (k, v) in batch {
@@ -444,46 +368,27 @@ proptest! {
                     backend.commit(wb).unwrap();
                     all.push(batch.clone());
                 }
-                if p + 1 < phases.len() {
-                    backend.snapshot_now().unwrap();
-                }
+                backend.snapshot_now().unwrap();
             }
         }
-        // Sabotage every sidecar the writer produced.
-        let mut sidecars = 0;
-        for entry in std::fs::read_dir(dir.join("snap")).unwrap() {
-            let path = entry.unwrap().path();
-            if path.extension().is_some_and(|e| e == "idx") {
-                sidecars += 1;
-                match damage {
-                    0 => std::fs::remove_file(&path).unwrap(),
-                    1 => {
-                        let bytes = std::fs::read(&path).unwrap();
-                        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-                    }
-                    _ => {
-                        let mut bytes = std::fs::read(&path).unwrap();
-                        let mid = bytes.len() / 2;
-                        bytes[mid] ^= 0xff;
-                        std::fs::write(&path, &bytes).unwrap();
-                    }
-                }
-            }
-        }
-        prop_assert!(sidecars > 0, "every snapshot chain file carries a sidecar");
         let model = model_after(&all, all.len());
-        let reader = ColdReader::open(&dir).unwrap();
-        for k in 0..8u8 {
-            prop_assert_eq!(
-                reader.get(&key_bytes(k)).unwrap(),
-                model.get(&key_bytes(k)).cloned(),
-                "key {} damage={}",
-                k,
-                damage
-            );
+        let resharded = FileBackendOptions {
+            shards: 1 << shard_pow,
+            recovery_threads: threads,
+            ..written
+        };
+        {
+            let recovered = FileBackend::open(&dir, resharded).unwrap();
+            let live: BTreeMap<Vec<u8>, Vec<u8>> =
+                recovered.scan_prefix(b"").into_iter().collect();
+            prop_assert_eq!(&live, &model, "shards={} threads={}", 1 << shard_pow, threads);
+            recovered.put(b"post", b"1");
+            recovered.snapshot_now().unwrap();
         }
-        let scanned: BTreeMap<Vec<u8>, Vec<u8>> =
-            reader.scan_prefix(b"").unwrap().into_iter().collect();
-        prop_assert_eq!(&scanned, &model, "damage={}", damage);
+        let back = FileBackend::open(&dir, written).unwrap();
+        let mut expected = model;
+        expected.insert(b"post".to_vec(), b"1".to_vec());
+        let live: BTreeMap<Vec<u8>, Vec<u8>> = back.scan_prefix(b"").into_iter().collect();
+        prop_assert_eq!(&live, &expected, "written back under shards={}", 1 << shard_pow);
     }
 }

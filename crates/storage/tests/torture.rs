@@ -26,7 +26,6 @@
 //! recovery truncate at the damaged frame or fail loudly, never serve
 //! the damage.
 
-use om_common::config::{GroupCommitPolicy, SnapshotMode};
 use om_common::OmError;
 use om_storage::vfs::{CrashImage, FaultVfs};
 use om_storage::{FileBackend, FileBackendOptions, StateBackend, WriteBatch};
@@ -149,7 +148,7 @@ fn sweep_every_boundary(tag: &str, commits: u64, options: FileBackendOptions) {
 
     // Workload: every commit acked (no faults), ack boundaries recorded.
     let mut acks: Vec<(u64, usize)> = Vec::new();
-    {
+    let counters = {
         let backend =
             FileBackend::open_with_vfs(&root, options, Arc::new(vfs.clone())).unwrap();
         for k in 1..=commits {
@@ -158,7 +157,8 @@ fn sweep_every_boundary(tag: &str, commits: u64, options: FileBackendOptions) {
             // far is on media: the durability floor of later crashes.
             acks.push((k, vfs.log_len()));
         }
-    }
+        backend.counters()
+    };
     let log = vfs.take_log();
     assert!(
         log.len() > commits as usize,
@@ -166,10 +166,18 @@ fn sweep_every_boundary(tag: &str, commits: u64, options: FileBackendOptions) {
         log.len()
     );
     let seeds = crash_seeds();
+    // Ops on `snap-<seq>` files: the boundaries that fall inside base
+    // writes (create, write, fsync, rename, prune).
+    let base_ops = log
+        .iter()
+        .filter(|op| format!("{op:?}").contains("snap-"))
+        .count();
     eprintln!(
-        "torture[{tag}]: {} ops x {} seeds (base seed {:#x}; OM_TORTURE_SEED replays, \
-         OM_TORTURE_FULL=1 widens)",
+        "torture[{tag}]: {} ops, {base_ops} of them in {} base writes, {} deltas; x {} seeds \
+         (base seed {:#x}; OM_TORTURE_SEED replays, OM_TORTURE_FULL=1 widens)",
         log.len(),
+        counters["backend.snapshots"],
+        counters["backend.deltas"],
         seeds.len(),
         torture_seed()
     );
@@ -206,10 +214,13 @@ fn sweep_every_boundary(tag: &str, commits: u64, options: FileBackendOptions) {
 }
 
 /// The headline sweep: WAL + incremental snapshots + deltas + pruning +
-/// segment rolls, power loss at every recorded write boundary.
+/// segment rolls, power loss at every recorded write boundary. The
+/// tight compaction thresholds fold the chain back into a fresh base
+/// every other snapshot, so the sweep crosses base writes (tmp + fsync +
+/// rename + dir fsync + delta and WAL prune) as well as deltas.
 #[test]
 fn power_loss_at_every_boundary_recovers_an_acked_prefix_incremental() {
-    let commits = if full_sweep() { 64 } else { 20 };
+    let commits = if full_sweep() { 64 } else { 30 };
     sweep_every_boundary(
         "incremental",
         commits,
@@ -218,32 +229,8 @@ fn power_loss_at_every_boundary_recovers_an_acked_prefix_incremental() {
             snapshot_every: 6,
             segment_bytes: 512,
             sync_commits: true,
-            group_commit: GroupCommitPolicy::Off,
-            snapshot_mode: SnapshotMode::Incremental,
             compact_max_deltas: 2,
-            compact_ratio_pct: 100,
-            recovery_threads: 1,
-        },
-    );
-}
-
-/// Same contract under full-base snapshots (tmp + fsync + rename + dir
-/// fsync + WAL prune on every snapshot boundary).
-#[test]
-fn power_loss_at_every_boundary_recovers_an_acked_prefix_full_snapshots() {
-    let commits = if full_sweep() { 48 } else { 16 };
-    sweep_every_boundary(
-        "full-snap",
-        commits,
-        FileBackendOptions {
-            shards: 2,
-            snapshot_every: 5,
-            segment_bytes: 768,
-            sync_commits: true,
-            group_commit: GroupCommitPolicy::Off,
-            snapshot_mode: SnapshotMode::Full,
-            compact_max_deltas: 16,
-            compact_ratio_pct: 100,
+            compact_ratio_pct: 150,
             recovery_threads: 1,
         },
     );
@@ -262,8 +249,6 @@ fn power_loss_sweep_covers_the_group_commit_write_path() {
             snapshot_every: 8,
             segment_bytes: 1 << 20,
             sync_commits: true,
-            group_commit: GroupCommitPolicy::Fixed(0),
-            snapshot_mode: SnapshotMode::Incremental,
             compact_max_deltas: 4,
             compact_ratio_pct: 100,
             recovery_threads: 1,
@@ -283,7 +268,6 @@ fn wal_with_frames(commits: u64) -> (PathBuf, DirGuard, PathBuf, Vec<(usize, usi
         shards: 2,
         snapshot_every: 0,
         sync_commits: true,
-        group_commit: GroupCommitPolicy::Off,
         ..FileBackendOptions::default()
     };
     {
@@ -337,7 +321,6 @@ fn wal_byte_flip_in_each_frame_section_truncates_at_the_damaged_frame() {
                 shards: 2,
                 snapshot_every: 0,
                 sync_commits: true,
-                group_commit: GroupCommitPolicy::Off,
                 ..FileBackendOptions::default()
             },
         )
@@ -361,7 +344,6 @@ fn wal_byte_flip_in_each_frame_section_truncates_at_the_damaged_frame() {
                 shards: 2,
                 snapshot_every: 0,
                 sync_commits: true,
-                group_commit: GroupCommitPolicy::Off,
                 ..FileBackendOptions::default()
             },
         )
@@ -385,7 +367,6 @@ fn wal_corruption_in_a_non_final_segment_fails_loudly() {
         snapshot_every: 0,
         segment_bytes: 256, // force several segments
         sync_commits: true,
-        group_commit: GroupCommitPolicy::Off,
         ..FileBackendOptions::default()
     };
     {
@@ -424,7 +405,6 @@ fn matrix_options() -> FileBackendOptions {
         shards: 2,
         snapshot_every: 0,
         sync_commits: true,
-        group_commit: GroupCommitPolicy::Off,
         ..FileBackendOptions::default()
     }
 }
@@ -545,4 +525,80 @@ fn read_corruption_on_replay_truncates_or_fails_loudly() {
         }
     }
     eprintln!("read-corruption outcomes: {outcomes:?}");
+}
+
+/// Four writers race commits while the `n`th fsync fails, for each of
+/// the first twenty cohort flushes. However the writers interleave with
+/// the failure, the store must wedge cleanly: `unwedge` verifies the
+/// acknowledged prefix, a cold reopen holds every acknowledged commit,
+/// and no commit that returned `Wedged` is present. A committer that
+/// passed the wedge check before a concurrent flush failed must never
+/// write its frame after the failed bytes and be acknowledged
+/// (docs/FAULTS.md, "Acknowledging past a failed fsync").
+#[test]
+fn concurrent_writers_never_ack_past_a_failed_fsync() {
+    const WRITERS: u64 = 4;
+    const COMMITS: u64 = 24;
+    let key = |k: u64| format!("w/{k}").into_bytes();
+    for n in 1..=20u64 {
+        let root = scratch("ack-wedge");
+        let _g = DirGuard(root.clone());
+        let vfs = FaultVfs::new(torture_seed().wrapping_add(n)).fail_nth_sync(n);
+        let backend =
+            FileBackend::open_with_vfs(&root, matrix_options(), Arc::new(vfs.clone())).unwrap();
+        let (mut acked, mut wedged) = (Vec::new(), Vec::new());
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let backend = &backend;
+                    s.spawn(move || {
+                        let (mut acked, mut wedged) = (Vec::new(), Vec::new());
+                        for k in w * COMMITS..(w + 1) * COMMITS {
+                            match backend.try_put(&key(k), &wvalue(k)) {
+                                Ok(()) => acked.push(k),
+                                Err(OmError::Wedged(_)) => {
+                                    wedged.push(k);
+                                    break;
+                                }
+                                Err(e) => panic!("n={n}: commit {k} failed untyped: {e}"),
+                            }
+                        }
+                        (acked, wedged)
+                    })
+                })
+                .collect();
+            for writer in writers {
+                let (a, w) = writer.join().unwrap();
+                acked.extend(a);
+                wedged.extend(w);
+            }
+        });
+        assert!(
+            vfs.fired().iter().any(|f| f == "fsync failure"),
+            "n={n}: the scheduled fsync failure never fired"
+        );
+        assert!(
+            !wedged.is_empty(),
+            "n={n}: the failed fsync must fail some commit"
+        );
+        backend
+            .unwedge()
+            .unwrap_or_else(|e| panic!("n={n}: unwedge must verify the acked prefix: {e}"));
+        drop(backend);
+        let reborn = FileBackend::open(&root, matrix_options()).unwrap();
+        for &k in &acked {
+            assert_eq!(
+                reborn.get(&key(k)),
+                Some(wvalue(k)),
+                "n={n}: acked commit {k} lost"
+            );
+        }
+        for &k in &wedged {
+            assert_eq!(
+                reborn.get(&key(k)),
+                None,
+                "n={n}: commit {k} returned Wedged yet survived"
+            );
+        }
+    }
 }
