@@ -1,7 +1,7 @@
 //! The cluster: grain directory, placement, messaging API and fault
 //! injection.
 
-use crate::grain::{GrainFactory, GrainId};
+use crate::grain::{GrainFactory, GrainId, Row, RowWrite};
 use crate::mailbox::{Activation, Envelope};
 use crate::silo::{Router, Silo};
 use crate::storage::StorageMap;
@@ -56,10 +56,17 @@ impl FaultConfig {
     }
 }
 
+/// A registered grain kind.
+struct Kind<M, R> {
+    factory: GrainFactory<M, R>,
+    /// Whether activations receive the grain's stored rows.
+    rows: bool,
+}
+
 struct Inner<M, R> {
     silos: Vec<Arc<Silo<M, R>>>,
     directory: RwLock<HashMap<GrainId, usize>>,
-    factories: HashMap<&'static str, GrainFactory<M, R>>,
+    factories: HashMap<&'static str, Kind<M, R>>,
     storage: Arc<StorageMap>,
     clock: Arc<LogicalClock>,
     faults: FaultConfig,
@@ -103,13 +110,19 @@ impl<M: Send + 'static, R: Send + 'static> Inner<M, R> {
     fn deliver(&self, id: GrainId, env: Envelope<M, R>) -> OmResult<()> {
         let silo_idx = self.place(id)?;
         let silo = &self.silos[silo_idx];
-        let factory = self
+        let kind = self
             .factories
             .get(id.kind)
             .ok_or_else(|| OmError::NotFound(format!("no factory for grain kind '{}'", id.kind)))?;
         let activation = silo.activation_or_insert(id, || {
-            let snapshot = self.storage.load(&id);
-            Arc::new(Activation::new(id, factory(id, snapshot)))
+            // Only row-keyed kinds pay for the prefix scan; the others
+            // reactivate from a point read of their snapshot.
+            let (snapshot, rows) = if kind.rows {
+                self.storage.load_rows(&id)
+            } else {
+                (self.storage.load(&id), Vec::new())
+            };
+            Arc::new(Activation::new(id, (kind.factory)(id, snapshot, rows)))
         });
         self.in_flight.fetch_add(1, Ordering::AcqRel);
         silo.deliver(&activation, env);
@@ -150,8 +163,8 @@ where
         self.notify_inner(target, msg);
     }
 
-    fn save_state(&self, id: GrainId, snapshot: Vec<u8>) {
-        self.storage.save(id, snapshot);
+    fn save_state(&self, id: GrainId, snapshot: Option<Vec<u8>>, rows: Vec<RowWrite>) {
+        self.storage.save(id, snapshot, rows);
     }
 
     fn on_processed(&self, n: u64) {
@@ -294,7 +307,7 @@ impl<M: Payload, R: Send + 'static> Drop for Cluster<M, R> {
 pub struct ClusterBuilder<M, R> {
     silos: usize,
     workers_per_silo: usize,
-    factories: HashMap<&'static str, GrainFactory<M, R>>,
+    factories: HashMap<&'static str, Kind<M, R>>,
     faults: FaultConfig,
     call_timeout: Duration,
     storage: Option<Arc<dyn om_storage::StateBackend>>,
@@ -326,7 +339,7 @@ impl<M: Payload, R: Send + 'static> ClusterBuilder<M, R> {
         self
     }
 
-    /// Registers a grain kind.
+    /// Registers a grain kind whose state is one snapshot.
     pub fn register<F>(mut self, kind: &'static str, factory: F) -> Self
     where
         F: Fn(GrainId, Option<Vec<u8>>) -> Box<dyn crate::grain::Grain<M, R>>
@@ -334,7 +347,36 @@ impl<M: Payload, R: Send + 'static> ClusterBuilder<M, R> {
             + Sync
             + 'static,
     {
-        self.factories.insert(kind, Box::new(factory));
+        let factory: GrainFactory<M, R> =
+            Box::new(move |id, snapshot, _rows| factory(id, snapshot));
+        self.factories.insert(
+            kind,
+            Kind {
+                factory,
+                rows: false,
+            },
+        );
+        self
+    }
+
+    /// Registers a **row-keyed** grain kind: its grains write rows beside
+    /// their snapshot ([`crate::GrainContext::put_row`]), and an activation
+    /// receives the snapshot plus every stored row, in row order, from one
+    /// prefix scan of the grain's storage key.
+    pub fn register_rows<F>(mut self, kind: &'static str, factory: F) -> Self
+    where
+        F: Fn(GrainId, Option<Vec<u8>>, Vec<Row>) -> Box<dyn crate::grain::Grain<M, R>>
+            + Send
+            + Sync
+            + 'static,
+    {
+        self.factories.insert(
+            kind,
+            Kind {
+                factory: Box::new(factory),
+                rows: true,
+            },
+        );
         self
     }
 

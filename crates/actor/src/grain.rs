@@ -29,6 +29,12 @@ pub(crate) struct Outgoing<M> {
     pub msg: M,
 }
 
+/// One stored row of a row-keyed grain: `(row name, bytes)`.
+pub type Row = (Vec<u8>, Vec<u8>);
+
+/// One row write of a turn: `Some` bytes put the row, `None` deletes it.
+pub type RowWrite = (Vec<u8>, Option<Vec<u8>>);
+
 /// Per-turn context handed to [`Grain::handle`].
 ///
 /// Grains use it to raise asynchronous events to other grains (delivered
@@ -39,6 +45,7 @@ pub struct GrainContext<'a, M> {
     pub(crate) clock: &'a LogicalClock,
     pub(crate) outbox: Vec<Outgoing<M>>,
     pub(crate) persisted: Option<Vec<u8>>,
+    pub(crate) rows: Vec<RowWrite>,
 }
 
 impl<'a, M> GrainContext<'a, M> {
@@ -48,6 +55,7 @@ impl<'a, M> GrainContext<'a, M> {
             clock,
             outbox: Vec::new(),
             persisted: None,
+            rows: Vec::new(),
         }
     }
 
@@ -78,6 +86,20 @@ impl<'a, M> GrainContext<'a, M> {
     pub fn persist(&mut self, snapshot: Vec<u8>) {
         self.persisted = Some(snapshot);
     }
+
+    /// Writes one row of this grain's state beside its snapshot. Rows are
+    /// stored under the grain's storage key, commit in one batch with the
+    /// turn's snapshot, and are handed back in row order on reactivation
+    /// to kinds registered with [`crate::ClusterBuilder::register_rows`].
+    /// Row names are non-empty (the empty name is the snapshot itself).
+    pub fn put_row(&mut self, row: impl Into<Vec<u8>>, bytes: Vec<u8>) {
+        self.rows.push((row.into(), Some(bytes)));
+    }
+
+    /// Deletes one row of this grain's state.
+    pub fn delete_row(&mut self, row: impl Into<Vec<u8>>) {
+        self.rows.push((row.into(), None));
+    }
 }
 
 /// A grain behaviour: a single-threaded message handler over private state.
@@ -101,10 +123,12 @@ where
     }
 }
 
-/// Factory producing a grain activation. Receives the grain id and the
-/// persisted snapshot from a previous activation, if any.
+/// Factory producing a grain activation. Receives the grain id, the
+/// persisted snapshot from a previous activation, if any, and the grain's
+/// stored rows in row order (always empty for kinds registered without
+/// rows).
 pub type GrainFactory<M, R> =
-    Box<dyn Fn(GrainId, Option<Vec<u8>>) -> Box<dyn Grain<M, R>> + Send + Sync>;
+    Box<dyn Fn(GrainId, Option<Vec<u8>>, Vec<Row>) -> Box<dyn Grain<M, R>> + Send + Sync>;
 
 #[cfg(test)]
 mod tests {
@@ -140,5 +164,23 @@ mod tests {
         assert!(ctx.persisted.is_none());
         ctx.persist(vec![1, 2, 3]);
         assert_eq!(ctx.persisted.as_deref(), Some(&[1u8, 2, 3][..]));
+    }
+
+    #[test]
+    fn context_buffers_row_writes_in_call_order() {
+        let clock = LogicalClock::new();
+        let mut ctx: GrainContext<'_, ()> = GrainContext::new(GrainId::new("t", 1), &clock);
+        ctx.put_row(b"a".to_vec(), vec![1]);
+        ctx.delete_row(b"b".to_vec());
+        ctx.put_row(b"a".to_vec(), vec![2]);
+        assert_eq!(
+            ctx.rows,
+            vec![
+                (b"a".to_vec(), Some(vec![1])),
+                (b"b".to_vec(), None),
+                (b"a".to_vec(), Some(vec![2])),
+            ]
+        );
+        assert!(ctx.persisted.is_none(), "rows do not imply a snapshot");
     }
 }

@@ -18,6 +18,9 @@
 //!   and their volatile state; grains that persisted state via
 //!   [`grain::GrainContext::persist`] recover it on reactivation
 //!   (grain storage survives silo failures, as in Fig. 1's storage layer).
+//!   A grain whose state grows keeps a small snapshot plus one row per
+//!   entity ([`grain::GrainContext::put_row`]), so a turn stores what it
+//!   changed rather than everything the grain holds.
 //! * Messaging is either fire-and-forget events ([`cluster::Cluster::notify`],
 //!   used for the asynchronous event flows of the benchmark) or blocking
 //!   request/response ([`cluster::Cluster::call`], used by the driver and
@@ -43,5 +46,5 @@ pub mod storage;
 pub mod tx;
 
 pub use cluster::{Cluster, ClusterBuilder, FaultConfig};
-pub use grain::{Grain, GrainContext, GrainId};
+pub use grain::{Grain, GrainContext, GrainId, Row};
 pub use storage::StorageMap;

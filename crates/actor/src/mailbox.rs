@@ -7,7 +7,7 @@
 //! was not already scheduled; a worker drains a bounded batch of messages
 //! per turn and reschedules the activation if messages remain.
 
-use crate::grain::{Grain, GrainContext, GrainId, Outgoing};
+use crate::grain::{Grain, GrainContext, GrainId, Outgoing, RowWrite};
 use crossbeam::channel::Sender;
 use om_common::OmError;
 use parking_lot::Mutex;
@@ -59,16 +59,16 @@ impl<M: Send + 'static, R: Send + 'static> Activation<M, R> {
     }
 
     /// Runs one turn: drains up to [`TURN_BATCH`] messages through the
-    /// grain. Returns the buffered outgoing events plus whether the
-    /// activation must be rescheduled, and the latest persisted snapshot if
-    /// the grain saved one.
-    pub fn run_turn(
-        &self,
-        clock: &om_common::time::LogicalClock,
-    ) -> TurnResult<M> {
+    /// grain. Returns the buffered outgoing events, the latest persisted
+    /// snapshot if the grain saved one, and the row writes of every message
+    /// in the order they were made. The activation stays scheduled until
+    /// [`Activation::end_turn`], so the caller can store the turn's state
+    /// before any later turn of the same grain runs.
+    pub fn run_turn(&self, clock: &om_common::time::LogicalClock) -> TurnResult<M> {
         let mut grain = self.grain.lock();
         let mut outbox = Vec::new();
         let mut persisted = None;
+        let mut rows = Vec::new();
         let mut processed = 0u64;
         for _ in 0..TURN_BATCH {
             let env = match self.mailbox.lock().pop_front() {
@@ -87,21 +87,25 @@ impl<M: Send + 'static, R: Send + 'static> Activation<M, R> {
             if ctx.persisted.is_some() {
                 persisted = ctx.persisted;
             }
+            rows.extend(ctx.rows);
         }
-        drop(grain);
+        TurnResult {
+            outbox,
+            persisted,
+            rows,
+            processed,
+        }
+    }
+
+    /// Ends the turn [`Activation::run_turn`] began: clears the scheduled
+    /// flag and returns whether the caller must schedule the activation
+    /// again for messages that are still queued.
+    pub fn end_turn(&self) -> bool {
         // Clear the scheduled flag, then re-check the mailbox: a message
         // enqueued between the check and the clear would otherwise strand.
         self.scheduled.store(false, Ordering::Release);
-        let reschedule = {
-            let mb = self.mailbox.lock();
-            !mb.is_empty() && !self.scheduled.swap(true, Ordering::AcqRel)
-        };
-        TurnResult {
-            outbox,
-            reschedule,
-            persisted,
-            processed,
-        }
+        let mb = self.mailbox.lock();
+        !mb.is_empty() && !self.scheduled.swap(true, Ordering::AcqRel)
     }
 
     /// Fails all queued messages (silo kill): callers get `Unavailable`.
@@ -120,8 +124,9 @@ impl<M: Send + 'static, R: Send + 'static> Activation<M, R> {
 
 pub(crate) struct TurnResult<M> {
     pub outbox: Vec<Outgoing<M>>,
-    pub reschedule: bool,
     pub persisted: Option<Vec<u8>>,
+    /// Row writes of every message of the turn, in order.
+    pub rows: Vec<RowWrite>,
     /// Messages handled this turn (in-flight accounting).
     pub processed: u64,
 }
@@ -162,7 +167,8 @@ mod tests {
             reply: Some(tx),
         });
         let result = a.run_turn(&clock);
-        assert!(!result.reschedule);
+        assert_eq!(result.processed, 2);
+        assert!(!a.end_turn());
         assert_eq!(rx.recv().unwrap().unwrap(), 12, "5 + 7 accumulated");
         assert_eq!(a.queue_len(), 0);
     }
@@ -174,12 +180,53 @@ mod tests {
         for i in 0..(TURN_BATCH + 3) as u32 {
             a.enqueue(Envelope { msg: i, reply: None });
         }
-        let result = a.run_turn(&clock);
-        assert!(result.reschedule, "remaining messages need another turn");
+        a.run_turn(&clock);
+        assert!(a.end_turn(), "remaining messages need another turn");
         assert_eq!(a.queue_len(), 3);
-        let r2 = a.run_turn(&clock);
-        assert!(!r2.reschedule);
+        a.run_turn(&clock);
+        assert!(!a.end_turn());
         assert_eq!(a.queue_len(), 0);
+    }
+
+    #[test]
+    fn activation_stays_scheduled_until_the_turn_ends() {
+        let clock = LogicalClock::new();
+        let a = Activation::new(GrainId::new("t", 1), counter_grain());
+        assert!(a.enqueue(Envelope { msg: 1, reply: None }));
+        a.run_turn(&clock);
+        // A message arriving while the turn's state is being stored must
+        // not start a second turn of the same grain.
+        assert!(!a.enqueue(Envelope { msg: 2, reply: None }));
+        assert!(a.end_turn(), "the queued message is picked up by the next turn");
+    }
+
+    #[test]
+    fn row_writes_of_every_message_are_collected_in_order() {
+        let clock = LogicalClock::new();
+        let rows = Box::new(move |ctx: &mut GrainContext<'_, u32>, msg: u32, _| {
+            match msg {
+                1 => {
+                    ctx.delete_row(vec![b'r', 0]);
+                    ctx.persist(vec![1]);
+                }
+                _ => ctx.put_row(vec![b'r', msg as u8 / 2], vec![msg as u8]),
+            }
+            msg
+        });
+        let a = Activation::new(GrainId::new("t", 1), rows);
+        for msg in [0, 1, 2] {
+            a.enqueue(Envelope { msg, reply: None });
+        }
+        let result = a.run_turn(&clock);
+        assert_eq!(
+            result.rows,
+            vec![
+                (vec![b'r', 0], Some(vec![0])),
+                (vec![b'r', 0], None),
+                (vec![b'r', 1], Some(vec![2])),
+            ]
+        );
+        assert_eq!(result.persisted, Some(vec![1]), "the turn's last snapshot");
     }
 
     #[test]

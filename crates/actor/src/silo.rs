@@ -1,6 +1,6 @@
 //! Silos: grain hosts with worker-thread pools.
 
-use crate::grain::GrainId;
+use crate::grain::{GrainId, RowWrite};
 use crate::mailbox::{ActivationRef, Envelope};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use om_common::time::LogicalClock;
@@ -20,7 +20,7 @@ pub(crate) enum Work<M, R> {
 /// back through the cluster (which owns placement and fault injection).
 pub(crate) trait Router<M>: Send + Sync {
     fn route_event(&self, target: GrainId, msg: M);
-    fn save_state(&self, id: GrainId, snapshot: Vec<u8>);
+    fn save_state(&self, id: GrainId, snapshot: Option<Vec<u8>>, rows: Vec<RowWrite>);
     /// Reports `n` messages handled (quiescence accounting).
     fn on_processed(&self, n: u64);
 }
@@ -86,14 +86,17 @@ impl<M: Send + 'static, R: Send + 'static> Silo<M, R> {
                     }
                     let result = activation.run_turn(&clock);
                     self.turns.fetch_add(1, Ordering::Relaxed);
-                    if let Some(snapshot) = result.persisted {
-                        router.save_state(activation.id, snapshot);
+                    // Stored before the turn ends, so saves of one grain
+                    // land in turn order.
+                    if result.persisted.is_some() || !result.rows.is_empty() {
+                        router.save_state(activation.id, result.persisted, result.rows);
                     }
+                    let reschedule = activation.end_turn();
                     for out in result.outbox {
                         router.route_event(out.target, out.msg);
                     }
                     router.on_processed(result.processed);
-                    if result.reschedule {
+                    if reschedule {
                         let _ = self.queue_tx.send(Work::Run(activation));
                     }
                 }

@@ -2,18 +2,23 @@
 //!
 //! Mirrors the "grain storage to manage grain states" box of the paper's
 //! Fig. 1. The storage outlives silos; a reactivated grain receives the
-//! last snapshot saved by any previous activation.
+//! last snapshot saved by any previous activation, and a row-keyed grain
+//! its stored rows too.
 //!
-//! Snapshots live in a pluggable [`StateBackend`] — the sharded eventual
+//! Key layout: a grain's snapshot lives under `<kind>/<key be64>`, and
+//! each of its rows under that key followed by the row name, so one prefix
+//! scan returns a grain's whole state in row order and a turn writes only
+//! the rows it names.
+//!
+//! State lives in a pluggable [`StateBackend`] — the sharded eventual
 //! KV by default, or any backend injected through
-//! [`crate::ClusterBuilder::storage_backend`] — replacing the single
-//! `RwLock<HashMap>` this map used to be. Loads go to the backend's
+//! [`crate::ClusterBuilder::storage_backend`]. Loads go to the backend's
 //! authoritative copy, so reactivation always observes the newest save
 //! regardless of the backend's replication discipline.
 
-use crate::grain::GrainId;
+use crate::grain::{GrainId, Row, RowWrite};
 use om_common::config::BackendKind;
-use om_storage::{make_backend, StateBackend};
+use om_storage::{make_backend, StateBackend, WriteBatch, WriteOp};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -74,16 +79,39 @@ impl StorageMap {
         key
     }
 
-    /// Saves (overwrites) the snapshot for `id`.
+    /// Stores one turn of `id`: the snapshot, if the turn saved one, under
+    /// the grain's storage key, and each row write under that key followed
+    /// by the row name — all as **one** backend commit, so the snapshot
+    /// and its rows move together (atomically on the transactional
+    /// backends) and a turn costs one commit whatever it wrote. Rows apply
+    /// in the order the turn wrote them; a row the turn did not name keeps
+    /// its stored value.
     ///
-    /// Grain snapshots are written post-ack (the turn already committed),
-    /// so a storage fault here must not take the silo worker down: a
-    /// failed save is counted in [`StorageMap::failed_save_count`] and the
-    /// previous snapshot stays authoritative. The wedge surfaces to
+    /// Grain state is written post-ack (the turn already replied), so a
+    /// storage fault here must not take the silo worker down: a failed
+    /// save is counted in [`StorageMap::failed_save_count`] and the state
+    /// stored before it stays authoritative. The wedge surfaces to
     /// clients through the platform's commit path, not through this one.
-    pub fn save(&self, id: GrainId, snapshot: Vec<u8>) {
-        match self.backend.try_put(&Self::storage_key(&id), &snapshot) {
-            Ok(()) => {
+    pub fn save(&self, id: GrainId, snapshot: Option<Vec<u8>>, rows: Vec<RowWrite>) {
+        let key = Self::storage_key(&id);
+        let mut ops = Vec::with_capacity(rows.len() + 1);
+        for (row, value) in rows {
+            let mut row_key = Vec::with_capacity(key.len() + row.len());
+            row_key.extend_from_slice(&key);
+            row_key.extend_from_slice(&row);
+            ops.push(WriteOp {
+                key: row_key,
+                value,
+            });
+        }
+        if let Some(snapshot) = snapshot {
+            ops.push(WriteOp {
+                key,
+                value: Some(snapshot),
+            });
+        }
+        match self.backend.commit(WriteBatch::from_ops(ops)) {
+            Ok(_) => {
                 self.saves.fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => {
@@ -97,7 +125,24 @@ impl StorageMap {
         self.backend.get(&Self::storage_key(id))
     }
 
-    /// Number of grains with stored state.
+    /// Loads the last snapshot for `id` and its rows, in row order, from
+    /// one prefix scan of the grain's storage key. The key's fixed-width
+    /// id keeps sibling grains out of the scan.
+    pub fn load_rows(&self, id: &GrainId) -> (Option<Vec<u8>>, Vec<Row>) {
+        let key = Self::storage_key(id);
+        let mut snapshot = None;
+        let mut rows = Vec::new();
+        for (mut stored, value) in self.backend.scan_prefix(&key) {
+            if stored.len() == key.len() {
+                snapshot = Some(value);
+            } else {
+                rows.push((stored.split_off(key.len()), value));
+            }
+        }
+        (snapshot, rows)
+    }
+
+    /// Number of stored keys: one per grain snapshot plus one per row.
     pub fn len(&self) -> usize {
         self.backend.len()
     }
@@ -106,7 +151,8 @@ impl StorageMap {
         self.backend.is_empty()
     }
 
-    /// Total save operations (write-amplification diagnostics).
+    /// Total saves, one per turn that stored state (write-amplification
+    /// diagnostics).
     pub fn save_count(&self) -> u64 {
         self.saves.load(Ordering::Relaxed)
     }
@@ -133,13 +179,17 @@ impl StorageMap {
 mod tests {
     use super::*;
 
+    fn put(row: &[u8], value: u8) -> RowWrite {
+        (row.to_vec(), Some(vec![value]))
+    }
+
     #[test]
     fn save_load_overwrite() {
         let s = StorageMap::new();
         let id = GrainId::new("cart", 1);
         assert!(s.load(&id).is_none());
-        s.save(id, vec![1]);
-        s.save(id, vec![2, 3]);
+        s.save(id, Some(vec![1]), Vec::new());
+        s.save(id, Some(vec![2, 3]), Vec::new());
         assert_eq!(s.load(&id), Some(vec![2, 3]));
         assert_eq!(s.len(), 1);
         assert_eq!(s.save_count(), 2);
@@ -152,8 +202,8 @@ mod tests {
             let s = StorageMap::with_backend(make_backend(kind, 8));
             let a = GrainId::new("stock", 7);
             let b = GrainId::new("stock", 8);
-            s.save(a, vec![7]);
-            s.save(b, vec![8]);
+            s.save(a, Some(vec![7]), Vec::new());
+            s.save(b, Some(vec![8]), Vec::new());
             assert_eq!(s.load(&a), Some(vec![7]), "{kind:?}");
             assert_eq!(s.load(&b), Some(vec![8]), "{kind:?}");
             assert_eq!(s.len(), 2, "{kind:?}");
@@ -162,10 +212,52 @@ mod tests {
     }
 
     #[test]
+    fn rows_live_beside_the_snapshot_and_reload_in_row_order() {
+        for kind in BackendKind::ALL {
+            let s = StorageMap::with_backend(make_backend(kind, 8));
+            let a = GrainId::new("seller", 7);
+            let b = GrainId::new("seller", 8);
+            s.save(
+                a,
+                Some(vec![1]),
+                vec![put(b"z", 26), put(b"a", 1), put(b"m", 13)],
+            );
+            s.save(b, Some(vec![2]), vec![put(b"a", 99)]);
+            // A later turn rewrites one row, deletes one and leaves `m` be;
+            // a put then a delete of the same row in one batch leaves nothing.
+            s.save(
+                a,
+                None,
+                vec![
+                    put(b"a", 2),
+                    (b"z".to_vec(), None),
+                    put(b"q", 17),
+                    (b"q".to_vec(), None),
+                ],
+            );
+            assert_eq!(
+                s.load_rows(&a),
+                (
+                    Some(vec![1]),
+                    vec![(b"a".to_vec(), vec![2]), (b"m".to_vec(), vec![13])]
+                ),
+                "{kind:?}"
+            );
+            assert_eq!(
+                s.load_rows(&b),
+                (Some(vec![2]), vec![(b"a".to_vec(), vec![99])])
+            );
+            assert_eq!(s.load(&a), Some(vec![1]), "the snapshot alone");
+            assert_eq!(s.len(), 5, "{kind:?}: two snapshots + three rows");
+            assert_eq!(s.save_count(), 3, "{kind:?}: one commit per save");
+        }
+    }
+
+    #[test]
     fn distinct_kinds_with_same_key_do_not_collide() {
         let s = StorageMap::new();
-        s.save(GrainId::new("cart", 1), vec![1]);
-        s.save(GrainId::new("order", 1), vec![2]);
+        s.save(GrainId::new("cart", 1), Some(vec![1]), Vec::new());
+        s.save(GrainId::new("order", 1), Some(vec![2]), Vec::new());
         assert_eq!(s.load(&GrainId::new("cart", 1)), Some(vec![1]));
         assert_eq!(s.load(&GrainId::new("order", 1)), Some(vec![2]));
     }

@@ -467,3 +467,55 @@ impl ActorCore {
 pub fn unexpected<T>(reply: Reply) -> OmResult<T> {
     Err(OmError::Internal(format!("unexpected reply {reply:?}")))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use om_common::entity::{OrderEntry, OrderStatus};
+
+    #[test]
+    fn catalog_recovery_skips_seller_entry_rows() {
+        let backend = om_storage::make_backend(BackendKind::SnapshotIsolation, 8);
+        let core = ActorCore::new(&ActorPlatformConfig {
+            backend: BackendKind::SnapshotIsolation,
+            backend_instance: Some(backend.clone()),
+            ..Default::default()
+        });
+        for s in [3, 1, 7] {
+            core.ingest_seller(Seller::new(SellerId(s), format!("s{s}"), "c".into()))
+                .unwrap();
+            for order in 1..=4 {
+                core.cluster.notify(
+                    seller_grain(SellerId(s)),
+                    Msg::SellerAddEntry(OrderEntry {
+                        order: OrderId(order),
+                        seller: SellerId(s),
+                        product: ProductId(s * 10 + order),
+                        quantity: 1,
+                        total_amount: Money::from_cents(100),
+                        status: OrderStatus::Invoiced,
+                    }),
+                );
+            }
+        }
+        core.ingest_customer(Customer::new(CustomerId(9), "c".into(), "a".into()))
+            .unwrap();
+        core.quiesce();
+        let seller_keys = backend.scan_prefix(b"seller/").len();
+        assert_eq!(seller_keys, 3 + 3 * 4, "a header and four entry rows per seller");
+        assert_eq!(
+            scan_grain_ids(backend.as_ref(), super::super::kinds::SELLER),
+            vec![1, 3, 7],
+            "one id per grain, not one per row"
+        );
+
+        let catalog = Catalog::recover_from(backend.as_ref());
+        assert_eq!(
+            *catalog.sellers.read(),
+            vec![SellerId(1), SellerId(3), SellerId(7)],
+            "exactly the ingested sellers, once each"
+        );
+        assert_eq!(*catalog.customers.read(), vec![CustomerId(9)]);
+        assert!(catalog.products.read().is_empty());
+    }
+}

@@ -10,16 +10,16 @@
 //! divergent grain code.
 
 use om_actor::tx::{LockMode, TxParticipant};
-use om_actor::{Cluster, FaultConfig, GrainContext, GrainId};
-use om_common::entity::{Customer, OrderStatus, PaymentMethod};
+use om_actor::{Cluster, FaultConfig, GrainContext, GrainId, Row};
+use om_common::entity::{Customer, OrderEntry, OrderStatus, PaymentMethod};
 use om_common::event::OrderLineRef;
 use om_common::ids::*;
 use om_common::OmError;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::time::Duration;
 
 use super::actor_msg::{from_basis_points, Msg, Reply};
-use super::kinds;
+use super::{kinds, row, ENTRY};
 use crate::api::{PackageSnapshot, StockSnapshot};
 use crate::domain::{
     CartService, OrderService, PaymentService, ProductReplica, SellerView, ShipmentService,
@@ -95,12 +95,12 @@ fn handle_tx_protocol<S: Clone, M>(
 /// Builds the marketplace cluster shared by the actor bindings.
 ///
 /// `decline_rate` only matters for the *event-driven* payment path; the
-/// transactional path carries the rate in its messages. Grain snapshots
-/// persist through the `backend`-selected [`om_storage::StateBackend`]:
-/// stock grains (the hottest persisted state — every checkout writes
-/// them) plus the catalog entities — products, replicas, sellers,
-/// customers — so a platform rebuilt over a durable backend reactivates
-/// them from their last committed snapshot and
+/// transactional path carries the rate in its messages. Grain state
+/// persists through the `backend`-selected [`om_storage::StateBackend`]:
+/// stock grains and the catalog entities — products, replicas, customers
+/// — as one snapshot each, and seller grains row-keyed (a header snapshot
+/// plus one row per dashboard entry), so a platform rebuilt over a durable
+/// backend reactivates them from their last committed state and
 /// [`super::actor_core::Catalog::recover_from`] can re-list them on a
 /// cold start.
 pub fn build_cluster(
@@ -126,8 +126,8 @@ pub fn build_cluster(
         .register(kinds::SHIPMENT, |id, _snap| {
             make_shipment_grain(SellerId(id.key))
         })
-        .register(kinds::SELLER, |id, snap| {
-            make_seller_grain(SellerId(id.key), snap)
+        .register_rows(kinds::SELLER, |id, snap, rows| {
+            make_seller_grain(SellerId(id.key), snap, rows)
         })
         .register(kinds::CUSTOMER, |id, snap| {
             make_customer_grain(CustomerId(id.key), snap)
@@ -135,9 +135,9 @@ pub fn build_cluster(
         .build()
 }
 
-/// Persists any serializable grain state as its snapshot (catalog
-/// entities persist their full committed state so cold restarts rebuild
-/// the catalog from the backend alone).
+/// Persists any serializable grain state as its snapshot (stock and the
+/// catalog entities persist their full committed state so cold restarts
+/// rebuild them from the backend alone).
 fn persist_state<S: serde::Serialize>(ctx: &mut GrainContext<'_, Msg>, state: &S) {
     if let Ok(bytes) = om_common::codec::to_bytes(state) {
         ctx.persist(bytes);
@@ -236,21 +236,11 @@ fn make_replica_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg,
 // Stock
 // ---------------------------------------------------------------------
 
-/// Persists the stock grain's committed state as a codec snapshot. Stock
-/// is the grain kind the benchmark writes hardest (every checkout), so it
-/// is the state the storage backend is measured against.
-fn persist_stock(ctx: &mut GrainContext<'_, Msg>, svc: &StockService) {
-    if let Ok(bytes) = om_common::codec::to_bytes(svc) {
-        ctx.persist(bytes);
-    }
-}
-
 fn make_stock_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, Reply>> {
     // Reactivation: restore the last committed state saved by a previous
     // activation, if the backend holds one.
-    let mut part: Option<TxParticipant<StockService>> = snapshot
-        .and_then(|bytes| om_common::codec::from_bytes::<StockService>(&bytes).ok())
-        .map(TxParticipant::new);
+    let mut part: Option<TxParticipant<StockService>> =
+        restore::<StockService>(snapshot).map(TxParticipant::new);
     // A replicated product deletion arriving while a checkout transaction
     // holds the write lock cannot touch committed state; it parks here and
     // applies as soon as the lock is released (commit or abort). Dropping
@@ -259,11 +249,11 @@ fn make_stock_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, R
     let mut deferred_delete: Option<u64> = None;
     Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| {
         if let Some(p) = part.as_mut() {
-            if let Some(reply) = handle_tx_protocol(p, &msg, ctx, |s, ctx| persist_stock(ctx, s)) {
+            if let Some(reply) = handle_tx_protocol(p, &msg, ctx, |s, ctx| persist_state(ctx, s)) {
                 if !p.is_locked() {
                     if let Some(version) = deferred_delete.take() {
                         let _ = p.mutate_committed(|s| s.apply_product_delete(version));
-                        persist_stock(ctx, p.committed());
+                        persist_state(ctx, p.committed());
                     }
                 }
                 return reply;
@@ -278,7 +268,7 @@ fn make_stock_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, R
                     }
                     None => part = Some(TxParticipant::new(StockService::new(key, qty))),
                 }
-                persist_stock(ctx, part.as_ref().expect("just ingested").committed());
+                persist_state(ctx, part.as_ref().expect("just ingested").committed());
                 Reply::Ok
             }
             Msg::StockReserveEvent {
@@ -293,7 +283,7 @@ fn make_stock_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, R
                         let mut ok = false;
                         let _ = p.mutate_committed(|s| ok = s.reserve(item.quantity).is_ok());
                         if ok {
-                            persist_stock(ctx, p.committed());
+                            persist_state(ctx, p.committed());
                         }
                         ok
                     }
@@ -314,7 +304,7 @@ fn make_stock_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, R
             Msg::StockConfirm { qty } => match part.as_mut() {
                 Some(p) => {
                     let _ = p.mutate_committed(|s| s.confirm(qty));
-                    persist_stock(ctx, p.committed());
+                    persist_state(ctx, p.committed());
                     Reply::Ok
                 }
                 None => Reply::Err(OmError::NotFound("stock".into())),
@@ -322,7 +312,7 @@ fn make_stock_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, R
             Msg::StockCancel { qty } => match part.as_mut() {
                 Some(p) => {
                     let _ = p.mutate_committed(|s| s.cancel(qty));
-                    persist_stock(ctx, p.committed());
+                    persist_state(ctx, p.committed());
                     Reply::Ok
                 }
                 None => Reply::Err(OmError::NotFound("stock".into())),
@@ -333,7 +323,7 @@ fn make_stock_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, R
                         deferred_delete =
                             Some(deferred_delete.map_or(version, |v| v.max(version)));
                     } else {
-                        persist_stock(ctx, p.committed());
+                        persist_state(ctx, p.committed());
                     }
                     Reply::Ok
                 }
@@ -848,41 +838,133 @@ fn make_shipment_grain(seller: SellerId) -> Box<dyn om_actor::Grain<Msg, Reply>>
 // Seller
 // ---------------------------------------------------------------------
 
+/// Keys of `order`'s entries in `view`.
+fn order_keys(view: &SellerView, order: OrderId) -> Vec<(OrderId, u64)> {
+    view.entries
+        .range((order, 0)..=(order, u64::MAX))
+        .map(|(k, _)| *k)
+        .collect()
+}
+
+/// Persists the seller grain in the dataflow seller function's layout: the
+/// snapshot is the header (the view without its entries) and each
+/// `(order, product)` entry is one row. Only the rows of `orders` are
+/// written — every entry of theirs in `view` is put, and every key of
+/// `before` (their keys before the turn changed them) that `view` no
+/// longer holds is deleted — so a turn stores the order it touched, not
+/// the seller's history.
+fn persist_seller(
+    ctx: &mut GrainContext<'_, Msg>,
+    view: &SellerView,
+    orders: &[OrderId],
+    before: &[(OrderId, u64)],
+) {
+    for (order, product) in before.iter().filter(|k| !view.entries.contains_key(k)) {
+        ctx.delete_row(row(ENTRY, &[order.0, *product]));
+    }
+    for &order in orders {
+        for ((_, product), entry) in view.entries.range((order, 0)..=(order, u64::MAX)) {
+            if let Ok(bytes) = om_common::codec::to_bytes(entry) {
+                ctx.put_row(row(ENTRY, &[order.0, *product]), bytes);
+            }
+        }
+    }
+    persist_state(
+        ctx,
+        &SellerView {
+            seller: view.seller.clone(),
+            in_progress_amount: view.in_progress_amount,
+            in_progress_count: view.in_progress_count,
+            entries: Default::default(),
+        },
+    );
+}
+
+/// Rebuilds a seller view from its header snapshot and entry rows.
+fn restore_seller(snapshot: Option<Vec<u8>>, rows: Vec<Row>) -> Option<SellerView> {
+    let mut view: SellerView = restore(snapshot)?;
+    for (_, bytes) in rows {
+        if let Ok(entry) = om_common::codec::from_bytes::<OrderEntry>(&bytes) {
+            view.entries.insert((entry.order, entry.product.0), entry);
+        }
+    }
+    Some(view)
+}
+
+/// Applies a non-transactional change to one order of the committed view
+/// and stores the header plus that order's rows. A change blocked by a
+/// transaction's write lock is dropped and stores nothing.
+fn change_order(
+    part: Option<&mut TxParticipant<SellerView>>,
+    ctx: &mut GrainContext<'_, Msg>,
+    seller: SellerId,
+    order: OrderId,
+    change: impl FnOnce(&mut SellerView),
+) -> Reply {
+    let Some(p) = part else {
+        return Reply::Err(OmError::NotFound(format!("seller {seller}")));
+    };
+    let before = order_keys(p.committed(), order);
+    if p.mutate_committed(change).is_ok() {
+        persist_seller(ctx, p.committed(), &[order], &before);
+    }
+    Reply::Ok
+}
+
 fn make_seller_grain(
     seller: SellerId,
     snapshot: Option<Vec<u8>>,
+    rows: Vec<Row>,
 ) -> Box<dyn om_actor::Grain<Msg, Reply>> {
     let mut part: Option<TxParticipant<SellerView>> =
-        restore::<SellerView>(snapshot).map(TxParticipant::new);
+        restore_seller(snapshot, rows).map(TxParticipant::new);
+    // The orders each open transaction staged, so its commit stores their
+    // rows and nothing else.
+    let mut staged: HashMap<TransactionId, BTreeSet<OrderId>> = HashMap::new();
     Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| {
         if let Some(p) = part.as_mut() {
-            if let Some(reply) = handle_tx_protocol(p, &msg, ctx, |s, ctx| persist_state(ctx, s)) {
+            let (orders, before): (Vec<OrderId>, Vec<(OrderId, u64)>) = match &msg {
+                Msg::TxCommit { tid } => {
+                    let orders: Vec<OrderId> =
+                        staged.remove(tid).unwrap_or_default().into_iter().collect();
+                    let before = orders
+                        .iter()
+                        .flat_map(|&o| order_keys(p.committed(), o))
+                        .collect();
+                    (orders, before)
+                }
+                Msg::TxAbort { tid } => {
+                    staged.remove(tid);
+                    Default::default()
+                }
+                _ => Default::default(),
+            };
+            if let Some(reply) = handle_tx_protocol(p, &msg, ctx, |v, ctx| {
+                persist_seller(ctx, v, &orders, &before)
+            }) {
                 return reply;
             }
         }
         match msg {
             Msg::SellerIngest(s) => {
+                if let Some(old) = part.as_ref() {
+                    for (order, product) in old.committed().entries.keys() {
+                        ctx.delete_row(row(ENTRY, &[order.0, *product]));
+                    }
+                }
                 let view = SellerView::new(s);
                 persist_state(ctx, &view);
                 part = Some(TxParticipant::new(view));
                 Reply::Ok
             }
-            Msg::SellerAddEntry(entry) => match part.as_mut() {
-                Some(p) => {
-                    let _ = p.mutate_committed(|v| v.add_entry(entry));
-                    persist_state(ctx, p.committed());
-                    Reply::Ok
-                }
-                None => Reply::Err(OmError::NotFound(format!("seller {seller}"))),
-            },
-            Msg::SellerApplyStatus { order, status } => match part.as_mut() {
-                Some(p) => {
-                    let _ = p.mutate_committed(|v| v.apply_status(order, status));
-                    persist_state(ctx, p.committed());
-                    Reply::Ok
-                }
-                None => Reply::Err(OmError::NotFound(format!("seller {seller}"))),
-            },
+            Msg::SellerAddEntry(entry) => {
+                change_order(part.as_mut(), ctx, seller, entry.order, |v| v.add_entry(entry))
+            }
+            Msg::SellerApplyStatus { order, status } => {
+                change_order(part.as_mut(), ctx, seller, order, |v| {
+                    v.apply_status(order, status)
+                })
+            }
             Msg::SellerGetAggregate => match part.as_ref() {
                 Some(p) => {
                     let (amount, count) = p.committed().aggregate();
@@ -897,17 +979,28 @@ fn make_seller_grain(
             Msg::SellerGetProfile => {
                 Reply::SellerProfile(part.as_ref().map(|p| p.committed().seller.clone()))
             }
-            Msg::TxSellerAddEntry { tid, entry } => with_tx(part.as_mut(), tid, |p, tid| {
-                p.acquire(tid, LockMode::Write)?;
-                p.stage_mut(tid)?.add_entry(entry);
-                Ok(())
-            }),
+            Msg::TxSellerAddEntry { tid, entry } => {
+                let order = entry.order;
+                let reply = with_tx(part.as_mut(), tid, |p, tid| {
+                    p.acquire(tid, LockMode::Write)?;
+                    p.stage_mut(tid)?.add_entry(entry);
+                    Ok(())
+                });
+                if matches!(reply, Reply::Ok) {
+                    staged.entry(tid).or_default().insert(order);
+                }
+                reply
+            }
             Msg::TxSellerApplyStatus { tid, order, status } => {
-                with_tx(part.as_mut(), tid, |p, tid| {
+                let reply = with_tx(part.as_mut(), tid, |p, tid| {
                     p.acquire(tid, LockMode::Write)?;
                     p.stage_mut(tid)?.apply_status(order, status);
                     Ok(())
-                })
+                });
+                if matches!(reply, Reply::Ok) {
+                    staged.entry(tid).or_default().insert(order);
+                }
+                reply
             }
             other => not_mine(ctx.id(), &other),
         }

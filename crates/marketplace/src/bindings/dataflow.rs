@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use super::kinds;
+use super::{kinds, row, ENTRY, ROOT};
 use crate::api::{
     CheckoutItem, CheckoutOutcome, CheckoutRequest, MarketSnapshot, MarketplacePlatform,
     PackageSnapshot, PlatformKind, StockSnapshot,
@@ -194,14 +194,8 @@ impl WaiterRegistry {
 // function throughput (real Statefun uses binary Protobuf state for the
 // same reason).
 //
-// Row names. An address's header (or its whole state, when it does not
-// grow) is the row with the empty name; the growing aggregates add one
-// row per entity under a tag byte followed by big-endian ids, so a prefix
-// scan of a tag returns rows in id order and an invocation touches only
-// the rows of the entities its message names.
-const ROOT: &[u8] = b"";
-/// Seller: one row per `(order, product)` dashboard entry.
-const ENTRY: u8 = b'e';
+// Row names follow the layout in `bindings/mod.rs`; the tags below are the
+// dataflow functions' own.
 /// Order function: one row per order (with its delivered-package count).
 const ORDER: u8 = b'o';
 /// Order function: one row per checkout assembly still collecting answers.
@@ -213,15 +207,6 @@ const PACKAGE: u8 = b'k';
 /// Shipment: the open-orders index, `(shipped_at, order)` of every order
 /// with an undelivered package — its first row is the seller's oldest.
 const OPEN: u8 = b'u';
-
-fn row(tag: u8, ids: &[u64]) -> Vec<u8> {
-    let mut name = Vec::with_capacity(1 + 8 * ids.len());
-    name.push(tag);
-    for id in ids {
-        name.extend_from_slice(&id.to_be_bytes());
-    }
-    name
-}
 
 /// The `n`-th id of a name built by [`row`].
 fn row_id(name: &[u8], n: usize) -> OmResult<u64> {

@@ -25,8 +25,10 @@ pub struct SellerView {
     pub in_progress_count: u64,
     /// The tuples behind the aggregate, keyed by (order, product).
     ///
-    /// Serialized as a sequence of `(key, entry)` pairs: JSON maps demand
-    /// string keys, and platform bindings persist this state as JSON.
+    /// Serialized as a sequence of `(key, entry)` pairs, so the view also
+    /// encodes in formats whose map keys must be strings (JSON). The
+    /// bindings persist the view with the binary codec, row-keyed: the
+    /// view with this map empty is the header, and each entry is a row.
     #[serde(with = "entries_as_pairs")]
     pub entries: BTreeMap<(OrderId, u64), OrderEntry>,
 }
@@ -143,8 +145,7 @@ mod tests {
     #[test]
     fn serde_roundtrips_with_populated_entries() {
         // Regression: tuple map keys are not valid JSON map keys; the
-        // entries map must survive a JSON round-trip (the dataflow
-        // binding persists this state as JSON).
+        // entries map must survive a JSON round-trip.
         let mut v = SellerView::new(seller_named(SellerId(1), "s"));
         v.add_entry(entry(1, 1, 100));
         v.add_entry(entry(2, 7, 50));

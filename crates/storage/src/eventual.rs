@@ -165,12 +165,13 @@ impl StateBackend for EventualBackend {
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut out: Vec<(Vec<u8>, Vec<u8>)> = self
-            .primary
-            .dump()
-            .into_iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .collect();
+        // Keys are tested before they are cloned.
+        let mut out = Vec::new();
+        self.primary.for_each(|k, v| {
+            if k.starts_with(prefix) {
+                out.push((k.clone(), v.clone()));
+            }
+        });
         out.sort();
         out
     }
