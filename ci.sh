@@ -6,7 +6,7 @@
 #   * clippy runs deny-warnings over every target so refactors cannot
 #     silently accrue dead code (falls back to a -D warnings build if the
 #     toolchain ships without clippy),
-#   * the criterion benches (a1-a4, b2) must keep compiling
+#   * the criterion benches (a2-a4, b2) must keep compiling
 #     (`cargo bench --no-run`); performance is measured by the
 #     benchmark of record below, not by CI,
 #   * the benchmark of record is built and RUN the way BENCHMARK.json

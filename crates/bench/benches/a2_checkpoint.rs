@@ -5,25 +5,23 @@
 //! * **interval** — epoch batch size: smaller batches commit more
 //!   checkpoints per record (the latency/overhead trade-off a Statefun
 //!   deployment tunes);
-//! * **store** — where checkpoints go: the in-memory store (deep copies,
-//!   nothing survives a rebuild) vs the backend-backed store over each
-//!   `StateBackend` discipline (durable: every epoch is one multi-key
-//!   backend commit). The gap is the price of honest crash recovery.
+//! * **store** — which `StateBackend` discipline checkpoints go
+//!   through: every epoch is one multi-key backend commit, so the gap
+//!   between disciplines is what each charges for that commit.
 //!
 //! A third group measures the recovery path itself: crash mid-epoch,
-//! restore from the backend-backed checkpoint, replay to completion.
+//! restore from the checkpoint, replay to completion.
 //!
 //! A fourth group (`a2_workers`) sweeps the partition-parallel worker
 //! pool over a CPU-weighted workload, past the host's core count —
 //! `w1` is the serial baseline every parallel cell is judged against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use om_bench::{make_checkpoint_store, CHECKPOINT_STORES};
-use om_common::config::BackendKind;
-use om_dataflow::{Address, CheckpointStore, Dataflow, Effects};
+use om_bench::{make_checkpoint_store, BACKENDS};
+use om_dataflow::{Address, BackendCheckpointStore, Dataflow, Effects};
 use std::sync::Arc;
 
-fn build(max_batch: usize, store: Option<Arc<dyn CheckpointStore>>) -> Dataflow<u64> {
+fn build(max_batch: usize, store: Option<Arc<BackendCheckpointStore>>) -> Dataflow<u64> {
     let mut builder = Dataflow::builder().partitions(4).max_batch(max_batch);
     if let Some(store) = store {
         builder = builder.checkpoint_store(store);
@@ -70,47 +68,51 @@ fn bench_checkpoint_interval(c: &mut Criterion) {
     group.finish();
 }
 
-/// In-memory vs backend-backed checkpointing at a fixed interval: what a
-/// durable epoch commit costs per storage discipline.
+/// Checkpointing at a fixed interval: what an epoch commit costs per
+/// storage discipline.
 fn bench_checkpoint_store(c: &mut Criterion) {
     let mut group = c.benchmark_group("a2_checkpoint_store");
     group.sample_size(15);
     const RECORDS: u64 = 2_048;
-    for (label, kind) in CHECKPOINT_STORES {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &kind, |b, &kind| {
-            b.iter_with_setup(
-                || {
-                    let df = build(64, make_checkpoint_store(kind));
-                    for i in 0..RECORDS {
-                        df.submit(Address::new("count", i % 256), 1);
-                    }
-                    df
-                },
-                |df| {
-                    let epochs = df.run_to_completion().unwrap();
-                    assert!(epochs > 0);
-                    epochs
-                },
-            );
-        });
-    }
-    group.finish();
-}
-
-/// Crash mid-run, restore from the backend-backed checkpoint, replay:
-/// the recovery cell per backend.
-fn bench_crash_recovery(c: &mut Criterion) {
-    let mut group = c.benchmark_group("a2_crash_recovery");
-    group.sample_size(10);
-    const RECORDS: u64 = 1_024;
-    for kind in BackendKind::ALL {
+    for kind in BACKENDS {
         group.bench_with_input(
             BenchmarkId::from_parameter(kind.label()),
             &kind,
             |b, &kind| {
                 b.iter_with_setup(
                     || {
-                        let df = build(64, make_checkpoint_store(Some(kind)));
+                        let df = build(64, Some(make_checkpoint_store(kind)));
+                        for i in 0..RECORDS {
+                            df.submit(Address::new("count", i % 256), 1);
+                        }
+                        df
+                    },
+                    |df| {
+                        let epochs = df.run_to_completion().unwrap();
+                        assert!(epochs > 0);
+                        epochs
+                    },
+                );
+            },
+        );
+    }
+    group.finish();
+}
+
+/// Crash mid-run, restore from the checkpoint, replay: the recovery cell
+/// per backend.
+fn bench_crash_recovery(c: &mut Criterion) {
+    let mut group = c.benchmark_group("a2_crash_recovery");
+    group.sample_size(10);
+    const RECORDS: u64 = 1_024;
+    for kind in BACKENDS {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(kind.label()),
+            &kind,
+            |b, &kind| {
+                b.iter_with_setup(
+                    || {
+                        let df = build(64, Some(make_checkpoint_store(kind)));
                         for i in 0..RECORDS {
                             df.submit(Address::new("count", i % 256), 1);
                         }

@@ -1,6 +1,6 @@
 //! A4 ablation bench: MVCC scan cost as version chains grow, and the
-//! cost/benefit of garbage collection (DESIGN.md §5 — the customized
-//! stack's dashboard reads are MVCC snapshot scans).
+//! cost/benefit of garbage collection (the customized stack's dashboard
+//! reads are MVCC snapshot scans).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use om_mvcc::{IsolationLevel, TxManager};

@@ -8,8 +8,8 @@
 //!   commit; the memory backends pay locks (eventual) or MVCC
 //!   validation (snapshot isolation) only.
 //! * `b2_checkpoint_restart` — how fast a rebuilt dataflow reads back
-//!   its last committed checkpoint (`CheckpointStore::load`). For the
-//!   memory backends this is the **shared-instance** restart — their
+//!   its last committed checkpoint (`BackendCheckpointStore::load`). For
+//!   the memory backends this is the **shared-instance** restart — their
 //!   best case, since a genuinely cold process loses them entirely; the
 //!   file backend serves the same load after a real process boundary.
 //! * `b2_cold_recovery` — the file backend's true cold start as a
@@ -30,8 +30,8 @@
 //! cite the medians.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use om_bench::{make_checkpoint_store, BACKENDS, CHECKPOINT_STORES};
-use om_dataflow::StateDelta;
+use om_bench::{make_checkpoint_store, BACKENDS};
+use om_dataflow::{BackendCheckpointStore, StateDelta};
 use om_storage::{make_backend, FileBackend, FileBackendOptions, StateBackend, WriteOp};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,7 +68,7 @@ fn bench_commit_latency(c: &mut Criterion) {
 
 /// Commits `epochs` checkpoint epochs (32 dirty keys each) through the
 /// given store, mimicking what the dataflow runtime persists.
-fn populate_checkpoints(store: &dyn om_dataflow::CheckpointStore, epochs: u64) {
+fn populate_checkpoints(store: &BackendCheckpointStore, epochs: u64) {
     for epoch in 1..=epochs {
         let dirty: Vec<StateDelta> = (0..32u64)
             .map(|k| StateDelta::put(
@@ -88,13 +88,10 @@ fn bench_checkpoint_restart(c: &mut Criterion) {
     let mut group = c.benchmark_group("b2_checkpoint_restart");
     group.sample_size(15);
     const EPOCHS: u64 = 64;
-    for (label, kind) in CHECKPOINT_STORES {
-        let store = match make_checkpoint_store(kind) {
-            Some(store) => store,
-            None => std::sync::Arc::new(om_dataflow::InMemoryCheckpointStore::new()),
-        };
-        populate_checkpoints(store.as_ref(), EPOCHS);
-        group.bench_with_input(BenchmarkId::from_parameter(label), &label, |b, _| {
+    for kind in BACKENDS {
+        let store = make_checkpoint_store(kind);
+        populate_checkpoints(&store, EPOCHS);
+        group.bench_with_input(BenchmarkId::from_parameter(kind.label()), &kind, |b, _| {
             b.iter_with_setup(
                 || (),
                 |()| {

@@ -1,5 +1,5 @@
 //! Experiment driver regenerating every table/figure of the paper's
-//! evaluation (§III) plus the ablations called out in DESIGN.md §4.
+//! evaluation (§III) plus ablations of the substrates under it.
 //!
 //! ```text
 //! cargo run --release -p om-bench --bin experiments -- all
@@ -7,8 +7,8 @@
 //! cargo run --release -p om-bench --bin experiments -- --scale 2 e2
 //! ```
 //!
-//! Output: human-readable tables on stdout (the rows EXPERIMENTS.md
-//! records) and JSON blobs under `results/`.
+//! Output: human-readable tables on stdout and JSON blobs under
+//! `results/`.
 
 use om_bench::{factor, make_platform, run_platform, standard_config, PLATFORMS};
 use om_common::config::{RunConfig, WorkloadMix};
@@ -148,32 +148,6 @@ fn e567(config: &RunConfig) {
     save_json("e567_factors", &reports);
 }
 
-/// A1 — ablation: eventual vs causal replication cost in om-kv.
-fn a1() {
-    banner("A1", "om-kv replication mode ablation (price-update storm)");
-    use om_common::config::ReplicationMode;
-    use om_kv::{ReplicatedKv, Session};
-    for mode in [ReplicationMode::Eventual, ReplicationMode::Causal] {
-        let kv: ReplicatedKv<u64, u64> = ReplicatedKv::new(mode, 16, 16, 7);
-        let started = std::time::Instant::now();
-        let mut session = Session::new();
-        const WRITES: u64 = 200_000;
-        for i in 0..WRITES {
-            kv.put(&mut session, i % 1000, i);
-        }
-        kv.quiesce();
-        let secs = started.elapsed().as_secs_f64();
-        println!(
-            "  {:?}: {:.0} writes/s, inversions={}, buffered={}, stale_drops={}",
-            mode,
-            WRITES as f64 / secs,
-            kv.stats().causal_inversions(),
-            kv.stats().buffered(),
-            kv.stats().stale_drops(),
-        );
-    }
-}
-
 /// A2 — ablation: dataflow checkpoint interval vs throughput.
 fn a2(config: &RunConfig) {
     banner("A2", "statefun checkpoint-interval (max_batch) ablation");
@@ -198,20 +172,21 @@ fn a2(config: &RunConfig) {
             report.counters.get("df.epochs").copied().unwrap_or(0),
         );
     }
-    // Second axis: in-memory vs backend-backed checkpoint stores at the
-    // default interval — the cost of durable (restartable) checkpoints.
+    // Second axis: the backend checkpoints persist through, at the
+    // default interval.
     println!("  -- checkpoint store (max_batch=64) --");
-    for (label, kind) in om_bench::CHECKPOINT_STORES {
+    for kind in om_bench::BACKENDS {
         let platform = DataflowPlatform::new(DataflowPlatformConfig {
             partitions: 4,
             max_batch: 64,
             decline_rate: cfg.payment_decline_rate,
-            checkpoint_store: om_bench::make_checkpoint_store(kind),
+            checkpoint_store: Some(om_bench::make_checkpoint_store(kind)),
             ..Default::default()
         });
         let report = run_benchmark(&platform, &cfg, true);
         println!(
-            "  store={label:<18}: {:>8.0} ops/s, checkpoint_commits={}",
+            "  store={:<18}: {:>8.0} ops/s, checkpoint_commits={}",
+            kind.label(),
             report.throughput_per_sec,
             report
                 .counters
@@ -514,10 +489,12 @@ fn main() {
         i += 1;
     }
     if selected.is_empty() || selected.iter().any(|s| s == "all") {
-        selected = ["e1", "e2", "e3", "e4", "e567", "a1", "a2", "a3", "a4", "a5", "a6", "a7"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        selected = [
+            "e1", "e2", "e3", "e4", "e567", "a2", "a3", "a4", "a5", "a6", "a7",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
     }
     let mut config = standard_config(scale_factor);
     if let Some(ops) = ops_per_worker {
@@ -539,7 +516,6 @@ fn main() {
             "e3" => e3(&config),
             "e4" => e4(&config),
             "e5" | "e6" | "e7" | "e567" => e567(&config),
-            "a1" => a1(),
             "a2" => a2(&config),
             "a3" => a3(&config),
             "a4" => a4(),

@@ -1,14 +1,15 @@
 //! Shared harness code for the experiment binaries and Criterion benches.
 //!
 //! Every table and figure of the paper's evaluation has a regeneration
-//! path here; see `EXPERIMENTS.md` for the per-experiment index and
-//! `DESIGN.md` §4 for the mapping to modules.
+//! path here; see `docs/ARCHITECTURE.md` for the mapping to modules.
 
 use om_actor::FaultConfig;
 use om_common::config::{BackendKind, DurableOptions, RunConfig, ScaleConfig, WorkloadMix};
+use om_dataflow::BackendCheckpointStore;
 use om_driver::{run_benchmark, RunReport};
 use om_marketplace::api::{MarketplacePlatform, PlatformKind};
 use om_marketplace::{build_platform, PlatformSpec};
+use std::sync::Arc;
 
 /// The four platforms in paper order.
 pub const PLATFORMS: [PlatformKind; 4] = [
@@ -21,25 +22,12 @@ pub const PLATFORMS: [PlatformKind; 4] = [
 /// The pluggable storage backends, the matrix's second axis.
 pub const BACKENDS: [BackendKind; 3] = BackendKind::ALL;
 
-/// The dataflow checkpoint-store variants of the A2/B2 sweeps: a display
-/// label plus the backend kind (`None` = the in-memory baseline store).
-pub const CHECKPOINT_STORES: [(&str, Option<BackendKind>); 4] = [
-    ("in_memory", None),
-    ("eventual_kv", Some(BackendKind::Eventual)),
-    ("snapshot_isolation", Some(BackendKind::SnapshotIsolation)),
-    ("file_durable", Some(BackendKind::FileDurable)),
-];
-
-/// Builds the checkpoint store for one [`CHECKPOINT_STORES`] variant
-/// (`None` lets the runtime fall back to its in-memory default).
-pub fn make_checkpoint_store(
-    kind: Option<BackendKind>,
-) -> Option<std::sync::Arc<dyn om_dataflow::CheckpointStore>> {
-    kind.map(|kind| -> std::sync::Arc<dyn om_dataflow::CheckpointStore> {
-        std::sync::Arc::new(om_dataflow::BackendCheckpointStore::new(
-            om_storage::make_backend(kind, 16),
-        ))
-    })
+/// A dataflow checkpoint store over a fresh backend of `kind`, as the
+/// A2/B2 store sweeps build them.
+pub fn make_checkpoint_store(kind: BackendKind) -> Arc<BackendCheckpointStore> {
+    Arc::new(BackendCheckpointStore::new(om_storage::make_backend(
+        kind, 16,
+    )))
 }
 
 /// Builds a platform with `parallelism` internal execution slots over the
@@ -49,9 +37,9 @@ pub fn make_checkpoint_store(
 /// the dataflow binding maps slots to partitions. `faulty` arms the
 /// at-most-once event semantics of raw actor messaging (drop 2%,
 /// duplicate 1%) — only meaningful for the two plain actor bindings; the
-/// customized stack routes its replication through the causal KV and its
-/// workflow through calls, and the dataflow runtime is exactly-once by
-/// construction.
+/// customized stack reads its replicated prices through backend sessions
+/// and runs its workflow through calls, and the dataflow runtime is
+/// exactly-once by construction.
 pub fn make_platform(
     kind: PlatformKind,
     backend: BackendKind,
@@ -92,7 +80,6 @@ pub fn standard_config(scale_factor: u64) -> RunConfig {
         payment_decline_rate: 0.05,
         backend: BackendKind::Eventual,
         checkpoint_interval: 64,
-        durable_checkpoints: true,
         df_workers: 0,
         recovery_drill: false,
         data_dir: None,

@@ -130,24 +130,6 @@ impl TransactionKind {
     }
 }
 
-/// Replication correctness level for Product→Cart price propagation
-/// (paper §II, *Data Management Criteria*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReplicationMode {
-    /// Updates may be observed out of causal order.
-    Eventual,
-    /// Updates are applied respecting causal dependencies.
-    Causal,
-}
-
-/// Event delivery ordering (paper §II: events can be processed unordered or
-/// causally ordered — e.g. payment before shipment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EventOrdering {
-    Unordered,
-    Causal,
-}
-
 /// Which pluggable [`StateBackend`](https://docs.rs/om_storage) powers a
 /// platform's storage layer. The benchmark's platform×backend matrix pairs
 /// every binding with every backend, so a platform can be measured against
@@ -431,10 +413,6 @@ pub struct RunConfig {
     /// per partition per epoch (smaller = more frequent checkpoints; the
     /// A2 ablation knob).
     pub checkpoint_interval: usize,
-    /// Route the dataflow binding's epoch checkpoints through the
-    /// selected [`BackendKind`] (durable: a rebuilt platform restarts
-    /// from the last committed epoch) instead of the in-memory store.
-    pub durable_checkpoints: bool,
     /// Epoch worker threads of the dataflow binding's runtime: `0`
     /// (default) resolves to the host core count, `1` is the serial
     /// baseline, `n > 1` fans every epoch out over `n` long-lived
@@ -489,7 +467,6 @@ impl Default for RunConfig {
             payment_decline_rate: 0.05,
             backend: BackendKind::Eventual,
             checkpoint_interval: 64,
-            durable_checkpoints: true,
             df_workers: 0,
             recovery_drill: false,
             data_dir: None,

@@ -12,7 +12,7 @@
 //! * the marketplace domain entities ([`entity`]),
 //! * the asynchronous event vocabulary exchanged between services
 //!   ([`event`]),
-//! * logical/causal time ([`time`]),
+//! * logical time ([`time`]),
 //! * workload & scale configuration ([`config`]),
 //! * latency/throughput statistics ([`stats`]),
 //! * deterministic randomness and skewed key selection ([`rng`]),

@@ -1,17 +1,13 @@
-//! Logical and causal time.
+//! Logical time.
 //!
 //! The benchmark's correctness criteria are formulated over *orderings*
-//! (causal replication, payment-before-shipment). Wall-clock time is too
-//! coarse and non-deterministic for that, so the whole stack uses:
-//!
-//! * [`EventTime`] — a Lamport-style scalar timestamp minted by
-//!   [`LogicalClock`]; totally ordered, monotone per clock, and merged on
-//!   message receipt so it respects happens-before.
-//! * [`VersionVector`] — a per-replica vector clock used by `om-kv` to
-//!   decide whether one update causally precedes another.
+//! (payment-before-shipment). Wall-clock time is too coarse and
+//! non-deterministic for that, so the whole stack uses [`EventTime`] — a
+//! Lamport-style scalar timestamp minted by [`LogicalClock`]; totally
+//! ordered, monotone per clock, and merged on message receipt so it
+//! respects happens-before.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A Lamport timestamp. Larger = later. `EventTime(0)` is "the beginning".
@@ -76,75 +72,6 @@ impl LogicalClock {
     }
 }
 
-/// Relationship between two vector clocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Causality {
-    /// `a` happens-before `b`.
-    Before,
-    /// `b` happens-before `a`.
-    After,
-    /// Identical clocks.
-    Equal,
-    /// Neither precedes the other.
-    Concurrent,
-}
-
-/// A version vector keyed by replica/writer id.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VersionVector(BTreeMap<u64, u64>);
-
-impl VersionVector {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Counter for `replica` (0 if absent).
-    pub fn get(&self, replica: u64) -> u64 {
-        self.0.get(&replica).copied().unwrap_or(0)
-    }
-
-    /// Increments `replica`'s counter, returning the new value.
-    pub fn bump(&mut self, replica: u64) -> u64 {
-        let e = self.0.entry(replica).or_insert(0);
-        *e += 1;
-        *e
-    }
-
-    /// Pointwise maximum merge.
-    pub fn merge(&mut self, other: &VersionVector) {
-        for (&r, &c) in &other.0 {
-            let e = self.0.entry(r).or_insert(0);
-            *e = (*e).max(c);
-        }
-    }
-
-    /// True if every counter in `self` is <= the counter in `other`
-    /// (i.e. `self` is causally dominated-or-equal).
-    pub fn dominated_by(&self, other: &VersionVector) -> bool {
-        self.0.iter().all(|(&r, &c)| other.get(r) >= c)
-    }
-
-    /// Compares two vectors.
-    pub fn compare(&self, other: &VersionVector) -> Causality {
-        let le = self.dominated_by(other);
-        let ge = other.dominated_by(self);
-        match (le, ge) {
-            (true, true) => Causality::Equal,
-            (true, false) => Causality::Before,
-            (false, true) => Causality::After,
-            (false, false) => Causality::Concurrent,
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.0.iter().map(|(&r, &c)| (r, c))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,38 +105,6 @@ mod tests {
         let before = c.now();
         let t = c.observe(EventTime(1));
         assert!(t > before);
-    }
-
-    #[test]
-    fn vector_clock_ordering() {
-        let mut a = VersionVector::new();
-        let mut b = VersionVector::new();
-        assert_eq!(a.compare(&b), Causality::Equal);
-
-        a.bump(1);
-        assert_eq!(a.compare(&b), Causality::After);
-        assert_eq!(b.compare(&a), Causality::Before);
-
-        b.bump(2);
-        assert_eq!(a.compare(&b), Causality::Concurrent);
-
-        b.merge(&a);
-        assert_eq!(a.compare(&b), Causality::Before);
-        assert_eq!(b.get(1), 1);
-        assert_eq!(b.get(2), 1);
-    }
-
-    #[test]
-    fn merge_is_pointwise_max() {
-        let mut a = VersionVector::new();
-        a.bump(1);
-        a.bump(1);
-        let mut b = VersionVector::new();
-        b.bump(1);
-        b.bump(2);
-        a.merge(&b);
-        assert_eq!(a.get(1), 2);
-        assert_eq!(a.get(2), 1);
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Property tests for the foundation crate: histogram correctness
-//! against a naive model, vector-clock laws, zipfian bounds and money
-//! arithmetic.
+//! against a naive model, zipfian bounds and money arithmetic.
 
 use om_common::rng::{SplitMix64, Zipfian};
 use om_common::stats::Histogram;
-use om_common::time::{Causality, VersionVector};
 use om_common::Money;
 use proptest::prelude::*;
 
@@ -69,29 +67,6 @@ proptest! {
         for q in [0.25, 0.5, 0.75, 0.99] {
             prop_assert_eq!(ha.quantile(q), hc.quantile(q));
         }
-    }
-
-    /// Vector clock comparison is antisymmetric and merge is a least
-    /// upper bound.
-    #[test]
-    fn prop_version_vector_laws(
-        bumps_a in proptest::collection::vec(0u64..4, 0..20),
-        bumps_b in proptest::collection::vec(0u64..4, 0..20),
-    ) {
-        let mut a = VersionVector::new();
-        let mut b = VersionVector::new();
-        for r in bumps_a { a.bump(r); }
-        for r in bumps_b { b.bump(r); }
-        match a.compare(&b) {
-            Causality::Before => prop_assert_eq!(b.compare(&a), Causality::After),
-            Causality::After => prop_assert_eq!(b.compare(&a), Causality::Before),
-            Causality::Equal => prop_assert_eq!(b.compare(&a), Causality::Equal),
-            Causality::Concurrent => prop_assert_eq!(b.compare(&a), Causality::Concurrent),
-        }
-        let mut m = a.clone();
-        m.merge(&b);
-        prop_assert!(a.dominated_by(&m));
-        prop_assert!(b.dominated_by(&m));
     }
 
     /// Zipfian samples are always in range, for any skew and size.

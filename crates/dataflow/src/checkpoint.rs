@@ -4,28 +4,18 @@
 //! per-partition ingress offsets, and every state **row** the epoch
 //! touched (the state of an address `(fn_type, key)` is an ordered set of
 //! rows; an epoch that appends one row to a large address commits one
-//! row). [`CheckpointStore`] is the seam those commits flow through —
-//! the runtime never cares *where* a checkpoint lives, only that commit
-//! is all-or-nothing enough to restart from.
-//!
-//! Two stores ship:
-//!
-//! * [`InMemoryCheckpointStore`] — deep copies behind a mutex, the
-//!   fastest option and the historical behaviour of the runtime. A crash
-//!   of the *process* loses it; only in-process rollback works.
-//! * [`BackendCheckpointStore`] — persists through any
-//!   [`om_storage::StateBackend`] with one atomic multi-key commit per
-//!   epoch, one backend key per row (the meta record is ordered last in
-//!   the batch, so a torn per-key apply on the eventual backend still
-//!   points at the previous epoch). A rebuilt
-//!   [`Dataflow`](crate::Dataflow) over the same backend restarts from
-//!   the last committed epoch.
+//! row). Those commits flow through [`BackendCheckpointStore`], which
+//! persists them through any [`om_storage::StateBackend`] with one
+//! atomic multi-key commit per epoch, one backend key per row (the meta
+//! record is ordered last in the batch, so a torn per-key apply on the
+//! eventual backend still points at the previous epoch). A rebuilt
+//! [`Dataflow`](crate::Dataflow) over the same backend restarts from the
+//! last committed epoch.
 //!
 //! ```
-//! use om_dataflow::{BackendCheckpointStore, CheckpointStore, StateDelta};
+//! use om_dataflow::{BackendCheckpointStore, StateDelta};
 //! use om_storage::make_backend;
 //! use om_common::config::BackendKind;
-//! use std::sync::Arc;
 //!
 //! let backend = make_backend(BackendKind::SnapshotIsolation, 4);
 //! let store = BackendCheckpointStore::new(backend);
@@ -37,11 +27,8 @@
 //! assert_eq!((snap.epoch, snap.offsets), (1, vec![3, 0]));
 //! ```
 
-use om_common::config::BackendKind;
 use om_common::{OmError, OmResult};
 use om_storage::{StateBackend, WriteOp};
-use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -131,214 +118,6 @@ pub struct CheckpointSnapshot {
     pub states: Vec<StateRow>,
 }
 
-/// Where epoch checkpoints live.
-///
-/// Implementations must make [`commit_epoch`](Self::commit_epoch)
-/// atomic enough that [`load`](Self::load) never observes a mix of two
-/// epochs' metadata, and must serve [`get_row`](Self::get_row) and
-/// [`scan_rows`](Self::scan_rows) from committed data only.
-pub trait CheckpointStore: Send + Sync {
-    /// Short label for reports and bench ids (`"in_memory"`,
-    /// `"eventual_kv"`, `"snapshot_isolation"`).
-    fn label(&self) -> &'static str;
-
-    /// The storage discipline backing this store, if any. `None` for the
-    /// in-memory store ("runtime-native" state).
-    fn backend_kind(&self) -> Option<BackendKind> {
-        None
-    }
-
-    /// Commits one epoch: metadata plus the state rows the epoch
-    /// touched. Called with monotonically increasing `epoch` under the
-    /// runtime's epoch mutex (never concurrently).
-    fn commit_epoch(&self, epoch: u64, offsets: &[u64], dirty: Vec<StateDelta>) -> OmResult<()>;
-
-    /// Committed bytes of one row of `(partition, fn_type, key)`.
-    fn get_row(&self, partition: usize, fn_type: &str, key: u64, row: &[u8]) -> Option<Vec<u8>>;
-
-    /// Committed rows of `(partition, fn_type, key)` whose name starts
-    /// with `prefix`, as `(row, bytes)` ordered by row.
-    fn scan_rows(
-        &self,
-        partition: usize,
-        fn_type: &str,
-        key: u64,
-        prefix: &[u8],
-    ) -> Vec<(Vec<u8>, Vec<u8>)>;
-
-    /// Loads the last committed checkpoint, or `None` if nothing was ever
-    /// committed.
-    fn load(&self) -> OmResult<Option<CheckpointSnapshot>>;
-
-    /// Number of epochs committed through this store (diagnostics).
-    fn commits(&self) -> u64;
-
-    /// Diagnostic counters of the backing storage (the `backend.*`
-    /// namespace — group-commit amortization, snapshot-delta bytes,
-    /// compactions, …). Empty for the in-memory store, which has no
-    /// storage layer underneath.
-    fn backend_counters(&self) -> std::collections::BTreeMap<String, u64> {
-        std::collections::BTreeMap::new()
-    }
-
-    /// Whether the backing store is wedged (rejecting every epoch commit
-    /// after a durable-write failure). Always `false` without a storage
-    /// layer underneath.
-    fn is_wedged(&self) -> bool {
-        false
-    }
-
-    /// Repairs a wedged backing store in place, returning the torn bytes
-    /// dropped; `None` when the store has no wedge concept.
-    fn unwedge(&self) -> Option<OmResult<u64>> {
-        None
-    }
-}
-
-/// The rows of one address, ordered by row name.
-pub(crate) type Rows = BTreeMap<Vec<u8>, Vec<u8>>;
-
-/// The rows of one address whose name starts with `prefix`, in row order
-/// — the one ordered-iteration primitive the in-memory store and the
-/// runtime's live state view share.
-pub(crate) fn rows_with_prefix<'a>(
-    rows: &'a Rows,
-    prefix: &'a [u8],
-) -> impl Iterator<Item = (&'a [u8], &'a [u8])> {
-    rows.range::<[u8], _>((std::ops::Bound::Included(prefix), std::ops::Bound::Unbounded))
-        .take_while(move |(row, _)| row.starts_with(prefix))
-        .map(|(row, bytes)| (row.as_slice(), bytes.as_slice()))
-}
-
-// ---------------------------------------------------------------------------
-// In-memory store
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct InMemoryInner {
-    committed: bool,
-    epoch: u64,
-    offsets: Vec<u64>,
-    /// fn_type → (partition, key) → row → bytes. Keying the outer map
-    /// by the registered `&'static str` keeps the commit path free of
-    /// per-delta string allocation.
-    states: HashMap<&'static str, HashMap<(usize, u64), Rows>>,
-}
-
-/// The process-local checkpoint store: deep copies behind a mutex.
-///
-/// This is the runtime's default and reproduces the historical "rollback
-/// of in-memory copies" semantics — cheap, but nothing survives the
-/// process (or even a rebuild of the [`Dataflow`](crate::Dataflow)).
-#[derive(Default)]
-pub struct InMemoryCheckpointStore {
-    inner: Mutex<InMemoryInner>,
-    commits: AtomicU64,
-}
-
-impl InMemoryCheckpointStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl CheckpointStore for InMemoryCheckpointStore {
-    fn label(&self) -> &'static str {
-        "in_memory"
-    }
-
-    fn commit_epoch(&self, epoch: u64, offsets: &[u64], dirty: Vec<StateDelta>) -> OmResult<()> {
-        let mut inner = self.inner.lock();
-        inner.committed = true;
-        inner.epoch = epoch;
-        inner.offsets = offsets.to_vec();
-        for delta in dirty {
-            let per_fn = inner.states.entry(delta.fn_type).or_default();
-            let address = (delta.partition, delta.key);
-            match delta.value {
-                Some(bytes) => {
-                    per_fn.entry(address).or_default().insert(delta.row, bytes);
-                }
-                None => {
-                    if let Some(rows) = per_fn.get_mut(&address) {
-                        rows.remove(&delta.row);
-                        if rows.is_empty() {
-                            per_fn.remove(&address);
-                        }
-                    }
-                }
-            }
-        }
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn get_row(&self, partition: usize, fn_type: &str, key: u64, row: &[u8]) -> Option<Vec<u8>> {
-        self.inner
-            .lock()
-            .states
-            .get(fn_type)
-            .and_then(|m| m.get(&(partition, key)))
-            .and_then(|rows| rows.get(row))
-            .cloned()
-    }
-
-    fn scan_rows(
-        &self,
-        partition: usize,
-        fn_type: &str,
-        key: u64,
-        prefix: &[u8],
-    ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let inner = self.inner.lock();
-        let Some(rows) = inner
-            .states
-            .get(fn_type)
-            .and_then(|m| m.get(&(partition, key)))
-        else {
-            return Vec::new();
-        };
-        rows_with_prefix(rows, prefix)
-            .map(|(row, bytes)| (row.to_vec(), bytes.to_vec()))
-            .collect()
-    }
-
-    fn load(&self) -> OmResult<Option<CheckpointSnapshot>> {
-        let inner = self.inner.lock();
-        if !inner.committed {
-            return Ok(None);
-        }
-        let mut states = Vec::new();
-        for (fn_type, per_fn) in &inner.states {
-            for (&(partition, key), rows) in per_fn {
-                for (row, value) in rows {
-                    states.push(StateRow {
-                        partition,
-                        fn_type: (*fn_type).to_string(),
-                        key,
-                        row: row.clone(),
-                        value: value.clone(),
-                    });
-                }
-            }
-        }
-        Ok(Some(CheckpointSnapshot {
-            epoch: inner.epoch,
-            offsets: inner.offsets.clone(),
-            states,
-        }))
-    }
-
-    fn commits(&self) -> u64 {
-        self.commits.load(Ordering::Relaxed)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Backend-backed store
-// ---------------------------------------------------------------------------
-
 /// Key prefix of every record this store writes (namespaces the
 /// checkpoint inside a backend shared with other subsystems).
 const META_KEY: &[u8] = b"df!/meta";
@@ -350,8 +129,11 @@ const STATE_PREFIX: &[u8] = b"df!/s/";
 /// win first-committer-wins validation.
 const COMMIT_RETRIES: usize = 8;
 
-/// The durable checkpoint store: epoch checkpoints persisted through a
-/// pluggable [`StateBackend`] with one atomic multi-key commit per epoch.
+/// Where epoch checkpoints live: persisted through a pluggable
+/// [`StateBackend`] with one atomic multi-key commit per epoch.
+/// [`load`](Self::load) never observes a mix of two epochs' metadata, and
+/// [`get_row`](Self::get_row) / [`scan_rows`](Self::scan_rows) serve
+/// committed data only.
 ///
 /// Layout (all keys under the `df!/` namespace):
 ///
@@ -452,30 +234,16 @@ impl BackendCheckpointStore {
             .collect();
         Ok((epoch, offsets))
     }
-}
 
-impl CheckpointStore for BackendCheckpointStore {
-    fn label(&self) -> &'static str {
-        self.backend.kind().label()
-    }
-
-    fn backend_kind(&self) -> Option<BackendKind> {
-        Some(self.backend.kind())
-    }
-
-    fn is_wedged(&self) -> bool {
-        self.backend.is_wedged()
-    }
-
-    fn unwedge(&self) -> Option<OmResult<u64>> {
-        self.backend.unwedge()
-    }
-
-    fn backend_counters(&self) -> std::collections::BTreeMap<String, u64> {
-        self.backend.counters()
-    }
-
-    fn commit_epoch(&self, epoch: u64, offsets: &[u64], dirty: Vec<StateDelta>) -> OmResult<()> {
+    /// Commits one epoch: metadata plus the state rows the epoch
+    /// touched. Called with monotonically increasing `epoch` under the
+    /// runtime's epoch mutex (never concurrently).
+    pub fn commit_epoch(
+        &self,
+        epoch: u64,
+        offsets: &[u64],
+        dirty: Vec<StateDelta>,
+    ) -> OmResult<()> {
         let mut ops = Vec::with_capacity(dirty.len() + 1);
         for delta in dirty {
             ops.push(WriteOp {
@@ -508,12 +276,21 @@ impl CheckpointStore for BackendCheckpointStore {
         Err(last_err.unwrap_or_else(|| OmError::Internal("checkpoint commit failed".into())))
     }
 
-    fn get_row(&self, partition: usize, fn_type: &str, key: u64, row: &[u8]) -> Option<Vec<u8>> {
+    /// Committed bytes of one row of `(partition, fn_type, key)`.
+    pub fn get_row(
+        &self,
+        partition: usize,
+        fn_type: &str,
+        key: u64,
+        row: &[u8],
+    ) -> Option<Vec<u8>> {
         self.backend
             .get(&Self::state_key(partition, fn_type, key, row))
     }
 
-    fn scan_rows(
+    /// Committed rows of `(partition, fn_type, key)` whose name starts
+    /// with `prefix`, as `(row, bytes)` ordered by row.
+    pub fn scan_rows(
         &self,
         partition: usize,
         fn_type: &str,
@@ -531,7 +308,9 @@ impl CheckpointStore for BackendCheckpointStore {
             .collect()
     }
 
-    fn load(&self) -> OmResult<Option<CheckpointSnapshot>> {
+    /// Loads the last committed checkpoint, or `None` if nothing was ever
+    /// committed.
+    pub fn load(&self) -> OmResult<Option<CheckpointSnapshot>> {
         let Some(meta_raw) = self.backend.get(META_KEY) else {
             return Ok(None);
         };
@@ -555,7 +334,8 @@ impl CheckpointStore for BackendCheckpointStore {
         }))
     }
 
-    fn commits(&self) -> u64 {
+    /// Number of epochs committed through this store (diagnostics).
+    pub fn commits(&self) -> u64 {
         self.commits.load(Ordering::Relaxed)
     }
 }
@@ -563,15 +343,20 @@ impl CheckpointStore for BackendCheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use om_common::config::BackendKind;
     use om_storage::make_backend;
 
-    fn stores() -> Vec<Arc<dyn CheckpointStore>> {
-        let mut out: Vec<Arc<dyn CheckpointStore>> =
-            vec![Arc::new(InMemoryCheckpointStore::new())];
-        for kind in BackendKind::ALL {
-            out.push(Arc::new(BackendCheckpointStore::new(make_backend(kind, 4))));
-        }
-        out
+    /// One store per backend discipline, each with its backend's label.
+    fn stores() -> Vec<(BackendCheckpointStore, &'static str)> {
+        BackendKind::ALL
+            .into_iter()
+            .map(|kind| {
+                (
+                    BackendCheckpointStore::new(make_backend(kind, 4)),
+                    kind.label(),
+                )
+            })
+            .collect()
     }
 
     fn row(partition: usize, fn_type: &str, key: u64, row: &[u8], value: &[u8]) -> StateRow {
@@ -586,16 +371,16 @@ mod tests {
 
     #[test]
     fn empty_store_loads_none() {
-        for store in stores() {
-            assert!(store.load().unwrap().is_none(), "{}", store.label());
-            assert_eq!(store.get_row(0, "f", 1, b""), None, "{}", store.label());
-            assert!(store.scan_rows(0, "f", 1, b"").is_empty(), "{}", store.label());
+        for (store, label) in stores() {
+            assert!(store.load().unwrap().is_none(), "{label}");
+            assert_eq!(store.get_row(0, "f", 1, b""), None, "{label}");
+            assert!(store.scan_rows(0, "f", 1, b"").is_empty(), "{label}");
         }
     }
 
     #[test]
     fn commit_then_load_roundtrips_meta_and_state() {
-        for store in stores() {
+        for (store, label) in stores() {
             store
                 .commit_epoch(
                     3,
@@ -607,8 +392,8 @@ mod tests {
                 )
                 .unwrap();
             let snap = store.load().unwrap().expect("committed");
-            assert_eq!(snap.epoch, 3, "{}", store.label());
-            assert_eq!(snap.offsets, vec![5, 7], "{}", store.label());
+            assert_eq!(snap.epoch, 3, "{label}");
+            assert_eq!(snap.offsets, vec![5, 7], "{label}");
             let mut states = snap.states;
             states.sort();
             assert_eq!(
@@ -617,33 +402,32 @@ mod tests {
                     row(0, "counter", 1, b"", &[1, 2, 3]),
                     row(1, "sink", 9, b"", &[4]),
                 ],
-                "{}",
-                store.label()
+                "{label}"
             );
             assert_eq!(store.get_row(0, "counter", 1, b""), Some(vec![1, 2, 3]));
-            assert_eq!(store.commits(), 1, "{}", store.label());
+            assert_eq!(store.commits(), 1, "{label}");
         }
     }
 
     #[test]
     fn deletions_remove_state_entries() {
-        for store in stores() {
+        for (store, label) in stores() {
             store
                 .commit_epoch(1, &[1], vec![StateDelta::put(0, "f", 1, vec![9])])
                 .unwrap();
             store
                 .commit_epoch(2, &[2], vec![StateDelta::delete(0, "f", 1)])
                 .unwrap();
-            assert_eq!(store.get_row(0, "f", 1, b""), None, "{}", store.label());
+            assert_eq!(store.get_row(0, "f", 1, b""), None, "{label}");
             let snap = store.load().unwrap().unwrap();
             assert_eq!(snap.epoch, 2);
-            assert!(snap.states.is_empty(), "{}", store.label());
+            assert!(snap.states.is_empty(), "{label}");
         }
     }
 
     #[test]
     fn rows_of_one_address_scan_in_order_and_stay_apart_from_neighbours() {
-        for store in stores() {
+        for (store, label) in stores() {
             store
                 .commit_epoch(
                     1,
@@ -670,17 +454,15 @@ mod tests {
                     (b"e\x01".to_vec(), vec![1]),
                     (b"e\x02".to_vec(), vec![2]),
                 ],
-                "{}",
-                store.label()
+                "{label}"
             );
             assert_eq!(
                 store.scan_rows(0, "f", 1, b"e"),
                 vec![(b"e\x01".to_vec(), vec![1]), (b"e\x02".to_vec(), vec![2])],
-                "{}",
-                store.label()
+                "{label}"
             );
-            assert_eq!(store.get_row(0, "f", 1, b"x"), None, "{}", store.label());
-            assert_eq!(store.load().unwrap().unwrap().states.len(), 5, "{}", store.label());
+            assert_eq!(store.get_row(0, "f", 1, b"x"), None, "{label}");
+            assert_eq!(store.load().unwrap().unwrap().states.len(), 5, "{label}");
         }
     }
 
@@ -692,6 +474,41 @@ mod tests {
                 let (p, f, k, r) = BackendCheckpointStore::parse_state_key(&key).expect("parses");
                 assert_eq!((p, f.as_str(), k, r.as_slice()), (7, fn_type, u64::MAX, row));
             }
+        }
+    }
+
+    #[test]
+    fn corrupt_meta_record_fails_the_load() {
+        for (store, label) in stores() {
+            store.backend().put(META_KEY, &[1, 2, 3]);
+            assert!(store.load().is_err(), "{label}: short meta");
+            // Claims two offsets but carries one.
+            let mut meta = BackendCheckpointStore::encode_meta(4, &[9]);
+            meta[8] = 2;
+            store.backend().put(META_KEY, &meta);
+            assert!(store.load().is_err(), "{label}: offset count mismatch");
+        }
+    }
+
+    #[test]
+    fn epochs_land_in_the_shared_backend_under_the_namespace() {
+        for kind in BackendKind::ALL {
+            let backend = make_backend(kind, 4);
+            let store = BackendCheckpointStore::new(backend.clone());
+            assert!(Arc::ptr_eq(store.backend(), &backend));
+            assert_eq!(store.backend().kind(), kind);
+            store
+                .commit_epoch(1, &[3], vec![StateDelta::put(0, "f", 2, vec![8])])
+                .unwrap();
+            backend.quiesce();
+            let keys: Vec<Vec<u8>> = backend
+                .scan_prefix(b"")
+                .into_iter()
+                .map(|(k, _)| k)
+                .collect();
+            assert_eq!(keys.len(), 2, "{kind:?}: one state row plus the meta record");
+            assert!(keys.iter().all(|k| k.starts_with(b"df!/")), "{kind:?}");
+            assert_eq!(store.conflicts(), 0, "{kind:?}: a lone writer never conflicts");
         }
     }
 

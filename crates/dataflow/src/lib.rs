@@ -36,25 +36,20 @@
 //!
 //! ## Checkpoint durability
 //!
-//! Where checkpoints live is pluggable ([`CheckpointStore`]): the default
-//! [`InMemoryCheckpointStore`] keeps deep copies in process memory (fast,
-//! lost on rebuild), while [`BackendCheckpointStore`] persists every epoch
-//! through an [`om_storage::StateBackend`] with one atomic multi-key
-//! commit, one backend key per row — so a rebuilt runtime (or one recovering from an injected
-//! crash) restarts from the last committed epoch instead of rolling back
-//! in-memory copies. See [`Dataflow::recover`].
-//!
-//! See `DESIGN.md` §2 for the substitution argument.
+//! Every epoch persists through a [`BackendCheckpointStore`] over an
+//! [`om_storage::StateBackend`] with one atomic multi-key commit, one
+//! backend key per row — so a rebuilt runtime (or one recovering from an
+//! injected crash) restarts from the last committed epoch. A runtime
+//! built without a store gets one over a fresh snapshot-isolation
+//! backend of its own. See [`Dataflow::recover`] and
+//! `docs/ARCHITECTURE.md`.
 
 #![deny(missing_docs)]
 
 pub mod checkpoint;
 pub mod runtime;
 
-pub use checkpoint::{
-    BackendCheckpointStore, CheckpointSnapshot, CheckpointStore, InMemoryCheckpointStore,
-    StateDelta, StateRow,
-};
+pub use checkpoint::{BackendCheckpointStore, CheckpointSnapshot, StateDelta, StateRow};
 pub use runtime::{
     Address, Dataflow, DataflowBuilder, Effects, EpochOutcome, FnLogic, RecoveryReport, RowFn,
     StateView,

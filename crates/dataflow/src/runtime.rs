@@ -5,9 +5,10 @@
 //! An epoch pulls a bounded batch per partition from the replayable
 //! ingress log, processes it to quiescence (including cross-partition
 //! sends), and commits **once**: offsets, dirty state deltas and the
-//! epoch number go through the [`CheckpointStore`] atomically, and only
-//! then is the buffered egress released. [`DataflowBuilder::workers`]
-//! selects how the per-partition pull→apply→dirty-tracking loop runs:
+//! epoch number go through the [`BackendCheckpointStore`] atomically,
+//! and only then is the buffered egress released.
+//! [`DataflowBuilder::workers`] selects how the per-partition
+//! pull→apply→dirty-tracking loop runs:
 //!
 //! * `workers(1)` — the serial baseline: one thread walks the
 //!   partitions round-robin. Committed results of this path are the
@@ -67,16 +68,16 @@
 //!    committed egress order is independent of which partition
 //!    completes first, and a late poison can still discard all of it.
 
-use crate::checkpoint::{
-    rows_with_prefix, CheckpointStore, InMemoryCheckpointStore, Rows, StateDelta, StateRow,
-};
+use crate::checkpoint::{BackendCheckpointStore, StateDelta, StateRow};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use om_common::commit_group::{CommitGroup, CommitGroupStats};
+use om_common::config::BackendKind;
 use om_common::pool::WorkerPool;
 use om_common::{OmError, OmResult};
 use om_log::{EventLog, Topic};
+use om_storage::make_backend;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -154,6 +155,26 @@ impl<M> Effects<M> {
     }
 }
 
+/// The rows of one address, ordered by row name.
+type Rows = BTreeMap<Vec<u8>, Vec<u8>>;
+
+/// The rows of one address whose name starts with `prefix`, in row order.
+fn rows_with_prefix<'a>(
+    rows: &'a Rows,
+    prefix: &'a [u8],
+) -> impl Iterator<Item = (&'a [u8], &'a [u8])> {
+    rows.range::<[u8], _>((
+        std::ops::Bound::Included(prefix),
+        std::ops::Bound::Unbounded,
+    ))
+    .take_while(move |(row, _)| row.starts_with(prefix))
+    .map(|(row, bytes)| (row.as_slice(), bytes.as_slice()))
+}
+
+/// Lock domains of the snapshot-isolation backend a runtime built
+/// without a checkpoint store commits into.
+const DEFAULT_STORE_SHARDS: usize = 4;
+
 /// Read access to the invoked instance's rows: the last checkpoint plus
 /// every write of the running epoch's earlier invocations.
 #[derive(Clone, Copy)]
@@ -212,7 +233,7 @@ where
 type PartitionState = HashMap<(&'static str, u64), Rows>;
 
 /// The committed epoch/offset coordinates — an in-memory mirror of what
-/// the [`CheckpointStore`] holds, so the hot paths (epoch start,
+/// the [`BackendCheckpointStore`] holds, so the hot paths (epoch start,
 /// `pending_ingress`) never pay a store read.
 struct CheckpointMeta {
     epoch: u64,
@@ -258,7 +279,7 @@ pub struct DataflowBuilder<M> {
     max_batch: usize,
     workers: usize,
     functions: HashMap<&'static str, Arc<dyn FnLogic<M>>>,
-    store: Option<Arc<dyn CheckpointStore>>,
+    store: Option<Arc<BackendCheckpointStore>>,
     ingress: Option<Arc<dyn EventLog<(Address, M)>>>,
 }
 
@@ -296,11 +317,12 @@ impl<M: Send + Clone + 'static> DataflowBuilder<M> {
         self
     }
 
-    /// Checkpoints flow through `store` instead of the default
-    /// process-local [`InMemoryCheckpointStore`]. Building over a store
-    /// that already holds a committed checkpoint **restarts from it** —
-    /// see [`Dataflow::recover`] for the exact restore semantics.
-    pub fn checkpoint_store(mut self, store: Arc<dyn CheckpointStore>) -> Self {
+    /// Checkpoints flow through `store` instead of the default, a store
+    /// over a fresh snapshot-isolation backend that only this runtime
+    /// sees. Building over a store that already holds a committed
+    /// checkpoint **restarts from it** — see [`Dataflow::recover`] for the
+    /// exact restore semantics.
+    pub fn checkpoint_store(mut self, store: Arc<BackendCheckpointStore>) -> Self {
         self.store = Some(store);
         self
     }
@@ -360,9 +382,12 @@ impl<M: Send + Clone + 'static> DataflowBuilder<M> {
                 epoch: 0,
                 offsets: vec![0; partitions],
             }),
-            store: self
-                .store
-                .unwrap_or_else(|| Arc::new(InMemoryCheckpointStore::new())),
+            store: self.store.unwrap_or_else(|| {
+                Arc::new(BackendCheckpointStore::new(make_backend(
+                    BackendKind::SnapshotIsolation,
+                    DEFAULT_STORE_SHARDS,
+                )))
+            }),
             committed_egress: Mutex::new(Vec::new()),
             epoch_mutex: Mutex::new(()),
             partitions,
@@ -471,7 +496,7 @@ struct DfCore<M> {
     /// Committed epoch/offsets mirror of `store`.
     meta: Mutex<CheckpointMeta>,
     /// Where committed checkpoints live (and recovery reads from).
-    store: Arc<dyn CheckpointStore>,
+    store: Arc<BackendCheckpointStore>,
     committed_egress: Mutex<Vec<M>>,
     /// Serializes epochs (one checkpoint in flight at a time).
     epoch_mutex: Mutex<()>,
@@ -499,8 +524,9 @@ struct DfCore<M> {
 }
 
 impl<M: Send + Clone + 'static> Dataflow<M> {
-    /// A builder with default partitioning, auto worker count and the
-    /// in-memory store.
+    /// A builder with default partitioning, auto worker count and a
+    /// checkpoint store of its own (see
+    /// [`DataflowBuilder::checkpoint_store`]).
     pub fn builder() -> DataflowBuilder<M> {
         DataflowBuilder {
             partitions: 4,
@@ -530,7 +556,7 @@ impl<M: Send + Clone + 'static> Dataflow<M> {
     }
 
     /// The checkpoint store this runtime commits through.
-    pub fn checkpoint_store(&self) -> &Arc<dyn CheckpointStore> {
+    pub fn checkpoint_store(&self) -> &Arc<BackendCheckpointStore> {
         &self.core.store
     }
 

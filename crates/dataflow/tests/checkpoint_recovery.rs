@@ -4,13 +4,11 @@
 //!
 //! Every case is parametrized over worker counts (serial, small pool,
 //! pool past the partition count): crash injection races the partition
-//! groups mid-epoch, and after every outcome the [`CheckpointStore`] is
+//! groups mid-epoch, and after every outcome the checkpoint store is
 //! probed directly to prove no partial epoch is ever visible through it.
 
 use om_common::config::BackendKind;
-use om_dataflow::{
-    Address, BackendCheckpointStore, CheckpointStore, Dataflow, Effects, EpochOutcome,
-};
+use om_dataflow::{Address, BackendCheckpointStore, Dataflow, Effects, EpochOutcome};
 use om_storage::make_backend;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -156,6 +154,41 @@ fn crash_mid_epoch_restores_committed_state_from_backend() {
             assert!(recoveries >= 2, "{kind:?}/w{workers}: build-time + crash restore");
             assert_store_serves_whole_epoch(&store, &df, &format!("{kind:?}/w{workers} final"));
         }
+    }
+}
+
+/// A runtime built without a store commits into a snapshot-isolation
+/// backend of its own, and a crash restores from it like from any other.
+#[test]
+fn runtime_without_a_store_checkpoints_into_snapshot_isolation() {
+    for workers in WORKER_COUNTS {
+        let df = builder(2, 4, workers).build();
+        let store = df.checkpoint_store().clone();
+        assert_eq!(store.backend().kind(), BackendKind::SnapshotIsolation);
+        assert!(store.load().unwrap().is_none(), "w{workers}: nothing committed yet");
+
+        for k in 0..8u64 {
+            df.submit(Address::new("counter", k), Msg::Add(3));
+        }
+        df.run_to_completion().unwrap();
+        assert!(store.commits() > 0, "w{workers}");
+        assert_store_serves_whole_epoch(&store, &df, &format!("default/w{workers}"));
+
+        for k in 0..8u64 {
+            df.submit(Address::new("counter", k), Msg::Add(3));
+        }
+        df.inject_crash_after(3);
+        df.run_to_completion().unwrap();
+        let (recoveries, _) = df.recovery_stats();
+        assert!(recoveries >= 2, "w{workers}: build-time + crash restore");
+        for k in 0..8u64 {
+            assert_eq!(
+                counter_state(df.state_of(Address::new("counter", k)).as_deref()),
+                6,
+                "w{workers}: key {k} applied exactly twice across the crash"
+            );
+        }
+        assert_store_serves_whole_epoch(&store, &df, &format!("default/w{workers} final"));
     }
 }
 
@@ -335,28 +368,20 @@ proptest! {
 
 mod common;
 use common::{ledger_builder, model, submit_all, workload, Observed, RowMsg, LEDGER};
-use om_dataflow::InMemoryCheckpointStore;
 
-/// Row state round-trips through every checkpoint store — in-memory and
-/// backend-backed over all three disciplines — including deletions, a
-/// crash that discards an epoch's dirty rows, and a rebuild: the store
-/// serves rows in order, and the rebuilt runtime's **live** rows iterate
-/// in order too (a fold processed after `recover` sees exactly them).
+/// Row state round-trips through the checkpoint store over all three
+/// backend disciplines — including deletions, a crash that discards an
+/// epoch's dirty rows, and a rebuild: the store serves rows in order, and
+/// the rebuilt runtime's **live** rows iterate in order too (a fold
+/// processed after `recover` sees exactly them).
 #[test]
 fn row_state_round_trips_through_every_store_and_a_rebuild() {
     let ops = workload(120, 4);
     let (first_half, second_half) = ops.split_at(60);
-    let fresh_stores = || {
-        let mut stores: Vec<Arc<dyn CheckpointStore>> =
-            vec![Arc::new(InMemoryCheckpointStore::new())];
-        for kind in BackendKind::ALL {
-            stores.push(durable_store(kind));
-        }
-        stores
-    };
     for workers in WORKER_COUNTS {
-        for store in fresh_stores() {
-            let context = format!("{}/w{workers}", store.label());
+        for kind in BackendKind::ALL {
+            let store = durable_store(kind);
+            let context = format!("{}/w{workers}", kind.label());
             let mut observed = Observed::default();
             let first = ledger_builder(2, 8, workers)
                 .checkpoint_store(store.clone())

@@ -46,8 +46,7 @@ pub struct CriteriaReport {
     pub integrity_violations: u64,
     pub integrity: CriterionVerdict,
 
-    /// Causal replication: stale replica reads observed at cart adds plus
-    /// causal inversions at the replica applier.
+    /// Causal replication: stale replica reads served at cart adds.
     pub replication_violations: u64,
     pub replication: CriterionVerdict,
 

@@ -1,5 +1,5 @@
 //! Run reports: throughput, latency and criteria, renderable as text
-//! tables (for EXPERIMENTS.md) or JSON (for tooling).
+//! tables or JSON (for tooling).
 
 use crate::audit::CriteriaReport;
 use crate::openloop::SloRow;

@@ -363,7 +363,6 @@ pub fn run_matrix_cell(kind: PlatformKind, config: &RunConfig) -> RunReport {
         .decline_rate(config.payment_decline_rate)
         .checkpoint_interval(config.checkpoint_interval)
         .df_workers(config.df_workers)
-        .durable_checkpoints(config.durable_checkpoints)
         .durable_options(config.durable);
     if let Some(dir) = &config.data_dir {
         spec = spec.data_dir(dir);

@@ -119,7 +119,7 @@ fn reports_are_deterministic_in_shape_and_serializable() {
 }
 
 #[test]
-fn recovery_cells_report_restart_from_durable_checkpoints() {
+fn recovery_cells_report_restart_from_backend_checkpoints() {
     use om_common::config::BackendKind;
     use om_marketplace::PlatformKind;
 

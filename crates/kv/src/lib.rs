@@ -1,33 +1,23 @@
 //! # om-kv
 //!
 //! A Redis-like in-memory key-value store with **primary–secondary
-//! replication**, built for the *Customized* Online Marketplace binding
-//! (paper §III, Fig. 1: "primary-secondary deployment based on Redis to
-//! support causal replication of product updates").
+//! replication** — the replica pair under `om-storage`'s eventually
+//! consistent backend.
 //!
-//! The store provides:
+//! The crate provides:
 //!
-//! * a sharded, concurrently accessible primary ([`store::Store`]);
-//! * an asynchronous replication channel to a secondary replica
-//!   ([`replication`]), with two apply disciplines matching the paper's
-//!   replication criteria:
-//!   * [`om_common::config::ReplicationMode::Eventual`] — records may be
-//!     applied out of causal order (a configurable reorder window simulates
-//!     the multi-connection fan-in of a real deployment), and
-//!   * [`om_common::config::ReplicationMode::Causal`] — records are buffered
-//!     until their causal dependencies (version vectors) are satisfied;
-//! * read-your-writes **sessions** tracking causal context
-//!   ([`replicated::Session`]);
-//! * first-class **anomaly accounting**: the secondary counts causal
-//!   inversions it observes, so the criteria auditor can quantify (rather
-//!   than merely assert) the difference between the two modes.
+//! * a sharded, concurrently accessible store used for both replicas
+//!   ([`store::Store`]), with per-key last-writer-wins by write sequence;
+//! * the apply side of the asynchronous replication channel
+//!   ([`replication`]): records may be applied out of order (a seeded
+//!   reorder window simulates the multi-connection fan-in of a real
+//!   deployment), stale ones are dropped and counted, and the secondary
+//!   converges once the stream is flushed.
 
 #![deny(missing_docs)]
 
-pub mod replicated;
 pub mod replication;
 pub mod store;
 
-pub use replicated::{ReplicatedKv, Session};
 pub use replication::{ReplicationRecord, ReplicationStats};
 pub use store::{Store, VersionedValue};

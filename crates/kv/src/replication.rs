@@ -1,23 +1,15 @@
-//! The primary→secondary replication channel and its two apply disciplines.
+//! The primary→secondary replication channel and its apply discipline.
 //!
 //! The primary appends every write to an in-order stream of
 //! [`ReplicationRecord`]s. A background **applier** thread installs them on
-//! the secondary replica:
-//!
-//! * **Eventual** — the applier holds a small reorder window and drains it
-//!   in a randomly permuted order (seeded, deterministic). This models the
-//!   multi-connection fan-in of real asynchronous replication, where two
-//!   causally related updates may arrive over different connections and be
-//!   applied inverted. Inversions are *counted*, not hidden.
-//! * **Causal** — the applier buffers records until their dependency vector
-//!   is dominated by the already-applied context, guaranteeing
-//!   causal-order application.
+//! the secondary replica through a small reorder window that it drains in
+//! a randomly permuted order (seeded, deterministic). This models the
+//! multi-connection fan-in of real asynchronous replication, where two
+//! writes may arrive over different connections and be applied inverted;
+//! last-writer-wins by per-key sequence keeps the replica convergent.
 
 use crate::store::{Store, VersionedValue};
-use om_common::config::ReplicationMode;
 use om_common::rng::SplitMix64;
-use om_common::time::VersionVector;
-use std::collections::VecDeque;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,18 +17,12 @@ use std::sync::Arc;
 /// One replicated write.
 #[derive(Debug, Clone)]
 pub struct ReplicationRecord<K, V> {
-    /// Global stream sequence number assigned by the primary (gap-free).
-    pub seq: u64,
     /// The key the write targets.
     pub key: K,
     /// `None` replicates a delete (tombstone).
     pub value: Option<V>,
     /// Per-key write counter (for last-writer-wins staleness filtering).
     pub key_seq: u64,
-    /// Causal context the write *depends on* (must be visible first).
-    pub deps: VersionVector,
-    /// Causal context *after* the write (deps + writer's own bump).
-    pub clock: VersionVector,
 }
 
 /// Counters exposed by the applier.
@@ -44,13 +30,8 @@ pub struct ReplicationRecord<K, V> {
 pub struct ReplicationStats {
     /// Records applied to the secondary.
     pub applied: AtomicU64,
-    /// Records applied before their causal dependencies were visible
-    /// (only possible in eventual mode).
-    pub causal_inversions: AtomicU64,
     /// Records dropped as stale by last-writer-wins.
     pub stale_drops: AtomicU64,
-    /// Records the causal applier had to buffer at least once.
-    pub buffered: AtomicU64,
 }
 
 impl ReplicationStats {
@@ -58,52 +39,34 @@ impl ReplicationStats {
     pub fn applied(&self) -> u64 {
         self.applied.load(Ordering::Relaxed)
     }
-    /// Records applied before their causal dependencies were visible.
-    pub fn causal_inversions(&self) -> u64 {
-        self.causal_inversions.load(Ordering::Relaxed)
-    }
     /// Records dropped as stale by last-writer-wins.
     pub fn stale_drops(&self) -> u64 {
         self.stale_drops.load(Ordering::Relaxed)
     }
-    /// Records the causal applier had to buffer at least once.
-    pub fn buffered(&self) -> u64 {
-        self.buffered.load(Ordering::Relaxed)
-    }
 }
 
-/// The apply-side state machine. Driven by [`crate::ReplicatedKv`]'s applier
+/// The apply-side state machine. Driven by the eventual backend's applier
 /// thread, but usable synchronously in tests.
 pub struct Applier<K, V> {
-    mode: ReplicationMode,
     secondary: Arc<Store<K, V>>,
     stats: Arc<ReplicationStats>,
-    /// Causal context already applied to the secondary.
-    applied_ctx: VersionVector,
-    /// Records waiting for dependencies (causal mode).
-    pending: VecDeque<ReplicationRecord<K, V>>,
-    /// Reorder window (eventual mode).
     window: Vec<ReplicationRecord<K, V>>,
     window_cap: usize,
     rng: SplitMix64,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> Applier<K, V> {
-    /// An applier over `secondary`, reordering (eventual) or
-    /// dependency-buffering (causal) within `reorder_window` records.
+    /// An applier over `secondary`, reordering within `reorder_window`
+    /// records.
     pub fn new(
-        mode: ReplicationMode,
         secondary: Arc<Store<K, V>>,
         stats: Arc<ReplicationStats>,
         reorder_window: usize,
         seed: u64,
     ) -> Self {
         Self {
-            mode,
             secondary,
             stats,
-            applied_ctx: VersionVector::new(),
-            pending: VecDeque::new(),
             window: Vec::new(),
             window_cap: reorder_window.max(1),
             rng: SplitMix64::new(seed),
@@ -112,34 +75,14 @@ impl<K: Hash + Eq + Clone, V: Clone> Applier<K, V> {
 
     /// Offers one record from the replication stream.
     pub fn offer(&mut self, record: ReplicationRecord<K, V>) {
-        match self.mode {
-            ReplicationMode::Eventual => {
-                self.window.push(record);
-                if self.window.len() >= self.window_cap {
-                    self.drain_window();
-                }
-            }
-            ReplicationMode::Causal => {
-                self.pending.push_back(record);
-                self.drain_causal();
-            }
+        self.window.push(record);
+        if self.window.len() >= self.window_cap {
+            self.flush();
         }
     }
 
-    /// Flushes everything that can still be applied (end of stream).
+    /// Applies everything buffered (end of stream).
     pub fn flush(&mut self) {
-        match self.mode {
-            ReplicationMode::Eventual => self.drain_window(),
-            ReplicationMode::Causal => self.drain_causal(),
-        }
-    }
-
-    /// Number of records still buffered waiting for dependencies.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len() + self.window.len()
-    }
-
-    fn drain_window(&mut self) {
         // Random permutation simulates out-of-order arrival.
         let mut batch = std::mem::take(&mut self.window);
         self.rng.shuffle(&mut batch);
@@ -148,46 +91,17 @@ impl<K: Hash + Eq + Clone, V: Clone> Applier<K, V> {
         }
     }
 
-    fn drain_causal(&mut self) {
-        // Repeatedly sweep the buffer applying every record whose deps are
-        // satisfied; terminates because each pass either applies something
-        // or stops.
-        loop {
-            let before = self.pending.len();
-            let mut still_pending = VecDeque::with_capacity(before);
-            while let Some(rec) = self.pending.pop_front() {
-                if rec.deps.dominated_by(&self.applied_ctx) {
-                    self.apply(rec);
-                } else {
-                    self.stats.buffered.fetch_add(1, Ordering::Relaxed);
-                    still_pending.push_back(rec);
-                }
-            }
-            self.pending = still_pending;
-            if self.pending.len() == before {
-                break;
-            }
-        }
-    }
-
     fn apply(&mut self, rec: ReplicationRecord<K, V>) {
-        if !rec.deps.dominated_by(&self.applied_ctx) {
-            // Only reachable in eventual mode: we are about to install a
-            // write whose causal predecessors are not yet visible.
-            self.stats.causal_inversions.fetch_add(1, Ordering::Relaxed);
-        }
         let installed = self.secondary.put_if_newer(
             rec.key,
             VersionedValue {
                 value: rec.value,
-                clock: rec.clock.clone(),
                 key_seq: rec.key_seq,
             },
         );
         if !installed {
             self.stats.stale_drops.fetch_add(1, Ordering::Relaxed);
         }
-        self.applied_ctx.merge(&rec.clock);
         self.stats.applied.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -196,121 +110,21 @@ impl<K: Hash + Eq + Clone, V: Clone> Applier<K, V> {
 mod tests {
     use super::*;
 
-    fn record(
-        seq: u64,
-        key: u32,
-        value: i32,
-        key_seq: u64,
-        deps: VersionVector,
-        clock: VersionVector,
-    ) -> ReplicationRecord<u32, i32> {
+    fn record(key: u32, value: Option<i32>, key_seq: u64) -> ReplicationRecord<u32, i32> {
         ReplicationRecord {
-            seq,
             key,
-            value: Some(value),
+            value,
             key_seq,
-            deps,
-            clock,
         }
-    }
-
-    /// Builds a chain of causally dependent records: r1 -> r2 -> r3.
-    fn causal_chain() -> Vec<ReplicationRecord<u32, i32>> {
-        let mut ctx = VersionVector::new();
-        let mut out = Vec::new();
-        for i in 1..=3u64 {
-            let deps = ctx.clone();
-            ctx.bump(7); // writer id 7
-            out.push(record(i, i as u32, i as i32 * 10, 1, deps, ctx.clone()));
-        }
-        out
-    }
-
-    #[test]
-    fn causal_mode_applies_in_dependency_order_even_if_reversed() {
-        let secondary = Arc::new(Store::new(2));
-        let stats = Arc::new(ReplicationStats::default());
-        let mut applier = Applier::new(
-            ReplicationMode::Causal,
-            secondary.clone(),
-            stats.clone(),
-            4,
-            1,
-        );
-        let mut chain = causal_chain();
-        chain.reverse();
-        for r in chain {
-            applier.offer(r);
-        }
-        applier.flush();
-        assert_eq!(applier.pending_len(), 0);
-        assert_eq!(stats.applied(), 3);
-        assert_eq!(stats.causal_inversions(), 0, "causal mode never inverts");
-        assert!(stats.buffered() > 0, "later records had to wait");
-        assert_eq!(secondary.get(&3), Some(30));
-    }
-
-    #[test]
-    fn eventual_mode_counts_inversions_on_reordered_chain() {
-        // Run multiple seeds; at least one permutation must invert the chain.
-        let mut any_inversion = false;
-        for seed in 0..16u64 {
-            let secondary: Arc<Store<u32, i32>> = Arc::new(Store::new(2));
-            let stats = Arc::new(ReplicationStats::default());
-            let mut applier = Applier::new(
-                ReplicationMode::Eventual,
-                secondary,
-                stats.clone(),
-                3,
-                seed,
-            );
-            for r in causal_chain() {
-                applier.offer(r);
-            }
-            applier.flush();
-            assert_eq!(stats.applied(), 3);
-            if stats.causal_inversions() > 0 {
-                any_inversion = true;
-            }
-        }
-        assert!(any_inversion, "reorder window should produce inversions");
-    }
-
-    #[test]
-    fn eventual_mode_in_order_stream_without_window_has_no_inversions() {
-        let secondary: Arc<Store<u32, i32>> = Arc::new(Store::new(2));
-        let stats = Arc::new(ReplicationStats::default());
-        let mut applier = Applier::new(
-            ReplicationMode::Eventual,
-            secondary,
-            stats.clone(),
-            1, // window of 1 = no reordering
-            9,
-        );
-        for r in causal_chain() {
-            applier.offer(r);
-        }
-        applier.flush();
-        assert_eq!(stats.causal_inversions(), 0);
     }
 
     #[test]
     fn stale_writes_to_same_key_are_dropped_lww() {
         let secondary: Arc<Store<u32, i32>> = Arc::new(Store::new(2));
         let stats = Arc::new(ReplicationStats::default());
-        let mut applier = Applier::new(
-            ReplicationMode::Eventual,
-            secondary.clone(),
-            stats.clone(),
-            1,
-            3,
-        );
-        let mut ctx = VersionVector::new();
-        ctx.bump(1);
-        let newer = record(1, 5, 100, 2, VersionVector::new(), ctx.clone());
-        let older = record(2, 5, 50, 1, VersionVector::new(), ctx);
-        applier.offer(newer);
-        applier.offer(older);
+        let mut applier = Applier::new(secondary.clone(), stats.clone(), 1, 3);
+        applier.offer(record(5, Some(100), 2));
+        applier.offer(record(5, Some(50), 1));
         applier.flush();
         assert_eq!(secondary.get(&5), Some(100), "newer value must win");
         assert_eq!(stats.stale_drops(), 1);
@@ -320,22 +134,9 @@ mod tests {
     fn tombstone_replication_deletes_on_secondary() {
         let secondary: Arc<Store<u32, i32>> = Arc::new(Store::new(2));
         let stats = Arc::new(ReplicationStats::default());
-        let mut applier =
-            Applier::new(ReplicationMode::Causal, secondary.clone(), stats, 1, 3);
-        let mut ctx = VersionVector::new();
-        let deps = ctx.clone();
-        ctx.bump(1);
-        applier.offer(record(1, 9, 1, 1, deps.clone(), ctx.clone()));
-        let deps2 = ctx.clone();
-        ctx.bump(1);
-        applier.offer(ReplicationRecord {
-            seq: 2,
-            key: 9,
-            value: None,
-            key_seq: 2,
-            deps: deps2,
-            clock: ctx,
-        });
+        let mut applier = Applier::new(secondary.clone(), stats, 1, 3);
+        applier.offer(record(9, Some(1), 1));
+        applier.offer(record(9, None, 2));
         applier.flush();
         assert_eq!(secondary.get(&9), None);
         assert!(secondary.get_versioned(&9).unwrap().is_tombstone());

@@ -1,19 +1,15 @@
 //! The sharded in-memory store used for both primary and secondary replicas.
 
-use om_common::time::VersionVector;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-/// A value together with its causal metadata.
+/// A value together with its per-key write sequence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VersionedValue<V> {
-    /// The payload. `None` is a tombstone (deleted key kept for causal
-    /// bookkeeping).
+    /// The payload. `None` is a tombstone (deleted key kept so a stale
+    /// replicated write cannot resurrect it).
     pub value: Option<V>,
-    /// Causal context of the write that produced this version (includes the
-    /// writer's own bump).
-    pub clock: VersionVector,
     /// Monotonic per-key write counter assigned by the primary; later
     /// writes to the same key have larger numbers.
     pub key_seq: u64,
@@ -101,13 +97,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Store<K, V> {
         self.get_versioned(key).and_then(|v| v.value)
     }
 
-    /// Unconditionally installs a version. Returns the previous version.
-    pub fn put(&self, key: K, value: VersionedValue<V>) -> Option<VersionedValue<V>> {
-        self.shards[self.shard_index(&key)]
-            .write()
-            .insert(key, value)
-    }
-
     /// Installs `value` only if it is newer (by `key_seq`) than the stored
     /// version; stale replicated writes are dropped. Returns whether the
     /// write was applied.
@@ -132,14 +121,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Store<K, V> {
         let next = f(shard.get(&key));
         shard.insert(key, next.clone());
         next
-    }
-
-    /// Removes `key` entirely (hard delete; replication uses tombstones
-    /// instead — this is for test cleanup).
-    pub fn remove(&self, key: &K) -> Option<VersionedValue<V>> {
-        self.shards[self.shard_index(key)]
-            .write()
-            .remove(key)
     }
 
     /// Snapshot of all live entries (test/diagnostic helper; takes shard
@@ -172,18 +153,9 @@ impl<K: Hash + Eq + Clone, V: Clone> Store<K, V> {
 mod tests {
     use super::*;
 
-    fn vv(writer: u64, n: u64) -> VersionVector {
-        let mut v = VersionVector::new();
-        for _ in 0..n {
-            v.bump(writer);
-        }
-        v
-    }
-
     fn ver(value: i32, seq: u64) -> VersionedValue<i32> {
         VersionedValue {
             value: Some(value),
-            clock: vv(1, seq),
             key_seq: seq,
         }
     }
@@ -192,7 +164,7 @@ mod tests {
     fn put_get_roundtrip() {
         let s: Store<String, i32> = Store::new(4);
         assert!(s.get(&"a".to_string()).is_none());
-        s.put("a".into(), ver(1, 1));
+        assert!(s.put_if_newer("a".into(), ver(1, 1)));
         assert_eq!(s.get(&"a".to_string()), Some(1));
         assert_eq!(s.len(), 1);
     }
@@ -200,12 +172,11 @@ mod tests {
     #[test]
     fn tombstones_hide_values_but_keep_metadata() {
         let s: Store<String, i32> = Store::new(2);
-        s.put("a".into(), ver(1, 1));
-        s.put(
+        s.put_if_newer("a".into(), ver(1, 1));
+        s.put_if_newer(
             "a".into(),
             VersionedValue {
                 value: None,
-                clock: vv(1, 2),
                 key_seq: 2,
             },
         );
@@ -230,11 +201,10 @@ mod tests {
     #[test]
     fn update_is_atomic_read_modify_write() {
         let s: std::sync::Arc<Store<u64, u64>> = std::sync::Arc::new(Store::new(8));
-        s.put(
+        s.put_if_newer(
             1,
             VersionedValue {
                 value: Some(0),
-                clock: VersionVector::new(),
                 key_seq: 0,
             },
         );
@@ -247,7 +217,6 @@ mod tests {
                         let cur = cur.expect("present");
                         VersionedValue {
                             value: Some(cur.value.unwrap() + 1),
-                            clock: cur.clock.clone(),
                             key_seq: cur.key_seq + 1,
                         }
                     });
@@ -262,21 +231,72 @@ mod tests {
     }
 
     #[test]
+    fn shard_count_rounds_up_to_a_power_of_two() {
+        for (asked, got) in [(1, 1), (3, 4), (8, 8), (9, 16)] {
+            assert_eq!(Store::<u32, u32>::new(asked).shard_count(), got);
+        }
+    }
+
+    #[test]
+    fn borrowed_keys_read_without_an_owned_key() {
+        let s: Store<Vec<u8>, i32> = Store::new(4);
+        s.put_if_newer(b"key".to_vec(), ver(7, 3));
+        assert_eq!(s.get(&b"key"[..]), Some(7));
+        assert_eq!(s.get_versioned(&b"key"[..]).unwrap().key_seq, 3);
+        assert_eq!(s.get(&b"other"[..]), None);
+    }
+
+    #[test]
+    fn update_sees_a_tombstone_so_sequences_keep_growing() {
+        let s: Store<u32, i32> = Store::new(2);
+        s.put_if_newer(1, ver(10, 1));
+        s.put_if_newer(
+            1,
+            VersionedValue {
+                value: None,
+                key_seq: 2,
+            },
+        );
+        let next = s.update(1, |cur| {
+            let cur = cur.expect("the tombstone is visible to update");
+            assert!(cur.is_tombstone());
+            ver(11, cur.key_seq + 1)
+        });
+        assert_eq!(next.key_seq, 3);
+        assert_eq!(s.get(&1), Some(11));
+        assert!(!s.put_if_newer(1, ver(10, 2)), "pre-delete write stays stale");
+    }
+
+    #[test]
+    fn concurrent_put_if_newer_keeps_the_highest_sequence() {
+        let s: Store<u64, i32> = Store::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let s = &s;
+                scope.spawn(move || {
+                    for seq in (1..=400u64).filter(|seq| seq % 4 == t) {
+                        s.put_if_newer(7, ver(seq as i32 * 10, seq));
+                    }
+                });
+            }
+        });
+        assert_eq!(s.get_versioned(&7), Some(ver(4000, 400)));
+    }
+
+    #[test]
     fn dump_and_for_each_see_live_entries_only() {
         let s: Store<u32, &'static str> = Store::new(3);
-        s.put(
+        s.put_if_newer(
             1,
             VersionedValue {
                 value: Some("x"),
-                clock: VersionVector::new(),
                 key_seq: 1,
             },
         );
-        s.put(
+        s.put_if_newer(
             2,
             VersionedValue {
                 value: None,
-                clock: VersionVector::new(),
                 key_seq: 1,
             },
         );

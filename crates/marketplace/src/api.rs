@@ -19,8 +19,8 @@ pub enum PlatformKind {
     Transactional,
     /// Apache Flink Statefun — exactly-once dataflow.
     Dataflow,
-    /// Customized Orleans — transactions + MVCC querying + causal KV
-    /// replication + audit log.
+    /// Customized Orleans — transactions + MVCC querying + a product
+    /// replica read through monotonic backend sessions + audit log.
     Customized,
 }
 
@@ -108,8 +108,8 @@ pub struct PackageSnapshot {
 /// to replay.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryOutcome {
-    /// Label of the checkpoint store recovery read from
-    /// (`"in_memory"`, `"eventual_kv"`, `"snapshot_isolation"`).
+    /// Label of the backend recovery read the checkpoint from
+    /// (`"eventual_kv"`, `"snapshot_isolation"`, `"file_durable"`).
     pub store: String,
     /// Epoch the platform restarted from.
     pub recovered_epoch: u64,

@@ -32,8 +32,8 @@ use om_common::ids::*;
 use om_common::stats::CounterSet;
 use om_common::time::EventTime;
 use om_common::{Money, OmError, OmResult};
-use om_dataflow::{Address, CheckpointStore, Dataflow, Effects, RowFn, StateView};
-use parking_lot::{Mutex, RwLock};
+use om_dataflow::{Address, BackendCheckpointStore, Dataflow, Effects, RowFn, StateView};
+use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -367,7 +367,7 @@ fn build_dataflow(
     partitions: usize,
     max_batch: usize,
     workers: usize,
-    store: Option<Arc<dyn CheckpointStore>>,
+    store: Option<Arc<BackendCheckpointStore>>,
     ingress: Option<Arc<dyn om_log::EventLog<(Address, DfMsg)>>>,
 ) -> Dataflow<DfMsg> {
     let mut builder = Dataflow::builder()
@@ -1116,13 +1116,11 @@ pub struct DataflowPlatformConfig {
     /// `om-df-worker-N` threads (capped at `partitions`).
     pub workers: usize,
     pub decline_rate: f64,
-    /// Where epoch checkpoints live; `None` uses the runtime's default
-    /// in-memory store. Passing a [`BackendCheckpointStore`] over a
+    /// Where epoch checkpoints live; `None` gives the runtime a store
+    /// over a fresh snapshot-isolation backend of its own. A store over a
     /// shared backend makes the platform restartable: a second platform
     /// built over the same store resumes from the last committed epoch.
-    ///
-    /// [`BackendCheckpointStore`]: om_dataflow::BackendCheckpointStore
-    pub checkpoint_store: Option<Arc<dyn CheckpointStore>>,
+    pub checkpoint_store: Option<Arc<BackendCheckpointStore>>,
     /// Reuse an existing ingress log (pairs with `checkpoint_store` for
     /// full restarts that also replay in-flight records). Any
     /// [`om_log::EventLog`] works: a shared in-memory topic, or the
@@ -1139,7 +1137,10 @@ impl std::fmt::Debug for DataflowPlatformConfig {
             .field("decline_rate", &self.decline_rate)
             .field(
                 "checkpoint_store",
-                &self.checkpoint_store.as_ref().map(|s| s.label()),
+                &self
+                    .checkpoint_store
+                    .as_ref()
+                    .map(|s| s.backend().kind().label()),
             )
             .field("shared_ingress", &self.ingress.is_some())
             .finish()
@@ -1174,9 +1175,6 @@ pub struct DataflowPlatform {
     active_waiters: Arc<std::sync::atomic::AtomicUsize>,
     stop: Arc<AtomicBool>,
     pump: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Serializes dashboard reads against pump commits for the staleness
-    /// experiment; not held during normal operation.
-    _reserved: RwLock<()>,
 }
 
 impl DataflowPlatform {
@@ -1269,7 +1267,6 @@ impl DataflowPlatform {
             active_waiters,
             stop,
             pump: Mutex::new(Some(pump)),
-            _reserved: RwLock::new(()),
         }
     }
 
@@ -1402,24 +1399,23 @@ impl MarketplacePlatform for DataflowPlatform {
         PlatformKind::Dataflow
     }
 
-    /// The backend behind the checkpoint store, when checkpoints are
-    /// durable; `None` with the in-memory store (runtime-native state).
+    /// The backend behind the checkpoint store.
     fn backend(&self) -> Option<om_common::config::BackendKind> {
-        self.df.checkpoint_store().backend_kind()
+        Some(self.df.checkpoint_store().backend().kind())
     }
 
     fn is_wedged(&self) -> bool {
-        self.df.checkpoint_store().is_wedged()
+        self.df.checkpoint_store().backend().is_wedged()
     }
 
     fn unwedge(&self) -> Option<OmResult<crate::api::UnwedgeOutcome>> {
-        let store = self.df.checkpoint_store();
-        let was_wedged = store.is_wedged();
-        let repair = store.unwedge()?;
+        let backend = self.df.checkpoint_store().backend();
+        let was_wedged = backend.is_wedged();
+        let repair = backend.unwedge()?;
         Some(repair.map(|torn| crate::api::UnwedgeOutcome {
             was_wedged,
             torn_bytes_dropped: torn,
-            healthy: !store.is_wedged(),
+            healthy: !backend.is_wedged(),
         }))
     }
 
@@ -1647,7 +1643,7 @@ impl MarketplacePlatform for DataflowPlatform {
         // Storage-layer counters of the checkpoint store's backend
         // (group-commit amortization, snapshot deltas), prefixed the
         // same way the actor bindings prefix theirs.
-        for (k, v) in self.df.checkpoint_store().backend_counters() {
+        for (k, v) in self.df.checkpoint_store().backend().counters() {
             out.insert(format!("storage.{k}"), v);
         }
         out
@@ -1686,7 +1682,13 @@ impl MarketplacePlatform for DataflowPlatform {
         }
         let recovery = self.df.last_recovery()?;
         Some(crate::api::RecoveryOutcome {
-            store: self.df.checkpoint_store().label().to_string(),
+            store: self
+                .df
+                .checkpoint_store()
+                .backend()
+                .kind()
+                .label()
+                .to_string(),
             recovered_epoch: recovery.epoch,
             final_epoch: self.df.committed_epoch(),
             recovery_us: recovery.duration.as_micros() as u64,

@@ -7,12 +7,10 @@
 //! what lets `RunConfig::backend` select storage end-to-end (driver,
 //! gateway, benches all build through here).
 //!
-//! Since PR 3 the matrix covers the dataflow binding too: its epoch
-//! checkpoints persist through the spec's backend by default
-//! ([`PlatformSpec::durable_checkpoints`]), and a spec can carry an
-//! existing backend *instance* ([`PlatformSpec::backend_instance`]) so a
-//! rebuilt platform restarts from the state a previous instance
-//! persisted.
+//! The matrix covers the dataflow binding too: its epoch checkpoints
+//! persist through the spec's backend, and a spec can carry an existing
+//! backend *instance* ([`PlatformSpec::backend_instance`]) so a rebuilt
+//! platform restarts from the state a previous instance persisted.
 
 use crate::api::{MarketplacePlatform, PlatformKind};
 use crate::bindings::actor_core::ActorPlatformConfig;
@@ -45,9 +43,6 @@ pub struct PlatformSpec {
     /// 1 = serial baseline, n > 1 = fan epochs out over n long-lived
     /// `om-df-worker-N` threads). Ignored by the actor bindings.
     pub df_workers: usize,
-    /// Route the dataflow binding's epoch checkpoints through the spec's
-    /// backend (default) instead of the in-memory store.
-    pub durable_checkpoints: bool,
     /// An existing backend instance to build over instead of a fresh
     /// one — the restart path: a platform built over the backend a
     /// previous platform persisted into resumes from that state.
@@ -76,7 +71,6 @@ impl std::fmt::Debug for PlatformSpec {
             .field("faults", &self.faults)
             .field("checkpoint_interval", &self.checkpoint_interval)
             .field("df_workers", &self.df_workers)
-            .field("durable_checkpoints", &self.durable_checkpoints)
             .field("shared_backend_instance", &self.backend_instance.is_some())
             .field("data_dir", &self.data_dir)
             .field("durable", &self.durable)
@@ -96,7 +90,6 @@ impl PlatformSpec {
             faults: FaultConfig::reliable(),
             checkpoint_interval: 64,
             df_workers: 0,
-            durable_checkpoints: true,
             backend_instance: None,
             data_dir: None,
             durable: DurableOptions::default(),
@@ -128,13 +121,6 @@ impl PlatformSpec {
     /// 1 = serial baseline).
     pub fn df_workers(mut self, n: usize) -> Self {
         self.df_workers = n;
-        self
-    }
-
-    /// Selects durable (backend-backed) vs in-memory dataflow
-    /// checkpoints.
-    pub fn durable_checkpoints(mut self, durable: bool) -> Self {
-        self.durable_checkpoints = durable;
         self
     }
 
@@ -195,9 +181,7 @@ impl PlatformSpec {
 /// Every binding persists through the spec's backend: the actor bindings
 /// route grain snapshots (and, on the customized stack, the dashboard
 /// projection and replica cache) through it, and the dataflow binding
-/// commits its epoch checkpoints through it unless
-/// [`PlatformSpec::durable_checkpoints`] is switched off (in which case
-/// its [`MarketplacePlatform::backend`] reports `None`).
+/// commits its epoch checkpoints through it.
 pub fn build_platform(spec: &PlatformSpec) -> Box<dyn MarketplacePlatform> {
     match spec.kind {
         PlatformKind::Eventual => Box::new(EventualPlatform::new(spec.actor_config())),
@@ -207,11 +191,9 @@ pub fn build_platform(spec: &PlatformSpec) -> Box<dyn MarketplacePlatform> {
             max_batch: spec.checkpoint_interval,
             workers: spec.df_workers,
             decline_rate: spec.decline_rate,
-            checkpoint_store: spec
-                .durable_checkpoints
-                .then(|| -> Arc<dyn om_dataflow::CheckpointStore> {
-                    Arc::new(BackendCheckpointStore::new(spec.storage_backend()))
-                }),
+            checkpoint_store: Some(Arc::new(BackendCheckpointStore::new(
+                spec.storage_backend(),
+            ))),
             // A spec rooted at a data_dir persists the ingress log too,
             // so the rebuilt platform replays in-flight records from
             // disk instead of needing a shared topic handle.
@@ -260,12 +242,64 @@ mod tests {
     }
 
     #[test]
-    fn dataflow_without_durable_checkpoints_is_runtime_native() {
-        let spec = PlatformSpec::new(PlatformKind::Dataflow, BackendKind::Eventual)
-            .parallelism(2)
-            .durable_checkpoints(false);
-        let p = build_platform(&spec);
-        assert_eq!(p.backend(), None, "in-memory checkpoints report no backend");
+    fn dataflow_without_a_store_checkpoints_into_snapshot_isolation() {
+        use crate::api::{CheckoutItem, CheckoutOutcome, CheckoutRequest};
+        use om_common::entity::{Customer, PaymentMethod, Product, Seller};
+        use om_common::ids::{CustomerId, ProductId, SellerId};
+        use om_common::Money;
+
+        let p = DataflowPlatform::new(DataflowPlatformConfig {
+            decline_rate: 0.0,
+            ..DataflowPlatformConfig::default()
+        });
+        assert_eq!(p.backend(), Some(BackendKind::SnapshotIsolation));
+        let (seller, customer, product) = (SellerId(1), CustomerId(1), ProductId(1));
+        p.ingest_seller(Seller::new(seller, "s".into(), "c".into()))
+            .unwrap();
+        p.ingest_customer(Customer::new(customer, "c".into(), "a".into()))
+            .unwrap();
+        p.ingest_product(
+            Product {
+                id: product,
+                seller,
+                name: "p".into(),
+                category: "test".into(),
+                description: String::new(),
+                price: Money::from_cents(100),
+                freight_value: Money::from_cents(10),
+                version: 0,
+                active: true,
+            },
+            10,
+        )
+        .unwrap();
+        p.quiesce();
+        let item = CheckoutItem {
+            seller,
+            product,
+            quantity: 2,
+        };
+        p.add_to_cart(customer, item).unwrap();
+        let outcome = p
+            .checkout(CheckoutRequest {
+                customer,
+                items: vec![],
+                method: PaymentMethod::CreditCard,
+            })
+            .unwrap();
+        assert!(
+            matches!(outcome, CheckoutOutcome::Placed { .. }),
+            "{outcome:?}"
+        );
+        p.quiesce();
+
+        let before = p.seller_dashboard(seller).unwrap();
+        assert!(
+            !before.entries.is_empty(),
+            "the checkout reached the dashboard"
+        );
+        p.crash_and_recover().expect("the drill fires");
+        assert_eq!(p.seller_dashboard(seller).unwrap(), before);
     }
 
     #[test]

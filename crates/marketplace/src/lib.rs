@@ -11,7 +11,7 @@
 //! | [`bindings::eventual`] | `om-actor` | eventual consistency, async events (may drop/duplicate under fault injection) |
 //! | [`bindings::transactional`] | `om-actor` + [`om_actor::tx`] | ACID checkout via 2PL (wait-die) + 2PC |
 //! | [`bindings::dataflow`] | `om-dataflow` | exactly-once event processing |
-//! | [`bindings::customized`] | `om-actor` tx + `om-mvcc` + `om-kv` + `om-log` | + snapshot-consistent dashboard, causal replication, audit log |
+//! | [`bindings::customized`] | `om-actor` tx + `om-storage` + `om-log` | + snapshot-consistent dashboard, monotonic replica reads, audit log |
 //!
 //! All bindings implement [`api::MarketplacePlatform`], the uniform surface
 //! the benchmark driver (`om-driver`) submits the five business

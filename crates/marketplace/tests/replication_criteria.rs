@@ -1,7 +1,8 @@
 //! Replication-criterion focused tests (paper §II: eventual vs causal
 //! Product→Cart replication): the plain actor bindings exhibit stale
 //! reads under lossy replication events, while the customized binding's
-//! causal KV path stays anomaly-free.
+//! replica reads — backend sessions kept monotonic per customer — stay
+//! anomaly-free.
 
 use om_actor::FaultConfig;
 use om_common::entity::{Customer, Product, Seller};

@@ -18,9 +18,7 @@
 //! * snapshot **scans** over tables and secondary-index-style predicate
 //!   queries — the mechanism behind the benchmark's *Seller Dashboard*
 //!   criterion (two queries over one snapshot);
-//! * version **garbage collection** bounded by the oldest active snapshot;
-//! * a [`wal::CommitLog`] recording committed transactions (the "log
-//!   storage to store audit logging" of the paper's Fig. 1).
+//! * version **garbage collection** bounded by the oldest active snapshot.
 //!
 //! The heart of the correctness argument is the commit critical section in
 //! [`tx::TxManager::commit`]: validation, commit-timestamp assignment,
@@ -31,9 +29,7 @@
 pub mod oracle;
 pub mod table;
 pub mod tx;
-pub mod wal;
 
 pub use oracle::{Timestamp, TsOracle};
 pub use table::{prefix_range, Table};
 pub use tx::{IsolationLevel, Tx, TxManager, TxOutcome};
-pub use wal::CommitLog;

@@ -2,7 +2,6 @@
 
 use crate::oracle::{Timestamp, TsOracle};
 use crate::table::{DynTable, Table};
-use crate::wal::CommitLog;
 use om_common::{OmError, OmResult};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -82,7 +81,6 @@ struct TxManagerInner {
     /// Serializes validate→assign→install→publish. See crate docs.
     commit_mutex: Mutex<()>,
     next_tx: AtomicU64,
-    wal: CommitLog,
     commits: AtomicU64,
     aborts: AtomicU64,
 }
@@ -121,7 +119,6 @@ impl TxManager {
                 tables: Mutex::new(Vec::new()),
                 commit_mutex: Mutex::new(()),
                 next_tx: AtomicU64::new(1),
-                wal: CommitLog::new(),
                 commits: AtomicU64::new(0),
                 aborts: AtomicU64::new(0),
             }),
@@ -172,7 +169,6 @@ impl TxManager {
         for t in &tables {
             writes += t.install(tx.id(), commit_ts);
         }
-        self.inner.wal.append(tx.id(), commit_ts, writes);
         self.inner.oracle.publish(commit_ts);
         drop(guard);
         self.inner.oracle.release_snapshot(tx.snapshot());
@@ -222,11 +218,6 @@ impl TxManager {
     /// Last published commit timestamp.
     pub fn current_ts(&self) -> Timestamp {
         self.inner.oracle.current()
-    }
-
-    /// Commit log (audit trail).
-    pub fn wal(&self) -> &CommitLog {
-        &self.inner.wal
     }
 
     /// (commits, aborts) so far.

@@ -269,19 +269,51 @@ fn gc_removes_tombstoned_keys() {
 }
 
 #[test]
-fn wal_records_committed_transactions_in_order() {
+fn commits_are_ordered_by_timestamp() {
     let mgr = TxManager::new();
     let t = mgr.create_table::<u64, i32>("t");
+    let mut outcomes = Vec::new();
     for i in 0..10 {
-        mgr.run(IsolationLevel::Snapshot, 0, |tx| {
-            t.put(tx, i, 0);
-            Ok(())
-        })
-        .unwrap();
+        let tx = mgr.begin(IsolationLevel::Snapshot);
+        t.put(&tx, i, 0);
+        outcomes.push(mgr.commit(tx).unwrap());
     }
-    assert_eq!(mgr.wal().len(), 10);
-    assert!(mgr.wal().is_strictly_ordered());
-    assert!(mgr.wal().records().iter().all(|r| r.writes == 1));
+    assert_eq!(mgr.stats(), (10, 0));
+    assert!(outcomes.windows(2).all(|w| w[0].commit_ts < w[1].commit_ts));
+    assert!(outcomes.iter().all(|o| o.writes == 1));
+}
+
+#[test]
+fn concurrent_commits_get_distinct_published_timestamps() {
+    let mgr = TxManager::new();
+    let t = mgr.create_table::<u64, u64>("t");
+    let mut stamps: Vec<u64> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4u64)
+            .map(|w| {
+                let (mgr, t) = (&mgr, &t);
+                scope.spawn(move || {
+                    (0..50u64)
+                        .map(|i| {
+                            let tx = mgr.begin(IsolationLevel::Snapshot);
+                            t.put(&tx, w * 100 + i, i);
+                            let ts = mgr.commit(tx).unwrap().commit_ts;
+                            // A commit is published before commit returns.
+                            assert!(mgr.current_ts() >= ts);
+                            ts
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+    });
+    stamps.sort_unstable();
+    stamps.dedup();
+    assert_eq!(stamps.len(), 200, "every commit gets its own timestamp");
+    assert_eq!(mgr.current_ts(), *stamps.last().unwrap());
+    assert_eq!(mgr.stats(), (200, 0));
+    let tx = mgr.begin(IsolationLevel::Snapshot);
+    assert_eq!(t.scan(&tx, |_, _| true).len(), 200);
 }
 
 #[test]

@@ -14,8 +14,7 @@
 use crate::backend::{StateBackend, StateSession, WriteBatch, WriteOp};
 use crate::shards_pow2;
 use crossbeam::channel::{unbounded, Sender};
-use om_common::config::{BackendKind, ReplicationMode};
-use om_common::time::VersionVector;
+use om_common::config::BackendKind;
 use om_common::OmResult;
 use om_kv::replication::{Applier, ReplicationRecord, ReplicationStats};
 use om_kv::store::{Store, VersionedValue};
@@ -42,7 +41,6 @@ pub struct EventualBackend {
     stats: Arc<ReplicationStats>,
     tx: Sender<ApplierMsg>,
     applier_handle: Mutex<Option<JoinHandle<()>>>,
-    seq: AtomicU64,
     commits: AtomicU64,
     session_fallbacks: AtomicU64,
 }
@@ -61,13 +59,8 @@ impl EventualBackend {
         let handle = std::thread::Builder::new()
             .name("om-storage-applier".into())
             .spawn(move || {
-                let mut applier = Applier::new(
-                    ReplicationMode::Eventual,
-                    applier_secondary,
-                    applier_stats,
-                    REORDER_WINDOW,
-                    0xE7E7,
-                );
+                let mut applier =
+                    Applier::new(applier_secondary, applier_stats, REORDER_WINDOW, 0xE7E7);
                 while let Ok(msg) = rx.recv() {
                     match msg {
                         ApplierMsg::Record(r) => applier.offer(r),
@@ -86,7 +79,6 @@ impl EventualBackend {
             stats,
             tx,
             applier_handle: Mutex::new(Some(handle)),
-            seq: AtomicU64::new(0),
             commits: AtomicU64::new(0),
             session_fallbacks: AtomicU64::new(0),
         }
@@ -100,17 +92,13 @@ impl EventualBackend {
             let key_seq = cur.map(|c| c.key_seq + 1).unwrap_or(1);
             VersionedValue {
                 value: value.map(<[u8]>::to_vec),
-                clock: VersionVector::new(),
                 key_seq,
             }
         });
         let record = ReplicationRecord {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed) + 1,
             key: key.to_vec(),
             value: value.map(<[u8]>::to_vec),
             key_seq: installed.key_seq,
-            deps: VersionVector::new(),
-            clock: VersionVector::new(),
         };
         let _ = self.tx.send(ApplierMsg::Record(record));
         installed.key_seq
@@ -136,7 +124,7 @@ impl EventualBackend {
         a == b
     }
 
-    /// Replication statistics (applied, stale drops, inversions).
+    /// Replication statistics (applied, stale drops).
     pub fn replication_stats(&self) -> &ReplicationStats {
         &self.stats
     }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 fn main() {
     // 1. The full-featured platform (transactions + MVCC dashboard +
-    //    causal replication + audit log) behind the HTTP engine: one
+    //    monotonic replica reads + audit log) behind the HTTP engine: one
     //    poll loop + a fixed worker pool serves every connection.
     let platform = Arc::new(CustomizedPlatform::new(Default::default()));
     let server = HttpServer::start_event_driven(

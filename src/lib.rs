@@ -8,7 +8,8 @@
 //! integration tests can drive the whole stack through one dependency:
 //!
 //! * [`common`] — ids, entities, events, time, config, stats, RNG.
-//! * [`kv`] — Redis-like replicated key-value store (eventual/causal).
+//! * [`kv`] — Redis-like replicated key-value store (asynchronous
+//!   last-writer-wins replica).
 //! * [`mvcc`] — PostgreSQL-like multi-version storage engine (snapshot
 //!   isolation).
 //! * [`storage`] — the unified `StateBackend` layer: one sharded,
@@ -25,8 +26,7 @@
 //! * [`http`] — the HTTP layer of the customized stack (paper Fig. 1):
 //!   HTTP/1.1 parser, router, REST gateway, in-memory server.
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record.
+//! See `docs/ARCHITECTURE.md` for the system inventory.
 
 pub use om_actor as actor;
 pub use om_common as common;
