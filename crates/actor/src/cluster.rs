@@ -2,10 +2,9 @@
 //! injection.
 
 use crate::grain::{GrainFactory, GrainId, Row, RowWrite};
-use crate::mailbox::{Activation, Envelope};
+use crate::mailbox::{Activation, ActivationRef, Envelope, Gather, ReplyTo};
 use crate::silo::{Router, Silo};
 use crate::storage::StorageMap;
-use crossbeam::channel::bounded;
 use om_common::rng::SplitMix64;
 use om_common::stats::CounterSet;
 use om_common::time::LogicalClock;
@@ -107,14 +106,15 @@ impl<M: Send + 'static, R: Send + 'static> Inner<M, R> {
         Ok(chosen)
     }
 
-    fn deliver(&self, id: GrainId, env: Envelope<M, R>) -> OmResult<()> {
+    /// The silo hosting `id` and its activation there, activating the
+    /// grain if it has none.
+    fn activation(&self, id: GrainId) -> OmResult<(usize, ActivationRef<M, R>)> {
         let silo_idx = self.place(id)?;
-        let silo = &self.silos[silo_idx];
         let kind = self
             .factories
             .get(id.kind)
             .ok_or_else(|| OmError::NotFound(format!("no factory for grain kind '{}'", id.kind)))?;
-        let activation = silo.activation_or_insert(id, || {
+        let activation = self.silos[silo_idx].activation_or_insert(id, || {
             // Only row-keyed kinds pay for the prefix scan; the others
             // reactivate from a point read of their snapshot.
             let (snapshot, rows) = if kind.rows {
@@ -124,8 +124,13 @@ impl<M: Send + 'static, R: Send + 'static> Inner<M, R> {
             };
             Arc::new(Activation::new(id, (kind.factory)(id, snapshot, rows)))
         });
+        Ok((silo_idx, activation))
+    }
+
+    fn deliver(&self, id: GrainId, env: Envelope<M, R>) -> OmResult<()> {
+        let (silo_idx, activation) = self.activation(id)?;
         self.in_flight.fetch_add(1, Ordering::AcqRel);
-        silo.deliver(&activation, env);
+        self.silos[silo_idx].deliver(&activation, env);
         Ok(())
     }
 
@@ -196,21 +201,60 @@ impl<M: Payload, R: Send + 'static> Cluster<M, R> {
         self.inner.notify_inner(id, msg);
     }
 
-    /// Calls a grain and waits for its reply.
+    /// Calls a grain and waits for its reply: a fan-out of one.
     pub fn call(&self, id: GrainId, msg: M) -> OmResult<R> {
-        self.inner.counters.incr("calls");
-        let (tx, rx) = bounded(1);
-        self.inner.deliver(
-            id,
-            Envelope {
-                msg,
-                reply: Some(tx),
-            },
-        )?;
-        match rx.recv_timeout(self.call_timeout) {
-            Ok(result) => result,
-            Err(_) => Err(OmError::Timeout(format!("call to {id} timed out"))),
+        self.call_all(vec![(id, msg)])
+            .pop()
+            .expect("call_all answers every call")
+    }
+
+    /// Calls every grain in `calls` and waits once for all the replies,
+    /// which come back in call order; messages to one grain are handled
+    /// in the order given.
+    ///
+    /// Every envelope is enqueued before any worker is woken, each silo
+    /// gets one run-queue item for all the activations the fan-out made
+    /// runnable, and only the last reply wakes the caller — so `n` calls
+    /// cost one wait instead of `n` round trips. A call that cannot be
+    /// delivered fails in its slot, and one unanswered by the call
+    /// timeout fails as `Timeout`, without holding up the other slots.
+    pub fn call_all(&self, calls: Vec<(GrainId, M)>) -> Vec<OmResult<R>> {
+        if calls.is_empty() {
+            return Vec::new();
         }
+        let inner = &self.inner;
+        inner.counters.add("calls", calls.len() as u64);
+        inner.counters.incr("waits");
+        let deadline = Instant::now() + self.call_timeout;
+        let gather = Gather::new(calls.len());
+        let ids: Vec<GrainId> = calls.iter().map(|&(id, _)| id).collect();
+        let mut runnable: Vec<Vec<ActivationRef<M, R>>> =
+            inner.silos.iter().map(|_| Vec::new()).collect();
+        for (slot, (id, msg)) in calls.into_iter().enumerate() {
+            match inner.activation(id) {
+                Ok((silo_idx, activation)) => {
+                    inner.in_flight.fetch_add(1, Ordering::AcqRel);
+                    let reply = Some(ReplyTo::new(gather.clone(), slot));
+                    if activation.enqueue(Envelope { msg, reply }) {
+                        runnable[silo_idx].push(activation);
+                    }
+                }
+                Err(e) => gather.fill(slot, Err(e)),
+            }
+        }
+        for (silo, batch) in inner.silos.iter().zip(runnable) {
+            if !batch.is_empty() {
+                silo.schedule(batch);
+            }
+        }
+        gather
+            .wait(deadline)
+            .into_iter()
+            .zip(ids)
+            .map(|(reply, id)| {
+                reply.unwrap_or_else(|| Err(OmError::Timeout(format!("call to {id} timed out"))))
+            })
+            .collect()
     }
 
     /// Blocks until all in-flight messages (including cascading events)
@@ -239,10 +283,7 @@ impl<M: Payload, R: Send + 'static> Cluster<M, R> {
         silo.kill();
         self.inner.counters.incr("silos_killed");
         // Re-placement happens on next access; drop stale directory entries.
-        self.inner
-            .directory
-            .write()
-            .retain(|_, &mut s| s != i);
+        self.inner.directory.write().retain(|_, &mut s| s != i);
         // Poisoned envelopes were consumed without processing; reset the
         // in-flight gauge conservatively by recomputing queued work.
         // (Poison drains mailboxes synchronously, so subtract nothing here:
@@ -274,7 +315,9 @@ impl<M: Payload, R: Send + 'static> Cluster<M, R> {
         &self.inner.storage
     }
 
-    /// Diagnostics counters (events_routed, events_dropped, ...).
+    /// Diagnostics counters: `calls` (messages sent by `call`/`call_all`),
+    /// `waits` (blocking waits, one per `call` or non-empty `call_all`),
+    /// `events_routed`, `events_dropped`, ...
     pub fn counters(&self) -> &CounterSet {
         &self.inner.counters
     }
@@ -291,7 +334,11 @@ impl<M: Payload, R: Send + 'static> Cluster<M, R> {
 
     /// Activations currently hosted per silo (diagnostics).
     pub fn activation_counts(&self) -> Vec<usize> {
-        self.inner.silos.iter().map(|s| s.activation_count()).collect()
+        self.inner
+            .silos
+            .iter()
+            .map(|s| s.activation_count())
+            .collect()
     }
 }
 

@@ -23,8 +23,15 @@
 //!   changed rather than everything the grain holds.
 //! * Messaging is either fire-and-forget events ([`cluster::Cluster::notify`],
 //!   used for the asynchronous event flows of the benchmark) or blocking
-//!   request/response ([`cluster::Cluster::call`], used by the driver and
-//!   the transaction coordinator).
+//!   request/response. [`cluster::Cluster::call_all`] is the one reply
+//!   path: it enqueues a whole fan-out of calls, schedules each silo once
+//!   for all the activations it made runnable, and blocks on one gather
+//!   latch that only the last reply signals; replies come back in call
+//!   order, and messages to one grain are handled in the order given.
+//!   [`cluster::Cluster::call`] is a fan-out of one. The transactional
+//!   checkout and the 2PC coordinator send each protocol phase as one
+//!   fan-out, so they wait once per phase rather than once per grain
+//!   (the cluster counts `calls` and `waits`).
 //! * A seeded [`cluster::FaultConfig`] can drop or duplicate event
 //!   messages — the delivery-semantics knob behind the benchmark's event
 //!   processing criteria.

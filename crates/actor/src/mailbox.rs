@@ -1,4 +1,5 @@
-//! Activations, mailboxes and the run-queue scheduling protocol.
+//! Activations, mailboxes, the run-queue scheduling protocol and the
+//! reply path.
 //!
 //! Every activated grain owns a mailbox. The invariant maintained here is
 //! the actor guarantee: **at most one worker runs a given activation at a
@@ -6,14 +7,19 @@
 //! message schedules the activation onto its silo's run queue only if it
 //! was not already scheduled; a worker drains a bounded batch of messages
 //! per turn and reschedules the activation if messages remain.
+//!
+//! Every call — one, or a fan-out of many — answers into a gather latch:
+//! one slot per message, and only the reply that fills the last slot wakes
+//! the caller.
 
 use crate::grain::{Grain, GrainContext, GrainId, Outgoing, RowWrite};
-use crossbeam::channel::Sender;
-use om_common::OmError;
+use om_common::{OmError, OmResult};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
+use std::time::Instant;
 
 /// Maximum messages drained per turn before yielding the worker (fairness
 /// under hot-grain skew).
@@ -23,7 +29,85 @@ pub(crate) const TURN_BATCH: usize = 16;
 pub(crate) struct Envelope<M, R> {
     pub msg: M,
     /// Present for request/response calls; absent for one-way events.
-    pub reply: Option<Sender<Result<R, OmError>>>,
+    pub reply: Option<ReplyTo<R>>,
+}
+
+/// The gather latch of one call or fan-out: a slot per message, filled by
+/// the worker that handles it, and the number of slots still empty.
+pub(crate) struct Gather<R> {
+    slots: Mutex<Vec<Option<OmResult<R>>>>,
+    /// Slots not yet filled. The slots themselves are published by their
+    /// mutex; a fill's `AcqRel` decrement pairs with the caller's
+    /// `Acquire` load, so a caller that reads 0 also sees every fill.
+    pending: AtomicUsize,
+    caller: Thread,
+}
+
+impl<R> Gather<R> {
+    /// A latch of `n` empty slots that wakes the calling thread.
+    pub fn new(n: usize) -> Arc<Self> {
+        Arc::new(Self {
+            slots: Mutex::new((0..n).map(|_| None).collect()),
+            pending: AtomicUsize::new(n),
+            caller: std::thread::current(),
+        })
+    }
+
+    /// Fills `slot`; the fill that leaves no slot empty wakes the caller.
+    /// A fill after the caller stopped waiting is dropped.
+    pub fn fill(&self, slot: usize, result: OmResult<R>) {
+        if let Some(s) = self.slots.lock().get_mut(slot) {
+            *s = Some(result);
+        }
+        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.caller.unpark();
+        }
+    }
+
+    /// Blocks the calling thread until every slot is filled or `deadline`
+    /// passes, then takes the slots in call order (`None` = unanswered).
+    pub fn wait(&self, deadline: Instant) -> Vec<Option<OmResult<R>>> {
+        while self.pending.load(Ordering::Acquire) > 0 {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            std::thread::park_timeout(deadline - now);
+        }
+        std::mem::take(&mut *self.slots.lock())
+    }
+}
+
+/// Where a call's reply goes: one slot of a [`Gather`] latch. Dropping it
+/// unanswered fills the slot with `Unavailable`, so a lost envelope fails
+/// its call at once instead of running out the caller's timeout.
+pub(crate) struct ReplyTo<R> {
+    target: Option<(Arc<Gather<R>>, usize)>,
+}
+
+impl<R> ReplyTo<R> {
+    pub fn new(gather: Arc<Gather<R>>, slot: usize) -> Self {
+        Self {
+            target: Some((gather, slot)),
+        }
+    }
+
+    pub fn send(mut self, result: OmResult<R>) {
+        if let Some((gather, slot)) = self.target.take() {
+            gather.fill(slot, result);
+        }
+    }
+}
+
+impl<R> Drop for ReplyTo<R> {
+    fn drop(&mut self) {
+        if let Some((gather, slot)) = self.target.take() {
+            gather.fill(
+                slot,
+                Err(OmError::Unavailable("call dropped unanswered".into())),
+            );
+        }
+    }
 }
 
 /// An activated grain plus its mailbox.
@@ -79,9 +163,8 @@ impl<M: Send + 'static, R: Send + 'static> Activation<M, R> {
             let reply_expected = env.reply.is_some();
             let reply = grain.handle(&mut ctx, env.msg, reply_expected);
             processed += 1;
-            if let Some(tx) = env.reply {
-                // Ignore abandoned callers.
-                let _ = tx.send(Ok(reply));
+            if let Some(to) = env.reply {
+                to.send(Ok(reply));
             }
             outbox.extend(ctx.outbox);
             if ctx.persisted.is_some() {
@@ -112,8 +195,8 @@ impl<M: Send + 'static, R: Send + 'static> Activation<M, R> {
     pub fn poison(&self) {
         let mut mb = self.mailbox.lock();
         for env in mb.drain(..) {
-            if let Some(tx) = env.reply {
-                let _ = tx.send(Err(OmError::Unavailable(format!(
+            if let Some(to) = env.reply {
+                to.send(Err(OmError::Unavailable(format!(
                     "silo hosting {} was killed",
                     self.id
                 ))));
@@ -137,8 +220,8 @@ pub(crate) type ActivationRef<M, R> = Arc<Activation<M, R>>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::bounded;
     use om_common::time::LogicalClock;
+    use std::time::Duration;
 
     fn counter_grain() -> Box<dyn Grain<u32, u32>> {
         let mut total = 0u32;
@@ -160,16 +243,17 @@ mod tests {
     fn run_turn_processes_batch_and_replies() {
         let clock = LogicalClock::new();
         let a = Activation::new(GrainId::new("t", 1), counter_grain());
-        let (tx, rx) = bounded(1);
+        let gather = Gather::new(1);
         a.enqueue(Envelope { msg: 5, reply: None });
         a.enqueue(Envelope {
             msg: 7,
-            reply: Some(tx),
+            reply: Some(ReplyTo::new(gather.clone(), 0)),
         });
         let result = a.run_turn(&clock);
         assert_eq!(result.processed, 2);
         assert!(!a.end_turn());
-        assert_eq!(rx.recv().unwrap().unwrap(), 12, "5 + 7 accumulated");
+        let mut replies = gather.wait(Instant::now());
+        assert_eq!(replies.remove(0).unwrap().unwrap(), 12, "5 + 7 accumulated");
         assert_eq!(a.queue_len(), 0);
     }
 
@@ -232,15 +316,56 @@ mod tests {
     #[test]
     fn poison_fails_pending_calls() {
         let a = Activation::new(GrainId::new("t", 9), counter_grain());
-        let (tx, rx) = bounded(1);
+        let gather = Gather::new(1);
         a.enqueue(Envelope {
             msg: 1,
-            reply: Some(tx),
+            reply: Some(ReplyTo::new(gather.clone(), 0)),
         });
         a.poison();
-        let err = rx.recv().unwrap().unwrap_err();
+        let mut replies = gather.wait(Instant::now());
+        let err = replies.remove(0).unwrap().unwrap_err();
         assert_eq!(err.label(), "unavailable");
         assert_eq!(a.queue_len(), 0);
+    }
+
+    #[test]
+    fn gather_wakes_the_caller_only_when_every_slot_is_filled() {
+        let gather = Gather::<u32>::new(3);
+        let filler = {
+            let gather = gather.clone();
+            std::thread::spawn(move || {
+                // Out of order, from another thread.
+                for slot in [2, 0, 1] {
+                    ReplyTo::new(gather.clone(), slot).send(Ok(slot as u32 * 10));
+                }
+            })
+        };
+        let replies = gather.wait(Instant::now() + Duration::from_secs(10));
+        filler.join().unwrap();
+        let values: Vec<u32> = replies.into_iter().map(|r| r.unwrap().unwrap()).collect();
+        assert_eq!(values, vec![0, 10, 20], "slots come back in call order");
+    }
+
+    #[test]
+    fn gather_times_out_with_unanswered_slots_and_drops_late_fills() {
+        let gather = Gather::<u32>::new(2);
+        ReplyTo::new(gather.clone(), 1).send(Ok(7));
+        let late = ReplyTo::new(gather.clone(), 0);
+        let replies = gather.wait(Instant::now() + Duration::from_millis(5));
+        assert!(replies[0].is_none(), "slot 0 was never answered");
+        assert_eq!(*replies[1].as_ref().unwrap().as_ref().unwrap(), 7);
+        late.send(Ok(1)); // after the caller left: dropped, no panic
+    }
+
+    #[test]
+    fn a_reply_dropped_unanswered_fails_its_slot() {
+        let gather = Gather::<u32>::new(1);
+        drop(ReplyTo::new(gather.clone(), 0));
+        let mut replies = gather.wait(Instant::now() + Duration::from_secs(10));
+        assert_eq!(
+            replies.remove(0).unwrap().unwrap_err().label(),
+            "unavailable"
+        );
     }
 
     #[test]

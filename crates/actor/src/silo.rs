@@ -12,7 +12,10 @@ use std::thread::JoinHandle;
 
 /// Work item on a silo's run queue.
 pub(crate) enum Work<M, R> {
-    Run(ActivationRef<M, R>),
+    /// Activations to run a turn of, one after another: every activation
+    /// one delivery or fan-out made runnable on this silo, so the fan-out
+    /// wakes one worker per silo rather than one per grain.
+    Run(Vec<ActivationRef<M, R>>),
     Shutdown,
 }
 
@@ -79,29 +82,46 @@ impl<M: Send + 'static, R: Send + 'static> Silo<M, R> {
         while let Ok(work) = self.queue_rx.recv() {
             match work {
                 Work::Shutdown => break,
-                Work::Run(activation) => {
-                    if !self.is_alive() {
-                        activation.poison();
-                        continue;
+                Work::Run(batch) => {
+                    let mut again = Vec::new();
+                    for activation in batch {
+                        if self.run_turn(&activation, &clock, router.as_ref()) {
+                            again.push(activation);
+                        }
                     }
-                    let result = activation.run_turn(&clock);
-                    self.turns.fetch_add(1, Ordering::Relaxed);
-                    // Stored before the turn ends, so saves of one grain
-                    // land in turn order.
-                    if result.persisted.is_some() || !result.rows.is_empty() {
-                        router.save_state(activation.id, result.persisted, result.rows);
-                    }
-                    let reschedule = activation.end_turn();
-                    for out in result.outbox {
-                        router.route_event(out.target, out.msg);
-                    }
-                    router.on_processed(result.processed);
-                    if reschedule {
-                        let _ = self.queue_tx.send(Work::Run(activation));
+                    if !again.is_empty() {
+                        self.schedule(again);
                     }
                 }
             }
         }
+    }
+
+    /// Runs one turn of `activation`; returns whether it must be scheduled
+    /// again for messages still queued.
+    fn run_turn(
+        &self,
+        activation: &ActivationRef<M, R>,
+        clock: &LogicalClock,
+        router: &dyn Router<M>,
+    ) -> bool {
+        if !self.is_alive() {
+            activation.poison();
+            return false;
+        }
+        let result = activation.run_turn(clock);
+        self.turns.fetch_add(1, Ordering::Relaxed);
+        // Stored before the turn ends, so saves of one grain land in turn
+        // order.
+        if result.persisted.is_some() || !result.rows.is_empty() {
+            router.save_state(activation.id, result.persisted, result.rows);
+        }
+        let reschedule = activation.end_turn();
+        for out in result.outbox {
+            router.route_event(out.target, out.msg);
+        }
+        router.on_processed(result.processed);
+        reschedule
     }
 
     /// Looks up or installs the activation for `id` using `make`.
@@ -119,8 +139,14 @@ impl<M: Send + 'static, R: Send + 'static> Silo<M, R> {
     /// Delivers an envelope to an activation, scheduling it if needed.
     pub fn deliver(&self, activation: &ActivationRef<M, R>, env: Envelope<M, R>) {
         if activation.enqueue(env) {
-            let _ = self.queue_tx.send(Work::Run(activation.clone()));
+            self.schedule(vec![activation.clone()]);
         }
+    }
+
+    /// Puts `batch` on the run queue as one item, waking at most one
+    /// worker.
+    pub fn schedule(&self, batch: Vec<ActivationRef<M, R>>) {
+        let _ = self.queue_tx.send(Work::Run(batch));
     }
 
     /// Kills the silo: poisons all mailboxes and drops activations.

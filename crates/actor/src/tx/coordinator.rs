@@ -1,21 +1,27 @@
 //! The two-phase-commit coordinator and its durable decision log.
+//!
+//! Like the textbook coordinator, it sends PREPARE to every participant at
+//! once and then COMMIT (or ABORT) to every participant at once: a round
+//! costs two waits however many participants there are.
 
 use om_common::ids::{IdSequence, TransactionId};
 use om_common::{OmError, OmResult};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Coordinator-side view of one participant. The marketplace's
-/// transactional binding implements this by calling into the grain that
-/// hosts the corresponding [`crate::tx::TxParticipant`].
-pub trait Participant {
-    /// Phase one: vote. `Ok(true)` = yes, `Ok(false)` = no.
-    fn prepare(&self, tid: TransactionId) -> OmResult<bool>;
+/// Coordinator-side view of one transaction's participants. Each method
+/// sends one protocol message to **every** participant at once and returns
+/// their answers in participant order. The marketplace's transactional
+/// binding sends each one as a single [`crate::Cluster::call_all`] to the
+/// grains that host the corresponding [`crate::tx::TxParticipant`]s.
+pub trait Participants {
+    /// Phase one: every participant's vote, `Ok(true)` = yes.
+    fn prepare(&self, tid: TransactionId) -> Vec<OmResult<bool>>;
     /// Phase two, commit path. Must succeed once prepared (participants
     /// may not change their mind).
-    fn commit(&self, tid: TransactionId) -> OmResult<()>;
+    fn commit(&self, tid: TransactionId) -> Vec<OmResult<()>>;
     /// Phase two, abort path. Must be idempotent.
-    fn abort(&self, tid: TransactionId) -> OmResult<()>;
+    fn abort(&self, tid: TransactionId) -> Vec<OmResult<()>>;
 }
 
 /// Phases recorded in the decision log.
@@ -126,48 +132,42 @@ impl Coordinator {
     /// Runs two-phase commit for `tid` across `participants`.
     ///
     /// Returns `Ok(())` if all voted yes and committed; otherwise aborts
-    /// everywhere and returns [`OmError::TxAborted`]. A participant error
-    /// during prepare counts as a no vote.
-    pub fn run_2pc(&self, tid: TransactionId, participants: &[&dyn Participant]) -> OmResult<()> {
+    /// everywhere and returns [`OmError::TxAborted`] with the first
+    /// refusal in participant order. A participant error during prepare
+    /// counts as a no vote.
+    pub fn run_2pc<P: Participants + ?Sized>(
+        &self,
+        tid: TransactionId,
+        participants: &P,
+    ) -> OmResult<()> {
         self.log.record(tid, TxPhase::Preparing);
-        let mut all_yes = true;
-        let mut first_reason = String::new();
-        for p in participants {
-            match p.prepare(tid) {
-                Ok(true) => {}
-                Ok(false) => {
-                    all_yes = false;
-                    if first_reason.is_empty() {
-                        first_reason = "participant voted no".into();
-                    }
-                    break;
-                }
-                Err(e) => {
-                    all_yes = false;
-                    if first_reason.is_empty() {
-                        first_reason = format!("prepare failed: {e}");
-                    }
-                    break;
-                }
-            }
-        }
-        if all_yes {
-            self.log.record(tid, TxPhase::Committed);
-            for p in participants {
+        let refusal = participants
+            .prepare(tid)
+            .into_iter()
+            .find_map(|vote| match vote {
+                Ok(true) => None,
+                Ok(false) => Some("participant voted no".to_string()),
+                Err(e) => Some(format!("prepare failed: {e}")),
+            });
+        match refusal {
+            None => {
+                self.log.record(tid, TxPhase::Committed);
                 // Prepared participants must obey the decision; an error
                 // here is a bug in the participant, surfaced loudly.
-                p.commit(tid)
-                    .map_err(|e| OmError::Internal(format!("commit after prepare failed: {e}")))?;
+                for outcome in participants.commit(tid) {
+                    outcome.map_err(|e| {
+                        OmError::Internal(format!("commit after prepare failed: {e}"))
+                    })?;
+                }
+                self.log.record(tid, TxPhase::Done);
+                Ok(())
             }
-            self.log.record(tid, TxPhase::Done);
-            Ok(())
-        } else {
-            self.log.record(tid, TxPhase::Aborted);
-            for p in participants {
-                let _ = p.abort(tid); // idempotent; best effort
+            Some(reason) => {
+                self.log.record(tid, TxPhase::Aborted);
+                let _ = participants.abort(tid); // idempotent; best effort
+                self.log.record(tid, TxPhase::Done);
+                Err(OmError::TxAborted(reason))
             }
-            self.log.record(tid, TxPhase::Done);
-            Err(OmError::TxAborted(first_reason))
         }
     }
 
@@ -185,6 +185,7 @@ mod tests {
     struct Scripted {
         vote: bool,
         fail_prepare: bool,
+        prepared: std::sync::atomic::AtomicBool,
         committed: Mutex<Vec<TransactionId>>,
         aborted: Mutex<Vec<TransactionId>>,
     }
@@ -194,6 +195,7 @@ mod tests {
             Self {
                 vote: true,
                 fail_prepare: false,
+                prepared: std::sync::atomic::AtomicBool::new(false),
                 committed: Mutex::new(vec![]),
                 aborted: Mutex::new(vec![]),
             }
@@ -214,34 +216,55 @@ mod tests {
         }
     }
 
-    impl Participant for Scripted {
-        fn prepare(&self, _tid: TransactionId) -> OmResult<bool> {
-            if self.fail_prepare {
-                return Err(OmError::Unavailable("participant down".into()));
-            }
-            Ok(self.vote)
+    /// In-process participants: each phase asks every one of them.
+    struct Set(Vec<Scripted>);
+
+    impl Participants for Set {
+        fn prepare(&self, _tid: TransactionId) -> Vec<OmResult<bool>> {
+            self.0
+                .iter()
+                .map(|p| {
+                    p.prepared.store(true, std::sync::atomic::Ordering::Relaxed);
+                    if p.fail_prepare {
+                        Err(OmError::Unavailable("participant down".into()))
+                    } else {
+                        Ok(p.vote)
+                    }
+                })
+                .collect()
         }
 
-        fn commit(&self, tid: TransactionId) -> OmResult<()> {
-            self.committed.lock().push(tid);
-            Ok(())
+        fn commit(&self, tid: TransactionId) -> Vec<OmResult<()>> {
+            self.0
+                .iter()
+                .map(|p| {
+                    p.committed.lock().push(tid);
+                    Ok(())
+                })
+                .collect()
         }
 
-        fn abort(&self, tid: TransactionId) -> OmResult<()> {
-            self.aborted.lock().push(tid);
-            Ok(())
+        fn abort(&self, tid: TransactionId) -> Vec<OmResult<()>> {
+            self.0
+                .iter()
+                .map(|p| {
+                    p.aborted.lock().push(tid);
+                    Ok(())
+                })
+                .collect()
         }
     }
 
     #[test]
     fn unanimous_yes_commits_everywhere() {
         let c = Coordinator::new();
-        let (a, b) = (Scripted::yes(), Scripted::yes());
+        let set = Set(vec![Scripted::yes(), Scripted::yes()]);
         let tid = c.begin();
-        c.run_2pc(tid, &[&a, &b]).unwrap();
-        assert_eq!(a.committed.lock().as_slice(), &[tid]);
-        assert_eq!(b.committed.lock().as_slice(), &[tid]);
-        assert!(a.aborted.lock().is_empty());
+        c.run_2pc(tid, &set).unwrap();
+        for p in &set.0 {
+            assert_eq!(p.committed.lock().as_slice(), &[tid]);
+            assert!(p.aborted.lock().is_empty());
+        }
         assert_eq!(c.log().commits(), 1);
         assert_eq!(c.log().decision(tid), Some(TxPhase::Committed));
         assert!(c.log().is_consistent());
@@ -250,13 +273,14 @@ mod tests {
     #[test]
     fn any_no_vote_aborts_everywhere() {
         let c = Coordinator::new();
-        let (a, b) = (Scripted::yes(), Scripted::no());
+        let set = Set(vec![Scripted::yes(), Scripted::no()]);
         let tid = c.begin();
-        let err = c.run_2pc(tid, &[&a, &b]).unwrap_err();
+        let err = c.run_2pc(tid, &set).unwrap_err();
         assert_eq!(err.label(), "tx_aborted");
-        assert!(a.committed.lock().is_empty(), "nothing may commit");
-        assert_eq!(a.aborted.lock().as_slice(), &[tid]);
-        assert_eq!(b.aborted.lock().as_slice(), &[tid]);
+        for p in &set.0 {
+            assert!(p.committed.lock().is_empty(), "nothing may commit");
+            assert_eq!(p.aborted.lock().as_slice(), &[tid]);
+        }
         assert_eq!(c.log().aborts(), 1);
         assert_eq!(c.log().decision(tid), Some(TxPhase::Aborted));
     }
@@ -264,11 +288,50 @@ mod tests {
     #[test]
     fn participant_crash_during_prepare_aborts() {
         let c = Coordinator::new();
-        let (a, b) = (Scripted::crashing(), Scripted::yes());
+        let set = Set(vec![Scripted::crashing(), Scripted::yes()]);
         let tid = c.begin();
-        let err = c.run_2pc(tid, &[&a, &b]).unwrap_err();
+        let err = c.run_2pc(tid, &set).unwrap_err();
         assert_eq!(err.label(), "tx_aborted");
-        assert!(b.committed.lock().is_empty());
+        assert!(err.to_string().contains("participant down"), "{err}");
+        assert!(set.0[1].committed.lock().is_empty());
+        assert_eq!(set.0[1].aborted.lock().as_slice(), &[tid]);
+    }
+
+    #[test]
+    fn prepare_reaches_every_participant_and_the_log_runs_in_order() {
+        // A no vote does not cut phase one short: every participant is
+        // asked in the same fan-out, and the log still reads Preparing ->
+        // Aborted -> Done.
+        let c = Coordinator::new();
+        let set = Set(vec![Scripted::no(), Scripted::yes(), Scripted::crashing()]);
+        let tid = c.begin();
+        let err = c.run_2pc(tid, &set).unwrap_err();
+        assert!(
+            err.to_string().contains("voted no"),
+            "first refusal wins: {err}"
+        );
+        assert!(set
+            .0
+            .iter()
+            .all(|p| p.prepared.load(std::sync::atomic::Ordering::Relaxed)));
+        assert_eq!(
+            *c.log().records.read(),
+            vec![
+                (tid, TxPhase::Preparing),
+                (tid, TxPhase::Aborted),
+                (tid, TxPhase::Done)
+            ]
+        );
+        let tid2 = c.begin();
+        c.run_2pc(tid2, &Set(vec![Scripted::yes()])).unwrap();
+        assert_eq!(
+            c.log().records.read()[3..],
+            [
+                (tid2, TxPhase::Preparing),
+                (tid2, TxPhase::Committed),
+                (tid2, TxPhase::Done)
+            ]
+        );
     }
 
     #[test]

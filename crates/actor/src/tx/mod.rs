@@ -8,7 +8,10 @@
 //!   staged (shadow-copy) writes, and a prepare/commit/abort protocol
 //!   surface.
 //! * [`coordinator::Coordinator`] — the client-side two-phase-commit
-//!   driver with a durable decision log.
+//!   coordinator with a durable decision log. It reaches its participants
+//!   through [`coordinator::Participants`], which sends each protocol
+//!   message to all of them at once: PREPARE to every participant in one
+//!   fan-out, then COMMIT or ABORT to every participant in one more.
 //! * [`coordinator::TxLog`] — the decision log; the auditor replays it to
 //!   verify no transaction committed at one participant and aborted at
 //!   another (the all-or-nothing criterion of paper §II).
@@ -16,10 +19,14 @@
 //! The deliberate cost profile of this machinery — lock acquisition
 //! round-trips, staged-state copies, two commit phases, log appends — is
 //! what experiment E5 ("Orleans Transactions comes at a considerable
-//! overhead") measures against the eventual binding.
+//! overhead") measures against the eventual binding. A client pays one
+//! wait per protocol phase, not one per grain: the transactional checkout
+//! sends each phase's grain ops — every stock reservation, say — as one
+//! [`crate::Cluster::call_all`], and retries alone only an op that must
+//! wait for a lock (`Conflict`).
 
 pub mod coordinator;
 pub mod participant;
 
-pub use coordinator::{Coordinator, Participant, TxLog, TxPhase};
+pub use coordinator::{Coordinator, Participants, TxLog, TxPhase};
 pub use participant::{LockMode, TxParticipant};

@@ -13,7 +13,7 @@
 //! * the coordinator's log never records both commit and abort for one
 //!   transaction.
 
-use om_actor::tx::{Coordinator, LockMode, Participant, TxParticipant};
+use om_actor::tx::{Coordinator, LockMode, Participants, TxParticipant};
 use om_common::ids::TransactionId;
 use om_common::{OmError, OmResult};
 use parking_lot::Mutex;
@@ -164,36 +164,55 @@ proptest! {
             inner: Mutex<TxParticipant<u64>>,
             vote_yes: std::sync::atomic::AtomicBool,
         }
-        impl Participant for Part {
-            fn prepare(&self, tid: TransactionId) -> OmResult<bool> {
-                if !self.vote_yes.load(std::sync::atomic::Ordering::Relaxed) {
-                    return Ok(false);
-                }
-                self.inner.lock().prepare(tid)
+        /// In-process participants: each phase asks all of them.
+        struct Parts(Vec<Part>);
+        impl Participants for Parts {
+            fn prepare(&self, tid: TransactionId) -> Vec<OmResult<bool>> {
+                self.0
+                    .iter()
+                    .map(|p| {
+                        if !p.vote_yes.load(std::sync::atomic::Ordering::Relaxed) {
+                            return Ok(false);
+                        }
+                        p.inner.lock().prepare(tid)
+                    })
+                    .collect()
             }
-            fn commit(&self, tid: TransactionId) -> OmResult<()> {
-                self.inner.lock().commit(tid);
-                Ok(())
+            fn commit(&self, tid: TransactionId) -> Vec<OmResult<()>> {
+                self.0
+                    .iter()
+                    .map(|p| {
+                        p.inner.lock().commit(tid);
+                        Ok(())
+                    })
+                    .collect()
             }
-            fn abort(&self, tid: TransactionId) -> OmResult<()> {
-                self.inner.lock().abort(tid);
-                Ok(())
+            fn abort(&self, tid: TransactionId) -> Vec<OmResult<()>> {
+                self.0
+                    .iter()
+                    .map(|p| {
+                        p.inner.lock().abort(tid);
+                        Ok(())
+                    })
+                    .collect()
             }
         }
 
         let coordinator = Coordinator::new();
-        let parts: Vec<Part> = (0..3)
-            .map(|_| Part {
-                inner: Mutex::new(TxParticipant::new(0)),
-                vote_yes: std::sync::atomic::AtomicBool::new(true),
-            })
-            .collect();
+        let parts = Parts(
+            (0..3)
+                .map(|_| Part {
+                    inner: Mutex::new(TxParticipant::new(0)),
+                    vote_yes: std::sync::atomic::AtomicBool::new(true),
+                })
+                .collect(),
+        );
 
         let mut expected_commits = 0u64;
         for (v0, v1, v2) in rounds {
             let votes = [v0, v1, v2];
             let tid = coordinator.begin();
-            for (part, vote) in parts.iter().zip(votes) {
+            for (part, vote) in parts.0.iter().zip(votes) {
                 part.vote_yes
                     .store(vote, std::sync::atomic::Ordering::Relaxed);
                 // Stage something under the lock so prepare has work.
@@ -201,9 +220,7 @@ proptest! {
                 inner.acquire(tid, LockMode::Write).unwrap();
                 *inner.stage_mut(tid).unwrap() += 1;
             }
-            let refs: Vec<&dyn Participant> =
-                parts.iter().map(|p| p as &dyn Participant).collect();
-            let outcome = coordinator.run_2pc(tid, &refs);
+            let outcome = coordinator.run_2pc(tid, &parts);
             if votes.iter().all(|&v| v) {
                 prop_assert!(outcome.is_ok(), "all-yes must commit");
                 expected_commits += 1;
@@ -211,7 +228,7 @@ proptest! {
                 prop_assert!(outcome.is_err(), "any-no must abort");
             }
             // No participant may stay locked after the decision.
-            for part in &parts {
+            for part in &parts.0 {
                 prop_assert!(!part.inner.lock().is_locked());
             }
         }
@@ -219,7 +236,7 @@ proptest! {
         prop_assert_eq!(coordinator.log().commits(), expected_commits);
         // Committed state: every participant applied exactly one
         // increment per committed round.
-        for part in &parts {
+        for part in &parts.0 {
             prop_assert_eq!(*part.inner.lock().committed(), expected_commits);
         }
     }

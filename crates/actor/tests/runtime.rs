@@ -1,11 +1,11 @@
 //! Integration tests for the virtual actor runtime: activation, turn
-//! isolation, event cascades, persistence, silo failure and fault
-//! injection.
+//! isolation, event cascades, persistence, silo failure, fault injection
+//! and the `call_all` fan-out.
 
 use om_actor::{Cluster, FaultConfig, GrainContext, GrainId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 /// Message type used by the test grains.
 #[derive(Debug, Clone)]
@@ -16,6 +16,9 @@ enum Msg {
     AddAndForward(u64, GrainId),
     /// Adds and persists state.
     AddPersist(u64),
+    /// Meets the test thread at the barrier twice — once on entering the
+    /// turn, once to leave it — holding the silo worker in between.
+    Block(Arc<Barrier>),
 }
 
 type Reply = u64;
@@ -23,10 +26,20 @@ type Reply = u64;
 /// Builds a counter-grain cluster. The counter optionally restores from a
 /// persisted snapshot (little-endian u64).
 fn counter_cluster(silos: usize, workers: usize, faults: FaultConfig) -> Cluster<Msg, Reply> {
+    counter_cluster_with_timeout(silos, workers, faults, Duration::from_secs(10))
+}
+
+fn counter_cluster_with_timeout(
+    silos: usize,
+    workers: usize,
+    faults: FaultConfig,
+    call_timeout: Duration,
+) -> Cluster<Msg, Reply> {
     Cluster::builder()
         .silos(silos)
         .workers_per_silo(workers)
         .faults(faults)
+        .call_timeout(call_timeout)
         .register("counter", |_id, snapshot| {
             let mut value: u64 = snapshot
                 .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte snapshot")))
@@ -45,6 +58,11 @@ fn counter_cluster(silos: usize, workers: usize, faults: FaultConfig) -> Cluster
                 Msg::AddPersist(n) => {
                     value += n;
                     ctx.persist(value.to_le_bytes().to_vec());
+                    value
+                }
+                Msg::Block(gate) => {
+                    gate.wait();
+                    gate.wait();
                     value
                 }
             })
@@ -237,4 +255,187 @@ fn concurrent_distinct_grains_scale_without_interference() {
         h.join().unwrap();
     }
     assert_eq!(total.load(Ordering::Relaxed), 800, "every first Add returns 1");
+}
+
+/// A counter grain, from key `from` up, that activates on `silo`.
+fn grain_on(cluster: &Cluster<Msg, Reply>, silo: usize, from: u64) -> GrainId {
+    (from..)
+        .map(|key| GrainId::new("counter", key))
+        .find(|&id| {
+            let before = cluster.activation_counts()[silo];
+            cluster.call(id, Msg::Get).unwrap();
+            cluster.activation_counts()[silo] > before
+        })
+        .unwrap()
+}
+
+#[test]
+fn call_all_replies_in_call_order() {
+    let cluster = counter_cluster(2, 2, FaultConfig::reliable());
+    let calls = (0..40u64)
+        .map(|k| (GrainId::new("counter", k), Msg::Add(k * 3)))
+        .collect();
+    let replies: Vec<u64> = cluster
+        .call_all(calls)
+        .into_iter()
+        .map(|r| r.unwrap())
+        .collect();
+    assert_eq!(replies, (0..40u64).map(|k| k * 3).collect::<Vec<_>>());
+    let counts = cluster.activation_counts();
+    assert!(
+        counts.iter().all(|&c| c > 0),
+        "spread over both silos: {counts:?}"
+    );
+}
+
+#[test]
+fn call_all_runs_messages_to_one_grain_in_the_order_given() {
+    let cluster = counter_cluster(2, 4, FaultConfig::reliable());
+    let g = GrainId::new("counter", 1);
+    let h = GrainId::new("counter", 2);
+    let replies: Vec<u64> = cluster
+        .call_all(vec![
+            (g, Msg::Add(1)),
+            (h, Msg::Add(5)),
+            (g, Msg::Add(10)),
+            (g, Msg::Add(100)),
+            (h, Msg::Get),
+        ])
+        .into_iter()
+        .map(|r| r.unwrap())
+        .collect();
+    assert_eq!(
+        replies,
+        vec![1, 5, 11, 111, 5],
+        "each reply is the running total"
+    );
+}
+
+#[test]
+fn empty_call_all_returns_at_once_and_waits_for_nothing() {
+    let cluster = counter_cluster(1, 1, FaultConfig::reliable());
+    let started = Instant::now();
+    assert!(cluster.call_all(Vec::new()).is_empty());
+    assert!(started.elapsed() < Duration::from_secs(1));
+    assert_eq!(cluster.counters().get("waits"), 0);
+    assert_eq!(cluster.counters().get("calls"), 0);
+}
+
+#[test]
+fn calls_and_waits_are_counted_per_message_and_per_wait() {
+    let cluster = counter_cluster(2, 2, FaultConfig::reliable());
+    cluster.call(GrainId::new("counter", 1), Msg::Get).unwrap();
+    let calls = (0..7u64)
+        .map(|k| (GrainId::new("counter", k), Msg::Get))
+        .collect();
+    cluster.call_all(calls);
+    assert_eq!(cluster.counters().get("calls"), 8);
+    assert_eq!(cluster.counters().get("waits"), 2);
+}
+
+#[test]
+fn call_all_fails_a_killed_silos_slot_without_stalling_the_others() {
+    let cluster = Arc::new(counter_cluster(2, 1, FaultConfig::reliable()));
+    let blocker = grain_on(&cluster, 0, 0);
+    let queued = grain_on(&cluster, 0, blocker.key + 1);
+    let other = grain_on(&cluster, 1, 0);
+    let gate = Arc::new(Barrier::new(2));
+    let started = Instant::now();
+    let caller = {
+        let cluster = cluster.clone();
+        let gate = gate.clone();
+        std::thread::spawn(move || {
+            cluster.call_all(vec![
+                (blocker, Msg::Block(gate)),
+                (queued, Msg::Add(1)),
+                (other, Msg::Add(2)),
+            ])
+        })
+    };
+    // The blocker holds silo 0's only worker; `queued` waits in its
+    // mailbox when the silo dies.
+    gate.wait();
+    cluster.kill_silo(0);
+    gate.wait();
+    let replies = caller.join().unwrap();
+    assert_eq!(
+        *replies[0].as_ref().unwrap(),
+        0,
+        "the running turn still answers"
+    );
+    assert_eq!(replies[1].as_ref().unwrap_err().label(), "unavailable");
+    assert_eq!(*replies[2].as_ref().unwrap(), 2);
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "no slot may wait out the 10 s call timeout"
+    );
+}
+
+#[test]
+fn call_all_times_out_an_unanswered_slot_and_still_drains() {
+    let cluster =
+        counter_cluster_with_timeout(1, 1, FaultConfig::reliable(), Duration::from_millis(300));
+    let fast = GrainId::new("counter", 1);
+    let slow = GrainId::new("counter", 2);
+    let gate = Arc::new(Barrier::new(2));
+    let replies = cluster.call_all(vec![(fast, Msg::Add(4)), (slow, Msg::Block(gate.clone()))]);
+    assert_eq!(*replies[0].as_ref().unwrap(), 4);
+    assert_eq!(replies[1].as_ref().unwrap_err().label(), "timeout");
+    // Release the blocked turn: its late reply is dropped, and the
+    // in-flight gauge still returns to zero.
+    gate.wait();
+    gate.wait();
+    assert!(cluster.drain(Duration::from_secs(5)), "must quiesce");
+}
+
+#[test]
+fn call_all_delivery_errors_fill_their_slot_and_the_gauge_returns_to_zero() {
+    let cluster = counter_cluster(2, 2, FaultConfig::reliable());
+    let mut calls: Vec<(GrainId, Msg)> = (0..50u64)
+        .map(|k| {
+            (
+                GrainId::new("counter", k % 5),
+                Msg::AddAndForward(1, GrainId::new("counter", 9)),
+            )
+        })
+        .collect();
+    calls.insert(10, (GrainId::new("nope", 1), Msg::Get));
+    let replies = cluster.call_all(calls);
+    assert_eq!(replies.len(), 51);
+    assert_eq!(replies[10].as_ref().unwrap_err().label(), "not_found");
+    assert!(replies
+        .iter()
+        .enumerate()
+        .all(|(i, r)| i == 10 || r.is_ok()));
+    assert!(
+        cluster.drain(Duration::from_secs(5)),
+        "in-flight gauge leaked"
+    );
+    assert_eq!(
+        cluster.call(GrainId::new("counter", 9), Msg::Get).unwrap(),
+        50
+    );
+}
+
+#[test]
+fn concurrent_fan_outs_keep_turns_isolated() {
+    let cluster = Arc::new(counter_cluster(2, 4, FaultConfig::reliable()));
+    let g = GrainId::new("counter", 1);
+    let h = GrainId::new("counter", 2);
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            let cluster = cluster.clone();
+            scope.spawn(move || {
+                for _ in 0..100 {
+                    for r in
+                        cluster.call_all(vec![(g, Msg::Add(1)), (h, Msg::Add(1)), (g, Msg::Add(1))])
+                    {
+                        r.unwrap();
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(cluster.call(g, Msg::Get).unwrap(), 800);
+    assert_eq!(cluster.call(h, Msg::Get).unwrap(), 400);
 }

@@ -2,7 +2,7 @@
 //! layer: grains as 2PC participants, wait-die under real concurrency,
 //! and atomicity across silos.
 
-use om_actor::tx::{Coordinator, LockMode, Participant, TxParticipant};
+use om_actor::tx::{Coordinator, LockMode, Participants, TxParticipant};
 use om_actor::{Cluster, FaultConfig, GrainContext, GrainId};
 use om_common::ids::TransactionId;
 use om_common::{OmError, OmResult};
@@ -60,24 +60,41 @@ fn account_cluster(silos: usize) -> Cluster<Msg, Reply> {
         .build()
 }
 
-struct AccountParticipant<'a> {
+/// Account grains as 2PC participants: each phase is one fan-out.
+struct Accounts<'a> {
     cluster: &'a Cluster<Msg, Reply>,
-    id: GrainId,
+    ids: Vec<GrainId>,
 }
 
-impl Participant for AccountParticipant<'_> {
-    fn prepare(&self, tid: TransactionId) -> OmResult<bool> {
-        match self.cluster.call(self.id, Msg::Prepare(tid))? {
-            Reply::Vote(v) => Ok(v),
-            Reply::Err(e) => Err(e),
-            _ => Err(OmError::Internal("bad reply".into())),
-        }
+impl Accounts<'_> {
+    fn send(&self, msg: fn(TransactionId) -> Msg, tid: TransactionId) -> Vec<OmResult<Reply>> {
+        self.cluster
+            .call_all(self.ids.iter().map(|&id| (id, msg(tid))).collect())
     }
-    fn commit(&self, tid: TransactionId) -> OmResult<()> {
-        self.cluster.call(self.id, Msg::Commit(tid)).map(|_| ())
+}
+
+impl Participants for Accounts<'_> {
+    fn prepare(&self, tid: TransactionId) -> Vec<OmResult<bool>> {
+        self.send(Msg::Prepare, tid)
+            .into_iter()
+            .map(|reply| match reply? {
+                Reply::Vote(v) => Ok(v),
+                Reply::Err(e) => Err(e),
+                _ => Err(OmError::Internal("bad reply".into())),
+            })
+            .collect()
     }
-    fn abort(&self, tid: TransactionId) -> OmResult<()> {
-        self.cluster.call(self.id, Msg::Abort(tid)).map(|_| ())
+    fn commit(&self, tid: TransactionId) -> Vec<OmResult<()>> {
+        self.send(Msg::Commit, tid)
+            .into_iter()
+            .map(|r| r.map(|_| ()))
+            .collect()
+    }
+    fn abort(&self, tid: TransactionId) -> Vec<OmResult<()>> {
+        self.send(Msg::Abort, tid)
+            .into_iter()
+            .map(|r| r.map(|_| ()))
+            .collect()
     }
 }
 
@@ -117,9 +134,11 @@ fn transfer(
                 }
             }
         }
-        let pa = AccountParticipant { cluster, id: a };
-        let pb = AccountParticipant { cluster, id: b };
-        match coordinator.run_2pc(tid, &[&pa, &pb]) {
+        let accounts = Accounts {
+            cluster,
+            ids: vec![a, b],
+        };
+        match coordinator.run_2pc(tid, &accounts) {
             Ok(()) => return,
             Err(e) if e.is_retryable() => continue 'retry,
             Err(e) => panic!("2pc failed: {e}"),
@@ -179,8 +198,11 @@ fn aborted_transaction_leaves_no_trace() {
     // Lock is free for the next transaction.
     let tid2 = coordinator.begin();
     cluster.call(g, Msg::Apply(tid2, 5)).unwrap();
-    let p = AccountParticipant { cluster: &cluster, id: g };
-    coordinator.run_2pc(tid2, &[&p]).unwrap();
+    let p = Accounts {
+        cluster: &cluster,
+        ids: vec![g],
+    };
+    coordinator.run_2pc(tid2, &p).unwrap();
     assert_eq!(balance(&cluster, 9), 5);
 }
 
@@ -198,9 +220,12 @@ fn locks_block_conflicting_transactions_until_decision() {
         other => panic!("expected wait-die kill, got {other:?}"),
     }
     // After t1 commits, t2 can proceed (same tid retry).
-    let p = AccountParticipant { cluster: &cluster, id: g };
-    coordinator.run_2pc(t1, &[&p]).unwrap();
+    let p = Accounts {
+        cluster: &cluster,
+        ids: vec![g],
+    };
+    coordinator.run_2pc(t1, &p).unwrap();
     cluster.call(g, Msg::Apply(t2, 20)).unwrap();
-    coordinator.run_2pc(t2, &[&p]).unwrap();
+    coordinator.run_2pc(t2, &p).unwrap();
     assert_eq!(balance(&cluster, 3), 30);
 }

@@ -3,7 +3,7 @@
 //! restart cost that makes hot-product checkouts expensive under 2PL.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use om_actor::tx::{Coordinator, LockMode, Participant, TxParticipant};
+use om_actor::tx::{Coordinator, LockMode, Participants, TxParticipant};
 use om_common::ids::TransactionId;
 use om_common::OmResult;
 use parking_lot::Mutex;
@@ -11,17 +11,18 @@ use std::sync::Arc;
 
 struct LocalPart(Mutex<TxParticipant<u64>>);
 
-impl Participant for LocalPart {
-    fn prepare(&self, tid: TransactionId) -> OmResult<bool> {
-        self.0.lock().prepare(tid)
+/// One in-process participant as the whole participant set.
+impl Participants for LocalPart {
+    fn prepare(&self, tid: TransactionId) -> Vec<OmResult<bool>> {
+        vec![self.0.lock().prepare(tid)]
     }
-    fn commit(&self, tid: TransactionId) -> OmResult<()> {
+    fn commit(&self, tid: TransactionId) -> Vec<OmResult<()>> {
         self.0.lock().commit(tid);
-        Ok(())
+        vec![Ok(())]
     }
-    fn abort(&self, tid: TransactionId) -> OmResult<()> {
+    fn abort(&self, tid: TransactionId) -> Vec<OmResult<()>> {
         self.0.lock().abort(tid);
-        Ok(())
+        vec![Ok(())]
     }
 }
 
@@ -48,8 +49,7 @@ fn run_contended(parts: &Arc<Vec<LocalPart>>, coordinator: &Arc<Coordinator>, sp
                             Err(_) => std::thread::yield_now(),
                         }
                     }
-                    let refs: Vec<&dyn Participant> = vec![&parts[idx]];
-                    let _ = coordinator.run_2pc(tid, &refs);
+                    let _ = coordinator.run_2pc(tid, &parts[idx]);
                 }
             });
         }

@@ -1,6 +1,9 @@
 //! Shared plumbing for the actor-based platforms: catalog bookkeeping,
-//! ingestion, replica-priced cart adds, delivery fan-out, the two-call
-//! dashboard and snapshot collection.
+//! ingestion, replica-priced cart adds, the delivery scan, the two-call
+//! dashboard and snapshot collection. The delivery scan and the snapshot
+//! each read their grains in one [`om_actor::Cluster::call_all`] fan-out;
+//! the cart add and the dashboard stay sequential, because their call
+//! order is what the stale-price and torn-dashboard criteria observe.
 
 use om_actor::{Cluster, FaultConfig};
 use om_common::config::{BackendKind, DurableOptions};
@@ -340,26 +343,39 @@ impl ActorCore {
         }
     }
 
-    // ---- update delivery (event path) -------------------------------------
+    // ---- update delivery ------------------------------------------------
 
-    /// Ranks sellers by oldest undelivered package and delivers the oldest
-    /// order of the first `max_sellers` (paper §II *Update Delivery*).
-    pub fn update_delivery_eventual(&self, max_sellers: usize) -> OmResult<u32> {
+    /// The sellers with an undelivered package, oldest package first, at
+    /// most `max_sellers` of them: one fan-out over every seller's
+    /// shipment grain (paper §II *Update Delivery*).
+    pub fn sellers_by_oldest_undelivered(&self, max_sellers: usize) -> OmResult<Vec<SellerId>> {
         let sellers: Vec<SellerId> = self.catalog.sellers.read().clone();
+        let calls = sellers
+            .iter()
+            .map(|&s| (shipment_grain(s), Msg::ShipOldest))
+            .collect();
         let mut ranked: Vec<(om_common::time::EventTime, SellerId)> = Vec::new();
-        for s in sellers {
-            if let Reply::OldestUndelivered(Some(t)) =
-                self.cluster.call(shipment_grain(s), Msg::ShipOldest)?
-            {
+        for (s, reply) in sellers.into_iter().zip(self.cluster.call_all(calls)) {
+            if let Reply::OldestUndelivered(Some(t)) = reply? {
                 ranked.push((t, s));
             }
         }
         ranked.sort();
+        Ok(ranked.into_iter().take(max_sellers).map(|(_, s)| s).collect())
+    }
+
+    /// Delivers the oldest order of each of the first `max_sellers`
+    /// sellers by oldest undelivered package, as events (the eventual
+    /// path).
+    pub fn update_delivery_eventual(&self, max_sellers: usize) -> OmResult<u32> {
+        let calls = self
+            .sellers_by_oldest_undelivered(max_sellers)?
+            .into_iter()
+            .map(|s| (shipment_grain(s), Msg::ShipDeliverOldest))
+            .collect();
         let mut packages = 0;
-        for (_, s) in ranked.into_iter().take(max_sellers) {
-            if let Reply::Delivered { packages: n, .. } =
-                self.cluster.call(shipment_grain(s), Msg::ShipDeliverOldest)?
-            {
+        for reply in self.cluster.call_all(calls) {
+            if let Reply::Delivered { packages: n, .. } = reply? {
                 packages += n;
             }
         }
@@ -402,47 +418,37 @@ impl ActorCore {
         self.cluster.drain(Duration::from_secs(10));
     }
 
-    /// Collects the full platform state by fanning out over the catalog.
+    /// Collects the full platform state in one fan-out over the catalog.
+    /// It runs after [`Self::quiesce`], so the order the grains answer in
+    /// does not matter; each list keeps catalog order.
     pub fn snapshot(&self) -> OmResult<MarketSnapshot> {
-        let mut snap = MarketSnapshot::default();
+        let mut calls = Vec::new();
         for &p in self.catalog.products.read().iter() {
-            if let Reply::Product(Some(prod)) =
-                self.cluster.call(product_grain(p), Msg::ProductGet)?
-            {
-                snap.products.push(prod);
-            }
-            if let Reply::Stock(Some(stock)) = self.cluster.call(stock_grain(p), Msg::StockGet)? {
-                snap.stock.push(stock);
-            }
+            calls.push((product_grain(p), Msg::ProductGet));
+            calls.push((stock_grain(p), Msg::StockGet));
         }
         for &c in self.catalog.customers.read().iter() {
-            if let Reply::Orders(orders) = self.cluster.call(order_grain(c), Msg::OrderGetAll)? {
-                snap.orders.extend(orders);
-            }
-            if let Reply::Payments(ps) = self.cluster.call(payment_grain(c), Msg::PaymentGetAll)? {
-                snap.payments.extend(ps);
-            }
-            if let Reply::CustomerProfile(Some(profile)) =
-                self.cluster.call(customer_grain(c), Msg::CustomerGet)?
-            {
-                snap.customers.push(profile);
-            }
-            if let Reply::Count(stuck) =
-                self.cluster.call(order_grain(c), Msg::OrderStuckAssemblies)?
-            {
-                snap.stuck_assemblies += stuck;
-            }
+            calls.push((order_grain(c), Msg::OrderGetAll));
+            calls.push((payment_grain(c), Msg::PaymentGetAll));
+            calls.push((customer_grain(c), Msg::CustomerGet));
+            calls.push((order_grain(c), Msg::OrderStuckAssemblies));
         }
         for &s in self.catalog.sellers.read().iter() {
-            if let Reply::SellerProfile(Some(profile)) =
-                self.cluster.call(seller_grain(s), Msg::SellerGetProfile)?
-            {
-                snap.sellers.push(profile);
-            }
-            if let Reply::Packages(pkgs) =
-                self.cluster.call(shipment_grain(s), Msg::ShipGetPackages)?
-            {
-                snap.shipments.extend(pkgs);
+            calls.push((seller_grain(s), Msg::SellerGetProfile));
+            calls.push((shipment_grain(s), Msg::ShipGetPackages));
+        }
+        let mut snap = MarketSnapshot::default();
+        for reply in self.cluster.call_all(calls) {
+            match reply? {
+                Reply::Product(Some(prod)) => snap.products.push(prod),
+                Reply::Stock(Some(stock)) => snap.stock.push(stock),
+                Reply::Orders(orders) => snap.orders.extend(orders),
+                Reply::Payments(ps) => snap.payments.extend(ps),
+                Reply::CustomerProfile(Some(profile)) => snap.customers.push(profile),
+                Reply::Count(stuck) => snap.stuck_assemblies += stuck,
+                Reply::SellerProfile(Some(profile)) => snap.sellers.push(profile),
+                Reply::Packages(pkgs) => snap.shipments.extend(pkgs),
+                _ => {}
             }
         }
         Ok(snap)

@@ -7,14 +7,40 @@
 //! (wait-die) and made visible atomically by two-phase commit. This buys
 //! the all-or-nothing criterion at the cost the paper calls
 //! "considerable overhead" — measured directly by experiment E5.
+//!
+//! The client waits once per protocol phase, not once per grain op: each
+//! phase is one [`Cluster::call_all`] fan-out, so an approved checkout is
+//! nine waits whatever the size of the cart —
+//!
+//! 1. cart begin;
+//! 2. every stock reservation;
+//! 3. order creation;
+//! 4. payment;
+//! 5. order status (`Paid` or `PaymentFailed`), every stock
+//!    confirmation (or release), every seller entry, the customer's
+//!    payment stats and every shipment;
+//! 6. seller and order `InTransit` (approved payments only);
+//! 7. every 2PC prepare;
+//! 8. every 2PC commit;
+//! 9. cart finish.
+//!
+//! An op answered `Conflict` (wait for a lock held by a younger
+//! transaction) is retried alone until it gets the lock; `TxWaitDie`
+//! restarts the whole transaction under the same tid. Ops of one phase
+//! that reach the same grain therefore either commute (two seller
+//! entries) or target a grain the transaction already write-locked, which
+//! is why `InTransit` — a status change of the entries phase 5 adds —
+//! waits for its own phase.
 
-use om_actor::tx::{Coordinator, Participant};
+use om_actor::tx::{Coordinator, Participants};
 use om_actor::{Cluster, GrainId};
-use om_common::entity::{Customer, OrderStatus, Product, Seller, SellerDashboard};
+use om_common::entity::{
+    CartItem, Customer, OrderEntry, OrderStatus, Product, Seller, SellerDashboard,
+};
 use om_common::event::OrderLineRef;
 use om_common::ids::*;
 use om_common::{Money, OmError, OmResult};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use super::actor_core::{unexpected, ActorCore, ActorPlatformConfig};
@@ -32,27 +58,44 @@ const MAX_TX_RESTARTS: usize = 32;
 const MAX_LOCK_RETRIES: usize = 200;
 const LOCK_RETRY_SLEEP: Duration = Duration::from_micros(100);
 
-/// A grain acting as a 2PC participant.
-struct GrainParticipant<'a> {
+/// The grains of one transaction as its 2PC participants: each protocol
+/// message goes to all of them in one fan-out.
+struct Grains<'a> {
     cluster: &'a Cluster<Msg, Reply>,
-    id: GrainId,
+    ids: &'a [GrainId],
 }
 
-impl Participant for GrainParticipant<'_> {
-    fn prepare(&self, tid: TransactionId) -> OmResult<bool> {
-        match self.cluster.call(self.id, Msg::TxPrepare { tid })? {
-            Reply::Vote(v) => Ok(v),
-            Reply::Err(e) => Err(e),
-            other => unexpected(other),
-        }
+impl Grains<'_> {
+    fn send(&self, msg: Msg) -> Vec<OmResult<Reply>> {
+        self.cluster
+            .call_all(self.ids.iter().map(|&id| (id, msg.clone())).collect())
+    }
+}
+
+impl Participants for Grains<'_> {
+    fn prepare(&self, tid: TransactionId) -> Vec<OmResult<bool>> {
+        self.send(Msg::TxPrepare { tid })
+            .into_iter()
+            .map(|reply| match reply? {
+                Reply::Vote(v) => Ok(v),
+                Reply::Err(e) => Err(e),
+                other => unexpected(other),
+            })
+            .collect()
     }
 
-    fn commit(&self, tid: TransactionId) -> OmResult<()> {
-        self.cluster.call(self.id, Msg::TxCommit { tid })?.ok()
+    fn commit(&self, tid: TransactionId) -> Vec<OmResult<()>> {
+        self.send(Msg::TxCommit { tid })
+            .into_iter()
+            .map(|reply| reply?.ok())
+            .collect()
     }
 
-    fn abort(&self, tid: TransactionId) -> OmResult<()> {
-        self.cluster.call(self.id, Msg::TxAbort { tid })?.ok()
+    fn abort(&self, tid: TransactionId) -> Vec<OmResult<()>> {
+        self.send(Msg::TxAbort { tid })
+            .into_iter()
+            .map(|reply| reply?.ok())
+            .collect()
     }
 }
 
@@ -87,27 +130,57 @@ impl TransactionalPlatform {
         self.coordinator.log()
     }
 
-    /// Issues a transactional grain op, waiting out lock conflicts.
-    /// `Err(TxWaitDie)` and exhausted waits bubble up to restart the
-    /// enclosing transaction.
+    /// Sends one transactional grain op, waiting out lock conflicts.
     fn tx_call(&self, id: GrainId, msg: Msg) -> OmResult<Reply> {
-        for _ in 0..MAX_LOCK_RETRIES {
-            match self.core.cluster.call(id, msg.clone())? {
-                Reply::Err(OmError::Conflict(_)) => {
+        let reply = self.core.cluster.call(id, msg.clone());
+        self.settle(id, msg, reply)
+    }
+
+    /// Sends one phase of transactional grain ops as a single fan-out.
+    /// The outcomes come back in call order; an op answered `Conflict` is
+    /// retried alone ([`Self::settle`]) when its outcome is taken, so a
+    /// caller that stops at the first error waits out no later conflict.
+    fn tx_call_all(
+        &self,
+        calls: Vec<(GrainId, Msg)>,
+    ) -> impl Iterator<Item = OmResult<Reply>> + '_ {
+        let replies = self.core.cluster.call_all(calls.clone());
+        calls
+            .into_iter()
+            .zip(replies)
+            .map(move |((id, msg), reply)| self.settle(id, msg, reply))
+    }
+
+    /// Turns the reply to a transactional op into its outcome. A lock
+    /// conflict is waited out by retrying the op alone; `Err(TxWaitDie)`
+    /// and exhausted waits bubble up to restart the enclosing transaction.
+    fn settle(&self, id: GrainId, msg: Msg, reply: OmResult<Reply>) -> OmResult<Reply> {
+        let mut reply = reply?;
+        let mut attempts = 1;
+        loop {
+            match reply {
+                Reply::Err(OmError::Conflict(_)) if attempts < MAX_LOCK_RETRIES => {
                     self.core.counters.incr("lock_waits");
                     std::thread::sleep(LOCK_RETRY_SLEEP);
+                    attempts += 1;
+                    reply = self.core.cluster.call(id, msg.clone())?;
+                }
+                Reply::Err(OmError::Conflict(_)) => {
+                    return Err(OmError::TxWaitDie("lock wait exhausted".into()))
                 }
                 Reply::Err(e) => return Err(e),
                 reply => return Ok(reply),
             }
         }
-        Err(OmError::TxWaitDie("lock wait exhausted".into()))
     }
 
+    /// Releases `tid`'s locks on every participant, in one fan-out.
     fn abort_all(&self, tid: TransactionId, participants: &[GrainId]) {
-        for &id in participants {
-            let _ = self.core.cluster.call(id, Msg::TxAbort { tid });
+        let _ = Grains {
+            cluster: &self.core.cluster,
+            ids: participants,
         }
+        .abort(tid);
     }
 
     /// One checkout attempt under `tid`. On success returns the outcome;
@@ -117,216 +190,12 @@ impl TransactionalPlatform {
         &self,
         tid: TransactionId,
         request: &CheckoutRequest,
-        items: &[om_common::entity::CartItem],
+        items: &[CartItem],
     ) -> OmResult<CheckoutOutcome> {
+        // Every grain a phase calls joins the participants before the
+        // phase is sent, so a failure anywhere aborts every lock taken.
         let mut participants: Vec<GrainId> = Vec::new();
-        let result = (|| -> OmResult<CheckoutOutcome> {
-            // 1. Reserve stock under write locks.
-            let mut reserved: Vec<om_common::entity::CartItem> = Vec::new();
-            for item in items {
-                let stock = stock_grain(item.product);
-                if !participants.contains(&stock) {
-                    participants.push(stock);
-                }
-                match self.tx_call(
-                    stock,
-                    Msg::TxStockReserve {
-                        tid,
-                        qty: item.quantity,
-                    },
-                ) {
-                    Ok(Reply::Ok) => reserved.push(item.clone()),
-                    Ok(Reply::Err(OmError::Rejected(_))) | Err(OmError::Rejected(_)) => {
-                        // Out of stock / deleted: line dropped, lock kept
-                        // until the decision (the participant votes yes on
-                        // an unchanged staged state).
-                        self.core.counters.incr("checkout_lines_rejected");
-                    }
-                    Ok(other) => return unexpected(other),
-                    Err(e) => return Err(e),
-                }
-            }
-            if reserved.is_empty() {
-                // Release the write locks the failed reservations still
-                // hold before surfacing the rejection.
-                self.abort_all(tid, &participants);
-                return Ok(CheckoutOutcome::Rejected("no line could be reserved".into()));
-            }
-
-            // 2. Create the order.
-            let order_g = order_grain(request.customer);
-            participants.push(order_g);
-            let at = om_common::time::EventTime(self.core.cluster.clock().tick().raw());
-            let order = match self.tx_call(
-                order_g,
-                Msg::TxOrderCreate {
-                    tid,
-                    items: reserved.clone(),
-                    at,
-                },
-            )? {
-                Reply::Order(o) => o,
-                other => return unexpected(other),
-            };
-
-            // 3. Process payment.
-            let payment_g = payment_grain(request.customer);
-            participants.push(payment_g);
-            let payment = match self.tx_call(
-                payment_g,
-                Msg::TxPaymentProcess {
-                    tid,
-                    order: order.id,
-                    method: request.method,
-                    amount: order.total_invoice(),
-                    decline_rate_bp: to_basis_points(self.core.decline_rate),
-                },
-            )? {
-                Reply::Payment(p) => p,
-                other => return unexpected(other),
-            };
-            let status = if payment.approved {
-                OrderStatus::Paid
-            } else {
-                OrderStatus::PaymentFailed
-            };
-            match self.tx_call(order_g, Msg::TxOrderSetStatus { tid, order: order.id, status })? {
-                Reply::Ok => {}
-                other => return unexpected(other),
-            }
-
-            // 4. Confirm or release the reservations.
-            for item in &reserved {
-                let msg = if payment.approved {
-                    Msg::TxStockConfirm {
-                        tid,
-                        qty: item.quantity,
-                    }
-                } else {
-                    Msg::TxStockCancel {
-                        tid,
-                        qty: item.quantity,
-                    }
-                };
-                match self.tx_call(stock_grain(item.product), msg)? {
-                    Reply::Ok => {}
-                    other => return unexpected(other),
-                }
-            }
-
-            // 5. Seller dashboard entries + customer stats + shipment.
-            let mut lines_by_seller: HashMap<SellerId, Vec<OrderLineRef>> = HashMap::new();
-            for item in &order.items {
-                lines_by_seller
-                    .entry(item.seller)
-                    .or_default()
-                    .push(OrderLineRef {
-                        seller: item.seller,
-                        product: item.product,
-                        quantity: item.quantity,
-                        total_amount: item.total_amount,
-                        freight_value: item.freight_value,
-                    });
-                let seller_g = seller_grain(item.seller);
-                if !participants.contains(&seller_g) {
-                    participants.push(seller_g);
-                }
-                match self.tx_call(
-                    seller_g,
-                    Msg::TxSellerAddEntry {
-                        tid,
-                        entry: om_common::entity::OrderEntry {
-                            order: order.id,
-                            seller: item.seller,
-                            product: item.product,
-                            quantity: item.quantity,
-                            total_amount: item.total_amount,
-                            status,
-                        },
-                    },
-                )? {
-                    Reply::Ok => {}
-                    other => return unexpected(other),
-                }
-            }
-            let customer_g = customer_grain(request.customer);
-            participants.push(customer_g);
-            match self.tx_call(
-                customer_g,
-                Msg::TxCustomerPaymentResult {
-                    tid,
-                    approved: payment.approved,
-                    amount: payment.amount,
-                },
-            )? {
-                Reply::Ok => {}
-                other => return unexpected(other),
-            }
-            if payment.approved {
-                for (seller, lines) in lines_by_seller {
-                    let ship_g = shipment_grain(seller);
-                    participants.push(ship_g);
-                    match self.tx_call(
-                        ship_g,
-                        Msg::TxShipCreatePackages {
-                            tid,
-                            shipment: ShipmentId(order.id.0),
-                            order: order.id,
-                            customer: request.customer,
-                            lines,
-                        },
-                    )? {
-                        Reply::Count(_) => {}
-                        other => return unexpected(other),
-                    }
-                    // Paid orders with shipments are in transit.
-                    match self.tx_call(
-                        seller_grain(seller),
-                        Msg::TxSellerApplyStatus {
-                            tid,
-                            order: order.id,
-                            status: OrderStatus::InTransit,
-                        },
-                    )? {
-                        Reply::Ok => {}
-                        other => return unexpected(other),
-                    }
-                }
-                match self.tx_call(
-                    order_g,
-                    Msg::TxOrderSetStatus {
-                        tid,
-                        order: order.id,
-                        status: OrderStatus::InTransit,
-                    },
-                )? {
-                    Reply::Ok => {}
-                    other => return unexpected(other),
-                }
-            }
-
-            // 6. Two-phase commit.
-            let handles: Vec<GrainParticipant<'_>> = participants
-                .iter()
-                .map(|&id| GrainParticipant {
-                    cluster: &self.core.cluster,
-                    id,
-                })
-                .collect();
-            let refs: Vec<&dyn Participant> =
-                handles.iter().map(|h| h as &dyn Participant).collect();
-            self.coordinator.run_2pc(tid, &refs)?;
-
-            if payment.approved {
-                Ok(CheckoutOutcome::Placed {
-                    order: Some(order.id),
-                    total: Some(order.total_invoice()),
-                })
-            } else {
-                Ok(CheckoutOutcome::Rejected("payment declined".into()))
-            }
-        })();
-
+        let result = self.checkout_phases(tid, request, items, &mut participants);
         if result.is_err() {
             // Whatever failed, no lock may outlive the attempt: leaked
             // write locks would starve every later transaction on the
@@ -334,6 +203,202 @@ impl TransactionalPlatform {
             self.abort_all(tid, &participants);
         }
         result
+    }
+
+    /// Phases 2–8 of a checkout (see the module docs), one wait each.
+    fn checkout_phases(
+        &self,
+        tid: TransactionId,
+        request: &CheckoutRequest,
+        items: &[CartItem],
+        participants: &mut Vec<GrainId>,
+    ) -> OmResult<CheckoutOutcome> {
+        // Reserve stock under write locks.
+        let reserves: Vec<(GrainId, Msg)> = items
+            .iter()
+            .map(|item| {
+                let qty = item.quantity;
+                (stock_grain(item.product), Msg::TxStockReserve { tid, qty })
+            })
+            .collect();
+        join(participants, &reserves);
+        let mut reserved: Vec<CartItem> = Vec::new();
+        for (item, outcome) in items.iter().zip(self.tx_call_all(reserves)) {
+            match outcome {
+                Ok(Reply::Ok) => reserved.push(item.clone()),
+                Err(OmError::Rejected(_)) => {
+                    // Out of stock / deleted: line dropped, lock kept
+                    // until the decision (the participant votes yes on
+                    // an unchanged staged state).
+                    self.core.counters.incr("checkout_lines_rejected");
+                }
+                Ok(other) => return unexpected(other),
+                Err(e) => return Err(e),
+            }
+        }
+        if reserved.is_empty() {
+            // Release the write locks the failed reservations still
+            // hold before surfacing the rejection.
+            self.abort_all(tid, participants);
+            return Ok(CheckoutOutcome::Rejected("no line could be reserved".into()));
+        }
+
+        // Create the order.
+        let order_g = order_grain(request.customer);
+        participants.push(order_g);
+        let at = om_common::time::EventTime(self.core.cluster.clock().tick().raw());
+        let order = match self.tx_call(
+            order_g,
+            Msg::TxOrderCreate {
+                tid,
+                items: reserved.clone(),
+                at,
+            },
+        )? {
+            Reply::Order(o) => o,
+            other => return unexpected(other),
+        };
+
+        // Process payment.
+        let payment_g = payment_grain(request.customer);
+        participants.push(payment_g);
+        let payment = match self.tx_call(
+            payment_g,
+            Msg::TxPaymentProcess {
+                tid,
+                order: order.id,
+                method: request.method,
+                amount: order.total_invoice(),
+                decline_rate_bp: to_basis_points(self.core.decline_rate),
+            },
+        )? {
+            Reply::Payment(p) => p,
+            other => return unexpected(other),
+        };
+        let status = if payment.approved {
+            OrderStatus::Paid
+        } else {
+            OrderStatus::PaymentFailed
+        };
+
+        // One phase for everything the payment decides: the order's
+        // status, confirming or releasing the reservations, the seller
+        // dashboard entries, the customer's stats and the shipments.
+        let order_status = |status| Msg::TxOrderSetStatus {
+            tid,
+            order: order.id,
+            status,
+        };
+        let mut effects = vec![(order_g, order_status(status))];
+        for item in &reserved {
+            let qty = item.quantity;
+            let msg = if payment.approved {
+                Msg::TxStockConfirm { tid, qty }
+            } else {
+                Msg::TxStockCancel { tid, qty }
+            };
+            effects.push((stock_grain(item.product), msg));
+        }
+        let mut lines_by_seller: BTreeMap<SellerId, Vec<OrderLineRef>> = BTreeMap::new();
+        for item in &order.items {
+            lines_by_seller.entry(item.seller).or_default().push(OrderLineRef {
+                seller: item.seller,
+                product: item.product,
+                quantity: item.quantity,
+                total_amount: item.total_amount,
+                freight_value: item.freight_value,
+            });
+            let entry = OrderEntry {
+                order: order.id,
+                seller: item.seller,
+                product: item.product,
+                quantity: item.quantity,
+                total_amount: item.total_amount,
+                status,
+            };
+            effects.push((seller_grain(item.seller), Msg::TxSellerAddEntry { tid, entry }));
+        }
+        effects.push((
+            customer_grain(request.customer),
+            Msg::TxCustomerPaymentResult {
+                tid,
+                approved: payment.approved,
+                amount: payment.amount,
+            },
+        ));
+        if payment.approved {
+            for (&seller, lines) in &lines_by_seller {
+                effects.push((
+                    shipment_grain(seller),
+                    Msg::TxShipCreatePackages {
+                        tid,
+                        shipment: ShipmentId(order.id.0),
+                        order: order.id,
+                        customer: request.customer,
+                        lines: lines.clone(),
+                    },
+                ));
+            }
+        }
+        join(participants, &effects);
+        for outcome in self.tx_call_all(effects) {
+            match outcome? {
+                Reply::Ok | Reply::Count(_) => {}
+                other => return unexpected(other),
+            }
+        }
+
+        // Paid orders with shipments are in transit. The seller grains
+        // are write-locked by now, so the status reaches every entry the
+        // previous phase added.
+        if payment.approved {
+            let status = OrderStatus::InTransit;
+            let mut transit: Vec<(GrainId, Msg)> = lines_by_seller
+                .keys()
+                .map(|&seller| {
+                    let msg = Msg::TxSellerApplyStatus {
+                        tid,
+                        order: order.id,
+                        status,
+                    };
+                    (seller_grain(seller), msg)
+                })
+                .collect();
+            transit.push((order_g, order_status(status)));
+            for outcome in self.tx_call_all(transit) {
+                match outcome? {
+                    Reply::Ok => {}
+                    other => return unexpected(other),
+                }
+            }
+        }
+
+        // Two-phase commit: prepare everywhere, then commit everywhere.
+        self.coordinator.run_2pc(
+            tid,
+            &Grains {
+                cluster: &self.core.cluster,
+                ids: participants,
+            },
+        )?;
+
+        if payment.approved {
+            Ok(CheckoutOutcome::Placed {
+                order: Some(order.id),
+                total: Some(order.total_invoice()),
+            })
+        } else {
+            Ok(CheckoutOutcome::Rejected("payment declined".into()))
+        }
+    }
+}
+
+/// Adds the grains `calls` reach to `participants`, each once.
+fn join(participants: &mut Vec<GrainId>, calls: &[(GrainId, Msg)]) {
+    for &(id, _) in calls {
+        if !participants.contains(&id) {
+            participants.push(id);
+        }
     }
 }
 
@@ -467,30 +532,20 @@ impl TransactionalPlatform {
     /// the delivered `(seller, order)` detail for downstream projections
     /// (the customized binding retires MVCC entries from it).
     pub fn update_delivery_with_detail(&self, max_sellers: usize) -> OmResult<DeliveryDetail> {
-        let sellers: Vec<SellerId> = self.core.catalog.sellers.read().clone();
-        let mut ranked: Vec<(om_common::time::EventTime, SellerId)> = Vec::new();
-        for s in sellers {
-            if let Reply::OldestUndelivered(Some(t)) = self
-                .core
-                .cluster
-                .call(shipment_grain(s), Msg::ShipOldest)?
-            {
-                ranked.push((t, s));
-            }
-        }
-        ranked.sort();
-        let chosen: Vec<SellerId> = ranked.into_iter().take(max_sellers).map(|(_, s)| s).collect();
+        let chosen = self.core.sellers_by_oldest_undelivered(max_sellers)?;
         if chosen.is_empty() {
             return Ok(DeliveryDetail::default());
         }
 
         let tid = TransactionId(self.coordinator.begin().0);
+        let participants: Vec<GrainId> = chosen.iter().map(|&s| shipment_grain(s)).collect();
+        let calls = participants
+            .iter()
+            .map(|&g| (g, Msg::TxShipDeliverOldest { tid }))
+            .collect();
         let mut delivered: Vec<(SellerId, OrderId, u32)> = Vec::new();
-        let mut participants = Vec::new();
-        for &s in &chosen {
-            let g = shipment_grain(s);
-            participants.push(g);
-            match self.tx_call(g, Msg::TxShipDeliverOldest { tid }) {
+        for (&s, outcome) in chosen.iter().zip(self.tx_call_all(calls)) {
+            match outcome {
                 Ok(Reply::Delivered {
                     order: Some(order),
                     packages,
@@ -506,15 +561,13 @@ impl TransactionalPlatform {
                 }
             }
         }
-        let handles: Vec<GrainParticipant<'_>> = participants
-            .iter()
-            .map(|&id| GrainParticipant {
+        self.coordinator.run_2pc(
+            tid,
+            &Grains {
                 cluster: &self.core.cluster,
-                id,
-            })
-            .collect();
-        let refs: Vec<&dyn Participant> = handles.iter().map(|h| h as &dyn Participant).collect();
-        self.coordinator.run_2pc(tid, &refs)?;
+                ids: &participants,
+            },
+        )?;
 
         // Post-commit propagation to order and seller views.
         let mut detail = DeliveryDetail::default();

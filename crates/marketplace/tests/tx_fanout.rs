@@ -1,0 +1,338 @@
+//! The transactional checkout's phase fan-out: an approved checkout waits
+//! once per protocol phase, and under contention the fanned phases keep
+//! wait-die, the locks and 2PC atomic on both bindings that run it
+//! (Transactional, and Customized over it).
+
+use om_common::entity::{Customer, OrderEntry, OrderStatus, PaymentMethod, Product, Seller};
+use om_common::ids::{CustomerId, OrderId, ProductId, SellerId};
+use om_common::Money;
+use om_marketplace::api::*;
+use om_marketplace::bindings::actor_core::ActorPlatformConfig;
+use om_marketplace::bindings::actor_grains::seller_grain;
+use om_marketplace::bindings::actor_msg::{Msg, Reply};
+use om_marketplace::bindings::customized::CustomizedConfig;
+use om_marketplace::{CustomizedPlatform, TransactionalPlatform};
+use std::collections::BTreeMap;
+
+/// The hot products, `(seller, product)`: two from seller 1, one from
+/// seller 2.
+const HOT: [(u64, u64); 3] = [(1, 1), (1, 2), (2, 3)];
+const STOCK: u32 = 1_000_000;
+const THREADS: u64 = 4;
+const CHECKOUTS: u64 = 200;
+
+/// Cart lines, `(seller, product, qty)`.
+type Lines = Vec<(u64, u64, u32)>;
+
+fn ingest(platform: &dyn MarketplacePlatform) {
+    for s in 1..=2 {
+        platform
+            .ingest_seller(Seller::new(SellerId(s), format!("s{s}"), "city".into()))
+            .unwrap();
+    }
+    for c in 1..=THREADS {
+        platform
+            .ingest_customer(Customer::new(CustomerId(c), format!("c{c}"), "addr".into()))
+            .unwrap();
+    }
+    for (s, p) in HOT {
+        let product = Product {
+            id: ProductId(p),
+            seller: SellerId(s),
+            name: format!("p{p}"),
+            category: "hot".into(),
+            description: String::new(),
+            price: Money::from_cents(100 * p as i64),
+            freight_value: Money::from_cents(10),
+            version: 0,
+            active: true,
+        };
+        platform.ingest_product(product, STOCK).unwrap();
+    }
+    platform.quiesce();
+}
+
+/// Fills `customer`'s cart with `lines`.
+fn fill_cart(platform: &dyn MarketplacePlatform, customer: u64, lines: &[(u64, u64, u32)]) {
+    for &(s, p, quantity) in lines {
+        let item = CheckoutItem {
+            seller: SellerId(s),
+            product: ProductId(p),
+            quantity,
+        };
+        platform.add_to_cart(CustomerId(customer), item).unwrap();
+    }
+}
+
+fn checkout(platform: &dyn MarketplacePlatform, customer: u64) -> CheckoutOutcome {
+    platform
+        .checkout(CheckoutRequest {
+            customer: CustomerId(customer),
+            items: vec![],
+            method: PaymentMethod::CreditCard,
+        })
+        .unwrap()
+}
+
+fn counter(platform: &dyn MarketplacePlatform, name: &str) -> u64 {
+    platform.counters().get(name).copied().unwrap_or(0)
+}
+
+/// The three hot products, one unit more of every other line.
+fn hot_cart(i: u64) -> Lines {
+    HOT.iter()
+        .enumerate()
+        .map(|(j, &(s, p))| (s, p, 1 + ((i + j as u64) % 2) as u32))
+        .collect()
+}
+
+/// Carts that collide on seller 1 more often than on a stock lock:
+/// product 1 or product 2 alone, and every fourth cart all three. Two
+/// transactions then hold seller 1's lock in turn while neither waits for
+/// the other's stock, so entries wait for the seller lock inside the
+/// fanned phase.
+fn contended_cart(i: u64) -> Lines {
+    match i % 4 {
+        3 => hot_cart(i),
+        j => {
+            let (s, p) = HOT[(j % 2) as usize];
+            vec![(s, p, 1 + (i % 3) as u32)]
+        }
+    }
+}
+
+#[test]
+fn an_approved_checkout_waits_once_per_phase() {
+    // k = 3 distinct products from s = 2 sellers.
+    for (decline_rate, waits, calls) in [
+        // cart begin, reserves, order, payment, effects, InTransit,
+        // prepare, commit, cart finish; 5k + 6s + 13 calls.
+        (0.0, 9, 40),
+        // A declined payment skips the shipments and the InTransit phase;
+        // 5k + 2s + 12 calls.
+        (1.0, 8, 31),
+    ] {
+        let p = TransactionalPlatform::new(ActorPlatformConfig {
+            decline_rate,
+            ..Default::default()
+        });
+        ingest(&p);
+        fill_cart(&p, 1, &hot_cart(1));
+        let (waits_before, calls_before) =
+            (counter(&p, "cluster.waits"), counter(&p, "cluster.calls"));
+        let outcome = checkout(&p, 1);
+        assert_eq!(
+            matches!(outcome, CheckoutOutcome::Placed { .. }),
+            decline_rate == 0.0,
+            "{outcome:?}"
+        );
+        assert_eq!(
+            counter(&p, "cluster.waits") - waits_before,
+            waits,
+            "decline_rate {decline_rate}"
+        );
+        assert_eq!(
+            counter(&p, "cluster.calls") - calls_before,
+            calls,
+            "decline_rate {decline_rate}"
+        );
+    }
+}
+
+/// 4 threads × 200 checkouts over the three hot products, as four
+/// customers; then every invariant of an all-or-nothing checkout.
+/// `waits_per_checkout` is what an uncontended checkout of all three
+/// costs the platform.
+fn contended_checkouts_stay_atomic(
+    platform: &dyn MarketplacePlatform,
+    tx: &TransactionalPlatform,
+    waits_per_checkout: u64,
+) {
+    ingest(platform);
+    let placed: Vec<(OrderId, Lines)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..=THREADS)
+            .map(|c| {
+                scope.spawn(move || {
+                    (0..CHECKOUTS)
+                        .map(|i| {
+                            let lines = contended_cart(i + c);
+                            fill_cart(platform, c, &lines);
+                            match checkout(platform, c) {
+                                CheckoutOutcome::Placed {
+                                    order: Some(order), ..
+                                } => (order, lines),
+                                other => panic!("customer {c} checkout {i}: {other:?}"),
+                            }
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect()
+    });
+    platform.quiesce();
+    let kind = platform.kind();
+    assert_eq!(placed.len() as u64, THREADS * CHECKOUTS);
+
+    // The retry paths inside a fan-out ran.
+    let lock_waits = counter(platform, "lock_waits");
+    let restarts = counter(platform, "tx_restarts");
+    assert!(lock_waits > 0, "{kind:?}: no op ever waited for a lock");
+    assert!(
+        restarts > 0,
+        "{kind:?}: no transaction ever died and restarted"
+    );
+
+    // Stock is conserved, and sold exactly what the placed orders hold.
+    let snap = platform.snapshot().unwrap();
+    let mut sold: BTreeMap<u64, u64> = BTreeMap::new();
+    for (_, lines) in &placed {
+        for &(_, p, q) in lines {
+            *sold.entry(p).or_default() += q as u64;
+        }
+    }
+    assert_eq!(snap.stock.len(), HOT.len());
+    for s in &snap.stock {
+        let p = s.item.key.product.0;
+        assert_eq!(
+            s.item.qty_reserved, 0,
+            "{kind:?}: reservation leaked on {p}"
+        );
+        assert_eq!(s.qty_sold, sold[&p], "{kind:?}: product {p}");
+        assert_eq!(
+            s.item.qty_available as u64 + s.qty_sold,
+            STOCK as u64,
+            "{kind:?}: product {p}"
+        );
+    }
+
+    // Every placed order, once, in transit.
+    assert_eq!(snap.orders.len(), placed.len(), "{kind:?}");
+    assert!(snap
+        .orders
+        .iter()
+        .all(|o| o.status == OrderStatus::InTransit));
+
+    // Every line of every placed order appears exactly once in its
+    // seller's grain entries (in transit: the InTransit phase reached
+    // every entry), in its seller's dashboard, and in its seller's
+    // shipments — and nothing else does.
+    let expected: BTreeMap<(u64, u64), u64> = placed
+        .iter()
+        .flat_map(|(order, lines)| lines.iter().map(move |&(s, p, _)| ((order.0, p), s)))
+        .collect();
+    let mut entries: Vec<OrderEntry> = Vec::new();
+    let mut dashboard_keys: Vec<(u64, u64)> = Vec::new();
+    for s in 1..=2 {
+        match tx
+            .core()
+            .cluster
+            .call(seller_grain(SellerId(s)), Msg::SellerGetEntries)
+            .unwrap()
+        {
+            Reply::Entries(list) => entries.extend(list),
+            other => panic!("{other:?}"),
+        }
+        let dash = platform.seller_dashboard(SellerId(s)).unwrap();
+        dashboard_keys.extend(dash.entries.iter().map(|e| (e.order.0, e.product.0)));
+    }
+    let mut seen: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+    for e in &entries {
+        let key = (e.order.0, e.product.0);
+        assert_eq!(
+            expected.get(&key),
+            Some(&e.seller.0),
+            "{kind:?}: stray entry {e:?}"
+        );
+        assert_eq!(e.status, OrderStatus::InTransit, "{kind:?}: entry {e:?}");
+        *seen.entry(key).or_default() += 1;
+    }
+    assert_eq!(seen.len(), expected.len(), "{kind:?}: entries missing");
+    assert!(
+        seen.values().all(|&n| n == 1),
+        "{kind:?}: an entry was added twice"
+    );
+    dashboard_keys.sort_unstable();
+    assert_eq!(
+        dashboard_keys,
+        expected.keys().copied().collect::<Vec<_>>(),
+        "{kind:?}: dashboard"
+    );
+    let mut shipped: Vec<(u64, u64)> = snap
+        .shipments
+        .iter()
+        .map(|pkg| {
+            let key = (pkg.order.0, pkg.product.0);
+            assert_eq!(
+                expected.get(&key),
+                Some(&pkg.seller.0),
+                "{kind:?}: stray package"
+            );
+            key
+        })
+        .collect();
+    shipped.sort_unstable();
+    assert_eq!(
+        shipped,
+        expected.keys().copied().collect::<Vec<_>>(),
+        "{kind:?}: shipments"
+    );
+
+    assert!(
+        tx.tx_log().is_consistent(),
+        "{kind:?}: contradictory 2PC decisions"
+    );
+
+    // No grain is left locked: a checkout by every customer over every hot
+    // grain neither waits for a lock nor restarts, and costs exactly its
+    // phases.
+    for c in 1..=THREADS {
+        fill_cart(platform, c, &hot_cart(0));
+        let waits = counter(platform, "cluster.waits");
+        let outcome = checkout(platform, c);
+        assert!(
+            matches!(outcome, CheckoutOutcome::Placed { .. }),
+            "{outcome:?}"
+        );
+        assert_eq!(
+            counter(platform, "cluster.waits") - waits,
+            waits_per_checkout,
+            "{kind:?}"
+        );
+    }
+    assert_eq!(
+        counter(platform, "lock_waits"),
+        lock_waits,
+        "{kind:?}: a lock was left held"
+    );
+    assert_eq!(
+        counter(platform, "tx_restarts"),
+        restarts,
+        "{kind:?}: a lock was left held"
+    );
+}
+
+#[test]
+fn fanned_transactional_checkout_is_atomic_under_contention() {
+    let p = TransactionalPlatform::new(ActorPlatformConfig {
+        decline_rate: 0.0,
+        ..Default::default()
+    });
+    contended_checkouts_stay_atomic(&p, &p, 9);
+}
+
+#[test]
+fn fanned_customized_checkout_is_atomic_under_contention() {
+    let p = CustomizedPlatform::new(CustomizedConfig {
+        actor: ActorPlatformConfig {
+            decline_rate: 0.0,
+            ..Default::default()
+        },
+    });
+    // One wait more than Transactional: the order is read back to be
+    // projected into the dashboard.
+    contended_checkouts_stay_atomic(&p, p.inner(), 10);
+}
