@@ -17,9 +17,10 @@
 #     dashboard" audit) and the HTTP-bound cart cell — must end in a
 #     result line with "correct":true and "failed":0 — a code-path
 #     check, not a measurement,
-#   * all examples must keep compiling, and failure_recovery *runs* as a
+#   * all examples must keep compiling; failure_recovery *runs* as a
 #     smoke step (it asserts zero lost epochs across a disk-backed
-#     platform rebuild),
+#     platform rebuild), and so does http_gateway (it asserts the
+#     status of every endpoint through the HTTP engine),
 #   * the shim crates' own unit tests run via --workspace,
 #   * rustdoc must build warning-free (om_storage, om_dataflow, om_log
 #     and om_kv additionally deny missing docs at the crate level),
@@ -76,5 +77,8 @@ cargo build --examples --offline
 
 echo "==> smoke: failure_recovery example (disk-backed recovery, asserts 0 lost epochs)"
 cargo run --release --offline --example failure_recovery >/dev/null
+
+echo "==> smoke: http_gateway example (asserts every endpoint's status through the engine)"
+cargo run --release --offline --example http_gateway >/dev/null
 
 echo "CI OK"

@@ -60,8 +60,7 @@ pub struct HttpPlatform {
 }
 
 impl HttpPlatform {
-    /// Fronts `platform` with an HTTP server of `workers` gateway
-    /// workers.
+    /// Fronts `platform` with an HTTP server of `workers` event loops.
     pub fn front(platform: Arc<dyn MarketplacePlatform>, workers: usize) -> Self {
         let server = Arc::new(HttpServer::start_event_driven(
             Arc::new(MarketplaceGateway::new(platform.clone())),
@@ -351,7 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn front_runs_workers_plus_one_threads_regardless_of_connections() {
+    fn front_runs_one_thread_per_event_loop_regardless_of_connections() {
         let inner = Arc::new(EventualPlatform::new(Default::default()));
         let p = HttpPlatform::front(inner, 3);
         let mut clients: Vec<_> = (0..16).map(|_| p.server().connect()).collect();
@@ -359,8 +358,8 @@ mod tests {
             assert_eq!(client.request(Method::Get, "/health", None).unwrap().status, 200);
         }
         // 16 live keep-alive connections, yet the engine is still its
-        // workers plus the poller thread.
-        assert_eq!(p.server().stats().engine_threads, 3 + 1);
+        // three event loops.
+        assert_eq!(p.server().stats().engine_threads, 3);
         for client in &clients {
             client.close();
         }

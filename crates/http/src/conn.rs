@@ -1,38 +1,61 @@
-//! The event-driven connection engine: one readiness loop, a bounded
-//! worker pool, and non-blocking per-connection state machines.
+//! The event-driven connection engine: `workers` event loops, each
+//! owning the connections placed on it and running the gateway inline.
 //!
-//! This is the scalable front the ROADMAP calls for: instead of one OS
-//! thread per connection, a single event-loop thread multiplexes every
-//! connection through the [`Poller`] and hands parsed requests to
-//! `workers` gateway threads over a bounded dispatch queue. Total thread
-//! count is `O(workers + 1)` regardless of how many keep-alive
-//! connections are open.
+//! Instead of one OS thread per connection, each loop multiplexes its
+//! connections through its own [`Poller`], parses a request, calls
+//! [`MarketplaceGateway::handle`] on the loop thread, and hands the whole
+//! response to the client in one wake: a write into an empty
+//! server→client pipe is accepted whole. The engine owns exactly
+//! `workers` threads however many keep-alive connections are open, and a
+//! request crosses no thread between its bytes arriving and its response
+//! leaving.
 //!
-//! Per connection the loop runs a small state machine:
+//! A new connection goes to the loop with the fewest live connections
+//! (ties to the lowest index). Each loop then works in rounds:
 //!
 //! ```text
-//! accept -> register(poller) -> { read edges  -> drain pipe -> parse
-//!                                               -> dispatch (bounded) or 503
-//!                                 completion  -> serialize -> buffered write
-//!                                 write edges -> flush, toggle write interest
-//!                                 deadline    -> 408 / clean close }
+//! accept -> poll -> for each ready connection, oldest first:
+//!     flush -> read (inbuf cap re-checked per read) -> parse one request
+//!           -> admitted: gateway.handle inline | over budget: 503
+//!           -> serialize -> flush (whole write into an empty pipe)
+//!     -> parsing open and bytes left in inbuf: re-queue for next round
+//!     -> recompute interest + deadline, or close
 //! ```
 //!
 //! Backpressure is end-to-end and explicit:
 //!
 //! * **accept queue** (`accept_queue`): over capacity, new connections
 //!   are shed — the client end sees immediate EOF;
-//! * **dispatch queue** (`dispatch_queue`): full, the request is
-//!   answered `503 Service Unavailable` + `retry-after` without touching
-//!   a worker;
-//! * **per-connection buffers** (`pipe_capacity`): while a response is
-//!   in flight or the out-buffer is over the cap, the connection's read
-//!   interest is off, bytes stay in the client→server pipe, and once
-//!   that fills the *client's* blocking `send` parks — the in-memory
-//!   analogue of a zero TCP receive window;
+//! * **admission** (`dispatch_queue`): a loop admits at most this many
+//!   requests per round; the round's further requests are answered
+//!   `503 Service Unavailable` + `retry-after` without reaching the
+//!   gateway. A connection contributes at most one request per round,
+//!   so an admitted request waits for at most one round of handlers;
+//! * **per-connection buffers** (`pipe_capacity`): while the out-buffer
+//!   is over the cap the connection is not parsed, and while the
+//!   in-buffer is at the cap it is not read; bytes stay in the capped
+//!   client→server pipe, and once that fills the *client's* blocking
+//!   `send` parks — the in-memory analogue of a zero TCP receive window.
+//!   A connection's out-buffer stays within `pipe_capacity` plus the
+//!   largest single response (the server's own), its in-buffer under
+//!   twice `pipe_capacity`;
 //! * **idle deadlines**: the poller's deadline wheel times out idle
 //!   connections (clean close) and half-received requests
 //!   (`408 Request Timeout` + `connection: close`).
+//!
+//! Three invariants keep a loop that runs handlers inline from stalling
+//! or misjudging a connection:
+//!
+//! 1. **Parsing that re-opens is never left to an edge.** A turn flushes
+//!    before it parses, and a turn that ends with parsing open and
+//!    unparsed bytes in `inbuf` re-queues the connection: a drained
+//!    out-buffer re-opens parsing for requests already read, which no
+//!    pipe edge will announce.
+//! 2. **The `inbuf` cap is re-checked on every pipe read.** A client on
+//!    another core refills the pipe as fast as the loop drains it.
+//! 3. **A deadline counts only if the turn finds nothing to do.** After
+//!    a long inline handler, a connection whose request waits unread in
+//!    its pipe is served, not closed or answered 408.
 
 use crate::gateway::MarketplaceGateway;
 use crate::pipe::{Connection, TryRead};
@@ -40,7 +63,6 @@ use crate::poller::{Event, Interest, Poller, Readiness, Token};
 use crate::request::{parse_request, Method, ParserConfig, Request};
 use crate::response::Response;
 use bytes::BytesMut;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -51,13 +73,15 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for the event-driven engine.
 #[derive(Debug, Clone)]
 pub struct EventConfig {
-    /// Gateway worker threads draining the dispatch queue.
+    /// Event loops, and so engine threads. Each loop owns the
+    /// connections placed on it and runs their gateway calls inline.
     pub workers: usize,
     /// Connections that may wait un-registered before new ones are shed.
     pub accept_queue: usize,
-    /// Parsed requests that may wait for a worker before 503 load-shed.
+    /// Requests one loop admits per round; the round's further requests
+    /// are answered 503 + `retry-after`.
     pub dispatch_queue: usize,
-    /// Byte cap per pipe direction and per connection out-buffer; the
+    /// Byte cap per client→server pipe and per connection buffer; the
     /// knob that turns a never-reading peer into blocked-peer
     /// backpressure instead of unbounded server memory.
     pub pipe_capacity: usize,
@@ -77,7 +101,7 @@ impl Default for EventConfig {
 /// A point-in-time snapshot of engine health counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Connections currently registered with the poller.
+    /// Connections currently registered with a loop.
     pub live_connections: usize,
     /// High-water mark of `live_connections`.
     pub max_live_connections: usize,
@@ -85,15 +109,14 @@ pub struct ServerStats {
     pub accepted: u64,
     /// Connections shed because the accept queue was full.
     pub shed_accept: u64,
-    /// Requests answered 503 because the dispatch queue was full.
+    /// Requests answered 503 because their loop's round had admitted
+    /// `dispatch_queue` requests already.
     pub shed_dispatch: u64,
-    /// Requests currently sitting in the dispatch queue (gauge).
-    pub dispatch_queued: usize,
     /// Half-received requests answered 408 by the deadline wheel.
     pub timeouts_408: u64,
     /// High-water mark of one connection's `inbuf + outbuf` bytes.
     pub max_conn_buffer_bytes: usize,
-    /// Threads owned by the engine (event loop + workers).
+    /// Threads owned by the engine: one per event loop.
     pub engine_threads: usize,
 }
 
@@ -104,7 +127,6 @@ pub(crate) struct StatCounters {
     accepted: AtomicU64,
     shed_accept: AtomicU64,
     shed_dispatch: AtomicU64,
-    dispatch_queued: AtomicUsize,
     timeouts_408: AtomicU64,
     max_conn_buffer: AtomicUsize,
 }
@@ -121,7 +143,6 @@ impl StatCounters {
             accepted: self.accepted.load(Ordering::Relaxed),
             shed_accept: self.shed_accept.load(Ordering::Relaxed),
             shed_dispatch: self.shed_dispatch.load(Ordering::Relaxed),
-            dispatch_queued: self.dispatch_queued.load(Ordering::Relaxed),
             timeouts_408: self.timeouts_408.load(Ordering::Relaxed),
             max_conn_buffer_bytes: self.max_conn_buffer.load(Ordering::Relaxed),
             engine_threads,
@@ -129,24 +150,18 @@ impl StatCounters {
     }
 }
 
-/// One parsed request waiting for a gateway worker.
-struct Job {
-    token: Token,
-    req: Request,
-}
-
-/// One finished gateway call on its way back to the event loop.
-struct Completion {
-    token: Token,
-    resp: Response,
-    is_head: bool,
-    keep_alive: bool,
+/// The part of one event loop other threads touch.
+struct LoopShared {
+    poller: Poller,
+    /// Connections placed on this loop and not yet closed, queued or
+    /// registered: what placement balances.
+    placed: AtomicUsize,
 }
 
 struct EngineShared {
-    poller: Poller,
-    accept: Mutex<VecDeque<Connection>>,
-    completions: Mutex<Vec<Completion>>,
+    loops: Vec<LoopShared>,
+    /// Per loop, the connections placed on it and not yet registered.
+    accept: Mutex<Vec<VecDeque<Connection>>>,
     shutdown: AtomicBool,
     cfg: EventConfig,
     parser: ParserConfig,
@@ -155,14 +170,11 @@ struct EngineShared {
     stats: StatCounters,
 }
 
-/// Per-connection state machine driven by the event loop.
+/// Per-connection state machine driven by its loop.
 struct Conn {
     io: Connection,
     inbuf: BytesMut,
     outbuf: BytesMut,
-    /// A request is with the worker pool; at most one per connection, so
-    /// pipelined responses come back in request order for free.
-    in_flight: bool,
     /// Stop parsing and close once `outbuf` drains.
     close_after_flush: bool,
     saw_eof: bool,
@@ -175,18 +187,16 @@ impl Conn {
             io,
             inbuf: BytesMut::with_capacity(1024),
             outbuf: BytesMut::new(),
-            in_flight: false,
             close_after_flush: false,
             saw_eof: false,
             interest: Interest::READ,
         }
     }
 
-    /// Whether the state machine may parse (and dispatch) another
-    /// request — false while a response is in flight or the out-buffer
-    /// is over the cap.
+    /// Whether the state machine may parse another request — false while
+    /// closing or while the out-buffer is over the cap.
     fn wants_parse(&self, cap: usize) -> bool {
-        !self.in_flight && !self.close_after_flush && self.outbuf.len() <= cap
+        !self.close_after_flush && self.outbuf.len() <= cap
     }
 
     /// Whether the state machine wants more bytes *from the pipe* — like
@@ -200,13 +210,26 @@ impl Conn {
     fn done(&self) -> bool {
         self.close_after_flush && self.outbuf.is_empty()
     }
+
+    /// Serializes `resp` to `req` into the out-buffer (head only for
+    /// HEAD), closing after it when the request asked to.
+    fn queue_response(&mut self, mut resp: Response, req: &Request) {
+        if !req.keep_alive() {
+            resp = resp.with_header("connection", "close");
+            self.close_after_flush = true;
+        }
+        if req.method == Method::Head {
+            resp.write_head_to(&mut self.outbuf);
+        } else {
+            resp.write_to(&mut self.outbuf);
+        }
+    }
 }
 
-/// The engine: event-loop thread + worker pool behind a poller.
+/// The engine: `workers` event-loop threads, each behind its own poller.
 pub(crate) struct EventEngine {
     shared: Arc<EngineShared>,
-    event_loop: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    loops: Vec<JoinHandle<()>>,
 }
 
 impl EventEngine {
@@ -216,13 +239,16 @@ impl EventEngine {
         idle_timeout: Duration,
         cfg: EventConfig,
     ) -> EventEngine {
-        assert!(cfg.workers > 0, "engine needs at least one worker");
+        assert!(cfg.workers > 0, "engine needs at least one event loop");
         assert!(cfg.pipe_capacity > 0, "pipe capacity must be positive");
-        let (job_tx, job_rx): (Sender<Job>, Receiver<Job>) = bounded(cfg.dispatch_queue.max(1));
         let shared = Arc::new(EngineShared {
-            poller: Poller::new(),
-            accept: Mutex::new(VecDeque::new()),
-            completions: Mutex::new(Vec::new()),
+            loops: (0..cfg.workers)
+                .map(|_| LoopShared {
+                    poller: Poller::new(),
+                    placed: AtomicUsize::new(0),
+                })
+                .collect(),
+            accept: Mutex::new((0..cfg.workers).map(|_| VecDeque::new()).collect()),
             shutdown: AtomicBool::new(false),
             cfg: cfg.clone(),
             parser,
@@ -230,62 +256,62 @@ impl EventEngine {
             gateway,
             stats: StatCounters::default(),
         });
-        let workers = (0..cfg.workers)
-            .map(|i| {
+        let loops = (0..cfg.workers)
+            .map(|me| {
                 let shared = shared.clone();
-                let rx = job_rx.clone();
                 std::thread::Builder::new()
-                    .name(format!("om-http-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &rx))
-                    .expect("spawn gateway worker")
+                    .name(format!("om-http-loop-{me}"))
+                    .spawn(move || event_loop(&shared, me))
+                    .expect("spawn event loop")
             })
             .collect();
-        let event_loop = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("om-http-event-loop".into())
-                .spawn(move || event_loop(&shared, job_tx))
-                .expect("spawn event loop")
-        };
-        EventEngine {
-            shared,
-            event_loop: Some(event_loop),
-            workers,
-        }
+        EventEngine { shared, loops }
     }
 
-    /// Opens a client connection. Under shutdown or a full accept queue
-    /// the server end is dropped immediately — the client sees EOF, the
-    /// in-memory analogue of a refused connect.
+    /// Opens a client connection on the loop with the fewest live
+    /// connections (ties to the lowest index). Under shutdown or a full
+    /// accept queue the server end is dropped immediately — the client
+    /// sees EOF, the in-memory analogue of a refused connect.
     pub(crate) fn connect(&self) -> Connection {
-        let (client_end, server_end) = Connection::duplex_with_capacity(self.shared.cfg.pipe_capacity);
-        if self.shared.shutdown.load(Ordering::SeqCst) {
+        let shared = &self.shared;
+        let (client_end, server_end) = Connection::duplex_with_capacity(shared.cfg.pipe_capacity);
+        if shared.shutdown.load(Ordering::SeqCst) {
             return client_end; // server_end drops: EOF
         }
-        {
-            let mut q = self.shared.accept.lock();
-            if q.len() >= self.shared.cfg.accept_queue {
-                self.shared.stats.shed_accept.fetch_add(1, Ordering::Relaxed);
-                return client_end; // shed: server_end drops, EOF
-            }
-            q.push_back(server_end);
+        let mut queues = shared.accept.lock();
+        if queues.iter().map(VecDeque::len).sum::<usize>() >= shared.cfg.accept_queue {
+            shared.stats.shed_accept.fetch_add(1, Ordering::Relaxed);
+            return client_end; // shed: server_end drops, EOF
         }
-        self.shared.poller.wake();
+        // `min_by_key` returns the first of equal minima: the lowest index.
+        let (me, target) = shared
+            .loops
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, l)| l.placed.load(Ordering::Relaxed))
+            .expect("at least one loop");
+        target.placed.fetch_add(1, Ordering::Relaxed);
+        queues[me].push_back(server_end);
+        drop(queues);
+        target.poller.wake();
         client_end
     }
 
     pub(crate) fn stats(&self) -> ServerStats {
-        self.shared.stats.snapshot(self.shared.cfg.workers + 1)
+        self.shared.stats.snapshot(self.shared.cfg.workers)
     }
 
     pub(crate) fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.poller.wake();
-        if let Some(handle) = self.event_loop.take() {
+        self.signal_shutdown();
+        for handle in self.loops.drain(..) {
             let _ = handle.join();
         }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+    }
+
+    fn signal_shutdown(&self) {
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        for l in &self.shared.loops {
+            l.poller.wake();
         }
     }
 }
@@ -293,83 +319,87 @@ impl EventEngine {
 impl Drop for EventEngine {
     fn drop(&mut self) {
         // Signal without joining, so leaking a server in a test never
-        // blocks; threads exit on their own.
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.poller.wake();
+        // blocks; the loops exit on their own.
+        self.signal_shutdown();
     }
 }
 
-fn worker_loop(shared: &EngineShared, jobs: &Receiver<Job>) {
-    while let Ok(job) = jobs.recv() {
-        shared.stats.dispatch_queued.fetch_sub(1, Ordering::Relaxed);
-        let is_head = job.req.method == Method::Head;
-        let keep_alive = job.req.keep_alive();
-        let resp = shared.gateway.handle(&job.req);
-        shared.completions.lock().push(Completion {
-            token: job.token,
-            resp,
-            is_head,
-            keep_alive,
-        });
-        shared.poller.wake();
-    }
-}
-
-/// How long a shutdown waits for in-flight gateway calls to flush before
-/// force-closing their connections.
-const SHUTDOWN_GRACE: Duration = Duration::from_millis(250);
-
-fn event_loop(shared: &EngineShared, job_tx: Sender<Job>) {
+fn event_loop(shared: &EngineShared, me: usize) {
+    let lp = &shared.loops[me];
     let mut conns: HashMap<Token, Conn> = HashMap::new();
     let mut next_token: u64 = 0; // monotonic; tokens are never reused
     let mut events: Vec<Event> = Vec::new();
+    // Connections whose turn left parsing open over unparsed bytes.
+    let mut requeued: Vec<Token> = Vec::new();
 
-    loop {
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        accept_new(shared, me, &mut conns, &mut next_token);
         events.clear();
-        shared.poller.poll(&mut events, Duration::from_millis(100));
+        let wait = if requeued.is_empty() {
+            Duration::from_millis(100)
+        } else {
+            Duration::ZERO
+        };
+        lp.poller.poll(&mut events, wait);
+        events.extend(requeued.drain(..).map(|token| Event {
+            token,
+            readiness: Readiness::READABLE,
+            timed_out: false,
+        }));
+        // One turn per connection per round, oldest connection first; a
+        // token's deadline and readiness arrive as separate events.
+        events.sort_unstable_by_key(|e| e.token);
+        events.dedup_by(|later, earlier| {
+            let same = later.token == earlier.token;
+            if same {
+                earlier.timed_out |= later.timed_out;
+            }
+            same
+        });
 
-        accept_new(shared, &mut conns, &mut next_token);
-        drain_completions(shared, &mut conns, &job_tx);
-
-        for &event in &events {
+        let mut admit = shared.cfg.dispatch_queue.max(1);
+        for event in &events {
             let Some(conn) = conns.get_mut(&event.token) else {
                 continue; // already closed; late edge or deadline
             };
-            if event.timed_out {
-                handle_timeout(shared, conn, event.token);
+            if turn(shared, conn, event.timed_out, &mut admit) {
+                requeued.push(event.token);
             }
-            if event.readiness.readable || event.readiness.writable {
-                pump(shared, conn, event.token, &job_tx);
-            }
-            finish_touch(shared, &mut conns, event.token);
+            finish_touch(shared, lp, &mut conns, event.token);
         }
+    }
 
-        if shared.shutdown.load(Ordering::SeqCst) {
-            shutdown_drain(shared, &mut conns, &job_tx);
-            return; // dropping job_tx ends the worker pool
-        }
+    // Shutdown: queued clients and every live connection see EOF.
+    let queued = std::mem::take(&mut shared.accept.lock()[me]);
+    lp.placed.fetch_sub(queued.len(), Ordering::Relaxed);
+    drop(queued);
+    let tokens: Vec<Token> = conns.keys().copied().collect();
+    for token in tokens {
+        close_conn(shared, lp, &mut conns, token);
     }
 }
 
-/// Registers queued connections with the poller.
-fn accept_new(shared: &EngineShared, conns: &mut HashMap<Token, Conn>, next_token: &mut u64) {
-    loop {
-        let Some(io) = shared.accept.lock().pop_front() else {
-            return;
-        };
+/// Registers this loop's queued connections with its poller.
+fn accept_new(
+    shared: &EngineShared,
+    me: usize,
+    conns: &mut HashMap<Token, Conn>,
+    next_token: &mut u64,
+) {
+    let poller = &shared.loops[me].poller;
+    let fresh = std::mem::take(&mut shared.accept.lock()[me]);
+    for io in fresh {
         let token = Token(*next_token);
         *next_token += 1;
         // Interest first, watchers second: an edge can only arrive once
         // the poller already knows the token, so nothing is dropped as
         // stale.
-        shared.poller.register(token, Interest::READ);
-        io.register(shared.poller.watcher(token), shared.poller.watcher(token));
+        poller.register(token, Interest::READ);
+        io.register(poller.watcher(token), poller.watcher(token));
         // Bytes may have landed before the watchers existed: seed with
         // the observed level.
-        shared.poller.inject(token, io.readiness_level());
-        shared
-            .poller
-            .set_deadline(token, Some(Instant::now() + shared.idle_timeout));
+        poller.inject(token, io.readiness_level());
+        poller.set_deadline(token, Some(Instant::now() + shared.idle_timeout));
         conns.insert(token, Conn::new(io));
         shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
         let live = shared.stats.live.fetch_add(1, Ordering::Relaxed) + 1;
@@ -377,126 +407,94 @@ fn accept_new(shared: &EngineShared, conns: &mut HashMap<Token, Conn>, next_toke
     }
 }
 
-/// Applies finished gateway calls: serialize, flush, resume reading.
-fn drain_completions(
-    shared: &EngineShared,
-    conns: &mut HashMap<Token, Conn>,
-    job_tx: &Sender<Job>,
-) {
-    let done: Vec<Completion> = std::mem::take(&mut *shared.completions.lock());
-    for completion in done {
-        let Some(conn) = conns.get_mut(&completion.token) else {
-            continue; // connection closed while the worker ran
-        };
-        conn.in_flight = false;
-        let mut resp = completion.resp;
-        if !completion.keep_alive {
-            resp = resp.with_header("connection", "close");
-            conn.close_after_flush = true;
-        }
-        if completion.is_head {
-            resp.write_head_to(&mut conn.outbuf);
-        } else {
-            resp.write_to(&mut conn.outbuf);
-        }
-        // Parse any pipelined request already buffered, then flush.
-        pump(shared, conn, completion.token, job_tx);
-        finish_touch(shared, conns, completion.token);
-    }
-}
-
-/// Read -> parse -> dispatch -> flush for one connection.
-fn pump(shared: &EngineShared, conn: &mut Conn, token: Token, job_tx: &Sender<Job>) {
-    let out_cap = shared.cfg.pipe_capacity;
-    if conn.wants_read(out_cap) {
-        loop {
-            match conn.io.try_read(&mut conn.inbuf) {
-                TryRead::Data(_) => continue,
-                TryRead::Empty => break,
-                TryRead::Closed => {
-                    conn.saw_eof = true;
-                    break;
-                }
+/// One connection's turn in a round: flush, read, serve at most one
+/// request inline, flush. Returns whether to re-queue the connection for
+/// the next round (invariant 1).
+fn turn(shared: &EngineShared, conn: &mut Conn, timed_out: bool, admit: &mut usize) -> bool {
+    let cap = shared.cfg.pipe_capacity;
+    // Invariant 1: a drained out-buffer re-opens parsing before we parse.
+    let mut progressed = flush(conn);
+    // Invariant 2: re-check the in-buffer cap on every read.
+    while conn.wants_read(cap) {
+        match conn.io.try_read(&mut conn.inbuf) {
+            TryRead::Data(_) => progressed = true,
+            TryRead::Empty => break,
+            TryRead::Closed => {
+                conn.saw_eof = true;
+                break;
             }
         }
     }
-    while conn.wants_parse(out_cap) {
+    let mut partial = false;
+    if conn.wants_parse(cap) {
         match parse_request(&mut conn.inbuf, &shared.parser) {
             Ok(Some(req)) => {
-                let keep_alive = req.keep_alive();
-                match job_tx.try_send(Job { token, req }) {
-                    Ok(()) => {
-                        conn.in_flight = true;
-                        shared.stats.dispatch_queued.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(TrySendError::Full(_)) => {
-                        shared.stats.shed_dispatch.fetch_add(1, Ordering::Relaxed);
-                        let mut resp = MarketplaceGateway::overloaded();
-                        if !keep_alive {
-                            resp = resp.with_header("connection", "close");
-                            conn.close_after_flush = true;
-                        }
-                        resp.write_to(&mut conn.outbuf);
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        conn.close_after_flush = true;
-                    }
-                }
+                progressed = true;
+                let resp = if *admit > 0 {
+                    *admit -= 1;
+                    shared.gateway.handle(&req)
+                } else {
+                    shared.stats.shed_dispatch.fetch_add(1, Ordering::Relaxed);
+                    MarketplaceGateway::overloaded()
+                };
+                conn.queue_response(resp, &req);
             }
             Ok(None) => {
+                partial = true;
                 if conn.saw_eof {
                     // Client is gone; whatever half-request remains can
                     // never complete.
                     conn.close_after_flush = true;
                     conn.inbuf.clear();
                 }
-                break;
             }
             Err(e) => {
-                let resp = Response::text(e.status_code(), e.to_string())
-                    .with_header("connection", "close");
-                resp.write_to(&mut conn.outbuf);
+                progressed = true;
+                Response::text(e.status_code(), e.to_string())
+                    .with_header("connection", "close")
+                    .write_to(&mut conn.outbuf);
                 conn.close_after_flush = true;
                 conn.inbuf.clear();
             }
         }
     }
+    // Invariant 3: a deadline is stale if this turn found work.
+    if timed_out && !progressed {
+        expire(shared, conn);
+    }
     shared
         .stats
         .record_buffer(conn.inbuf.len() + conn.outbuf.len());
     flush(conn);
+    !partial && conn.wants_parse(cap) && !conn.inbuf.is_empty()
 }
 
-/// Non-blocking write of as much buffered response as the pipe accepts.
-fn flush(conn: &mut Conn) {
+/// Non-blocking write of as much buffered response as the pipe accepts
+/// (all of it when the pipe is empty). Returns whether anything went.
+fn flush(conn: &mut Conn) -> bool {
+    let mut wrote = false;
     while !conn.outbuf.is_empty() {
         let n = conn.io.try_write(&conn.outbuf);
         if n == 0 {
             break; // peer's pipe is full; wait for a writable edge
         }
         let _ = conn.outbuf.split_to(n);
+        wrote = true;
     }
+    wrote
 }
 
-/// Idle deadline fired for this connection.
-fn handle_timeout(shared: &EngineShared, conn: &mut Conn, token: Token) {
-    if conn.in_flight {
-        // Not idle — the gateway is still working; push the deadline.
-        shared
-            .poller
-            .set_deadline(token, Some(Instant::now() + shared.idle_timeout));
-        return;
-    }
+/// The connection's deadline fired and its turn found nothing to do.
+fn expire(shared: &EngineShared, conn: &mut Conn) {
     if !conn.inbuf.is_empty() && !conn.close_after_flush {
         // Half a request arrived and then the line went quiet: tell the
         // client instead of silently hanging up (slowloris handling).
         shared.stats.timeouts_408.fetch_add(1, Ordering::Relaxed);
-        let resp = Response::text(408, "timed out waiting for complete request")
-            .with_header("connection", "close");
-        resp.write_to(&mut conn.outbuf);
+        Response::text(408, "timed out waiting for complete request")
+            .with_header("connection", "close")
+            .write_to(&mut conn.outbuf);
         conn.inbuf.clear();
         conn.close_after_flush = true;
-        flush(conn);
         return;
     }
     // Idle (or already closing and the peer never drained): drop it.
@@ -504,14 +502,19 @@ fn handle_timeout(shared: &EngineShared, conn: &mut Conn, token: Token) {
     conn.close_after_flush = true;
 }
 
-/// After any activity on `token`: retire the connection if it is done,
+/// After a turn on `token`: retire the connection if it is done,
 /// otherwise recompute interest + deadline.
-fn finish_touch(shared: &EngineShared, conns: &mut HashMap<Token, Conn>, token: Token) {
+fn finish_touch(
+    shared: &EngineShared,
+    lp: &LoopShared,
+    conns: &mut HashMap<Token, Conn>,
+    token: Token,
+) {
     let Some(conn) = conns.get_mut(&token) else {
         return;
     };
-    if conn.done() || (conn.saw_eof && !conn.in_flight && conn.outbuf.is_empty()) {
-        close_conn(shared, conns, token);
+    if conn.done() || (conn.saw_eof && conn.outbuf.is_empty() && conn.inbuf.is_empty()) {
+        close_conn(shared, lp, conns, token);
         return;
     }
     let desired = Interest {
@@ -522,12 +525,12 @@ fn finish_touch(shared: &EngineShared, conns: &mut HashMap<Token, Conn>, token: 
         let enabled_read = desired.readable && !conn.interest.readable;
         let enabled_write = desired.writable && !conn.interest.writable;
         conn.interest = desired;
-        shared.poller.set_interest(token, desired);
+        lp.poller.set_interest(token, desired);
         if enabled_read || enabled_write {
             // The edge may have passed while the interest was off; seed
             // the poller with the current level so it isn't lost.
             let level = conn.io.readiness_level();
-            shared.poller.inject(
+            lp.poller.inject(
                 token,
                 Readiness {
                     readable: level.readable && enabled_read,
@@ -536,59 +539,22 @@ fn finish_touch(shared: &EngineShared, conns: &mut HashMap<Token, Conn>, token: 
             );
         }
     }
-    shared
-        .poller
+    lp.poller
         .set_deadline(token, Some(Instant::now() + shared.idle_timeout));
 }
 
 /// Deregisters and drops one connection; its pipes close on drop, so a
 /// blocked client wakes with EOF.
-fn close_conn(shared: &EngineShared, conns: &mut HashMap<Token, Conn>, token: Token) {
+fn close_conn(
+    shared: &EngineShared,
+    lp: &LoopShared,
+    conns: &mut HashMap<Token, Conn>,
+    token: Token,
+) {
     if let Some(conn) = conns.remove(&token) {
         drop(conn); // pipe close may fire one last watcher edge...
-        shared.poller.deregister(token); // ...which this clears
+        lp.poller.deregister(token); // ...which this clears
+        lp.placed.fetch_sub(1, Ordering::Relaxed);
         shared.stats.live.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Shutdown: shed queued accepts, close idle connections immediately,
-/// give in-flight gateway calls a short grace to flush, then drop the
-/// rest.
-fn shutdown_drain(shared: &EngineShared, conns: &mut HashMap<Token, Conn>, job_tx: &Sender<Job>) {
-    shared.accept.lock().clear(); // queued clients see EOF
-    let idle: Vec<Token> = conns
-        .iter()
-        .filter(|(_, c)| !c.in_flight && c.outbuf.is_empty())
-        .map(|(t, _)| *t)
-        .collect();
-    for token in idle {
-        close_conn(shared, conns, token);
-    }
-    let deadline = Instant::now() + SHUTDOWN_GRACE;
-    let mut events = Vec::new();
-    while !conns.is_empty() && Instant::now() < deadline {
-        events.clear();
-        shared.poller.poll(&mut events, Duration::from_millis(10));
-        drain_completions(shared, conns, job_tx);
-        for event in &events {
-            if let Some(conn) = conns.get_mut(&event.token) {
-                if event.readiness.writable {
-                    flush(conn);
-                }
-                finish_touch(shared, conns, event.token);
-            }
-        }
-        let settled: Vec<Token> = conns
-            .iter()
-            .filter(|(_, c)| !c.in_flight && c.outbuf.is_empty())
-            .map(|(t, _)| *t)
-            .collect();
-        for token in settled {
-            close_conn(shared, conns, token);
-        }
-    }
-    let remaining: Vec<Token> = conns.keys().copied().collect();
-    for token in remaining {
-        close_conn(shared, conns, token);
     }
 }

@@ -170,12 +170,12 @@ impl MarketplaceGateway {
         &self.platform
     }
 
-    /// The load-shed response both connection engines emit when a
-    /// request cannot even be queued for a worker: `503` with a
+    /// The load-shed response the connection engine emits for a request
+    /// beyond its loop's per-round admission budget: `503` with a
     /// `retry-after` hint, mirroring how the gateway maps a saturated
     /// platform.
     pub fn overloaded() -> Response {
-        Response::text(503, "server overloaded: dispatch queue full")
+        Response::text(503, "server overloaded: admission budget spent")
             .with_header("retry-after", "1")
     }
 

@@ -16,10 +16,11 @@
 //!   framing without sockets;
 //! * [`poller`] — a readiness/interest/deadline abstraction (the seam
 //!   where an epoll backend would plug in);
-//! * [`conn`] — the event-driven connection engine: one readiness loop
-//!   multiplexing every connection, a bounded gateway worker pool, and
-//!   end-to-end backpressure (bounded accept + dispatch queues with
-//!   load-shed, capped per-connection buffers, idle timeouts);
+//! * [`conn`] — the event-driven connection engine: `workers` readiness
+//!   loops, each owning its connections and running the gateway inline,
+//!   writing each response whole, with end-to-end backpressure (bounded
+//!   accept queue and per-round admission with load-shed, capped
+//!   per-connection buffers, idle timeouts);
 //! * [`server`] — [`HttpServer`] over the event-driven engine plus a
 //!   blocking client.
 //!
@@ -34,7 +35,7 @@
 //! let mut client = server.connect();
 //! let resp = client.request(Method::Get, "/health", None).unwrap();
 //! assert_eq!(resp.status, 200);
-//! client.close(); // let the worker's connection loop reach EOF
+//! client.close(); // the connection's loop sees EOF and retires it
 //! server.shutdown();
 //! ```
 

@@ -14,6 +14,14 @@
 //!   registered [`Watcher`], the in-memory stand-in for what epoll
 //!   would report for a socket fd.
 //!
+//! The two directions differ in one rule. The client→server pipe is
+//! hard-capped, so a client can never make the server hold more than
+//! the capacity of unread input. The server→client pipe accepts a write
+//! *whole* when it is empty, so the engine hands a response of any size
+//! to the client in one wake; once non-empty it is capped like the
+//! other direction, so a client that stops reading still stops the
+//! server.
+//!
 //! [`HttpClient`]: crate::server::HttpClient
 
 use crate::poller::{Readiness, Watcher};
@@ -57,15 +65,19 @@ struct PipeState {
 /// One direction of an in-memory duplex connection.
 struct Pipe {
     capacity: usize,
+    /// An empty pipe accepts a write of any size (the server→client
+    /// direction).
+    whole_when_empty: bool,
     state: Mutex<PipeState>,
     readable: Condvar,
     writable: Condvar,
 }
 
 impl Pipe {
-    fn new(capacity: usize) -> Arc<Self> {
+    fn new(capacity: usize, whole_when_empty: bool) -> Arc<Self> {
         Arc::new(Pipe {
             capacity,
+            whole_when_empty,
             state: Mutex::new(PipeState {
                 buf: BytesMut::new(),
                 closed: false,
@@ -78,14 +90,19 @@ impl Pipe {
     }
 
     /// Non-blocking write: appends as much of `data` as capacity allows
-    /// and returns the number of bytes accepted. A closed pipe accepts
-    /// (and drops) everything, like writing into a TCP RST.
+    /// (all of it into an empty whole-write pipe) and returns the number
+    /// of bytes accepted. A closed pipe accepts (and drops) everything,
+    /// like writing into a TCP RST.
     fn try_write(&self, data: &[u8]) -> usize {
         let mut state = self.state.lock();
         if state.closed {
             return data.len(); // peer hung up; writes are silently dropped
         }
-        let room = self.capacity.saturating_sub(state.buf.len());
+        let room = if self.whole_when_empty && state.buf.is_empty() {
+            data.len()
+        } else {
+            self.capacity.saturating_sub(state.buf.len())
+        };
         let n = room.min(data.len());
         if n == 0 {
             return 0;
@@ -212,10 +229,11 @@ impl Connection {
     /// Creates a connected pair (client end, server end) whose
     /// per-direction buffers are capped at `capacity` bytes: once a
     /// receiver stops draining, writers stall (blocking mode) or see
-    /// partial writes (non-blocking mode).
+    /// partial writes (non-blocking mode). The server→client direction
+    /// takes any write whole while it is empty.
     pub(crate) fn duplex_with_capacity(capacity: usize) -> (Connection, Connection) {
-        let a = Pipe::new(capacity);
-        let b = Pipe::new(capacity);
+        let a = Pipe::new(capacity, true);
+        let b = Pipe::new(capacity, false);
         (
             Connection {
                 rx: a.clone(),
@@ -339,6 +357,18 @@ mod tests {
         assert_eq!(b.try_read(&mut buf), TryRead::Data(4));
         assert_eq!(&buf[..], b"abcd");
         assert_eq!(a.try_write(b"efgh"), 4, "drain frees capacity");
+    }
+
+    #[test]
+    fn server_to_client_pipe_takes_a_whole_write_only_when_empty() {
+        let (client, server) = Connection::duplex_with_capacity(4);
+        assert_eq!(server.try_write(b"abcdefgh"), 8, "empty pipe: whole write");
+        assert_eq!(server.try_write(b"x"), 0, "over the cap: nothing more");
+        let mut buf = BytesMut::new();
+        assert_eq!(client.try_read(&mut buf), TryRead::Data(8));
+        assert_eq!(server.try_write(b"ab"), 2);
+        assert_eq!(server.try_write(b"cdefgh"), 2, "non-empty: capped");
+        assert_eq!(client.try_write(b"abcdefgh"), 4, "client→server stays capped");
     }
 
     #[test]

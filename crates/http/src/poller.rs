@@ -5,7 +5,7 @@
 //! handles), an interest filter (edges are only delivered while the loop
 //! has asked for them), a deadline wheel (per-token timeouts for idle
 //! connections), and a wakeup channel (for work injected from other
-//! threads: new connections to accept, finished gateway calls).
+//! threads: new connections to accept, shutdown).
 //!
 //! For the in-memory transport, [`Connection`](crate::pipe::Connection)s
 //! push edges directly from their pipes. An epoll-backed transport would
@@ -16,9 +16,11 @@
 //! Delivery semantics are level-ish: readiness accumulates in the
 //! mailbox until the matching interest is enabled, and callers that
 //! enable an interest *after* the edge passed seed the mailbox with the
-//! source's current level via [`Poller::inject`]. The engine's loops
-//! always drain their sources completely on each delivery, so no edge is
-//! ever lost between the two rules.
+//! source's current level via [`Poller::inject`]. An engine loop's read
+//! drains its source completely, and whatever lands after it raises a
+//! fresh edge, so no edge is ever lost between the two rules; bytes the
+//! loop has already read but not yet served are the loop's own to
+//! re-queue.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeSet, HashMap};
@@ -27,8 +29,8 @@ use std::time::{Duration, Instant};
 
 /// Identifies one registered readiness source (one connection).
 ///
-/// Tokens are never reused by the engine: a completion racing a closed
-/// connection can therefore never be misdelivered to a newer one.
+/// Tokens are never reused by a loop: a late edge or deadline for a
+/// closed connection can therefore never be misdelivered to a newer one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Token(pub u64);
 
@@ -249,7 +251,7 @@ impl Poller {
     }
 
     /// Wakes a [`poll`](Self::poll) blocked with no ready events — used
-    /// by the accept path and the worker pool to hand work to the loop.
+    /// by the accept path and by shutdown to hand work to the loop.
     pub fn wake(&self) {
         let mut state = self.inner.state.lock();
         state.woken = true;

@@ -3,10 +3,10 @@
 //! This fronts the paper's Fig. 1 stack. Real HTTP/1.1 bytes flow
 //! through real framing code (pipelining, keep-alive, partial reads);
 //! transport is the in-process duplex pipes of [`crate::pipe`]. The
-//! event-driven engine of [`crate::conn`] serves those bytes: one
-//! readiness event loop multiplexing every connection plus a bounded
-//! gateway worker pool, `O(workers + 1)` threads at any connection
-//! count, with bounded queues and load-shed throughout.
+//! event-driven engine of [`crate::conn`] serves those bytes: `workers`
+//! event loops, each owning its connections and running the gateway on
+//! its own thread, so `workers` threads at any connection count, with
+//! per-round admission and load-shed throughout.
 
 use crate::conn::{EventConfig, EventEngine, ServerStats};
 use crate::error::HttpError;
@@ -34,7 +34,7 @@ pub struct ServerOptions {
     /// for this long is answered `408` (if a partial request is
     /// buffered) or closed cleanly (if idle between requests).
     pub idle_timeout: Duration,
-    /// Worker pool and backpressure knobs of the engine.
+    /// Event-loop count and backpressure knobs of the engine.
     pub event: EventConfig,
 }
 

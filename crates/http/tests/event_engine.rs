@@ -1,11 +1,12 @@
 //! Regression + behavior tests for the connection engine: the event
-//! loop's scaling/backpressure properties, and the historical serving
-//! bugs (per-connection state leak, shutdown hang, silent idle-timeout
-//! close) that must stay fixed.
+//! loops' scaling/backpressure properties, placement and isolation, the
+//! three invariants of running handlers inline, and the historical
+//! serving bugs (per-connection state leak, shutdown hang, silent
+//! idle-timeout close) that must stay fixed.
 
 use bytes::BytesMut;
 use om_common::OmResult;
-use om_http::{EventConfig, HttpServer, MarketplaceGateway, Method, ServerOptions};
+use om_http::{Connection, EventConfig, HttpServer, MarketplaceGateway, Method, ServerOptions};
 use om_marketplace::api::MarketplacePlatform;
 use om_marketplace::EventualPlatform;
 use parking_lot::{Condvar, Mutex};
@@ -56,9 +57,8 @@ fn event_engine_serves_many_keepalive_connections_with_constant_threads() {
 
     let stats = server.stats();
     assert_eq!(
-        stats.engine_threads,
-        workers + 1,
-        "event engine must stay O(workers + 1) threads regardless of connections"
+        stats.engine_threads, workers,
+        "event engine must stay one thread per loop regardless of connections"
     );
     assert_eq!(stats.live_connections, 64);
     assert!(stats.max_live_connections >= 64);
@@ -174,25 +174,44 @@ fn idle_connection_with_no_buffered_bytes_closes_cleanly() {
 }
 
 // ---------------------------------------------------------------------
-// Tentpole: dispatch-queue load-shed (503)
+// Tentpole: per-round admission load-shed (503)
 // ---------------------------------------------------------------------
 
 /// Delegates to an [`EventualPlatform`] but parks `update_delivery`
-/// until the test releases it — a deterministic way to wedge the
-/// engine's single worker.
+/// until the test releases it — a deterministic way to wedge the event
+/// loop that runs it — and pads `counters()` with `pad` entries of
+/// ≈40 bytes each, for responses of a chosen size at `GET /counters`.
 struct GatedPlatform {
     inner: EventualPlatform,
     entered: (Mutex<u32>, Condvar),
     released: (Mutex<bool>, Condvar),
+    pad: usize,
 }
 
 impl GatedPlatform {
     fn new() -> Self {
+        Self::with_counter_pad(0)
+    }
+
+    fn with_counter_pad(pad: usize) -> Self {
         GatedPlatform {
             inner: EventualPlatform::new(Default::default()),
             entered: (Mutex::new(0), Condvar::new()),
             released: (Mutex::new(false), Condvar::new()),
+            pad,
         }
+    }
+
+    fn serve(self: &Arc<Self>, cfg: EventConfig) -> HttpServer {
+        self.serve_with(ServerOptions {
+            event: cfg,
+            ..ServerOptions::default()
+        })
+    }
+
+    fn serve_with(self: &Arc<Self>, opts: ServerOptions) -> HttpServer {
+        let gateway = MarketplaceGateway::new(self.clone() as Arc<dyn MarketplacePlatform>);
+        HttpServer::start_with_options(Arc::new(gateway), opts)
     }
 
     fn wait_for_entry(&self) {
@@ -282,58 +301,51 @@ impl MarketplacePlatform for GatedPlatform {
         self.inner.snapshot()
     }
     fn counters(&self) -> std::collections::BTreeMap<String, u64> {
-        self.inner.counters()
+        let mut counters = self.inner.counters();
+        for i in 0..self.pad {
+            counters.insert(format!("pad.{i:06}.{}", "x".repeat(24)), i as u64);
+        }
+        counters
     }
 }
 
 #[test]
-fn full_dispatch_queue_sheds_with_503() {
+fn requests_past_the_round_budget_shed_with_503() {
     let platform = Arc::new(GatedPlatform::new());
-    let gateway = Arc::new(MarketplaceGateway::new(
-        platform.clone() as Arc<dyn MarketplacePlatform>
-    ));
-    // One worker, one queue slot: the third concurrent request cannot
-    // even be queued and must be shed.
-    let server = HttpServer::start_event_driven(
-        gateway,
-        EventConfig {
-            workers: 1,
-            dispatch_queue: 1,
-            ..EventConfig::default()
-        },
-    );
+    // One loop admitting one request per round.
+    let server = platform.serve(EventConfig {
+        workers: 1,
+        dispatch_queue: 1,
+        ..EventConfig::default()
+    });
 
     let mut blocker = server.connect();
     blocker
         .send_request(Method::Patch, "/shipments/delivery?max_sellers=1", None)
         .unwrap();
-    platform.wait_for_entry(); // the lone worker is now wedged
+    platform.wait_for_entry(); // the lone loop is now wedged inside it
 
-    let mut queued = server.connect();
-    queued.send_request(Method::Get, "/health", None).unwrap();
-    // Wait until the event loop has moved the queued request into the
-    // dispatch queue's single slot — from here on a third request
-    // deterministically cannot be queued.
-    assert!(
-        wait_until(Duration::from_secs(5), || server.stats().dispatch_queued == 1),
-        "request never reached the dispatch queue: {:?}",
-        server.stats()
-    );
+    // Both requests wait in their pipes and are read in the same round,
+    // oldest connection first; that round admits only one of them.
+    let mut older = server.connect();
+    older.send_request(Method::Get, "/health", None).unwrap();
+    let mut younger = server.connect();
+    younger.send_request(Method::Get, "/health", None).unwrap();
 
-    let mut shed = server.connect();
-    let resp = shed.request(Method::Get, "/health", None).unwrap();
-    assert_eq!(resp.status, 503, "queue full must load-shed");
-    assert_eq!(resp.headers.get("retry-after"), Some("1"));
-    assert!(server.stats().shed_dispatch >= 1);
-
-    // Release the gate: the wedged and queued requests complete normally.
     platform.release();
     assert_eq!(blocker.read_response().unwrap().status, 200);
-    assert_eq!(queued.read_response().unwrap().status, 200);
+    assert_eq!(older.read_response().unwrap().status, 200);
+    let shed = younger.read_response().unwrap();
+    assert_eq!(shed.status, 503, "a request past the round's budget must load-shed");
+    assert_eq!(shed.headers.get("retry-after"), Some("1"));
+    assert!(server.stats().shed_dispatch >= 1);
+
+    // The shed connection stays usable: the next round admits it.
+    assert_eq!(younger.request(Method::Get, "/health", None).unwrap().status, 200);
 
     blocker.close();
-    queued.close();
-    shed.close();
+    older.close();
+    younger.close();
     server.shutdown();
 }
 
@@ -407,5 +419,223 @@ fn pipe_cap_bounds_server_buffers_under_pipelining_flood() {
         "per-connection buffers must stay bounded by the cap, got {stats:?}"
     );
     conn.close();
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Tentpole: loops that run handlers inline — the three pitfalls
+// ---------------------------------------------------------------------
+
+const GET_HEALTH: &[u8] = b"GET /health HTTP/1.1\r\n\r\n";
+const GET_COUNTERS: &[u8] = b"GET /counters HTTP/1.1\r\n\r\n";
+
+/// Reads `n` responses off a raw connection, asserting each is a 200.
+fn read_ok_responses(conn: &Connection, n: usize) {
+    let cfg = om_http::ParserConfig::default();
+    let mut inbuf = BytesMut::new();
+    let mut seen = 0usize;
+    while seen < n {
+        match om_http::parse_response(&mut inbuf, &cfg).unwrap() {
+            Some(resp) => {
+                assert_eq!(resp.status, 200);
+                seen += 1;
+            }
+            None => assert!(conn.read_into(&mut inbuf), "stalled after {seen} of {n} responses"),
+        }
+    }
+}
+
+#[test]
+fn pipelined_requests_already_read_are_answered_when_a_full_out_buffer_drains() {
+    const CAP: usize = 512;
+    const REQUESTS: usize = 16;
+    let server = HttpServer::start_event_driven(
+        eventual_gateway(),
+        EventConfig {
+            workers: 1,
+            pipe_capacity: CAP,
+            ..EventConfig::default()
+        },
+    );
+    let conn = server.connect_raw();
+    // 400 bytes of requests: one pipe read moves all of them into the
+    // server's in-buffer, so no later pipe edge can announce them.
+    let requests = GET_HEALTH.repeat(REQUESTS);
+    assert!(requests.len() < CAP);
+    conn.send(&requests);
+    // A slow reader: the pipe and then the out-buffer fill past the cap
+    // and the loop stops parsing with most requests still buffered.
+    std::thread::sleep(Duration::from_millis(100));
+    read_ok_responses(&conn, REQUESTS);
+    conn.close();
+    server.shutdown();
+}
+
+#[test]
+fn deadline_after_a_long_inline_handler_serves_the_request_waiting_in_its_pipe() {
+    let platform = Arc::new(GatedPlatform::new());
+    let server = platform.serve_with(ServerOptions {
+        idle_timeout: Duration::from_millis(100),
+        event: EventConfig {
+            workers: 1,
+            ..EventConfig::default()
+        },
+        ..ServerOptions::default()
+    });
+    let mut slow = server.connect();
+    let mut waiting = server.connect();
+    // Both registered: `waiting`'s idle deadline is armed from here.
+    assert!(wait_until(Duration::from_secs(5), || server.stats().accepted == 2));
+    let started = Instant::now();
+    slow.send_request(Method::Patch, "/shipments/delivery?max_sellers=1", None)
+        .unwrap();
+    platform.wait_for_entry(); // the one loop now runs a 300 ms handler
+    std::thread::sleep(Duration::from_millis(50));
+    // A complete request, unread in its pipe while `waiting`'s deadline
+    // passes under the handler.
+    waiting.send_request(Method::Get, "/health", None).unwrap();
+    std::thread::sleep(Duration::from_millis(300).saturating_sub(started.elapsed()));
+    platform.release();
+
+    let resp = waiting
+        .read_response()
+        .unwrap_or_else(|e| panic!("the waiting request must be served, got {e}"));
+    assert_eq!(resp.status, 200, "not a 408: the request was complete");
+    assert_eq!(slow.read_response().unwrap().status, 200);
+    assert_eq!(server.stats().timeouts_408, 0);
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Tentpole: engine shape — placement, isolation, whole writes
+// ---------------------------------------------------------------------
+
+#[test]
+fn connections_go_to_the_loop_with_the_fewest_live_connections() {
+    let platform = Arc::new(GatedPlatform::new());
+    let server = platform.serve(EventConfig {
+        workers: 2,
+        ..EventConfig::default()
+    });
+    let mut first = server.connect();
+    let mut second = server.connect();
+    first
+        .send_request(Method::Patch, "/shipments/delivery?max_sellers=1", None)
+        .unwrap();
+    platform.wait_for_entry(); // `first`'s loop is wedged
+
+    // On a fresh server the second connection took the other loop.
+    assert_eq!(second.request(Method::Get, "/health", None).unwrap().status, 200);
+    second.close();
+    drop(second);
+    assert!(
+        wait_until(Duration::from_secs(5), || server.stats().live_connections == 1),
+        "closed connection never retired: {:?}",
+        server.stats()
+    );
+    // Its replacement fills the now-idle loop rather than doubling up
+    // behind the wedge (where it would wait for the release).
+    let mut third = server.connect();
+    assert_eq!(third.request(Method::Get, "/health", None).unwrap().status, 200);
+
+    platform.release();
+    assert_eq!(first.read_response().unwrap().status, 200);
+    first.close();
+    third.close();
+    server.shutdown();
+}
+
+#[test]
+fn a_wedged_handler_does_not_delay_requests_on_the_other_loop() {
+    let platform = Arc::new(GatedPlatform::new());
+    let server = platform.serve(EventConfig {
+        workers: 2,
+        ..EventConfig::default()
+    });
+    let mut wedged = server.connect();
+    let mut other = server.connect();
+    wedged
+        .send_request(Method::Patch, "/shipments/delivery?max_sellers=1", None)
+        .unwrap();
+    platform.wait_for_entry();
+
+    let started = Instant::now();
+    for _ in 0..50 {
+        assert_eq!(other.request(Method::Get, "/health", None).unwrap().status, 200);
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "requests on the free loop took {:?}",
+        started.elapsed()
+    );
+
+    platform.release();
+    assert_eq!(wedged.read_response().unwrap().status, 200);
+    wedged.close();
+    other.close();
+    server.shutdown();
+}
+
+#[test]
+fn a_large_response_reaches_the_client_in_one_read() {
+    // ≈240 KB of counters against the default 64 KiB pipe capacity.
+    let platform = Arc::new(GatedPlatform::with_counter_pad(6_000));
+    let server = platform.serve(EventConfig::default());
+    let conn = server.connect_raw();
+    conn.send(GET_COUNTERS);
+
+    let mut inbuf = BytesMut::new();
+    assert!(conn.read_into(&mut inbuf));
+    let wire = inbuf.len();
+    let resp = om_http::parse_response(&mut inbuf, &om_http::ParserConfig::default())
+        .unwrap()
+        .unwrap_or_else(|| panic!("only {wire} bytes arrived in the first read"));
+    assert_eq!(resp.status, 200);
+    assert!(wire >= 200 * 1024, "response is only {wire} bytes");
+    assert!(inbuf.is_empty());
+    conn.close();
+    server.shutdown();
+}
+
+#[test]
+fn a_client_that_never_reads_holds_bounded_buffers_and_stalls_no_one() {
+    const CAP: usize = 4096;
+    const REQUESTS: usize = 16;
+    // ≈40 KB per `/counters` response: ten times the cap.
+    let platform = Arc::new(GatedPlatform::with_counter_pad(1_000));
+    let server = platform.serve(EventConfig {
+        workers: 1, // every connection shares the one loop
+        pipe_capacity: CAP,
+        ..EventConfig::default()
+    });
+    let mut probe = server.connect();
+    let mut wire = BytesMut::new();
+    probe
+        .request(Method::Get, "/counters", None)
+        .unwrap()
+        .write_to(&mut wire);
+    // Slack for counter values that grow a digit between responses.
+    let one_response = wire.len() + 64;
+    probe.close();
+
+    let stalled = server.connect_raw();
+    stalled.send(&GET_COUNTERS.repeat(REQUESTS));
+    std::thread::sleep(Duration::from_millis(50)); // its out-buffer fills
+    let mut other = server.connect();
+    for _ in 0..20 {
+        assert_eq!(other.request(Method::Get, "/health", None).unwrap().status, 200);
+    }
+    let stats = server.stats();
+    assert!(
+        stats.max_conn_buffer_bytes <= CAP + one_response,
+        "server buffers {} over cap {CAP} + one response {one_response}",
+        stats.max_conn_buffer_bytes
+    );
+
+    // Once it reads, every response it asked for arrives.
+    read_ok_responses(&stalled, REQUESTS);
+    assert!(server.stats().max_conn_buffer_bytes <= CAP + one_response);
+    stalled.close();
+    other.close();
     server.shutdown();
 }

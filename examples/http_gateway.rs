@@ -4,7 +4,9 @@
 //!
 //! Everything below travels as real HTTP/1.1 bytes through the in-memory
 //! transport: ingestion, cart ops, checkout, a price update, a product
-//! delete, the delivery batch and the seller dashboard.
+//! delete, the delivery batch and the seller dashboard. Every response's
+//! status is asserted, so a run that finishes is a smoke test of every
+//! endpoint through the engine.
 //!
 //! ```text
 //! cargo run --release --example http_gateway
@@ -17,8 +19,9 @@ use std::sync::Arc;
 
 fn main() {
     // 1. The full-featured platform (transactions + MVCC dashboard +
-    //    monotonic replica reads + audit log) behind the HTTP engine: one
-    //    poll loop + a fixed worker pool serves every connection.
+    //    monotonic replica reads + audit log) behind the HTTP engine:
+    //    `workers` event loops, each running its connections' requests
+    //    inline.
     let platform = Arc::new(CustomizedPlatform::new(Default::default()));
     let server = HttpServer::start_event_driven(
         Arc::new(MarketplaceGateway::new(platform)),
@@ -29,6 +32,7 @@ fn main() {
     println!("== health ==");
     let resp = client.request(Method::Get, "/health", None).unwrap();
     println!("GET /health -> {} {}", resp.status, String::from_utf8_lossy(&resp.body));
+    assert_eq!(resp.status, 200);
 
     // 2. Ingest a catalogue over HTTP.
     for id in 1..=2u64 {
@@ -105,6 +109,8 @@ fn main() {
         resp.status,
         String::from_utf8_lossy(&resp.body)
     );
+    // 200 placed, or 422 for a payment the platform declined.
+    assert!(matches!(resp.status, 200 | 422), "checkout -> {}", resp.status);
 
     // 4. Let the cascade drain; price-update, delete and deliver.
     server.gateway().platform().quiesce();
@@ -114,9 +120,11 @@ fn main() {
         .request(Method::Patch, "/products/1/2/price", Some(&json!({"price": 6_99})))
         .unwrap();
     println!("PATCH /products/1/2/price -> {}", resp.status);
+    assert_eq!(resp.status, 204);
 
     let resp = client.request(Method::Delete, "/products/1/2", None).unwrap();
     println!("DELETE /products/1/2 -> {}", resp.status);
+    assert_eq!(resp.status, 204);
 
     let resp = client
         .request(Method::Patch, "/shipments/delivery?max_sellers=10", None)
@@ -126,6 +134,7 @@ fn main() {
         resp.status,
         String::from_utf8_lossy(&resp.body)
     );
+    assert_eq!(resp.status, 200);
 
     // 5. The snapshot-consistent dashboard (MVCC offload).
     println!("\n== dashboards ==");
@@ -133,6 +142,7 @@ fn main() {
         let resp = client
             .request(Method::Get, &format!("/sellers/{seller}/dashboard"), None)
             .unwrap();
+        assert_eq!(resp.status, 200);
         let dash: online_marketplace::common::entity::SellerDashboard =
             resp.json_body().unwrap();
         println!(
@@ -148,12 +158,15 @@ fn main() {
     // 6. Gateway + platform counters.
     println!("\n== counters ==");
     let resp = client.request(Method::Get, "/counters", None).unwrap();
+    assert_eq!(resp.status, 200);
     let counters: std::collections::BTreeMap<String, u64> = resp.json_body().unwrap();
-    for (k, v) in counters {
+    for (k, v) in &counters {
         println!("{k:<40} {v}");
     }
+    assert_eq!(counters.get("gateway_server_errors"), Some(&0));
 
-    // 7. Engine stats: the whole session ran on O(workers + 1) threads.
+    // 7. Engine stats: every request above ran on one thread per event
+    //    loop, however many connections there were.
     let stats = server.stats();
     println!(
         "\n== engine ==\n{} threads, peak {} live connection(s), {} accepted",
