@@ -52,7 +52,7 @@ fn bench_checkpoint_interval(c: &mut Criterion) {
                     || {
                         let df = build(max_batch, None);
                         for i in 0..RECORDS {
-                            df.submit(Address::new("count", i % 256), 1);
+                            df.submit(Address::new("count", i % 256), 1).unwrap();
                         }
                         df
                     },
@@ -83,7 +83,7 @@ fn bench_checkpoint_store(c: &mut Criterion) {
                     || {
                         let df = build(64, Some(make_checkpoint_store(kind)));
                         for i in 0..RECORDS {
-                            df.submit(Address::new("count", i % 256), 1);
+                            df.submit(Address::new("count", i % 256), 1).unwrap();
                         }
                         df
                     },
@@ -114,7 +114,7 @@ fn bench_crash_recovery(c: &mut Criterion) {
                     || {
                         let df = build(64, Some(make_checkpoint_store(kind)));
                         for i in 0..RECORDS {
-                            df.submit(Address::new("count", i % 256), 1);
+                            df.submit(Address::new("count", i % 256), 1).unwrap();
                         }
                         df.inject_crash_after(RECORDS / 2);
                         df
@@ -169,7 +169,7 @@ fn bench_workers(c: &mut Criterion) {
                             )
                             .build();
                         for i in 0..RECORDS {
-                            df.submit(Address::new("work", i % 64), i);
+                            df.submit(Address::new("work", i % 64), i).unwrap();
                         }
                         df
                     },

@@ -350,46 +350,8 @@ impl ScenarioConfig {
     }
 }
 
-/// Open-loop arrival generation: requests fire on a deterministic
-/// schedule *regardless of completions*, so queueing delay shows up in
-/// latency instead of silently throttling the offered load (the
-/// collapse closed loops hide). See `om_driver::openloop`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OpenLoopConfig {
-    /// Offered arrival rate, requests per second.
-    pub offered_rate: f64,
-    /// Total scheduled arrivals (the measured window is
-    /// `arrivals / offered_rate` seconds of schedule).
-    pub arrivals: u64,
-    /// Bound on the in-flight ledger: an arrival that would exceed it
-    /// is **dropped** (counted, never executed) instead of queueing
-    /// without bound. This is driver-side load shedding, not platform
-    /// backpressure.
-    pub max_in_flight: usize,
-    /// Poisson arrivals (exponential inter-arrival times) when true;
-    /// a fixed `1/rate` tick when false. Both are deterministic from
-    /// the run seed.
-    pub poisson: bool,
-    /// Service worker threads executing fired arrivals (the open-loop
-    /// analogue of `RunConfig::workers`; 0 = use `RunConfig::workers`).
-    pub workers: usize,
-}
-
-impl OpenLoopConfig {
-    /// A schedule of `arrivals` Poisson arrivals at `offered_rate`/s
-    /// with a generous in-flight bound.
-    pub fn at_rate(offered_rate: f64, arrivals: u64) -> Self {
-        Self {
-            offered_rate,
-            arrivals,
-            max_in_flight: 1024,
-            poisson: true,
-            workers: 0,
-        }
-    }
-}
-
-/// Full run configuration for the driver.
+/// Full run configuration of the closed-loop criteria driver
+/// (`om_driver::run_benchmark`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunConfig {
     pub seed: u64,
@@ -397,7 +359,8 @@ pub struct RunConfig {
     pub mix: WorkloadMix,
     /// Zipfian skew for product selection; 0 = uniform, 0.99 = YCSB default.
     pub zipf_theta: f64,
-    /// Number of concurrent driver workers (closed loop).
+    /// Number of concurrent driver workers, each submitting its next
+    /// operation only after the previous one completes.
     pub workers: usize,
     /// Measured operations per worker (after warm-up).
     pub ops_per_worker: u64,
@@ -410,8 +373,7 @@ pub struct RunConfig {
     /// Storage backend the platform under test is constructed with.
     pub backend: BackendKind,
     /// Checkpoint interval of the dataflow binding, in ingress records
-    /// per partition per epoch (smaller = more frequent checkpoints; the
-    /// A2 ablation knob).
+    /// per partition per epoch (smaller = more frequent checkpoints).
     pub checkpoint_interval: usize,
     /// Epoch worker threads of the dataflow binding's runtime: `0`
     /// (default) resolves to the host core count, `1` is the serial
@@ -438,11 +400,6 @@ pub struct RunConfig {
     /// Adversarial traffic scenario shaping the workload (`None` = the
     /// plain mixed workload). See [`ScenarioConfig`].
     pub scenario: Option<ScenarioConfig>,
-    /// Open-loop arrival generation for the measured window (`None` =
-    /// the classic closed loop: `workers` threads each submitting
-    /// `ops_per_worker` back-to-back operations). See
-    /// [`OpenLoopConfig`]; the report gains an SLO row when set.
-    pub open_loop: Option<OpenLoopConfig>,
     /// Chaos-under-load: fire the platform's crash-recovery drill
     /// (the `POST /admin/recovery-drill` path) **mid-measured-window**
     /// instead of after it, proving the audit invariants survive a
@@ -472,7 +429,6 @@ impl Default for RunConfig {
             data_dir: None,
             durable: DurableOptions::default(),
             scenario: None,
-            open_loop: None,
             chaos_drill: false,
         }
     }
@@ -614,10 +570,9 @@ mod tests {
     }
 
     #[test]
-    fn scenario_and_open_loop_thread_through_run_config_serde() {
+    fn scenario_and_chaos_drill_thread_through_run_config_serde() {
         let c = RunConfig {
             scenario: Some(ScenarioConfig::flash_sale()),
-            open_loop: Some(OpenLoopConfig::at_rate(500.0, 2_000)),
             chaos_drill: true,
             ..RunConfig::default()
         };
@@ -625,11 +580,10 @@ mod tests {
         let back: RunConfig = serde_json::from_str(&s).unwrap();
         assert_eq!(back, c);
         assert_eq!(back.scenario.unwrap().kind, ScenarioKind::FlashSale);
-        assert_eq!(back.open_loop.unwrap().arrivals, 2_000);
         assert!(back.chaos_drill);
-        // The default stays the plain closed loop.
+        // The default is the plain mixed workload with no drill.
         let d = RunConfig::default();
-        assert!(d.scenario.is_none() && d.open_loop.is_none() && !d.chaos_drill);
+        assert!(d.scenario.is_none() && !d.chaos_drill);
     }
 
     #[test]

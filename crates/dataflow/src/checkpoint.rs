@@ -151,7 +151,6 @@ const COMMIT_RETRIES: usize = 8;
 pub struct BackendCheckpointStore {
     backend: Arc<dyn StateBackend>,
     commits: AtomicU64,
-    conflicts: AtomicU64,
 }
 
 impl BackendCheckpointStore {
@@ -162,19 +161,12 @@ impl BackendCheckpointStore {
         Self {
             backend,
             commits: AtomicU64::new(0),
-            conflicts: AtomicU64::new(0),
         }
     }
 
     /// The backend checkpoints persist through.
     pub fn backend(&self) -> &Arc<dyn StateBackend> {
         &self.backend
-    }
-
-    /// Commit attempts that lost first-committer-wins validation and were
-    /// retried (only the snapshot backend can conflict).
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts.load(Ordering::Relaxed)
     }
 
     fn state_key(partition: usize, fn_type: &str, key: u64, row: &[u8]) -> Vec<u8> {
@@ -266,10 +258,7 @@ impl BackendCheckpointStore {
                     self.commits.fetch_add(1, Ordering::Relaxed);
                     return Ok(());
                 }
-                Err(e) if e.is_retryable() => {
-                    self.conflicts.fetch_add(1, Ordering::Relaxed);
-                    last_err = Some(e);
-                }
+                Err(e) if e.is_retryable() => last_err = Some(e),
                 Err(e) => return Err(e),
             }
         }
@@ -508,8 +497,117 @@ mod tests {
                 .collect();
             assert_eq!(keys.len(), 2, "{kind:?}: one state row plus the meta record");
             assert!(keys.iter().all(|k| k.starts_with(b"df!/")), "{kind:?}");
-            assert_eq!(store.conflicts(), 0, "{kind:?}: a lone writer never conflicts");
+            assert_eq!(store.commits(), 1, "{kind:?}: a lone writer commits once");
         }
+    }
+
+    /// A backend whose next `fail` commits answer `error` before any
+    /// write lands; everything else goes to a real eventual backend.
+    struct FailingCommits {
+        inner: Arc<dyn StateBackend>,
+        fail: AtomicU64,
+        error: OmError,
+        attempts: AtomicU64,
+    }
+
+    impl FailingCommits {
+        fn new(fail: u64, error: OmError) -> Arc<Self> {
+            Arc::new(Self {
+                inner: make_backend(BackendKind::Eventual, 4),
+                fail: AtomicU64::new(fail),
+                error,
+                attempts: AtomicU64::new(0),
+            })
+        }
+    }
+
+    impl StateBackend for FailingCommits {
+        fn kind(&self) -> BackendKind {
+            self.inner.kind()
+        }
+        fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
+            self.inner.get(key)
+        }
+        fn put(&self, key: &[u8], value: &[u8]) {
+            self.inner.put(key, value)
+        }
+        fn delete(&self, key: &[u8]) {
+            self.inner.delete(key)
+        }
+        fn get_many(&self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>> {
+            self.inner.get_many(keys)
+        }
+        fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+            self.inner.scan_prefix(prefix)
+        }
+        fn commit(&self, batch: om_storage::WriteBatch) -> OmResult<usize> {
+            self.commit_ops(batch.ops())
+        }
+        fn commit_ops(&self, ops: &[WriteOp]) -> OmResult<usize> {
+            self.attempts.fetch_add(1, Ordering::Relaxed);
+            let failing = self
+                .fail
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+                .is_ok();
+            if failing {
+                return Err(self.error.clone());
+            }
+            self.inner.commit_ops(ops)
+        }
+        fn session(&self) -> Box<dyn om_storage::StateSession + '_> {
+            self.inner.session()
+        }
+        fn quiesce(&self) {
+            self.inner.quiesce()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn counters(&self) -> std::collections::BTreeMap<String, u64> {
+            self.inner.counters()
+        }
+    }
+
+    fn commit_one(store: &BackendCheckpointStore) -> OmResult<()> {
+        store.commit_epoch(1, &[2], vec![StateDelta::put(0, "f", 3, vec![4])])
+    }
+
+    #[test]
+    fn retryable_commit_conflicts_are_retried_until_the_epoch_lands() {
+        let backend = FailingCommits::new(3, OmError::Conflict("first committer won".into()));
+        let store = BackendCheckpointStore::new(backend.clone());
+        commit_one(&store).unwrap();
+        assert_eq!(backend.attempts.load(Ordering::Relaxed), 4);
+        assert_eq!(store.commits(), 1);
+        assert_eq!(store.load().unwrap().unwrap().epoch, 1);
+    }
+
+    #[test]
+    fn commit_gives_up_after_its_retry_budget_with_the_last_conflict() {
+        let backend = FailingCommits::new(u64::MAX, OmError::Conflict("always".into()));
+        let store = BackendCheckpointStore::new(backend.clone());
+        assert_eq!(commit_one(&store).unwrap_err().label(), "conflict");
+        assert_eq!(
+            backend.attempts.load(Ordering::Relaxed),
+            COMMIT_RETRIES as u64
+        );
+        assert_eq!(store.commits(), 0);
+        assert!(
+            store.load().unwrap().is_none(),
+            "nothing of the epoch landed"
+        );
+    }
+
+    #[test]
+    fn non_retryable_commit_errors_fail_the_epoch_at_once() {
+        let backend = FailingCommits::new(1, OmError::Wedged("disk".into()));
+        let store = BackendCheckpointStore::new(backend.clone());
+        assert_eq!(commit_one(&store).unwrap_err().label(), "wedged");
+        assert_eq!(backend.attempts.load(Ordering::Relaxed), 1, "no retry");
+        assert_eq!(store.commits(), 0);
+        // The next epoch commits normally.
+        commit_one(&store).unwrap();
+        assert_eq!(store.commits(), 1);
     }
 
     #[test]

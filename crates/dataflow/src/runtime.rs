@@ -568,14 +568,15 @@ impl<M: Send + Clone + 'static> Dataflow<M> {
     }
 
     /// Appends a message for `to` into the replayable ingress log. The
-    /// record is processed by a subsequent epoch.
-    pub fn submit(&self, to: Address, msg: M) {
+    /// record is processed by a subsequent epoch. Fails when the log
+    /// cannot take the record — a persistent log wedged by a failed
+    /// segment write answers [`OmError::Wedged`] —
+    /// and then nothing was submitted.
+    pub fn submit(&self, to: Address, msg: M) -> OmResult<()> {
         let partition = to.partition(self.core.partitions);
         let seq = self.core.ingress_seq.fetch_add(1, Ordering::Relaxed);
-        self.core
-            .ingress
-            .append_raw(partition, 0, seq, (to, msg))
-            .expect("ingress partition exists");
+        self.core.ingress.append_raw(partition, 0, seq, (to, msg))?;
+        Ok(())
     }
 
     /// Arms fault injection: the runtime "crashes" after `n` further

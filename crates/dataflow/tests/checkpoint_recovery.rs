@@ -100,7 +100,7 @@ fn crash_mid_epoch_restores_committed_state_from_backend() {
 
             // Commit a first wave cleanly.
             for k in 0..8u64 {
-                df.submit(Address::new("counter", k), Msg::Add(1));
+                df.submit(Address::new("counter", k), Msg::Add(1)).unwrap();
             }
             df.run_to_completion().unwrap();
             let committed_epoch = df.committed_epoch();
@@ -109,7 +109,7 @@ fn crash_mid_epoch_restores_committed_state_from_backend() {
 
             // Second wave crashes mid-epoch, racing the partition groups.
             for k in 0..8u64 {
-                df.submit(Address::new("counter", k), Msg::Add(1));
+                df.submit(Address::new("counter", k), Msg::Add(1)).unwrap();
             }
             df.inject_crash_after(3);
             let mut crashed = false;
@@ -168,14 +168,14 @@ fn runtime_without_a_store_checkpoints_into_snapshot_isolation() {
         assert!(store.load().unwrap().is_none(), "w{workers}: nothing committed yet");
 
         for k in 0..8u64 {
-            df.submit(Address::new("counter", k), Msg::Add(3));
+            df.submit(Address::new("counter", k), Msg::Add(3)).unwrap();
         }
         df.run_to_completion().unwrap();
         assert!(store.commits() > 0, "w{workers}");
         assert_store_serves_whole_epoch(&store, &df, &format!("default/w{workers}"));
 
         for k in 0..8u64 {
-            df.submit(Address::new("counter", k), Msg::Add(3));
+            df.submit(Address::new("counter", k), Msg::Add(3)).unwrap();
         }
         df.inject_crash_after(3);
         df.run_to_completion().unwrap();
@@ -199,14 +199,18 @@ fn rebuilt_runtime_restarts_from_last_committed_epoch() {
             let store = durable_store(kind);
             let first = builder(2, 8, workers).checkpoint_store(store.clone()).build();
             for k in 0..6u64 {
-                first.submit(Address::new("counter", k), Msg::Add(5));
+                first
+                    .submit(Address::new("counter", k), Msg::Add(5))
+                    .unwrap();
             }
             first.run_to_completion().unwrap();
             let epoch = first.committed_epoch();
             // Three records are appended but never processed — in flight at
             // the "failure".
             for k in 0..3u64 {
-                first.submit(Address::new("counter", k), Msg::Add(1));
+                first
+                    .submit(Address::new("counter", k), Msg::Add(1))
+                    .unwrap();
             }
             let ingress = first.ingress_topic();
             drop(first);
@@ -242,7 +246,9 @@ fn rebuilt_runtime_restarts_from_last_committed_epoch() {
             }
             // New submissions keep working (producer sequences stayed
             // monotonic across the restart).
-            second.submit(Address::new("counter", 0), Msg::Add(1));
+            second
+                .submit(Address::new("counter", 0), Msg::Add(1))
+                .unwrap();
             second.run_to_completion().unwrap();
             assert_eq!(
                 counter_state(second.state_of(Address::new("counter", 0)).as_deref()),
@@ -260,7 +266,9 @@ fn rebuild_over_fresh_ingress_rebases_offsets_but_keeps_state() {
         let store = durable_store(BackendKind::SnapshotIsolation);
         let first = builder(2, 8, workers).checkpoint_store(store.clone()).build();
         for k in 0..4u64 {
-            first.submit(Address::new("counter", k), Msg::Add(2));
+            first
+                .submit(Address::new("counter", k), Msg::Add(2))
+                .unwrap();
         }
         first.run_to_completion().unwrap();
         let epoch = first.committed_epoch();
@@ -278,7 +286,9 @@ fn rebuild_over_fresh_ingress_rebases_offsets_but_keeps_state() {
                 "w{workers}"
             );
         }
-        second.submit(Address::new("counter", 0), Msg::Add(1));
+        second
+            .submit(Address::new("counter", 0), Msg::Add(1))
+            .unwrap();
         second.run_to_completion().unwrap();
         assert_eq!(
             counter_state(second.state_of(Address::new("counter", 0)).as_deref()),
@@ -314,7 +324,7 @@ proptest! {
         let store = durable_store(kind);
         let mut df = builder(2, max_batch, workers).checkpoint_store(store.clone()).build();
         for i in 0..records {
-            df.submit(Address::new("counter", i % keys), Msg::Add(1));
+            df.submit(Address::new("counter", i % keys), Msg::Add(1)).unwrap();
         }
         df.inject_crash_after(crash_at);
 
@@ -406,7 +416,9 @@ fn row_state_round_trips_through_every_store_and_a_rebuild() {
             // restored and the replay extended.
             let mut all_ops = ops.clone();
             for key in 0..4u64 {
-                second.submit(Address::new(LEDGER, key), RowMsg::Fold);
+                second
+                    .submit(Address::new(LEDGER, key), RowMsg::Fold)
+                    .unwrap();
                 all_ops.push((key, RowMsg::Fold));
             }
             second.run_to_completion().unwrap();
@@ -420,4 +432,62 @@ fn row_state_round_trips_through_every_store_and_a_rebuild() {
             assert_eq!(snapshot.states.len(), stored, "{context}: deleted rows are gone");
         }
     }
+}
+
+/// Persists `counter` adds as `key ++ amount`; nothing else reaches the
+/// ingress log of the test topology.
+struct AddCodec;
+
+impl om_log::RecordCodec<(Address, Msg)> for AddCodec {
+    fn encode(&self, (to, msg): &(Address, Msg)) -> om_common::OmResult<Vec<u8>> {
+        let Msg::Add(n) = msg else {
+            unreachable!("only adds are submitted")
+        };
+        Ok([to.key.to_le_bytes(), n.to_le_bytes()].concat())
+    }
+
+    fn decode(&self, bytes: &[u8]) -> om_common::OmResult<(Address, Msg)> {
+        let word = |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().unwrap());
+        Ok((Address::new("counter", word(0)), Msg::Add(word(1))))
+    }
+}
+
+/// A submit the ingress log refuses (a persistent log wedged by a full
+/// disk) is a typed error, not a panic, and leaves nothing behind: no
+/// pending record, no effect, and the records accepted before it still
+/// commit.
+#[test]
+fn submit_into_a_wedged_ingress_log_returns_the_error() {
+    let dir = std::env::temp_dir().join(format!("om-df-wedged-ingress-{}", std::process::id()));
+    let vfs = om_storage::FaultVfs::new(0xD15C);
+    let topic = om_log::PersistentTopic::open_with_vfs(
+        &dir,
+        "ingress",
+        2,
+        Arc::new(AddCodec),
+        Default::default(),
+        Arc::new(vfs.clone()),
+    )
+    .unwrap();
+    let df = builder(2, 8, 1).ingress_topic(Arc::new(topic)).build();
+    df.submit(Address::new("counter", 1), Msg::Add(2)).unwrap();
+    // Clones share one fault schedule: the disk is full from here on.
+    let _ = vfs.clone().disk_full_after(0);
+    let err = df
+        .submit(Address::new("counter", 1), Msg::Add(40))
+        .unwrap_err();
+    assert_eq!(err.label(), "wedged", "{err}");
+    assert_eq!(
+        df.pending_ingress(),
+        1,
+        "the refused record was never submitted"
+    );
+    df.run_to_completion().unwrap();
+    assert_eq!(
+        counter_state(df.state_of(Address::new("counter", 1)).as_deref()),
+        2
+    );
+    assert_eq!(df.take_committed_egress(), vec![Msg::Total(1, 2)]);
+    drop(df);
+    let _ = std::fs::remove_dir_all(&dir);
 }

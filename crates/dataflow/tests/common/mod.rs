@@ -151,6 +151,6 @@ pub fn workload(n: u64, keys: u64) -> Vec<(u64, RowMsg)> {
 
 pub fn submit_all(df: &Dataflow<RowMsg>, ops: &[(u64, RowMsg)]) {
     for (key, msg) in ops {
-        df.submit(Address::new(LEDGER, *key), msg.clone());
+        df.submit(Address::new(LEDGER, *key), msg.clone()).unwrap();
     }
 }

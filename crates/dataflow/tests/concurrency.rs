@@ -69,7 +69,7 @@ fn racing_try_run_epoch_serializes_epochs_exactly() {
                 scope.spawn(move || {
                     for i in 0..RECORDS / 2 {
                         let k = (half * RECORDS / 2 + i) % KEYS;
-                        df.submit(Address::new("counter", k), (k, 1));
+                        df.submit(Address::new("counter", k), (k, 1)).unwrap();
                         if i % 64 == 0 {
                             std::thread::yield_now();
                         }
@@ -122,7 +122,8 @@ fn recover_racing_epochs_never_deadlocks_nor_corrupts() {
         const KEYS: u64 = 8;
         let df = Arc::new(build(4, 8, workers));
         for i in 0..RECORDS {
-            df.submit(Address::new("counter", i % KEYS), (i % KEYS, 1));
+            df.submit(Address::new("counter", i % KEYS), (i % KEYS, 1))
+                .unwrap();
         }
         let stop = Arc::new(AtomicBool::new(false));
 
@@ -191,7 +192,7 @@ fn worker_panic_poisons_epoch_and_replay_is_exactly_once() {
             )
             .build();
         for k in 0..12u64 {
-            df.submit(Address::new("counter", k), (k, 1));
+            df.submit(Address::new("counter", k), (k, 1)).unwrap();
         }
 
         let err = df.run_epoch().expect_err("poisoned epoch must surface as an error");
@@ -257,7 +258,7 @@ fn logic_error_poisons_epoch_and_replay_is_exactly_once() {
             )
             .build();
         for k in 0..12u64 {
-            df.submit(Address::new("counter", k), (k, 1));
+            df.submit(Address::new("counter", k), (k, 1)).unwrap();
         }
         let err = df.run_epoch().expect_err("a failing function poisons the epoch");
         assert!(
@@ -300,7 +301,7 @@ fn pool_survives_poisoned_epochs_and_keeps_committing() {
         .build();
     for round in 0..3u64 {
         for k in 0..8u64 {
-            df.submit(Address::new("counter", k), (k, 1));
+            df.submit(Address::new("counter", k), (k, 1)).unwrap();
         }
         // Poison one epoch per round, then let it through.
         bomb.store(true, Ordering::SeqCst);

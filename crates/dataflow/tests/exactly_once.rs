@@ -89,7 +89,8 @@ fn single_epoch_processes_and_commits_state() {
     for workers in WORKER_COUNTS {
         let df = build(4, 64, workers);
         for i in 0..10 {
-            df.submit(Address::new("counter", i % 3), Msg::Add(1));
+            df.submit(Address::new("counter", i % 3), Msg::Add(1))
+                .unwrap();
         }
         let outcome = df.run_epoch().unwrap();
         match outcome {
@@ -110,8 +111,8 @@ fn single_epoch_processes_and_commits_state() {
 fn per_key_state_is_independent() {
     for workers in WORKER_COUNTS {
         let df = build(4, 64, workers);
-        df.submit(Address::new("counter", 1), Msg::Add(5));
-        df.submit(Address::new("counter", 2), Msg::Add(7));
+        df.submit(Address::new("counter", 1), Msg::Add(5)).unwrap();
+        df.submit(Address::new("counter", 2), Msg::Add(7)).unwrap();
         df.run_to_completion().unwrap();
         assert_eq!(counter_state(df.state_of(Address::new("counter", 1)).as_deref()), 5);
         assert_eq!(counter_state(df.state_of(Address::new("counter", 2)).as_deref()), 7);
@@ -124,7 +125,8 @@ fn internal_sends_are_processed_within_the_epoch() {
     for workers in WORKER_COUNTS {
         let df = build(4, 64, workers);
         for _ in 0..20 {
-            df.submit(Address::new("counter", 9), Msg::AddAndReport(1));
+            df.submit(Address::new("counter", 9), Msg::AddAndReport(1))
+                .unwrap();
         }
         let outcome = df.run_epoch().unwrap();
         match outcome {
@@ -157,7 +159,7 @@ fn multiple_epochs_respect_batch_limit() {
     for workers in WORKER_COUNTS {
         let df = build(2, 8, workers);
         for i in 0..100 {
-            df.submit(Address::new("counter", i), Msg::Add(1));
+            df.submit(Address::new("counter", i), Msg::Add(1)).unwrap();
         }
         let epochs = df.run_to_completion().unwrap();
         assert!(epochs >= 100 / (8 * 2), "expected several epochs, got {epochs}");
@@ -174,8 +176,8 @@ fn multiple_epochs_respect_batch_limit() {
 fn unroutable_messages_are_counted_not_fatal() {
     for workers in WORKER_COUNTS {
         let df = build(2, 8, workers);
-        df.submit(Address::new("ghost", 1), Msg::Add(1));
-        df.submit(Address::new("counter", 1), Msg::Add(1));
+        df.submit(Address::new("ghost", 1), Msg::Add(1)).unwrap();
+        df.submit(Address::new("counter", 1), Msg::Add(1)).unwrap();
         df.run_to_completion().unwrap();
         let (_, _, _, unroutable) = df.stats();
         assert_eq!(unroutable, 1, "workers={workers}");
@@ -188,7 +190,8 @@ fn crash_rolls_back_and_replay_is_exactly_once() {
     for workers in WORKER_COUNTS {
         let df = build(4, 32, workers);
         for i in 0..30 {
-            df.submit(Address::new("counter", i % 5), Msg::AddAndReport(1));
+            df.submit(Address::new("counter", i % 5), Msg::AddAndReport(1))
+                .unwrap();
         }
         // Crash mid-epoch.
         df.inject_crash_after(10);
@@ -226,7 +229,8 @@ fn repeated_crashes_still_converge_exactly_once() {
     for workers in WORKER_COUNTS {
         let df = build(2, 16, workers);
         for i in 0..40 {
-            df.submit(Address::new("counter", i % 4), Msg::AddAndReport(1));
+            df.submit(Address::new("counter", i % 4), Msg::AddAndReport(1))
+                .unwrap();
         }
         let mut crashes = 0;
         for n in [3u64, 7, 11] {
@@ -257,12 +261,14 @@ fn crash_firing_while_some_partitions_are_already_done_discards_everything() {
         let df = build(8, 256, workers);
         // One record per key across many partitions: cheap groups.
         for k in 0..16 {
-            df.submit(Address::new("counter", k), Msg::AddAndReport(1));
+            df.submit(Address::new("counter", k), Msg::AddAndReport(1))
+                .unwrap();
         }
         // One hot key with a deep cascade: 64 ingress records, each
         // spawning a sink invocation (128 invocations on this key alone).
         for _ in 0..64 {
-            df.submit(Address::new("counter", 1000), Msg::AddAndReport(1));
+            df.submit(Address::new("counter", 1000), Msg::AddAndReport(1))
+                .unwrap();
         }
         // Fire near the end of the total invocation budget (16*2 + 64*2
         // = 160): by then the cheap groups have long staged their work.
@@ -305,13 +311,13 @@ fn submissions_during_epoch_are_deferred_not_lost() {
     for workers in WORKER_COUNTS {
         let df = Arc::new(build(2, 4, workers));
         for i in 0..8 {
-            df.submit(Address::new("counter", i), Msg::Add(1));
+            df.submit(Address::new("counter", i), Msg::Add(1)).unwrap();
         }
         // Concurrent submitter racing with epochs.
         let df2 = df.clone();
         let submitter = std::thread::spawn(move || {
             for i in 8..48 {
-                df2.submit(Address::new("counter", i), Msg::Add(1));
+                df2.submit(Address::new("counter", i), Msg::Add(1)).unwrap();
                 if i % 5 == 0 {
                     std::thread::yield_now();
                 }
@@ -336,7 +342,8 @@ fn submissions_during_epoch_are_deferred_not_lost() {
 fn take_committed_egress_drains() {
     for workers in WORKER_COUNTS {
         let df = build(2, 16, workers);
-        df.submit(Address::new("counter", 1), Msg::AddAndReport(1));
+        df.submit(Address::new("counter", 1), Msg::AddAndReport(1))
+            .unwrap();
         df.run_to_completion().unwrap();
         assert_eq!(df.take_committed_egress().len(), 1, "workers={workers}");
         assert_eq!(df.committed_egress_len(), 0);

@@ -42,7 +42,7 @@ proptest! {
     ) {
         let df = counter_df(partitions, max_batch, workers);
         for (k, inc) in &increments {
-            df.submit(Address::new("sum", *k), (*k, *inc));
+            df.submit(Address::new("sum", *k), (*k, *inc)).unwrap();
         }
         for cp in crash_points {
             df.inject_crash_after(cp);
@@ -75,7 +75,7 @@ proptest! {
         for partitions in [1usize, 2, 4] {
             let df = counter_df(partitions, 16, 1);
             for (k, inc) in &increments {
-                df.submit(Address::new("sum", *k), (*k, *inc));
+                df.submit(Address::new("sum", *k), (*k, *inc)).unwrap();
             }
             df.run_to_completion().unwrap();
             let state: BTreeMap<u64, u64> = (0..16)
@@ -116,7 +116,7 @@ proptest! {
         for workers in [1usize, 2, cores] {
             let df = counter_df(partitions, max_batch, workers);
             for (k, inc) in &increments {
-                df.submit(Address::new("sum", *k), (*k, *inc));
+                df.submit(Address::new("sum", *k), (*k, *inc)).unwrap();
             }
             df.run_to_completion().unwrap();
             let state: BTreeMap<u64, u64> = (0..12)

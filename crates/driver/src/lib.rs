@@ -19,7 +19,6 @@
 
 pub mod audit;
 pub mod datagen;
-pub mod openloop;
 pub mod report;
 pub mod runner;
 pub mod scenario;
@@ -27,7 +26,6 @@ pub mod workload;
 
 pub use audit::{CriteriaReport, CriterionVerdict};
 pub use datagen::DataGenerator;
-pub use openloop::{saturation_point, simulate, ArrivalSchedule, SloAccumulator, SloRow};
 pub use report::RunReport;
 pub use runner::{run_benchmark, run_matrix_cell};
 pub use scenario::{next_scenario_op, ScenarioState};

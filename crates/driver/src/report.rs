@@ -1,8 +1,7 @@
 //! Run reports: throughput, latency and criteria, renderable as text
-//! tables or JSON (for tooling).
+//! rows or JSON (for tooling).
 
 use crate::audit::CriteriaReport;
-use crate::openloop::SloRow;
 use om_common::config::{RunConfig, TransactionKind};
 use om_common::stats::LatencySummary;
 use om_marketplace::api::RecoveryOutcome;
@@ -19,8 +18,8 @@ pub struct RunReport {
     /// What a process crash would do to the platform's state: `"disk"`
     /// (file-durable backend — survives), `"memory"` (backend-held but
     /// memory-only) or `"ephemeral"` (runtime-native state). Part of
-    /// [`cell_label`](Self::cell_label) so a6/b2 rows distinguish
-    /// durable-store flavours.
+    /// [`cell_label`](Self::cell_label) so rows that differ only in
+    /// durable-store flavour stay distinct.
     pub durability: String,
     pub config: RunConfig,
     /// Completed operations in the measured window.
@@ -40,10 +39,6 @@ pub struct RunReport {
     /// injectable crash (the dataflow binding). Under
     /// `RunConfig::chaos_drill` this is the *mid-window* drill outcome.
     pub recovery: Option<RecoveryOutcome>,
-    /// Open-loop SLO accounting (offered vs achieved rate, drop/late
-    /// counts, latency from scheduled arrival), when
-    /// `RunConfig::open_loop` was set.
-    pub slo: Option<SloRow>,
 }
 
 impl RunReport {
@@ -55,12 +50,12 @@ impl RunReport {
     /// `platform+backend+durability`, the matrix-cell id of this run —
     /// e.g. `statefun+file_durable+disk` vs `statefun+eventual_kv+memory`,
     /// so rows that differ only in durable-store flavour stay
-    /// unambiguous in experiment output.
+    /// unambiguous.
     pub fn cell_label(&self) -> String {
         format!("{}+{}+{}", self.platform, self.backend, self.durability)
     }
 
-    /// One text row for the E1 throughput table.
+    /// One text row: cell, throughput, and the operations behind it.
     pub fn throughput_row(&self) -> String {
         format!(
             "{:<42} {:>10.0} ops/s  ({} ops in {:.2}s, {} failed)",
@@ -72,23 +67,7 @@ impl RunReport {
         )
     }
 
-    /// Text table of latency percentiles (E3).
-    pub fn latency_table(&self) -> String {
-        let mut out = format!(
-            "{:<18} {:>8} {:>9} {:>9} {:>9} {:>9}\n",
-            "transaction", "count", "mean(us)", "p50(us)", "p90(us)", "p99(us)"
-        );
-        for (kind, summary) in &self.latency {
-            out.push_str(&format!(
-                "{:<18} {:>8} {:>9.0} {:>9} {:>9} {:>9}\n",
-                kind, summary.count, summary.mean_us, summary.p50_us, summary.p90_us,
-                summary.p99_us
-            ));
-        }
-        out
-    }
-
-    /// One text row for the E4 criteria matrix.
+    /// One text row of the criteria matrix (paper §II).
     pub fn criteria_row(&self) -> String {
         let c = &self.criteria;
         format!(
@@ -105,26 +84,6 @@ impl RunReport {
             c.ordering.symbol(),
             c.ordering_violations,
         )
-    }
-
-    /// One text row for the A7 SLO table (open-loop runs only).
-    pub fn slo_row(&self) -> String {
-        match &self.slo {
-            Some(s) => format!(
-                "{:<42} offered={:>8.0}/s achieved={:>8.0}/s ({:>3.0}%) drop={} late={} p50={}us p99={}us p999={}us (n={})",
-                self.cell_label(),
-                s.offered_per_sec,
-                s.achieved_per_sec,
-                s.achieved_ratio() * 100.0,
-                s.dropped,
-                s.late,
-                s.latency.p50_us,
-                s.latency.p99_us,
-                s.latency.p999_us,
-                s.latency.count,
-            ),
-            None => format!("{:<42} (closed loop)", self.cell_label()),
-        }
     }
 
     /// One text row for the recovery table (empty when no drill ran).
@@ -181,7 +140,6 @@ mod tests {
                 conservation_violations: 0,
             },
             recovery: None,
-            slo: None,
         }
     }
 
@@ -191,36 +149,40 @@ mod tests {
         assert!(r.throughput_row().contains("50"));
         assert!(r.throughput_row().contains("test+eventual_kv+memory"));
         assert!(r.criteria_row().contains("atomicity=yes"));
-        assert!(r.latency_table().contains("p99"));
         assert_eq!(r.cell_label(), "test+eventual_kv+memory");
-        assert!(r.slo_row().contains("(closed loop)"));
     }
 
     #[test]
-    fn slo_row_renders_rates_and_percentiles() {
+    fn recovery_row_renders_the_drill_outcome() {
+        let mut r = report();
+        r.recovery = Some(RecoveryOutcome {
+            store: "file_durable".into(),
+            recovered_epoch: 7,
+            final_epoch: 9,
+            recovery_us: 1_234,
+            replayed_ingress: 16,
+        });
+        let row = r.recovery_row();
+        assert!(row.starts_with("test+eventual_kv+memory"), "{row}");
+        for field in [
+            "store=file_durable",
+            "recovered_epoch=7",
+            "final_epoch=9",
+            "recovery=1234us",
+            "replayed=16",
+        ] {
+            assert!(row.contains(field), "{field} missing from {row}");
+        }
+    }
+
+    #[test]
+    fn latency_of_reads_the_kind_by_label() {
         let mut r = report();
         let mut hist = om_common::stats::Histogram::new();
-        for v in [100u64, 200, 400, 9000] {
-            hist.record(v);
-        }
-        r.slo = Some(SloRow {
-            offered_per_sec: 1000.0,
-            achieved_per_sec: 950.0,
-            arrivals: 1000,
-            completed: 950,
-            failed: 0,
-            dropped: 50,
-            late: 3,
-            latency: hist.summary(),
-        });
-        let row = r.slo_row();
-        assert!(row.contains("offered="), "{row}");
-        assert!(row.contains("95%"), "{row}");
-        assert!(row.contains("drop=50"), "{row}");
-        assert!(row.contains("p999=9000us"), "{row}");
-        // And it survives the JSON roundtrip inside the report.
-        let back: RunReport = serde_json::from_str(&r.to_json()).unwrap();
-        assert_eq!(back.slo.unwrap().dropped, 50);
+        hist.record(250);
+        r.latency.insert("checkout".into(), hist.summary());
+        assert_eq!(r.latency_of(TransactionKind::Checkout).unwrap().count, 1);
+        assert!(r.latency_of(TransactionKind::SellerDashboard).is_none());
     }
 
     #[test]

@@ -3,16 +3,12 @@
 //! Phases (paper §II, *Driver*): data generation → ingestion → warm-up →
 //! measured submission → statistics collection → quiesce → audit.
 //!
-//! The measured window runs in one of two modes:
-//!
-//! * **closed loop** (default): each worker issues its next operation
-//!   only after the previous one completes — throughput-oriented, but a
-//!   slowing system silently throttles its own offered load;
-//! * **open loop** (`RunConfig::open_loop`): requests fire on a
-//!   deterministic arrival schedule regardless of completions, with a
-//!   bounded in-flight ledger and drop/late accounting, and latency
-//!   measured from the *scheduled* arrival — queueing delay included.
-//!   The report gains an [`SloRow`].
+//! The measured window is a **closed loop**: each of `RunConfig::workers`
+//! threads issues its next operation only after the previous one
+//! completes. That makes the runner an in-process criteria harness, not a
+//! capacity measurement — a slowing system silently throttles its own
+//! offered load. Throughput and latency of record come from the
+//! open-loop, through-HTTP `marketbench` (`BENCHMARK.json`).
 //!
 //! `RunConfig::chaos_drill` additionally fires the platform's
 //! crash-recovery drill *mid-window* (once a quarter of the measured
@@ -21,11 +17,10 @@
 
 use crate::audit::{audit, RuntimeObservations};
 use crate::datagen::DataGenerator;
-use crate::openloop::{ArrivalSchedule, SloAccumulator, SloRow, LATE_SLACK_US};
 use crate::report::RunReport;
 use crate::scenario::{next_scenario_op, ScenarioState};
 use crate::workload::{next_op, Op, WorkloadState};
-use om_common::config::{OpenLoopConfig, RunConfig};
+use om_common::config::RunConfig;
 use om_common::rng::SplitMix64;
 use om_common::stats::{Histogram, Throughput};
 use om_marketplace::api::{
@@ -217,146 +212,10 @@ fn worker_loop(
     stats
 }
 
-/// One open-loop executor: drains the dispatch queue, measuring each
-/// completion from its *scheduled* arrival instant.
-fn open_loop_worker(
-    platform: &dyn MarketplacePlatform,
-    state: &WorkloadState,
-    rx: crossbeam::channel::Receiver<(Op, Instant)>,
-    progress: &AtomicU64,
-) -> (WorkerStats, SloAccumulator) {
-    let mut stats = WorkerStats::new();
-    let mut acc = SloAccumulator::new();
-    while let Ok((op, scheduled)) = rx.recv() {
-        let kind = op.kind().label();
-        let result = execute(platform, state, &op, &mut stats);
-        // Queueing delay (time spent in the ledger behind other arrivals)
-        // is part of the customer-visible latency — the whole point of
-        // the open loop.
-        let latency = scheduled.elapsed();
-        match result {
-            Ok(()) => {
-                stats.completed += 1;
-                stats
-                    .latency
-                    .entry(kind)
-                    .or_default()
-                    .record_duration(latency);
-                acc.complete(latency.as_micros() as u64);
-            }
-            Err(_) => {
-                stats.failed += 1;
-                acc.failed += 1;
-            }
-        }
-        progress.fetch_add(1, Ordering::Relaxed);
-    }
-    (stats, acc)
-}
-
-/// Sleeps (coarsely) then spins (precisely) until `target`.
-fn wait_until(target: Instant) {
-    const SPIN_SLACK: Duration = Duration::from_micros(200);
-    let now = Instant::now();
-    if let Some(gap) = target.checked_duration_since(now) {
-        if gap > SPIN_SLACK {
-            std::thread::sleep(gap - SPIN_SLACK);
-        }
-        while Instant::now() < target {
-            std::hint::spin_loop();
-        }
-    }
-}
-
-/// The open-loop measured window: a dispatcher fires the arrival schedule
-/// into a bounded queue (the in-flight ledger) that `workers` executors
-/// drain. Returns the merged worker stats, the SLO row and the window
-/// length in seconds.
-fn open_loop_window(
-    platform: &dyn MarketplacePlatform,
-    state: &WorkloadState,
-    scenario: Option<&ScenarioState>,
-    config: &RunConfig,
-    ol: &OpenLoopConfig,
-    seeder: &mut SplitMix64,
-    progress: &AtomicU64,
-) -> (Vec<WorkerStats>, SloRow, f64) {
-    let schedule = ArrivalSchedule::generate(ol, config.seed);
-    let workers = if ol.workers == 0 {
-        config.workers.max(1)
-    } else {
-        ol.workers
-    };
-    // The ledger: queued arrivals are bounded by `max_in_flight`; each
-    // executor holds at most one more, so in-flight <= cap + workers.
-    let (tx, rx) = crossbeam::channel::bounded::<(Op, Instant)>(ol.max_in_flight.max(1));
-    let mut gen_rng = seeder.fork();
-    let mut dispatch = SloAccumulator::new();
-    let mut worker_stats = Vec::new();
-    let mut worker_accs = Vec::new();
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..workers {
-            let rx = rx.clone();
-            let platform_ref: &dyn MarketplacePlatform = platform;
-            let progress_ref = &*progress;
-            handles.push(
-                scope.spawn(move || open_loop_worker(platform_ref, state, rx, progress_ref)),
-            );
-        }
-        for &offset in &schedule.offsets_us {
-            let target = start + Duration::from_micros(offset);
-            wait_until(target);
-            dispatch.arrivals += 1;
-            // A handful of retries tolerates transient lease starvation;
-            // a persistently dry generator sheds the arrival instead of
-            // stalling the schedule.
-            let mut op = None;
-            for _ in 0..8 {
-                op = gen_op(state, scenario, config, &mut gen_rng);
-                if op.is_some() {
-                    break;
-                }
-            }
-            let Some(op) = op else {
-                dispatch.dropped += 1;
-                continue;
-            };
-            if Instant::now().duration_since(target).as_micros() as u64 > LATE_SLACK_US {
-                dispatch.late += 1;
-            }
-            if let Err(crossbeam::channel::TrySendError::Full((op, _)))
-            | Err(crossbeam::channel::TrySendError::Disconnected((op, _))) =
-                tx.try_send((op, target))
-            {
-                // Ledger full: shed the arrival, release its inputs.
-                if let Some(c) = op.leased_customer() {
-                    state.return_customer(c);
-                }
-                dispatch.dropped += 1;
-            }
-        }
-        drop(tx); // close the ledger; workers drain and exit
-        for h in handles {
-            let (stats, acc) = h.join().expect("open-loop worker panicked");
-            worker_stats.push(stats);
-            worker_accs.push(acc);
-        }
-    });
-    let window_secs = start.elapsed().as_secs_f64();
-    for acc in &worker_accs {
-        dispatch.merge(acc);
-    }
-    let row = dispatch.into_row(ol.offered_rate, window_secs);
-    (worker_stats, row, window_secs)
-}
-
 /// Builds the platform for the `(kind, config.backend)` matrix cell
 /// through the factory and runs the full lifecycle on it. This is the
 /// `RunConfig`-driven entry point: selecting a different backend — or a
-/// scenario, an open-loop rate, a chaos drill — is a config change,
-/// never a code change.
+/// scenario, a chaos drill — is a config change, never a code change.
 pub fn run_matrix_cell(kind: PlatformKind, config: &RunConfig) -> RunReport {
     let mut spec = om_marketplace::PlatformSpec::new(kind, config.backend)
         .parallelism(config.workers.max(1))
@@ -396,18 +255,11 @@ pub fn run_benchmark(
     let progress = AtomicU64::new(0);
     let window_over = AtomicBool::new(false);
     let chaos_outcome: parking_lot::Mutex<Option<RecoveryOutcome>> = parking_lot::Mutex::new(None);
-    let total_measured = match &config.open_loop {
-        Some(ol) => ol.arrivals,
-        None => config.ops_per_worker * config.workers as u64,
-    };
-    let chaos_target = (total_measured / 4).max(1);
+    let chaos_target = (config.total_measured_ops() / 4).max(1);
 
     // 2 + 3. Warm-up and measured submission.
-    let mut worker_stats: Vec<WorkerStats> = Vec::new();
-    let mut slo: Option<SloRow> = None;
     let measured_window = Instant::now();
-    let mut window_secs = 0.0f64;
-    std::thread::scope(|scope| {
+    let (worker_stats, window_secs): (Vec<WorkerStats>, f64) = std::thread::scope(|scope| {
         if config.chaos_drill {
             let progress_ref = &progress;
             let over_ref = &window_over;
@@ -423,56 +275,15 @@ pub fn run_benchmark(
             });
         }
 
-        if let Some(ol) = &config.open_loop {
-            // Closed-loop warm-up, then the open-loop measured window.
-            if config.warmup_ops_per_worker > 0 {
-                let mut warm_handles = Vec::new();
-                for _ in 0..config.workers.max(1) {
-                    let rng = seeder.fork();
-                    let state = state.clone();
-                    let scenario_ref = scenario.as_ref();
-                    let platform_ref: &dyn MarketplacePlatform = platform;
-                    let progress_ref = &progress;
-                    warm_handles.push(scope.spawn(move || {
-                        worker_loop(
-                            platform_ref,
-                            &state,
-                            scenario_ref,
-                            config,
-                            rng,
-                            0,
-                            config.warmup_ops_per_worker,
-                            progress_ref,
-                        )
-                    }));
-                }
-                for h in warm_handles {
-                    h.join().expect("warmup worker panicked");
-                }
-            }
-            let (stats, row, secs) = open_loop_window(
-                platform,
-                &state,
-                scenario.as_ref(),
-                config,
-                ol,
-                &mut seeder,
-                &progress,
-            );
-            worker_stats = stats;
-            slo = Some(row);
-            window_secs = secs;
-        } else {
-            let mut handles = Vec::new();
-            for _ in 0..config.workers {
+        let handles: Vec<_> = (0..config.workers)
+            .map(|_| {
                 let rng = seeder.fork();
                 let state = state.clone();
                 let scenario_ref = scenario.as_ref();
-                let platform_ref: &dyn MarketplacePlatform = platform;
                 let progress_ref = &progress;
-                handles.push(scope.spawn(move || {
+                scope.spawn(move || {
                     worker_loop(
-                        platform_ref,
+                        platform,
                         &state,
                         scenario_ref,
                         config,
@@ -481,17 +292,19 @@ pub fn run_benchmark(
                         config.warmup_ops_per_worker,
                         progress_ref,
                     )
-                }));
-            }
-            for h in handles {
-                worker_stats.push(h.join().expect("worker panicked"));
-            }
-            window_secs = measured_window.elapsed().as_secs_f64();
-        }
+                })
+            })
+            .collect();
+        let stats = handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect();
+        let window_secs = measured_window.elapsed().as_secs_f64();
         // Unblock a chaos thread still waiting on its progress target; it
         // fires against the drained platform, degenerating to a post-run
         // drill rather than hanging the scope.
         window_over.store(true, Ordering::Relaxed);
+        (stats, window_secs)
     });
 
     // 4. Statistics collection.
@@ -552,6 +365,5 @@ pub fn run_benchmark(
         counters,
         criteria,
         recovery,
-        slo,
     }
 }

@@ -3,8 +3,8 @@
 //! zero lost committed epochs and a clean audit — no negative stock, no
 //! partial checkout, no double charge.
 //!
-//! Wired into `tests/` so tier-1 catches a regression; `experiments --
-//! a7` sweeps the same cells for numbers.
+//! Wired into `tests/` so tier-1 catches a regression; the same drill
+//! through the HTTP engine is `om_http`'s `chaos_under_load` suite.
 
 use om_common::config::{BackendKind, RunConfig, ScaleConfig, ScenarioConfig, WorkloadMix};
 use om_common::OmError;
@@ -309,23 +309,4 @@ fn disk_fault_drill_mid_flash_sale_wedges_then_unwedge_restores_a_clean_audit() 
         report
     );
     assert_eq!(report.ordering_violations, 0, "payment/shipment order held");
-}
-
-/// Chaos composes with the open loop: the drill fires while the arrival
-/// schedule keeps firing, and the SLO row still closes its accounting.
-#[test]
-fn chaos_drill_under_open_loop_keeps_slo_accounting_closed() {
-    let config = RunConfig {
-        open_loop: Some(om_common::config::OpenLoopConfig::at_rate(2_000.0, 600)),
-        ..chaos_config(BackendKind::FileDurable)
-    };
-    let report = run_matrix_cell(PlatformKind::Dataflow, &config);
-    let slo = report.slo.as_ref().expect("open-loop run carries an SLO row");
-    assert_eq!(
-        slo.completed + slo.failed + slo.dropped,
-        slo.arrivals,
-        "every arrival must be accounted: {slo:?}"
-    );
-    assert!(report.recovery.is_some(), "drill fired");
-    assert_eq!(report.criteria.conservation_violations, 0);
 }

@@ -2,7 +2,8 @@
 //! platforms at smoke scale.
 
 use om_common::config::{RunConfig, ScaleConfig, WorkloadMix};
-use om_driver::run_benchmark;
+use om_driver::{run_benchmark, DataGenerator};
+use om_marketplace::api::MarketplacePlatform;
 use om_marketplace::bindings::actor_core::ActorPlatformConfig;
 use om_marketplace::bindings::customized::CustomizedConfig;
 use om_marketplace::bindings::dataflow::DataflowPlatformConfig;
@@ -190,4 +191,60 @@ fn backend_is_selectable_from_run_config_and_labeled_in_reports() {
             report.counters
         );
     }
+}
+
+/// Every completed measured operation lands in exactly one latency
+/// histogram; warm-up operations land in none.
+#[test]
+fn latency_histograms_count_exactly_the_completed_operations() {
+    let platform = EventualPlatform::new(ActorPlatformConfig::default());
+    let config = smoke_config();
+    let report = run_benchmark(&platform, &config, true);
+    let recorded: u64 = report.latency.values().map(|s| s.count).sum();
+    assert_eq!(recorded, report.operations);
+    assert_eq!(
+        report.operations + report.failed_operations,
+        config.total_measured_ops(),
+        "warm-up operations are not measured"
+    );
+    let kinds: Vec<&str> = om_common::config::TransactionKind::ALL
+        .iter()
+        .map(|k| k.label())
+        .collect();
+    assert!(
+        report.latency.keys().all(|k| kinds.contains(&k.as_str())),
+        "{:?}",
+        report.latency.keys().collect::<Vec<_>>()
+    );
+}
+
+/// `ingest = false` runs against whatever the platform already holds:
+/// nothing on an empty platform, the generated catalogue on one loaded
+/// beforehand.
+#[test]
+fn ingest_flag_decides_who_loads_the_catalogue() {
+    let config = smoke_config();
+    let empty = EventualPlatform::new(ActorPlatformConfig::default());
+    run_benchmark(&empty, &config, false);
+    empty.quiesce();
+    let snap = empty.snapshot().unwrap();
+    assert!(
+        snap.products.is_empty() && snap.orders.is_empty(),
+        "nothing was ingested"
+    );
+
+    let loaded = EventualPlatform::new(ActorPlatformConfig::default());
+    DataGenerator::new(config.scale, config.seed)
+        .ingest_all(&loaded)
+        .unwrap();
+    let report = run_benchmark(&loaded, &config, false);
+    assert!(report.operations > 0);
+    assert_eq!(report.criteria.conservation_violations, 0);
+    loaded.quiesce();
+    let snap = loaded.snapshot().unwrap();
+    assert_eq!(snap.products.len() as u64, config.scale.total_products());
+    assert!(
+        !snap.orders.is_empty(),
+        "checkouts ran over the preloaded catalogue"
+    );
 }

@@ -39,7 +39,6 @@
 //! server.shutdown();
 //! ```
 
-pub mod adapter;
 pub mod conn;
 pub mod error;
 pub mod gateway;
@@ -50,7 +49,6 @@ pub mod response;
 pub mod router;
 pub mod server;
 
-pub use adapter::HttpPlatform;
 pub use conn::{EventConfig, ServerStats};
 pub use error::HttpError;
 pub use gateway::MarketplaceGateway;

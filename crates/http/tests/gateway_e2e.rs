@@ -501,3 +501,80 @@ fn customized_platform_serves_snapshot_consistent_dashboard_over_http() {
     client.close();
     server.shutdown();
 }
+
+/// A wedged ingress log is a typed `503`, not a dead event loop: once a
+/// segment write fails, the dataflow binding's append error reaches the
+/// gateway as `Wedged`, and the one loop that ran the failing handler
+/// keeps serving the connection.
+#[test]
+fn wedged_ingress_log_answers_503_and_the_loop_keeps_serving() {
+    use om_marketplace::bindings::dataflow::{
+        persistent_ingress_with_vfs, DataflowPlatform, DataflowPlatformConfig,
+    };
+    use om_storage::vfs::FaultVfs;
+
+    struct DirGuard(std::path::PathBuf);
+    impl Drop for DirGuard {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+    let dir = std::env::temp_dir().join(format!("om-gw-wedged-ingress-{}", std::process::id()));
+    let _guard = DirGuard(dir.clone());
+    let vfs = FaultVfs::new(0x1D6E);
+    let ingress =
+        persistent_ingress_with_vfs(&dir, 2, Default::default(), Arc::new(vfs.clone())).unwrap();
+    let platform = Arc::new(DataflowPlatform::new(DataflowPlatformConfig {
+        partitions: 2,
+        decline_rate: 0.0,
+        ingress: Some(ingress),
+        ..Default::default()
+    }));
+    let server = HttpServer::start_event_driven(
+        Arc::new(MarketplaceGateway::new(platform)),
+        EventConfig {
+            workers: 1,
+            ..EventConfig::default()
+        },
+    );
+    let mut client = server.connect();
+    for (target, body) in [
+        ("/ingest/sellers", seller_json(1)),
+        ("/ingest/customers", customer_json(1)),
+        ("/ingest/products", product_json(1, 1, 2_500)),
+    ] {
+        let resp = client.request(Method::Post, target, Some(&body)).unwrap();
+        assert_eq!(resp.status, 201, "{target}");
+    }
+    server.gateway().platform().quiesce();
+
+    // Clones share one fault schedule: the disk is full from here on, so
+    // the next ingress append fails and wedges the log.
+    let _ = vfs.clone().disk_full_after(0);
+    let item = json!({"seller": 1, "product": 1, "quantity": 1});
+    let resp = client
+        .request(Method::Post, "/customers/1/cart/items", Some(&item))
+        .unwrap();
+    assert_eq!(resp.status, 503, "{}", String::from_utf8_lossy(&resp.body));
+    assert_eq!(resp.headers.get("retry-after"), Some("1"));
+    let body: serde_json::Value = resp.json_body().unwrap();
+    assert_eq!(body["error"], "wedged");
+    let resp = client
+        .request(
+            Method::Post,
+            "/customers/1/checkout",
+            Some(&json!({"items": [item], "method": "CreditCard"})),
+        )
+        .unwrap();
+    assert_eq!(resp.status, 503, "{}", String::from_utf8_lossy(&resp.body));
+
+    // Same connection, same (only) loop: still alive.
+    let health = client.request(Method::Get, "/health", None).unwrap();
+    assert_eq!(health.status, 200);
+    let dash = client
+        .request(Method::Get, "/sellers/1/dashboard", None)
+        .unwrap();
+    assert_eq!(dash.status, 200, "reads are served from committed state");
+    client.close();
+    server.shutdown();
+}

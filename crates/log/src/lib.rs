@@ -12,7 +12,7 @@
 //!
 //! * [`Topic`] — in-memory partitions; fast, but records die with the
 //!   process.
-//! * [`PersistentTopic`] — segment files + offset index per partition;
+//! * [`PersistentTopic`] — segment files per partition;
 //!   appends are CRC-framed and flushed before they are acknowledged, a
 //!   cold reopen replays the segments (truncating a torn tail), so a
 //!   rebuilt consumer can replay in-flight records from disk alone. See

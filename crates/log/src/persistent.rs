@@ -1,7 +1,7 @@
-//! [`PersistentTopic`]: the file-backed topic — segment files plus an
-//! offset index per partition, so the ingress log itself survives a
-//! process crash and a cold-started consumer can replay in-flight
-//! records without sharing any in-memory handle.
+//! [`PersistentTopic`]: the file-backed topic — segment files per
+//! partition, so the ingress log itself survives a process crash and a
+//! cold-started consumer can replay in-flight records without sharing
+//! any in-memory handle.
 //!
 //! On-disk layout under the topic directory (byte-level formats in
 //! `docs/DURABILITY.md`):
@@ -9,7 +9,6 @@
 //! ```text
 //! <dir>/topic.meta            name + partition count (validated on open)
 //! <dir>/p<i>/seg-<base>.log   framed records, <base> = offset of the first
-//! <dir>/p<i>/seg-<base>.idx   8-byte LE file position per record
 //! ```
 //!
 //! Every record is appended as one CRC-framed blob (`om_common::checksum`)
@@ -22,7 +21,9 @@
 //!
 //! Recovery on [`PersistentTopic::open`] replays all segments in order,
 //! truncating a torn tail of the final segment exactly like the file
-//! backend's WAL, and rebuilds a stale or missing offset index.
+//! backend's WAL. Reads are served from the in-memory mirror that replay
+//! rebuilds; `seg-<base>.idx` offset-index files left by older builds
+//! are ignored.
 //!
 //! ```
 //! use om_log::{EventLog, PersistentTopic};
@@ -127,8 +128,6 @@ struct PartStage<T> {
     /// Encoded record frames staged since the last leader flush, in
     /// append order — written by the next leader as one `write_all`.
     buf: Vec<u8>,
-    /// The matching index entries (one 8-byte position per record).
-    idx_buf: Vec<u8>,
     /// Staged `(producer, seq, payload)` records. The leader leaves
     /// them here while their bytes are being written (so a racing
     /// retransmission still finds them for dedup) and mirrors them
@@ -145,24 +144,17 @@ struct PartStage<T> {
 }
 
 /// Per-partition durable state, guarded by the files mutex: the open
-/// segment pair. Held by cohort leaders (and by unwedge and disk reads)
-/// — never while merely staging.
+/// segment. Held by cohort leaders (and by unwedge) — never while merely
+/// staging.
 struct PartFiles {
     log: Box<dyn VfsFile>,
-    idx: Box<dyn VfsFile>,
     /// Path of the open `.log` (unwedge re-open and truncation).
     log_path: PathBuf,
     /// Offset of the first record in the open segment.
     seg_base: u64,
-    /// Bytes of the open `.log` known written successfully — where an
-    /// unwedge truncates the torn tail back to.
+    /// Bytes of the open `.log` known written successfully — the most
+    /// an unwedge keeps.
     log_durable: u64,
-    /// Same for the `.idx` (8 bytes per durably-written record).
-    idx_durable: u64,
-    /// Records of the open segment whose bytes (log + idx) are down —
-    /// `seg_base + durable_records` is the offset recovery would resume
-    /// at, which is what an unwedge resets the stage to.
-    durable_records: u64,
 }
 
 /// A [`Topic`] whose records live in segment files: the durable flavour
@@ -174,7 +166,7 @@ pub struct PersistentTopic<T> {
     /// Cheap staging half, per partition. Lock order: files before
     /// stage, never the reverse.
     stages: Vec<Mutex<PartStage<T>>>,
-    /// Durable half (open segment pair), per partition.
+    /// Durable half (open segment), per partition.
     parts: Vec<Mutex<PartFiles>>,
     /// One commit barrier per partition.
     groups: Vec<CommitGroup>,
@@ -311,8 +303,7 @@ impl<T: Clone + Send> PersistentTopic<T> {
     }
 
     /// `seg-<base>.log` files of one partition directory, sorted by
-    /// base offset — the single definition of which segments exist
-    /// (recovery and disk reads must agree).
+    /// base offset — the single definition of which segments exist.
     fn list_segments(pdir: &Path) -> OmResult<Vec<(u64, PathBuf)>> {
         let mut segments = Vec::new();
         for entry in fs::read_dir(pdir).map_err(|e| io_err(pdir, e))? {
@@ -341,9 +332,8 @@ impl<T: Clone + Send> PersistentTopic<T> {
         let mut tail: Option<(u64, PathBuf, u64)> = None;
         for (i, (base, path)) in segments.iter().enumerate() {
             let bytes = self.vfs.read(path).map_err(|e| io_err(path, e))?;
-            let mut positions: Vec<u64> = Vec::new();
+            let mut records = 0u64;
             let mut at = 0usize;
-            let mut truncated = false;
             loop {
                 match parse_frame(&bytes, at) {
                     Ok(Some((payload, next))) => {
@@ -354,10 +344,10 @@ impl<T: Clone + Send> PersistentTopic<T> {
                         let seq = u64::from_le_bytes(payload[8..16].try_into().unwrap());
                         let record = self.codec.decode(&payload[16..])?;
                         let offset = self.mem.append_raw(partition, producer, seq, record)?;
-                        if offset != base + positions.len() as u64 {
+                        if offset != base + records {
                             return Err(corrupt(path, at));
                         }
-                        positions.push(at as u64);
+                        records += 1;
                         at = next;
                     }
                     Ok(None) => break,
@@ -375,28 +365,11 @@ impl<T: Clone + Send> PersistentTopic<T> {
                         f.set_len(torn_at as u64).map_err(|e| io_err(path, e))?;
                         f.sync_data().map_err(|e| io_err(path, e))?;
                         at = torn_at;
-                        truncated = true;
                         break;
                     }
                 }
             }
-            self.recovered_records
-                .fetch_add(positions.len() as u64, Ordering::Relaxed);
-            // The offset index is advisory: rebuild it whenever it does
-            // not exactly cover the valid records (missing, stale, or
-            // truncated along with the tail).
-            let idx_path = path.with_extension("idx");
-            let expected = positions.len() as u64 * 8;
-            let stale = fs::metadata(&idx_path).map(|m| m.len() != expected).unwrap_or(true);
-            if stale || truncated {
-                let mut buf = Vec::with_capacity(expected as usize);
-                for pos in &positions {
-                    buf.extend_from_slice(&pos.to_le_bytes());
-                }
-                self.vfs
-                    .write_file(&idx_path, &buf)
-                    .map_err(|e| io_err(&idx_path, e))?;
-            }
+            self.recovered_records.fetch_add(records, Ordering::Relaxed);
             if i == last_index {
                 tail = Some((*base, path.clone(), at as u64));
             }
@@ -409,33 +382,24 @@ impl<T: Clone + Send> PersistentTopic<T> {
             .vfs
             .open_append(&log_path)
             .map_err(|e| io_err(&log_path, e))?;
-        let idx_path = log_path.with_extension("idx");
-        let idx = self
-            .vfs
-            .open_append(&idx_path)
-            .map_err(|e| io_err(&idx_path, e))?;
         if self.options.sync_appends {
-            // The open may have just created `seg-0.log`/`.idx` (fresh
-            // partition) or rewritten the index: their directory entries
-            // must survive power loss before any fsynced record in them
-            // is acknowledged — syncing bytes into a file whose name a
-            // crash can erase syncs nothing.
+            // The open may have just created `seg-0.log` (fresh
+            // partition): its directory entry must survive power loss
+            // before any fsynced record in it is acknowledged — syncing
+            // bytes into a file whose name a crash can erase syncs
+            // nothing.
             self.vfs.dir_sync(&pdir).map_err(|e| io_err(&pdir, e))?;
         }
         let end = self.mem.end_offset(partition);
         Ok((
             PartFiles {
                 log,
-                idx,
                 log_path,
                 seg_base,
                 log_durable: seg_len,
-                idx_durable: (end - seg_base) * 8,
-                durable_records: end - seg_base,
             },
             PartStage {
                 buf: Vec::new(),
-                idx_buf: Vec::new(),
                 staged: Vec::new(),
                 next_offset: end,
                 seg_len,
@@ -493,9 +457,7 @@ impl<T: Clone + Send> PersistentTopic<T> {
                 return Ok(offset);
             }
             let frame = self.encode_frame(producer, seq, &payload)?;
-            let pos = stage.seg_len;
             stage.buf.extend_from_slice(&frame);
-            stage.idx_buf.extend_from_slice(&pos.to_le_bytes());
             stage.seg_len += frame.len() as u64;
             self.appended_bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
             stage.staged.push((producer, seq, payload));
@@ -519,26 +481,18 @@ impl<T: Clone + Send> PersistentTopic<T> {
         ))
     }
 
-    /// Writes one batch of frame bytes plus its index entries to the
-    /// open segment pair (syncing the log first when
-    /// [`PersistentTopicOptions::sync_appends`] is on) and advances the
-    /// durable floors. Any failure wedges the topic: the bytes on disk
-    /// can no longer be trusted past the recorded floors.
-    fn write_segment(
-        &self,
-        files: &mut PartFiles,
-        bytes: &[u8],
-        idx_bytes: &[u8],
-    ) -> OmResult<()> {
-        let written = write_all_retry(files.log.as_mut(), bytes)
-            .and_then(|()| {
-                if self.options.sync_appends {
-                    files.log.sync_data()
-                } else {
-                    Ok(())
-                }
-            })
-            .and_then(|()| write_all_retry(files.idx.as_mut(), idx_bytes));
+    /// Writes one batch of frame bytes to the open segment (syncing it
+    /// when [`PersistentTopicOptions::sync_appends`] is on) and advances
+    /// the durable floor. Any failure wedges the topic: the bytes on disk
+    /// can no longer be trusted past the recorded floor.
+    fn write_segment(&self, files: &mut PartFiles, bytes: &[u8]) -> OmResult<()> {
+        let written = write_all_retry(files.log.as_mut(), bytes).and_then(|()| {
+            if self.options.sync_appends {
+                files.log.sync_data()
+            } else {
+                Ok(())
+            }
+        });
         if let Err(e) = written {
             // Release pairs with the Acquire loads on the append path.
             self.wedged.store(true, Ordering::Release);
@@ -549,8 +503,6 @@ impl<T: Clone + Send> PersistentTopic<T> {
             )));
         }
         files.log_durable += bytes.len() as u64;
-        files.idx_durable += idx_bytes.len() as u64;
-        files.durable_records += (idx_bytes.len() / 8) as u64;
         Ok(())
     }
 
@@ -568,7 +520,7 @@ impl<T: Clone + Send> PersistentTopic<T> {
 
     /// Cohort-leader duty: swap the staged bytes out (staging stays
     /// open — appenders keep building the next cohort), write them as
-    /// ONE `write_all` per file, then mirror the covered records into
+    /// ONE `write_all`, then mirror the covered records into
     /// memory in append order (making their offsets readable) and roll
     /// the segment if due. Returns the barrier ticket covered
     /// (`end_offset` after the mirror — tickets are `offset + 1`).
@@ -581,19 +533,15 @@ impl<T: Clone + Send> PersistentTopic<T> {
         // racing retransmission must still find them for dedup while
         // their bytes are in flight. `covered` marks how many staged
         // records these bytes complete.
-        let (bytes, idx_bytes, covered) = {
+        let (bytes, covered) = {
             let mut stage = self.stages[partition].lock();
-            (
-                std::mem::take(&mut stage.buf),
-                std::mem::take(&mut stage.idx_buf),
-                stage.staged.len(),
-            )
+            (std::mem::take(&mut stage.buf), stage.staged.len())
         };
         if !bytes.is_empty() {
             // The staged prefix can never be mirrored after a failure
             // here; write_segment wedges so nothing acknowledges records
             // a torn-tail replay would drop.
-            self.write_segment(&mut files, &bytes, &idx_bytes)?;
+            self.write_segment(&mut files, &bytes)?;
         }
         let mut stage = self.stages[partition].lock();
         for (producer, seq, payload) in stage.staged.drain(..covered) {
@@ -613,8 +561,7 @@ impl<T: Clone + Send> PersistentTopic<T> {
             // of starving behind sustained traffic.
             if !stage.buf.is_empty() {
                 let bytes = std::mem::take(&mut stage.buf);
-                let idx_bytes = std::mem::take(&mut stage.idx_buf);
-                self.write_segment(&mut files, &bytes, &idx_bytes)?;
+                self.write_segment(&mut files, &bytes)?;
                 for (producer, seq, payload) in stage.staged.drain(..) {
                     if let Err(e) = self.mem.append_raw(partition, producer, seq, payload) {
                         self.wedged.store(true, Ordering::Release);
@@ -642,7 +589,7 @@ impl<T: Clone + Send> PersistentTopic<T> {
         (flushes, released, max_cohort)
     }
 
-    /// Starts a fresh segment pair named after the next offset. Callers
+    /// Starts a fresh segment named after the next offset. Callers
     /// hold both partition locks with every staged byte already written
     /// to the old segment, so the name is exact.
     fn roll_segment(
@@ -655,91 +602,22 @@ impl<T: Clone + Send> PersistentTopic<T> {
         let base = self.mem.end_offset(partition);
         let pdir = self.part_dir(partition);
         let log_path = pdir.join(format!("seg-{base}.log"));
-        let idx_path = log_path.with_extension("idx");
         let log = self
             .vfs
             .open_append(&log_path)
             .map_err(|e| io_err(&log_path, e))?;
-        let idx = self
-            .vfs
-            .open_append(&idx_path)
-            .map_err(|e| io_err(&idx_path, e))?;
         if self.options.sync_appends {
             // The new segment's directory entry must survive a crash
             // before anything written into it is considered durable.
             self.vfs.dir_sync(&pdir).map_err(|e| io_err(&pdir, e))?;
         }
         files.log = log;
-        files.idx = idx;
         files.log_path = log_path;
         files.seg_base = base;
         files.log_durable = 0;
-        files.idx_durable = 0;
-        files.durable_records = 0;
         stage.seg_len = 0;
         self.segments_rolled.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Reads up to `max` records of `partition` starting at `offset`
-    /// **from the segment files** (not the in-memory mirror), seeking via
-    /// the offset index — the read path a cold consumer with no mirror
-    /// would use, and what the recovery tests exercise.
-    pub fn read_from_disk(
-        &self,
-        partition: usize,
-        offset: u64,
-        max: usize,
-    ) -> OmResult<Vec<Entry<T>>> {
-        let part = self
-            .parts
-            .get(partition)
-            .ok_or_else(|| OmError::NotFound(format!("partition {partition}")))?;
-        // Hold the appender lock so no frame is mid-write while we read.
-        let _files = part.lock();
-        let segments = Self::list_segments(&self.part_dir(partition))?;
-        let mut out = Vec::new();
-        for (i, (base, path)) in segments.iter().enumerate() {
-            if out.len() >= max {
-                break;
-            }
-            let idx_path = path.with_extension("idx");
-            let idx_bytes = self.vfs.read(&idx_path).map_err(|e| io_err(&idx_path, e))?;
-            let count = (idx_bytes.len() / 8) as u64;
-            // A later segment starts where this one ends; skip segments
-            // fully below the requested offset.
-            if base + count <= offset && i + 1 < segments.len() {
-                continue;
-            }
-            let mut cursor = (*base).max(offset);
-            if cursor >= base + count {
-                continue;
-            }
-            let start_pos =
-                u64::from_le_bytes(idx_bytes[((cursor - base) * 8) as usize..][..8].try_into().unwrap());
-            let bytes = self.vfs.read(path).map_err(|e| io_err(path, e))?;
-            let mut at = start_pos as usize;
-            while out.len() < max {
-                match parse_frame(&bytes, at) {
-                    Ok(Some((payload, next))) => {
-                        if payload.len() < 16 {
-                            return Err(corrupt(path, at));
-                        }
-                        out.push(Entry {
-                            offset: cursor,
-                            producer: u64::from_le_bytes(payload[..8].try_into().unwrap()),
-                            seq: u64::from_le_bytes(payload[8..16].try_into().unwrap()),
-                            payload: self.codec.decode(&payload[16..])?,
-                        });
-                        cursor += 1;
-                        at = next;
-                    }
-                    // A torn in-flight tail reads as end-of-log.
-                    Ok(None) | Err(_) => break,
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Whether the topic is wedged: a segment write failed and every
@@ -751,12 +629,12 @@ impl<T: Clone + Send> PersistentTopic<T> {
     }
 
     /// Repairs a wedged topic in place: per partition, the staged
-    /// (never-acknowledged) records are dropped, the open segment pair
-    /// is truncated back to the byte floor that exactly matches the
-    /// in-memory mirror, the kept prefix is verified to parse, and the
-    /// append handles are re-opened. Returns the total torn log bytes
-    /// dropped; acknowledged records are never touched (their bytes sit
-    /// below the floors by construction). A healthy topic returns
+    /// (never-acknowledged) records are dropped, the open segment is
+    /// truncated back to the end of the last record the in-memory mirror
+    /// holds, the kept prefix is verified to parse, and the append handle
+    /// is re-opened. Returns the total torn log bytes dropped;
+    /// acknowledged records are never touched (their bytes sit below the
+    /// durable floor by construction). A healthy topic returns
     /// `Ok(0)` untouched. If verification fails the topic stays wedged
     /// and an `Internal` error reports why.
     pub fn unwedge(&self) -> OmResult<u64> {
@@ -772,50 +650,36 @@ impl<T: Clone + Send> PersistentTopic<T> {
             // are about to drop: fail those waiters out instead of
             // leaving them parked behind a stage that will never flush.
             self.groups[partition].abort_below(stage.next_offset);
-            // Truncate back to what the mirror holds: a durable surplus
-            // the leader never mirrored (its flush failed midway) was
-            // never acknowledged either, so it goes with the torn tail.
+            // Cut back to what the mirror holds: the end of the open
+            // segment's first `mirrored` frames. Walking them within the
+            // durably written bytes both finds the cut and verifies the
+            // kept prefix before anything is truncated — if they do not
+            // parse, the damage reaches acknowledged bytes and dropping
+            // the tail would silently lose acked records: stay wedged. A
+            // durable surplus past the cut (a flush that wrote but never
+            // mirrored) was never acknowledged, so it goes with the tail.
             let mirrored = self.mem.end_offset(partition) - files.seg_base;
-            let idx_path = files.log_path.with_extension("idx");
-            let log_target = if mirrored < files.durable_records {
-                let idx_bytes = self.vfs.read(&idx_path).map_err(|e| io_err(&idx_path, e))?;
-                u64::from_le_bytes(
-                    idx_bytes[(mirrored * 8) as usize..][..8]
-                        .try_into()
-                        .map_err(|_| corrupt(&idx_path, (mirrored * 8) as usize))?,
-                )
-            } else {
-                files.log_durable
-            };
             let on_disk = self
                 .vfs
                 .read(&files.log_path)
                 .map_err(|e| io_err(&files.log_path, e))?;
-            // Verify the kept prefix parses to exactly the mirrored
-            // records before truncating anything — if it does not, the
-            // damage reaches acknowledged bytes and dropping the tail
-            // would silently lose acked records: stay wedged.
-            let kept = &on_disk[..(log_target as usize).min(on_disk.len())];
-            let mut at = 0usize;
-            let mut frames = 0u64;
-            loop {
-                match parse_frame(kept, at) {
-                    Ok(Some((_, next))) => {
-                        frames += 1;
-                        at = next;
-                    }
-                    Ok(None) if at == kept.len() && frames == mirrored => break,
+            let durable = &on_disk[..(files.log_durable as usize).min(on_disk.len())];
+            let mut cut = 0usize;
+            for frames in 0..mirrored {
+                match parse_frame(durable, cut) {
+                    Ok(Some((_, next))) => cut = next,
                     _ => {
                         return Err(OmError::Internal(format!(
-                            "unwedge verification failed for {:?}: kept prefix of {} bytes \
-                             holds {frames} records where {mirrored} acknowledged records \
+                            "unwedge verification failed for {:?}: its {} durable bytes \
+                             hold {frames} records where {mirrored} acknowledged records \
                              were expected; the topic stays wedged",
                             files.log_path,
-                            kept.len(),
+                            durable.len(),
                         )));
                     }
                 }
             }
+            let log_target = cut as u64;
             torn_total += on_disk.len() as u64 - log_target;
             let mut f = self
                 .vfs
@@ -824,26 +688,12 @@ impl<T: Clone + Send> PersistentTopic<T> {
             f.set_len(log_target).map_err(|e| io_err(&files.log_path, e))?;
             f.sync_data().map_err(|e| io_err(&files.log_path, e))?;
             drop(f);
-            let mut f = self
-                .vfs
-                .open_write(&idx_path)
-                .map_err(|e| io_err(&idx_path, e))?;
-            f.set_len(mirrored * 8).map_err(|e| io_err(&idx_path, e))?;
-            f.sync_data().map_err(|e| io_err(&idx_path, e))?;
-            drop(f);
             files.log = self
                 .vfs
                 .open_append(&files.log_path)
                 .map_err(|e| io_err(&files.log_path, e))?;
-            files.idx = self
-                .vfs
-                .open_append(&idx_path)
-                .map_err(|e| io_err(&idx_path, e))?;
             files.log_durable = log_target;
-            files.idx_durable = mirrored * 8;
-            files.durable_records = mirrored;
             stage.buf.clear();
-            stage.idx_buf.clear();
             stage.staged.clear();
             stage.seg_len = log_target;
             stage.next_offset = self.mem.end_offset(partition);
@@ -1000,7 +850,7 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_is_truncated_and_index_rebuilt() {
+    fn torn_tail_is_truncated_and_appends_resume() {
         let dir = scratch("torn");
         let _guard = DirGuard(dir.clone());
         {
@@ -1016,8 +866,6 @@ mod tests {
         let t = open(&dir, 1);
         assert_eq!(EventLog::len(&t), 3, "torn final record discarded");
         assert!(t.counters()["log.torn_tail_bytes"] > 0);
-        // Index shrank to match the surviving records.
-        assert_eq!(fs::metadata(dir.join("p0").join("seg-0.idx")).unwrap().len(), 24);
         // The log keeps working past the truncation point.
         t.append_raw(0, 9, 1, 77).unwrap();
         drop(t);
@@ -1027,56 +875,102 @@ mod tests {
         assert_eq!(read[3].payload, 77);
     }
 
-    #[test]
-    fn disk_reads_follow_the_offset_index_across_segments() {
-        let dir = scratch("disk-read");
-        let _guard = DirGuard(dir.clone());
+    /// Appends `records` records, round-robin over `partitions`, into a
+    /// topic whose segments roll every `segment_bytes`; payload `i` is
+    /// the `i`-th append.
+    fn fill_segmented(dir: &Path, partitions: usize, segment_bytes: u64, records: u64) {
         let t: PersistentTopic<u64> = PersistentTopic::open_with(
-            &dir,
+            dir,
             "t",
-            1,
+            partitions,
             Arc::new(SerdeCodec),
-            PersistentTopicOptions { segment_bytes: 64, ..Default::default() },
+            PersistentTopicOptions {
+                segment_bytes,
+                ..Default::default()
+            },
         )
         .unwrap();
-        for i in 0..20u64 {
-            t.append_raw(0, 1, i + 1, i * 3).unwrap();
+        for i in 0..records {
+            t.append_raw((i % partitions as u64) as usize, 1, i + 1, i)
+                .unwrap();
         }
         assert!(t.counters()["log.segments_rolled"] >= 2);
-        let read = t.read_from_disk(0, 7, 5).unwrap();
-        assert_eq!(read.len(), 5);
-        assert_eq!(
-            read.iter().map(|e| (e.offset, e.payload)).collect::<Vec<_>>(),
-            (7..12).map(|i| (i, i * 3)).collect::<Vec<_>>()
-        );
-        assert!(t.read_from_disk(0, 19, 10).unwrap().len() == 1);
-        assert!(t.read_from_disk(0, 20, 10).unwrap().is_empty());
+    }
+
+    fn segment_files(dir: &Path, partition: usize, ext: &str) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = fs::read_dir(dir.join(format!("p{partition}")))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == ext))
+            .collect();
+        files.sort();
+        files
     }
 
     #[test]
     fn multi_segment_replay_restores_everything() {
         let dir = scratch("multi-seg");
         let _guard = DirGuard(dir.clone());
-        {
-            let t: PersistentTopic<u64> = PersistentTopic::open_with(
-                &dir,
-                "t",
-                2,
-                Arc::new(SerdeCodec),
-                PersistentTopicOptions { segment_bytes: 48, ..Default::default() },
-            )
-            .unwrap();
-            for i in 0..30u64 {
-                t.append_raw((i % 2) as usize, 1, i + 1, i).unwrap();
-            }
-        }
+        fill_segmented(&dir, 2, 48, 30);
+        assert!(
+            segment_files(&dir, 0, "log").len() >= 3,
+            "partition 0 spans segments"
+        );
         let t = open(&dir, 2);
         assert_eq!(EventLog::len(&t), 30);
-        let all: Vec<u64> = (0..2)
-            .flat_map(|p| t.read_from(p, 0, 100))
-            .map(|e| e.payload)
-            .collect();
-        assert_eq!(all.len(), 30);
+        assert_eq!(t.counters()["log.recovered_records"], 30);
+        for p in 0..2u64 {
+            let read = t.read_from(p as usize, 0, 100);
+            assert_eq!(
+                read.iter()
+                    .map(|e| (e.offset, e.seq, e.payload))
+                    .collect::<Vec<_>>(),
+                (0..15)
+                    .map(|o| (o, 2 * o + p + 1, 2 * o + p))
+                    .collect::<Vec<_>>(),
+                "partition {p}: dense offsets, payloads in append order"
+            );
+        }
+        // A read starting mid-log crosses segment boundaries in order.
+        let read = t.read_from(0, 7, 5);
+        assert_eq!(
+            read.iter()
+                .map(|e| (e.offset, e.payload))
+                .collect::<Vec<_>>(),
+            (7..12).map(|o| (o, 2 * o)).collect::<Vec<_>>()
+        );
+        assert_eq!(t.read_from(0, 14, 10).len(), 1);
+        assert!(t.read_from(0, 15, 10).is_empty());
+        // Appends resume after the last segment's final record.
+        assert_eq!(t.append_raw(0, 2, 1, 900).unwrap(), 15);
+    }
+
+    #[test]
+    fn index_sidecars_left_by_older_versions_do_not_affect_recovery() {
+        let dir = scratch("old-idx");
+        let _guard = DirGuard(dir.clone());
+        fill_segmented(&dir, 1, 48, 12);
+        // Earlier builds kept a `seg-<base>.idx` offset index beside every
+        // segment; this one never reads them, damaged or not.
+        let logs = segment_files(&dir, 0, "log");
+        assert!(logs.len() >= 3);
+        fs::write(logs[0].with_extension("idx"), b"not an offset index").unwrap();
+        fs::write(logs[1].with_extension("idx"), []).unwrap();
+        fs::write(dir.join("p0").join("seg-999.idx"), [0xFF; 24]).unwrap();
+        let t = open(&dir, 1);
+        assert_eq!(t.counters()["log.recovered_records"], 12);
+        let payloads: Vec<u64> = t.read_from(0, 0, 100).iter().map(|e| e.payload).collect();
+        assert_eq!(payloads, (0..12).collect::<Vec<_>>());
+        t.append_raw(0, 2, 1, 12).unwrap();
+        drop(t);
+        let t = open(&dir, 1);
+        assert_eq!(EventLog::len(&t), 13);
+        assert_eq!(t.read_from(0, 12, 1)[0].payload, 12);
+        assert_eq!(
+            fs::read(logs[0].with_extension("idx")).unwrap(),
+            b"not an offset index",
+            "an old sidecar is neither read nor rewritten"
+        );
     }
 
     #[test]
@@ -1220,6 +1114,172 @@ mod tests {
         t.append_raw(0, 1, 3, 7).unwrap();
         let payloads: Vec<u64> = t.read_from(0, 0, 10).iter().map(|e| e.payload).collect();
         assert_eq!(payloads, vec![5, 7]);
+    }
+
+    #[test]
+    fn a_full_disk_wedges_and_unwedge_cuts_the_partial_frame() {
+        let dir = scratch("disk-full");
+        let _guard = DirGuard(dir.clone());
+        let vfs = om_storage::FaultVfs::new(17);
+        let t: PersistentTopic<u64> = PersistentTopic::open_with_vfs(
+            &dir,
+            "t",
+            1,
+            Arc::new(SerdeCodec),
+            PersistentTopicOptions::default(),
+            Arc::new(vfs.clone()),
+        )
+        .unwrap();
+        t.append_raw(0, 1, 1, 10).unwrap();
+        t.append_raw(0, 1, 2, 20).unwrap();
+        let frame = t.counters()["log.appended_bytes"] / 2;
+        // Clones share one fault schedule: half of the next frame fits.
+        let _ = vfs.clone().disk_full_after(2 * frame + frame / 2);
+        assert_eq!(t.append_raw(0, 1, 3, 30).unwrap_err().label(), "wedged");
+        let seg = dir.join("p0").join("seg-0.log");
+        assert_eq!(fs::metadata(&seg).unwrap().len(), 2 * frame + frame / 2);
+        assert_eq!(
+            t.unwedge().unwrap(),
+            frame / 2,
+            "exactly the partial frame goes"
+        );
+        assert_eq!(fs::metadata(&seg).unwrap().len(), 2 * frame);
+        // The disk is still full: the next append wedges again, typed.
+        assert_eq!(t.append_raw(0, 1, 4, 40).unwrap_err().label(), "wedged");
+        drop(t);
+        let t = open(&dir, 1);
+        let payloads: Vec<u64> = t.read_from(0, 0, 10).iter().map(|e| e.payload).collect();
+        assert_eq!(payloads, vec![10, 20]);
+    }
+
+    #[test]
+    fn torn_write_after_a_roll_is_cut_back_inside_the_new_segment() {
+        let dir = scratch("torn-roll");
+        let _guard = DirGuard(dir.clone());
+        // Writes 1-2 fill the first 48-byte segment, write 3 opens the
+        // second, write 4 tears.
+        let vfs = om_storage::FaultVfs::new(19).torn_write(4);
+        let t: PersistentTopic<u64> = PersistentTopic::open_with_vfs(
+            &dir,
+            "t",
+            1,
+            Arc::new(SerdeCodec),
+            PersistentTopicOptions {
+                segment_bytes: 48,
+                ..Default::default()
+            },
+            Arc::new(vfs.clone()),
+        )
+        .unwrap();
+        for seq in 1..=3 {
+            t.append_raw(0, 1, seq, seq * 10).unwrap();
+        }
+        assert_eq!(t.counters()["log.segments_rolled"], 1);
+        assert_eq!(t.append_raw(0, 1, 4, 40).unwrap_err().label(), "wedged");
+        assert!(
+            vfs.fired().iter().any(|f| f.contains("torn")),
+            "{:?}",
+            vfs.fired()
+        );
+        t.unwedge().unwrap();
+        assert_eq!(t.append_raw(0, 1, 5, 50).unwrap(), 3, "offsets stay dense");
+        drop(t);
+        let t = open(&dir, 1);
+        let read = t.read_from(0, 0, 10);
+        assert_eq!(
+            read.iter()
+                .map(|e| (e.offset, e.payload))
+                .collect::<Vec<_>>(),
+            vec![(0, 10), (1, 20), (2, 30), (3, 50)]
+        );
+        assert_eq!(
+            t.counters()["log.torn_tail_bytes"],
+            0,
+            "unwedge left no torn tail"
+        );
+    }
+
+    #[test]
+    fn damage_in_a_segment_before_the_last_is_refused() {
+        let dir = scratch("mid-damage");
+        let _guard = DirGuard(dir.clone());
+        fill_segmented(&dir, 1, 48, 8);
+        let first = &segment_files(&dir, 0, "log")[0];
+        let mut bytes = fs::read(first).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        fs::write(first, &bytes).unwrap();
+        let err = PersistentTopic::<u64>::open_serde(&dir, "t", 1).unwrap_err();
+        assert!(
+            err.to_string().contains("is not the final segment"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_segment_named_after_the_wrong_offset_is_refused() {
+        let dir = scratch("bad-base");
+        let _guard = DirGuard(dir.clone());
+        // Seven records: the last segment holds one.
+        fill_segmented(&dir, 1, 48, 7);
+        let last = segment_files(&dir, 0, "log").pop().unwrap();
+        fs::rename(&last, dir.join("p0").join("seg-99.log")).unwrap();
+        let err = PersistentTopic::<u64>::open_serde(&dir, "t", 1).unwrap_err();
+        assert!(err.to_string().contains("seg-99.log"), "{err}");
+    }
+
+    #[test]
+    fn a_frame_too_short_for_its_record_header_is_refused() {
+        let dir = scratch("short-frame");
+        let _guard = DirGuard(dir.clone());
+        drop(open(&dir, 1));
+        let mut bytes = Vec::new();
+        push_frame(&mut bytes, &[0u8; 8]);
+        fs::write(dir.join("p0").join("seg-0.log"), &bytes).unwrap();
+        let err = PersistentTopic::<u64>::open_serde(&dir, "t", 1).unwrap_err();
+        assert!(
+            err.to_string().contains("undecodable record at byte 0"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn unwedge_refuses_when_damage_reaches_acknowledged_records() {
+        let dir = scratch("wedge-damaged");
+        let _guard = DirGuard(dir.clone());
+        let opts = PersistentTopicOptions {
+            sync_appends: true,
+            ..Default::default()
+        };
+        let fault = om_storage::FaultVfs::new(13).fail_nth_sync(3);
+        let t: PersistentTopic<u64> = PersistentTopic::open_with_vfs(
+            &dir,
+            "t",
+            1,
+            Arc::new(SerdeCodec),
+            opts,
+            Arc::new(fault),
+        )
+        .unwrap();
+        t.append_raw(0, 1, 1, 5).unwrap();
+        t.append_raw(0, 1, 2, 6).unwrap();
+        assert_eq!(t.append_raw(0, 1, 3, 7).unwrap_err().label(), "wedged");
+        // Flip a byte inside the second acknowledged frame: truncating
+        // back to the mirror would now keep a damaged record.
+        let seg = dir.join("p0").join("seg-0.log");
+        let mut bytes = fs::read(&seg).unwrap();
+        let one_frame = bytes.len() / 3;
+        bytes[one_frame + one_frame / 2] ^= 0x40;
+        fs::write(&seg, &bytes).unwrap();
+        let err = t.unwedge().unwrap_err();
+        assert_eq!(err.label(), "internal");
+        assert!(err.to_string().contains("hold 1 records where 2"), "{err}");
+        assert!(
+            t.is_wedged(),
+            "a failed verification leaves the topic wedged"
+        );
+        assert_eq!(t.append_raw(0, 1, 4, 8).unwrap_err().label(), "wedged");
+        assert_eq!(fs::read(&seg).unwrap(), bytes, "nothing was truncated");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Crash-consistency torture for the **combined durable stack**: one
 //! workload writing through a [`FileBackend`] (WAL + snapshots) *and* a
-//! [`PersistentTopic`] (segmented log + offset index) over a single
+//! [`PersistentTopic`] (segmented log) over a single
 //! recording [`FaultVfs`], so the op log interleaves every byte both
 //! stores put on disk. Power loss is then simulated at **every**
 //! recorded write boundary ([`CrashImage`]) and both stores recover
@@ -18,7 +18,7 @@
 //! the workload and seed set, and `OM_TORTURE_SEED=<n>` replays a
 //! failure. Assertions carry their `seed/boundary` coordinates.
 
-use om_log::{PersistentTopic, PersistentTopicOptions, SerdeCodec};
+use om_log::{EventLog, PersistentTopic, PersistentTopicOptions, SerdeCodec};
 use om_storage::vfs::{CrashImage, FaultVfs, Vfs};
 use om_storage::{FileBackend, FileBackendOptions, StateBackend, WriteBatch};
 use std::path::PathBuf;
@@ -74,9 +74,15 @@ fn topic_options() -> PersistentTopicOptions {
     }
 }
 
-fn open_topic(dir: &std::path::Path, vfs: Arc<dyn Vfs>) -> PersistentTopic<u64> {
+fn try_open_topic(
+    dir: &std::path::Path,
+    vfs: Arc<dyn Vfs>,
+) -> om_common::OmResult<PersistentTopic<u64>> {
     PersistentTopic::open_with_vfs(dir, "orders", 1, Arc::new(SerdeCodec), topic_options(), vfs)
-        .expect("topic opens")
+}
+
+fn open_topic(dir: &std::path::Path, vfs: Arc<dyn Vfs>) -> PersistentTopic<u64> {
+    try_open_topic(dir, vfs).expect("topic opens")
 }
 
 /// The WAL + snapshot + topic workload of the acceptance criterion:
@@ -171,10 +177,11 @@ fn power_loss_at_every_boundary_recovers_backend_and_topic_prefixes() {
             drop(backend);
 
             // Topic half: exactly the payload prefix, at least the floor.
-            let topic = open_topic(&out.join("topic"), om_storage::real_vfs());
-            let entries = topic
-                .read_from_disk(0, 0, records as usize + 4)
+            // A cold open replays the segments; reads come from what the
+            // replay rebuilt.
+            let topic = try_open_topic(&out.join("topic"), om_storage::real_vfs())
                 .unwrap_or_else(|e| panic!("{ctx}: topic image must replay: {e}"));
+            let entries = topic.read_from(0, 0, records as usize + 4);
             let n = entries.len() as u64;
             assert!(n <= records, "{ctx}: topic invented records");
             for (i, entry) in entries.iter().enumerate() {
@@ -253,10 +260,9 @@ fn concurrent_appenders_never_ack_past_a_failed_fsync() {
             .unwedge()
             .unwrap_or_else(|e| panic!("n={n}: unwedge must verify the kept prefix: {e}"));
         drop(topic);
-        let reborn = open_topic(&root, om_storage::real_vfs());
-        let entries = reborn
-            .read_from_disk(0, 0, usize::MAX)
+        let reborn = try_open_topic(&root, om_storage::real_vfs())
             .unwrap_or_else(|e| panic!("n={n}: repaired topic must replay: {e}"));
+        let entries = reborn.read_from(0, 0, usize::MAX);
         for &(producer, seq, offset) in &acked {
             let entry = entries
                 .get(offset as usize)

@@ -186,6 +186,12 @@ impl WaiterRegistry {
             self.waiting.insert(tid, tx);
         }
     }
+
+    /// Withdraws `tid`'s waiter: its triggering submission failed, so no
+    /// completion will ever come for it.
+    fn cancel(&mut self, tid: u64) {
+        self.waiting.remove(&tid);
+    }
 }
 
 // State rows are encoded with the workspace's compact binary codec: the
@@ -311,9 +317,8 @@ impl om_log::RecordCodec<(Address, DfMsg)> for DfRecordCodec {
 }
 
 /// Opens (or recovers) the dataflow binding's **persistent ingress
-/// topic** at `dir` — segment files + offset index per partition, so a
-/// cold-started platform can replay in-flight records from disk alone.
-/// The factory calls this when a `PlatformSpec` carries a `data_dir`.
+/// topic** at `dir` — segment files per partition, so a cold-started
+/// platform can replay in-flight records from disk alone.
 pub fn persistent_ingress(
     dir: impl AsRef<std::path::Path>,
     partitions: usize,
@@ -321,10 +326,13 @@ pub fn persistent_ingress(
     persistent_ingress_with(dir, partitions, om_log::PersistentTopicOptions::default())
 }
 
-/// [`persistent_ingress`] with explicit topic options — how the factory
-/// threads the spec's group-flush window down to the ingress log, so
-/// durable matrix cells batch the per-record segment flush the same way
-/// the state WAL batches fsyncs.
+/// [`persistent_ingress`] with explicit topic options. The factory calls
+/// this when a `PlatformSpec` carries a `data_dir`, with the default
+/// options: appends reach the page cache but are **not** fsynced, even
+/// when the spec's `DurableOptions::sync_commits` fsyncs the state WAL.
+/// An acknowledged fire-and-forget op (`add_to_cart`, `price_update`)
+/// whose epoch has not committed yet can therefore be lost on power loss
+/// (a process crash loses nothing); see `docs/DURABILITY.md`.
 pub fn persistent_ingress_with(
     dir: impl AsRef<std::path::Path>,
     partitions: usize,
@@ -1283,6 +1291,14 @@ impl DataflowPlatform {
         rx
     }
 
+    /// Submits the record whose processing completes `tid`. A failed
+    /// submit withdraws the waiter registered for it.
+    fn submit_awaited(&self, tid: TransactionId, to: Address, msg: DfMsg) -> OmResult<()> {
+        self.df
+            .submit(to, msg)
+            .inspect_err(|_| self.waiters.lock().cancel(tid.0))
+    }
+
     /// Waits for `tid`'s completion while *helping*: if dataflow work is
     /// pending, the calling thread drives epochs itself (caller-runs, as
     /// embedded Statefun deployments do) instead of bouncing to the pump
@@ -1421,7 +1437,8 @@ impl MarketplacePlatform for DataflowPlatform {
 
     fn ingest_seller(&self, seller: Seller) -> OmResult<()> {
         let id = seller.id;
-        self.df.submit(addr(kinds::SELLER, id.0), DfMsg::IngestSeller(seller));
+        self.df
+            .submit(addr(kinds::SELLER, id.0), DfMsg::IngestSeller(seller))?;
         self.catalog.add_seller(id);
         Ok(())
     }
@@ -1429,7 +1446,7 @@ impl MarketplacePlatform for DataflowPlatform {
     fn ingest_customer(&self, customer: Customer) -> OmResult<()> {
         let id = customer.id;
         self.df
-            .submit(addr(kinds::CUSTOMER, id.0), DfMsg::IngestCustomer(customer));
+            .submit(addr(kinds::CUSTOMER, id.0), DfMsg::IngestCustomer(customer))?;
         self.catalog.add_customer(id);
         Ok(())
     }
@@ -1438,14 +1455,14 @@ impl MarketplacePlatform for DataflowPlatform {
         let id = product.id;
         let key = StockKey::new(product.seller, id);
         self.df
-            .submit(addr(kinds::PRODUCT, id.0), DfMsg::IngestProduct(product));
+            .submit(addr(kinds::PRODUCT, id.0), DfMsg::IngestProduct(product))?;
         self.df.submit(
             addr(kinds::STOCK, id.0),
             DfMsg::IngestStock {
                 key,
                 qty: initial_stock,
             },
-        );
+        )?;
         self.catalog.add_product(id);
         Ok(())
     }
@@ -1473,15 +1490,15 @@ impl MarketplacePlatform for DataflowPlatform {
                 freight_value: replica.freight_value,
                 product_version: replica.version,
             }),
-        );
-        Ok(())
+        )
     }
 
     fn checkout(&self, request: CheckoutRequest) -> OmResult<CheckoutOutcome> {
         let tid = TransactionId(self.tids.next_raw());
         let at = self.clock.tick();
         let rx = self.register_waiter(tid);
-        self.df.submit(
+        self.submit_awaited(
+            tid,
             addr(kinds::CART, request.customer.0),
             DfMsg::Checkout {
                 tid,
@@ -1489,7 +1506,7 @@ impl MarketplacePlatform for DataflowPlatform {
                 decline_rate_bp: super::actor_msg::to_basis_points(self.decline_rate),
                 at,
             },
-        );
+        )?;
         match self.await_completion(tid, rx)? {
             Eg::CheckoutDone {
                 order,
@@ -1512,16 +1529,16 @@ impl MarketplacePlatform for DataflowPlatform {
 
     fn price_update(&self, _seller: SellerId, product: ProductId, price: Money) -> OmResult<()> {
         self.counters.incr("price_updates");
-        self.df
-            .submit(addr(kinds::PRODUCT, product.0), DfMsg::PriceUpdate { price });
-        Ok(())
+        self.df.submit(
+            addr(kinds::PRODUCT, product.0),
+            DfMsg::PriceUpdate { price },
+        )
     }
 
     fn product_delete(&self, _seller: SellerId, product: ProductId) -> OmResult<()> {
         self.counters.incr("product_deletes");
         self.df
-            .submit(addr(kinds::PRODUCT, product.0), DfMsg::ProductDelete);
-        Ok(())
+            .submit(addr(kinds::PRODUCT, product.0), DfMsg::ProductDelete)
     }
 
     fn update_delivery(&self, max_sellers: usize) -> OmResult<u32> {
@@ -1529,7 +1546,8 @@ impl MarketplacePlatform for DataflowPlatform {
         let sellers: Vec<SellerId> = self.catalog.sellers.read().clone();
         let at = self.clock.tick();
         let rx = self.register_waiter(tid);
-        self.df.submit(
+        self.submit_awaited(
+            tid,
             addr(DELIVERY_FN, tid.0),
             DfMsg::DeliveryRequest {
                 tid,
@@ -1537,7 +1555,7 @@ impl MarketplacePlatform for DataflowPlatform {
                 max: max_sellers as u32,
                 at,
             },
-        );
+        )?;
         match self.await_completion(tid, rx)? {
             Eg::DeliveryDone { packages, .. } => {
                 self.counters.incr("update_deliveries");
@@ -1663,7 +1681,15 @@ impl MarketplacePlatform for DataflowPlatform {
         // first, leaving a countdown that never fires.
         self.df.inject_crash_after(DRILL_RECORDS / 2);
         for i in 0..DRILL_RECORDS {
-            self.df.submit(addr(DRILL_FN, i), DfMsg::CustomerDelivery);
+            if self
+                .df
+                .submit(addr(DRILL_FN, i), DfMsg::CustomerDelivery)
+                .is_err()
+            {
+                // The ingress log refuses the wave (wedged): no drill.
+                self.df.disarm_crash();
+                return None;
+            }
         }
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         while (self.df.pending_ingress() > 0 || self.df.stats().1 == replays_before)
@@ -1694,5 +1720,186 @@ impl MarketplacePlatform for DataflowPlatform {
             recovery_us: recovery.duration.as_micros() as u64,
             replayed_ingress: recovery.replayable_ingress,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use om_log::RecordCodec;
+    use proptest::prelude::*;
+
+    /// A persisted ingress record laid out by hand: `fn_len` (u16 BE),
+    /// name bytes, then `rest` (key LE ++ message body).
+    fn record(fn_len: u16, name: &[u8], rest: &[u8]) -> Vec<u8> {
+        let mut out = fn_len.to_be_bytes().to_vec();
+        out.extend_from_slice(name);
+        out.extend_from_slice(rest);
+        out
+    }
+
+    fn key_and_body(key: u64) -> Vec<u8> {
+        let mut out = key.to_le_bytes().to_vec();
+        out.extend(om_common::codec::to_bytes(&DfMsg::ProductDelete).unwrap());
+        out
+    }
+
+    fn decode_err(bytes: &[u8]) -> String {
+        match DfRecordCodec.decode(bytes) {
+            Ok(decoded) => panic!("decoded {decoded:?} from {bytes:?}"),
+            Err(e) => {
+                assert_eq!(e.label(), "internal", "{e}");
+                e.to_string()
+            }
+        }
+    }
+
+    #[test]
+    fn record_codec_round_trips_every_registered_function() {
+        let msgs = [
+            DfMsg::PriceUpdate {
+                price: Money::from_cents(1_250),
+            },
+            DfMsg::IngestSeller(Seller::new(SellerId(3), "s".into(), "c".into())),
+            DfMsg::DeliveryRequest {
+                tid: TransactionId(9),
+                sellers: vec![SellerId(1), SellerId(2)],
+                max: 10,
+                at: EventTime(4),
+            },
+            DfMsg::Egress(Eg::DeliveryDone {
+                tid: TransactionId(9),
+                packages: 2,
+            }),
+        ];
+        for (i, &fn_type) in FN_TYPES.iter().enumerate() {
+            let to = addr(fn_type, u64::MAX - i as u64);
+            let msg = msgs[i % msgs.len()].clone();
+            let bytes = DfRecordCodec.encode(&(to, msg.clone())).unwrap();
+            let (back, back_msg) = DfRecordCodec.decode(&bytes).unwrap();
+            assert_eq!(back, to, "{fn_type}");
+            assert_eq!(
+                om_common::codec::to_bytes(&back_msg).unwrap(),
+                om_common::codec::to_bytes(&msg).unwrap(),
+                "{fn_type}"
+            );
+        }
+    }
+
+    #[test]
+    fn record_codec_refuses_a_header_shorter_than_its_length_field() {
+        decode_err(&[]);
+        decode_err(&[0]);
+    }
+
+    #[test]
+    fn record_codec_refuses_a_name_running_past_the_end() {
+        decode_err(&record(200, b"cart", &key_and_body(1)));
+        // The name fits, the 8-byte key does not.
+        decode_err(&record(4, b"cart", &[1, 2, 3]));
+    }
+
+    #[test]
+    fn record_codec_refuses_a_name_that_is_not_utf8() {
+        decode_err(&record(2, &[0xFF, 0xFE], &key_and_body(1)));
+    }
+
+    #[test]
+    fn record_codec_refuses_an_unregistered_function() {
+        let err = decode_err(&record(5, b"ghost", &key_and_body(1)));
+        assert!(err.contains("unknown function \"ghost\""), "{err}");
+    }
+
+    #[test]
+    fn record_codec_refuses_a_body_that_is_no_message() {
+        let mut rest = 7u64.to_le_bytes().to_vec();
+        rest.extend_from_slice(&[0xFF, 0xFF, 0xFF, 0xFF]);
+        let err = decode_err(&record(4, b"cart", &rest));
+        assert!(err.contains("ingress record decode"), "{err}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Segment bytes are outside input: whatever they hold, decoding
+        /// returns a typed result and never panics.
+        #[test]
+        fn prop_record_codec_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let _ = DfRecordCodec.decode(&bytes);
+        }
+
+        /// A well-formed header in front of arbitrary body bytes decodes
+        /// only to a registered function, and never panics.
+        #[test]
+        fn prop_record_codec_checks_bodies_behind_a_valid_header(
+            which in 0usize..11,
+            key in any::<u64>(),
+            body in proptest::collection::vec(any::<u8>(), 0..48),
+        ) {
+            let name = FN_TYPES[which];
+            let mut rest = key.to_le_bytes().to_vec();
+            rest.extend_from_slice(&body);
+            if let Ok((to, _)) =
+                DfRecordCodec.decode(&record(name.len() as u16, name.as_bytes(), &rest))
+            {
+                prop_assert_eq!(to, addr(name, key));
+            }
+        }
+    }
+
+    fn done(tid: u64) -> Eg {
+        Eg::DeliveryDone {
+            tid: TransactionId(tid),
+            packages: 1,
+        }
+    }
+
+    fn delivered(rx: &crossbeam::channel::Receiver<Eg>) -> Option<u64> {
+        rx.try_recv().ok().map(|eg| eg.tid().0)
+    }
+
+    #[test]
+    fn completion_that_beats_its_waiter_is_handed_over_at_register() {
+        let mut registry = WaiterRegistry::default();
+        registry.complete(done(5));
+        assert!(registry.orphaned.contains_key(&5), "parked until claimed");
+        let (tx, rx) = bounded(1);
+        registry.register(5, tx);
+        assert_eq!(delivered(&rx), Some(5));
+        assert!(registry.orphaned.is_empty() && registry.waiting.is_empty());
+    }
+
+    #[test]
+    fn registered_waiter_receives_only_its_own_completion() {
+        let mut registry = WaiterRegistry::default();
+        let (tx, rx) = bounded(1);
+        registry.register(6, tx);
+        registry.complete(done(7));
+        assert_eq!(delivered(&rx), None, "another tid's completion is parked");
+        registry.complete(done(6));
+        assert_eq!(delivered(&rx), Some(6));
+        assert!(registry.waiting.is_empty());
+        assert_eq!(
+            registry.orphaned.keys().copied().collect::<Vec<_>>(),
+            vec![7]
+        );
+    }
+
+    #[test]
+    fn cancelled_waiter_is_withdrawn() {
+        let mut registry = WaiterRegistry::default();
+        let (tx, rx) = bounded(1);
+        registry.register(8, tx);
+        registry.cancel(8);
+        assert!(registry.waiting.is_empty());
+        assert!(
+            matches!(
+                rx.try_recv(),
+                Err(crossbeam::channel::TryRecvError::Disconnected)
+            ),
+            "the withdrawn sender is dropped"
+        );
     }
 }

@@ -49,7 +49,7 @@ pub struct PlatformSpec {
     pub backend_instance: Option<Arc<dyn StateBackend>>,
     /// Directory durable state lives in: the file-durable backend opens
     /// `<data_dir>/state` there, and the dataflow binding's ingress log
-    /// persists to `<data_dir>/ingress` (segment files + offset index).
+    /// persists to `<data_dir>/ingress` (segment files).
     /// This is the **cold-restart seam** — a platform rebuilt over the
     /// same `data_dir` recovers grain snapshots, projections,
     /// checkpoints and in-flight ingress records from disk alone, with

@@ -275,3 +275,95 @@ fn cold_rebuild_loses_no_committed_epoch_and_replays_none() {
     reborn.quiesce();
     assert!(reborn.dataflow().committed_epoch() > epoch_before);
 }
+
+/// A failed segment write wedges the persistent ingress log; from then
+/// on every dataflow operation that appends to it returns the typed
+/// `Wedged` error (which the gateway maps to 503) instead of panicking,
+/// an awaited one returns at once instead of waiting out its deadline,
+/// and reads of committed state still work.
+#[test]
+fn wedged_ingress_log_fails_dataflow_writes_with_a_typed_error() {
+    use om_marketplace::bindings::dataflow::{
+        persistent_ingress_with_vfs, DataflowPlatform, DataflowPlatformConfig,
+    };
+    use om_storage::vfs::FaultVfs;
+    use std::sync::Arc;
+
+    let dir = scratch("wedged-ingress");
+    let _guard = DirGuard(dir.clone());
+    let vfs = FaultVfs::new(0x1D6E);
+    let platform = DataflowPlatform::new(DataflowPlatformConfig {
+        partitions: 2,
+        decline_rate: 0.0,
+        ingress: Some(
+            persistent_ingress_with_vfs(&dir, 2, Default::default(), Arc::new(vfs.clone()))
+                .unwrap(),
+        ),
+        ..Default::default()
+    });
+    ingest(&platform);
+    checkout(&platform, 1);
+    platform.quiesce();
+
+    // Clones share one fault schedule: the disk is full from here on.
+    let _ = vfs.clone().disk_full_after(0);
+    let item = CheckoutItem {
+        seller: SellerId(1),
+        product: ProductId(1),
+        quantity: 1,
+    };
+    let started = std::time::Instant::now();
+    let results = [
+        (
+            "add_to_cart",
+            platform.add_to_cart(CustomerId(2), item).err(),
+        ),
+        (
+            "checkout",
+            platform
+                .checkout(CheckoutRequest {
+                    customer: CustomerId(2),
+                    items: vec![],
+                    method: PaymentMethod::CreditCard,
+                })
+                .err(),
+        ),
+        (
+            "price_update",
+            platform
+                .price_update(SellerId(1), ProductId(1), Money::from_cents(1))
+                .err(),
+        ),
+        (
+            "product_delete",
+            platform.product_delete(SellerId(1), ProductId(1)).err(),
+        ),
+        ("update_delivery", platform.update_delivery(10).err()),
+        (
+            "ingest_seller",
+            platform
+                .ingest_seller(Seller::new(SellerId(2), "b".into(), "c".into()))
+                .err(),
+        ),
+    ];
+    for (op, err) in results {
+        let err = err.unwrap_or_else(|| panic!("{op} acknowledged a write the log refused"));
+        assert_eq!(err.label(), "wedged", "{op}: {err}");
+    }
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(10),
+        "awaited ops fail at submit, not at their completion deadline"
+    );
+    assert!(
+        vfs.fired().iter().any(|f| f.contains("disk full")),
+        "{:?}",
+        vfs.fired()
+    );
+    assert!(
+        platform.crash_and_recover().is_none(),
+        "no drill wave fits a wedged log"
+    );
+    let dash = platform.seller_dashboard(SellerId(1)).unwrap();
+    assert_eq!(dash.in_progress_count, 1, "committed state still reads");
+    assert_eq!(platform.snapshot().unwrap().orders.len(), 1);
+}
