@@ -6,6 +6,7 @@
 //! in `om-marketplace` so that all four platform bindings share one source
 //! of business logic.
 
+use crate::event::OrderLineRef;
 use crate::ids::*;
 use crate::money::Money;
 use crate::time::EventTime;
@@ -253,6 +254,32 @@ impl Order {
     pub fn total_invoice(&self) -> Money {
         self.total_amount + self.total_freight
     }
+
+    /// The seller-dashboard entries of this order's lines, in `status`.
+    pub fn entries(&self, status: OrderStatus) -> impl Iterator<Item = OrderEntry> + '_ {
+        self.items.iter().map(move |i| OrderEntry {
+            order: self.id,
+            seller: i.seller,
+            product: i.product,
+            quantity: i.quantity,
+            total_amount: i.total_amount,
+            status,
+        })
+    }
+
+    /// This order's lines as the payment and shipment steps receive them.
+    pub fn lines(&self) -> Vec<OrderLineRef> {
+        self.items
+            .iter()
+            .map(|i| OrderLineRef {
+                seller: i.seller,
+                product: i.product,
+                quantity: i.quantity,
+                total_amount: i.total_amount,
+                freight_value: i.freight_value,
+            })
+            .collect()
+    }
 }
 
 /// Payment method chosen at checkout.
@@ -275,6 +302,17 @@ pub struct Payment {
     pub installments: u8,
     pub approved: bool,
     pub processed_at: EventTime,
+}
+
+impl Payment {
+    /// The status this payment's decision moves its order to.
+    pub fn order_status(&self) -> OrderStatus {
+        if self.approved {
+            OrderStatus::Paid
+        } else {
+            OrderStatus::PaymentFailed
+        }
+    }
 }
 
 /// Status of one package within a shipment.
@@ -341,6 +379,16 @@ impl Customer {
             delivery_count: 0,
             abandoned_cart_count: 0,
             total_spent: Money::ZERO,
+        }
+    }
+
+    /// Counts one decided payment of `amount`.
+    pub fn record_payment(&mut self, approved: bool, amount: Money) {
+        if approved {
+            self.success_payment_count += 1;
+            self.total_spent += amount;
+        } else {
+            self.failed_payment_count += 1;
         }
     }
 }

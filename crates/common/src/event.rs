@@ -1,46 +1,12 @@
-//! The asynchronous event vocabulary exchanged between microservices.
+//! Payloads the checkout workflow carries between services.
 //!
-//! Online Marketplace services communicate through events (paper §I/§II).
-//! Every platform binding carries the same [`DomainEvent`] payloads; only
-//! the *delivery semantics* differ (unordered, causally ordered, or
-//! exactly-once), which is precisely what the benchmark measures.
+//! Each binding defines its own message vocabulary (grain messages,
+//! dataflow messages); the order lines that travel from Order to Payment
+//! and Shipment are the one payload they share.
 
-use crate::entity::{CartItem, OrderStatus, PaymentMethod};
 use crate::ids::*;
 use crate::money::Money;
-use crate::time::EventTime;
 use serde::{Deserialize, Serialize};
-
-/// A checkout request raised by the Cart service after assembling items.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReserveStock {
-    pub tid: TransactionId,
-    pub customer: CustomerId,
-    pub items: Vec<CartItem>,
-    pub requested_at: EventTime,
-}
-
-/// Stock service's answer: which lines were reserved and which rejected.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StockConfirmed {
-    pub tid: TransactionId,
-    pub customer: CustomerId,
-    pub confirmed: Vec<CartItem>,
-    pub rejected: Vec<CartItem>,
-    pub confirmed_at: EventTime,
-}
-
-/// Order service's invoice event, triggering payment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InvoiceIssued {
-    pub tid: TransactionId,
-    pub order: OrderId,
-    pub customer: CustomerId,
-    pub invoice: String,
-    pub total: Money,
-    pub items: Vec<OrderLineRef>,
-    pub issued_at: EventTime,
-}
 
 /// A compact order line reference carried in downstream events.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -50,175 +16,4 @@ pub struct OrderLineRef {
     pub quantity: u32,
     pub total_amount: Money,
     pub freight_value: Money,
-}
-
-/// Payment outcome for an order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PaymentOutcome {
-    pub tid: TransactionId,
-    pub payment: PaymentId,
-    pub order: OrderId,
-    pub customer: CustomerId,
-    pub method: PaymentMethod,
-    pub amount: Money,
-    pub approved: bool,
-    pub processed_at: EventTime,
-    /// Order lines, forwarded so Shipment can build packages without a
-    /// synchronous read back to Order.
-    pub items: Vec<OrderLineRef>,
-}
-
-/// Shipment creation notification.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShipmentNotification {
-    pub tid: TransactionId,
-    pub shipment: ShipmentId,
-    pub order: OrderId,
-    pub customer: CustomerId,
-    pub package_count: u32,
-    pub created_at: EventTime,
-}
-
-/// Delivery notification for one package.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DeliveryNotification {
-    pub shipment: ShipmentId,
-    pub package: PackageId,
-    pub order: OrderId,
-    pub customer: CustomerId,
-    pub seller: SellerId,
-    pub delivered_at: EventTime,
-}
-
-/// Product→Cart replication payload for a price update (paper §II, *Price
-/// Update*). `version` carries the causal dependency.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PriceUpdated {
-    pub seller: SellerId,
-    pub product: ProductId,
-    pub price: Money,
-    pub version: u64,
-    pub updated_at: EventTime,
-}
-
-/// Product→{Stock,Cart} replication payload for a deletion (paper §II,
-/// *Product Delete*).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProductDeleted {
-    pub seller: SellerId,
-    pub product: ProductId,
-    pub version: u64,
-    pub deleted_at: EventTime,
-}
-
-/// Order status transition event consumed by Seller/Customer dashboards.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OrderStatusChanged {
-    pub order: OrderId,
-    pub customer: CustomerId,
-    pub status: OrderStatus,
-    pub at: EventTime,
-}
-
-/// The union of all domain events. Substrates treat this opaquely; the
-/// auditor pattern-matches it to reconstruct causal chains.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DomainEvent {
-    ReserveStock(ReserveStock),
-    StockConfirmed(StockConfirmed),
-    InvoiceIssued(InvoiceIssued),
-    PaymentOutcome(PaymentOutcome),
-    ShipmentNotification(ShipmentNotification),
-    DeliveryNotification(DeliveryNotification),
-    PriceUpdated(PriceUpdated),
-    ProductDeleted(ProductDeleted),
-    OrderStatusChanged(OrderStatusChanged),
-}
-
-impl DomainEvent {
-    /// Short kind tag for metrics and logs.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            DomainEvent::ReserveStock(_) => "reserve_stock",
-            DomainEvent::StockConfirmed(_) => "stock_confirmed",
-            DomainEvent::InvoiceIssued(_) => "invoice_issued",
-            DomainEvent::PaymentOutcome(_) => "payment_outcome",
-            DomainEvent::ShipmentNotification(_) => "shipment_notification",
-            DomainEvent::DeliveryNotification(_) => "delivery_notification",
-            DomainEvent::PriceUpdated(_) => "price_updated",
-            DomainEvent::ProductDeleted(_) => "product_deleted",
-            DomainEvent::OrderStatusChanged(_) => "order_status_changed",
-        }
-    }
-
-    /// The transaction this event belongs to, if it is part of a checkout
-    /// workflow. Replication and status events are not transactional.
-    pub fn tid(&self) -> Option<TransactionId> {
-        match self {
-            DomainEvent::ReserveStock(e) => Some(e.tid),
-            DomainEvent::StockConfirmed(e) => Some(e.tid),
-            DomainEvent::InvoiceIssued(e) => Some(e.tid),
-            DomainEvent::PaymentOutcome(e) => Some(e.tid),
-            DomainEvent::ShipmentNotification(e) => Some(e.tid),
-            _ => None,
-        }
-    }
-
-    /// Event timestamp (for ordering checks).
-    pub fn at(&self) -> EventTime {
-        match self {
-            DomainEvent::ReserveStock(e) => e.requested_at,
-            DomainEvent::StockConfirmed(e) => e.confirmed_at,
-            DomainEvent::InvoiceIssued(e) => e.issued_at,
-            DomainEvent::PaymentOutcome(e) => e.processed_at,
-            DomainEvent::ShipmentNotification(e) => e.created_at,
-            DomainEvent::DeliveryNotification(e) => e.delivered_at,
-            DomainEvent::PriceUpdated(e) => e.updated_at,
-            DomainEvent::ProductDeleted(e) => e.deleted_at,
-            DomainEvent::OrderStatusChanged(e) => e.at,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn event_kind_and_tid_extraction() {
-        let e = DomainEvent::PriceUpdated(PriceUpdated {
-            seller: SellerId(1),
-            product: ProductId(2),
-            price: Money::from_cents(100),
-            version: 3,
-            updated_at: EventTime(5),
-        });
-        assert_eq!(e.kind(), "price_updated");
-        assert_eq!(e.tid(), None);
-        assert_eq!(e.at(), EventTime(5));
-
-        let e = DomainEvent::ShipmentNotification(ShipmentNotification {
-            tid: TransactionId(9),
-            shipment: ShipmentId(1),
-            order: OrderId(1),
-            customer: CustomerId(1),
-            package_count: 2,
-            created_at: EventTime(7),
-        });
-        assert_eq!(e.tid(), Some(TransactionId(9)));
-    }
-
-    #[test]
-    fn events_serde_roundtrip() {
-        let e = DomainEvent::StockConfirmed(StockConfirmed {
-            tid: TransactionId(4),
-            customer: CustomerId(1),
-            confirmed: vec![],
-            rejected: vec![],
-            confirmed_at: EventTime(10),
-        });
-        let s = serde_json::to_string(&e).unwrap();
-        let back: DomainEvent = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, e);
-    }
 }

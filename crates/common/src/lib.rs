@@ -10,8 +10,8 @@
 //!
 //! * strongly-typed identifiers ([`ids`]),
 //! * the marketplace domain entities ([`entity`]),
-//! * the asynchronous event vocabulary exchanged between services
-//!   ([`event`]),
+//! * the order-line payload the checkout workflow carries between
+//!   services ([`event`]),
 //! * logical time ([`time`]),
 //! * workload & scale configuration ([`config`]),
 //! * latency/throughput statistics ([`stats`]),

@@ -162,37 +162,6 @@ impl Zipfian {
     }
 }
 
-/// A scrambled-Zipfian mapping: popularity ranks are spread over the id
-/// space so that hot keys are not clustered in the lowest ids (which would
-/// otherwise co-locate all hot keys on one partition).
-#[derive(Debug, Clone)]
-pub struct ScrambledZipfian {
-    inner: Zipfian,
-}
-
-impl ScrambledZipfian {
-    pub fn new(n: u64, theta: f64) -> Self {
-        Self {
-            inner: Zipfian::new(n, theta),
-        }
-    }
-
-    /// Samples an item id in `[0, n)`, hot items scattered via FNV-style
-    /// scrambling.
-    pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
-        let rank = self.inner.sample(rng);
-        // 64-bit finalizer scramble, then fold into range.
-        let mut z = rank.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) % self.inner.n
-    }
-
-    pub fn n(&self) -> u64 {
-        self.inner.n
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,33 +264,6 @@ mod tests {
                 assert!(z.sample(&mut rng) < n);
             }
         }
-    }
-
-    #[test]
-    fn scrambled_zipfian_spreads_hot_keys() {
-        let z = ScrambledZipfian::new(1000, 0.99);
-        let mut rng = SplitMix64::new(17);
-        let mut counts = vec![0u32; 1000];
-        for _ in 0..100_000 {
-            counts[z.sample(&mut rng) as usize] += 1;
-        }
-        // The hottest id must NOT be id 0 deterministically (scrambling)
-        // while skew must persist (some id dominates).
-        let (hot_id, &hot) = counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .unwrap();
-        assert!(hot as f64 / 100_000.0 > 0.05);
-        // With scrambling the hot id is essentially arbitrary; just require
-        // determinism across two identical runs.
-        let mut rng2 = SplitMix64::new(17);
-        let mut counts2 = vec![0u32; 1000];
-        for _ in 0..100_000 {
-            counts2[z.sample(&mut rng2) as usize] += 1;
-        }
-        assert_eq!(counts, counts2);
-        let _ = hot_id;
     }
 
     #[test]

@@ -30,10 +30,9 @@
 //!   persistent topic checks the fence *before* writing, so
 //!   retransmissions never hit disk, and rebuilds the fence from the
 //!   segments on reopen — the guarantee holds across restarts.
-//! * **Consumer offsets** — consumer groups commit offsets explicitly;
-//!   a crash before commit re-delivers (at-least-once). Exactly-once
-//!   processing is layered on top by `om-dataflow`, which commits offsets
-//!   atomically with its state checkpoint.
+//! * **Consumer offsets** — a consumer reads from an offset it keeps
+//!   itself; `om-dataflow` commits its offsets atomically with its state
+//!   checkpoint, which layers exactly-once processing on top.
 
 #![deny(missing_docs)]
 
@@ -43,4 +42,4 @@ pub mod topic;
 
 pub use event_log::EventLog;
 pub use persistent::{PersistentTopic, PersistentTopicOptions, RecordCodec, SerdeCodec};
-pub use topic::{Entry, OffsetStore, ProducerHandle, Topic};
+pub use topic::{Entry, ProducerHandle, Topic};

@@ -1,7 +1,7 @@
-//! Topics, partitions, idempotent producers and consumer offsets.
+//! Topics, partitions and idempotent producers.
 
 use om_common::{OmError, OmResult};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -225,44 +225,6 @@ impl<T: Clone> ProducerHandle<T> {
     }
 }
 
-/// Committed consumer offsets per (group, topic-partition).
-#[derive(Debug, Default)]
-pub struct OffsetStore {
-    offsets: RwLock<HashMap<(String, usize), u64>>,
-}
-
-impl OffsetStore {
-    /// An empty offset store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Committed offset for `(group, partition)`; 0 if never committed.
-    pub fn committed(&self, group: &str, partition: usize) -> u64 {
-        self.offsets
-            .read()
-            .get(&(group.to_string(), partition))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Commits `offset` (exclusive) for `(group, partition)`. Commits are
-    /// monotone; stale commits are ignored.
-    pub fn commit(&self, group: &str, partition: usize, offset: u64) {
-        let mut map = self.offsets.write();
-        let e = map.entry((group.to_string(), partition)).or_insert(0);
-        *e = (*e).max(offset);
-    }
-
-    /// Rewinds `(group, partition)` to `offset` (recovery path — the only
-    /// place non-monotone movement is legal).
-    pub fn rewind(&self, group: &str, partition: usize, offset: u64) {
-        self.offsets
-            .write()
-            .insert((group.to_string(), partition), offset);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,19 +310,6 @@ mod tests {
         let t: Arc<Topic<u32>> = Arc::new(Topic::new("t", 2));
         let err = t.append_raw(5, 1, 1, 42).unwrap_err();
         assert_eq!(err.label(), "not_found");
-    }
-
-    #[test]
-    fn offsets_commit_monotonically_and_rewind() {
-        let store = OffsetStore::new();
-        assert_eq!(store.committed("g", 0), 0);
-        store.commit("g", 0, 5);
-        store.commit("g", 0, 3); // stale, ignored
-        assert_eq!(store.committed("g", 0), 5);
-        store.commit("g2", 0, 1);
-        assert_eq!(store.committed("g2", 0), 1);
-        store.rewind("g", 0, 2);
-        assert_eq!(store.committed("g", 0), 2);
     }
 
     #[test]

@@ -6,12 +6,10 @@
 //!   retransmitted, exactly one record lands, and per-producer records
 //!   appear in sequence order;
 //! * offsets are dense (0..n) per partition;
-//! * offset commits are monotone, and a committed consumer that replays
-//!   from its offset sees exactly the suffix it has not consumed;
 //! * concurrent producers interleave without losing or duplicating
 //!   records.
 
-use om_log::{OffsetStore, Topic};
+use om_log::Topic;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -94,40 +92,6 @@ proptest! {
         for (&id, &n) in &next {
             prop_assert_eq!(n, per_producer, "producer {} lost records", id);
         }
-    }
-
-    /// A consumer that repeatedly reads a random batch size and commits
-    /// consumes each record exactly once; stale commits are ignored.
-    #[test]
-    fn commit_replay_consumes_exactly_once(
-        n_records in 1usize..100,
-        batch_sizes in prop::collection::vec(1usize..17, 1..50),
-        stale_commits in prop::collection::vec(any::<u64>(), 0..6),
-    ) {
-        let topic: Arc<Topic<usize>> = Arc::new(Topic::new("t", 1));
-        let producer = topic.producer();
-        for i in 0..n_records {
-            producer.send(0, i).unwrap();
-        }
-        let offsets = OffsetStore::new();
-        let mut consumed = Vec::new();
-        let mut batches = batch_sizes.into_iter().cycle();
-        while offsets.committed("g", 0) < topic.end_offset(0) {
-            let at = offsets.committed("g", 0);
-            let batch = topic.read_from(0, at, batches.next().unwrap());
-            prop_assert!(!batch.is_empty(), "must make progress below end offset");
-            for e in &batch {
-                consumed.push(e.payload);
-            }
-            offsets.commit("g", 0, at + batch.len() as u64);
-            // Stale/duplicate commits must not move the cursor backwards.
-            if let Some(stale) = stale_commits.get(consumed.len() % (stale_commits.len().max(1))) {
-                let before = offsets.committed("g", 0);
-                offsets.commit("g", 0, *stale % (before + 1));
-                prop_assert_eq!(offsets.committed("g", 0), before);
-            }
-        }
-        prop_assert_eq!(consumed, (0..n_records).collect::<Vec<_>>());
     }
 
     /// Partitioned appends keep each partition dense and independent.

@@ -1,13 +1,14 @@
 //! The uniform platform surface the benchmark driver submits the five
 //! business transactions through.
 
-use om_common::entity::{
-    Customer, Order, Payment, Product, Seller, SellerDashboard, StockItem,
-};
 use om_common::config::BackendKind;
-use om_common::entity::PaymentMethod;
+use om_common::entity::{
+    Customer, Order, Package, PackageStatus, Payment, PaymentMethod, Product, Seller,
+    SellerDashboard, StockItem,
+};
 use om_common::ids::{CustomerId, OrderId, ProductId, SellerId};
 use om_common::{Money, OmResult};
+use om_storage::StateBackend;
 use serde::{Deserialize, Serialize};
 
 /// Which of the four paper implementations a platform instance is.
@@ -102,6 +103,18 @@ pub struct PackageSnapshot {
     pub shipped_at: u64,
 }
 
+impl From<&Package> for PackageSnapshot {
+    fn from(p: &Package) -> Self {
+        Self {
+            order: p.order,
+            seller: p.seller,
+            product: p.product,
+            delivered: p.status == PackageStatus::Delivered,
+            shipped_at: p.shipped_at.raw(),
+        }
+    }
+}
+
 /// Outcome of a crash-recovery drill
 /// ([`MarketplacePlatform::crash_and_recover`]): how fast the platform
 /// restarted from its last durable checkpoint and how much work it had
@@ -137,6 +150,19 @@ pub struct UnwedgeOutcome {
     pub healthy: bool,
 }
 
+/// Repairs `backend` in place if it is wedged — every binding's
+/// [`MarketplacePlatform::unwedge`] over the store it commits to. `None`
+/// when the backend has no wedge concept.
+pub fn unwedge_store(backend: &dyn StateBackend) -> Option<OmResult<UnwedgeOutcome>> {
+    let was_wedged = backend.is_wedged();
+    let repair = backend.unwedge()?;
+    Some(repair.map(|torn| UnwedgeOutcome {
+        was_wedged,
+        torn_bytes_dropped: torn,
+        healthy: !backend.is_wedged(),
+    }))
+}
+
 /// The uniform platform interface (one impl per paper binding).
 ///
 /// All five workload transactions plus ingestion, quiescing and state
@@ -145,7 +171,7 @@ pub struct UnwedgeOutcome {
 pub trait MarketplacePlatform: Send + Sync {
     fn kind(&self) -> PlatformKind;
 
-    /// Which pluggable [`StateBackend`](om_storage::StateBackend) the
+    /// Which pluggable [`StateBackend`] the
     /// platform persists state through, or `None` for platforms whose
     /// state lives only inside their runtime (the dataflow binding's
     /// checkpointed function state). Reports label runs with this.

@@ -209,18 +209,6 @@ impl ActorCore {
         TransactionId(self.tids.next_raw())
     }
 
-    /// Whether the grain-snapshot backend is wedged (rejecting commits
-    /// after a durable-write failure).
-    pub fn storage_is_wedged(&self) -> bool {
-        self.cluster.storage().backend().is_wedged()
-    }
-
-    /// Repairs a wedged grain-snapshot backend in place; `None` when the
-    /// backend has no wedge concept (the memory disciplines).
-    pub fn storage_unwedge(&self) -> Option<OmResult<u64>> {
-        self.cluster.storage().backend().unwedge()
-    }
-
     // ---- ingestion ------------------------------------------------------
 
     pub fn ingest_seller(&self, seller: Seller) -> OmResult<()> {
@@ -244,12 +232,7 @@ impl ActorCore {
     pub fn ingest_product(&self, product: Product, initial_stock: u32) -> OmResult<()> {
         let id = product.id;
         let key = StockKey::new(product.seller, id);
-        let replica = ProductReplica {
-            price: product.price,
-            freight_value: product.freight_value,
-            version: product.version,
-            active: product.active,
-        };
+        let replica = ProductReplica::from(&product);
         self.cluster
             .call(product_grain(id), Msg::ProductIngest(product))?
             .ok()?;
@@ -297,17 +280,7 @@ impl ActorCore {
         }
         self.counters.incr("cart_adds");
         self.cluster
-            .call(
-                cart_grain(customer),
-                Msg::CartAdd(om_common::entity::CartItem {
-                    seller: item.seller,
-                    product: item.product,
-                    quantity: item.quantity,
-                    unit_price: replica.price,
-                    freight_value: replica.freight_value,
-                    product_version: replica.version,
-                }),
-            )?
+            .call(cart_grain(customer), Msg::CartAdd(replica.cart_line(&item)))?
             .ok()
     }
 

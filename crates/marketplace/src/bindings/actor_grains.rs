@@ -10,17 +10,19 @@
 //! divergent grain code.
 
 use om_actor::tx::{LockMode, TxParticipant};
-use om_actor::{Cluster, FaultConfig, GrainContext, GrainId, Row};
-use om_common::entity::{Customer, OrderEntry, OrderStatus, PaymentMethod};
+use om_actor::{Cluster, FaultConfig, GrainContext, GrainId};
+use om_common::entity::{Customer, OrderStatus, PaymentMethod, Product};
 use om_common::event::OrderLineRef;
 use om_common::ids::*;
-use om_common::OmError;
+use om_common::{OmError, OmResult};
 use std::collections::{BTreeSet, HashMap};
 use std::time::Duration;
 
 use super::actor_msg::{from_basis_points, Msg, Reply};
-use super::{kinds, row, ENTRY};
+use super::kinds;
 use crate::api::{PackageSnapshot, StockSnapshot};
+use crate::domain::order::customer_of_order;
+use crate::domain::rows::{load_root, store_root, SellerDelta, StoredRows};
 use crate::domain::{
     CartService, OrderService, PaymentService, ProductReplica, SellerView, ShipmentService,
     StockService,
@@ -55,11 +57,6 @@ pub fn customer_grain(c: CustomerId) -> GrainId {
     GrainId::new(kinds::CUSTOMER, c.0)
 }
 
-/// Routes an order id back to the customer-keyed grains that own it.
-pub fn customer_of_order(order: OrderId) -> CustomerId {
-    CustomerId(order.0 / crate::domain::order::ORDERS_PER_CUSTOMER)
-}
-
 fn not_mine(id: GrainId, msg: &Msg) -> Reply {
     Reply::Err(OmError::Internal(format!(
         "grain {id} received foreign message {msg:?}"
@@ -67,12 +64,14 @@ fn not_mine(id: GrainId, msg: &Msg) -> Reply {
 }
 
 /// Runs a 2PC surface message against a participant; `commit_hook` runs on
-/// commit with the newly committed state (for post-commit events).
+/// commit with the newly committed state (to store it). A hook that fails
+/// leaves the commit applied in memory only, as a failed store does on
+/// every other grain turn.
 fn handle_tx_protocol<S: Clone, M>(
     part: &mut TxParticipant<S>,
     msg: &Msg,
     ctx: &mut GrainContext<'_, M>,
-    commit_hook: impl FnOnce(&S, &mut GrainContext<'_, M>),
+    commit_hook: impl FnOnce(&S, &mut GrainContext<'_, M>) -> OmResult<()>,
 ) -> Option<Reply> {
     match msg {
         Msg::TxPrepare { tid } => Some(match part.prepare(*tid) {
@@ -81,7 +80,7 @@ fn handle_tx_protocol<S: Clone, M>(
         }),
         Msg::TxCommit { tid } => {
             part.commit(*tid);
-            commit_hook(part.committed(), ctx);
+            let _ = commit_hook(part.committed(), ctx);
             Some(Reply::Ok)
         }
         Msg::TxAbort { tid } => {
@@ -96,13 +95,13 @@ fn handle_tx_protocol<S: Clone, M>(
 ///
 /// `decline_rate` only matters for the *event-driven* payment path; the
 /// transactional path carries the rate in its messages. Grain state
-/// persists through the `backend`-selected [`om_storage::StateBackend`]:
-/// stock grains and the catalog entities — products, replicas, customers
-/// — as one snapshot each, and seller grains row-keyed (a header snapshot
-/// plus one row per dashboard entry), so a platform rebuilt over a durable
-/// backend reactivates them from their last committed state and
-/// [`super::actor_core::Catalog::recover_from`] can re-list them on a
-/// cold start.
+/// persists through the `backend`-selected [`om_storage::StateBackend`]
+/// in the [`crate::domain::rows`] format: stock grains and the catalog
+/// entities — products, replicas, customers — as their root row, and
+/// seller grains as a header plus one row per dashboard entry, so a
+/// platform rebuilt over a durable backend reactivates them from their
+/// last committed state and [`super::actor_core::Catalog::recover_from`]
+/// can re-list them on a cold start.
 pub fn build_cluster(
     silos: usize,
     workers_per_silo: usize,
@@ -115,9 +114,9 @@ pub fn build_cluster(
         .faults(faults)
         .call_timeout(Duration::from_secs(30))
         .storage_backend(backend)
-        .register(kinds::PRODUCT, |_id, snap| make_product_grain(snap))
-        .register(kinds::REPLICA, |_id, snap| make_replica_grain(snap))
-        .register(kinds::STOCK, |_id, snap| make_stock_grain(snap))
+        .register(kinds::PRODUCT, |_id, root| make_product_grain(root))
+        .register(kinds::REPLICA, |_id, root| make_replica_grain(root))
+        .register(kinds::STOCK, |_id, root| make_stock_grain(root))
         .register(kinds::CART, |id, _snap| make_cart_grain(CustomerId(id.key)))
         .register(kinds::ORDER, |id, _snap| make_order_grain(CustomerId(id.key)))
         .register(kinds::PAYMENT, |id, _snap| {
@@ -126,38 +125,24 @@ pub fn build_cluster(
         .register(kinds::SHIPMENT, |id, _snap| {
             make_shipment_grain(SellerId(id.key))
         })
-        .register_rows(kinds::SELLER, |id, snap, rows| {
-            make_seller_grain(SellerId(id.key), snap, rows)
+        .register_rows(kinds::SELLER, |id, root, rows| {
+            make_seller_grain(SellerId(id.key), StoredRows { root, rows })
         })
-        .register(kinds::CUSTOMER, |id, snap| {
-            make_customer_grain(CustomerId(id.key), snap)
+        .register(kinds::CUSTOMER, |id, root| {
+            make_customer_grain(CustomerId(id.key), root)
         })
         .build()
-}
-
-/// Persists any serializable grain state as its snapshot (stock and the
-/// catalog entities persist their full committed state so cold restarts
-/// rebuild them from the backend alone).
-fn persist_state<S: serde::Serialize>(ctx: &mut GrainContext<'_, Msg>, state: &S) {
-    if let Ok(bytes) = om_common::codec::to_bytes(state) {
-        ctx.persist(bytes);
-    }
-}
-
-/// Decodes a reactivation snapshot, if one was stored.
-fn restore<S: serde::de::DeserializeOwned>(snapshot: Option<Vec<u8>>) -> Option<S> {
-    snapshot.and_then(|bytes| om_common::codec::from_bytes::<S>(&bytes).ok())
 }
 
 // ---------------------------------------------------------------------
 // Product
 // ---------------------------------------------------------------------
 
-fn make_product_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, Reply>> {
-    let mut state: Option<om_common::entity::Product> = restore(snapshot);
+fn make_product_grain(root: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, Reply>> {
+    let mut state: Option<Product> = load_root(&StoredRows::root(root)).ok().flatten();
     Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| match msg {
         Msg::ProductIngest(p) => {
-            persist_state(ctx, &p);
+            let _ = store_root(ctx, &p);
             state = Some(p);
             Reply::Ok
         }
@@ -165,9 +150,8 @@ fn make_product_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg,
         Msg::ProductPriceUpdate(price) => match state.as_mut() {
             Some(p) if p.active => {
                 p.set_price(price);
-                let at = ctx.tick();
-                let _ = at;
-                persist_state(ctx, p);
+                ctx.tick();
+                let _ = store_root(ctx, p);
                 ctx.send(
                     replica_grain(p.id),
                     Msg::ReplicaApplyUpdate {
@@ -183,7 +167,7 @@ fn make_product_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg,
         Msg::ProductDelete => match state.as_mut() {
             Some(p) if p.active => {
                 p.delete();
-                persist_state(ctx, p);
+                let _ = store_root(ctx, p);
                 ctx.send(replica_grain(p.id), Msg::ReplicaApplyDelete { version: p.version });
                 ctx.send(stock_grain(p.id), Msg::StockApplyDelete { version: p.version });
                 Reply::Count(p.version)
@@ -199,11 +183,11 @@ fn make_product_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg,
 // Replica (cart-side product view)
 // ---------------------------------------------------------------------
 
-fn make_replica_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, Reply>> {
-    let mut state: Option<ProductReplica> = restore(snapshot);
+fn make_replica_grain(root: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, Reply>> {
+    let mut state: Option<ProductReplica> = load_root(&StoredRows::root(root)).ok().flatten();
     Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| match msg {
         Msg::ReplicaIngest(r) => {
-            persist_state(ctx, &r);
+            let _ = store_root(ctx, &r);
             state = Some(r);
             Reply::Ok
         }
@@ -211,7 +195,7 @@ fn make_replica_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg,
             Some(r) => {
                 let applied = r.apply_update(price, version);
                 if applied {
-                    persist_state(ctx, r);
+                    let _ = store_root(ctx, r);
                 }
                 Reply::Bool(applied)
             }
@@ -221,7 +205,7 @@ fn make_replica_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg,
             Some(r) => {
                 let applied = r.apply_delete(version);
                 if applied {
-                    persist_state(ctx, r);
+                    let _ = store_root(ctx, r);
                 }
                 Reply::Bool(applied)
             }
@@ -236,11 +220,11 @@ fn make_replica_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg,
 // Stock
 // ---------------------------------------------------------------------
 
-fn make_stock_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, Reply>> {
+fn make_stock_grain(root: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, Reply>> {
     // Reactivation: restore the last committed state saved by a previous
     // activation, if the backend holds one.
     let mut part: Option<TxParticipant<StockService>> =
-        restore::<StockService>(snapshot).map(TxParticipant::new);
+        load_root(&StoredRows::root(root)).ok().flatten().map(TxParticipant::new);
     // A replicated product deletion arriving while a checkout transaction
     // holds the write lock cannot touch committed state; it parks here and
     // applies as soon as the lock is released (commit or abort). Dropping
@@ -249,11 +233,11 @@ fn make_stock_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, R
     let mut deferred_delete: Option<u64> = None;
     Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| {
         if let Some(p) = part.as_mut() {
-            if let Some(reply) = handle_tx_protocol(p, &msg, ctx, |s, ctx| persist_state(ctx, s)) {
+            if let Some(reply) = handle_tx_protocol(p, &msg, ctx, |s, ctx| store_root(ctx, s)) {
                 if !p.is_locked() {
                     if let Some(version) = deferred_delete.take() {
                         let _ = p.mutate_committed(|s| s.apply_product_delete(version));
-                        persist_state(ctx, p.committed());
+                        let _ = store_root(ctx, p.committed());
                     }
                 }
                 return reply;
@@ -268,7 +252,7 @@ fn make_stock_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, R
                     }
                     None => part = Some(TxParticipant::new(StockService::new(key, qty))),
                 }
-                persist_state(ctx, part.as_ref().expect("just ingested").committed());
+                let _ = store_root(ctx, part.as_ref().expect("just ingested").committed());
                 Reply::Ok
             }
             Msg::StockReserveEvent {
@@ -283,7 +267,7 @@ fn make_stock_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, R
                         let mut ok = false;
                         let _ = p.mutate_committed(|s| ok = s.reserve(item.quantity).is_ok());
                         if ok {
-                            persist_state(ctx, p.committed());
+                            let _ = store_root(ctx, p.committed());
                         }
                         ok
                     }
@@ -304,7 +288,7 @@ fn make_stock_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, R
             Msg::StockConfirm { qty } => match part.as_mut() {
                 Some(p) => {
                     let _ = p.mutate_committed(|s| s.confirm(qty));
-                    persist_state(ctx, p.committed());
+                    let _ = store_root(ctx, p.committed());
                     Reply::Ok
                 }
                 None => Reply::Err(OmError::NotFound("stock".into())),
@@ -312,7 +296,7 @@ fn make_stock_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, R
             Msg::StockCancel { qty } => match part.as_mut() {
                 Some(p) => {
                     let _ = p.mutate_committed(|s| s.cancel(qty));
-                    persist_state(ctx, p.committed());
+                    let _ = store_root(ctx, p.committed());
                     Reply::Ok
                 }
                 None => Reply::Err(OmError::NotFound("stock".into())),
@@ -323,7 +307,7 @@ fn make_stock_grain(snapshot: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, R
                         deferred_delete =
                             Some(deferred_delete.map_or(version, |v| v.max(version)));
                     } else {
-                        persist_state(ctx, p.committed());
+                        let _ = store_root(ctx, p.committed());
                     }
                     Reply::Ok
                 }
@@ -418,12 +402,6 @@ fn make_cart_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Reply>>
             }
             Err(e) => Reply::Err(e),
         },
-        Msg::CartApplyPriceUpdate {
-            product,
-            price,
-            version,
-        } => Reply::Bool(svc.apply_price_update(product, price, version)),
-        Msg::CartApplyDelete { product } => Reply::Bool(svc.apply_product_delete(product)),
         Msg::CartBeginCheckout => match svc.begin_checkout() {
             Ok(items) => Reply::Items(items),
             Err(e) => Reply::Err(e),
@@ -436,7 +414,6 @@ fn make_cart_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Reply>>
             svc.abort_checkout();
             Reply::Ok
         }
-        Msg::CartGet => Reply::Cart(Some(svc.cart.clone())),
         other => not_mine(ctx.id(), &other),
     })
 }
@@ -449,7 +426,7 @@ fn make_order_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Reply>
     let mut part = TxParticipant::new(OrderService::new(customer));
     let mut delivered_counts: HashMap<OrderId, u32> = HashMap::new();
     Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| {
-        if let Some(reply) = handle_tx_protocol(&mut part, &msg, ctx, |_, _| {}) {
+        if let Some(reply) = handle_tx_protocol(&mut part, &msg, ctx, |_, _| Ok(())) {
             return reply;
         }
         match msg {
@@ -484,30 +461,9 @@ fn make_order_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Reply>
                     return Reply::Err(OmError::Internal("order creation failed".into()));
                 };
                 // Seller dashboards learn of the new entries.
-                for item in &order.items {
-                    ctx.send(
-                        seller_grain(item.seller),
-                        Msg::SellerAddEntry(om_common::entity::OrderEntry {
-                            order: order.id,
-                            seller: item.seller,
-                            product: item.product,
-                            quantity: item.quantity,
-                            total_amount: item.total_amount,
-                            status: OrderStatus::Invoiced,
-                        }),
-                    );
+                for entry in order.entries(OrderStatus::Invoiced) {
+                    ctx.send(seller_grain(entry.seller), Msg::SellerAddEntry(entry));
                 }
-                let lines: Vec<OrderLineRef> = order
-                    .items
-                    .iter()
-                    .map(|i| OrderLineRef {
-                        seller: i.seller,
-                        product: i.product,
-                        quantity: i.quantity,
-                        total_amount: i.total_amount,
-                        freight_value: i.freight_value,
-                    })
-                    .collect();
                 ctx.send(
                     payment_grain(customer),
                     Msg::PaymentProcessEvent {
@@ -517,7 +473,7 @@ fn make_order_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Reply>
                         method,
                         amount: order.total_invoice(),
                         decline_rate_bp,
-                        lines,
+                        lines: order.lines(),
                     },
                 );
                 Reply::Ok
@@ -599,7 +555,7 @@ fn make_order_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Reply>
 fn make_payment_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Reply>> {
     let mut part = TxParticipant::new(PaymentService::new(customer));
     Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| {
-        if let Some(reply) = handle_tx_protocol(&mut part, &msg, ctx, |_, _| {}) {
+        if let Some(reply) = handle_tx_protocol(&mut part, &msg, ctx, |_, _| Ok(())) {
             return reply;
         }
         match msg {
@@ -624,11 +580,7 @@ fn make_payment_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Repl
                     ));
                 });
                 let payment = payment.expect("mutate_committed ran");
-                let status = if payment.approved {
-                    OrderStatus::Paid
-                } else {
-                    OrderStatus::PaymentFailed
-                };
+                let status = payment.order_status();
                 ctx.send(order_grain(cust), Msg::OrderSetStatus { order, status });
                 ctx.send(
                     customer_grain(cust),
@@ -713,7 +665,7 @@ fn make_payment_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Repl
 fn make_shipment_grain(seller: SellerId) -> Box<dyn om_actor::Grain<Msg, Reply>> {
     let mut part = TxParticipant::new(ShipmentService::new(seller));
     Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| {
-        if let Some(reply) = handle_tx_protocol(&mut part, &msg, ctx, |_, _| {}) {
+        if let Some(reply) = handle_tx_protocol(&mut part, &msg, ctx, |_, _| Ok(())) {
             return reply;
         }
         match msg {
@@ -785,13 +737,7 @@ fn make_shipment_grain(seller: SellerId) -> Box<dyn om_actor::Grain<Msg, Reply>>
                 part.committed()
                     .packages
                     .iter()
-                    .map(|p| PackageSnapshot {
-                        order: p.order,
-                        seller: p.seller,
-                        product: p.product,
-                        delivered: p.status == om_common::entity::PackageStatus::Delivered,
-                        shipped_at: p.shipped_at.raw(),
-                    })
+                    .map(PackageSnapshot::from)
                     .collect(),
             ),
             Msg::TxShipCreatePackages {
@@ -838,59 +784,6 @@ fn make_shipment_grain(seller: SellerId) -> Box<dyn om_actor::Grain<Msg, Reply>>
 // Seller
 // ---------------------------------------------------------------------
 
-/// Keys of `order`'s entries in `view`.
-fn order_keys(view: &SellerView, order: OrderId) -> Vec<(OrderId, u64)> {
-    view.entries
-        .range((order, 0)..=(order, u64::MAX))
-        .map(|(k, _)| *k)
-        .collect()
-}
-
-/// Persists the seller grain in the dataflow seller function's layout: the
-/// snapshot is the header (the view without its entries) and each
-/// `(order, product)` entry is one row. Only the rows of `orders` are
-/// written — every entry of theirs in `view` is put, and every key of
-/// `before` (their keys before the turn changed them) that `view` no
-/// longer holds is deleted — so a turn stores the order it touched, not
-/// the seller's history.
-fn persist_seller(
-    ctx: &mut GrainContext<'_, Msg>,
-    view: &SellerView,
-    orders: &[OrderId],
-    before: &[(OrderId, u64)],
-) {
-    for (order, product) in before.iter().filter(|k| !view.entries.contains_key(k)) {
-        ctx.delete_row(row(ENTRY, &[order.0, *product]));
-    }
-    for &order in orders {
-        for ((_, product), entry) in view.entries.range((order, 0)..=(order, u64::MAX)) {
-            if let Ok(bytes) = om_common::codec::to_bytes(entry) {
-                ctx.put_row(row(ENTRY, &[order.0, *product]), bytes);
-            }
-        }
-    }
-    persist_state(
-        ctx,
-        &SellerView {
-            seller: view.seller.clone(),
-            in_progress_amount: view.in_progress_amount,
-            in_progress_count: view.in_progress_count,
-            entries: Default::default(),
-        },
-    );
-}
-
-/// Rebuilds a seller view from its header snapshot and entry rows.
-fn restore_seller(snapshot: Option<Vec<u8>>, rows: Vec<Row>) -> Option<SellerView> {
-    let mut view: SellerView = restore(snapshot)?;
-    for (_, bytes) in rows {
-        if let Ok(entry) = om_common::codec::from_bytes::<OrderEntry>(&bytes) {
-            view.entries.insert((entry.order, entry.product.0), entry);
-        }
-    }
-    Some(view)
-}
-
 /// Applies a non-transactional change to one order of the committed view
 /// and stores the header plus that order's rows. A change blocked by a
 /// transaction's write lock is dropped and stores nothing.
@@ -904,56 +797,44 @@ fn change_order(
     let Some(p) = part else {
         return Reply::Err(OmError::NotFound(format!("seller {seller}")));
     };
-    let before = order_keys(p.committed(), order);
+    let delta = SellerDelta::of(p.committed(), [order]);
     if p.mutate_committed(change).is_ok() {
-        persist_seller(ctx, p.committed(), &[order], &before);
+        let _ = delta.store(p.committed(), ctx);
     }
     Reply::Ok
 }
 
-fn make_seller_grain(
-    seller: SellerId,
-    snapshot: Option<Vec<u8>>,
-    rows: Vec<Row>,
-) -> Box<dyn om_actor::Grain<Msg, Reply>> {
-    let mut part: Option<TxParticipant<SellerView>> =
-        restore_seller(snapshot, rows).map(TxParticipant::new);
+fn make_seller_grain(seller: SellerId, stored: StoredRows) -> Box<dyn om_actor::Grain<Msg, Reply>> {
+    let mut part: Option<TxParticipant<SellerView>> = SellerView::load_all(&stored)
+        .ok()
+        .flatten()
+        .map(TxParticipant::new);
     // The orders each open transaction staged, so its commit stores their
     // rows and nothing else.
     let mut staged: HashMap<TransactionId, BTreeSet<OrderId>> = HashMap::new();
     Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| {
         if let Some(p) = part.as_mut() {
-            let (orders, before): (Vec<OrderId>, Vec<(OrderId, u64)>) = match &msg {
+            let delta = match &msg {
                 Msg::TxCommit { tid } => {
-                    let orders: Vec<OrderId> =
-                        staged.remove(tid).unwrap_or_default().into_iter().collect();
-                    let before = orders
-                        .iter()
-                        .flat_map(|&o| order_keys(p.committed(), o))
-                        .collect();
-                    (orders, before)
+                    SellerDelta::of(p.committed(), staged.remove(tid).unwrap_or_default())
                 }
                 Msg::TxAbort { tid } => {
                     staged.remove(tid);
-                    Default::default()
+                    SellerDelta::default()
                 }
-                _ => Default::default(),
+                _ => SellerDelta::default(),
             };
-            if let Some(reply) = handle_tx_protocol(p, &msg, ctx, |v, ctx| {
-                persist_seller(ctx, v, &orders, &before)
-            }) {
+            if let Some(reply) = handle_tx_protocol(p, &msg, ctx, |v, ctx| delta.store(v, ctx)) {
                 return reply;
             }
         }
         match msg {
             Msg::SellerIngest(s) => {
-                if let Some(old) = part.as_ref() {
-                    for (order, product) in old.committed().entries.keys() {
-                        ctx.delete_row(row(ENTRY, &[order.0, *product]));
-                    }
-                }
+                let delta = part.as_ref().map_or_else(SellerDelta::default, |old| {
+                    SellerDelta::replace(old.committed())
+                });
                 let view = SellerView::new(s);
-                persist_state(ctx, &view);
+                let _ = delta.store(&view, ctx);
                 part = Some(TxParticipant::new(view));
                 Reply::Ok
             }
@@ -1013,33 +894,26 @@ fn make_seller_grain(
 
 fn make_customer_grain(
     customer: CustomerId,
-    snapshot: Option<Vec<u8>>,
+    root: Option<Vec<u8>>,
 ) -> Box<dyn om_actor::Grain<Msg, Reply>> {
     let mut part: Option<TxParticipant<Customer>> =
-        restore::<Customer>(snapshot).map(TxParticipant::new);
+        load_root(&StoredRows::root(root)).ok().flatten().map(TxParticipant::new);
     Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| {
         if let Some(p) = part.as_mut() {
-            if let Some(reply) = handle_tx_protocol(p, &msg, ctx, |s, ctx| persist_state(ctx, s)) {
+            if let Some(reply) = handle_tx_protocol(p, &msg, ctx, |c, ctx| store_root(ctx, c)) {
                 return reply;
             }
         }
         match msg {
             Msg::CustomerIngest(c) => {
-                persist_state(ctx, &c);
+                let _ = store_root(ctx, &c);
                 part = Some(TxParticipant::new(c));
                 Reply::Ok
             }
             Msg::CustomerPaymentResult { approved, amount } => match part.as_mut() {
                 Some(p) => {
-                    let _ = p.mutate_committed(|c| {
-                        if approved {
-                            c.success_payment_count += 1;
-                            c.total_spent += amount;
-                        } else {
-                            c.failed_payment_count += 1;
-                        }
-                    });
-                    persist_state(ctx, p.committed());
+                    let _ = p.mutate_committed(|c| c.record_payment(approved, amount));
+                    let _ = store_root(ctx, p.committed());
                     Reply::Ok
                 }
                 None => Reply::Err(OmError::NotFound(format!("customer {customer}"))),
@@ -1047,7 +921,7 @@ fn make_customer_grain(
             Msg::CustomerDelivery => match part.as_mut() {
                 Some(p) => {
                     let _ = p.mutate_committed(|c| c.delivery_count += 1);
-                    persist_state(ctx, p.committed());
+                    let _ = store_root(ctx, p.committed());
                     Reply::Ok
                 }
                 None => Reply::Err(OmError::NotFound(format!("customer {customer}"))),
@@ -1061,13 +935,7 @@ fn make_customer_grain(
                 amount,
             } => with_tx(part.as_mut(), tid, |p, tid| {
                 p.acquire(tid, LockMode::Write)?;
-                let c = p.stage_mut(tid)?;
-                if approved {
-                    c.success_payment_count += 1;
-                    c.total_spent += amount;
-                } else {
-                    c.failed_payment_count += 1;
-                }
+                p.stage_mut(tid)?.record_payment(approved, amount);
                 Ok(())
             }),
             other => not_mine(ctx.id(), &other),

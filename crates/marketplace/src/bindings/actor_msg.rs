@@ -59,14 +59,11 @@ pub enum Msg {
         method: PaymentMethod,
         decline_rate_bp: u32,
     },
-    CartApplyPriceUpdate { product: ProductId, price: Money, version: u64 },
-    CartApplyDelete { product: ProductId },
     /// Takes the sealed items for a client-coordinated checkout
     /// (transactional path) without fanning out events.
     CartBeginCheckout,
     CartFinishCheckout,
     CartAbortCheckout,
-    CartGet,
 
     // ---- order grain (key = customer id) --------------------------------
     OrderBeginAssembly { tid: TransactionId, expected: usize, at: EventTime },
@@ -161,11 +158,9 @@ pub enum Reply {
     Ok,
     Bool(bool),
     Count(u64),
-    Money(Money),
     Product(Option<Product>),
     Replica(Option<ProductReplica>),
     Stock(Option<StockSnapshot>),
-    Cart(Option<om_common::entity::Cart>),
     Items(Vec<CartItem>),
     Order(Order),
     Orders(Vec<Order>),

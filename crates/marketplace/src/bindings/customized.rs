@@ -232,15 +232,8 @@ impl CustomizedPlatform {
         self.project(|| {
             let mut by_seller: std::collections::BTreeMap<u64, Vec<OrderEntry>> =
                 Default::default();
-            for item in &order.items {
-                by_seller.entry(item.seller.0).or_default().push(OrderEntry {
-                    order: order.id,
-                    seller: item.seller,
-                    product: item.product,
-                    quantity: item.quantity,
-                    total_amount: item.total_amount,
-                    status,
-                });
+            for entry in order.entries(status) {
+                by_seller.entry(entry.seller.0).or_default().push(entry);
             }
             let mut batch = WriteBatch::new();
             for (seller, added) in by_seller {
@@ -314,13 +307,7 @@ impl MarketplacePlatform for CustomizedPlatform {
     }
 
     fn unwedge(&self) -> Option<OmResult<crate::api::UnwedgeOutcome>> {
-        let was_wedged = self.backend.is_wedged();
-        let repair = self.backend.unwedge()?;
-        Some(repair.map(|torn| crate::api::UnwedgeOutcome {
-            was_wedged,
-            torn_bytes_dropped: torn,
-            healthy: !self.backend.is_wedged(),
-        }))
+        crate::api::unwedge_store(self.backend.as_ref())
     }
 
     fn ingest_seller(&self, seller: Seller) -> OmResult<()> {
@@ -335,12 +322,7 @@ impl MarketplacePlatform for CustomizedPlatform {
     }
 
     fn ingest_product(&self, product: Product, initial_stock: u32) -> OmResult<()> {
-        let replica = ProductReplica {
-            price: product.price,
-            freight_value: product.freight_value,
-            version: product.version,
-            active: product.active,
-        };
+        let replica = ProductReplica::from(&product);
         let id = product.id;
         self.inner.ingest_product(product, initial_stock)?;
         self.write_replica(id, &replica)
@@ -395,17 +377,7 @@ impl MarketplacePlatform for CustomizedPlatform {
         }
         core.counters.incr("cart_adds");
         core.cluster
-            .call(
-                cart_grain(customer),
-                Msg::CartAdd(om_common::entity::CartItem {
-                    seller: item.seller,
-                    product: item.product,
-                    quantity: item.quantity,
-                    unit_price: replica.price,
-                    freight_value: replica.freight_value,
-                    product_version: replica.version,
-                }),
-            )?
+            .call(cart_grain(customer), Msg::CartAdd(replica.cart_line(&item)))?
             .ok()
     }
 

@@ -17,15 +17,15 @@
 //! packages — keep one row per entity beside a small header row, so an
 //! invocation decodes and re-encodes the entities its message names and a
 //! checkpoint commits the rows that changed, never the history. The
-//! business rules stay in [`crate::domain`]: each function loads the
-//! touched rows into the (otherwise empty) domain service, calls the
-//! service's own method, and writes the service's contents back as rows.
+//! business rules stay in [`crate::domain`] and the row format in
+//! [`crate::domain::rows`]: each function loads the touched rows into the
+//! (otherwise empty) domain service, calls the service's own method, and
+//! writes the row delta.
 
 use crossbeam::channel::{bounded, Sender};
 use om_common::entity::CartItem;
 use om_common::entity::{
-    Customer, Order, OrderEntry, OrderStatus, Package, Payment, PaymentMethod, Product, Seller,
-    SellerDashboard,
+    Customer, OrderEntry, OrderStatus, PaymentMethod, Product, Seller, SellerDashboard,
 };
 use om_common::event::OrderLineRef;
 use om_common::ids::*;
@@ -36,19 +36,20 @@ use om_dataflow::{Address, BackendCheckpointStore, Dataflow, Effects, RowFn, Sta
 use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use super::{kinds, row, ENTRY, ROOT};
+use super::kinds;
 use crate::api::{
     CheckoutItem, CheckoutOutcome, CheckoutRequest, MarketSnapshot, MarketplacePlatform,
     PackageSnapshot, PlatformKind, StockSnapshot,
 };
+use crate::domain::order::customer_of_order;
+use crate::domain::rows::{self, load_root, store_root, CustomerOrders, SellerDelta, StoredRows};
 use crate::domain::{
-    CartService, OrderService, PaymentService, ProductReplica, SellerView,
-    ShipmentService, StockService,
+    CartService, PaymentService, ProductReplica, SellerView, ShipmentService, StockService,
 };
 
 /// Function type for the delivery workflow coordinator.
@@ -157,6 +158,17 @@ impl Eg {
     }
 }
 
+/// The egress of a checkout that placed no paid order.
+fn checkout_rejected(tid: TransactionId, order: Option<OrderId>, reason: String) -> DfMsg {
+    DfMsg::Egress(Eg::CheckoutDone {
+        tid,
+        order,
+        total: None,
+        accepted: false,
+        reason,
+    })
+}
+
 /// Completion registry: waiters are registered *before* the triggering
 /// submission, and completions that arrive with no waiter yet are parked
 /// until claimed (the pump races client registration otherwise).
@@ -194,53 +206,7 @@ impl WaiterRegistry {
     }
 }
 
-// State rows are encoded with the workspace's compact binary codec: the
-// runtime checkpoints raw bytes, and every invocation pays a decode +
-// encode of the rows it touches, so the codec's speed directly bounds
-// function throughput (real Statefun uses binary Protobuf state for the
-// same reason).
-//
-// Row names follow the layout in `bindings/mod.rs`; the tags below are the
-// dataflow functions' own.
-/// Order function: one row per order (with its delivered-package count).
-const ORDER: u8 = b'o';
-/// Order function: one row per checkout assembly still collecting answers.
-const PENDING: u8 = b'p';
-/// Payment: one row per payment.
-const PAYMENT: u8 = b'p';
-/// Shipment: one row per package, under its order.
-const PACKAGE: u8 = b'k';
-/// Shipment: the open-orders index, `(shipped_at, order)` of every order
-/// with an undelivered package — its first row is the seller's oldest.
-const OPEN: u8 = b'u';
-
-/// The `n`-th id of a name built by [`row`].
-fn row_id(name: &[u8], n: usize) -> OmResult<u64> {
-    name.get(1 + 8 * n..9 + 8 * n)
-        .and_then(|b| b.try_into().ok())
-        .map(u64::from_be_bytes)
-        .ok_or_else(|| OmError::Internal(format!("malformed dataflow row name {name:?}")))
-}
-
-fn decode<T: DeserializeOwned>(bytes: &[u8]) -> OmResult<T> {
-    om_common::codec::from_bytes(bytes)
-        .map_err(|e| OmError::Internal(format!("dataflow state row does not decode: {e:?}")))
-}
-
-fn load<T: DeserializeOwned>(bytes: Option<&[u8]>) -> OmResult<Option<T>> {
-    bytes.map(decode).transpose()
-}
-
 type Out = Effects<DfMsg>;
-
-/// Writes `value` to `row` (the runtime drops a write that leaves the row
-/// as it was, so functions write back their whole working set).
-fn save<T: Serialize>(out: &mut Out, row: &[u8], value: &T) -> OmResult<()> {
-    let bytes = om_common::codec::to_bytes(value)
-        .map_err(|e| OmError::Internal(format!("dataflow state row does not encode: {e:?}")))?;
-    out.put_row(row, bytes);
-    Ok(())
-}
 
 fn addr(fn_type: &'static str, key: u64) -> Address {
     Address::new(fn_type, key)
@@ -404,7 +370,7 @@ fn build_dataflow(
 }
 
 fn product_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
-    let mut product: Option<Product> = load(state.get(ROOT))?;
+    let mut product: Option<Product> = load_root(&state)?;
     match msg {
         DfMsg::IngestProduct(p) => {
             out.send(
@@ -414,7 +380,7 @@ fn product_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmRe
                     version: p.version,
                 },
             );
-            save(out, ROOT, &p)?;
+            store_root(out, &p)?;
         }
         DfMsg::PriceUpdate { price } => {
             if let Some(p) = product.as_mut().filter(|p| p.active) {
@@ -426,7 +392,7 @@ fn product_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmRe
                         version: p.version,
                     },
                 );
-                save(out, ROOT, p)?;
+                store_root(out, p)?;
             }
         }
         DfMsg::ProductDelete => {
@@ -434,7 +400,7 @@ fn product_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmRe
                 p.delete();
                 out.send(addr(kinds::REPLICA, key), DfMsg::ReplicaDelete { version: p.version });
                 out.send(addr(kinds::STOCK, key), DfMsg::StockDelete { version: p.version });
-                save(out, ROOT, p)?;
+                store_root(out, p)?;
             }
         }
         _ => {}
@@ -443,33 +409,32 @@ fn product_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmRe
 }
 
 fn replica_fn(_key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
-    let mut replica: ProductReplica = load(state.get(ROOT))?
-        .unwrap_or_else(|| ProductReplica::new(Money::ZERO, Money::ZERO));
-    match msg {
-        DfMsg::ReplicaUpdate { price, version } => {
-            // Version 0 is initial ingestion (always applied).
-            if version == 0 {
-                replica.price = price;
-                save(out, ROOT, &replica)?;
-            } else if replica.apply_update(price, version) {
-                save(out, ROOT, &replica)?;
-            }
+    let mut replica: ProductReplica =
+        load_root(&state)?.unwrap_or_else(|| ProductReplica::new(Money::ZERO, Money::ZERO));
+    let applied = match msg {
+        // Version 0 is initial ingestion (always applied).
+        DfMsg::ReplicaUpdate { price, version: 0 } => {
+            replica.price = price;
+            true
         }
-        DfMsg::ReplicaDelete { version } if replica.apply_delete(version) => {
-            save(out, ROOT, &replica)?;
-        }
-        _ => {}
+        DfMsg::ReplicaUpdate { price, version } => replica.apply_update(price, version),
+        DfMsg::ReplicaDelete { version } => replica.apply_delete(version),
+        _ => false,
+    };
+    if applied {
+        store_root(out, &replica)?;
     }
     Ok(())
 }
 
 fn stock_fn(_key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
-    let mut stock: Option<StockService> = load(state.get(ROOT))?;
+    let mut stock: Option<StockService> = load_root(&state)?;
     match msg {
-        DfMsg::IngestStock { key: sk, qty } => {
-            let mut s = stock.unwrap_or_else(|| StockService::new(sk, 0));
-            s.item.replenish(qty);
-            save(out, ROOT, &s)?;
+        DfMsg::IngestStock { key, qty } => {
+            stock
+                .get_or_insert_with(|| StockService::new(key, 0))
+                .item
+                .replenish(qty);
         }
         DfMsg::Reserve {
             tid,
@@ -479,14 +444,9 @@ fn stock_fn(_key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmRes
             decline_rate_bp,
             at,
         } => {
-            let reserved = match stock.as_mut() {
-                Some(s) => {
-                    let ok = s.reserve(item.quantity).is_ok();
-                    save(out, ROOT, s)?;
-                    ok
-                }
-                None => false,
-            };
+            let reserved = stock
+                .as_mut()
+                .is_some_and(|s| s.reserve(item.quantity).is_ok());
             out.send(
                 addr(kinds::ORDER, customer.0),
                 DfMsg::StockAnswer {
@@ -500,37 +460,22 @@ fn stock_fn(_key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmRes
                 },
             );
         }
-        DfMsg::StockConfirm { qty } => {
-            if let Some(s) = stock.as_mut() {
-                s.confirm(qty);
-                save(out, ROOT, s)?;
-            }
-        }
-        DfMsg::StockCancel { qty } => {
-            if let Some(s) = stock.as_mut() {
-                s.cancel(qty);
-                save(out, ROOT, s)?;
-            }
-        }
-        DfMsg::StockDelete { version } => {
-            if let Some(s) = stock.as_mut() {
-                s.apply_product_delete(version);
-                save(out, ROOT, s)?;
-            }
-        }
-        _ => {}
+        DfMsg::StockConfirm { qty } => stock.iter_mut().for_each(|s| s.confirm(qty)),
+        DfMsg::StockCancel { qty } => stock.iter_mut().for_each(|s| s.cancel(qty)),
+        DfMsg::StockDelete { version } => stock
+            .iter_mut()
+            .for_each(|s| s.apply_product_delete(version)),
+        _ => return Ok(()),
     }
-    Ok(())
+    stock.map_or(Ok(()), |s| store_root(out, &s))
 }
 
 fn cart_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
     let customer = CustomerId(key);
-    let mut cart: CartService =
-        load(state.get(ROOT))?.unwrap_or_else(|| CartService::new(customer));
+    let mut cart: CartService = load_root(&state)?.unwrap_or_else(|| CartService::new(customer));
     match msg {
         DfMsg::CartAdd(item) => {
             let _ = cart.add_item(item);
-            save(out, ROOT, &cart)?;
         }
         DfMsg::Checkout {
             tid,
@@ -562,101 +507,20 @@ fn cart_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResul
                     );
                 }
                 cart.finish_checkout();
-                save(out, ROOT, &cart)?;
             }
             Err(e) => {
-                out.emit(DfMsg::Egress(Eg::CheckoutDone {
-                    tid,
-                    order: None,
-                    total: None,
-                    accepted: false,
-                    reason: e.to_string(),
-                }));
+                out.emit(checkout_rejected(tid, None, e.to_string()));
+                return Ok(());
             }
         },
-        DfMsg::ReplicaUpdate { price, version } => {
-            // Price replication also reaches open carts in this topology.
-            let mut changed = false;
-            for item in cart.cart.items.clone() {
-                changed |= cart.apply_price_update(item.product, price, version);
-            }
-            if changed {
-                save(out, ROOT, &cart)?;
-            }
-        }
-        _ => {}
+        _ => return Ok(()),
     }
-    Ok(())
-}
-
-/// One order row: the order and how many of its packages were reported
-/// delivered so far. The one codec `order_fn` and `snapshot()` share.
-#[derive(Serialize, Deserialize)]
-struct OrderRow {
-    order: Order,
-    delivered: u32,
-}
-
-/// The working set of one `order_fn` invocation: the customer's
-/// [`OrderService`] holding **only the rows the message touches** — the
-/// header row is the service with empty collections (customer, invoice
-/// sequence), orders and pending assemblies are loaded into it by id —
-/// so the service's own methods run unchanged on O(1) state.
-struct OrderRows<'a> {
-    state: StateView<'a>,
-    svc: OrderService,
-    delivered: BTreeMap<OrderId, u32>,
-    loaded_pending: Option<TransactionId>,
-}
-
-impl<'a> OrderRows<'a> {
-    fn open(customer: CustomerId, state: StateView<'a>) -> OmResult<Self> {
-        Ok(Self {
-            state,
-            svc: load(state.get(ROOT))?.unwrap_or_else(|| OrderService::new(customer)),
-            delivered: BTreeMap::new(),
-            loaded_pending: None,
-        })
-    }
-
-    fn load_order(&mut self, id: OrderId) -> OmResult<()> {
-        if let Some(OrderRow { order, delivered }) = load(self.state.get(&row(ORDER, &[id.0])))? {
-            self.svc.orders.insert(id, order);
-            self.delivered.insert(id, delivered);
-        }
-        Ok(())
-    }
-
-    fn load_pending(&mut self, tid: TransactionId) -> OmResult<()> {
-        if let Some(pending) = load(self.state.get(&row(PENDING, &[tid.0])))? {
-            self.svc.pending.insert(tid, pending);
-            self.loaded_pending = Some(tid);
-        }
-        Ok(())
-    }
-
-    /// Writes the working set back: one row per order and per pending
-    /// assembly it holds, the loaded assembly's row deleted if the service
-    /// completed it, and the header with the collections taken out.
-    fn store(mut self, out: &mut Out) -> OmResult<()> {
-        for (id, order) in std::mem::take(&mut self.svc.orders) {
-            let delivered = self.delivered.get(&id).copied().unwrap_or(0);
-            save(out, &row(ORDER, &[id.0]), &OrderRow { order, delivered })?;
-        }
-        let pending = std::mem::take(&mut self.svc.pending);
-        if let Some(tid) = self.loaded_pending.filter(|tid| !pending.contains_key(tid)) {
-            out.delete_row(row(PENDING, &[tid.0]));
-        }
-        for (tid, assembly) in pending {
-            save(out, &row(PENDING, &[tid.0]), &assembly)?;
-        }
-        save(out, ROOT, &self.svc)
-    }
+    store_root(out, &cart)
 }
 
 fn order_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
     let customer = CustomerId(key);
-    let mut st = OrderRows::open(customer, state)?;
+    let mut st = CustomerOrders::load(customer, &state)?;
     match msg {
         DfMsg::BeginAssembly {
             tid, expected, at, ..
@@ -672,45 +536,26 @@ fn order_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResu
             decline_rate_bp,
             at,
         } => {
-            st.load_pending(tid)?;
-            let completed = st.svc.record_stock_answer(tid, item, reserved);
-            if let Some(done) = completed {
-                if done.confirmed.is_empty() {
-                    out.emit(DfMsg::Egress(Eg::CheckoutDone {
+            st.load_pending(&state, tid)?;
+            match st.svc.record_stock_answer(tid, item, reserved) {
+                None => {}
+                Some(done) if done.confirmed.is_empty() => {
+                    out.emit(checkout_rejected(
                         tid,
-                        order: None,
-                        total: None,
-                        accepted: false,
-                        reason: "no line could be reserved".into(),
-                    }));
-                } else {
+                        None,
+                        "no line could be reserved".into(),
+                    ));
+                }
+                Some(done) => {
                     let at2 = EventTime(at.0 + 1);
                     match st.svc.create_order(&done.confirmed, at2) {
                         Ok(order) => {
-                            for item in &order.items {
+                            for entry in order.entries(OrderStatus::Invoiced) {
                                 out.send(
-                                    addr(kinds::SELLER, item.seller.0),
-                                    DfMsg::AddEntry(OrderEntry {
-                                        order: order.id,
-                                        seller: item.seller,
-                                        product: item.product,
-                                        quantity: item.quantity,
-                                        total_amount: item.total_amount,
-                                        status: OrderStatus::Invoiced,
-                                    }),
+                                    addr(kinds::SELLER, entry.seller.0),
+                                    DfMsg::AddEntry(entry),
                                 );
                             }
-                            let lines: Vec<OrderLineRef> = order
-                                .items
-                                .iter()
-                                .map(|i| OrderLineRef {
-                                    seller: i.seller,
-                                    product: i.product,
-                                    quantity: i.quantity,
-                                    total_amount: i.total_amount,
-                                    freight_value: i.freight_value,
-                                })
-                                .collect();
                             out.send(
                                 addr(kinds::PAYMENT, cust.0),
                                 DfMsg::ProcessPayment {
@@ -720,30 +565,22 @@ fn order_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResu
                                     method,
                                     amount: order.total_invoice(),
                                     decline_rate_bp,
-                                    lines,
+                                    lines: order.lines(),
                                     at: EventTime(at2.0 + 1),
                                 },
                             );
                         }
-                        Err(e) => {
-                            out.emit(DfMsg::Egress(Eg::CheckoutDone {
-                                tid,
-                                order: None,
-                                total: None,
-                                accepted: false,
-                                reason: e.to_string(),
-                            }));
-                        }
+                        Err(e) => out.emit(checkout_rejected(tid, None, e.to_string())),
                     }
                 }
             }
         }
         DfMsg::SetStatus { order, status, at } => {
-            st.load_order(order)?;
+            st.load_order(&state, order)?;
             let _ = st.svc.set_status(order, status, at);
         }
         DfMsg::PackagesDelivered { order, packages, at } => {
-            st.load_order(order)?;
+            st.load_order(&state, order)?;
             // A delivery for an order this customer never placed has no
             // row to count against and is dropped.
             if let Some(expected) = st.svc.orders.get(&order).map(|o| o.items.len() as u32) {
@@ -777,7 +614,7 @@ fn payment_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmRe
     // The header row is the service with no payments in it (id sequence,
     // counters); `process` adds the one payment this message creates.
     let mut svc: PaymentService =
-        load(state.get(ROOT))?.unwrap_or_else(|| PaymentService::new(CustomerId(key)));
+        load_root(&state)?.unwrap_or_else(|| PaymentService::new(CustomerId(key)));
     let payment = svc.process(
         order,
         method,
@@ -785,15 +622,8 @@ fn payment_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmRe
         decline_rate_bp as f64 / 10_000.0,
         at,
     );
-    for (id, payment) in std::mem::take(&mut svc.payments) {
-        save(out, &row(PAYMENT, &[id.0]), &payment)?;
-    }
-    save(out, ROOT, &svc)?;
-    let status = if payment.approved {
-        OrderStatus::Paid
-    } else {
-        OrderStatus::PaymentFailed
-    };
+    svc.store_rows(out)?;
+    let status = payment.order_status();
     out.send(
         addr(kinds::ORDER, cust.0),
         DfMsg::SetStatus {
@@ -823,63 +653,39 @@ fn payment_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmRe
         };
         out.send(addr(kinds::STOCK, line.product.0), settle);
     }
-    if payment.approved {
-        let mut by_seller: HashMap<SellerId, Vec<OrderLineRef>> = HashMap::new();
-        for line in lines {
-            by_seller.entry(line.seller).or_default().push(line);
-        }
-        for (seller, seller_lines) in by_seller {
-            out.send(
-                addr(kinds::SHIPMENT, seller.0),
-                DfMsg::CreatePackages {
-                    tid,
-                    shipment: ShipmentId(order.0),
-                    order,
-                    customer: cust,
-                    lines: seller_lines,
-                    at: EventTime(at.0 + 2),
-                },
-            );
-        }
-        out.emit(DfMsg::Egress(Eg::CheckoutDone {
+    if !payment.approved {
+        out.emit(checkout_rejected(
             tid,
-            order: Some(order),
-            total: Some(payment.amount),
-            accepted: true,
-            reason: String::new(),
-        }));
-    } else {
-        out.emit(DfMsg::Egress(Eg::CheckoutDone {
-            tid,
-            order: Some(order),
-            total: None,
-            accepted: false,
-            reason: "payment declined".into(),
-        }));
+            Some(order),
+            "payment declined".into(),
+        ));
+        return Ok(());
     }
+    let mut by_seller: HashMap<SellerId, Vec<OrderLineRef>> = HashMap::new();
+    for line in lines {
+        by_seller.entry(line.seller).or_default().push(line);
+    }
+    for (seller, seller_lines) in by_seller {
+        out.send(
+            addr(kinds::SHIPMENT, seller.0),
+            DfMsg::CreatePackages {
+                tid,
+                shipment: ShipmentId(order.0),
+                order,
+                customer: cust,
+                lines: seller_lines,
+                at: EventTime(at.0 + 2),
+            },
+        );
+    }
+    out.emit(DfMsg::Egress(Eg::CheckoutDone {
+        tid,
+        order: Some(order),
+        total: Some(payment.amount),
+        accepted: true,
+        reason: String::new(),
+    }));
     Ok(())
-}
-
-/// Writes a shipment working set back: one row per package the service
-/// holds, then the header (package sequence, delivered counter) with the
-/// packages taken out.
-fn store_shipment(out: &mut Out, mut svc: ShipmentService) -> OmResult<()> {
-    for package in std::mem::take(&mut svc.packages) {
-        save(out, &row(PACKAGE, &[package.order.0, package.id.0]), &package)?;
-    }
-    save(out, ROOT, &svc)
-}
-
-/// Head of a seller's open-orders index: the order `deliver_oldest_order`
-/// would pick over the whole package history, `min (shipped_at, order)`.
-fn oldest_open(state: StateView<'_>) -> OmResult<Option<(EventTime, OrderId)>> {
-    match state.prefix(&[OPEN]).next() {
-        Some((name, _)) => Ok(Some((
-            EventTime(row_id(name, 0)?),
-            OrderId(row_id(name, 1)?),
-        ))),
-        None => Ok(None),
-    }
 }
 
 fn shipment_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
@@ -887,7 +693,7 @@ fn shipment_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmR
     // The header row is the service with no packages in it; each message
     // loads the packages of the one order it concerns.
     let mut svc: ShipmentService =
-        load(state.get(ROOT))?.unwrap_or_else(|| ShipmentService::new(seller));
+        load_root(&state)?.unwrap_or_else(|| ShipmentService::new(seller));
     match msg {
         DfMsg::CreatePackages {
             shipment,
@@ -897,10 +703,8 @@ fn shipment_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmR
             at,
             ..
         } => {
-            if !svc.create_packages(shipment, order, customer, &lines, at).is_empty() {
-                out.put_row(row(OPEN, &[at.0, order.0]), Vec::new());
-            }
-            store_shipment(out, svc)?;
+            svc.create_packages(shipment, order, customer, &lines, at);
+            svc.store_rows(out)?;
             out.send(
                 addr(kinds::ORDER, customer.0),
                 DfMsg::SetStatus {
@@ -918,37 +722,26 @@ fn shipment_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmR
             );
         }
         DfMsg::OldestQuery { tid } => {
+            let oldest = ShipmentService::oldest_open(&state)?.map(|(shipped_at, _)| shipped_at);
             out.send(
                 addr(DELIVERY_FN, tid.0),
                 DfMsg::OldestReply {
                     tid,
                     seller,
-                    oldest: oldest_open(state)?.map(|(shipped_at, _)| shipped_at),
+                    oldest,
                 },
             );
         }
         DfMsg::DeliverOldest { tid, at } => {
-            let mut packages = 0;
-            if let Some((_, oldest)) = oldest_open(state)? {
-                for (_, bytes) in state.prefix(&row(PACKAGE, &[oldest.0])) {
-                    svc.packages.push(decode(bytes)?);
-                }
+            if let Some((_, oldest)) = ShipmentService::oldest_open(&state)? {
+                svc.load_order(&state, oldest)?;
             }
+            let mut packages = 0;
             if let Some((order, pkgs)) = svc.deliver_oldest_order(at) {
                 packages = pkgs.len() as u32;
-                // The order leaves the open index under every shipping
-                // time its packages carry.
-                let shipped: BTreeSet<EventTime> =
-                    svc.packages.iter().map(|p| p.shipped_at).collect();
-                for shipped_at in shipped {
-                    out.delete_row(row(OPEN, &[shipped_at.0, order.0]));
-                }
-                store_shipment(out, svc)?;
+                svc.store_rows(out)?;
                 out.send(
-                    addr(
-                        kinds::ORDER,
-                        crate::bindings::actor_grains::customer_of_order(order).0,
-                    ),
+                    addr(kinds::ORDER, customer_of_order(order).0),
                     DfMsg::PackagesDelivered {
                         order,
                         packages,
@@ -981,63 +774,44 @@ fn seller_fn(_key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmRe
     // The header row is the view with no entries in it (profile and the
     // continuous aggregate); each message loads the entries of the one
     // order it concerns, so `SellerView`'s own methods maintain both.
-    let mut view = match (msg, load::<SellerView>(state.get(ROOT))?) {
-        (DfMsg::IngestSeller(s), _) => {
-            for (name, _) in state.prefix(&[ENTRY]) {
-                out.delete_row(name);
-            }
-            SellerView::new(s)
-        }
-        (DfMsg::AddEntry(entry), Some(mut view)) => {
+    if let DfMsg::IngestSeller(s) = msg {
+        SellerView::delete_entries(&state, out);
+        return store_root(out, &SellerView::new(s));
+    }
+    let Some(mut view) = load_root::<SellerView>(&state)? else {
+        return Ok(());
+    };
+    let delta = match msg {
+        DfMsg::AddEntry(entry) => {
+            let delta = SellerDelta::of(&view, [entry.order]);
             view.add_entry(entry);
-            view
+            delta
         }
-        (DfMsg::ApplyStatus { order, status }, Some(mut view)) => {
-            for (_, bytes) in state.prefix(&row(ENTRY, &[order.0])) {
-                let entry: OrderEntry = decode(bytes)?;
-                view.entries.insert((entry.order, entry.product.0), entry);
-            }
-            let loaded: Vec<(OrderId, u64)> = view.entries.keys().copied().collect();
+        DfMsg::ApplyStatus { order, status } => {
+            view.load_order(&state, order)?;
+            let delta = SellerDelta::of(&view, [order]);
             view.apply_status(order, status);
-            for retired in loaded.iter().filter(|k| !view.entries.contains_key(k)) {
-                out.delete_row(row(ENTRY, &[retired.0 .0, retired.1]));
-            }
-            view
+            delta
         }
         _ => return Ok(()),
     };
-    for ((order, product), entry) in std::mem::take(&mut view.entries) {
-        save(out, &row(ENTRY, &[order.0, product]), &entry)?;
-    }
-    save(out, ROOT, &view)
+    delta.store(&view, out)
 }
 
 fn customer_fn(_key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
-    let mut customer: Option<Customer> = load(state.get(ROOT))?;
-    match msg {
-        DfMsg::IngestCustomer(c) => {
-            save(out, ROOT, &c)?;
+    let customer: Option<Customer> = load_root(&state)?;
+    match (msg, customer) {
+        (DfMsg::IngestCustomer(c), _) => store_root(out, &c),
+        (DfMsg::PaymentResult { approved, amount }, Some(mut c)) => {
+            c.record_payment(approved, amount);
+            store_root(out, &c)
         }
-        DfMsg::PaymentResult { approved, amount } => {
-            if let Some(c) = customer.as_mut() {
-                if approved {
-                    c.success_payment_count += 1;
-                    c.total_spent += amount;
-                } else {
-                    c.failed_payment_count += 1;
-                }
-                save(out, ROOT, c)?;
-            }
+        (DfMsg::CustomerDelivery, Some(mut c)) => {
+            c.delivery_count += 1;
+            store_root(out, &c)
         }
-        DfMsg::CustomerDelivery => {
-            if let Some(c) = customer.as_mut() {
-                c.delivery_count += 1;
-                save(out, ROOT, c)?;
-            }
-        }
-        _ => {}
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 fn delivery_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
@@ -1061,10 +835,10 @@ fn delivery_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmR
             for s in sellers {
                 out.send(addr(kinds::SHIPMENT, s.0), DfMsg::OldestQuery { tid });
             }
-            save(out, ROOT, &st)?;
+            store_root(out, &st)?;
         }
         DfMsg::OldestReply { seller, oldest, .. } => {
-            let Some(mut st) = load::<DeliveryState>(state.get(ROOT))? else {
+            let Some(mut st) = load_root::<DeliveryState>(&state)? else {
                 return Ok(());
             };
             st.waiting_oldest -= 1;
@@ -1090,10 +864,10 @@ fn delivery_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmR
                     out.send(addr(kinds::SHIPMENT, s.0), DfMsg::DeliverOldest { tid, at });
                 }
             }
-            save(out, ROOT, &st)?;
+            store_root(out, &st)?;
         }
         DfMsg::DeliverReply { packages, .. } => {
-            let Some(mut st) = load::<DeliveryState>(state.get(ROOT))? else {
+            let Some(mut st) = load_root::<DeliveryState>(&state)? else {
                 return Ok(());
             };
             st.packages += packages;
@@ -1105,7 +879,7 @@ fn delivery_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmR
                 }));
                 out.clear_state();
             } else {
-                save(out, ROOT, &st)?;
+                store_root(out, &st)?;
             }
         }
         _ => {}
@@ -1365,39 +1139,21 @@ impl DataflowPlatform {
     }
 
     /// The committed header (or whole single-row state) of an address.
-    fn committed<T: DeserializeOwned>(&self, fn_type: &'static str, key: u64) -> Option<T> {
-        self.df
-            .state_of(addr(fn_type, key))
-            .and_then(|b| decode(&b).ok())
-    }
-
-    /// The committed rows of an address under `tag`, decoded, in row
-    /// order — one ordered scan.
-    fn committed_rows<T: DeserializeOwned>(
+    fn committed<T: DeserializeOwned>(
         &self,
         fn_type: &'static str,
         key: u64,
-        tag: u8,
-    ) -> Vec<T> {
-        self.df
-            .rows_of(addr(fn_type, key), &[tag])
-            .iter()
-            .filter_map(|(_, bytes)| decode(bytes).ok())
-            .collect()
+    ) -> OmResult<Option<T>> {
+        load_root(&StoredRows::root(self.df.state_of(addr(fn_type, key))))
     }
 
-    fn replica_view(&self, product: ProductId) -> Option<ProductReplica> {
-        self.committed(kinds::REPLICA, product.0)
-    }
-
-    fn product_view(&self, product: ProductId) -> Option<Product> {
-        self.committed(kinds::PRODUCT, product.0)
-    }
-
-    /// The seller's header row: profile and continuous aggregate, no
-    /// entries.
-    fn seller_header(&self, seller: SellerId) -> Option<SellerView> {
-        self.committed(kinds::SELLER, seller.0)
+    /// The committed rows of an address under `tag`, in row order — one
+    /// ordered scan.
+    fn committed_rows(&self, fn_type: &'static str, key: u64, tag: u8) -> StoredRows {
+        StoredRows {
+            root: None,
+            rows: self.df.rows_of(addr(fn_type, key), &[tag]),
+        }
     }
 }
 
@@ -1425,14 +1181,7 @@ impl MarketplacePlatform for DataflowPlatform {
     }
 
     fn unwedge(&self) -> Option<OmResult<crate::api::UnwedgeOutcome>> {
-        let backend = self.df.checkpoint_store().backend();
-        let was_wedged = backend.is_wedged();
-        let repair = backend.unwedge()?;
-        Some(repair.map(|torn| crate::api::UnwedgeOutcome {
-            was_wedged,
-            torn_bytes_dropped: torn,
-            healthy: !backend.is_wedged(),
-        }))
+        crate::api::unwedge_store(self.df.checkpoint_store().backend().as_ref())
     }
 
     fn ingest_seller(&self, seller: Seller) -> OmResult<()> {
@@ -1468,13 +1217,13 @@ impl MarketplacePlatform for DataflowPlatform {
     }
 
     fn add_to_cart(&self, customer: CustomerId, item: CheckoutItem) -> OmResult<()> {
-        let replica = self
-            .replica_view(item.product)
+        let replica: ProductReplica = self
+            .committed(kinds::REPLICA, item.product.0)?
             .ok_or_else(|| OmError::NotFound(format!("replica of {}", item.product)))?;
         if !replica.active {
             return Err(OmError::Rejected(format!("{} deleted", item.product)));
         }
-        if let Some(p) = self.product_view(item.product) {
+        if let Some(p) = self.committed::<Product>(kinds::PRODUCT, item.product.0)? {
             if replica.version < p.version {
                 self.counters.incr("stale_price_reads");
             }
@@ -1482,14 +1231,7 @@ impl MarketplacePlatform for DataflowPlatform {
         self.counters.incr("cart_adds");
         self.df.submit(
             addr(kinds::CART, customer.0),
-            DfMsg::CartAdd(CartItem {
-                seller: item.seller,
-                product: item.product,
-                quantity: item.quantity,
-                unit_price: replica.price,
-                freight_value: replica.freight_value,
-                product_version: replica.version,
-            }),
+            DfMsg::CartAdd(replica.cart_line(&item)),
         )
     }
 
@@ -1570,11 +1312,12 @@ impl MarketplacePlatform for DataflowPlatform {
     /// commit a checkpoint between them, so the halves can disagree — the
     /// consistent-querying criterion Statefun does not provide.
     fn seller_dashboard(&self, seller: SellerId) -> OmResult<SellerDashboard> {
-        let header = self
-            .seller_header(seller)
+        let header: SellerView = self
+            .committed(kinds::SELLER, seller.0)?
             .ok_or_else(|| OmError::NotFound(format!("{seller}")))?;
         let (amount, count) = header.aggregate();
-        let entries = self.committed_rows(kinds::SELLER, seller.0, ENTRY);
+        let entries =
+            rows::seller_entries(&self.committed_rows(kinds::SELLER, seller.0, rows::ENTRY))?;
         self.counters.incr("dashboards");
         Ok(SellerDashboard {
             seller: header.seller.id,
@@ -1595,10 +1338,9 @@ impl MarketplacePlatform for DataflowPlatform {
     fn snapshot(&self) -> OmResult<MarketSnapshot> {
         let mut snap = MarketSnapshot::default();
         for &p in self.catalog.products.read().iter() {
-            if let Some(prod) = self.product_view(p) {
-                snap.products.push(prod);
-            }
-            if let Some(s) = self.committed::<StockService>(kinds::STOCK, p.0) {
+            snap.products
+                .extend(self.committed::<Product>(kinds::PRODUCT, p.0)?);
+            if let Some(s) = self.committed::<StockService>(kinds::STOCK, p.0)? {
                 snap.stock.push(StockSnapshot {
                     item: s.item,
                     qty_sold: s.qty_sold,
@@ -1606,33 +1348,22 @@ impl MarketplacePlatform for DataflowPlatform {
             }
         }
         for &c in self.catalog.customers.read().iter() {
-            snap.stuck_assemblies += self
-                .df
-                .rows_of(addr(kinds::ORDER, c.0), &[PENDING])
-                .len() as u64;
-            snap.orders.extend(
-                self.committed_rows::<OrderRow>(kinds::ORDER, c.0, ORDER)
-                    .into_iter()
-                    .map(|r| r.order),
-            );
-            snap.payments
-                .extend(self.committed_rows::<Payment>(kinds::PAYMENT, c.0, PAYMENT));
-            snap.customers.extend(self.committed::<Customer>(kinds::CUSTOMER, c.0));
+            let pending = self.committed_rows(kinds::ORDER, c.0, rows::PENDING);
+            snap.stuck_assemblies += pending.rows.len() as u64;
+            let orders = self.committed_rows(kinds::ORDER, c.0, rows::ORDER);
+            snap.orders.extend(rows::orders(&orders)?);
+            let payments = self.committed_rows(kinds::PAYMENT, c.0, rows::PAYMENT);
+            snap.payments.extend(rows::payments(&payments)?);
+            snap.customers
+                .extend(self.committed::<Customer>(kinds::CUSTOMER, c.0)?);
         }
         for &s in self.catalog.sellers.read().iter() {
-            snap.sellers
-                .extend(self.seller_header(s).map(|header| header.seller));
-            snap.shipments.extend(
-                self.committed_rows::<Package>(kinds::SHIPMENT, s.0, PACKAGE)
-                    .iter()
-                    .map(|p| PackageSnapshot {
-                        order: p.order,
-                        seller: p.seller,
-                        product: p.product,
-                        delivered: p.status == om_common::entity::PackageStatus::Delivered,
-                        shipped_at: p.shipped_at.raw(),
-                    }),
-            );
+            let header = self.committed::<SellerView>(kinds::SELLER, s.0)?;
+            snap.sellers.extend(header.map(|header| header.seller));
+            let packages =
+                rows::packages(&self.committed_rows(kinds::SHIPMENT, s.0, rows::PACKAGE))?;
+            snap.shipments
+                .extend(packages.iter().map(PackageSnapshot::from));
         }
         Ok(snap)
     }

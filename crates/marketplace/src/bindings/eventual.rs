@@ -48,17 +48,11 @@ impl MarketplacePlatform for EventualPlatform {
     }
 
     fn is_wedged(&self) -> bool {
-        self.core.storage_is_wedged()
+        self.core.cluster.storage().backend().is_wedged()
     }
 
     fn unwedge(&self) -> Option<OmResult<crate::api::UnwedgeOutcome>> {
-        let was_wedged = self.core.storage_is_wedged();
-        let repair = self.core.storage_unwedge()?;
-        Some(repair.map(|torn| crate::api::UnwedgeOutcome {
-            was_wedged,
-            torn_bytes_dropped: torn,
-            healthy: !self.core.storage_is_wedged(),
-        }))
+        crate::api::unwedge_store(self.core.cluster.storage().backend().as_ref())
     }
 
     fn ingest_seller(&self, seller: Seller) -> OmResult<()> {

@@ -12,6 +12,16 @@
 //! workflow traverses the grains (asynchronous event cascade vs
 //! client-coordinated 2PC) — which is precisely the axis the paper
 //! evaluates.
+//!
+//! The dataflow functions and the row-keyed grains share one row format,
+//! [`crate::domain::rows`]; the impls below are how each runtime's state
+//! access plugs into it.
+
+use crate::domain::rows::{RowReader, RowWriter};
+use om_actor::GrainContext;
+use om_dataflow::{Effects, StateView};
+
+pub use crate::domain::rows::kinds;
 
 pub mod actor_core;
 pub mod actor_grains;
@@ -21,34 +31,39 @@ pub mod dataflow;
 pub mod eventual;
 pub mod transactional;
 
-// Row names of row-keyed state, shared by the dataflow functions and the
-// actor grains. An entity's header (or its whole state, when it does not
-// grow) is the row with the empty name; a growing aggregate adds one row
-// per entity under a tag byte followed by big-endian ids, so a prefix scan
-// of a tag returns rows in id order and a change touches only the rows of
-// the entities it names.
-pub(crate) const ROOT: &[u8] = b"";
-/// Seller: one row per `(order, product)` dashboard entry.
-pub(crate) const ENTRY: u8 = b'e';
-
-pub(crate) fn row(tag: u8, ids: &[u64]) -> Vec<u8> {
-    let mut name = Vec::with_capacity(1 + 8 * ids.len());
-    name.push(tag);
-    for id in ids {
-        name.extend_from_slice(&id.to_be_bytes());
+impl RowReader for StateView<'_> {
+    fn get(&self, row: &[u8]) -> Option<&[u8]> {
+        StateView::get(self, row)
     }
-    name
+
+    fn prefix<'a>(&'a self, prefix: &'a [u8]) -> impl Iterator<Item = (&'a [u8], &'a [u8])> {
+        let view: StateView<'a> = *self;
+        view.prefix(prefix)
+    }
 }
 
-/// Grain kind names shared by the actor bindings.
-pub mod kinds {
-    pub const PRODUCT: &str = "product";
-    pub const REPLICA: &str = "replica";
-    pub const STOCK: &str = "stock";
-    pub const CART: &str = "cart";
-    pub const ORDER: &str = "order";
-    pub const PAYMENT: &str = "payment";
-    pub const SHIPMENT: &str = "shipment";
-    pub const SELLER: &str = "seller";
-    pub const CUSTOMER: &str = "customer";
+impl<M> RowWriter for Effects<M> {
+    fn put_row(&mut self, row: Vec<u8>, bytes: Vec<u8>) {
+        Effects::put_row(self, row, bytes);
+    }
+
+    fn delete_row(&mut self, row: Vec<u8>) {
+        Effects::delete_row(self, row);
+    }
+}
+
+/// A grain's root row is its snapshot, so it goes through `persist`: the
+/// last one of a mailbox batch wins.
+impl<M> RowWriter for GrainContext<'_, M> {
+    fn put_row(&mut self, row: Vec<u8>, bytes: Vec<u8>) {
+        if row.is_empty() {
+            self.persist(bytes);
+        } else {
+            GrainContext::put_row(self, row, bytes);
+        }
+    }
+
+    fn delete_row(&mut self, row: Vec<u8>) {
+        GrainContext::delete_row(self, row);
+    }
 }

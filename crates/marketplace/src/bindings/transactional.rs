@@ -34,9 +34,7 @@
 
 use om_actor::tx::{Coordinator, Participants};
 use om_actor::{Cluster, GrainId};
-use om_common::entity::{
-    CartItem, Customer, OrderEntry, OrderStatus, Product, Seller, SellerDashboard,
-};
+use om_common::entity::{CartItem, Customer, OrderStatus, Product, Seller, SellerDashboard};
 use om_common::event::OrderLineRef;
 use om_common::ids::*;
 use om_common::{Money, OmError, OmResult};
@@ -50,6 +48,7 @@ use crate::api::{
     CheckoutItem, CheckoutOutcome, CheckoutRequest, MarketSnapshot, MarketplacePlatform,
     PlatformKind,
 };
+use crate::domain::order::customer_of_order;
 
 /// How many times a transaction restarts after wait-die kills or lock
 /// waits before giving up.
@@ -275,11 +274,7 @@ impl TransactionalPlatform {
             Reply::Payment(p) => p,
             other => return unexpected(other),
         };
-        let status = if payment.approved {
-            OrderStatus::Paid
-        } else {
-            OrderStatus::PaymentFailed
-        };
+        let status = payment.order_status();
 
         // One phase for everything the payment decides: the order's
         // status, confirming or releasing the reservations, the seller
@@ -299,24 +294,15 @@ impl TransactionalPlatform {
             };
             effects.push((stock_grain(item.product), msg));
         }
+        for entry in order.entries(status) {
+            effects.push((
+                seller_grain(entry.seller),
+                Msg::TxSellerAddEntry { tid, entry },
+            ));
+        }
         let mut lines_by_seller: BTreeMap<SellerId, Vec<OrderLineRef>> = BTreeMap::new();
-        for item in &order.items {
-            lines_by_seller.entry(item.seller).or_default().push(OrderLineRef {
-                seller: item.seller,
-                product: item.product,
-                quantity: item.quantity,
-                total_amount: item.total_amount,
-                freight_value: item.freight_value,
-            });
-            let entry = OrderEntry {
-                order: order.id,
-                seller: item.seller,
-                product: item.product,
-                quantity: item.quantity,
-                total_amount: item.total_amount,
-                status,
-            };
-            effects.push((seller_grain(item.seller), Msg::TxSellerAddEntry { tid, entry }));
+        for line in order.lines() {
+            lines_by_seller.entry(line.seller).or_default().push(line);
         }
         effects.push((
             customer_grain(request.customer),
@@ -412,17 +398,11 @@ impl MarketplacePlatform for TransactionalPlatform {
     }
 
     fn is_wedged(&self) -> bool {
-        self.core.storage_is_wedged()
+        self.core.cluster.storage().backend().is_wedged()
     }
 
     fn unwedge(&self) -> Option<OmResult<crate::api::UnwedgeOutcome>> {
-        let was_wedged = self.core.storage_is_wedged();
-        let repair = self.core.storage_unwedge()?;
-        Some(repair.map(|torn| crate::api::UnwedgeOutcome {
-            was_wedged,
-            torn_bytes_dropped: torn,
-            healthy: !self.core.storage_is_wedged(),
-        }))
+        crate::api::unwedge_store(self.core.cluster.storage().backend().as_ref())
     }
 
     fn ingest_seller(&self, seller: Seller) -> OmResult<()> {

@@ -4,13 +4,16 @@
 //! The four platform bindings wrap these structs in grains, stateful
 //! functions or transactional participants — the *business rules* are
 //! written exactly once, so behavioural differences measured by the
-//! benchmark stem from the platforms, not from divergent logic.
+//! benchmark stem from the platforms, not from divergent logic. The
+//! [`rows`] module is the one row format the stateful runtimes store these
+//! services in.
 
 pub mod cart;
 pub mod checkout;
 pub mod order;
 pub mod payment;
 pub mod replica;
+pub mod rows;
 pub mod seller_view;
 pub mod shipment;
 pub mod stock;

@@ -3,7 +3,7 @@
 //! ordering process, including assigning invoice numbers, assembling the
 //! items with stock confirmed, and calculating order totals").
 
-use om_common::entity::{CartItem, Order, OrderEntry, OrderItem, OrderStatus};
+use om_common::entity::{CartItem, Order, OrderItem, OrderStatus};
 use om_common::ids::{CustomerId, OrderId, TransactionId};
 use om_common::time::EventTime;
 use om_common::{Money, OmError, OmResult};
@@ -26,6 +26,11 @@ pub struct OrderService {
 
 /// Space reserved per customer in the order-id namespace.
 pub const ORDERS_PER_CUSTOMER: u64 = 1_000_000;
+
+/// The customer whose order service placed `order`.
+pub fn customer_of_order(order: OrderId) -> CustomerId {
+    CustomerId(order.0 / ORDERS_PER_CUSTOMER)
+}
 
 /// A checkout whose stock confirmations are still arriving.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -146,29 +151,6 @@ impl OrderService {
         order.updated_at = at;
         Ok(())
     }
-
-    /// In-progress order entries for `seller` (the dashboard detail query).
-    pub fn entries_for_seller(&self, seller: om_common::ids::SellerId) -> Vec<OrderEntry> {
-        let mut out = Vec::new();
-        for order in self.orders.values() {
-            if !order.status.in_progress() {
-                continue;
-            }
-            for item in &order.items {
-                if item.seller == seller {
-                    out.push(OrderEntry {
-                        order: order.id,
-                        seller,
-                        product: item.product,
-                        quantity: item.quantity,
-                        total_amount: item.total_amount,
-                        status: order.status,
-                    });
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -198,6 +180,8 @@ mod tests {
         assert_ne!(o1.id, o3.id);
         assert_eq!(o1.invoice, "INV-1-0");
         assert_eq!(o3.invoice, "INV-1-1");
+        assert_eq!(customer_of_order(o2.id), CustomerId(2));
+        assert_eq!(customer_of_order(o3.id), CustomerId(1));
     }
 
     #[test]
@@ -260,18 +244,5 @@ mod tests {
                 .label(),
             "not_found"
         );
-    }
-
-    #[test]
-    fn seller_entries_cover_only_in_progress_orders() {
-        let mut svc = OrderService::new(CustomerId(1));
-        let o1 = svc.create_order(&[item(1, 2, 100)], EventTime(1)).unwrap();
-        let o2 = svc.create_order(&[item(2, 1, 50)], EventTime(2)).unwrap();
-        svc.set_status(o2.id, OrderStatus::Delivered, EventTime(3)).unwrap();
-        let entries = svc.entries_for_seller(SellerId(3));
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].order, o1.id);
-        assert_eq!(entries[0].total_amount, Money::from_cents(200));
-        assert!(svc.entries_for_seller(SellerId(99)).is_empty());
     }
 }

@@ -2,6 +2,8 @@
 //! (paper §II: "we define different correctness semantics for Product
 //! replication to Cart, including eventual and causal replication").
 
+use crate::api::CheckoutItem;
+use om_common::entity::{CartItem, Product};
 use om_common::Money;
 use serde::{Deserialize, Serialize};
 
@@ -50,6 +52,29 @@ impl ProductReplica {
     /// The lookup tuple used by checkout reconciliation.
     pub fn as_lookup(&self) -> (Money, u64, bool) {
         (self.price, self.version, self.active)
+    }
+
+    /// The cart line for `item`, priced at this replica's offer.
+    pub fn cart_line(&self, item: &CheckoutItem) -> CartItem {
+        CartItem {
+            seller: item.seller,
+            product: item.product,
+            quantity: item.quantity,
+            unit_price: self.price,
+            freight_value: self.freight_value,
+            product_version: self.version,
+        }
+    }
+}
+
+impl From<&Product> for ProductReplica {
+    fn from(product: &Product) -> Self {
+        Self {
+            price: product.price,
+            freight_value: product.freight_value,
+            version: product.version,
+            active: product.active,
+        }
     }
 }
 

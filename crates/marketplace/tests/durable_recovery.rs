@@ -367,3 +367,59 @@ fn wedged_ingress_log_fails_dataflow_writes_with_a_typed_error() {
     assert_eq!(dash.in_progress_count, 1, "committed state still reads");
     assert_eq!(platform.snapshot().unwrap().orders.len(), 1);
 }
+
+/// Every binding's `unwedge` repairs the store it commits to: a failed
+/// fsync wedges a `file_durable` backend under each of the four bindings,
+/// the binding reports it, and one `unwedge` makes the store healthy
+/// again. Over a memory backend there is nothing to repair.
+#[test]
+fn every_binding_unwedges_the_store_it_commits_to() {
+    use om_marketplace::UnwedgeOutcome;
+    use om_storage::{FaultVfs, FileBackend, FileBackendOptions, StateBackend, WriteBatch};
+    use std::sync::Arc;
+
+    for kind in [
+        PlatformKind::Dataflow,
+        PlatformKind::Eventual,
+        PlatformKind::Transactional,
+        PlatformKind::Customized,
+    ] {
+        let dir = scratch("unwedge");
+        let _guard = DirGuard(dir.clone());
+        let vfs = FaultVfs::new(0x0DD);
+        let options = FileBackendOptions {
+            sync_commits: true,
+            snapshot_every: 0,
+            ..Default::default()
+        };
+        let backend =
+            Arc::new(FileBackend::open_with_vfs(&dir, options, Arc::new(vfs.clone())).unwrap());
+        let spec = PlatformSpec::new(kind, BackendKind::FileDurable).parallelism(2);
+        let platform = build_platform(&spec.backend_instance(backend.clone()));
+        assert!(!platform.is_wedged(), "{kind:?}");
+        // The next fsync fails, wedging the store under the commit that
+        // takes it.
+        let _ = vfs.clone().fail_nth_sync(vfs.syncs_seen() + 1);
+        let probe = WriteBatch::new().put(b"probe".to_vec(), b"x".to_vec());
+        assert_eq!(
+            backend.commit(probe).unwrap_err().label(),
+            "wedged",
+            "{kind:?}"
+        );
+        assert!(platform.is_wedged(), "{kind:?}");
+        assert!(
+            matches!(
+                platform.unwedge(),
+                Some(Ok(UnwedgeOutcome {
+                    was_wedged: true,
+                    healthy: true,
+                    ..
+                }))
+            ),
+            "{kind:?}"
+        );
+        assert!(!platform.is_wedged(), "{kind:?}");
+        let memory = build_platform(&PlatformSpec::new(kind, BackendKind::SnapshotIsolation));
+        assert!(memory.unwedge().is_none(), "{kind:?}");
+    }
+}
