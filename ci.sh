@@ -22,8 +22,9 @@
 #     platform rebuild), and so does http_gateway (it asserts the
 #     status of every endpoint through the HTTP engine),
 #   * the shim crates' own unit tests run via --workspace,
-#   * rustdoc must build warning-free (om_storage, om_dataflow, om_log
-#     and om_kv additionally deny missing docs at the crate level),
+#   * rustdoc must build warning-free (om_storage, om_dataflow, om_log,
+#     om_kv and om_mvcc additionally deny missing docs at the crate
+#     level),
 #   * the crash-consistency torture slice (docs/FAULTS.md) runs inside
 #     `cargo test --workspace` — the storage/log/driver `torture`
 #     targets sweep power loss over recorded write boundaries with a

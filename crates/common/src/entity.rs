@@ -337,24 +337,6 @@ pub struct Package {
     pub delivered_at: Option<EventTime>,
 }
 
-/// A shipment created upon successful payment (Shipment microservice state).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Shipment {
-    pub id: ShipmentId,
-    pub order: OrderId,
-    pub customer: CustomerId,
-    pub packages: Vec<Package>,
-    pub created_at: EventTime,
-}
-
-impl Shipment {
-    pub fn all_delivered(&self) -> bool {
-        self.packages
-            .iter()
-            .all(|p| p.status == PackageStatus::Delivered)
-    }
-}
-
 /// A customer profile with running statistics (Customer microservice state).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Customer {
@@ -559,31 +541,5 @@ mod tests {
             ..ok.clone()
         };
         assert!(!torn.is_snapshot_consistent());
-    }
-
-    #[test]
-    fn shipment_delivery_completion() {
-        let pkg = |status| Package {
-            id: PackageId(1),
-            shipment: ShipmentId(1),
-            order: OrderId(1),
-            seller: SellerId(1),
-            product: ProductId(1),
-            quantity: 1,
-            freight_value: Money::ZERO,
-            status,
-            shipped_at: EventTime(0),
-            delivered_at: None,
-        };
-        let mut sh = Shipment {
-            id: ShipmentId(1),
-            order: OrderId(1),
-            customer: CustomerId(1),
-            packages: vec![pkg(PackageStatus::Shipped), pkg(PackageStatus::Delivered)],
-            created_at: EventTime(0),
-        };
-        assert!(!sh.all_delivered());
-        sh.packages[0].status = PackageStatus::Delivered;
-        assert!(sh.all_delivered());
     }
 }

@@ -11,7 +11,7 @@
 
 use om_actor::tx::{LockMode, TxParticipant};
 use om_actor::{Cluster, FaultConfig, GrainContext, GrainId};
-use om_common::entity::{Customer, OrderStatus, PaymentMethod, Product};
+use om_common::entity::{Customer, OrderStatus, Product};
 use om_common::event::OrderLineRef;
 use om_common::ids::*;
 use om_common::{OmError, OmResult};
@@ -941,15 +941,4 @@ fn make_customer_grain(
             other => not_mine(ctx.id(), &other),
         }
     })
-}
-
-/// Payment method chosen deterministically from a customer id (used by
-/// bindings that need a default).
-pub fn default_method(customer: CustomerId) -> PaymentMethod {
-    match customer.0 % 4 {
-        0 => PaymentMethod::CreditCard,
-        1 => PaymentMethod::DebitCard,
-        2 => PaymentMethod::Boleto,
-        _ => PaymentMethod::Voucher,
-    }
 }

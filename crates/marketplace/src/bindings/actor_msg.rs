@@ -185,14 +185,6 @@ impl Reply {
             _ => Ok(()),
         }
     }
-
-    /// Extracts an error if present.
-    pub fn err(&self) -> Option<&OmError> {
-        match self {
-            Reply::Err(e) => Some(e),
-            _ => None,
-        }
-    }
 }
 
 /// Basis points helper: the driver's decline rate (f64) travels through

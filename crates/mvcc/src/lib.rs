@@ -24,12 +24,20 @@
 //! [`tx::TxManager::commit`]: validation, commit-timestamp assignment,
 //! version installation and oracle publication happen atomically, so any
 //! snapshot taken after a commit's timestamp observes *all* of the
-//! transaction's writes across *all* tables — never a torn subset.
+//! transaction's writes across *all* tables — never a torn subset. A
+//! transaction carries its own footprint (per table it touched: its
+//! buffered writes, and its read keys when serializable), so a commit
+//! validates and installs only in the tables its transaction touched,
+//! however many the manager holds. A snapshot costs an oracle registration
+//! at `begin` and a release at drop; reading through it touches only the
+//! tables it reads, and a read-only snapshot leaves no state in any table.
+
+#![deny(missing_docs)]
 
 pub mod oracle;
 pub mod table;
 pub mod tx;
 
 pub use oracle::{Timestamp, TsOracle};
-pub use table::{prefix_range, Table};
+pub use table::{prefix_range, PrefixRange, Table};
 pub use tx::{IsolationLevel, Tx, TxManager, TxOutcome};

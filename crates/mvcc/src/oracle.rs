@@ -19,6 +19,7 @@ pub struct TsOracle {
 }
 
 impl TsOracle {
+    /// An oracle at timestamp `0` with no active snapshot.
     pub fn new() -> Self {
         Self::default()
     }

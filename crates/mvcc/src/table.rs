@@ -1,9 +1,11 @@
 //! Versioned tables: typed key→row storage with version chains.
 
 use crate::oracle::Timestamp;
-use crate::tx::{Tx, TxId};
-use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use crate::tx::{TableFootprint, Tx};
+use parking_lot::RwLock;
+use std::any::Any;
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
@@ -14,46 +16,66 @@ struct Version<R> {
     data: Option<R>,
 }
 
-/// Type-erased interface the [`crate::tx::TxManager`] drives at commit,
-/// abort and GC time.
+/// Type-erased interface the [`crate::tx::TxManager`] drives at commit and
+/// GC time. A commit hands each table the footprint the transaction left
+/// in it, and only those tables.
 pub(crate) trait TableCore: Send + Sync {
-    /// First-committer-wins (+ read-set for serializable) validation.
-    fn validate(&self, tx: TxId, snapshot: Timestamp, serializable: bool) -> Result<(), String>;
-    /// Installs the transaction's buffered writes at `commit_ts`.
-    fn install(&self, tx: TxId, commit_ts: Timestamp) -> usize;
-    /// Drops any buffered state for the transaction.
-    fn discard(&self, tx: TxId);
+    /// First-committer-wins validation of the footprint's writes, plus its
+    /// reads when the transaction is serializable.
+    fn validate(
+        &self,
+        footprint: &(dyn Any + Send + Sync),
+        snapshot: Timestamp,
+    ) -> Result<(), String>;
+    /// Installs the footprint's writes at `commit_ts`; returns how many.
+    fn install(&self, footprint: TableFootprint, commit_ts: Timestamp) -> usize;
     /// Collects superseded versions older than `horizon`; returns how many
     /// versions were dropped.
     fn gc(&self, horizon: Timestamp) -> usize;
 }
 
+/// What one transaction did in one table, held by the [`Tx`] until it
+/// commits or drops.
+struct Footprint<K, R> {
+    /// Buffered writes; `None` is a delete.
+    writes: BTreeMap<K, Option<R>>,
+    /// Keys read; recorded only by serializable transactions.
+    reads: BTreeSet<K>,
+}
+
+impl<K, R> Default for Footprint<K, R> {
+    fn default() -> Self {
+        Self {
+            writes: BTreeMap::new(),
+            reads: BTreeSet::new(),
+        }
+    }
+}
+
 /// A typed, versioned table.
 ///
 /// Reads/writes go through a [`Tx`] handle obtained from the
-/// [`crate::tx::TxManager`]; writes are buffered per transaction and only
-/// become visible after a successful commit. Scans observe the
+/// [`crate::tx::TxManager`]; writes are buffered in the transaction and
+/// only become visible after a successful commit. Scans observe the
 /// transaction's snapshot — this is what makes the Seller Dashboard's two
 /// queries mutually consistent when issued inside one transaction.
 pub struct Table<K: Ord + Clone, R: Clone> {
+    /// Registry index: a transaction keys its footprint here by it.
+    index: usize,
     name: String,
     rows: RwLock<BTreeMap<K, Vec<Version<R>>>>,
-    /// Buffered writes per open transaction.
-    pending: Mutex<HashMap<TxId, BTreeMap<K, Option<R>>>>,
-    /// Keys read per open serializable transaction.
-    read_sets: Mutex<HashMap<TxId, BTreeSet<K>>>,
 }
 
 impl<K: Ord + Clone + Send + Sync + 'static, R: Clone + Send + Sync + 'static> Table<K, R> {
-    pub(crate) fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(index: usize, name: impl Into<String>) -> Self {
         Self {
+            index,
             name: name.into(),
             rows: RwLock::new(BTreeMap::new()),
-            pending: Mutex::new(HashMap::new()),
-            read_sets: Mutex::new(HashMap::new()),
         }
     }
 
+    /// The name the table was created with.
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -62,24 +84,27 @@ impl<K: Ord + Clone + Send + Sync + 'static, R: Clone + Send + Sync + 'static> T
         versions.iter().rev().find(|v| v.ts <= snapshot)
     }
 
-    fn track_read(&self, tx: &Tx, key: &K) {
-        if tx.is_serializable() {
-            self.read_sets
-                .lock()
-                .entry(tx.id())
-                .or_default()
-                .insert(key.clone());
-        }
-    }
-
     /// Reads `key` as of the transaction's snapshot, observing the
     /// transaction's own uncommitted writes first.
-    pub fn get(&self, tx: &Tx, key: &K) -> Option<R> {
-        self.track_read(tx, key);
-        if let Some(writes) = self.pending.lock().get(&tx.id()) {
-            if let Some(own) = writes.get(key) {
-                return own.clone();
-            }
+    pub fn get<Q>(&self, tx: &Tx, key: &Q) -> Option<R>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ToOwned<Owned = K> + ?Sized,
+    {
+        let own = if tx.is_serializable() {
+            tx.touch(self.index, |fp: &mut Footprint<K, R>| {
+                if !fp.reads.contains(key) {
+                    fp.reads.insert(key.to_owned());
+                }
+                fp.writes.get(key).cloned()
+            })
+        } else {
+            tx.footprint(self.index, |fp: Option<&mut Footprint<K, R>>| {
+                fp?.writes.get(key).cloned()
+            })
+        };
+        if let Some(own) = own {
+            return own;
         }
         let rows = self.rows.read();
         rows.get(key)
@@ -89,56 +114,70 @@ impl<K: Ord + Clone + Send + Sync + 'static, R: Clone + Send + Sync + 'static> T
 
     /// Buffers an insert/update of `key`.
     pub fn put(&self, tx: &Tx, key: K, row: R) {
-        tx.assert_open();
-        self.pending
-            .lock()
-            .entry(tx.id())
-            .or_default()
-            .insert(key, Some(row));
+        self.write(tx, key, Some(row));
     }
 
     /// Buffers a deletion of `key`.
     pub fn delete(&self, tx: &Tx, key: K) {
+        self.write(tx, key, None);
+    }
+
+    fn write(&self, tx: &Tx, key: K, data: Option<R>) {
         tx.assert_open();
-        self.pending
-            .lock()
-            .entry(tx.id())
-            .or_default()
-            .insert(key, None);
+        tx.touch(self.index, |fp: &mut Footprint<K, R>| {
+            fp.writes.insert(key, data);
+        });
     }
 
     /// Snapshot scan over a key range, yielding live rows that satisfy
     /// `pred`. The transaction's own writes shadow committed rows. `pred`
-    /// sees the row by reference: only rows it accepts are cloned.
-    pub fn scan_filter<B, F>(&self, tx: &Tx, range: B, mut pred: F) -> Vec<(K, R)>
+    /// sees the row by reference: only rows it accepts are cloned. The
+    /// range may be over a borrowed form of the key (`[u8]` for
+    /// `Vec<u8>`).
+    pub fn scan_filter<Q, B, F>(&self, tx: &Tx, range: B, mut pred: F) -> Vec<(K, R)>
     where
-        B: RangeBounds<K>,
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+        B: RangeBounds<Q>,
         F: FnMut(&K, &R) -> bool,
     {
-        let own = self.pending.lock().get(&tx.id()).cloned();
+        let bounds = (range.start_bound(), range.end_bound());
+        // Copied out so `pred` runs with the transaction unlocked.
+        let own: BTreeMap<K, Option<R>> =
+            tx.footprint(self.index, |fp: Option<&mut Footprint<K, R>>| {
+                fp.map(|fp| {
+                    fp.writes
+                        .range(bounds)
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect()
+                })
+                .unwrap_or_default()
+            });
         let rows = self.rows.read();
         let mut out = Vec::new();
-        for (k, chain) in rows.range((range.start_bound(), range.end_bound())) {
-            let effective = match own.as_ref().and_then(|writes| writes.get(k)) {
+        for (k, chain) in rows.range(bounds) {
+            let effective = match own.get::<K>(k) {
                 Some(own_write) => own_write.as_ref(),
                 None => Self::visible(chain, tx.snapshot()).and_then(|v| v.data.as_ref()),
             };
             if let Some(r) = effective {
                 if pred(k, r) {
-                    self.track_read(tx, k);
                     out.push((k.clone(), r.clone()));
                 }
             }
         }
-        // Own inserts on keys never committed are missed by rows.range();
-        // add the ones inside the range here and restore key order.
         let committed = out.len();
-        for (k, v) in own.into_iter().flatten() {
-            if range.contains(&k) && !rows.contains_key(&k) {
-                if let Some(r) = v {
-                    if pred(&k, &r) {
-                        out.push((k, r));
-                    }
+        if tx.is_serializable() && committed > 0 {
+            tx.touch(self.index, |fp: &mut Footprint<K, R>| {
+                fp.reads.extend(out.iter().map(|(k, _)| k.clone()));
+            });
+        }
+        // Own inserts on keys never committed are missed by rows.range();
+        // add them here and restore key order.
+        for (k, v) in own {
+            if let Some(r) = v {
+                if !rows.contains_key::<K>(&k) && pred(&k, &r) {
+                    out.push((k, r));
                 }
             }
         }
@@ -150,7 +189,7 @@ impl<K: Ord + Clone + Send + Sync + 'static, R: Clone + Send + Sync + 'static> T
 
     /// Full-table snapshot scan with a predicate.
     pub fn scan<F: FnMut(&K, &R) -> bool>(&self, tx: &Tx, pred: F) -> Vec<(K, R)> {
-        self.scan_filter(tx, .., pred)
+        self.scan_filter::<K, _, _>(tx, .., pred)
     }
 
     /// Number of live rows at the given transaction's snapshot.
@@ -170,85 +209,92 @@ impl<K: Ord + Clone + Send + Sync + 'static, R: Clone + Send + Sync + 'static> T
     }
 }
 
+/// The key range holding exactly the keys that start with a prefix, for
+/// [`Table::scan_filter`] over `Vec<u8>` keys; see [`prefix_range`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PrefixRange<'a> {
+    prefix: &'a [u8],
+    /// The first key after every key with the prefix; `None` when no such
+    /// key exists (empty or all-`0xFF` prefix).
+    successor: Option<Vec<u8>>,
+}
+
+impl RangeBounds<[u8]> for PrefixRange<'_> {
+    fn start_bound(&self) -> Bound<&[u8]> {
+        Bound::Included(self.prefix)
+    }
+
+    fn end_bound(&self) -> Bound<&[u8]> {
+        match &self.successor {
+            Some(successor) => Bound::Excluded(successor),
+            None => Bound::Unbounded,
+        }
+    }
+}
+
 /// The key range holding exactly the keys that start with `prefix`, for
 /// [`Table::scan_filter`]: a prefix scan over it costs the rows it
-/// returns, however many keys sort after the prefix. The range ends
-/// before the prefix's successor — trailing `0xFF` bytes dropped, the
-/// last remaining byte incremented — and is unbounded only when no such
-/// successor exists (empty or all-`0xFF` prefix).
-pub fn prefix_range(prefix: &[u8]) -> (Bound<Vec<u8>>, Bound<Vec<u8>>) {
-    let end = match prefix.iter().rposition(|&b| b != 0xFF) {
-        Some(last) => {
-            let mut successor = prefix[..=last].to_vec();
-            successor[last] += 1;
-            Bound::Excluded(successor)
-        }
-        None => Bound::Unbounded,
-    };
-    (Bound::Included(prefix.to_vec()), end)
+/// returns, however many keys sort after the prefix. The range borrows
+/// `prefix` as its start and ends before the prefix's successor —
+/// trailing `0xFF` bytes dropped, the last remaining byte incremented —
+/// and is unbounded only when no such successor exists (empty or
+/// all-`0xFF` prefix).
+pub fn prefix_range(prefix: &[u8]) -> PrefixRange<'_> {
+    let successor = prefix.iter().rposition(|&b| b != 0xFF).map(|last| {
+        let mut successor = prefix[..=last].to_vec();
+        successor[last] += 1;
+        successor
+    });
+    PrefixRange { prefix, successor }
 }
 
 impl<K: Ord + Clone + Send + Sync + 'static, R: Clone + Send + Sync + 'static> TableCore
     for Table<K, R>
 {
-    fn validate(&self, tx: TxId, snapshot: Timestamp, serializable: bool) -> Result<(), String> {
-        let pending = self.pending.lock();
+    fn validate(
+        &self,
+        footprint: &(dyn Any + Send + Sync),
+        snapshot: Timestamp,
+    ) -> Result<(), String> {
+        let fp: &Footprint<K, R> = footprint
+            .downcast_ref()
+            .expect("a table validates only the footprint it made");
         let rows = self.rows.read();
-        if let Some(writes) = pending.get(&tx) {
-            for key in writes.keys() {
-                if let Some(chain) = rows.get(key) {
-                    if let Some(newest) = chain.last() {
-                        if newest.ts > snapshot {
-                            return Err(format!(
-                                "write-write conflict in {} (version {} > snapshot {})",
-                                self.name, newest.ts, snapshot
-                            ));
-                        }
-                    }
-                }
-            }
+        let newer = |key: &K| {
+            rows.get(key)
+                .and_then(|chain| chain.last())
+                .map(|newest| newest.ts)
+                .filter(|&ts| ts > snapshot)
+        };
+        if let Some(ts) = fp.writes.keys().find_map(newer) {
+            return Err(format!(
+                "write-write conflict in {} (version {ts} > snapshot {snapshot})",
+                self.name
+            ));
         }
-        if serializable {
-            if let Some(reads) = self.read_sets.lock().get(&tx) {
-                for key in reads {
-                    if let Some(chain) = rows.get(key) {
-                        if let Some(newest) = chain.last() {
-                            if newest.ts > snapshot {
-                                return Err(format!(
-                                    "read-write conflict in {} (version {} > snapshot {})",
-                                    self.name, newest.ts, snapshot
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
+        if let Some(ts) = fp.reads.iter().find_map(newer) {
+            return Err(format!(
+                "read-write conflict in {} (version {ts} > snapshot {snapshot})",
+                self.name
+            ));
         }
         Ok(())
     }
 
-    fn install(&self, tx: TxId, commit_ts: Timestamp) -> usize {
-        let writes = match self.pending.lock().remove(&tx) {
-            Some(w) => w,
-            None => {
-                self.read_sets.lock().remove(&tx);
-                return 0;
+    fn install(&self, footprint: TableFootprint, commit_ts: Timestamp) -> usize {
+        let fp = footprint
+            .downcast::<Footprint<K, R>>()
+            .expect("a table installs only the footprint it made");
+        let count = fp.writes.len();
+        if count > 0 {
+            let mut rows = self.rows.write();
+            for (key, data) in fp.writes {
+                rows.entry(key)
+                    .or_default()
+                    .push(Version { ts: commit_ts, data });
             }
-        };
-        self.read_sets.lock().remove(&tx);
-        let count = writes.len();
-        let mut rows = self.rows.write();
-        for (key, data) in writes {
-            rows.entry(key)
-                .or_default()
-                .push(Version { ts: commit_ts, data });
         }
         count
-    }
-
-    fn discard(&self, tx: TxId) {
-        self.pending.lock().remove(&tx);
-        self.read_sets.lock().remove(&tx);
     }
 
     fn gc(&self, horizon: Timestamp) -> usize {
@@ -295,12 +341,16 @@ mod tests {
 
     #[test]
     fn prefix_range_ends_at_the_successor() {
-        let end = |p: &[u8]| prefix_range(p).1;
+        let end = |p: &[u8]| prefix_range(p).end_bound().map(<[u8]>::to_vec);
         assert_eq!(end(b"ab"), Bound::Excluded(b"ac".to_vec()));
         assert_eq!(end(&[b'a', 0xFF]), Bound::Excluded(vec![b'b']));
         assert_eq!(end(&[b'a', 0xFF, 0xFF]), Bound::Excluded(vec![b'b']));
         assert_eq!(end(&[]), Bound::Unbounded);
         assert_eq!(end(&[0xFF, 0xFF]), Bound::Unbounded);
+        assert_eq!(
+            prefix_range(b"ab").start_bound(),
+            Bound::Included(&b"ab"[..])
+        );
     }
 
     #[test]
@@ -340,6 +390,36 @@ mod tests {
             clones.load(Ordering::Relaxed),
             100,
             "a rejected row is not cloned"
+        );
+    }
+
+    #[test]
+    fn a_read_only_snapshot_leaves_no_footprint() {
+        let mgr = TxManager::new();
+        let t = mgr.create_table::<Vec<u8>, u32>("t");
+        mgr.run(IsolationLevel::Snapshot, 0, |tx| {
+            t.put(tx, b"a/1".to_vec(), 1);
+            Ok(())
+        })
+        .unwrap();
+        let tx = mgr.begin(IsolationLevel::Snapshot);
+        assert_eq!(t.get(&tx, &b"a/1"[..]), Some(1));
+        assert_eq!(
+            t.scan_filter(&tx, prefix_range(b"a/"), |_, _| true).len(),
+            1
+        );
+        type Bytes = Footprint<Vec<u8>, u32>;
+        assert!(
+            tx.footprint(t.index, |fp: Option<&mut Bytes>| fp.is_none()),
+            "a snapshot read touches no table's write state"
+        );
+        let serializable = mgr.begin(IsolationLevel::Serializable);
+        assert_eq!(t.get(&serializable, &b"a/2"[..]), None);
+        assert!(
+            serializable.footprint(t.index, |fp: Option<&mut Bytes>| {
+                fp.is_some_and(|fp| fp.writes.is_empty() && fp.reads.len() == 1)
+            }),
+            "a serializable read records its key, even an absent one"
         );
     }
 }

@@ -4,6 +4,7 @@ use crate::oracle::{Timestamp, TsOracle};
 use crate::table::{DynTable, Table};
 use om_common::{OmError, OmResult};
 use parking_lot::Mutex;
+use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -22,31 +23,45 @@ pub enum IsolationLevel {
     Serializable,
 }
 
+/// A transaction's footprint in one table — its buffered writes and, when
+/// serializable, the keys it read. Type-erased so one [`Tx`] can carry
+/// footprints in tables of different key and row types; the table that
+/// made it is the one that reads it back.
+pub(crate) type TableFootprint = Box<dyn Any + Send + Sync>;
+
 /// An open transaction handle.
 ///
-/// Dropping an uncommitted transaction aborts it (releases its snapshot
-/// and discards buffered writes).
+/// The transaction owns its footprint: for each table it touched, that
+/// table's registry index and what it wrote (and read, if serializable)
+/// there. Dropping an uncommitted transaction aborts it — it releases its
+/// snapshot, and its footprint goes with it; no table is visited.
 pub struct Tx {
     id: TxId,
     snapshot: Timestamp,
     isolation: IsolationLevel,
     manager: Arc<TxManagerInner>,
     finished: AtomicBool,
+    footprint: Mutex<Vec<(usize, TableFootprint)>>,
 }
 
 impl Tx {
+    /// The transaction's process-local identifier.
     pub fn id(&self) -> TxId {
         self.id
     }
 
+    /// The commit timestamp the transaction reads at: it sees every
+    /// commit at or before it and none after.
     pub fn snapshot(&self) -> Timestamp {
         self.snapshot
     }
 
+    /// The isolation level the transaction was opened with.
     pub fn isolation(&self) -> IsolationLevel {
         self.isolation
     }
 
+    /// Whether the transaction validates its reads at commit.
     pub fn is_serializable(&self) -> bool {
         self.isolation == IsolationLevel::Serializable
     }
@@ -57,12 +72,50 @@ impl Tx {
             "operation on finished transaction"
         );
     }
+
+    /// Runs `f` on the transaction's footprint in table `table`, or on
+    /// `None` if it has not touched that table.
+    pub(crate) fn footprint<F: 'static, O>(
+        &self,
+        table: usize,
+        f: impl FnOnce(Option<&mut F>) -> O,
+    ) -> O {
+        let mut footprint = self.footprint.lock();
+        f(footprint
+            .iter_mut()
+            .find(|(t, _)| *t == table)
+            .map(|(_, fp)| downcast(fp)))
+    }
+
+    /// Runs `f` on the transaction's footprint in table `table`, creating
+    /// an empty one on first touch.
+    pub(crate) fn touch<F: Default + Send + Sync + 'static, O>(
+        &self,
+        table: usize,
+        f: impl FnOnce(&mut F) -> O,
+    ) -> O {
+        let mut footprint = self.footprint.lock();
+        let at = match footprint.iter().position(|(t, _)| *t == table) {
+            Some(at) => at,
+            None => {
+                footprint.push((table, Box::new(F::default())));
+                footprint.len() - 1
+            }
+        };
+        f(downcast(&mut footprint[at].1))
+    }
+}
+
+fn downcast<F: 'static>(footprint: &mut TableFootprint) -> &mut F {
+    footprint
+        .downcast_mut()
+        .expect("a table reads back only the footprint it made")
 }
 
 impl Drop for Tx {
     fn drop(&mut self) {
         if !self.finished.swap(true, Ordering::Relaxed) {
-            self.manager.abort_inner(self.id, self.snapshot);
+            self.manager.abort_inner(self.snapshot);
         }
     }
 }
@@ -70,6 +123,7 @@ impl Drop for Tx {
 /// Outcome of a successful commit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxOutcome {
+    /// The timestamp the transaction's writes were installed at.
     pub commit_ts: Timestamp,
     /// Number of row versions installed.
     pub writes: usize,
@@ -77,6 +131,7 @@ pub struct TxOutcome {
 
 struct TxManagerInner {
     oracle: TsOracle,
+    /// Every table, at its registry index.
     tables: Mutex<Vec<DynTable>>,
     /// Serializes validate→assign→install→publish. See crate docs.
     commit_mutex: Mutex<()>,
@@ -86,10 +141,7 @@ struct TxManagerInner {
 }
 
 impl TxManagerInner {
-    fn abort_inner(&self, tx: TxId, snapshot: Timestamp) {
-        for t in self.tables.lock().iter() {
-            t.discard(tx);
-        }
+    fn abort_inner(&self, snapshot: Timestamp) {
         self.oracle.release_snapshot(snapshot);
         self.aborts.fetch_add(1, Ordering::Relaxed);
     }
@@ -97,9 +149,11 @@ impl TxManagerInner {
 
 /// The multi-table transaction manager.
 ///
-/// Tables are created through [`TxManager::create_table`] so the manager
-/// can drive validation, installation and GC across every table a
-/// transaction touched.
+/// Tables are created through [`TxManager::create_table`], which gives
+/// each its registry index; a transaction records its footprint by that
+/// index, and a commit validates and installs in exactly the tables it
+/// touched. A table is only used with transactions of the manager that
+/// created it.
 #[derive(Clone)]
 pub struct TxManager {
     inner: Arc<TxManagerInner>,
@@ -112,6 +166,7 @@ impl Default for TxManager {
 }
 
 impl TxManager {
+    /// A manager with no tables, whose oracle has published nothing.
     pub fn new() -> Self {
         Self {
             inner: Arc::new(TxManagerInner {
@@ -131,8 +186,9 @@ impl TxManager {
         K: Ord + Clone + Send + Sync + 'static,
         R: Clone + Send + Sync + 'static,
     {
-        let table = Arc::new(Table::new(name));
-        self.inner.tables.lock().push(table.clone());
+        let mut tables = self.inner.tables.lock();
+        let table = Arc::new(Table::new(tables.len(), name));
+        tables.push(table.clone());
         table
     }
 
@@ -145,31 +201,38 @@ impl TxManager {
             isolation,
             manager: self.inner.clone(),
             finished: AtomicBool::new(false),
+            footprint: Mutex::new(Vec::new()),
         }
     }
 
-    /// Commits `tx`, validating against every registered table.
+    /// Commits `tx`, validating and installing in the tables it touched.
     ///
     /// On conflict returns [`OmError::Conflict`] and the transaction is
     /// fully aborted (buffered writes discarded, snapshot released).
     pub fn commit(&self, tx: Tx) -> OmResult<TxOutcome> {
         tx.assert_open();
-        let serializable = tx.is_serializable();
+        debug_assert!(
+            Arc::ptr_eq(&tx.manager, &self.inner),
+            "a transaction commits through the manager that began it"
+        );
+        let footprint = std::mem::take(&mut *tx.footprint.lock());
         let guard = self.inner.commit_mutex.lock();
-        let tables = self.inner.tables.lock().clone();
-        for t in &tables {
-            if let Err(reason) = t.validate(tx.id(), tx.snapshot(), serializable) {
+        let tables = self.inner.tables.lock();
+        for (table, fp) in &footprint {
+            if let Err(reason) = tables[*table].validate(fp.as_ref(), tx.snapshot()) {
+                drop(tables);
                 drop(guard);
                 // Drop handler performs the abort.
                 return Err(OmError::Conflict(reason));
             }
         }
         let commit_ts = self.inner.oracle.next_commit_ts();
-        let mut writes = 0;
-        for t in &tables {
-            writes += t.install(tx.id(), commit_ts);
-        }
+        let writes = footprint
+            .into_iter()
+            .map(|(table, fp)| tables[table].install(fp, commit_ts))
+            .sum();
         self.inner.oracle.publish(commit_ts);
+        drop(tables);
         drop(guard);
         self.inner.oracle.release_snapshot(tx.snapshot());
         tx.finished.store(true, Ordering::Relaxed);
@@ -220,7 +283,9 @@ impl TxManager {
         self.inner.oracle.current()
     }
 
-    /// (commits, aborts) so far.
+    /// (commits, aborts) so far. A transaction dropped without a commit —
+    /// a read-only snapshot included — counts as an abort, as does a
+    /// commit that lost validation.
     pub fn stats(&self) -> (u64, u64) {
         (
             self.inner.commits.load(Ordering::Relaxed),

@@ -425,3 +425,187 @@ proptest! {
         prop_assert_eq!(before, after);
     }
 }
+
+// ---------------------------------------------------------------------
+// The transaction's footprint: commit, abort and drop visit only the
+// tables a transaction touched.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_commit_to_two_of_64_tables_is_atomic_to_a_concurrent_reader() {
+    let mgr = TxManager::new();
+    let tables: Vec<_> = (0..64)
+        .map(|i| mgr.create_table::<u64, u64>(format!("t{i}")))
+        .collect();
+    let (low, high) = (tables[3].clone(), tables[60].clone());
+    let stop = Arc::new(AtomicU64::new(0));
+    let writer = {
+        let (mgr, low, high, stop) = (mgr.clone(), low.clone(), high.clone(), stop.clone());
+        std::thread::spawn(move || {
+            for round in 1..=300u64 {
+                let tx = mgr.begin(IsolationLevel::Snapshot);
+                low.put(&tx, 0, round);
+                high.put(&tx, 0, round);
+                assert_eq!(mgr.commit(tx).unwrap().writes, 2);
+            }
+            stop.store(1, Ordering::Relaxed);
+        })
+    };
+    let mut checks = 0u64;
+    while stop.load(Ordering::Relaxed) == 0 || checks < 50 {
+        let tx = mgr.begin(IsolationLevel::Snapshot);
+        let (a, b) = (low.get(&tx, &0), high.get(&tx, &0));
+        assert_eq!(a, b, "torn read across tables 3 and 60");
+        checks += 1;
+    }
+    writer.join().unwrap();
+    let tx = mgr.begin(IsolationLevel::Snapshot);
+    for (i, t) in tables.iter().enumerate() {
+        let expected = if i == 3 || i == 60 { 1 } else { 0 };
+        assert_eq!(t.count(&tx), expected, "table {i}");
+    }
+}
+
+#[test]
+fn dropping_a_reader_between_a_put_and_its_commit_keeps_the_writes() {
+    let mgr = TxManager::new();
+    let t = mgr.create_table::<u64, i32>("t");
+    let writer = mgr.begin(IsolationLevel::Snapshot);
+    t.put(&writer, 1, 10);
+    t.delete(&writer, 2);
+    for isolation in [IsolationLevel::Snapshot, IsolationLevel::Serializable] {
+        let reader = mgr.begin(isolation);
+        assert_eq!(t.get(&reader, &1), None);
+        assert!(t.scan(&reader, |_, _| true).is_empty());
+        drop(reader);
+    }
+    assert_eq!(
+        t.get(&writer, &1),
+        Some(10),
+        "the writer still reads its own put"
+    );
+    let outcome = mgr.commit(writer).unwrap();
+    assert_eq!(outcome.writes, 2, "the put and the delete are installed");
+    let check = mgr.begin(IsolationLevel::Snapshot);
+    assert_eq!(t.get(&check, &1), Some(10));
+}
+
+#[test]
+fn serializable_rejects_a_write_in_one_table_after_a_read_in_another_was_overwritten() {
+    let mgr = TxManager::new();
+    let written = mgr.create_table::<u64, i64>("written");
+    let read = mgr.create_table::<u64, i64>("read");
+    mgr.run(IsolationLevel::Snapshot, 0, |tx| {
+        read.put(tx, 7, 1);
+        Ok(())
+    })
+    .unwrap();
+
+    let tx = mgr.begin(IsolationLevel::Serializable);
+    let seen = read.get(&tx, &7).unwrap();
+    written.put(&tx, 1, seen);
+    mgr.run(IsolationLevel::Snapshot, 0, |w| {
+        read.put(w, 7, 2);
+        Ok(())
+    })
+    .unwrap();
+    let err = mgr.commit(tx).unwrap_err();
+    assert_eq!(
+        err.label(),
+        "conflict",
+        "the read-only table's read is validated"
+    );
+    let check = mgr.begin(IsolationLevel::Snapshot);
+    assert_eq!(
+        written.get(&check, &1),
+        None,
+        "nothing of the loser is installed"
+    );
+
+    // The same history under snapshot isolation commits.
+    let tx = mgr.begin(IsolationLevel::Snapshot);
+    let seen = read.get(&tx, &7).unwrap();
+    written.put(&tx, 1, seen);
+    mgr.run(IsolationLevel::Snapshot, 0, |w| {
+        read.put(w, 7, 3);
+        Ok(())
+    })
+    .unwrap();
+    mgr.commit(tx).expect("SI does not validate reads");
+}
+
+#[test]
+fn stats_and_active_snapshots_count_transactions_not_tables() {
+    let mgr = TxManager::new();
+    let tables: Vec<_> = (0..64)
+        .map(|i| mgr.create_table::<u64, u64>(format!("t{i}")))
+        .collect();
+    assert_eq!((mgr.stats(), mgr.active_snapshots()), ((0, 0), 0));
+
+    let writer = mgr.begin(IsolationLevel::Snapshot);
+    tables[5].put(&writer, 1, 1);
+    let reader = mgr.begin(IsolationLevel::Snapshot);
+    assert_eq!(tables[5].get(&reader, &1), None);
+    let serializable = mgr.begin(IsolationLevel::Serializable);
+    assert_eq!(tables[9].get(&serializable, &1), None);
+    assert_eq!(mgr.active_snapshots(), 3, "one per open transaction");
+
+    mgr.commit(writer).unwrap();
+    assert_eq!((mgr.stats(), mgr.active_snapshots()), ((1, 0), 2));
+    drop(reader);
+    assert_eq!((mgr.stats(), mgr.active_snapshots()), ((1, 1), 1));
+    mgr.abort(serializable);
+    assert_eq!((mgr.stats(), mgr.active_snapshots()), ((1, 2), 0));
+
+    // A commit that loses validation is one abort, not one per table.
+    let a = mgr.begin(IsolationLevel::Snapshot);
+    let b = mgr.begin(IsolationLevel::Snapshot);
+    for t in [&tables[0], &tables[63]] {
+        t.put(&a, 2, 2);
+        t.put(&b, 2, 3);
+    }
+    mgr.commit(a).unwrap();
+    assert!(mgr.commit(b).is_err());
+    assert_eq!((mgr.stats(), mgr.active_snapshots()), ((2, 3), 0));
+
+    // A read-only commit is still a commit and still publishes a timestamp.
+    let before = mgr.current_ts();
+    let tx = mgr.begin(IsolationLevel::Snapshot);
+    assert_eq!(tables[0].get(&tx, &2), Some(2));
+    let outcome = mgr.commit(tx).unwrap();
+    assert_eq!((outcome.commit_ts, outcome.writes), (before + 1, 0));
+    assert_eq!(mgr.stats(), (3, 3));
+}
+
+#[test]
+fn one_transaction_spans_tables_of_different_key_and_row_types() {
+    use std::ops::Bound::{Excluded, Included};
+    let mgr = TxManager::new();
+    let names = mgr.create_table::<String, Vec<u8>>("names");
+    let counts = mgr.create_table::<u64, i32>("counts");
+    let tx = mgr.begin(IsolationLevel::Serializable);
+    names.put(&tx, "a".to_string(), b"x".to_vec());
+    counts.put(&tx, 1, 5);
+    assert_eq!(
+        names.get(&tx, "a"),
+        Some(b"x".to_vec()),
+        "borrowed-key read"
+    );
+    assert_eq!(counts.get(&tx, &1), Some(5));
+    assert_eq!(mgr.commit(tx).unwrap().writes, 2);
+    let check = mgr.begin(IsolationLevel::Snapshot);
+    let a_to_b = (Included("a"), Excluded("b"));
+    assert_eq!(
+        names
+            .scan_filter::<str, _, _>(&check, a_to_b, |_, _| true)
+            .len(),
+        1
+    );
+    assert_eq!(counts.get(&check, &1), Some(5));
+}
+
+#[test]
+fn a_transaction_handle_is_send_and_sync() {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<om_mvcc::Tx>();
+}

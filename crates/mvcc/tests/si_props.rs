@@ -11,10 +11,13 @@
 //! * a transaction's reads are stable for its whole lifetime, whatever
 //!   commits around it;
 //! * GC never reclaims a version that an open snapshot can still see.
+//! * interleaved transactions over many tables — at most three open at
+//!   once, either isolation level — read, commit and conflict exactly as
+//!   a sequential model of the committed transactions says they should.
 
 use om_mvcc::{IsolationLevel, TxManager};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// One operation of a randomly generated transaction.
@@ -227,5 +230,226 @@ proptest! {
         let tx = mgr.begin(IsolationLevel::Snapshot);
         prop_assert_eq!(table.get(&tx, &key), Some(a));
         mgr.abort(tx);
+    }
+}
+
+/// Tables and keys per table in the interleaving model: small, so that
+/// open transactions often touch the same keys.
+const TABLES: usize = 8;
+const KEYS: u8 = 4;
+/// At most this many transactions are open at once.
+const SLOTS: usize = 3;
+
+/// One step of an interleaving: an operation of the transaction open in
+/// a slot (beginning one there, at the step's isolation, if none is).
+#[derive(Debug, Clone)]
+enum Step {
+    Put(usize, u8, u16),
+    Delete(usize, u8),
+    Get(usize, u8),
+    /// Range scan `from..to`; `true` keeps only even values.
+    Scan(usize, u8, u8, bool),
+    Commit,
+    Abort,
+    Drop,
+}
+
+fn step_strategy() -> impl Strategy<Value = (usize, bool, Step)> {
+    let step = prop_oneof![
+        4 => (0..TABLES, 0..KEYS, any::<u16>()).prop_map(|(t, k, v)| Step::Put(t, k, v)),
+        2 => (0..TABLES, 0..KEYS).prop_map(|(t, k)| Step::Delete(t, k)),
+        3 => (0..TABLES, 0..KEYS).prop_map(|(t, k)| Step::Get(t, k)),
+        2 => (0..TABLES, 0..KEYS, 0..=KEYS, any::<bool>())
+            .prop_map(|(t, from, len, even)| Step::Scan(t, from, (from + len).min(KEYS), even)),
+        3 => Just(Step::Commit),
+        1 => Just(Step::Abort),
+        1 => Just(Step::Drop),
+    ];
+    (0..SLOTS, any::<bool>(), step)
+}
+
+/// A (table, key) pair.
+type Cell = (usize, u8);
+
+/// The committed history, one commit at a time: `states[c]` is the
+/// database after `c` commits (what a snapshot at timestamp `c` sees) and
+/// `written[c]` the cells commit `c` wrote.
+struct History {
+    states: Vec<BTreeMap<Cell, u16>>,
+    written: Vec<BTreeSet<Cell>>,
+}
+
+/// What the model knows of one open transaction.
+struct Intent {
+    snapshot: usize,
+    serializable: bool,
+    writes: BTreeMap<Cell, Option<u16>>,
+    reads: BTreeSet<Cell>,
+}
+
+impl History {
+    fn now(&self) -> usize {
+        self.states.len() - 1
+    }
+
+    /// What `intent` reads at `cell`: its own write, else its snapshot.
+    fn read(&self, intent: &Intent, cell: Cell) -> Option<u16> {
+        match intent.writes.get(&cell) {
+            Some(own) => *own,
+            None => self.states[intent.snapshot].get(&cell).copied(),
+        }
+    }
+
+    /// First-committer-wins, plus read validation when serializable: a
+    /// transaction conflicts iff a commit after its snapshot wrote a cell
+    /// it wrote (or read).
+    fn conflicts(&self, intent: &Intent) -> bool {
+        self.written[intent.snapshot + 1..]
+            .iter()
+            .flatten()
+            .any(|cell| {
+                intent.writes.contains_key(cell)
+                    || (intent.serializable && intent.reads.contains(cell))
+            })
+    }
+
+    fn commit(&mut self, intent: &Intent) {
+        let mut state = self.states[self.now()].clone();
+        for (cell, value) in &intent.writes {
+            match value {
+                Some(v) => state.insert(*cell, *v),
+                None => state.remove(cell),
+            };
+        }
+        self.states.push(state);
+        self.written.push(intent.writes.keys().copied().collect());
+    }
+}
+
+/// Runs one interleaving against the engine and the model, checking every
+/// read, every commit's outcome, and after each finished transaction the
+/// committed state, `stats()` and `active_snapshots()`. Transactions still
+/// open at the end commit in slot order.
+fn check_interleaving(steps: Vec<(usize, bool, Step)>) -> Result<(), TestCaseError> {
+    let mgr = TxManager::new();
+    let tables: Vec<_> = (0..TABLES)
+        .map(|i| mgr.create_table::<u8, u16>(format!("t{i}")))
+        .collect();
+    let mut history = History {
+        states: vec![BTreeMap::new()],
+        written: vec![BTreeSet::new()],
+    };
+    let mut slots: Vec<Option<(om_mvcc::Tx, Intent)>> = (0..SLOTS).map(|_| None).collect();
+    let (mut commits, mut aborts) = (0u64, 0u64);
+
+    let finishers = (0..SLOTS).map(|slot| (slot, false, Step::Commit));
+    for (slot, serializable, step) in steps.into_iter().chain(finishers) {
+        let finishing = matches!(step, Step::Commit | Step::Abort | Step::Drop);
+        if slots[slot].is_none() {
+            if finishing {
+                continue;
+            }
+            let isolation = if serializable {
+                IsolationLevel::Serializable
+            } else {
+                IsolationLevel::Snapshot
+            };
+            let intent = Intent {
+                snapshot: history.now(),
+                serializable,
+                writes: BTreeMap::new(),
+                reads: BTreeSet::new(),
+            };
+            slots[slot] = Some((mgr.begin(isolation), intent));
+        }
+        let (tx, intent) = slots[slot].as_mut().unwrap();
+        match step {
+            Step::Put(t, k, v) => {
+                tables[t].put(tx, k, v);
+                intent.writes.insert((t, k), Some(v));
+            }
+            Step::Delete(t, k) => {
+                tables[t].delete(tx, k);
+                intent.writes.insert((t, k), None);
+            }
+            Step::Get(t, k) => {
+                let expected = history.read(intent, (t, k));
+                prop_assert_eq!(tables[t].get(tx, &k), expected, "get t{} k{}", t, k);
+                if intent.serializable {
+                    intent.reads.insert((t, k));
+                }
+            }
+            Step::Scan(t, from, to, even) => {
+                let keep = |v: &u16| !even || v.is_multiple_of(2);
+                let expected: Vec<(u8, u16)> = (from..to)
+                    .filter_map(|k| history.read(intent, (t, k)).map(|v| (k, v)))
+                    .filter(|(_, v)| keep(v))
+                    .collect();
+                let actual = tables[t].scan_filter(tx, from..to, |_, v| keep(v));
+                prop_assert_eq!(&actual, &expected, "scan t{} {}..{}", t, from, to);
+                if intent.serializable {
+                    intent.reads.extend(actual.iter().map(|(k, _)| (t, *k)));
+                }
+            }
+            Step::Commit | Step::Abort | Step::Drop => {
+                let (tx, intent) = slots[slot].take().unwrap();
+                match step {
+                    Step::Commit => {
+                        let result = mgr.commit(tx);
+                        if history.conflicts(&intent) {
+                            prop_assert!(result.is_err(), "commit should conflict: {:?}", result);
+                            aborts += 1;
+                        } else {
+                            let outcome = result.map_err(|e| TestCaseError::fail(e.to_string()))?;
+                            history.commit(&intent);
+                            prop_assert_eq!(outcome.commit_ts, history.now() as u64);
+                            prop_assert_eq!(outcome.writes, intent.writes.len());
+                            commits += 1;
+                        }
+                    }
+                    Step::Abort => {
+                        mgr.abort(tx);
+                        aborts += 1;
+                    }
+                    _ => {
+                        drop(tx);
+                        aborts += 1;
+                    }
+                }
+                let open = slots.iter().flatten().count();
+                prop_assert_eq!(mgr.active_snapshots(), open);
+                prop_assert_eq!(mgr.stats(), (commits, aborts));
+                let check = mgr.begin(IsolationLevel::Snapshot);
+                let visible: BTreeMap<Cell, u16> = tables
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(t, table)| {
+                        table
+                            .scan(&check, |_, _| true)
+                            .into_iter()
+                            .map(move |(k, v)| ((t, k), v))
+                    })
+                    .collect();
+                prop_assert_eq!(&visible, &history.states[history.now()]);
+                drop(check);
+                aborts += 1;
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random interleavings of up to three open transactions over eight
+    /// tables — puts, deletes, gets and scans, then commit, abort or
+    /// drop, under both isolation levels — match the sequential model of
+    /// the committed transactions.
+    #[test]
+    fn interleaved_transactions_match_the_committed_history(
+        steps in prop::collection::vec(step_strategy(), 1..48)
+    ) {
+        check_interleaving(steps)?;
     }
 }

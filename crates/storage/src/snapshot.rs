@@ -9,6 +9,10 @@
 //! commits take the abort path (first-committer-wins) and surface as
 //! retryable [`om_common::OmError::Conflict`] errors once retries are
 //! exhausted.
+//!
+//! The transaction carries its own writes, so a commit costs the shards
+//! it writes, not the shard count, and a `get` — one snapshot, opened and
+//! dropped — reads one shard and leaves nothing in any.
 
 use crate::backend::{shard_of, StateBackend, StateSession, WriteBatch, WriteOp};
 use crate::shards_pow2;
@@ -16,6 +20,7 @@ use om_common::config::BackendKind;
 use om_common::{OmError, OmResult};
 use om_mvcc::{prefix_range, IsolationLevel, Table, TxManager};
 use std::collections::BTreeMap;
+use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -104,7 +109,7 @@ impl StateBackend for SnapshotBackend {
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
         let tx = self.mgr.begin(IsolationLevel::Snapshot);
-        self.table_for(key).get(&tx, &key.to_vec())
+        self.table_for(key).get(&tx, key)
     }
 
     fn put(&self, key: &[u8], value: &[u8]) {
@@ -126,17 +131,18 @@ impl StateBackend for SnapshotBackend {
         // unobservable by construction.
         let tx = self.mgr.begin(IsolationLevel::Snapshot);
         keys.iter()
-            .map(|k| self.table_for(k).get(&tx, &k.to_vec()))
+            .map(|k| self.table_for(k).get(&tx, *k))
             .collect()
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         let tx = self.mgr.begin(IsolationLevel::Snapshot);
-        let (from, to) = prefix_range(prefix);
+        let range = prefix_range(prefix);
+        let bounds = (range.start_bound(), range.end_bound());
         let mut out = Vec::new();
         let mut contributing = 0;
         for table in &self.shards {
-            let rows = table.scan_filter(&tx, (from.as_ref(), to.as_ref()), |_, _| true);
+            let rows = table.scan_filter::<[u8], _, _>(&tx, bounds, |_, _| true);
             contributing += usize::from(!rows.is_empty());
             out.extend(rows);
         }
