@@ -24,6 +24,7 @@ pub struct FaultConfig {
     pub event_drop_prob: f64,
     /// Probability an event message is delivered twice.
     pub event_duplicate_prob: f64,
+    /// Seed of the RNG that draws the drops and duplicates.
     pub seed: u64,
 }
 
@@ -38,10 +39,13 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
+    /// No faults: every event is delivered exactly once.
     pub fn reliable() -> Self {
         Self::default()
     }
 
+    /// Drops each event with probability `drop` and delivers it twice with
+    /// probability `duplicate`, drawn from a RNG seeded with `seed`.
     pub fn lossy(drop: f64, duplicate: f64, seed: u64) -> Self {
         Self {
             event_drop_prob: drop,
@@ -189,6 +193,8 @@ pub struct Cluster<M: Payload, R: Send + 'static> {
 }
 
 impl<M: Payload, R: Send + 'static> Cluster<M, R> {
+    /// A builder for a cluster: one silo of four workers, no grain kinds,
+    /// no faults and a 10 s call timeout until configured.
     pub fn builder() -> ClusterBuilder<M, R> {
         ClusterBuilder::new()
     }
@@ -212,11 +218,15 @@ impl<M: Payload, R: Send + 'static> Cluster<M, R> {
     /// which come back in call order; messages to one grain are handled
     /// in the order given.
     ///
-    /// Every envelope is enqueued before any worker is woken, each silo
-    /// gets one run-queue item for all the activations the fan-out made
-    /// runnable, and only the last reply wakes the caller — so `n` calls
-    /// cost one wait instead of `n` round trips. A call that cannot be
-    /// delivered fails in its slot, and one unanswered by the call
+    /// Every envelope is enqueued first. Then the calling thread runs one
+    /// turn of each activation its own enqueue made runnable, through the
+    /// silo workers' turn runner: a call to an idle grain costs no
+    /// hand-off to a worker and no park. An activation with messages left
+    /// after its turn goes to its silo's run queue, and the caller parks
+    /// on the gather latch only for calls to grains that were mid-turn on
+    /// another thread (counted as `parks`); the last reply wakes it. The
+    /// events those turns emit run on the silo workers. A call that cannot
+    /// be delivered fails in its slot, and one unanswered by the call
     /// timeout fails as `Timeout`, without holding up the other slots.
     pub fn call_all(&self, calls: Vec<(GrainId, M)>) -> Vec<OmResult<R>> {
         if calls.is_empty() {
@@ -228,24 +238,27 @@ impl<M: Payload, R: Send + 'static> Cluster<M, R> {
         let deadline = Instant::now() + self.call_timeout;
         let gather = Gather::new(calls.len());
         let ids: Vec<GrainId> = calls.iter().map(|&(id, _)| id).collect();
-        let mut runnable: Vec<Vec<ActivationRef<M, R>>> =
-            inner.silos.iter().map(|_| Vec::new()).collect();
+        let mut runnable = Vec::new();
         for (slot, (id, msg)) in calls.into_iter().enumerate() {
             match inner.activation(id) {
                 Ok((silo_idx, activation)) => {
                     inner.in_flight.fetch_add(1, Ordering::AcqRel);
                     let reply = Some(ReplyTo::new(gather.clone(), slot));
                     if activation.enqueue(Envelope { msg, reply }) {
-                        runnable[silo_idx].push(activation);
+                        runnable.push((silo_idx, activation));
                     }
                 }
                 Err(e) => gather.fill(slot, Err(e)),
             }
         }
-        for (silo, batch) in inner.silos.iter().zip(runnable) {
-            if !batch.is_empty() {
-                silo.schedule(batch);
+        for (silo_idx, activation) in runnable {
+            let silo = &inner.silos[silo_idx];
+            if silo.run_turn(&activation, &inner.clock, inner.as_ref()) {
+                silo.schedule(activation);
             }
+        }
+        if !gather.is_filled() {
+            inner.counters.incr("parks");
         }
         gather
             .wait(deadline)
@@ -316,8 +329,9 @@ impl<M: Payload, R: Send + 'static> Cluster<M, R> {
     }
 
     /// Diagnostics counters: `calls` (messages sent by `call`/`call_all`),
-    /// `waits` (blocking waits, one per `call` or non-empty `call_all`),
-    /// `events_routed`, `events_dropped`, ...
+    /// `waits` (one per `call` or non-empty `call_all`: a protocol step),
+    /// `parks` (the waits whose caller parked because a grain was mid-turn
+    /// on another thread), `events_routed`, `events_dropped`, ...
     pub fn counters(&self) -> &CounterSet {
         &self.inner.counters
     }

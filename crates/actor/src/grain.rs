@@ -7,11 +7,14 @@ use std::fmt;
 /// class) plus a 64-bit key within the kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GrainId {
+    /// The grain kind: the name its factory is registered under.
     pub kind: &'static str,
+    /// The grain's key within its kind.
     pub key: u64,
 }
 
 impl GrainId {
+    /// The grain `key` of `kind`.
     pub const fn new(kind: &'static str, key: u64) -> Self {
         Self { kind, key }
     }

@@ -13,9 +13,17 @@
 //!   cluster directory), mirroring Orleans' location and lifecycle
 //!   transparency (paper Fig. 1).
 //! * Each activation processes messages **single-threaded, turn by turn**
-//!   from its mailbox; concurrency exists only *across* grains.
-//! * Silos own worker-thread pools. Killing a silo drops its activations
-//!   and their volatile state; grains that persisted state via
+//!   from its mailbox; concurrency exists only *across* grains. Orleans
+//!   promises one turn at a time per activation, not a thread to run it:
+//!   whichever thread's enqueue finds the grain idle runs its next turn.
+//! * A call to an idle grain runs on the calling thread. Silos own
+//!   worker-thread pools for the rest: events, grains that were mid-turn
+//!   on another thread, and turns left over when a mailbox holds more than
+//!   one turn's batch. A handler that panics fails its call with
+//!   `Unavailable` and retires its activation; the grain reactivates from
+//!   storage on its next message, and the thread that ran the turn
+//!   carries on. Killing a silo drops its activations and their volatile
+//!   state; grains that persisted state via
 //!   [`grain::GrainContext::persist`] recover it on reactivation
 //!   (grain storage survives silo failures, as in Fig. 1's storage layer).
 //!   A grain whose state grows keeps a small snapshot plus one row per
@@ -24,14 +32,15 @@
 //! * Messaging is either fire-and-forget events ([`cluster::Cluster::notify`],
 //!   used for the asynchronous event flows of the benchmark) or blocking
 //!   request/response. [`cluster::Cluster::call_all`] is the one reply
-//!   path: it enqueues a whole fan-out of calls, schedules each silo once
-//!   for all the activations it made runnable, and blocks on one gather
-//!   latch that only the last reply signals; replies come back in call
-//!   order, and messages to one grain are handled in the order given.
-//!   [`cluster::Cluster::call`] is a fan-out of one. The transactional
-//!   checkout and the 2PC coordinator send each protocol phase as one
-//!   fan-out, so they wait once per phase rather than once per grain
-//!   (the cluster counts `calls` and `waits`).
+//!   path: it enqueues a whole fan-out of calls, runs a turn of each
+//!   activation it made runnable on the calling thread, and parks on one
+//!   gather latch only for the calls a grain busy elsewhere still owes;
+//!   replies come back in call order, and messages to one grain are
+//!   handled in the order given. [`cluster::Cluster::call`] is a fan-out
+//!   of one. The transactional checkout and the 2PC coordinator send each
+//!   protocol phase as one fan-out, so they wait once per phase rather
+//!   than once per grain (the cluster counts `calls`, `waits` and the
+//!   `parks` among the waits).
 //! * A seeded [`cluster::FaultConfig`] can drop or duplicate event
 //!   messages — the delivery-semantics knob behind the benchmark's event
 //!   processing criteria.
@@ -44,6 +53,8 @@
 //! and a client-side **two-phase commit** coordinator writing a durable
 //! decision log ([`tx::coordinator`]). The overhead this machinery adds
 //! over bare eventual messaging is exactly what experiment E5 measures.
+
+#![deny(missing_docs)]
 
 pub mod cluster;
 pub mod grain;

@@ -2,11 +2,19 @@
 //! reply path.
 //!
 //! Every activated grain owns a mailbox. The invariant maintained here is
-//! the actor guarantee: **at most one worker runs a given activation at a
-//! time**. We use the classic "scheduled" flag protocol: enqueueing a
-//! message schedules the activation onto its silo's run queue only if it
-//! was not already scheduled; a worker drains a bounded batch of messages
-//! per turn and reschedules the activation if messages remain.
+//! the actor guarantee: **at most one thread runs a given activation at a
+//! time**. We use the classic "scheduled" flag protocol: the enqueue that
+//! finds the flag clear sets it and owns the activation's next turn,
+//! whichever thread made it — a caller, which runs the turn itself
+//! ([`crate::Cluster::call_all`]), or a worker routing an event, which
+//! puts the activation on its silo's run queue. The owner drains a bounded
+//! batch of messages per turn and hands the activation to the run queue if
+//! messages remain.
+//!
+//! A handler that panics fails its own call with `Unavailable` and retires
+//! the activation: its grain is dropped, every message still queued to it
+//! fails the same way, and its silo forgets it, so the next message
+//! reactivates the grain from storage.
 //!
 //! Every call — one, or a fan-out of many — answers into a gather latch:
 //! one slot per message, and only the reply that fills the last slot wakes
@@ -16,6 +24,7 @@ use crate::grain::{Grain, GrainContext, GrainId, Outgoing, RowWrite};
 use om_common::{OmError, OmResult};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
@@ -62,6 +71,11 @@ impl<R> Gather<R> {
         if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.caller.unpark();
         }
+    }
+
+    /// Whether every slot has been filled.
+    pub fn is_filled(&self) -> bool {
+        self.pending.load(Ordering::Acquire) == 0
     }
 
     /// Blocks the calling thread until every slot is filled or `deadline`
@@ -113,9 +127,11 @@ impl<R> Drop for ReplyTo<R> {
 /// An activated grain plus its mailbox.
 pub(crate) struct Activation<M, R> {
     pub id: GrainId,
-    grain: Mutex<Box<dyn Grain<M, R>>>,
+    /// `None` once a handler panicked: the activation is retired.
+    grain: Mutex<Option<Box<dyn Grain<M, R>>>>,
     mailbox: Mutex<VecDeque<Envelope<M, R>>>,
-    /// True while the activation sits in a run queue or is being drained.
+    /// True from the enqueue that made the activation runnable until its
+    /// turn ends: while it sits in a run queue or a thread drains it.
     scheduled: AtomicBool,
 }
 
@@ -123,14 +139,15 @@ impl<M: Send + 'static, R: Send + 'static> Activation<M, R> {
     pub fn new(id: GrainId, grain: Box<dyn Grain<M, R>>) -> Self {
         Self {
             id,
-            grain: Mutex::new(grain),
+            grain: Mutex::new(Some(grain)),
             mailbox: Mutex::new(VecDeque::new()),
             scheduled: AtomicBool::new(false),
         }
     }
 
-    /// Enqueues an envelope; returns `true` if the caller must schedule the
-    /// activation onto a run queue.
+    /// Enqueues an envelope; returns `true` if this enqueue made the
+    /// activation runnable, so the caller owns its next turn: it runs the
+    /// turn or puts the activation on a run queue.
     pub fn enqueue(&self, env: Envelope<M, R>) -> bool {
         self.mailbox.lock().push_back(env);
         !self.scheduled.swap(true, Ordering::AcqRel)
@@ -148,23 +165,41 @@ impl<M: Send + 'static, R: Send + 'static> Activation<M, R> {
     /// in the order they were made. The activation stays scheduled until
     /// [`Activation::end_turn`], so the caller can store the turn's state
     /// before any later turn of the same grain runs.
+    ///
+    /// A handler that panics leaves no effects: its call fails with
+    /// `Unavailable`, the grain is dropped and the result says so
+    /// ([`TurnResult::panicked`]). Messages to a retired activation fail
+    /// the same way, unhandled.
     pub fn run_turn(&self, clock: &om_common::time::LogicalClock) -> TurnResult<M> {
         let mut grain = self.grain.lock();
         let mut outbox = Vec::new();
         let mut persisted = None;
         let mut rows = Vec::new();
         let mut processed = 0u64;
+        let mut panicked = false;
         for _ in 0..TURN_BATCH {
             let env = match self.mailbox.lock().pop_front() {
                 Some(e) => e,
                 None => break,
             };
-            let mut ctx = GrainContext::new(self.id, clock);
-            let reply_expected = env.reply.is_some();
-            let reply = grain.handle(&mut ctx, env.msg, reply_expected);
             processed += 1;
-            if let Some(to) = env.reply {
-                to.send(Ok(reply));
+            let Envelope { msg, reply } = env;
+            let Some(handler) = grain.as_mut() else {
+                self.fail(reply, "was retired after a handler panic");
+                continue;
+            };
+            let mut ctx = GrainContext::new(self.id, clock);
+            let reply_expected = reply.is_some();
+            let Ok(answer) = catch_unwind(AssertUnwindSafe(|| {
+                handler.handle(&mut ctx, msg, reply_expected)
+            })) else {
+                *grain = None;
+                panicked = true;
+                self.fail(reply, "panicked handling a message");
+                continue;
+            };
+            if let Some(to) = reply {
+                to.send(Ok(answer));
             }
             outbox.extend(ctx.outbox);
             if ctx.persisted.is_some() {
@@ -177,6 +212,7 @@ impl<M: Send + 'static, R: Send + 'static> Activation<M, R> {
             persisted,
             rows,
             processed,
+            panicked,
         }
     }
 
@@ -195,12 +231,17 @@ impl<M: Send + 'static, R: Send + 'static> Activation<M, R> {
     pub fn poison(&self) {
         let mut mb = self.mailbox.lock();
         for env in mb.drain(..) {
-            if let Some(to) = env.reply {
-                to.send(Err(OmError::Unavailable(format!(
-                    "silo hosting {} was killed",
-                    self.id
-                ))));
-            }
+            self.fail(env.reply, "lost its silo");
+        }
+    }
+
+    /// Fails a message's call, if it is one, with `Unavailable`.
+    fn fail(&self, reply: Option<ReplyTo<R>>, why: &str) {
+        if let Some(to) = reply {
+            to.send(Err(OmError::Unavailable(format!(
+                "grain {} {why}",
+                self.id
+            ))));
         }
     }
 }
@@ -210,8 +251,11 @@ pub(crate) struct TurnResult<M> {
     pub persisted: Option<Vec<u8>>,
     /// Row writes of every message of the turn, in order.
     pub rows: Vec<RowWrite>,
-    /// Messages handled this turn (in-flight accounting).
+    /// Messages taken from the mailbox this turn, handled or failed
+    /// (in-flight accounting).
     pub processed: u64,
+    /// A handler panicked this turn and retired the activation.
+    pub panicked: bool,
 }
 
 /// Shared handle type.

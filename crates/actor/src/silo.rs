@@ -1,4 +1,6 @@
-//! Silos: grain hosts with worker-thread pools.
+//! Silos: grain hosts, each with a run queue and a worker-thread pool that
+//! runs the turns no caller ran itself: events, and activations with
+//! messages left after a turn.
 
 use crate::grain::{GrainId, RowWrite};
 use crate::mailbox::{ActivationRef, Envelope};
@@ -12,10 +14,8 @@ use std::thread::JoinHandle;
 
 /// Work item on a silo's run queue.
 pub(crate) enum Work<M, R> {
-    /// Activations to run a turn of, one after another: every activation
-    /// one delivery or fan-out made runnable on this silo, so the fan-out
-    /// wakes one worker per silo rather than one per grain.
-    Run(Vec<ActivationRef<M, R>>),
+    /// An activation to run a turn of.
+    Run(ActivationRef<M, R>),
     Shutdown,
 }
 
@@ -82,24 +82,20 @@ impl<M: Send + 'static, R: Send + 'static> Silo<M, R> {
         while let Ok(work) = self.queue_rx.recv() {
             match work {
                 Work::Shutdown => break,
-                Work::Run(batch) => {
-                    let mut again = Vec::new();
-                    for activation in batch {
-                        if self.run_turn(&activation, &clock, router.as_ref()) {
-                            again.push(activation);
-                        }
-                    }
-                    if !again.is_empty() {
-                        self.schedule(again);
+                Work::Run(activation) => {
+                    if self.run_turn(&activation, &clock, router.as_ref()) {
+                        self.schedule(activation);
                     }
                 }
             }
         }
     }
 
-    /// Runs one turn of `activation`; returns whether it must be scheduled
-    /// again for messages still queued.
-    fn run_turn(
+    /// Runs one turn of `activation`, which the calling thread owns (its
+    /// enqueue or a run-queue item made it runnable); returns whether it
+    /// must be scheduled again for messages still queued. The one turn
+    /// runner, for silo workers and calling threads alike.
+    pub(crate) fn run_turn(
         &self,
         activation: &ActivationRef<M, R>,
         clock: &LogicalClock,
@@ -115,6 +111,16 @@ impl<M: Send + 'static, R: Send + 'static> Silo<M, R> {
         // order.
         if result.persisted.is_some() || !result.rows.is_empty() {
             router.save_state(activation.id, result.persisted, result.rows);
+        }
+        if result.panicked {
+            // The next message to the grain reactivates it from storage.
+            let mut map = self.activations.write();
+            if map
+                .get(&activation.id)
+                .is_some_and(|a| Arc::ptr_eq(a, activation))
+            {
+                map.remove(&activation.id);
+            }
         }
         let reschedule = activation.end_turn();
         for out in result.outbox {
@@ -139,14 +145,13 @@ impl<M: Send + 'static, R: Send + 'static> Silo<M, R> {
     /// Delivers an envelope to an activation, scheduling it if needed.
     pub fn deliver(&self, activation: &ActivationRef<M, R>, env: Envelope<M, R>) {
         if activation.enqueue(env) {
-            self.schedule(vec![activation.clone()]);
+            self.schedule(activation.clone());
         }
     }
 
-    /// Puts `batch` on the run queue as one item, waking at most one
-    /// worker.
-    pub fn schedule(&self, batch: Vec<ActivationRef<M, R>>) {
-        let _ = self.queue_tx.send(Work::Run(batch));
+    /// Puts `activation` on the run queue for a worker to run its turn.
+    pub fn schedule(&self, activation: ActivationRef<M, R>) {
+        let _ = self.queue_tx.send(Work::Run(activation));
     }
 
     /// Kills the silo: poisons all mailboxes and drops activations.

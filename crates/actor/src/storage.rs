@@ -88,9 +88,10 @@ impl StorageMap {
     /// its stored value.
     ///
     /// Grain state is written post-ack (the turn already replied), so a
-    /// storage fault here must not take the silo worker down: a failed
-    /// save is counted in [`StorageMap::failed_save_count`] and the state
-    /// stored before it stays authoritative. The wedge surfaces to
+    /// storage fault here must not take down the thread that ran the turn
+    /// (a silo worker or a caller): a failed save is counted in
+    /// [`StorageMap::failed_save_count`] and the state stored before it
+    /// stays authoritative. The wedge surfaces to
     /// clients through the platform's commit path, not through this one.
     pub fn save(&self, id: GrainId, snapshot: Option<Vec<u8>>, rows: Vec<RowWrite>) {
         let key = Self::storage_key(&id);
@@ -147,6 +148,7 @@ impl StorageMap {
         self.backend.len()
     }
 
+    /// Whether nothing is stored.
     pub fn is_empty(&self) -> bool {
         self.backend.is_empty()
     }

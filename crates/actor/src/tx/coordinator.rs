@@ -27,9 +27,13 @@ pub trait Participants {
 /// Phases recorded in the decision log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxPhase {
+    /// PREPARE went out to the participants.
     Preparing,
+    /// Every participant voted yes: the decision is commit.
     Committed,
+    /// A participant refused or failed: the decision is abort.
     Aborted,
+    /// The decision reached every participant.
     Done,
 }
 
@@ -45,10 +49,12 @@ pub struct TxLog {
 }
 
 impl TxLog {
+    /// An empty log.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Appends `tid`'s move to `phase`.
     pub fn record(&self, tid: TransactionId, phase: TxPhase) {
         match phase {
             TxPhase::Committed => {
@@ -62,10 +68,12 @@ impl TxLog {
         self.records.write().push((tid, phase));
     }
 
+    /// Commit decisions recorded.
     pub fn commits(&self) -> u64 {
         self.commits.load(Ordering::Relaxed)
     }
 
+    /// Abort decisions recorded.
     pub fn aborts(&self) -> u64 {
         self.aborts.load(Ordering::Relaxed)
     }
@@ -101,6 +109,7 @@ impl TxLog {
         self.records.read().len()
     }
 
+    /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.records.read().is_empty()
     }
@@ -117,6 +126,7 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
+    /// A coordinator with an empty log, minting tids from 1.
     pub fn new() -> Self {
         Self {
             log: TxLog::new(),
@@ -171,6 +181,7 @@ impl Coordinator {
         }
     }
 
+    /// The decision log.
     pub fn log(&self) -> &TxLog {
         &self.log
     }

@@ -7,7 +7,9 @@ use std::collections::HashMap;
 /// Lock mode requested by a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockMode {
+    /// Shared with other readers.
     Read,
+    /// Exclusive.
     Write,
 }
 
@@ -40,6 +42,7 @@ pub struct TxParticipant<S> {
 }
 
 impl<S: Clone> TxParticipant<S> {
+    /// A free participant whose committed state is `initial`.
     pub fn new(initial: S) -> Self {
         Self {
             committed: initial,

@@ -1,23 +1,35 @@
 //! Failure-mode tests for the actor runtime: silo restarts mid-traffic,
-//! directory re-placement, and at-most-once event semantics under
-//! combined drop+duplicate faults.
+//! directory re-placement, at-most-once event semantics under combined
+//! drop+duplicate faults, and panicking grain handlers.
 
 use om_actor::{Cluster, FaultConfig, GrainContext, GrainId};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[derive(Debug, Clone)]
 enum Msg {
     IncrPersist,
     Get,
     Fanout(u64, u64), // (count, target_base)
+    /// Counts without persisting, then panics.
+    IncrAndPanic,
 }
 
 fn cluster(silos: usize, faults: FaultConfig) -> Cluster<Msg, u64> {
+    cluster_with(silos, 2, faults, Duration::from_secs(10))
+}
+
+fn cluster_with(
+    silos: usize,
+    workers: usize,
+    faults: FaultConfig,
+    call_timeout: Duration,
+) -> Cluster<Msg, u64> {
     Cluster::builder()
         .silos(silos)
-        .workers_per_silo(2)
+        .workers_per_silo(workers)
         .faults(faults)
+        .call_timeout(call_timeout)
         .register("c", |_id, snapshot| {
             let mut value: u64 = snapshot
                 .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
@@ -34,6 +46,10 @@ fn cluster(silos: usize, faults: FaultConfig) -> Cluster<Msg, u64> {
                         ctx.send(GrainId::new("c", base + i), Msg::IncrPersist);
                     }
                     count
+                }
+                Msg::IncrAndPanic => {
+                    value += 1;
+                    panic!("grain handler bug on {}", ctx.id());
                 }
             })
         })
@@ -141,4 +157,52 @@ fn drain_reports_timeout_when_traffic_never_stops() {
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     flooder.join().unwrap();
     assert!(c.drain(Duration::from_secs(5)), "quiesces once traffic stops");
+}
+
+/// One silo with one worker: a panic that killed the worker, or left the
+/// grain scheduled, would time the next calls out.
+fn one_worker_silo() -> Cluster<Msg, u64> {
+    cluster_with(1, 1, FaultConfig::reliable(), Duration::from_millis(300))
+}
+
+/// After `victim` panicked: the silo still serves another grain, and the
+/// victim answers again from storage (its volatile count is gone).
+fn silo_survives_a_panic(c: &Cluster<Msg, u64>, victim: GrainId) {
+    let started = Instant::now();
+    assert_eq!(c.call(GrainId::new("c", 2), Msg::IncrPersist).unwrap(), 1);
+    c.notify(GrainId::new("c", 3), Msg::IncrPersist);
+    assert!(c.drain(Duration::from_secs(5)), "must quiesce");
+    assert_eq!(c.call(GrainId::new("c", 3), Msg::Get).unwrap(), 1);
+    assert_eq!(c.call(victim, Msg::Get).unwrap(), 1, "reactivated from storage");
+    assert_eq!(c.call(victim, Msg::IncrPersist).unwrap(), 2);
+    assert!(
+        started.elapsed() < Duration::from_millis(300),
+        "no call may wait out the call timeout"
+    );
+}
+
+#[test]
+fn a_panicking_call_fails_unavailable_and_its_silo_keeps_serving() {
+    let c = one_worker_silo();
+    let victim = GrainId::new("c", 1);
+    c.call(victim, Msg::IncrPersist).unwrap();
+    let started = Instant::now();
+    let err = c.call(victim, Msg::IncrAndPanic).unwrap_err();
+    assert_eq!(err.label(), "unavailable");
+    assert!(started.elapsed() < Duration::from_millis(300));
+    // Calls queued behind the panic in the same fan-out fail too.
+    let replies = c.call_all(vec![(victim, Msg::IncrAndPanic), (victim, Msg::Get)]);
+    assert!(replies.iter().all(|r| r.as_ref().unwrap_err().label() == "unavailable"));
+    silo_survives_a_panic(&c, victim);
+}
+
+#[test]
+fn a_panicking_event_leaves_the_silo_worker_alive() {
+    let c = one_worker_silo();
+    let victim = GrainId::new("c", 1);
+    c.call(victim, Msg::IncrPersist).unwrap();
+    // The event runs on the silo's only worker.
+    c.notify(victim, Msg::IncrAndPanic);
+    assert!(c.drain(Duration::from_secs(5)), "must quiesce");
+    silo_survives_a_panic(&c, victim);
 }

@@ -3,8 +3,9 @@
 //! and the `call_all` fan-out.
 
 use om_actor::{Cluster, FaultConfig, GrainContext, GrainId};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// Message type used by the test grains.
@@ -17,8 +18,11 @@ enum Msg {
     /// Adds and persists state.
     AddPersist(u64),
     /// Meets the test thread at the barrier twice — once on entering the
-    /// turn, once to leave it — holding the silo worker in between.
+    /// turn, once to leave it — holding the thread that runs the turn in
+    /// between.
     Block(Arc<Barrier>),
+    /// Records the thread that runs the turn.
+    WhoRuns(Arc<Mutex<Option<ThreadId>>>),
 }
 
 type Reply = u64;
@@ -63,6 +67,10 @@ fn counter_cluster_with_timeout(
                 Msg::Block(gate) => {
                     gate.wait();
                     gate.wait();
+                    value
+                }
+                Msg::WhoRuns(seen) => {
+                    *seen.lock().unwrap() = Some(std::thread::current().id());
                     value
                 }
             })
@@ -352,8 +360,8 @@ fn call_all_fails_a_killed_silos_slot_without_stalling_the_others() {
             ])
         })
     };
-    // The blocker holds silo 0's only worker; `queued` waits in its
-    // mailbox when the silo dies.
+    // The caller's own thread runs the blocker's turn, before `queued`'s;
+    // `queued` waits in its mailbox when the silo dies.
     gate.wait();
     cluster.kill_silo(0);
     gate.wait();
@@ -373,19 +381,32 @@ fn call_all_fails_a_killed_silos_slot_without_stalling_the_others() {
 
 #[test]
 fn call_all_times_out_an_unanswered_slot_and_still_drains() {
-    let cluster =
-        counter_cluster_with_timeout(1, 1, FaultConfig::reliable(), Duration::from_millis(300));
+    let cluster = Arc::new(counter_cluster_with_timeout(
+        1,
+        1,
+        FaultConfig::reliable(),
+        Duration::from_millis(300),
+    ));
     let fast = GrainId::new("counter", 1);
     let slow = GrainId::new("counter", 2);
     let gate = Arc::new(Barrier::new(2));
-    let replies = cluster.call_all(vec![(fast, Msg::Add(4)), (slow, Msg::Block(gate.clone()))]);
+    // A second thread holds `slow` mid-turn, so the fan-out finds it
+    // scheduled and its call waits in the mailbox.
+    let holder = {
+        let cluster = cluster.clone();
+        let gate = gate.clone();
+        std::thread::spawn(move || cluster.call(slow, Msg::Block(gate)))
+    };
+    gate.wait();
+    let replies = cluster.call_all(vec![(fast, Msg::Add(4)), (slow, Msg::Add(1))]);
     assert_eq!(*replies[0].as_ref().unwrap(), 4);
     assert_eq!(replies[1].as_ref().unwrap_err().label(), "timeout");
-    // Release the blocked turn: its late reply is dropped, and the
-    // in-flight gauge still returns to zero.
+    // Release the blocked turn: the queued call still runs, its late reply
+    // is dropped, and the in-flight gauge still returns to zero.
     gate.wait();
-    gate.wait();
+    assert_eq!(holder.join().unwrap().unwrap(), 0);
     assert!(cluster.drain(Duration::from_secs(5)), "must quiesce");
+    assert_eq!(cluster.call(slow, Msg::Get).unwrap(), 1);
 }
 
 #[test]
@@ -438,4 +459,100 @@ fn concurrent_fan_outs_keep_turns_isolated() {
     });
     assert_eq!(cluster.call(g, Msg::Get).unwrap(), 800);
     assert_eq!(cluster.call(h, Msg::Get).unwrap(), 400);
+}
+
+#[test]
+fn a_call_to_an_idle_grain_runs_on_the_calling_thread() {
+    let cluster = counter_cluster(2, 2, FaultConfig::reliable());
+    for key in 0..8 {
+        let seen = Arc::new(Mutex::new(None));
+        cluster
+            .call(GrainId::new("counter", key), Msg::WhoRuns(seen.clone()))
+            .unwrap();
+        assert_eq!(*seen.lock().unwrap(), Some(std::thread::current().id()));
+    }
+    assert_eq!(cluster.counters().get("waits"), 8);
+    assert_eq!(cluster.counters().get("parks"), 0, "no call parked");
+}
+
+#[test]
+fn events_a_caller_run_turn_emits_run_on_the_silo_workers() {
+    let cluster = Arc::new(counter_cluster(1, 1, FaultConfig::reliable()));
+    let source = GrainId::new("counter", 1);
+    let target = GrainId::new("counter", 2);
+    let gate = Arc::new(Barrier::new(2));
+    // The target is busy on another thread, then receives the forwarded
+    // event: if the event ran on the caller, the call would not return.
+    let holder = {
+        let cluster = cluster.clone();
+        let gate = gate.clone();
+        std::thread::spawn(move || cluster.call(target, Msg::Block(gate)))
+    };
+    gate.wait();
+    let started = Instant::now();
+    assert_eq!(
+        cluster
+            .call(source, Msg::AddAndForward(3, target))
+            .unwrap(),
+        3
+    );
+    assert!(started.elapsed() < Duration::from_secs(5));
+    gate.wait();
+    holder.join().unwrap().unwrap();
+    assert!(cluster.drain(Duration::from_secs(5)));
+    assert_eq!(cluster.call(target, Msg::Get).unwrap(), 3, "the event ran");
+
+    // Nor does an event from an idle grain run on the thread that called.
+    let seen = Arc::new(Mutex::new(None));
+    cluster.notify(target, Msg::WhoRuns(seen.clone()));
+    assert!(cluster.drain(Duration::from_secs(5)));
+    let worker = seen.lock().unwrap().expect("the event ran");
+    assert_ne!(worker, std::thread::current().id());
+}
+
+#[test]
+fn callers_and_workers_never_enter_one_grain_twice() {
+    let inside = Arc::new(AtomicBool::new(false));
+    let cluster = Arc::new({
+        let inside = inside.clone();
+        Cluster::<Msg, Reply>::builder()
+            .silos(2)
+            .workers_per_silo(2)
+            .register("counter", move |_id, _| {
+                let inside = inside.clone();
+                let mut value = 0u64;
+                Box::new(move |_ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| {
+                    assert!(!inside.swap(true, Ordering::AcqRel), "turn entered twice");
+                    if let Msg::Add(n) = msg {
+                        value += n;
+                    }
+                    inside.store(false, Ordering::Release);
+                    value
+                })
+            })
+            .build()
+    });
+    let hot = GrainId::new("counter", 1);
+    std::thread::scope(|scope| {
+        for t in 0..8 {
+            let cluster = cluster.clone();
+            scope.spawn(move || {
+                for i in 0..200 {
+                    match (t + i) % 3 {
+                        0 => {
+                            cluster.call(hot, Msg::Add(1)).unwrap();
+                        }
+                        1 => {
+                            for r in cluster.call_all(vec![(hot, Msg::Add(1)), (hot, Msg::Get)]) {
+                                r.unwrap();
+                            }
+                        }
+                        _ => cluster.notify(hot, Msg::Add(1)),
+                    }
+                }
+            });
+        }
+    });
+    assert!(cluster.drain(Duration::from_secs(10)));
+    assert_eq!(cluster.call(hot, Msg::Get).unwrap(), 8 * 200);
 }

@@ -139,6 +139,23 @@ fn an_approved_checkout_waits_once_per_phase() {
     }
 }
 
+#[test]
+fn an_uncontended_checkout_waits_nine_times_and_never_parks() {
+    let p = TransactionalPlatform::new(ActorPlatformConfig {
+        decline_rate: 0.0,
+        ..Default::default()
+    });
+    ingest(&p);
+    fill_cart(&p, 1, &hot_cart(1));
+    p.quiesce();
+    let (waits, parks) = (counter(&p, "cluster.waits"), counter(&p, "cluster.parks"));
+    assert!(matches!(checkout(&p, 1), CheckoutOutcome::Placed { .. }));
+    assert_eq!(counter(&p, "cluster.waits") - waits, 9);
+    // Every grain is idle when its protocol step reaches it, so the
+    // calling thread runs each turn itself and never parks.
+    assert_eq!(counter(&p, "cluster.parks") - parks, 0);
+}
+
 /// 4 threads × 200 checkouts over the three hot products, as four
 /// customers; then every invariant of an all-or-nothing checkout.
 /// `waits_per_checkout` is what an uncontended checkout of all three
