@@ -1,23 +1,21 @@
 //! Silos: grain hosts, each with a run queue and a worker-thread pool that
 //! runs the turns no caller ran itself: events, and activations with
 //! messages left after a turn.
+//!
+//! The run queue is a [`WorkQueue`] of runnable activations. Shutdown
+//! closes it and joins the workers: each worker runs the turns still
+//! queued, then sees the queue empty and exits. An activation scheduled
+//! after the close is dropped, as no worker is left to run it.
 
 use crate::grain::{GrainId, RowWrite};
 use crate::mailbox::{ActivationRef, Envelope};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use om_common::pool::WorkQueue;
 use om_common::time::LogicalClock;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Work item on a silo's run queue.
-pub(crate) enum Work<M, R> {
-    /// An activation to run a turn of.
-    Run(ActivationRef<M, R>),
-    Shutdown,
-}
 
 /// Dispatch interface the silo workers use to route grain-to-grain events
 /// back through the cluster (which owns placement and fault injection).
@@ -32,8 +30,7 @@ pub(crate) trait Router<M>: Send + Sync {
 pub(crate) struct Silo<M, R> {
     pub index: usize,
     activations: RwLock<HashMap<GrainId, ActivationRef<M, R>>>,
-    queue_tx: Sender<Work<M, R>>,
-    queue_rx: Receiver<Work<M, R>>,
+    run_queue: WorkQueue<ActivationRef<M, R>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     alive: AtomicBool,
     turns: AtomicU64,
@@ -41,12 +38,10 @@ pub(crate) struct Silo<M, R> {
 
 impl<M: Send + 'static, R: Send + 'static> Silo<M, R> {
     pub fn new(index: usize) -> Arc<Self> {
-        let (queue_tx, queue_rx) = unbounded();
         Arc::new(Self {
             index,
             activations: RwLock::new(HashMap::new()),
-            queue_tx,
-            queue_rx,
+            run_queue: WorkQueue::default(),
             workers: Mutex::new(Vec::new()),
             alive: AtomicBool::new(true),
             turns: AtomicU64::new(0),
@@ -79,14 +74,9 @@ impl<M: Send + 'static, R: Send + 'static> Silo<M, R> {
     }
 
     fn worker_loop(&self, clock: Arc<LogicalClock>, router: Arc<dyn Router<M>>) {
-        while let Ok(work) = self.queue_rx.recv() {
-            match work {
-                Work::Shutdown => break,
-                Work::Run(activation) => {
-                    if self.run_turn(&activation, &clock, router.as_ref()) {
-                        self.schedule(activation);
-                    }
-                }
+        while let Some(activation) = self.run_queue.pop() {
+            if self.run_turn(&activation, &clock, router.as_ref()) {
+                self.schedule(activation);
             }
         }
     }
@@ -151,7 +141,7 @@ impl<M: Send + 'static, R: Send + 'static> Silo<M, R> {
 
     /// Puts `activation` on the run queue for a worker to run its turn.
     pub fn schedule(&self, activation: ActivationRef<M, R>) {
-        let _ = self.queue_tx.send(Work::Run(activation));
+        self.run_queue.push(activation);
     }
 
     /// Kills the silo: poisons all mailboxes and drops activations.
@@ -169,15 +159,11 @@ impl<M: Send + 'static, R: Send + 'static> Silo<M, R> {
         self.alive.store(true, Ordering::Release);
     }
 
-    /// Stops the worker pool (cluster shutdown).
+    /// Stops the worker pool (cluster shutdown): closes the run queue
+    /// and joins the workers once they have drained it.
     pub fn shutdown(&self) {
-        let workers = {
-            let mut guard = self.workers.lock();
-            std::mem::take(&mut *guard)
-        };
-        for _ in 0..workers.len() {
-            let _ = self.queue_tx.send(Work::Shutdown);
-        }
+        self.run_queue.close();
+        let workers = std::mem::take(&mut *self.workers.lock());
         for h in workers {
             let _ = h.join();
         }

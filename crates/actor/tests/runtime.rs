@@ -138,6 +138,23 @@ fn notify_is_fire_and_forget_and_drains() {
 }
 
 #[test]
+fn silo_workers_run_turns_in_parallel() {
+    // Two events to two grains meet at a barrier inside their turns: a
+    // run queue that handed out one turn at a time would leave the first
+    // turn waiting for a partner that never starts.
+    let cluster = counter_cluster(1, 2, FaultConfig::reliable());
+    let gate = Arc::new(Barrier::new(2));
+    cluster.notify(GrainId::new("counter", 1), Msg::Block(gate.clone()));
+    cluster.notify(GrainId::new("counter", 2), Msg::Block(gate));
+    if !cluster.drain(Duration::from_secs(10)) {
+        // A worker is stuck at the barrier: dropping the cluster would
+        // join it forever.
+        std::mem::forget(cluster);
+        panic!("the two turns never met: the silo ran them one at a time");
+    }
+}
+
+#[test]
 fn grain_to_grain_events_cascade() {
     let cluster = counter_cluster(2, 2, FaultConfig::reliable());
     let a = GrainId::new("counter", 1);

@@ -69,10 +69,9 @@
 //!    completes first, and a late poison can still discard all of it.
 
 use crate::checkpoint::{BackendCheckpointStore, StateDelta, StateRow};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use om_common::commit_group::{CommitGroup, CommitGroupStats};
 use om_common::config::BackendKind;
-use om_common::pool::WorkerPool;
+use om_common::pool::{WorkQueue, WorkerPool};
 use om_common::{OmError, OmResult};
 use om_log::{EventLog, Topic};
 use om_storage::make_backend;
@@ -453,8 +452,9 @@ struct EpochCtx<M> {
     offsets: Vec<u64>,
     batch_lens: Vec<u64>,
     ingress_count: u64,
-    senders: Vec<Sender<(Address, M)>>,
-    receivers: Vec<Receiver<(Address, M)>>,
+    /// One inbox per partition: its batch, then the cross-partition
+    /// sends cascading within the epoch.
+    inboxes: Vec<WorkQueue<(Address, M)>>,
     /// Messages pulled but not yet fully processed (sends count until
     /// their cascade lands); quiescence is `in_flight == 0`.
     in_flight: AtomicI64,
@@ -661,15 +661,10 @@ impl<M: Send + Clone + 'static> Dataflow<M> {
             return Ok(EpochOutcome::Idle);
         }
 
-        // 2. One unbounded channel per partition carries its batch and
-        // any cross-partition sends cascading within the epoch.
-        let channels: Vec<_> = (0..core.partitions).map(|_| unbounded()).collect();
-        let senders: Vec<_> = channels.iter().map(|(tx, _)| tx.clone()).collect();
-        for (p, batch) in batches.into_iter().enumerate() {
-            for rec in batch {
-                senders[p].send(rec).expect("receiver alive");
-            }
-        }
+        // 2. One inbox per partition carries its batch and any
+        // cross-partition sends cascading within the epoch.
+        let inboxes: Vec<WorkQueue<(Address, M)>> =
+            batches.into_iter().map(WorkQueue::from_iter).collect();
 
         // An explicitly sized pool always fans out; the auto default
         // additionally skips tiny epochs, where the handoff costs more
@@ -681,7 +676,6 @@ impl<M: Send + Clone + 'static> Dataflow<M> {
             let base_ticket = core
                 .barrier_ticket
                 .fetch_add(groups as u64 + 1, Ordering::Relaxed);
-            let receivers: Vec<_> = channels.iter().map(|(_, rx)| rx.clone()).collect();
             let ctx = Arc::new(EpochCtx {
                 groups,
                 base_ticket,
@@ -689,8 +683,7 @@ impl<M: Send + Clone + 'static> Dataflow<M> {
                 offsets,
                 batch_lens,
                 ingress_count,
-                senders,
-                receivers,
+                inboxes,
                 in_flight: AtomicI64::new(ingress_count as i64),
                 crashed: AtomicBool::new(false),
                 poison: Mutex::new(None),
@@ -733,14 +726,14 @@ impl<M: Send + Clone + 'static> Dataflow<M> {
             loop {
                 let mut progressed = false;
                 for p in 0..core.partitions {
-                    while let Ok((to, msg)) = channels[p].1.try_recv() {
+                    while let Some((to, msg)) = inboxes[p].try_pop() {
                         progressed = true;
                         if core.crash_countdown.fetch_sub(1, Ordering::SeqCst) == 0 {
                             return Ok(true);
                         }
                         let routed =
                             core.invoke_one(to, msg, &mut states[p], &mut stages[p], |addr, m| {
-                                let _ = senders[addr.partition(core.partitions)].send((addr, m));
+                                inboxes[addr.partition(core.partitions)].push((addr, m));
                             })?;
                         invocations += u64::from(routed);
                     }
@@ -1146,9 +1139,8 @@ impl<M: Send + Clone + 'static> DfCore<M> {
                     if ctx.crashed.load(Ordering::Acquire) {
                         break 'epoch;
                     }
-                    let (to, msg) = match ctx.receivers[p].try_recv() {
-                        Ok(rec) => rec,
-                        Err(_) => break,
+                    let Some((to, msg)) = ctx.inboxes[p].try_pop() else {
+                        break;
                     };
                     progressed = true;
                     idle_polls = 0;
@@ -1167,7 +1159,7 @@ impl<M: Send + Clone + 'static> DfCore<M> {
                     let routed =
                         self.invoke_one(to, msg, &mut guards[i], &mut stages[i], |addr, m| {
                             ctx.in_flight.fetch_add(1, Ordering::AcqRel);
-                            let _ = ctx.senders[addr.partition(self.partitions)].send((addr, m));
+                            ctx.inboxes[addr.partition(self.partitions)].push((addr, m));
                         })?;
                     ctx.invocations
                         .fetch_add(u64::from(routed), Ordering::Relaxed);

@@ -97,8 +97,9 @@ fn page_key(seller: SellerId, order: OrderId) -> Vec<u8> {
     key
 }
 
-fn decode_page(raw: &[u8]) -> Vec<OrderEntry> {
-    om_common::codec::from_bytes(raw).unwrap_or_default()
+fn decode_page(raw: &[u8]) -> OmResult<Vec<OrderEntry>> {
+    om_common::codec::from_bytes(raw)
+        .map_err(|e| OmError::Internal(format!("dashboard entry page does not decode: {e:?}")))
 }
 
 fn encode_page(entries: &[OrderEntry]) -> OmResult<Vec<u8>> {
@@ -113,14 +114,17 @@ fn encode_agg(amount_cents: i64, count: u64) -> Vec<u8> {
     out
 }
 
-fn decode_agg(raw: &[u8]) -> (i64, u64) {
+fn decode_agg(raw: &[u8]) -> OmResult<(i64, u64)> {
     if raw.len() != 16 {
-        return (0, 0);
+        return Err(OmError::Internal(format!(
+            "dashboard aggregate row does not decode: {} bytes, not 16",
+            raw.len()
+        )));
     }
-    (
+    Ok((
         i64::from_le_bytes(raw[0..8].try_into().unwrap()),
         u64::from_le_bytes(raw[8..16].try_into().unwrap()),
-    )
+    ))
 }
 
 /// Configuration for the customized platform.
@@ -206,19 +210,17 @@ impl CustomizedPlatform {
     }
 
     /// The seller's aggregate row as it stands, zero if never written.
-    fn read_agg(&self, seller: SellerId) -> (i64, u64) {
+    fn read_agg(&self, seller: SellerId) -> OmResult<(i64, u64)> {
         self.backend
             .get(&agg_key(seller))
-            .map(|raw| decode_agg(&raw))
-            .unwrap_or((0, 0))
+            .map_or(Ok((0, 0)), |raw| decode_agg(&raw))
     }
 
     /// The entry page `key` as it stands, empty if never written.
-    fn read_page(&self, key: &[u8]) -> Vec<OrderEntry> {
+    fn read_page(&self, key: &[u8]) -> OmResult<Vec<OrderEntry>> {
         self.backend
             .get(key)
-            .map(|raw| decode_page(&raw))
-            .unwrap_or_default()
+            .map_or(Ok(Vec::new()), |raw| decode_page(&raw))
     }
 
     /// Registers the order's dashboard entries and bumps the per-seller
@@ -241,9 +243,9 @@ impl CustomizedPlatform {
                 let amount: i64 = added.iter().map(|e| e.total_amount.cents()).sum();
                 let count = added.len() as u64;
                 let key = page_key(seller, order.id);
-                let mut page = self.read_page(&key);
+                let mut page = self.read_page(&key)?;
                 page.extend(added);
-                let (cur_amount, cur_count) = self.read_agg(seller);
+                let (cur_amount, cur_count) = self.read_agg(seller)?;
                 batch = batch.put(key, encode_page(&page)?).put(
                     agg_key(seller),
                     encode_agg(cur_amount + amount, cur_count + count),
@@ -257,14 +259,14 @@ impl CustomizedPlatform {
     fn project_retire_order(&self, seller: SellerId, order: OrderId) -> OmResult<()> {
         self.project(|| {
             let key = page_key(seller, order);
-            let page = self.read_page(&key);
+            let page = self.read_page(&key)?;
             let (retired, kept): (Vec<OrderEntry>, Vec<OrderEntry>) =
                 page.into_iter().partition(|e| e.order == order);
             if retired.is_empty() {
                 return Ok(WriteBatch::new());
             }
             let amount: i64 = retired.iter().map(|e| e.total_amount.cents()).sum();
-            let (cur_amount, cur_count) = self.read_agg(seller);
+            let (cur_amount, cur_count) = self.read_agg(seller)?;
             let batch = if kept.is_empty() {
                 WriteBatch::new().delete(key)
             } else {
@@ -461,10 +463,10 @@ impl MarketplacePlatform for CustomizedPlatform {
         let mut entries = Vec::new();
         for (key, raw) in rows {
             if key == agg {
-                (amount, count) = decode_agg(&raw);
+                (amount, count) = decode_agg(&raw)?;
                 entries.reserve(count as usize);
             } else {
-                entries.extend(decode_page(&raw));
+                entries.extend(decode_page(&raw)?);
             }
         }
         // Pages are hash buckets; the answer lists entries by order, then
@@ -492,5 +494,106 @@ impl MarketplacePlatform for CustomizedPlatform {
         let mut out = self.inner.counters();
         out.insert("audit.records".into(), self.audit.len() as u64);
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::factory::{build_platform, PlatformSpec};
+    use om_common::config::BackendKind;
+    use om_common::entity::PaymentMethod;
+
+    /// A damaged projection row fails the write that would overwrite it
+    /// and the dashboard that would read it, instead of decoding as an
+    /// empty page or a zero aggregate.
+    #[test]
+    fn damaged_dashboard_rows_fail_loudly_and_stay_untouched() {
+        let backend = om_storage::make_backend(BackendKind::SnapshotIsolation, 8);
+        let spec = PlatformSpec::new(PlatformKind::Customized, BackendKind::SnapshotIsolation)
+            .decline_rate(0.0)
+            .backend_instance(backend.clone());
+        let platform = build_platform(&spec);
+        for s in 1..=2 {
+            platform
+                .ingest_seller(Seller::new(
+                    SellerId(s),
+                    format!("seller-{s}"),
+                    "city".into(),
+                ))
+                .unwrap();
+            platform
+                .ingest_customer(Customer::new(
+                    CustomerId(s),
+                    format!("c-{s}"),
+                    "addr".into(),
+                ))
+                .unwrap();
+            platform
+                .ingest_product(
+                    Product {
+                        id: ProductId(s),
+                        seller: SellerId(s),
+                        name: format!("product-{s}"),
+                        category: "test".into(),
+                        description: String::new(),
+                        price: Money::from_cents(100),
+                        freight_value: Money::from_cents(10),
+                        version: 0,
+                        active: true,
+                    },
+                    100,
+                )
+                .unwrap();
+        }
+        platform.quiesce();
+
+        // Seller 1's entry pages and seller 2's aggregate row are garbage.
+        let garbage = b"\xff\xff\xff\xff\xff".to_vec();
+        let damaged: Vec<Vec<u8>> = (0..ENTRY_PAGES as u8)
+            .map(|page| {
+                let mut key = dashboard_prefix(SellerId(1));
+                key.extend_from_slice(b"e/");
+                key.push(page);
+                key
+            })
+            .chain([agg_key(SellerId(2))])
+            .collect();
+        for key in &damaged {
+            backend.put(key, &garbage);
+        }
+
+        for s in 1..=2 {
+            platform
+                .add_to_cart(
+                    CustomerId(s),
+                    CheckoutItem {
+                        seller: SellerId(s),
+                        product: ProductId(s),
+                        quantity: 1,
+                    },
+                )
+                .unwrap();
+            let checkout = platform.checkout(CheckoutRequest {
+                customer: CustomerId(s),
+                items: vec![],
+                method: PaymentMethod::CreditCard,
+            });
+            assert!(
+                matches!(checkout, Err(OmError::Internal(_))),
+                "seller {s}: a checkout over a damaged row fails, got {checkout:?}"
+            );
+            assert!(
+                platform.seller_dashboard(SellerId(s)).is_err(),
+                "seller {s}: the dashboard reports the damaged row"
+            );
+        }
+        for key in &damaged {
+            assert_eq!(
+                backend.get(key),
+                Some(garbage.clone()),
+                "row {key:?} was rewritten"
+            );
+        }
     }
 }

@@ -22,7 +22,6 @@
 //! (otherwise empty) domain service, calls the service's own method, and
 //! writes the row delta.
 
-use crossbeam::channel::{bounded, Sender};
 use om_common::entity::CartItem;
 use om_common::entity::{
     Customer, OrderEntry, OrderStatus, PaymentMethod, Product, Seller, SellerDashboard,
@@ -38,6 +37,7 @@ use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -174,7 +174,7 @@ fn checkout_rejected(tid: TransactionId, order: Option<OrderId>, reason: String)
 /// until claimed (the pump races client registration otherwise).
 #[derive(Default)]
 struct WaiterRegistry {
-    waiting: HashMap<u64, Sender<Eg>>,
+    waiting: HashMap<u64, SyncSender<Eg>>,
     orphaned: HashMap<u64, Eg>,
 }
 
@@ -191,7 +191,7 @@ impl WaiterRegistry {
         }
     }
 
-    fn register(&mut self, tid: u64, tx: Sender<Eg>) {
+    fn register(&mut self, tid: u64, tx: SyncSender<Eg>) {
         if let Some(eg) = self.orphaned.remove(&tid) {
             let _ = tx.send(eg);
         } else {
@@ -1059,8 +1059,8 @@ impl DataflowPlatform {
 
     /// Registers interest in `tid` *before* the triggering submission so
     /// the pump can never complete it unseen.
-    fn register_waiter(&self, tid: TransactionId) -> crossbeam::channel::Receiver<Eg> {
-        let (tx, rx) = bounded(1);
+    fn register_waiter(&self, tid: TransactionId) -> Receiver<Eg> {
+        let (tx, rx) = sync_channel(1);
         self.waiters.lock().register(tid.0, tx);
         rx
     }
@@ -1079,11 +1079,7 @@ impl DataflowPlatform {
     /// thread — on small machines the scheduler round-trip per epoch
     /// otherwise dominates end-to-end latency. The pump thread remains as
     /// the asynchronous driver for fire-and-forget traffic.
-    fn await_completion(
-        &self,
-        tid: TransactionId,
-        rx: crossbeam::channel::Receiver<Eg>,
-    ) -> OmResult<Eg> {
+    fn await_completion(&self, tid: TransactionId, rx: Receiver<Eg>) -> OmResult<Eg> {
         // While registered, the pump stands down (see the pump loop).
         struct WaiterGuard<'a>(&'a std::sync::atomic::AtomicUsize);
         impl Drop for WaiterGuard<'_> {
@@ -1106,8 +1102,8 @@ impl DataflowPlatform {
             if !drove {
                 match rx.recv_timeout(Duration::from_millis(1)) {
                     Ok(eg) => return Ok(eg),
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+                    Err(RecvTimeoutError::Timeout) => {}
+                    Err(RecvTimeoutError::Disconnected) => {
                         return Err(OmError::Unavailable(format!(
                             "dataflow completion channel for {tid} closed"
                         )));
@@ -1459,6 +1455,7 @@ mod tests {
     use super::*;
     use om_log::RecordCodec;
     use proptest::prelude::*;
+    use std::sync::mpsc::TryRecvError;
 
     /// A persisted ingress record laid out by hand: `fn_len` (u16 BE),
     /// name bytes, then `rest` (key LE ++ message body).
@@ -1587,7 +1584,7 @@ mod tests {
         }
     }
 
-    fn delivered(rx: &crossbeam::channel::Receiver<Eg>) -> Option<u64> {
+    fn delivered(rx: &Receiver<Eg>) -> Option<u64> {
         rx.try_recv().ok().map(|eg| eg.tid().0)
     }
 
@@ -1596,7 +1593,7 @@ mod tests {
         let mut registry = WaiterRegistry::default();
         registry.complete(done(5));
         assert!(registry.orphaned.contains_key(&5), "parked until claimed");
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         registry.register(5, tx);
         assert_eq!(delivered(&rx), Some(5));
         assert!(registry.orphaned.is_empty() && registry.waiting.is_empty());
@@ -1605,7 +1602,7 @@ mod tests {
     #[test]
     fn registered_waiter_receives_only_its_own_completion() {
         let mut registry = WaiterRegistry::default();
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         registry.register(6, tx);
         registry.complete(done(7));
         assert_eq!(delivered(&rx), None, "another tid's completion is parked");
@@ -1621,15 +1618,12 @@ mod tests {
     #[test]
     fn cancelled_waiter_is_withdrawn() {
         let mut registry = WaiterRegistry::default();
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         registry.register(8, tx);
         registry.cancel(8);
         assert!(registry.waiting.is_empty());
         assert!(
-            matches!(
-                rx.try_recv(),
-                Err(crossbeam::channel::TryRecvError::Disconnected)
-            ),
+            matches!(rx.try_recv(), Err(TryRecvError::Disconnected)),
             "the withdrawn sender is dropped"
         );
     }

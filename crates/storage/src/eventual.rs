@@ -13,14 +13,15 @@
 
 use crate::backend::{StateBackend, StateSession, WriteBatch, WriteOp};
 use crate::shards_pow2;
-use crossbeam::channel::{unbounded, Sender};
 use om_common::config::BackendKind;
+use om_common::pool::WorkQueue;
 use om_common::OmResult;
 use om_kv::replication::{Applier, ReplicationRecord, ReplicationStats};
 use om_kv::store::{Store, VersionedValue};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -30,8 +31,7 @@ const REORDER_WINDOW: usize = 8;
 enum ApplierMsg {
     Record(ReplicationRecord<Vec<u8>, Vec<u8>>),
     /// Flush buffered records and acknowledge via the enclosed sender.
-    Quiesce(Sender<()>),
-    Shutdown,
+    Quiesce(SyncSender<()>),
 }
 
 /// The eventual (LWW + async replica) implementation of [`StateBackend`].
@@ -39,7 +39,9 @@ pub struct EventualBackend {
     primary: Arc<Store<Vec<u8>, Vec<u8>>>,
     secondary: Arc<Store<Vec<u8>, Vec<u8>>>,
     stats: Arc<ReplicationStats>,
-    tx: Sender<ApplierMsg>,
+    /// Primary → secondary feed; closed on drop, after which the applier
+    /// drains what is queued and exits.
+    feed: Arc<WorkQueue<ApplierMsg>>,
     applier_handle: Mutex<Option<JoinHandle<()>>>,
     commits: AtomicU64,
     session_fallbacks: AtomicU64,
@@ -53,7 +55,8 @@ impl EventualBackend {
         let primary = Arc::new(Store::new(shards));
         let secondary = Arc::new(Store::new(shards));
         let stats = Arc::new(ReplicationStats::default());
-        let (tx, rx) = unbounded::<ApplierMsg>();
+        let feed = Arc::new(WorkQueue::default());
+        let applier_feed = Arc::clone(&feed);
         let applier_secondary = secondary.clone();
         let applier_stats = stats.clone();
         let handle = std::thread::Builder::new()
@@ -61,14 +64,13 @@ impl EventualBackend {
             .spawn(move || {
                 let mut applier =
                     Applier::new(applier_secondary, applier_stats, REORDER_WINDOW, 0xE7E7);
-                while let Ok(msg) = rx.recv() {
+                while let Some(msg) = applier_feed.pop() {
                     match msg {
                         ApplierMsg::Record(r) => applier.offer(r),
                         ApplierMsg::Quiesce(ack) => {
                             applier.flush();
                             let _ = ack.send(());
                         }
-                        ApplierMsg::Shutdown => break,
                     }
                 }
             })
@@ -77,7 +79,7 @@ impl EventualBackend {
             primary,
             secondary,
             stats,
-            tx,
+            feed,
             applier_handle: Mutex::new(Some(handle)),
             commits: AtomicU64::new(0),
             session_fallbacks: AtomicU64::new(0),
@@ -100,7 +102,7 @@ impl EventualBackend {
             value: value.map(<[u8]>::to_vec),
             key_seq: installed.key_seq,
         };
-        let _ = self.tx.send(ApplierMsg::Record(record));
+        self.feed.push(ApplierMsg::Record(record));
         installed.key_seq
     }
 
@@ -185,10 +187,9 @@ impl StateBackend for EventualBackend {
     }
 
     fn quiesce(&self) {
-        let (ack_tx, ack_rx) = unbounded();
-        if self.tx.send(ApplierMsg::Quiesce(ack_tx)).is_ok() {
-            let _ = ack_rx.recv();
-        }
+        let (ack_tx, ack_rx) = sync_channel(1);
+        self.feed.push(ApplierMsg::Quiesce(ack_tx));
+        let _ = ack_rx.recv();
     }
 
     fn len(&self) -> usize {
@@ -214,7 +215,7 @@ impl StateBackend for EventualBackend {
 
 impl Drop for EventualBackend {
     fn drop(&mut self) {
-        let _ = self.tx.send(ApplierMsg::Shutdown);
+        self.feed.close();
         if let Some(h) = self.applier_handle.lock().take() {
             let _ = h.join();
         }
