@@ -19,8 +19,10 @@
 #     check, not a measurement,
 #   * all examples must keep compiling; failure_recovery *runs* as a
 #     smoke step (it asserts zero lost epochs across a disk-backed
-#     platform rebuild), and so does http_gateway (it asserts the
-#     status of every endpoint through the HTTP engine),
+#     platform rebuild), and so do http_gateway (it asserts the
+#     status of every endpoint through the HTTP engine) and quickstart
+#     (it asserts a 2PL + 2PC checkout end to end: placed, delivered,
+#     and a consistent decision log with no aborts),
 #   * the shim crates' own unit tests run via --workspace,
 #   * rustdoc must build warning-free (om_storage, om_dataflow, om_log,
 #     om_kv, om_mvcc and om_actor additionally deny missing docs at the
@@ -81,5 +83,8 @@ cargo run --release --offline --example failure_recovery >/dev/null
 
 echo "==> smoke: http_gateway example (asserts every endpoint's status through the engine)"
 cargo run --release --offline --example http_gateway >/dev/null
+
+echo "==> smoke: quickstart example (asserts a 2PL + 2PC checkout, its delivery and the decision log)"
+cargo run --release --offline --example quickstart >/dev/null
 
 echo "CI OK"

@@ -5,8 +5,8 @@
 //!
 //! * [`participant::TxParticipant`] — a facet a grain embeds around its
 //!   state: a reader/writer lock with **wait-die** deadlock avoidance,
-//!   staged (shadow-copy) writes, and a prepare/commit/abort protocol
-//!   surface.
+//!   writes staged as ops (replayed on the committed state at commit),
+//!   and a prepare/commit/abort protocol surface.
 //! * [`coordinator::Coordinator`] — the client-side two-phase-commit
 //!   coordinator with a durable decision log. It reaches its participants
 //!   through [`coordinator::Participants`], which sends each protocol
@@ -17,13 +17,13 @@
 //!   another (the all-or-nothing criterion of paper §II).
 //!
 //! The deliberate cost profile of this machinery — lock acquisition
-//! round-trips, staged-state copies, two commit phases, log appends — is
-//! what experiment E5 ("Orleans Transactions comes at a considerable
-//! overhead") measures against the eventual binding. A client pays one
-//! wait per protocol phase, not one per grain: the transactional checkout
-//! sends each phase's grain ops — every stock reservation, say — as one
-//! [`crate::Cluster::call_all`], and retries alone only an op that must
-//! wait for a lock (`Conflict`).
+//! round-trips, staged ops that run twice (on a shadow, then at commit),
+//! two commit phases, log appends — is what experiment E5 ("Orleans
+//! Transactions comes at a considerable overhead") measures against the
+//! eventual binding. A client pays one wait per protocol phase, not one
+//! per grain: the transactional checkout sends each phase's grain ops —
+//! every stock reservation, say — as one [`crate::Cluster::call_all`],
+//! and retries alone only an op that must wait for a lock (`Conflict`).
 
 pub mod coordinator;
 pub mod participant;

@@ -2,7 +2,7 @@
 
 use om_common::ids::TransactionId;
 use om_common::{OmError, OmResult};
-use std::collections::HashMap;
+use std::fmt;
 
 /// Lock mode requested by a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,14 +13,26 @@ pub enum LockMode {
     Write,
 }
 
+/// A staged write, kept to be replayed on the committed state.
+type Op<S> = Box<dyn Fn(&mut S) + Send>;
+
 /// A grain-embedded transactional state cell.
 ///
 /// The grain keeps its authoritative state inside the participant; plain
 /// (non-transactional) reads see the last committed value, while
 /// transactional access goes through [`TxParticipant::acquire`] /
-/// [`TxParticipant::read`] / [`TxParticipant::stage_mut`] and the 2PC
+/// [`TxParticipant::read`] / [`TxParticipant::stage`] and the 2PC
 /// surface ([`TxParticipant::prepare`], [`TxParticipant::commit`],
 /// [`TxParticipant::abort`]).
+///
+/// **Deferred update.** A write stages an *op*, not a copy of the state.
+/// The op runs at once on a shadow (the committed state with the write
+/// holder's ops applied) and joins a redo list; commit replays the list
+/// on the committed state. The shadow outlives the transaction, since
+/// after a commit it equals the committed state again. So only the first
+/// write after construction, after an abort with staged ops, or after a
+/// [`TxParticipant::mutate_committed`] clones the state: a transaction
+/// otherwise costs the ops it runs, not the size of the grain.
 ///
 /// **Wait-die** deadlock avoidance: transaction ids double as priorities
 /// (lower id = older = wins). An older transaction requesting a held lock
@@ -28,17 +40,30 @@ pub enum LockMode {
 /// a younger one *dies* (`TxWaitDie`, the transaction restarts). This
 /// guarantees no deadlock cycles while letting old transactions make
 /// progress.
-#[derive(Debug, Clone)]
 pub struct TxParticipant<S> {
     committed: S,
+    /// `committed` with `redo` applied; `None` until a write needs it.
+    shadow: Option<S>,
+    /// The write holder's staged ops, in staging order.
+    redo: Vec<Op<S>>,
     /// Current read holders (empty when write-locked or free).
     read_holders: Vec<TransactionId>,
     /// Current write holder.
     write_holder: Option<TransactionId>,
-    /// Shadow copies for transactions holding the write lock.
-    staged: HashMap<TransactionId, S>,
     /// Transactions that voted yes in phase one.
     prepared: Vec<TransactionId>,
+}
+
+impl<S: fmt::Debug> fmt::Debug for TxParticipant<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TxParticipant")
+            .field("committed", &self.committed)
+            .field("staged_ops", &self.redo.len())
+            .field("read_holders", &self.read_holders)
+            .field("write_holder", &self.write_holder)
+            .field("prepared", &self.prepared)
+            .finish()
+    }
 }
 
 impl<S: Clone> TxParticipant<S> {
@@ -46,9 +71,10 @@ impl<S: Clone> TxParticipant<S> {
     pub fn new(initial: S) -> Self {
         Self {
             committed: initial,
+            shadow: None,
+            redo: Vec::new(),
             read_holders: Vec::new(),
             write_holder: None,
-            staged: HashMap::new(),
             prepared: Vec::new(),
         }
     }
@@ -60,6 +86,7 @@ impl<S: Clone> TxParticipant<S> {
 
     /// Mutates committed state outside any transaction (data ingestion /
     /// eventual-mode writes). Fails if a transaction holds the write lock.
+    /// Drops the shadow, so the next staged write clones the new state.
     pub fn mutate_committed<F: FnOnce(&mut S)>(&mut self, f: F) -> OmResult<()> {
         if let Some(holder) = self.write_holder {
             return Err(OmError::Conflict(format!(
@@ -67,6 +94,7 @@ impl<S: Clone> TxParticipant<S> {
             )));
         }
         f(&mut self.committed);
+        self.shadow = None;
         Ok(())
     }
 
@@ -132,26 +160,45 @@ impl<S: Clone> TxParticipant<S> {
         }
     }
 
-    /// Transactional read; requires a previously acquired lock.
+    /// Transactional read; requires a previously acquired lock. The write
+    /// holder sees its staged ops; every other holder sees the committed
+    /// state.
     pub fn read(&self, tid: TransactionId) -> OmResult<&S> {
         if !self.holds_any(tid) {
             return Err(OmError::Internal(format!("{tid} reads without a lock")));
         }
-        Ok(self.staged.get(&tid).unwrap_or(&self.committed))
+        match &self.shadow {
+            Some(shadow) if self.write_holder == Some(tid) && !self.redo.is_empty() => Ok(shadow),
+            _ => Ok(&self.committed),
+        }
     }
 
-    /// Mutable access to the transaction's shadow copy; requires the write
-    /// lock. The first access clones the committed state.
-    pub fn stage_mut(&mut self, tid: TransactionId) -> OmResult<&mut S> {
+    /// Stages a write; requires the write lock. Runs `op` on the shadow,
+    /// cloning the committed state only if there is no shadow, returns
+    /// its result, and keeps `op` to replay on the committed state at
+    /// commit.
+    ///
+    /// **Contract:** `op` runs twice, now on the shadow and again at
+    /// commit, so it must be a pure function of the state and what it
+    /// captures. Read clocks, ticks and random draws outside it and move
+    /// the values in. An op that changes the state and then returns `Err`
+    /// (a refused stock reservation counts the refusal) is replayed like
+    /// any other, so its change commits with the transaction.
+    pub fn stage<R>(
+        &mut self,
+        tid: TransactionId,
+        op: impl Fn(&mut S) -> R + Send + 'static,
+    ) -> OmResult<R> {
         if self.write_holder != Some(tid) {
             return Err(OmError::Internal(format!(
                 "{tid} writes without the write lock"
             )));
         }
-        Ok(self
-            .staged
-            .entry(tid)
-            .or_insert_with(|| self.committed.clone()))
+        let out = op(self.shadow.get_or_insert_with(|| self.committed.clone()));
+        self.redo.push(Box::new(move |s| {
+            op(s);
+        }));
+        Ok(out)
     }
 
     /// Phase one: vote. Yes iff the transaction holds its locks (writes
@@ -166,17 +213,25 @@ impl<S: Clone> TxParticipant<S> {
         Ok(true)
     }
 
-    /// Phase two (commit): installs the shadow copy and releases locks.
+    /// Phase two (commit): replays the staged ops on the committed state
+    /// and releases locks. The shadow now equals the committed state and
+    /// serves the next transaction.
     pub fn commit(&mut self, tid: TransactionId) {
-        if let Some(staged) = self.staged.remove(&tid) {
-            self.committed = staged;
+        if self.write_holder == Some(tid) {
+            for op in self.redo.drain(..) {
+                op(&mut self.committed);
+            }
         }
         self.release(tid);
     }
 
-    /// Phase two (abort): discards the shadow copy and releases locks.
+    /// Phase two (abort): discards the staged ops, and the shadow they
+    /// changed, and releases locks.
     pub fn abort(&mut self, tid: TransactionId) {
-        self.staged.remove(&tid);
+        if self.write_holder == Some(tid) && !self.redo.is_empty() {
+            self.redo.clear();
+            self.shadow = None;
+        }
         self.release(tid);
     }
 
@@ -197,6 +252,8 @@ impl<S: Clone> TxParticipant<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn tid(n: u64) -> TransactionId {
         TransactionId(n)
@@ -247,7 +304,7 @@ mod tests {
         let mut p = TxParticipant::new(0i32);
         p.acquire(tid(1), LockMode::Read).unwrap();
         p.acquire(tid(1), LockMode::Write).unwrap();
-        *p.stage_mut(tid(1)).unwrap() = 7;
+        p.stage(tid(1), |s| *s = 7).unwrap();
         p.commit(tid(1));
         assert_eq!(*p.committed(), 7);
     }
@@ -265,7 +322,7 @@ mod tests {
     fn staged_writes_are_invisible_until_commit() {
         let mut p = TxParticipant::new(10i32);
         p.acquire(tid(1), LockMode::Write).unwrap();
-        *p.stage_mut(tid(1)).unwrap() = 99;
+        p.stage(tid(1), |s| *s = 99).unwrap();
         assert_eq!(*p.committed(), 10, "uncommitted write leaked");
         assert_eq!(*p.read(tid(1)).unwrap(), 99, "own write not visible");
         assert!(p.prepare(tid(1)).unwrap());
@@ -278,7 +335,7 @@ mod tests {
     fn abort_discards_staged_state() {
         let mut p = TxParticipant::new(10i32);
         p.acquire(tid(1), LockMode::Write).unwrap();
-        *p.stage_mut(tid(1)).unwrap() = 99;
+        p.stage(tid(1), |s| *s = 99).unwrap();
         p.abort(tid(1));
         assert_eq!(*p.committed(), 10);
         assert!(!p.is_locked());
@@ -296,7 +353,7 @@ mod tests {
     fn unlocked_read_and_write_are_internal_errors() {
         let mut p = TxParticipant::new(0i32);
         assert_eq!(p.read(tid(1)).unwrap_err().label(), "internal");
-        assert_eq!(p.stage_mut(tid(1)).unwrap_err().label(), "internal");
+        assert_eq!(p.stage(tid(1), |s| *s = 1).unwrap_err().label(), "internal");
     }
 
     #[test]
@@ -327,5 +384,82 @@ mod tests {
         // tid2 dies: releases b; tid1 can now proceed.
         b.abort(tid(2));
         b.acquire(tid(1), LockMode::Write).unwrap();
+    }
+
+    /// A state whose every clone bumps a shared counter.
+    #[derive(Debug)]
+    struct Counted {
+        rows: Vec<u64>,
+        clones: Arc<AtomicUsize>,
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.clones.fetch_add(1, Ordering::Relaxed);
+            Self {
+                rows: self.rows.clone(),
+                clones: self.clones.clone(),
+            }
+        }
+    }
+
+    fn counted() -> (TxParticipant<Counted>, impl Fn() -> usize) {
+        let clones = Arc::new(AtomicUsize::new(0));
+        let count = clones.clone();
+        let p = TxParticipant::new(Counted {
+            rows: Vec::new(),
+            clones,
+        });
+        (p, move || count.load(Ordering::Relaxed))
+    }
+
+    /// Runs one write transaction that pushes `row`, then commits it.
+    fn push_and_commit(p: &mut TxParticipant<Counted>, t: u64, row: u64) {
+        p.acquire(tid(t), LockMode::Write).unwrap();
+        p.stage(tid(t), move |s| s.rows.push(row)).unwrap();
+        assert!(p.prepare(tid(t)).unwrap());
+        p.commit(tid(t));
+    }
+
+    #[test]
+    fn committed_writes_share_one_clone() {
+        let (mut p, clones) = counted();
+        for t in 1..=100 {
+            push_and_commit(&mut p, t, t);
+        }
+        assert_eq!(p.committed().rows, (1..=100).collect::<Vec<_>>());
+        assert!(clones() <= 1, "100 commits took {} clones", clones());
+    }
+
+    #[test]
+    fn abort_and_outside_writes_cost_one_clone_at_the_next_stage() {
+        let (mut p, clones) = counted();
+        push_and_commit(&mut p, 1, 1);
+        assert_eq!(clones(), 1);
+
+        p.acquire(tid(2), LockMode::Write).unwrap();
+        p.stage(tid(2), |s| s.rows.push(99)).unwrap();
+        p.abort(tid(2));
+        assert_eq!(clones(), 1, "the abort itself clones nothing");
+        push_and_commit(&mut p, 3, 3);
+        assert_eq!(clones(), 2, "the stage after an abort clones once");
+
+        p.mutate_committed(|s| s.rows.push(4)).unwrap();
+        assert_eq!(clones(), 2, "the outside write itself clones nothing");
+        push_and_commit(&mut p, 5, 5);
+        assert_eq!(clones(), 3, "the stage after an outside write clones once");
+        assert_eq!(p.committed().rows, vec![1, 3, 4, 5]);
+    }
+
+    #[test]
+    fn a_participant_that_never_stages_never_clones() {
+        let (mut p, clones) = counted();
+        for row in 0..100 {
+            p.mutate_committed(|s| s.rows.push(row)).unwrap();
+            p.acquire(tid(row + 1), LockMode::Read).unwrap();
+            assert_eq!(p.read(tid(row + 1)).unwrap().rows.len() as u64, row + 1);
+            p.commit(tid(row + 1));
+        }
+        assert_eq!(clones(), 0);
     }
 }

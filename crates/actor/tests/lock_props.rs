@@ -10,6 +10,8 @@
 //!   "waits-for" order always points from younger to older and no cycle
 //!   (deadlock) can form;
 //! * staged writes are invisible until commit, discarded on abort;
+//! * staged ops replayed at commit behave exactly like the shadow copy
+//!   (clone on first write, install on commit) they replace;
 //! * the coordinator's log never records both commit and abort for one
 //!   transaction.
 
@@ -18,7 +20,7 @@ use om_common::ids::TransactionId;
 use om_common::{OmError, OmResult};
 use parking_lot::Mutex;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// A randomly generated lock-protocol step.
 #[derive(Debug, Clone)]
@@ -36,8 +38,177 @@ fn step_strategy(txs: u8, cells: u8) -> impl Strategy<Value = LockStep> {
     ]
 }
 
+/// A staged write over a `Vec<u64>` state, in the three shapes the grains
+/// stage.
+#[derive(Debug, Clone, Copy)]
+enum Write {
+    /// Adds to every row and returns the new sum (a value-returning op).
+    AddAll(u64),
+    /// Appends a row (a pure mutation).
+    Push(u64),
+    /// Appends a row, then fails: a refused stock reservation counts the
+    /// refusal and returns `Err`.
+    PushThenRefuse(u64),
+}
+
+impl Write {
+    fn apply(self, rows: &mut Vec<u64>) -> Result<u64, u64> {
+        match self {
+            Write::AddAll(x) => {
+                rows.iter_mut().for_each(|r| *r = r.wrapping_add(x));
+                Ok(rows.iter().fold(0, |a, r| a.wrapping_add(*r)))
+            }
+            Write::Push(x) => {
+                rows.push(x);
+                Ok(rows.len() as u64)
+            }
+            Write::PushThenRefuse(x) => {
+                rows.push(x);
+                Err(x)
+            }
+        }
+    }
+}
+
+/// One step of a participant's life.
+#[derive(Debug, Clone)]
+enum CellStep {
+    Acquire { tx: u64, write: bool },
+    Stage { tx: u64, write: Write },
+    Read { tx: u64 },
+    Prepare { tx: u64 },
+    Commit { tx: u64 },
+    Abort { tx: u64 },
+    MutateCommitted(u64),
+}
+
+fn cell_step_strategy() -> impl Strategy<Value = CellStep> {
+    let tx = 1..4u64;
+    let write = prop_oneof![
+        (0..5u64).prop_map(Write::AddAll),
+        (0..100u64).prop_map(Write::Push),
+        (0..100u64).prop_map(Write::PushThenRefuse),
+    ];
+    prop_oneof![
+        3 => (tx.clone(), any::<bool>()).prop_map(|(tx, write)| CellStep::Acquire { tx, write }),
+        4 => (tx.clone(), write).prop_map(|(tx, write)| CellStep::Stage { tx, write }),
+        2 => tx.clone().prop_map(|tx| CellStep::Read { tx }),
+        1 => tx.clone().prop_map(|tx| CellStep::Prepare { tx }),
+        2 => tx.clone().prop_map(|tx| CellStep::Commit { tx }),
+        1 => tx.prop_map(|tx| CellStep::Abort { tx }),
+        1 => (0..100u64).prop_map(CellStep::MutateCommitted),
+    ]
+}
+
+/// The staging semantics the redo list replaces: the first write of a
+/// transaction clones the committed state, later writes change the
+/// clone, commit installs it and abort drops it. Lock grants are taken
+/// from the participant (`wait_die_locking_is_safe` checks them); the
+/// model only tracks who holds what.
+#[derive(Default)]
+struct CloneOnWrite {
+    committed: Vec<u64>,
+    staged: HashMap<u64, Vec<u64>>,
+    writer: Option<u64>,
+    readers: BTreeSet<u64>,
+}
+
+impl CloneOnWrite {
+    fn holds(&self, tx: u64) -> bool {
+        self.writer == Some(tx) || self.readers.contains(&tx)
+    }
+
+    fn release(&mut self, tx: u64) {
+        self.readers.remove(&tx);
+        if self.writer == Some(tx) {
+            self.writer = None;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random schedules of lock, stage, read, 2PC and outside writes give
+    /// the same op results, transactional reads and committed state as a
+    /// clone-on-first-write model, and a transaction that does not hold
+    /// the write lock never sees staged state.
+    #[test]
+    fn staged_ops_match_a_clone_on_first_write(
+        steps in prop::collection::vec(cell_step_strategy(), 1..120)
+    ) {
+        let mut cell = TxParticipant::new(Vec::<u64>::new());
+        let mut model = CloneOnWrite::default();
+        for step in steps {
+            match step {
+                CellStep::Acquire { tx, write } => {
+                    let mode = if write { LockMode::Write } else { LockMode::Read };
+                    if cell.acquire(TransactionId(tx), mode).is_ok() {
+                        if write {
+                            prop_assert!(model.readers.iter().all(|&r| r == tx));
+                            prop_assert!(model.writer.is_none() || model.writer == Some(tx));
+                            model.readers.remove(&tx);
+                            model.writer = Some(tx);
+                        } else if !model.holds(tx) {
+                            prop_assert!(model.writer.is_none());
+                            model.readers.insert(tx);
+                        }
+                    }
+                }
+                CellStep::Stage { tx, write } => {
+                    let got = cell.stage(TransactionId(tx), move |rows| write.apply(rows));
+                    if model.writer == Some(tx) {
+                        let staged = model
+                            .staged
+                            .entry(tx)
+                            .or_insert_with(|| model.committed.clone());
+                        prop_assert_eq!(got.unwrap(), write.apply(staged));
+                    } else {
+                        prop_assert_eq!(got.unwrap_err().label(), "internal");
+                    }
+                }
+                CellStep::Read { tx } => {
+                    let got = cell.read(TransactionId(tx));
+                    if model.holds(tx) {
+                        let want = model.staged.get(&tx).unwrap_or(&model.committed);
+                        prop_assert_eq!(got.unwrap(), want);
+                    } else {
+                        prop_assert_eq!(got.unwrap_err().label(), "internal");
+                    }
+                }
+                CellStep::Prepare { tx } => {
+                    prop_assert_eq!(cell.prepare(TransactionId(tx)).unwrap(), model.holds(tx));
+                }
+                CellStep::Commit { tx } => {
+                    cell.commit(TransactionId(tx));
+                    if let Some(staged) = model.staged.remove(&tx) {
+                        model.committed = staged;
+                    }
+                    model.release(tx);
+                }
+                CellStep::Abort { tx } => {
+                    cell.abort(TransactionId(tx));
+                    model.staged.remove(&tx);
+                    model.release(tx);
+                }
+                CellStep::MutateCommitted(x) => {
+                    let got = cell.mutate_committed(|rows| rows.push(x));
+                    prop_assert_eq!(got.is_ok(), model.writer.is_none());
+                    if model.writer.is_none() {
+                        model.committed.push(x);
+                    }
+                }
+            }
+            // Non-transactional readers, and every transaction but the
+            // write holder, see only committed state.
+            prop_assert_eq!(cell.committed(), &model.committed);
+            for tx in 1..4u64 {
+                if model.readers.contains(&tx) {
+                    prop_assert_eq!(cell.read(TransactionId(tx)).unwrap(), &model.committed);
+                }
+            }
+        }
+    }
 
     /// Drives random acquire/release traffic over a few lock cells and
     /// checks mutual exclusion plus the wait-die rule on every denial.
@@ -139,7 +310,7 @@ proptest! {
         for (i, (value, commit)) in values.into_iter().enumerate() {
             let tid = TransactionId(i as u64 + 1);
             cell.acquire(tid, LockMode::Write).unwrap();
-            *cell.stage_mut(tid).unwrap() = value;
+            cell.stage(tid, move |s| *s = value).unwrap();
             // Not visible before the decision:
             prop_assert_eq!(*cell.committed(), committed_value);
             if commit {
@@ -218,7 +389,7 @@ proptest! {
                 // Stage something under the lock so prepare has work.
                 let mut inner = part.inner.lock();
                 inner.acquire(tid, LockMode::Write).unwrap();
-                *inner.stage_mut(tid).unwrap() += 1;
+                inner.stage(tid, |s| *s += 1).unwrap();
             }
             let outcome = coordinator.run_2pc(tid, &parts);
             if votes.iter().all(|&v| v) {

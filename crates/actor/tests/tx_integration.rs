@@ -37,7 +37,7 @@ fn account_cluster(silos: usize) -> Cluster<Msg, Reply> {
             Box::new(move |_ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| match msg {
                 Msg::Apply(tid, delta) => match part
                     .acquire(tid, LockMode::Write)
-                    .and_then(|_| part.stage_mut(tid).map(|s| *s += delta))
+                    .and_then(|_| part.stage(tid, move |s| *s += delta))
                 {
                     Ok(()) => Reply::Ok,
                     Err(e) => Reply::Err(e),

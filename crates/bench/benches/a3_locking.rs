@@ -42,7 +42,7 @@ fn run_contended(parts: &Arc<Vec<LocalPart>>, coordinator: &Arc<Coordinator>, sp
                         let acquired = {
                             let mut p = parts[idx].0.lock();
                             p.acquire(tid, LockMode::Write)
-                                .map(|_| *p.stage_mut(tid).unwrap() += 1)
+                                .and_then(|_| p.stage(tid, |s| *s += 1))
                         };
                         match acquired {
                             Ok(()) => break,

@@ -323,17 +323,15 @@ fn make_stock_grain(root: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, Reply
             // Transactional surface.
             Msg::TxStockReserve { tid, qty } => with_tx(part.as_mut(), tid, |p, tid| {
                 p.acquire(tid, LockMode::Write)?;
-                p.stage_mut(tid)?.reserve(qty)
+                p.stage(tid, move |s| s.reserve(qty))?
             }),
             Msg::TxStockConfirm { tid, qty } => with_tx(part.as_mut(), tid, |p, tid| {
                 p.acquire(tid, LockMode::Write)?;
-                p.stage_mut(tid)?.confirm(qty);
-                Ok(())
+                p.stage(tid, move |s| s.confirm(qty))
             }),
             Msg::TxStockCancel { tid, qty } => with_tx(part.as_mut(), tid, |p, tid| {
                 p.acquire(tid, LockMode::Write)?;
-                p.stage_mut(tid)?.cancel(qty);
-                Ok(())
+                p.stage(tid, move |s| s.cancel(qty))
             }),
             other => not_mine(ctx.id(), &other),
         }
@@ -424,7 +422,8 @@ fn make_cart_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Reply>>
 
 fn make_order_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Reply>> {
     let mut part = TxParticipant::new(OrderService::new(customer));
-    let mut delivered_counts: HashMap<OrderId, u32> = HashMap::new();
+    // The sellers that delivered each order still in transit.
+    let mut delivered_by: HashMap<OrderId, BTreeSet<SellerId>> = HashMap::new();
     Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| {
         if let Some(reply) = handle_tx_protocol(&mut part, &msg, ctx, |_, _| Ok(())) {
             return reply;
@@ -489,19 +488,15 @@ fn make_order_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Reply>
                     Err(e) => Reply::Err(e),
                 }
             }
-            Msg::OrderPackagesDelivered { order, packages } => {
-                let total = {
-                    let e = delivered_counts.entry(order).or_insert(0);
-                    *e += packages;
-                    *e
-                };
-                let expected = part
-                    .committed()
-                    .orders
-                    .get(&order)
-                    .map(|o| o.items.len() as u32)
-                    .unwrap_or(u32::MAX);
-                if total >= expected {
+            Msg::OrderPackagesDelivered { order, seller } => {
+                let placed = part.committed().orders.get(&order);
+                if placed.is_some_and(|o| o.status == OrderStatus::Delivered) {
+                    return Reply::Ok;
+                }
+                let reported = delivered_by.entry(order).or_default();
+                reported.insert(seller);
+                if placed.is_some_and(|o| o.items.iter().all(|i| reported.contains(&i.seller))) {
+                    delivered_by.remove(&order);
                     let at = ctx.tick();
                     let _ = part.mutate_committed(|s| {
                         let _ = s.set_status(order, OrderStatus::Delivered, at);
@@ -527,7 +522,7 @@ fn make_order_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Reply>
             Msg::TxOrderCreate { tid, items, at } => {
                 match part
                     .acquire(tid, LockMode::Write)
-                    .and_then(|_| part.stage_mut(tid)?.create_order(&items, at))
+                    .and_then(|_| part.stage(tid, move |s| s.create_order(&items, at))?)
                 {
                     Ok(order) => Reply::Order(order),
                     Err(e) => Reply::Err(e),
@@ -537,7 +532,7 @@ fn make_order_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Reply>
                 let at = ctx.tick();
                 match part
                     .acquire(tid, LockMode::Write)
-                    .and_then(|_| part.stage_mut(tid)?.set_status(order, status, at))
+                    .and_then(|_| part.stage(tid, move |s| s.set_status(order, status, at))?)
                 {
                     Ok(()) => Reply::Ok,
                     Err(e) => Reply::Err(e),
@@ -641,13 +636,9 @@ fn make_payment_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Repl
             } => {
                 let at = ctx.tick();
                 match part.acquire(tid, LockMode::Write).and_then(|_| {
-                    Ok(part.stage_mut(tid)?.process(
-                        order,
-                        method,
-                        amount,
-                        from_basis_points(decline_rate_bp),
-                        at,
-                    ))
+                    part.stage(tid, move |s| {
+                        s.process(order, method, amount, from_basis_points(decline_rate_bp), at)
+                    })
                 }) {
                     Ok(p) => Reply::Payment(p),
                     Err(e) => Reply::Err(e),
@@ -710,10 +701,7 @@ fn make_shipment_grain(seller: SellerId) -> Box<dyn om_actor::Grain<Msg, Reply>>
                     Some((order, pkgs)) => {
                         ctx.send(
                             order_grain(customer_of_order(order)),
-                            Msg::OrderPackagesDelivered {
-                                order,
-                                packages: pkgs.len() as u32,
-                            },
+                            Msg::OrderPackagesDelivered { order, seller },
                         );
                         ctx.send(
                             seller_grain(seller),
@@ -749,10 +737,9 @@ fn make_shipment_grain(seller: SellerId) -> Box<dyn om_actor::Grain<Msg, Reply>>
             } => {
                 let at = ctx.tick();
                 match part.acquire(tid, LockMode::Write).and_then(|_| {
-                    Ok(part
-                        .stage_mut(tid)?
-                        .create_packages(shipment, order, customer, &lines, at)
-                        .len())
+                    part.stage(tid, move |s| {
+                        s.create_packages(shipment, order, customer, &lines, at).len()
+                    })
                 }) {
                     Ok(n) => Reply::Count(n as u64),
                     Err(e) => Reply::Err(e),
@@ -762,7 +749,7 @@ fn make_shipment_grain(seller: SellerId) -> Box<dyn om_actor::Grain<Msg, Reply>>
                 let at = ctx.tick();
                 match part
                     .acquire(tid, LockMode::Write)
-                    .and_then(|_| Ok(part.stage_mut(tid)?.deliver_oldest_order(at)))
+                    .and_then(|_| part.stage(tid, move |s| s.deliver_oldest_order(at)))
                 {
                     Ok(Some((order, pkgs))) => Reply::Delivered {
                         order: Some(order),
@@ -811,15 +798,15 @@ fn make_seller_grain(seller: SellerId, stored: StoredRows) -> Box<dyn om_actor::
         .map(TxParticipant::new);
     // The orders each open transaction staged, so its commit stores their
     // rows and nothing else.
-    let mut staged: HashMap<TransactionId, BTreeSet<OrderId>> = HashMap::new();
+    let mut touched: HashMap<TransactionId, BTreeSet<OrderId>> = HashMap::new();
     Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| {
         if let Some(p) = part.as_mut() {
             let delta = match &msg {
                 Msg::TxCommit { tid } => {
-                    SellerDelta::of(p.committed(), staged.remove(tid).unwrap_or_default())
+                    SellerDelta::of(p.committed(), touched.remove(tid).unwrap_or_default())
                 }
                 Msg::TxAbort { tid } => {
-                    staged.remove(tid);
+                    touched.remove(tid);
                     SellerDelta::default()
                 }
                 _ => SellerDelta::default(),
@@ -864,22 +851,20 @@ fn make_seller_grain(seller: SellerId, stored: StoredRows) -> Box<dyn om_actor::
                 let order = entry.order;
                 let reply = with_tx(part.as_mut(), tid, |p, tid| {
                     p.acquire(tid, LockMode::Write)?;
-                    p.stage_mut(tid)?.add_entry(entry);
-                    Ok(())
+                    p.stage(tid, move |v| v.add_entry(entry.clone()))
                 });
                 if matches!(reply, Reply::Ok) {
-                    staged.entry(tid).or_default().insert(order);
+                    touched.entry(tid).or_default().insert(order);
                 }
                 reply
             }
             Msg::TxSellerApplyStatus { tid, order, status } => {
                 let reply = with_tx(part.as_mut(), tid, |p, tid| {
                     p.acquire(tid, LockMode::Write)?;
-                    p.stage_mut(tid)?.apply_status(order, status);
-                    Ok(())
+                    p.stage(tid, move |v| v.apply_status(order, status))
                 });
                 if matches!(reply, Reply::Ok) {
-                    staged.entry(tid).or_default().insert(order);
+                    touched.entry(tid).or_default().insert(order);
                 }
                 reply
             }
@@ -935,8 +920,7 @@ fn make_customer_grain(
                 amount,
             } => with_tx(part.as_mut(), tid, |p, tid| {
                 p.acquire(tid, LockMode::Write)?;
-                p.stage_mut(tid)?.record_payment(approved, amount);
-                Ok(())
+                p.stage(tid, move |c| c.record_payment(approved, amount))
             }),
             other => not_mine(ctx.id(), &other),
         }

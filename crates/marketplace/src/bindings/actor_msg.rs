@@ -75,9 +75,9 @@ pub enum Msg {
         decline_rate_bp: u32,
     },
     OrderSetStatus { order: OrderId, status: OrderStatus },
-    /// Package-delivery progress; order flips to Delivered when all its
-    /// lines have delivered packages.
-    OrderPackagesDelivered { order: OrderId, packages: u32 },
+    /// `seller` delivered its packages of `order`; the order flips to
+    /// Delivered once every seller of its items has.
+    OrderPackagesDelivered { order: OrderId, seller: SellerId },
     OrderGetAll,
     /// Fetches one order by id.
     OrderGet(OrderId),

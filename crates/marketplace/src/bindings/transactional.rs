@@ -556,7 +556,7 @@ impl TransactionalPlatform {
             detail.delivered_orders.push((seller, order));
             self.core.cluster.notify(
                 order_grain(customer_of_order(order)),
-                Msg::OrderPackagesDelivered { order, packages: n },
+                Msg::OrderPackagesDelivered { order, seller },
             );
             self.core.cluster.notify(
                 seller_grain(seller),

@@ -2,11 +2,13 @@
 //! functional scenario, while their *consistency* behaviours are allowed
 //! to differ exactly along the axes the paper evaluates.
 
-use om_common::entity::{Customer, PaymentMethod, Product, Seller};
+use om_common::entity::{Customer, OrderStatus, PaymentMethod, Product, Seller};
 use om_common::ids::{CustomerId, ProductId, SellerId};
 use om_common::Money;
 use om_marketplace::api::*;
 use om_marketplace::bindings::actor_core::ActorPlatformConfig;
+use om_marketplace::bindings::actor_grains::order_grain;
+use om_marketplace::bindings::actor_msg::Msg;
 use om_marketplace::bindings::customized::CustomizedConfig;
 use om_marketplace::bindings::dataflow::DataflowPlatformConfig;
 use om_marketplace::{
@@ -314,6 +316,56 @@ fn customized_dashboard_pages_hold_each_entry_once() {
     assert_eq!(left, 0, "every order delivered, every entry retired");
     assert_eq!(seller_rows(1), 1, "empty pages are deleted; the aggregate stays");
     assert_eq!(seller_rows(2), 1);
+}
+
+/// A duplicated package-delivered event (the lossy fault model's
+/// duplicates) neither completes a two-seller order early nor counts the
+/// customer's delivery twice.
+#[test]
+fn a_duplicated_delivery_event_counts_once_per_seller() {
+    let p = TransactionalPlatform::new(ActorPlatformConfig {
+        decline_rate: 0.0,
+        ..Default::default()
+    });
+    ingest(&p);
+    checkout_items(&p, 1, &[(1, 1, 2), (2, 4, 1)]);
+    let outcome = p
+        .checkout(CheckoutRequest {
+            customer: CustomerId(1),
+            items: vec![],
+            method: PaymentMethod::CreditCard,
+        })
+        .unwrap();
+    let CheckoutOutcome::Placed { order: Some(order), .. } = outcome else {
+        panic!("{outcome:?}");
+    };
+    p.quiesce();
+    let state = |p: &TransactionalPlatform| {
+        let snap = p.snapshot().unwrap();
+        let status = snap.orders.iter().find(|o| o.id == order).unwrap().status;
+        let customer = snap.customers.iter().find(|c| c.id == CustomerId(1)).unwrap();
+        (status, customer.delivery_count)
+    };
+
+    let first = p.update_delivery_with_detail(1).unwrap();
+    assert_eq!(first.delivered_orders.len(), 1, "{first:?}");
+    let (seller, delivered) = first.delivered_orders[0];
+    assert_eq!(delivered, order);
+    let duplicate = Msg::OrderPackagesDelivered { order, seller };
+    p.core().cluster.notify(order_grain(CustomerId(1)), duplicate.clone());
+    p.quiesce();
+    let (status, deliveries) = state(&p);
+    assert_ne!(status, OrderStatus::Delivered, "one of two sellers delivered");
+    assert_eq!(deliveries, 0);
+
+    let second = p.update_delivery_with_detail(1).unwrap();
+    assert_eq!(second.delivered_orders.len(), 1, "{second:?}");
+    assert_ne!(second.delivered_orders[0].0, seller);
+    p.quiesce();
+    assert_eq!(state(&p), (OrderStatus::Delivered, 1));
+    p.core().cluster.notify(order_grain(CustomerId(1)), duplicate);
+    p.quiesce();
+    assert_eq!(state(&p), (OrderStatus::Delivered, 1));
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use online_marketplace::common::entity::{Customer, PaymentMethod, Product, Seller};
+use online_marketplace::common::entity::{Customer, OrderStatus, PaymentMethod, Product, Seller};
 use online_marketplace::common::ids::{CustomerId, ProductId, SellerId};
 use online_marketplace::common::Money;
 use online_marketplace::marketplace::api::{
@@ -70,29 +70,27 @@ fn main() {
             method: PaymentMethod::CreditCard,
         })
         .unwrap();
-    match outcome {
-        CheckoutOutcome::Placed { order, total } => {
-            println!(
-                "order placed: {} total {}",
-                order.expect("transactional checkout returns the id"),
-                total.unwrap()
-            );
-        }
-        CheckoutOutcome::Rejected(reason) => println!("checkout rejected: {reason}"),
-    }
+    let CheckoutOutcome::Placed { order, total } = outcome else {
+        panic!("checkout rejected: {outcome:?}");
+    };
+    let order = order.expect("transactional checkout returns the id");
+    println!("order placed: {order} total {}", total.unwrap());
 
-    // 4. Deliver the packages and read the seller dashboard.
+    // 4. Deliver the packages (one per cart line) and read the seller
+    //    dashboard: delivered orders leave its in-progress list.
     let delivered = platform.update_delivery(10).unwrap();
     platform.quiesce();
+    assert_eq!(delivered, 2, "one package per cart line");
     let dashboard = platform.seller_dashboard(SellerId(1)).unwrap();
-    println!("packages delivered: {delivered}");
-    println!(
-        "seller dashboard: {} in-progress entries worth {}",
-        dashboard.in_progress_count, dashboard.in_progress_amount
-    );
+    assert_eq!(dashboard.in_progress_count, 0, "{dashboard:?}");
+    println!("packages delivered: {delivered}; seller dashboard: 0 in-progress entries");
 
     // 5. Inspect the final state.
     let snapshot = platform.snapshot().unwrap();
+    assert_eq!(snapshot.orders.len(), 1);
+    assert_eq!(snapshot.orders[0].status, OrderStatus::Delivered);
+    assert_eq!(snapshot.payments.len(), 1);
+    assert_eq!(snapshot.shipments.len(), 2);
     println!(
         "final state: {} orders, {} payments, {} packages, stock sold: {:?}",
         snapshot.orders.len(),
@@ -104,10 +102,12 @@ fn main() {
             .map(|s| (s.item.key.to_string(), s.qty_sold))
             .collect::<Vec<_>>()
     );
+    let log = platform.tx_log();
+    assert!(log.is_consistent() && log.commits() > 0 && log.aborts() == 0);
     println!(
         "2PC decision log: {} commits, {} aborts, consistent: {}",
-        platform.tx_log().commits(),
-        platform.tx_log().aborts(),
-        platform.tx_log().is_consistent()
+        log.commits(),
+        log.aborts(),
+        log.is_consistent()
     );
 }
