@@ -3,8 +3,8 @@
 //!
 //! A [`WorkQueue`] is an unbounded multi-producer multi-consumer FIFO
 //! (a `VecDeque` under a mutex, a condvar for blocked consumers). It
-//! carries the silo run queues, this pool's jobs, the eventual replica
-//! feed and the dataflow epoch inboxes.
+//! carries the silo run queues, this pool's jobs and the dataflow epoch
+//! inboxes.
 //!
 //! The dataflow runtime fans each epoch's partition work out over the
 //! pool instead of spawning scoped threads per epoch: the threads are

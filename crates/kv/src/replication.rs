@@ -1,12 +1,13 @@
 //! The primary→secondary replication channel and its apply discipline.
 //!
 //! The primary appends every write to an in-order stream of
-//! [`ReplicationRecord`]s. A background **applier** thread installs them on
-//! the secondary replica through a small reorder window that it drains in
-//! a randomly permuted order (seeded, deterministic). This models the
-//! multi-connection fan-in of real asynchronous replication, where two
-//! writes may arrive over different connections and be applied inverted;
-//! last-writer-wins by per-key sequence keeps the replica convergent.
+//! [`ReplicationRecord`]s. An **applier** installs them on the secondary
+//! replica through a small reorder window that it drains in a randomly
+//! permuted order (seeded, deterministic) once the window is full. This
+//! models the multi-connection fan-in of real asynchronous replication,
+//! where two writes may arrive over different connections and be applied
+//! inverted; last-writer-wins by per-key sequence keeps the replica
+//! convergent.
 
 use crate::store::{Store, VersionedValue};
 use om_common::rng::SplitMix64;
@@ -45,8 +46,9 @@ impl ReplicationStats {
     }
 }
 
-/// The apply-side state machine. Driven by the eventual backend's applier
-/// thread, but usable synchronously in tests.
+/// The apply-side state machine. The eventual backend drives it under a
+/// mutex from its writing threads: the write that fills the window
+/// applies it.
 pub struct Applier<K, V> {
     secondary: Arc<Store<K, V>>,
     stats: Arc<ReplicationStats>,

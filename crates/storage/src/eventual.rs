@@ -3,9 +3,12 @@
 //!
 //! Writes land on the **primary** synchronously (so [`StateBackend::get`]
 //! is authoritative and grain reactivation never reads stale snapshots)
-//! and stream to a **secondary** through a background applier that drains
-//! a small reorder window — the multi-connection fan-in of a real
-//! asynchronous deployment. Sessions read the secondary first and fall
+//! and are offered to a **secondary** through a small reorder window,
+//! applied in a seeded shuffle — the multi-connection fan-in of a real
+//! asynchronous deployment. The window is applied on the writing thread:
+//! the write that fills it installs all of its records, so the secondary
+//! lags the primary by up to one window, and [`StateBackend::quiesce`]
+//! applies a partial one. Sessions read the secondary first and fall
 //! back to the primary when read-your-writes would be violated, counting
 //! every fallback. Multi-key commits are applied key by key: there is no
 //! abort path, and a concurrent reader may observe a torn subset until
@@ -14,81 +17,52 @@
 use crate::backend::{StateBackend, StateSession, WriteBatch, WriteOp};
 use crate::shards_pow2;
 use om_common::config::BackendKind;
-use om_common::pool::WorkQueue;
 use om_common::OmResult;
 use om_kv::replication::{Applier, ReplicationRecord, ReplicationStats};
 use om_kv::store::{Store, VersionedValue};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-/// Records the applier buffers before draining a (shuffled) window.
+/// Records the window buffers before applying them (shuffled).
 const REORDER_WINDOW: usize = 8;
-
-enum ApplierMsg {
-    Record(ReplicationRecord<Vec<u8>, Vec<u8>>),
-    /// Flush buffered records and acknowledge via the enclosed sender.
-    Quiesce(SyncSender<()>),
-}
 
 /// The eventual (LWW + async replica) implementation of [`StateBackend`].
 pub struct EventualBackend {
     primary: Arc<Store<Vec<u8>, Vec<u8>>>,
     secondary: Arc<Store<Vec<u8>, Vec<u8>>>,
     stats: Arc<ReplicationStats>,
-    /// Primary → secondary feed; closed on drop, after which the applier
-    /// drains what is queued and exits.
-    feed: Arc<WorkQueue<ApplierMsg>>,
-    applier_handle: Mutex<Option<JoinHandle<()>>>,
+    /// Primary → secondary reorder window, applied by the writer that
+    /// fills it.
+    applier: Mutex<Applier<Vec<u8>, Vec<u8>>>,
     commits: AtomicU64,
     session_fallbacks: AtomicU64,
 }
 
 impl EventualBackend {
     /// Builds the replica pair with at least `shards` lock domains each
-    /// (rounded up to a power of two) and spawns the applier thread.
+    /// (rounded up to a power of two).
     pub fn new(shards: usize) -> Self {
         let shards = shards_pow2(shards);
         let primary = Arc::new(Store::new(shards));
         let secondary = Arc::new(Store::new(shards));
         let stats = Arc::new(ReplicationStats::default());
-        let feed = Arc::new(WorkQueue::default());
-        let applier_feed = Arc::clone(&feed);
-        let applier_secondary = secondary.clone();
-        let applier_stats = stats.clone();
-        let handle = std::thread::Builder::new()
-            .name("om-storage-applier".into())
-            .spawn(move || {
-                let mut applier =
-                    Applier::new(applier_secondary, applier_stats, REORDER_WINDOW, 0xE7E7);
-                while let Some(msg) = applier_feed.pop() {
-                    match msg {
-                        ApplierMsg::Record(r) => applier.offer(r),
-                        ApplierMsg::Quiesce(ack) => {
-                            applier.flush();
-                            let _ = ack.send(());
-                        }
-                    }
-                }
-            })
-            .expect("spawn backend applier");
+        let applier = Applier::new(secondary.clone(), stats.clone(), REORDER_WINDOW, 0xE7E7);
         Self {
             primary,
             secondary,
             stats,
-            feed,
-            applier_handle: Mutex::new(Some(handle)),
+            applier: Mutex::new(applier),
             commits: AtomicU64::new(0),
             session_fallbacks: AtomicU64::new(0),
         }
     }
 
     /// Installs one write on the primary (assigning its per-key sequence
-    /// under the shard lock) and streams it to the secondary. Returns the
-    /// assigned key sequence.
+    /// under the shard lock) and offers it to the reorder window, applying
+    /// the window if this record fills it. Returns the assigned key
+    /// sequence.
     fn write_one(&self, key: &[u8], value: Option<&[u8]>) -> u64 {
         let installed = self.primary.update(key.to_vec(), |cur| {
             let key_seq = cur.map(|c| c.key_seq + 1).unwrap_or(1);
@@ -102,7 +76,7 @@ impl EventualBackend {
             value: value.map(<[u8]>::to_vec),
             key_seq: installed.key_seq,
         };
-        self.feed.push(ApplierMsg::Record(record));
+        self.applier.lock().offer(record);
         installed.key_seq
     }
 
@@ -187,9 +161,7 @@ impl StateBackend for EventualBackend {
     }
 
     fn quiesce(&self) {
-        let (ack_tx, ack_rx) = sync_channel(1);
-        self.feed.push(ApplierMsg::Quiesce(ack_tx));
-        let _ = ack_rx.recv();
+        self.applier.lock().flush();
     }
 
     fn len(&self) -> usize {
@@ -210,15 +182,6 @@ impl StateBackend for EventualBackend {
             self.primary.shard_count() as u64,
         );
         out
-    }
-}
-
-impl Drop for EventualBackend {
-    fn drop(&mut self) {
-        self.feed.close();
-        if let Some(h) = self.applier_handle.lock().take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -307,9 +270,43 @@ mod tests {
         let b = EventualBackend::new(4);
         let mut s = b.session();
         s.put(b"mine", b"1");
-        // The applier may not have caught up; the session must still see
-        // the write (falling back to the primary if needed).
+        // One write does not fill the window, so the secondary lacks it:
+        // the session must still see it, by falling back to the primary.
         assert_eq!(s.get(b"mine"), Some(b"1".to_vec()));
+        assert_eq!(s.fallbacks(), 1);
+    }
+
+    #[test]
+    fn the_write_that_fills_the_window_applies_it_in_place() {
+        let b = EventualBackend::new(4);
+        let put = |i: usize| b.put(format!("key/{i}").as_bytes(), &[i as u8]);
+        (0..REORDER_WINDOW - 1).for_each(put);
+        assert_eq!(b.secondary_store().len(), 0);
+        assert_eq!(b.replication_stats().applied(), 0);
+        put(REORDER_WINDOW - 1);
+        assert_eq!(b.secondary_store().len(), REORDER_WINDOW);
+        assert_eq!(b.replication_stats().applied(), REORDER_WINDOW as u64);
+        (REORDER_WINDOW..REORDER_WINDOW + 3).for_each(put);
+        assert_eq!(b.replication_stats().applied(), REORDER_WINDOW as u64);
+        b.quiesce();
+        assert_eq!(b.replication_stats().applied(), REORDER_WINDOW as u64 + 3);
+        assert!(b.replicas_converged());
+        assert_eq!(b.replication_stats().stale_drops(), 0);
+    }
+
+    #[test]
+    fn a_stale_record_inside_a_window_is_dropped() {
+        let b = EventualBackend::new(4);
+        // One key written a window's worth of times: the seeded shuffle
+        // applies some older write after a newer one.
+        for i in 0..REORDER_WINDOW as u8 {
+            b.put(b"k", &[i]);
+        }
+        assert_eq!(b.replication_stats().applied(), REORDER_WINDOW as u64);
+        assert!(b.replication_stats().stale_drops() > 0);
+        let newest = b.secondary_store().get_versioned(&b"k"[..]).unwrap();
+        assert_eq!(newest.key_seq, REORDER_WINDOW as u64);
+        assert!(b.replicas_converged());
     }
 
     #[test]

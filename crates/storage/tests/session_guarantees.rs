@@ -1,9 +1,10 @@
 //! Replication and session guarantees of the eventual backend. Its
-//! applier buffers eight records before draining them, so with fewer
-//! unflushed writes the secondary provably lags: that pins down when a
-//! session must fall back to the primary. Sessions read their own writes
-//! and never see a key go backwards; after `quiesce` the replicas agree
-//! on every key's value and write sequence, tombstones included.
+//! reorder window buffers eight records until the write that fills it
+//! applies them, so with fewer unflushed writes the secondary provably
+//! lags: that pins down when a session must fall back to the primary.
+//! Sessions read their own writes and never see a key go backwards;
+//! after `quiesce` the replicas agree on every key's value and write
+//! sequence, tombstones included.
 
 use om_storage::{EventualBackend, StateBackend, WriteBatch};
 use proptest::prelude::*;

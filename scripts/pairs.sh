@@ -7,8 +7,16 @@
 # (kept, so a second call reuses its build), builds marketbench in both trees with the command BENCHMARK.json
 # declares, then runs one pair per seed, alternating which side runs
 # first. Prints every run's result, then per end-to-end metric both
-# medians, how many pairs the change did better on, and the parent's
-# interquartile range. It reports only; it gates nothing.
+# medians, how many pairs the change did better on, the parent's
+# interquartile range and a verdict by the claim rules of the marketbench
+# README (checked in this order):
+#   gain        the change is better in at least 9/10 of the pairs and
+#               the medians differ by more than the parent's IQR;
+#   worse       the change's median is worse than the parent's by more
+#               than the metric's BENCHMARK.json bound;
+#   unresolved  the parent's IQR/median is wider than that bound;
+#   same        otherwise.
+# It reports only; it gates nothing.
 set -euo pipefail
 [[ $# -ge 3 ]] || { sed -n 3,4p "$0" >&2; exit 2; }
 rev=$1 workload=$2
@@ -53,14 +61,25 @@ runs = {side: [load(side, s) for s in seeds] for side in ("parent", "change")}
 for side, rs in runs.items():
     ok = sum(r["correct"] and r["failed"] == 0 for r in rs)
     print(f"{side}: {ok}/{len(rs)} runs correct with 0 failed")
-print(f"{'metric':<22} {'parent':>12} {'change':>12} {'delta':>8} {'better':>7} {'parent IQR':>11}")
+print(f"{'metric':<22} {'parent':>12} {'change':>12} {'delta':>8} {'better':>7} {'parent IQR':>11}  verdict")
 for m in spec["end_to_end"]:
-    name, lower = m["name"], m["better"] == "lower"
+    name, lower, bound = m["name"], m["better"] == "lower", m["bound"]
     p = [r["metrics"][name]["value"] for r in runs["parent"]]
     c = [r["metrics"][name]["value"] for r in runs["change"]]
     better = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
     mp, mc = statistics.median(p), statistics.median(c)
     q = statistics.quantiles(p, n=4) if len(p) > 1 else [p[0]] * 3
+    iqr = q[2] - q[0]
     delta = (mc - mp) / mp * 100 if mp else 0.0
-    print(f"{name:<22} {mp:>12.4g} {mc:>12.4g} {delta:>+7.1f}% {better:>3}/{len(p):<3} {q[2] - q[0]:>11.4g}")
+    # The change's median gap, signed so that positive is an improvement.
+    gain = (mp - mc) if lower else (mc - mp)
+    if 10 * better >= 9 * len(p) and gain > iqr:
+        verdict = "gain"
+    elif -gain > bound * abs(mp):
+        verdict = "worse"
+    elif iqr > bound * abs(mp):
+        verdict = "unresolved"
+    else:
+        verdict = "same"
+    print(f"{name:<22} {mp:>12.4g} {mc:>12.4g} {delta:>+7.1f}% {better:>3}/{len(p):<3} {iqr:>11.4g}  {verdict}")
 EOF

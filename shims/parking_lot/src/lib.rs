@@ -5,9 +5,17 @@
 //! thin wrappers over `std::sync`. Semantics match parking_lot where it
 //! matters to callers: `lock()`/`read()`/`write()` return guards
 //! directly (no poisoning — a panicked holder does not wedge the lock).
+//!
+//! [`Condvar`] counts its sleepers, as upstream parking_lot does: a
+//! notify with no thread asleep returns without the futex syscall. That
+//! is sound only if every waiter's predicate changes under the mutex it
+//! waits with. The notifier may call `notify_*` after unlocking, but the
+//! change itself must happen while the lock is held; a flag flipped
+//! outside it can be missed by a thread about to sleep.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::TryLockError;
 use std::time::Duration;
 
@@ -199,27 +207,42 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
 }
 
 /// Condition variable mirroring `parking_lot::Condvar`'s no-poisoning API.
+/// See the crate docs for the sleeper count and the rule it relies on.
 pub struct Condvar {
     inner: std::sync::Condvar,
+    /// Threads inside `wait`/`wait_for`. Changed only with the waited
+    /// mutex held, so a notifier that changed the predicate under that
+    /// mutex reads every sleeper that missed the change: the unlock in
+    /// `wait` orders the increment before the notifier's lock.
+    sleepers: AtomicUsize,
 }
 
 impl Condvar {
     pub const fn new() -> Self {
         Self {
             inner: std::sync::Condvar::new(),
+            sleepers: AtomicUsize::new(0),
         }
     }
 
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.sleepers.load(Ordering::Relaxed) > 0 {
+            self.inner.notify_one();
+        }
     }
 
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.sleepers.load(Ordering::Relaxed) > 0 {
+            self.inner.notify_all();
+        }
     }
 
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        take_guard(guard, |g| self.inner.wait(g).unwrap_or_else(|e| e.into_inner()));
+        self.sleepers.fetch_add(1, Ordering::Relaxed);
+        take_guard(guard, |g| {
+            self.inner.wait(g).unwrap_or_else(|e| e.into_inner())
+        });
+        self.sleepers.fetch_sub(1, Ordering::Relaxed);
     }
 
     pub fn wait_for<T>(
@@ -228,6 +251,7 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let mut timed_out = false;
+        self.sleepers.fetch_add(1, Ordering::Relaxed);
         take_guard(guard, |g| {
             let (g, r) = self
                 .inner
@@ -236,6 +260,7 @@ impl Condvar {
             timed_out = r.timed_out();
             g
         });
+        self.sleepers.fetch_sub(1, Ordering::Relaxed);
         WaitTimeoutResult { timed_out }
     }
 }
@@ -318,5 +343,79 @@ mod tests {
         }
         drop(g);
         t.join().unwrap();
+    }
+
+    #[test]
+    fn condvar_counting_sleepers_loses_no_wakeup() {
+        // Tokens handed from two notifiers (one per notify flavour) to
+        // four consumers (two per wait flavour); every change to the
+        // count happens under the mutex. A lost wakeup strands a `wait`
+        // consumer (the watchdog below) or times a `wait_for` one out.
+        const CONSUMERS: usize = 4;
+        const PER_CONSUMER: usize = 2_000;
+        let shared = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let timeouts = Arc::new(AtomicUsize::new(0));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let mut threads = Vec::new();
+        for c in 0..CONSUMERS {
+            let (shared, timeouts, done_tx) = (shared.clone(), timeouts.clone(), done_tx.clone());
+            threads.push(thread::spawn(move || {
+                let (m, cv) = &*shared;
+                for _ in 0..PER_CONSUMER {
+                    let mut tokens = m.lock();
+                    while *tokens == 0 {
+                        if c % 2 == 0 {
+                            cv.wait(&mut tokens);
+                        } else if cv
+                            .wait_for(&mut tokens, Duration::from_secs(10))
+                            .timed_out()
+                        {
+                            timeouts.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    *tokens -= 1;
+                }
+                done_tx.send(()).unwrap();
+            }));
+        }
+        for n in 0..2 {
+            let shared = shared.clone();
+            threads.push(thread::spawn(move || {
+                let (m, cv) = &*shared;
+                for _ in 0..CONSUMERS * PER_CONSUMER / 2 {
+                    *m.lock() += 1;
+                    if n == 0 {
+                        cv.notify_one();
+                    } else {
+                        cv.notify_all();
+                    }
+                    thread::yield_now();
+                }
+            }));
+        }
+        for _ in 0..CONSUMERS {
+            done_rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a consumer missed its wakeup");
+        }
+        threads.into_iter().for_each(|t| t.join().unwrap());
+        assert_eq!(timeouts.load(Ordering::Relaxed), 0, "a wait_for timed out");
+        let (m, cv) = &*shared;
+        assert_eq!(*m.lock(), 0);
+        assert_eq!(cv.sleepers.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn condvar_notify_without_sleeper_then_wait_on_true_predicate() {
+        let (m, cv) = (Mutex::new(false), Condvar::new());
+        *m.lock() = true;
+        cv.notify_one();
+        cv.notify_all();
+        assert_eq!(cv.sleepers.load(Ordering::Relaxed), 0);
+        let mut ready = m.lock();
+        while !*ready {
+            cv.wait(&mut ready);
+        }
+        assert!(*ready);
     }
 }
