@@ -22,7 +22,9 @@
 #     platform rebuild), and so do http_gateway (it asserts the
 #     status of every endpoint through the HTTP engine) and quickstart
 #     (it asserts a 2PL + 2PC checkout end to end: placed, delivered,
-#     and a consistent decision log with no aborts),
+#     and a consistent decision log with no aborts), and so does
+#     criteria_audit (the anomaly-hunting mix on all four bindings; it
+#     asserts the customized cell satisfies every criterion),
 #   * the shim crates' own unit tests run via --workspace,
 #   * rustdoc must build warning-free (om_storage, om_dataflow, om_log,
 #     om_kv, om_mvcc and om_actor additionally deny missing docs at the
@@ -86,5 +88,8 @@ cargo run --release --offline --example http_gateway >/dev/null
 
 echo "==> smoke: quickstart example (asserts a 2PL + 2PC checkout, its delivery and the decision log)"
 cargo run --release --offline --example quickstart >/dev/null
+
+echo "==> smoke: criteria_audit example (the whole choreography on all four bindings; asserts the customized cell meets every criterion)"
+cargo run --release --offline --example criteria_audit >/dev/null
 
 echo "CI OK"

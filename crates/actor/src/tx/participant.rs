@@ -85,17 +85,18 @@ impl<S: Clone> TxParticipant<S> {
     }
 
     /// Mutates committed state outside any transaction (data ingestion /
-    /// eventual-mode writes). Fails if a transaction holds the write lock.
-    /// Drops the shadow, so the next staged write clones the new state.
-    pub fn mutate_committed<F: FnOnce(&mut S)>(&mut self, f: F) -> OmResult<()> {
+    /// eventual-mode writes) and returns what `f` returns. Fails if a
+    /// transaction holds the write lock. Drops the shadow, so the next
+    /// staged write clones the new state.
+    pub fn mutate_committed<R>(&mut self, f: impl FnOnce(&mut S) -> R) -> OmResult<R> {
         if let Some(holder) = self.write_holder {
             return Err(OmError::Conflict(format!(
                 "non-transactional write blocked by {holder}"
             )));
         }
-        f(&mut self.committed);
+        let out = f(&mut self.committed);
         self.shadow = None;
-        Ok(())
+        Ok(out)
     }
 
     fn holds_any(&self, tid: TransactionId) -> bool {

@@ -17,7 +17,7 @@ use std::time::Duration;
 use super::actor_grains::*;
 use super::actor_msg::{Msg, Reply};
 use crate::api::{CheckoutItem, MarketSnapshot};
-use crate::domain::ProductReplica;
+use crate::domain::{flow, ProductReplica};
 
 /// Configuration for the actor-based platforms.
 #[derive(Clone)]
@@ -214,7 +214,7 @@ impl ActorCore {
     pub fn ingest_seller(&self, seller: Seller) -> OmResult<()> {
         let id = seller.id;
         self.cluster
-            .call(seller_grain(id), Msg::SellerIngest(seller))?
+            .call(seller_grain(id), Msg::Flow(flow::Msg::IngestSeller(seller)))?
             .ok()?;
         self.catalog.add_seller(id);
         Ok(())
@@ -223,7 +223,7 @@ impl ActorCore {
     pub fn ingest_customer(&self, customer: Customer) -> OmResult<()> {
         let id = customer.id;
         self.cluster
-            .call(customer_grain(id), Msg::CustomerIngest(customer))?
+            .call(customer_grain(id), Msg::Flow(flow::Msg::IngestCustomer(customer)))?
             .ok()?;
         self.catalog.add_customer(id);
         Ok(())
@@ -237,17 +237,13 @@ impl ActorCore {
             .call(product_grain(id), Msg::ProductIngest(product))?
             .ok()?;
         self.cluster
-            .call(replica_grain(id), Msg::ReplicaIngest(replica))?
+            .call(replica_grain(id), Msg::Flow(flow::Msg::ReplicaIngest(replica)))?
             .ok()?;
-        self.cluster
-            .call(
-                stock_grain(id),
-                Msg::StockIngest {
-                    key,
-                    qty: initial_stock,
-                },
-            )?
-            .ok()?;
+        let stock = flow::Msg::IngestStock {
+            key,
+            qty: initial_stock,
+        };
+        self.cluster.call(stock_grain(id), Msg::Flow(stock))?.ok()?;
         self.catalog.add_product(id);
         Ok(())
     }
@@ -280,7 +276,10 @@ impl ActorCore {
         }
         self.counters.incr("cart_adds");
         self.cluster
-            .call(cart_grain(customer), Msg::CartAdd(replica.cart_line(&item)))?
+            .call(
+                cart_grain(customer),
+                Msg::Flow(flow::Msg::CartAdd(replica.cart_line(&item))),
+            )?
             .ok()
     }
 
@@ -294,7 +293,7 @@ impl ActorCore {
     ) -> OmResult<()> {
         match self
             .cluster
-            .call(product_grain(product), Msg::ProductPriceUpdate(price))?
+            .call(product_grain(product), Msg::Flow(flow::Msg::PriceUpdate { price }))?
         {
             Reply::Count(_) => {
                 self.counters.incr("price_updates");
@@ -306,7 +305,10 @@ impl ActorCore {
     }
 
     pub fn product_delete(&self, _seller: SellerId, product: ProductId) -> OmResult<()> {
-        match self.cluster.call(product_grain(product), Msg::ProductDelete)? {
+        match self
+            .cluster
+            .call(product_grain(product), Msg::Flow(flow::Msg::ProductDelete))?
+        {
             Reply::Count(_) => {
                 self.counters.incr("product_deletes");
                 Ok(())
@@ -341,15 +343,19 @@ impl ActorCore {
     /// sellers by oldest undelivered package, as events (the eventual
     /// path).
     pub fn update_delivery_eventual(&self, max_sellers: usize) -> OmResult<u32> {
+        let deliver = flow::Msg::DeliverOldest {
+            tid: self.next_tid(),
+            at: self.cluster.clock().tick(),
+        };
         let calls = self
             .sellers_by_oldest_undelivered(max_sellers)?
             .into_iter()
-            .map(|s| (shipment_grain(s), Msg::ShipDeliverOldest))
+            .map(|s| (shipment_grain(s), Msg::Flow(deliver.clone())))
             .collect();
         let mut packages = 0;
         for reply in self.cluster.call_all(calls) {
-            if let Reply::Delivered { packages: n, .. } = reply? {
-                packages += n;
+            if let Reply::Count(n) = reply? {
+                packages += n as u32;
             }
         }
         self.counters.incr("update_deliveries");
@@ -466,14 +472,14 @@ mod tests {
             for order in 1..=4 {
                 core.cluster.notify(
                     seller_grain(SellerId(s)),
-                    Msg::SellerAddEntry(OrderEntry {
+                    Msg::Flow(flow::Msg::AddEntry(OrderEntry {
                         order: OrderId(order),
                         seller: SellerId(s),
                         product: ProductId(s * 10 + order),
                         quantity: 1,
                         total_amount: Money::from_cents(100),
                         status: OrderStatus::Invoiced,
-                    }),
+                    })),
                 );
             }
         }

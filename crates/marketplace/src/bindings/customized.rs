@@ -45,7 +45,7 @@ use crate::api::{
     CheckoutItem, CheckoutOutcome, CheckoutRequest, MarketSnapshot, MarketplacePlatform,
     PlatformKind,
 };
-use crate::domain::ProductReplica;
+use crate::domain::{flow, ProductReplica};
 
 /// Retries before a conflicting projection commit is surfaced (only the
 /// snapshot-isolation backend can lose first-committer-wins validation).
@@ -379,7 +379,10 @@ impl MarketplacePlatform for CustomizedPlatform {
         }
         core.counters.incr("cart_adds");
         core.cluster
-            .call(cart_grain(customer), Msg::CartAdd(replica.cart_line(&item)))?
+            .call(
+                cart_grain(customer),
+                Msg::Flow(flow::Msg::CartAdd(replica.cart_line(&item))),
+            )?
             .ok()
     }
 

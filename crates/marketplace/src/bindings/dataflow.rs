@@ -16,17 +16,20 @@
 //! dashboard entries, a customer's orders and payments, a seller's
 //! packages — keep one row per entity beside a small header row, so an
 //! invocation decodes and re-encodes the entities its message names and a
-//! checkpoint commits the rows that changed, never the history. The
-//! business rules stay in [`crate::domain`] and the row format in
-//! [`crate::domain::rows`]: each function loads the touched rows into the
-//! (otherwise empty) domain service, calls the service's own method, and
-//! writes the row delta.
+//! checkpoint commits the rows that changed, never the history.
+//!
+//! A function is an adapter over its service's workflow step
+//! ([`crate::domain::flow`], shared with the grains): it loads the rows
+//! the message names into the (otherwise empty) domain service, runs the
+//! step with its effects as the outbox — what it sends becomes function
+//! messages and egress — and writes the row delta
+//! ([`crate::domain::rows`]). A step's `Err` is a business outcome its
+//! egress already reports, never a failed invocation. The one function of
+//! its own is the delivery coordinator: it fans Update Delivery out to
+//! the shipment functions and gathers their answers, the work the actor
+//! bindings do with one `call_all`.
 
-use om_common::entity::CartItem;
-use om_common::entity::{
-    Customer, OrderEntry, OrderStatus, PaymentMethod, Product, Seller, SellerDashboard,
-};
-use om_common::event::OrderLineRef;
+use om_common::entity::{Customer, Product, Seller, SellerDashboard};
 use om_common::ids::*;
 use om_common::stats::CounterSet;
 use om_common::time::EventTime;
@@ -46,7 +49,7 @@ use crate::api::{
     CheckoutItem, CheckoutOutcome, CheckoutRequest, MarketSnapshot, MarketplacePlatform,
     PackageSnapshot, PlatformKind, StockSnapshot,
 };
-use crate::domain::order::customer_of_order;
+use crate::domain::flow::{to_basis_points, Eg, Msg, Step};
 use crate::domain::rows::{self, load_root, store_root, CustomerOrders, SellerDelta, StoredRows};
 use crate::domain::{
     CartService, PaymentService, ProductReplica, SellerView, ShipmentService, StockService,
@@ -59,115 +62,6 @@ const DELIVERY_FN: &str = "delivery";
 /// drill wave burns invocations (arming the injected crash) without ever
 /// touching business state or the unroutable counter.
 const DRILL_FN: &str = "recovery_drill";
-
-/// Messages flowing through the dataflow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum DfMsg {
-    // Ingestion.
-    IngestProduct(Product),
-    IngestStock { key: StockKey, qty: u32 },
-    IngestSeller(Seller),
-    IngestCustomer(Customer),
-
-    // Cart / checkout chain.
-    CartAdd(CartItem),
-    Checkout { tid: TransactionId, method: PaymentMethod, decline_rate_bp: u32, at: EventTime },
-    Reserve {
-        tid: TransactionId,
-        customer: CustomerId,
-        item: CartItem,
-        method: PaymentMethod,
-        decline_rate_bp: u32,
-        at: EventTime,
-    },
-    BeginAssembly { tid: TransactionId, customer: CustomerId, expected: usize, at: EventTime },
-    StockAnswer {
-        tid: TransactionId,
-        customer: CustomerId,
-        item: CartItem,
-        reserved: bool,
-        method: PaymentMethod,
-        decline_rate_bp: u32,
-        at: EventTime,
-    },
-    ProcessPayment {
-        tid: TransactionId,
-        order: OrderId,
-        customer: CustomerId,
-        method: PaymentMethod,
-        amount: Money,
-        decline_rate_bp: u32,
-        lines: Vec<OrderLineRef>,
-        at: EventTime,
-    },
-    CreatePackages {
-        tid: TransactionId,
-        shipment: ShipmentId,
-        order: OrderId,
-        customer: CustomerId,
-        lines: Vec<OrderLineRef>,
-        at: EventTime,
-    },
-    SetStatus { order: OrderId, status: OrderStatus, at: EventTime },
-    PackagesDelivered { order: OrderId, packages: u32, at: EventTime },
-    AddEntry(OrderEntry),
-    ApplyStatus { order: OrderId, status: OrderStatus },
-    PaymentResult { approved: bool, amount: Money },
-    CustomerDelivery,
-
-    // Post-payment stock settlement.
-    StockConfirm { qty: u32 },
-    StockCancel { qty: u32 },
-
-    // Product replication.
-    PriceUpdate { price: Money },
-    ProductDelete,
-    ReplicaUpdate { price: Money, version: u64 },
-    ReplicaDelete { version: u64 },
-    StockDelete { version: u64 },
-
-    // Update-delivery workflow.
-    DeliveryRequest { tid: TransactionId, sellers: Vec<SellerId>, max: u32, at: EventTime },
-    OldestQuery { tid: TransactionId },
-    OldestReply { tid: TransactionId, seller: SellerId, oldest: Option<EventTime> },
-    DeliverOldest { tid: TransactionId, at: EventTime },
-    DeliverReply { tid: TransactionId, seller: SellerId, packages: u32 },
-
-    // Egress records.
-    Egress(Eg),
-}
-
-/// Client-visible completions, released at checkpoint commit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum Eg {
-    CheckoutDone {
-        tid: TransactionId,
-        order: Option<OrderId>,
-        total: Option<Money>,
-        accepted: bool,
-        reason: String,
-    },
-    DeliveryDone { tid: TransactionId, packages: u32 },
-}
-
-impl Eg {
-    fn tid(&self) -> TransactionId {
-        match self {
-            Eg::CheckoutDone { tid, .. } | Eg::DeliveryDone { tid, .. } => *tid,
-        }
-    }
-}
-
-/// The egress of a checkout that placed no paid order.
-fn checkout_rejected(tid: TransactionId, order: Option<OrderId>, reason: String) -> DfMsg {
-    DfMsg::Egress(Eg::CheckoutDone {
-        tid,
-        order,
-        total: None,
-        accepted: false,
-        reason,
-    })
-}
 
 /// Completion registry: waiters are registered *before* the triggering
 /// submission, and completions that arrive with no waiter yet are parked
@@ -206,7 +100,7 @@ impl WaiterRegistry {
     }
 }
 
-type Out = Effects<DfMsg>;
+type Out = Effects<Msg>;
 
 fn addr(fn_type: &'static str, key: u64) -> Address {
     Address::new(fn_type, key)
@@ -250,8 +144,8 @@ fn intern_fn_type(name: &str) -> Option<&'static str> {
     FN_TYPES.iter().copied().find(|k| *k == name)
 }
 
-impl om_log::RecordCodec<(Address, DfMsg)> for DfRecordCodec {
-    fn encode(&self, (addr, msg): &(Address, DfMsg)) -> OmResult<Vec<u8>> {
+impl om_log::RecordCodec<(Address, Msg)> for DfRecordCodec {
+    fn encode(&self, (addr, msg): &(Address, Msg)) -> OmResult<Vec<u8>> {
         let body = om_common::codec::to_bytes(msg)
             .map_err(|e| OmError::Internal(format!("ingress record encode: {e:?}")))?;
         let mut out = Vec::with_capacity(2 + addr.fn_type.len() + 8 + body.len());
@@ -262,7 +156,7 @@ impl om_log::RecordCodec<(Address, DfMsg)> for DfRecordCodec {
         Ok(out)
     }
 
-    fn decode(&self, bytes: &[u8]) -> OmResult<(Address, DfMsg)> {
+    fn decode(&self, bytes: &[u8]) -> OmResult<(Address, Msg)> {
         let corrupt = || OmError::Internal("corrupt persisted ingress record".into());
         if bytes.len() < 2 {
             return Err(corrupt());
@@ -288,7 +182,7 @@ impl om_log::RecordCodec<(Address, DfMsg)> for DfRecordCodec {
 pub fn persistent_ingress(
     dir: impl AsRef<std::path::Path>,
     partitions: usize,
-) -> OmResult<Arc<om_log::PersistentTopic<(Address, DfMsg)>>> {
+) -> OmResult<Arc<om_log::PersistentTopic<(Address, Msg)>>> {
     persistent_ingress_with(dir, partitions, om_log::PersistentTopicOptions::default())
 }
 
@@ -303,7 +197,7 @@ pub fn persistent_ingress_with(
     dir: impl AsRef<std::path::Path>,
     partitions: usize,
     options: om_log::PersistentTopicOptions,
-) -> OmResult<Arc<om_log::PersistentTopic<(Address, DfMsg)>>> {
+) -> OmResult<Arc<om_log::PersistentTopic<(Address, Msg)>>> {
     Ok(Arc::new(om_log::PersistentTopic::open_with(
         dir,
         "ingress",
@@ -322,7 +216,7 @@ pub fn persistent_ingress_with_vfs(
     partitions: usize,
     options: om_log::PersistentTopicOptions,
     vfs: Arc<dyn om_storage::vfs::Vfs>,
-) -> OmResult<Arc<om_log::PersistentTopic<(Address, DfMsg)>>> {
+) -> OmResult<Arc<om_log::PersistentTopic<(Address, Msg)>>> {
     Ok(Arc::new(om_log::PersistentTopic::open_with_vfs(
         dir,
         "ingress",
@@ -342,8 +236,8 @@ fn build_dataflow(
     max_batch: usize,
     workers: usize,
     store: Option<Arc<BackendCheckpointStore>>,
-    ingress: Option<Arc<dyn om_log::EventLog<(Address, DfMsg)>>>,
-) -> Dataflow<DfMsg> {
+    ingress: Option<Arc<dyn om_log::EventLog<(Address, Msg)>>>,
+) -> Dataflow<Msg> {
     let mut builder = Dataflow::builder()
         .partitions(partitions)
         .max_batch(max_batch)
@@ -355,473 +249,130 @@ fn build_dataflow(
         builder = builder.ingress_topic(ingress);
     }
     builder
-        .register(kinds::PRODUCT, RowFn(product_fn))
-        .register(kinds::REPLICA, RowFn(replica_fn))
-        .register(kinds::STOCK, RowFn(stock_fn))
+        .register(kinds::PRODUCT, RowFn(root_fn::<Product>))
+        .register(kinds::REPLICA, RowFn(root_fn::<ProductReplica>))
+        .register(kinds::STOCK, RowFn(root_fn::<StockService>))
         .register(kinds::CART, RowFn(cart_fn))
         .register(kinds::ORDER, RowFn(order_fn))
         .register(kinds::PAYMENT, RowFn(payment_fn))
         .register(kinds::SHIPMENT, RowFn(shipment_fn))
         .register(kinds::SELLER, RowFn(seller_fn))
-        .register(kinds::CUSTOMER, RowFn(customer_fn))
+        .register(kinds::CUSTOMER, RowFn(root_fn::<Customer>))
         .register(DELIVERY_FN, RowFn(delivery_fn))
-        .register(DRILL_FN, |_key, _state: Option<&[u8]>, _msg: DfMsg, _out: &mut Effects<DfMsg>| {})
+        .register(DRILL_FN, |_key, _state: Option<&[u8]>, _msg: Msg, _out: &mut Effects<Msg>| {})
         .build()
 }
 
-fn product_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
-    let mut product: Option<Product> = load_root(&state)?;
-    match msg {
-        DfMsg::IngestProduct(p) => {
-            out.send(
-                addr(kinds::REPLICA, key),
-                DfMsg::ReplicaUpdate {
-                    price: p.price,
-                    version: p.version,
-                },
-            );
-            store_root(out, &p)?;
-        }
-        DfMsg::PriceUpdate { price } => {
-            if let Some(p) = product.as_mut().filter(|p| p.active) {
-                p.set_price(price);
-                out.send(
-                    addr(kinds::REPLICA, key),
-                    DfMsg::ReplicaUpdate {
-                        price,
-                        version: p.version,
-                    },
-                );
-                store_root(out, p)?;
-            }
-        }
-        DfMsg::ProductDelete => {
-            if let Some(p) = product.as_mut().filter(|p| p.active) {
-                p.delete();
-                out.send(addr(kinds::REPLICA, key), DfMsg::ReplicaDelete { version: p.version });
-                out.send(addr(kinds::STOCK, key), DfMsg::StockDelete { version: p.version });
-                store_root(out, p)?;
-            }
-        }
-        _ => {}
-    }
-    Ok(())
-}
-
-fn replica_fn(_key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
-    let mut replica: ProductReplica =
-        load_root(&state)?.unwrap_or_else(|| ProductReplica::new(Money::ZERO, Money::ZERO));
-    let applied = match msg {
-        // Version 0 is initial ingestion (always applied).
-        DfMsg::ReplicaUpdate { price, version: 0 } => {
-            replica.price = price;
-            true
-        }
-        DfMsg::ReplicaUpdate { price, version } => replica.apply_update(price, version),
-        DfMsg::ReplicaDelete { version } => replica.apply_delete(version),
-        _ => false,
-    };
-    if applied {
-        store_root(out, &replica)?;
-    }
-    Ok(())
-}
-
-fn stock_fn(_key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
-    let mut stock: Option<StockService> = load_root(&state)?;
-    match msg {
-        DfMsg::IngestStock { key, qty } => {
-            stock
-                .get_or_insert_with(|| StockService::new(key, 0))
-                .item
-                .replenish(qty);
-        }
-        DfMsg::Reserve {
-            tid,
-            customer,
-            item,
-            method,
-            decline_rate_bp,
-            at,
-        } => {
-            let reserved = stock
-                .as_mut()
-                .is_some_and(|s| s.reserve(item.quantity).is_ok());
-            out.send(
-                addr(kinds::ORDER, customer.0),
-                DfMsg::StockAnswer {
-                    tid,
-                    customer,
-                    item,
-                    reserved,
-                    method,
-                    decline_rate_bp,
-                    at,
-                },
-            );
-        }
-        DfMsg::StockConfirm { qty } => stock.iter_mut().for_each(|s| s.confirm(qty)),
-        DfMsg::StockCancel { qty } => stock.iter_mut().for_each(|s| s.cancel(qty)),
-        DfMsg::StockDelete { version } => stock
-            .iter_mut()
-            .for_each(|s| s.apply_product_delete(version)),
-        _ => return Ok(()),
-    }
-    stock.map_or(Ok(()), |s| store_root(out, &s))
-}
-
-fn cart_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
-    let customer = CustomerId(key);
-    let mut cart: CartService = load_root(&state)?.unwrap_or_else(|| CartService::new(customer));
-    match msg {
-        DfMsg::CartAdd(item) => {
-            let _ = cart.add_item(item);
-        }
-        DfMsg::Checkout {
-            tid,
-            method,
-            decline_rate_bp,
-            at,
-        } => match cart.begin_checkout() {
-            Ok(items) => {
-                out.send(
-                    addr(kinds::ORDER, customer.0),
-                    DfMsg::BeginAssembly {
-                        tid,
-                        customer,
-                        expected: items.len(),
-                        at,
-                    },
-                );
-                for item in items {
-                    out.send(
-                        addr(kinds::STOCK, item.product.0),
-                        DfMsg::Reserve {
-                            tid,
-                            customer,
-                            item,
-                            method,
-                            decline_rate_bp,
-                            at,
-                        },
-                    );
-                }
-                cart.finish_checkout();
-            }
-            Err(e) => {
-                out.emit(checkout_rejected(tid, None, e.to_string()));
-                return Ok(());
-            }
-        },
-        _ => return Ok(()),
-    }
-    store_root(out, &cart)
-}
-
-fn order_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
-    let customer = CustomerId(key);
-    let mut st = CustomerOrders::load(customer, &state)?;
-    match msg {
-        DfMsg::BeginAssembly {
-            tid, expected, at, ..
-        } => {
-            st.svc.begin_assembly(tid, expected, at);
-        }
-        DfMsg::StockAnswer {
-            tid,
-            customer: cust,
-            item,
-            reserved,
-            method,
-            decline_rate_bp,
-            at,
-        } => {
-            st.load_pending(&state, tid)?;
-            match st.svc.record_stock_answer(tid, item, reserved) {
-                None => {}
-                Some(done) if done.confirmed.is_empty() => {
-                    out.emit(checkout_rejected(
-                        tid,
-                        None,
-                        "no line could be reserved".into(),
-                    ));
-                }
-                Some(done) => {
-                    let at2 = EventTime(at.0 + 1);
-                    match st.svc.create_order(&done.confirmed, at2) {
-                        Ok(order) => {
-                            for entry in order.entries(OrderStatus::Invoiced) {
-                                out.send(
-                                    addr(kinds::SELLER, entry.seller.0),
-                                    DfMsg::AddEntry(entry),
-                                );
-                            }
-                            out.send(
-                                addr(kinds::PAYMENT, cust.0),
-                                DfMsg::ProcessPayment {
-                                    tid,
-                                    order: order.id,
-                                    customer: cust,
-                                    method,
-                                    amount: order.total_invoice(),
-                                    decline_rate_bp,
-                                    lines: order.lines(),
-                                    at: EventTime(at2.0 + 1),
-                                },
-                            );
-                        }
-                        Err(e) => out.emit(checkout_rejected(tid, None, e.to_string())),
-                    }
-                }
-            }
-        }
-        DfMsg::SetStatus { order, status, at } => {
-            st.load_order(&state, order)?;
-            let _ = st.svc.set_status(order, status, at);
-        }
-        DfMsg::PackagesDelivered { order, packages, at } => {
-            st.load_order(&state, order)?;
-            // A delivery for an order this customer never placed has no
-            // row to count against and is dropped.
-            if let Some(expected) = st.svc.orders.get(&order).map(|o| o.items.len() as u32) {
-                let total = st.delivered.entry(order).or_insert(0);
-                *total += packages;
-                if *total >= expected {
-                    let _ = st.svc.set_status(order, OrderStatus::Delivered, at);
-                    out.send(addr(kinds::CUSTOMER, customer.0), DfMsg::CustomerDelivery);
-                }
-            }
-        }
-        _ => return Ok(()),
-    }
-    st.store(out)
-}
-
-fn payment_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
-    let DfMsg::ProcessPayment {
-        tid,
-        order,
-        customer: cust,
-        method,
-        amount,
-        decline_rate_bp,
-        lines,
-        at,
-    } = msg
-    else {
-        return Ok(());
-    };
-    // The header row is the service with no payments in it (id sequence,
-    // counters); `process` adds the one payment this message creates.
-    let mut svc: PaymentService =
-        load_root(&state)?.unwrap_or_else(|| PaymentService::new(CustomerId(key)));
-    let payment = svc.process(
-        order,
-        method,
-        amount,
-        decline_rate_bp as f64 / 10_000.0,
-        at,
-    );
-    svc.store_rows(out)?;
-    let status = payment.order_status();
-    out.send(
-        addr(kinds::ORDER, cust.0),
-        DfMsg::SetStatus {
-            order,
-            status,
-            at: EventTime(at.0 + 1),
-        },
-    );
-    out.send(
-        addr(kinds::CUSTOMER, cust.0),
-        DfMsg::PaymentResult {
-            approved: payment.approved,
-            amount: payment.amount,
-        },
-    );
-    for line in &lines {
-        out.send(
-            addr(kinds::SELLER, line.seller.0),
-            DfMsg::ApplyStatus { order, status },
-        );
-    }
-    for line in &lines {
-        let settle = if payment.approved {
-            DfMsg::StockConfirm { qty: line.quantity }
-        } else {
-            DfMsg::StockCancel { qty: line.quantity }
-        };
-        out.send(addr(kinds::STOCK, line.product.0), settle);
-    }
-    if !payment.approved {
-        out.emit(checkout_rejected(
-            tid,
-            Some(order),
-            "payment declined".into(),
-        ));
-        return Ok(());
-    }
-    let mut by_seller: HashMap<SellerId, Vec<OrderLineRef>> = HashMap::new();
-    for line in lines {
-        by_seller.entry(line.seller).or_default().push(line);
-    }
-    for (seller, seller_lines) in by_seller {
-        out.send(
-            addr(kinds::SHIPMENT, seller.0),
-            DfMsg::CreatePackages {
-                tid,
-                shipment: ShipmentId(order.0),
-                order,
-                customer: cust,
-                lines: seller_lines,
-                at: EventTime(at.0 + 2),
-            },
-        );
-    }
-    out.emit(DfMsg::Egress(Eg::CheckoutDone {
-        tid,
-        order: Some(order),
-        total: Some(payment.amount),
-        accepted: true,
-        reason: String::new(),
-    }));
-    Ok(())
-}
-
-fn shipment_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
-    let seller = SellerId(key);
-    // The header row is the service with no packages in it; each message
-    // loads the packages of the one order it concerns.
-    let mut svc: ShipmentService =
-        load_root(&state)?.unwrap_or_else(|| ShipmentService::new(seller));
-    match msg {
-        DfMsg::CreatePackages {
-            shipment,
-            order,
-            customer,
-            lines,
-            at,
-            ..
-        } => {
-            svc.create_packages(shipment, order, customer, &lines, at);
-            svc.store_rows(out)?;
-            out.send(
-                addr(kinds::ORDER, customer.0),
-                DfMsg::SetStatus {
-                    order,
-                    status: OrderStatus::InTransit,
-                    at: EventTime(at.0 + 1),
-                },
-            );
-            out.send(
-                addr(kinds::SELLER, seller.0),
-                DfMsg::ApplyStatus {
-                    order,
-                    status: OrderStatus::InTransit,
-                },
-            );
-        }
-        DfMsg::OldestQuery { tid } => {
-            let oldest = ShipmentService::oldest_open(&state)?.map(|(shipped_at, _)| shipped_at);
-            out.send(
-                addr(DELIVERY_FN, tid.0),
-                DfMsg::OldestReply {
-                    tid,
-                    seller,
-                    oldest,
-                },
-            );
-        }
-        DfMsg::DeliverOldest { tid, at } => {
-            if let Some((_, oldest)) = ShipmentService::oldest_open(&state)? {
-                svc.load_order(&state, oldest)?;
-            }
-            let mut packages = 0;
-            if let Some((order, pkgs)) = svc.deliver_oldest_order(at) {
-                packages = pkgs.len() as u32;
-                svc.store_rows(out)?;
-                out.send(
-                    addr(kinds::ORDER, customer_of_order(order).0),
-                    DfMsg::PackagesDelivered {
-                        order,
-                        packages,
-                        at: EventTime(at.0 + 1),
-                    },
-                );
-                out.send(
-                    addr(kinds::SELLER, seller.0),
-                    DfMsg::ApplyStatus {
-                        order,
-                        status: OrderStatus::Delivered,
-                    },
-                );
-            }
-            out.send(
-                addr(DELIVERY_FN, tid.0),
-                DfMsg::DeliverReply {
-                    tid,
-                    seller,
-                    packages,
-                },
-            );
-        }
-        _ => {}
-    }
-    Ok(())
-}
-
-fn seller_fn(_key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
-    // The header row is the view with no entries in it (profile and the
-    // continuous aggregate); each message loads the entries of the one
-    // order it concerns, so `SellerView`'s own methods maintain both.
-    if let DfMsg::IngestSeller(s) = msg {
-        SellerView::delete_entries(&state, out);
-        return store_root(out, &SellerView::new(s));
-    }
-    let Some(mut view) = load_root::<SellerView>(&state)? else {
-        return Ok(());
-    };
-    let delta = match msg {
-        DfMsg::AddEntry(entry) => {
-            let delta = SellerDelta::of(&view, [entry.order]);
-            view.add_entry(entry);
-            delta
-        }
-        DfMsg::ApplyStatus { order, status } => {
-            view.load_order(&state, order)?;
-            let delta = SellerDelta::of(&view, [order]);
-            view.apply_status(order, status);
-            delta
-        }
-        _ => return Ok(()),
-    };
-    delta.store(&view, out)
-}
-
-fn customer_fn(_key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
-    let customer: Option<Customer> = load_root(&state)?;
-    match (msg, customer) {
-        (DfMsg::IngestCustomer(c), _) => store_root(out, &c),
-        (DfMsg::PaymentResult { approved, amount }, Some(mut c)) => {
-            c.record_payment(approved, amount);
-            store_root(out, &c)
-        }
-        (DfMsg::CustomerDelivery, Some(mut c)) => {
-            c.delivery_count += 1;
-            store_root(out, &c)
-        }
+/// A service whose whole state is its root row: product, replica, stock
+/// and customer.
+fn root_fn<T>(_key: u64, state: StateView<'_>, msg: Msg, out: &mut Out) -> OmResult<()>
+where
+    T: Serialize + DeserializeOwned,
+    Option<T>: Step,
+{
+    let mut entity: Option<T> = load_root(&state)?;
+    match (entity.step(msg, out), &entity) {
+        (Ok(_), Some(entity)) => store_root(out, entity),
         _ => Ok(()),
     }
 }
 
-fn delivery_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmResult<()> {
+fn cart_fn(key: u64, state: StateView<'_>, msg: Msg, out: &mut Out) -> OmResult<()> {
+    let mut cart = load_root(&state)?.unwrap_or_else(|| CartService::new(CustomerId(key)));
+    match cart.step(msg, out) {
+        Ok(_) => store_root(out, &cart),
+        Err(_) => Ok(()),
+    }
+}
+
+fn order_fn(key: u64, state: StateView<'_>, msg: Msg, out: &mut Out) -> OmResult<()> {
+    let mut orders = CustomerOrders::load(CustomerId(key), &state)?;
+    if let Msg::StockAnswer { tid, .. } = &msg {
+        orders.load_pending(&state, *tid)?;
+    }
+    if let Some(order) = msg.order() {
+        orders.load_order(&state, order)?;
+    }
+    match orders.svc.step(msg, out) {
+        Ok(_) => orders.store(out),
+        Err(_) => Ok(()),
+    }
+}
+
+fn payment_fn(key: u64, state: StateView<'_>, msg: Msg, out: &mut Out) -> OmResult<()> {
+    // The header row is the service with no payments in it (id sequence,
+    // counters); the step adds the one payment its message creates.
+    let mut svc = load_root(&state)?.unwrap_or_else(|| PaymentService::new(CustomerId(key)));
+    match svc.step(msg, out) {
+        Ok(_) => svc.store_rows(out),
+        Err(_) => Ok(()),
+    }
+}
+
+fn shipment_fn(key: u64, state: StateView<'_>, msg: Msg, out: &mut Out) -> OmResult<()> {
+    let seller = SellerId(key);
+    // The coordinator's two calls are answered with a message back: the
+    // oldest open order, read from the index, and the packages a delivery
+    // delivered.
+    if let Msg::OldestQuery { tid } = msg {
+        let oldest = ShipmentService::oldest_open(&state)?.map(|(shipped_at, _)| shipped_at);
+        out.send(addr(DELIVERY_FN, tid.0), Msg::OldestReply { tid, seller, oldest });
+        return Ok(());
+    }
+    // The header row is the service with no packages in it; a delivery
+    // loads the packages of the oldest open order.
+    let mut svc = load_root(&state)?.unwrap_or_else(|| ShipmentService::new(seller));
+    let coordinator = match msg {
+        Msg::DeliverOldest { tid, .. } => {
+            if let Some((_, order)) = ShipmentService::oldest_open(&state)? {
+                svc.load_order(&state, order)?;
+            }
+            Some(tid)
+        }
+        _ => None,
+    };
+    let done = svc.step(msg, out);
+    if let Some(tid) = coordinator {
+        let packages = *done.as_ref().unwrap_or(&0) as u32;
+        out.send(addr(DELIVERY_FN, tid.0), Msg::DeliverReply { tid, seller, packages });
+    }
+    match done {
+        Ok(_) => svc.store_rows(out),
+        Err(_) => Ok(()),
+    }
+}
+
+fn seller_fn(_key: u64, state: StateView<'_>, msg: Msg, out: &mut Out) -> OmResult<()> {
+    // The header row is the view with no entries in it (profile and the
+    // continuous aggregate); a status change loads the entries of the one
+    // order it names, so `SellerView`'s own methods maintain both.
+    let mut view: Option<SellerView> = load_root(&state)?;
+    let delta = match (&msg, view.as_mut()) {
+        (Msg::IngestSeller(_), _) => {
+            SellerView::delete_entries(&state, out);
+            SellerDelta::default()
+        }
+        (Msg::AddEntry(entry), Some(view)) => SellerDelta::of(view, [entry.order]),
+        (Msg::ApplyStatus { order, .. }, Some(view)) => {
+            view.load_order(&state, *order)?;
+            SellerDelta::of(view, [*order])
+        }
+        _ => SellerDelta::default(),
+    };
+    match (view.step(msg, out), &view) {
+        (Ok(_), Some(view)) => delta.store(view, out),
+        _ => Ok(()),
+    }
+}
+
+fn delivery_fn(key: u64, state: StateView<'_>, msg: Msg, out: &mut Out) -> OmResult<()> {
     let tid = TransactionId(key);
     match msg {
-        DfMsg::DeliveryRequest {
+        Msg::DeliveryRequest {
             sellers, max, at, ..
         } => {
             if sellers.is_empty() {
-                out.emit(DfMsg::Egress(Eg::DeliveryDone { tid, packages: 0 }));
+                out.emit(Msg::Egress(Eg::DeliveryDone { tid, packages: 0 }));
                 return Ok(());
             }
             let st = DeliveryState {
@@ -833,11 +384,11 @@ fn delivery_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmR
                 at,
             };
             for s in sellers {
-                out.send(addr(kinds::SHIPMENT, s.0), DfMsg::OldestQuery { tid });
+                out.send(addr(kinds::SHIPMENT, s.0), Msg::OldestQuery { tid });
             }
             store_root(out, &st)?;
         }
-        DfMsg::OldestReply { seller, oldest, .. } => {
+        Msg::OldestReply { seller, oldest, .. } => {
             let Some(mut st) = load_root::<DeliveryState>(&state)? else {
                 return Ok(());
             };
@@ -854,26 +405,26 @@ fn delivery_fn(key: u64, state: StateView<'_>, msg: DfMsg, out: &mut Out) -> OmR
                     .map(|&(_, s)| s)
                     .collect();
                 if chosen.is_empty() {
-                    out.emit(DfMsg::Egress(Eg::DeliveryDone { tid, packages: 0 }));
+                    out.emit(Msg::Egress(Eg::DeliveryDone { tid, packages: 0 }));
                     out.clear_state();
                     return Ok(());
                 }
                 st.waiting_deliver = chosen.len();
                 let at = st.at;
                 for s in chosen {
-                    out.send(addr(kinds::SHIPMENT, s.0), DfMsg::DeliverOldest { tid, at });
+                    out.send(addr(kinds::SHIPMENT, s.0), Msg::DeliverOldest { tid, at });
                 }
             }
             store_root(out, &st)?;
         }
-        DfMsg::DeliverReply { packages, .. } => {
+        Msg::DeliverReply { packages, .. } => {
             let Some(mut st) = load_root::<DeliveryState>(&state)? else {
                 return Ok(());
             };
             st.packages += packages;
             st.waiting_deliver -= 1;
             if st.waiting_deliver == 0 {
-                out.emit(DfMsg::Egress(Eg::DeliveryDone {
+                out.emit(Msg::Egress(Eg::DeliveryDone {
                     tid,
                     packages: st.packages,
                 }));
@@ -907,7 +458,7 @@ pub struct DataflowPlatformConfig {
     /// full restarts that also replay in-flight records). Any
     /// [`om_log::EventLog`] works: a shared in-memory topic, or the
     /// [`persistent_ingress`] topic for restarts from a cold process.
-    pub ingress: Option<Arc<dyn om_log::EventLog<(Address, DfMsg)>>>,
+    pub ingress: Option<Arc<dyn om_log::EventLog<(Address, Msg)>>>,
 }
 
 impl std::fmt::Debug for DataflowPlatformConfig {
@@ -945,7 +496,7 @@ impl Default for DataflowPlatformConfig {
 /// The Statefun-like platform: topology + pump thread + completion
 /// registry.
 pub struct DataflowPlatform {
-    df: Arc<Dataflow<DfMsg>>,
+    df: Arc<Dataflow<Msg>>,
     catalog: super::actor_core::Catalog,
     tids: IdSequence,
     clock: om_common::time::LogicalClock,
@@ -990,9 +541,9 @@ impl DataflowPlatform {
         for (partition, &from) in df.committed_offsets().iter().enumerate() {
             for entry in ingress.read_from(partition, from, usize::MAX) {
                 match entry.payload.1 {
-                    DfMsg::IngestSeller(s) => catalog.add_seller(s.id),
-                    DfMsg::IngestCustomer(c) => catalog.add_customer(c.id),
-                    DfMsg::IngestProduct(p) => catalog.add_product(p.id),
+                    Msg::IngestSeller(s) => catalog.add_seller(s.id),
+                    Msg::IngestCustomer(c) => catalog.add_customer(c.id),
+                    Msg::IngestProduct(p) => catalog.add_product(p.id),
                     _ => {}
                 }
             }
@@ -1023,7 +574,7 @@ impl DataflowPlatform {
                             counters
                                 .add("df.pump_epoch_us", started.elapsed().as_micros() as u64);
                             for record in df.take_committed_egress() {
-                                if let DfMsg::Egress(eg) = record {
+                                if let Msg::Egress(eg) = record {
                                     waiters.lock().complete(eg);
                                 }
                             }
@@ -1053,7 +604,7 @@ impl DataflowPlatform {
     }
 
     /// The underlying dataflow (tests / fault injection).
-    pub fn dataflow(&self) -> &Dataflow<DfMsg> {
+    pub fn dataflow(&self) -> &Dataflow<Msg> {
         &self.df
     }
 
@@ -1067,7 +618,7 @@ impl DataflowPlatform {
 
     /// Submits the record whose processing completes `tid`. A failed
     /// submit withdraws the waiter registered for it.
-    fn submit_awaited(&self, tid: TransactionId, to: Address, msg: DfMsg) -> OmResult<()> {
+    fn submit_awaited(&self, tid: TransactionId, to: Address, msg: Msg) -> OmResult<()> {
         self.df
             .submit(to, msg)
             .inspect_err(|_| self.waiters.lock().cancel(tid.0))
@@ -1127,7 +678,7 @@ impl DataflowPlatform {
                 .add("df.caller_epoch_us", started.elapsed().as_micros() as u64);
         }
         for record in self.df.take_committed_egress() {
-            if let DfMsg::Egress(eg) = record {
+            if let Msg::Egress(eg) = record {
                 self.waiters.lock().complete(eg);
             }
         }
@@ -1183,7 +734,7 @@ impl MarketplacePlatform for DataflowPlatform {
     fn ingest_seller(&self, seller: Seller) -> OmResult<()> {
         let id = seller.id;
         self.df
-            .submit(addr(kinds::SELLER, id.0), DfMsg::IngestSeller(seller))?;
+            .submit(addr(kinds::SELLER, id.0), Msg::IngestSeller(seller))?;
         self.catalog.add_seller(id);
         Ok(())
     }
@@ -1191,7 +742,7 @@ impl MarketplacePlatform for DataflowPlatform {
     fn ingest_customer(&self, customer: Customer) -> OmResult<()> {
         let id = customer.id;
         self.df
-            .submit(addr(kinds::CUSTOMER, id.0), DfMsg::IngestCustomer(customer))?;
+            .submit(addr(kinds::CUSTOMER, id.0), Msg::IngestCustomer(customer))?;
         self.catalog.add_customer(id);
         Ok(())
     }
@@ -1200,10 +751,10 @@ impl MarketplacePlatform for DataflowPlatform {
         let id = product.id;
         let key = StockKey::new(product.seller, id);
         self.df
-            .submit(addr(kinds::PRODUCT, id.0), DfMsg::IngestProduct(product))?;
+            .submit(addr(kinds::PRODUCT, id.0), Msg::IngestProduct(product))?;
         self.df.submit(
             addr(kinds::STOCK, id.0),
-            DfMsg::IngestStock {
+            Msg::IngestStock {
                 key,
                 qty: initial_stock,
             },
@@ -1227,7 +778,7 @@ impl MarketplacePlatform for DataflowPlatform {
         self.counters.incr("cart_adds");
         self.df.submit(
             addr(kinds::CART, customer.0),
-            DfMsg::CartAdd(replica.cart_line(&item)),
+            Msg::CartAdd(replica.cart_line(&item)),
         )
     }
 
@@ -1238,10 +789,10 @@ impl MarketplacePlatform for DataflowPlatform {
         self.submit_awaited(
             tid,
             addr(kinds::CART, request.customer.0),
-            DfMsg::Checkout {
+            Msg::Checkout {
                 tid,
                 method: request.method,
-                decline_rate_bp: super::actor_msg::to_basis_points(self.decline_rate),
+                decline_rate_bp: to_basis_points(self.decline_rate),
                 at,
             },
         )?;
@@ -1269,14 +820,14 @@ impl MarketplacePlatform for DataflowPlatform {
         self.counters.incr("price_updates");
         self.df.submit(
             addr(kinds::PRODUCT, product.0),
-            DfMsg::PriceUpdate { price },
+            Msg::PriceUpdate { price },
         )
     }
 
     fn product_delete(&self, _seller: SellerId, product: ProductId) -> OmResult<()> {
         self.counters.incr("product_deletes");
         self.df
-            .submit(addr(kinds::PRODUCT, product.0), DfMsg::ProductDelete)
+            .submit(addr(kinds::PRODUCT, product.0), Msg::ProductDelete)
     }
 
     fn update_delivery(&self, max_sellers: usize) -> OmResult<u32> {
@@ -1287,7 +838,7 @@ impl MarketplacePlatform for DataflowPlatform {
         self.submit_awaited(
             tid,
             addr(DELIVERY_FN, tid.0),
-            DfMsg::DeliveryRequest {
+            Msg::DeliveryRequest {
                 tid,
                 sellers,
                 max: max_sellers as u32,
@@ -1410,7 +961,7 @@ impl MarketplacePlatform for DataflowPlatform {
         for i in 0..DRILL_RECORDS {
             if self
                 .df
-                .submit(addr(DRILL_FN, i), DfMsg::CustomerDelivery)
+                .submit(addr(DRILL_FN, i), Msg::CustomerDelivery)
                 .is_err()
             {
                 // The ingress log refuses the wave (wedged): no drill.
@@ -1468,7 +1019,7 @@ mod tests {
 
     fn key_and_body(key: u64) -> Vec<u8> {
         let mut out = key.to_le_bytes().to_vec();
-        out.extend(om_common::codec::to_bytes(&DfMsg::ProductDelete).unwrap());
+        out.extend(om_common::codec::to_bytes(&Msg::ProductDelete).unwrap());
         out
     }
 
@@ -1485,17 +1036,17 @@ mod tests {
     #[test]
     fn record_codec_round_trips_every_registered_function() {
         let msgs = [
-            DfMsg::PriceUpdate {
+            Msg::PriceUpdate {
                 price: Money::from_cents(1_250),
             },
-            DfMsg::IngestSeller(Seller::new(SellerId(3), "s".into(), "c".into())),
-            DfMsg::DeliveryRequest {
+            Msg::IngestSeller(Seller::new(SellerId(3), "s".into(), "c".into())),
+            Msg::DeliveryRequest {
                 tid: TransactionId(9),
                 sellers: vec![SellerId(1), SellerId(2)],
                 max: 10,
                 at: EventTime(4),
             },
-            DfMsg::Egress(Eg::DeliveryDone {
+            Msg::Egress(Eg::DeliveryDone {
                 tid: TransactionId(9),
                 packages: 2,
             }),

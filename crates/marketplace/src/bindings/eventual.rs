@@ -14,11 +14,12 @@ use om_common::{Money, OmResult};
 
 use super::actor_core::{unexpected, ActorCore, ActorPlatformConfig};
 use super::actor_grains::cart_grain;
-use super::actor_msg::{to_basis_points, Msg, Reply};
+use super::actor_msg::{Msg, Reply};
 use crate::api::{
     CheckoutItem, CheckoutOutcome, CheckoutRequest, MarketSnapshot, MarketplacePlatform,
     PlatformKind,
 };
+use crate::domain::flow::{self, to_basis_points};
 
 /// The eventually consistent actor platform.
 pub struct EventualPlatform {
@@ -72,15 +73,17 @@ impl MarketplacePlatform for EventualPlatform {
     }
 
     fn checkout(&self, request: CheckoutRequest) -> OmResult<CheckoutOutcome> {
-        let tid = self.core.next_tid();
-        match self.core.cluster.call(
-            cart_grain(request.customer),
-            Msg::CartCheckoutEvent {
-                tid,
-                method: request.method,
-                decline_rate_bp: to_basis_points(self.core.decline_rate),
-            },
-        )? {
+        let checkout = flow::Msg::Checkout {
+            tid: self.core.next_tid(),
+            method: request.method,
+            decline_rate_bp: to_basis_points(self.core.decline_rate),
+            at: self.core.cluster.clock().tick(),
+        };
+        match self
+            .core
+            .cluster
+            .call(cart_grain(request.customer), Msg::Flow(checkout))?
+        {
             Reply::Count(_) => {
                 self.core.counters.incr("checkouts_accepted");
                 // The eventual binding acknowledges acceptance; the order

@@ -7,19 +7,25 @@
 //! | [`dataflow`] | Apache Flink Statefun |
 //! | [`customized`] | Customized Orleans (Fig. 1) |
 //!
-//! The two actor-based bindings share one grain message vocabulary
-//! ([`actor_msg`]) and grain kinds; they differ in *how* the checkout
-//! workflow traverses the grains (asynchronous event cascade vs
-//! client-coordinated 2PC) — which is precisely the axis the paper
-//! evaluates.
+//! The workflow is written once, in [`crate::domain::flow`]: one message
+//! enum and one step per service. The event-driven bindings are adapters
+//! over it — Eventual runs the steps in grains ([`actor_grains`], which
+//! wrap a step's message as [`actor_msg::Msg::Flow`]) and Dataflow in
+//! stateful functions ([`dataflow`]). Transactional and Customized share
+//! the grains but drive checkout themselves, client-coordinated under
+//! 2PL + 2PC over the grains' `Tx*` surface: *how* the checkout
+//! traverses the services — event cascade, function cascade or
+//! distributed transaction — is precisely the axis the paper evaluates.
 //!
 //! The dataflow functions and the row-keyed grains share one row format,
-//! [`crate::domain::rows`]; the impls below are how each runtime's state
-//! access plugs into it.
+//! [`crate::domain::rows`], and the workflow's [`Outbox`]; the impls
+//! below are how each runtime's state access and messaging plug into
+//! them.
 
+use crate::domain::flow::{self, Eg, Outbox};
 use crate::domain::rows::{RowReader, RowWriter};
-use om_actor::GrainContext;
-use om_dataflow::{Effects, StateView};
+use om_actor::{GrainContext, GrainId};
+use om_dataflow::{Address, Effects, StateView};
 
 pub use crate::domain::rows::kinds;
 
@@ -65,5 +71,27 @@ impl<M> RowWriter for GrainContext<'_, M> {
 
     fn delete_row(&mut self, row: Vec<u8>) {
         GrainContext::delete_row(self, row);
+    }
+}
+
+/// A grain sends a step's messages on as grain events. Completions have
+/// no reader here: a grain's caller reads its reply.
+impl Outbox for GrainContext<'_, actor_msg::Msg> {
+    fn send(&mut self, kind: &'static str, key: u64, msg: flow::Msg) {
+        GrainContext::send(self, GrainId::new(kind, key), actor_msg::Msg::Flow(msg));
+    }
+
+    fn emit(&mut self, _completion: Eg) {}
+}
+
+/// A dataflow function sends a step's messages on to other functions and
+/// its completions to the egress, both released at checkpoint commit.
+impl Outbox for Effects<flow::Msg> {
+    fn send(&mut self, kind: &'static str, key: u64, msg: flow::Msg) {
+        Effects::send(self, Address::new(kind, key), msg);
+    }
+
+    fn emit(&mut self, completion: Eg) {
+        Effects::emit(self, flow::Msg::Egress(completion));
     }
 }

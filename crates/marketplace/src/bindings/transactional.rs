@@ -35,19 +35,18 @@
 use om_actor::tx::{Coordinator, Participants};
 use om_actor::{Cluster, GrainId};
 use om_common::entity::{CartItem, Customer, OrderStatus, Product, Seller, SellerDashboard};
-use om_common::event::OrderLineRef;
 use om_common::ids::*;
 use om_common::{Money, OmError, OmResult};
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 use super::actor_core::{unexpected, ActorCore, ActorPlatformConfig};
 use super::actor_grains::*;
-use super::actor_msg::{to_basis_points, Msg, Reply};
+use super::actor_msg::{Msg, Reply};
 use crate::api::{
     CheckoutItem, CheckoutOutcome, CheckoutRequest, MarketSnapshot, MarketplacePlatform,
     PlatformKind,
 };
+use crate::domain::flow::{self, lines_by_seller, to_basis_points};
 use crate::domain::order::customer_of_order;
 
 /// How many times a transaction restarts after wait-die kills or lock
@@ -300,10 +299,7 @@ impl TransactionalPlatform {
                 Msg::TxSellerAddEntry { tid, entry },
             ));
         }
-        let mut lines_by_seller: BTreeMap<SellerId, Vec<OrderLineRef>> = BTreeMap::new();
-        for line in order.lines() {
-            lines_by_seller.entry(line.seller).or_default().push(line);
-        }
+        let lines_by_seller = lines_by_seller(order.lines());
         effects.push((
             customer_grain(request.customer),
             Msg::TxCustomerPaymentResult {
@@ -551,19 +547,18 @@ impl TransactionalPlatform {
 
         // Post-commit propagation to order and seller views.
         let mut detail = DeliveryDetail::default();
+        let at = self.core.cluster.clock().tick();
         for (seller, order, n) in delivered {
             detail.packages += n;
             detail.delivered_orders.push((seller, order));
             self.core.cluster.notify(
                 order_grain(customer_of_order(order)),
-                Msg::OrderPackagesDelivered { order, seller },
+                Msg::Flow(flow::Msg::PackagesDelivered { order, seller, at }),
             );
+            let status = OrderStatus::Delivered;
             self.core.cluster.notify(
                 seller_grain(seller),
-                Msg::SellerApplyStatus {
-                    order,
-                    status: OrderStatus::Delivered,
-                },
+                Msg::Flow(flow::Msg::ApplyStatus { order, status }),
             );
         }
         self.core.counters.incr("update_deliveries");

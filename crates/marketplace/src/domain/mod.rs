@@ -5,11 +5,13 @@
 //! functions or transactional participants — the *business rules* are
 //! written exactly once, so behavioural differences measured by the
 //! benchmark stem from the platforms, not from divergent logic. The
-//! [`rows`] module is the one row format the stateful runtimes store these
-//! services in.
+//! [`flow`] module is the one workflow the event-driven bindings run over
+//! these services, and [`rows`] the one row format the stateful runtimes
+//! store them in.
 
 pub mod cart;
 pub mod checkout;
+pub mod flow;
 pub mod order;
 pub mod payment;
 pub mod replica;

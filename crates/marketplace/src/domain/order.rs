@@ -4,11 +4,11 @@
 //! items with stock confirmed, and calculating order totals").
 
 use om_common::entity::{CartItem, Order, OrderItem, OrderStatus};
-use om_common::ids::{CustomerId, OrderId, TransactionId};
+use om_common::ids::{CustomerId, OrderId, SellerId, TransactionId};
 use om_common::time::EventTime;
 use om_common::{Money, OmError, OmResult};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-customer order service state. Orders are partitioned by customer;
 /// ids are globally unique via `customer * ORDERS_PER_CUSTOMER + seq`.
@@ -22,6 +22,9 @@ pub struct OrderService {
     /// Public like `orders`: the row-keyed dataflow binding loads only the
     /// assembly a message names into an otherwise empty service.
     pub pending: BTreeMap<TransactionId, PendingCheckout>,
+    /// The sellers that delivered each order still in transit (see
+    /// [`Self::record_delivery`]); public for the same reason.
+    pub delivered: BTreeMap<OrderId, BTreeSet<SellerId>>,
 }
 
 /// Space reserved per customer in the order-id namespace.
@@ -48,6 +51,7 @@ impl OrderService {
             orders: BTreeMap::new(),
             next_seq: 0,
             pending: BTreeMap::new(),
+            delivered: BTreeMap::new(),
         }
     }
 
@@ -151,6 +155,33 @@ impl OrderService {
         order.updated_at = at;
         Ok(())
     }
+
+    /// Records that `seller` delivered its packages of `order`. The order
+    /// turns Delivered once every seller of its items has, and the call
+    /// that completes it answers `true`; a seller reported twice counts
+    /// once, and a report on a delivered order changes nothing.
+    pub fn record_delivery(
+        &mut self,
+        order: OrderId,
+        seller: SellerId,
+        at: EventTime,
+    ) -> OmResult<bool> {
+        let placed = self
+            .orders
+            .get(&order)
+            .ok_or_else(|| OmError::NotFound(format!("{order}")))?;
+        if placed.status == OrderStatus::Delivered {
+            return Ok(false);
+        }
+        let sellers = self.delivered.entry(order).or_default();
+        sellers.insert(seller);
+        if !placed.items.iter().all(|i| sellers.contains(&i.seller)) {
+            return Ok(false);
+        }
+        self.delivered.remove(&order);
+        let _ = self.set_status(order, OrderStatus::Delivered, at);
+        Ok(true)
+    }
 }
 
 #[cfg(test)]
@@ -225,6 +256,30 @@ mod tests {
         assert!(svc
             .record_stock_answer(TransactionId(1), item(1, 1, 100), true)
             .is_none());
+    }
+
+    #[test]
+    fn delivery_completes_once_every_seller_reported_once() {
+        let mut svc = OrderService::new(CustomerId(1));
+        let mut other = item(2, 1, 100);
+        other.seller = SellerId(4);
+        let order = svc.create_order(&[item(1, 1, 100), other], EventTime(1)).unwrap();
+        let deliver = |svc: &mut OrderService, seller| {
+            svc.record_delivery(order.id, SellerId(seller), EventTime(9)).unwrap()
+        };
+        assert!(!deliver(&mut svc, 3));
+        assert!(!deliver(&mut svc, 3), "a duplicate report counts once");
+        assert_ne!(svc.orders[&order.id].status, OrderStatus::Delivered);
+        assert!(deliver(&mut svc, 4), "the last seller completes the order");
+        assert_eq!(svc.orders[&order.id].status, OrderStatus::Delivered);
+        assert!(svc.delivered.is_empty());
+        assert!(!deliver(&mut svc, 4), "a delivered order stays delivered once");
+        assert_eq!(
+            svc.record_delivery(OrderId(999), SellerId(3), EventTime(9))
+                .unwrap_err()
+                .label(),
+            "not_found"
+        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! stateful functions and the actor bindings' grains. Both read through
 //! [`RowReader`] and write through [`RowWriter`], and both call the codecs
 //! below, so a function body or a grain turn is three steps: load the
-//! service from the rows its message names, call the service's own method,
-//! and write the row delta.
+//! service from the rows its message names, run the service's workflow
+//! step ([`super::flow`]), and write the row delta.
 //!
 //! An entity is its service's [`kinds`] name plus a 64-bit id; the
 //! runtime stores each of its rows under a key made of both and the row
@@ -23,8 +23,8 @@
 //! | product, replica, stock, cart, customer, delivery coordinator | root | empty | the whole state: `Product`, [`ProductReplica`](super::ProductReplica), [`StockService`](super::StockService), [`CartService`](super::CartService), `Customer`, the coordinator's state |
 //! | seller ([`SellerView`]) | header | empty | the view with no entries |
 //! | | entry | [`ENTRY`] + order + product | `OrderEntry` |
-//! | order ([`OrderService`]) | header | empty | the service with no orders and no assemblies |
-//! | | order | [`ORDER`] + order | the order and its delivered-package count |
+//! | order ([`OrderService`]) | header | empty | the service with no orders, no assemblies and no deliveries |
+//! | | order | [`ORDER`] + order | the order and the sellers that delivered it, while it is in transit |
 //! | | assembly | [`PENDING`] + transaction | `PendingCheckout` |
 //! | payment ([`PaymentService`]) | header | empty | the service with no payments |
 //! | | payment | [`PAYMENT`] + payment | `Payment` |
@@ -38,12 +38,12 @@
 //! grains keep their state in memory only.
 
 use om_common::entity::{Order, OrderEntry, Package, PackageStatus, Payment};
-use om_common::ids::{CustomerId, OrderId, TransactionId};
+use om_common::ids::{CustomerId, OrderId, SellerId, TransactionId};
 use om_common::time::EventTime;
 use om_common::{OmError, OmResult};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use super::{OrderService, PaymentService, SellerView, ShipmentService};
 
@@ -302,7 +302,8 @@ impl SellerDelta {
 #[derive(Serialize, Deserialize)]
 struct OrderRow {
     order: Order,
-    delivered: u32,
+    /// The sellers that delivered the order, while it is in transit.
+    delivered: BTreeSet<SellerId>,
 }
 
 /// A customer's [`OrderService`] holding only the rows a message names:
@@ -312,8 +313,6 @@ struct OrderRow {
 pub struct CustomerOrders {
     /// The service, holding the loaded rows.
     pub svc: OrderService,
-    /// How many packages of each loaded order were reported delivered.
-    pub delivered: BTreeMap<OrderId, u32>,
     loaded_pending: Option<TransactionId>,
 }
 
@@ -322,7 +321,6 @@ impl CustomerOrders {
     pub fn load(customer: CustomerId, rows: &impl RowReader) -> OmResult<Self> {
         Ok(Self {
             svc: load_root(rows)?.unwrap_or_else(|| OrderService::new(customer)),
-            delivered: BTreeMap::new(),
             loaded_pending: None,
         })
     }
@@ -332,7 +330,9 @@ impl CustomerOrders {
         if let Some(bytes) = rows.get(&row(ORDER, &[id.0])) {
             let OrderRow { order, delivered } = decode(bytes)?;
             self.svc.orders.insert(id, order);
-            self.delivered.insert(id, delivered);
+            if !delivered.is_empty() {
+                self.svc.delivered.insert(id, delivered);
+            }
         }
         Ok(())
     }
@@ -350,8 +350,9 @@ impl CustomerOrders {
     /// assembly it holds, the loaded assembly's row deleted if the service
     /// completed it, and the header with the collections taken out.
     pub fn store(mut self, out: &mut impl RowWriter) -> OmResult<()> {
+        let mut delivered = std::mem::take(&mut self.svc.delivered);
         for (id, order) in std::mem::take(&mut self.svc.orders) {
-            let delivered = self.delivered.get(&id).copied().unwrap_or(0);
+            let delivered = delivered.remove(&id).unwrap_or_default();
             out.put_row(row(ORDER, &[id.0]), encode(&OrderRow { order, delivered })?);
         }
         let pending = std::mem::take(&mut self.svc.pending);

@@ -15,7 +15,7 @@ use om_common::entity::{
     CartItem, Customer, Order, OrderEntry, OrderStatus, PaymentMethod, Product, Seller, SellerDashboard,
 };
 use om_common::event::OrderLineRef;
-use om_common::ids::{CustomerId, OrderId, ProductId, SellerId, ShipmentId, StockKey};
+use om_common::ids::{CustomerId, ProductId, SellerId, ShipmentId, StockKey};
 use om_common::rng::{SplitMix64, Zipfian};
 use om_common::time::EventTime;
 use om_common::{Money, OmResult};
@@ -177,7 +177,6 @@ struct Model {
     customers: BTreeMap<u64, Customer>,
     shipments: BTreeMap<u64, ShipmentService>,
     sellers: BTreeMap<u64, SellerView>,
-    delivered: BTreeMap<OrderId, u32>,
 }
 
 impl Model {
@@ -201,7 +200,6 @@ impl Model {
             sellers: (1..=SELLERS)
                 .map(|s| (s, SellerView::new(seller(s))))
                 .collect(),
-            delivered: BTreeMap::new(),
         }
     }
 
@@ -217,8 +215,7 @@ impl Model {
                 product: ProductId(p),
                 quantity,
                 unit_price: self.products[&p].price,
-                // The dataflow binding's price replica carries no freight.
-                freight_value: Money::ZERO,
+                freight_value: self.products[&p].freight_value,
                 product_version: 0,
             })
             .unwrap();
@@ -337,10 +334,7 @@ impl Model {
             packages += pkgs.len() as u32;
             let customer = order.0 / om_marketplace::domain::order::ORDERS_PER_CUSTOMER;
             let orders = self.orders.get_mut(&customer).unwrap();
-            let total = self.delivered.entry(order).or_insert(0);
-            *total += pkgs.len() as u32;
-            if *total >= orders.orders[&order].items.len() as u32 {
-                let _ = orders.set_status(order, OrderStatus::Delivered, EventTime(at + 1));
+            if orders.record_delivery(order, SellerId(s), EventTime(at + 1)).unwrap() {
                 self.customers.get_mut(&customer).unwrap().delivery_count += 1;
             }
             self.sellers

@@ -3,14 +3,19 @@
 //! to differ exactly along the axes the paper evaluates.
 
 use om_common::entity::{Customer, OrderStatus, PaymentMethod, Product, Seller};
-use om_common::ids::{CustomerId, ProductId, SellerId};
+use om_common::ids::{CustomerId, OrderId, ProductId, SellerId};
+use om_common::time::EventTime;
 use om_common::Money;
+use om_dataflow::Address;
 use om_marketplace::api::*;
-use om_marketplace::bindings::actor_core::ActorPlatformConfig;
+use om_marketplace::bindings::actor_core::{ActorCore, ActorPlatformConfig};
 use om_marketplace::bindings::actor_grains::order_grain;
 use om_marketplace::bindings::actor_msg::Msg;
 use om_marketplace::bindings::customized::CustomizedConfig;
 use om_marketplace::bindings::dataflow::DataflowPlatformConfig;
+use om_marketplace::bindings::kinds;
+use om_marketplace::domain::flow;
+use std::collections::BTreeSet;
 use om_marketplace::{
     CustomizedPlatform, DataflowPlatform, EventualPlatform, TransactionalPlatform,
 };
@@ -318,54 +323,144 @@ fn customized_dashboard_pages_hold_each_entry_once() {
     assert_eq!(seller_rows(2), 1);
 }
 
-/// A duplicated package-delivered event (the lossy fault model's
-/// duplicates) neither completes a two-seller order early nor counts the
-/// customer's delivery twice.
-#[test]
-fn a_duplicated_delivery_event_counts_once_per_seller() {
-    let p = TransactionalPlatform::new(ActorPlatformConfig {
+/// Every binding under test, fresh, with no payment declined.
+fn all_platforms() -> Vec<Box<dyn MarketplacePlatform>> {
+    let actor = || ActorPlatformConfig {
         decline_rate: 0.0,
         ..Default::default()
-    });
-    ingest(&p);
-    checkout_items(&p, 1, &[(1, 1, 2), (2, 4, 1)]);
-    let outcome = p
-        .checkout(CheckoutRequest {
-            customer: CustomerId(1),
-            items: vec![],
-            method: PaymentMethod::CreditCard,
-        })
-        .unwrap();
-    let CheckoutOutcome::Placed { order: Some(order), .. } = outcome else {
-        panic!("{outcome:?}");
     };
+    vec![
+        Box::new(EventualPlatform::new(actor())),
+        Box::new(TransactionalPlatform::new(actor())),
+        Box::new(DataflowPlatform::new(DataflowPlatformConfig {
+            decline_rate: 0.0,
+            ..Default::default()
+        })),
+        Box::new(CustomizedPlatform::new(CustomizedConfig { actor: actor() })),
+    ]
+}
+
+/// One checkout of two lines, quantity 2 each at 10 ¢ freight a unit, is
+/// invoiced alike on every binding: freight included.
+#[test]
+fn every_binding_invoices_the_freight_of_a_checkout() {
+    let invoices: Vec<_> = all_platforms()
+        .iter()
+        .map(|p| {
+            ingest(p.as_ref());
+            checkout_items(p.as_ref(), 1, &[(1, 1, 2), (2, 4, 2)]);
+            let outcome = p
+                .checkout(CheckoutRequest {
+                    customer: CustomerId(1),
+                    items: vec![],
+                    method: PaymentMethod::CreditCard,
+                })
+                .unwrap();
+            assert!(matches!(outcome, CheckoutOutcome::Placed { .. }), "{outcome:?}");
+            p.quiesce();
+            let snap = p.snapshot().unwrap();
+            assert_eq!(snap.orders.len(), 1, "{:?}", p.kind());
+            let order = &snap.orders[0];
+            (p.kind(), order.total_freight, order.total_invoice())
+        })
+        .collect();
+    for &(kind, freight, invoice) in &invoices {
+        assert_eq!(freight, Money::from_cents(40), "{kind:?}: {invoices:?}");
+        assert_eq!(invoice, Money::from_cents(2 * 100 + 2 * 400 + 40), "{kind:?}");
+    }
+}
+
+/// The event reporting that `seller` delivered its packages of `order`.
+fn delivered(order: OrderId, seller: SellerId) -> flow::Msg {
+    flow::Msg::PackagesDelivered {
+        order,
+        seller,
+        at: EventTime(1_000),
+    }
+}
+
+/// Delivers customer 1's two-seller order one seller at a time, sending
+/// a second copy of each seller's delivered event through `duplicate`:
+/// the order completes with the second seller, and the customer's
+/// delivery is counted once.
+fn delivery_counts_once_per_seller(
+    p: &dyn MarketplacePlatform,
+    duplicate: impl Fn(OrderId, SellerId),
+) {
+    ingest(p);
+    checkout_items(p, 1, &[(1, 1, 2), (2, 4, 1)]);
+    p.checkout(CheckoutRequest {
+        customer: CustomerId(1),
+        items: vec![],
+        method: PaymentMethod::CreditCard,
+    })
+    .unwrap();
     p.quiesce();
-    let state = |p: &TransactionalPlatform| {
+    let snap = p.snapshot().unwrap();
+    assert_eq!(snap.orders.len(), 1, "{:?}", p.kind());
+    let order = snap.orders[0].id;
+    let state = || {
         let snap = p.snapshot().unwrap();
         let status = snap.orders.iter().find(|o| o.id == order).unwrap().status;
         let customer = snap.customers.iter().find(|c| c.id == CustomerId(1)).unwrap();
         (status, customer.delivery_count)
     };
+    let delivered_by = || -> BTreeSet<SellerId> {
+        let snap = p.snapshot().unwrap();
+        snap.shipments
+            .iter()
+            .filter(|pkg| pkg.order == order && pkg.delivered)
+            .map(|pkg| pkg.seller)
+            .collect()
+    };
 
-    let first = p.update_delivery_with_detail(1).unwrap();
-    assert_eq!(first.delivered_orders.len(), 1, "{first:?}");
-    let (seller, delivered) = first.delivered_orders[0];
-    assert_eq!(delivered, order);
-    let duplicate = Msg::OrderPackagesDelivered { order, seller };
-    p.core().cluster.notify(order_grain(CustomerId(1)), duplicate.clone());
+    assert!(p.update_delivery(1).unwrap() > 0, "{:?}", p.kind());
     p.quiesce();
-    let (status, deliveries) = state(&p);
-    assert_ne!(status, OrderStatus::Delivered, "one of two sellers delivered");
-    assert_eq!(deliveries, 0);
+    let first = delivered_by();
+    assert_eq!(first.len(), 1, "{:?}: {first:?}", p.kind());
+    let seller = *first.iter().next().unwrap();
+    duplicate(order, seller);
+    p.quiesce();
+    let (status, deliveries) = state();
+    assert_ne!(status, OrderStatus::Delivered, "{:?}: one of two sellers delivered", p.kind());
+    assert_eq!(deliveries, 0, "{:?}", p.kind());
 
-    let second = p.update_delivery_with_detail(1).unwrap();
-    assert_eq!(second.delivered_orders.len(), 1, "{second:?}");
-    assert_ne!(second.delivered_orders[0].0, seller);
+    assert!(p.update_delivery(1).unwrap() > 0, "{:?}", p.kind());
     p.quiesce();
-    assert_eq!(state(&p), (OrderStatus::Delivered, 1));
-    p.core().cluster.notify(order_grain(CustomerId(1)), duplicate);
+    assert_eq!(delivered_by().len(), 2, "{:?}", p.kind());
+    assert_eq!(state(), (OrderStatus::Delivered, 1), "{:?}", p.kind());
+    duplicate(order, seller);
     p.quiesce();
-    assert_eq!(state(&p), (OrderStatus::Delivered, 1));
+    assert_eq!(state(), (OrderStatus::Delivered, 1), "{:?}", p.kind());
+}
+
+/// A duplicated package-delivered event (the lossy fault model's
+/// duplicates) neither completes a two-seller order early nor counts the
+/// customer's delivery twice, on every binding with an event path.
+#[test]
+fn a_duplicated_delivery_event_counts_once_per_seller() {
+    let actor = || ActorPlatformConfig {
+        decline_rate: 0.0,
+        ..Default::default()
+    };
+    let notify = |core: &ActorCore, order, seller| {
+        let event = Msg::Flow(delivered(order, seller));
+        core.cluster.notify(order_grain(CustomerId(1)), event);
+    };
+    let p = EventualPlatform::new(actor());
+    delivery_counts_once_per_seller(&p, |o, s| notify(p.core(), o, s));
+    let p = TransactionalPlatform::new(actor());
+    delivery_counts_once_per_seller(&p, |o, s| notify(p.core(), o, s));
+    let p = CustomizedPlatform::new(CustomizedConfig { actor: actor() });
+    delivery_counts_once_per_seller(&p, |o, s| notify(p.inner().core(), o, s));
+    let p = DataflowPlatform::new(DataflowPlatformConfig {
+        decline_rate: 0.0,
+        ..Default::default()
+    });
+    delivery_counts_once_per_seller(&p, |o, s| {
+        let to = Address::new(kinds::ORDER, 1);
+        p.dataflow().submit(to, delivered(o, s)).unwrap();
+    });
 }
 
 #[test]

@@ -145,7 +145,8 @@ fn a_customers_orders_round_trip_through_order_and_assembly_rows() {
 
     let mut st = CustomerOrders::load(customer, &store.read()).unwrap();
     st.load_order(&store.read(), order.id).unwrap();
-    st.delivered.insert(order.id, 1);
+    let sellers = std::collections::BTreeSet::from([order.items[0].seller]);
+    st.svc.delivered.insert(order.id, sellers.clone());
     st.svc
         .set_status(order.id, OrderStatus::Paid, EventTime(3))
         .unwrap();
@@ -153,7 +154,7 @@ fn a_customers_orders_round_trip_through_order_and_assembly_rows() {
     let mut st = CustomerOrders::load(customer, &store.read()).unwrap();
     st.load_order(&store.read(), order.id).unwrap();
     assert_eq!(st.svc.orders[&order.id].status, OrderStatus::Paid);
-    assert_eq!(st.delivered[&order.id], 1);
+    assert_eq!(st.svc.delivered[&order.id], sellers, "the order row keeps its delivered sellers");
     let next = st.svc.create_order(&done.confirmed, EventTime(4)).unwrap();
     assert_eq!(
         next.invoice, "INV-7-1",

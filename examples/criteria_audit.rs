@@ -6,6 +6,10 @@
 //! ```text
 //! cargo run --release --example criteria_audit
 //! ```
+//!
+//! It exits non-zero unless the customized cell satisfies every
+//! criterion, so CI can run it as a smoke test of the whole choreography
+//! on all four bindings.
 
 use online_marketplace::actor::FaultConfig;
 use online_marketplace::common::config::{RunConfig, ScaleConfig, WorkloadMix};
@@ -74,4 +78,8 @@ fn main() {
     println!(
         "\ncustomized stack satisfies all criteria: {all} — the paper's full-featured Fig. 1 design"
     );
+    if !all {
+        eprintln!("the customized stack violated a criterion: {:?}", report.criteria);
+        std::process::exit(1);
+    }
 }
