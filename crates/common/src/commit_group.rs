@@ -11,9 +11,10 @@
 //! flush stay parked and are picked up by the next leader, so the
 //! cohort size adapts to contention automatically.
 //!
-//! The barrier is storage-agnostic: `om_storage::FileBackend` uses it
-//! to batch WAL fsyncs, and `om_log::PersistentTopic` uses it to batch
-//! the per-record segment flush the dataflow ingress otherwise pays.
+//! The barrier is storage-agnostic: `om_storage::segment_log` uses it
+//! to batch the segment writes (and fsyncs) of the file backend's WAL
+//! and of each persistent-topic partition, and `om_dataflow` uses it to
+//! share one epoch commit.
 //!
 //! ```
 //! use om_common::commit_group::CommitGroup;
@@ -64,10 +65,6 @@ struct GroupState {
     /// instead of being released (or re-electing themselves leader and
     /// flushing an empty stage into a false acknowledgement).
     aborted_below: u64,
-    /// Writers currently inside [`CommitGroup::wait_durable`] —
-    /// [`CommitGroup::reset_after_abort`] waits for this to hit zero
-    /// before ticket numbers may be reused.
-    waiters: u64,
     stats: CommitGroupStats,
 }
 
@@ -75,8 +72,6 @@ struct GroupState {
 pub struct CommitGroup {
     state: Mutex<GroupState>,
     released: Condvar,
-    /// Wakes [`CommitGroup::reset_after_abort`] when a waiter exits.
-    drained: Condvar,
 }
 
 impl std::fmt::Debug for CommitGroup {
@@ -101,11 +96,9 @@ impl CommitGroup {
                 durable: 0,
                 leader_active: false,
                 aborted_below: 0,
-                waiters: 0,
                 stats: CommitGroupStats::default(),
             }),
             released: Condvar::new(),
-            drained: Condvar::new(),
         }
     }
 
@@ -124,21 +117,16 @@ impl CommitGroup {
         F: FnMut() -> OmResult<u64>,
     {
         let mut st = self.state.lock();
-        st.waiters += 1;
         loop {
             // Checked BEFORE the durable floor: an abort raises the
             // floor over the dropped tickets so later cohorts release
             // normally, but the dropped tickets themselves must fail.
             if ticket <= st.aborted_below {
-                st.waiters -= 1;
-                self.drained.notify_all();
                 return Err(OmError::Wedged(format!(
                     "commit ticket {ticket} was dropped by a store repair; the write was never durable"
                 )));
             }
             if st.durable >= ticket {
-                st.waiters -= 1;
-                self.drained.notify_all();
                 return Ok(());
             }
             if st.leader_active {
@@ -164,8 +152,6 @@ impl CommitGroup {
                 Err(e) => {
                     // Wake the cohort so another writer can retry as
                     // leader (or fail on its own terms).
-                    st.waiters -= 1;
-                    self.drained.notify_all();
                     self.released.notify_all();
                     return Err(e);
                 }
@@ -205,25 +191,6 @@ impl CommitGroup {
         st.aborted_below = st.aborted_below.max(bound);
         st.durable = st.durable.max(bound);
         self.released.notify_all();
-    }
-
-    /// Completes the barrier half of a store repair after
-    /// [`CommitGroup::abort_below`]: blocks until every waiter (all of
-    /// them holding aborted tickets — the caller's locks stop new ones
-    /// from being staged) has drained out, then resets the barrier to
-    /// `floor` so ticket numbers above it can be **reused**. Stores
-    /// whose tickets are dense record offsets (the persistent topic)
-    /// need this: the dropped records' offsets are handed out again
-    /// after the repair, and without the reset those tickets would
-    /// instantly fail on `aborted_below` or false-release on the raised
-    /// durable floor.
-    pub fn reset_after_abort(&self, floor: u64) {
-        let mut st = self.state.lock();
-        while st.waiters > 0 {
-            self.drained.wait(&mut st);
-        }
-        st.aborted_below = 0;
-        st.durable = floor;
     }
 
     /// Counters accumulated so far.
@@ -381,49 +348,6 @@ mod tests {
         // The floor only ever rises.
         group.reset_floor(50);
         assert_eq!(group.durable(), 101);
-    }
-
-    #[test]
-    fn reset_after_abort_lets_dropped_ticket_numbers_be_reused() {
-        let group = Arc::new(CommitGroup::new());
-        group.wait_durable(2, || Ok(2)).unwrap();
-        // Tickets 3..=5 were staged, then dropped by a repair; one of
-        // their writers is still parked when the abort fires.
-        let leader_in = Arc::new(std::sync::Barrier::new(2));
-        let release = Arc::new(std::sync::Barrier::new(2));
-        let parked = {
-            let (group, leader_in, release) = (group.clone(), leader_in.clone(), release.clone());
-            std::thread::spawn(move || {
-                group.wait_durable(5, || {
-                    leader_in.wait();
-                    release.wait();
-                    Err(OmError::Wedged("store wedged".into()))
-                })
-            })
-        };
-        leader_in.wait();
-        group.abort_below(5);
-        let resetter = {
-            let group = group.clone();
-            std::thread::spawn(move || group.reset_after_abort(2))
-        };
-        // The reset cannot finish while the parked writer is inside the
-        // barrier; let its failed flush return so it drains out.
-        release.wait();
-        assert!(matches!(parked.join().unwrap(), Err(OmError::Wedged(_))));
-        resetter.join().unwrap();
-        assert_eq!(group.durable(), 2, "the floor is back on the last durable ticket");
-        // Ticket 3 is handed out again and commits normally instead of
-        // failing on the abort bound or false-releasing on the floor.
-        let flushed = AtomicU64::new(0);
-        group
-            .wait_durable(3, || {
-                flushed.fetch_add(1, Ordering::SeqCst);
-                Ok(3)
-            })
-            .unwrap();
-        assert_eq!(flushed.load(Ordering::SeqCst), 1, "the reused ticket was really flushed");
-        assert_eq!(group.durable(), 3);
     }
 
     #[test]

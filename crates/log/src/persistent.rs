@@ -19,11 +19,16 @@
 //! idempotence fence therefore holds across restarts too, because it is
 //! rebuilt from the persisted records themselves.
 //!
+//! Each partition is one `om_storage::segment_log::SegmentLog` — the
+//! same append, group-flush, replay, roll and unwedge code as the file
+//! backend's WAL. This module keeps what is the topic's own: the record
+//! codec, mirroring a written record into the in-memory [`Topic`], and
+//! deduplicating retransmissions against records still staged.
+//!
 //! Recovery on [`PersistentTopic::open`] replays all segments in order,
-//! truncating a torn tail of the final segment exactly like the file
-//! backend's WAL. Reads are served from the in-memory mirror that replay
-//! rebuilds; `seg-<base>.idx` offset-index files left by older builds
-//! are ignored.
+//! truncating a torn tail of the final segment. Reads are served from
+//! the in-memory mirror that replay rebuilds; `seg-<base>.idx`
+//! offset-index files left by older builds are ignored.
 //!
 //! ```
 //! use om_log::{EventLog, PersistentTopic};
@@ -44,16 +49,13 @@
 
 use crate::event_log::EventLog;
 use crate::topic::{Entry, Topic};
-use om_common::checksum::{parse_frame, push_frame};
-use om_common::commit_group::CommitGroup;
 use om_common::config::GroupCommitPolicy;
 use om_common::{OmError, OmResult};
-use om_storage::vfs::{real_vfs, write_all_retry, Vfs, VfsFile};
-use parking_lot::Mutex;
+use om_storage::segment_log::{CommitGroupStats, LogConfig, LogStats, SegmentLog};
+use om_storage::vfs::{real_vfs, Vfs};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -95,7 +97,7 @@ pub struct PersistentTopicOptions {
     /// Segment roll threshold in bytes per partition.
     pub segment_bytes: u64,
     /// The one group-flush policy, [`GroupCommitPolicy::Cohort`]: every
-    /// append goes through the partition's commit barrier
+    /// append goes through the partition log's commit barrier
     /// (`om_common::commit_group`) — appenders stage their frame into an
     /// in-memory buffer (never blocking on an in-flight write) and park;
     /// a cohort leader performs ONE segment write for everyone staged
@@ -120,85 +122,29 @@ impl Default for PersistentTopicOptions {
     }
 }
 
-/// Per-partition staging state, guarded by the stage mutex: everything
-/// here is memory-only and cheap, so staging a record never waits on an
-/// in-flight segment write — the same appender/flusher split the file
-/// backend's WAL uses.
-struct PartStage<T> {
-    /// Encoded record frames staged since the last leader flush, in
-    /// append order — written by the next leader as one `write_all`.
-    buf: Vec<u8>,
-    /// Staged `(producer, seq, payload)` records. The leader leaves
-    /// them here while their bytes are being written (so a racing
-    /// retransmission still finds them for dedup) and mirrors them
-    /// into memory only after the write succeeds. The offset of
-    /// `staged[i]` is `next_offset - staged.len() + i`.
-    staged: Vec<(u64, u64, T)>,
-    /// Offset the next staged record will take (`mem.end_offset` plus
-    /// the staged count — assigned here so offsets stay dense while
-    /// the mirror lags the stage).
-    next_offset: u64,
-    /// Bytes in the open segment **including** staged-but-unwritten
-    /// bytes.
-    seg_len: u64,
-}
-
-/// Per-partition durable state, guarded by the files mutex: the open
-/// segment. Held by cohort leaders (and by unwedge) — never while merely
-/// staging.
-struct PartFiles {
-    log: Box<dyn VfsFile>,
-    /// Path of the open `.log` (unwedge re-open and truncation).
-    log_path: PathBuf,
-    /// Offset of the first record in the open segment.
-    seg_base: u64,
-    /// Bytes of the open `.log` known written successfully — the most
-    /// an unwedge keeps.
-    log_durable: u64,
-}
-
 /// A [`Topic`] whose records live in segment files: the durable flavour
 /// of the event log. See the module docs for layout and recovery rules.
 pub struct PersistentTopic<T> {
     /// In-memory mirror (read path + idempotence fences), rebuilt from
     /// the segments on open.
     mem: Topic<T>,
-    /// Cheap staging half, per partition. Lock order: files before
-    /// stage, never the reverse.
-    stages: Vec<Mutex<PartStage<T>>>,
-    /// Durable half (open segment), per partition.
-    parts: Vec<Mutex<PartFiles>>,
-    /// One commit barrier per partition.
-    groups: Vec<CommitGroup>,
-    /// Set when a segment write failed after bytes were staged: the
-    /// log can no longer tell which acknowledged records a partial
-    /// frame would cut off at the next replay, so every further append
-    /// fails fast instead of acknowledging records that a torn-tail
-    /// truncation would silently drop.
-    wedged: std::sync::atomic::AtomicBool,
+    /// One segment log per partition, of `(producer, seq, record)`.
+    logs: Vec<SegmentLog<(u64, u64, T)>>,
     /// Exclusive OS lock on `<dir>/LOCK` for the topic's lifetime (two
     /// live processes must never interleave segment appends); released
     /// by the OS on process death, so it cannot go stale.
     _lock: std::fs::File,
     dir: PathBuf,
-    /// Filesystem seam every segment byte passes through —
-    /// [`real_vfs`] in production, a fault-injecting VFS under test.
-    vfs: Arc<dyn Vfs>,
     codec: Arc<dyn RecordCodec<T>>,
-    options: PersistentTopicOptions,
     duplicates: AtomicU64,
-    appended_bytes: AtomicU64,
-    segments_rolled: AtomicU64,
-    recovered_records: AtomicU64,
-    torn_tail_bytes: AtomicU64,
-    unwedges: AtomicU64,
+    recovered_records: u64,
 }
 
 impl<T> std::fmt::Debug for PersistentTopic<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PersistentTopic")
             .field("dir", &self.dir)
-            .field("partitions", &self.parts.len())
+            .field("partitions", &self.logs.len())
             .finish()
     }
 }
@@ -242,37 +188,46 @@ impl<T: Clone + Send> PersistentTopic<T> {
         let dir = dir.as_ref().to_path_buf();
         let name = name.into();
         assert!(partitions > 0, "topic needs at least one partition");
-        fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
+        std::fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
         let lock = om_common::dirlock::lock_dir(&dir)?;
-        check_meta(&dir, &name, partitions)?;
-        let mut topic = Self {
-            mem: Topic::new(name, partitions),
-            stages: Vec::new(),
-            parts: Vec::new(),
-            groups: (0..partitions).map(|_| CommitGroup::new()).collect(),
-            wedged: std::sync::atomic::AtomicBool::new(false),
-            _lock: lock,
-            vfs,
-            codec,
-            options,
-            duplicates: AtomicU64::new(0),
-            appended_bytes: AtomicU64::new(0),
-            segments_rolled: AtomicU64::new(0),
-            recovered_records: AtomicU64::new(0),
-            torn_tail_bytes: AtomicU64::new(0),
-            unwedges: AtomicU64::new(0),
-            dir,
-        };
+        check_meta(&*vfs, &dir, &name, partitions)?;
+        let mem = Topic::new(name, partitions);
+        let mut recovered_records = 0;
+        let mut logs = Vec::with_capacity(partitions);
         for p in 0..partitions {
-            let (files, stage) = topic.recover_partition(p)?;
-            topic.parts.push(Mutex::new(files));
-            topic.stages.push(Mutex::new(stage));
-            // Tickets are offsets + 1 and resume above the recovered
-            // records; floor the barrier so the first flush does not
-            // count the replayed history as one giant cohort.
-            topic.groups[p].reset_floor(topic.mem.end_offset(p));
+            let cfg = LogConfig {
+                kind: "persistent topic",
+                dir: dir.join(format!("p{p}")),
+                prefix: "seg-",
+                segment_bytes: options.segment_bytes,
+                sync: options.sync_appends,
+            };
+            // Replay rebuilds entries *and* producer fences; a record
+            // must sit at the offset its segment's name implies.
+            logs.push(SegmentLog::open(cfg, vfs.clone(), 0, |frame| {
+                let corrupt = || corrupt(frame.path, frame.at);
+                let (header, body) = frame.payload.split_at_checked(16).ok_or_else(corrupt)?;
+                let word = |at: usize| {
+                    u64::from_le_bytes(header[at..at + 8].try_into().expect("8 of 16 bytes"))
+                };
+                let (producer, seq) = (word(0), word(8));
+                let offset = mem.append_raw(p, producer, seq, codec.decode(body)?)?;
+                if offset != frame.number {
+                    return Err(corrupt());
+                }
+                recovered_records += 1;
+                Ok(offset)
+            })?);
         }
-        Ok(topic)
+        Ok(Self {
+            mem,
+            logs,
+            _lock: lock,
+            dir,
+            codec,
+            duplicates: AtomicU64::new(0),
+            recovered_records,
+        })
     }
 
     /// [`open`](Self::open) with the blanket [`SerdeCodec`] — for record
@@ -298,122 +253,13 @@ impl<T: Clone + Send> PersistentTopic<T> {
         self.mem.name()
     }
 
-    fn part_dir(&self, partition: usize) -> PathBuf {
-        self.dir.join(format!("p{partition}"))
-    }
-
-    /// `seg-<base>.log` files of one partition directory, sorted by
-    /// base offset — the single definition of which segments exist.
-    fn list_segments(pdir: &Path) -> OmResult<Vec<(u64, PathBuf)>> {
-        let mut segments = Vec::new();
-        for entry in fs::read_dir(pdir).map_err(|e| io_err(pdir, e))? {
-            let entry = entry.map_err(|e| io_err(pdir, e))?;
-            let fname = entry.file_name();
-            let fname = fname.to_string_lossy();
-            if let Some(base) = fname
-                .strip_prefix("seg-")
-                .and_then(|s| s.strip_suffix(".log"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                segments.push((base, entry.path()));
-            }
-        }
-        segments.sort();
-        Ok(segments)
-    }
-
-    /// Replays one partition's segments into the in-memory mirror and
-    /// returns the appender positioned after the last valid record.
-    fn recover_partition(&mut self, partition: usize) -> OmResult<(PartFiles, PartStage<T>)> {
-        let pdir = self.part_dir(partition);
-        fs::create_dir_all(&pdir).map_err(|e| io_err(&pdir, e))?;
-        let segments = Self::list_segments(&pdir)?;
-        let last_index = segments.len().wrapping_sub(1);
-        let mut tail: Option<(u64, PathBuf, u64)> = None;
-        for (i, (base, path)) in segments.iter().enumerate() {
-            let bytes = self.vfs.read(path).map_err(|e| io_err(path, e))?;
-            let mut records = 0u64;
-            let mut at = 0usize;
-            loop {
-                match parse_frame(&bytes, at) {
-                    Ok(Some((payload, next))) => {
-                        if payload.len() < 16 {
-                            return Err(corrupt(path, at));
-                        }
-                        let producer = u64::from_le_bytes(payload[..8].try_into().unwrap());
-                        let seq = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-                        let record = self.codec.decode(&payload[16..])?;
-                        let offset = self.mem.append_raw(partition, producer, seq, record)?;
-                        if offset != base + records {
-                            return Err(corrupt(path, at));
-                        }
-                        records += 1;
-                        at = next;
-                    }
-                    Ok(None) => break,
-                    Err(torn_at) => {
-                        if i != last_index {
-                            return Err(OmError::Internal(format!(
-                                "persistent topic segment {path:?} is corrupt at byte \
-                                 {torn_at} but is not the final segment"
-                            )));
-                        }
-                        // Torn tail: the previous process died mid-append.
-                        self.torn_tail_bytes
-                            .fetch_add((bytes.len() - torn_at) as u64, Ordering::Relaxed);
-                        let mut f = self.vfs.open_write(path).map_err(|e| io_err(path, e))?;
-                        f.set_len(torn_at as u64).map_err(|e| io_err(path, e))?;
-                        f.sync_data().map_err(|e| io_err(path, e))?;
-                        at = torn_at;
-                        break;
-                    }
-                }
-            }
-            self.recovered_records.fetch_add(records, Ordering::Relaxed);
-            if i == last_index {
-                tail = Some((*base, path.clone(), at as u64));
-            }
-        }
-        let (seg_base, log_path, seg_len) = match tail {
-            Some(t) => t,
-            None => (0, pdir.join("seg-0.log"), 0),
-        };
-        let log = self
-            .vfs
-            .open_append(&log_path)
-            .map_err(|e| io_err(&log_path, e))?;
-        if self.options.sync_appends {
-            // The open may have just created `seg-0.log` (fresh
-            // partition): its directory entry must survive power loss
-            // before any fsynced record in it is acknowledged — syncing
-            // bytes into a file whose name a crash can erase syncs
-            // nothing.
-            self.vfs.dir_sync(&pdir).map_err(|e| io_err(&pdir, e))?;
-        }
-        let end = self.mem.end_offset(partition);
-        Ok((
-            PartFiles {
-                log,
-                log_path,
-                seg_base,
-                log_durable: seg_len,
-            },
-            PartStage {
-                buf: Vec::new(),
-                staged: Vec::new(),
-                next_offset: end,
-                seg_len,
-            },
-        ))
-    }
-
     /// Appends `(producer, seq, payload)` to `partition`: deduplicated
     /// against the fence first (retransmissions never touch disk), then
-    /// written as one frame and flushed **before** the record becomes
-    /// readable. The flush is batched: the record is staged and the
-    /// caller parks on the partition's commit barrier until a cohort
-    /// leader has flushed (and mirrored) it — one write shared by every
-    /// record staged meanwhile. Returns the record's offset.
+    /// written as one frame **before** the record becomes readable. The
+    /// write is batched: the record is staged on the partition's log and
+    /// the caller parks until a cohort leader has written (and mirrored)
+    /// it — one write shared by every record staged meanwhile. Returns
+    /// the record's offset.
     pub fn append_raw(
         &self,
         partition: usize,
@@ -421,316 +267,86 @@ impl<T: Clone + Send> PersistentTopic<T> {
         seq: u64,
         payload: T,
     ) -> OmResult<u64> {
-        // Acquire pairs with the Release store on the failure path: an
-        // appender observing the wedge also observes the failed write
-        // that caused it.
-        if self.wedged.load(Ordering::Acquire) {
-            return Err(self.wedged_err());
-        }
-        let stage_lock = self
-            .stages
+        let log = self
+            .logs
             .get(partition)
             .ok_or_else(|| OmError::NotFound(format!("partition {partition}")))?;
-        let offset = {
-            let mut stage = stage_lock.lock();
+        let (offset, ticket) = log.stage(|stage| {
             if let Some(offset) = self.mem.duplicate_of(partition, producer, seq)? {
-                // Mirrored implies flushed: no need to wait.
+                // Mirrored implies written: no need to wait.
                 self.duplicates.fetch_add(1, Ordering::Relaxed);
-                return Ok(offset);
+                return Ok((offset, None));
             }
             // A retransmission can also race its original while the
-            // original is still staged (or mid-write — the leader
-            // leaves records staged until their bytes are down):
-            // resolve it to the staged offset and wait for the same
-            // flush, so it is never written twice (which would derail
-            // replay's offset accounting).
-            if let Some(i) = stage
-                .staged
-                .iter()
-                .position(|(p, s, _)| *p == producer && *s == seq)
-            {
+            // original is still staged (or mid-write — the log leaves
+            // records staged until their bytes are down): resolve it to
+            // the staged offset and wait for the same write, so it is
+            // never written twice (which would derail replay's offset
+            // accounting).
+            let staged = stage.records().iter().position(|(p, s, _)| (*p, *s) == (producer, seq));
+            if let Some(i) = staged {
                 self.duplicates.fetch_add(1, Ordering::Relaxed);
-                let offset = stage.next_offset - stage.staged.len() as u64 + i as u64;
-                drop(stage);
-                self.groups[partition]
-                    .wait_durable(offset + 1, || self.flush_partition(partition))?;
-                return Ok(offset);
+                let ticket = stage.ticket_of(i);
+                return Ok((ticket.number, Some(ticket)));
             }
-            let frame = self.encode_frame(producer, seq, &payload)?;
-            stage.buf.extend_from_slice(&frame);
-            stage.seg_len += frame.len() as u64;
-            self.appended_bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
-            stage.staged.push((producer, seq, payload));
-            let offset = stage.next_offset;
-            stage.next_offset += 1;
-            offset
-        };
-        // Park: a cohort leader writes every staged byte as one unit,
-        // then mirrors the cohort (making its offsets readable).
-        self.groups[partition].wait_durable(offset + 1, || self.flush_partition(partition))?;
+            let body = self.codec.encode(&payload)?;
+            let record = [&producer.to_le_bytes()[..], &seq.to_le_bytes(), &body].concat();
+            let ticket = stage.push(&record, (producer, seq, payload));
+            Ok((ticket.number, Some(ticket)))
+        })?;
+        if let Some(ticket) = ticket {
+            let mirror = |(producer, seq, payload)| {
+                self.mem.append_raw(partition, producer, seq, payload).map(drop)
+            };
+            log.wait(ticket, &mirror, &|held| held.roll_if_due())?;
+        }
         Ok(offset)
     }
 
-    /// The fail-fast error every append observes while the topic is
-    /// wedged.
-    fn wedged_err(&self) -> OmError {
-        OmError::Wedged(format!(
-            "persistent topic {:?}: a segment write failed; appends fail fast until an \
-             unwedge repairs the torn tail",
-            self.dir
-        ))
+    /// Group-flush statistics summed over all partitions.
+    pub fn group_stats(&self) -> CommitGroupStats {
+        self.stats().group
     }
 
-    /// Writes one batch of frame bytes to the open segment (syncing it
-    /// when [`PersistentTopicOptions::sync_appends`] is on) and advances
-    /// the durable floor. Any failure wedges the topic: the bytes on disk
-    /// can no longer be trusted past the recorded floor.
-    fn write_segment(&self, files: &mut PartFiles, bytes: &[u8]) -> OmResult<()> {
-        let written = write_all_retry(files.log.as_mut(), bytes).and_then(|()| {
-            if self.options.sync_appends {
-                files.log.sync_data()
-            } else {
-                Ok(())
-            }
-        });
-        if let Err(e) = written {
-            // Release pairs with the Acquire loads on the append path.
-            self.wedged.store(true, Ordering::Release);
-            return Err(OmError::Wedged(format!(
-                "persistent topic {:?}: segment write failed ({e}); appends fail fast \
-                 until an unwedge repairs the torn tail",
-                self.dir
-            )));
-        }
-        files.log_durable += bytes.len() as u64;
-        Ok(())
+    fn stats(&self) -> LogStats {
+        self.logs.iter().map(|log| log.stats()).fold(LogStats::default(), LogStats::merge)
     }
 
-    /// `(producer ++ seq ++ codec bytes)` as one CRC frame.
-    fn encode_frame(&self, producer: u64, seq: u64, payload: &T) -> OmResult<Vec<u8>> {
-        let body = self.codec.encode(payload)?;
-        let mut record = Vec::with_capacity(16 + body.len());
-        record.extend_from_slice(&producer.to_le_bytes());
-        record.extend_from_slice(&seq.to_le_bytes());
-        record.extend_from_slice(&body);
-        let mut frame = Vec::new();
-        push_frame(&mut frame, &record);
-        Ok(frame)
-    }
-
-    /// Cohort-leader duty: swap the staged bytes out (staging stays
-    /// open — appenders keep building the next cohort), write them as
-    /// ONE `write_all`, then mirror the covered records into
-    /// memory in append order (making their offsets readable) and roll
-    /// the segment if due. Returns the barrier ticket covered
-    /// (`end_offset` after the mirror — tickets are `offset + 1`).
-    fn flush_partition(&self, partition: usize) -> OmResult<u64> {
-        if self.wedged.load(Ordering::Acquire) {
-            return Err(self.wedged_err());
-        }
-        let mut files = self.parts[partition].lock();
-        // Swap bytes out but LEAVE the staged records in place: a
-        // racing retransmission must still find them for dedup while
-        // their bytes are in flight. `covered` marks how many staged
-        // records these bytes complete.
-        let (bytes, covered) = {
-            let mut stage = self.stages[partition].lock();
-            (std::mem::take(&mut stage.buf), stage.staged.len())
-        };
-        if !bytes.is_empty() {
-            // The staged prefix can never be mirrored after a failure
-            // here; write_segment wedges so nothing acknowledges records
-            // a torn-tail replay would drop.
-            self.write_segment(&mut files, &bytes)?;
-        }
-        let mut stage = self.stages[partition].lock();
-        for (producer, seq, payload) in stage.staged.drain(..covered) {
-            if let Err(e) = self.mem.append_raw(partition, producer, seq, payload) {
-                // Dropping the drain would discard the unmirrored tail
-                // whose bytes are already durable; without the wedge,
-                // waiters would re-elect leaders forever over a flush
-                // that can no longer make progress.
-                self.wedged.store(true, Ordering::Release);
-                return Err(e);
-            }
-        }
-        if stage.seg_len >= self.options.segment_bytes {
-            // Records staged during the write above belong to the old
-            // segment too: drain them under both locks (appends block
-            // briefly — rolls are rare) so the roll happens now instead
-            // of starving behind sustained traffic.
-            if !stage.buf.is_empty() {
-                let bytes = std::mem::take(&mut stage.buf);
-                self.write_segment(&mut files, &bytes)?;
-                for (producer, seq, payload) in stage.staged.drain(..) {
-                    if let Err(e) = self.mem.append_raw(partition, producer, seq, payload) {
-                        self.wedged.store(true, Ordering::Release);
-                        return Err(e);
-                    }
-                }
-            }
-            self.roll_segment(partition, &mut files, &mut stage)?;
-        }
-        Ok(self.mem.end_offset(partition))
-    }
-
-    /// Group-flush statistics summed over all partitions:
-    /// `(flushes, records_released, max_cohort)`.
-    pub fn group_flush_stats(&self) -> (u64, u64, u64) {
-        let mut flushes = 0;
-        let mut released = 0;
-        let mut max_cohort = 0u64;
-        for g in &self.groups {
-            let s = g.stats();
-            flushes += s.flushes;
-            released += s.released;
-            max_cohort = max_cohort.max(s.max_cohort);
-        }
-        (flushes, released, max_cohort)
-    }
-
-    /// Starts a fresh segment named after the next offset. Callers
-    /// hold both partition locks with every staged byte already written
-    /// to the old segment, so the name is exact.
-    fn roll_segment(
-        &self,
-        partition: usize,
-        files: &mut PartFiles,
-        stage: &mut PartStage<T>,
-    ) -> OmResult<()> {
-        debug_assert!(stage.buf.is_empty(), "roll with staged bytes would split a segment");
-        let base = self.mem.end_offset(partition);
-        let pdir = self.part_dir(partition);
-        let log_path = pdir.join(format!("seg-{base}.log"));
-        let log = self
-            .vfs
-            .open_append(&log_path)
-            .map_err(|e| io_err(&log_path, e))?;
-        if self.options.sync_appends {
-            // The new segment's directory entry must survive a crash
-            // before anything written into it is considered durable.
-            self.vfs.dir_sync(&pdir).map_err(|e| io_err(&pdir, e))?;
-        }
-        files.log = log;
-        files.log_path = log_path;
-        files.seg_base = base;
-        files.log_durable = 0;
-        stage.seg_len = 0;
-        self.segments_rolled.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Whether the topic is wedged: a segment write failed and every
-    /// further append fails fast with
+    /// Whether a partition is wedged: one of its segment writes failed
+    /// and every further append to it fails fast with
     /// [`OmError::Wedged`] until [`PersistentTopic::unwedge`] repairs
     /// the torn tail.
     pub fn is_wedged(&self) -> bool {
-        self.wedged.load(Ordering::Acquire)
+        self.logs.iter().any(|log| log.is_wedged())
     }
 
-    /// Repairs a wedged topic in place: per partition, the staged
-    /// (never-acknowledged) records are dropped, the open segment is
-    /// truncated back to the end of the last record the in-memory mirror
-    /// holds, the kept prefix is verified to parse, and the append handle
-    /// is re-opened. Returns the total torn log bytes dropped;
-    /// acknowledged records are never touched (their bytes sit below the
-    /// durable floor by construction). A healthy topic returns
-    /// `Ok(0)` untouched. If verification fails the topic stays wedged
-    /// and an `Internal` error reports why.
+    /// Repairs every wedged partition in place
+    /// ([`SegmentLog::unwedge`]): the staged (never-acknowledged)
+    /// records are dropped, the open segment is cut back to the end of
+    /// the last record the in-memory mirror holds, after checking that
+    /// the kept frames parse, and offsets resume right after it.
+    /// Returns the total torn bytes dropped; acknowledged records are
+    /// never touched. A healthy topic returns `Ok(0)` untouched. If a
+    /// verification fails that partition stays wedged and an `Internal`
+    /// error reports why.
     pub fn unwedge(&self) -> OmResult<u64> {
-        let mut torn_total = 0u64;
-        if !self.wedged.load(Ordering::Acquire) {
-            return Ok(0);
-        }
-        for partition in 0..self.parts.len() {
-            let mut files = self.parts[partition].lock();
-            let mut stage = self.stages[partition].lock();
-            // Every assigned ticket ≤ next_offset either was released
-            // (its record is mirrored) or belongs to a staged record we
-            // are about to drop: fail those waiters out instead of
-            // leaving them parked behind a stage that will never flush.
-            self.groups[partition].abort_below(stage.next_offset);
-            // Cut back to what the mirror holds: the end of the open
-            // segment's first `mirrored` frames. Walking them within the
-            // durably written bytes both finds the cut and verifies the
-            // kept prefix before anything is truncated — if they do not
-            // parse, the damage reaches acknowledged bytes and dropping
-            // the tail would silently lose acked records: stay wedged. A
-            // durable surplus past the cut (a flush that wrote but never
-            // mirrored) was never acknowledged, so it goes with the tail.
-            let mirrored = self.mem.end_offset(partition) - files.seg_base;
-            let on_disk = self
-                .vfs
-                .read(&files.log_path)
-                .map_err(|e| io_err(&files.log_path, e))?;
-            let durable = &on_disk[..(files.log_durable as usize).min(on_disk.len())];
-            let mut cut = 0usize;
-            for frames in 0..mirrored {
-                match parse_frame(durable, cut) {
-                    Ok(Some((_, next))) => cut = next,
-                    _ => {
-                        return Err(OmError::Internal(format!(
-                            "unwedge verification failed for {:?}: its {} durable bytes \
-                             hold {frames} records where {mirrored} acknowledged records \
-                             were expected; the topic stays wedged",
-                            files.log_path,
-                            durable.len(),
-                        )));
-                    }
-                }
-            }
-            let log_target = cut as u64;
-            torn_total += on_disk.len() as u64 - log_target;
-            let mut f = self
-                .vfs
-                .open_write(&files.log_path)
-                .map_err(|e| io_err(&files.log_path, e))?;
-            f.set_len(log_target).map_err(|e| io_err(&files.log_path, e))?;
-            f.sync_data().map_err(|e| io_err(&files.log_path, e))?;
-            drop(f);
-            files.log = self
-                .vfs
-                .open_append(&files.log_path)
-                .map_err(|e| io_err(&files.log_path, e))?;
-            files.log_durable = log_target;
-            stage.buf.clear();
-            stage.staged.clear();
-            stage.seg_len = log_target;
-            stage.next_offset = self.mem.end_offset(partition);
-            // Offsets are dense, so the dropped records' offsets (and
-            // with them their barrier tickets) are handed out again:
-            // drain the failed waiters and rewind the barrier to the
-            // mirror's end before any such reuse.
-            self.groups[partition].reset_after_abort(self.mem.end_offset(partition));
-        }
-        self.unwedges.fetch_add(1, Ordering::Relaxed);
-        self.wedged.store(false, Ordering::Release);
-        Ok(torn_total)
+        self.logs.iter().map(|log| log.unwedge(|_| true)).sum()
     }
 
     /// Durability/diagnostic counters of this topic.
     pub fn counters(&self) -> BTreeMap<String, u64> {
+        let stats = self.stats();
         let mut out = BTreeMap::new();
-        out.insert("log.appended_bytes".into(), self.appended_bytes.load(Ordering::Relaxed));
-        out.insert(
-            "log.recovered_records".into(),
-            self.recovered_records.load(Ordering::Relaxed),
-        );
-        out.insert(
-            "log.torn_tail_bytes".into(),
-            self.torn_tail_bytes.load(Ordering::Relaxed),
-        );
-        out.insert(
-            "log.segments_rolled".into(),
-            self.segments_rolled.load(Ordering::Relaxed),
-        );
+        out.insert("log.appended_bytes".into(), stats.appended_bytes);
+        out.insert("log.recovered_records".into(), self.recovered_records);
+        out.insert("log.torn_tail_bytes".into(), stats.torn_tail_bytes);
+        out.insert("log.segments_rolled".into(), stats.segments_rolled);
         out.insert("log.duplicates".into(), self.duplicates.load(Ordering::Relaxed));
         out.insert("log.wedged".into(), u64::from(self.is_wedged()));
-        out.insert("log.unwedges".into(), self.unwedges.load(Ordering::Relaxed));
-        let (flushes, released, max_cohort) = self.group_flush_stats();
-        out.insert("log.group_flushes".into(), flushes);
-        out.insert("log.group_records".into(), released);
-        out.insert("log.max_flush_cohort".into(), max_cohort);
+        out.insert("log.unwedges".into(), stats.unwedges);
+        out.insert("log.group_flushes".into(), stats.group.flushes);
+        out.insert("log.group_records".into(), stats.group.released);
+        out.insert("log.max_flush_cohort".into(), stats.group.max_cohort);
         out
     }
 }
@@ -746,25 +362,26 @@ fn corrupt(path: &Path, at: usize) -> OmError {
 }
 
 /// Validates (or writes) `topic.meta`: a reopened directory must agree on
-/// name and partition count, otherwise offsets would be meaningless.
-fn check_meta(dir: &Path, name: &str, partitions: usize) -> OmResult<()> {
+/// name and partition count, otherwise offsets would be meaningless. The
+/// file is written unsynced, so a power loss can leave a strict prefix
+/// of it; that is a meta this open would have written, and it is
+/// written again.
+fn check_meta(vfs: &dyn Vfs, dir: &Path, name: &str, partitions: usize) -> OmResult<()> {
     let meta_path = dir.join("topic.meta");
     let expected = format!("om-topic-v1\n{name}\n{partitions}\n");
-    match fs::read_to_string(&meta_path) {
-        Ok(existing) => {
-            if existing != expected {
-                return Err(OmError::Rejected(format!(
-                    "persistent topic {dir:?} was created as {:?} but opened as \
-                     name={name} partitions={partitions}",
-                    existing.trim().replace('\n', " / ")
-                )));
-            }
-            Ok(())
+    match vfs.read(&meta_path) {
+        Ok(existing) if existing == expected.as_bytes() => Ok(()),
+        Ok(existing) if !expected.as_bytes().starts_with(&existing) => {
+            Err(OmError::Rejected(format!(
+                "persistent topic {dir:?} was created as {:?} but opened as \
+                 name={name} partitions={partitions}",
+                String::from_utf8_lossy(&existing).trim().replace('\n', " / ")
+            )))
         }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            fs::write(&meta_path, expected).map_err(|e| io_err(&meta_path, e))
-        }
-        Err(e) => Err(io_err(&meta_path, e)),
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(io_err(&meta_path, e)),
+        _ => vfs
+            .write_file(&meta_path, expected.as_bytes())
+            .map_err(|e| io_err(&meta_path, e)),
     }
 }
 
@@ -801,6 +418,8 @@ impl<T: Clone + Send> EventLog<T> for PersistentTopic<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use om_common::checksum::push_frame;
+    use std::fs;
 
     fn scratch(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
@@ -985,6 +604,24 @@ mod tests {
     }
 
     #[test]
+    fn a_meta_cut_short_by_power_loss_is_written_again() {
+        let dir = scratch("torn-meta");
+        let _guard = DirGuard(dir.clone());
+        drop(open(&dir, 2));
+        let meta = dir.join("topic.meta");
+        let full = fs::read(&meta).unwrap();
+        for cut in [0, 5, full.len() - 1] {
+            fs::write(&meta, &full[..cut]).unwrap();
+            drop(open(&dir, 2));
+            assert_eq!(fs::read(&meta).unwrap(), full, "cut={cut}");
+        }
+        // A whole meta of another shape is still a mismatch, not a cut.
+        fs::write(&meta, b"om-topic-v1\nt\n1\n").unwrap();
+        let err = PersistentTopic::<u64>::open_serde(&dir, "t", 2).unwrap_err();
+        assert_eq!(err.label(), "rejected");
+    }
+
+    #[test]
     fn group_flush_batches_appends_and_survives_reopen() {
         let dir = scratch("group");
         let _guard = DirGuard(dir.clone());
@@ -1007,7 +644,7 @@ mod tests {
                 h.join().unwrap();
             }
             assert_eq!(EventLog::len(&*t), (WRITERS * RECORDS) as usize);
-            let (flushes, released, _) = t.group_flush_stats();
+            let CommitGroupStats { flushes, released, .. } = t.group_stats();
             assert_eq!(released, WRITERS * RECORDS, "every append released");
             assert!(flushes <= released, "never more flushes than appends");
             // Offsets are dense and every record readable once acked.
@@ -1036,14 +673,20 @@ mod tests {
             for i in 0..6u64 {
                 t.append_raw((i % 2) as usize, 1, i + 1, i).unwrap();
             }
-            assert_eq!(t.group_flush_stats(), (6, 6, 1), "nothing to batch with");
+            let stats = t.group_stats();
+            assert_eq!(
+                (stats.flushes, stats.released, stats.max_cohort),
+                (6, 6, 1),
+                "nothing to batch with"
+            );
         }
         // After recovery each partition's first flush is a cohort of one,
         // not the replayed records plus one.
         let t = open(&dir, 2);
         t.append_raw(0, 2, 1, 60).unwrap();
         t.append_raw(1, 2, 2, 61).unwrap();
-        assert_eq!(t.group_flush_stats(), (2, 2, 1));
+        let stats = t.group_stats();
+        assert_eq!((stats.flushes, stats.released, stats.max_cohort), (2, 2, 1));
         assert_eq!(t.read_from(1, 3, 10)[0].payload, 61, "offsets resume past the replay");
     }
 

@@ -5,10 +5,10 @@
 //! every commit — single-key writes included — is appended to an
 //! append-only WAL segment as **one framed, checksummed batch** before it
 //! becomes visible, so recovery can never observe half of a multi-key
-//! commit. The write path is built around **group commit**
-//! ([`crate::group_commit`]): committers stage their frame under the
-//! appender lock and park on a commit barrier; a single cohort leader
-//! performs ONE flush (+`fsync` under
+//! commit. The WAL is one [`SegmentLog`] (`crate::segment_log`, shared
+//! with `om-log`'s persistent topic), built around **group commit**:
+//! committers stage their frame and park on a commit barrier; a single
+//! cohort leader performs ONE write (+`fsync` under
 //! [`FileBackendOptions::sync_commits`]) for everyone staged, so N
 //! concurrent committers share one sync instead of paying N.
 //!
@@ -35,13 +35,11 @@
 //!
 //! Recovery ([`FileBackend::open`] over an existing directory) loads the
 //! newest base snapshot, applies the deltas chained above it in order,
-//! replays every WAL frame with a higher commit sequence, and
-//! **truncates a torn tail**: the first frame of the last segment that
-//! fails its length or CRC check marks the point where the previous
-//! process died mid-append — everything from there on is discarded,
-//! landing the store exactly on the last fully-committed batch. A torn
-//! frame in any non-final segment is real corruption and refuses to
-//! open.
+//! and replays every WAL frame with a higher commit sequence. The log
+//! **truncates a torn tail** of its last segment — the point where the
+//! previous process died mid-append — landing the store exactly on the
+//! last fully-committed batch; a torn frame in any non-final segment is
+//! real corruption and refuses to open.
 //!
 //! ```
 //! use om_storage::{FileBackend, FileBackendOptions, StateBackend, WriteBatch};
@@ -60,7 +58,7 @@
 //! ```
 
 use crate::backend::{shard_of, StateBackend, StateSession, WriteBatch, WriteOp};
-use crate::group_commit::{ChainState, CommitGroup, SegmentFile, StagedBatch, StagedWal};
+use crate::segment_log::{self, CommitGroupStats, Held, LogConfig, SegmentLog};
 use crate::shards_pow2;
 use crate::vfs::{real_vfs, write_all_retry, Vfs};
 use om_common::checksum::{parse_frame, push_frame};
@@ -70,7 +68,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashSet};
 use std::fs::{self, File};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Tuning knobs of a [`FileBackend`].
@@ -360,6 +358,56 @@ fn resolved_recovery_threads(configured: usize) -> usize {
     }
 }
 
+// -- the snapshot chain -----------------------------------------------------
+
+/// Where the snapshot chain currently stands: which full base exists
+/// and how much delta weight hangs off it. Rebuilt on recovery from the
+/// files themselves; consulted at snapshot time for the
+/// delta-vs-compaction decision.
+#[derive(Debug, Clone, Copy, Default)]
+struct ChainState {
+    /// Commit seq of the newest full base snapshot (0 = none yet).
+    base_seq: u64,
+    /// Byte size of that base (the compaction-ratio denominator).
+    base_bytes: u64,
+    /// Deltas currently chained on the base.
+    deltas: u64,
+    /// Total bytes across those deltas.
+    delta_bytes: u64,
+}
+
+impl ChainState {
+    /// Whether writing one more delta of `delta_len` bytes should fold
+    /// the chain into a fresh full base instead: the chain is longer
+    /// than `max_deltas`, or its cumulative bytes exceed
+    /// `ratio_pct` percent of the base.
+    fn compaction_due(&self, delta_len: u64, max_deltas: u64, ratio_pct: u64) -> bool {
+        // u128 arithmetic: `ratio_pct` is config-supplied and the
+        // benches legitimately pass u64::MAX for "never compact" — the
+        // products must not wrap.
+        self.deltas.saturating_add(1) > max_deltas
+            || (self.delta_bytes + delta_len) as u128 * 100
+                > self.base_bytes.max(1) as u128 * ratio_pct as u128
+    }
+
+    /// Resets the chain onto a freshly-written base.
+    fn rebase(&mut self, seq: u64, base_bytes: u64) {
+        *self = ChainState {
+            base_seq: seq,
+            base_bytes,
+            deltas: 0,
+            delta_bytes: 0,
+        };
+    }
+
+    /// Records one more delta chained on the current base.
+    fn chain_delta(&mut self, seq: u64, delta_len: u64) {
+        debug_assert!(seq > self.base_seq);
+        self.deltas += 1;
+        self.delta_bytes += delta_len;
+    }
+}
+
 // -- the backend ------------------------------------------------------------
 
 /// One in-memory shard: the live map plus the keys dirtied since the
@@ -372,255 +420,69 @@ struct Shard {
     dirty: HashSet<Vec<u8>>,
 }
 
-/// The file-backed durable implementation of [`StateBackend`] — see the
-/// module docs for formats and the recovery rules.
-pub struct FileBackend {
-    dir: PathBuf,
-    options: FileBackendOptions,
-    /// The filesystem seam every byte of this store flows through:
-    /// [`crate::vfs::RealVfs`] in production, a fault injector in the
-    /// torture harness.
-    vfs: Arc<dyn Vfs>,
-    /// Power-of-two in-memory mirror of the on-disk state (the read
-    /// path); rebuilt from snapshots + WAL on open.
+/// The in-memory image of the store (the read path): a power-of-two
+/// shard array plus the multi-key visibility gate. Batches apply under
+/// the gate's write side and multi-key reads take its read side, so
+/// live readers never observe a torn batch either (the on-disk
+/// guarantee, mirrored in memory).
+struct Mirror {
     shards: Vec<RwLock<Shard>>,
     mask: u64,
-    /// The cheap staging half of the write path (see
-    /// [`crate::group_commit`]). Held for microseconds per commit.
-    appender: Mutex<StagedWal>,
-    /// The expensive durable half: open segment + snapshot chain. Held
-    /// by cohort leaders (or by every commit when group commit is off).
-    /// Lock order: flusher before appender, never the reverse.
-    flusher: Mutex<SegmentFile>,
-    /// The commit barrier cohort leaders are elected through.
-    group: CommitGroup,
-    /// Set when a WAL write/sync failed after staging was drained: the
-    /// store can no longer tell what is durable, so every further
-    /// commit fails fast instead of silently acknowledging lost data.
-    wedged: AtomicBool,
-    /// Multi-key visibility gate: batches apply to the shard array under
-    /// the write side, multi-key reads take the read side — so live
-    /// readers never observe a torn batch either (the on-disk guarantee,
-    /// mirrored in memory).
     multi: RwLock<()>,
-    /// Exclusive OS lock on `<dir>/LOCK`, held for the store's lifetime
-    /// so two live processes can never interleave WAL appends. The OS
-    /// releases it when the process dies (kill -9 included), so a stale
-    /// lock can never brick recovery.
-    _lock: File,
-    /// Remove the directory on drop (scratch stores only).
-    owns_dir: bool,
-    commits: AtomicU64,
-    wal_bytes: AtomicU64,
-    snapshots: AtomicU64,
-    deltas_written: AtomicU64,
-    snapshot_delta_bytes: AtomicU64,
-    compactions: AtomicU64,
-    segments_rolled: AtomicU64,
-    recovered_commits: AtomicU64,
-    torn_tail_bytes: AtomicU64,
-    unwedges: AtomicU64,
-    maintenance_errors: AtomicU64,
 }
 
-impl FileBackend {
-    /// Opens (or initialises) a durable store in `dir`, recovering any
-    /// state a previous process left there: newest base snapshot +
-    /// delta chain + WAL replay + torn-tail truncation. The directory
-    /// is created if absent and is **kept** on drop.
-    pub fn open(dir: impl AsRef<Path>, options: FileBackendOptions) -> OmResult<Self> {
-        Self::build(dir.as_ref().to_path_buf(), options, false, real_vfs())
-    }
-
-    /// [`open`](Self::open) with an explicit [`Vfs`] — the fault
-    /// injection seam: the torture harness passes a
-    /// [`crate::vfs::FaultVfs`] here and every byte the store writes,
-    /// syncs, renames or replays flows through it.
-    pub fn open_with_vfs(
-        dir: impl AsRef<Path>,
-        options: FileBackendOptions,
-        vfs: Arc<dyn Vfs>,
-    ) -> OmResult<Self> {
-        Self::build(dir.as_ref().to_path_buf(), options, false, vfs)
-    }
-
-    /// A store in a fresh scratch directory under the system temp dir,
-    /// **removed when the backend drops** — what
-    /// [`make_backend`](crate::make_backend) uses when no `data_dir` is
-    /// configured, so matrix sweeps never leak files.
-    pub fn scratch(shards: usize) -> OmResult<Self> {
-        Self::scratch_with(FileBackendOptions {
-            shards,
-            ..FileBackendOptions::default()
-        })
-    }
-
-    /// [`scratch`](Self::scratch) with explicit options (bench sweeps
-    /// select sync/window/snapshot-mode per cell).
-    pub fn scratch_with(options: FileBackendOptions) -> OmResult<Self> {
-        static SCRATCH: AtomicU64 = AtomicU64::new(0);
-        let nonce = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.subsec_nanos())
-            .unwrap_or(0);
-        let dir = std::env::temp_dir().join(format!(
-            "om-file-backend-{}-{}-{}",
-            std::process::id(),
-            nonce,
-            SCRATCH.fetch_add(1, Ordering::Relaxed),
-        ));
-        Self::build(dir, options, true, real_vfs())
-    }
-
-    fn build(
-        dir: PathBuf,
-        options: FileBackendOptions,
-        owns_dir: bool,
-        vfs: Arc<dyn Vfs>,
-    ) -> OmResult<Self> {
-        fn io(dir: &Path, e: std::io::Error) -> OmError {
-            OmError::Internal(format!("file backend {dir:?}: {e}"))
-        }
-        fs::create_dir_all(dir.join("wal")).map_err(|e| io(&dir, e))?;
-        fs::create_dir_all(dir.join("snap")).map_err(|e| io(&dir, e))?;
-        let lock = om_common::dirlock::lock_dir(&dir)?;
-        // Bootstrap segment handle (replaced by `recover` once it has
-        // decided which segment to continue appending to; the scratch
-        // file is removed there).
-        let bootstrap = dir.join("wal").join(".bootstrap");
-        let file = vfs.open_append(&bootstrap).map_err(|e| io(&dir, e))?;
-        let shard_count = shards_pow2(options.shards);
-        let mut backend = Self {
-            shards: (0..shard_count).map(|_| RwLock::new(Shard::default())).collect(),
-            mask: shard_count as u64 - 1,
-            appender: Mutex::new(StagedWal {
-                buf: Vec::new(),
-                pending: Vec::new(),
-                next_seq: 1,
-                seg_len: 0,
-                commits_since_snapshot: 0,
-            }),
-            flusher: Mutex::new(SegmentFile {
-                file,
-                path: bootstrap,
-                durable_len: 0,
-                chain: ChainState::default(),
-            }),
-            group: CommitGroup::new(),
-            wedged: AtomicBool::new(false),
+impl Mirror {
+    fn new(shards: usize) -> Self {
+        let n = shards_pow2(shards);
+        Mirror {
+            shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
+            mask: n as u64 - 1,
             multi: RwLock::new(()),
-            _lock: lock,
-            owns_dir,
-            dir,
-            options,
-            vfs,
-            commits: AtomicU64::new(0),
-            wal_bytes: AtomicU64::new(0),
-            snapshots: AtomicU64::new(0),
-            deltas_written: AtomicU64::new(0),
-            snapshot_delta_bytes: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            segments_rolled: AtomicU64::new(0),
-            recovered_commits: AtomicU64::new(0),
-            torn_tail_bytes: AtomicU64::new(0),
-            unwedges: AtomicU64::new(0),
-            maintenance_errors: AtomicU64::new(0),
-        };
-        backend.recover()?;
-        Ok(backend)
-    }
-
-    /// The directory this store persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+        }
     }
 
     fn shard(&self, key: &[u8]) -> &RwLock<Shard> {
         &self.shards[shard_of(key, self.mask)]
     }
 
-    fn io_err(&self, e: std::io::Error) -> OmError {
-        OmError::Internal(format!("file backend {:?}: {e}", self.dir))
-    }
-
-    // -- recovery ----------------------------------------------------------
-
-    /// Lists `<sub>/<prefix><seq><ext>` files, ascending by sequence.
-    fn sorted_files(&self, sub: &str, prefix: &str, ext: &str) -> OmResult<Vec<(u64, PathBuf)>> {
-        let mut out = Vec::new();
-        for entry in fs::read_dir(self.dir.join(sub)).map_err(|e| self.io_err(e))? {
-            let entry = entry.map_err(|e| self.io_err(e))?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.ends_with(".tmp") {
-                // A snapshot the dying process never finished writing:
-                // the atomic rename never happened, so it is garbage.
-                let _ = fs::remove_file(entry.path());
-            } else if let Some(seq) = name
-                .strip_prefix(prefix)
-                .and_then(|n| n.strip_suffix(ext))
-                .and_then(|n| n.parse().ok())
-            {
-                out.push((seq, entry.path()));
+    /// Applies one durable batch under the visibility gate, marking its
+    /// keys dirty for the next incremental snapshot.
+    fn apply(&self, ops: Vec<WriteOp>) -> OmResult<()> {
+        let _gate = self.multi.write();
+        for op in ops {
+            let mut shard = self.shard(&op.key).write();
+            match op.value {
+                Some(v) => {
+                    shard.dirty.insert(op.key.clone());
+                    shard.map.insert(op.key, v);
+                }
+                None => {
+                    shard.map.remove(&op.key);
+                    shard.dirty.insert(op.key);
+                }
             }
         }
-        out.sort();
-        Ok(out)
+        Ok(())
     }
 
-    /// Loads the newest base snapshot plus the deltas chained above it
-    /// into the shard array; returns the last covered commit sequence
-    /// and records the chain state on the flusher. Each file loads its
-    /// partition sections on a bounded worker pool
-    /// ([`FileBackendOptions::recovery_threads`]).
-    fn load_snapshot_chain(&mut self) -> OmResult<u64> {
-        let bases = self.sorted_files("snap", "snap-", ".snap")?;
-        let deltas = self.sorted_files("snap", "delta-", ".delta")?;
-        let threads = resolved_recovery_threads(self.options.recovery_threads);
-        let (base_seq, base_bytes) = match bases.last() {
-            Some((seq, path)) => (*seq, self.load_chain_file(path, true, *seq, threads)?),
-            None => (0, 0),
-        };
-        let mut covered = base_seq;
-        let mut chain = ChainState {
-            base_seq,
-            base_bytes,
-            deltas: 0,
-            delta_bytes: 0,
-        };
-        for (seq, path) in &deltas {
-            if *seq <= base_seq {
-                // Superseded by the base; leftover of a crash between
-                // rename and prune.
-                let _ = self.vfs.remove_file(path);
-                continue;
-            }
-            let size = self.load_chain_file(path, false, *seq, threads)?;
-            chain.chain_delta(*seq, size);
-            covered = *seq;
-        }
-        self.flusher.get_mut().chain = chain;
-        Ok(covered)
-    }
-
-    /// Loads one base or delta file into the shard array and returns its
-    /// byte size. The partition sections load across `threads` workers
-    /// (each claims whole sections off a shared counter). When the file
-    /// was written with the current shard count — the common case — a
-    /// section maps 1:1 onto one in-memory shard, so each worker takes
-    /// one uncontended write lock per section; otherwise entries are
+    /// Loads one base or delta file, read from `path` as `bytes`. The
+    /// partition sections load across `threads` workers (each claims
+    /// whole sections off a shared counter). When the file was written
+    /// with the current shard count — the common case — a section maps
+    /// 1:1 onto one in-memory shard, so each worker takes one
+    /// uncontended write lock per section; otherwise entries are
     /// re-routed per key.
-    fn load_chain_file(
+    fn load(
         &self,
         path: &Path,
+        bytes: &[u8],
         expect_base: bool,
         expect_seq: u64,
         threads: usize,
-    ) -> OmResult<u64> {
+    ) -> OmResult<()> {
         let corrupt =
-            || OmError::Internal(format!("file backend {:?}: snapshot {path:?} is corrupt", self.dir));
-        let bytes = self.vfs.read(path).map_err(|e| self.io_err(e))?;
-        let header = parse_snap_header(&bytes).ok_or_else(corrupt)?;
+            || OmError::Internal(format!("file backend snapshot {path:?} is corrupt"));
+        let header = parse_snap_header(bytes).ok_or_else(corrupt)?;
         if header.is_base != expect_base || header.seq != expect_seq {
             return Err(corrupt());
         }
@@ -685,7 +547,7 @@ impl FileBackend {
             }
         };
         if workers <= 1 {
-            worker(0)?;
+            worker(0)
         } else {
             std::thread::scope(|scope| {
                 let worker = &worker;
@@ -700,308 +562,234 @@ impl FileBackend {
                     Some(e) => Err(e),
                     None => Ok(()),
                 }
-            })?;
+            })
         }
+    }
+}
+
+/// The file-backed durable implementation of [`StateBackend`] — see the
+/// module docs for formats and the recovery rules.
+pub struct FileBackend {
+    dir: PathBuf,
+    options: FileBackendOptions,
+    /// The filesystem seam every byte of this store flows through:
+    /// [`crate::vfs::RealVfs`] in production, a fault injector in the
+    /// torture harness.
+    vfs: Arc<dyn Vfs>,
+    /// The in-memory image, rebuilt from snapshots + WAL on open.
+    mirror: Mirror,
+    /// The WAL: `wal/wal-<first_seq>.log` segments of commit batches,
+    /// one record number per commit sequence.
+    log: SegmentLog<Vec<WriteOp>>,
+    /// The snapshot chain the WAL tail builds on. Locked only while the
+    /// log is held, so never contended.
+    chain: Mutex<ChainState>,
+    /// Commit seq of the last snapshot attempt (or of the open): the
+    /// snapshot trigger counts the commits staged above it. Read and
+    /// written only while the WAL is held, so `Relaxed` suffices: the
+    /// log's locks order every access.
+    snapshot_mark: AtomicU64,
+    /// Exclusive OS lock on `<dir>/LOCK`, held for the store's lifetime
+    /// so two live processes can never interleave WAL appends. The OS
+    /// releases it when the process dies (kill -9 included), so a stale
+    /// lock can never brick recovery.
+    _lock: File,
+    /// Remove the directory on drop (scratch stores only).
+    owns_dir: bool,
+    commits: AtomicU64,
+    snapshots: AtomicU64,
+    deltas_written: AtomicU64,
+    snapshot_delta_bytes: AtomicU64,
+    compactions: AtomicU64,
+    recovered_commits: u64,
+}
+
+fn io_err(dir: &Path, e: std::io::Error) -> OmError {
+    OmError::Internal(format!("file backend {dir:?}: {e}"))
+}
+
+/// Loads the newest base snapshot plus the deltas chained above it into
+/// `mirror`, dropping deltas a newer base supersedes; returns the chain
+/// and the last commit sequence it covers.
+fn load_snapshot_chain(
+    dir: &Path,
+    vfs: &dyn Vfs,
+    mirror: &Mirror,
+    threads: usize,
+) -> OmResult<(ChainState, u64)> {
+    let snap = dir.join("snap");
+    let list = |prefix, ext| segment_log::list(vfs, &snap, prefix, ext).map_err(|e| io_err(dir, e));
+    let bases = list("snap-", ".snap")?;
+    let deltas = list("delta-", ".delta")?;
+    let load = |path: &Path, is_base, seq| -> OmResult<u64> {
+        let bytes = vfs.read(path).map_err(|e| io_err(dir, e))?;
+        mirror.load(path, &bytes, is_base, seq, threads)?;
         Ok(bytes.len() as u64)
+    };
+    let mut chain = ChainState::default();
+    if let Some((seq, path)) = bases.last() {
+        chain.rebase(*seq, load(path, true, *seq)?);
+    }
+    let mut covered = chain.base_seq;
+    for (seq, path) in &deltas {
+        if *seq <= chain.base_seq {
+            // Superseded by the base; leftover of a crash between
+            // rename and prune.
+            let _ = vfs.remove_file(path);
+            continue;
+        }
+        chain.chain_delta(*seq, load(path, false, *seq)?);
+        covered = *seq;
+    }
+    Ok((chain, covered))
+}
+
+impl FileBackend {
+    /// Opens (or initialises) a durable store in `dir`, recovering any
+    /// state a previous process left there: newest base snapshot +
+    /// delta chain + WAL replay + torn-tail truncation. The directory
+    /// is created if absent and is **kept** on drop.
+    pub fn open(dir: impl AsRef<Path>, options: FileBackendOptions) -> OmResult<Self> {
+        Self::build(dir.as_ref().to_path_buf(), options, false, real_vfs())
     }
 
-    /// Replays WAL segments past the snapshot chain, truncating a torn
-    /// tail of the final segment, and leaves the appender positioned
-    /// after the last valid frame. Replayed keys are marked dirty (they
-    /// changed since the last snapshot file).
-    fn recover(&mut self) -> OmResult<()> {
-        let snap_seq = self.load_snapshot_chain()?;
-        let mut last_seq = snap_seq;
-        let segments = self.sorted_files("wal", "wal-", ".log")?;
-        let mut recovered = 0u64;
-        let last_index = segments.len().wrapping_sub(1);
-        let mut tail: Option<(PathBuf, u64)> = None;
-        for (i, (_, path)) in segments.iter().enumerate() {
-            let bytes = self.vfs.read(path).map_err(|e| self.io_err(e))?;
-            let mut at = 0usize;
-            loop {
-                match parse_frame(&bytes, at) {
-                    Ok(Some((payload, next))) => {
-                        let Some((seq, ops)) = decode_batch(payload) else {
-                            // Framed correctly but undecodable: corrupt.
-                            return Err(OmError::Internal(format!(
-                                "file backend {:?}: WAL segment {path:?} holds an \
-                                 undecodable batch at byte {at}",
-                                self.dir
-                            )));
-                        };
-                        if seq > last_seq {
-                            for op in ops {
-                                let slot = shard_of(&op.key, self.mask);
-                                let shard = self.shards[slot].get_mut();
-                                match op.value {
-                                    Some(v) => {
-                                        shard.dirty.insert(op.key.clone());
-                                        shard.map.insert(op.key, v);
-                                    }
-                                    None => {
-                                        shard.map.remove(&op.key);
-                                        shard.dirty.insert(op.key);
-                                    }
-                                }
-                            }
-                            last_seq = seq;
-                            recovered += 1;
-                        }
-                        at = next;
-                    }
-                    Ok(None) => break,
-                    Err(torn_at) => {
-                        if i != last_index {
-                            return Err(OmError::Internal(format!(
-                                "file backend {:?}: WAL segment {path:?} is corrupt at \
-                                 byte {torn_at} but is not the final segment",
-                                self.dir
-                            )));
-                        }
-                        // Torn tail: the previous process died mid-append.
-                        // Everything before `torn_at` is fully committed;
-                        // drop the rest.
-                        self.torn_tail_bytes
-                            .fetch_add((bytes.len() - torn_at) as u64, Ordering::Relaxed);
-                        let mut f = self.vfs.open_write(path).map_err(|e| self.io_err(e))?;
-                        f.set_len(torn_at as u64).map_err(|e| self.io_err(e))?;
-                        f.sync_data().map_err(|e| self.io_err(e))?;
-                        at = torn_at;
-                        break;
-                    }
-                }
-            }
-            if i == last_index {
-                tail = Some((path.clone(), at as u64));
-            }
-        }
-        self.recovered_commits.store(recovered, Ordering::Relaxed);
-        // Continue appending to the last segment, or start the first one.
-        let (seg_path, seg_len) = match tail {
-            Some(t) => t,
-            None => (self.dir.join("wal").join(format!("wal-{}.log", last_seq + 1)), 0),
+    /// [`open`](Self::open) with an explicit [`Vfs`] — the fault
+    /// injection seam: the torture harness passes a
+    /// [`crate::vfs::FaultVfs`] here and every byte the store writes,
+    /// syncs, renames, removes or replays flows through it.
+    pub fn open_with_vfs(
+        dir: impl AsRef<Path>,
+        options: FileBackendOptions,
+        vfs: Arc<dyn Vfs>,
+    ) -> OmResult<Self> {
+        Self::build(dir.as_ref().to_path_buf(), options, false, vfs)
+    }
+
+    /// A store in a fresh scratch directory under the system temp dir,
+    /// **removed when the backend drops** — what
+    /// [`make_backend`](crate::make_backend) uses when no `data_dir` is
+    /// configured, so matrix sweeps never leak files.
+    pub fn scratch(shards: usize) -> OmResult<Self> {
+        Self::scratch_with(FileBackendOptions {
+            shards,
+            ..FileBackendOptions::default()
+        })
+    }
+
+    /// [`scratch`](Self::scratch) with explicit options (benches and
+    /// tests pick the sync, snapshot and compaction knobs).
+    pub fn scratch_with(options: FileBackendOptions) -> OmResult<Self> {
+        static SCRATCH: AtomicU64 = AtomicU64::new(0);
+        let nonce = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.subsec_nanos())
+            .unwrap_or(0);
+        let dir = std::env::temp_dir().join(format!(
+            "om-file-backend-{}-{}-{}",
+            std::process::id(),
+            nonce,
+            SCRATCH.fetch_add(1, Ordering::Relaxed),
+        ));
+        Self::build(dir, options, true, real_vfs())
+    }
+
+    /// Recovery: the snapshot chain, then every WAL frame with a higher
+    /// commit sequence. Replayed keys are marked dirty (they changed
+    /// since the last snapshot file).
+    fn build(
+        dir: PathBuf,
+        options: FileBackendOptions,
+        owns_dir: bool,
+        vfs: Arc<dyn Vfs>,
+    ) -> OmResult<Self> {
+        fs::create_dir_all(dir.join("snap")).map_err(|e| io_err(&dir, e))?;
+        let lock = om_common::dirlock::lock_dir(&dir)?;
+        let mirror = Mirror::new(options.shards);
+        let threads = resolved_recovery_threads(options.recovery_threads);
+        let (chain, covered) = load_snapshot_chain(&dir, &*vfs, &mirror, threads)?;
+        let (mut last, mut recovered) = (covered, 0);
+        let wal = LogConfig {
+            kind: "file backend",
+            dir: dir.join("wal"),
+            prefix: "wal-",
+            segment_bytes: options.segment_bytes,
+            sync: options.sync_commits,
         };
-        let file = self.vfs.open_append(&seg_path).map_err(|e| self.io_err(e))?;
-        {
-            let fl = self.flusher.get_mut();
-            fl.file = file;
-            fl.path = seg_path;
-            // Everything up to the validated tail position survived the
-            // parse — the truncate point a later unwedge rolls back to.
-            fl.durable_len = seg_len;
-        }
-        if self.options.sync_commits {
-            // The tail segment may have just been created; its directory
-            // entry must be durable before fsynced commits land in it.
-            self.sync_dir("wal")?;
-        }
-        *self.appender.get_mut() = StagedWal {
-            buf: Vec::new(),
-            pending: Vec::new(),
-            next_seq: last_seq + 1,
-            seg_len,
-            commits_since_snapshot: 0,
-        };
-        // Tickets resume above the recovered sequence numbers; without
-        // the floor the first flush would count the whole recovered
-        // history as one cohort and wreck commits_per_sync.
-        self.group.reset_floor(last_seq);
-        let _ = self.vfs.remove_file(&self.dir.join("wal").join(".bootstrap"));
-        Ok(())
+        let log = SegmentLog::open(wal, vfs.clone(), covered + 1, |frame| {
+            let (seq, ops) = decode_batch(frame.payload).ok_or_else(|| {
+                OmError::Internal(format!(
+                    "file backend {dir:?}: WAL segment {:?} holds an undecodable batch at \
+                     byte {}",
+                    frame.path, frame.at
+                ))
+            })?;
+            if seq > last {
+                mirror.apply(ops)?;
+                last = seq;
+                recovered += 1;
+            }
+            Ok(seq)
+        })?;
+        Ok(Self {
+            dir,
+            options,
+            vfs,
+            mirror,
+            log,
+            chain: Mutex::new(chain),
+            snapshot_mark: AtomicU64::new(last),
+            _lock: lock,
+            owns_dir,
+            commits: AtomicU64::new(0),
+            snapshots: AtomicU64::new(0),
+            deltas_written: AtomicU64::new(0),
+            snapshot_delta_bytes: AtomicU64::new(0),
+            compactions: AtomicU64::new(0),
+            recovered_commits: recovered,
+        })
+    }
+
+    /// The directory this store persists into.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    fn io_err(&self, e: std::io::Error) -> OmError {
+        io_err(&self.dir, e)
+    }
+
+    /// Lists `<sub>/<prefix><seq><ext>` files, ascending by sequence.
+    fn sorted_files(&self, sub: &str, prefix: &str, ext: &str) -> OmResult<Vec<(u64, PathBuf)>> {
+        segment_log::list(&*self.vfs, &self.dir.join(sub), prefix, ext).map_err(|e| self.io_err(e))
     }
 
     // -- commit path -------------------------------------------------------
 
-    /// The typed fail-fast error of a wedged store. `Acquire` pairs
-    /// with the `Release` in [`write_staged`](Self::write_staged): a
-    /// committer that observes the flag also observes the failed write
-    /// that set it.
-    fn wedged_err(&self) -> OmError {
-        OmError::Wedged(format!(
-            "file backend {:?}: a WAL write failed; commits fail fast until an \
-             unwedge repairs the torn tail",
-            self.dir
-        ))
-    }
-
-    /// The one write path: stage under the appender lock (cheap), then
-    /// park on the barrier until a cohort leader has made the staged
-    /// frame durable and applied it.
+    /// The one write path: stage the batch on the WAL (cheap), then park
+    /// until a cohort leader has made it durable and applied it.
     fn commit_durable(&self, ops: &[WriteOp]) -> OmResult<usize> {
-        // Fast path only: a store that wedges after this check is caught
-        // again under the flusher lock, in `write_staged`.
-        if self.wedged.load(Ordering::Acquire) {
-            return Err(self.wedged_err());
-        }
-        let ticket = {
-            let mut ap = self.appender.lock();
-            let seq = ap.next_seq;
-            let before = ap.buf.len();
-            let batch = encode_batch(seq, ops);
-            push_frame(&mut ap.buf, &batch);
-            let frame_len = (ap.buf.len() - before) as u64;
-            ap.next_seq = seq + 1;
-            ap.seg_len += frame_len;
-            ap.commits_since_snapshot += 1;
-            ap.pending.push((seq, ops.to_vec()));
-            self.wal_bytes.fetch_add(frame_len, Ordering::Relaxed);
-            seq
-        };
-        self.group.wait_durable(ticket, || self.flush_cohort())?;
+        let ticket = self.log.stage(|stage| {
+            let batch = encode_batch(stage.next(), ops);
+            Ok(stage.push(&batch, ops.to_vec()))
+        })?;
+        self.log
+            .wait(ticket, &|ops| self.mirror.apply(ops), &|held| self.maintain(held))?;
         self.commits.fetch_add(1, Ordering::Relaxed);
         Ok(ops.len())
     }
 
-    /// Leader duty: swap the staged cohort out (appenders keep staging
-    /// into the next one), write+sync it as one unit, apply it in
-    /// sequence order, then run any due maintenance. Returns the
-    /// highest durable sequence.
-    fn flush_cohort(&self) -> OmResult<u64> {
-        let mut fl = self.flusher.lock();
-        let (bytes, pending, mut upto) = self.appender.lock().take();
-        self.write_staged(&mut fl, &bytes, pending)?;
-        if let Some(drained) = self.run_maintenance(&mut fl) {
-            upto = upto.max(drained);
+    /// Post-cohort maintenance, run by the leader holding the WAL: the
+    /// due snapshot, else a size-triggered segment roll. The cohort is
+    /// already durable and visible, so the log counts a failure here
+    /// (`backend.maintenance_errors`) instead of failing the commit, and
+    /// a later commit retries it.
+    fn maintain(&self, held: &mut Held<'_, Vec<WriteOp>>) -> OmResult<()> {
+        let since = held.next().saturating_sub(1 + self.snapshot_mark.load(Ordering::Relaxed));
+        if self.options.snapshot_every > 0 && since >= self.options.snapshot_every {
+            self.write_snapshot(held)
+        } else {
+            held.roll_if_due()
         }
-        Ok(upto)
-    }
-
-    /// Writes `bytes` to the open segment (one `write_all`), fsyncs the
-    /// cohort when configured, and applies the staged batches in
-    /// sequence order under the visibility gate — durability strictly
-    /// before visibility. A write/sync failure wedges the store: the
-    /// staged batches are gone and acknowledging anything later would
-    /// reorder the WAL.
-    fn write_staged(
-        &self,
-        fl: &mut SegmentFile,
-        bytes: &[u8],
-        pending: Vec<StagedBatch>,
-    ) -> OmResult<()> {
-        // Checked under the flusher lock, which every segment write holds
-        // and a failed write releases only after setting the flag: no
-        // writer can append (and ack) a frame after failed bytes
-        // (docs/FAULTS.md), and a re-elected leader over an empty stage
-        // cannot release the failed cohort's waiters as successful.
-        if self.wedged.load(Ordering::Acquire) {
-            return Err(self.wedged_err());
-        }
-        if !bytes.is_empty() {
-            let written = write_all_retry(fl.file.as_mut(), bytes).and_then(|()| {
-                if self.options.sync_commits {
-                    fl.file.sync_data()
-                } else {
-                    Ok(())
-                }
-            });
-            if let Err(e) = written {
-                // `Release` pairs with the `Acquire` loads on the
-                // commit path: any committer that observes the flag
-                // also observes this failed write, so a racing
-                // committer can never acknowledge past it.
-                self.wedged.store(true, Ordering::Release);
-                return Err(OmError::Wedged(format!(
-                    "file backend {:?}: WAL write failed ({e}); the store is wedged \
-                     until an unwedge repairs the torn tail",
-                    self.dir
-                )));
-            }
-            fl.durable_len += bytes.len() as u64;
-        }
-        if !pending.is_empty() {
-            let _gate = self.multi.write();
-            for (_, ops) in pending {
-                self.apply_owned(ops);
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies one durable batch to the shard array, marking the keys
-    /// dirty for the next incremental snapshot. Callers hold the
-    /// visibility gate.
-    fn apply_owned(&self, ops: Vec<WriteOp>) {
-        for op in ops {
-            let slot = shard_of(&op.key, self.mask);
-            let mut shard = self.shards[slot].write();
-            match op.value {
-                Some(v) => {
-                    shard.dirty.insert(op.key.clone());
-                    shard.map.insert(op.key, v);
-                }
-                None => {
-                    shard.map.remove(&op.key);
-                    shard.dirty.insert(op.key);
-                }
-            }
-        }
-    }
-
-    /// Post-commit maintenance (snapshot / segment roll), run by
-    /// whoever holds the flusher. The commit it follows is already
-    /// durable and visible, so a failure here must NOT be reported as a
-    /// failed commit — it is counted and retried on a later commit.
-    /// Returns the highest sequence drained by the maintenance pass, if
-    /// one ran.
-    fn run_maintenance(&self, fl: &mut SegmentFile) -> Option<u64> {
-        let due = {
-            let ap = self.appender.lock();
-            (self.options.snapshot_every > 0
-                && ap.commits_since_snapshot >= self.options.snapshot_every)
-                || ap.seg_len >= self.options.segment_bytes
-        };
-        if !due {
-            return None;
-        }
-        match self.maintain(fl) {
-            Ok(upto) => Some(upto),
-            Err(_) => {
-                self.maintenance_errors.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Holding the flusher: re-drains the stage **under the appender
-    /// lock** (so the segment and shard state sit exactly on a commit
-    /// boundary and no append can interleave), then snapshots or rolls.
-    fn maintain(&self, fl: &mut SegmentFile) -> OmResult<u64> {
-        let mut ap = self.appender.lock();
-        let (bytes, pending, upto) = ap.take();
-        self.write_staged(fl, &bytes, pending)?;
-        let snapshot_due = self.options.snapshot_every > 0
-            && ap.commits_since_snapshot >= self.options.snapshot_every;
-        if snapshot_due {
-            self.write_snapshot_locked(fl, &mut ap)?;
-        } else if ap.seg_len >= self.options.segment_bytes {
-            self.roll_segment_locked(fl, &mut ap)?;
-        }
-        Ok(upto)
-    }
-
-    /// Starts a new WAL segment named after the next commit sequence.
-    /// Callers hold both locks (or are in recovery), so every staged
-    /// byte has been written to the old segment and the name is exact.
-    fn roll_segment_locked(&self, fl: &mut SegmentFile, ap: &mut StagedWal) -> OmResult<()> {
-        debug_assert!(ap.buf.is_empty(), "roll with staged bytes would split a segment");
-        let path = self
-            .dir
-            .join("wal")
-            .join(format!("wal-{}.log", ap.next_seq));
-        let file = self.vfs.open_append(&path).map_err(|e| self.io_err(e))?;
-        fl.file = file;
-        fl.path = path;
-        fl.durable_len = 0;
-        ap.seg_len = 0;
-        if self.options.sync_commits {
-            // Make the new segment's directory entry durable: fsyncing
-            // record data into a file whose entry power loss could
-            // erase would sync nothing.
-            self.sync_dir("wal")?;
-        }
-        self.segments_rolled.fetch_add(1, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Writes a snapshot-family file via tmp + fsync + atomic rename +
@@ -1047,30 +835,33 @@ impl FileBackend {
         Ok(())
     }
 
-    /// Writes the due snapshot — a delta of the keys dirtied since the
-    /// last snapshot file, or a full base when there is none yet or the
-    /// chain is due for compaction — then prunes covered WAL segments
-    /// and rolls to a fresh one. Runs under both locks at a commit
-    /// boundary: every staged batch has been written and applied.
-    fn write_snapshot_locked(&self, fl: &mut SegmentFile, ap: &mut StagedWal) -> OmResult<()> {
-        let seq = ap.next_seq - 1;
+    /// Writes a snapshot — a delta of the keys dirtied since the last
+    /// snapshot file, or a full base when there is none yet or the
+    /// chain is due for compaction — then rolls to a fresh WAL segment
+    /// and prunes the covered ones. Drains the held WAL first, so it
+    /// runs at a commit boundary: every staged batch written and
+    /// applied.
+    fn write_snapshot(&self, held: &mut Held<'_, Vec<WriteOp>>) -> OmResult<()> {
+        held.drain()?;
+        let seq = held.next() - 1;
+        let mut chain = self.chain.lock();
         // Keys drained out of the dirty sets for this snapshot attempt.
         // They must go BACK on any failure path: losing them would make
         // a later delta omit their changes while the WAL prune deletes
         // the only durable copy — silent loss of acknowledged commits.
         let mut drained: Vec<Vec<u8>> = Vec::new();
-        if fl.chain.base_seq > 0 {
-            if seq == fl.chain.base_seq {
+        if chain.base_seq > 0 {
+            if seq == chain.base_seq {
                 // Nothing committed since the base: nothing to write.
-                ap.commits_since_snapshot = 0;
+                self.snapshot_mark.store(seq, Ordering::Relaxed);
                 return Ok(());
             }
             // Delta sections: per shard, the dirtied keys in key order —
             // a put of the live value, or a tombstone if the key no
             // longer exists.
-            let mut parts: Vec<PartEntries> = Vec::with_capacity(self.shards.len());
+            let mut parts: Vec<PartEntries> = Vec::with_capacity(self.mirror.shards.len());
             let mut n_entries = 0u64;
-            for shard in &self.shards {
+            for shard in &self.mirror.shards {
                 let mut shard = shard.write();
                 let mut dirty: Vec<Vec<u8>> = shard.dirty.drain().collect();
                 dirty.sort_unstable();
@@ -1086,11 +877,11 @@ impl FileBackend {
                 // Commits happened but every key settled back... cannot
                 // actually occur (commits always dirty keys), kept for
                 // robustness: just reset the trigger.
-                ap.commits_since_snapshot = 0;
+                self.snapshot_mark.store(seq, Ordering::Relaxed);
                 return Ok(());
             }
             let out = build_snapshot_file(false, seq, &parts);
-            if fl.chain.compaction_due(
+            if chain.compaction_due(
                 out.len() as u64,
                 self.options.compact_max_deltas,
                 self.options.compact_ratio_pct,
@@ -1109,11 +900,11 @@ impl FileBackend {
                         return Err(e);
                     }
                 };
-                fl.chain.chain_delta(seq, written);
+                chain.chain_delta(seq, written);
                 self.deltas_written.fetch_add(1, Ordering::Relaxed);
                 self.snapshot_delta_bytes.fetch_add(written, Ordering::Relaxed);
-                ap.commits_since_snapshot = 0;
-                self.roll_segment_locked(fl, ap)?;
+                self.snapshot_mark.store(seq, Ordering::Relaxed);
+                held.roll()?;
                 return self.prune_wal(seq);
             }
         }
@@ -1121,8 +912,8 @@ impl FileBackend {
         // Full base: the whole live state, one key-sorted section per
         // shard. Dirty sets are cleared only once the base is durably on
         // disk.
-        let mut parts: Vec<PartEntries> = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
+        let mut parts: Vec<PartEntries> = Vec::with_capacity(self.mirror.shards.len());
+        for shard in &self.mirror.shards {
             let shard = shard.read();
             parts.push(
                 shard
@@ -1146,12 +937,12 @@ impl FileBackend {
             }
         };
         // The base covers everything; dirty tracking restarts.
-        for shard in &self.shards {
+        for shard in &self.mirror.shards {
             shard.write().dirty.clear();
         }
         self.snapshots.fetch_add(1, Ordering::Relaxed);
-        fl.chain.rebase(seq, written);
-        ap.commits_since_snapshot = 0;
+        chain.rebase(seq, written);
+        self.snapshot_mark.store(seq, Ordering::Relaxed);
 
         // Everything at or below `seq` is covered by the base: prune
         // older bases, every delta (the base subsumes the chain), and
@@ -1166,7 +957,7 @@ impl FileBackend {
                 let _ = self.vfs.remove_file(&path);
             }
         }
-        self.roll_segment_locked(fl, ap)?;
+        held.roll()?;
         self.prune_wal(seq)
     }
 
@@ -1174,7 +965,7 @@ impl FileBackend {
     /// snapshot attempt whose file never made it to disk.
     fn remark_dirty(&self, drained: Vec<Vec<u8>>) {
         for key in drained {
-            self.shards[shard_of(&key, self.mask)].write().dirty.insert(key);
+            self.mirror.shard(&key).write().dirty.insert(key);
         }
     }
 
@@ -1185,99 +976,39 @@ impl FileBackend {
     /// [`OmError::Wedged`] on a wedged store: the staged frames there
     /// were never acknowledged and must not reach the WAL or a snapshot.
     pub fn snapshot_now(&self) -> OmResult<()> {
-        let mut fl = self.flusher.lock();
-        let mut ap = self.appender.lock();
-        let (bytes, pending, _) = ap.take();
-        self.write_staged(&mut fl, &bytes, pending)?;
-        self.write_snapshot_locked(&mut fl, &mut ap)
+        self.log
+            .hold(&|ops| self.mirror.apply(ops), |held| self.write_snapshot(held))
     }
 
     /// Group-commit statistics of this store's barrier.
-    pub fn group_stats(&self) -> crate::group_commit::CommitGroupStats {
-        self.group.stats()
+    pub fn group_stats(&self) -> CommitGroupStats {
+        self.log.stats().group
     }
 
     /// Whether a WAL write failure has wedged this store (every commit
     /// fails fast with [`OmError::Wedged`] until
     /// [`unwedge`](Self::unwedge) repairs it).
     pub fn is_wedged(&self) -> bool {
-        self.wedged.load(Ordering::Acquire)
+        self.log.is_wedged()
     }
 
-    /// Repairs a wedged store in place: close the segment handle,
-    /// truncate the torn tail back to the last successfully-written
-    /// byte, re-open, verify the tail parses cleanly, and clear the
-    /// wedge so commits flow again. Returns the torn bytes dropped
-    /// (`0` if the store was not wedged — the call is an idempotent
-    /// no-op then).
+    /// Repairs a wedged store in place ([`SegmentLog::unwedge`]): the
+    /// torn tail is cut back to the last acknowledged commit, whose
+    /// frames must all still decode, and commits flow again. Returns
+    /// the torn bytes dropped (`0` if the store was not wedged — the
+    /// call is an idempotent no-op then).
     ///
-    /// The staged frames of the failed cohort (and anything staged
+    /// The staged commits of the failed cohort (and anything staged
     /// behind it) are discarded: their committers were never
-    /// acknowledged — the barrier fails any still-parked waiter via
-    /// [`CommitGroup::abort_below`] — and the in-memory mirror never
+    /// acknowledged and see the failure, and the in-memory image never
     /// applied them, so disk and memory land on exactly the last acked
-    /// commit. Commit sequences keep counting from where they were;
-    /// recovery tolerates the gap (it applies only frames above the
-    /// last covered sequence).
+    /// commit. Commit sequences resume right after it.
     ///
-    /// If the repair itself fails (the device is still refusing IO)
-    /// the store stays wedged and the error is returned; the call can
-    /// be retried.
+    /// If the repair itself fails (the device is still refusing IO, or
+    /// the acknowledged prefix is damaged) the store stays wedged and
+    /// the error is returned; the call can be retried.
     pub fn unwedge(&self) -> OmResult<u64> {
-        let mut fl = self.flusher.lock();
-        let mut ap = self.appender.lock();
-        if !self.wedged.load(Ordering::Acquire) {
-            return Ok(0);
-        }
-        // Drop every staged frame: none of them was acknowledged, and
-        // replaying them without their committers waiting would apply
-        // writes nobody owns. The barrier must fail their waiters —
-        // both locks are held, so no new ticket at or below the bound
-        // can appear.
-        ap.buf.clear();
-        ap.pending.clear();
-        self.group.abort_below(ap.next_seq - 1);
-        // Close, truncate the torn tail, re-open, verify.
-        let on_disk = self.vfs.read(&fl.path).map_err(|e| self.io_err(e))?;
-        let torn = (on_disk.len() as u64).saturating_sub(fl.durable_len);
-        {
-            let mut h = self.vfs.open_write(&fl.path).map_err(|e| self.io_err(e))?;
-            h.set_len(fl.durable_len).map_err(|e| self.io_err(e))?;
-            h.sync_data().map_err(|e| self.io_err(e))?;
-        }
-        // Verify: every frame of the kept prefix must parse — if the
-        // failure also mangled acknowledged bytes, refuse to serve and
-        // stay wedged (recovery from the snapshot chain is the only
-        // honest path then).
-        let kept = &on_disk[..fl.durable_len.min(on_disk.len() as u64) as usize];
-        let mut at = 0usize;
-        loop {
-            match parse_frame(kept, at) {
-                Ok(Some((payload, next))) => {
-                    if decode_batch(payload).is_none() {
-                        return Err(OmError::Internal(format!(
-                            "file backend {:?}: unwedge verification failed — segment \
-                             {:?} holds an undecodable batch at byte {at}",
-                            self.dir, fl.path
-                        )));
-                    }
-                    at = next;
-                }
-                Ok(None) => break,
-                Err(torn_at) => {
-                    return Err(OmError::Internal(format!(
-                        "file backend {:?}: unwedge verification failed — segment {:?} \
-                         is damaged at byte {torn_at} inside the acknowledged prefix",
-                        self.dir, fl.path
-                    )));
-                }
-            }
-        }
-        fl.file = self.vfs.open_append(&fl.path).map_err(|e| self.io_err(e))?;
-        ap.seg_len = fl.durable_len;
-        self.unwedges.fetch_add(1, Ordering::Relaxed);
-        self.wedged.store(false, Ordering::Release);
-        Ok(torn)
+        self.log.unwedge(|payload| decode_batch(payload).is_some())
     }
 }
 
@@ -1312,7 +1043,7 @@ impl StateBackend for FileBackend {
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.shard(key).read().map.get(key).cloned()
+        self.mirror.shard(key).read().map.get(key).cloned()
     }
 
     fn put(&self, key: &[u8], value: &[u8]) {
@@ -1359,16 +1090,16 @@ impl StateBackend for FileBackend {
         // Under the visibility gate no commit can apply halfway through
         // this read: multi-key reads are never torn, matching what
         // recovery guarantees for the on-disk state.
-        let _gate = self.multi.read();
+        let _gate = self.mirror.multi.read();
         keys.iter()
-            .map(|k| self.shard(k).read().map.get(*k).cloned())
+            .map(|k| self.mirror.shard(k).read().map.get(*k).cloned())
             .collect()
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let _gate = self.multi.read();
+        let _gate = self.mirror.multi.read();
         let mut out = Vec::new();
-        for shard in &self.shards {
+        for shard in &self.mirror.shards {
             out.extend(
                 shard
                     .read()
@@ -1400,14 +1131,14 @@ impl StateBackend for FileBackend {
     }
 
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().map.len()).sum()
+        self.mirror.shards.iter().map(|s| s.read().map.len()).sum()
     }
 
     fn counters(&self) -> BTreeMap<String, u64> {
+        let log = self.log.stats();
         let mut out = BTreeMap::new();
-        let commits = self.commits.load(Ordering::Relaxed);
-        out.insert("backend.commits".into(), commits);
-        out.insert("backend.wal_bytes".into(), self.wal_bytes.load(Ordering::Relaxed));
+        out.insert("backend.commits".into(), self.commits.load(Ordering::Relaxed));
+        out.insert("backend.wal_bytes".into(), log.appended_bytes);
         out.insert("backend.snapshots".into(), self.snapshots.load(Ordering::Relaxed));
         out.insert("backend.deltas".into(), self.deltas_written.load(Ordering::Relaxed));
         out.insert(
@@ -1415,31 +1146,18 @@ impl StateBackend for FileBackend {
             self.snapshot_delta_bytes.load(Ordering::Relaxed),
         );
         out.insert("backend.compactions".into(), self.compactions.load(Ordering::Relaxed));
-        let group = self.group.stats();
-        out.insert("backend.group_flushes".into(), group.flushes);
-        out.insert("backend.max_commit_cohort".into(), group.max_cohort);
+        out.insert("backend.group_flushes".into(), log.group.flushes);
+        out.insert("backend.max_commit_cohort".into(), log.group.max_cohort);
         // Mean commits amortized per sync: the headline group-commit
         // number (0 before any commit).
-        out.insert("backend.commits_per_sync".into(), group.commits_per_flush());
-        out.insert(
-            "backend.segments_rolled".into(),
-            self.segments_rolled.load(Ordering::Relaxed),
-        );
-        out.insert(
-            "backend.recovered_commits".into(),
-            self.recovered_commits.load(Ordering::Relaxed),
-        );
-        out.insert(
-            "backend.torn_tail_bytes".into(),
-            self.torn_tail_bytes.load(Ordering::Relaxed),
-        );
+        out.insert("backend.commits_per_sync".into(), log.group.commits_per_flush());
+        out.insert("backend.segments_rolled".into(), log.segments_rolled);
+        out.insert("backend.recovered_commits".into(), self.recovered_commits);
+        out.insert("backend.torn_tail_bytes".into(), log.torn_tail_bytes);
         out.insert("backend.wedged".into(), u64::from(self.is_wedged()));
-        out.insert("backend.unwedges".into(), self.unwedges.load(Ordering::Relaxed));
-        out.insert(
-            "backend.maintenance_errors".into(),
-            self.maintenance_errors.load(Ordering::Relaxed),
-        );
-        out.insert("backend.shards".into(), self.shards.len() as u64);
+        out.insert("backend.unwedges".into(), log.unwedges);
+        out.insert("backend.maintenance_errors".into(), log.maintenance_errors);
+        out.insert("backend.shards".into(), self.mirror.shards.len() as u64);
         out
     }
 }
@@ -1858,13 +1576,63 @@ mod tests {
         drop(b);
 
         // A cold reopen over the repaired directory agrees: exactly the
-        // acknowledged commits, nothing torn, the sequence gap of the
-        // dropped commit tolerated.
+        // acknowledged commits, nothing torn.
         let b = FileBackend::open(&dir, opts).unwrap();
         assert_eq!(b.get(b"k1"), Some(b"v1".to_vec()));
         assert_eq!(b.get(b"k2"), None);
         assert_eq!(b.get(b"k4"), Some(b"v4".to_vec()));
         assert_eq!(b.counters()["backend.torn_tail_bytes"], 0, "no torn tail left behind");
+    }
+
+    #[test]
+    fn unwedge_resumes_the_sequence_at_the_last_acknowledged_commit() {
+        use crate::vfs::FaultVfs;
+        let dir = scratch_path("wedge-seq");
+        let _guard = DirGuard(dir.clone());
+        let opts = FileBackendOptions {
+            sync_commits: true,
+            snapshot_every: 0,
+            ..FileBackendOptions::default()
+        };
+        let vfs = FaultVfs::new(44).fail_nth_sync(3);
+        let b = FileBackend::open_with_vfs(&dir, opts, Arc::new(vfs)).unwrap();
+        b.put(b"k1", b"v1");
+        b.put(b"k2", b"v2");
+        assert!(b.try_put(b"k3", b"v3").is_err(), "commit 3's fsync fails");
+        b.unwedge().unwrap();
+        // Commit 3 was dropped, so the next commit takes its sequence:
+        // the base it snapshots to is named after commit 3.
+        b.put(b"k4", b"v4");
+        b.snapshot_now().unwrap();
+        assert_eq!(snap_files(&dir), ["snap-3.snap"]);
+        drop(b);
+        let b = FileBackend::open(&dir, opts).unwrap();
+        assert_eq!(b.get(b"k3"), None);
+        assert_eq!(b.get(b"k4"), Some(b"v4".to_vec()));
+    }
+
+    #[test]
+    fn recovery_accepts_a_wal_sequence_gap() {
+        // An unwedge by an older build skipped the dropped commit's
+        // sequence instead of reusing it.
+        let dir = scratch_path("seq-gap");
+        let _guard = DirGuard(dir.clone());
+        fs::create_dir_all(dir.join("wal")).unwrap();
+        let mut wal = Vec::new();
+        for (seq, key) in [(1u64, b"a"), (3, b"b")] {
+            let op = WriteOp {
+                key: key.to_vec(),
+                value: Some(b"v".to_vec()),
+            };
+            push_frame(&mut wal, &encode_batch(seq, &[op]));
+        }
+        fs::write(dir.join("wal").join("wal-1.log"), &wal).unwrap();
+        let b = FileBackend::open(&dir, FileBackendOptions::default()).unwrap();
+        assert_eq!(b.len(), 2, "both commits replay");
+        assert_eq!(b.counters()["backend.recovered_commits"], 2);
+        b.put(b"c", b"v");
+        b.snapshot_now().unwrap();
+        assert_eq!(snap_files(&dir), ["snap-4.snap"], "sequences resume past the gap");
     }
 
     #[test]
@@ -2144,6 +1912,26 @@ mod tests {
         fs::write(&base, &pristine).unwrap();
         let b = FileBackend::open(&dir, FileBackendOptions::default()).unwrap();
         assert_eq!(b.len(), 32, "the intact file still recovers");
+    }
+
+    #[test]
+    fn compaction_triggers_on_length_and_ratio() {
+        let mut chain = ChainState::default();
+        chain.rebase(10, 1_000);
+        assert!(!chain.compaction_due(100, 4, 100), "young chain stays");
+        for i in 0..4 {
+            chain.chain_delta(11 + i, 100);
+        }
+        assert!(chain.compaction_due(100, 4, 100), "5th delta exceeds max");
+        let mut heavy = ChainState::default();
+        heavy.rebase(10, 1_000);
+        assert!(
+            heavy.compaction_due(1_500, 16, 100),
+            "one delta heavier than the base trips the ratio"
+        );
+        heavy.rebase(20, 2_000);
+        assert_eq!(heavy.deltas, 0, "rebase clears the chain");
+        assert_eq!(heavy.base_seq, 20);
     }
 
     #[test]

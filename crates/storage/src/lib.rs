@@ -43,7 +43,7 @@
 pub mod backend;
 pub mod eventual;
 pub mod file;
-pub mod group_commit;
+pub mod segment_log;
 pub mod snapshot;
 pub mod vfs;
 
@@ -53,7 +53,7 @@ pub use backend::{
 };
 pub use eventual::EventualBackend;
 pub use file::{FileBackend, FileBackendOptions};
-pub use group_commit::{CommitGroup, CommitGroupStats};
+pub use segment_log::{CommitGroup, CommitGroupStats};
 pub use snapshot::SnapshotBackend;
 pub use vfs::{real_vfs, CrashImage, FaultVfs, RealVfs, Vfs, VfsFile, VfsOp};
 

@@ -1,0 +1,762 @@
+//! One segment log: the append, group-flush, replay, roll and unwedge
+//! path both durable stores share. The file backend keeps its WAL in
+//! one (`<dir>/wal/wal-<n>.log`); `om-log`'s persistent topic keeps one
+//! per partition (`<dir>/p<i>/seg-<n>.log`).
+//!
+//! A log is a directory of `<prefix><n>.log` segments, `n` being the
+//! number of the segment's first record, each a run of CRC frames
+//! (`om_common::checksum`). The caller owns what a record means: its
+//! payload codec, and what applying a durable record does (the backend
+//! applies a batch to its shards; the topic mirrors a record into its
+//! in-memory partition).
+//!
+//! The write path is split across two locks, always taken segment
+//! before stage:
+//!
+//! * **Staging** ([`SegmentLog::stage`], the stage lock, microseconds):
+//!   the caller frames its payload into an in-memory buffer and parks
+//!   the decoded record. The log numbers records as they are staged, so
+//!   log order is append order.
+//! * **Flushing** ([`SegmentLog::wait`], the segment lock): a cohort
+//!   leader elected through the [`CommitGroup`] swaps the staged bytes
+//!   out (appenders keep staging the next cohort meanwhile) and writes
+//!   them with ONE `write_all`, plus ONE `fdatasync` when the log syncs.
+//!   Only then are the records applied, in order, and every covered
+//!   appender released. Records stay staged while their bytes are in
+//!   flight, so a caller can still find them (the topic deduplicates
+//!   retransmissions against them).
+//!
+//! After each cohort the leader, still holding both locks, hands the
+//! caller a [`Held`] log for maintenance: drain the rest of the stage,
+//! roll to a new segment, or (the backend) write a snapshot and prune.
+//! [`SegmentLog::hold`] is the same entry point outside the commit path.
+//!
+//! A failed write **wedges** the log: the bytes past the last good
+//! write can no longer be trusted, so every later write fails fast with
+//! [`OmError::Wedged`]. The flag is checked under the segment lock,
+//! which every write holds, so no frame is ever written after the bytes
+//! of a failed one. [`SegmentLog::unwedge`] cuts the open segment back
+//! to its last applied frame and rewinds the numbering to it.
+//!
+//! Barrier tickets are separate from record numbers and are never
+//! reused: an unwedge fails every ticket it drops, and the records
+//! staged after it draw fresh ones even where their numbers repeat.
+
+pub use om_common::commit_group::{CommitGroup, CommitGroupStats};
+
+use crate::vfs::{write_all_retry, Vfs, VfsFile};
+use om_common::checksum::{parse_frame, push_frame};
+use om_common::{OmError, OmResult};
+use parking_lot::Mutex;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+/// Where a log lives and how it writes.
+#[derive(Debug)]
+pub struct LogConfig {
+    /// The owning store, for error messages (`"file backend"`).
+    pub kind: &'static str,
+    /// The segment directory (created if absent).
+    pub dir: PathBuf,
+    /// Segment file name prefix (`"wal-"`, `"seg-"`).
+    pub prefix: &'static str,
+    /// Roll threshold: a segment at or beyond this size is closed by
+    /// the next [`Held::roll_if_due`].
+    pub segment_bytes: u64,
+    /// `fdatasync` every cohort, and sync the directory when a segment
+    /// is created.
+    pub sync: bool,
+}
+
+/// One valid frame met by replay.
+#[derive(Debug)]
+pub struct Frame<'a> {
+    /// The segment holding it.
+    pub path: &'a Path,
+    /// Its byte offset in that segment.
+    pub at: usize,
+    /// The segment's first record number plus the frame's index in it.
+    pub number: u64,
+    /// The frame payload.
+    pub payload: &'a [u8],
+}
+
+/// Counters of one log (or, summed with [`LogStats::merge`], of many).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LogStats {
+    /// Frame bytes staged since open.
+    pub appended_bytes: u64,
+    /// Segments started by a roll.
+    pub segments_rolled: u64,
+    /// Torn-tail bytes the open truncated.
+    pub torn_tail_bytes: u64,
+    /// Successful unwedges.
+    pub unwedges: u64,
+    /// Failed post-cohort maintenance passes (the cohort itself had
+    /// already succeeded).
+    pub maintenance_errors: u64,
+    /// The commit barrier's counters.
+    pub group: CommitGroupStats,
+}
+
+impl LogStats {
+    /// Sums two logs' counters (`max_cohort` takes the larger).
+    pub fn merge(self, o: LogStats) -> LogStats {
+        LogStats {
+            appended_bytes: self.appended_bytes + o.appended_bytes,
+            segments_rolled: self.segments_rolled + o.segments_rolled,
+            torn_tail_bytes: self.torn_tail_bytes + o.torn_tail_bytes,
+            unwedges: self.unwedges + o.unwedges,
+            maintenance_errors: self.maintenance_errors + o.maintenance_errors,
+            group: CommitGroupStats {
+                flushes: self.group.flushes + o.group.flushes,
+                released: self.group.released + o.group.released,
+                max_cohort: self.group.max_cohort.max(o.group.max_cohort),
+            },
+        }
+    }
+}
+
+/// A staged record's number and barrier ticket, to [`SegmentLog::wait`] on.
+#[derive(Debug, Clone, Copy)]
+pub struct Ticket {
+    /// The record's number (the backend's commit sequence, the topic's
+    /// offset).
+    pub number: u64,
+    ticket: u64,
+}
+
+/// The staged half of a log, guarded by the stage lock.
+pub struct Stage<R> {
+    /// Frames staged since the last leader took them, in order.
+    buf: Vec<u8>,
+    /// Records staged and not yet applied; the last is number `next - 1`.
+    records: Vec<R>,
+    /// Number of the next record staged.
+    next: u64,
+    /// Last barrier ticket issued.
+    tickets: u64,
+    /// Length of the open segment including staged bytes.
+    seg_len: u64,
+    /// The log's counters: every event that moves one holds the stage
+    /// lock. [`SegmentLog::stats`] adds the barrier's.
+    stats: LogStats,
+}
+
+impl<R> Stage<R> {
+    /// Number of the next record staged.
+    pub fn next(&self) -> u64 {
+        self.next
+    }
+
+    /// Records staged and not yet applied, oldest first.
+    pub fn records(&self) -> &[R] {
+        &self.records
+    }
+
+    /// The ticket of `records()[i]`.
+    pub fn ticket_of(&self, i: usize) -> Ticket {
+        let back = (self.records.len() - i) as u64;
+        Ticket {
+            number: self.next - back,
+            ticket: self.tickets + 1 - back,
+        }
+    }
+
+    /// Stages `payload` as one frame and `record` as what applying it
+    /// does; the record takes number [`next`](Self::next).
+    pub fn push(&mut self, payload: &[u8], record: R) -> Ticket {
+        let before = self.buf.len();
+        push_frame(&mut self.buf, payload);
+        let framed = (self.buf.len() - before) as u64;
+        self.seg_len += framed;
+        self.stats.appended_bytes += framed;
+        self.records.push(record);
+        self.next += 1;
+        self.tickets += 1;
+        self.ticket_of(self.records.len() - 1)
+    }
+}
+
+/// The durable half, guarded by the segment lock.
+struct Segment {
+    file: Box<dyn VfsFile>,
+    path: PathBuf,
+    /// Bytes of the open segment known written.
+    durable_len: u64,
+    /// Frames of the open segment whose records were applied: what an
+    /// unwedge keeps.
+    applied_frames: u64,
+    /// Number after the last applied record.
+    applied: u64,
+    /// Ticket of the last applied record.
+    applied_ticket: u64,
+}
+
+/// What applying one durable record does.
+pub type Apply<'a, R> = &'a dyn Fn(R) -> OmResult<()>;
+
+/// A log held under both locks (see [`SegmentLog::hold`]).
+pub struct Held<'a, R> {
+    log: &'a SegmentLog<R>,
+    seg: &'a mut Segment,
+    stage: &'a mut Stage<R>,
+    apply: Apply<'a, R>,
+}
+
+impl<R> Held<'_, R> {
+    /// Number of the next record staged; after [`drain`](Self::drain),
+    /// one past the last record written and applied.
+    pub fn next(&self) -> u64 {
+        self.stage.next
+    }
+
+    /// Writes and applies everything staged.
+    pub fn drain(&mut self) -> OmResult<()> {
+        self.log.check_wedge()?;
+        let bytes = std::mem::take(&mut self.stage.buf);
+        self.log.write(self.seg, &bytes)?;
+        self.apply_first(self.stage.records.len())
+    }
+
+    /// Drains, then starts segment `<prefix><next>.log`.
+    pub fn roll(&mut self) -> OmResult<()> {
+        self.drain()?;
+        let path = segment_path(&self.log.cfg, self.stage.next);
+        self.seg.file = open_segment(&self.log.cfg, &*self.log.vfs, &path)?;
+        self.seg.path = path;
+        self.seg.durable_len = 0;
+        self.seg.applied_frames = 0;
+        self.stage.seg_len = 0;
+        self.stage.stats.segments_rolled += 1;
+        Ok(())
+    }
+
+    /// [`roll`](Self::roll)s once the open segment, staged bytes
+    /// included, has reached [`LogConfig::segment_bytes`].
+    pub fn roll_if_due(&mut self) -> OmResult<()> {
+        if self.stage.seg_len >= self.log.cfg.segment_bytes {
+            self.roll()
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Applies the first `n` staged records, whose bytes are written. A
+    /// failed apply wedges the log: the record is durable but cannot be
+    /// applied, and an unwedge cuts it away.
+    fn apply_first(&mut self, n: usize) -> OmResult<()> {
+        for record in self.stage.records.drain(..n) {
+            if let Err(e) = (self.apply)(record) {
+                self.log.wedged.store(true, Ordering::Release);
+                return Err(e);
+            }
+            self.seg.applied_frames += 1;
+            self.seg.applied += 1;
+            self.seg.applied_ticket += 1;
+        }
+        Ok(())
+    }
+}
+
+/// A segmented, group-flushed log of records `R`. See the module docs.
+pub struct SegmentLog<R> {
+    cfg: LogConfig,
+    vfs: Arc<dyn Vfs>,
+    stage: Mutex<Stage<R>>,
+    segment: Mutex<Segment>,
+    group: CommitGroup,
+    wedged: AtomicBool,
+}
+
+/// Lists `<prefix><n><ext>` files in `dir` by ascending `n`, removing
+/// `*.tmp` leftovers: files whose atomic rename never happened.
+pub fn list(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    prefix: &str,
+    ext: &str,
+) -> std::io::Result<Vec<(u64, PathBuf)>> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        if name.ends_with(".tmp") {
+            let _ = vfs.remove_file(&path);
+        } else if let Some(n) = name
+            .strip_prefix(prefix)
+            .and_then(|n| n.strip_suffix(ext))
+            .and_then(|n| n.parse().ok())
+        {
+            out.push((n, path));
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
+impl<R> SegmentLog<R> {
+    /// Opens the log in `cfg.dir`, replaying every frame in order.
+    /// `replay` returns the number of the record a frame holds; the log
+    /// resumes one past the highest, and at `first` when that is higher
+    /// (or the directory is empty). A torn tail of the final segment is
+    /// truncated; damage in any other segment refuses the open.
+    pub fn open(
+        cfg: LogConfig,
+        vfs: Arc<dyn Vfs>,
+        first: u64,
+        mut replay: impl FnMut(Frame<'_>) -> OmResult<u64>,
+    ) -> OmResult<Self> {
+        std::fs::create_dir_all(&cfg.dir).map_err(|e| io_err(&cfg, &cfg.dir, e))?;
+        let segments =
+            list(&*vfs, &cfg.dir, cfg.prefix, ".log").map_err(|e| io_err(&cfg, &cfg.dir, e))?;
+        let (mut next, mut torn) = (first, 0u64);
+        let mut tail = None;
+        for (i, (base, path)) in segments.iter().enumerate() {
+            let bytes = vfs.read(path).map_err(|e| io_err(&cfg, path, e))?;
+            let (mut at, mut frames) = (0usize, 0u64);
+            loop {
+                match parse_frame(&bytes, at) {
+                    Ok(Some((payload, end))) => {
+                        let number = base + frames;
+                        next = next.max(
+                            replay(Frame {
+                                path,
+                                at,
+                                number,
+                                payload,
+                            })? + 1,
+                        );
+                        frames += 1;
+                        at = end;
+                    }
+                    Ok(None) => break,
+                    Err(torn_at) if i + 1 == segments.len() => {
+                        // Torn tail: the previous process died
+                        // mid-append. Everything before it is whole.
+                        torn = (bytes.len() - torn_at) as u64;
+                        truncate(&cfg, &*vfs, path, torn_at)?;
+                        break;
+                    }
+                    Err(torn_at) => {
+                        return Err(OmError::Internal(format!(
+                            "{} {:?}: segment {path:?} is corrupt at byte {torn_at} but is \
+                             not the final segment",
+                            cfg.kind, cfg.dir
+                        )))
+                    }
+                }
+            }
+            tail = Some((path.clone(), at as u64, frames));
+        }
+        let (path, len, frames) = tail.unwrap_or_else(|| (segment_path(&cfg, first), 0, 0));
+        let group = CommitGroup::new();
+        // The ticket of record `n` starts as `n + 1`; flooring the
+        // barrier at `next` keeps the replayed history out of the first
+        // cohort's stats.
+        group.reset_floor(next);
+        Ok(SegmentLog {
+            stage: Mutex::new(Stage {
+                buf: Vec::new(),
+                records: Vec::new(),
+                next,
+                tickets: next,
+                seg_len: len,
+                stats: LogStats {
+                    torn_tail_bytes: torn,
+                    ..LogStats::default()
+                },
+            }),
+            segment: Mutex::new(Segment {
+                file: open_segment(&cfg, &*vfs, &path)?,
+                path,
+                durable_len: len,
+                applied_frames: frames,
+                applied: next,
+                applied_ticket: next,
+            }),
+            cfg,
+            vfs,
+            group,
+            wedged: AtomicBool::new(false),
+        })
+    }
+
+    /// Runs `f` under the stage lock: it may inspect the staged records
+    /// and [`Stage::push`] one. Fails fast on a wedged log.
+    pub fn stage<T>(&self, f: impl FnOnce(&mut Stage<R>) -> OmResult<T>) -> OmResult<T> {
+        // Acquire pairs with the Release store of a failed write: an
+        // appender that sees the flag also sees the failure.
+        self.check_wedge()?;
+        f(&mut self.stage.lock())
+    }
+
+    /// Parks until the staged record behind `ticket` is durable and
+    /// applied. A cohort leader writes every staged byte, applies the
+    /// records with `apply`, then runs `maintain` on the held log; a
+    /// maintenance error is counted, never returned — the cohort is
+    /// already durable and visible.
+    pub fn wait(
+        &self,
+        ticket: Ticket,
+        apply: Apply<'_, R>,
+        maintain: &dyn Fn(&mut Held<'_, R>) -> OmResult<()>,
+    ) -> OmResult<()> {
+        self.group.wait_durable(ticket.ticket, || {
+            let mut seg = self.segment.lock();
+            self.check_wedge()?;
+            // Take the bytes but leave the records staged until they
+            // are written; `covered` counts the records the bytes hold.
+            let (bytes, covered) = {
+                let mut stage = self.stage.lock();
+                (std::mem::take(&mut stage.buf), stage.records.len())
+            };
+            self.write(&mut seg, &bytes)?;
+            let mut stage = self.stage.lock();
+            let mut held = Held {
+                log: self,
+                seg: &mut seg,
+                stage: &mut stage,
+                apply,
+            };
+            held.apply_first(covered)?;
+            if maintain(&mut held).is_err() {
+                held.stage.stats.maintenance_errors += 1;
+            }
+            Ok(held.seg.applied_ticket)
+        })
+    }
+
+    /// Takes both locks, drains the stage and runs `f` with the log
+    /// sitting exactly on a record boundary.
+    pub fn hold<T>(
+        &self,
+        apply: Apply<'_, R>,
+        f: impl FnOnce(&mut Held<'_, R>) -> OmResult<T>,
+    ) -> OmResult<T> {
+        let mut seg = self.segment.lock();
+        let mut stage = self.stage.lock();
+        let mut held = Held {
+            log: self,
+            seg: &mut seg,
+            stage: &mut stage,
+            apply,
+        };
+        held.drain()?;
+        f(&mut held)
+    }
+
+    /// Whether a failed write has wedged the log.
+    pub fn is_wedged(&self) -> bool {
+        self.wedged.load(Ordering::Acquire)
+    }
+
+    /// Repairs a wedged log in place and returns the bytes cut (`0`,
+    /// untouched, when the log is not wedged). The staged records are
+    /// dropped and their waiters fail. The open segment is cut back to
+    /// the end of its last applied frame, after checking that each kept
+    /// frame parses within the written bytes and passes `verify`;
+    /// otherwise the damage reaches acknowledged records and the log
+    /// stays wedged. Numbering resumes at the first dropped record.
+    pub fn unwedge(&self, verify: impl Fn(&[u8]) -> bool) -> OmResult<u64> {
+        let mut seg = self.segment.lock();
+        let mut stage = self.stage.lock();
+        if !self.is_wedged() {
+            return Ok(0);
+        }
+        // Both locks are held: no ticket can be issued meanwhile.
+        self.group.abort_below(stage.tickets);
+        let path = seg.path.clone();
+        let on_disk = self
+            .vfs
+            .read(&path)
+            .map_err(|e| io_err(&self.cfg, &path, e))?;
+        let written = &on_disk[..(seg.durable_len as usize).min(on_disk.len())];
+        let mut cut = 0usize;
+        for frames in 0..seg.applied_frames {
+            match parse_frame(written, cut) {
+                Ok(Some((payload, end))) if verify(payload) => cut = end,
+                _ => {
+                    return Err(OmError::Internal(format!(
+                        "{} {:?}: unwedge verification failed for {path:?}: its {} durable \
+                         bytes hold {frames} records where {} acknowledged records were \
+                         expected; the log stays wedged",
+                        self.cfg.kind,
+                        self.cfg.dir,
+                        written.len(),
+                        seg.applied_frames,
+                    )))
+                }
+            }
+        }
+        truncate(&self.cfg, &*self.vfs, &path, cut)?;
+        seg.file = open_segment(&self.cfg, &*self.vfs, &path)?;
+        seg.durable_len = cut as u64;
+        seg.applied_ticket = stage.tickets;
+        stage.buf.clear();
+        stage.records.clear();
+        stage.seg_len = cut as u64;
+        stage.next = seg.applied;
+        stage.stats.unwedges += 1;
+        self.wedged.store(false, Ordering::Release);
+        Ok((on_disk.len() - cut) as u64)
+    }
+
+    /// This log's counters.
+    pub fn stats(&self) -> LogStats {
+        LogStats {
+            group: self.group.stats(),
+            ..self.stage.lock().stats
+        }
+    }
+
+    fn check_wedge(&self) -> OmResult<()> {
+        if self.is_wedged() {
+            return Err(OmError::Wedged(format!(
+                "{} {:?}: a segment write failed; writes fail fast until an unwedge \
+                 repairs the torn tail",
+                self.cfg.kind, self.cfg.dir
+            )));
+        }
+        Ok(())
+    }
+
+    /// Writes one cohort (syncing it when configured). Any failure
+    /// wedges the log: the bytes past `durable_len` are not trusted.
+    fn write(&self, seg: &mut Segment, bytes: &[u8]) -> OmResult<()> {
+        if bytes.is_empty() {
+            return Ok(());
+        }
+        let written = write_all_retry(seg.file.as_mut(), bytes).and_then(|()| {
+            if self.cfg.sync {
+                seg.file.sync_data()
+            } else {
+                Ok(())
+            }
+        });
+        if let Err(e) = written {
+            // Release pairs with the Acquire in `check_wedge`.
+            self.wedged.store(true, Ordering::Release);
+            return Err(OmError::Wedged(format!(
+                "{} {:?}: segment write failed ({e}); writes fail fast until an unwedge \
+                 repairs the torn tail",
+                self.cfg.kind, self.cfg.dir
+            )));
+        }
+        seg.durable_len += bytes.len() as u64;
+        Ok(())
+    }
+}
+
+fn segment_path(cfg: &LogConfig, first: u64) -> PathBuf {
+    cfg.dir.join(format!("{}{first}.log", cfg.prefix))
+}
+
+/// Opens a segment for appending. When the log syncs, the directory is
+/// synced too: fsyncing records into a file whose name power loss can
+/// erase would sync nothing.
+fn open_segment(cfg: &LogConfig, vfs: &dyn Vfs, path: &Path) -> OmResult<Box<dyn VfsFile>> {
+    let file = vfs.open_append(path).map_err(|e| io_err(cfg, path, e))?;
+    if cfg.sync {
+        vfs.dir_sync(&cfg.dir)
+            .map_err(|e| io_err(cfg, &cfg.dir, e))?;
+    }
+    Ok(file)
+}
+
+/// Cuts `path` to `len` bytes and syncs the cut.
+fn truncate(cfg: &LogConfig, vfs: &dyn Vfs, path: &Path, len: usize) -> OmResult<()> {
+    let mut file = vfs.open_write(path).map_err(|e| io_err(cfg, path, e))?;
+    file.set_len(len as u64).map_err(|e| io_err(cfg, path, e))?;
+    file.sync_data().map_err(|e| io_err(cfg, path, e))
+}
+
+fn io_err(cfg: &LogConfig, path: &Path, e: std::io::Error) -> OmError {
+    OmError::Internal(format!("{} {path:?}: {e}", cfg.kind))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::vfs::{real_vfs, FaultVfs};
+    use std::sync::atomic::AtomicU64;
+
+    struct DirGuard(PathBuf);
+    impl Drop for DirGuard {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn scratch(tag: &str) -> (PathBuf, DirGuard) {
+        static N: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "om-segment-log-{tag}-{}-{}",
+            std::process::id(),
+            N.fetch_add(1, Ordering::Relaxed)
+        ));
+        (dir.clone(), DirGuard(dir))
+    }
+
+    fn config(dir: &Path, sync: bool) -> LogConfig {
+        LogConfig {
+            kind: "test log",
+            dir: dir.to_path_buf(),
+            prefix: "log-",
+            segment_bytes: 1 << 20,
+            sync,
+        }
+    }
+
+    /// Opens a log of `u64` records whose payload is the record itself,
+    /// replaying into `seen`.
+    fn open(dir: &Path, vfs: Arc<dyn Vfs>, first: u64, seen: &mut Vec<u64>) -> SegmentLog<u64> {
+        SegmentLog::open(config(dir, true), vfs, first, |frame| {
+            let record = u64::from_le_bytes(frame.payload.try_into().unwrap());
+            seen.push(record);
+            Ok(record)
+        })
+        .unwrap()
+    }
+
+    fn append(log: &SegmentLog<u64>, applied: &Mutex<Vec<u64>>) -> OmResult<u64> {
+        let ticket = log.stage(|stage| {
+            let n = stage.next();
+            Ok(stage.push(&n.to_le_bytes(), n))
+        })?;
+        let apply = |n| {
+            applied.lock().push(n);
+            Ok(())
+        };
+        log.wait(ticket, &apply, &|held| held.roll_if_due())?;
+        Ok(ticket.number)
+    }
+
+    #[test]
+    fn a_flush_empties_the_stage_but_keeps_its_numbering() {
+        let (dir, _guard) = scratch("stage");
+        let log = open(&dir, real_vfs(), 1, &mut Vec::new());
+        let ticket = log
+            .stage(|stage| Ok(stage.push(&1u64.to_le_bytes(), 1)))
+            .unwrap();
+        {
+            let stage = log.stage.lock();
+            assert_eq!(stage.buf.len(), 16, "one frame: 8-byte header + payload");
+            assert_eq!((stage.records.len(), stage.next, stage.seg_len), (1, 2, 16));
+        }
+        let applied = Mutex::new(Vec::new());
+        let apply = |n| {
+            applied.lock().push(n);
+            Ok(())
+        };
+        log.wait(ticket, &apply, &|_| Ok(())).unwrap();
+        assert_eq!(*applied.lock(), [1]);
+        let stage = log.stage.lock();
+        assert!(stage.buf.is_empty() && stage.records.is_empty());
+        // Numbering and the segment length are untouched by a flush.
+        assert_eq!((stage.next, stage.seg_len), (2, 16));
+        assert_eq!(log.segment.lock().durable_len, 16);
+    }
+
+    #[test]
+    fn replay_resumes_past_the_highest_number_or_at_first() {
+        let (dir, _guard) = scratch("replay");
+        let empty = open(&dir, real_vfs(), 7, &mut Vec::new());
+        assert!(
+            dir.join("log-7.log").exists(),
+            "an empty log starts at `first`"
+        );
+        let applied = Mutex::new(Vec::new());
+        assert_eq!(append(&empty, &applied).unwrap(), 7);
+        assert_eq!(append(&empty, &applied).unwrap(), 8);
+        drop(empty);
+        let mut seen = Vec::new();
+        let log = open(&dir, real_vfs(), 1, &mut seen);
+        assert_eq!(seen, [7, 8]);
+        assert_eq!(
+            append(&log, &applied).unwrap(),
+            9,
+            "resumes past the highest"
+        );
+        let stats = log.stats();
+        assert_eq!((stats.group.flushes, stats.group.released), (1, 1));
+    }
+
+    #[test]
+    fn unwedge_rewinds_numbers_but_never_reuses_a_ticket() {
+        let (dir, _guard) = scratch("unwedge");
+        let vfs = FaultVfs::new(5).fail_nth_sync(2);
+        let log = open(&dir, Arc::new(vfs.clone()), 0, &mut Vec::new());
+        let applied = Mutex::new(Vec::new());
+        assert_eq!(append(&log, &applied).unwrap(), 0);
+        // Record 1's fsync fails: the log wedges and fails fast.
+        let failed = log
+            .stage(|stage| Ok(stage.push(&1u64.to_le_bytes(), 1)))
+            .unwrap();
+        let err = log.wait(failed, &|_| Ok(()), &|_| Ok(())).unwrap_err();
+        assert_eq!(err.label(), "wedged");
+        assert!(log.is_wedged());
+        assert_eq!(append(&log, &applied).unwrap_err().label(), "wedged");
+        let torn = log.unwedge(|_| true).unwrap();
+        assert_eq!(torn, 16, "record 1's frame is cut");
+        assert_eq!(log.unwedge(|_| true).unwrap(), 0, "idempotent");
+        // The number comes back; the dropped record's ticket stays dead.
+        assert_eq!(append(&log, &applied).unwrap(), 1);
+        let late = log.wait(
+            failed,
+            &|_| panic!("a dropped record never applies"),
+            &|_| Ok(()),
+        );
+        assert_eq!(late.unwrap_err().label(), "wedged");
+        assert_eq!(*applied.lock(), [0, 1]);
+        assert_eq!(log.stats().unwedges, 1);
+        drop(log);
+        let mut seen = Vec::new();
+        open(&dir, real_vfs(), 0, &mut seen);
+        assert_eq!(seen, [0, 1], "the repaired segment replays densely");
+    }
+
+    #[test]
+    fn a_failed_apply_wedges_and_unwedge_cuts_the_unapplied_frame() {
+        let (dir, _guard) = scratch("apply");
+        let log = open(&dir, real_vfs(), 0, &mut Vec::new());
+        let applied = Mutex::new(Vec::new());
+        append(&log, &applied).unwrap();
+        let ticket = log
+            .stage(|stage| Ok(stage.push(&1u64.to_le_bytes(), 1)))
+            .unwrap();
+        let refuse = |_| Err(OmError::Internal("mirror refused".into()));
+        assert_eq!(
+            log.wait(ticket, &refuse, &|_| Ok(())).unwrap_err().label(),
+            "internal"
+        );
+        assert!(log.is_wedged(), "a written record that cannot apply wedges");
+        assert_eq!(log.unwedge(|_| true).unwrap(), 16);
+        assert_eq!(append(&log, &applied).unwrap(), 1);
+    }
+
+    #[test]
+    fn unwedge_refuses_a_kept_frame_that_fails_verification() {
+        let (dir, _guard) = scratch("verify");
+        let vfs = FaultVfs::new(6).fail_nth_sync(3);
+        let log = open(&dir, Arc::new(vfs), 0, &mut Vec::new());
+        let applied = Mutex::new(Vec::new());
+        append(&log, &applied).unwrap();
+        append(&log, &applied).unwrap();
+        assert!(append(&log, &applied).is_err());
+        let err = log
+            .unwedge(|payload| payload != 1u64.to_le_bytes())
+            .unwrap_err();
+        assert!(err.to_string().contains("hold 1 records where 2"), "{err}");
+        assert!(
+            log.is_wedged(),
+            "a failed verification leaves the log wedged"
+        );
+        assert_eq!(
+            std::fs::read(dir.join("log-0.log")).unwrap().len(),
+            48,
+            "nothing cut"
+        );
+    }
+}
