@@ -27,8 +27,8 @@
 #     asserts the customized cell satisfies every criterion),
 #   * the shim crates' own unit tests run via --workspace,
 #   * rustdoc must build warning-free (om_storage, om_dataflow, om_log,
-#     om_kv, om_mvcc and om_actor additionally deny missing docs at the
-#     crate level),
+#     om_kv, om_mvcc, om_actor and om_http additionally deny missing docs
+#     at the crate level),
 #   * the crash-consistency torture slice (docs/FAULTS.md) runs inside
 #     `cargo test --workspace` — the storage/log/driver `torture`
 #     targets sweep power loss over recorded write boundaries with a

@@ -16,7 +16,8 @@
 //! ```text
 //! accept -> poll -> for each ready connection, oldest first:
 //!     flush -> read (inbuf cap re-checked per read) -> parse one request
-//!           -> admitted: gateway.handle inline | over budget: 503
+//!           -> admitted: gateway.handle inline (a panic: 500 + close)
+//!              | over budget: 503
 //!           -> serialize -> flush (whole write into an empty pipe)
 //!     -> parsing open and bytes left in inbuf: re-queue for next round
 //!     -> recompute interest + deadline, or close
@@ -65,6 +66,7 @@ use crate::response::Response;
 use bytes::BytesMut;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -114,6 +116,9 @@ pub struct ServerStats {
     pub shed_dispatch: u64,
     /// Half-received requests answered 408 by the deadline wheel.
     pub timeouts_408: u64,
+    /// Requests whose handler panicked, answered 500 with
+    /// `connection: close`; their loop went on serving.
+    pub handler_panics: u64,
     /// High-water mark of one connection's `inbuf + outbuf` bytes.
     pub max_conn_buffer_bytes: usize,
     /// Threads owned by the engine: one per event loop.
@@ -128,6 +133,7 @@ pub(crate) struct StatCounters {
     shed_accept: AtomicU64,
     shed_dispatch: AtomicU64,
     timeouts_408: AtomicU64,
+    handler_panics: AtomicU64,
     max_conn_buffer: AtomicUsize,
 }
 
@@ -144,6 +150,7 @@ impl StatCounters {
             shed_accept: self.shed_accept.load(Ordering::Relaxed),
             shed_dispatch: self.shed_dispatch.load(Ordering::Relaxed),
             timeouts_408: self.timeouts_408.load(Ordering::Relaxed),
+            handler_panics: self.handler_panics.load(Ordering::Relaxed),
             max_conn_buffer_bytes: self.max_conn_buffer.load(Ordering::Relaxed),
             engine_threads,
         }
@@ -432,7 +439,7 @@ fn turn(shared: &EngineShared, conn: &mut Conn, timed_out: bool, admit: &mut usi
                 progressed = true;
                 let resp = if *admit > 0 {
                     *admit -= 1;
-                    shared.gateway.handle(&req)
+                    serve(shared, conn, &req)
                 } else {
                     shared.stats.shed_dispatch.fetch_add(1, Ordering::Relaxed);
                     MarketplaceGateway::overloaded()
@@ -467,6 +474,21 @@ fn turn(shared: &EngineShared, conn: &mut Conn, timed_out: bool, admit: &mut usi
         .record_buffer(conn.inbuf.len() + conn.outbuf.len());
     flush(conn);
     !partial && conn.wants_parse(cap) && !conn.inbuf.is_empty()
+}
+
+/// Runs the gateway on `req`. A panicking handler fails only its own
+/// request: it is answered `500` and its connection closes after the
+/// answer, while the loop goes on serving its other connections.
+fn serve(shared: &EngineShared, conn: &mut Conn, req: &Request) -> Response {
+    match catch_unwind(AssertUnwindSafe(|| shared.gateway.handle(req))) {
+        Ok(resp) => resp,
+        Err(_) => {
+            shared.stats.handler_panics.fetch_add(1, Ordering::Relaxed);
+            conn.close_after_flush = true;
+            Response::text(500, "internal error: the request handler panicked")
+                .with_header("connection", "close")
+        }
+    }
 }
 
 /// Non-blocking write of as much buffered response as the pipe accepts

@@ -23,11 +23,20 @@ pub enum HttpError {
     /// A chunked body is malformed.
     BadChunk(String),
     /// The message head exceeds the configured size limit.
-    HeadTooLarge { limit: usize },
+    HeadTooLarge {
+        /// The configured limit in bytes.
+        limit: usize,
+    },
     /// The body exceeds the configured size limit.
-    BodyTooLarge { limit: usize },
+    BodyTooLarge {
+        /// The configured limit in bytes.
+        limit: usize,
+    },
     /// Too many headers.
-    TooManyHeaders { limit: usize },
+    TooManyHeaders {
+        /// The configured number of header lines.
+        limit: usize,
+    },
     /// Percent-encoding in the target is invalid.
     BadPercentEncoding(String),
     /// The connection was closed mid-message.

@@ -71,14 +71,18 @@ impl Endpoint {
 /// Body of `POST /ingest/products`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IngestProductBody {
+    /// The product to list.
     pub product: Product,
+    /// Units in stock when it is listed.
     pub initial_stock: u32,
 }
 
 /// Body of `POST /customers/{customer}/checkout`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CheckoutBody {
+    /// The cart lines to check out.
     pub items: Vec<CheckoutItem>,
+    /// How the customer pays.
     pub method: om_common::entity::PaymentMethod,
 }
 
@@ -92,6 +96,7 @@ pub struct PriceUpdateBody {
 /// Response of `PATCH /shipments/delivery`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DeliveryResult {
+    /// Packages the delivery round marked delivered.
     pub packages_delivered: u32,
 }
 
@@ -119,6 +124,7 @@ impl MarketplaceGateway {
         Self::new(Arc::from(om_marketplace::build_platform(spec)))
     }
 
+    /// A gateway over `platform`, with every endpoint routed.
     pub fn new(platform: Arc<dyn MarketplacePlatform>) -> Self {
         let router = Router::new()
             .route(Method::Post, "/ingest/sellers", Endpoint::IngestSeller)

@@ -39,6 +39,8 @@
 //! server.shutdown();
 //! ```
 
+#![deny(missing_docs)]
+
 pub mod conn;
 pub mod error;
 pub mod gateway;

@@ -18,12 +18,19 @@ use std::fmt;
 /// HTTP request methods implemented by the gateway.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
+    /// `GET`: read a resource.
     Get,
+    /// `POST`: create or submit.
     Post,
+    /// `PUT`: replace a resource.
     Put,
+    /// `PATCH`: update part of a resource.
     Patch,
+    /// `DELETE`: remove a resource.
     Delete,
+    /// `HEAD`: a `GET` answered without its body.
     Head,
+    /// `OPTIONS`: ask what a resource allows.
     Options,
 }
 
@@ -65,11 +72,14 @@ impl fmt::Display for Method {
 /// HTTP protocol versions the layer speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Version {
+    /// `HTTP/1.0`: closes after each response unless asked to keep alive.
     Http10,
+    /// `HTTP/1.1`: keeps the connection alive unless asked to close.
     Http11,
 }
 
 impl Version {
+    /// Parses the version token of a request or status line.
     pub fn from_token(token: &str) -> Result<Version, HttpError> {
         match token {
             "HTTP/1.1" => Ok(Version::Http11),
@@ -78,6 +88,7 @@ impl Version {
         }
     }
 
+    /// Canonical token.
     pub fn as_str(self) -> &'static str {
         match self {
             Version::Http10 => "HTTP/1.0",
@@ -96,6 +107,7 @@ impl Version {
 pub struct Headers(Vec<(String, String)>);
 
 impl Headers {
+    /// No headers.
     pub fn new() -> Self {
         Headers(Vec::new())
     }
@@ -123,14 +135,17 @@ impl Headers {
             .map(|(_, v)| v.as_str())
     }
 
+    /// Number of header lines, repeats included.
     pub fn len(&self) -> usize {
         self.0.len()
     }
 
+    /// Whether there are no headers.
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
 
+    /// Every `(name, value)` in insertion order, names lowercase.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.0.iter().map(|(n, v)| (n.as_str(), v.as_str()))
     }
@@ -139,6 +154,7 @@ impl Headers {
 /// A fully parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
+    /// The request method.
     pub method: Method,
     /// Percent-decoded path component of the target (no query string).
     pub path: String,
@@ -146,8 +162,11 @@ pub struct Request {
     pub raw_target: String,
     /// Decoded query parameters in order of appearance.
     pub query: Vec<(String, String)>,
+    /// The protocol version of the request line.
     pub version: Version,
+    /// The header fields, names lowercase.
     pub headers: Headers,
+    /// The body, de-chunked.
     pub body: Bytes,
 }
 

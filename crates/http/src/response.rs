@@ -11,10 +11,16 @@ use serde::Serialize;
 /// An HTTP response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
+    /// The protocol version of the status line.
     pub version: Version,
+    /// The status code.
     pub status: u16,
+    /// The reason phrase of the status line.
     pub reason: String,
+    /// The header fields, names lowercase; framing headers are the
+    /// writer's to set.
     pub headers: Headers,
+    /// The body.
     pub body: Bytes,
 }
 
@@ -58,6 +64,7 @@ impl Response {
         self
     }
 
+    /// Whether the status is 2xx.
     pub fn is_success(&self) -> bool {
         (200..300).contains(&self.status)
     }

@@ -43,10 +43,12 @@ impl PathParams {
             .map_err(|_| RouteError::BadParam(name.to_string(), raw.to_string()))
     }
 
+    /// Number of captured parameters.
     pub fn len(&self) -> usize {
         self.0.len()
     }
 
+    /// Whether the matched pattern captured nothing.
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
@@ -95,6 +97,7 @@ pub struct Router<E> {
 }
 
 impl<E: Clone> Router<E> {
+    /// A router with no routes.
     pub fn new() -> Self {
         Router { routes: Vec::new() }
     }
