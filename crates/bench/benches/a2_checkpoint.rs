@@ -12,9 +12,10 @@
 //! A third group measures the recovery path itself: crash mid-epoch,
 //! restore from the checkpoint, replay to completion.
 //!
-//! A fourth group (`a2_workers`) sweeps the partition-parallel worker
-//! pool over a CPU-weighted workload, past the host's core count —
-//! `w1` is the serial baseline every parallel cell is judged against.
+//! A fourth group (`a2_workers`) sweeps the epoch's group count over a
+//! CPU-weighted workload, past the host's core count — `w1` (one group,
+//! on the calling thread) is the baseline every other cell is judged
+//! against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use om_bench::{make_checkpoint_store, BACKENDS};

@@ -13,8 +13,7 @@
 //!
 //! The barrier is storage-agnostic: `om_storage::segment_log` uses it
 //! to batch the segment writes (and fsyncs) of the file backend's WAL
-//! and of each persistent-topic partition, and `om_dataflow` uses it to
-//! share one epoch commit.
+//! and of each persistent-topic partition.
 //!
 //! ```
 //! use om_common::commit_group::CommitGroup;

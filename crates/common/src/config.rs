@@ -375,10 +375,10 @@ pub struct RunConfig {
     /// Checkpoint interval of the dataflow binding, in ingress records
     /// per partition per epoch (smaller = more frequent checkpoints).
     pub checkpoint_interval: usize,
-    /// Epoch worker threads of the dataflow binding's runtime: `0`
-    /// (default) resolves to the host core count, `1` is the serial
-    /// baseline, `n > 1` fans every epoch out over `n` long-lived
-    /// worker threads (capped at the partition count). Distinct from
+    /// Epoch groups of the dataflow binding's runtime: `0` (default)
+    /// resolves to the host core count, and `n` runs every epoch in `n`
+    /// groups (capped at the partition count): one on the driving
+    /// thread, `n − 1` on long-lived pool threads. Distinct from
     /// [`workers`](Self::workers), which sizes the *driver's* closed
     /// loop. Ignored by the actor bindings.
     pub df_workers: usize,

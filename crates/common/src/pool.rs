@@ -4,16 +4,18 @@
 //! A [`WorkQueue`] is an unbounded multi-producer multi-consumer FIFO
 //! (a `VecDeque` under a mutex, a condvar for blocked consumers). It
 //! carries the silo run queues, this pool's jobs and the dataflow epoch
-//! inboxes.
+//! inboxes and group results.
 //!
-//! The dataflow runtime fans each epoch's partition work out over the
-//! pool instead of spawning scoped threads per epoch: the threads are
-//! created once (named `<prefix>-<i>` so they are identifiable in
-//! profiles and stack dumps) and take jobs off a shared `WorkQueue`. A
-//! panicking job is contained by the worker — counted, never propagated,
-//! and never fatal to the thread — because the submitter is expected to
-//! observe the failure through its own shared state (the dataflow
-//! runtime poisons the epoch it was running).
+//! The dataflow runtime runs all but the first group of each epoch on
+//! the pool instead of spawning scoped threads per epoch: the threads
+//! are created once (named `<prefix>-<i>` so they are identifiable in
+//! profiles and stack dumps) and take jobs off a shared `WorkQueue`;
+//! each job pushes its group's result onto the epoch's own `WorkQueue`,
+//! which the driving thread pops. A panicking job is contained by the
+//! worker — counted, never propagated, and never fatal to the thread —
+//! because the submitter is expected to observe the failure through its
+//! own shared state (the dataflow runtime catches a group's panic
+//! itself and poisons the epoch).
 //!
 //! Dropping the pool closes the job queue and joins every worker; jobs
 //! already queued still run to completion first, so a submitted job is

@@ -7,23 +7,21 @@
 //! sends), and commits **once**: offsets, dirty state deltas and the
 //! epoch number go through the [`BackendCheckpointStore`] atomically,
 //! and only then is the buffered egress released.
-//! [`DataflowBuilder::workers`] selects how the per-partition
-//! pull→apply→dirty-tracking loop runs:
+//! [`DataflowBuilder::workers`] sets how many **groups** the per-partition
+//! pull→apply→dirty-tracking loop runs in. Group `g` of `G` owns the
+//! partitions `p ≡ g (mod G)`. Every worker count runs the same loop:
 //!
-//! * `workers(1)` — the serial baseline: one thread walks the
-//!   partitions round-robin. Committed results of this path are the
-//!   reference the parallel path is tested against.
-//! * `workers(n > 1)` — partitions are split into `min(n, partitions)`
-//!   groups, each processed by a long-lived `om-df-worker-N` pool
-//!   thread ([`om_common::pool::WorkerPool`]). The epoch-aligned join
-//!   before the commit is an `om_common::commit_group::CommitGroup`
-//!   cohort barrier: every worker stages its group's results and parks
-//!   on a barrier ticket; the elected leader waits for all groups,
-//!   runs the single atomic checkpoint commit, and releases the whole
-//!   cohort together (same primitive the WAL uses for group commit).
-//! * `workers(0)` — auto: one worker per core (capped at the partition
-//!   count); small epochs (≤ 8 records) skip the fan-out because the
-//!   handoff costs more than the work.
+//! * the thread that drives the epoch runs group 0 itself;
+//! * groups `1..G` run on a pool of `workers − 1` long-lived
+//!   `om-df-worker-N` threads ([`om_common::pool::WorkerPool`]), and each
+//!   pushes its staged partitions, or its poison, onto the epoch's queue;
+//! * the driver pops those `G − 1` results and gives the verdict:
+//!   poisoned, crashed and restored, or committed.
+//!
+//! `G` is `min(workers, partitions)`. It is 1, with no pool, at
+//! `workers(1)`. `workers(0)` is auto: one worker per core (capped at the
+//! partition count), and epochs of ≤ 8 records run as one group because
+//! the handoff costs more than the work.
 //!
 //! ## Row-keyed state
 //!
@@ -40,10 +38,9 @@
 //!
 //! ## Epoch poisoning
 //!
-//! A logic panic or a logic `Err` inside an epoch — on a pool worker or
-//! on the serial path — poisons it deterministically: **no** partition's
-//! dirty rows or egress are committed (even for partitions that finished
-//! cleanly), live state is rebuilt from the last committed checkpoint,
+//! A logic panic or a logic `Err` inside an epoch — in any group —
+//! poisons it deterministically: **no** partition's dirty rows or egress
+//! are committed (even for partitions that finished cleanly), live state is rebuilt from the last committed checkpoint,
 //! offsets stay untouched, and the next epoch replays the same batch. An
 //! injected crash (`inject_crash_after`) follows the same discard path
 //! but reports [`EpochOutcome::CrashedAndRecovered`]; a poisoned epoch
@@ -57,19 +54,18 @@
 //! 1. `epoch_mutex` is outermost — epochs and recovery serialize on it.
 //! 2. `states[p]` are only ever acquired in **ascending partition
 //!    order**, and a thread holds either its partitions' state locks
-//!    *or* `meta`/`committed_egress`, never both. Workers take their
-//!    group's state locks once (ascending), process, and **release
-//!    them before staging results at the barrier**, so the committing
-//!    leader (which re-acquires each `states[p]` transiently, ascending,
-//!    to fold dirty rows) never contends with a processing worker.
+//!    *or* `meta`/`committed_egress`, never both. A group takes its
+//!    state locks once (ascending), processes, and **releases them
+//!    before handing its results to the driver**, so the commit (which
+//!    re-acquires each `states[p]` transiently, ascending, to fold dirty
+//!    rows) never contends with a processing group.
 //! 3. `committed_egress` is acquired last and alone. Egress is staged
 //!    per partition and concatenated in **partition index order** at
-//!    commit time — never appended by workers as they finish — so the
+//!    commit time — never appended by groups as they finish — so the
 //!    committed egress order is independent of which partition
 //!    completes first, and a late poison can still discard all of it.
 
 use crate::checkpoint::{BackendCheckpointStore, StateDelta, StateRow};
-use om_common::commit_group::{CommitGroup, CommitGroupStats};
 use om_common::config::BackendKind;
 use om_common::pool::{WorkQueue, WorkerPool};
 use om_common::{OmError, OmResult};
@@ -77,7 +73,7 @@ use om_log::{EventLog, Topic};
 use om_storage::make_backend;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Address of a stateful function instance.
@@ -298,13 +294,13 @@ impl<M: Send + Clone + 'static> DataflowBuilder<M> {
         self
     }
 
-    /// Epoch worker threads: `0` (the default) resolves to the core
-    /// count, `1` is the serial baseline, `n > 1` spawns `n` long-lived
-    /// `om-df-worker-N` pool threads (capped at the partition count —
-    /// more workers than partitions cannot help). An **explicit**
-    /// `n > 1` always fans out, even for tiny epochs or on a single
-    /// core; the auto setting skips the fan-out for epochs of ≤ 8
-    /// records, where the handoff costs more than the work.
+    /// Epoch groups: `0` (the default) resolves to the core count, and
+    /// `n` runs each epoch in `n` groups (capped at the partition count —
+    /// more groups than partitions cannot help): the driving thread runs
+    /// one, and `n − 1` long-lived `om-df-worker-N` pool threads run the
+    /// rest. An **explicit** `n > 1` always fans out, even for tiny
+    /// epochs or on a single core; the auto setting runs epochs of ≤ 8
+    /// records as one group, where the handoff costs more than the work.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
         self
@@ -393,11 +389,6 @@ impl<M: Send + Clone + 'static> DataflowBuilder<M> {
             max_batch: self.max_batch,
             workers,
             workers_auto,
-            // An immediate-flush barrier: the epoch leader never waits
-            // out a window — the cohort is exactly this epoch's workers
-            // plus the driver, all parked before the flush runs.
-            barrier: CommitGroup::new(),
-            barrier_ticket: AtomicU64::new(0),
             crash_countdown: AtomicI64::new(i64::MIN),
             epochs: AtomicU64::new(0),
             replays: AtomicU64::new(0),
@@ -410,7 +401,7 @@ impl<M: Send + Clone + 'static> DataflowBuilder<M> {
         let df = Dataflow {
             // Declared before `core` so Drop joins the pool (flushing
             // any in-flight jobs and their Arc<DfCore> clones) first.
-            pool: (workers > 1).then(|| WorkerPool::named("om-df-worker", workers)),
+            pool: (workers > 1).then(|| WorkerPool::named("om-df-worker", workers - 1)),
             core,
         };
         df.recover().expect("checkpoint store readable at startup");
@@ -418,8 +409,8 @@ impl<M: Send + Clone + 'static> DataflowBuilder<M> {
     }
 }
 
-/// One partition's staged epoch results, held back until the barrier
-/// commit (see the module docs on lock discipline: staged per partition,
+/// One partition's staged epoch results, held back until the epoch
+/// commits (see the module docs on lock discipline: staged per partition,
 /// concatenated in partition order, never appended on completion).
 struct PartitionStage<M> {
     /// Rows written or deleted this epoch. Incremental checkpointing:
@@ -438,45 +429,34 @@ impl<M> Default for PartitionStage<M> {
     }
 }
 
-/// Shared state of one in-flight parallel epoch. Workers and the driver
-/// all hold an `Arc` of this; the epoch's verdict is recorded once in
-/// `result` and read by every barrier participant.
+/// What a group hands the driver: its partitions' staged results, or the
+/// poison that stopped it.
+type GroupResult<M> = Result<Vec<(usize, PartitionStage<M>)>, String>;
+
+/// Shared state of one in-flight epoch: the driver and the pool jobs
+/// running its groups each hold an `Arc` of this.
 struct EpochCtx<M> {
-    /// Worker groups this epoch fanned out to (`min(workers, partitions)`).
+    /// Groups this epoch runs in (1, or `min(workers, partitions)`).
     groups: usize,
-    /// Barrier tickets: worker `g` parks on `base_ticket + 1 + g`, the
-    /// driver on `top_ticket = base_ticket + groups + 1`; one flush
-    /// releases the whole cohort.
-    base_ticket: u64,
-    top_ticket: u64,
-    offsets: Vec<u64>,
-    batch_lens: Vec<u64>,
-    ingress_count: u64,
     /// One inbox per partition: its batch, then the cross-partition
     /// sends cascading within the epoch.
     inboxes: Vec<WorkQueue<(Address, M)>>,
     /// Messages pulled but not yet fully processed (sends count until
     /// their cascade lands); quiescence is `in_flight == 0`.
     in_flight: AtomicI64,
-    /// Injected crash fired (or a worker observed poison).
+    /// Injected crash fired (or a group was poisoned): every group stops.
     crashed: AtomicBool,
-    /// A worker panicked: the epoch is poisoned with this message.
-    poison: Mutex<Option<String>>,
     invocations: AtomicU64,
-    /// Per-partition staged results, written by the owning group only.
-    staged: Mutex<Vec<Option<PartitionStage<M>>>>,
-    /// Groups that finished staging; the commit leader waits for all of
-    /// them — the epoch-aligned barrier before the atomic commit.
-    staged_groups: AtomicUsize,
-    /// The epoch's verdict, recorded exactly once by the first leader
-    /// to run the finalize; re-elected leaders and the driver read it.
-    result: Mutex<Option<OmResult<EpochOutcome>>>,
+    /// Results of groups `1..groups`, pushed by the pool jobs as they
+    /// finish; the driver pops `groups − 1` of them.
+    results: WorkQueue<GroupResult<M>>,
 }
 
 /// The dataflow runtime. See the module docs for the model, the
-/// worker-pool/barrier design and the exactly-once argument.
+/// epoch groups and the exactly-once argument.
 pub struct Dataflow<M> {
-    /// Long-lived `om-df-worker-N` threads (absent when `workers == 1`).
+    /// `workers − 1` long-lived `om-df-worker-N` threads (absent when
+    /// `workers == 1`).
     /// Field order matters: dropped before `core`, so pool jobs (which
     /// hold `Arc<DfCore>` clones) finish before the core is torn down —
     /// a job must never be the one to drop the core, or the pool would
@@ -486,7 +466,7 @@ pub struct Dataflow<M> {
 }
 
 /// The runtime state proper, shared between the public handle and the
-/// pool workers (jobs capture `Arc<DfCore>`).
+/// pool jobs (which capture `Arc<DfCore>`).
 struct DfCore<M> {
     ingress: Arc<dyn EventLog<(Address, M)>>,
     ingress_seq: AtomicU64,
@@ -505,12 +485,8 @@ struct DfCore<M> {
     /// Resolved epoch worker count (≥ 1; capped at `partitions`).
     workers: usize,
     /// `true` when the count came from the core-count default, which
-    /// also enables the small-epoch serial shortcut.
+    /// also runs small epochs as one group.
     workers_auto: bool,
-    /// The epoch-aligned join: workers and driver park on tickets, one
-    /// leader runs the atomic commit for the whole cohort.
-    barrier: CommitGroup,
-    barrier_ticket: AtomicU64,
     /// Fault injection: crash after this many further invocations
     /// (`i64::MIN` = disabled).
     crash_countdown: AtomicI64,
@@ -543,16 +519,10 @@ impl<M: Send + Clone + 'static> Dataflow<M> {
         self.core.partitions
     }
 
-    /// Resolved epoch worker count (1 = serial baseline).
+    /// Resolved epoch worker count: the groups a fanned-out epoch runs
+    /// in (1 = every epoch runs on the driving thread alone).
     pub fn workers(&self) -> usize {
         self.core.workers
-    }
-
-    /// Counters of the epoch barrier: one flush per parallel epoch, the
-    /// cohort being that epoch's workers + driver. Serial epochs never
-    /// touch the barrier.
-    pub fn barrier_stats(&self) -> CommitGroupStats {
-        self.core.barrier.stats()
     }
 
     /// The checkpoint store this runtime commits through.
@@ -666,89 +636,54 @@ impl<M: Send + Clone + 'static> Dataflow<M> {
         let inboxes: Vec<WorkQueue<(Address, M)>> =
             batches.into_iter().map(WorkQueue::from_iter).collect();
 
-        // An explicitly sized pool always fans out; the auto default
-        // additionally skips tiny epochs, where the handoff costs more
-        // than sequential processing (and spin-waits starve single-core
-        // machines).
-        let fan_out = self.pool.is_some() && (!core.workers_auto || ingress_count > 8);
-        if let Some(pool) = self.pool.as_ref().filter(|_| fan_out) {
-            let groups = pool.size().min(core.partitions);
-            let base_ticket = core
-                .barrier_ticket
-                .fetch_add(groups as u64 + 1, Ordering::Relaxed);
-            let ctx = Arc::new(EpochCtx {
-                groups,
-                base_ticket,
-                top_ticket: base_ticket + groups as u64 + 1,
-                offsets,
-                batch_lens,
-                ingress_count,
-                inboxes,
-                in_flight: AtomicI64::new(ingress_count as i64),
-                crashed: AtomicBool::new(false),
-                poison: Mutex::new(None),
-                invocations: AtomicU64::new(0),
-                staged: Mutex::new((0..core.partitions).map(|_| None).collect()),
-                staged_groups: AtomicUsize::new(0),
-                result: Mutex::new(None),
-            });
-            for g in 0..groups {
-                let core = Arc::clone(core);
-                let ctx = Arc::clone(&ctx);
-                pool.execute(move || core.epoch_worker(&ctx, g));
-            }
-            // The driver parks on the cohort's highest ticket; whichever
-            // participant is elected leader runs the epoch-aligned
-            // finalize (barrier wait + single atomic commit) for all.
-            let _ = core
-                .barrier
-                .wait_durable(ctx.top_ticket, || core.finalize_epoch(&ctx));
-            return ctx
-                .result
-                .lock()
-                .clone()
-                .expect("finalize recorded the epoch verdict before releasing the barrier");
-        }
-
-        // Serial baseline (`workers(1)` / small auto epochs): one thread
-        // walks the partitions round-robin. This path is the reference
-        // the parallel path's committed results are tested against.
-        let mut invocations = 0u64;
-        let mut stages: Vec<PartitionStage<M>> =
-            (0..core.partitions).map(|_| Default::default()).collect();
-        // A logic panic must not escape with this epoch's writes left in
-        // the live state: it gets the pool path's verdict below.
-        // `Ok(crashed)`: whether the injected crash fired.
-        let processed = catch_poison(|| {
-            // Lock discipline: all partition state locks taken upfront in
-            // ascending order, released before the commit re-acquires them.
-            let mut states: Vec<_> = core.states.iter().map(|m| m.lock()).collect();
-            loop {
-                let mut progressed = false;
-                for p in 0..core.partitions {
-                    while let Some((to, msg)) = inboxes[p].try_pop() {
-                        progressed = true;
-                        if core.crash_countdown.fetch_sub(1, Ordering::SeqCst) == 0 {
-                            return Ok(true);
-                        }
-                        let routed =
-                            core.invoke_one(to, msg, &mut states[p], &mut stages[p], |addr, m| {
-                                inboxes[addr.partition(core.partitions)].push((addr, m));
-                            })?;
-                        invocations += u64::from(routed);
-                    }
-                }
-                if !progressed {
-                    return Ok(false);
-                }
-            }
+        // An explicitly sized pool always fans out; the auto default runs
+        // tiny epochs as one group, where the handoff costs more than the
+        // work (and spin-waits starve single-core machines).
+        let groups = match self.pool {
+            Some(_) if !core.workers_auto || ingress_count > 8 => core.workers,
+            _ => 1,
+        };
+        let ctx = Arc::new(EpochCtx {
+            groups,
+            inboxes,
+            in_flight: AtomicI64::new(ingress_count as i64),
+            crashed: AtomicBool::new(false),
+            invocations: AtomicU64::new(0),
+            results: WorkQueue::default(),
         });
+        // 3. Groups 1.. on the pool, group 0 on this thread, then join.
+        if let Some(pool) = &self.pool {
+            for g in 1..groups {
+                let (core, ctx) = (Arc::clone(core), Arc::clone(&ctx));
+                pool.execute(move || ctx.results.push(core.run_group(&ctx, g)));
+            }
+        }
+        let mut results = vec![core.run_group(&ctx, 0)];
+        results.extend((1..groups).map(|_| {
+            ctx.results
+                .pop()
+                .expect("the epoch's result queue is never closed")
+        }));
+        let invocations = ctx.invocations.load(Ordering::Relaxed);
         core.invocations_total
             .fetch_add(invocations, Ordering::Relaxed);
-        match processed {
-            Err(poison) => return core.poisoned(poison),
-            Ok(true) => return core.crash_restore(),
-            Ok(false) => {}
+
+        // 4. The verdict: a poisoned group discards the whole epoch, an
+        // injected crash restores from the store, otherwise one commit.
+        let mut stages: Vec<PartitionStage<M>> =
+            (0..core.partitions).map(|_| Default::default()).collect();
+        for result in results {
+            match result {
+                Err(poison) => return core.poisoned(poison),
+                Ok(staged) => {
+                    for (p, stage) in staged {
+                        stages[p] = stage;
+                    }
+                }
+            }
+        }
+        if ctx.crashed.load(Ordering::Acquire) {
+            return core.crash_restore();
         }
         core.commit_epoch(&offsets, &batch_lens, stages)?;
         core.epochs.fetch_add(1, Ordering::Relaxed);
@@ -970,11 +905,10 @@ impl<M: Send + Clone + 'static> DfCore<M> {
         )))
     }
 
-    /// One invocation, the same on the serial and the pool path: look up
-    /// the logic, invoke it over the instance's live rows, apply its row
-    /// updates to `state` and mark them dirty in `stage`, buffer its
-    /// egress, hand its sends to `route`. `Ok(false)` = unroutable
-    /// (counted, nothing ran).
+    /// One invocation, the same in every group: look up the logic,
+    /// invoke it over the instance's live rows, apply its row updates to
+    /// `state` and mark them dirty in `stage`, buffer its egress, hand its
+    /// sends to `route`. `Ok(false)` = unroutable (counted, nothing ran).
     fn invoke_one(
         &self,
         to: Address,
@@ -1086,48 +1020,24 @@ impl<M: Send + Clone + 'static> DfCore<M> {
         Ok(())
     }
 
-    /// One pool job: process worker group `g`'s partitions to
-    /// quiescence, stage the results, then park on the epoch barrier.
-    /// Stages **unconditionally** — even after a panic or crash — so the
-    /// finalize's all-groups wait always terminates.
-    fn epoch_worker(&self, ctx: &EpochCtx<M>, g: usize) {
+    /// Runs group `g`'s partitions to quiescence. A panic or logic error
+    /// becomes the poison, and stops every other group.
+    fn run_group(&self, ctx: &EpochCtx<M>, g: usize) -> GroupResult<M> {
         // Static group assignment: group g owns partitions p ≡ g (mod G).
         let own: Vec<usize> = (g..self.partitions).step_by(ctx.groups).collect();
-        let stages = match catch_poison(|| self.process_group(ctx, &own)) {
-            Ok(stages) => stages,
-            Err(poison) => {
-                ctx.poison.lock().get_or_insert(poison);
-                // Other groups stop pulling instead of spinning on
-                // in_flight the dead group will never drain.
-                ctx.crashed.store(true, Ordering::Release);
-                own.iter().map(|&p| (p, PartitionStage::default())).collect()
-            }
-        };
-        {
-            let mut staged = ctx.staged.lock();
-            for (p, stage) in stages {
-                staged[p] = Some(stage);
-            }
-        }
-        ctx.staged_groups.fetch_add(1, Ordering::AcqRel);
-        // Park on this group's ticket; the error (if the epoch was
-        // poisoned) is delivered to the driver via ctx.result, so the
-        // worker itself has nothing to do with it.
-        let _ = self
-            .barrier
-            .wait_durable(ctx.base_ticket + 1 + g as u64, || self.finalize_epoch(ctx));
+        catch_poison(|| self.process_group(ctx, &own)).inspect_err(|_| {
+            // The other groups stop pulling instead of spinning on
+            // in_flight the dead group will never drain.
+            ctx.crashed.store(true, Ordering::Release)
+        })
     }
 
     /// The processing loop of one worker group: pull → apply → track
     /// dirty rows, over the group's own partitions only.
-    fn process_group(
-        &self,
-        ctx: &EpochCtx<M>,
-        own: &[usize],
-    ) -> Result<Vec<(usize, PartitionStage<M>)>, String> {
+    fn process_group(&self, ctx: &EpochCtx<M>, own: &[usize]) -> GroupResult<M> {
         // Lock discipline: the group's state locks, taken once in
         // ascending partition order (own is ascending by construction),
-        // held for the whole processing phase, released before staging.
+        // held for the whole processing phase, released before returning.
         let mut guards: Vec<_> = own.iter().map(|&p| self.states[p].lock()).collect();
         let mut stages: Vec<PartitionStage<M>> =
             own.iter().map(|_| PartitionStage::default()).collect();
@@ -1183,71 +1093,10 @@ impl<M: Send + Clone + 'static> DfCore<M> {
                 }
             }
         }
-        // Lock discipline: state released before the barrier, so the
-        // committing leader never contends with a processing worker.
+        // Lock discipline: state released before the join, so the commit
+        // never contends with a processing group.
         drop(guards);
         Ok(own.iter().copied().zip(stages).collect())
-    }
-
-    /// The barrier leader's duty, run by exactly one participant at a
-    /// time inside `CommitGroup::wait_durable`: wait until every group
-    /// has staged (the epoch-aligned barrier), then either commit the
-    /// epoch atomically or poison it. **Idempotent** — the verdict is
-    /// recorded once in `ctx.result`; a late or re-elected leader
-    /// returns the recorded verdict instead of redoing the commit.
-    ///
-    /// The flush ALWAYS reports `Ok(top_ticket)`, even for a poisoned
-    /// epoch: the verdict (including the poison error) travels through
-    /// `ctx.result`, never through the barrier. Failing the flush
-    /// instead would leave `durable` behind this epoch's tickets, so
-    /// parked workers would each have to self-elect as leader to learn
-    /// the error — and the driver, released first, could start the next
-    /// epoch and enqueue `pool.size()` jobs while a straggler still
-    /// occupies its pool thread: the queued job's group never stages,
-    /// the new leader spin-waits for it, and the straggler waits for
-    /// that leader's flush. One advancing flush releases everyone and
-    /// makes the cycle impossible.
-    fn finalize_epoch(&self, ctx: &EpochCtx<M>) -> OmResult<u64> {
-        if ctx.result.lock().is_some() {
-            return Ok(ctx.top_ticket);
-        }
-        // Epoch-aligned barrier: every group staged (or poisoned) before
-        // anything commits. Terminates because workers stage
-        // unconditionally, panic or not.
-        let mut idle_polls = 0u32;
-        while ctx.staged_groups.load(Ordering::Acquire) < ctx.groups {
-            idle_polls += 1;
-            if idle_polls > 64 {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        self.invocations_total
-            .fetch_add(ctx.invocations.load(Ordering::Relaxed), Ordering::Relaxed);
-        let verdict: OmResult<EpochOutcome> = (|| {
-            if let Some(poison) = ctx.poison.lock().take() {
-                return self.poisoned(poison);
-            }
-            if ctx.crashed.load(Ordering::Acquire) {
-                // Injected crash: same discard, reported as an outcome.
-                return self.crash_restore();
-            }
-            let stages: Vec<PartitionStage<M>> = ctx
-                .staged
-                .lock()
-                .iter_mut()
-                .map(|slot| slot.take().expect("every partition staged by its group"))
-                .collect();
-            self.commit_epoch(&ctx.offsets, &ctx.batch_lens, stages)?;
-            self.epochs.fetch_add(1, Ordering::Relaxed);
-            Ok(EpochOutcome::Committed {
-                ingress: ctx.ingress_count,
-                invocations: ctx.invocations.load(Ordering::Relaxed),
-            })
-        })();
-        *ctx.result.lock() = Some(verdict);
-        Ok(ctx.top_ticket)
     }
 }
 

@@ -315,3 +315,137 @@ fn pool_survives_poisoned_epochs_and_keeps_committing() {
         );
     }
 }
+
+/// Submits `(k, 1)` to `counter` for every key below `keys` and returns
+/// the ingress partition each record landed in (the key's partition).
+fn submit_counting(df: &Dataflow<(u64, u64)>, keys: u64) -> Vec<usize> {
+    let ingress = df.ingress_topic();
+    let ends = || -> Vec<u64> { (0..df.partitions()).map(|p| ingress.end_offset(p)).collect() };
+    (0..keys)
+        .map(|k| {
+            let before = ends();
+            df.submit(Address::new("counter", k), (k, 1)).unwrap();
+            let after = ends();
+            (0..df.partitions())
+                .find(|&p| after[p] > before[p])
+                .expect("the record landed in one partition")
+        })
+        .collect()
+}
+
+/// The thread that drives an epoch runs group 0 (the partitions
+/// `p ≡ 0 mod G`) itself; the other groups run on the pool. At
+/// `workers(1)` every invocation runs on the caller.
+#[test]
+fn driver_runs_group_zero_and_the_pool_runs_the_rest() {
+    for workers in [1usize, 2] {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let record = seen.clone();
+        let df = Dataflow::builder()
+            .partitions(4)
+            .max_batch(64)
+            .workers(workers)
+            .register(
+                "counter",
+                move |key: u64, _state: Option<&[u8]>, _msg: (u64, u64), _out: &mut Effects<(u64, u64)>| {
+                    let name = std::thread::current().name().map(str::to_string);
+                    record.lock().unwrap().push((key, name));
+                },
+            )
+            .build();
+        let partition = submit_counting(&df, 16);
+        let caller = std::thread::current().name().map(str::to_string);
+        assert!(matches!(df.run_epoch().unwrap(), EpochOutcome::Committed { ingress: 16, .. }));
+
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 16, "workers={workers}");
+        for (key, name) in seen.iter() {
+            let group = partition[*key as usize] % workers;
+            let expected = match group {
+                0 => caller.clone(),
+                _ => Some("om-df-worker-0".to_string()),
+            };
+            assert_eq!(
+                *name, expected,
+                "key {key} (partition {}, group {group}) ran on the wrong thread (workers={workers})",
+                partition[*key as usize]
+            );
+        }
+        if workers == 2 {
+            assert!(
+                seen.iter().any(|(_, name)| *name != caller),
+                "some key lands in group 1, so the pool ran a group"
+            );
+        }
+    }
+}
+
+/// A fault in **any** group poisons the whole epoch — the driver's own
+/// group 0 included. The failing key is walked over every partition, at
+/// two pool sizes, as a panic and as a logic `Err`: nothing commits,
+/// the offsets stay, the epoch counts one replay, and once the fault
+/// clears the replay is exactly-once.
+#[test]
+fn a_fault_in_any_group_poisons_the_whole_epoch() {
+    const KEYS: u64 = 16;
+    for workers in [2usize, 4] {
+        for panics in [true, false] {
+            for bad_partition in 0..4 {
+                let bad = Arc::new(AtomicU64::new(u64::MAX));
+                let armed = bad.clone();
+                let df = Dataflow::builder()
+                    .partitions(4)
+                    .max_batch(64)
+                    .workers(workers)
+                    .register(
+                        "counter",
+                        om_dataflow::RowFn(
+                            move |key: u64,
+                                  state: om_dataflow::StateView<'_>,
+                                  msg: (u64, u64),
+                                  out: &mut Effects<(u64, u64)>| {
+                                if key == armed.load(Ordering::SeqCst) {
+                                    if panics {
+                                        panic!("injected logic fault");
+                                    }
+                                    return Err(om_common::OmError::Internal(
+                                        "row does not decode".into(),
+                                    ));
+                                }
+                                let cur = state
+                                    .get(b"")
+                                    .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+                                    .unwrap_or(0);
+                                out.set_state((cur + msg.1).to_le_bytes().to_vec());
+                                out.emit((msg.0, cur + msg.1));
+                                Ok(())
+                            },
+                        ),
+                    )
+                    .build();
+                let partition = submit_counting(&df, KEYS);
+                let key = (0..KEYS)
+                    .find(|&k| partition[k as usize] == bad_partition)
+                    .expect("some key lands in every partition");
+                bad.store(key, Ordering::SeqCst);
+                let case = format!(
+                    "workers={workers} panics={panics} key={key} partition={bad_partition}"
+                );
+
+                let err = df.run_epoch().expect_err("a faulty group poisons the epoch");
+                assert!(err.to_string().contains("poisoned"), "{err} ({case})");
+                assert_eq!(df.committed_epoch(), 0, "{case}");
+                assert_eq!(df.committed_egress_len(), 0, "{case}");
+                assert_eq!(df.committed_offsets(), vec![0; 4], "{case}");
+                assert_eq!(state_sum(&df, KEYS), 0, "{case}");
+                assert_eq!(df.stats().1, 1, "one replay ({case})");
+
+                bad.store(u64::MAX, Ordering::SeqCst);
+                df.run_to_completion().unwrap();
+                assert_eq!(state_sum(&df, KEYS), KEYS, "{case}");
+                assert_eq!(df.committed_egress_len() as u64, KEYS, "{case}");
+                assert_eq!(df.committed_offsets().iter().sum::<u64>(), KEYS, "{case}");
+            }
+        }
+    }
+}

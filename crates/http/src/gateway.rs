@@ -239,52 +239,25 @@ impl MarketplaceGateway {
             .unwrap_err());
         }
         match endpoint {
-            Endpoint::Health => {
-                // Durable write-path health: how well group commit is
-                // amortizing syncs and what the snapshot chain costs.
-                // All zero on memory-only backends.
-                let counters = self.platform.counters();
-                let metric = |name: &str| {
-                    counters
-                        .get(&format!("storage.backend.{name}"))
-                        .copied()
-                        .unwrap_or(0)
-                };
-                Ok(Response::json(
-                    200,
-                    &serde_json::json!({
-                        "status": "ok",
-                        "platform": self.platform.kind().label(),
-                        "backend": match self.platform.backend() {
-                            Some(b) => b.label(),
-                            None => "native",
-                        },
-                        // Whether platform state would survive a process
-                        // crash (true only over the file-durable backend).
-                        "durable": self.platform.backend().is_some_and(|b| b.is_durable()),
-                        // Whether the durable store is currently wedged
-                        // (mutations shed with 503 until an unwedge).
-                        "wedged": self.platform.is_wedged(),
-                        "storage": {
-                            "commits_per_sync": metric("commits_per_sync"),
-                            "group_flushes": metric("group_flushes"),
-                            "snapshot_delta_bytes": metric("snapshot_delta_bytes"),
-                            "compactions": metric("compactions"),
-                            "maintenance_errors": metric("maintenance_errors"),
-                        },
-                        // Epoch execution of the dataflow binding: pool
-                        // size and barrier traffic (all zero on the
-                        // actor bindings, workers == 1 means serial).
-                        "dataflow": {
-                            "workers": counters.get("df.workers").copied().unwrap_or(0),
-                            "barrier_epochs":
-                                counters.get("df.barrier_epochs").copied().unwrap_or(0),
-                            "barrier_max_cohort":
-                                counters.get("df.barrier_max_cohort").copied().unwrap_or(0),
-                        },
-                    }),
-                ))
-            }
+            // Liveness and wedge state only; every number is at
+            // `/counters`.
+            Endpoint::Health => Ok(Response::json(
+                200,
+                &serde_json::json!({
+                    "status": "ok",
+                    "platform": self.platform.kind().label(),
+                    "backend": match self.platform.backend() {
+                        Some(b) => b.label(),
+                        None => "native",
+                    },
+                    // Whether platform state would survive a process
+                    // crash (true only over the file-durable backend).
+                    "durable": self.platform.backend().is_some_and(|b| b.is_durable()),
+                    // Whether the durable store is currently wedged
+                    // (mutations shed with 503 until an unwedge).
+                    "wedged": self.platform.is_wedged(),
+                }),
+            )),
             Endpoint::Counters => {
                 let mut counters = self.platform.counters();
                 counters.insert(
@@ -508,7 +481,21 @@ mod tests {
     }
 
     #[test]
-    fn health_exposes_group_commit_and_snapshot_metrics() {
+    fn health_reports_liveness_and_wedge_state_only() {
+        let v: serde_json::Value = gateway()
+            .handle(&req(Method::Get, "/health", None))
+            .json_body()
+            .unwrap();
+        let keys: Vec<&str> = v.as_object().unwrap().keys().map(String::as_str).collect();
+        assert_eq!(
+            keys,
+            ["backend", "durable", "platform", "status", "wedged"],
+            "{v:?}"
+        );
+    }
+
+    #[test]
+    fn counters_expose_group_commit_and_snapshot_metrics() {
         use om_common::config::BackendKind;
         use om_marketplace::{PlatformKind, PlatformSpec};
         let g = MarketplaceGateway::for_spec(
@@ -528,11 +515,10 @@ mod tests {
             g.handle(&req(Method::Post, "/ingest/sellers", Some(body))).status,
             201
         );
-        let v: serde_json::Value = g
-            .handle(&req(Method::Get, "/health", None))
+        let counters: std::collections::BTreeMap<String, u64> = g
+            .handle(&req(Method::Get, "/counters", None))
             .json_body()
             .unwrap();
-        let storage = &v["storage"];
         for metric in [
             "commits_per_sync",
             "group_flushes",
@@ -541,21 +527,15 @@ mod tests {
             "maintenance_errors",
         ] {
             assert!(
-                storage[metric].as_u64().is_some(),
-                "health must expose storage.{metric}: {storage:?}"
+                counters.contains_key(&format!("storage.backend.{metric}")),
+                "counters must expose storage.backend.{metric}: {counters:?}"
             );
         }
-        assert_eq!(storage["maintenance_errors"], 0);
-        // The raw counter namespace carries the same numbers.
-        let counters: std::collections::BTreeMap<String, u64> = g
-            .handle(&req(Method::Get, "/counters", None))
-            .json_body()
-            .unwrap();
-        assert!(counters.contains_key("storage.backend.commits_per_sync"));
+        assert_eq!(counters["storage.backend.maintenance_errors"], 0);
     }
 
     #[test]
-    fn health_exposes_dataflow_worker_and_barrier_metrics() {
+    fn counters_expose_dataflow_worker_count() {
         use om_common::config::BackendKind;
         use om_marketplace::{PlatformKind, PlatformSpec};
         let g = MarketplaceGateway::for_spec(
@@ -563,28 +543,14 @@ mod tests {
                 .parallelism(4)
                 .df_workers(2),
         );
-        let v: serde_json::Value = g
-            .handle(&req(Method::Get, "/health", None))
+        let counters: std::collections::BTreeMap<String, u64> = g
+            .handle(&req(Method::Get, "/counters", None))
             .json_body()
             .unwrap();
         assert_eq!(
-            v["dataflow"]["workers"], 2,
-            "health reports the resolved epoch worker count: {v:?}"
+            counters["df.workers"], 2,
+            "counters report the resolved epoch worker count: {counters:?}"
         );
-        for metric in ["barrier_epochs", "barrier_max_cohort"] {
-            assert!(
-                v["dataflow"][metric].as_u64().is_some(),
-                "health must expose dataflow.{metric}: {v:?}"
-            );
-        }
-        // Actor bindings have no dataflow runtime: the section is all
-        // zeros, not absent (a scraper can rely on the shape).
-        let g = gateway();
-        let v: serde_json::Value = g
-            .handle(&req(Method::Get, "/health", None))
-            .json_body()
-            .unwrap();
-        assert_eq!(v["dataflow"]["workers"], 0);
     }
 
     #[test]

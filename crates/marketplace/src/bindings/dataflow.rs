@@ -444,9 +444,9 @@ pub struct DataflowPlatformConfig {
     pub partitions: usize,
     /// Checkpoint interval in ingress records per partition.
     pub max_batch: usize,
-    /// Epoch worker threads of the runtime: 0 = core count, 1 = serial
-    /// baseline, n > 1 = fan epochs out over n long-lived
-    /// `om-df-worker-N` threads (capped at `partitions`).
+    /// Epoch groups of the runtime: 0 = core count, n = every epoch
+    /// runs in n groups, one on the driving thread and n − 1 on
+    /// long-lived `om-df-worker-N` threads (capped at `partitions`).
     pub workers: usize,
     pub decline_rate: f64,
     /// Where epoch checkpoints live; `None` gives the runtime a store
@@ -929,13 +929,8 @@ impl MarketplacePlatform for DataflowPlatform {
             "df.checkpoint_commits".into(),
             self.df.checkpoint_store().commits(),
         );
-        // Worker-pool / epoch-barrier counters: pool size and how many
-        // parallel epochs went through the CommitGroup barrier (serial
-        // epochs never touch it, so barrier_epochs == 0 at workers(1)).
+        // The groups a fanned-out epoch runs in.
         out.insert("df.workers".into(), self.df.workers() as u64);
-        let barrier = self.df.barrier_stats();
-        out.insert("df.barrier_epochs".into(), barrier.flushes);
-        out.insert("df.barrier_max_cohort".into(), barrier.max_cohort);
         // Storage-layer counters of the checkpoint store's backend
         // (group-commit amortization, snapshot deltas), prefixed the
         // same way the actor bindings prefix theirs.

@@ -39,9 +39,9 @@ pub struct PlatformSpec {
     /// Dataflow checkpoint interval (ingress records per partition per
     /// epoch).
     pub checkpoint_interval: usize,
-    /// Epoch worker threads of the dataflow binding (0 = core count,
-    /// 1 = serial baseline, n > 1 = fan epochs out over n long-lived
-    /// `om-df-worker-N` threads). Ignored by the actor bindings.
+    /// Epoch groups of the dataflow binding (0 = core count, n = every
+    /// epoch runs in n groups: one on the driving thread, n − 1 on
+    /// long-lived `om-df-worker-N` threads). Ignored by the actor bindings.
     pub df_workers: usize,
     /// An existing backend instance to build over instead of a fresh
     /// one — the restart path: a platform built over the backend a
@@ -117,8 +117,8 @@ impl PlatformSpec {
         self
     }
 
-    /// Sets the dataflow binding's epoch worker count (0 = core count,
-    /// 1 = serial baseline).
+    /// Sets the dataflow binding's epoch group count (0 = core count,
+    /// 1 = every epoch on the driving thread alone).
     pub fn df_workers(mut self, n: usize) -> Self {
         self.df_workers = n;
         self
