@@ -6,9 +6,9 @@
 #   * clippy runs deny-warnings over every target so refactors cannot
 #     silently accrue dead code (falls back to a -D warnings build if the
 #     toolchain ships without clippy),
-#   * the criterion benches (a2-a4, b2) must keep compiling
-#     (`cargo bench --no-run`); performance is measured by the
-#     benchmark of record below, not by CI,
+#   * tier-1 covers every functional crate: each `crates/*` workspace
+#     member must also be listed in `default-members` (and `cargo
+#     metadata` fails when either list names a path that is gone),
 #   * the benchmark of record is built and RUN the way BENCHMARK.json
 #     declares it (its own package under crates/bench/src/bin/marketbench,
 #     which no other stanza builds): `run --smoke` on every workload —
@@ -27,8 +27,8 @@
 #     asserts the customized cell satisfies every criterion),
 #   * the shim crates' own unit tests run via --workspace,
 #   * rustdoc must build warning-free (om_storage, om_dataflow, om_log,
-#     om_kv, om_mvcc, om_actor and om_http additionally deny missing docs
-#     at the crate level),
+#     om_mvcc, om_actor and om_http additionally deny missing docs at the
+#     crate level),
 #   * the crash-consistency torture slice (docs/FAULTS.md) runs inside
 #     `cargo test --workspace` — the storage/log/driver `torture`
 #     targets sweep power loss over recorded write boundaries with a
@@ -41,6 +41,19 @@
 # mis-edited manifest fails fast instead of hanging on the network.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+echo "==> workspace guard: every crates/* member is a default member (cargo metadata fails on a listed path that is gone)"
+metadata=$(cargo metadata --offline --no-deps --format-version 1)
+python3 -c '
+import json, os, sys
+meta = json.load(sys.stdin)
+crates = os.path.join(meta["workspace_root"], "crates", "")
+sys.exit("\n".join(
+    p["name"] + " is a crates/* member missing from default-members"
+    for p in meta["packages"]
+    if p["manifest_path"].startswith(crates) and p["id"] not in meta["workspace_default_members"]
+) or None)
+' <<<"$metadata"
 
 echo "==> cargo build --release"
 cargo build --release --offline
@@ -63,9 +76,6 @@ fi
 
 echo "==> RUSTDOCFLAGS=-Dwarnings cargo doc --workspace --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
-
-echo "==> cargo bench --no-run"
-cargo bench --no-run --offline
 
 echo "==> benchmark of record: marketbench --smoke via the BENCHMARK.json command (outputs correct, nothing failed)"
 mapfile -t MARKETBENCH < <(python3 -c 'import json; print("\n".join(json.load(open("BENCHMARK.json"))["command"]))')

@@ -4,9 +4,9 @@
 //! reproduction of *Benchmarking Data Management Systems for Microservices*
 //! (Laigner & Zhou, ICDE 2024).
 //!
-//! This crate holds everything the substrates (`om-kv`, `om-mvcc`, `om-log`,
-//! `om-actor`, `om-dataflow`) and the application (`om-marketplace`,
-//! `om-driver`) agree on:
+//! This crate holds everything the substrates (`om-storage`, `om-mvcc`,
+//! `om-log`, `om-actor`, `om-dataflow`) and the application
+//! (`om-marketplace`, `om-driver`) agree on:
 //!
 //! * strongly-typed identifiers ([`ids`]),
 //! * the marketplace domain entities ([`entity`]),
@@ -24,7 +24,6 @@
 
 pub mod checksum;
 pub mod codec;
-pub mod commit_group;
 pub mod dirlock;
 pub mod config;
 pub mod entity;

@@ -97,8 +97,8 @@ pub struct PersistentTopicOptions {
     /// Segment roll threshold in bytes per partition.
     pub segment_bytes: u64,
     /// The one group-flush policy, [`GroupCommitPolicy::Cohort`]: every
-    /// append goes through the partition log's commit barrier
-    /// (`om_common::commit_group`) — appenders stage their frame into an
+    /// append goes through the partition log's commit barrier (see
+    /// [`om_storage::segment_log`]) — appenders stage their frame into an
     /// in-memory buffer (never blocking on an in-flight write) and park;
     /// a cohort leader performs ONE segment write for everyone staged
     /// and only then mirrors the cohort into memory, preserving the

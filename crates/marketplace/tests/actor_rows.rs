@@ -3,7 +3,7 @@
 //! and storing the view as a header plus entry rows changed no dashboard.
 //!
 //! Each actor binding (Eventual, Transactional, Customized) persists its
-//! grains through a byte-counting in-memory backend while one thread
+//! grains through a recording in-memory backend while one thread
 //! drives 2 000 checkouts (Zipf over 100 products of 10 sellers, 200
 //! customers, one `update_delivery` per 20 checkouts). The seller half of
 //! the same operation stream is applied, one operation after another, to
@@ -17,7 +17,7 @@ use om_common::entity::{
 use om_common::ids::{CustomerId, OrderId, ProductId, SellerId, TransactionId};
 use om_common::rng::{SplitMix64, Zipfian};
 use om_common::time::EventTime;
-use om_common::{Money, OmResult};
+use om_common::Money;
 use om_marketplace::api::*;
 use om_marketplace::bindings::actor_core::{ActorCore, ActorPlatformConfig};
 use om_marketplace::bindings::actor_grains::seller_grain;
@@ -25,10 +25,12 @@ use om_marketplace::bindings::actor_msg::{Msg, Reply};
 use om_marketplace::bindings::customized::CustomizedConfig;
 use om_marketplace::domain::{payment_decision, CartService, OrderService, SellerView};
 use om_marketplace::{CustomizedPlatform, EventualPlatform, TransactionalPlatform};
-use om_storage::{make_backend, StateBackend, StateSession, WriteBatch, WriteOp};
-use parking_lot::Mutex;
+use om_storage::{StateBackend, WriteOp};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
+
+mod common;
+use common::{commit_totals, RecordingBackend, Write, WritePath};
 
 const SELLERS: u64 = 10;
 const PRODUCTS: u64 = 100;
@@ -40,90 +42,24 @@ const SELLER_PREFIX: &[u8] = b"seller/";
 /// `seller/` plus the grain's big-endian key: a longer key is a row.
 const SELLER_HEADER_LEN: usize = SELLER_PREFIX.len() + 8;
 
-/// A memory backend that counts the seller grains' commits and their bytes
-/// (keys + values) and logs their row writes.
-struct CountingBackend {
-    inner: Arc<dyn StateBackend>,
-    /// (commits, bytes) of seller-grain commits.
-    seller: Mutex<(u64, u64)>,
-    seller_rows: Mutex<Vec<WriteOp>>,
+/// The seller grains' saves among `writes`: a grain's save is one commit
+/// over that grain's keys only.
+fn seller_commits(writes: &[Write]) -> impl Iterator<Item = &Write> {
+    writes.iter().filter(|w| {
+        w.path == WritePath::Commit
+            && w.ops
+                .first()
+                .is_some_and(|op| op.key.starts_with(SELLER_PREFIX))
+    })
 }
 
-impl CountingBackend {
-    fn new(kind: BackendKind) -> Arc<Self> {
-        Arc::new(Self {
-            inner: make_backend(kind, 8),
-            seller: Mutex::new((0, 0)),
-            seller_rows: Mutex::new(Vec::new()),
-        })
-    }
-
-    fn count(&self, ops: &[WriteOp]) {
-        // A grain's save is one commit over that grain's keys only.
-        if !ops
-            .first()
-            .is_some_and(|op| op.key.starts_with(SELLER_PREFIX))
-        {
-            return;
-        }
-        let bytes: usize = ops
-            .iter()
-            .map(|op| op.key.len() + op.value.as_ref().map_or(0, Vec::len))
-            .sum();
-        let mut seller = self.seller.lock();
-        seller.0 += 1;
-        seller.1 += bytes as u64;
-        self.seller_rows.lock().extend(
-            ops.iter()
-                .filter(|op| op.key.len() > SELLER_HEADER_LEN)
-                .cloned(),
-        );
-    }
-
-    fn seller_totals(&self) -> (u64, u64) {
-        *self.seller.lock()
-    }
-}
-
-impl StateBackend for CountingBackend {
-    fn kind(&self) -> BackendKind {
-        self.inner.kind()
-    }
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.inner.get(key)
-    }
-    fn put(&self, key: &[u8], value: &[u8]) {
-        self.inner.put(key, value)
-    }
-    fn delete(&self, key: &[u8]) {
-        self.inner.delete(key)
-    }
-    fn get_many(&self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>> {
-        self.inner.get_many(keys)
-    }
-    fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.inner.scan_prefix(prefix)
-    }
-    fn commit(&self, batch: WriteBatch) -> OmResult<usize> {
-        self.count(batch.ops());
-        self.inner.commit(batch)
-    }
-    fn commit_ops(&self, ops: &[WriteOp]) -> OmResult<usize> {
-        self.count(ops);
-        self.inner.commit_ops(ops)
-    }
-    fn session(&self) -> Box<dyn StateSession + '_> {
-        self.inner.session()
-    }
-    fn quiesce(&self) {
-        self.inner.quiesce()
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn counters(&self) -> BTreeMap<String, u64> {
-        self.inner.counters()
-    }
+/// The entry rows the seller grains' saves among `writes` wrote.
+fn seller_rows(writes: &[Write]) -> Vec<WriteOp> {
+    seller_commits(writes)
+        .flat_map(|w| &w.ops)
+        .filter(|op| op.key.len() > SELLER_HEADER_LEN)
+        .cloned()
+        .collect()
 }
 
 /// One of the three actor bindings, with its grain core in reach.
@@ -134,7 +70,7 @@ enum Actor {
 }
 
 impl Actor {
-    fn build(kind: PlatformKind, backend: Arc<CountingBackend>) -> Self {
+    fn build(kind: PlatformKind, backend: Arc<RecordingBackend>) -> Self {
         let config = ActorPlatformConfig {
             silos: 2,
             workers_per_silo: 2,
@@ -357,15 +293,15 @@ fn seller_commits_cost_the_delta_and_survive_a_cold_rebuild(kind: PlatformKind) 
     } else {
         BackendKind::SnapshotIsolation
     };
-    let backend = CountingBackend::new(backend_kind);
+    let backend = RecordingBackend::new(backend_kind);
     let actor = Actor::build(kind, backend.clone());
     let platform = actor.platform();
     ingest(platform);
 
     let mut model = Model::new(kind != PlatformKind::Eventual);
     let mut placed = 0u64;
-    // Seller (commits, bytes) when the n-th checkout had been placed.
-    let mut marks: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+    // Length of the write log when the n-th checkout had been placed.
+    let mut marks: BTreeMap<u64, usize> = BTreeMap::new();
     for op in op_stream() {
         match op {
             Op::Checkout { customer, lines } => {
@@ -391,7 +327,7 @@ fn seller_commits_cost_the_delta_and_survive_a_cold_rebuild(kind: PlatformKind) 
                 model.checkout(customer, &lines);
                 placed += 1;
                 platform.quiesce();
-                marks.insert(placed, backend.seller_totals());
+                marks.insert(placed, backend.log().len());
             }
             Op::UpdateDelivery => {
                 platform.update_delivery(SELLERS as usize).unwrap();
@@ -404,9 +340,9 @@ fn seller_commits_cost_the_delta_and_survive_a_cold_rebuild(kind: PlatformKind) 
     // O(delta): a seller commit late in the run costs what one early in
     // the run did, although every seller holds ten times the history.
     let mean_commit_bytes = |from: u64, to: u64| {
-        let (c0, b0) = marks[&from];
-        let (c1, b1) = marks[&to];
-        (b1 - b0) as f64 / (c1 - c0) as f64
+        let log = backend.log();
+        let (commits, bytes) = commit_totals(seller_commits(&log[marks[&from]..marks[&to]]));
+        bytes as f64 / commits as f64
     };
     let early = mean_commit_bytes(100, 300);
     let late = mean_commit_bytes(1_800, 2_000);
@@ -463,7 +399,7 @@ fn customized_seller_commits_cost_the_delta_and_survive_a_cold_rebuild() {
 
 #[test]
 fn an_aborted_transaction_writes_no_seller_row() {
-    let backend = CountingBackend::new(BackendKind::SnapshotIsolation);
+    let backend = RecordingBackend::new(BackendKind::SnapshotIsolation);
     let actor = Actor::build(PlatformKind::Transactional, backend.clone());
     ingest(actor.platform());
     let cluster = &actor.core().cluster;
@@ -477,7 +413,7 @@ fn an_aborted_transaction_writes_no_seller_row() {
         status: OrderStatus::Paid,
     };
     let call = |msg: Msg| -> Reply { cluster.call(grain, msg).unwrap() };
-    let rows_before = backend.seller_rows.lock().len();
+    let rows_before = seller_rows(&backend.log()).len();
 
     // Staged, then aborted: nothing reaches storage.
     let aborted = TransactionId(1_000_001);
@@ -491,7 +427,7 @@ fn an_aborted_transaction_writes_no_seller_row() {
     assert!(matches!(call(Msg::TxAbort { tid: aborted }), Reply::Ok));
     actor.platform().quiesce();
     assert_eq!(
-        backend.seller_rows.lock().len(),
+        seller_rows(&backend.log()).len(),
         rows_before,
         "an abort stores no row"
     );
@@ -511,7 +447,7 @@ fn an_aborted_transaction_writes_no_seller_row() {
     ));
     assert!(matches!(call(Msg::TxCommit { tid: committed }), Reply::Ok));
     actor.platform().quiesce();
-    let rows = backend.seller_rows.lock()[rows_before..].to_vec();
+    let rows = seller_rows(&backend.log())[rows_before..].to_vec();
     assert_eq!(rows.len(), 1, "one row: {rows:?}");
     let mut key = SELLER_PREFIX.to_vec();
     key.extend_from_slice(&1u64.to_be_bytes());

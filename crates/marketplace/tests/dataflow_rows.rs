@@ -4,7 +4,7 @@
 //! outcome.
 //!
 //! A `DataflowPlatform` checkpoints through a `BackendCheckpointStore`
-//! over a byte-counting in-memory backend while one thread drives 2 000
+//! over a recording in-memory backend while one thread drives 2 000
 //! checkouts (Zipf over 100 products of 10 sellers, 200 customers, one
 //! `update_delivery` per 20 checkouts). The same operation stream is
 //! applied, one operation after another, to the plain domain services;
@@ -18,90 +18,24 @@ use om_common::event::OrderLineRef;
 use om_common::ids::{CustomerId, ProductId, SellerId, ShipmentId, StockKey};
 use om_common::rng::{SplitMix64, Zipfian};
 use om_common::time::EventTime;
-use om_common::{Money, OmResult};
+use om_common::Money;
 use om_dataflow::BackendCheckpointStore;
 use om_marketplace::api::*;
 use om_marketplace::bindings::dataflow::{DataflowPlatform, DataflowPlatformConfig};
 use om_marketplace::domain::{
     CartService, OrderService, PaymentService, SellerView, ShipmentService, StockService,
 };
-use om_storage::{make_backend, StateBackend, StateSession, WriteBatch, WriteOp};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+mod common;
+use common::{commit_totals, RecordingBackend};
 
 const SELLERS: u64 = 10;
 const PRODUCTS: u64 = 100;
 const CUSTOMERS: u64 = 200;
 const CHECKOUTS: u64 = 2_000;
 const DECLINE_RATE: f64 = 0.05;
-
-/// A memory backend that counts the commits it takes and their bytes
-/// (keys + values), so the test can read the cost of a window of epochs.
-struct CountingBackend {
-    inner: Arc<dyn StateBackend>,
-    commits: AtomicU64,
-    bytes: AtomicU64,
-}
-
-impl CountingBackend {
-    fn count(&self, ops: &[WriteOp]) {
-        let bytes: usize = ops
-            .iter()
-            .map(|op| op.key.len() + op.value.as_ref().map_or(0, Vec::len))
-            .sum();
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    fn totals(&self) -> (u64, u64) {
-        (
-            self.commits.load(Ordering::Relaxed),
-            self.bytes.load(Ordering::Relaxed),
-        )
-    }
-}
-
-impl StateBackend for CountingBackend {
-    fn kind(&self) -> BackendKind {
-        self.inner.kind()
-    }
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.inner.get(key)
-    }
-    fn put(&self, key: &[u8], value: &[u8]) {
-        self.inner.put(key, value)
-    }
-    fn delete(&self, key: &[u8]) {
-        self.inner.delete(key)
-    }
-    fn get_many(&self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>> {
-        self.inner.get_many(keys)
-    }
-    fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.inner.scan_prefix(prefix)
-    }
-    fn commit(&self, batch: WriteBatch) -> OmResult<usize> {
-        self.count(batch.ops());
-        self.inner.commit(batch)
-    }
-    fn commit_ops(&self, ops: &[WriteOp]) -> OmResult<usize> {
-        self.count(ops);
-        self.inner.commit_ops(ops)
-    }
-    fn session(&self) -> Box<dyn StateSession + '_> {
-        self.inner.session()
-    }
-    fn quiesce(&self) {
-        self.inner.quiesce()
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn counters(&self) -> BTreeMap<String, u64> {
-        self.inner.counters()
-    }
-}
 
 fn seller_of(product: u64) -> u64 {
     (product - 1) % SELLERS + 1
@@ -357,11 +291,7 @@ fn sorted<T, K: Ord>(mut items: Vec<T>, key: impl Fn(&T) -> K) -> Vec<T> {
 
 #[test]
 fn checkpoint_commits_cost_the_delta_and_outcomes_match_the_domain_model() {
-    let backend = Arc::new(CountingBackend {
-        inner: make_backend(BackendKind::SnapshotIsolation, 8),
-        commits: AtomicU64::new(0),
-        bytes: AtomicU64::new(0),
-    });
+    let backend = RecordingBackend::new(BackendKind::SnapshotIsolation);
     let platform = DataflowPlatform::new(DataflowPlatformConfig {
         partitions: 2,
         workers: 1,
@@ -382,8 +312,8 @@ fn checkpoint_commits_cost_the_delta_and_outcomes_match_the_domain_model() {
 
     let mut model = Model::new();
     let mut placed = 0u64;
-    // (commits, bytes) when the n-th checkout had been placed.
-    let mut marks: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+    // Length of the write log when the n-th checkout had been placed.
+    let mut marks: BTreeMap<u64, usize> = BTreeMap::new();
     for op in op_stream() {
         match op {
             Op::Checkout {
@@ -413,7 +343,7 @@ fn checkpoint_commits_cost_the_delta_and_outcomes_match_the_domain_model() {
                 model.checkout(customer, &lines, method);
                 placed += 1;
                 platform.quiesce();
-                marks.insert(placed, backend.totals());
+                marks.insert(placed, backend.log().len());
             }
             Op::UpdateDelivery => {
                 let delivered = platform.update_delivery(10).unwrap();
@@ -426,9 +356,8 @@ fn checkpoint_commits_cost_the_delta_and_outcomes_match_the_domain_model() {
     // O(delta): a commit late in the run costs what one early in the run
     // did, although every function instance holds ten times the history.
     let mean_commit_bytes = |from: u64, to: u64| {
-        let (c0, b0) = marks[&from];
-        let (c1, b1) = marks[&to];
-        (b1 - b0) as f64 / (c1 - c0) as f64
+        let (commits, bytes) = commit_totals(&backend.log()[marks[&from]..marks[&to]]);
+        bytes as f64 / commits as f64
     };
     let early = mean_commit_bytes(100, 300);
     let late = mean_commit_bytes(1_800, 2_000);

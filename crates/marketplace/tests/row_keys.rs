@@ -14,77 +14,18 @@ use om_common::config::BackendKind;
 use om_common::entity::{Customer, PaymentMethod, Product, Seller};
 use om_common::ids::{CustomerId, ProductId, SellerId};
 use om_common::rng::{SplitMix64, Zipfian};
-use om_common::{Money, OmResult};
+use om_common::Money;
 use om_marketplace::api::{CheckoutItem, CheckoutRequest};
 use om_marketplace::{build_platform, PlatformKind, PlatformSpec};
-use om_storage::{make_backend, StateBackend, StateSession, WriteBatch, WriteOp};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+
+mod common;
+use common::RecordingBackend;
 
 const SELLERS: u64 = 5;
 const PRODUCTS: u64 = 20;
 const CUSTOMERS: u64 = 40;
 const CHECKOUTS: u64 = 200;
-
-/// A memory backend that records every key written: puts and deletes.
-struct RecordingBackend {
-    inner: Arc<dyn StateBackend>,
-    /// `(key, deleted)` of every write.
-    written: Mutex<BTreeSet<(Vec<u8>, bool)>>,
-}
-
-impl RecordingBackend {
-    fn record(&self, ops: &[WriteOp]) {
-        let mut written = self.written.lock();
-        for op in ops {
-            written.insert((op.key.clone(), op.value.is_none()));
-        }
-    }
-}
-
-impl StateBackend for RecordingBackend {
-    fn kind(&self) -> BackendKind {
-        self.inner.kind()
-    }
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.inner.get(key)
-    }
-    fn put(&self, key: &[u8], value: &[u8]) {
-        self.written.lock().insert((key.to_vec(), false));
-        self.inner.put(key, value)
-    }
-    fn delete(&self, key: &[u8]) {
-        self.written.lock().insert((key.to_vec(), true));
-        self.inner.delete(key)
-    }
-    fn get_many(&self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>> {
-        self.inner.get_many(keys)
-    }
-    fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.inner.scan_prefix(prefix)
-    }
-    fn commit(&self, batch: WriteBatch) -> OmResult<usize> {
-        self.record(batch.ops());
-        self.inner.commit(batch)
-    }
-    fn commit_ops(&self, ops: &[WriteOp]) -> OmResult<usize> {
-        self.record(ops);
-        self.inner.commit_ops(ops)
-    }
-    fn session(&self) -> Box<dyn StateSession + '_> {
-        self.inner.session()
-    }
-    fn quiesce(&self) {
-        self.inner.quiesce()
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn counters(&self) -> BTreeMap<String, u64> {
-        self.inner.counters()
-    }
-}
 
 /// The layout group of a backend key: whose state it is and the tag of
 /// its row (`-` for an entity's root row).
@@ -165,10 +106,7 @@ fn product(id: u64) -> Product {
 }
 
 fn written_keys(kind: PlatformKind) -> Vec<String> {
-    let backend = Arc::new(RecordingBackend {
-        inner: make_backend(BackendKind::SnapshotIsolation, 8),
-        written: Mutex::new(BTreeSet::new()),
-    });
+    let backend = RecordingBackend::new(BackendKind::SnapshotIsolation);
     let spec = PlatformSpec::new(kind, BackendKind::SnapshotIsolation)
         .parallelism(2)
         .df_workers(1)
@@ -221,7 +159,13 @@ fn written_keys(kind: PlatformKind) -> Vec<String> {
         }
     }
     drop(platform);
-    let written = backend.written.lock();
+    // `(key, deleted)` of every write, whichever path it came by.
+    let written: BTreeSet<(Vec<u8>, bool)> = backend
+        .log()
+        .iter()
+        .flat_map(|w| &w.ops)
+        .map(|op| (op.key.clone(), op.value.is_none()))
+        .collect();
     listing(kind, &written)
 }
 

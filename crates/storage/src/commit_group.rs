@@ -1,39 +1,24 @@
 //! The commit barrier behind **group commit**: N concurrent writers
 //! share one flush/fsync instead of paying N.
 //!
-//! Writers append their record under their own appender lock, obtain a
-//! monotone *ticket*, then park on [`CommitGroup::wait_durable`]. At any
-//! moment at most one parked writer is elected **leader**: it runs the
-//! caller-supplied flush closure exactly once — which must make every
-//! ticket appended so far durable and report the highest ticket it
-//! covered — and every writer whose ticket the flush covered is
-//! released together. Writers that appended while the leader was mid-
-//! flush stay parked and are picked up by the next leader, so the
-//! cohort size adapts to contention automatically.
+//! Writers stage their record, obtain a monotone *ticket*, then park on
+//! `CommitGroup::wait_durable`. At any moment at most one parked writer
+//! is elected **leader**: it runs the caller-supplied flush closure
+//! exactly once — which must make every ticket staged so far durable
+//! and report the highest ticket it covered — and every writer whose
+//! ticket the flush covered is released together. Writers that staged
+//! while the leader was mid-flush stay parked and are picked up by the
+//! next leader, so the cohort size adapts to contention automatically.
 //!
-//! The barrier is storage-agnostic: `om_storage::segment_log` uses it
-//! to batch the segment writes (and fsyncs) of the file backend's WAL
-//! and of each persistent-topic partition.
-//!
-//! ```
-//! use om_common::commit_group::CommitGroup;
-//! use std::sync::atomic::{AtomicU64, Ordering};
-//!
-//! let group = CommitGroup::new();
-//! let written = AtomicU64::new(0);
-//! // "Append" ticket 1, then wait for a leader (ourselves) to flush it.
-//! written.store(1, Ordering::SeqCst);
-//! group
-//!     .wait_durable(1, || Ok(written.load(Ordering::SeqCst)))
-//!     .unwrap();
-//! assert_eq!(group.stats().flushes, 1);
-//! ```
+//! Its one user is [`crate::segment_log`], which batches the segment
+//! writes (and fsyncs) of the file backend's WAL and of each
+//! persistent-topic partition through it.
 
-use crate::{OmError, OmResult};
+use om_common::{OmError, OmResult};
 use parking_lot::{Condvar, Mutex};
 
-/// Point-in-time counters of a [`CommitGroup`] (see
-/// [`CommitGroup::stats`]).
+/// Point-in-time counters of a segment log's commit barrier (see
+/// [`crate::segment_log::LogStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommitGroupStats {
     /// Leader flushes performed (each is one flush+fsync shared by a
@@ -71,18 +56,6 @@ struct GroupState {
 pub struct CommitGroup {
     state: Mutex<GroupState>,
     released: Condvar,
-}
-
-impl std::fmt::Debug for CommitGroup {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CommitGroup").finish_non_exhaustive()
-    }
-}
-
-impl Default for CommitGroup {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl CommitGroup {
@@ -159,6 +132,7 @@ impl CommitGroup {
     }
 
     /// Highest durable ticket (0 before any flush).
+    #[cfg(test)]
     pub fn durable(&self) -> u64 {
         self.state.lock().durable
     }
@@ -201,7 +175,6 @@ impl CommitGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::OmError;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 

@@ -1,5 +1,6 @@
-//! The eventually consistent backend: per-key last-writer-wins over
-//! `om-kv`'s sharded store, with an asynchronous secondary replica.
+//! The eventually consistent backend: per-key last-writer-wins over a
+//! sharded store (`kv_store.rs`), with an asynchronous secondary replica
+//! fed through a reorder window (`kv_replication.rs`).
 //!
 //! Writes land on the **primary** synchronously (so [`StateBackend::get`]
 //! is authoritative and grain reactivation never reads stale snapshots)
@@ -15,11 +16,11 @@
 //! the per-key writes have all landed.
 
 use crate::backend::{StateBackend, StateSession, WriteBatch, WriteOp};
+use crate::kv_replication::{Applier, ReplicationRecord, ReplicationStats};
+use crate::kv_store::{Store, VersionedValue};
 use crate::shards_pow2;
 use om_common::config::BackendKind;
 use om_common::OmResult;
-use om_kv::replication::{Applier, ReplicationRecord, ReplicationStats};
-use om_kv::store::{Store, VersionedValue};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};

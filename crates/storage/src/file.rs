@@ -382,9 +382,8 @@ impl ChainState {
     /// than `max_deltas`, or its cumulative bytes exceed
     /// `ratio_pct` percent of the base.
     fn compaction_due(&self, delta_len: u64, max_deltas: u64, ratio_pct: u64) -> bool {
-        // u128 arithmetic: `ratio_pct` is config-supplied and the
-        // benches legitimately pass u64::MAX for "never compact" — the
-        // products must not wrap.
+        // u128 arithmetic: `ratio_pct` is config-supplied and u64::MAX
+        // is a legitimate "never compact" — the products must not wrap.
         self.deltas.saturating_add(1) > max_deltas
             || (self.delta_bytes + delta_len) as u128 * 100
                 > self.base_bytes.max(1) as u128 * ratio_pct as u128
@@ -1932,6 +1931,14 @@ mod tests {
         heavy.rebase(20, 2_000);
         assert_eq!(heavy.deltas, 0, "rebase clears the chain");
         assert_eq!(heavy.base_seq, 20);
+        // u64::MAX for both knobs is "never compact", however heavy the
+        // chain: the ratio product (1 000 × u64::MAX) needs the u128.
+        let mut never = ChainState::default();
+        never.rebase(10, 1_000);
+        for i in 0..1_000 {
+            assert!(!never.compaction_due(1 << 40, u64::MAX, u64::MAX), "delta {i}");
+            never.chain_delta(11 + i, 1 << 40);
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! inverted; last-writer-wins by per-key sequence keeps the replica
 //! convergent.
 
-use crate::store::{Store, VersionedValue};
+use crate::kv_store::{Store, VersionedValue};
 use om_common::rng::SplitMix64;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};

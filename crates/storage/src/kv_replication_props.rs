@@ -5,8 +5,8 @@
 //! the primary (tombstones included), and last-writer-wins drops and
 //! counts every superseded or redelivered record.
 
-use om_kv::replication::Applier;
-use om_kv::{ReplicationRecord, ReplicationStats, Store, VersionedValue};
+use crate::kv_replication::{Applier, ReplicationRecord, ReplicationStats};
+use crate::kv_store::{Store, VersionedValue};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -12,8 +12,8 @@
 //!
 //! Three disciplines ship today:
 //!
-//! * [`EventualBackend`] — per-key last-writer-wins over `om-kv`'s sharded
-//!   store, with an asynchronous secondary replica (Redis role). Multi-key
+//! * [`EventualBackend`] — per-key last-writer-wins over a sharded
+//!   in-memory store, with an asynchronous secondary replica (Redis role). Multi-key
 //!   commits are applied key by key: concurrent readers can observe torn
 //!   subsets, and the secondary only converges after [`StateBackend::quiesce`].
 //! * [`SnapshotBackend`] — snapshot isolation over `om-mvcc`'s versioned
@@ -32,6 +32,11 @@
 //! the single global `RwLock<HashMap>` hot spot the actor runtime's grain
 //! storage started with.
 //!
+//! The parts with one user stay private: the eventual backend's sharded
+//! store and its replication applier (`kv_store`, `kv_replication`), and
+//! the group-commit barrier (`commit_group`) under [`segment_log`], the
+//! one log both durable stores write through.
+//!
 //! Everything stateful in the workspace persists through this layer:
 //! actor grain snapshots (`om-actor`), the customized binding's dashboard
 //! projection and replica cache (`om-marketplace`), and the dataflow
@@ -41,8 +46,13 @@
 #![deny(missing_docs)]
 
 pub mod backend;
+mod commit_group;
 pub mod eventual;
 pub mod file;
+mod kv_replication;
+#[cfg(test)]
+mod kv_replication_props;
+mod kv_store;
 pub mod segment_log;
 pub mod snapshot;
 pub mod vfs;
@@ -53,7 +63,7 @@ pub use backend::{
 };
 pub use eventual::EventualBackend;
 pub use file::{FileBackend, FileBackendOptions};
-pub use segment_log::{CommitGroup, CommitGroupStats};
+pub use segment_log::CommitGroupStats;
 pub use snapshot::SnapshotBackend;
 pub use vfs::{real_vfs, CrashImage, FaultVfs, RealVfs, Vfs, VfsFile, VfsOp};
 

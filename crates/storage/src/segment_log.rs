@@ -18,9 +18,10 @@
 //!   the decoded record. The log numbers records as they are staged, so
 //!   log order is append order.
 //! * **Flushing** ([`SegmentLog::wait`], the segment lock): a cohort
-//!   leader elected through the [`CommitGroup`] swaps the staged bytes
-//!   out (appenders keep staging the next cohort meanwhile) and writes
-//!   them with ONE `write_all`, plus ONE `fdatasync` when the log syncs.
+//!   leader elected through the commit barrier (`commit_group.rs`)
+//!   swaps the staged bytes out (appenders keep staging the next cohort
+//!   meanwhile) and writes them with ONE `write_all`, plus ONE
+//!   `fdatasync` when the log syncs.
 //!   Only then are the records applied, in order, and every covered
 //!   appender released. Records stay staged while their bytes are in
 //!   flight, so a caller can still find them (the topic deduplicates
@@ -42,8 +43,9 @@
 //! reused: an unwedge fails every ticket it drops, and the records
 //! staged after it draw fresh ones even where their numbers repeat.
 
-pub use om_common::commit_group::{CommitGroup, CommitGroupStats};
+pub use crate::commit_group::CommitGroupStats;
 
+use crate::commit_group::CommitGroup;
 use crate::vfs::{write_all_retry, Vfs, VfsFile};
 use om_common::checksum::{parse_frame, push_frame};
 use om_common::{OmError, OmResult};

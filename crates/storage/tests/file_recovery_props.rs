@@ -211,9 +211,9 @@ proptest! {
     /// WAL is truncated at an arbitrary byte. Recovery must land on a
     /// **prefix-closed** set of commits: exactly the batches whose
     /// frames survived in full, in WAL order — never half a batch,
-    /// never a later commit without an earlier one. (Group commit
-    /// assigns sequence numbers under the appender lock, so WAL order
-    /// is commit order even with 4 writers racing.)
+    /// never a later commit without an earlier one. (The segment log
+    /// numbers records under its stage lock, so WAL order is commit
+    /// order even with 4 writers racing.)
     #[test]
     fn concurrent_group_commits_truncate_to_a_prefix_at_any_byte(
         commits_per_writer in 1u8..6,

@@ -8,13 +8,12 @@
 //! integration tests can drive the whole stack through one dependency:
 //!
 //! * [`common`] — ids, entities, events, time, config, stats, RNG.
-//! * [`kv`] — Redis-like replicated key-value store (asynchronous
-//!   last-writer-wins replica).
 //! * [`mvcc`] — PostgreSQL-like multi-version storage engine (snapshot
 //!   isolation).
 //! * [`storage`] — the unified `StateBackend` layer: one sharded,
-//!   pluggable storage interface (eventual KV / snapshot isolation)
-//!   behind every platform binding.
+//!   pluggable storage interface (Redis-like replicated KV with an
+//!   asynchronous last-writer-wins replica / snapshot isolation /
+//!   file-durable) behind every platform binding.
 //! * [`log`] — Kafka-like partitioned event log (idempotent producers).
 //! * [`actor`] — Orleans-like virtual actor runtime with a distributed
 //!   transaction layer (2PL + 2PC).
@@ -33,7 +32,6 @@ pub use om_common as common;
 pub use om_dataflow as dataflow;
 pub use om_driver as driver;
 pub use om_http as http;
-pub use om_kv as kv;
 pub use om_log as log;
 pub use om_marketplace as marketplace;
 pub use om_mvcc as mvcc;

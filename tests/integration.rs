@@ -107,19 +107,10 @@ fn customized_platform_is_fully_criteria_clean() {
 #[test]
 fn umbrella_reexports_compose() {
     // Substrate types are reachable through the umbrella crate and
-    // interoperate (kv + mvcc + log + actor + dataflow in one program).
-    use online_marketplace::kv::{Store, VersionedValue};
+    // interoperate (mvcc + log in one program).
     use online_marketplace::log::Topic;
     use online_marketplace::mvcc::{IsolationLevel, TxManager};
     use std::sync::Arc;
-
-    let kv: Store<u64, String> = Store::new(4);
-    let hello = VersionedValue {
-        value: Some("hello".to_string()),
-        key_seq: 1,
-    };
-    assert!(kv.put_if_newer(1, hello));
-    assert_eq!(kv.get(&1).as_deref(), Some("hello"));
 
     let mgr = TxManager::new();
     let table = mgr.create_table::<u64, u64>("t");

@@ -19,7 +19,6 @@ use online_marketplace::marketplace::TransactionalPlatform;
 #[test]
 fn umbrella_reexports_resolve() {
     let _ = std::any::type_name::<online_marketplace::common::Money>();
-    let _ = std::any::type_name::<online_marketplace::kv::Store<u64, u64>>();
     let _ = std::any::type_name::<online_marketplace::mvcc::TxManager>();
     let _ = std::any::type_name::<online_marketplace::log::Topic<u64>>();
     let _ = std::any::type_name::<online_marketplace::actor::GrainId>();
