@@ -19,10 +19,14 @@
 //! | `GET /sellers/{seller}/dashboard` | Seller Dashboard |
 //! | `GET /health`, `GET /counters` | liveness & diagnostics |
 //! | `POST /admin/recovery-drill` | crash + measured recovery (dataflow cells) |
+//! | `POST /admin/unwedge` | repair a wedged durable store |
+//!
+//! Routes are one `match` over the path's non-empty segments (a trailing
+//! `/` or doubled `//` does not matter): no route's shape is 404, a
+//! shape's other methods 405 with `allow`, a non-numeric `{id}` 400.
 
 use crate::request::{Method, Request};
 use crate::response::Response;
-use crate::router::{PathParams, RouteError, Router};
 use om_common::entity::{Customer, Product, Seller};
 use om_common::ids::{CustomerId, ProductId, SellerId};
 use om_common::{Money, OmError};
@@ -31,25 +35,56 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The REST endpoints of the gateway.
+/// The REST endpoints of the gateway, with the id segments they
+/// capture, unparsed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Endpoint {
+enum Endpoint<'a> {
     IngestSeller,
     IngestCustomer,
     IngestProduct,
-    AddToCart,
-    Checkout,
-    PriceUpdate,
-    ProductDelete,
+    AddToCart { customer: &'a str },
+    Checkout { customer: &'a str },
+    PriceUpdate { seller: &'a str, product: &'a str },
+    ProductDelete { seller: &'a str, product: &'a str },
     UpdateDelivery,
-    SellerDashboard,
+    SellerDashboard { seller: &'a str },
     Health,
     Counters,
     RecoveryDrill,
     Unwedge,
 }
 
-impl Endpoint {
+impl<'a> Endpoint<'a> {
+    /// The endpoint `path` has the shape of, and the one method it
+    /// answers; `None` when no route has that shape.
+    fn route(path: &'a str) -> Option<(Method, Endpoint<'a>)> {
+        use Endpoint::*;
+        use Method::{Delete, Get, Patch, Post};
+        // Four segments is the longest route; a fifth matches none.
+        let mut segments = [""; 4];
+        let mut n = 0;
+        for segment in path.split('/').filter(|s| !s.is_empty()) {
+            *segments.get_mut(n)? = segment;
+            n += 1;
+        }
+        Some(match segments[..n] {
+            ["ingest", "sellers"] => (Post, IngestSeller),
+            ["ingest", "customers"] => (Post, IngestCustomer),
+            ["ingest", "products"] => (Post, IngestProduct),
+            ["customers", customer, "cart", "items"] => (Post, AddToCart { customer }),
+            ["customers", customer, "checkout"] => (Post, Checkout { customer }),
+            ["products", seller, product, "price"] => (Patch, PriceUpdate { seller, product }),
+            ["products", seller, product] => (Delete, ProductDelete { seller, product }),
+            ["shipments", "delivery"] => (Patch, UpdateDelivery),
+            ["sellers", seller, "dashboard"] => (Get, SellerDashboard { seller }),
+            ["health"] => (Get, Health),
+            ["counters"] => (Get, Counters),
+            ["admin", "recovery-drill"] => (Post, RecoveryDrill),
+            ["admin", "unwedge"] => (Post, Unwedge),
+            _ => return None,
+        })
+    }
+
     /// Whether the endpoint mutates platform state. Mutations are shed
     /// with `503` while the durable store is wedged; reads (and the
     /// repair endpoint itself) stay available.
@@ -59,10 +94,10 @@ impl Endpoint {
             Endpoint::IngestSeller
                 | Endpoint::IngestCustomer
                 | Endpoint::IngestProduct
-                | Endpoint::AddToCart
-                | Endpoint::Checkout
-                | Endpoint::PriceUpdate
-                | Endpoint::ProductDelete
+                | Endpoint::AddToCart { .. }
+                | Endpoint::Checkout { .. }
+                | Endpoint::PriceUpdate { .. }
+                | Endpoint::ProductDelete { .. }
                 | Endpoint::UpdateDelivery
         )
     }
@@ -112,7 +147,6 @@ struct GatewayStats {
 /// The HTTP-to-platform gateway.
 pub struct MarketplaceGateway {
     platform: Arc<dyn MarketplacePlatform>,
-    router: Router<Endpoint>,
     stats: GatewayStats,
 }
 
@@ -124,49 +158,10 @@ impl MarketplaceGateway {
         Self::new(Arc::from(om_marketplace::build_platform(spec)))
     }
 
-    /// A gateway over `platform`, with every endpoint routed.
+    /// A gateway over `platform`.
     pub fn new(platform: Arc<dyn MarketplacePlatform>) -> Self {
-        let router = Router::new()
-            .route(Method::Post, "/ingest/sellers", Endpoint::IngestSeller)
-            .route(Method::Post, "/ingest/customers", Endpoint::IngestCustomer)
-            .route(Method::Post, "/ingest/products", Endpoint::IngestProduct)
-            .route(
-                Method::Post,
-                "/customers/{customer}/cart/items",
-                Endpoint::AddToCart,
-            )
-            .route(
-                Method::Post,
-                "/customers/{customer}/checkout",
-                Endpoint::Checkout,
-            )
-            .route(
-                Method::Patch,
-                "/products/{seller}/{product}/price",
-                Endpoint::PriceUpdate,
-            )
-            .route(
-                Method::Delete,
-                "/products/{seller}/{product}",
-                Endpoint::ProductDelete,
-            )
-            .route(Method::Patch, "/shipments/delivery", Endpoint::UpdateDelivery)
-            .route(
-                Method::Get,
-                "/sellers/{seller}/dashboard",
-                Endpoint::SellerDashboard,
-            )
-            .route(Method::Get, "/health", Endpoint::Health)
-            .route(Method::Get, "/counters", Endpoint::Counters)
-            .route(
-                Method::Post,
-                "/admin/recovery-drill",
-                Endpoint::RecoveryDrill,
-            )
-            .route(Method::Post, "/admin/unwedge", Endpoint::Unwedge);
         MarketplaceGateway {
             platform,
-            router,
             stats: GatewayStats::default(),
         }
     }
@@ -196,20 +191,12 @@ impl MarketplaceGateway {
         } else {
             req.method
         };
-        let resp = match self.router.resolve(method, &req.path) {
-            Ok((endpoint, params)) => self
-                .dispatch(endpoint, &params, req)
-                .unwrap_or_else(|resp| resp),
-            Err(RouteError::NotFound) => Response::text(404, "no such route"),
-            Err(RouteError::MethodNotAllowed(allowed)) => {
-                let allow = allowed
-                    .iter()
-                    .map(|m| m.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                Response::text(405, "method not allowed").with_header("allow", allow)
+        let resp = match Endpoint::route(&req.path) {
+            None => Response::text(404, "no such route"),
+            Some((allowed, _)) if allowed != method => {
+                Response::text(405, "method not allowed").with_header("allow", allowed.as_str())
             }
-            Err(other) => Response::text(400, other.to_string()),
+            Some((_, endpoint)) => self.dispatch(endpoint, req).unwrap_or_else(|resp| resp),
         };
         if (400..500).contains(&resp.status) {
             self.stats.client_errors.fetch_add(1, Ordering::Relaxed);
@@ -221,12 +208,7 @@ impl MarketplaceGateway {
 
     /// `Err` carries an already-built error response (so `?`-style early
     /// returns read naturally inside the endpoint arms).
-    fn dispatch(
-        &self,
-        endpoint: Endpoint,
-        params: &PathParams,
-        req: &Request,
-    ) -> Result<Response, Response> {
+    fn dispatch(&self, endpoint: Endpoint<'_>, req: &Request) -> Result<Response, Response> {
         // Graceful degradation: a wedged durable store sheds every
         // mutation up front with an explicit retry hint. Bindings whose
         // business acks precede their (best-effort) grain-snapshot saves
@@ -316,14 +298,14 @@ impl MarketplaceGateway {
                 )?;
                 Ok(Response::empty(201))
             }
-            Endpoint::AddToCart => {
-                let customer = CustomerId(path_id(params, "customer")?);
+            Endpoint::AddToCart { customer } => {
+                let customer = CustomerId(path_id("customer", customer)?);
                 let item: CheckoutItem = parse_body(req)?;
                 map_platform(self.platform.add_to_cart(customer, item))?;
                 Ok(Response::empty(204))
             }
-            Endpoint::Checkout => {
-                let customer = CustomerId(path_id(params, "customer")?);
+            Endpoint::Checkout { customer } => {
+                let customer = CustomerId(path_id("customer", customer)?);
                 let body: CheckoutBody = parse_body(req)?;
                 let outcome = map_platform(self.platform.checkout(CheckoutRequest {
                     customer,
@@ -336,9 +318,9 @@ impl MarketplaceGateway {
                 };
                 Ok(Response::json(status, &outcome))
             }
-            Endpoint::PriceUpdate => {
-                let seller = SellerId(path_id(params, "seller")?);
-                let product = ProductId(path_id(params, "product")?);
+            Endpoint::PriceUpdate { seller, product } => {
+                let seller = SellerId(path_id("seller", seller)?);
+                let product = ProductId(path_id("product", product)?);
                 let body: PriceUpdateBody = parse_body(req)?;
                 if !body.price.is_positive() {
                     return Err(Response::text(422, "price must be positive"));
@@ -346,9 +328,9 @@ impl MarketplaceGateway {
                 map_platform(self.platform.price_update(seller, product, body.price))?;
                 Ok(Response::empty(204))
             }
-            Endpoint::ProductDelete => {
-                let seller = SellerId(path_id(params, "seller")?);
-                let product = ProductId(path_id(params, "product")?);
+            Endpoint::ProductDelete { seller, product } => {
+                let seller = SellerId(path_id("seller", seller)?);
+                let product = ProductId(path_id("product", product)?);
                 map_platform(self.platform.product_delete(seller, product))?;
                 Ok(Response::empty(204))
             }
@@ -368,8 +350,8 @@ impl MarketplaceGateway {
                     },
                 ))
             }
-            Endpoint::SellerDashboard => {
-                let seller = SellerId(path_id(params, "seller")?);
+            Endpoint::SellerDashboard { seller } => {
+                let seller = SellerId(path_id("seller", seller)?);
                 let dashboard = map_platform(self.platform.seller_dashboard(seller))?;
                 Ok(Response::json(200, &dashboard))
             }
@@ -377,10 +359,11 @@ impl MarketplaceGateway {
     }
 }
 
-fn path_id(params: &PathParams, name: &str) -> Result<u64, Response> {
-    params
-        .id(name)
-        .map_err(|e| Response::text(400, e.to_string()))
+/// The id segment `{name}`, captured as `raw`; a 400 names both when it
+/// is not a number.
+fn path_id(name: &str, raw: &str) -> Result<u64, Response> {
+    raw.parse()
+        .map_err(|_| Response::text(400, format!("bad path parameter {{{name}}}: {raw:?}")))
 }
 
 fn parse_body<T: serde::de::DeserializeOwned>(req: &Request) -> Result<T, Response> {
@@ -599,6 +582,7 @@ mod tests {
         let g = gateway();
         let resp = g.handle(&req(Method::Get, "/sellers/abc/dashboard", None));
         assert_eq!(resp.status, 400);
+        assert_eq!(&resp.body[..], br#"bad path parameter {seller}: "abc""#);
     }
 
     #[test]

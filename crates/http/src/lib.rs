@@ -7,9 +7,9 @@
 //! * [`request`] / [`response`] — an incremental HTTP/1.1 parser and
 //!   serializer: `Content-Length` and chunked framing, pipelining,
 //!   keep-alive, percent-decoding, header limits;
-//! * [`router`] — method + path-pattern routing with `{param}` capture;
 //! * [`gateway`] — the REST surface of the benchmark's five business
-//!   transactions, dispatching onto any
+//!   transactions: its 13 routes matched directly on the path's
+//!   segments, dispatching onto any
 //!   [`MarketplacePlatform`](om_marketplace::api::MarketplacePlatform);
 //! * [`pipe`] — the in-memory duplex byte-pipe transport (blocking and
 //!   non-blocking modes), so the whole stack exercises real wire
@@ -48,7 +48,6 @@ pub mod pipe;
 pub mod poller;
 pub mod request;
 pub mod response;
-pub mod router;
 pub mod server;
 
 pub use conn::{EventConfig, ServerStats};
@@ -58,5 +57,4 @@ pub use pipe::Connection;
 pub use poller::{Interest, Poller, Readiness, Token};
 pub use request::{parse_request, Headers, Method, ParserConfig, Request, Version};
 pub use response::{parse_head_response, parse_response, Response};
-pub use router::{PathParams, RouteError, Router};
 pub use server::{HttpClient, HttpServer, ServerOptions};

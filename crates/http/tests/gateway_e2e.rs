@@ -1,5 +1,5 @@
 //! End-to-end tests driving a marketplace platform through real HTTP/1.1
-//! bytes: client → in-memory transport → parser → router → gateway →
+//! bytes: client → in-memory transport → parser → gateway (route match, dispatch) →
 //! platform, and back.
 
 use om_http::{EventConfig, HttpServer, MarketplaceGateway, Method};

@@ -35,14 +35,13 @@ use om_common::stats::CounterSet;
 use om_common::time::EventTime;
 use om_common::{Money, OmError, OmResult};
 use om_dataflow::{Address, BackendCheckpointStore, Dataflow, Effects, RowFn, StateView};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use super::kinds;
 use crate::api::{
@@ -63,40 +62,53 @@ const DELIVERY_FN: &str = "delivery";
 /// touching business state or the unroutable counter.
 const DRILL_FN: &str = "recovery_drill";
 
-/// Completion registry: waiters are registered *before* the triggering
-/// submission, and completions that arrive with no waiter yet are parked
-/// until claimed (the pump races client registration otherwise).
+/// The completion table: an awaited transaction's egress, published by
+/// whichever thread drove the epoch that committed it and kept until its
+/// caller takes it, and the count of driven epochs (failed ones too),
+/// which `epoch_end` announces. Both change only under `done`, as the
+/// `parking_lot` shim's sleeper count requires.
 #[derive(Default)]
-struct WaiterRegistry {
-    waiting: HashMap<u64, SyncSender<Eg>>,
-    orphaned: HashMap<u64, Eg>,
+struct Completions {
+    done: Mutex<Done>,
+    epoch_end: Condvar,
 }
 
-impl WaiterRegistry {
-    fn complete(&mut self, eg: Eg) {
-        let tid = eg.tid().0;
-        match self.waiting.remove(&tid) {
-            Some(tx) => {
-                let _ = tx.send(eg);
-            }
-            None => {
-                self.orphaned.insert(tid, eg);
+#[derive(Default)]
+struct Done {
+    by_tid: HashMap<u64, Eg>,
+    epochs: u64,
+}
+
+impl Completions {
+    /// Publishes one driven epoch's committed egress and wakes every
+    /// waiter.
+    fn publish(&self, egress: Vec<Msg>) {
+        let mut done = self.done.lock();
+        for record in egress {
+            if let Msg::Egress(eg) = record {
+                done.by_tid.insert(eg.tid().0, eg);
             }
         }
+        done.epochs += 1;
+        drop(done);
+        self.epoch_end.notify_all();
     }
 
-    fn register(&mut self, tid: u64, tx: SyncSender<Eg>) {
-        if let Some(eg) = self.orphaned.remove(&tid) {
-            let _ = tx.send(eg);
-        } else {
-            self.waiting.insert(tid, tx);
+    /// `tid`'s completion, or, when it is not published yet, the epoch
+    /// count to wait past.
+    fn take(&self, tid: u64) -> Result<Eg, u64> {
+        let mut done = self.done.lock();
+        done.by_tid.remove(&tid).ok_or(done.epochs)
+    }
+
+    /// Sleeps until the epoch count moves past `seen`, or until
+    /// `deadline`.
+    fn wait_past(&self, seen: u64, deadline: Instant) {
+        let mut done = self.done.lock();
+        if done.epochs == seen {
+            let left = deadline.saturating_duration_since(Instant::now());
+            self.epoch_end.wait_for(&mut done, left);
         }
-    }
-
-    /// Withdraws `tid`'s waiter: its triggering submission failed, so no
-    /// completion will ever come for it.
-    fn cancel(&mut self, tid: u64) {
-        self.waiting.remove(&tid);
     }
 }
 
@@ -493,32 +505,65 @@ impl Default for DataflowPlatformConfig {
     }
 }
 
+/// What the pump thread shares with the platform: the runtime, its
+/// counters, the completion table and the callers waiting on it.
+struct Core {
+    df: Dataflow<Msg>,
+    counters: CounterSet,
+    completions: Completions,
+    /// Callers blocked in [`DataflowPlatform::await_completion`]; while
+    /// nonzero the pump stands down and they drive epochs themselves.
+    active_waiters: AtomicUsize,
+}
+
+impl Core {
+    /// Runs one epoch if ingress is pending — when another thread is
+    /// driving one, after it if `wait`, else not at all — adds its time
+    /// to `counter`, publishes the committed egress and wakes every
+    /// waiter. `Ok(false)`: this call ran no epoch. `Err`: the epoch
+    /// failed (a wedged store, a poisoned batch) and nothing committed.
+    fn drive(&self, wait: bool, counter: &'static str) -> OmResult<bool> {
+        if self.df.pending_ingress() == 0 {
+            return Ok(false);
+        }
+        let started = Instant::now();
+        let ran = if wait {
+            self.df.run_epoch().map(Some)
+        } else {
+            self.df.try_run_epoch()
+        };
+        if let Ok(None) = ran {
+            return Ok(false);
+        }
+        self.counters
+            .add(counter, started.elapsed().as_micros() as u64);
+        self.completions.publish(self.df.take_committed_egress());
+        ran.map(|_| true)
+    }
+}
+
 /// The Statefun-like platform: topology + pump thread + completion
-/// registry.
+/// table.
 pub struct DataflowPlatform {
-    df: Arc<Dataflow<Msg>>,
+    core: Arc<Core>,
     catalog: super::actor_core::Catalog,
+    /// Mints every transaction id and, as `EventTime(tid)`, its origin
+    /// time, past every id in the ingress log.
     tids: IdSequence,
-    clock: om_common::time::LogicalClock,
     decline_rate: f64,
-    counters: Arc<CounterSet>,
-    waiters: Arc<Mutex<WaiterRegistry>>,
-    /// Number of clients currently blocked in [`Self::await_completion`];
-    /// while nonzero the pump yields epoch-driving to them.
-    active_waiters: Arc<std::sync::atomic::AtomicUsize>,
     stop: Arc<AtomicBool>,
     pump: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl DataflowPlatform {
     pub fn new(config: DataflowPlatformConfig) -> Self {
-        let df = Arc::new(build_dataflow(
+        let df = build_dataflow(
             config.partitions,
             config.max_batch,
             config.workers,
             config.checkpoint_store,
             config.ingress,
-        ));
+        );
         // A restarted platform rebuilds its entity catalog — snapshots,
         // dashboards and the delivery fan-out must see the pre-crash
         // entities even though the catalog itself is process-local. Two
@@ -537,10 +582,18 @@ impl DataflowPlatform {
         for key in df.keys_of(kinds::PRODUCT) {
             catalog.add_product(ProductId(key));
         }
+        // Its ids resume past the log's, walked from the start (it is
+        // never pruned): an in-flight checkout or delivery replays with
+        // its tid, which no new one may reuse, and new times follow it.
+        let mut next_id = 1;
         let ingress = df.ingress_topic();
-        for (partition, &from) in df.committed_offsets().iter().enumerate() {
-            for entry in ingress.read_from(partition, from, usize::MAX) {
+        for (partition, &committed) in df.committed_offsets().iter().enumerate() {
+            for entry in ingress.read_from(partition, 0, usize::MAX) {
                 match entry.payload.1 {
+                    Msg::Checkout { tid, at, .. } | Msg::DeliveryRequest { tid, at, .. } => {
+                        next_id = next_id.max(tid.0.max(at.0) + 1);
+                    }
+                    _ if entry.offset < committed => {}
                     Msg::IngestSeller(s) => catalog.add_seller(s.id),
                     Msg::IngestCustomer(c) => catalog.add_customer(c.id),
                     Msg::IngestProduct(p) => catalog.add_product(p.id),
@@ -548,141 +601,85 @@ impl DataflowPlatform {
                 }
             }
         }
-        let waiters: Arc<Mutex<WaiterRegistry>> = Arc::new(Mutex::new(WaiterRegistry::default()));
+        let core = Arc::new(Core {
+            df,
+            counters: CounterSet::new(),
+            completions: Completions::default(),
+            active_waiters: AtomicUsize::new(0),
+        });
         let stop = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(CounterSet::new());
-        let active_waiters = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let pump = {
-            let df = df.clone();
-            let waiters = waiters.clone();
+            let core = core.clone();
             let stop = stop.clone();
-            let counters = counters.clone();
-            let active_waiters = active_waiters.clone();
             std::thread::Builder::new()
                 .name("om-dataflow-pump".into())
                 .spawn(move || {
                     while !stop.load(Ordering::Acquire) {
-                        // Clients awaiting results drive epochs themselves
-                        // (caller-runs); the pump stands down entirely
-                        // while any are active so two drivers never
-                        // interleave on the epoch mutex.
-                        if active_waiters.load(Ordering::Acquire) == 0
-                            && df.pending_ingress() > 0
-                        {
-                            let started = std::time::Instant::now();
-                            let _ = df.run_epoch();
-                            counters
-                                .add("df.pump_epoch_us", started.elapsed().as_micros() as u64);
-                            for record in df.take_committed_egress() {
-                                if let Msg::Egress(eg) = record {
-                                    waiters.lock().complete(eg);
-                                }
-                            }
-                        }
                         // The pump is only the asynchronous fallback for
-                        // fire-and-forget traffic — clients awaiting a
-                        // result drive epochs themselves (caller-runs).
-                        // Sleeping every iteration keeps the pump from
-                        // competing with those callers for the CPU.
+                        // fire-and-forget traffic: it stands down while
+                        // clients await results and drive epochs
+                        // themselves (caller-runs), never queues behind
+                        // a running epoch (which takes what is pending),
+                        // and sleeps every iteration so it never
+                        // competes with them for the CPU.
+                        if core.active_waiters.load(Ordering::Acquire) == 0 {
+                            let _ = core.drive(false, "df.pump_epoch_us");
+                        }
                         std::thread::sleep(Duration::from_millis(1));
                     }
                 })
                 .expect("spawn pump")
         };
         Self {
-            df,
+            core,
             catalog,
-            tids: IdSequence::new(1),
-            clock: om_common::time::LogicalClock::new(),
+            tids: IdSequence::new(next_id),
             decline_rate: config.decline_rate,
-            counters,
-            waiters,
-            active_waiters,
             stop,
             pump: Mutex::new(Some(pump)),
         }
     }
 
-    /// The underlying dataflow (tests / fault injection).
+    /// The underlying dataflow (tests / fault injection). Drive no epoch
+    /// through it while the platform serves callers: a waiting caller
+    /// wakes only when an epoch the platform drives ends.
     pub fn dataflow(&self) -> &Dataflow<Msg> {
-        &self.df
+        &self.core.df
     }
 
-    /// Registers interest in `tid` *before* the triggering submission so
-    /// the pump can never complete it unseen.
-    fn register_waiter(&self, tid: TransactionId) -> Receiver<Eg> {
-        let (tx, rx) = sync_channel(1);
-        self.waiters.lock().register(tid.0, tx);
-        rx
-    }
-
-    /// Submits the record whose processing completes `tid`. A failed
-    /// submit withdraws the waiter registered for it.
-    fn submit_awaited(&self, tid: TransactionId, to: Address, msg: Msg) -> OmResult<()> {
-        self.df
-            .submit(to, msg)
-            .inspect_err(|_| self.waiters.lock().cancel(tid.0))
-    }
-
-    /// Waits for `tid`'s completion while *helping*: if dataflow work is
-    /// pending, the calling thread drives epochs itself (caller-runs, as
-    /// embedded Statefun deployments do) instead of bouncing to the pump
-    /// thread — on small machines the scheduler round-trip per epoch
-    /// otherwise dominates end-to-end latency. The pump thread remains as
-    /// the asynchronous driver for fire-and-forget traffic.
-    fn await_completion(&self, tid: TransactionId, rx: Receiver<Eg>) -> OmResult<Eg> {
-        // While registered, the pump stands down (see the pump loop).
-        struct WaiterGuard<'a>(&'a std::sync::atomic::AtomicUsize);
+    /// Waits for `tid`'s completion while *helping*: if no other thread
+    /// drives an epoch, the calling thread drives one itself (caller-runs,
+    /// as embedded Statefun deployments do) instead of bouncing to the
+    /// pump thread — on small machines the scheduler round-trip per epoch
+    /// otherwise dominates end-to-end latency — else it sleeps until that
+    /// epoch ends. Its own failed epoch (a wedged store) is its answer.
+    fn await_completion(&self, tid: TransactionId) -> OmResult<Eg> {
+        // While counted, the pump stands down (see the pump loop).
+        struct WaiterGuard<'a>(&'a AtomicUsize);
         impl Drop for WaiterGuard<'_> {
             fn drop(&mut self) {
                 self.0.fetch_sub(1, Ordering::AcqRel);
             }
         }
-        self.active_waiters.fetch_add(1, Ordering::AcqRel);
-        let _guard = WaiterGuard(&self.active_waiters);
+        let core = &self.core;
+        core.active_waiters.fetch_add(1, Ordering::AcqRel);
+        let _guard = WaiterGuard(&core.active_waiters);
 
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let deadline = Instant::now() + Duration::from_secs(30);
         loop {
-            if let Ok(eg) = rx.try_recv() {
-                return Ok(eg);
+            let seen = match core.completions.take(tid.0) {
+                Ok(eg) => return Ok(eg),
+                Err(epochs) => epochs,
+            };
+            match core.drive(false, "df.caller_epoch_us") {
+                Ok(true) => {}
+                Ok(false) => core.completions.wait_past(seen, deadline),
+                Err(e) => return core.completions.take(tid.0).map_err(|_| e),
             }
-            // Become the epoch driver if nobody else is; otherwise block
-            // on the completion channel (the current driver delivers our
-            // result the moment its epoch commits).
-            let drove = self.df.pending_ingress() > 0 && self.drive_one_epoch();
-            if !drove {
-                match rx.recv_timeout(Duration::from_millis(1)) {
-                    Ok(eg) => return Ok(eg),
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(OmError::Unavailable(format!(
-                            "dataflow completion channel for {tid} closed"
-                        )));
-                    }
-                }
-            }
-            if std::time::Instant::now() > deadline {
+            if Instant::now() > deadline {
                 return Err(OmError::Timeout(format!("dataflow completion for {tid}")));
             }
         }
-    }
-
-    /// Runs one epoch from the calling thread (if no other driver is
-    /// active) and routes committed egress to waiting clients. Returns
-    /// whether an epoch was actually driven by this call.
-    fn drive_one_epoch(&self) -> bool {
-        let started = std::time::Instant::now();
-        let drove = matches!(self.df.try_run_epoch(), Ok(Some(_)));
-        if drove {
-            self.counters
-                .add("df.caller_epoch_us", started.elapsed().as_micros() as u64);
-        }
-        for record in self.df.take_committed_egress() {
-            if let Msg::Egress(eg) = record {
-                self.waiters.lock().complete(eg);
-            }
-        }
-        drove
     }
 
     /// The committed header (or whole single-row state) of an address.
@@ -691,7 +688,7 @@ impl DataflowPlatform {
         fn_type: &'static str,
         key: u64,
     ) -> OmResult<Option<T>> {
-        load_root(&StoredRows::root(self.df.state_of(addr(fn_type, key))))
+        load_root(&StoredRows::root(self.core.df.state_of(addr(fn_type, key))))
     }
 
     /// The committed rows of an address under `tag`, in row order — one
@@ -699,7 +696,7 @@ impl DataflowPlatform {
     fn committed_rows(&self, fn_type: &'static str, key: u64, tag: u8) -> StoredRows {
         StoredRows {
             root: None,
-            rows: self.df.rows_of(addr(fn_type, key), &[tag]),
+            rows: self.core.df.rows_of(addr(fn_type, key), &[tag]),
         }
     }
 }
@@ -720,20 +717,20 @@ impl MarketplacePlatform for DataflowPlatform {
 
     /// The backend behind the checkpoint store.
     fn backend(&self) -> Option<om_common::config::BackendKind> {
-        Some(self.df.checkpoint_store().backend().kind())
+        Some(self.core.df.checkpoint_store().backend().kind())
     }
 
     fn is_wedged(&self) -> bool {
-        self.df.checkpoint_store().backend().is_wedged()
+        self.core.df.checkpoint_store().backend().is_wedged()
     }
 
     fn unwedge(&self) -> Option<OmResult<crate::api::UnwedgeOutcome>> {
-        crate::api::unwedge_store(self.df.checkpoint_store().backend().as_ref())
+        crate::api::unwedge_store(self.core.df.checkpoint_store().backend().as_ref())
     }
 
     fn ingest_seller(&self, seller: Seller) -> OmResult<()> {
         let id = seller.id;
-        self.df
+        self.core.df
             .submit(addr(kinds::SELLER, id.0), Msg::IngestSeller(seller))?;
         self.catalog.add_seller(id);
         Ok(())
@@ -741,7 +738,7 @@ impl MarketplacePlatform for DataflowPlatform {
 
     fn ingest_customer(&self, customer: Customer) -> OmResult<()> {
         let id = customer.id;
-        self.df
+        self.core.df
             .submit(addr(kinds::CUSTOMER, id.0), Msg::IngestCustomer(customer))?;
         self.catalog.add_customer(id);
         Ok(())
@@ -750,9 +747,9 @@ impl MarketplacePlatform for DataflowPlatform {
     fn ingest_product(&self, product: Product, initial_stock: u32) -> OmResult<()> {
         let id = product.id;
         let key = StockKey::new(product.seller, id);
-        self.df
+        self.core.df
             .submit(addr(kinds::PRODUCT, id.0), Msg::IngestProduct(product))?;
-        self.df.submit(
+        self.core.df.submit(
             addr(kinds::STOCK, id.0),
             Msg::IngestStock {
                 key,
@@ -772,11 +769,11 @@ impl MarketplacePlatform for DataflowPlatform {
         }
         if let Some(p) = self.committed::<Product>(kinds::PRODUCT, item.product.0)? {
             if replica.version < p.version {
-                self.counters.incr("stale_price_reads");
+                self.core.counters.incr("stale_price_reads");
             }
         }
-        self.counters.incr("cart_adds");
-        self.df.submit(
+        self.core.counters.incr("cart_adds");
+        self.core.df.submit(
             addr(kinds::CART, customer.0),
             Msg::CartAdd(replica.cart_line(&item)),
         )
@@ -784,19 +781,16 @@ impl MarketplacePlatform for DataflowPlatform {
 
     fn checkout(&self, request: CheckoutRequest) -> OmResult<CheckoutOutcome> {
         let tid = TransactionId(self.tids.next_raw());
-        let at = self.clock.tick();
-        let rx = self.register_waiter(tid);
-        self.submit_awaited(
-            tid,
+        self.core.df.submit(
             addr(kinds::CART, request.customer.0),
             Msg::Checkout {
                 tid,
                 method: request.method,
                 decline_rate_bp: to_basis_points(self.decline_rate),
-                at,
+                at: EventTime(tid.0),
             },
         )?;
-        match self.await_completion(tid, rx)? {
+        match self.await_completion(tid)? {
             Eg::CheckoutDone {
                 order,
                 total,
@@ -805,10 +799,10 @@ impl MarketplacePlatform for DataflowPlatform {
                 ..
             } => {
                 if accepted {
-                    self.counters.incr("checkouts_committed");
+                    self.core.counters.incr("checkouts_committed");
                     Ok(CheckoutOutcome::Placed { order, total })
                 } else {
-                    self.counters.incr("checkouts_rejected");
+                    self.core.counters.incr("checkouts_rejected");
                     Ok(CheckoutOutcome::Rejected(reason))
                 }
             }
@@ -817,37 +811,34 @@ impl MarketplacePlatform for DataflowPlatform {
     }
 
     fn price_update(&self, _seller: SellerId, product: ProductId, price: Money) -> OmResult<()> {
-        self.counters.incr("price_updates");
-        self.df.submit(
+        self.core.counters.incr("price_updates");
+        self.core.df.submit(
             addr(kinds::PRODUCT, product.0),
             Msg::PriceUpdate { price },
         )
     }
 
     fn product_delete(&self, _seller: SellerId, product: ProductId) -> OmResult<()> {
-        self.counters.incr("product_deletes");
-        self.df
+        self.core.counters.incr("product_deletes");
+        self.core.df
             .submit(addr(kinds::PRODUCT, product.0), Msg::ProductDelete)
     }
 
     fn update_delivery(&self, max_sellers: usize) -> OmResult<u32> {
         let tid = TransactionId(self.tids.next_raw());
         let sellers: Vec<SellerId> = self.catalog.sellers.read().clone();
-        let at = self.clock.tick();
-        let rx = self.register_waiter(tid);
-        self.submit_awaited(
-            tid,
+        self.core.df.submit(
             addr(DELIVERY_FN, tid.0),
             Msg::DeliveryRequest {
                 tid,
                 sellers,
                 max: max_sellers as u32,
-                at,
+                at: EventTime(tid.0),
             },
         )?;
-        match self.await_completion(tid, rx)? {
+        match self.await_completion(tid)? {
             Eg::DeliveryDone { packages, .. } => {
-                self.counters.incr("update_deliveries");
+                self.core.counters.incr("update_deliveries");
                 Ok(packages)
             }
             other => Err(OmError::Internal(format!("unexpected egress {other:?}"))),
@@ -865,7 +856,7 @@ impl MarketplacePlatform for DataflowPlatform {
         let (amount, count) = header.aggregate();
         let entries =
             rows::seller_entries(&self.committed_rows(kinds::SELLER, seller.0, rows::ENTRY))?;
-        self.counters.incr("dashboards");
+        self.core.counters.incr("dashboards");
         Ok(SellerDashboard {
             seller: header.seller.id,
             in_progress_amount: amount,
@@ -874,11 +865,14 @@ impl MarketplacePlatform for DataflowPlatform {
         })
     }
 
+    /// Drives epochs until the ingress drains. The first failed epoch
+    /// (a wedged store) ends it: no later one can commit either.
     fn quiesce(&self) {
-        // Wait until the pump drains the ingress.
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while self.df.pending_ingress() > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while Instant::now() < deadline {
+            if !matches!(self.core.drive(true, "df.caller_epoch_us"), Ok(true)) {
+                return;
+            }
         }
     }
 
@@ -916,25 +910,25 @@ impl MarketplacePlatform for DataflowPlatform {
     }
 
     fn counters(&self) -> std::collections::BTreeMap<String, u64> {
-        let mut out = self.counters.snapshot();
-        let (epochs, replays, invocations, unroutable) = self.df.stats();
+        let mut out = self.core.counters.snapshot();
+        let (epochs, replays, invocations, unroutable) = self.core.df.stats();
         out.insert("df.epochs".into(), epochs);
         out.insert("df.replays".into(), replays);
         out.insert("df.invocations".into(), invocations);
         out.insert("df.unroutable".into(), unroutable);
-        let (recoveries, last_recovery_us) = self.df.recovery_stats();
+        let (recoveries, last_recovery_us) = self.core.df.recovery_stats();
         out.insert("df.recoveries".into(), recoveries);
         out.insert("df.last_recovery_us".into(), last_recovery_us);
         out.insert(
             "df.checkpoint_commits".into(),
-            self.df.checkpoint_store().commits(),
+            self.core.df.checkpoint_store().commits(),
         );
         // The groups a fanned-out epoch runs in.
-        out.insert("df.workers".into(), self.df.workers() as u64);
+        out.insert("df.workers".into(), self.core.df.workers() as u64);
         // Storage-layer counters of the checkpoint store's backend
         // (group-commit amortization, snapshot deltas), prefixed the
         // same way the actor bindings prefix theirs.
-        for (k, v) in self.df.checkpoint_store().backend().counters() {
+        for (k, v) in self.core.df.checkpoint_store().backend().counters() {
             out.insert(format!("storage.{k}"), v);
         }
         out
@@ -948,40 +942,45 @@ impl MarketplacePlatform for DataflowPlatform {
         // Drain outstanding work so the drill measures only itself.
         self.quiesce();
         const DRILL_RECORDS: u64 = 32;
-        let replays_before = self.df.stats().1;
+        let replays_before = self.core.df.stats().1;
         // Arm the crash *before* submitting the wave: the pump thread
         // races this method, and an unarmed wave could be fully committed
         // first, leaving a countdown that never fires.
-        self.df.inject_crash_after(DRILL_RECORDS / 2);
+        self.core.df.inject_crash_after(DRILL_RECORDS / 2);
         for i in 0..DRILL_RECORDS {
             if self
+                .core
                 .df
                 .submit(addr(DRILL_FN, i), Msg::CustomerDelivery)
                 .is_err()
             {
                 // The ingress log refuses the wave (wedged): no drill.
-                self.df.disarm_crash();
+                self.core.df.disarm_crash();
                 return None;
             }
         }
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while (self.df.pending_ingress() > 0 || self.df.stats().1 == replays_before)
-            && std::time::Instant::now() < deadline
+        // Drive the wave until it has crashed and drained. A failed
+        // epoch (a wedged store) ends the drill: its rollback is no
+        // crash recovery to report.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut drove = Ok(true);
+        while matches!(drove, Ok(true))
+            && (self.core.df.pending_ingress() > 0 || self.core.df.stats().1 == replays_before)
+            && Instant::now() < deadline
         {
-            if !self.drive_one_epoch() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            drove = self.core.drive(true, "df.caller_epoch_us");
         }
-        if self.df.stats().1 == replays_before {
-            // Deadline expired without the crash firing (e.g. a starved
-            // pump): disarm and report no drill rather than a misleading
-            // outcome built from the previous (build-time) recovery.
-            self.df.disarm_crash();
+        if drove.is_err() || self.core.df.stats().1 == replays_before {
+            // No crash fired (the deadline expired, or an epoch failed):
+            // disarm and report no drill rather than a misleading
+            // outcome built from an earlier recovery.
+            self.core.df.disarm_crash();
             return None;
         }
-        let recovery = self.df.last_recovery()?;
+        let recovery = self.core.df.last_recovery()?;
         Some(crate::api::RecoveryOutcome {
             store: self
+                .core
                 .df
                 .checkpoint_store()
                 .backend()
@@ -989,7 +988,7 @@ impl MarketplacePlatform for DataflowPlatform {
                 .label()
                 .to_string(),
             recovered_epoch: recovery.epoch,
-            final_epoch: self.df.committed_epoch(),
+            final_epoch: self.core.df.committed_epoch(),
             recovery_us: recovery.duration.as_micros() as u64,
             replayed_ingress: recovery.replayable_ingress,
         })
@@ -1001,7 +1000,6 @@ mod tests {
     use super::*;
     use om_log::RecordCodec;
     use proptest::prelude::*;
-    use std::sync::mpsc::TryRecvError;
 
     /// A persisted ingress record laid out by hand: `fn_len` (u16 BE),
     /// name bytes, then `rest` (key LE ++ message body).
@@ -1130,47 +1128,25 @@ mod tests {
         }
     }
 
-    fn delivered(rx: &Receiver<Eg>) -> Option<u64> {
-        rx.try_recv().ok().map(|eg| eg.tid().0)
-    }
-
     #[test]
-    fn completion_that_beats_its_waiter_is_handed_over_at_register() {
-        let mut registry = WaiterRegistry::default();
-        registry.complete(done(5));
-        assert!(registry.orphaned.contains_key(&5), "parked until claimed");
-        let (tx, rx) = sync_channel(1);
-        registry.register(5, tx);
-        assert_eq!(delivered(&rx), Some(5));
-        assert!(registry.orphaned.is_empty() && registry.waiting.is_empty());
-    }
-
-    #[test]
-    fn registered_waiter_receives_only_its_own_completion() {
-        let mut registry = WaiterRegistry::default();
-        let (tx, rx) = sync_channel(1);
-        registry.register(6, tx);
-        registry.complete(done(7));
-        assert_eq!(delivered(&rx), None, "another tid's completion is parked");
-        registry.complete(done(6));
-        assert_eq!(delivered(&rx), Some(6));
-        assert!(registry.waiting.is_empty());
+    fn a_completion_is_kept_until_it_is_taken() {
+        let completions = Completions::default();
+        completions.publish(vec![Msg::Egress(done(5))]);
+        completions.publish(Vec::new());
+        assert!(matches!(completions.take(5), Ok(Eg::DeliveryDone { .. })));
         assert_eq!(
-            registry.orphaned.keys().copied().collect::<Vec<_>>(),
-            vec![7]
+            completions.take(5).err(),
+            Some(2),
+            "taken once; the count is of both epochs"
         );
     }
 
     #[test]
-    fn cancelled_waiter_is_withdrawn() {
-        let mut registry = WaiterRegistry::default();
-        let (tx, rx) = sync_channel(1);
-        registry.register(8, tx);
-        registry.cancel(8);
-        assert!(registry.waiting.is_empty());
-        assert!(
-            matches!(rx.try_recv(), Err(TryRecvError::Disconnected)),
-            "the withdrawn sender is dropped"
-        );
+    fn only_its_own_tid_takes_a_completion() {
+        let completions = Completions::default();
+        completions.publish(vec![Msg::Egress(done(7)), Msg::ProductDelete]);
+        assert!(completions.take(6).is_err(), "another tid's completion stays");
+        assert!(completions.take(7).is_ok());
+        assert_eq!(completions.done.lock().by_tid.len(), 0, "the other record is no egress");
     }
 }

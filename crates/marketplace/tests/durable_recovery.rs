@@ -8,7 +8,7 @@
 
 use om_common::config::BackendKind;
 use om_common::entity::{Customer, PaymentMethod, Product, Seller};
-use om_common::ids::{CustomerId, ProductId, SellerId};
+use om_common::ids::{CustomerId, OrderId, ProductId, SellerId};
 use om_common::Money;
 use om_marketplace::api::{CheckoutItem, CheckoutOutcome, CheckoutRequest, MarketplacePlatform};
 use om_marketplace::{build_platform, PlatformKind, PlatformSpec};
@@ -422,4 +422,249 @@ fn every_binding_unwedges_the_store_it_commits_to() {
         let memory = build_platform(&PlatformSpec::new(kind, BackendKind::SnapshotIsolation));
         assert!(memory.unwedge().is_none(), "{kind:?}");
     }
+}
+
+/// A dataflow platform over `<dir>/state` and `<dir>/ingress`, built the
+/// way a cold process builds it.
+fn dataflow_over(dir: &std::path::Path) -> om_marketplace::DataflowPlatform {
+    use om_dataflow::BackendCheckpointStore;
+    use om_marketplace::bindings::dataflow::{persistent_ingress, DataflowPlatformConfig};
+    let backend =
+        om_storage::make_backend_at(BackendKind::FileDurable, 8, Some(&dir.join("state"))).unwrap();
+    om_marketplace::DataflowPlatform::new(DataflowPlatformConfig {
+        partitions: 2,
+        max_batch: 8,
+        workers: 0,
+        decline_rate: 0.0,
+        checkpoint_store: Some(std::sync::Arc::new(BackendCheckpointStore::new(backend))),
+        ingress: Some(persistent_ingress(dir.join("ingress"), 2).unwrap()),
+    })
+}
+
+/// Appends `msg` for `(fn_type, key)` to the ingress log at `<dir>/ingress`
+/// with no platform running: a record a crashed process had submitted but
+/// no epoch had committed.
+fn append_in_flight(
+    dir: &std::path::Path,
+    fn_type: &'static str,
+    key: u64,
+    msg: om_marketplace::domain::flow::Msg,
+) {
+    use om_dataflow::{Address, Dataflow};
+    let ingress =
+        om_marketplace::bindings::dataflow::persistent_ingress(dir.join("ingress"), 2).unwrap();
+    let submitter: Dataflow<om_marketplace::domain::flow::Msg> = Dataflow::builder()
+        .partitions(2)
+        .ingress_topic(ingress)
+        .build();
+    submitter.submit(Address::new(fn_type, key), msg).unwrap();
+}
+
+/// A rebuilt platform mints transaction ids past every id in its ingress
+/// log: a checkout in flight at the crash replays with its own tid, and
+/// the first checkout of the new life gets its own outcome, not the
+/// replayed one's.
+#[test]
+fn rebuilt_dataflow_checkout_never_takes_a_replayed_outcome() {
+    use om_common::ids::TransactionId;
+    use om_common::time::EventTime;
+    use om_marketplace::bindings::kinds;
+    use om_marketplace::domain::flow::Msg;
+
+    let dir = scratch("tid-checkout");
+    let _guard = DirGuard(dir.clone());
+    ingest(&dataflow_over(&dir));
+    // The first life's first checkout, of customer 3's empty cart, was
+    // appended but never committed.
+    append_in_flight(
+        &dir,
+        kinds::CART,
+        3,
+        Msg::Checkout {
+            tid: TransactionId(1),
+            method: PaymentMethod::CreditCard,
+            decline_rate_bp: 0,
+            at: EventTime(1),
+        },
+    );
+    let reborn = dataflow_over(&dir);
+    reborn.quiesce(); // the in-flight checkout replays and is rejected
+    reborn
+        .add_to_cart(
+            CustomerId(1),
+            CheckoutItem {
+                seller: SellerId(1),
+                product: ProductId(1),
+                quantity: 2,
+            },
+        )
+        .unwrap();
+    let outcome = reborn
+        .checkout(CheckoutRequest {
+            customer: CustomerId(1),
+            items: vec![],
+            method: PaymentMethod::CreditCard,
+        })
+        .unwrap();
+    assert!(
+        matches!(outcome, CheckoutOutcome::Placed { .. }),
+        "customer 1's checkout answered {outcome:?}"
+    );
+}
+
+/// A rebuilt platform's first Update Delivery gets its own answer, not
+/// the one of a delivery that was in flight at the crash.
+#[test]
+fn rebuilt_dataflow_delivery_never_takes_a_replayed_answer() {
+    use om_common::ids::TransactionId;
+    use om_common::time::EventTime;
+    use om_marketplace::domain::flow::Msg;
+
+    let dir = scratch("tid-delivery");
+    let _guard = DirGuard(dir.clone());
+    {
+        let platform = dataflow_over(&dir);
+        ingest(&platform);
+        checkout(&platform, 1); // tid 1
+        platform.quiesce();
+    }
+    // The first life's second transaction, a delivery round with no
+    // sellers to deliver, was appended but never committed.
+    append_in_flight(
+        &dir,
+        "delivery",
+        2,
+        Msg::DeliveryRequest {
+            tid: TransactionId(2),
+            sellers: vec![SellerId(1)],
+            max: 0,
+            at: EventTime(2),
+        },
+    );
+    let reborn = dataflow_over(&dir);
+    reborn.quiesce(); // the in-flight round replays and delivers nothing
+    checkout(&reborn, 2);
+    assert_eq!(
+        reborn.update_delivery(10).unwrap(),
+        1,
+        "the round delivers seller 1's oldest order"
+    );
+}
+
+/// The origin time a rebuilt platform stamps is above every time its
+/// first life stamped, so Update Delivery still takes the oldest order
+/// first.
+#[test]
+fn rebuilt_dataflow_stamps_times_past_the_first_life() {
+    let dir = scratch("at-rebuild");
+    let _guard = DirGuard(dir.clone());
+    let shipped_before: Vec<(OrderId, u64)> = {
+        let platform = dataflow_over(&dir);
+        ingest(&platform);
+        for i in 0..6u64 {
+            checkout(&platform, (i % 4) + 1);
+        }
+        platform.quiesce();
+        let snap = platform.snapshot().unwrap();
+        snap.shipments
+            .iter()
+            .map(|p| (p.order, p.shipped_at))
+            .collect()
+    };
+    assert_eq!(shipped_before.len(), 6);
+    let reborn = dataflow_over(&dir);
+    checkout(&reborn, 1);
+    reborn.quiesce();
+    let snap = reborn.snapshot().unwrap();
+    let new_order: Vec<u64> = snap
+        .shipments
+        .iter()
+        .filter(|p| !shipped_before.iter().any(|&(order, _)| order == p.order))
+        .map(|p| p.shipped_at)
+        .collect();
+    assert_eq!(new_order.len(), 1, "{:?}", snap.shipments);
+    assert!(
+        shipped_before.iter().all(|&(_, at)| at < new_order[0]),
+        "the new order shipped at {}, the first life's at {shipped_before:?}",
+        new_order[0]
+    );
+}
+
+/// A `file_durable` dataflow platform over `FaultVfs` whose next fsync
+/// fails, with the catalog ingested and customer 1's cart filled.
+fn dataflow_about_to_wedge(dir: &std::path::Path) -> Box<dyn MarketplacePlatform> {
+    use om_storage::{FaultVfs, FileBackend, FileBackendOptions};
+    use std::sync::Arc;
+    let vfs = FaultVfs::new(0x5EED);
+    let options = FileBackendOptions {
+        sync_commits: true,
+        snapshot_every: 0,
+        ..Default::default()
+    };
+    let backend =
+        Arc::new(FileBackend::open_with_vfs(dir, options, Arc::new(vfs.clone())).unwrap());
+    let spec = PlatformSpec::new(PlatformKind::Dataflow, BackendKind::FileDurable)
+        .parallelism(2)
+        .decline_rate(0.0);
+    let platform = build_platform(&spec.backend_instance(backend));
+    ingest(platform.as_ref());
+    platform
+        .add_to_cart(
+            CustomerId(1),
+            CheckoutItem {
+                seller: SellerId(1),
+                product: ProductId(1),
+                quantity: 1,
+            },
+        )
+        .unwrap();
+    platform.quiesce();
+    let _ = vfs.clone().fail_nth_sync(vfs.syncs_seen() + 1);
+    platform
+}
+
+/// A checkout whose epoch cannot commit on a wedged store returns the
+/// typed `wedged` error at once instead of re-running the failing epoch
+/// until its 30 s deadline.
+#[test]
+fn awaited_dataflow_checkout_on_a_wedged_store_fails_at_once() {
+    let dir = scratch("wedged-checkout");
+    let _guard = DirGuard(dir.clone());
+    let platform = dataflow_about_to_wedge(&dir);
+    let started = std::time::Instant::now();
+    let err = platform
+        .checkout(CheckoutRequest {
+            customer: CustomerId(1),
+            items: vec![],
+            method: PaymentMethod::CreditCard,
+        })
+        .unwrap_err();
+    let took = started.elapsed();
+    assert_eq!(err.label(), "wedged", "{err}");
+    assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
+    assert!(platform.is_wedged());
+}
+
+/// `quiesce` on a wedged store stops at the first failed epoch instead of
+/// waiting out its 30 s deadline, and drains once the store is repaired.
+#[test]
+fn dataflow_quiesce_on_a_wedged_store_returns_at_once() {
+    let dir = scratch("wedged-quiesce");
+    let _guard = DirGuard(dir.clone());
+    let platform = dataflow_about_to_wedge(&dir);
+    platform
+        .price_update(SellerId(1), ProductId(1), Money::from_cents(700))
+        .unwrap();
+    let started = std::time::Instant::now();
+    platform.quiesce();
+    let took = started.elapsed();
+    assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
+    assert!(platform.is_wedged());
+    assert!(matches!(platform.unwedge(), Some(Ok(_))));
+    platform.quiesce();
+    assert_eq!(
+        platform.snapshot().unwrap().products[0].price,
+        Money::from_cents(700),
+        "the update commits once the store is repaired"
+    );
 }

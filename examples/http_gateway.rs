@@ -4,9 +4,10 @@
 //!
 //! Everything below travels as real HTTP/1.1 bytes through the in-memory
 //! transport: ingestion, cart ops, checkout, a price update, a product
-//! delete, the delivery batch and the seller dashboard. Every response's
-//! status is asserted, so a run that finishes is a smoke test of every
-//! endpoint through the engine.
+//! delete, the delivery batch, the seller dashboard, the routing edges
+//! (404, 405 with `allow`, a trailing `/`), the counters and the two
+//! admin routes. Every response's status is asserted, so a run that
+//! finishes is a smoke test of all 13 routes through the engine.
 //!
 //! ```text
 //! cargo run --release --example http_gateway
@@ -155,7 +156,27 @@ fn main() {
         assert!(dash.is_snapshot_consistent());
     }
 
-    // 6. Gateway + platform counters.
+    // 6. Routing edges: no route's shape, a shape's other method, and a
+    //    trailing slash.
+    println!("\n== routing ==");
+    let resp = client.request(Method::Get, "/nope", None).unwrap();
+    println!("GET /nope -> {}", resp.status);
+    assert_eq!(resp.status, 404);
+    let resp = client
+        .request(Method::Get, "/customers/1/checkout", None)
+        .unwrap();
+    println!(
+        "GET /customers/1/checkout -> {} allow: {:?}",
+        resp.status,
+        resp.headers.get("allow")
+    );
+    assert_eq!(resp.status, 405);
+    assert_eq!(resp.headers.get("allow"), Some("POST"));
+    let resp = client.request(Method::Get, "/health/", None).unwrap();
+    println!("GET /health/ -> {}", resp.status);
+    assert_eq!(resp.status, 200);
+
+    // 7. Gateway + platform counters.
     println!("\n== counters ==");
     let resp = client.request(Method::Get, "/counters", None).unwrap();
     assert_eq!(resp.status, 200);
@@ -165,7 +186,16 @@ fn main() {
     }
     assert_eq!(counters.get("gateway_server_errors"), Some(&0));
 
-    // 7. Engine stats: every request above ran on one thread per event
+    // 8. The admin routes: a memory-backed customized cell has no crash
+    //    drill and no store to unwedge, so both answer 501.
+    println!("\n== admin ==");
+    for path in ["/admin/recovery-drill", "/admin/unwedge"] {
+        let resp = client.request(Method::Post, path, None).unwrap();
+        println!("POST {path} -> {}", resp.status);
+        assert_eq!(resp.status, 501);
+    }
+
+    // 9. Engine stats: every request above ran on one thread per event
     //    loop, however many connections there were.
     let stats = server.stats();
     println!(

@@ -23,7 +23,7 @@
 //! * [`driver`] — benchmark driver: data generation, workload submission,
 //!   metrics and the data-management criteria auditor.
 //! * [`http`] — the HTTP layer of the customized stack (paper Fig. 1):
-//!   HTTP/1.1 parser, router, REST gateway, in-memory server.
+//!   HTTP/1.1 parser, REST gateway, in-memory server.
 //!
 //! See `docs/ARCHITECTURE.md` for the system inventory.
 
