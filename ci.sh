@@ -35,7 +35,11 @@
 #     seeded FaultVfs; failures print their seed/boundary coordinates
 #     and replay with OM_TORTURE_SEED=<n>. Setting OM_TORTURE_FULL=1 on
 #     this script (nightly-depth runs) re-runs the harness sweeping
-#     EVERY boundary with wider workloads and more seeds.
+#     EVERY boundary with wider workloads and more seeds,
+#   * an HTTP engine stress slice: `scripts/stress.sh` runs the
+#     `event_engine` and `large_requests` suites 3 times in 2 loops side
+#     by side, where a lost ready-list mark shows far more often than in
+#     the one workspace run.
 #
 # The environment is fully offline; --offline makes that explicit so a
 # mis-edited manifest fails fast instead of hanging on the network.
@@ -60,6 +64,9 @@ cargo build --release --offline
 
 echo "==> cargo test -q --workspace (functional crates + shim self-tests + torture slice)"
 cargo test -q --offline --workspace
+
+echo "==> stress slice: om_http event_engine + large_requests, 3 runs x 2 loops side by side"
+scripts/stress.sh om_http 3 2 event_engine large_requests
 
 if [[ "${OM_TORTURE_FULL:-}" ]]; then
     echo "==> torture: FULL boundary sweep (OM_TORTURE_FULL=1; failures replay with OM_TORTURE_SEED=<n>)"

@@ -1,26 +1,33 @@
 //! The event-driven connection engine: `workers` event loops, each
 //! owning the connections placed on it and running the gateway inline.
 //!
-//! Instead of one OS thread per connection, each loop multiplexes its
-//! connections through its own [`Poller`], parses a request, calls
-//! [`MarketplaceGateway::handle`] on the loop thread, and hands the whole
-//! response to the client in one wake: a write into an empty
-//! server→client pipe is accepted whole. The engine owns exactly
+//! Instead of one OS thread per connection, each loop parks on its own
+//! ready list, the tokens its connections' pipes marked. It parses a
+//! request, calls [`MarketplaceGateway::handle`] on the loop thread, and
+//! hands the whole response to the client in one wake: a write into an
+//! empty server→client pipe is accepted whole. The engine owns exactly
 //! `workers` threads however many keep-alive connections are open, and a
 //! request crosses no thread between its bytes arriving and its response
 //! leaving.
+//!
+//! A pipe marks its connection's token only for what the loop acts on:
+//! bytes or EOF arriving from the client, and space that a client read
+//! frees after the loop's write was refused. A client reading a response
+//! that went out whole marks nothing, so it never wakes the loop.
 //!
 //! A new connection goes to the loop with the fewest live connections
 //! (ties to the lowest index). Each loop then works in rounds:
 //!
 //! ```text
-//! accept -> poll -> for each ready connection, oldest first:
+//! accept (one turn each) -> take the ready list (park while it is empty)
+//!   -> sweep the idle deadlines when due
+//!   -> for each marked, fresh or re-queued connection, oldest first:
 //!     flush -> read (inbuf cap re-checked per read) -> parse one request
 //!           -> admitted: gateway.handle inline (a panic: 500 + close)
 //!              | over budget: 503
 //!           -> serialize -> flush (whole write into an empty pipe)
-//!     -> parsing open and bytes left in inbuf: re-queue for next round
-//!     -> recompute interest + deadline, or close
+//!     -> able to go on without a mark: re-queue for next round
+//!     -> refresh the idle deadline, or close
 //! ```
 //!
 //! Backpressure is end-to-end and explicit:
@@ -34,15 +41,21 @@
 //!   so an admitted request waits for at most one round of handlers;
 //! * **per-connection buffers** (`pipe_capacity`): while the out-buffer
 //!   is over the cap the connection is not parsed, and while the
-//!   in-buffer is at the cap it is not read; bytes stay in the capped
-//!   client→server pipe, and once that fills the *client's* blocking
-//!   `send` parks — the in-memory analogue of a zero TCP receive window.
-//!   A connection's out-buffer stays within `pipe_capacity` plus the
-//!   largest single response (the server's own), its in-buffer under
-//!   twice `pipe_capacity`;
-//! * **idle deadlines**: the poller's deadline wheel times out idle
-//!   connections (clean close) and half-received requests
-//!   (`408 Request Timeout` + `connection: close`).
+//!   in-buffer is at the cap it is not read, unless all it holds is the
+//!   start of one request; bytes stay in the capped client→server pipe,
+//!   and once that fills the *client's* blocking `send` parks — the
+//!   in-memory analogue of a zero TCP receive window. A connection's
+//!   out-buffer stays within `pipe_capacity` plus the largest single
+//!   response (the server's own), its in-buffer under twice
+//!   `pipe_capacity`, or under one request at the parser's limits
+//!   (`max_head_bytes + max_body_bytes`) plus `pipe_capacity`. Past
+//!   those limits the parser answers 413 or 431; a chunked request whose
+//!   framing alone outgrows them is no longer read and times out 408;
+//! * **idle deadlines**: each connection's deadline is `idle_timeout`
+//!   after its last turn. The loop sweeps them at the earliest one, at
+//!   most every `idle_timeout / 8`, and times out idle connections
+//!   (clean close) and half-received requests (`408 Request Timeout` +
+//!   `connection: close`).
 //!
 //! Three invariants keep a loop that runs handlers inline from stalling
 //! or misjudging a connection:
@@ -57,14 +70,20 @@
 //! 3. **A deadline counts only if the turn finds nothing to do.** After
 //!    a long inline handler, a connection whose request waits unread in
 //!    its pipe is served, not closed or answered 408.
+//!
+//! Beside invariant 1, one turn rule stands for what readiness interest
+//! once did: a turn that stopped reading short, at the in-buffer cap or
+//! with the out-buffer over it, and can now go on re-queues its
+//! connection, since bytes left in the pipe raise no new mark. A fresh
+//! connection gets one turn on accept, which reads whatever arrived
+//! before its pipes could mark it.
 
 use crate::gateway::MarketplaceGateway;
 use crate::pipe::{Connection, TryRead};
-use crate::poller::{Event, Interest, Poller, Readiness, Token};
 use crate::request::{parse_request, Method, ParserConfig, Request};
 use crate::response::Response;
 use bytes::BytesMut;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -78,7 +97,8 @@ pub struct EventConfig {
     /// Event loops, and so engine threads. Each loop owns the
     /// connections placed on it and runs their gateway calls inline.
     pub workers: usize,
-    /// Connections that may wait un-registered before new ones are shed.
+    /// Connections that may wait for their loop to accept them before
+    /// new ones are shed.
     pub accept_queue: usize,
     /// Requests one loop admits per round; the round's further requests
     /// are answered 503 + `retry-after`.
@@ -103,7 +123,7 @@ impl Default for EventConfig {
 /// A point-in-time snapshot of engine health counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Connections currently registered with a loop.
+    /// Connections currently accepted by a loop and not yet closed.
     pub live_connections: usize,
     /// High-water mark of `live_connections`.
     pub max_live_connections: usize,
@@ -114,7 +134,7 @@ pub struct ServerStats {
     /// Requests answered 503 because their loop's round had admitted
     /// `dispatch_queue` requests already.
     pub shed_dispatch: u64,
-    /// Half-received requests answered 408 by the deadline wheel.
+    /// Half-received requests answered 408 at their idle deadline.
     pub timeouts_408: u64,
     /// Requests whose handler panicked, answered 500 with
     /// `connection: close`; their loop went on serving.
@@ -157,17 +177,74 @@ impl StatCounters {
     }
 }
 
+/// Identifies one connection on its loop. A loop never reuses a token,
+/// so a late mark for a closed connection never reaches a newer one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) struct Token(u64);
+
+/// One event loop's ready list: the tokens its connections' pipes marked
+/// since the loop last took them, and whether another thread woke it (a
+/// connection to accept, shutdown). Both change only under `state`, as
+/// the `parking_lot` shim's sleeper count requires.
+#[derive(Default)]
+struct ReadyList {
+    state: Mutex<Ready>,
+    cond: Condvar,
+}
+
+#[derive(Default)]
+struct Ready {
+    tokens: Vec<Token>,
+    woken: bool,
+}
+
+impl ReadyList {
+    fn mark(&self, token: Token) {
+        self.state.lock().tokens.push(token);
+        self.cond.notify_one();
+    }
+
+    fn wake(&self) {
+        self.state.lock().woken = true;
+        self.cond.notify_one();
+    }
+
+    /// Appends the marked tokens to `out`, first parking for up to `wait`
+    /// while none is marked and no wake is pending.
+    fn take(&self, out: &mut Vec<Token>, wait: Duration) {
+        let mut ready = self.state.lock();
+        if ready.tokens.is_empty() && !ready.woken && !wait.is_zero() {
+            self.cond.wait_for(&mut ready, wait);
+        }
+        ready.woken = false;
+        out.append(&mut ready.tokens);
+    }
+}
+
+/// What a connection's pipes mark: its token on its loop's ready list.
+#[derive(Clone)]
+pub(crate) struct Watcher {
+    ready: Arc<ReadyList>,
+    token: Token,
+}
+
+impl Watcher {
+    pub(crate) fn mark(&self) {
+        self.ready.mark(self.token);
+    }
+}
+
 /// The part of one event loop other threads touch.
 struct LoopShared {
-    poller: Poller,
+    ready: Arc<ReadyList>,
     /// Connections placed on this loop and not yet closed, queued or
-    /// registered: what placement balances.
+    /// accepted: what placement balances.
     placed: AtomicUsize,
 }
 
 struct EngineShared {
     loops: Vec<LoopShared>,
-    /// Per loop, the connections placed on it and not yet registered.
+    /// Per loop, the connections placed on it and not yet accepted.
     accept: Mutex<Vec<VecDeque<Connection>>>,
     shutdown: AtomicBool,
     cfg: EventConfig,
@@ -182,21 +259,26 @@ struct Conn {
     io: Connection,
     inbuf: BytesMut,
     outbuf: BytesMut,
+    /// The in-buffer starts with a request the parser could not finish,
+    /// and no read has added to it since.
+    incomplete: bool,
     /// Stop parsing and close once `outbuf` drains.
     close_after_flush: bool,
     saw_eof: bool,
-    interest: Interest,
+    /// `idle_timeout` after the connection's last turn.
+    deadline: Instant,
 }
 
 impl Conn {
-    fn new(io: Connection) -> Conn {
+    fn new(io: Connection, deadline: Instant) -> Conn {
         Conn {
             io,
             inbuf: BytesMut::with_capacity(1024),
             outbuf: BytesMut::new(),
+            incomplete: false,
             close_after_flush: false,
             saw_eof: false,
-            interest: Interest::READ,
+            deadline,
         }
     }
 
@@ -210,12 +292,20 @@ impl Conn {
     /// [`wants_parse`](Self::wants_parse) but additionally capped on the
     /// in-buffer, so pipelined requests pile up in the capped pipe (and
     /// ultimately park the writing client) instead of in server memory.
-    fn wants_read(&self, cap: usize) -> bool {
-        self.wants_parse(cap) && self.inbuf.len() < cap
+    /// Past the cap it reads only to finish the one request the buffer
+    /// starts with, up to the parser's head and body limits: once per
+    /// parse that found the request unfinished.
+    fn wants_read(&self, cap: usize, parser: &ParserConfig) -> bool {
+        self.wants_parse(cap)
+            && (self.inbuf.len() < cap
+                || self.incomplete
+                    && self.inbuf.len() < parser.max_head_bytes + parser.max_body_bytes)
     }
 
-    fn done(&self) -> bool {
-        self.close_after_flush && self.outbuf.is_empty()
+    /// Whether the loop can retire the connection: closing with nothing
+    /// left to write, or the client gone with nothing left to serve.
+    fn finished(&self) -> bool {
+        self.outbuf.is_empty() && (self.close_after_flush || self.saw_eof && self.inbuf.is_empty())
     }
 
     /// Serializes `resp` to `req` into the out-buffer (head only for
@@ -233,7 +323,8 @@ impl Conn {
     }
 }
 
-/// The engine: `workers` event-loop threads, each behind its own poller.
+/// The engine: `workers` event-loop threads, each behind its own ready
+/// list.
 pub(crate) struct EventEngine {
     shared: Arc<EngineShared>,
     loops: Vec<JoinHandle<()>>,
@@ -251,7 +342,7 @@ impl EventEngine {
         let shared = Arc::new(EngineShared {
             loops: (0..cfg.workers)
                 .map(|_| LoopShared {
-                    poller: Poller::new(),
+                    ready: Arc::default(),
                     placed: AtomicUsize::new(0),
                 })
                 .collect(),
@@ -300,7 +391,7 @@ impl EventEngine {
         target.placed.fetch_add(1, Ordering::Relaxed);
         queues[me].push_back(server_end);
         drop(queues);
-        target.poller.wake();
+        target.ready.wake();
         client_end
     }
 
@@ -318,7 +409,7 @@ impl EventEngine {
     fn signal_shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         for l in &self.shared.loops {
-            l.poller.wake();
+            l.ready.wake();
         }
     }
 }
@@ -335,45 +426,42 @@ fn event_loop(shared: &EngineShared, me: usize) {
     let lp = &shared.loops[me];
     let mut conns: HashMap<Token, Conn> = HashMap::new();
     let mut next_token: u64 = 0; // monotonic; tokens are never reused
-    let mut events: Vec<Event> = Vec::new();
-    // Connections whose turn left parsing open over unparsed bytes.
-    let mut requeued: Vec<Token> = Vec::new();
+    let mut round: Vec<Token> = Vec::new();
+    // Fresh and re-queued connections: next round's turns that no mark
+    // announces.
+    let mut next: Vec<Token> = Vec::new();
+    let mut sweep_at = Instant::now() + shared.idle_timeout;
 
     while !shared.shutdown.load(Ordering::SeqCst) {
-        accept_new(shared, me, &mut conns, &mut next_token);
-        events.clear();
-        let wait = if requeued.is_empty() {
-            Duration::from_millis(100)
+        accept_new(shared, me, &mut conns, &mut next_token, &mut next);
+        let wait = if next.is_empty() {
+            sweep_at.saturating_duration_since(Instant::now())
         } else {
             Duration::ZERO
         };
-        lp.poller.poll(&mut events, wait);
-        events.extend(requeued.drain(..).map(|token| Event {
-            token,
-            readiness: Readiness::READABLE,
-            timed_out: false,
-        }));
-        // One turn per connection per round, oldest connection first; a
-        // token's deadline and readiness arrive as separate events.
-        events.sort_unstable_by_key(|e| e.token);
-        events.dedup_by(|later, earlier| {
-            let same = later.token == earlier.token;
-            if same {
-                earlier.timed_out |= later.timed_out;
-            }
-            same
-        });
+        std::mem::swap(&mut round, &mut next);
+        lp.ready.take(&mut round, wait);
+        let now = Instant::now();
+        if now >= sweep_at {
+            sweep_at = sweep(&conns, shared.idle_timeout, now, &mut round);
+        }
+        // One turn per connection per round, oldest connection first.
+        round.sort_unstable();
+        round.dedup();
 
         let mut admit = shared.cfg.dispatch_queue.max(1);
-        for event in &events {
-            let Some(conn) = conns.get_mut(&event.token) else {
-                continue; // already closed; late edge or deadline
+        for &token in &round {
+            let Some(conn) = conns.get_mut(&token) else {
+                continue; // already closed; a late mark
             };
-            if turn(shared, conn, event.timed_out, &mut admit) {
-                requeued.push(event.token);
+            if turn(shared, conn, now, &mut admit) {
+                next.push(token);
             }
-            finish_touch(shared, lp, &mut conns, event.token);
+            if conn.finished() {
+                close_conn(shared, lp, &mut conns, token);
+            }
         }
+        round.clear();
     }
 
     // Shutdown: queued clients and every live connection see EOF.
@@ -386,45 +474,72 @@ fn event_loop(shared: &EngineShared, me: usize) {
     }
 }
 
-/// Registers this loop's queued connections with its poller.
+/// Takes this loop's queued connections: each gets a token, a watcher
+/// on its pipes and, in `next`, one turn.
 fn accept_new(
     shared: &EngineShared,
     me: usize,
     conns: &mut HashMap<Token, Conn>,
     next_token: &mut u64,
+    next: &mut Vec<Token>,
 ) {
-    let poller = &shared.loops[me].poller;
     let fresh = std::mem::take(&mut shared.accept.lock()[me]);
     for io in fresh {
         let token = Token(*next_token);
         *next_token += 1;
-        // Interest first, watchers second: an edge can only arrive once
-        // the poller already knows the token, so nothing is dropped as
-        // stale.
-        poller.register(token, Interest::READ);
-        io.register(poller.watcher(token), poller.watcher(token));
-        // Bytes may have landed before the watchers existed: seed with
-        // the observed level.
-        poller.inject(token, io.readiness_level());
-        poller.set_deadline(token, Some(Instant::now() + shared.idle_timeout));
-        conns.insert(token, Conn::new(io));
+        io.watch(Watcher {
+            ready: shared.loops[me].ready.clone(),
+            token,
+        });
+        conns.insert(token, Conn::new(io, Instant::now() + shared.idle_timeout));
+        next.push(token);
         shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
         let live = shared.stats.live.fetch_add(1, Ordering::Relaxed) + 1;
         shared.stats.max_live.fetch_max(live, Ordering::Relaxed);
     }
 }
 
+/// Queues every connection whose idle deadline has passed for a turn,
+/// and returns when to sweep next: at the earliest deadline left, but no
+/// sooner than `idle_timeout / 8` from `now`. A deadline only ever moves
+/// later, and a new connection's is the latest, so no sweep is missed.
+fn sweep(
+    conns: &HashMap<Token, Conn>,
+    idle_timeout: Duration,
+    now: Instant,
+    round: &mut Vec<Token>,
+) -> Instant {
+    let mut earliest = now + idle_timeout;
+    for (&token, conn) in conns {
+        if conn.deadline <= now {
+            round.push(token);
+        } else {
+            earliest = earliest.min(conn.deadline);
+        }
+    }
+    earliest.max(now + idle_timeout / 8)
+}
+
 /// One connection's turn in a round: flush, read, serve at most one
 /// request inline, flush. Returns whether to re-queue the connection for
-/// the next round (invariant 1).
-fn turn(shared: &EngineShared, conn: &mut Conn, timed_out: bool, admit: &mut usize) -> bool {
+/// the next round (invariant 1 and the turn rule beside it).
+fn turn(shared: &EngineShared, conn: &mut Conn, now: Instant, admit: &mut usize) -> bool {
     let cap = shared.cfg.pipe_capacity;
     // Invariant 1: a drained out-buffer re-opens parsing before we parse.
     let mut progressed = flush(conn);
     // Invariant 2: re-check the in-buffer cap on every read.
-    while conn.wants_read(cap) {
+    let mut read_short = false;
+    loop {
+        if !conn.wants_read(cap, &shared.parser) {
+            read_short = true;
+            break;
+        }
         match conn.io.try_read(&mut conn.inbuf) {
-            TryRead::Data(_) => progressed = true,
+            TryRead::Data(_) => {
+                // Past the cap, one read per parse of the request.
+                conn.incomplete = false;
+                progressed = true;
+            }
             TryRead::Empty => break,
             TryRead::Closed => {
                 conn.saw_eof = true;
@@ -432,9 +547,10 @@ fn turn(shared: &EngineShared, conn: &mut Conn, timed_out: bool, admit: &mut usi
             }
         }
     }
-    let mut partial = false;
     if conn.wants_parse(cap) {
-        match parse_request(&mut conn.inbuf, &shared.parser) {
+        let parsed = parse_request(&mut conn.inbuf, &shared.parser);
+        conn.incomplete = matches!(parsed, Ok(None));
+        match parsed {
             Ok(Some(req)) => {
                 progressed = true;
                 let resp = if *admit > 0 {
@@ -447,7 +563,6 @@ fn turn(shared: &EngineShared, conn: &mut Conn, timed_out: bool, admit: &mut usi
                 conn.queue_response(resp, &req);
             }
             Ok(None) => {
-                partial = true;
                 if conn.saw_eof {
                     // Client is gone; whatever half-request remains can
                     // never complete.
@@ -466,14 +581,16 @@ fn turn(shared: &EngineShared, conn: &mut Conn, timed_out: bool, admit: &mut usi
         }
     }
     // Invariant 3: a deadline is stale if this turn found work.
-    if timed_out && !progressed {
+    if conn.deadline <= now && !progressed {
         expire(shared, conn);
     }
     shared
         .stats
         .record_buffer(conn.inbuf.len() + conn.outbuf.len());
     flush(conn);
-    !partial && conn.wants_parse(cap) && !conn.inbuf.is_empty()
+    conn.deadline = Instant::now() + shared.idle_timeout;
+    (read_short && conn.wants_read(cap, &shared.parser))
+        || (conn.wants_parse(cap) && !conn.incomplete && !conn.inbuf.is_empty())
 }
 
 /// Runs the gateway on `req`. A panicking handler fails only its own
@@ -498,7 +615,7 @@ fn flush(conn: &mut Conn) -> bool {
     while !conn.outbuf.is_empty() {
         let n = conn.io.try_write(&conn.outbuf);
         if n == 0 {
-            break; // peer's pipe is full; wait for a writable edge
+            break; // the client's pipe is full; its next read marks us
         }
         let _ = conn.outbuf.split_to(n);
         wrote = true;
@@ -524,59 +641,130 @@ fn expire(shared: &EngineShared, conn: &mut Conn) {
     conn.close_after_flush = true;
 }
 
-/// After a turn on `token`: retire the connection if it is done,
-/// otherwise recompute interest + deadline.
-fn finish_touch(
-    shared: &EngineShared,
-    lp: &LoopShared,
-    conns: &mut HashMap<Token, Conn>,
-    token: Token,
-) {
-    let Some(conn) = conns.get_mut(&token) else {
-        return;
-    };
-    if conn.done() || (conn.saw_eof && conn.outbuf.is_empty() && conn.inbuf.is_empty()) {
-        close_conn(shared, lp, conns, token);
-        return;
-    }
-    let desired = Interest {
-        readable: conn.wants_read(shared.cfg.pipe_capacity),
-        writable: !conn.outbuf.is_empty(),
-    };
-    if desired != conn.interest {
-        let enabled_read = desired.readable && !conn.interest.readable;
-        let enabled_write = desired.writable && !conn.interest.writable;
-        conn.interest = desired;
-        lp.poller.set_interest(token, desired);
-        if enabled_read || enabled_write {
-            // The edge may have passed while the interest was off; seed
-            // the poller with the current level so it isn't lost.
-            let level = conn.io.readiness_level();
-            lp.poller.inject(
-                token,
-                Readiness {
-                    readable: level.readable && enabled_read,
-                    writable: level.writable && enabled_write,
-                },
-            );
-        }
-    }
-    lp.poller
-        .set_deadline(token, Some(Instant::now() + shared.idle_timeout));
-}
-
-/// Deregisters and drops one connection; its pipes close on drop, so a
-/// blocked client wakes with EOF.
+/// Drops one connection; its pipes close on drop, so a blocked client
+/// wakes with EOF. The close may mark the token once more: the next
+/// round skips it.
 fn close_conn(
     shared: &EngineShared,
     lp: &LoopShared,
     conns: &mut HashMap<Token, Conn>,
     token: Token,
 ) {
-    if let Some(conn) = conns.remove(&token) {
-        drop(conn); // pipe close may fire one last watcher edge...
-        lp.poller.deregister(token); // ...which this clears
+    if conns.remove(&token).is_some() {
         lp.placed.fetch_sub(1, Ordering::Relaxed);
         shared.stats.live.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_mark_ends_a_park_and_is_taken_once() {
+        let ready = Arc::new(ReadyList::default());
+        let marker = {
+            let ready = ready.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                ready.mark(Token(7));
+            })
+        };
+        let started = Instant::now();
+        let mut taken = Vec::new();
+        while taken.is_empty() && started.elapsed() < Duration::from_secs(5) {
+            ready.take(&mut taken, Duration::from_secs(10));
+        }
+        assert_eq!(taken, [Token(7)]);
+        marker.join().unwrap();
+        ready.take(&mut taken, Duration::from_millis(10));
+        assert_eq!(taken, [Token(7)], "a mark is taken once");
+    }
+
+    #[test]
+    fn a_wake_ends_a_park_with_nothing_marked() {
+        let ready = Arc::new(ReadyList::default());
+        let waker = {
+            let ready = ready.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                ready.wake();
+            })
+        };
+        let started = Instant::now();
+        let mut taken = Vec::new();
+        ready.take(&mut taken, Duration::from_secs(10));
+        waker.join().unwrap();
+        assert!(taken.is_empty());
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the wake must end the park"
+        );
+        // A wake given while the loop is busy ends its next park at once.
+        ready.wake();
+        let started = Instant::now();
+        ready.take(&mut taken, Duration::from_secs(10));
+        assert!(started.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn a_turn_that_read_short_and_can_go_on_is_requeued() {
+        const CAP: usize = 64;
+        let shared = EngineShared {
+            loops: Vec::new(),
+            accept: Mutex::default(),
+            shutdown: AtomicBool::new(false),
+            cfg: EventConfig {
+                pipe_capacity: CAP,
+                ..EventConfig::default()
+            },
+            parser: ParserConfig::default(),
+            idle_timeout: Duration::from_secs(30),
+            gateway: Arc::new(MarketplaceGateway::new(Arc::new(
+                om_marketplace::EventualPlatform::new(Default::default()),
+            ))),
+            stats: StatCounters::default(),
+        };
+        let (client, server) = Connection::duplex_with_capacity(CAP);
+        let mut conn = Conn::new(server, Instant::now() + shared.idle_timeout);
+        // A whole request over the cap is buffered, so the turn reads
+        // nothing; the next request waits in the pipe, its mark taken.
+        let padded = format!("GET /health HTTP/1.1\r\nx: {}\r\n\r\n", "x".repeat(CAP));
+        conn.inbuf.extend_from_slice(padded.as_bytes());
+        client.send(b"GET /health HTTP/1.1\r\n\r\n");
+        let mut admit = 2;
+        assert!(
+            turn(&shared, &mut conn, Instant::now(), &mut admit),
+            "the pipe holds a request no mark will announce"
+        );
+        assert!(
+            !turn(&shared, &mut conn, Instant::now(), &mut admit),
+            "the pipe and the in-buffer are drained"
+        );
+        assert_eq!(admit, 0, "both requests were served");
+    }
+
+    #[test]
+    fn a_sweep_queues_what_expired_and_waits_for_the_earliest_deadline_left() {
+        let idle = Duration::from_secs(8);
+        let now = Instant::now();
+        let conn = |deadline| Conn::new(Connection::duplex_with_capacity(16).1, deadline);
+        let mut conns = HashMap::new();
+        conns.insert(Token(1), conn(now + Duration::from_secs(5)));
+        conns.insert(Token(2), conn(now));
+        conns.insert(Token(3), conn(now + Duration::from_secs(3)));
+        let mut round = Vec::new();
+        assert_eq!(
+            sweep(&conns, idle, now, &mut round),
+            now + Duration::from_secs(3)
+        );
+        assert_eq!(round, [Token(2)]);
+        // Never sooner than an eighth of the idle timeout, nor later
+        // than a whole one.
+        conns.insert(Token(4), conn(now + Duration::from_millis(10)));
+        round.clear();
+        assert_eq!(sweep(&conns, idle, now, &mut round), now + idle / 8);
+        assert_eq!(round, [Token(2)]);
+        assert_eq!(sweep(&HashMap::new(), idle, now, &mut round), now + idle);
     }
 }

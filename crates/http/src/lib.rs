@@ -14,13 +14,12 @@
 //! * [`pipe`] — the in-memory duplex byte-pipe transport (blocking and
 //!   non-blocking modes), so the whole stack exercises real wire
 //!   framing without sockets;
-//! * [`poller`] — a readiness/interest/deadline abstraction (the seam
-//!   where an epoll backend would plug in);
-//! * [`conn`] — the event-driven connection engine: `workers` readiness
-//!   loops, each owning its connections and running the gateway inline,
-//!   writing each response whole, with end-to-end backpressure (bounded
-//!   accept queue and per-round admission with load-shed, capped
-//!   per-connection buffers, idle timeouts);
+//! * [`conn`] — the event-driven connection engine: `workers` event
+//!   loops, each parked on a ready list its connections' pipes mark,
+//!   owning its connections and running the gateway inline, writing each
+//!   response whole, with end-to-end backpressure (bounded accept queue
+//!   and per-round admission with load-shed, capped per-connection
+//!   buffers, idle timeouts);
 //! * [`server`] — [`HttpServer`] over the event-driven engine plus a
 //!   blocking client.
 //!
@@ -45,7 +44,6 @@ pub mod conn;
 pub mod error;
 pub mod gateway;
 pub mod pipe;
-pub mod poller;
 pub mod request;
 pub mod response;
 pub mod server;
@@ -54,7 +52,6 @@ pub use conn::{EventConfig, ServerStats};
 pub use error::HttpError;
 pub use gateway::MarketplaceGateway;
 pub use pipe::Connection;
-pub use poller::{Interest, Poller, Readiness, Token};
 pub use request::{parse_request, Headers, Method, ParserConfig, Request, Version};
 pub use response::{parse_head_response, parse_response, Response};
 pub use server::{HttpClient, HttpServer, ServerOptions};

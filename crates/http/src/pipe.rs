@@ -9,10 +9,11 @@
 //!   bytes arrive, writes park when the peer's receive buffer is at
 //!   capacity — the analogue of a full TCP send window;
 //! * **non-blocking** (the event-driven engine): `Connection::try_read`
-//!   / `Connection::try_write` never park; instead each pipe pushes
-//!   readiness edges (bytes arrived, space freed, closed) to a
-//!   registered [`Watcher`], the in-memory stand-in for what epoll
-//!   would report for a socket fd.
+//!   / `Connection::try_write` never park; instead the server end's
+//!   pipes mark its token on its loop's ready list (through a `Watcher`)
+//!   when bytes or EOF arrive from the client, and when a client read
+//!   frees space after the loop's write was refused. A client read that
+//!   follows a write accepted whole marks nothing.
 //!
 //! The two directions differ in one rule. The client→server pipe is
 //! hard-capped, so a client can never make the server hold more than
@@ -24,10 +25,10 @@
 //!
 //! [`HttpClient`]: crate::server::HttpClient
 
-use crate::poller::{Readiness, Watcher};
+use crate::conn::Watcher;
 use bytes::BytesMut;
-use parking_lot::{Condvar, Mutex};
-use std::sync::Arc;
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Outcome of a blocking read with a deadline.
@@ -55,11 +56,9 @@ pub(crate) enum TryRead {
 struct PipeState {
     buf: BytesMut,
     closed: bool,
-    /// Notified when bytes arrive or the pipe closes (the reading side).
-    reader: Option<Watcher>,
-    /// Notified when buffer space frees below capacity or the pipe
-    /// closes (the writing side).
-    writer: Option<Watcher>,
+    /// The last write was refused, in whole or in part, and no read has
+    /// freed space since: the next read is news to the writer.
+    refused: bool,
 }
 
 /// One direction of an in-memory duplex connection.
@@ -71,6 +70,11 @@ struct Pipe {
     state: Mutex<PipeState>,
     readable: Condvar,
     writable: Condvar,
+    /// Marked when bytes arrive or the pipe closes (the reading side).
+    reader: OnceLock<Watcher>,
+    /// Marked when a read frees space after a refused write, or when the
+    /// pipe closes (the writing side).
+    writer: OnceLock<Watcher>,
 }
 
 impl Pipe {
@@ -81,11 +85,12 @@ impl Pipe {
             state: Mutex::new(PipeState {
                 buf: BytesMut::new(),
                 closed: false,
-                reader: None,
-                writer: None,
+                refused: false,
             }),
             readable: Condvar::new(),
             writable: Condvar::new(),
+            reader: OnceLock::new(),
+            writer: OnceLock::new(),
         })
     }
 
@@ -104,14 +109,14 @@ impl Pipe {
             self.capacity.saturating_sub(state.buf.len())
         };
         let n = room.min(data.len());
+        state.refused = n < data.len();
         if n == 0 {
             return 0;
         }
         state.buf.extend_from_slice(&data[..n]);
-        if let Some(w) = &state.reader {
-            w.notify(Readiness::READABLE);
-        }
+        drop(state);
         self.readable.notify_all();
+        mark(&self.reader);
         n
     }
 
@@ -143,16 +148,11 @@ impl Pipe {
     }
 
     fn close(&self) {
-        let mut state = self.state.lock();
-        state.closed = true;
-        if let Some(w) = &state.reader {
-            w.notify(Readiness::READABLE);
-        }
-        if let Some(w) = &state.writer {
-            w.notify(Readiness::WRITABLE);
-        }
+        self.state.lock().closed = true;
         self.readable.notify_all();
         self.writable.notify_all();
+        mark(&self.reader);
+        mark(&self.writer);
     }
 
     /// Blocking read with a deadline; moves everything buffered into
@@ -169,7 +169,7 @@ impl Pipe {
         }
         out.extend_from_slice(&state.buf);
         state.buf.clear();
-        self.notify_drained(&mut state);
+        self.drained(state);
         ReadStatus::Data
     }
 
@@ -186,36 +186,25 @@ impl Pipe {
         let n = state.buf.len();
         out.extend_from_slice(&state.buf);
         state.buf.clear();
-        self.notify_drained(&mut state);
+        self.drained(state);
         TryRead::Data(n)
     }
 
-    /// After a drain, tell a parked / registered writer that space freed.
-    fn notify_drained(&self, state: &mut PipeState) {
-        if let Some(w) = &state.writer {
-            w.notify(Readiness::WRITABLE);
-        }
+    /// After a drain, tell a parked writer that space freed, and the
+    /// writer's watcher too if its last write was refused.
+    fn drained(&self, mut state: MutexGuard<'_, PipeState>) {
+        let refused = std::mem::take(&mut state.refused);
+        drop(state);
         self.writable.notify_all();
+        if refused {
+            mark(&self.writer);
+        }
     }
+}
 
-    fn set_reader_watcher(&self, w: Watcher) {
-        self.state.lock().reader = Some(w);
-    }
-
-    fn set_writer_watcher(&self, w: Watcher) {
-        self.state.lock().writer = Some(w);
-    }
-
-    /// Current level-triggered readiness of this pipe *for its reader*.
-    fn readable_level(&self) -> bool {
-        let state = self.state.lock();
-        !state.buf.is_empty() || state.closed
-    }
-
-    /// Current level-triggered readiness of this pipe *for its writer*.
-    fn writable_level(&self) -> bool {
-        let state = self.state.lock();
-        state.buf.len() < self.capacity || state.closed
+fn mark(watcher: &OnceLock<Watcher>) {
+    if let Some(w) = watcher.get() {
+        w.mark();
     }
 }
 
@@ -273,22 +262,12 @@ impl Connection {
         self.tx.close();
     }
 
-    /// Installs poller watchers: `reader` fires when inbound bytes (or
-    /// EOF) arrive, `writer` when outbound space frees (or the peer
-    /// closes).
-    pub(crate) fn register(&self, reader: Watcher, writer: Watcher) {
-        self.rx.set_reader_watcher(reader);
-        self.tx.set_writer_watcher(writer);
-    }
-
-    /// Current level-triggered readiness (used to seed a freshly
-    /// registered or re-enabled interest, where edges may already have
-    /// passed).
-    pub(crate) fn readiness_level(&self) -> Readiness {
-        Readiness {
-            readable: self.rx.readable_level(),
-            writable: self.tx.writable_level(),
-        }
+    /// Installs this end's watcher (the first one stays): inbound bytes
+    /// or EOF mark it, and so do outbound space freed after a refused
+    /// write and the peer's close.
+    pub(crate) fn watch(&self, watcher: Watcher) {
+        let _ = self.rx.reader.set(watcher.clone());
+        let _ = self.tx.writer.set(watcher);
     }
 }
 

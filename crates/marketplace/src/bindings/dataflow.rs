@@ -71,6 +71,10 @@ const DRILL_FN: &str = "recovery_drill";
 struct Completions {
     done: Mutex<Done>,
     epoch_end: Condvar,
+    /// The platform's first minted tid. A lower one is an earlier life's
+    /// transaction, replayed from the ingress log: no caller waits for
+    /// it, so its completion is not kept.
+    first_tid: u64,
 }
 
 #[derive(Default)]
@@ -85,8 +89,11 @@ impl Completions {
     fn publish(&self, egress: Vec<Msg>) {
         let mut done = self.done.lock();
         for record in egress {
-            if let Msg::Egress(eg) = record {
-                done.by_tid.insert(eg.tid().0, eg);
+            match record {
+                Msg::Egress(eg) if eg.tid().0 >= self.first_tid => {
+                    done.by_tid.insert(eg.tid().0, eg);
+                }
+                _ => {}
             }
         }
         done.epochs += 1;
@@ -604,7 +611,10 @@ impl DataflowPlatform {
         let core = Arc::new(Core {
             df,
             counters: CounterSet::new(),
-            completions: Completions::default(),
+            completions: Completions {
+                first_tid: next_id,
+                ..Completions::default()
+            },
             active_waiters: AtomicUsize::new(0),
         });
         let stop = Arc::new(AtomicBool::new(false));
@@ -1148,5 +1158,39 @@ mod tests {
         assert!(completions.take(6).is_err(), "another tid's completion stays");
         assert!(completions.take(7).is_ok());
         assert_eq!(completions.done.lock().by_tid.len(), 0, "the other record is no egress");
+    }
+
+    #[test]
+    fn a_rebuilt_platform_keeps_no_completion_of_an_earlier_life() {
+        let ingress: Arc<dyn om_log::EventLog<(Address, Msg)>> =
+            Arc::new(om_log::Topic::new("ingress", 2));
+        // An earlier life submitted a checkout of customer 3's empty cart
+        // and crashed before any epoch committed it.
+        let earlier: Dataflow<Msg> = Dataflow::builder()
+            .partitions(2)
+            .ingress_topic(ingress.clone())
+            .build();
+        earlier
+            .submit(
+                addr(kinds::CART, 3),
+                Msg::Checkout {
+                    tid: TransactionId(1),
+                    method: om_common::entity::PaymentMethod::CreditCard,
+                    decline_rate_bp: 0,
+                    at: EventTime(1),
+                },
+            )
+            .unwrap();
+        let reborn = DataflowPlatform::new(DataflowPlatformConfig {
+            partitions: 2,
+            ingress: Some(ingress),
+            ..DataflowPlatformConfig::default()
+        });
+        reborn.quiesce();
+        assert_eq!(reborn.core.df.pending_ingress(), 0, "the checkout replayed");
+        assert!(
+            reborn.core.completions.done.lock().by_tid.is_empty(),
+            "no caller of this life waits for tid 1"
+        );
     }
 }
