@@ -36,10 +36,12 @@
 #     and replay with OM_TORTURE_SEED=<n>. Setting OM_TORTURE_FULL=1 on
 #     this script (nightly-depth runs) re-runs the harness sweeping
 #     EVERY boundary with wider workloads and more seeds,
-#   * an HTTP engine stress slice: `scripts/stress.sh` runs the
-#     `event_engine` and `large_requests` suites 3 times in 2 loops side
-#     by side, where a lost ready-list mark shows far more often than in
-#     the one workspace run.
+#   * a stress slice: `scripts/stress.sh` runs the HTTP engine's
+#     `event_engine` and `large_requests` suites, the contended
+#     transactional checkout and delivery (`tx_fanout`) and the admission
+#     suites (`lock_props`, `tx_integration`) 3 times each in 2 loops side
+#     by side, where a lost ready-list mark or a grain admitted twice
+#     shows far more often than in the one workspace run.
 #
 # The environment is fully offline; --offline makes that explicit so a
 # mis-edited manifest fails fast instead of hanging on the network.
@@ -65,8 +67,10 @@ cargo build --release --offline
 echo "==> cargo test -q --workspace (functional crates + shim self-tests + torture slice)"
 cargo test -q --offline --workspace
 
-echo "==> stress slice: om_http event_engine + large_requests, 3 runs x 2 loops side by side"
+echo "==> stress slice: om_http event_engine + large_requests, om_marketplace tx_fanout, om_actor lock_props + tx_integration; 3 runs x 2 loops side by side"
 scripts/stress.sh om_http 3 2 event_engine large_requests
+scripts/stress.sh om_marketplace 3 2 tx_fanout
+scripts/stress.sh om_actor 3 2 lock_props tx_integration
 
 if [[ "${OM_TORTURE_FULL:-}" ]]; then
     echo "==> torture: FULL boundary sweep (OM_TORTURE_FULL=1; failures replay with OM_TORTURE_SEED=<n>)"

@@ -48,10 +48,12 @@
 //! ## Transactions
 //!
 //! The [`tx`] module layers ACID distributed transactions over grains, in
-//! the style of Orleans Transactions: per-grain reader/writer locks with
-//! **wait-die** deadlock avoidance ([`tx::participant`]), staged writes,
-//! and a client-side **two-phase commit** coordinator writing a durable
-//! decision log ([`tx::coordinator`]). The overhead this machinery adds
+//! the style of Orleans Transactions: per-grain locks taken under
+//! **conservative 2PL** — a transaction is admitted only once every grain
+//! it declared is free, so it never waits for a lock and never deadlocks —
+//! staged writes ([`tx::participant`]), and a client-side **two-phase
+//! commit** coordinator writing a durable decision log
+//! ([`tx::coordinator`]). The overhead this machinery adds
 //! over bare eventual messaging is exactly what experiment E5 measures.
 
 #![deny(missing_docs)]

@@ -1,12 +1,15 @@
-//! The two-phase-commit coordinator and its durable decision log.
+//! The two-phase-commit coordinator, its admission gate and its durable
+//! decision log.
 //!
 //! Like the textbook coordinator, it sends PREPARE to every participant at
 //! once and then COMMIT (or ABORT) to every participant at once: a round
 //! costs two waits however many participants there are.
 
+use crate::grain::GrainId;
 use om_common::ids::{IdSequence, TransactionId};
 use om_common::{OmError, OmResult};
-use parking_lot::RwLock;
+use parking_lot::{Condvar, Mutex, RwLock};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Coordinator-side view of one transaction's participants. Each method
@@ -115,28 +118,84 @@ impl TxLog {
     }
 }
 
-/// The client-side 2PC coordinator.
+/// The client-side 2PC coordinator, which also admits its transactions.
 ///
-/// Transaction ids are minted monotonically; because wait-die uses tid
-/// order as age, earlier transactions automatically get priority.
-#[derive(Debug, Default)]
+/// **Conservative 2PL.** Before its first phase a transaction declares
+/// every grain it may lock, and [`Coordinator::admit`] blocks until no
+/// admitted transaction holds any of them; the transaction then holds
+/// them all until its [`Admitted`] guard drops. Two admitted
+/// transactions never share a grain, so a lock is always free when its
+/// transaction stages on it, no wait-for cycle can form, and nothing is
+/// ever killed or restarted.
+#[derive(Default)]
 pub struct Coordinator {
     log: TxLog,
     seq: IdSequence,
+    /// Grains held by admitted transactions. Changed only under its
+    /// mutex, as the `parking_lot` shim's sleeper count requires.
+    held: Mutex<HashSet<GrainId>>,
+    /// Notified when an admitted transaction frees its grains.
+    freed: Condvar,
+    /// Admissions that found a declared grain held and slept.
+    admission_waits: AtomicU64,
+}
+
+/// An admitted transaction's hold on its declared grains, released on
+/// drop.
+#[must_use = "the grains are free again as soon as the guard drops"]
+pub struct Admitted<'a> {
+    coordinator: &'a Coordinator,
+    grains: Vec<GrainId>,
+}
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        let mut held = self.coordinator.held.lock();
+        for grain in &self.grains {
+            held.remove(grain);
+        }
+        drop(held);
+        self.coordinator.freed.notify_all();
+    }
 }
 
 impl Coordinator {
     /// A coordinator with an empty log, minting tids from 1.
     pub fn new() -> Self {
         Self {
-            log: TxLog::new(),
             seq: IdSequence::new(1),
+            ..Self::default()
         }
     }
 
     /// Mints a fresh transaction id.
     pub fn begin(&self) -> TransactionId {
         TransactionId(self.seq.next_raw())
+    }
+
+    /// Blocks until no admitted transaction holds any of `grains`, then
+    /// holds them all (duplicates count once) until the guard drops.
+    pub fn admit(&self, grains: &[GrainId]) -> Admitted<'_> {
+        let mut grains = grains.to_vec();
+        grains.sort_unstable();
+        grains.dedup();
+        let mut held = self.held.lock();
+        if grains.iter().any(|g| held.contains(g)) {
+            self.admission_waits.fetch_add(1, Ordering::Relaxed);
+            while grains.iter().any(|g| held.contains(g)) {
+                self.freed.wait(&mut held);
+            }
+        }
+        held.extend(grains.iter().copied());
+        Admitted {
+            coordinator: self,
+            grains,
+        }
+    }
+
+    /// Admissions that had to wait for a declared grain.
+    pub fn admission_waits(&self) -> u64 {
+        self.admission_waits.load(Ordering::Relaxed)
     }
 
     /// Runs two-phase commit for `tid` across `participants`.
@@ -350,7 +409,42 @@ mod tests {
         let c = Coordinator::new();
         let a = c.begin();
         let b = c.begin();
-        assert!(a < b, "tid order doubles as wait-die age");
+        assert!(a < b);
+    }
+
+    #[test]
+    fn disjoint_sets_are_admitted_together_and_a_dropped_guard_frees_its_grains() {
+        let c = Coordinator::new();
+        let g = |k| GrainId::new("g", k);
+        let first = c.admit(&[g(1), g(2), g(1)]);
+        let second = c.admit(&[g(3)]);
+        assert_eq!(c.held.lock().len(), 3, "a duplicate counts once");
+        drop(first);
+        let third = c.admit(&[g(1), g(2)]);
+        drop((second, third));
+        assert!(c.held.lock().is_empty());
+        assert_eq!(c.admission_waits(), 0, "no admission found its grains held");
+    }
+
+    #[test]
+    fn an_admission_waits_once_until_every_declared_grain_is_free() {
+        let c = Coordinator::new();
+        let g = |k| GrainId::new("g", k);
+        let (first, second) = (c.admit(&[g(1)]), c.admit(&[g(2)]));
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| drop(c.admit(&[g(1), g(2)])));
+            while c.admission_waits() == 0 {
+                std::thread::yield_now();
+            }
+            // Freeing one declared grain wakes the waiter, which sleeps
+            // again on the other.
+            drop(first);
+            assert!(!waiter.is_finished(), "admitted while grain 2 is held");
+            drop(second);
+            waiter.join().unwrap();
+        });
+        assert_eq!(c.admission_waits(), 1, "one admission waited, whatever its wake-ups");
+        assert!(c.held.lock().is_empty());
     }
 
     #[test]

@@ -4,29 +4,32 @@
 //! Three pieces cooperate:
 //!
 //! * [`participant::TxParticipant`] — a facet a grain embeds around its
-//!   state: a reader/writer lock with **wait-die** deadlock avoidance,
-//!   writes staged as ops (replayed on the committed state at commit),
-//!   and a prepare/commit/abort protocol surface.
+//!   state: one lock holder, writes staged as ops (replayed on the
+//!   committed state at commit), and a prepare/commit/abort protocol
+//!   surface.
 //! * [`coordinator::Coordinator`] — the client-side two-phase-commit
-//!   coordinator with a durable decision log. It reaches its participants
-//!   through [`coordinator::Participants`], which sends each protocol
-//!   message to all of them at once: PREPARE to every participant in one
-//!   fan-out, then COMMIT or ABORT to every participant in one more.
+//!   coordinator with a durable decision log. It first **admits** a
+//!   transaction (conservative 2PL): the transaction declares every
+//!   grain it may lock and waits until no admitted transaction holds
+//!   any of them, so its locks are always free and no deadlock can
+//!   form. It reaches its participants through
+//!   [`coordinator::Participants`], which sends each protocol message to
+//!   all of them at once: PREPARE to every participant in one fan-out,
+//!   then COMMIT or ABORT to every participant in one more.
 //! * [`coordinator::TxLog`] — the decision log; the auditor replays it to
 //!   verify no transaction committed at one participant and aborted at
 //!   another (the all-or-nothing criterion of paper §II).
 //!
-//! The deliberate cost profile of this machinery — lock acquisition
-//! round-trips, staged ops that run twice (on a shadow, then at commit),
-//! two commit phases, log appends — is what experiment E5 ("Orleans
-//! Transactions comes at a considerable overhead") measures against the
-//! eventual binding. A client pays one wait per protocol phase, not one
-//! per grain: the transactional checkout sends each phase's grain ops —
-//! every stock reservation, say — as one [`crate::Cluster::call_all`],
-//! and retries alone only an op that must wait for a lock (`Conflict`).
+//! The deliberate cost profile of this machinery — the admission gate,
+//! staged ops that run twice (on a shadow, then at commit), two commit
+//! phases, log appends — is what experiment E5 ("Orleans Transactions
+//! comes at a considerable overhead") measures against the eventual
+//! binding. A client pays one wait per protocol phase, not one per
+//! grain: the transactional checkout sends each phase's grain ops —
+//! every stock reservation, say — as one [`crate::Cluster::call_all`].
 
 pub mod coordinator;
 pub mod participant;
 
-pub use coordinator::{Coordinator, Participants, TxLog, TxPhase};
-pub use participant::{LockMode, TxParticipant};
+pub use coordinator::{Admitted, Coordinator, Participants, TxLog, TxPhase};
+pub use participant::TxParticipant;

@@ -1,42 +1,29 @@
-//! Property-based tests of the wait-die lock manager and the 2PC state
-//! machine embedded in grains.
+//! Property-based tests of the admission gate, the per-grain lock and
+//! the 2PC state machine embedded in grains.
 //!
-//! Invariants under arbitrary acquire/release schedules:
+//! Invariants:
 //!
-//! * mutual exclusion — never two write holders, never a write holder
-//!   alongside foreign readers;
-//! * wait-die discipline — an older transaction is told to wait
-//!   (`Conflict`), a younger one to die (`TxWaitDie`); so the lock
-//!   "waits-for" order always points from younger to older and no cycle
-//!   (deadlock) can form;
+//! * admission is exclusive and deadlock-free — two admitted
+//!   transactions never share a declared grain, and threads admitting
+//!   random overlapping sets all finish;
+//! * a grain's lock has one holder, taken by its first stage; another
+//!   transaction's stage is refused (`Conflict`);
 //! * staged writes are invisible until commit, discarded on abort;
 //! * staged ops replayed at commit behave exactly like the shadow copy
 //!   (clone on first write, install on commit) they replace;
 //! * the coordinator's log never records both commit and abort for one
 //!   transaction.
 
-use om_actor::tx::{Coordinator, LockMode, Participants, TxParticipant};
+use om_actor::tx::{Coordinator, Participants, TxParticipant};
+use om_actor::GrainId;
 use om_common::ids::TransactionId;
-use om_common::{OmError, OmResult};
+use om_common::OmResult;
 use parking_lot::Mutex;
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashMap};
-
-/// A randomly generated lock-protocol step.
-#[derive(Debug, Clone)]
-enum LockStep {
-    Acquire { tx: u8, cell: u8, write: bool },
-    Release { tx: u8, cell: u8, commit: bool },
-}
-
-fn step_strategy(txs: u8, cells: u8) -> impl Strategy<Value = LockStep> {
-    prop_oneof![
-        3 => (0..txs, 0..cells, any::<bool>())
-            .prop_map(|(tx, cell, write)| LockStep::Acquire { tx, cell, write }),
-        2 => (0..txs, 0..cells, any::<bool>())
-            .prop_map(|(tx, cell, commit)| LockStep::Release { tx, cell, commit }),
-    ]
-}
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// A staged write over a `Vec<u64>` state, in the three shapes the grains
 /// stage.
@@ -73,9 +60,7 @@ impl Write {
 /// One step of a participant's life.
 #[derive(Debug, Clone)]
 enum CellStep {
-    Acquire { tx: u64, write: bool },
     Stage { tx: u64, write: Write },
-    Read { tx: u64 },
     Prepare { tx: u64 },
     Commit { tx: u64 },
     Abort { tx: u64 },
@@ -90,9 +75,7 @@ fn cell_step_strategy() -> impl Strategy<Value = CellStep> {
         (0..100u64).prop_map(Write::PushThenRefuse),
     ];
     prop_oneof![
-        3 => (tx.clone(), any::<bool>()).prop_map(|(tx, write)| CellStep::Acquire { tx, write }),
         4 => (tx.clone(), write).prop_map(|(tx, write)| CellStep::Stage { tx, write }),
-        2 => tx.clone().prop_map(|tx| CellStep::Read { tx }),
         1 => tx.clone().prop_map(|tx| CellStep::Prepare { tx }),
         2 => tx.clone().prop_map(|tx| CellStep::Commit { tx }),
         1 => tx.prop_map(|tx| CellStep::Abort { tx }),
@@ -101,38 +84,73 @@ fn cell_step_strategy() -> impl Strategy<Value = CellStep> {
 }
 
 /// The staging semantics the redo list replaces: the first write of a
-/// transaction clones the committed state, later writes change the
-/// clone, commit installs it and abort drops it. Lock grants are taken
-/// from the participant (`wait_die_locking_is_safe` checks them); the
-/// model only tracks who holds what.
+/// transaction takes the lock and clones the committed state, later
+/// writes change the clone, commit installs it and abort drops it.
 #[derive(Default)]
 struct CloneOnWrite {
     committed: Vec<u64>,
     staged: HashMap<u64, Vec<u64>>,
-    writer: Option<u64>,
-    readers: BTreeSet<u64>,
+    holder: Option<u64>,
 }
 
 impl CloneOnWrite {
-    fn holds(&self, tx: u64) -> bool {
-        self.writer == Some(tx) || self.readers.contains(&tx)
-    }
-
     fn release(&mut self, tx: u64) {
-        self.readers.remove(&tx);
-        if self.writer == Some(tx) {
-            self.writer = None;
+        if self.holder == Some(tx) {
+            self.holder = None;
         }
     }
+}
+
+/// Threads that each admit a run of declared grain sets over `grains`
+/// grains. Inside an admission a thread raises a flag per declared
+/// grain, and finding one raised means two admitted transactions shared
+/// it. Returns the first such clash, or a timeout if some thread never
+/// finished (a deadlock).
+fn admit_concurrently(grains: u64, plans: Vec<Vec<Vec<u64>>>) -> Result<(), String> {
+    let coordinator = Arc::new(Coordinator::new());
+    let flags: Arc<Vec<AtomicBool>> = Arc::new((0..grains).map(|_| AtomicBool::new(false)).collect());
+    let (done, finished) = mpsc::channel();
+    let threads = plans.len();
+    for plan in plans {
+        let (coordinator, flags, done) = (coordinator.clone(), flags.clone(), done.clone());
+        std::thread::spawn(move || {
+            let mut clash = None;
+            for set in plan {
+                let ids: Vec<GrainId> = set.iter().map(|&g| GrainId::new("g", g)).collect();
+                let _admitted = coordinator.admit(&ids);
+                let mut raised = Vec::new();
+                for &g in &set {
+                    if !raised.contains(&g) {
+                        if flags[g as usize].swap(true, Ordering::AcqRel) {
+                            clash.get_or_insert(format!("grain {g} admitted twice"));
+                        }
+                        raised.push(g);
+                    }
+                }
+                std::thread::yield_now();
+                for g in raised {
+                    flags[g as usize].store(false, Ordering::Release);
+                }
+            }
+            let _ = done.send(clash);
+        });
+    }
+    for _ in 0..threads {
+        match finished.recv_timeout(Duration::from_secs(20)) {
+            Ok(None) => {}
+            Ok(Some(clash)) => return Err(clash),
+            Err(_) => return Err("a thread never finished its admissions".into()),
+        }
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Random schedules of lock, stage, read, 2PC and outside writes give
-    /// the same op results, transactional reads and committed state as a
-    /// clone-on-first-write model, and a transaction that does not hold
-    /// the write lock never sees staged state.
+    /// Random schedules of stage, 2PC and outside writes give the same op
+    /// results and committed state as a clone-on-first-write model, and
+    /// a stage by a transaction that does not hold the lock is refused.
     #[test]
     fn staged_ops_match_a_clone_on_first_write(
         steps in prop::collection::vec(cell_step_strategy(), 1..120)
@@ -141,166 +159,74 @@ proptest! {
         let mut model = CloneOnWrite::default();
         for step in steps {
             match step {
-                CellStep::Acquire { tx, write } => {
-                    let mode = if write { LockMode::Write } else { LockMode::Read };
-                    if cell.acquire(TransactionId(tx), mode).is_ok() {
-                        if write {
-                            prop_assert!(model.readers.iter().all(|&r| r == tx));
-                            prop_assert!(model.writer.is_none() || model.writer == Some(tx));
-                            model.readers.remove(&tx);
-                            model.writer = Some(tx);
-                        } else if !model.holds(tx) {
-                            prop_assert!(model.writer.is_none());
-                            model.readers.insert(tx);
-                        }
-                    }
-                }
                 CellStep::Stage { tx, write } => {
                     let got = cell.stage(TransactionId(tx), move |rows| write.apply(rows));
-                    if model.writer == Some(tx) {
+                    if model.holder.is_none_or(|h| h == tx) {
+                        model.holder = Some(tx);
                         let staged = model
                             .staged
                             .entry(tx)
                             .or_insert_with(|| model.committed.clone());
                         prop_assert_eq!(got.unwrap(), write.apply(staged));
                     } else {
-                        prop_assert_eq!(got.unwrap_err().label(), "internal");
-                    }
-                }
-                CellStep::Read { tx } => {
-                    let got = cell.read(TransactionId(tx));
-                    if model.holds(tx) {
-                        let want = model.staged.get(&tx).unwrap_or(&model.committed);
-                        prop_assert_eq!(got.unwrap(), want);
-                    } else {
-                        prop_assert_eq!(got.unwrap_err().label(), "internal");
+                        prop_assert_eq!(got.unwrap_err().label(), "conflict");
                     }
                 }
                 CellStep::Prepare { tx } => {
-                    prop_assert_eq!(cell.prepare(TransactionId(tx)).unwrap(), model.holds(tx));
+                    prop_assert_eq!(cell.prepare(TransactionId(tx)), model.holder == Some(tx));
                 }
                 CellStep::Commit { tx } => {
                     cell.commit(TransactionId(tx));
-                    if let Some(staged) = model.staged.remove(&tx) {
-                        model.committed = staged;
+                    if model.holder == Some(tx) {
+                        if let Some(staged) = model.staged.remove(&tx) {
+                            model.committed = staged;
+                        }
                     }
                     model.release(tx);
                 }
                 CellStep::Abort { tx } => {
                     cell.abort(TransactionId(tx));
-                    model.staged.remove(&tx);
+                    if model.holder == Some(tx) {
+                        model.staged.remove(&tx);
+                    }
                     model.release(tx);
                 }
                 CellStep::MutateCommitted(x) => {
                     let got = cell.mutate_committed(|rows| rows.push(x));
-                    prop_assert_eq!(got.is_ok(), model.writer.is_none());
-                    if model.writer.is_none() {
+                    prop_assert_eq!(got.is_ok(), model.holder.is_none());
+                    if model.holder.is_none() {
                         model.committed.push(x);
                     }
                 }
             }
-            // Non-transactional readers, and every transaction but the
-            // write holder, see only committed state.
+            // Non-transactional readers see only committed state.
             prop_assert_eq!(cell.committed(), &model.committed);
-            for tx in 1..4u64 {
-                if model.readers.contains(&tx) {
-                    prop_assert_eq!(cell.read(TransactionId(tx)).unwrap(), &model.committed);
-                }
-            }
+            prop_assert_eq!(cell.is_locked(), model.holder.is_some());
         }
     }
+}
 
-    /// Drives random acquire/release traffic over a few lock cells and
-    /// checks mutual exclusion plus the wait-die rule on every denial.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Three threads admit random declared sets (duplicates included)
+    /// over four grains: no grain is ever held by two admitted
+    /// transactions at once, and every thread finishes.
     #[test]
-    fn wait_die_locking_is_safe(
-        steps in prop::collection::vec(step_strategy(6, 3), 1..80)
+    fn admission_is_exclusive_and_deadlock_free(
+        plans in prop::collection::vec(
+            prop::collection::vec(prop::collection::vec(0..4u64, 1..4), 1..40),
+            3..4,
+        )
     ) {
-        let mut cells: Vec<TxParticipant<u64>> =
-            (0..3).map(|_| TxParticipant::new(0u64)).collect();
-        // holders[cell] = set of (tid, is_write) we believe hold the lock.
-        let mut holders: Vec<BTreeSet<(u64, bool)>> =
-            vec![BTreeSet::new(); cells.len()];
-
-        for step in steps {
-            match step {
-                LockStep::Acquire { tx, cell, write } => {
-                    let tid = TransactionId(tx as u64 + 1);
-                    let mode = if write { LockMode::Write } else { LockMode::Read };
-                    let held = &mut holders[cell as usize];
-                    match cells[cell as usize].acquire(tid, mode) {
-                        Ok(()) => {
-                            // Mutual exclusion, checked against the model
-                            // built from previous grants:
-                            if write {
-                                let others: Vec<_> = held
-                                    .iter()
-                                    .filter(|&&(t, _)| t != tid.0)
-                                    .collect();
-                                prop_assert!(
-                                    others.is_empty(),
-                                    "write granted to {tid:?} while cell {cell} held by {others:?}"
-                                );
-                                held.clear();
-                                held.insert((tid.0, true));
-                            } else {
-                                let writers: Vec<_> = held
-                                    .iter()
-                                    .filter(|&&(t, w)| w && t != tid.0)
-                                    .collect();
-                                prop_assert!(
-                                    writers.is_empty(),
-                                    "read granted to {tid:?} while cell {cell} write-held by {writers:?}"
-                                );
-                                // Idempotent re-acquire keeps the stronger
-                                // mode.
-                                if !held.contains(&(tid.0, true)) {
-                                    held.insert((tid.0, false));
-                                }
-                            }
-                        }
-                        Err(OmError::Conflict(_)) => {
-                            // Wait verdict => requester older (smaller id)
-                            // than every current holder it conflicts with.
-                            let conflicting: Vec<u64> = held
-                                .iter()
-                                .filter(|&&(t, w)| {
-                                    t != tid.0 && (write || w)
-                                })
-                                .map(|&(t, _)| t)
-                                .collect();
-                            prop_assert!(
-                                conflicting.iter().all(|&h| tid.0 < h),
-                                "wait verdict but {tid:?} is not oldest vs {conflicting:?}"
-                            );
-                        }
-                        Err(OmError::TxWaitDie(_)) => {
-                            let conflicting: Vec<u64> = held
-                                .iter()
-                                .filter(|&&(t, w)| t != tid.0 && (write || w))
-                                .map(|&(t, _)| t)
-                                .collect();
-                            prop_assert!(
-                                conflicting.iter().any(|&h| tid.0 > h),
-                                "die verdict but {tid:?} is older than all of {conflicting:?}"
-                            );
-                        }
-                        Err(other) => prop_assert!(false, "unexpected error {other}"),
-                    }
-                }
-                LockStep::Release { tx, cell, commit } => {
-                    let tid = TransactionId(tx as u64 + 1);
-                    let participant = &mut cells[cell as usize];
-                    if commit && participant.prepare(tid).unwrap_or(false) {
-                        participant.commit(tid);
-                    } else {
-                        participant.abort(tid);
-                    }
-                    holders[cell as usize].retain(|&(t, _)| t != tid.0);
-                }
-            }
+        if let Err(e) = admit_concurrently(4, plans) {
+            prop_assert!(false, "{}", e);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Staged writes become visible exactly on commit and never on abort.
     #[test]
@@ -309,12 +235,11 @@ proptest! {
         let mut committed_value = 0u64;
         for (i, (value, commit)) in values.into_iter().enumerate() {
             let tid = TransactionId(i as u64 + 1);
-            cell.acquire(tid, LockMode::Write).unwrap();
             cell.stage(tid, move |s| *s = value).unwrap();
             // Not visible before the decision:
             prop_assert_eq!(*cell.committed(), committed_value);
             if commit {
-                prop_assert!(cell.prepare(tid).unwrap());
+                prop_assert!(cell.prepare(tid));
                 cell.commit(tid);
                 committed_value = value;
             } else {
@@ -345,7 +270,7 @@ proptest! {
                         if !p.vote_yes.load(std::sync::atomic::Ordering::Relaxed) {
                             return Ok(false);
                         }
-                        p.inner.lock().prepare(tid)
+                        Ok(p.inner.lock().prepare(tid))
                     })
                     .collect()
             }
@@ -386,10 +311,8 @@ proptest! {
             for (part, vote) in parts.0.iter().zip(votes) {
                 part.vote_yes
                     .store(vote, std::sync::atomic::Ordering::Relaxed);
-                // Stage something under the lock so prepare has work.
-                let mut inner = part.inner.lock();
-                inner.acquire(tid, LockMode::Write).unwrap();
-                inner.stage(tid, |s| *s += 1).unwrap();
+                // Stage something, taking the lock, so prepare has work.
+                part.inner.lock().stage(tid, |s| *s += 1).unwrap();
             }
             let outcome = coordinator.run_2pc(tid, &parts);
             if votes.iter().all(|&v| v) {

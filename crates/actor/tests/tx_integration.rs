@@ -1,8 +1,8 @@
 //! Integration tests combining the actor runtime with the transaction
-//! layer: grains as 2PC participants, wait-die under real concurrency,
+//! layer: grains as 2PC participants, admission under real concurrency,
 //! and atomicity across silos.
 
-use om_actor::tx::{Coordinator, LockMode, Participants, TxParticipant};
+use om_actor::tx::{Coordinator, Participants, TxParticipant};
 use om_actor::{Cluster, FaultConfig, GrainContext, GrainId};
 use om_common::ids::TransactionId;
 use om_common::{OmError, OmResult};
@@ -11,7 +11,7 @@ use std::sync::Arc;
 /// Messages for a transactional account grain.
 #[derive(Debug, Clone)]
 enum Msg {
-    /// Acquire write lock and stage `delta`.
+    /// Stage `delta`, taking the lock.
     Apply(TransactionId, i64),
     Prepare(TransactionId),
     Commit(TransactionId),
@@ -35,17 +35,11 @@ fn account_cluster(silos: usize) -> Cluster<Msg, Reply> {
         .register("account", |_id, _snap| {
             let mut part = TxParticipant::new(0i64);
             Box::new(move |_ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| match msg {
-                Msg::Apply(tid, delta) => match part
-                    .acquire(tid, LockMode::Write)
-                    .and_then(|_| part.stage(tid, move |s| *s += delta))
-                {
+                Msg::Apply(tid, delta) => match part.stage(tid, move |s| *s += delta) {
                     Ok(()) => Reply::Ok,
                     Err(e) => Reply::Err(e),
                 },
-                Msg::Prepare(tid) => match part.prepare(tid) {
-                    Ok(v) => Reply::Vote(v),
-                    Err(e) => Reply::Err(e),
-                },
+                Msg::Prepare(tid) => Reply::Vote(part.prepare(tid)),
                 Msg::Commit(tid) => {
                     part.commit(tid);
                     Reply::Ok
@@ -105,8 +99,8 @@ fn balance(cluster: &Cluster<Msg, Reply>, key: u64) -> i64 {
     }
 }
 
-/// Transfers `amount` between two account grains with the same tid until
-/// it commits (wait-die retry with stable priority).
+/// Transfers `amount` between two account grains: admitted over both,
+/// it finds both locks free and commits at the first attempt.
 fn transfer(
     cluster: &Cluster<Msg, Reply>,
     coordinator: &Coordinator,
@@ -114,36 +108,21 @@ fn transfer(
     to: u64,
     amount: i64,
 ) {
-    let tid = coordinator.begin();
     let a = GrainId::new("account", from);
     let b = GrainId::new("account", to);
-    'retry: loop {
-        for (g, delta) in [(a, -amount), (b, amount)] {
-            loop {
-                match cluster.call(g, Msg::Apply(tid, delta)).unwrap() {
-                    Reply::Ok => break,
-                    Reply::Err(OmError::Conflict(_)) => std::thread::yield_now(),
-                    Reply::Err(OmError::TxWaitDie(_)) => {
-                        for g2 in [a, b] {
-                            let _ = cluster.call(g2, Msg::Abort(tid));
-                        }
-                        std::thread::yield_now();
-                        continue 'retry;
-                    }
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-        }
-        let accounts = Accounts {
-            cluster,
-            ids: vec![a, b],
-        };
-        match coordinator.run_2pc(tid, &accounts) {
-            Ok(()) => return,
-            Err(e) if e.is_retryable() => continue 'retry,
-            Err(e) => panic!("2pc failed: {e}"),
+    let _admitted = coordinator.admit(&[a, b]);
+    let tid = coordinator.begin();
+    for (g, delta) in [(a, -amount), (b, amount)] {
+        match cluster.call(g, Msg::Apply(tid, delta)).unwrap() {
+            Reply::Ok => {}
+            other => panic!("an admitted transfer's stage answered {other:?}"),
         }
     }
+    let accounts = Accounts {
+        cluster,
+        ids: vec![a, b],
+    };
+    coordinator.run_2pc(tid, &accounts).unwrap();
 }
 
 #[test]
@@ -186,6 +165,36 @@ fn concurrent_transfers_conserve_total_balance() {
 }
 
 #[test]
+fn disjoint_transactions_are_admitted_side_by_side() {
+    // Each thread holds its admission until it sees the other inside
+    // its own: a gate that serialised disjoint sets would never let both
+    // in, and the deadline fails the test instead of hanging it.
+    let coordinator = Coordinator::new();
+    let inside = [
+        std::sync::atomic::AtomicBool::new(false),
+        std::sync::atomic::AtomicBool::new(false),
+    ];
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    std::thread::scope(|scope| {
+        for me in 0..2u64 {
+            let (coordinator, inside) = (&coordinator, &inside);
+            scope.spawn(move || {
+                let _admitted = coordinator.admit(&[
+                    GrainId::new("account", 2 * me),
+                    GrainId::new("account", 2 * me + 1),
+                ]);
+                inside[me as usize].store(true, std::sync::atomic::Ordering::SeqCst);
+                while !inside[1 - me as usize].load(std::sync::atomic::Ordering::SeqCst) {
+                    assert!(std::time::Instant::now() < deadline, "the other set never got in");
+                    std::thread::yield_now();
+                }
+            });
+        }
+    });
+    assert_eq!(coordinator.admission_waits(), 0);
+}
+
+#[test]
 fn aborted_transaction_leaves_no_trace() {
     let cluster = account_cluster(1);
     let coordinator = Coordinator::new();
@@ -211,21 +220,39 @@ fn locks_block_conflicting_transactions_until_decision() {
     let cluster = account_cluster(1);
     let coordinator = Coordinator::new();
     let g = GrainId::new("account", 3);
-    let t1 = coordinator.begin();
-    let t2 = coordinator.begin();
-    cluster.call(g, Msg::Apply(t1, 10)).unwrap();
-    // Younger t2 must die, not wait.
-    match cluster.call(g, Msg::Apply(t2, 20)).unwrap() {
-        Reply::Err(OmError::TxWaitDie(_)) => {}
-        other => panic!("expected wait-die kill, got {other:?}"),
-    }
-    // After t1 commits, t2 can proceed (same tid retry).
     let p = Accounts {
         cluster: &cluster,
         ids: vec![g],
     };
-    coordinator.run_2pc(t1, &p).unwrap();
-    cluster.call(g, Msg::Apply(t2, 20)).unwrap();
-    coordinator.run_2pc(t2, &p).unwrap();
+    let first = coordinator.admit(&[g]);
+    let t1 = coordinator.begin();
+    cluster.call(g, Msg::Apply(t1, 10)).unwrap();
+    let second_admitted = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let second = scope.spawn(|| {
+            // Declares the grain t1 holds: blocks until t1's guard drops.
+            let _admitted = coordinator.admit(&[g, GrainId::new("account", 4)]);
+            second_admitted.store(true, std::sync::atomic::Ordering::SeqCst);
+            let t2 = coordinator.begin();
+            match cluster.call(g, Msg::Apply(t2, 20)).unwrap() {
+                Reply::Ok => {}
+                other => panic!("t2 found the lock taken: {other:?}"),
+            }
+            coordinator.run_2pc(t2, &p).unwrap();
+        });
+        while coordinator.admission_waits() == 0 {
+            std::thread::yield_now();
+        }
+        assert!(
+            !second_admitted.load(std::sync::atomic::Ordering::SeqCst),
+            "admitted while t1 holds the grain"
+        );
+        coordinator.run_2pc(t1, &p).unwrap();
+        assert_eq!(balance(&cluster, 3), 10, "t2 staged nothing before t1's decision");
+        drop(first);
+        second.join().unwrap();
+    });
+    assert!(second_admitted.load(std::sync::atomic::Ordering::SeqCst));
     assert_eq!(balance(&cluster, 3), 30);
+    assert_eq!(coordinator.admission_waits(), 1);
 }

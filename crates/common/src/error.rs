@@ -15,9 +15,6 @@ pub enum OmError {
     Conflict(String),
     /// A distributed transaction aborted (with reason).
     TxAborted(String),
-    /// Deadlock-avoidance (wait-die) killed the transaction; retry with the
-    /// same timestamp priority is safe.
-    TxWaitDie(String),
     /// A business rule rejected the operation (e.g. insufficient stock).
     Rejected(String),
     /// The runtime is shutting down or the target component crashed.
@@ -39,7 +36,7 @@ impl OmError {
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
-            OmError::Conflict(_) | OmError::TxAborted(_) | OmError::TxWaitDie(_) | OmError::Timeout(_)
+            OmError::Conflict(_) | OmError::TxAborted(_) | OmError::Timeout(_)
         )
     }
 
@@ -49,7 +46,6 @@ impl OmError {
             OmError::NotFound(_) => "not_found",
             OmError::Conflict(_) => "conflict",
             OmError::TxAborted(_) => "tx_aborted",
-            OmError::TxWaitDie(_) => "tx_wait_die",
             OmError::Rejected(_) => "rejected",
             OmError::Unavailable(_) => "unavailable",
             OmError::Timeout(_) => "timeout",
@@ -65,7 +61,6 @@ impl fmt::Display for OmError {
             OmError::NotFound(m) => write!(f, "not found: {m}"),
             OmError::Conflict(m) => write!(f, "conflict: {m}"),
             OmError::TxAborted(m) => write!(f, "transaction aborted: {m}"),
-            OmError::TxWaitDie(m) => write!(f, "transaction killed by wait-die: {m}"),
             OmError::Rejected(m) => write!(f, "rejected: {m}"),
             OmError::Unavailable(m) => write!(f, "unavailable: {m}"),
             OmError::Timeout(m) => write!(f, "timeout: {m}"),
@@ -85,7 +80,6 @@ mod tests {
     fn retryability_classification() {
         assert!(OmError::Conflict("x".into()).is_retryable());
         assert!(OmError::TxAborted("x".into()).is_retryable());
-        assert!(OmError::TxWaitDie("x".into()).is_retryable());
         assert!(OmError::Timeout("x".into()).is_retryable());
         assert!(!OmError::NotFound("x".into()).is_retryable());
         assert!(!OmError::Rejected("x".into()).is_retryable());

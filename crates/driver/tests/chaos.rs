@@ -150,7 +150,6 @@ fn disk_fault_drill_mid_flash_sale_wedges_then_unwedge_restores_a_clean_audit() 
             sync_commits: true,
             compact_max_deltas: 4,
             compact_ratio_pct: 100,
-            recovery_threads: 1,
         }
     }
 

@@ -384,7 +384,7 @@ fn map_platform<T>(result: Result<T, OmError>) -> Result<T, Response> {
     result.map_err(|e| {
         let status = match &e {
             OmError::NotFound(_) => 404,
-            OmError::Conflict(_) | OmError::TxAborted(_) | OmError::TxWaitDie(_) => 409,
+            OmError::Conflict(_) | OmError::TxAborted(_) => 409,
             OmError::Rejected(_) => 422,
             OmError::Unavailable(_) | OmError::Wedged(_) => 503,
             OmError::Timeout(_) => 408,

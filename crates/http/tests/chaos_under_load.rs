@@ -100,7 +100,6 @@ fn disk_fault_mid_flash_sale_sheds_503_and_unwedge_resumes_checkouts() {
                     sync_commits: true,
                     compact_max_deltas: 4,
                     compact_ratio_pct: 100,
-                    recovery_threads: 1,
                 },
                 Arc::new(vfs),
             )

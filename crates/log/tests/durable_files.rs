@@ -28,7 +28,6 @@ fn backend_options() -> FileBackendOptions {
         sync_commits: false,
         compact_max_deltas: 1,
         compact_ratio_pct: 1_000,
-        recovery_threads: 1,
     }
 }
 

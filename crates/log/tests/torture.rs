@@ -62,7 +62,6 @@ fn backend_options() -> FileBackendOptions {
         sync_commits: true,
         compact_max_deltas: 2,
         compact_ratio_pct: 100,
-        recovery_threads: 1,
     }
 }
 

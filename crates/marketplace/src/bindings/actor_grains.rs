@@ -16,7 +16,7 @@
 //! stock reservation answers `reserved: false` and a product deletion
 //! waits at the stock for the lock to go.
 
-use om_actor::tx::{LockMode, TxParticipant};
+use om_actor::tx::TxParticipant;
 use om_actor::{Cluster, FaultConfig, GrainContext, GrainId};
 use om_common::entity::{Customer, Product};
 use om_common::ids::*;
@@ -81,10 +81,7 @@ fn handle_tx_protocol<S: Clone, M>(
     commit_hook: impl FnOnce(&S, &mut GrainContext<'_, M>) -> OmResult<()>,
 ) -> Option<Reply> {
     match msg {
-        Msg::TxPrepare { tid } => Some(match part.prepare(*tid) {
-            Ok(vote) => Reply::Vote(vote),
-            Err(e) => Reply::Err(e),
-        }),
+        Msg::TxPrepare { tid } => Some(Reply::Vote(part.prepare(*tid))),
         Msg::TxCommit { tid } => {
             part.commit(*tid);
             let _ = commit_hook(part.committed(), ctx);
@@ -118,13 +115,13 @@ fn answer(done: OmResult<u64>) -> Reply {
     done.map_or_else(Reply::Err, Reply::Count)
 }
 
-/// Stages a transactional op under `tid`'s write lock.
+/// Stages a transactional op under `tid`'s lock.
 fn stage<S: Clone>(
     part: &mut TxParticipant<S>,
     tid: TransactionId,
     op: impl Fn(&mut S) -> OmResult<()> + Send + 'static,
 ) -> Reply {
-    match part.acquire(tid, LockMode::Write).and_then(|()| part.stage(tid, op)?) {
+    match part.stage(tid, op).flatten() {
         Ok(()) => Reply::Ok,
         Err(e) => Reply::Err(e),
     }
@@ -312,10 +309,7 @@ fn make_order_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Reply>
                 Reply::Count(part.committed().stuck_assemblies() as u64)
             }
             Msg::TxOrderCreate { tid, items, at } => {
-                match part
-                    .acquire(tid, LockMode::Write)
-                    .and_then(|_| part.stage(tid, move |s| s.create_order(&items, at))?)
-                {
+                match part.stage(tid, move |s| s.create_order(&items, at)).flatten() {
                     Ok(order) => Reply::Order(order),
                     Err(e) => Reply::Err(e),
                 }
@@ -352,10 +346,8 @@ fn make_payment_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Repl
                 decline_rate_bp,
             } => {
                 let at = ctx.tick();
-                match part.acquire(tid, LockMode::Write).and_then(|_| {
-                    part.stage(tid, move |s| {
-                        s.process(order, method, amount, from_basis_points(decline_rate_bp), at)
-                    })
+                match part.stage(tid, move |s| {
+                    s.process(order, method, amount, from_basis_points(decline_rate_bp), at)
                 }) {
                     Ok(p) => Reply::Payment(p),
                     Err(e) => Reply::Err(e),
@@ -394,10 +386,8 @@ fn make_shipment_grain(seller: SellerId) -> Box<dyn om_actor::Grain<Msg, Reply>>
                 lines,
             } => {
                 let at = ctx.tick();
-                match part.acquire(tid, LockMode::Write).and_then(|_| {
-                    part.stage(tid, move |s| {
-                        s.create_packages(shipment, order, customer, &lines, at).len()
-                    })
+                match part.stage(tid, move |s| {
+                    s.create_packages(shipment, order, customer, &lines, at).len()
                 }) {
                     Ok(n) => Reply::Count(n as u64),
                     Err(e) => Reply::Err(e),
@@ -405,10 +395,7 @@ fn make_shipment_grain(seller: SellerId) -> Box<dyn om_actor::Grain<Msg, Reply>>
             }
             Msg::TxShipDeliverOldest { tid } => {
                 let at = ctx.tick();
-                match part
-                    .acquire(tid, LockMode::Write)
-                    .and_then(|_| part.stage(tid, move |s| s.deliver_oldest_order(at)))
-                {
+                match part.stage(tid, move |s| s.deliver_oldest_order(at)) {
                     Ok(Some((order, pkgs))) => Reply::Delivered {
                         order: Some(order),
                         packages: pkgs.len() as u32,

@@ -47,10 +47,6 @@ use crate::api::{
 };
 use crate::domain::{flow, ProductReplica};
 
-/// Retries before a conflicting projection commit is surfaced (only the
-/// snapshot-isolation backend can lose first-committer-wins validation).
-const PROJECTION_RETRIES: usize = 32;
-
 /// Key of the replica-cache record for `product` (namespaced so it can
 /// never collide with grain-snapshot keys, which are `kind/`-prefixed).
 fn replica_key(product: ProductId) -> Vec<u8> {
@@ -187,26 +183,16 @@ impl CustomizedPlatform {
     }
 
     /// Runs one projection read-modify-write: `build` assembles the batch
-    /// from current backend state, and the commit is retried while the
-    /// backend reports retryable (first-committer-wins) conflicts.
-    fn project(&self, build: impl Fn() -> OmResult<WriteBatch>) -> OmResult<()> {
+    /// from current backend state, and it commits once. Every `cdash!/`
+    /// write runs here under `projection_write`, so no other writer can
+    /// invalidate what `build` read.
+    fn project(&self, build: impl FnOnce() -> OmResult<WriteBatch>) -> OmResult<()> {
         let _writer = self.projection_write.lock();
-        let mut last = None;
-        for _ in 0..PROJECTION_RETRIES {
-            let batch = build()?;
-            if batch.is_empty() {
-                return Ok(());
-            }
-            match self.backend.commit(batch) {
-                Ok(_) => return Ok(()),
-                Err(e) if e.is_retryable() => {
-                    self.inner.core().counters.incr("projection_commit_conflicts");
-                    last = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
+        let batch = build()?;
+        if !batch.is_empty() {
+            self.backend.commit(batch)?;
         }
-        Err(last.unwrap_or_else(|| OmError::Internal("projection commit failed".into())))
+        Ok(())
     }
 
     /// The seller's aggregate row as it stands, zero if never written.

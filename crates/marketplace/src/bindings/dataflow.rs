@@ -38,7 +38,7 @@ use om_dataflow::{Address, BackendCheckpointStore, Dataflow, Effects, RowFn, Sta
 use parking_lot::{Condvar, Mutex};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -64,9 +64,10 @@ const DRILL_FN: &str = "recovery_drill";
 
 /// The completion table: an awaited transaction's egress, published by
 /// whichever thread drove the epoch that committed it and kept until its
-/// caller takes it, and the count of driven epochs (failed ones too),
-/// which `epoch_end` announces. Both change only under `done`, as the
-/// `parking_lot` shim's sleeper count requires.
+/// caller takes it, the tids whose callers gave up, and the count of
+/// driven epochs (failed ones too), which `epoch_end` announces. All
+/// change only under `done`, as the `parking_lot` shim's sleeper count
+/// requires.
 #[derive(Default)]
 struct Completions {
     done: Mutex<Done>,
@@ -80,6 +81,9 @@ struct Completions {
 #[derive(Default)]
 struct Done {
     by_tid: HashMap<u64, Eg>,
+    /// Tids whose caller gave up before their egress was published: no
+    /// one will take it, so `publish` drops it.
+    abandoned: HashSet<u64>,
     epochs: u64,
 }
 
@@ -90,7 +94,9 @@ impl Completions {
         let mut done = self.done.lock();
         for record in egress {
             match record {
-                Msg::Egress(eg) if eg.tid().0 >= self.first_tid => {
+                Msg::Egress(eg)
+                    if eg.tid().0 >= self.first_tid && !done.abandoned.remove(&eg.tid().0) =>
+                {
                     done.by_tid.insert(eg.tid().0, eg);
                 }
                 _ => {}
@@ -106,6 +112,17 @@ impl Completions {
     fn take(&self, tid: u64) -> Result<Eg, u64> {
         let mut done = self.done.lock();
         done.by_tid.remove(&tid).ok_or(done.epochs)
+    }
+
+    /// `tid`'s completion if it is published; else gives up on it, so
+    /// the epoch that commits it later drops it.
+    fn give_up(&self, tid: u64) -> Option<Eg> {
+        let mut done = self.done.lock();
+        let eg = done.by_tid.remove(&tid);
+        if eg.is_none() {
+            done.abandoned.insert(tid);
+        }
+        eg
     }
 
     /// Sleeps until the epoch count moves past `seen`, or until
@@ -684,10 +701,11 @@ impl DataflowPlatform {
             match core.drive(false, "df.caller_epoch_us") {
                 Ok(true) => {}
                 Ok(false) => core.completions.wait_past(seen, deadline),
-                Err(e) => return core.completions.take(tid.0).map_err(|_| e),
+                Err(e) => return core.completions.give_up(tid.0).ok_or(e),
             }
             if Instant::now() > deadline {
-                return Err(OmError::Timeout(format!("dataflow completion for {tid}")));
+                let timeout = OmError::Timeout(format!("dataflow completion for {tid}"));
+                return core.completions.give_up(tid.0).ok_or(timeout);
             }
         }
     }
@@ -1161,6 +1179,18 @@ mod tests {
     }
 
     #[test]
+    fn giving_up_takes_a_published_completion_and_drops_a_later_one() {
+        let completions = Completions::default();
+        completions.publish(vec![Msg::Egress(done(4))]);
+        assert!(completions.give_up(4).is_some(), "published before the caller gave up");
+        assert!(completions.give_up(5).is_none());
+        completions.publish(vec![Msg::Egress(done(5)), Msg::Egress(done(6))]);
+        let done = completions.done.lock();
+        assert_eq!(done.by_tid.keys().copied().collect::<Vec<_>>(), vec![6]);
+        assert!(done.abandoned.is_empty(), "5 was dropped once");
+    }
+
+    #[test]
     fn a_rebuilt_platform_keeps_no_completion_of_an_earlier_life() {
         let ingress: Arc<dyn om_log::EventLog<(Address, Msg)>> =
             Arc::new(om_log::Topic::new("ingress", 2));
@@ -1192,5 +1222,77 @@ mod tests {
             reborn.core.completions.done.lock().by_tid.is_empty(),
             "no caller of this life waits for tid 1"
         );
+    }
+
+    /// A caller whose own epoch failed gives up on its checkout; the
+    /// epoch that commits the checkout once the store is repaired drops
+    /// its completion instead of keeping it for no one.
+    #[test]
+    fn a_completion_whose_caller_gave_up_is_not_kept() {
+        use om_common::entity::PaymentMethod;
+        use om_storage::{FaultVfs, FileBackend, FileBackendOptions};
+        struct Cleanup(std::path::PathBuf);
+        impl Drop for Cleanup {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("om-df-gave-up-{}", std::process::id()));
+        let _cleanup = Cleanup(dir.clone());
+        let vfs = FaultVfs::new(0x5EED);
+        let options = FileBackendOptions {
+            sync_commits: true,
+            snapshot_every: 0,
+            ..Default::default()
+        };
+        let backend = FileBackend::open_with_vfs(&dir, options, Arc::new(vfs.clone())).unwrap();
+        let platform = DataflowPlatform::new(DataflowPlatformConfig {
+            partitions: 2,
+            decline_rate: 0.0,
+            checkpoint_store: Some(Arc::new(BackendCheckpointStore::new(Arc::new(backend)))),
+            ..DataflowPlatformConfig::default()
+        });
+        platform
+            .ingest_seller(Seller::new(SellerId(1), "acme".into(), "city".into()))
+            .unwrap();
+        platform
+            .ingest_customer(Customer::new(CustomerId(1), "c1".into(), "addr".into()))
+            .unwrap();
+        let product = Product {
+            id: ProductId(1),
+            seller: SellerId(1),
+            name: "widget".into(),
+            category: "cat".into(),
+            description: String::new(),
+            price: Money::from_cents(500),
+            freight_value: Money::ZERO,
+            version: 0,
+            active: true,
+        };
+        platform.ingest_product(product, 100).unwrap();
+        platform.quiesce();
+        let item = CheckoutItem {
+            seller: SellerId(1),
+            product: ProductId(1),
+            quantity: 1,
+        };
+        platform.add_to_cart(CustomerId(1), item).unwrap();
+        platform.quiesce();
+
+        let _ = vfs.clone().fail_nth_sync(vfs.syncs_seen() + 1);
+        let err = platform
+            .checkout(CheckoutRequest {
+                customer: CustomerId(1),
+                items: vec![],
+                method: PaymentMethod::CreditCard,
+            })
+            .unwrap_err();
+        assert_eq!(err.label(), "wedged", "{err}");
+        assert!(matches!(platform.unwedge(), Some(Ok(_))));
+        platform.quiesce();
+        assert_eq!(platform.core.df.pending_ingress(), 0, "the checkout committed");
+        let done = platform.core.completions.done.lock();
+        assert!(done.by_tid.is_empty(), "no caller waits for the checkout");
+        assert!(done.abandoned.is_empty(), "its completion was dropped");
     }
 }

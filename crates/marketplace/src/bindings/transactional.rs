@@ -3,10 +3,18 @@
 //!
 //! Checkout runs as a client-coordinated transaction: every state change
 //! (stock reservations, order creation, payment, seller entries, customer
-//! stats, shipment packages) is staged under per-grain write locks
-//! (wait-die) and made visible atomically by two-phase commit. This buys
-//! the all-or-nothing criterion at the cost the paper calls
-//! "considerable overhead" — measured directly by experiment E5.
+//! stats, shipment packages) is staged under per-grain locks and made
+//! visible atomically by two-phase commit. This buys the all-or-nothing
+//! criterion at the cost the paper calls "considerable overhead" —
+//! measured directly by experiment E5.
+//!
+//! Locking is conservative 2PL: before its first phase a transaction
+//! declares every grain it may lock — a checkout its customer's order,
+//! payment and customer grains and each item's stock, seller and
+//! shipment grain; a delivery its chosen shipment grains — and
+//! [`Coordinator::admit`] lets it in once no admitted transaction holds
+//! any of them. Its ops then always find their locks free: no op waits,
+//! retries or restarts, and no transaction dies.
 //!
 //! The client waits once per protocol phase, not once per grain op: each
 //! phase is one [`Cluster::call_all`] fan-out, so an approved checkout is
@@ -23,21 +31,12 @@
 //! 7. every 2PC prepare;
 //! 8. every 2PC commit;
 //! 9. cart finish.
-//!
-//! An op answered `Conflict` (wait for a lock held by a younger
-//! transaction) is retried alone until it gets the lock; `TxWaitDie`
-//! restarts the whole transaction under the same tid. Ops of one phase
-//! that reach the same grain therefore either commute (two seller
-//! entries) or target a grain the transaction already write-locked, which
-//! is why `InTransit` — a status change of the entries phase 5 adds —
-//! waits for its own phase.
 
 use om_actor::tx::{Coordinator, Participants};
 use om_actor::{Cluster, GrainId};
 use om_common::entity::{CartItem, Customer, OrderStatus, Product, Seller, SellerDashboard};
 use om_common::ids::*;
 use om_common::{Money, OmError, OmResult};
-use std::time::Duration;
 
 use super::actor_core::{unexpected, ActorCore, ActorPlatformConfig};
 use super::actor_grains::*;
@@ -48,13 +47,6 @@ use crate::api::{
 };
 use crate::domain::flow::{self, lines_by_seller, to_basis_points};
 use crate::domain::order::customer_of_order;
-
-/// How many times a transaction restarts after wait-die kills or lock
-/// waits before giving up.
-const MAX_TX_RESTARTS: usize = 32;
-/// How many times a single lock acquire is retried while waiting.
-const MAX_LOCK_RETRIES: usize = 200;
-const LOCK_RETRY_SLEEP: Duration = Duration::from_micros(100);
 
 /// The grains of one transaction as its 2PC participants: each protocol
 /// message goes to all of them in one fan-out.
@@ -128,48 +120,15 @@ impl TransactionalPlatform {
         self.coordinator.log()
     }
 
-    /// Sends one transactional grain op, waiting out lock conflicts.
+    /// Sends one transactional grain op.
     fn tx_call(&self, id: GrainId, msg: Msg) -> OmResult<Reply> {
-        let reply = self.core.cluster.call(id, msg.clone());
-        self.settle(id, msg, reply)
+        settle(self.core.cluster.call(id, msg))
     }
 
     /// Sends one phase of transactional grain ops as a single fan-out.
-    /// The outcomes come back in call order; an op answered `Conflict` is
-    /// retried alone ([`Self::settle`]) when its outcome is taken, so a
-    /// caller that stops at the first error waits out no later conflict.
-    fn tx_call_all(
-        &self,
-        calls: Vec<(GrainId, Msg)>,
-    ) -> impl Iterator<Item = OmResult<Reply>> + '_ {
-        let replies = self.core.cluster.call_all(calls.clone());
-        calls
-            .into_iter()
-            .zip(replies)
-            .map(move |((id, msg), reply)| self.settle(id, msg, reply))
-    }
-
-    /// Turns the reply to a transactional op into its outcome. A lock
-    /// conflict is waited out by retrying the op alone; `Err(TxWaitDie)`
-    /// and exhausted waits bubble up to restart the enclosing transaction.
-    fn settle(&self, id: GrainId, msg: Msg, reply: OmResult<Reply>) -> OmResult<Reply> {
-        let mut reply = reply?;
-        let mut attempts = 1;
-        loop {
-            match reply {
-                Reply::Err(OmError::Conflict(_)) if attempts < MAX_LOCK_RETRIES => {
-                    self.core.counters.incr("lock_waits");
-                    std::thread::sleep(LOCK_RETRY_SLEEP);
-                    attempts += 1;
-                    reply = self.core.cluster.call(id, msg.clone())?;
-                }
-                Reply::Err(OmError::Conflict(_)) => {
-                    return Err(OmError::TxWaitDie("lock wait exhausted".into()))
-                }
-                Reply::Err(e) => return Err(e),
-                reply => return Ok(reply),
-            }
-        }
+    /// The outcomes come back in call order.
+    fn tx_call_all(&self, calls: Vec<(GrainId, Msg)>) -> impl Iterator<Item = OmResult<Reply>> {
+        self.core.cluster.call_all(calls).into_iter().map(settle)
     }
 
     /// Releases `tid`'s locks on every participant, in one fan-out.
@@ -181,23 +140,33 @@ impl TransactionalPlatform {
         .abort(tid);
     }
 
-    /// One checkout attempt under `tid`. On success returns the outcome;
-    /// on a retryable failure the caller restarts with the same tid
-    /// (wait-die keeps its age/priority).
-    fn try_checkout(
+    /// The checkout transaction over the sealed cart's `items`, admitted
+    /// over every grain it may lock.
+    fn checkout_tx(
         &self,
-        tid: TransactionId,
         request: &CheckoutRequest,
         items: &[CartItem],
     ) -> OmResult<CheckoutOutcome> {
+        let mut declared = vec![
+            order_grain(request.customer),
+            payment_grain(request.customer),
+            customer_grain(request.customer),
+        ];
+        for item in items {
+            declared.extend([
+                stock_grain(item.product),
+                seller_grain(item.seller),
+                shipment_grain(item.seller),
+            ]);
+        }
+        let _admitted = self.coordinator.admit(&declared);
+        let tid = self.coordinator.begin();
         // Every grain a phase calls joins the participants before the
         // phase is sent, so a failure anywhere aborts every lock taken.
         let mut participants: Vec<GrainId> = Vec::new();
         let result = self.checkout_phases(tid, request, items, &mut participants);
         if result.is_err() {
-            // Whatever failed, no lock may outlive the attempt: leaked
-            // write locks would starve every later transaction on the
-            // same grains.
+            // Whatever failed, no lock may outlive the transaction.
             self.abort_all(tid, &participants);
         }
         result
@@ -211,7 +180,7 @@ impl TransactionalPlatform {
         items: &[CartItem],
         participants: &mut Vec<GrainId>,
     ) -> OmResult<CheckoutOutcome> {
-        // Reserve stock under write locks.
+        // Reserve stock.
         let reserves: Vec<(GrainId, Msg)> = items
             .iter()
             .map(|item| {
@@ -330,9 +299,7 @@ impl TransactionalPlatform {
             }
         }
 
-        // Paid orders with shipments are in transit. The seller grains
-        // are write-locked by now, so the status reaches every entry the
-        // previous phase added.
+        // Paid orders with shipments are in transit.
         if payment.approved {
             let status = OrderStatus::InTransit;
             let mut transit: Vec<(GrainId, Msg)> = lines_by_seller
@@ -372,6 +339,14 @@ impl TransactionalPlatform {
         } else {
             Ok(CheckoutOutcome::Rejected("payment declined".into()))
         }
+    }
+}
+
+/// The outcome of a transactional op: its reply, or the error it carries.
+fn settle(reply: OmResult<Reply>) -> OmResult<Reply> {
+    match reply? {
+        Reply::Err(e) => Err(e),
+        reply => Ok(reply),
     }
 }
 
@@ -432,38 +407,20 @@ impl MarketplacePlatform for TransactionalPlatform {
             other => return unexpected(other),
         };
 
-        let tid = TransactionId(self.coordinator.begin().0);
-        let mut restarts = 0;
-        loop {
-            match self.try_checkout(tid, &request, &items) {
-                Ok(outcome) => {
-                    self.core
-                        .cluster
-                        .call(cart_grain(request.customer), Msg::CartFinishCheckout)?
-                        .ok()?;
-                    match &outcome {
-                        CheckoutOutcome::Placed { .. } => {
-                            self.core.counters.incr("checkouts_committed")
-                        }
-                        CheckoutOutcome::Rejected(_) => {
-                            self.core.counters.incr("checkouts_rejected")
-                        }
-                    }
-                    return Ok(outcome);
-                }
-                Err(e) if e.is_retryable() && restarts < MAX_TX_RESTARTS => {
-                    restarts += 1;
-                    self.core.counters.incr("tx_restarts");
-                    std::thread::sleep(LOCK_RETRY_SLEEP * restarts as u32);
-                }
-                Err(e) => {
-                    self.core
-                        .cluster
-                        .call(cart_grain(request.customer), Msg::CartAbortCheckout)?
-                        .ok()?;
-                    self.core.counters.incr("checkouts_failed");
-                    return Err(e);
-                }
+        let cart = cart_grain(request.customer);
+        match self.checkout_tx(&request, &items) {
+            Ok(outcome) => {
+                self.core.cluster.call(cart, Msg::CartFinishCheckout)?.ok()?;
+                self.core.counters.incr(match &outcome {
+                    CheckoutOutcome::Placed { .. } => "checkouts_committed",
+                    CheckoutOutcome::Rejected(_) => "checkouts_rejected",
+                });
+                Ok(outcome)
+            }
+            Err(e) => {
+                self.core.cluster.call(cart, Msg::CartAbortCheckout)?.ok()?;
+                self.core.counters.incr("checkouts_failed");
+                Err(e)
             }
         }
     }
@@ -496,6 +453,7 @@ impl MarketplacePlatform for TransactionalPlatform {
         let mut out = self.core.counters();
         out.insert("tx_commits".into(), self.coordinator.log().commits());
         out.insert("tx_aborts".into(), self.coordinator.log().aborts());
+        out.insert("admission_waits".into(), self.coordinator.admission_waits());
         out
     }
 }
@@ -513,8 +471,9 @@ impl TransactionalPlatform {
             return Ok(DeliveryDetail::default());
         }
 
-        let tid = TransactionId(self.coordinator.begin().0);
         let participants: Vec<GrainId> = chosen.iter().map(|&s| shipment_grain(s)).collect();
+        let _admitted = self.coordinator.admit(&participants);
+        let tid = self.coordinator.begin();
         let calls = participants
             .iter()
             .map(|&g| (g, Msg::TxShipDeliverOldest { tid }))

@@ -9,7 +9,7 @@
 //! | Binding | Substrate | Guarantees |
 //! |---|---|---|
 //! | [`bindings::eventual`] | `om-actor` | eventual consistency, async events (may drop/duplicate under fault injection) |
-//! | [`bindings::transactional`] | `om-actor` + [`om_actor::tx`] | ACID checkout via 2PL (wait-die) + 2PC |
+//! | [`bindings::transactional`] | `om-actor` + [`om_actor::tx`] | ACID checkout via conservative 2PL (admission) + 2PC |
 //! | [`bindings::dataflow`] | `om-dataflow` | exactly-once event processing |
 //! | [`bindings::customized`] | `om-actor` tx + `om-storage` + `om-log` | + snapshot-consistent dashboard, monotonic replica reads, audit log |
 //!

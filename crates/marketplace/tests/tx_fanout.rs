@@ -1,7 +1,8 @@
 //! The transactional checkout's phase fan-out: an approved checkout waits
-//! once per protocol phase, and under contention the fanned phases keep
-//! wait-die, the locks and 2PC atomic on both bindings that run it
-//! (Transactional, and Customized over it).
+//! once per protocol phase, and under contention, with deliveries in the
+//! mix, admission, the locks and 2PC keep every checkout and delivery
+//! atomic on both bindings that run it (Transactional, and Customized
+//! over it).
 
 use om_common::entity::{Customer, OrderEntry, OrderStatus, PaymentMethod, Product, Seller};
 use om_common::ids::{CustomerId, OrderId, ProductId, SellerId};
@@ -19,7 +20,8 @@ use std::collections::BTreeMap;
 const HOT: [(u64, u64); 3] = [(1, 1), (1, 2), (2, 3)];
 const STOCK: u32 = 1_000_000;
 const THREADS: u64 = 4;
-const CHECKOUTS: u64 = 200;
+/// Ops per thread; every tenth is a delivery, the rest checkouts.
+const OPS: u64 = 200;
 
 /// Cart lines, `(seller, product, qty)`.
 type Lines = Vec<(u64, u64, u32)>;
@@ -156,52 +158,58 @@ fn an_uncontended_checkout_waits_nine_times_and_never_parks() {
     assert_eq!(counter(&p, "cluster.parks") - parks, 0);
 }
 
-/// 4 threads × 200 checkouts over the three hot products, as four
-/// customers; then every invariant of an all-or-nothing checkout.
-/// `waits_per_checkout` is what an uncontended checkout of all three
-/// costs the platform.
+/// 4 threads × 200 ops over the three hot products, as four customers:
+/// every tenth op is `update_delivery(10)`, the rest are checkouts. Every
+/// op succeeds, and then every invariant of an all-or-nothing checkout
+/// and delivery holds. `waits_per_checkout` is what an uncontended
+/// checkout of all three costs the platform.
 fn contended_checkouts_stay_atomic(
     platform: &dyn MarketplacePlatform,
     tx: &TransactionalPlatform,
     waits_per_checkout: u64,
 ) {
     ingest(platform);
-    let placed: Vec<(OrderId, Lines)> = std::thread::scope(|scope| {
+    let (placed, delivered): (Vec<(OrderId, Lines)>, u64) = std::thread::scope(|scope| {
         let workers: Vec<_> = (1..=THREADS)
             .map(|c| {
                 scope.spawn(move || {
-                    (0..CHECKOUTS)
-                        .map(|i| {
-                            let lines = contended_cart(i + c);
-                            fill_cart(platform, c, &lines);
-                            match checkout(platform, c) {
-                                CheckoutOutcome::Placed {
-                                    order: Some(order), ..
-                                } => (order, lines),
-                                other => panic!("customer {c} checkout {i}: {other:?}"),
+                    let (mut placed, mut delivered) = (Vec::new(), 0u64);
+                    for i in 0..OPS {
+                        if i % 10 == 9 {
+                            match platform.update_delivery(10) {
+                                Ok(packages) => delivered += packages as u64,
+                                Err(e) => panic!("customer {c} delivery {i}: {e}"),
                             }
-                        })
-                        .collect::<Vec<_>>()
+                            continue;
+                        }
+                        let lines = contended_cart(i + c);
+                        fill_cart(platform, c, &lines);
+                        match checkout(platform, c) {
+                            CheckoutOutcome::Placed {
+                                order: Some(order), ..
+                            } => placed.push((order, lines)),
+                            other => panic!("customer {c} checkout {i}: {other:?}"),
+                        }
+                    }
+                    (placed, delivered)
                 })
             })
             .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().unwrap())
-            .collect()
+        workers.into_iter().map(|w| w.join().unwrap()).fold(
+            (Vec::new(), 0),
+            |(mut placed, delivered), (p, d)| {
+                placed.extend(p);
+                (placed, delivered + d)
+            },
+        )
     });
     platform.quiesce();
     let kind = platform.kind();
-    assert_eq!(placed.len() as u64, THREADS * CHECKOUTS);
+    assert_eq!(placed.len() as u64, THREADS * (OPS - OPS / 10));
 
-    // The retry paths inside a fan-out ran.
-    let lock_waits = counter(platform, "lock_waits");
-    let restarts = counter(platform, "tx_restarts");
-    assert!(lock_waits > 0, "{kind:?}: no op ever waited for a lock");
-    assert!(
-        restarts > 0,
-        "{kind:?}: no transaction ever died and restarted"
-    );
+    // Transactions declaring a held grain waited to be admitted.
+    let admission_waits = counter(platform, "admission_waits");
+    assert!(admission_waits > 0, "{kind:?}: no admission ever waited");
 
     // Stock is conserved, and sold exactly what the placed orders hold.
     let snap = platform.snapshot().unwrap();
@@ -226,21 +234,50 @@ fn contended_checkouts_stay_atomic(
         );
     }
 
-    // Every placed order, once, in transit.
+    // Every placed order, once, in transit or delivered.
     assert_eq!(snap.orders.len(), placed.len(), "{kind:?}");
     assert!(snap
         .orders
         .iter()
-        .all(|o| o.status == OrderStatus::InTransit));
+        .all(|o| matches!(o.status, OrderStatus::InTransit | OrderStatus::Delivered)));
 
-    // Every line of every placed order appears exactly once in its
-    // seller's grain entries (in transit: the InTransit phase reached
-    // every entry), in its seller's dashboard, and in its seller's
-    // shipments — and nothing else does.
+    // Every line of every placed order has exactly one package, and the
+    // delivered ones are exactly what the deliveries reported.
     let expected: BTreeMap<(u64, u64), u64> = placed
         .iter()
         .flat_map(|(order, lines)| lines.iter().map(move |&(s, p, _)| ((order.0, p), s)))
         .collect();
+    let mut shipped: Vec<(u64, u64)> = Vec::new();
+    let mut undelivered: Vec<(u64, u64)> = Vec::new();
+    for pkg in &snap.shipments {
+        let key = (pkg.order.0, pkg.product.0);
+        assert_eq!(
+            expected.get(&key),
+            Some(&pkg.seller.0),
+            "{kind:?}: stray package"
+        );
+        shipped.push(key);
+        if !pkg.delivered {
+            undelivered.push(key);
+        }
+    }
+    shipped.sort_unstable();
+    assert_eq!(
+        shipped,
+        expected.keys().copied().collect::<Vec<_>>(),
+        "{kind:?}: shipments"
+    );
+    assert_eq!(
+        (shipped.len() - undelivered.len()) as u64,
+        delivered,
+        "{kind:?}: delivered packages"
+    );
+    assert!(delivered > 0, "{kind:?}: no delivery delivered anything");
+
+    // Every line in its seller's grain entries and dashboard at most
+    // once, in transit, and nothing else; every undelivered line there.
+    // A delivered line may stay: the delivery's status event is dropped
+    // by a seller grain a checkout holds.
     let mut entries: Vec<OrderEntry> = Vec::new();
     let mut dashboard_keys: Vec<(u64, u64)> = Vec::new();
     for s in 1..=2 {
@@ -256,7 +293,7 @@ fn contended_checkouts_stay_atomic(
         let dash = platform.seller_dashboard(SellerId(s)).unwrap();
         dashboard_keys.extend(dash.entries.iter().map(|e| (e.order.0, e.product.0)));
     }
-    let mut seen: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+    let mut entry_keys: Vec<(u64, u64)> = Vec::new();
     for e in &entries {
         let key = (e.order.0, e.product.0);
         assert_eq!(
@@ -265,47 +302,30 @@ fn contended_checkouts_stay_atomic(
             "{kind:?}: stray entry {e:?}"
         );
         assert_eq!(e.status, OrderStatus::InTransit, "{kind:?}: entry {e:?}");
-        *seen.entry(key).or_default() += 1;
+        entry_keys.push(key);
     }
-    assert_eq!(seen.len(), expected.len(), "{kind:?}: entries missing");
-    assert!(
-        seen.values().all(|&n| n == 1),
-        "{kind:?}: an entry was added twice"
-    );
-    dashboard_keys.sort_unstable();
-    assert_eq!(
-        dashboard_keys,
-        expected.keys().copied().collect::<Vec<_>>(),
-        "{kind:?}: dashboard"
-    );
-    let mut shipped: Vec<(u64, u64)> = snap
-        .shipments
-        .iter()
-        .map(|pkg| {
-            let key = (pkg.order.0, pkg.product.0);
-            assert_eq!(
-                expected.get(&key),
-                Some(&pkg.seller.0),
-                "{kind:?}: stray package"
-            );
-            key
-        })
-        .collect();
-    shipped.sort_unstable();
-    assert_eq!(
-        shipped,
-        expected.keys().copied().collect::<Vec<_>>(),
-        "{kind:?}: shipments"
-    );
+    for (what, mut keys) in [("entries", entry_keys), ("dashboard", dashboard_keys)] {
+        keys.sort_unstable();
+        let listed = keys.len();
+        keys.dedup();
+        assert_eq!(keys.len(), listed, "{kind:?}: a line listed twice in {what}");
+        assert!(
+            keys.iter().all(|k| expected.contains_key(k)),
+            "{kind:?}: stray line in {what}"
+        );
+        assert!(
+            undelivered.iter().all(|k| keys.binary_search(k).is_ok()),
+            "{kind:?}: an undelivered line missing from {what}"
+        );
+    }
 
     assert!(
         tx.tx_log().is_consistent(),
         "{kind:?}: contradictory 2PC decisions"
     );
 
-    // No grain is left locked: a checkout by every customer over every hot
-    // grain neither waits for a lock nor restarts, and costs exactly its
-    // phases.
+    // No grain is left held: a checkout by every customer over every hot
+    // grain is admitted at once and costs exactly its phases.
     for c in 1..=THREADS {
         fill_cart(platform, c, &hot_cart(0));
         let waits = counter(platform, "cluster.waits");
@@ -321,14 +341,9 @@ fn contended_checkouts_stay_atomic(
         );
     }
     assert_eq!(
-        counter(platform, "lock_waits"),
-        lock_waits,
-        "{kind:?}: a lock was left held"
-    );
-    assert_eq!(
-        counter(platform, "tx_restarts"),
-        restarts,
-        "{kind:?}: a lock was left held"
+        counter(platform, "admission_waits"),
+        admission_waits,
+        "{kind:?}: a grain was left held"
     );
 }
 

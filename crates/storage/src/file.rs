@@ -31,7 +31,7 @@
 //! Bases and deltas share one **partitioned format**
 //! (`OMSNAP02`/`OMDELT02`): a section table in the header maps each
 //! in-memory shard to a key-sorted region of the file, so recovery loads
-//! sections in parallel ([`FileBackendOptions::recovery_threads`]).
+//! a section under one shard lock.
 //!
 //! Recovery ([`FileBackend::open`] over an existing directory) loads the
 //! newest base snapshot, applies the deltas chained above it in order,
@@ -68,7 +68,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashSet};
 use std::fs::{self, File};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Tuning knobs of a [`FileBackend`].
@@ -95,10 +95,6 @@ pub struct FileBackendOptions {
     /// Fold the chain once cumulative delta bytes exceed this
     /// percentage of the base size.
     pub compact_ratio_pct: u64,
-    /// Worker threads used to load snapshot/delta partitions on cold
-    /// recovery (`0` = auto: one per core, capped at 8; `1` forces the
-    /// serial path). WAL replay stays sequential regardless.
-    pub recovery_threads: usize,
 }
 
 impl Default for FileBackendOptions {
@@ -110,7 +106,6 @@ impl Default for FileBackendOptions {
             sync_commits: false,
             compact_max_deltas: 16,
             compact_ratio_pct: 100,
-            recovery_threads: 0,
         }
     }
 }
@@ -345,19 +340,6 @@ fn build_snapshot_file(is_base: bool, seq: u64, parts: &[PartEntries]) -> Vec<u8
     out
 }
 
-/// Worker threads a recovery with `configured` resolves to: `0` = one
-/// per available core, capped at 8.
-fn resolved_recovery_threads(configured: usize) -> usize {
-    if configured > 0 {
-        configured
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
-    }
-}
-
 // -- the snapshot chain -----------------------------------------------------
 
 /// Where the snapshot chain currently stands: which full base exists
@@ -464,21 +446,12 @@ impl Mirror {
         Ok(())
     }
 
-    /// Loads one base or delta file, read from `path` as `bytes`. The
-    /// partition sections load across `threads` workers (each claims
-    /// whole sections off a shared counter). When the file was written
-    /// with the current shard count — the common case — a section maps
-    /// 1:1 onto one in-memory shard, so each worker takes one
-    /// uncontended write lock per section; otherwise entries are
-    /// re-routed per key.
-    fn load(
-        &self,
-        path: &Path,
-        bytes: &[u8],
-        expect_base: bool,
-        expect_seq: u64,
-        threads: usize,
-    ) -> OmResult<()> {
+    /// Loads one base or delta file, read from `path` as `bytes`, its
+    /// sections in file order. When the file was written with the
+    /// current shard count — the common case — a section maps 1:1 onto
+    /// one in-memory shard and loads under one write lock; otherwise
+    /// entries are re-routed per key.
+    fn load(&self, path: &Path, bytes: &[u8], expect_base: bool, expect_seq: u64) -> OmResult<()> {
         let corrupt =
             || OmError::Internal(format!("file backend snapshot {path:?} is corrupt"));
         let header = parse_snap_header(bytes).ok_or_else(corrupt)?;
@@ -492,77 +465,50 @@ impl Mirror {
                 return Err(corrupt());
             }
         }
-        let next = AtomicUsize::new(0);
-        let workers = threads.clamp(1, header.sections.len().max(1));
-        let worker = |_: usize| -> OmResult<()> {
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(section) = header.sections.get(i) else {
-                    return Ok(());
-                };
-                let slice = &bytes[section.off as usize..(section.off + section.len) as usize];
-                let mut at = 0usize;
-                let mut loaded = 0u64;
-                let mut last_key: Option<Vec<u8>> = None;
-                // One write guard per run of same-shard keys: with the
-                // writer's layout that is one guard for the whole
-                // section.
-                let mut guard: Option<(usize, parking_lot::RwLockWriteGuard<'_, Shard>)> = None;
-                while let Some((payload, next_at)) = parse_frame(slice, at).map_err(|_| corrupt())?
-                {
-                    let (key, value) = if header.is_base {
-                        decode_snapshot_entry(payload).map(|(k, v)| (k, Some(v)))
-                    } else {
-                        decode_op_payload(payload)
-                    }
-                    .ok_or_else(corrupt)?;
-                    if let Some(prev) = &last_key {
-                        if *prev >= key {
-                            // Sections are written strictly key-sorted:
-                            // anything else is corruption.
-                            return Err(corrupt());
-                        }
-                    }
-                    last_key = Some(key.clone());
-                    let slot = shard_of(&key, self.mask);
-                    if guard.as_ref().map(|(s, _)| *s) != Some(slot) {
-                        guard = Some((slot, self.shards[slot].write()));
-                    }
-                    let shard = &mut guard.as_mut().expect("guard just set").1;
-                    match value {
-                        Some(v) => {
-                            shard.map.insert(key, v);
-                        }
-                        None => {
-                            shard.map.remove(&key);
-                        }
-                    }
-                    loaded += 1;
-                    at = next_at;
+        for section in &header.sections {
+            let slice = &bytes[section.off as usize..(section.off + section.len) as usize];
+            let mut at = 0usize;
+            let mut loaded = 0u64;
+            let mut last_key: Option<Vec<u8>> = None;
+            // One write guard per run of same-shard keys: with the
+            // writer's layout that is one guard for the whole section.
+            let mut guard: Option<(usize, parking_lot::RwLockWriteGuard<'_, Shard>)> = None;
+            while let Some((payload, next_at)) = parse_frame(slice, at).map_err(|_| corrupt())? {
+                let (key, value) = if header.is_base {
+                    decode_snapshot_entry(payload).map(|(k, v)| (k, Some(v)))
+                } else {
+                    decode_op_payload(payload)
                 }
-                if loaded != section.n {
-                    return Err(corrupt());
+                .ok_or_else(corrupt)?;
+                if let Some(prev) = &last_key {
+                    if *prev >= key {
+                        // Sections are written strictly key-sorted:
+                        // anything else is corruption.
+                        return Err(corrupt());
+                    }
                 }
+                last_key = Some(key.clone());
+                let slot = shard_of(&key, self.mask);
+                if guard.as_ref().map(|(s, _)| *s) != Some(slot) {
+                    guard = Some((slot, self.shards[slot].write()));
+                }
+                let shard = &mut guard.as_mut().expect("guard just set").1;
+                match value {
+                    Some(v) => {
+                        shard.map.insert(key, v);
+                    }
+                    None => {
+                        shard.map.remove(&key);
+                    }
+                }
+                loaded += 1;
+                at = next_at;
             }
-        };
-        if workers <= 1 {
-            worker(0)
-        } else {
-            std::thread::scope(|scope| {
-                let worker = &worker;
-                let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move || worker(w))).collect();
-                let mut first_err = None;
-                for h in handles {
-                    if let Err(e) = h.join().expect("recovery worker panicked") {
-                        first_err.get_or_insert(e);
-                    }
-                }
-                match first_err {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                }
-            })
+            if loaded != section.n {
+                return Err(corrupt());
+            }
         }
+        Ok(())
     }
 }
 
@@ -614,7 +560,6 @@ fn load_snapshot_chain(
     dir: &Path,
     vfs: &dyn Vfs,
     mirror: &Mirror,
-    threads: usize,
 ) -> OmResult<(ChainState, u64)> {
     let snap = dir.join("snap");
     let list = |prefix, ext| segment_log::list(vfs, &snap, prefix, ext).map_err(|e| io_err(dir, e));
@@ -622,7 +567,7 @@ fn load_snapshot_chain(
     let deltas = list("delta-", ".delta")?;
     let load = |path: &Path, is_base, seq| -> OmResult<u64> {
         let bytes = vfs.read(path).map_err(|e| io_err(dir, e))?;
-        mirror.load(path, &bytes, is_base, seq, threads)?;
+        mirror.load(path, &bytes, is_base, seq)?;
         Ok(bytes.len() as u64)
     };
     let mut chain = ChainState::default();
@@ -704,8 +649,7 @@ impl FileBackend {
         fs::create_dir_all(dir.join("snap")).map_err(|e| io_err(&dir, e))?;
         let lock = om_common::dirlock::lock_dir(&dir)?;
         let mirror = Mirror::new(options.shards);
-        let threads = resolved_recovery_threads(options.recovery_threads);
-        let (chain, covered) = load_snapshot_chain(&dir, &*vfs, &mirror, threads)?;
+        let (chain, covered) = load_snapshot_chain(&dir, &*vfs, &mirror)?;
         let (mut last, mut recovered) = (covered, 0);
         let wal = LogConfig {
             kind: "file backend",
@@ -1481,7 +1425,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_recovery_agree() {
+    fn resharded_and_native_recovery_agree() {
         let dir = scratch_path("parrec");
         let _guard = DirGuard(dir.clone());
         let opts = FileBackendOptions {
@@ -1504,40 +1448,24 @@ mod tests {
             b.snapshot_now().unwrap(); // delta
             b.put(b"tail", b"wal"); // WAL tail past the chain
         }
-        let serial = FileBackend::open(
-            &dir,
-            FileBackendOptions {
-                recovery_threads: 1,
-                ..opts
-            },
-        )
-        .unwrap();
-        let expected: Vec<(Vec<u8>, Vec<u8>)> = serial.scan_prefix(b"");
-        drop(serial);
-        let parallel = FileBackend::open(
-            &dir,
-            FileBackendOptions {
-                recovery_threads: 4,
-                ..opts
-            },
-        )
-        .unwrap();
-        assert_eq!(parallel.scan_prefix(b""), expected, "parallel load = serial load");
-        assert_eq!(parallel.get(b"key/0001"), None);
-        assert_eq!(parallel.get(b"tail"), Some(b"wal".to_vec()));
-        drop(parallel);
+        let native = FileBackend::open(&dir, opts).unwrap();
+        let expected: Vec<(Vec<u8>, Vec<u8>)> = native.scan_prefix(b"");
+        assert_eq!(expected.len(), 300, "299 snapshot keys and the WAL tail");
+        assert_eq!(native.get(b"key/0001"), None);
+        assert_eq!(native.get(b"key/0003"), Some(b"churn".to_vec()));
+        assert_eq!(native.get(b"tail"), Some(b"wal".to_vec()));
+        drop(native);
         // A different shard count than the writer's still recovers (the
         // per-key re-routing path).
         let resharded = FileBackend::open(
             &dir,
             FileBackendOptions {
                 shards: 2,
-                recovery_threads: 4,
                 ..opts
             },
         )
         .unwrap();
-        assert_eq!(resharded.scan_prefix(b""), expected, "re-sharded load = serial load");
+        assert_eq!(resharded.scan_prefix(b""), expected, "re-sharded load = native load");
     }
 
     #[test]

@@ -55,7 +55,6 @@ const WAL_ONLY: FileBackendOptions = FileBackendOptions {
     sync_commits: false,
     compact_max_deltas: 16,
     compact_ratio_pct: 100,
-    recovery_threads: 0,
 };
 
 fn wal_segment(dir: &std::path::Path) -> PathBuf {
@@ -336,15 +335,14 @@ proptest! {
     }
 
     /// A chain written under one shard count recovers the model under
-    /// any other shard count and any recovery worker count — the
-    /// section-per-shard fast path and the per-key re-routing path load
-    /// the same state — and a store re-snapshotted under the new shard
-    /// count reopens under the old one unchanged.
+    /// any other shard count — the section-per-shard fast path and the
+    /// per-key re-routing path load the same state — and a store
+    /// re-snapshotted under the new shard count reopens under the old
+    /// one unchanged.
     #[test]
-    fn any_shard_and_worker_count_recovers_the_model(
+    fn any_shard_count_recovers_the_model(
         phases in prop::collection::vec(prop::collection::vec(batch_strategy(), 1..5), 2..4),
         shard_pow in 0u32..5,
-        threads in 1usize..5,
     ) {
         let dir = scratch("reshard");
         let _guard = DirGuard(dir.clone());
@@ -374,14 +372,13 @@ proptest! {
         let model = model_after(&all, all.len());
         let resharded = FileBackendOptions {
             shards: 1 << shard_pow,
-            recovery_threads: threads,
             ..written
         };
         {
             let recovered = FileBackend::open(&dir, resharded).unwrap();
             let live: BTreeMap<Vec<u8>, Vec<u8>> =
                 recovered.scan_prefix(b"").into_iter().collect();
-            prop_assert_eq!(&live, &model, "shards={} threads={}", 1 << shard_pow, threads);
+            prop_assert_eq!(&live, &model, "shards={}", 1 << shard_pow);
             recovered.put(b"post", b"1");
             recovered.snapshot_now().unwrap();
         }

@@ -231,7 +231,6 @@ fn power_loss_at_every_boundary_recovers_an_acked_prefix_incremental() {
             sync_commits: true,
             compact_max_deltas: 2,
             compact_ratio_pct: 150,
-            recovery_threads: 1,
         },
     );
 }
@@ -251,7 +250,6 @@ fn power_loss_sweep_covers_the_group_commit_write_path() {
             sync_commits: true,
             compact_max_deltas: 4,
             compact_ratio_pct: 100,
-            recovery_threads: 1,
         },
     );
 }
