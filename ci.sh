@@ -41,7 +41,14 @@
 #     transactional checkout and delivery (`tx_fanout`) and the admission
 #     suites (`lock_props`, `tx_integration`) 3 times each in 2 loops side
 #     by side, where a lost ready-list mark or a grain admitted twice
-#     shows far more often than in the one workspace run.
+#     shows far more often than in the one workspace run,
+#   * `om_http`'s tests run once more pinned to the first allowed CPU
+#     (`taskset`), where the engine starts one event loop whatever
+#     `workers` asks for: the shape every marketbench cell measures,
+#     which the unpinned run on a multi-core host never takes. It skips
+#     only the two tests whose premise is a second loop (a wedged handler
+#     on one loop, placement across two); they run in the workspace run.
+#     About 4 s once the workspace tests have built everything.
 #
 # The environment is fully offline; --offline makes that explicit so a
 # mis-edited manifest fails fast instead of hanging on the network.
@@ -71,6 +78,12 @@ echo "==> stress slice: om_http event_engine + large_requests, om_marketplace tx
 scripts/stress.sh om_http 3 2 event_engine large_requests
 scripts/stress.sh om_marketplace 3 2 tx_fanout
 scripts/stress.sh om_actor 3 2 lock_props tx_integration
+
+cpu=$(python3 -c 'import os; print(min(os.sched_getaffinity(0)))')
+echo "==> om_http on one core (taskset -c $cpu): one event loop, as in every marketbench cell"
+taskset -c "$cpu" cargo test -q --offline -p om_http -- \
+    --skip a_wedged_handler_does_not_delay_requests_on_the_other_loop \
+    --skip connections_go_to_the_loop_with_the_fewest_live_connections
 
 if [[ "${OM_TORTURE_FULL:-}" ]]; then
     echo "==> torture: FULL boundary sweep (OM_TORTURE_FULL=1; failures replay with OM_TORTURE_SEED=<n>)"

@@ -6,6 +6,12 @@
 //! closes it and joins the workers: each worker runs the turns still
 //! queued, then sees the queue empty and exits. An activation scheduled
 //! after the close is dropped, as no worker is left to run it.
+//!
+//! Workers are background work to the kernel's scheduler
+//! (`SCHED_BATCH`): they keep a normal share of the CPU but a wake-up
+//! does not preempt the thread that queued the event. On a core shared
+//! with an HTTP event loop, an event a request handler sends then runs
+//! after the handler's response is written, not in the middle of it.
 
 use crate::grain::{GrainId, RowWrite};
 use crate::mailbox::{ActivationRef, Envelope};
@@ -74,6 +80,7 @@ impl<M: Send + 'static, R: Send + 'static> Silo<M, R> {
     }
 
     fn worker_loop(&self, clock: Arc<LogicalClock>, router: Arc<dyn Router<M>>) {
+        run_as_background();
         while let Some(activation) = self.run_queue.pop() {
             if self.run_turn(&activation, &clock, router.as_ref()) {
                 self.schedule(activation);
@@ -179,3 +186,25 @@ impl<M: Send + 'static, R: Send + 'static> Silo<M, R> {
         self.turns.load(Ordering::Relaxed)
     }
 }
+
+/// Schedules the calling thread as `SCHED_BATCH`: a normal share of the
+/// CPU, no wake-up preemption of the running thread. A refusal leaves
+/// the thread as it was.
+#[cfg(target_os = "linux")]
+fn run_as_background() {
+    /// Linux's `struct sched_param`.
+    #[repr(C)]
+    struct SchedParam {
+        priority: i32,
+    }
+    extern "C" {
+        fn sched_setscheduler(pid: i32, policy: i32, param: *const SchedParam) -> i32;
+    }
+    const SCHED_BATCH: i32 = 3;
+    // SAFETY: `param` is a live `sched_param`; pid 0 names the calling
+    // thread, and the call changes only how that thread is scheduled.
+    unsafe { sched_setscheduler(0, SCHED_BATCH, &SchedParam { priority: 0 }) };
+}
+
+#[cfg(not(target_os = "linux"))]
+fn run_as_background() {}

@@ -1,14 +1,33 @@
-//! The event-driven connection engine: `workers` event loops, each
-//! owning the connections placed on it and running the gateway inline.
+//! The event-driven connection engine: one event loop per core it may
+//! use, at most `workers`, each owning the connections placed on it and
+//! running the gateway inline.
 //!
 //! Instead of one OS thread per connection, each loop parks on its own
 //! ready list, the tokens its connections' pipes marked. It parses a
 //! request, calls [`MarketplaceGateway::handle`] on the loop thread, and
 //! hands the whole response to the client in one wake: a write into an
 //! empty server→client pipe is accepted whole. The engine owns exactly
-//! `workers` threads however many keep-alive connections are open, and a
+//! its loops' threads however many keep-alive connections are open, and a
 //! request crosses no thread between its bytes arriving and its response
 //! leaving.
+//!
+//! The engine starts `min(workers, available_parallelism())` loops, read
+//! from the affinity mask and CPU quota of the thread that starts it
+//! (`workers` when that cannot be read). Loops beyond the cores would
+//! only take turns on them: with two loops on one core, each request
+//! parks one loop and wakes the other, where one loop serves both
+//! connections back to back and parks only when neither has a request.
+//! The price: on fewer cores than `workers`, a handler that blocks (a
+//! dataflow epoch's `fsync`, a 2PL admission wait) delays every other
+//! connection on its loop until it returns, as it does wherever
+//! connections outnumber loops.
+//!
+//! A loop with a request always waiting never parks, so work its handlers
+//! hand to other threads on the same core (silo workers' events) gets the
+//! core only by preempting a handler, or piles up until a request blocks
+//! on it. So a round that served a request ends by yielding the core once,
+//! and silo workers run as `SCHED_BATCH`, which does not preempt the
+//! handler that woke them: that work runs between rounds.
 //!
 //! A pipe marks its connection's token only for what the loop acts on:
 //! bytes or EOF arriving from the client, and space that a client read
@@ -28,6 +47,7 @@
 //!           -> serialize -> flush (whole write into an empty pipe)
 //!     -> able to go on without a mark: re-queue for next round
 //!     -> refresh the idle deadline, or close
+//!   -> served a request: yield the core once
 //! ```
 //!
 //! Backpressure is end-to-end and explicit:
@@ -94,8 +114,10 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for the event-driven engine.
 #[derive(Debug, Clone)]
 pub struct EventConfig {
-    /// Event loops, and so engine threads. Each loop owns the
-    /// connections placed on it and runs their gateway calls inline.
+    /// Most event loops, and so engine threads, to start: the engine
+    /// starts `min(workers, available_parallelism())` of them. Each loop
+    /// owns the connections placed on it and runs their gateway calls
+    /// inline.
     pub workers: usize,
     /// Connections that may wait for their loop to accept them before
     /// new ones are shed.
@@ -141,7 +163,8 @@ pub struct ServerStats {
     pub handler_panics: u64,
     /// High-water mark of one connection's `inbuf + outbuf` bytes.
     pub max_conn_buffer_bytes: usize,
-    /// Threads owned by the engine: one per event loop.
+    /// Threads owned by the engine: one per event loop it started, so
+    /// `min(workers, available_parallelism())`.
     pub engine_threads: usize,
 }
 
@@ -323,8 +346,8 @@ impl Conn {
     }
 }
 
-/// The engine: `workers` event-loop threads, each behind its own ready
-/// list.
+/// The engine: one event-loop thread per core, at most `workers`, each
+/// behind its own ready list.
 pub(crate) struct EventEngine {
     shared: Arc<EngineShared>,
     loops: Vec<JoinHandle<()>>,
@@ -339,14 +362,18 @@ impl EventEngine {
     ) -> EventEngine {
         assert!(cfg.workers > 0, "engine needs at least one event loop");
         assert!(cfg.pipe_capacity > 0, "pipe capacity must be positive");
+        // More loops than cores only take turns on them, and a request
+        // then pays one loop's park and another's wake.
+        let n_loops = std::thread::available_parallelism()
+            .map_or(cfg.workers, |cores| cfg.workers.min(cores.get()));
         let shared = Arc::new(EngineShared {
-            loops: (0..cfg.workers)
+            loops: (0..n_loops)
                 .map(|_| LoopShared {
                     ready: Arc::default(),
                     placed: AtomicUsize::new(0),
                 })
                 .collect(),
-            accept: Mutex::new((0..cfg.workers).map(|_| VecDeque::new()).collect()),
+            accept: Mutex::new((0..n_loops).map(|_| VecDeque::new()).collect()),
             shutdown: AtomicBool::new(false),
             cfg: cfg.clone(),
             parser,
@@ -354,7 +381,7 @@ impl EventEngine {
             gateway,
             stats: StatCounters::default(),
         });
-        let loops = (0..cfg.workers)
+        let loops = (0..n_loops)
             .map(|me| {
                 let shared = shared.clone();
                 std::thread::Builder::new()
@@ -396,7 +423,7 @@ impl EventEngine {
     }
 
     pub(crate) fn stats(&self) -> ServerStats {
-        self.shared.stats.snapshot(self.shared.cfg.workers)
+        self.shared.stats.snapshot(self.shared.loops.len())
     }
 
     pub(crate) fn shutdown(mut self) {
@@ -462,6 +489,13 @@ fn event_loop(shared: &EngineShared, me: usize) {
             }
         }
         round.clear();
+        if admit < shared.cfg.dispatch_queue.max(1) {
+            // Give the core once per serving round to the work handlers
+            // handed to other threads on it (silo workers' events): a loop
+            // that always has a request waiting never parks, and that
+            // work would pile up until a request blocked on it.
+            std::thread::yield_now();
+        }
     }
 
     // Shutdown: queued clients and every live connection see EOF.

@@ -368,7 +368,12 @@ fn path_id(name: &str, raw: &str) -> Result<u64, Response> {
 
 fn parse_body<T: serde::de::DeserializeOwned>(req: &Request) -> Result<T, Response> {
     if let Some(ct) = req.headers.get("content-type") {
-        if !ct.to_ascii_lowercase().starts_with("application/json") {
+        const JSON: &[u8] = b"application/json";
+        if !ct
+            .as_bytes()
+            .get(..JSON.len())
+            .is_some_and(|p| p.eq_ignore_ascii_case(JSON))
+        {
             return Err(Response::text(
                 400,
                 format!("expected application/json body, got {ct}"),

@@ -14,12 +14,12 @@
 //! * [`pipe`] — the in-memory duplex byte-pipe transport (blocking and
 //!   non-blocking modes), so the whole stack exercises real wire
 //!   framing without sockets;
-//! * [`conn`] — the event-driven connection engine: `workers` event
-//!   loops, each parked on a ready list its connections' pipes mark,
-//!   owning its connections and running the gateway inline, writing each
-//!   response whole, with end-to-end backpressure (bounded accept queue
-//!   and per-round admission with load-shed, capped per-connection
-//!   buffers, idle timeouts);
+//! * [`conn`] — the event-driven connection engine: one event loop per
+//!   core it may use, at most `workers`, each parked on a ready list its
+//!   connections' pipes mark, owning its connections and running the
+//!   gateway inline, writing each response whole, with end-to-end
+//!   backpressure (bounded accept queue and per-round admission with
+//!   load-shed, capped per-connection buffers, idle timeouts);
 //! * [`server`] — [`HttpServer`] over the event-driven engine plus a
 //!   blocking client.
 //!

@@ -119,19 +119,17 @@ impl Headers {
 
     /// First value of `name` (case-insensitive).
     pub fn get(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
         self.0
             .iter()
-            .find(|(n, _)| *n == name)
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 
-    /// All values of `name`, in insertion order.
-    pub fn get_all<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a str> {
-        let name = name.to_ascii_lowercase();
+    /// All values of `name` (case-insensitive), in insertion order.
+    pub fn get_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> {
         self.0
             .iter()
-            .filter(move |(n, _)| *n == name)
+            .filter(move |(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 
@@ -179,13 +177,24 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Whether the connection should stay open after this exchange.
+    /// Whether the connection should stay open after this exchange. Every
+    /// `Connection` line is a comma-separated token list (RFC 9110
+    /// §7.6.1): a `close` token anywhere closes, and `keep-alive` keeps an
+    /// HTTP/1.0 connection open.
     pub fn keep_alive(&self) -> bool {
-        match self.headers.get("connection") {
-            Some(v) if v.eq_ignore_ascii_case("close") => false,
-            Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
-            _ => self.version.default_keep_alive(),
+        let mut asked = false;
+        for token in self
+            .headers
+            .get_all("connection")
+            .flat_map(|v| v.split(','))
+        {
+            let token = token.trim();
+            if token.eq_ignore_ascii_case("close") {
+                return false;
+            }
+            asked |= token.eq_ignore_ascii_case("keep-alive");
         }
+        asked || self.version.default_keep_alive()
     }
 
     /// Serializes the request into wire format (used by the in-memory
@@ -320,8 +329,7 @@ fn parse_request_inner(input: &[u8], cfg: &ParserConfig) -> Result<Step<Request>
     let te_chunked = headers
         .get_all("transfer-encoding")
         .any(|v| v.to_ascii_lowercase().contains("chunked"));
-    let content_lengths: Vec<&str> = headers.get_all("content-length").collect();
-    if te_chunked && !content_lengths.is_empty() {
+    if te_chunked && headers.get("content-length").is_some() {
         return Err(HttpError::BadFraming(
             "both Transfer-Encoding and Content-Length present".into(),
         ));
@@ -332,8 +340,7 @@ fn parse_request_inner(input: &[u8], cfg: &ParserConfig) -> Result<Step<Request>
             Step::Done(body, n) => (body, body_start + n),
             Step::Partial => return Ok(Step::Partial),
         }
-    } else if !content_lengths.is_empty() {
-        let len = parse_content_length(&content_lengths)?;
+    } else if let Some(len) = parse_content_length(&headers)? {
         if len > cfg.max_body_bytes {
             return Err(HttpError::BodyTooLarge {
                 limit: cfg.max_body_bytes,
@@ -470,18 +477,21 @@ fn validate_method_token(token: &str) -> Result<(), HttpError> {
     Ok(())
 }
 
-/// Parses (possibly repeated but identical) `Content-Length` values.
-pub(crate) fn parse_content_length(values: &[&str]) -> Result<usize, HttpError> {
-    let first = values[0].trim();
-    for v in values {
-        if v.trim() != first {
-            return Err(HttpError::BadFraming(
-                "conflicting Content-Length values".into(),
-            ));
-        }
+/// Parses the (possibly repeated but identical) `Content-Length` values
+/// of `headers`; `None` when there is none.
+pub(crate) fn parse_content_length(headers: &Headers) -> Result<Option<usize>, HttpError> {
+    let mut values = headers.get_all("content-length").map(str::trim);
+    let Some(first) = values.next() else {
+        return Ok(None);
+    };
+    if values.any(|v| v != first) {
+        return Err(HttpError::BadFraming(
+            "conflicting Content-Length values".into(),
+        ));
     }
     first
         .parse::<usize>()
+        .map(Some)
         .map_err(|_| HttpError::BadFraming(format!("unparsable Content-Length: {first:?}")))
 }
 
@@ -837,16 +847,19 @@ mod tests {
 
     #[test]
     fn connection_close_overrides_default() {
-        let r = parse_str("GET / HTTP/1.1\r\nconnection: close\r\n\r\n")
-            .unwrap()
-            .unwrap();
-        assert!(!r.keep_alive());
-        let r = parse_str("GET / HTTP/1.0\r\n\r\n").unwrap().unwrap();
-        assert!(!r.keep_alive());
-        let r = parse_str("GET / HTTP/1.0\r\nconnection: keep-alive\r\n\r\n")
-            .unwrap()
-            .unwrap();
-        assert!(r.keep_alive());
+        for (head, keep_alive) in [
+            ("GET / HTTP/1.1\r\nconnection: close\r\n", false),
+            ("GET / HTTP/1.0\r\n", false),
+            ("GET / HTTP/1.0\r\nconnection: keep-alive\r\n", true),
+            // `Connection` is a token list, and `close` anywhere wins.
+            ("GET / HTTP/1.1\r\nconnection: keep-alive, close\r\n", false),
+            ("GET / HTTP/1.1\r\nConnection: TE, close\r\n", false),
+            ("GET / HTTP/1.1\r\nconnection: te\r\nconnection: Close\r\n", false),
+            ("GET / HTTP/1.0\r\nConnection: Keep-Alive, TE\r\n", true),
+        ] {
+            let r = parse_str(&format!("{head}\r\n")).unwrap().unwrap();
+            assert_eq!(r.keep_alive(), keep_alive, "{head:?}");
+        }
     }
 
     #[test]
@@ -856,6 +869,8 @@ mod tests {
             .unwrap();
         assert_eq!(r.headers.get("X-TAG"), Some("a"));
         let all: Vec<_> = r.headers.get_all("x-tag").collect();
+        assert_eq!(all, vec!["a", "b"]);
+        let all: Vec<_> = r.headers.get_all("x-Tag").collect();
         assert_eq!(all, vec!["a", "b"]);
     }
 

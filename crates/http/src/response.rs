@@ -189,7 +189,6 @@ fn parse_response_inner(
     let te_chunked = headers
         .get_all("transfer-encoding")
         .any(|v| v.to_ascii_lowercase().contains("chunked"));
-    let content_lengths: Vec<&str> = headers.get_all("content-length").collect();
 
     let (body, consumed) = if !body_follows {
         // HEAD semantics: framing headers describe the entity, the wire
@@ -200,8 +199,7 @@ fn parse_response_inner(
             Step::Done(body, n) => (body, body_start + n),
             Step::Partial => return Ok(Step::Partial),
         }
-    } else if !content_lengths.is_empty() {
-        let len = parse_content_length(&content_lengths)?;
+    } else if let Some(len) = parse_content_length(&headers)? {
         if len > cfg.max_body_bytes {
             return Err(HttpError::BodyTooLarge {
                 limit: cfg.max_body_bytes,

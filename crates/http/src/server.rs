@@ -3,10 +3,11 @@
 //! This fronts the paper's Fig. 1 stack. Real HTTP/1.1 bytes flow
 //! through real framing code (pipelining, keep-alive, partial reads);
 //! transport is the in-process duplex pipes of [`crate::pipe`]. The
-//! event-driven engine of [`crate::conn`] serves those bytes: `workers`
-//! event loops, each owning its connections and running the gateway on
-//! its own thread, so `workers` threads at any connection count, with
-//! per-round admission and load-shed throughout.
+//! event-driven engine of [`crate::conn`] serves those bytes: one event
+//! loop per core it may use, at most `workers`, each owning its
+//! connections and running the gateway on its own thread, so a fixed
+//! number of threads at any connection count, with per-round admission
+//! and load-shed throughout.
 
 use crate::conn::{EventConfig, EventEngine, ServerStats};
 use crate::error::HttpError;

@@ -38,7 +38,9 @@ fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
 #[test]
 fn event_engine_serves_many_keepalive_connections_with_constant_threads() {
     let cfg = EventConfig::default();
-    let workers = cfg.workers;
+    // One loop per core this thread may use, at most `workers`.
+    let loops = std::thread::available_parallelism()
+        .map_or(cfg.workers, |cores| cfg.workers.min(cores.get()));
     let server = HttpServer::start_event_driven(eventual_gateway(), cfg);
 
     // 64 concurrent keep-alive connections, 8 pipelined requests each.
@@ -57,7 +59,7 @@ fn event_engine_serves_many_keepalive_connections_with_constant_threads() {
 
     let stats = server.stats();
     assert_eq!(
-        stats.engine_threads, workers,
+        stats.engine_threads, loops,
         "event engine must stay one thread per loop regardless of connections"
     );
     assert_eq!(stats.live_connections, 64);
@@ -162,12 +164,56 @@ fn half_received_request_gets_408_on_idle_timeout() {
 
 #[test]
 fn idle_connection_with_no_buffered_bytes_closes_cleanly() {
-    let server = short_idle_server();
+    const IDLE: Duration = Duration::from_millis(400);
+    // Scheduling delay allowed on a loaded host, past the sweep's own
+    // cadence of `IDLE / 8`.
+    const SLACK: Duration = Duration::from_millis(150);
+    let server = HttpServer::start_with_options(
+        eventual_gateway(),
+        ServerOptions {
+            idle_timeout: IDLE,
+            event: EventConfig {
+                workers: 1, // the busy connection shares the idle one's loop
+                ..EventConfig::default()
+            },
+            ..ServerOptions::default()
+        },
+    );
+    let started = Instant::now();
     let mut client = server.connect();
+    // A second connection keeps the loop busy, so it never parks: the
+    // sweep has to run between its rounds.
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let busy = {
+        let (mut busy, stop) = (server.connect(), stop.clone());
+        std::thread::spawn(move || {
+            let mut served = 0u64;
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                assert_eq!(
+                    busy.request(Method::Get, "/health", None).unwrap().status,
+                    200
+                );
+                served += 1;
+            }
+            busy.close();
+            served
+        })
+    };
     // No bytes at all: the idle deadline must close without a 408.
     assert!(
         client.read_response().is_err(),
         "idle connection must see EOF"
+    );
+    let closed_after = started.elapsed();
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    assert!(busy.join().unwrap() > 0, "the busy connection was served");
+    assert!(
+        closed_after >= IDLE,
+        "closed after {closed_after:?}, before {IDLE:?}"
+    );
+    assert!(
+        closed_after <= IDLE + IDLE / 8 + SLACK,
+        "closed after {closed_after:?}: the sweep ran late"
     );
     assert_eq!(server.stats().timeouts_408, 0);
     server.shutdown();

@@ -30,7 +30,9 @@ fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
 #[test]
 fn idle_keepalives_add_no_thread_and_still_drain_and_shut_down_promptly() {
     let cfg = EventConfig::default();
-    let workers = cfg.workers;
+    // One loop per core this thread may use, at most `workers`.
+    let loops = std::thread::available_parallelism()
+        .map_or(cfg.workers, |cores| cfg.workers.min(cores.get()));
     let server = HttpServer::start_event_driven(
         Arc::new(MarketplaceGateway::new(Arc::new(EventualPlatform::new(
             Default::default(),
@@ -53,7 +55,7 @@ fn idle_keepalives_add_no_thread_and_still_drain_and_shut_down_promptly() {
     }
     let stats = server.stats();
     assert_eq!(stats.shed_accept, 0);
-    assert_eq!(stats.engine_threads, workers);
+    assert_eq!(stats.engine_threads, loops);
     assert_eq!(os_threads(), threads_before, "idle connections added threads");
 
     // The loops still answer a fresh connection.
