@@ -9,6 +9,9 @@
 #   * tier-1 covers every functional crate: each `crates/*` workspace
 #     member must also be listed in `default-members` (and `cargo
 #     metadata` fails when either list names a path that is gone),
+#   * the knob census (`scripts/knobs.sh`, the public fields of the
+#     option structs) must not exceed the number written below, 43:
+#     adding an option is then a visible edit of this file,
 #   * the benchmark of record is built and RUN the way BENCHMARK.json
 #     declares it (its own package under crates/bench/src/bin/marketbench,
 #     which no other stanza builds): `run --smoke` on every workload —
@@ -67,6 +70,15 @@ sys.exit("\n".join(
     if p["manifest_path"].startswith(crates) and p["id"] not in meta["workspace_default_members"]
 ) or None)
 ' <<<"$metadata"
+
+max_knobs=43
+echo "==> knob census: at most $max_knobs public option fields (scripts/knobs.sh)"
+knobs=$(scripts/knobs.sh | awk '$1 == "total" { print $2 }')
+if (( knobs > max_knobs )); then
+    scripts/knobs.sh >&2
+    echo "the option structs carry $knobs public fields, more than $max_knobs" >&2
+    exit 1
+fi
 
 echo "==> cargo build --release"
 cargo build --release --offline

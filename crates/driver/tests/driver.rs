@@ -1,15 +1,19 @@
 //! End-to-end driver tests: the full benchmark lifecycle against real
 //! platforms at smoke scale.
 
-use om_common::config::{RunConfig, ScaleConfig, WorkloadMix};
+use om_common::config::{BackendKind, RunConfig, ScaleConfig, WorkloadMix};
 use om_driver::{run_benchmark, DataGenerator};
-use om_marketplace::api::MarketplacePlatform;
-use om_marketplace::bindings::actor_core::ActorPlatformConfig;
-use om_marketplace::bindings::customized::CustomizedConfig;
+use om_marketplace::api::{MarketplacePlatform, PlatformKind};
 use om_marketplace::bindings::dataflow::DataflowPlatformConfig;
 use om_marketplace::{
-    CustomizedPlatform, DataflowPlatform, EventualPlatform, TransactionalPlatform,
+    CustomizedPlatform, DataflowPlatform, EventualPlatform, PlatformSpec, TransactionalPlatform,
 };
+
+/// The eventual binding over the eventual backend, 5 % of payments
+/// declined.
+fn eventual() -> EventualPlatform {
+    EventualPlatform::new(&PlatformSpec::new(PlatformKind::Eventual, BackendKind::Eventual))
+}
 
 fn smoke_config() -> RunConfig {
     RunConfig {
@@ -29,10 +33,7 @@ fn smoke_config() -> RunConfig {
 
 #[test]
 fn benchmark_runs_on_eventual_platform() {
-    let platform = EventualPlatform::new(ActorPlatformConfig {
-        decline_rate: 0.05,
-        ..Default::default()
-    });
+    let platform = eventual();
     let config = smoke_config();
     let report = run_benchmark(&platform, &config, true);
     assert!(report.operations > 0, "no operations completed");
@@ -52,10 +53,10 @@ fn benchmark_runs_on_eventual_platform() {
 
 #[test]
 fn benchmark_runs_on_transactional_platform_and_satisfies_atomicity() {
-    let platform = TransactionalPlatform::new(ActorPlatformConfig {
-        decline_rate: 0.05,
-        ..Default::default()
-    });
+    let platform = TransactionalPlatform::new(&PlatformSpec::new(
+        PlatformKind::Transactional,
+        BackendKind::Eventual,
+    ));
     let report = run_benchmark(&platform, &smoke_config(), true);
     assert!(report.operations > 0);
     assert_eq!(
@@ -89,13 +90,10 @@ fn benchmark_runs_on_customized_platform_and_satisfies_all_criteria() {
     // dashboard projection lives in the unified backend, the consistent-
     // querying guarantee is the snapshot backend's (under eventual_kv the
     // same binding can serve torn dashboards — by design).
-    let platform = CustomizedPlatform::new(CustomizedConfig {
-        actor: ActorPlatformConfig {
-            decline_rate: 0.05,
-            backend: om_common::config::BackendKind::SnapshotIsolation,
-            ..Default::default()
-        },
-    });
+    let platform = CustomizedPlatform::new(&PlatformSpec::new(
+        PlatformKind::Customized,
+        BackendKind::SnapshotIsolation,
+    ));
     let mut config = smoke_config();
     config.mix = WorkloadMix::anomaly_hunting();
     let report = run_benchmark(&platform, &config, true);
@@ -109,7 +107,7 @@ fn benchmark_runs_on_customized_platform_and_satisfies_all_criteria() {
 
 #[test]
 fn reports_are_deterministic_in_shape_and_serializable() {
-    let platform = EventualPlatform::new(ActorPlatformConfig::default());
+    let platform = eventual();
     let report = run_benchmark(&platform, &smoke_config(), true);
     let json = report.to_json();
     let back: om_driver::RunReport = serde_json::from_str(&json).unwrap();
@@ -197,7 +195,7 @@ fn backend_is_selectable_from_run_config_and_labeled_in_reports() {
 /// histogram; warm-up operations land in none.
 #[test]
 fn latency_histograms_count_exactly_the_completed_operations() {
-    let platform = EventualPlatform::new(ActorPlatformConfig::default());
+    let platform = eventual();
     let config = smoke_config();
     let report = run_benchmark(&platform, &config, true);
     let recorded: u64 = report.latency.values().map(|s| s.count).sum();
@@ -224,7 +222,7 @@ fn latency_histograms_count_exactly_the_completed_operations() {
 #[test]
 fn ingest_flag_decides_who_loads_the_catalogue() {
     let config = smoke_config();
-    let empty = EventualPlatform::new(ActorPlatformConfig::default());
+    let empty = eventual();
     run_benchmark(&empty, &config, false);
     empty.quiesce();
     let snap = empty.snapshot().unwrap();
@@ -233,7 +231,7 @@ fn ingest_flag_decides_who_loads_the_catalogue() {
         "nothing was ingested"
     );
 
-    let loaded = EventualPlatform::new(ActorPlatformConfig::default());
+    let loaded = eventual();
     DataGenerator::new(config.scale, config.seed)
         .ingest_all(&loaded)
         .unwrap();

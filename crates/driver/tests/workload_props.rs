@@ -92,8 +92,8 @@ fn identical_seeds_give_identical_workloads() {
 /// Failed-vs-completed accounting always adds up.
 #[test]
 fn report_accounting_adds_up() {
-    use om_marketplace::bindings::actor_core::ActorPlatformConfig;
-    use om_marketplace::EventualPlatform;
+    use om_common::config::BackendKind;
+    use om_marketplace::{EventualPlatform, PlatformKind, PlatformSpec};
     let config = RunConfig {
         scale: ScaleConfig {
             sellers: 2,
@@ -106,7 +106,10 @@ fn report_accounting_adds_up() {
         warmup_ops_per_worker: 2,
         ..RunConfig::default()
     };
-    let platform = EventualPlatform::new(ActorPlatformConfig::default());
+    let platform = EventualPlatform::new(&PlatformSpec::new(
+        PlatformKind::Eventual,
+        BackendKind::Eventual,
+    ));
     let report = run_benchmark(&platform, &config, true);
     assert_eq!(
         report.operations + report.failed_operations,

@@ -755,7 +755,10 @@ mod tests {
             parser: ParserConfig::default(),
             idle_timeout: Duration::from_secs(30),
             gateway: Arc::new(MarketplaceGateway::new(Arc::new(
-                om_marketplace::EventualPlatform::new(Default::default()),
+                om_marketplace::EventualPlatform::new(&om_marketplace::PlatformSpec::new(
+                    om_marketplace::PlatformKind::Eventual,
+                    om_common::config::BackendKind::Eventual,
+                )),
             ))),
             stats: StatCounters::default(),
         };

@@ -414,10 +414,14 @@ fn map_platform<T>(result: Result<T, OmError>) -> Result<T, Response> {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use om_marketplace::EventualPlatform;
+    use om_common::config::BackendKind;
+    use om_marketplace::{EventualPlatform, PlatformKind, PlatformSpec};
 
     fn gateway() -> MarketplaceGateway {
-        MarketplaceGateway::new(Arc::new(EventualPlatform::new(Default::default())))
+        MarketplaceGateway::new(Arc::new(EventualPlatform::new(&PlatformSpec::new(
+            PlatformKind::Eventual,
+            BackendKind::Eventual,
+        ))))
     }
 
     fn req(method: Method, target: &str, body: Option<serde_json::Value>) -> Request {

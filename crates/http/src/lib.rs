@@ -25,10 +25,12 @@
 //!
 //! ```
 //! use om_http::{gateway::MarketplaceGateway, server::HttpServer, EventConfig, Method};
-//! use om_marketplace::EventualPlatform;
+//! use om_common::config::BackendKind;
+//! use om_marketplace::{EventualPlatform, PlatformKind, PlatformSpec};
 //! use std::sync::Arc;
 //!
-//! let platform = Arc::new(EventualPlatform::new(Default::default()));
+//! let spec = PlatformSpec::new(PlatformKind::Eventual, BackendKind::Eventual);
+//! let platform = Arc::new(EventualPlatform::new(&spec));
 //! let gateway = Arc::new(MarketplaceGateway::new(platform));
 //! let server = HttpServer::start_event_driven(gateway, EventConfig::default());
 //! let mut client = server.connect();

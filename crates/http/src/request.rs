@@ -6,10 +6,10 @@
 //! reports that more bytes are needed. Nothing is consumed on
 //! `Ok(None)`, which makes the parser restartable after every read.
 //!
-//! Supported framing: `Content-Length` bodies, `Transfer-Encoding:
-//! chunked` (with trailers), and body-less requests. Header names are
-//! normalized to lowercase; the request target is percent-decoded and its
-//! query string parsed.
+//! Supported framing (`body_framing`): `Content-Length` bodies,
+//! `Transfer-Encoding` whose final coding is `chunked` (with trailers),
+//! and body-less requests. Header names are normalized to lowercase; the
+//! request target is percent-decoded and its query string parsed.
 
 use crate::error::HttpError;
 use bytes::{Buf, Bytes, BytesMut};
@@ -323,39 +323,12 @@ fn parse_request_inner(input: &[u8], cfg: &ParserConfig) -> Result<Step<Request>
 
     let (path, query) = decode_target(target)?;
 
-    // Body framing (RFC 9112 §6): Transfer-Encoding wins over
-    // Content-Length; having both is a smuggling vector, so reject.
     let body_start = head_end + 4;
-    let te_chunked = headers
-        .get_all("transfer-encoding")
-        .any(|v| v.to_ascii_lowercase().contains("chunked"));
-    if te_chunked && headers.get("content-length").is_some() {
-        return Err(HttpError::BadFraming(
-            "both Transfer-Encoding and Content-Length present".into(),
-        ));
-    }
-
-    let (body, consumed) = if te_chunked {
-        match decode_chunked(&input[body_start..], cfg, &mut headers)? {
-            Step::Done(body, n) => (body, body_start + n),
+    let (body, body_len) =
+        match read_body(&input[body_start..], body_framing(&headers)?, cfg, &mut headers)? {
+            Step::Done(body, n) => (body, n),
             Step::Partial => return Ok(Step::Partial),
-        }
-    } else if let Some(len) = parse_content_length(&headers)? {
-        if len > cfg.max_body_bytes {
-            return Err(HttpError::BodyTooLarge {
-                limit: cfg.max_body_bytes,
-            });
-        }
-        if input.len() < body_start + len {
-            return Ok(Step::Partial);
-        }
-        (
-            Bytes::copy_from_slice(&input[body_start..body_start + len]),
-            body_start + len,
-        )
-    } else {
-        (Bytes::new(), body_start)
-    };
+        };
 
     Ok(Step::Done(
         Request {
@@ -367,8 +340,63 @@ fn parse_request_inner(input: &[u8], cfg: &ParserConfig) -> Result<Step<Request>
             headers,
             body,
         },
-        consumed,
+        body_start + body_len,
     ))
+}
+
+/// How the body after a message head is delimited (RFC 9112 §6.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Framing {
+    /// The final transfer coding is `chunked`.
+    Chunked,
+    /// `Content-Length` bytes.
+    Length(usize),
+    /// No framing header: no body.
+    Empty,
+}
+
+/// The framing `headers` declare. `Transfer-Encoding` is a list of
+/// codings over all its lines, read case-insensitively: a final
+/// `chunked` frames a chunked body, and any other non-empty list is
+/// `BadFraming` (a 400, RFC 9112 §6.3 rule 4), as is a chunked body
+/// that also carries a `Content-Length` (a smuggling vector).
+pub(crate) fn body_framing(headers: &Headers) -> Result<Framing, HttpError> {
+    let last_coding = headers
+        .get_all("transfer-encoding")
+        .flat_map(|v| v.split(','))
+        .map(str::trim)
+        .filter(|coding| !coding.is_empty())
+        .last();
+    match last_coding {
+        None => Ok(parse_content_length(headers)?.map_or(Framing::Empty, Framing::Length)),
+        Some(coding) if !coding.eq_ignore_ascii_case("chunked") => Err(HttpError::BadFraming(
+            format!("final transfer coding {coding:?} is not chunked"),
+        )),
+        Some(_) if headers.get("content-length").is_some() => Err(HttpError::BadFraming(
+            "both Transfer-Encoding and Content-Length present".into(),
+        )),
+        Some(_) => Ok(Framing::Chunked),
+    }
+}
+
+/// Reads the body `framing` delimits from `input`, the bytes after the
+/// head; `Done` carries the body and the bytes it took. Chunked
+/// trailers are appended to `headers`.
+pub(crate) fn read_body(
+    input: &[u8],
+    framing: Framing,
+    cfg: &ParserConfig,
+    headers: &mut Headers,
+) -> Result<Step<Bytes>, HttpError> {
+    match framing {
+        Framing::Chunked => decode_chunked(input, cfg, headers),
+        Framing::Length(len) if len > cfg.max_body_bytes => Err(HttpError::BodyTooLarge {
+            limit: cfg.max_body_bytes,
+        }),
+        Framing::Length(len) if input.len() < len => Ok(Step::Partial),
+        Framing::Length(len) => Ok(Step::Done(Bytes::copy_from_slice(&input[..len]), len)),
+        Framing::Empty => Ok(Step::Done(Bytes::new(), 0)),
+    }
 }
 
 /// Finds the end of the message head (`\r\n\r\n`), enforcing the size cap.
@@ -479,7 +507,7 @@ fn validate_method_token(token: &str) -> Result<(), HttpError> {
 
 /// Parses the (possibly repeated but identical) `Content-Length` values
 /// of `headers`; `None` when there is none.
-pub(crate) fn parse_content_length(headers: &Headers) -> Result<Option<usize>, HttpError> {
+fn parse_content_length(headers: &Headers) -> Result<Option<usize>, HttpError> {
     let mut values = headers.get_all("content-length").map(str::trim);
     let Some(first) = values.next() else {
         return Ok(None);
@@ -500,7 +528,7 @@ pub(crate) fn parse_content_length(headers: &Headers) -> Result<Option<usize>, H
 /// Returns the assembled body and the number of raw bytes consumed
 /// (including the terminating chunk and trailer section). Trailer headers
 /// are appended to `headers`.
-pub(crate) fn decode_chunked(
+fn decode_chunked(
     input: &[u8],
     cfg: &ParserConfig,
     headers: &mut Headers,
@@ -649,8 +677,32 @@ fn hex_val(b: u8) -> Option<u8> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// `Transfer-Encoding` lines and whether the body behind them
+    /// decodes as chunked; every other list must be `BadFraming` (RFC
+    /// 9112 §6.3 rule 4), not a body-less message whose body bytes parse
+    /// as the next one. The response parser runs the same table.
+    pub(crate) const TRANSFER_CODINGS: [(&[&str], bool); 6] = [
+        (&["chunked, gzip"], false),
+        (&["gzip"], false),
+        (&["xchunked"], false),
+        (&["gzip, chunked"], true),
+        (&["Chunked"], true),
+        (&["gzip", "chunked"], true),
+    ];
+
+    /// A message head (`start`), its `transfer-encoding` lines and the
+    /// chunked body `hi`.
+    pub(crate) fn with_codings(start: &str, codings: &[&str]) -> BytesMut {
+        let mut wire = format!("{start}\r\n");
+        for coding in codings {
+            wire.push_str(&format!("transfer-encoding: {coding}\r\n"));
+        }
+        wire.push_str("\r\n2\r\nhi\r\n0\r\n\r\n");
+        BytesMut::from(wire.as_bytes())
+    }
 
     fn parse_str(s: &str) -> Result<Option<Request>, HttpError> {
         let mut buf = BytesMut::from(s.as_bytes());
@@ -767,6 +819,18 @@ mod tests {
         .unwrap();
         assert_eq!(&r.body[..], b"abc");
         assert_eq!(r.headers.get("x-sum"), Some("1"));
+    }
+
+    #[test]
+    fn only_a_final_chunked_coding_frames_a_body() {
+        for (codings, chunked) in TRANSFER_CODINGS {
+            let mut wire = with_codings("POST /x HTTP/1.1", codings);
+            match parse_request(&mut wire, &ParserConfig::default()) {
+                Ok(Some(r)) if chunked => assert_eq!(&r.body[..], b"hi", "{codings:?}"),
+                Err(HttpError::BadFraming(_)) if !chunked => {}
+                other => panic!("{codings:?}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::error::HttpError;
 use crate::request::{
-    decode_chunked, find_head_end, parse_content_length, parse_header_lines, split_crlf_lines,
+    body_framing, find_head_end, parse_header_lines, read_body, split_crlf_lines, Framing,
     Headers, ParserConfig, Step, Version,
 };
 use bytes::{Buf, Bytes, BytesMut};
@@ -186,36 +186,18 @@ fn parse_response_inner(
     parse_header_lines(&mut lines, &mut headers, cfg)?;
 
     let body_start = head_end + 4;
-    let te_chunked = headers
-        .get_all("transfer-encoding")
-        .any(|v| v.to_ascii_lowercase().contains("chunked"));
-
-    let (body, consumed) = if !body_follows {
-        // HEAD semantics: framing headers describe the entity, the wire
-        // carries no body bytes.
-        (Bytes::new(), body_start)
-    } else if te_chunked {
-        match decode_chunked(&input[body_start..], cfg, &mut headers)? {
-            Step::Done(body, n) => (body, body_start + n),
-            Step::Partial => return Ok(Step::Partial),
-        }
-    } else if let Some(len) = parse_content_length(&headers)? {
-        if len > cfg.max_body_bytes {
-            return Err(HttpError::BodyTooLarge {
-                limit: cfg.max_body_bytes,
-            });
-        }
-        if input.len() < body_start + len {
-            return Ok(Step::Partial);
-        }
-        (
-            Bytes::copy_from_slice(&input[body_start..body_start + len]),
-            body_start + len,
-        )
+    // A HEAD response's framing headers describe the entity; the wire
+    // carries no body bytes. Our in-memory server always frames with
+    // Content-Length, so a message with neither header has an empty
+    // body rather than one read to close.
+    let framing = if body_follows {
+        body_framing(&headers)?
     } else {
-        // Our in-memory server always frames with Content-Length, so a
-        // missing length means an empty body rather than read-to-close.
-        (Bytes::new(), body_start)
+        Framing::Empty
+    };
+    let (body, body_len) = match read_body(&input[body_start..], framing, cfg, &mut headers)? {
+        Step::Done(body, n) => (body, n),
+        Step::Partial => return Ok(Step::Partial),
     };
 
     Ok(Step::Done(
@@ -226,7 +208,7 @@ fn parse_response_inner(
             headers,
             body,
         },
-        consumed,
+        body_start + body_len,
     ))
 }
 
@@ -284,6 +266,19 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(&resp.body[..], b"hi");
+    }
+
+    #[test]
+    fn response_framing_runs_the_request_table() {
+        use crate::request::tests::{with_codings, TRANSFER_CODINGS};
+        for (codings, chunked) in TRANSFER_CODINGS {
+            let mut wire = with_codings("HTTP/1.1 200 OK", codings);
+            match parse_response(&mut wire, &ParserConfig::default()) {
+                Ok(Some(r)) if chunked => assert_eq!(&r.body[..], b"hi", "{codings:?}"),
+                Err(HttpError::BadFraming(_)) if !chunked => {}
+                other => panic!("{codings:?}: {other:?}"),
+            }
+        }
     }
 
     #[test]

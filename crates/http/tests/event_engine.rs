@@ -6,16 +6,17 @@
 
 use bytes::BytesMut;
 use om_common::OmResult;
+use om_common::config::BackendKind;
 use om_http::{Connection, EventConfig, HttpServer, MarketplaceGateway, Method, ServerOptions};
 use om_marketplace::api::MarketplacePlatform;
-use om_marketplace::EventualPlatform;
+use om_marketplace::{EventualPlatform, PlatformKind, PlatformSpec};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn eventual_gateway() -> Arc<MarketplaceGateway> {
     Arc::new(MarketplaceGateway::new(Arc::new(EventualPlatform::new(
-        Default::default(),
+        &PlatformSpec::new(PlatformKind::Eventual, BackendKind::Eventual),
     ))))
 }
 
@@ -241,7 +242,10 @@ impl GatedPlatform {
 
     fn with_counter_pad(pad: usize) -> Self {
         GatedPlatform {
-            inner: EventualPlatform::new(Default::default()),
+            inner: EventualPlatform::new(&PlatformSpec::new(
+                PlatformKind::Eventual,
+                BackendKind::Eventual,
+            )),
             entered: (Mutex::new(0), Condvar::new()),
             released: (Mutex::new(false), Condvar::new()),
             pad,

@@ -2,8 +2,9 @@
 //! bytes: client → in-memory transport → parser → gateway (route match, dispatch) →
 //! platform, and back.
 
+use om_common::config::BackendKind;
 use om_http::{EventConfig, HttpServer, MarketplaceGateway, Method};
-use om_marketplace::{CustomizedPlatform, EventualPlatform};
+use om_marketplace::{CustomizedPlatform, EventualPlatform, PlatformKind, PlatformSpec};
 use serde_json::json;
 use std::sync::Arc;
 
@@ -55,7 +56,10 @@ fn product_json(id: u64, seller: u64, price_cents: i64) -> serde_json::Value {
 /// Starts a server over the eventual binding with a small catalogue
 /// ingested through the HTTP surface itself.
 fn eventual_server() -> HttpServer {
-    let platform = Arc::new(EventualPlatform::new(Default::default()));
+    let platform = Arc::new(EventualPlatform::new(&PlatformSpec::new(
+        PlatformKind::Eventual,
+        BackendKind::Eventual,
+    )));
     let server = start(Arc::new(MarketplaceGateway::new(platform)));
     let mut client = server.connect();
     for seller in 1..=2u64 {
@@ -294,7 +298,10 @@ fn head_matches_get_headers_with_no_body() {
 #[test]
 fn concurrent_clients_checkout_in_parallel() {
     let server = Arc::new({
-        let platform = Arc::new(EventualPlatform::new(Default::default()));
+        let platform = Arc::new(EventualPlatform::new(&PlatformSpec::new(
+            PlatformKind::Eventual,
+            BackendKind::Eventual,
+        )));
         start(Arc::new(MarketplaceGateway::new(platform)))
     });
     // Ingest catalogue.
@@ -359,9 +366,6 @@ fn concurrent_clients_checkout_in_parallel() {
 /// gateway built over the same instance serves the first one's state.
 #[test]
 fn gateway_survives_a_platform_rebuild_from_persisted_state() {
-    use om_common::config::BackendKind;
-    use om_marketplace::{PlatformKind, PlatformSpec};
-
     let backend = om_storage::make_backend(BackendKind::SnapshotIsolation, 8);
     let spec = PlatformSpec::new(PlatformKind::Dataflow, BackendKind::SnapshotIsolation)
         .parallelism(2)
@@ -443,7 +447,10 @@ fn gateway_survives_a_platform_rebuild_from_persisted_state() {
 /// Platforms without an injectable crash path answer the drill with 501.
 #[test]
 fn recovery_drill_is_501_on_platforms_without_a_crash_path() {
-    let platform = Arc::new(EventualPlatform::new(Default::default()));
+    let platform = Arc::new(EventualPlatform::new(&PlatformSpec::new(
+        PlatformKind::Eventual,
+        BackendKind::Eventual,
+    )));
     let server = start(Arc::new(MarketplaceGateway::new(platform)));
     let mut client = server.connect();
     let resp = client
@@ -456,7 +463,10 @@ fn recovery_drill_is_501_on_platforms_without_a_crash_path() {
 
 #[test]
 fn customized_platform_serves_snapshot_consistent_dashboard_over_http() {
-    let platform = Arc::new(CustomizedPlatform::new(Default::default()));
+    let platform = Arc::new(CustomizedPlatform::new(&PlatformSpec::new(
+        PlatformKind::Customized,
+        BackendKind::Eventual,
+    )));
     let server = start(Arc::new(MarketplaceGateway::new(platform)));
     let mut client = server.connect();
 

@@ -8,6 +8,7 @@
 //! get `500` with `connection: close`, and a new connection must still be
 //! served.
 
+use om_common::config::BackendKind;
 use om_common::entity::{Customer, Product, Seller, SellerDashboard};
 use om_common::ids::{CustomerId, ProductId, SellerId};
 use om_common::{Money, OmResult};
@@ -15,7 +16,7 @@ use om_http::{EventConfig, HttpServer, MarketplaceGateway, Method};
 use om_marketplace::api::{
     CheckoutItem, CheckoutOutcome, CheckoutRequest, MarketSnapshot, MarketplacePlatform,
 };
-use om_marketplace::{EventualPlatform, PlatformKind};
+use om_marketplace::{EventualPlatform, PlatformKind, PlatformSpec};
 use std::collections::BTreeMap;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -68,7 +69,10 @@ impl MarketplacePlatform for PanickingDashboard {
 
 #[test]
 fn a_panicking_handler_leaves_its_loop_serving() {
-    let platform = PanickingDashboard(EventualPlatform::new(Default::default()));
+    let platform = PanickingDashboard(EventualPlatform::new(&PlatformSpec::new(
+        PlatformKind::Eventual,
+        BackendKind::Eventual,
+    )));
     let gateway = Arc::new(MarketplaceGateway::new(Arc::new(platform)));
     let server = Arc::new(HttpServer::start_event_driven(
         gateway,

@@ -3,8 +3,9 @@
 //! Alone in its test binary, so the process's thread count moves only
 //! with the engine's.
 
+use om_common::config::BackendKind;
 use om_http::{EventConfig, HttpServer, MarketplaceGateway, Method};
-use om_marketplace::EventualPlatform;
+use om_marketplace::{EventualPlatform, PlatformKind, PlatformSpec};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,7 +36,7 @@ fn idle_keepalives_add_no_thread_and_still_drain_and_shut_down_promptly() {
         .map_or(cfg.workers, |cores| cfg.workers.min(cores.get()));
     let server = HttpServer::start_event_driven(
         Arc::new(MarketplaceGateway::new(Arc::new(EventualPlatform::new(
-            Default::default(),
+            &PlatformSpec::new(PlatformKind::Eventual, BackendKind::Eventual),
         )))),
         cfg,
     );

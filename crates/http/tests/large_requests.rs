@@ -5,8 +5,9 @@
 //! connection, since the bytes left in the pipe raise no new mark.
 
 use bytes::BytesMut;
+use om_common::config::BackendKind;
 use om_http::{EventConfig, HttpServer, MarketplaceGateway, Method, ParserConfig, ServerOptions};
-use om_marketplace::EventualPlatform;
+use om_marketplace::{EventualPlatform, PlatformKind, PlatformSpec};
 use serde_json::json;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,7 +22,7 @@ const PROMPT: Duration = Duration::from_secs(5);
 
 fn gateway() -> Arc<MarketplaceGateway> {
     Arc::new(MarketplaceGateway::new(Arc::new(EventualPlatform::new(
-        Default::default(),
+        &PlatformSpec::new(PlatformKind::Eventual, BackendKind::Eventual),
     ))))
 }
 

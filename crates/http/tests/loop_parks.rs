@@ -4,8 +4,9 @@
 //!
 //! Alone in its test binary, so `om-http-loop-0` names one thread.
 
+use om_common::config::BackendKind;
 use om_http::{EventConfig, HttpServer, MarketplaceGateway, Method};
-use om_marketplace::EventualPlatform;
+use om_marketplace::{EventualPlatform, PlatformKind, PlatformSpec};
 use std::sync::Arc;
 
 const ROUND_TRIPS: u64 = 5_000;
@@ -36,7 +37,7 @@ fn the_loop_parks_once_per_round_trip() {
     }
     let server = HttpServer::start_event_driven(
         Arc::new(MarketplaceGateway::new(Arc::new(EventualPlatform::new(
-            Default::default(),
+            &PlatformSpec::new(PlatformKind::Eventual, BackendKind::Eventual),
         )))),
         EventConfig {
             workers: 1,

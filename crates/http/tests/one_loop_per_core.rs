@@ -4,8 +4,9 @@
 //! Alone in its test binary, so no other server's `om-http-loop-1` can
 //! be among this process's threads.
 
+use om_common::config::BackendKind;
 use om_http::{EventConfig, HttpServer, MarketplaceGateway, Method};
-use om_marketplace::EventualPlatform;
+use om_marketplace::{EventualPlatform, PlatformKind, PlatformSpec};
 use std::sync::Arc;
 
 /// Linux's `cpu_set_t`: one bit per CPU, 1024 CPUs.
@@ -49,7 +50,7 @@ fn a_server_started_on_one_core_runs_one_loop() {
     pin_to_first_allowed_cpu();
     let server = HttpServer::start_event_driven(
         Arc::new(MarketplaceGateway::new(Arc::new(EventualPlatform::new(
-            Default::default(),
+            &PlatformSpec::new(PlatformKind::Eventual, BackendKind::Eventual),
         )))),
         EventConfig {
             workers: 2,

@@ -16,9 +16,10 @@
 
 use bytes::Bytes;
 use om_common::checksum::crc32;
+use om_common::config::BackendKind;
 use om_http::request::{Headers, Method, Request, Version};
 use om_http::MarketplaceGateway;
-use om_marketplace::EventualPlatform;
+use om_marketplace::{EventualPlatform, PlatformKind, PlatformSpec};
 use proptest::prelude::*;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -50,7 +51,10 @@ const SHAPES: [&str; 13] = [
 ];
 
 fn gateway() -> MarketplaceGateway {
-    MarketplaceGateway::new(Arc::new(EventualPlatform::new(Default::default())))
+    MarketplaceGateway::new(Arc::new(EventualPlatform::new(&PlatformSpec::new(
+        PlatformKind::Eventual,
+        BackendKind::Eventual,
+    ))))
 }
 
 fn request(method: Method, path: &str) -> Request {

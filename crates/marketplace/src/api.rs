@@ -10,6 +10,7 @@ use om_common::ids::{CustomerId, OrderId, ProductId, SellerId};
 use om_common::{Money, OmResult};
 use om_storage::StateBackend;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Which of the four paper implementations a platform instance is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -150,19 +151,6 @@ pub struct UnwedgeOutcome {
     pub healthy: bool,
 }
 
-/// Repairs `backend` in place if it is wedged — every binding's
-/// [`MarketplacePlatform::unwedge`] over the store it commits to. `None`
-/// when the backend has no wedge concept.
-pub fn unwedge_store(backend: &dyn StateBackend) -> Option<OmResult<UnwedgeOutcome>> {
-    let was_wedged = backend.is_wedged();
-    let repair = backend.unwedge()?;
-    Some(repair.map(|torn| UnwedgeOutcome {
-        was_wedged,
-        torn_bytes_dropped: torn,
-        healthy: !backend.is_wedged(),
-    }))
-}
-
 /// The uniform platform interface (one impl per paper binding).
 ///
 /// All five workload transactions plus ingestion, quiescing and state
@@ -171,12 +159,20 @@ pub fn unwedge_store(backend: &dyn StateBackend) -> Option<OmResult<UnwedgeOutco
 pub trait MarketplacePlatform: Send + Sync {
     fn kind(&self) -> PlatformKind;
 
-    /// Which pluggable [`StateBackend`] the
-    /// platform persists state through, or `None` for platforms whose
-    /// state lives only inside their runtime (the dataflow binding's
-    /// checkpointed function state). Reports label runs with this.
-    fn backend(&self) -> Option<BackendKind> {
+    /// The [`StateBackend`] instance the platform persists state through
+    /// (the dataflow binding's is its checkpoint store's), or `None` for
+    /// a platform whose state lives only inside its runtime — the
+    /// default. [`backend`](Self::backend),
+    /// [`is_wedged`](Self::is_wedged) and [`unwedge`](Self::unwedge)
+    /// read it.
+    fn store(&self) -> Option<&Arc<dyn StateBackend>> {
         None
+    }
+
+    /// Which pluggable [`StateBackend`] the platform persists state
+    /// through. Reports label runs with this.
+    fn backend(&self) -> Option<BackendKind> {
+        self.store().map(|store| store.kind())
     }
 
     // ---- data ingestion -------------------------------------------------
@@ -239,19 +235,26 @@ pub trait MarketplacePlatform: Send + Sync {
     /// [`OmError::Wedged`](om_common::OmError::Wedged) until repaired.
     /// Always `false` on memory-only platforms.
     fn is_wedged(&self) -> bool {
-        false
+        self.store().is_some_and(|store| store.is_wedged())
     }
 
     /// Repairs a wedged durable store in place: close, truncate the torn
-    /// (never-acknowledged) tail, re-open, verify. Returns `None` on
-    /// platforms without a wedge concept — the default — and
-    /// `Some(Err(_))` when the repair failed and the store stays wedged.
+    /// (never-acknowledged) tail, re-open, verify. Returns `None` when
+    /// the store has no wedge concept, and `Some(Err(_))` when the
+    /// repair failed and the store stays wedged.
     ///
     /// The repair must be safe under live traffic: concurrent commits
     /// observe either the wedged error or the healthy store, never a
     /// half-repaired file.
     fn unwedge(&self) -> Option<OmResult<UnwedgeOutcome>> {
-        None
+        let store = self.store()?;
+        let was_wedged = store.is_wedged();
+        let repair = store.unwedge()?;
+        Some(repair.map(|torn| UnwedgeOutcome {
+            was_wedged,
+            torn_bytes_dropped: torn,
+            healthy: !store.is_wedged(),
+        }))
     }
 }
 

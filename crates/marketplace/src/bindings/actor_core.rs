@@ -1,12 +1,13 @@
-//! Shared plumbing for the actor-based platforms: catalog bookkeeping,
-//! ingestion, replica-priced cart adds, the delivery scan, the two-call
-//! dashboard and snapshot collection. The delivery scan and the snapshot
-//! each read their grains in one [`om_actor::Cluster::call_all`] fan-out;
-//! the cart add and the dashboard stay sequential, because their call
-//! order is what the stale-price and torn-dashboard criteria observe.
+//! Shared plumbing for the actor-based platforms: the grain cluster built
+//! from a [`PlatformSpec`] (its backend, parallelism, faults and decline
+//! rate), catalog bookkeeping, ingestion, replica-priced cart adds, the
+//! delivery scan, the two-call dashboard and snapshot collection. The
+//! delivery scan and the snapshot each read their grains in one
+//! [`om_actor::Cluster::call_all`] fan-out; the cart add and the
+//! dashboard stay sequential, because their call order is what the
+//! stale-price and torn-dashboard criteria observe.
 
-use om_actor::{Cluster, FaultConfig};
-use om_common::config::{BackendKind, DurableOptions};
+use om_actor::Cluster;
 use om_common::entity::{Customer, Product, Seller, SellerDashboard};
 use om_common::ids::*;
 use om_common::stats::CounterSet;
@@ -18,87 +19,7 @@ use super::actor_grains::*;
 use super::actor_msg::{Msg, Reply};
 use crate::api::{CheckoutItem, MarketSnapshot};
 use crate::domain::{flow, ProductReplica};
-
-/// Configuration for the actor-based platforms.
-#[derive(Clone)]
-pub struct ActorPlatformConfig {
-    pub silos: usize,
-    pub workers_per_silo: usize,
-    pub faults: FaultConfig,
-    /// Payment decline probability.
-    pub decline_rate: f64,
-    /// Storage discipline grain snapshots persist through.
-    pub backend: BackendKind,
-    /// An existing backend instance to persist through instead of a
-    /// fresh one — how a rebuilt platform reattaches to the state a
-    /// previous instance left behind. Must match `backend`'s kind.
-    pub backend_instance: Option<std::sync::Arc<dyn om_storage::StateBackend>>,
-    /// Directory durable state lives in, consulted only by the
-    /// file-durable backend (which opens `<data_dir>/state` and keeps it
-    /// on drop — the cold-restart seam). Memory-only backends ignore it.
-    pub data_dir: Option<std::path::PathBuf>,
-    /// Write-path tuning of the file-durable backend (whether commits
-    /// are fsynced). Memory-only backends ignore it.
-    pub durable: DurableOptions,
-}
-
-impl std::fmt::Debug for ActorPlatformConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ActorPlatformConfig")
-            .field("silos", &self.silos)
-            .field("workers_per_silo", &self.workers_per_silo)
-            .field("faults", &self.faults)
-            .field("decline_rate", &self.decline_rate)
-            .field("backend", &self.backend)
-            .field("shared_backend_instance", &self.backend_instance.is_some())
-            .field("data_dir", &self.data_dir)
-            .field("durable", &self.durable)
-            .finish()
-    }
-}
-
-impl Default for ActorPlatformConfig {
-    fn default() -> Self {
-        Self {
-            silos: 2,
-            workers_per_silo: 4,
-            faults: FaultConfig::reliable(),
-            decline_rate: 0.05,
-            backend: BackendKind::Eventual,
-            backend_instance: None,
-            data_dir: None,
-            durable: DurableOptions::default(),
-        }
-    }
-}
-
-impl ActorPlatformConfig {
-    /// The backend instance grain snapshots (and, on the customized
-    /// binding, the dashboard projection and replica cache) persist
-    /// through: the shared instance if one was injected, else a fresh
-    /// backend of the configured kind.
-    pub fn storage_backend(&self) -> std::sync::Arc<dyn om_storage::StateBackend> {
-        match &self.backend_instance {
-            Some(backend) => {
-                // Unconditional: a mismatch would persist through one
-                // discipline while labeling every report with the other.
-                assert_eq!(
-                    backend.kind(),
-                    self.backend,
-                    "injected backend instance does not match the configured backend kind"
-                );
-                backend.clone()
-            }
-            None => om_storage::make_backend_with(
-                self.backend,
-                om_actor::storage::GRAIN_STORAGE_SHARDS,
-                self.data_dir.as_ref().map(|d| d.join("state")).as_deref(),
-                &self.durable,
-            )
-            .expect("open the durable state backend"),
-        }
-    }
-}
+use crate::PlatformSpec;
 
 /// Ingested entity ids (needed for fan-out queries and snapshots).
 #[derive(Debug, Default)]
@@ -178,30 +99,22 @@ pub struct ActorCore {
     pub tids: IdSequence,
     pub decline_rate: f64,
     pub counters: CounterSet,
-    /// The storage discipline the cluster's grain snapshots go through.
-    pub backend: BackendKind,
 }
 
 impl ActorCore {
-    pub fn new(config: &ActorPlatformConfig) -> Self {
+    pub fn new(spec: &PlatformSpec) -> Self {
         // One backend decision for both uses: the catalog rebuild scans
         // the same instance the cluster persists through, so a platform
         // built over a durable (or shared) backend lists every entity a
         // previous instance ingested without any in-memory handoff.
-        let backend = config.storage_backend();
+        let backend = spec.storage_backend();
         let catalog = Catalog::recover_from(backend.as_ref());
         Self {
-            cluster: build_cluster(
-                config.silos,
-                config.workers_per_silo,
-                config.faults,
-                backend,
-            ),
+            cluster: build_cluster(spec.parallelism, spec.faults, backend),
             catalog,
             tids: IdSequence::new(1),
-            decline_rate: config.decline_rate,
+            decline_rate: spec.decline_rate,
             counters: CounterSet::new(),
-            backend: config.backend,
         }
     }
 
@@ -456,16 +369,17 @@ pub fn unexpected<T>(reply: Reply) -> OmResult<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PlatformKind;
+    use om_common::config::BackendKind;
     use om_common::entity::{OrderEntry, OrderStatus};
 
     #[test]
     fn catalog_recovery_skips_seller_entry_rows() {
         let backend = om_storage::make_backend(BackendKind::SnapshotIsolation, 8);
-        let core = ActorCore::new(&ActorPlatformConfig {
-            backend: BackendKind::SnapshotIsolation,
-            backend_instance: Some(backend.clone()),
-            ..Default::default()
-        });
+        let core = ActorCore::new(
+            &PlatformSpec::new(PlatformKind::Transactional, BackendKind::SnapshotIsolation)
+                .backend_instance(backend.clone()),
+        );
         for s in [3, 1, 7] {
             core.ingest_seller(Seller::new(SellerId(s), format!("s{s}"), "c".into()))
                 .unwrap();

@@ -127,7 +127,12 @@ fn stage<S: Clone>(
     }
 }
 
-/// Builds the marketplace cluster shared by the actor bindings.
+/// Silos of every actor binding's cluster.
+pub const SILOS: usize = 2;
+
+/// Builds the marketplace cluster shared by the actor bindings:
+/// [`SILOS`] silos that split `parallelism` worker threads between them
+/// (at least one each).
 ///
 /// Grain state persists through the `backend`-selected
 /// [`om_storage::StateBackend`] in the [`crate::domain::rows`] format:
@@ -138,14 +143,13 @@ fn stage<S: Clone>(
 /// [`super::actor_core::Catalog::recover_from`] can re-list them on a
 /// cold start.
 pub fn build_cluster(
-    silos: usize,
-    workers_per_silo: usize,
+    parallelism: usize,
     faults: FaultConfig,
     backend: std::sync::Arc<dyn om_storage::StateBackend>,
 ) -> Cluster<Msg, Reply> {
     Cluster::builder()
-        .silos(silos)
-        .workers_per_silo(workers_per_silo)
+        .silos(SILOS)
+        .workers_per_silo(parallelism.div_ceil(SILOS).max(1))
         .faults(faults)
         .call_timeout(Duration::from_secs(30))
         .storage_backend(backend)

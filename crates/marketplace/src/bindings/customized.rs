@@ -24,6 +24,10 @@
 //! impossible by construction); under `eventual_kv` the same commits
 //! apply per key and a concurrent dashboard can observe a torn subset —
 //! exactly the trade the benchmark's platform×backend matrix measures.
+//! The platform is built from the same [`PlatformSpec`] as the
+//! transactional binding it wraps, and that one backend instance is the
+//! store it reports ([`MarketplacePlatform::store`]): `backend`,
+//! `is_wedged` and `unwedge` all read it.
 //!
 //! Per the paper, the extra machinery "introduces low overhead, hence its
 //! performance is comparable to Orleans Transactions" — experiment E7
@@ -37,7 +41,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use super::actor_core::{unexpected, ActorPlatformConfig};
+use super::actor_core::unexpected;
 use super::actor_grains::{cart_grain, order_grain};
 use super::actor_msg::{Msg, Reply};
 use super::transactional::TransactionalPlatform;
@@ -46,6 +50,7 @@ use crate::api::{
     PlatformKind,
 };
 use crate::domain::{flow, ProductReplica};
+use crate::PlatformSpec;
 
 /// Key of the replica-cache record for `product` (namespaced so it can
 /// never collide with grain-snapshot keys, which are `kind/`-prefixed).
@@ -123,12 +128,6 @@ fn decode_agg(raw: &[u8]) -> OmResult<(i64, u64)> {
     ))
 }
 
-/// Configuration for the customized platform.
-#[derive(Debug, Clone, Default)]
-pub struct CustomizedConfig {
-    pub actor: ActorPlatformConfig,
-}
-
 /// The full-featured stack.
 pub struct CustomizedPlatform {
     inner: TransactionalPlatform,
@@ -153,8 +152,8 @@ pub struct CustomizedPlatform {
 }
 
 impl CustomizedPlatform {
-    pub fn new(config: CustomizedConfig) -> Self {
-        let inner = TransactionalPlatform::new(config.actor);
+    pub fn new(spec: &PlatformSpec) -> Self {
+        let inner = TransactionalPlatform::new(spec);
         let backend = inner.core().cluster.storage().backend().clone();
         let audit: Arc<om_log::Topic<String>> = Arc::new(om_log::Topic::new("audit", 1));
         let audit_producer = audit.producer();
@@ -170,12 +169,6 @@ impl CustomizedPlatform {
 
     pub fn inner(&self) -> &TransactionalPlatform {
         &self.inner
-    }
-
-    /// The unified backend holding grain snapshots, the dashboard
-    /// projection and the replica cache (tests / criteria auditing).
-    pub fn state_backend(&self) -> &Arc<dyn StateBackend> {
-        &self.backend
     }
 
     fn audit_append(&self, line: String) {
@@ -286,16 +279,8 @@ impl MarketplacePlatform for CustomizedPlatform {
         PlatformKind::Customized
     }
 
-    fn backend(&self) -> Option<om_common::config::BackendKind> {
-        Some(self.inner.core().backend)
-    }
-
-    fn is_wedged(&self) -> bool {
-        self.backend.is_wedged()
-    }
-
-    fn unwedge(&self) -> Option<OmResult<crate::api::UnwedgeOutcome>> {
-        crate::api::unwedge_store(self.backend.as_ref())
+    fn store(&self) -> Option<&Arc<dyn StateBackend>> {
+        Some(&self.backend)
     }
 
     fn ingest_seller(&self, seller: Seller) -> OmResult<()> {

@@ -35,6 +35,7 @@ use om_common::stats::CounterSet;
 use om_common::time::EventTime;
 use om_common::{Money, OmError, OmResult};
 use om_dataflow::{Address, BackendCheckpointStore, Dataflow, Effects, RowFn, StateView};
+use om_storage::StateBackend;
 use parking_lot::{Condvar, Mutex};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
@@ -744,16 +745,8 @@ impl MarketplacePlatform for DataflowPlatform {
     }
 
     /// The backend behind the checkpoint store.
-    fn backend(&self) -> Option<om_common::config::BackendKind> {
-        Some(self.core.df.checkpoint_store().backend().kind())
-    }
-
-    fn is_wedged(&self) -> bool {
-        self.core.df.checkpoint_store().backend().is_wedged()
-    }
-
-    fn unwedge(&self) -> Option<OmResult<crate::api::UnwedgeOutcome>> {
-        crate::api::unwedge_store(self.core.df.checkpoint_store().backend().as_ref())
+    fn store(&self) -> Option<&Arc<dyn StateBackend>> {
+        Some(self.core.df.checkpoint_store().backend())
     }
 
     fn ingest_seller(&self, seller: Seller) -> OmResult<()> {

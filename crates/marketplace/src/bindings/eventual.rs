@@ -12,7 +12,7 @@ use om_common::entity::{Customer, Product, Seller, SellerDashboard};
 use om_common::ids::{CustomerId, ProductId, SellerId};
 use om_common::{Money, OmResult};
 
-use super::actor_core::{unexpected, ActorCore, ActorPlatformConfig};
+use super::actor_core::{unexpected, ActorCore};
 use super::actor_grains::cart_grain;
 use super::actor_msg::{Msg, Reply};
 use crate::api::{
@@ -20,6 +20,9 @@ use crate::api::{
     PlatformKind,
 };
 use crate::domain::flow::{self, to_basis_points};
+use crate::PlatformSpec;
+use om_storage::StateBackend;
+use std::sync::Arc;
 
 /// The eventually consistent actor platform.
 pub struct EventualPlatform {
@@ -27,9 +30,9 @@ pub struct EventualPlatform {
 }
 
 impl EventualPlatform {
-    pub fn new(config: ActorPlatformConfig) -> Self {
+    pub fn new(spec: &PlatformSpec) -> Self {
         Self {
-            core: ActorCore::new(&config),
+            core: ActorCore::new(spec),
         }
     }
 
@@ -44,16 +47,8 @@ impl MarketplacePlatform for EventualPlatform {
         PlatformKind::Eventual
     }
 
-    fn backend(&self) -> Option<om_common::config::BackendKind> {
-        Some(self.core.backend)
-    }
-
-    fn is_wedged(&self) -> bool {
-        self.core.cluster.storage().backend().is_wedged()
-    }
-
-    fn unwedge(&self) -> Option<OmResult<crate::api::UnwedgeOutcome>> {
-        crate::api::unwedge_store(self.core.cluster.storage().backend().as_ref())
+    fn store(&self) -> Option<&Arc<dyn StateBackend>> {
+        Some(self.core.cluster.storage().backend())
     }
 
     fn ingest_seller(&self, seller: Seller) -> OmResult<()> {

@@ -38,7 +38,7 @@ use om_common::entity::{CartItem, Customer, OrderStatus, Product, Seller, Seller
 use om_common::ids::*;
 use om_common::{Money, OmError, OmResult};
 
-use super::actor_core::{unexpected, ActorCore, ActorPlatformConfig};
+use super::actor_core::{unexpected, ActorCore};
 use super::actor_grains::*;
 use super::actor_msg::{Msg, Reply};
 use crate::api::{
@@ -47,6 +47,9 @@ use crate::api::{
 };
 use crate::domain::flow::{self, lines_by_seller, to_basis_points};
 use crate::domain::order::customer_of_order;
+use crate::PlatformSpec;
+use om_storage::StateBackend;
+use std::sync::Arc;
 
 /// The grains of one transaction as its 2PC participants: each protocol
 /// message goes to all of them in one fan-out.
@@ -104,9 +107,9 @@ pub struct TransactionalPlatform {
 }
 
 impl TransactionalPlatform {
-    pub fn new(config: ActorPlatformConfig) -> Self {
+    pub fn new(spec: &PlatformSpec) -> Self {
         Self {
-            core: ActorCore::new(&config),
+            core: ActorCore::new(spec),
             coordinator: Coordinator::new(),
         }
     }
@@ -364,16 +367,8 @@ impl MarketplacePlatform for TransactionalPlatform {
         PlatformKind::Transactional
     }
 
-    fn backend(&self) -> Option<om_common::config::BackendKind> {
-        Some(self.core.backend)
-    }
-
-    fn is_wedged(&self) -> bool {
-        self.core.cluster.storage().backend().is_wedged()
-    }
-
-    fn unwedge(&self) -> Option<OmResult<crate::api::UnwedgeOutcome>> {
-        crate::api::unwedge_store(self.core.cluster.storage().backend().as_ref())
+    fn store(&self) -> Option<&Arc<dyn StateBackend>> {
+        Some(self.core.cluster.storage().backend())
     }
 
     fn ingest_seller(&self, seller: Seller) -> OmResult<()> {

@@ -11,10 +11,15 @@
 //! persist through the spec's backend, and a spec can carry an existing
 //! backend *instance* ([`PlatformSpec::backend_instance`]) so a rebuilt
 //! platform restarts from the state a previous instance persisted.
+//!
+//! A [`PlatformSpec`] is all the three actor bindings are built from:
+//! their constructors take it as is, and
+//! [`PlatformSpec::storage_backend`] is the one backend decision. Only
+//! the dataflow binding has a config of its own
+//! ([`DataflowPlatformConfig`]), which [`build_platform`] fills from the
+//! spec.
 
 use crate::api::{MarketplacePlatform, PlatformKind};
-use crate::bindings::actor_core::ActorPlatformConfig;
-use crate::bindings::customized::CustomizedConfig;
 use crate::bindings::dataflow::DataflowPlatformConfig;
 use crate::{CustomizedPlatform, DataflowPlatform, EventualPlatform, TransactionalPlatform};
 use om_actor::FaultConfig;
@@ -28,8 +33,9 @@ use std::sync::Arc;
 pub struct PlatformSpec {
     pub kind: PlatformKind,
     pub backend: BackendKind,
-    /// Internal execution slots (actor bindings split them across two
-    /// silos; the dataflow binding maps them to partitions).
+    /// Internal execution slots (the actor bindings split them into
+    /// worker threads across their two silos, at least one each; the
+    /// dataflow binding maps them to partitions).
     pub parallelism: usize,
     /// Payment decline probability.
     pub decline_rate: f64,
@@ -148,25 +154,31 @@ impl PlatformSpec {
         self
     }
 
-    /// The backend instance this spec's platform will persist through:
-    /// the shared instance if one was injected, else a fresh backend of
-    /// the spec's kind (one decision, shared with the actor bindings via
-    /// [`ActorPlatformConfig::storage_backend`]).
+    /// The backend instance this spec's platform persists through: the
+    /// injected instance (its kind must match `backend`), else a fresh
+    /// backend of the spec's kind — a durable one opens
+    /// `<data_dir>/state`. The actor bindings persist grain snapshots
+    /// (and, on the customized binding, the dashboard projection and
+    /// replica cache) through it, the dataflow binding its checkpoints.
     pub fn storage_backend(&self) -> Arc<dyn StateBackend> {
-        self.actor_config().storage_backend()
-    }
-
-    /// The actor-binding configuration this spec maps to.
-    pub fn actor_config(&self) -> ActorPlatformConfig {
-        ActorPlatformConfig {
-            silos: 2,
-            workers_per_silo: self.parallelism.div_ceil(2).max(1),
-            faults: self.faults,
-            decline_rate: self.decline_rate,
-            backend: self.backend,
-            backend_instance: self.backend_instance.clone(),
-            data_dir: self.data_dir.clone(),
-            durable: self.durable,
+        match &self.backend_instance {
+            Some(backend) => {
+                // Unconditional: a mismatch would persist through one
+                // discipline while labeling every report with the other.
+                assert_eq!(
+                    backend.kind(),
+                    self.backend,
+                    "injected backend instance does not match the configured backend kind"
+                );
+                backend.clone()
+            }
+            None => om_storage::make_backend_with(
+                self.backend,
+                om_actor::storage::GRAIN_STORAGE_SHARDS,
+                self.data_dir.as_ref().map(|d| d.join("state")).as_deref(),
+                &self.durable,
+            )
+            .expect("open the durable state backend"),
         }
     }
 
@@ -184,8 +196,8 @@ impl PlatformSpec {
 /// commits its epoch checkpoints through it.
 pub fn build_platform(spec: &PlatformSpec) -> Box<dyn MarketplacePlatform> {
     match spec.kind {
-        PlatformKind::Eventual => Box::new(EventualPlatform::new(spec.actor_config())),
-        PlatformKind::Transactional => Box::new(TransactionalPlatform::new(spec.actor_config())),
+        PlatformKind::Eventual => Box::new(EventualPlatform::new(spec)),
+        PlatformKind::Transactional => Box::new(TransactionalPlatform::new(spec)),
         PlatformKind::Dataflow => Box::new(DataflowPlatform::new(DataflowPlatformConfig {
             partitions: spec.parallelism.max(1),
             max_batch: spec.checkpoint_interval,
@@ -209,9 +221,7 @@ pub fn build_platform(spec: &PlatformSpec) -> Box<dyn MarketplacePlatform> {
                 None => None,
             },
         })),
-        PlatformKind::Customized => Box::new(CustomizedPlatform::new(CustomizedConfig {
-            actor: spec.actor_config(),
-        })),
+        PlatformKind::Customized => Box::new(CustomizedPlatform::new(spec)),
     }
 }
 

@@ -19,12 +19,11 @@ use om_common::rng::{SplitMix64, Zipfian};
 use om_common::time::EventTime;
 use om_common::Money;
 use om_marketplace::api::*;
-use om_marketplace::bindings::actor_core::{ActorCore, ActorPlatformConfig};
+use om_marketplace::bindings::actor_core::ActorCore;
 use om_marketplace::bindings::actor_grains::seller_grain;
 use om_marketplace::bindings::actor_msg::{Msg, Reply};
-use om_marketplace::bindings::customized::CustomizedConfig;
 use om_marketplace::domain::{payment_decision, CartService, OrderService, SellerView};
-use om_marketplace::{CustomizedPlatform, EventualPlatform, TransactionalPlatform};
+use om_marketplace::{CustomizedPlatform, EventualPlatform, PlatformSpec, TransactionalPlatform};
 use om_storage::{StateBackend, WriteOp};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -71,20 +70,14 @@ enum Actor {
 
 impl Actor {
     fn build(kind: PlatformKind, backend: Arc<RecordingBackend>) -> Self {
-        let config = ActorPlatformConfig {
-            silos: 2,
-            workers_per_silo: 2,
-            decline_rate: DECLINE_RATE,
-            backend: backend.kind(),
-            backend_instance: Some(backend as Arc<dyn StateBackend>),
-            ..Default::default()
-        };
+        // Parallelism 4: two silos of two workers.
+        let spec = PlatformSpec::new(kind, backend.kind())
+            .decline_rate(DECLINE_RATE)
+            .backend_instance(backend as Arc<dyn StateBackend>);
         match kind {
-            PlatformKind::Eventual => Actor::Eventual(EventualPlatform::new(config)),
-            PlatformKind::Transactional => Actor::Transactional(TransactionalPlatform::new(config)),
-            PlatformKind::Customized => {
-                Actor::Customized(CustomizedPlatform::new(CustomizedConfig { actor: config }))
-            }
+            PlatformKind::Eventual => Actor::Eventual(EventualPlatform::new(&spec)),
+            PlatformKind::Transactional => Actor::Transactional(TransactionalPlatform::new(&spec)),
+            PlatformKind::Customized => Actor::Customized(CustomizedPlatform::new(&spec)),
             PlatformKind::Dataflow => unreachable!("not an actor binding"),
         }
     }

@@ -8,17 +8,22 @@ use om_common::time::EventTime;
 use om_common::Money;
 use om_dataflow::Address;
 use om_marketplace::api::*;
-use om_marketplace::bindings::actor_core::{ActorCore, ActorPlatformConfig};
+use om_common::config::BackendKind;
+use om_marketplace::bindings::actor_core::ActorCore;
 use om_marketplace::bindings::actor_grains::order_grain;
 use om_marketplace::bindings::actor_msg::Msg;
-use om_marketplace::bindings::customized::CustomizedConfig;
 use om_marketplace::bindings::dataflow::DataflowPlatformConfig;
 use om_marketplace::bindings::kinds;
 use om_marketplace::domain::flow;
 use std::collections::BTreeSet;
 use om_marketplace::{
-    CustomizedPlatform, DataflowPlatform, EventualPlatform, TransactionalPlatform,
+    CustomizedPlatform, DataflowPlatform, EventualPlatform, PlatformSpec, TransactionalPlatform,
 };
+
+/// An actor binding's spec with no payment declined.
+fn spec(kind: PlatformKind, backend: BackendKind) -> PlatformSpec {
+    PlatformSpec::new(kind, backend).decline_rate(0.0)
+}
 
 fn product(seller: u64, id: u64, cents: i64) -> Product {
     Product {
@@ -173,19 +178,13 @@ fn exercise(platform: &dyn MarketplacePlatform, expect_sync_order: bool) {
 
 #[test]
 fn eventual_platform_lifecycle() {
-    let p = EventualPlatform::new(ActorPlatformConfig {
-        decline_rate: 0.0,
-        ..Default::default()
-    });
+    let p = EventualPlatform::new(&spec(PlatformKind::Eventual, BackendKind::Eventual));
     exercise(&p, false);
 }
 
 #[test]
 fn transactional_platform_lifecycle() {
-    let p = TransactionalPlatform::new(ActorPlatformConfig {
-        decline_rate: 0.0,
-        ..Default::default()
-    });
+    let p = TransactionalPlatform::new(&spec(PlatformKind::Transactional, BackendKind::Eventual));
     exercise(&p, true);
     assert!(p.tx_log().is_consistent(), "2PC log must be contradiction-free");
     assert!(p.tx_log().commits() > 0);
@@ -202,12 +201,7 @@ fn dataflow_platform_lifecycle() {
 
 #[test]
 fn customized_platform_lifecycle() {
-    let p = CustomizedPlatform::new(CustomizedConfig {
-        actor: ActorPlatformConfig {
-            decline_rate: 0.0,
-            ..Default::default()
-        },
-    });
+    let p = CustomizedPlatform::new(&spec(PlatformKind::Customized, BackendKind::Eventual));
     exercise(&p, true);
     let counters = p.counters();
     assert!(
@@ -223,13 +217,10 @@ fn customized_dashboard_is_always_snapshot_consistent() {
     // backend's: one prefix scan reads one MVCC snapshot of the aggregate
     // and its entries. (Under `eventual_kv` the same platform exposes
     // torn dashboards — the trade the platform×backend matrix measures.)
-    let p = CustomizedPlatform::new(CustomizedConfig {
-        actor: ActorPlatformConfig {
-            decline_rate: 0.0,
-            backend: om_common::config::BackendKind::SnapshotIsolation,
-            ..Default::default()
-        },
-    });
+    let p = CustomizedPlatform::new(&spec(
+        PlatformKind::Customized,
+        BackendKind::SnapshotIsolation,
+    ));
     ingest(&p);
     // Interleave checkouts with dashboard reads from another thread.
     std::thread::scope(|scope| {
@@ -271,13 +262,10 @@ fn customized_dashboard_pages_hold_each_entry_once() {
     // rows: a dashboard reads those rows however many entries it lists,
     // lists each entry once in (order, product) order, and delivery
     // retires whole orders out of their pages until none is left.
-    let p = CustomizedPlatform::new(CustomizedConfig {
-        actor: ActorPlatformConfig {
-            decline_rate: 0.0,
-            backend: om_common::config::BackendKind::SnapshotIsolation,
-            ..Default::default()
-        },
-    });
+    let p = CustomizedPlatform::new(&spec(
+        PlatformKind::Customized,
+        BackendKind::SnapshotIsolation,
+    ));
     ingest(&p);
     for i in 0..40u64 {
         let c = (i % 4) + 1;
@@ -294,7 +282,7 @@ fn customized_dashboard_pages_hold_each_entry_once() {
     let seller_rows = |seller: u64| {
         let mut prefix = b"cdash!/".to_vec();
         prefix.extend_from_slice(&seller.to_be_bytes());
-        p.state_backend().scan_prefix(&prefix).len()
+        p.store().unwrap().scan_prefix(&prefix).len()
     };
     let dash = p.seller_dashboard(SellerId(1)).unwrap();
     assert_eq!(dash.entries.len(), 80, "40 orders x 2 lines from seller 1");
@@ -325,18 +313,17 @@ fn customized_dashboard_pages_hold_each_entry_once() {
 
 /// Every binding under test, fresh, with no payment declined.
 fn all_platforms() -> Vec<Box<dyn MarketplacePlatform>> {
-    let actor = || ActorPlatformConfig {
-        decline_rate: 0.0,
-        ..Default::default()
-    };
     vec![
-        Box::new(EventualPlatform::new(actor())),
-        Box::new(TransactionalPlatform::new(actor())),
+        Box::new(EventualPlatform::new(&spec(PlatformKind::Eventual, BackendKind::Eventual))),
+        Box::new(TransactionalPlatform::new(&spec(
+            PlatformKind::Transactional,
+            BackendKind::Eventual,
+        ))),
         Box::new(DataflowPlatform::new(DataflowPlatformConfig {
             decline_rate: 0.0,
             ..Default::default()
         })),
-        Box::new(CustomizedPlatform::new(CustomizedConfig { actor: actor() })),
+        Box::new(CustomizedPlatform::new(&spec(PlatformKind::Customized, BackendKind::Eventual))),
     ]
 }
 
@@ -439,19 +426,15 @@ fn delivery_counts_once_per_seller(
 /// customer's delivery twice, on every binding with an event path.
 #[test]
 fn a_duplicated_delivery_event_counts_once_per_seller() {
-    let actor = || ActorPlatformConfig {
-        decline_rate: 0.0,
-        ..Default::default()
-    };
     let notify = |core: &ActorCore, order, seller| {
         let event = Msg::Flow(delivered(order, seller));
         core.cluster.notify(order_grain(CustomerId(1)), event);
     };
-    let p = EventualPlatform::new(actor());
+    let p = EventualPlatform::new(&spec(PlatformKind::Eventual, BackendKind::Eventual));
     delivery_counts_once_per_seller(&p, |o, s| notify(p.core(), o, s));
-    let p = TransactionalPlatform::new(actor());
+    let p = TransactionalPlatform::new(&spec(PlatformKind::Transactional, BackendKind::Eventual));
     delivery_counts_once_per_seller(&p, |o, s| notify(p.core(), o, s));
-    let p = CustomizedPlatform::new(CustomizedConfig { actor: actor() });
+    let p = CustomizedPlatform::new(&spec(PlatformKind::Customized, BackendKind::Eventual));
     delivery_counts_once_per_seller(&p, |o, s| notify(p.inner().core(), o, s));
     let p = DataflowPlatform::new(DataflowPlatformConfig {
         decline_rate: 0.0,
@@ -467,10 +450,7 @@ fn a_duplicated_delivery_event_counts_once_per_seller() {
 fn transactional_checkout_is_atomic_under_contention() {
     // Many concurrent checkouts on the same hot product: stock must be
     // conserved exactly (no lost updates, no partial effects).
-    let p = TransactionalPlatform::new(ActorPlatformConfig {
-        decline_rate: 0.0,
-        ..Default::default()
-    });
+    let p = TransactionalPlatform::new(&spec(PlatformKind::Transactional, BackendKind::Eventual));
     p.ingest_seller(seller(1)).unwrap();
     for c in 1..=8u64 {
         p.ingest_customer(customer(c)).unwrap();
@@ -507,11 +487,10 @@ fn transactional_checkout_is_atomic_under_contention() {
 #[test]
 fn eventual_platform_loses_effects_under_message_drops() {
     use om_actor::FaultConfig;
-    let p = EventualPlatform::new(ActorPlatformConfig {
-        faults: FaultConfig::lossy(0.15, 0.0, 99),
-        decline_rate: 0.0,
-        ..Default::default()
-    });
+    let p = EventualPlatform::new(
+        &spec(PlatformKind::Eventual, BackendKind::Eventual)
+            .faults(FaultConfig::lossy(0.15, 0.0, 99)),
+    );
     p.ingest_seller(seller(1)).unwrap();
     for c in 1..=4u64 {
         p.ingest_customer(customer(c)).unwrap();

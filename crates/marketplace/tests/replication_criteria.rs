@@ -5,13 +5,12 @@
 //! anomaly-free.
 
 use om_actor::FaultConfig;
+use om_common::config::BackendKind;
 use om_common::entity::{Customer, Product, Seller};
 use om_common::ids::{CustomerId, ProductId, SellerId};
 use om_common::Money;
-use om_marketplace::api::{CheckoutItem, MarketplacePlatform};
-use om_marketplace::bindings::actor_core::ActorPlatformConfig;
-use om_marketplace::bindings::customized::CustomizedConfig;
-use om_marketplace::{CustomizedPlatform, EventualPlatform};
+use om_marketplace::api::{CheckoutItem, MarketplacePlatform, PlatformKind};
+use om_marketplace::{CustomizedPlatform, EventualPlatform, PlatformSpec};
 
 fn seed(platform: &dyn MarketplacePlatform) {
     platform
@@ -43,11 +42,11 @@ fn seed(platform: &dyn MarketplacePlatform) {
 fn eventual_binding_counts_stale_reads_when_replication_events_drop() {
     // 60% of grain-to-grain events (including ReplicaApplyUpdate) drop:
     // cart adds right after a price update read a stale replica.
-    let p = EventualPlatform::new(ActorPlatformConfig {
-        faults: FaultConfig::lossy(0.6, 0.0, 31),
-        decline_rate: 0.0,
-        ..Default::default()
-    });
+    let p = EventualPlatform::new(
+        &PlatformSpec::new(PlatformKind::Eventual, BackendKind::Eventual)
+            .faults(FaultConfig::lossy(0.6, 0.0, 31))
+            .decline_rate(0.0),
+    );
     seed(&p);
     for round in 1..=50i64 {
         p.price_update(SellerId(1), ProductId(1), Money::from_cents(100 + round))
@@ -71,10 +70,9 @@ fn eventual_binding_counts_stale_reads_when_replication_events_drop() {
 
 #[test]
 fn eventual_binding_with_reliable_events_converges() {
-    let p = EventualPlatform::new(ActorPlatformConfig {
-        decline_rate: 0.0,
-        ..Default::default()
-    });
+    let p = EventualPlatform::new(
+        &PlatformSpec::new(PlatformKind::Eventual, BackendKind::Eventual).decline_rate(0.0),
+    );
     seed(&p);
     for round in 1..=20i64 {
         p.price_update(SellerId(1), ProductId(1), Money::from_cents(100 + round))
@@ -99,12 +97,9 @@ fn eventual_binding_with_reliable_events_converges() {
 
 #[test]
 fn customized_replica_cache_survives_an_update_storm_without_stale_final_state() {
-    let p = CustomizedPlatform::new(CustomizedConfig {
-        actor: ActorPlatformConfig {
-            decline_rate: 0.0,
-            ..Default::default()
-        },
-    });
+    let p = CustomizedPlatform::new(
+        &PlatformSpec::new(PlatformKind::Customized, BackendKind::Eventual).decline_rate(0.0),
+    );
     seed(&p);
     p.ingest_customer(Customer::new(CustomerId(2), "c2".into(), "a".into()))
         .unwrap();
@@ -155,12 +150,9 @@ fn customized_replica_cache_survives_an_update_storm_without_stale_final_state()
 
 #[test]
 fn customized_cart_reads_eventually_see_every_price_update() {
-    let p = CustomizedPlatform::new(CustomizedConfig {
-        actor: ActorPlatformConfig {
-            decline_rate: 0.0,
-            ..Default::default()
-        },
-    });
+    let p = CustomizedPlatform::new(
+        &PlatformSpec::new(PlatformKind::Customized, BackendKind::Eventual).decline_rate(0.0),
+    );
     seed(&p);
     p.price_update(SellerId(1), ProductId(1), Money::from_cents(777))
         .unwrap();

@@ -8,11 +8,10 @@ use om_common::entity::{Customer, OrderEntry, OrderStatus, PaymentMethod, Produc
 use om_common::ids::{CustomerId, OrderId, ProductId, SellerId};
 use om_common::Money;
 use om_marketplace::api::*;
-use om_marketplace::bindings::actor_core::ActorPlatformConfig;
+use om_common::config::BackendKind;
 use om_marketplace::bindings::actor_grains::seller_grain;
 use om_marketplace::bindings::actor_msg::{Msg, Reply};
-use om_marketplace::bindings::customized::CustomizedConfig;
-use om_marketplace::{CustomizedPlatform, TransactionalPlatform};
+use om_marketplace::{CustomizedPlatform, PlatformSpec, TransactionalPlatform};
 use std::collections::BTreeMap;
 
 /// The hot products, `(seller, product)`: two from seller 1, one from
@@ -114,10 +113,10 @@ fn an_approved_checkout_waits_once_per_phase() {
         // 5k + 2s + 12 calls.
         (1.0, 8, 31),
     ] {
-        let p = TransactionalPlatform::new(ActorPlatformConfig {
-            decline_rate,
-            ..Default::default()
-        });
+        let p = TransactionalPlatform::new(
+            &PlatformSpec::new(PlatformKind::Transactional, BackendKind::Eventual)
+                .decline_rate(decline_rate),
+        );
         ingest(&p);
         fill_cart(&p, 1, &hot_cart(1));
         let (waits_before, calls_before) =
@@ -143,10 +142,9 @@ fn an_approved_checkout_waits_once_per_phase() {
 
 #[test]
 fn an_uncontended_checkout_waits_nine_times_and_never_parks() {
-    let p = TransactionalPlatform::new(ActorPlatformConfig {
-        decline_rate: 0.0,
-        ..Default::default()
-    });
+    let p = TransactionalPlatform::new(
+        &PlatformSpec::new(PlatformKind::Transactional, BackendKind::Eventual).decline_rate(0.0),
+    );
     ingest(&p);
     fill_cart(&p, 1, &hot_cart(1));
     p.quiesce();
@@ -349,21 +347,17 @@ fn contended_checkouts_stay_atomic(
 
 #[test]
 fn fanned_transactional_checkout_is_atomic_under_contention() {
-    let p = TransactionalPlatform::new(ActorPlatformConfig {
-        decline_rate: 0.0,
-        ..Default::default()
-    });
+    let p = TransactionalPlatform::new(
+        &PlatformSpec::new(PlatformKind::Transactional, BackendKind::Eventual).decline_rate(0.0),
+    );
     contended_checkouts_stay_atomic(&p, &p, 9);
 }
 
 #[test]
 fn fanned_customized_checkout_is_atomic_under_contention() {
-    let p = CustomizedPlatform::new(CustomizedConfig {
-        actor: ActorPlatformConfig {
-            decline_rate: 0.0,
-            ..Default::default()
-        },
-    });
+    let p = CustomizedPlatform::new(
+        &PlatformSpec::new(PlatformKind::Customized, BackendKind::Eventual).decline_rate(0.0),
+    );
     // One wait more than Transactional: the order is read back to be
     // projected into the dashboard.
     contended_checkouts_stay_atomic(&p, p.inner(), 10);

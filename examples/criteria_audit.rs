@@ -12,13 +12,12 @@
 //! on all four bindings.
 
 use online_marketplace::actor::FaultConfig;
-use online_marketplace::common::config::{RunConfig, ScaleConfig, WorkloadMix};
+use online_marketplace::common::config::{BackendKind, RunConfig, ScaleConfig, WorkloadMix};
 use online_marketplace::driver::run_benchmark;
-use online_marketplace::marketplace::bindings::actor_core::ActorPlatformConfig;
-use online_marketplace::marketplace::bindings::customized::CustomizedConfig;
+use online_marketplace::marketplace::api::PlatformKind;
 use online_marketplace::marketplace::bindings::dataflow::DataflowPlatformConfig;
 use online_marketplace::marketplace::{
-    CustomizedPlatform, DataflowPlatform, EventualPlatform, TransactionalPlatform,
+    CustomizedPlatform, DataflowPlatform, EventualPlatform, PlatformSpec, TransactionalPlatform,
 };
 
 fn main() {
@@ -38,27 +37,18 @@ fn main() {
 
     // Raw actor one-way events are at-most-once: model with a lossy
     // channel on the two plain Orleans bindings.
-    let lossy = FaultConfig::lossy(0.02, 0.01, 7);
-    let lossy_actor = ActorPlatformConfig {
-        faults: lossy,
-        decline_rate: config.payment_decline_rate,
-        ..Default::default()
-    };
-    // The customized stack's consistent-dashboard criterion is the
-    // snapshot-isolation backend's guarantee (the paper's PostgreSQL
-    // offload); run its cell over that backend.
-    let reliable_actor = ActorPlatformConfig {
-        decline_rate: config.payment_decline_rate,
-        backend: online_marketplace::common::config::BackendKind::SnapshotIsolation,
-        ..Default::default()
+    let lossy = |kind| {
+        PlatformSpec::new(kind, BackendKind::Eventual)
+            .faults(FaultConfig::lossy(0.02, 0.01, 7))
+            .decline_rate(config.payment_decline_rate)
     };
 
     println!("criteria matrix under the anomaly-hunting mix (paper §II criteria):\n");
-    let eventual = EventualPlatform::new(lossy_actor.clone());
+    let eventual = EventualPlatform::new(&lossy(PlatformKind::Eventual));
     let report = run_benchmark(&eventual, &config, true);
     println!("{}", report.criteria_row());
 
-    let transactional = TransactionalPlatform::new(lossy_actor);
+    let transactional = TransactionalPlatform::new(&lossy(PlatformKind::Transactional));
     let report = run_benchmark(&transactional, &config, true);
     println!("{}", report.criteria_row());
 
@@ -69,9 +59,13 @@ fn main() {
     let report = run_benchmark(&dataflow, &config, true);
     println!("{}", report.criteria_row());
 
-    let customized = CustomizedPlatform::new(CustomizedConfig {
-        actor: reliable_actor,
-    });
+    // The customized stack's consistent-dashboard criterion is the
+    // snapshot-isolation backend's guarantee (the paper's PostgreSQL
+    // offload); run its cell over that backend.
+    let customized = CustomizedPlatform::new(
+        &PlatformSpec::new(PlatformKind::Customized, BackendKind::SnapshotIsolation)
+            .decline_rate(config.payment_decline_rate),
+    );
     let report = run_benchmark(&customized, &config, true);
     println!("{}", report.criteria_row());
     let all = report.criteria.all_satisfied();

@@ -22,11 +22,10 @@ use online_marketplace::common::entity::{Customer, PaymentMethod, Product, Selle
 use online_marketplace::common::ids::{CustomerId, ProductId, SellerId};
 use online_marketplace::common::Money;
 use online_marketplace::marketplace::api::{
-    CheckoutItem, CheckoutRequest, MarketplacePlatform,
+    CheckoutItem, CheckoutRequest, MarketplacePlatform, PlatformKind,
 };
-use online_marketplace::marketplace::bindings::actor_core::ActorPlatformConfig;
 use online_marketplace::marketplace::bindings::dataflow::DataflowPlatformConfig;
-use online_marketplace::marketplace::{DataflowPlatform, EventualPlatform};
+use online_marketplace::marketplace::{DataflowPlatform, EventualPlatform, PlatformSpec};
 
 fn ingest(platform: &dyn MarketplacePlatform) {
     platform
@@ -176,11 +175,11 @@ fn main() {
     let _ = std::fs::remove_dir_all(&data_dir);
 
     // --- eventual actors with lossy events -------------------------------
-    let eventual = EventualPlatform::new(ActorPlatformConfig {
-        faults: FaultConfig::lossy(0.10, 0.0, 42),
-        decline_rate: 0.0,
-        ..Default::default()
-    });
+    let eventual = EventualPlatform::new(
+        &PlatformSpec::new(PlatformKind::Eventual, BackendKind::Eventual)
+            .faults(FaultConfig::lossy(0.10, 0.0, 42))
+            .decline_rate(0.0),
+    );
     ingest(&eventual);
     run_checkouts(&eventual, CHECKOUTS);
     let snap = eventual.snapshot().unwrap();

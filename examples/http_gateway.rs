@@ -14,7 +14,8 @@
 //! ```
 
 use online_marketplace::http::{EventConfig, HttpServer, MarketplaceGateway, Method};
-use online_marketplace::marketplace::CustomizedPlatform;
+use online_marketplace::common::config::BackendKind;
+use online_marketplace::marketplace::{CustomizedPlatform, PlatformKind, PlatformSpec};
 use serde_json::json;
 use std::sync::Arc;
 
@@ -23,7 +24,8 @@ fn main() {
     //    monotonic replica reads + audit log) behind the HTTP engine:
     //    `workers` event loops, each running its connections' requests
     //    inline.
-    let platform = Arc::new(CustomizedPlatform::new(Default::default()));
+    let spec = PlatformSpec::new(PlatformKind::Customized, BackendKind::Eventual);
+    let platform = Arc::new(CustomizedPlatform::new(&spec));
     let server = HttpServer::start_event_driven(
         Arc::new(MarketplaceGateway::new(platform)),
         EventConfig::default(),

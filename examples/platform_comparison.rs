@@ -6,14 +6,12 @@
 //! cargo run --release --example platform_comparison
 //! ```
 
-use online_marketplace::common::config::{RunConfig, ScaleConfig};
+use online_marketplace::common::config::{BackendKind, RunConfig, ScaleConfig};
 use online_marketplace::driver::run_benchmark;
 use online_marketplace::marketplace::api::PlatformKind;
-use online_marketplace::marketplace::bindings::actor_core::ActorPlatformConfig;
-use online_marketplace::marketplace::bindings::customized::CustomizedConfig;
 use online_marketplace::marketplace::bindings::dataflow::DataflowPlatformConfig;
 use online_marketplace::marketplace::{
-    CustomizedPlatform, DataflowPlatform, EventualPlatform, TransactionalPlatform,
+    CustomizedPlatform, DataflowPlatform, EventualPlatform, PlatformSpec, TransactionalPlatform,
 };
 
 fn main() {
@@ -38,29 +36,21 @@ fn main() {
         PlatformKind::Dataflow,
         PlatformKind::Customized,
     ] {
-        let actor = ActorPlatformConfig {
-            decline_rate: config.payment_decline_rate,
-            ..Default::default()
-        };
+        let spec = PlatformSpec::new(kind, BackendKind::Eventual)
+            .decline_rate(config.payment_decline_rate);
         let report = match kind {
-            PlatformKind::Eventual => {
-                run_benchmark(&EventualPlatform::new(actor), &config, true)
-            }
+            PlatformKind::Eventual => run_benchmark(&EventualPlatform::new(&spec), &config, true),
             PlatformKind::Transactional => {
-                run_benchmark(&TransactionalPlatform::new(actor), &config, true)
+                run_benchmark(&TransactionalPlatform::new(&spec), &config, true)
             }
             PlatformKind::Dataflow => run_benchmark(
                 &DataflowPlatform::new(DataflowPlatformConfig::default()),
                 &config,
                 true,
             ),
-            PlatformKind::Customized => run_benchmark(
-                &CustomizedPlatform::new(CustomizedConfig {
-                    actor,
-                }),
-                &config,
-                true,
-            ),
+            PlatformKind::Customized => {
+                run_benchmark(&CustomizedPlatform::new(&spec), &config, true)
+            }
         };
         println!("{}", report.throughput_row());
         println!("  {}", report.criteria_row());

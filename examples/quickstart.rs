@@ -8,19 +8,18 @@
 use online_marketplace::common::entity::{Customer, OrderStatus, PaymentMethod, Product, Seller};
 use online_marketplace::common::ids::{CustomerId, ProductId, SellerId};
 use online_marketplace::common::Money;
+use online_marketplace::common::config::BackendKind;
 use online_marketplace::marketplace::api::{
-    CheckoutItem, CheckoutOutcome, CheckoutRequest, MarketplacePlatform,
+    CheckoutItem, CheckoutOutcome, CheckoutRequest, MarketplacePlatform, PlatformKind,
 };
-use online_marketplace::marketplace::bindings::actor_core::ActorPlatformConfig;
-use online_marketplace::marketplace::TransactionalPlatform;
+use online_marketplace::marketplace::{PlatformSpec, TransactionalPlatform};
 
 fn main() {
     // 1. A transactional (ACID) marketplace on an in-process actor
-    //    cluster: 2 silos, 4 workers each.
-    let platform = TransactionalPlatform::new(ActorPlatformConfig {
-        decline_rate: 0.0,
-        ..Default::default()
-    });
+    //    cluster: 2 silos, 2 workers each (parallelism 4).
+    let platform = TransactionalPlatform::new(
+        &PlatformSpec::new(PlatformKind::Transactional, BackendKind::Eventual).decline_rate(0.0),
+    );
 
     // 2. Ingest one seller, one customer and two products with stock.
     platform

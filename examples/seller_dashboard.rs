@@ -10,12 +10,11 @@
 use online_marketplace::common::entity::{Customer, PaymentMethod, Product, Seller};
 use online_marketplace::common::ids::{CustomerId, ProductId, SellerId};
 use online_marketplace::common::Money;
+use online_marketplace::common::config::BackendKind;
 use online_marketplace::marketplace::api::{
-    CheckoutItem, CheckoutRequest, MarketplacePlatform,
+    CheckoutItem, CheckoutRequest, MarketplacePlatform, PlatformKind,
 };
-use online_marketplace::marketplace::bindings::actor_core::ActorPlatformConfig;
-use online_marketplace::marketplace::bindings::customized::CustomizedConfig;
-use online_marketplace::marketplace::{CustomizedPlatform, EventualPlatform};
+use online_marketplace::marketplace::{CustomizedPlatform, EventualPlatform, PlatformSpec};
 
 fn ingest(platform: &dyn MarketplacePlatform) {
     platform
@@ -93,10 +92,9 @@ fn probe(platform: &dyn MarketplacePlatform, rounds: usize) -> (u64, u64) {
 fn main() {
     println!("probing dashboards under checkout churn...\n");
 
-    let eventual = EventualPlatform::new(ActorPlatformConfig {
-        decline_rate: 0.0,
-        ..Default::default()
-    });
+    let eventual = EventualPlatform::new(
+        &PlatformSpec::new(PlatformKind::Eventual, BackendKind::Eventual).decline_rate(0.0),
+    );
     let (probes, torn) = probe(&eventual, 400);
     println!(
         "orleans_eventual : {probes} probes, {torn} torn dashboards ({:.2}%)",
@@ -106,13 +104,10 @@ fn main() {
     // The customized stack's dashboard projection lives in the unified
     // StateBackend; its consistency guarantee is the backend's. Run the
     // snapshot-isolation cell (the paper's PostgreSQL offload).
-    let customized = CustomizedPlatform::new(CustomizedConfig {
-        actor: ActorPlatformConfig {
-            decline_rate: 0.0,
-            backend: online_marketplace::common::config::BackendKind::SnapshotIsolation,
-            ..Default::default()
-        },
-    });
+    let customized = CustomizedPlatform::new(
+        &PlatformSpec::new(PlatformKind::Customized, BackendKind::SnapshotIsolation)
+            .decline_rate(0.0),
+    );
     let (probes, torn) = probe(&customized, 400);
     println!(
         "customized+snapshot_isolation : {probes} probes, {torn} torn dashboards ({:.2}%)",

@@ -4,35 +4,28 @@
 
 use online_marketplace::http::{EventConfig, HttpServer, MarketplaceGateway, Method};
 use online_marketplace::marketplace::api::{MarketplacePlatform, PlatformKind};
-use online_marketplace::marketplace::bindings::actor_core::ActorPlatformConfig;
+use online_marketplace::common::config::BackendKind;
 use online_marketplace::marketplace::bindings::dataflow::{
     DataflowPlatform, DataflowPlatformConfig,
 };
 use online_marketplace::marketplace::{
-    CustomizedPlatform, EventualPlatform, TransactionalPlatform,
+    CustomizedPlatform, EventualPlatform, PlatformSpec, TransactionalPlatform,
 };
 use serde_json::json;
 use std::sync::Arc;
 
 fn platform(kind: PlatformKind) -> Arc<dyn MarketplacePlatform> {
-    let actor = ActorPlatformConfig {
-        decline_rate: 0.0,
-        ..Default::default()
-    };
+    let spec = PlatformSpec::new(kind, BackendKind::Eventual).decline_rate(0.0);
     match kind {
-        PlatformKind::Eventual => Arc::new(EventualPlatform::new(actor)),
-        PlatformKind::Transactional => Arc::new(TransactionalPlatform::new(actor)),
+        PlatformKind::Eventual => Arc::new(EventualPlatform::new(&spec)),
+        PlatformKind::Transactional => Arc::new(TransactionalPlatform::new(&spec)),
         PlatformKind::Dataflow => Arc::new(DataflowPlatform::new(DataflowPlatformConfig {
             partitions: 2,
             max_batch: 64,
             decline_rate: 0.0,
             ..Default::default()
         })),
-        PlatformKind::Customized => Arc::new(CustomizedPlatform::new(
-            online_marketplace::marketplace::bindings::customized::CustomizedConfig {
-                actor,
-            },
-        )),
+        PlatformKind::Customized => Arc::new(CustomizedPlatform::new(&spec)),
     }
 }
 

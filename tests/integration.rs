@@ -4,11 +4,10 @@
 use online_marketplace::common::config::{RunConfig, ScaleConfig, WorkloadMix};
 use online_marketplace::driver::{run_benchmark, RunReport};
 use online_marketplace::marketplace::api::{MarketplacePlatform, PlatformKind};
-use online_marketplace::marketplace::bindings::actor_core::ActorPlatformConfig;
-use online_marketplace::marketplace::bindings::customized::CustomizedConfig;
+use online_marketplace::common::config::BackendKind;
 use online_marketplace::marketplace::bindings::dataflow::DataflowPlatformConfig;
 use online_marketplace::marketplace::{
-    CustomizedPlatform, DataflowPlatform, EventualPlatform, TransactionalPlatform,
+    CustomizedPlatform, DataflowPlatform, EventualPlatform, PlatformSpec, TransactionalPlatform,
 };
 
 fn tiny_config() -> RunConfig {
@@ -27,15 +26,11 @@ fn tiny_config() -> RunConfig {
 }
 
 fn run(kind: PlatformKind, config: &RunConfig) -> RunReport {
-    let actor = ActorPlatformConfig {
-        decline_rate: config.payment_decline_rate,
-        backend: config.backend,
-        ..Default::default()
-    };
+    let spec = PlatformSpec::new(kind, config.backend).decline_rate(config.payment_decline_rate);
     match kind {
-        PlatformKind::Eventual => run_benchmark(&EventualPlatform::new(actor), config, true),
+        PlatformKind::Eventual => run_benchmark(&EventualPlatform::new(&spec), config, true),
         PlatformKind::Transactional => {
-            run_benchmark(&TransactionalPlatform::new(actor), config, true)
+            run_benchmark(&TransactionalPlatform::new(&spec), config, true)
         }
         PlatformKind::Dataflow => run_benchmark(
             &DataflowPlatform::new(DataflowPlatformConfig {
@@ -45,13 +40,7 @@ fn run(kind: PlatformKind, config: &RunConfig) -> RunReport {
             config,
             true,
         ),
-        PlatformKind::Customized => run_benchmark(
-            &CustomizedPlatform::new(CustomizedConfig {
-                actor,
-            }),
-            config,
-            true,
-        ),
+        PlatformKind::Customized => run_benchmark(&CustomizedPlatform::new(&spec), config, true),
     }
 }
 
@@ -135,8 +124,9 @@ fn deterministic_workload_generation_across_runs() {
     // Same seed => same generated catalogue (probe via two generators).
     let mut a = DataGenerator::new(config.scale, config.seed);
     let mut b = DataGenerator::new(config.scale, config.seed);
-    let pa = EventualPlatform::new(ActorPlatformConfig::default());
-    let pb = EventualPlatform::new(ActorPlatformConfig::default());
+    let spec = PlatformSpec::new(PlatformKind::Eventual, BackendKind::Eventual);
+    let pa = EventualPlatform::new(&spec);
+    let pb = EventualPlatform::new(&spec);
     a.ingest_all(&pa).unwrap();
     b.ingest_all(&pb).unwrap();
     let sa = pa.snapshot().unwrap();

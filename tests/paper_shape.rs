@@ -3,13 +3,11 @@
 //! deliberately generous — they assert orderings and existence, not
 //! absolute numbers — so they hold on any machine.
 
-use online_marketplace::common::config::{RunConfig, ScaleConfig, WorkloadMix};
+use online_marketplace::common::config::{BackendKind, RunConfig, ScaleConfig, WorkloadMix};
 use online_marketplace::driver::run_benchmark;
-use online_marketplace::marketplace::api::MarketplacePlatform;
-use online_marketplace::marketplace::bindings::actor_core::ActorPlatformConfig;
-use online_marketplace::marketplace::bindings::customized::CustomizedConfig;
+use online_marketplace::marketplace::api::{MarketplacePlatform, PlatformKind};
 use online_marketplace::marketplace::{
-    CustomizedPlatform, EventualPlatform, TransactionalPlatform,
+    CustomizedPlatform, EventualPlatform, PlatformSpec, TransactionalPlatform,
 };
 
 fn config() -> RunConfig {
@@ -29,6 +27,12 @@ fn config() -> RunConfig {
     }
 }
 
+/// The binding's spec over the eventual backend, 5 % of payments
+/// declined.
+fn spec(kind: PlatformKind) -> PlatformSpec {
+    PlatformSpec::new(kind, BackendKind::Eventual)
+}
+
 fn throughput(platform: &dyn MarketplacePlatform) -> f64 {
     run_benchmark(platform, &config(), true).throughput_per_sec
 }
@@ -37,12 +41,10 @@ fn throughput(platform: &dyn MarketplacePlatform) -> f64 {
 /// (paper: transactions come "at a considerable overhead").
 #[test]
 fn eventual_outperforms_transactions() {
-    let actor = ActorPlatformConfig {
-        decline_rate: 0.05,
-        ..Default::default()
-    };
-    let eventual = throughput(&EventualPlatform::new(actor.clone()));
-    let transactional = throughput(&TransactionalPlatform::new(actor));
+    let eventual = throughput(&EventualPlatform::new(&spec(PlatformKind::Eventual)));
+    let transactional =
+        throughput(&TransactionalPlatform::new(&spec(PlatformKind::Transactional)));
+    println!("eventual / transactional: {:.2}", eventual / transactional);
     assert!(
         eventual > transactional,
         "paper shape violated: eventual {eventual:.0} ops/s <= transactions {transactional:.0} ops/s"
@@ -53,14 +55,9 @@ fn eventual_outperforms_transactions() {
 /// plain transactional binding (paper: "low overhead ... comparable").
 #[test]
 fn customized_overhead_is_bounded() {
-    let actor = ActorPlatformConfig {
-        decline_rate: 0.05,
-        ..Default::default()
-    };
-    let transactional = throughput(&TransactionalPlatform::new(actor.clone()));
-    let customized = throughput(&CustomizedPlatform::new(CustomizedConfig {
-        actor,
-    }));
+    let transactional =
+        throughput(&TransactionalPlatform::new(&spec(PlatformKind::Transactional)));
+    let customized = throughput(&CustomizedPlatform::new(&spec(PlatformKind::Customized)));
     let ratio = customized / transactional;
     assert!(
         ratio > 0.3,

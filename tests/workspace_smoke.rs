@@ -8,11 +8,11 @@
 use online_marketplace::common::entity::{Customer, PaymentMethod, Product, Seller};
 use online_marketplace::common::ids::{CustomerId, ProductId, SellerId};
 use online_marketplace::common::Money;
+use online_marketplace::common::config::BackendKind;
 use online_marketplace::marketplace::api::{
-    CheckoutItem, CheckoutOutcome, CheckoutRequest, MarketplacePlatform,
+    CheckoutItem, CheckoutOutcome, CheckoutRequest, MarketplacePlatform, PlatformKind,
 };
-use online_marketplace::marketplace::bindings::actor_core::ActorPlatformConfig;
-use online_marketplace::marketplace::TransactionalPlatform;
+use online_marketplace::marketplace::{PlatformSpec, TransactionalPlatform};
 
 /// Every umbrella module path must resolve; referencing one type from
 /// each member keeps the re-export list honest as crates are added.
@@ -30,10 +30,9 @@ fn umbrella_reexports_resolve() {
 
 #[test]
 fn minimal_checkout_flows_end_to_end() {
-    let platform = TransactionalPlatform::new(ActorPlatformConfig {
-        decline_rate: 0.0,
-        ..Default::default()
-    });
+    let platform = TransactionalPlatform::new(
+        &PlatformSpec::new(PlatformKind::Transactional, BackendKind::Eventual).decline_rate(0.0),
+    );
 
     platform
         .ingest_seller(Seller::new(SellerId(1), "acme".into(), "copenhagen".into()))
