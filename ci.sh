@@ -30,8 +30,8 @@
 #     asserts the customized cell satisfies every criterion),
 #   * the shim crates' own unit tests run via --workspace,
 #   * rustdoc must build warning-free (om_storage, om_dataflow, om_log,
-#     om_mvcc, om_actor and om_http additionally deny missing docs at the
-#     crate level),
+#     om_actor and om_http additionally deny missing docs at the crate
+#     level),
 #   * the crash-consistency torture slice (docs/FAULTS.md) runs inside
 #     `cargo test --workspace` — the storage/log/driver `torture`
 #     targets sweep power loss over recorded write boundaries with a
@@ -41,10 +41,14 @@
 #     EVERY boundary with wider workloads and more seeds,
 #   * a stress slice: `scripts/stress.sh` runs the HTTP engine's
 #     `event_engine` and `large_requests` suites, the contended
-#     transactional checkout and delivery (`tx_fanout`) and the admission
-#     suites (`lock_props`, `tx_integration`) 3 times each in 2 loops side
-#     by side, where a lost ready-list mark or a grain admitted twice
-#     shows far more often than in the one workspace run,
+#     transactional checkout and delivery (`tx_fanout`), the admission
+#     suites (`lock_props`, `tx_integration`) and the storage contract's
+#     `backend_props` 3 times each in 2 loops side by side, where a lost
+#     ready-list mark, a grain admitted twice or a commit published
+#     before its last version (`si_backend_never_exposes_torn_commits`
+#     holds only under the snapshot backend's commit lock) shows far more
+#     often than in the one workspace run; the `backend_props` step takes
+#     about 0.5 s once its binary is built,
 #   * `om_http`'s tests run once more pinned to the first allowed CPU
 #     (`taskset`), where the engine starts one event loop whatever
 #     `workers` asks for: the shape every marketbench cell measures,
@@ -86,10 +90,11 @@ cargo build --release --offline
 echo "==> cargo test -q --workspace (functional crates + shim self-tests + torture slice)"
 cargo test -q --offline --workspace
 
-echo "==> stress slice: om_http event_engine + large_requests, om_marketplace tx_fanout, om_actor lock_props + tx_integration; 3 runs x 2 loops side by side"
+echo "==> stress slice: om_http event_engine + large_requests, om_marketplace tx_fanout, om_actor lock_props + tx_integration, om_storage backend_props; 3 runs x 2 loops side by side"
 scripts/stress.sh om_http 3 2 event_engine large_requests
 scripts/stress.sh om_marketplace 3 2 tx_fanout
 scripts/stress.sh om_actor 3 2 lock_props tx_integration
+scripts/stress.sh om_storage 3 2 backend_props
 
 cpu=$(python3 -c 'import os; print(min(os.sched_getaffinity(0)))')
 echo "==> om_http on one core (taskset -c $cpu): one event loop, as in every marketbench cell"

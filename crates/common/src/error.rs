@@ -32,14 +32,6 @@ pub enum OmError {
 }
 
 impl OmError {
-    /// True if retrying the operation may succeed.
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            OmError::Conflict(_) | OmError::TxAborted(_) | OmError::Timeout(_)
-        )
-    }
-
     /// Short machine-readable label, used in metrics.
     pub fn label(&self) -> &'static str {
         match self {
@@ -77,23 +69,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn retryability_classification() {
-        assert!(OmError::Conflict("x".into()).is_retryable());
-        assert!(OmError::TxAborted("x".into()).is_retryable());
-        assert!(OmError::Timeout("x".into()).is_retryable());
-        assert!(!OmError::NotFound("x".into()).is_retryable());
-        assert!(!OmError::Rejected("x".into()).is_retryable());
-        assert!(!OmError::Internal("x".into()).is_retryable());
-        // A wedged store stays wedged until an explicit unwedge; blind
-        // retries would only hammer it, so clients back off instead.
-        assert!(!OmError::Wedged("x".into()).is_retryable());
-        assert_eq!(OmError::Wedged("x".into()).label(), "wedged");
-    }
-
-    #[test]
     fn display_includes_context() {
         let e = OmError::NotFound("product-3".into());
         assert_eq!(e.to_string(), "not found: product-3");
         assert_eq!(e.label(), "not_found");
+        let e = OmError::Wedged("disk".into());
+        assert_eq!(e.to_string(), "storage wedged: disk");
+        assert_eq!(e.label(), "wedged");
     }
 }

@@ -4,8 +4,8 @@
 //! reproduction of *Benchmarking Data Management Systems for Microservices*
 //! (Laigner & Zhou, ICDE 2024).
 //!
-//! This crate holds everything the substrates (`om-storage`, `om-mvcc`,
-//! `om-log`, `om-actor`, `om-dataflow`) and the application
+//! This crate holds everything the substrates (`om-storage`, `om-log`,
+//! `om-actor`, `om-dataflow`) and the application
 //! (`om-marketplace`, `om-driver`) agree on:
 //!
 //! * strongly-typed identifiers ([`ids`]),

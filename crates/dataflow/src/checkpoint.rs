@@ -28,7 +28,7 @@
 //! ```
 
 use om_common::{OmError, OmResult};
-use om_storage::{StateBackend, WriteOp};
+use om_storage::{StateBackend, WriteBatch, WriteOp};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -122,12 +122,6 @@ pub struct CheckpointSnapshot {
 /// checkpoint inside a backend shared with other subsystems).
 const META_KEY: &[u8] = b"df!/meta";
 const STATE_PREFIX: &[u8] = b"df!/s/";
-
-/// Commit retries before a conflicting epoch commit is surfaced. Epoch
-/// commits are serialized by the runtime, but the backend may be shared
-/// with other writers (grain saves, projections) whose transactions can
-/// win first-committer-wins validation.
-const COMMIT_RETRIES: usize = 8;
 
 /// Where epoch checkpoints live: persisted through a pluggable
 /// [`StateBackend`] with one atomic multi-key commit per epoch.
@@ -249,20 +243,11 @@ impl BackendCheckpointStore {
             key: META_KEY.to_vec(),
             value: Some(Self::encode_meta(epoch, offsets)),
         });
-        let mut last_err = None;
-        for _ in 0..COMMIT_RETRIES {
-            // By-reference commit: the per-epoch hot path never copies
-            // the batch; only an aborted attempt re-reads it.
-            match self.backend.commit_ops(&ops) {
-                Ok(_) => {
-                    self.commits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
-                }
-                Err(e) if e.is_retryable() => last_err = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err.unwrap_or_else(|| OmError::Internal("checkpoint commit failed".into())))
+        // No backend aborts a blind batch: an error is a store that
+        // cannot take writes (wedged), and the epoch fails with it.
+        self.backend.commit(WriteBatch::from_ops(ops))?;
+        self.commits.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Committed bytes of one row of `(partition, fn_type, key)`.
@@ -573,41 +558,138 @@ mod tests {
     }
 
     #[test]
-    fn retryable_commit_conflicts_are_retried_until_the_epoch_lands() {
-        let backend = FailingCommits::new(3, OmError::Conflict("first committer won".into()));
-        let store = BackendCheckpointStore::new(backend.clone());
-        commit_one(&store).unwrap();
-        assert_eq!(backend.attempts.load(Ordering::Relaxed), 4);
-        assert_eq!(store.commits(), 1);
-        assert_eq!(store.load().unwrap().unwrap().epoch, 1);
-    }
-
-    #[test]
-    fn commit_gives_up_after_its_retry_budget_with_the_last_conflict() {
-        let backend = FailingCommits::new(u64::MAX, OmError::Conflict("always".into()));
-        let store = BackendCheckpointStore::new(backend.clone());
-        assert_eq!(commit_one(&store).unwrap_err().label(), "conflict");
-        assert_eq!(
-            backend.attempts.load(Ordering::Relaxed),
-            COMMIT_RETRIES as u64
-        );
-        assert_eq!(store.commits(), 0);
-        assert!(
-            store.load().unwrap().is_none(),
-            "nothing of the epoch landed"
-        );
-    }
-
-    #[test]
-    fn non_retryable_commit_errors_fail_the_epoch_at_once() {
+    fn a_failed_commit_fails_the_epoch_at_once() {
         let backend = FailingCommits::new(1, OmError::Wedged("disk".into()));
         let store = BackendCheckpointStore::new(backend.clone());
         assert_eq!(commit_one(&store).unwrap_err().label(), "wedged");
         assert_eq!(backend.attempts.load(Ordering::Relaxed), 1, "no retry");
         assert_eq!(store.commits(), 0);
+        assert!(
+            store.load().unwrap().is_none(),
+            "nothing of the epoch landed"
+        );
         // The next epoch commits normally.
         commit_one(&store).unwrap();
         assert_eq!(store.commits(), 1);
+    }
+
+    #[test]
+    fn a_failed_commit_leaves_the_previous_epoch_authoritative() {
+        let backend = FailingCommits::new(0, OmError::Wedged("disk".into()));
+        let store = BackendCheckpointStore::new(backend.clone());
+        store
+            .commit_epoch(1, &[10], vec![StateDelta::put(0, "f", 1, vec![1])])
+            .unwrap();
+        backend.fail.store(1, Ordering::Relaxed);
+        let failed = store.commit_epoch(
+            2,
+            &[20],
+            vec![
+                StateDelta::put(0, "f", 1, vec![2]),
+                StateDelta::put(0, "f", 2, vec![2]),
+            ],
+        );
+        assert!(failed.is_err());
+        let snap = store.load().unwrap().unwrap();
+        assert_eq!((snap.epoch, snap.offsets), (1, vec![10]));
+        assert_eq!(snap.states, vec![row(0, "f", 1, b"", &[1])]);
+        assert_eq!(store.commits(), 1);
+    }
+
+    #[test]
+    fn a_later_epoch_moves_the_meta_record_and_keeps_untouched_rows() {
+        for (store, label) in stores() {
+            store
+                .commit_epoch(
+                    1,
+                    &[1, 1],
+                    vec![
+                        StateDelta::put(0, "f", 1, vec![1]),
+                        StateDelta::put(1, "f", 2, vec![1]),
+                    ],
+                )
+                .unwrap();
+            store
+                .commit_epoch(2, &[4, 3], vec![StateDelta::put(1, "f", 2, vec![2])])
+                .unwrap();
+            store.backend().quiesce();
+            let snap = store.load().unwrap().unwrap();
+            assert_eq!((snap.epoch, snap.offsets), (2, vec![4, 3]), "{label}");
+            let mut states = snap.states;
+            states.sort();
+            assert_eq!(
+                states,
+                vec![row(0, "f", 1, b"", &[1]), row(1, "f", 2, b"", &[2])],
+                "{label}"
+            );
+            assert_eq!(store.commits(), 2, "{label}");
+        }
+    }
+
+    #[test]
+    fn the_last_delta_to_a_row_in_an_epoch_wins() {
+        for (store, label) in stores() {
+            store
+                .commit_epoch(
+                    1,
+                    &[1],
+                    vec![
+                        StateDelta::put(0, "f", 1, vec![1]),
+                        StateDelta::delete(0, "f", 1),
+                        StateDelta::put(0, "f", 1, vec![3]),
+                        StateDelta::put(0, "f", 2, vec![1]),
+                        StateDelta::delete(0, "f", 2),
+                    ],
+                )
+                .unwrap();
+            store.backend().quiesce();
+            assert_eq!(store.get_row(0, "f", 1, b""), Some(vec![3]), "{label}");
+            assert_eq!(store.get_row(0, "f", 2, b""), None, "{label}");
+            let snap = store.load().unwrap().unwrap();
+            assert_eq!(snap.states, vec![row(0, "f", 1, b"", &[3])], "{label}");
+        }
+    }
+
+    #[test]
+    fn an_epoch_with_no_dirty_rows_still_moves_the_offsets() {
+        for (store, label) in stores() {
+            store
+                .commit_epoch(1, &[3], vec![StateDelta::put(0, "f", 1, vec![1])])
+                .unwrap();
+            store.commit_epoch(2, &[5], Vec::new()).unwrap();
+            store.backend().quiesce();
+            let snap = store.load().unwrap().unwrap();
+            assert_eq!((snap.epoch, snap.offsets), (2, vec![5]), "{label}");
+            assert_eq!(snap.states, vec![row(0, "f", 1, b"", &[1])], "{label}");
+        }
+    }
+
+    /// On the snapshot backend an epoch is one commit: a reader scanning
+    /// an address's rows while epochs land sees every row of one epoch.
+    #[test]
+    fn a_concurrent_reader_sees_whole_epochs_on_the_snapshot_backend() {
+        let store = BackendCheckpointStore::new(make_backend(BackendKind::SnapshotIsolation, 8));
+        let rows: Vec<Vec<u8>> = (0..12u8).map(|i| vec![b'r', i]).collect();
+        let epoch = |e: u64| -> Vec<StateDelta> {
+            rows.iter()
+                .map(|r| StateDelta::put_row(0, "f", 1, r.clone(), e.to_le_bytes().to_vec()))
+                .collect()
+        };
+        store.commit_epoch(0, &[0], epoch(0)).unwrap();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for e in 1..=200 {
+                    store.commit_epoch(e, &[e], epoch(e)).unwrap();
+                }
+            });
+            for _ in 0..200 {
+                let seen = store.scan_rows(0, "f", 1, b"r");
+                assert_eq!(seen.len(), rows.len());
+                let epochs: std::collections::HashSet<_> = seen.iter().map(|(_, v)| v).collect();
+                assert_eq!(epochs.len(), 1, "torn epoch: {seen:?}");
+            }
+        });
+        assert_eq!(store.load().unwrap().unwrap().epoch, 200);
     }
 
     #[test]

@@ -87,13 +87,19 @@ fn agg_key(seller: SellerId) -> Vec<u8> {
 /// sixteenth of the seller's entries) per seller it touches.
 const ENTRY_PAGES: u64 = 16;
 
+/// Prefix of the seller's entry pages.
+fn pages_prefix(seller: SellerId) -> Vec<u8> {
+    let mut key = dashboard_prefix(seller);
+    key.extend_from_slice(b"e/");
+    key
+}
+
 /// Key of the page holding every entry of `(seller, order)`. Order ids
 /// are `customer × k + seq`, so the page is drawn from a multiplicative
 /// hash of the id, not from its low bits.
 fn page_key(seller: SellerId, order: OrderId) -> Vec<u8> {
     let page = order.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-    let mut key = dashboard_prefix(seller);
-    key.extend_from_slice(b"e/");
+    let mut key = pages_prefix(seller);
     key.push((page % ENTRY_PAGES) as u8);
     key
 }
@@ -283,11 +289,19 @@ impl MarketplacePlatform for CustomizedPlatform {
         Some(&self.backend)
     }
 
+    /// Seeds the seller's aggregate row, so dashboards never miss, and
+    /// deletes the entry pages of a seller ingested before in the same
+    /// commit: re-ingesting resets both halves of the dashboard at once.
     fn ingest_seller(&self, seller: Seller) -> OmResult<()> {
         let id = seller.id;
         self.inner.ingest_seller(seller)?;
-        // Seed the aggregate row so dashboards never miss.
-        self.backend.try_put(&agg_key(id), &encode_agg(0, 0))
+        self.project(|| {
+            let mut batch = WriteBatch::new().put(agg_key(id), encode_agg(0, 0));
+            for (page, _) in self.backend.scan_prefix(&pages_prefix(id)) {
+                batch = batch.delete(page);
+            }
+            Ok(batch)
+        })
     }
 
     fn ingest_customer(&self, customer: Customer) -> OmResult<()> {

@@ -17,8 +17,8 @@
 //! retries or restarts, and no transaction dies.
 //!
 //! The client waits once per protocol phase, not once per grain op: each
-//! phase is one [`Cluster::call_all`] fan-out, so an approved checkout is
-//! nine waits whatever the size of the cart —
+//! phase is one [`Cluster::call_all`] fan-out, so a checkout is eight
+//! waits whatever the size of the cart —
 //!
 //! 1. cart begin;
 //! 2. every stock reservation;
@@ -26,11 +26,11 @@
 //! 4. payment;
 //! 5. order status (`Paid` or `PaymentFailed`), every stock
 //!    confirmation (or release), every seller entry, the customer's
-//!    payment stats and every shipment;
-//! 6. seller and order `InTransit` (approved payments only);
-//! 7. every 2PC prepare;
-//! 8. every 2PC commit;
-//! 9. cart finish.
+//!    payment stats, every shipment, and then seller and order
+//!    `InTransit` (approved payments only);
+//! 6. every 2PC prepare;
+//! 7. every 2PC commit;
+//! 8. cart finish.
 
 use om_actor::tx::{Coordinator, Participants};
 use om_actor::{Cluster, GrainId};
@@ -249,7 +249,10 @@ impl TransactionalPlatform {
 
         // One phase for everything the payment decides: the order's
         // status, confirming or releasing the reservations, the seller
-        // dashboard entries, the customer's stats and the shipments.
+        // dashboard entries, the customer's stats, the shipments and, for
+        // a paid order, its `InTransit` status at the sellers and the
+        // order. `call_all` enqueues every message before it runs a turn,
+        // so each grain takes its messages in this order.
         let order_status = |status| Msg::TxOrderSetStatus {
             tid,
             order: order.id,
@@ -292,36 +295,20 @@ impl TransactionalPlatform {
                         lines: lines.clone(),
                     },
                 ));
+                let in_transit = Msg::TxSellerApplyStatus {
+                    tid,
+                    order: order.id,
+                    status: OrderStatus::InTransit,
+                };
+                effects.push((seller_grain(seller), in_transit));
             }
+            effects.push((order_g, order_status(OrderStatus::InTransit)));
         }
         join(participants, &effects);
         for outcome in self.tx_call_all(effects) {
             match outcome? {
                 Reply::Ok | Reply::Count(_) => {}
                 other => return unexpected(other),
-            }
-        }
-
-        // Paid orders with shipments are in transit.
-        if payment.approved {
-            let status = OrderStatus::InTransit;
-            let mut transit: Vec<(GrainId, Msg)> = lines_by_seller
-                .keys()
-                .map(|&seller| {
-                    let msg = Msg::TxSellerApplyStatus {
-                        tid,
-                        order: order.id,
-                        status,
-                    };
-                    (seller_grain(seller), msg)
-                })
-                .collect();
-            transit.push((order_g, order_status(status)));
-            for outcome in self.tx_call_all(transit) {
-                match outcome? {
-                    Reply::Ok => {}
-                    other => return unexpected(other),
-                }
             }
         }
 

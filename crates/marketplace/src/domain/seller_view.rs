@@ -63,12 +63,18 @@ impl SellerView {
         }
     }
 
-    /// Records a new in-progress order entry (checkout placed).
+    /// Records a new order entry (checkout placed). Every entry counts
+    /// in `order_entry_count`; only an in-progress one joins the
+    /// dashboard, so an entry that arrives already terminal (a declined
+    /// payment's) ends where an invoiced entry retired by that status
+    /// would.
     pub fn add_entry(&mut self, entry: OrderEntry) {
-        self.in_progress_amount += entry.total_amount;
-        self.in_progress_count += 1;
         self.seller.order_entry_count += 1;
-        self.entries.insert((entry.order, entry.product.0), entry);
+        if entry.status.in_progress() {
+            self.in_progress_amount += entry.total_amount;
+            self.in_progress_count += 1;
+            self.entries.insert((entry.order, entry.product.0), entry);
+        }
     }
 
     /// Applies an order status change; terminal statuses retire entries
@@ -195,6 +201,37 @@ mod tests {
         v.apply_status(OrderId(2), OrderStatus::Canceled);
         assert_eq!(v.aggregate(), (Money::ZERO, 0));
         assert_eq!(v.seller.revenue, Money::from_cents(100), "canceled != revenue");
+    }
+
+    #[test]
+    fn a_terminal_entry_is_counted_but_stays_off_the_dashboard() {
+        let mut v = SellerView::new(seller_named(SellerId(1), "s"));
+        let mut declined = entry(1, 1, 100);
+        declined.status = OrderStatus::PaymentFailed;
+        v.add_entry(declined);
+        assert_eq!(v.aggregate(), (Money::ZERO, 0));
+        assert!(v.entries.is_empty());
+        assert_eq!(v.seller.order_entry_count, 1);
+    }
+
+    #[test]
+    fn terminal_and_in_progress_entries_mix_on_one_dashboard() {
+        let mut v = SellerView::new(seller_named(SellerId(1), "s"));
+        v.add_entry(entry(1, 1, 100));
+        let mut declined = entry(2, 1, 40);
+        declined.status = OrderStatus::PaymentFailed;
+        v.add_entry(declined);
+        v.add_entry(entry(3, 2, 25));
+        assert_eq!(v.aggregate(), (Money::from_cents(125), 2));
+        assert_eq!(
+            v.entries.keys().copied().collect::<Vec<_>>(),
+            vec![(OrderId(1), 1), (OrderId(3), 2)]
+        );
+        assert_eq!(v.seller.order_entry_count, 3);
+        assert!(v.dashboard().is_snapshot_consistent());
+        // A status for the declined order finds nothing to retire.
+        v.apply_status(OrderId(2), OrderStatus::Canceled);
+        assert_eq!(v.aggregate(), (Money::from_cents(125), 2));
     }
 
     #[test]

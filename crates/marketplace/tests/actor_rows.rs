@@ -174,12 +174,12 @@ fn op_stream() -> Vec<Op> {
 }
 
 /// The seller views the workflow leaves behind, applied one operation
-/// after another. The transactional bindings stage each entry with the
-/// payment's outcome as its status; the eventual binding adds it as
-/// invoiced and applies the outcome as a later event, which retires the
-/// entries of a declined order.
+/// after another: each entry is added as invoiced and the payment's
+/// outcome applied to it, which retires the entries of a declined order.
+/// The transactional bindings stage the entry with the outcome as its
+/// status instead, and a view keeps only in-progress entries, so every
+/// binding ends at the same view.
 struct Model {
-    transactional: bool,
     carts: BTreeMap<u64, CartService>,
     orders: BTreeMap<u64, OrderService>,
     sellers: BTreeMap<u64, SellerView>,
@@ -188,9 +188,8 @@ struct Model {
 }
 
 impl Model {
-    fn new(transactional: bool) -> Self {
+    fn new() -> Self {
         Self {
-            transactional,
             carts: BTreeMap::new(),
             orders: BTreeMap::new(),
             sellers: (1..=SELLERS)
@@ -242,19 +241,13 @@ impl Model {
                     product: item.product,
                     quantity: item.quantity,
                     total_amount: item.total_amount,
-                    status: if self.transactional {
-                        outcome
-                    } else {
-                        OrderStatus::Invoiced
-                    },
+                    status: OrderStatus::Invoiced,
                 });
         }
         let sellers: BTreeSet<u64> = order.items.iter().map(|i| i.seller.0).collect();
         for &s in &sellers {
             let view = self.sellers.get_mut(&s).unwrap();
-            if !self.transactional {
-                view.apply_status(order.id, outcome);
-            }
+            view.apply_status(order.id, outcome);
             if approved {
                 view.apply_status(order.id, OrderStatus::InTransit);
                 self.shipped.entry(s).or_default().push_back(order.id);
@@ -291,7 +284,7 @@ fn seller_commits_cost_the_delta_and_survive_a_cold_rebuild(kind: PlatformKind) 
     let platform = actor.platform();
     ingest(platform);
 
-    let mut model = Model::new(kind != PlatformKind::Eventual);
+    let mut model = Model::new();
     let mut placed = 0u64;
     // Length of the write log when the n-th checkout had been placed.
     let mut marks: BTreeMap<u64, usize> = BTreeMap::new();

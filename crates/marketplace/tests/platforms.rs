@@ -313,18 +313,136 @@ fn customized_dashboard_pages_hold_each_entry_once() {
 
 /// Every binding under test, fresh, with no payment declined.
 fn all_platforms() -> Vec<Box<dyn MarketplacePlatform>> {
+    platforms(0.0, BackendKind::Eventual)
+}
+
+/// Every binding, fresh, declining payments at `decline_rate`; the actor
+/// bindings store their state in `backend`, the dataflow binding its
+/// checkpoints in a snapshot-isolation backend.
+fn platforms(decline_rate: f64, backend: BackendKind) -> Vec<Box<dyn MarketplacePlatform>> {
+    let spec = |kind| PlatformSpec::new(kind, backend).decline_rate(decline_rate);
     vec![
-        Box::new(EventualPlatform::new(&spec(PlatformKind::Eventual, BackendKind::Eventual))),
-        Box::new(TransactionalPlatform::new(&spec(
-            PlatformKind::Transactional,
-            BackendKind::Eventual,
-        ))),
+        Box::new(EventualPlatform::new(&spec(PlatformKind::Eventual))),
+        Box::new(TransactionalPlatform::new(&spec(PlatformKind::Transactional))),
         Box::new(DataflowPlatform::new(DataflowPlatformConfig {
-            decline_rate: 0.0,
+            decline_rate,
             ..Default::default()
         })),
-        Box::new(CustomizedPlatform::new(&spec(PlatformKind::Customized, BackendKind::Eventual))),
+        Box::new(CustomizedPlatform::new(&spec(PlatformKind::Customized))),
     ]
+}
+
+/// Checks out two lines of seller 1 (1.00 + 2.00) for customer 1.
+fn check_out_two_lines_of_seller_1(platform: &dyn MarketplacePlatform) {
+    checkout_items(platform, 1, &[(1, 1, 1), (1, 2, 1)]);
+    platform
+        .checkout(CheckoutRequest {
+            customer: CustomerId(1),
+            items: vec![],
+            method: PaymentMethod::CreditCard,
+        })
+        .unwrap();
+    platform.quiesce();
+}
+
+#[test]
+fn a_declined_checkout_leaves_nothing_in_progress_on_any_binding() {
+    for p in platforms(1.0, BackendKind::SnapshotIsolation) {
+        ingest(p.as_ref());
+        check_out_two_lines_of_seller_1(p.as_ref());
+        let dash = p.seller_dashboard(SellerId(1)).unwrap();
+        assert_eq!(
+            (dash.in_progress_count, dash.in_progress_amount, dash.entries.len()),
+            (0, Money::ZERO, 0),
+            "{:?}: {:?}",
+            p.kind(),
+            dash.entries.iter().map(|e| e.status).collect::<Vec<_>>()
+        );
+    }
+}
+
+#[test]
+fn re_ingesting_a_seller_resets_its_whole_dashboard_on_any_binding() {
+    for p in platforms(0.0, BackendKind::SnapshotIsolation) {
+        ingest(p.as_ref());
+        check_out_two_lines_of_seller_1(p.as_ref());
+        assert_eq!(p.seller_dashboard(SellerId(1)).unwrap().entries.len(), 2);
+        p.ingest_seller(seller(1)).unwrap();
+        p.quiesce();
+        let dash = p.seller_dashboard(SellerId(1)).unwrap();
+        assert!(
+            dash.is_snapshot_consistent(),
+            "{:?}: count {} amount {} but {} entries",
+            p.kind(),
+            dash.in_progress_count,
+            dash.in_progress_amount,
+            dash.entries.len()
+        );
+        assert_eq!((dash.in_progress_count, dash.entries.len()), (0, 0), "{:?}", p.kind());
+    }
+}
+
+/// An approved checkout leaves its seller's entries in transit on every
+/// binding: each seller sees its entry before the shipment's status.
+#[test]
+fn an_approved_checkout_leaves_its_entries_in_transit_on_any_binding() {
+    for p in platforms(0.0, BackendKind::SnapshotIsolation) {
+        ingest(p.as_ref());
+        check_out_two_lines_of_seller_1(p.as_ref());
+        let dash = p.seller_dashboard(SellerId(1)).unwrap();
+        let statuses: Vec<_> = dash.entries.iter().map(|e| e.status).collect();
+        assert_eq!(statuses, [OrderStatus::InTransit; 2], "{:?}", p.kind());
+        assert_eq!(
+            (dash.in_progress_count, dash.in_progress_amount),
+            (2, Money::from_cents(300)),
+            "{:?}",
+            p.kind()
+        );
+    }
+}
+
+/// Re-ingesting seller 1 resets only seller 1's dashboard: seller 2's
+/// entries stay, and a later checkout lands on seller 1's fresh one.
+#[test]
+fn re_ingesting_a_seller_leaves_other_sellers_dashboards_whole() {
+    for p in platforms(0.0, BackendKind::SnapshotIsolation) {
+        ingest(p.as_ref());
+        check_out_two_lines_of_seller_1(p.as_ref());
+        checkout_items(p.as_ref(), 2, &[(2, 4, 1), (2, 5, 1)]);
+        p.checkout(CheckoutRequest {
+            customer: CustomerId(2),
+            items: vec![],
+            method: PaymentMethod::CreditCard,
+        })
+        .unwrap();
+        p.quiesce();
+        p.ingest_seller(seller(1)).unwrap();
+        p.quiesce();
+        let other = p.seller_dashboard(SellerId(2)).unwrap();
+        assert!(other.is_snapshot_consistent(), "{:?}", p.kind());
+        assert_eq!(
+            (other.in_progress_count, other.in_progress_amount, other.entries.len()),
+            (2, Money::from_cents(400 + 500), 2),
+            "{:?}",
+            p.kind()
+        );
+        checkout_items(p.as_ref(), 3, &[(1, 3, 1)]);
+        p.checkout(CheckoutRequest {
+            customer: CustomerId(3),
+            items: vec![],
+            method: PaymentMethod::CreditCard,
+        })
+        .unwrap();
+        p.quiesce();
+        let reset = p.seller_dashboard(SellerId(1)).unwrap();
+        assert!(reset.is_snapshot_consistent(), "{:?}", p.kind());
+        assert_eq!(
+            (reset.in_progress_count, reset.in_progress_amount, reset.entries.len()),
+            (1, Money::from_cents(300), 1),
+            "{:?}",
+            p.kind()
+        );
+    }
 }
 
 /// One checkout of two lines, quantity 2 each at 10 ¢ freight a unit, is

@@ -106,11 +106,11 @@ fn contended_cart(i: u64) -> Lines {
 fn an_approved_checkout_waits_once_per_phase() {
     // k = 3 distinct products from s = 2 sellers.
     for (decline_rate, waits, calls) in [
-        // cart begin, reserves, order, payment, effects, InTransit,
-        // prepare, commit, cart finish; 5k + 6s + 13 calls.
-        (0.0, 9, 40),
-        // A declined payment skips the shipments and the InTransit phase;
-        // 5k + 2s + 12 calls.
+        // cart begin, reserves, order, payment, effects (InTransit
+        // included), prepare, commit, cart finish; 5k + 6s + 13 calls.
+        (0.0, 8, 40),
+        // A declined payment skips the shipments and InTransit; 5k + 2s
+        // + 12 calls.
         (1.0, 8, 31),
     ] {
         let p = TransactionalPlatform::new(
@@ -141,7 +141,7 @@ fn an_approved_checkout_waits_once_per_phase() {
 }
 
 #[test]
-fn an_uncontended_checkout_waits_nine_times_and_never_parks() {
+fn an_uncontended_checkout_waits_eight_times_and_never_parks() {
     let p = TransactionalPlatform::new(
         &PlatformSpec::new(PlatformKind::Transactional, BackendKind::Eventual).decline_rate(0.0),
     );
@@ -150,7 +150,7 @@ fn an_uncontended_checkout_waits_nine_times_and_never_parks() {
     p.quiesce();
     let (waits, parks) = (counter(&p, "cluster.waits"), counter(&p, "cluster.parks"));
     assert!(matches!(checkout(&p, 1), CheckoutOutcome::Placed { .. }));
-    assert_eq!(counter(&p, "cluster.waits") - waits, 9);
+    assert_eq!(counter(&p, "cluster.waits") - waits, 8);
     // Every grain is idle when its protocol step reaches it, so the
     // calling thread runs each turn itself and never parks.
     assert_eq!(counter(&p, "cluster.parks") - parks, 0);
@@ -350,7 +350,7 @@ fn fanned_transactional_checkout_is_atomic_under_contention() {
     let p = TransactionalPlatform::new(
         &PlatformSpec::new(PlatformKind::Transactional, BackendKind::Eventual).decline_rate(0.0),
     );
-    contended_checkouts_stay_atomic(&p, &p, 9);
+    contended_checkouts_stay_atomic(&p, &p, 8);
 }
 
 #[test]
@@ -360,5 +360,5 @@ fn fanned_customized_checkout_is_atomic_under_contention() {
     );
     // One wait more than Transactional: the order is read back to be
     // projected into the dashboard.
-    contended_checkouts_stay_atomic(&p, p.inner(), 10);
+    contended_checkouts_stay_atomic(&p, p.inner(), 9);
 }

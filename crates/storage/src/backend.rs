@@ -99,14 +99,14 @@ pub trait StateSession: Send {
 ///
 /// The contract distils what the bindings need from their concrete stores:
 /// point reads and writes, prefix scans, read-your-writes sessions, and an
-/// **atomic multi-key commit with an abort path**. How much of that
+/// **atomic multi-key commit** of blind writes. How much of that
 /// contract is honoured — and at what cost — is exactly the axis the
 /// benchmark measures:
 ///
 /// | | [`commit`](StateBackend::commit) | [`get_many`](StateBackend::get_many) |
 /// |---|---|---|
 /// | eventual | applied per key (torn states observable) | independent reads |
-/// | snapshot isolation | atomic, aborts on conflict | one consistent snapshot |
+/// | snapshot isolation | atomic, never aborts | one consistent snapshot |
 ///
 /// ```
 /// use om_common::config::BackendKind;
@@ -190,18 +190,19 @@ pub trait StateBackend: Send + Sync {
     /// ordered by key.
     fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)>;
 
-    /// Applies a multi-key batch. The snapshot backend commits atomically
-    /// and returns `Err` (the abort path — buffered writes discarded) when
-    /// first-committer-wins validation keeps failing; the eventual backend
-    /// applies last-writer-wins per key and cannot abort. Returns the
-    /// number of writes applied.
+    /// Applies a multi-key batch of blind writes; within a batch the last
+    /// write to a key wins. The snapshot backend installs the batch
+    /// atomically and never aborts: a batch reads nothing, so there is no
+    /// conflict to validate. The eventual backend applies
+    /// last-writer-wins per key. Only the file backend returns `Err`:
+    /// when it cannot make the batch durable, and then it is
+    /// [wedged](StateBackend::is_wedged). Returns the number of writes
+    /// applied.
     fn commit(&self, batch: WriteBatch) -> OmResult<usize>;
 
     /// [`commit`](StateBackend::commit) **by reference**: identical
-    /// semantics without consuming the ops, so retry loops (and per-epoch
-    /// checkpoint commits) pay no copy on the common first-attempt
-    /// success path. The default clones into a batch; both shipped
-    /// backends override it copy-free.
+    /// semantics without consuming the ops. The default clones into a
+    /// batch.
     fn commit_ops(&self, ops: &[WriteOp]) -> OmResult<usize> {
         self.commit(WriteBatch::from_ops(ops.to_vec()))
     }

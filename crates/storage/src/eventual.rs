@@ -11,9 +11,9 @@
 //! lags the primary by up to one window, and [`StateBackend::quiesce`]
 //! applies a partial one. Sessions read the secondary first and fall
 //! back to the primary when read-your-writes would be violated, counting
-//! every fallback. Multi-key commits are applied key by key: there is no
-//! abort path, and a concurrent reader may observe a torn subset until
-//! the per-key writes have all landed.
+//! every fallback. Multi-key commits are applied key by key, and a
+//! concurrent reader may observe a torn subset until the per-key writes
+//! have all landed.
 
 use crate::backend::{StateBackend, StateSession, WriteBatch, WriteOp};
 use crate::kv_replication::{Applier, ReplicationRecord, ReplicationStats};

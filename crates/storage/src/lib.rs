@@ -16,10 +16,10 @@
 //!   in-memory store, with an asynchronous secondary replica (Redis role). Multi-key
 //!   commits are applied key by key: concurrent readers can observe torn
 //!   subsets, and the secondary only converges after [`StateBackend::quiesce`].
-//! * [`SnapshotBackend`] — snapshot isolation over `om-mvcc`'s versioned
-//!   tables and timestamp oracle (PostgreSQL role). Multi-key commits are
-//!   atomic: no reader snapshot ever observes a torn subset, and conflicting
-//!   commits abort with a retryable error.
+//! * [`SnapshotBackend`] — snapshot isolation over sharded version chains
+//!   and a timestamp oracle (PostgreSQL role). Multi-key commits install
+//!   under one commit lock and are atomic: no reader snapshot ever
+//!   observes a torn subset, and a commit never aborts.
 //! * [`FileBackend`] — file-backed durability (RocksDB role): every commit
 //!   is one framed, checksummed write-ahead-log batch on disk, incremental
 //!   snapshots bound replay, and a cold restart over the same directory
@@ -33,9 +33,10 @@
 //! storage started with.
 //!
 //! The parts with one user stay private: the eventual backend's sharded
-//! store and its replication applier (`kv_store`, `kv_replication`), and
-//! the group-commit barrier (`commit_group`) under [`segment_log`], the
-//! one log both durable stores write through.
+//! store and its replication applier (`kv_store`, `kv_replication`), the
+//! snapshot backend's version chains and oracle (`versions`), and the
+//! group-commit barrier (`commit_group`) under [`segment_log`], the one
+//! log both durable stores write through.
 //!
 //! Everything stateful in the workspace persists through this layer:
 //! actor grain snapshots (`om-actor`), the customized binding's dashboard
@@ -55,6 +56,7 @@ mod kv_replication_props;
 mod kv_store;
 pub mod segment_log;
 pub mod snapshot;
+mod versions;
 pub mod vfs;
 
 pub use backend::{

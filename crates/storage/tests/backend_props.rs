@@ -1,5 +1,4 @@
-//! Property-based tests of the `StateBackend` contract, in the style of
-//! `om-mvcc`'s `si_props.rs`:
+//! Property-based tests of the `StateBackend` contract:
 //!
 //! * both backends agree with a plain `BTreeMap` reference model over
 //!   randomized sequential op streams (puts, deletes, multi-key commits);
@@ -13,7 +12,9 @@
 //!   the eventual backend's replica lags arbitrarily.
 
 use om_common::config::BackendKind;
-use om_storage::{make_backend, EventualBackend, SnapshotBackend, StateBackend, WriteBatch};
+use om_storage::{
+    make_backend, EventualBackend, SnapshotBackend, StateBackend, WriteBatch, WriteOp,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -219,6 +220,173 @@ fn scan_prefix_agrees_with_the_model_on_every_backend() {
     }
 }
 
+/// Within a batch the last write to a key wins, and the commit counts
+/// every op, on every backend.
+#[test]
+fn the_last_write_to_a_key_in_a_batch_wins_on_every_backend() {
+    for kind in BackendKind::ALL {
+        let backend = make_backend(kind, 4);
+        backend.put(b"gone", b"before");
+        let batch = WriteBatch::new()
+            .put(b"k".to_vec(), b"first".to_vec())
+            .delete(b"gone".to_vec())
+            .put(b"k".to_vec(), b"second".to_vec())
+            .put(b"back".to_vec(), b"1".to_vec())
+            .delete(b"back".to_vec())
+            .put(b"back".to_vec(), b"2".to_vec());
+        assert_eq!(backend.commit(batch).unwrap(), 6, "{kind:?}");
+        backend.quiesce();
+        assert_eq!(
+            backend.scan_prefix(b""),
+            [
+                (b"back".to_vec(), b"2".to_vec()),
+                (b"k".to_vec(), b"second".to_vec())
+            ],
+            "{kind:?}"
+        );
+        assert_eq!(backend.len(), 2, "{kind:?}");
+    }
+}
+
+/// `get_many` answers key by key in the order asked, repeats and absent
+/// keys included, on every backend.
+#[test]
+fn get_many_answers_in_the_order_asked_on_every_backend() {
+    for kind in BackendKind::ALL {
+        let backend = make_backend(kind, 8);
+        backend.put(&key_bytes(1), &val_bytes(1));
+        backend.put(&key_bytes(2), &val_bytes(2));
+        backend.put(&key_bytes(3), &val_bytes(3));
+        backend.delete(&key_bytes(3));
+        let (k1, k2, k3, k9) = (key_bytes(1), key_bytes(2), key_bytes(3), key_bytes(9));
+        assert_eq!(
+            backend.get_many(&[&k2, &k9, &k1, &k3, &k2]),
+            [
+                Some(val_bytes(2)),
+                None,
+                Some(val_bytes(1)),
+                None,
+                Some(val_bytes(2))
+            ],
+            "{kind:?}"
+        );
+        assert!(backend.get_many(&[]).is_empty(), "{kind:?}");
+    }
+}
+
+/// An empty batch applies nothing and changes no read, on every backend.
+#[test]
+fn an_empty_batch_changes_nothing_on_every_backend() {
+    for kind in BackendKind::ALL {
+        let backend = make_backend(kind, 4);
+        backend.put(b"k", b"v");
+        assert_eq!(backend.commit(WriteBatch::new()).unwrap(), 0, "{kind:?}");
+        assert_eq!(backend.commit_ops(&[]).unwrap(), 0, "{kind:?}");
+        backend.quiesce();
+        assert_eq!(backend.get(b"k"), Some(b"v".to_vec()), "{kind:?}");
+        assert_eq!(backend.len(), 1, "{kind:?}");
+    }
+}
+
+/// Each backend reports the kind `make_backend` was asked for, starts
+/// empty, and `is_empty` follows `len` through puts and deletes.
+#[test]
+fn every_backend_reports_its_kind_and_counts_live_keys() {
+    for kind in BackendKind::ALL {
+        let backend = make_backend(kind, 4);
+        assert_eq!(backend.kind(), kind);
+        assert!(backend.is_empty(), "{kind:?}");
+        for k in 0..5 {
+            backend.put(&key_bytes(k), &val_bytes(0));
+        }
+        backend.put(&key_bytes(0), &val_bytes(1));
+        backend.delete(&key_bytes(4));
+        backend.delete(&key_bytes(99));
+        assert_eq!((backend.len(), backend.is_empty()), (4, false), "{kind:?}");
+        for k in 0..4 {
+            backend.delete(&key_bytes(k));
+        }
+        backend.quiesce();
+        assert!(backend.is_empty(), "{kind:?}");
+    }
+}
+
+/// An empty value is a live row, not a delete, on every backend.
+#[test]
+fn an_empty_value_is_a_row_not_a_delete_on_every_backend() {
+    for kind in BackendKind::ALL {
+        let backend = make_backend(kind, 4);
+        backend.put(b"empty", b"");
+        backend
+            .commit(WriteBatch::new().put(b"also".to_vec(), Vec::new()))
+            .unwrap();
+        backend.quiesce();
+        assert_eq!(backend.get(b"empty"), Some(Vec::new()), "{kind:?}");
+        assert_eq!(
+            backend.get_many(&[b"empty", b"also"]),
+            [Some(Vec::new()), Some(Vec::new())],
+            "{kind:?}"
+        );
+        assert_eq!(backend.len(), 2, "{kind:?}");
+        assert_eq!(
+            backend.scan_prefix(b"empty"),
+            [(b"empty".to_vec(), Vec::new())],
+            "{kind:?}"
+        );
+    }
+}
+
+/// A session reads its own deletes as absent on every backend, and a
+/// key it deletes and puts again reads the new value.
+#[test]
+fn sessions_read_their_own_deletes_on_every_backend() {
+    for kind in BackendKind::ALL {
+        let backend = make_backend(kind, 4);
+        backend.put(&key_bytes(1), &val_bytes(1));
+        backend.put(&key_bytes(2), &val_bytes(2));
+        let mut session = backend.session();
+        session.delete(&key_bytes(1));
+        assert_eq!(session.get(&key_bytes(1)), None, "{kind:?}");
+        session.delete(&key_bytes(2));
+        session.put(&key_bytes(2), &val_bytes(20));
+        assert_eq!(session.get(&key_bytes(2)), Some(val_bytes(20)), "{kind:?}");
+        drop(session);
+        backend.quiesce();
+        assert_eq!(backend.get(&key_bytes(1)), None, "{kind:?}");
+        assert_eq!(backend.get(&key_bytes(2)), Some(val_bytes(20)), "{kind:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `commit_ops` installs exactly what `commit` does with the same
+    /// ops, on every backend, and `quiesce` changes no read.
+    #[test]
+    fn commit_ops_and_commit_agree_on_every_backend(
+        batches in prop::collection::vec(
+            prop::collection::vec((0u8..8, prop::option::of(any::<u16>())), 0..6),
+            1..12,
+        )
+    ) {
+        for kind in BackendKind::ALL {
+            let (by_value, by_ref) = (make_backend(kind, 4), make_backend(kind, 4));
+            for ops in &batches {
+                let ops: Vec<WriteOp> = ops
+                    .iter()
+                    .map(|(k, v)| WriteOp { key: key_bytes(*k), value: v.map(val_bytes) })
+                    .collect();
+                prop_assert_eq!(by_ref.commit_ops(&ops).unwrap(), ops.len());
+                prop_assert_eq!(by_value.commit(WriteBatch::from_ops(ops.clone())).unwrap(), ops.len());
+            }
+            let before = by_value.scan_prefix(b"");
+            prop_assert_eq!(&by_ref.scan_prefix(b""), &before, "{:?}", kind);
+            by_value.quiesce();
+            prop_assert_eq!(by_value.scan_prefix(b""), before, "{:?}", kind);
+        }
+    }
+}
+
 /// The snapshot-isolation backend must never expose a torn multi-key
 /// commit: every commit writes one round number to *all* keys, so any
 /// consistent snapshot sees a single distinct value across them.
@@ -235,11 +403,17 @@ fn si_backend_never_exposes_torn_commits() {
         backend.commit(batch).unwrap();
     }
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // The writers start once every reader has read once: a commit never
+    // aborts, so 300 of them can otherwise finish before a reader thread
+    // is first scheduled.
+    let started = Arc::new(std::sync::Barrier::new(2 + 3));
     let mut writers = Vec::new();
     for w in 0..2u16 {
         let backend = backend.clone();
         let keys = keys.clone();
+        let started = started.clone();
         writers.push(std::thread::spawn(move || {
+            started.wait();
             let mut round = 1u16;
             let mut committed = 0u32;
             while committed < 150 {
@@ -259,6 +433,7 @@ fn si_backend_never_exposes_torn_commits() {
         let backend = backend.clone();
         let keys = keys.clone();
         let stop = stop.clone();
+        let started = started.clone();
         readers.push(std::thread::spawn(move || {
             let key_refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
             let mut observed = 0u64;
@@ -270,6 +445,9 @@ fn si_backend_never_exposes_torn_commits() {
                     "torn commit observed under snapshot isolation: {values:?}"
                 );
                 observed += 1;
+                if observed == 1 {
+                    started.wait();
+                }
             }
             observed
         }));

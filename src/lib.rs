@@ -8,8 +8,6 @@
 //! integration tests can drive the whole stack through one dependency:
 //!
 //! * [`common`] — ids, entities, events, time, config, stats, RNG.
-//! * [`mvcc`] — PostgreSQL-like multi-version storage engine (snapshot
-//!   isolation).
 //! * [`storage`] — the unified `StateBackend` layer: one sharded,
 //!   pluggable storage interface (Redis-like replicated KV with an
 //!   asynchronous last-writer-wins replica / snapshot isolation /
@@ -34,5 +32,4 @@ pub use om_driver as driver;
 pub use om_http as http;
 pub use om_log as log;
 pub use om_marketplace as marketplace;
-pub use om_mvcc as mvcc;
 pub use om_storage as storage;

@@ -96,18 +96,16 @@ fn customized_platform_is_fully_criteria_clean() {
 #[test]
 fn umbrella_reexports_compose() {
     // Substrate types are reachable through the umbrella crate and
-    // interoperate (mvcc + log in one program).
+    // interoperate (storage + log in one program).
     use online_marketplace::log::Topic;
-    use online_marketplace::mvcc::{IsolationLevel, TxManager};
+    use online_marketplace::storage::{SnapshotBackend, StateBackend, WriteBatch};
     use std::sync::Arc;
 
-    let mgr = TxManager::new();
-    let table = mgr.create_table::<u64, u64>("t");
-    mgr.run(IsolationLevel::Serializable, 4, |tx| {
-        table.put(tx, 1, 42);
-        Ok(())
-    })
-    .unwrap();
+    let backend = SnapshotBackend::new(4);
+    backend
+        .commit(WriteBatch::new().put(b"t/1".to_vec(), b"42".to_vec()))
+        .unwrap();
+    assert_eq!(backend.get(b"t/1"), Some(b"42".to_vec()));
 
     let topic: Arc<Topic<u64>> = Arc::new(Topic::new("t", 2));
     let producer = topic.producer();

@@ -19,7 +19,7 @@ use online_marketplace::marketplace::{PlatformSpec, TransactionalPlatform};
 #[test]
 fn umbrella_reexports_resolve() {
     let _ = std::any::type_name::<online_marketplace::common::Money>();
-    let _ = std::any::type_name::<online_marketplace::mvcc::TxManager>();
+    let _ = std::any::type_name::<online_marketplace::storage::SnapshotBackend>();
     let _ = std::any::type_name::<online_marketplace::log::Topic<u64>>();
     let _ = std::any::type_name::<online_marketplace::actor::GrainId>();
     let _ = std::any::type_name::<online_marketplace::dataflow::Dataflow<()>>();
