@@ -12,6 +12,11 @@
 #   * the knob census (`scripts/knobs.sh`, the public fields of the
 #     option structs) must not exceed the number written below, 43:
 #     adding an option is then a visible edit of this file,
+#   * the thread census: outside tests (the lines before a file's
+#     `#[cfg(test)]`, as `scripts/loc.sh` counts them), only
+#     `om_common::pool` (`WorkerPool`, every background thread the
+#     platforms start) and the HTTP event loops (`om_http::conn`) call
+#     `thread::Builder::new`; any other long-lived thread is a pool job,
 #   * the benchmark of record is built and RUN the way BENCHMARK.json
 #     declares it (its own package under crates/bench/src/bin/marketbench,
 #     which no other stanza builds): `run --smoke` on every workload —
@@ -42,7 +47,9 @@
 #   * a stress slice: `scripts/stress.sh` runs the HTTP engine's
 #     `event_engine` and `large_requests` suites, the contended
 #     transactional checkout and delivery (`tx_fanout`), the admission
-#     suites (`lock_props`, `tx_integration`) and the storage contract's
+#     suites (`lock_props`, `tx_integration`), the actor runtime's
+#     scheduling and silo-kill suites (`runtime`, `failure_modes`) and the
+#     storage contract's
 #     `backend_props` 3 times each in 2 loops side by side, where a lost
 #     ready-list mark, a grain admitted twice or a commit published
 #     before its last version (`si_backend_never_exposes_torn_commits`
@@ -84,16 +91,28 @@ if (( knobs > max_knobs )); then
     exit 1
 fi
 
+echo "==> thread census: outside tests, only crates/common/src/pool.rs and crates/http/src/conn.rs start threads by name"
+spawners=$(find crates/*/src -name target -prune -o -name '*.rs' -print | sort | xargs awk '
+    FNR == 1 { done = 0 }
+    /^#\[cfg\(test\)\]/ { done = 1 }
+    !done && /thread::Builder::new/ { print FILENAME ":" FNR ": " $0 }
+' | grep -v -e '^crates/common/src/pool\.rs:' -e '^crates/http/src/conn\.rs:' || true)
+if [[ -n $spawners ]]; then
+    echo "$spawners" >&2
+    echo "a thread is started outside WorkerPool and the HTTP loops: make it a WorkerPool job" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --offline
 
 echo "==> cargo test -q --workspace (functional crates + shim self-tests + torture slice)"
 cargo test -q --offline --workspace
 
-echo "==> stress slice: om_http event_engine + large_requests, om_marketplace tx_fanout, om_actor lock_props + tx_integration, om_storage backend_props; 3 runs x 2 loops side by side"
+echo "==> stress slice: om_http event_engine + large_requests, om_marketplace tx_fanout, om_actor lock_props + tx_integration + runtime + failure_modes, om_storage backend_props; 3 runs x 2 loops side by side"
 scripts/stress.sh om_http 3 2 event_engine large_requests
 scripts/stress.sh om_marketplace 3 2 tx_fanout
-scripts/stress.sh om_actor 3 2 lock_props tx_integration
+scripts/stress.sh om_actor 3 2 lock_props tx_integration runtime failure_modes
 scripts/stress.sh om_storage 3 2 backend_props
 
 cpu=$(python3 -c 'import os; print(min(os.sched_getaffinity(0)))')

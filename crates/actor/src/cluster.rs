@@ -1,10 +1,11 @@
-//! The cluster: grain directory, placement, messaging API and fault
-//! injection.
+//! The cluster: grain directory, placement, messaging API, fault
+//! injection and the worker pool that runs every turn no caller runs.
 
 use crate::grain::{GrainFactory, GrainId, Row, RowWrite};
 use crate::mailbox::{Activation, ActivationRef, Envelope, Gather, ReplyTo};
 use crate::silo::{Router, Silo};
 use crate::storage::StorageMap;
+use om_common::pool::{PoolHandle, WorkerPool};
 use om_common::rng::SplitMix64;
 use om_common::stats::CounterSet;
 use om_common::time::LogicalClock;
@@ -67,11 +68,14 @@ struct Kind<M, R> {
 }
 
 struct Inner<M, R> {
-    silos: Vec<Arc<Silo<M, R>>>,
+    silos: Vec<Silo<M, R>>,
     directory: RwLock<HashMap<GrainId, usize>>,
     factories: HashMap<&'static str, Kind<M, R>>,
-    storage: Arc<StorageMap>,
-    clock: Arc<LogicalClock>,
+    storage: StorageMap,
+    clock: LogicalClock,
+    /// Queues turns on the cluster's worker pool. The [`Cluster`] owns the
+    /// pool: a job holds this state, never the pool, so no job joins it.
+    pool: PoolHandle,
     faults: FaultConfig,
     fault_rng: Mutex<SplitMix64>,
     counters: CounterSet,
@@ -79,7 +83,7 @@ struct Inner<M, R> {
     in_flight: AtomicI64,
 }
 
-impl<M: Send + 'static, R: Send + 'static> Inner<M, R> {
+impl<M: Payload, R: Send + 'static> Inner<M, R> {
     /// Chooses/there-registers the hosting silo for `id`, skipping dead
     /// silos.
     fn place(&self, id: GrainId) -> OmResult<usize> {
@@ -131,24 +135,36 @@ impl<M: Send + 'static, R: Send + 'static> Inner<M, R> {
         Ok((silo_idx, activation))
     }
 
-    fn deliver(&self, id: GrainId, env: Envelope<M, R>) -> OmResult<()> {
+    /// Delivers an envelope, queueing the grain's turn if this made it
+    /// runnable.
+    fn deliver(self: &Arc<Self>, id: GrainId, env: Envelope<M, R>) -> OmResult<()> {
         let (silo_idx, activation) = self.activation(id)?;
         self.in_flight.fetch_add(1, Ordering::AcqRel);
-        self.silos[silo_idx].deliver(&activation, env);
+        if activation.enqueue(env) {
+            self.schedule(silo_idx, activation);
+        }
         Ok(())
     }
 
-    fn notify_inner(&self, id: GrainId, msg: M) {
+    /// Queues a turn of `activation`, whose next turn the caller owns, on
+    /// the worker pool; a turn that leaves messages behind queues the next.
+    fn schedule(self: &Arc<Self>, silo_idx: usize, activation: ActivationRef<M, R>) {
+        let inner = self.clone();
+        self.pool.execute(move || {
+            if inner.silos[silo_idx].run_turn(&activation, &inner.clock, &inner) {
+                inner.schedule(silo_idx, activation);
+            }
+        });
+    }
+
+    fn notify_inner(self: &Arc<Self>, id: GrainId, msg: M) {
         if self.deliver(id, Envelope { msg, reply: None }).is_err() {
             self.counters.incr("events_undeliverable");
         }
     }
 }
 
-impl<M: Send + 'static, R: Send + 'static> Router<M> for Inner<M, R>
-where
-    M: Clone,
-{
+impl<M: Payload, R: Send + 'static> Router<M> for Arc<Inner<M, R>> {
     fn route_event(&self, target: GrainId, msg: M) {
         // Fault injection applies to grain-to-grain events.
         if self.faults.is_active() {
@@ -188,12 +204,16 @@ impl<T: Clone + Send + 'static> Payload for T {}
 /// An Orleans-like cluster of silos hosting virtual grains.
 pub struct Cluster<M: Payload, R: Send + 'static> {
     inner: Arc<Inner<M, R>>,
+    /// Runs every turn no caller runs. Dropped after `inner`, it joins its
+    /// threads once they have run the turns still queued; a turn queued
+    /// after that is dropped unrun.
+    _pool: WorkerPool,
     /// Default timeout for blocking calls.
     call_timeout: Duration,
 }
 
 impl<M: Payload, R: Send + 'static> Cluster<M, R> {
-    /// A builder for a cluster: one silo of four workers, no grain kinds,
+    /// A builder for a cluster: one silo, four workers, no grain kinds,
     /// no faults and a 10 s call timeout until configured.
     pub fn builder() -> ClusterBuilder<M, R> {
         ClusterBuilder::new()
@@ -220,12 +240,12 @@ impl<M: Payload, R: Send + 'static> Cluster<M, R> {
     ///
     /// Every envelope is enqueued first. Then the calling thread runs one
     /// turn of each activation its own enqueue made runnable, through the
-    /// silo workers' turn runner: a call to an idle grain costs no
-    /// hand-off to a worker and no park. An activation with messages left
-    /// after its turn goes to its silo's run queue, and the caller parks
-    /// on the gather latch only for calls to grains that were mid-turn on
+    /// pool's turn runner: a call to an idle grain costs no hand-off to a
+    /// worker and no park. An activation with messages left after its
+    /// turn queues its next turn on the pool, and the caller parks on the
+    /// gather latch only for calls to grains that were mid-turn on
     /// another thread (counted as `parks`); the last reply wakes it. The
-    /// events those turns emit run on the silo workers. A call that cannot
+    /// events those turns emit run on the pool. A call that cannot
     /// be delivered fails in its slot, and one unanswered by the call
     /// timeout fails as `Timeout`, without holding up the other slots.
     pub fn call_all(&self, calls: Vec<(GrainId, M)>) -> Vec<OmResult<R>> {
@@ -252,9 +272,8 @@ impl<M: Payload, R: Send + 'static> Cluster<M, R> {
             }
         }
         for (silo_idx, activation) in runnable {
-            let silo = &inner.silos[silo_idx];
-            if silo.run_turn(&activation, &inner.clock, inner.as_ref()) {
-                silo.schedule(activation);
+            if inner.silos[silo_idx].run_turn(&activation, &inner.clock, inner) {
+                inner.schedule(silo_idx, activation);
             }
         }
         if !gather.is_filled() {
@@ -287,31 +306,19 @@ impl<M: Payload, R: Send + 'static> Cluster<M, R> {
     }
 
     /// Kills silo `i`: activations are dropped (volatile state lost),
-    /// queued calls fail, directory entries are lazily re-placed.
+    /// queued messages fail and leave the in-flight count, directory
+    /// entries are lazily re-placed.
     pub fn kill_silo(&self, i: usize) {
-        self.inner.silos[i].kill();
+        let failed = self.inner.silos[i].kill();
+        self.inner.on_processed(failed);
         self.inner.counters.incr("silos_killed");
         // Re-placement happens on next access; drop stale directory entries.
         self.inner.directory.write().retain(|_, &mut s| s != i);
-        // Poisoned envelopes were consumed without processing; reset the
-        // in-flight gauge conservatively by recomputing queued work.
-        // (Poison drains mailboxes synchronously, so subtract nothing here:
-        // the counter is corrected in the worker loop for poisoned work.)
-        self.recompute_in_flight();
     }
 
     /// Restarts silo `i`; grains reactivate lazily from storage.
     pub fn restart_silo(&self, i: usize) {
         self.inner.silos[i].restart();
-    }
-
-    fn recompute_in_flight(&self) {
-        // After a kill, poisoned envelopes will never be "processed"; the
-        // gauge would stay positive forever and wedge drain(). Clamp to the
-        // actual queued message count across live activations.
-        // This is approximate during concurrent traffic, which is fine for
-        // its only use: letting tests drain after failure injection.
-        self.inner.in_flight.store(0, Ordering::Release);
     }
 
     /// Number of silos.
@@ -352,18 +359,10 @@ impl<M: Payload, R: Send + 'static> Cluster<M, R> {
     }
 }
 
-impl<M: Payload, R: Send + 'static> Drop for Cluster<M, R> {
-    fn drop(&mut self) {
-        for silo in &self.inner.silos {
-            silo.shutdown();
-        }
-    }
-}
-
 /// Builder for [`Cluster`].
 pub struct ClusterBuilder<M, R> {
     silos: usize,
-    workers_per_silo: usize,
+    workers: usize,
     factories: HashMap<&'static str, Kind<M, R>>,
     faults: FaultConfig,
     call_timeout: Duration,
@@ -374,7 +373,7 @@ impl<M: Payload, R: Send + 'static> ClusterBuilder<M, R> {
     fn new() -> Self {
         Self {
             silos: 1,
-            workers_per_silo: 4,
+            workers: 4,
             factories: HashMap::new(),
             faults: FaultConfig::default(),
             call_timeout: Duration::from_secs(10),
@@ -389,10 +388,11 @@ impl<M: Payload, R: Send + 'static> ClusterBuilder<M, R> {
         self
     }
 
-    /// Worker threads per silo.
-    pub fn workers_per_silo(mut self, n: usize) -> Self {
+    /// Threads of the cluster's worker pool, which runs the turns of
+    /// every silo that no caller runs.
+    pub fn workers(mut self, n: usize) -> Self {
         assert!(n > 0);
-        self.workers_per_silo = n;
+        self.workers = n;
         self
     }
 
@@ -458,31 +458,26 @@ impl<M: Payload, R: Send + 'static> ClusterBuilder<M, R> {
 
     /// Builds and starts the cluster.
     pub fn build(self) -> Cluster<M, R> {
-        let silos: Vec<_> = (0..self.silos).map(Silo::new).collect();
         let storage = match self.storage {
             Some(backend) => StorageMap::with_backend(backend),
             None => StorageMap::new(),
         };
+        let pool = WorkerPool::named("om-actor", self.workers);
         let inner = Arc::new(Inner {
-            silos,
+            silos: (0..self.silos).map(|_| Silo::new()).collect(),
             directory: RwLock::new(HashMap::new()),
             factories: self.factories,
-            storage: Arc::new(storage),
-            clock: Arc::new(LogicalClock::new()),
+            storage,
+            clock: LogicalClock::new(),
+            pool: pool.handle(),
             fault_rng: Mutex::new(SplitMix64::new(self.faults.seed)),
             faults: self.faults,
             counters: CounterSet::new(),
             in_flight: AtomicI64::new(0),
         });
-        for silo in &inner.silos {
-            silo.start_workers(
-                self.workers_per_silo,
-                inner.clock.clone(),
-                inner.clone() as Arc<dyn Router<M>>,
-            );
-        }
         Cluster {
             inner,
+            _pool: pool,
             call_timeout: self.call_timeout,
         }
     }

@@ -16,10 +16,11 @@
 //!   from its mailbox; concurrency exists only *across* grains. Orleans
 //!   promises one turn at a time per activation, not a thread to run it:
 //!   whichever thread's enqueue finds the grain idle runs its next turn.
-//! * A call to an idle grain runs on the calling thread. Silos own
-//!   worker-thread pools for the rest: events, grains that were mid-turn
-//!   on another thread, and turns left over when a mailbox holds more than
-//!   one turn's batch. A handler that panics fails its call with
+//! * A call to an idle grain runs on the calling thread. The cluster's one
+//!   worker pool ([`om_common::pool::WorkerPool`], shared by all its silos)
+//!   runs the rest as jobs: events, grains that were mid-turn on another
+//!   thread, and turns left over when a mailbox holds more than one turn's
+//!   batch. A handler that panics fails its call with
 //!   `Unavailable` and retires its activation; the grain reactivates from
 //!   storage on its next message, and the thread that ran the turn
 //!   carries on. Killing a silo drops its activations and their volatile

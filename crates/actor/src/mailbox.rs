@@ -6,10 +6,10 @@
 //! time**. We use the classic "scheduled" flag protocol: the enqueue that
 //! finds the flag clear sets it and owns the activation's next turn,
 //! whichever thread made it — a caller, which runs the turn itself
-//! ([`crate::Cluster::call_all`]), or a worker routing an event, which
-//! puts the activation on its silo's run queue. The owner drains a bounded
-//! batch of messages per turn and hands the activation to the run queue if
-//! messages remain.
+//! ([`crate::Cluster::call_all`]), or a thread routing an event, which
+//! queues the turn on the cluster's worker pool. The owner drains a
+//! bounded batch of messages per turn and queues another turn on the pool
+//! if messages remain.
 //!
 //! A handler that panics fails its own call with `Unavailable` and retires
 //! the activation: its grain is dropped, every message still queued to it
@@ -131,7 +131,7 @@ pub(crate) struct Activation<M, R> {
     grain: Mutex<Option<Box<dyn Grain<M, R>>>>,
     mailbox: Mutex<VecDeque<Envelope<M, R>>>,
     /// True from the enqueue that made the activation runnable until its
-    /// turn ends: while it sits in a run queue or a thread drains it.
+    /// turn ends: while its turn waits on the pool or a thread drains it.
     scheduled: AtomicBool,
 }
 
@@ -147,7 +147,7 @@ impl<M: Send + 'static, R: Send + 'static> Activation<M, R> {
 
     /// Enqueues an envelope; returns `true` if this enqueue made the
     /// activation runnable, so the caller owns its next turn: it runs the
-    /// turn or puts the activation on a run queue.
+    /// turn or queues it on the worker pool.
     pub fn enqueue(&self, env: Envelope<M, R>) -> bool {
         self.mailbox.lock().push_back(env);
         !self.scheduled.swap(true, Ordering::AcqRel)
@@ -228,11 +228,14 @@ impl<M: Send + 'static, R: Send + 'static> Activation<M, R> {
     }
 
     /// Fails all queued messages (silo kill): callers get `Unavailable`.
-    pub fn poison(&self) {
+    /// Returns how many it failed, for the in-flight accounting.
+    pub fn poison(&self) -> u64 {
         let mut mb = self.mailbox.lock();
+        let failed = mb.len() as u64;
         for env in mb.drain(..) {
             self.fail(env.reply, "lost its silo");
         }
+        failed
     }
 
     /// Fails a message's call, if it is one, with `Unavailable`.
@@ -365,7 +368,7 @@ mod tests {
             msg: 1,
             reply: Some(ReplyTo::new(gather.clone(), 0)),
         });
-        a.poison();
+        assert_eq!(a.poison(), 1);
         let mut replies = gather.wait(Instant::now());
         let err = replies.remove(0).unwrap().unwrap_err();
         assert_eq!(err.label(), "unavailable");

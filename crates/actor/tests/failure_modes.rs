@@ -27,7 +27,7 @@ fn cluster_with(
 ) -> Cluster<Msg, u64> {
     Cluster::builder()
         .silos(silos)
-        .workers_per_silo(workers)
+        .workers(workers)
         .faults(faults)
         .call_timeout(call_timeout)
         .register("c", |_id, snapshot| {

@@ -131,7 +131,7 @@ fn rows_grain(
 fn cluster(backend: Arc<RecordingBackend>) -> Cluster<Msg, Vec<Row>> {
     Cluster::builder()
         .silos(1)
-        .workers_per_silo(2)
+        .workers(2)
         .storage_backend(backend)
         .register_rows("rowed", |_id, snapshot, rows| rows_grain(snapshot, rows))
         .register("plain", |_id, snapshot| rows_grain(snapshot, Vec::new()))

@@ -23,6 +23,8 @@ enum Msg {
     Block(Arc<Barrier>),
     /// Records the thread that runs the turn.
     WhoRuns(Arc<Mutex<Option<ThreadId>>>),
+    /// Sleeps 2 ms, then counts itself handled.
+    Nap(Arc<AtomicU64>),
 }
 
 type Reply = u64;
@@ -41,7 +43,7 @@ fn counter_cluster_with_timeout(
 ) -> Cluster<Msg, Reply> {
     Cluster::builder()
         .silos(silos)
-        .workers_per_silo(workers)
+        .workers(workers)
         .faults(faults)
         .call_timeout(call_timeout)
         .register("counter", |_id, snapshot| {
@@ -71,6 +73,11 @@ fn counter_cluster_with_timeout(
                 }
                 Msg::WhoRuns(seen) => {
                     *seen.lock().unwrap() = Some(std::thread::current().id());
+                    value
+                }
+                Msg::Nap(handled) => {
+                    std::thread::sleep(Duration::from_millis(2));
+                    handled.fetch_add(1, Ordering::SeqCst);
                     value
                 }
             })
@@ -397,6 +404,62 @@ fn call_all_fails_a_killed_silos_slot_without_stalling_the_others() {
 }
 
 #[test]
+fn drain_after_a_silo_kill_waits_for_the_other_silos_events() {
+    let cluster = counter_cluster(2, 2, FaultConfig::reliable());
+    let handled = Arc::new(AtomicU64::new(0));
+    for i in 0..200u64 {
+        cluster.notify(GrainId::new("counter", i % 40), Msg::Nap(handled.clone()));
+    }
+    // Silo 0's queued events fail; silo 1's still take about 100 ms.
+    cluster.kill_silo(0);
+    assert!(cluster.drain(Duration::from_secs(10)), "must quiesce");
+    let at_drain = handled.load(Ordering::SeqCst);
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(
+        handled.load(Ordering::SeqCst),
+        at_drain,
+        "drain returned while the surviving silo still had events queued"
+    );
+    assert!(at_drain > 0, "silo 1's events ran");
+}
+
+#[test]
+fn turns_queued_for_a_killed_silo_fail_while_the_other_silo_answers() {
+    // One pool thread, held mid-turn by an event to a grain of silo 1:
+    // events to silo 0's grains queue behind it as turns on the pool.
+    let cluster = counter_cluster(2, 1, FaultConfig::reliable());
+    let holder = grain_on(&cluster, 1, 0);
+    let other = grain_on(&cluster, 1, holder.key + 1);
+    let mut victims = vec![grain_on(&cluster, 0, 0)];
+    for _ in 0..3 {
+        let next = grain_on(&cluster, 0, victims.last().unwrap().key + 1);
+        victims.push(next);
+    }
+    let gate = Arc::new(Barrier::new(2));
+    cluster.notify(holder, Msg::Block(gate.clone()));
+    gate.wait();
+    for &victim in &victims {
+        cluster.notify(victim, Msg::AddPersist(1));
+    }
+    cluster.kill_silo(0);
+    // The held turn is still in flight, and silo 1 answers meanwhile.
+    assert!(!cluster.drain(Duration::from_millis(50)), "the held turn counts");
+    assert_eq!(cluster.call(other, Msg::Add(5)).unwrap(), 5);
+    gate.wait();
+    assert!(cluster.drain(Duration::from_secs(5)), "must quiesce");
+    assert_eq!(cluster.activation_counts()[0], 0, "silo 0 keeps no activation");
+    for victim in victims {
+        assert_eq!(
+            cluster.call(victim, Msg::Get).unwrap(),
+            0,
+            "{victim}'s queued event ran on a killed silo"
+        );
+    }
+    assert_eq!(cluster.call(other, Msg::Get).unwrap(), 5);
+    assert_eq!(cluster.activation_counts()[0], 0, "re-placed on silo 1");
+}
+
+#[test]
 fn call_all_times_out_an_unanswered_slot_and_still_drains() {
     let cluster = Arc::new(counter_cluster_with_timeout(
         1,
@@ -534,7 +597,7 @@ fn callers_and_workers_never_enter_one_grain_twice() {
         let inside = inside.clone();
         Cluster::<Msg, Reply>::builder()
             .silos(2)
-            .workers_per_silo(2)
+            .workers(2)
             .register("counter", move |_id, _| {
                 let inside = inside.clone();
                 let mut value = 0u64;

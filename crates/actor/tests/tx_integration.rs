@@ -30,7 +30,7 @@ enum Reply {
 fn account_cluster(silos: usize) -> Cluster<Msg, Reply> {
     Cluster::builder()
         .silos(silos)
-        .workers_per_silo(2)
+        .workers(2)
         .faults(FaultConfig::reliable())
         .register("account", |_id, _snap| {
             let mut part = TxParticipant::new(0i64);

@@ -3,23 +3,32 @@
 //!
 //! A [`WorkQueue`] is an unbounded multi-producer multi-consumer FIFO
 //! (a `VecDeque` under a mutex, a condvar for blocked consumers). It
-//! carries the silo run queues, this pool's jobs and the dataflow epoch
-//! inboxes and group results.
+//! carries this pool's jobs and the dataflow epoch inboxes and group
+//! results.
 //!
-//! The dataflow runtime runs all but the first group of each epoch on
-//! the pool instead of spawning scoped threads per epoch: the threads
-//! are created once (named `<prefix>-<i>` so they are identifiable in
-//! profiles and stack dumps) and take jobs off a shared `WorkQueue`;
-//! each job pushes its group's result onto the epoch's own `WorkQueue`,
-//! which the driving thread pops. A panicking job is contained by the
-//! worker — counted, never propagated, and never fatal to the thread —
-//! because the submitter is expected to observe the failure through its
-//! own shared state (the dataflow runtime catches a group's panic
-//! itself and poisons the epoch).
+//! A [`WorkerPool`] is every background thread the platforms start: the
+//! actor cluster's turns (`om-actor-N`), the dataflow epoch groups past
+//! the first (`om-df-worker-N`) and the dataflow pump (`om-df-pump-0`)
+//! are jobs on one. The threads are created once (named `<prefix>-<i>`
+//! so they are identifiable in profiles and stack dumps) and take jobs
+//! off a shared `WorkQueue`. A [`PoolHandle`] queues jobs without owning
+//! the pool, so a job may queue further jobs but is never the one that
+//! joins it. A panicking job is contained by the worker — counted, never
+//! propagated, and never fatal to the thread — because the submitter is
+//! expected to observe the failure through its own shared state (the
+//! dataflow runtime catches a group's panic itself and poisons the
+//! epoch; a grain handler's panic fails its own call).
+//!
+//! Every pool thread is background work to the kernel's scheduler
+//! (`SCHED_BATCH`): it keeps a normal share of the CPU, but its wake-up
+//! does not preempt the running thread. On a core shared with an HTTP
+//! event loop, an event a request handler sends then runs after the
+//! handler's response is written, not in the middle of it.
 //!
 //! Dropping the pool closes the job queue and joins every worker; jobs
 //! already queued still run to completion first, so a submitted job is
-//! never silently discarded.
+//! never silently discarded. A job queued after the close is dropped
+//! unrun.
 //!
 //! ```
 //! use om_common::pool::WorkerPool;
@@ -122,25 +131,39 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// Fixed-size pool of long-lived named worker threads. See the module
 /// docs for the lifecycle and panic containment.
 pub struct WorkerPool {
-    jobs: Arc<WorkQueue<Job>>,
+    jobs: PoolHandle,
     handles: Vec<JoinHandle<()>>,
-    size: usize,
     panics: Arc<AtomicU64>,
 }
 
+/// Queues jobs on a [`WorkerPool`] without owning it: a clone held by a
+/// job keeps no thread alive, and a job queued after the pool is dropped
+/// is dropped unrun.
+#[derive(Clone)]
+pub struct PoolHandle(Arc<WorkQueue<Job>>);
+
+impl PoolHandle {
+    /// Queues a job; some pool thread runs it as soon as one is free.
+    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
+        self.0.push(Box::new(job));
+    }
+}
+
 impl WorkerPool {
-    /// Spawns `size` worker threads named `<prefix>-0` .. `<prefix>-N`.
+    /// Spawns `size` `SCHED_BATCH` worker threads named `<prefix>-0` ..
+    /// `<prefix>-N`.
     pub fn named(prefix: &str, size: usize) -> Self {
         assert!(size > 0, "a worker pool needs at least one thread");
-        let jobs = Arc::new(WorkQueue::<Job>::default());
+        let jobs = PoolHandle(Arc::default());
         let panics = Arc::new(AtomicU64::new(0));
         let handles = (0..size)
             .map(|i| {
-                let jobs = jobs.clone();
+                let jobs = jobs.0.clone();
                 let panics = panics.clone();
                 std::thread::Builder::new()
                     .name(format!("{prefix}-{i}"))
                     .spawn(move || {
+                        run_as_background();
                         while let Some(job) = jobs.pop() {
                             // Contain the panic: the thread survives to
                             // serve later jobs, the submitter learns of
@@ -156,19 +179,23 @@ impl WorkerPool {
         Self {
             jobs,
             handles,
-            size,
             panics,
         }
     }
 
     /// Queues a job; some pool thread runs it as soon as one is free.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.jobs.push(Box::new(job));
+        self.jobs.execute(job);
+    }
+
+    /// A handle that queues jobs on this pool without owning it.
+    pub fn handle(&self) -> PoolHandle {
+        self.jobs.clone()
     }
 
     /// Number of worker threads.
     pub fn size(&self) -> usize {
-        self.size
+        self.handles.len()
     }
 
     /// Jobs that panicked (and were contained) so far.
@@ -181,12 +208,34 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Closing the queue lets each worker drain the remaining jobs and
         // exit; join so no job outlives the pool handle.
-        self.jobs.close();
+        self.jobs.0.close();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
+
+/// Schedules the calling thread as `SCHED_BATCH`: a normal share of the
+/// CPU, no wake-up preemption of the running thread. A refusal leaves
+/// the thread as it was.
+#[cfg(target_os = "linux")]
+fn run_as_background() {
+    /// Linux's `struct sched_param`.
+    #[repr(C)]
+    struct SchedParam {
+        priority: i32,
+    }
+    extern "C" {
+        fn sched_setscheduler(pid: i32, policy: i32, param: *const SchedParam) -> i32;
+    }
+    const SCHED_BATCH: i32 = 3;
+    // SAFETY: `param` is a live `sched_param`; pid 0 names the calling
+    // thread, and the call changes only how that thread is scheduled.
+    unsafe { sched_setscheduler(0, SCHED_BATCH, &SchedParam { priority: 0 }) };
+}
+
+#[cfg(not(target_os = "linux"))]
+fn run_as_background() {}
 
 #[cfg(test)]
 mod tests {

@@ -23,11 +23,12 @@
 //! connections outnumber loops.
 //!
 //! A loop with a request always waiting never parks, so work its handlers
-//! hand to other threads on the same core (silo workers' events) gets the
-//! core only by preempting a handler, or piles up until a request blocks
-//! on it. So a round that served a request ends by yielding the core once,
-//! and silo workers run as `SCHED_BATCH`, which does not preempt the
-//! handler that woke them: that work runs between rounds.
+//! hand to other threads on the same core (the actor pool's events) gets
+//! the core only by preempting a handler, or piles up until a request
+//! blocks on it. So a round that served a request ends by yielding the
+//! core once, and every `WorkerPool` thread runs as `SCHED_BATCH`, which
+//! does not preempt the handler that woke it: that work runs between
+//! rounds.
 //!
 //! A pipe marks its connection's token only for what the loop acts on:
 //! bytes or EOF arriving from the client, and space that a client read

@@ -131,8 +131,8 @@ fn stage<S: Clone>(
 pub const SILOS: usize = 2;
 
 /// Builds the marketplace cluster shared by the actor bindings:
-/// [`SILOS`] silos that split `parallelism` worker threads between them
-/// (at least one each).
+/// [`SILOS`] silos whose turns run on one pool of `parallelism` worker
+/// threads (at least one).
 ///
 /// Grain state persists through the `backend`-selected
 /// [`om_storage::StateBackend`] in the [`crate::domain::rows`] format:
@@ -149,7 +149,7 @@ pub fn build_cluster(
 ) -> Cluster<Msg, Reply> {
     Cluster::builder()
         .silos(SILOS)
-        .workers_per_silo(parallelism.div_ceil(SILOS).max(1))
+        .workers(parallelism.max(1))
         .faults(faults)
         .call_timeout(Duration::from_secs(30))
         .storage_backend(backend)

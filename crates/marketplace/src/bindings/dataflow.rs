@@ -31,6 +31,7 @@
 
 use om_common::entity::{Customer, Product, Seller, SellerDashboard};
 use om_common::ids::*;
+use om_common::pool::WorkerPool;
 use om_common::stats::CounterSet;
 use om_common::time::EventTime;
 use om_common::{Money, OmError, OmResult};
@@ -567,8 +568,7 @@ impl Core {
     }
 }
 
-/// The Statefun-like platform: topology + pump thread + completion
-/// table.
+/// The Statefun-like platform: topology + pump + completion table.
 pub struct DataflowPlatform {
     core: Arc<Core>,
     catalog: super::actor_core::Catalog,
@@ -577,7 +577,9 @@ pub struct DataflowPlatform {
     tids: IdSequence,
     decline_rate: f64,
     stop: Arc<AtomicBool>,
-    pump: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// Runs the pump, its one job, until `stop`; dropped after `stop` is
+    /// set, it joins the pump.
+    _pump: WorkerPool,
 }
 
 impl DataflowPlatform {
@@ -636,35 +638,33 @@ impl DataflowPlatform {
             active_waiters: AtomicUsize::new(0),
         });
         let stop = Arc::new(AtomicBool::new(false));
-        let pump = {
+        let pump = WorkerPool::named("om-df-pump", 1);
+        {
             let core = core.clone();
             let stop = stop.clone();
-            std::thread::Builder::new()
-                .name("om-dataflow-pump".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        // The pump is only the asynchronous fallback for
-                        // fire-and-forget traffic: it stands down while
-                        // clients await results and drive epochs
-                        // themselves (caller-runs), never queues behind
-                        // a running epoch (which takes what is pending),
-                        // and sleeps every iteration so it never
-                        // competes with them for the CPU.
-                        if core.active_waiters.load(Ordering::Acquire) == 0 {
-                            let _ = core.drive(false, "df.pump_epoch_us");
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
+            pump.execute(move || {
+                while !stop.load(Ordering::Acquire) {
+                    // The pump is only the asynchronous fallback for
+                    // fire-and-forget traffic: it stands down while
+                    // clients await results and drive epochs themselves
+                    // (caller-runs), never queues behind a running epoch
+                    // (which takes what is pending), and sleeps every
+                    // iteration so it never competes with them for the
+                    // CPU.
+                    if core.active_waiters.load(Ordering::Acquire) == 0 {
+                        let _ = core.drive(false, "df.pump_epoch_us");
                     }
-                })
-                .expect("spawn pump")
-        };
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            });
+        }
         Self {
             core,
             catalog,
             tids: IdSequence::new(next_id),
             decline_rate: config.decline_rate,
             stop,
-            pump: Mutex::new(Some(pump)),
+            _pump: pump,
         }
     }
 
@@ -733,9 +733,6 @@ impl DataflowPlatform {
 impl Drop for DataflowPlatform {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.pump.lock().take() {
-            let _ = h.join();
-        }
     }
 }
 

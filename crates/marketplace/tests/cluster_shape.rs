@@ -1,52 +1,70 @@
-//! The factory's grain cluster shape: every actor binding runs two silos
-//! of `parallelism.div_ceil(2)` workers each (at least one), named
-//! `silo{i}-w{j}`, whatever its backend.
+//! The platforms' background threads. Every actor binding's cluster is
+//! two silos whose turns run on one pool of `parallelism` threads,
+//! named `om-actor-{i}`, whatever its backend; the dataflow binding's
+//! pump and epoch-group threads are pool threads too. Every one of them
+//! runs as `SCHED_BATCH`.
 //!
-//! Alone in its test binary, so every silo worker thread is this test's.
+//! Alone in its test binary, so every pool thread named here is this
+//! file's.
 
+use om_actor::FaultConfig;
 use om_common::config::BackendKind;
+use om_marketplace::bindings::actor_grains::build_cluster;
 use om_marketplace::{build_platform, PlatformKind, PlatformSpec};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// The `(silo, worker)` index of every live `silo{i}-w{j}` thread, from
-/// `/proc/self/task/*/comm`.
-fn silo_workers() -> BTreeSet<(usize, usize)> {
-    let mut workers = BTreeSet::new();
+/// Linux's `SCHED_BATCH`.
+const SCHED_BATCH: u32 = 3;
+
+/// The scheduling policy of every live `<prefix>-<i>` thread by its
+/// index `i`, from `/proc/self/task/*/{comm,stat}` (field 41).
+fn pool_threads(prefix: &str) -> BTreeMap<usize, u32> {
+    let mut threads = BTreeMap::new();
     for task in std::fs::read_dir("/proc/self/task").expect("/proc/self/task") {
-        let Ok(comm) = std::fs::read_to_string(task.expect("task entry").path().join("comm"))
-        else {
+        let path = task.expect("task entry").path();
+        let Ok(comm) = std::fs::read_to_string(path.join("comm")) else {
             continue; // the thread exited
         };
-        let Some((silo, worker)) = comm
+        let Some(Ok(index)) = comm
             .trim_end()
-            .strip_prefix("silo")
-            .and_then(|rest| rest.split_once("-w"))
+            .strip_prefix(prefix)
+            .and_then(|rest| rest.strip_prefix('-'))
+            .map(str::parse)
         else {
             continue;
         };
-        if let (Ok(silo), Ok(worker)) = (silo.parse(), worker.parse()) {
-            workers.insert((silo, worker));
-        }
+        let Ok(stat) = std::fs::read_to_string(path.join("stat")) else {
+            continue;
+        };
+        // Fields after the parenthesised name start at field 3.
+        let after_name = &stat[stat.rfind(')').expect("stat has a name") + 1..];
+        let policy = after_name.split_whitespace().nth(41 - 3);
+        threads.insert(index, policy.expect("policy field").parse().expect("policy"));
     }
-    workers
+    threads
 }
 
-/// The live silo workers once they equal `expected`, or after 5 s. A
-/// worker names itself as it starts, and a joined worker's task can
-/// linger in `/proc` for a moment after the join returns.
-fn settle_to(expected: &BTreeSet<(usize, usize)>) -> BTreeSet<(usize, usize)> {
+/// `prefix`'s live threads once they equal `expected`, or after 5 s. A
+/// thread names itself and sets its policy as it starts, and a joined
+/// thread's task can linger in `/proc` for a moment after the join.
+fn settle_to(prefix: &str, expected: &BTreeMap<usize, u32>) -> BTreeMap<usize, u32> {
     let give_up = Instant::now() + Duration::from_secs(5);
-    let mut workers = silo_workers();
-    while workers != *expected && Instant::now() < give_up {
+    let mut threads = pool_threads(prefix);
+    while threads != *expected && Instant::now() < give_up {
         std::thread::sleep(Duration::from_millis(5));
-        workers = silo_workers();
+        threads = pool_threads(prefix);
     }
-    workers
+    threads
+}
+
+/// `n` threads, all `SCHED_BATCH`.
+fn batch_threads(n: usize) -> BTreeMap<usize, u32> {
+    (0..n).map(|i| (i, SCHED_BATCH)).collect()
 }
 
 #[test]
-fn actor_bindings_run_two_silos_of_half_the_parallelism() {
+fn actor_bindings_run_two_silos_on_one_pool_of_the_parallelism() {
     for kind in [
         PlatformKind::Eventual,
         PlatformKind::Transactional,
@@ -55,21 +73,32 @@ fn actor_bindings_run_two_silos_of_half_the_parallelism() {
         for parallelism in 1..=4 {
             let spec =
                 PlatformSpec::new(kind, BackendKind::SnapshotIsolation).parallelism(parallelism);
-            let per_silo = parallelism.div_ceil(2);
-            let expected: BTreeSet<_> = (0..2)
-                .flat_map(|silo| (0..per_silo).map(move |worker| (silo, worker)))
-                .collect();
             let platform = build_platform(&spec);
+            let expected = batch_threads(parallelism);
             assert_eq!(
-                settle_to(&expected),
+                settle_to("om-actor", &expected),
                 expected,
                 "{} at parallelism {parallelism}",
                 spec.label()
             );
-            // Dropping the platform joins its workers before the next cell.
+            // Dropping the platform joins its pool before the next cell.
             drop(platform);
-            let none = BTreeSet::new();
-            assert_eq!(settle_to(&none), none, "{} left workers", spec.label());
+            let none = BTreeMap::new();
+            assert_eq!(settle_to("om-actor", &none), none, "{} left threads", spec.label());
         }
     }
+    let spec = PlatformSpec::new(PlatformKind::Eventual, BackendKind::Eventual);
+    let cluster = build_cluster(3, FaultConfig::reliable(), spec.storage_backend());
+    assert_eq!(cluster.silo_count(), 2);
+}
+
+#[test]
+fn the_dataflow_pump_and_epoch_groups_run_on_sched_batch_pools() {
+    let spec = PlatformSpec::new(PlatformKind::Dataflow, BackendKind::Eventual)
+        .parallelism(2)
+        .df_workers(2);
+    let platform = build_platform(&spec);
+    assert_eq!(settle_to("om-df-pump", &batch_threads(1)), batch_threads(1));
+    assert_eq!(settle_to("om-df-worker", &batch_threads(1)), batch_threads(1));
+    drop(platform);
 }

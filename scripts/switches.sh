@@ -7,7 +7,7 @@
 # `run --workload <workload> --seed <seed>` (seed 1 by default) and, while
 # it runs, samples /proc/<pid>/task/*/status every 100 ms. A thread that
 # exits keeps its last sample. Prints, per thread name with every number
-# folded into `*` (so `silo0-w1` counts under `silo*-w*`), the number of
+# folded into `*` (so `om-actor-1` counts under `om-actor-*`), the number of
 # threads and their voluntary and non-voluntary context switches divided
 # by the run's `attempted` requests. Linux only; it reports, it gates
 # nothing.
