@@ -46,12 +46,15 @@
 #     EVERY boundary with wider workloads and more seeds,
 #   * a stress slice: `scripts/stress.sh` runs the HTTP engine's
 #     `event_engine` and `large_requests` suites, the contended
-#     transactional checkout and delivery (`tx_fanout`), the admission
+#     transactional checkout and delivery (`tx_fanout`), the cross-binding
+#     suite (`platforms`, whose Customized dashboard readers race the
+#     projection's read-modify-write), the admission
 #     suites (`lock_props`, `tx_integration`), the actor runtime's
 #     scheduling and silo-kill suites (`runtime`, `failure_modes`) and the
 #     storage contract's
 #     `backend_props` 3 times each in 2 loops side by side, where a lost
-#     ready-list mark, a grain admitted twice or a commit published
+#     ready-list mark, a grain admitted twice, a torn Customized
+#     dashboard or a commit published
 #     before its last version (`si_backend_never_exposes_torn_commits`
 #     holds only under the snapshot backend's commit lock) shows far more
 #     often than in the one workspace run; the `backend_props` step takes
@@ -109,9 +112,9 @@ cargo build --release --offline
 echo "==> cargo test -q --workspace (functional crates + shim self-tests + torture slice)"
 cargo test -q --offline --workspace
 
-echo "==> stress slice: om_http event_engine + large_requests, om_marketplace tx_fanout, om_actor lock_props + tx_integration + runtime + failure_modes, om_storage backend_props; 3 runs x 2 loops side by side"
+echo "==> stress slice: om_http event_engine + large_requests, om_marketplace tx_fanout + platforms, om_actor lock_props + tx_integration + runtime + failure_modes, om_storage backend_props; 3 runs x 2 loops side by side"
 scripts/stress.sh om_http 3 2 event_engine large_requests
-scripts/stress.sh om_marketplace 3 2 tx_fanout
+scripts/stress.sh om_marketplace 3 2 tx_fanout platforms
 scripts/stress.sh om_actor 3 2 lock_props tx_integration runtime failure_modes
 scripts/stress.sh om_storage 3 2 backend_props
 

@@ -10,9 +10,11 @@
 //!   [`StateBackend`]'s read-your-writes sessions (the paper's Redis
 //!   primary/secondary deployment);
 //! * a **seller dashboard projection** — a running aggregate row plus the
-//!   seller's entries in a fixed number of page rows, maintained with one
-//!   multi-key backend commit per business transaction and read back with
-//!   one prefix scan (the paper's PostgreSQL offload);
+//!   seller's entries in one page row per order-id range, each page the
+//!   fixed-width records of `domain::rows` sorted by order id, maintained
+//!   with one multi-key backend commit per business transaction and read
+//!   back with one prefix scan that lists the entries in order, with no
+//!   sort (the paper's PostgreSQL offload);
 //! * `om-log` as the audit log of committed business transactions
 //!   (Fig. 1's "log storage").
 //!
@@ -49,7 +51,8 @@ use crate::api::{
     CheckoutItem, CheckoutOutcome, CheckoutRequest, MarketSnapshot, MarketplacePlatform,
     PlatformKind,
 };
-use crate::domain::{flow, ProductReplica};
+use crate::domain::order::ORDERS_PER_CUSTOMER;
+use crate::domain::{flow, rows, ProductReplica};
 use crate::PlatformSpec;
 
 /// Key of the replica-cache record for `product` (namespaced so it can
@@ -66,7 +69,8 @@ fn replica_key(product: ProductId) -> Vec<u8> {
 /// scan returns the aggregate followed by its entries — under snapshot
 /// isolation that scan is one consistent snapshot of both halves.
 fn dashboard_prefix(seller: SellerId) -> Vec<u8> {
-    let mut key = Vec::with_capacity(7 + 8 + 4);
+    // Room for the longest key under it, a page key (`e/` + page index).
+    let mut key = Vec::with_capacity(7 + 8 + 1 + 2 + 8);
     key.extend_from_slice(b"cdash!/");
     key.extend_from_slice(&seller.0.to_be_bytes());
     key.push(b'/');
@@ -80,12 +84,12 @@ fn agg_key(seller: SellerId) -> Vec<u8> {
     key
 }
 
-/// Entry pages per seller. A seller's in-progress entries are kept as at
-/// most this many rows, each the encoded `Vec<OrderEntry>` of the orders
-/// that hash to it: a dashboard reads `ENTRY_PAGES + 1` rows however many
-/// entries it returns, and a checkout or delivery rewrites one page (a
-/// sixteenth of the seller's entries) per seller it touches.
-const ENTRY_PAGES: u64 = 16;
+/// Orders per entry page: the orders of 16 consecutive customers (order
+/// ids are `customer × ORDERS_PER_CUSTOMER + seq`). A seller's
+/// in-progress entries are kept as one row per order-id range that holds
+/// any: a dashboard reads the aggregate plus those pages, and a checkout
+/// or delivery rewrites one page per seller it touches.
+const PAGE_SPAN: u64 = 16 * ORDERS_PER_CUSTOMER;
 
 /// Prefix of the seller's entry pages.
 fn pages_prefix(seller: SellerId) -> Vec<u8> {
@@ -94,24 +98,15 @@ fn pages_prefix(seller: SellerId) -> Vec<u8> {
     key
 }
 
-/// Key of the page holding every entry of `(seller, order)`. Order ids
-/// are `customer × k + seq`, so the page is drawn from a multiplicative
-/// hash of the id, not from its low bits.
+/// Key of the page holding every entry of `(seller, order)`: the page
+/// index `order / PAGE_SPAN`, big-endian, so a prefix scan returns the
+/// pages in order-id order. Each page's records are sorted by
+/// `(order, product)` (`rows::encode_entry_page`), so the scan lists the
+/// seller's entries in that order.
 fn page_key(seller: SellerId, order: OrderId) -> Vec<u8> {
-    let page = order.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
     let mut key = pages_prefix(seller);
-    key.push((page % ENTRY_PAGES) as u8);
+    key.extend_from_slice(&(order.0 / PAGE_SPAN).to_be_bytes());
     key
-}
-
-fn decode_page(raw: &[u8]) -> OmResult<Vec<OrderEntry>> {
-    om_common::codec::from_bytes(raw)
-        .map_err(|e| OmError::Internal(format!("dashboard entry page does not decode: {e:?}")))
-}
-
-fn encode_page(entries: &[OrderEntry]) -> OmResult<Vec<u8>> {
-    om_common::codec::to_bytes(&entries)
-        .map_err(|e| OmError::Internal(format!("encode entry page: {e}")))
 }
 
 fn encode_agg(amount_cents: i64, count: u64) -> Vec<u8> {
@@ -201,16 +196,20 @@ impl CustomizedPlatform {
             .map_or(Ok((0, 0)), |raw| decode_agg(&raw))
     }
 
-    /// The entry page `key` as it stands, empty if never written.
-    fn read_page(&self, key: &[u8]) -> OmResult<Vec<OrderEntry>> {
-        self.backend
-            .get(key)
-            .map_or(Ok(Vec::new()), |raw| decode_page(&raw))
+    /// The entry page `key` of `seller` as it stands, empty if never
+    /// written.
+    fn read_page(&self, seller: SellerId, key: &[u8]) -> OmResult<Vec<OrderEntry>> {
+        let mut page = Vec::new();
+        if let Some(raw) = self.backend.get(key) {
+            rows::decode_entry_page(&raw, seller, &mut page)?;
+        }
+        Ok(page)
     }
 
     /// Registers the order's dashboard entries and bumps the per-seller
     /// aggregates in one multi-key backend commit: per seller, the page
-    /// the order hashes to and the aggregate row.
+    /// of the order's id range, with the entries inserted in
+    /// `(order, product)` order, and the aggregate row.
     fn project_add_order(
         &self,
         order: &om_common::entity::Order,
@@ -223,18 +222,26 @@ impl CustomizedPlatform {
                 by_seller.entry(entry.seller.0).or_default().push(entry);
             }
             let mut batch = WriteBatch::new();
-            for (seller, added) in by_seller {
+            for (seller, mut added) in by_seller {
                 let seller = SellerId(seller);
                 let amount: i64 = added.iter().map(|e| e.total_amount.cents()).sum();
                 let count = added.len() as u64;
                 let key = page_key(seller, order.id);
-                let mut page = self.read_page(&key)?;
-                page.extend(added);
+                let mut page = self.read_page(seller, &key)?;
+                added.sort_unstable_by_key(|e| e.product);
+                let at = page.partition_point(|e| e.order < order.id);
+                page.splice(at..at, added);
                 let (cur_amount, cur_count) = self.read_agg(seller)?;
-                batch = batch.put(key, encode_page(&page)?).put(
-                    agg_key(seller),
-                    encode_agg(cur_amount + amount, cur_count + count),
-                );
+                let (Some(amount), Some(count)) =
+                    (cur_amount.checked_add(amount), cur_count.checked_add(count))
+                else {
+                    return Err(OmError::Internal(format!(
+                        "dashboard aggregate of {seller} overflows"
+                    )));
+                };
+                batch = batch
+                    .put(key, rows::encode_entry_page(&page))
+                    .put(agg_key(seller), encode_agg(amount, count));
             }
             Ok(batch)
         })
@@ -244,7 +251,8 @@ impl CustomizedPlatform {
     fn project_retire_order(&self, seller: SellerId, order: OrderId) -> OmResult<()> {
         self.project(|| {
             let key = page_key(seller, order);
-            let page = self.read_page(&key)?;
+            let page = self.read_page(seller, &key)?;
+            // Partitioning keeps each side in page order.
             let (retired, kept): (Vec<OrderEntry>, Vec<OrderEntry>) =
                 page.into_iter().partition(|e| e.order == order);
             if retired.is_empty() {
@@ -252,17 +260,17 @@ impl CustomizedPlatform {
             }
             let amount: i64 = retired.iter().map(|e| e.total_amount.cents()).sum();
             let (cur_amount, cur_count) = self.read_agg(seller)?;
+            let amount = cur_amount.checked_sub(amount).ok_or_else(|| {
+                OmError::Internal(format!("dashboard aggregate of {seller} overflows"))
+            })?;
             let batch = if kept.is_empty() {
                 WriteBatch::new().delete(key)
             } else {
-                WriteBatch::new().put(key, encode_page(&kept)?)
+                WriteBatch::new().put(key, rows::encode_entry_page(&kept))
             };
             Ok(batch.put(
                 agg_key(seller),
-                encode_agg(
-                    cur_amount - amount,
-                    cur_count.saturating_sub(retired.len() as u64),
-                ),
+                encode_agg(amount, cur_count.saturating_sub(retired.len() as u64)),
             ))
         })
     }
@@ -443,23 +451,29 @@ impl MarketplacePlatform for CustomizedPlatform {
     /// ... to PostgreSQL"). Under the eventual backend the same scan can
     /// race a per-key commit and observe a torn dashboard — the anomaly
     /// the criteria audit counts.
+    ///
+    /// The aggregate row sorts first; `ingest_seller` always writes it, so
+    /// a seller without one is unknown. The pages follow in order-id order,
+    /// each sorted within, so decoding them one after another lists the
+    /// entries by order, then product, with no sort.
     fn seller_dashboard(&self, seller: SellerId) -> OmResult<SellerDashboard> {
-        let rows = self.backend.scan_prefix(&dashboard_prefix(seller));
-        let agg = agg_key(seller);
-        let mut amount = 0i64;
-        let mut count = 0u64;
-        let mut entries = Vec::new();
-        for (key, raw) in rows {
-            if key == agg {
-                (amount, count) = decode_agg(&raw)?;
-                entries.reserve(count as usize);
-            } else {
-                entries.extend(decode_page(&raw)?);
-            }
+        let scanned = self.backend.scan_prefix(&dashboard_prefix(seller));
+        let (amount, count) = match scanned.first() {
+            Some((key, raw)) if *key == agg_key(seller) => decode_agg(raw)?,
+            _ => return Err(OmError::NotFound(format!("{seller}"))),
+        };
+        let pages = &scanned[1..];
+        let records = pages.iter().map(|(_, raw)| raw.len()).sum::<usize>() / rows::PAGE_RECORD;
+        let mut entries = Vec::with_capacity(records);
+        for (_, raw) in pages {
+            rows::decode_entry_page(raw, seller, &mut entries)?;
         }
-        // Pages are hash buckets; the answer lists entries by order, then
-        // product.
-        entries.sort_unstable_by_key(|e| (e.order, e.product));
+        debug_assert!(
+            entries
+                .windows(2)
+                .all(|w| (w[0].order, w[0].product) < (w[1].order, w[1].product)),
+            "entry pages of {seller} out of order"
+        );
         self.inner.core().counters.incr("dashboards");
         Ok(SellerDashboard {
             seller,
@@ -492,17 +506,15 @@ mod tests {
     use om_common::config::BackendKind;
     use om_common::entity::PaymentMethod;
 
-    /// A damaged projection row fails the write that would overwrite it
-    /// and the dashboard that would read it, instead of decoding as an
-    /// empty page or a zero aggregate.
-    #[test]
-    fn damaged_dashboard_rows_fail_loudly_and_stay_untouched() {
+    /// A Customized platform over its own snapshot backend with sellers
+    /// `1..=sellers`, customer `s` and product `s` of seller `s` each.
+    fn platform_with(sellers: u64) -> (Arc<dyn StateBackend>, Box<dyn MarketplacePlatform>) {
         let backend = om_storage::make_backend(BackendKind::SnapshotIsolation, 8);
         let spec = PlatformSpec::new(PlatformKind::Customized, BackendKind::SnapshotIsolation)
             .decline_rate(0.0)
             .backend_instance(backend.clone());
         let platform = build_platform(&spec);
-        for s in 1..=2 {
+        for s in 1..=sellers {
             platform
                 .ingest_seller(Seller::new(
                     SellerId(s),
@@ -535,38 +547,45 @@ mod tests {
                 .unwrap();
         }
         platform.quiesce();
+        (backend, platform)
+    }
 
-        // Seller 1's entry pages and seller 2's aggregate row are garbage.
+    /// Customer `s` checks out one unit of product `s`.
+    fn check_out(platform: &dyn MarketplacePlatform, s: u64) -> OmResult<CheckoutOutcome> {
+        let item = CheckoutItem {
+            seller: SellerId(s),
+            product: ProductId(s),
+            quantity: 1,
+        };
+        platform.add_to_cart(CustomerId(s), item).unwrap();
+        platform.checkout(CheckoutRequest {
+            customer: CustomerId(s),
+            items: vec![],
+            method: PaymentMethod::CreditCard,
+        })
+    }
+
+    /// A damaged projection row fails the write that would overwrite it
+    /// and the dashboard that would read it, instead of decoding as an
+    /// empty page or a zero aggregate.
+    #[test]
+    fn damaged_dashboard_rows_fail_loudly_and_stay_untouched() {
+        let (backend, platform) = platform_with(2);
+
+        // Seller 1's entry page of customer 1's orders (every order id
+        // customer 1 can place falls in one page) and seller 2's aggregate
+        // row are garbage.
         let garbage = b"\xff\xff\xff\xff\xff".to_vec();
-        let damaged: Vec<Vec<u8>> = (0..ENTRY_PAGES as u8)
-            .map(|page| {
-                let mut key = dashboard_prefix(SellerId(1));
-                key.extend_from_slice(b"e/");
-                key.push(page);
-                key
-            })
-            .chain([agg_key(SellerId(2))])
-            .collect();
+        let damaged = [
+            page_key(SellerId(1), OrderId(ORDERS_PER_CUSTOMER)),
+            agg_key(SellerId(2)),
+        ];
         for key in &damaged {
             backend.put(key, &garbage);
         }
 
         for s in 1..=2 {
-            platform
-                .add_to_cart(
-                    CustomerId(s),
-                    CheckoutItem {
-                        seller: SellerId(s),
-                        product: ProductId(s),
-                        quantity: 1,
-                    },
-                )
-                .unwrap();
-            let checkout = platform.checkout(CheckoutRequest {
-                customer: CustomerId(s),
-                items: vec![],
-                method: PaymentMethod::CreditCard,
-            });
+            let checkout = check_out(platform.as_ref(), s);
             assert!(
                 matches!(checkout, Err(OmError::Internal(_))),
                 "seller {s}: a checkout over a damaged row fails, got {checkout:?}"
@@ -583,5 +602,27 @@ mod tests {
                 "row {key:?} was rewritten"
             );
         }
+    }
+
+    /// Nothing is sized or summed unchecked from the stored entry count:
+    /// an aggregate row claiming `u64::MAX` entries reads as a dashboard
+    /// that is not snapshot-consistent, and fails the checkout that would
+    /// add to it, instead of panicking.
+    #[test]
+    fn a_stored_count_does_not_size_the_dashboard() {
+        let (backend, platform) = platform_with(1);
+        let seller = SellerId(1);
+        let claim = encode_agg(0, u64::MAX);
+        backend.put(&agg_key(seller), &claim);
+        match platform.seller_dashboard(seller) {
+            Ok(dash) => assert!(!dash.is_snapshot_consistent(), "{dash:?}"),
+            Err(e) => assert!(matches!(e, OmError::Internal(_)), "{e:?}"),
+        }
+        let checkout = check_out(platform.as_ref(), 1);
+        assert!(
+            matches!(checkout, Err(OmError::Internal(_))),
+            "{checkout:?}"
+        );
+        assert_eq!(backend.get(&agg_key(seller)), Some(claim));
     }
 }

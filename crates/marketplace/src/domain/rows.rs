@@ -16,7 +16,9 @@
 //! ([`ROOT`]). A growing aggregate adds one row per entity under a tag
 //! byte followed by big-endian ids, so a prefix scan of a tag returns rows
 //! in id order and a change touches only the rows of the entities it
-//! names. Values are the workspace's binary codec (`om_common::codec`).
+//! names. Values are the workspace's binary codec (`om_common::codec`),
+//! except the Customized projection's entry pages, whose fixed-width
+//! records decode with no codec at all.
 //!
 //! | service | row | name | value |
 //! |---|---|---|---|
@@ -31,16 +33,17 @@
 //! | shipment ([`ShipmentService`]) | header | empty | the service with no packages |
 //! | | package | [`PACKAGE`] + order + package | `Package` |
 //! | | open order | [`OPEN`] + shipped-at + order | empty; one per order with an undelivered package, so the first row is the seller's oldest |
+//! | Customized dashboard projection | entry page | the binding's page key: seller + order-id range | [`PAGE_RECORD`]-byte records, one per `OrderEntry`, sorted by `(order, product)`: order `u64`, product `u64`, quantity `u32`, total cents `i64`, status byte; the seller is in the key ([`encode_entry_page`]) |
 //!
 //! The dataflow functions keep every service this way. The actor grains
 //! persist product, replica, stock and customer as their root row and the
 //! seller as header plus entry rows; cart, order, payment and shipment
 //! grains keep their state in memory only.
 
-use om_common::entity::{Order, OrderEntry, Package, PackageStatus, Payment};
-use om_common::ids::{CustomerId, OrderId, SellerId, TransactionId};
+use om_common::entity::{Order, OrderEntry, OrderStatus, Package, PackageStatus, Payment};
+use om_common::ids::{CustomerId, OrderId, ProductId, SellerId, TransactionId};
 use om_common::time::EventTime;
-use om_common::{OmError, OmResult};
+use om_common::{Money, OmError, OmResult};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -294,6 +297,74 @@ impl SellerDelta {
         };
         store_root(out, &header)
     }
+}
+
+// ---- dashboard entry pages ----------------------------------------------
+
+/// Bytes of one entry in an entry page: order `u64`, product `u64`,
+/// quantity `u32`, total cents `i64` and the status byte, little-endian.
+pub const PAGE_RECORD: usize = 8 + 8 + 4 + 8 + 1;
+
+/// Every [`OrderStatus`] at the index of its byte in an entry page: the
+/// one map between the two.
+const STATUS_BYTES: [OrderStatus; 6] = [
+    OrderStatus::Invoiced,
+    OrderStatus::Paid,
+    OrderStatus::PaymentFailed,
+    OrderStatus::InTransit,
+    OrderStatus::Delivered,
+    OrderStatus::Canceled,
+];
+
+/// An entry page holding `entries`, in the order given. The writer keeps
+/// them sorted by `(order, product)`, so that pages read in key order list
+/// a seller's entries in that order with no sort.
+pub fn encode_entry_page(entries: &[OrderEntry]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(entries.len() * PAGE_RECORD);
+    for e in entries {
+        // A status missing from the map writes a byte that never decodes.
+        let status = STATUS_BYTES.iter().position(|&s| s == e.status);
+        out.extend_from_slice(&e.order.0.to_le_bytes());
+        out.extend_from_slice(&e.product.0.to_le_bytes());
+        out.extend_from_slice(&e.quantity.to_le_bytes());
+        out.extend_from_slice(&e.total_amount.cents().to_le_bytes());
+        out.push(status.map_or(u8::MAX, |b| b as u8));
+    }
+    out
+}
+
+/// Appends the entries of `seller`'s entry page `page` to `out`, in page
+/// order. A page that is not a whole number of records, or that holds an
+/// unknown status byte, fails with `OmError::Internal` and leaves `out` as
+/// it was.
+pub fn decode_entry_page(page: &[u8], seller: SellerId, out: &mut Vec<OrderEntry>) -> OmResult<()> {
+    if !page.len().is_multiple_of(PAGE_RECORD) {
+        return Err(OmError::Internal(format!(
+            "dashboard entry page does not decode: {} bytes, not a multiple of {PAGE_RECORD}",
+            page.len()
+        )));
+    }
+    let start = out.len();
+    out.reserve(page.len() / PAGE_RECORD);
+    for r in page.chunks_exact(PAGE_RECORD) {
+        let bytes = |at: usize| r[at..at + 8].try_into().expect("8 bytes");
+        let status_byte = r[PAGE_RECORD - 1];
+        let Some(&status) = STATUS_BYTES.get(status_byte as usize) else {
+            out.truncate(start);
+            return Err(OmError::Internal(format!(
+                "dashboard entry page does not decode: status byte {status_byte}"
+            )));
+        };
+        out.push(OrderEntry {
+            order: OrderId(u64::from_le_bytes(bytes(0))),
+            seller,
+            product: ProductId(u64::from_le_bytes(bytes(8))),
+            quantity: u32::from_le_bytes(r[16..20].try_into().expect("4 bytes")),
+            total_amount: Money::from_cents(i64::from_le_bytes(bytes(20))),
+            status,
+        });
+    }
+    Ok(())
 }
 
 // ---- order --------------------------------------------------------------

@@ -5,7 +5,7 @@
 use om_common::entity::{Customer, OrderStatus, PaymentMethod, Product, Seller};
 use om_common::ids::{CustomerId, OrderId, ProductId, SellerId};
 use om_common::time::EventTime;
-use om_common::Money;
+use om_common::{Money, OmError};
 use om_dataflow::Address;
 use om_marketplace::api::*;
 use om_common::config::BackendKind;
@@ -15,6 +15,7 @@ use om_marketplace::bindings::actor_msg::Msg;
 use om_marketplace::bindings::dataflow::DataflowPlatformConfig;
 use om_marketplace::bindings::kinds;
 use om_marketplace::domain::flow;
+use om_marketplace::domain::order::ORDERS_PER_CUSTOMER;
 use std::collections::BTreeSet;
 use om_marketplace::{
     CustomizedPlatform, DataflowPlatform, EventualPlatform, PlatformSpec, TransactionalPlatform,
@@ -258,17 +259,28 @@ fn customized_dashboard_is_always_snapshot_consistent() {
 
 #[test]
 fn customized_dashboard_pages_hold_each_entry_once() {
-    // The projection keeps a seller's entries in a bounded number of page
-    // rows: a dashboard reads those rows however many entries it lists,
-    // lists each entry once in (order, product) order, and delivery
-    // retires whole orders out of their pages until none is left.
+    // 4 customers share one order-id range; 40 span three, so the order
+    // is also checked across page boundaries.
+    for customers in [4, 40] {
+        dashboard_pages_hold_each_entry_once(customers);
+    }
+}
+
+/// The projection keeps a seller's entries in one page row per order-id
+/// range that holds any: a dashboard reads the aggregate and those pages,
+/// lists each entry once in (order, product) order, and delivery retires
+/// whole orders out of their pages until none is left.
+fn dashboard_pages_hold_each_entry_once(customers: u64) {
     let p = CustomizedPlatform::new(&spec(
         PlatformKind::Customized,
         BackendKind::SnapshotIsolation,
     ));
     ingest(&p);
+    for c in 5..=customers {
+        p.ingest_customer(customer(c)).unwrap();
+    }
     for i in 0..40u64 {
-        let c = (i % 4) + 1;
+        let c = (i % customers) + 1;
         checkout_items(&p, c, &[(1, 1, 1), (1, 2, 2), (2, 4, 1)]);
         p.checkout(CheckoutRequest {
             customer: CustomerId(c),
@@ -289,10 +301,14 @@ fn customized_dashboard_pages_hold_each_entry_once() {
     assert!(dash.is_snapshot_consistent());
     let keys: Vec<_> = dash.entries.iter().map(|e| (e.order, e.product)).collect();
     assert!(keys.windows(2).all(|w| w[0] < w[1]), "sorted, no duplicate");
-    assert!(
-        (2..=17).contains(&seller_rows(1)),
-        "aggregate + at most 16 pages, got {} rows",
-        seller_rows(1)
+    // A page holds the orders of 16 consecutive customers.
+    let span = 16 * ORDERS_PER_CUSTOMER;
+    let ranges: BTreeSet<u64> = dash.entries.iter().map(|e| e.order.0 / span).collect();
+    assert_eq!(ranges.len() as u64, customers.div_ceil(16));
+    assert_eq!(
+        seller_rows(1),
+        1 + ranges.len(),
+        "aggregate + one page per order range present"
     );
 
     let mut left = dash.entries.len();
@@ -303,6 +319,8 @@ fn customized_dashboard_pages_hold_each_entry_once() {
         p.quiesce();
         let dash = p.seller_dashboard(SellerId(1)).unwrap();
         assert!(dash.is_snapshot_consistent());
+        let keys: Vec<_> = dash.entries.iter().map(|e| (e.order, e.product)).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "sorted after a delivery");
         assert!(dash.entries.len() <= left, "delivery only retires entries");
         left = dash.entries.len();
     }
@@ -357,6 +375,20 @@ fn a_declined_checkout_leaves_nothing_in_progress_on_any_binding() {
             "{:?}: {:?}",
             p.kind(),
             dash.entries.iter().map(|e| e.status).collect::<Vec<_>>()
+        );
+    }
+}
+
+#[test]
+fn an_unknown_seller_has_no_dashboard_on_any_binding() {
+    for p in all_platforms() {
+        ingest(p.as_ref());
+        check_out_two_lines_of_seller_1(p.as_ref());
+        let dash = p.seller_dashboard(SellerId(999));
+        assert!(
+            matches!(dash, Err(OmError::NotFound(_))),
+            "{:?}: {dash:?}",
+            p.kind()
         );
     }
 }

@@ -2,7 +2,9 @@
 //! gives the same service state for the rows touched, and rows read back
 //! from storage — outside input at checkpoint recovery and grain
 //! activation — give a typed error, never a panic, whatever they hold. A
-//! seller's activation leaves out the entry rows that do not read.
+//! seller's activation leaves out the entry rows that do not read. The
+//! Customized projection's entry pages round-trip, read back in order, and
+//! fail typed when damaged.
 
 use om_common::entity::{CartItem, Customer, OrderEntry, OrderStatus, PaymentMethod, Seller};
 use om_common::event::OrderLineRef;
@@ -264,6 +266,30 @@ fn a_seller_activates_without_the_entry_rows_that_do_not_read() {
     assert_eq!(back.seller, view.seller);
 }
 
+#[test]
+fn an_entry_page_is_one_fixed_width_record_per_entry() {
+    let e = OrderEntry {
+        order: OrderId(0x0102),
+        seller: SellerId(1),
+        product: ProductId(3),
+        quantity: 4,
+        total_amount: Money::from_cents(-5),
+        status: OrderStatus::Invoiced,
+    };
+    let mut expected = 0x0102u64.to_le_bytes().to_vec();
+    expected.extend_from_slice(&3u64.to_le_bytes());
+    expected.extend_from_slice(&4u32.to_le_bytes());
+    expected.extend_from_slice(&(-5i64).to_le_bytes());
+    expected.push(0);
+    assert_eq!(rows::encode_entry_page(std::slice::from_ref(&e)), expected);
+    for (byte, status) in STATUSES.into_iter().enumerate() {
+        let mut e = e.clone();
+        e.status = status;
+        let page = rows::encode_entry_page(&[e]);
+        assert_eq!(page[rows::PAGE_RECORD - 1] as usize, byte, "{status:?}");
+    }
+}
+
 /// Rows as storage may hand them back: a root row that is `header` or any
 /// bytes, names under `tags` with one or two small ids cut anywhere (some
 /// shorter than their ids), and values that are `valid` or any bytes.
@@ -369,4 +395,71 @@ proptest! {
             typed(svc.load_order(&stored, OrderId(order)))?;
         }
     }
+
+    #[test]
+    fn prop_entry_pages_round_trip_in_order_and_fail_typed_when_damaged(
+        stored in prop::collection::vec(
+            (0u64..64, 0u64..8, any::<u32>(), any::<i64>(), 0usize..STATUSES.len()),
+            0..40,
+        ),
+        cut in 1usize..rows::PAGE_RECORD,
+        bad_status in STATUSES.len() as u8..=u8::MAX,
+        victim in any::<usize>(),
+    ) {
+        // One page per range of 16 order ids, each sorted by
+        // (order, product), as the projection writes them.
+        let mut pages: BTreeMap<u64, Vec<OrderEntry>> = BTreeMap::new();
+        let mut sorted: BTreeMap<(OrderId, ProductId), OrderEntry> = BTreeMap::new();
+        for (order, product, quantity, cents, status) in stored {
+            let e = OrderEntry {
+                order: OrderId(order),
+                seller: SellerId(7),
+                product: ProductId(product),
+                quantity,
+                total_amount: Money::from_cents(cents),
+                status: STATUSES[status],
+            };
+            sorted.insert((e.order, e.product), e);
+        }
+        for e in sorted.values() {
+            pages.entry(e.order.0 / 16).or_default().push(e.clone());
+        }
+        let encoded: Vec<Vec<u8>> = pages.values().map(|p| rows::encode_entry_page(p)).collect();
+
+        let mut all = Vec::new();
+        for (page, raw) in pages.values().zip(&encoded) {
+            prop_assert_eq!(raw.len(), page.len() * rows::PAGE_RECORD);
+            let mut one = Vec::new();
+            rows::decode_entry_page(raw, SellerId(7), &mut one).unwrap();
+            prop_assert_eq!(&one, page);
+            rows::decode_entry_page(raw, SellerId(7), &mut all).unwrap();
+        }
+        prop_assert_eq!(all, sorted.into_values().collect::<Vec<_>>());
+
+        if let Some(raw) = encoded.first() {
+            let before = vec![entry(1, 1)];
+            let mut out = before.clone();
+            let short = &raw[..raw.len() - cut];
+            prop_assert!(rows::decode_entry_page(short, SellerId(7), &mut out).is_err());
+            let long = [raw.as_slice(), &raw[..cut]].concat();
+            prop_assert!(rows::decode_entry_page(&long, SellerId(7), &mut out).is_err());
+            let mut bad = raw.clone();
+            let record = victim % (raw.len() / rows::PAGE_RECORD);
+            bad[record * rows::PAGE_RECORD + rows::PAGE_RECORD - 1] = bad_status;
+            let damaged = rows::decode_entry_page(&bad, SellerId(7), &mut out);
+            prop_assert!(damaged.is_err());
+            typed(damaged)?;
+            prop_assert_eq!(out, before, "a failed decode appends nothing");
+        }
+    }
 }
+
+/// Every order status, in the order of its byte in an entry page.
+const STATUSES: [OrderStatus; 6] = [
+    OrderStatus::Invoiced,
+    OrderStatus::Paid,
+    OrderStatus::PaymentFailed,
+    OrderStatus::InTransit,
+    OrderStatus::Delivered,
+    OrderStatus::Canceled,
+];
