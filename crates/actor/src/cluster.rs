@@ -344,11 +344,6 @@ impl<M: Payload, R: Send + 'static> Cluster<M, R> {
         &self.inner.clock
     }
 
-    /// Total turns executed across silos.
-    pub fn total_turns(&self) -> u64 {
-        self.inner.silos.iter().map(|s| s.turn_count()).sum()
-    }
-
     /// Activations currently hosted per silo (diagnostics).
     pub fn activation_counts(&self) -> Vec<usize> {
         self.inner

@@ -13,7 +13,7 @@ use crate::mailbox::ActivationRef;
 use om_common::time::LogicalClock;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Dispatch interface a turn uses to route grain-to-grain events
@@ -29,7 +29,6 @@ pub(crate) trait Router<M>: Send + Sync {
 pub(crate) struct Silo<M, R> {
     activations: RwLock<HashMap<GrainId, ActivationRef<M, R>>>,
     alive: AtomicBool,
-    turns: AtomicU64,
 }
 
 impl<M: Send + 'static, R: Send + 'static> Silo<M, R> {
@@ -37,7 +36,6 @@ impl<M: Send + 'static, R: Send + 'static> Silo<M, R> {
         Self {
             activations: RwLock::new(HashMap::new()),
             alive: AtomicBool::new(true),
-            turns: AtomicU64::new(0),
         }
     }
 
@@ -60,7 +58,6 @@ impl<M: Send + 'static, R: Send + 'static> Silo<M, R> {
             return false;
         }
         let result = activation.run_turn(clock);
-        self.turns.fetch_add(1, Ordering::Relaxed);
         // Stored before the turn ends, so saves of one grain land in turn
         // order.
         if result.persisted.is_some() || !result.rows.is_empty() {
@@ -120,10 +117,5 @@ impl<M: Send + 'static, R: Send + 'static> Silo<M, R> {
     /// Number of hosted activations.
     pub fn activation_count(&self) -> usize {
         self.activations.read().len()
-    }
-
-    /// Turns executed so far (diagnostics / load-balance tests).
-    pub fn turn_count(&self) -> u64 {
-        self.turns.load(Ordering::Relaxed)
     }
 }

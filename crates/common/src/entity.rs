@@ -8,8 +8,10 @@
 
 use crate::event::OrderLineRef;
 use crate::ids::*;
+use crate::limits::MAX_QUANTITY;
 use crate::money::Money;
 use crate::time::EventTime;
+use crate::{OmError, OmResult};
 use serde::{Deserialize, Serialize};
 
 /// A product listed by a seller (Product microservice state).
@@ -102,9 +104,17 @@ impl StockItem {
         self.qty_available += qty;
     }
 
-    /// Restocks the item (data ingestion / replenishment).
-    pub fn replenish(&mut self, qty: u32) {
-        self.qty_available += qty;
+    /// Restocks the item (data ingestion / replenishment). Refused when
+    /// the units in stock would pass `u32::MAX`.
+    pub fn replenish(&mut self, qty: u32) -> OmResult<()> {
+        self.qty_available = self
+            .qty_available
+            .checked_add(qty)
+            .filter(|total| total.checked_add(self.qty_reserved).is_some())
+            .ok_or_else(|| {
+                OmError::Rejected(format!("stock {} would pass {} units", self.key, u32::MAX))
+            })?;
+        Ok(())
     }
 }
 
@@ -156,19 +166,32 @@ impl Cart {
     }
 
     /// Adds an item, merging quantity with an existing line for the same
-    /// (seller, product).
-    pub fn add_item(&mut self, item: CartItem) {
-        if let Some(existing) = self
+    /// (seller, product). Refused when the line would hold more than
+    /// [`MAX_QUANTITY`] units.
+    pub fn add_item(&mut self, item: CartItem) -> OmResult<()> {
+        let existing = self
             .items
             .iter_mut()
-            .find(|i| i.product == item.product && i.seller == item.seller)
+            .find(|i| i.product == item.product && i.seller == item.seller);
+        let held = existing.as_ref().map_or(0, |line| line.quantity);
+        if held
+            .checked_add(item.quantity)
+            .is_none_or(|q| q > MAX_QUANTITY)
         {
-            existing.quantity += item.quantity;
-            existing.unit_price = item.unit_price;
-            existing.product_version = existing.product_version.max(item.product_version);
-        } else {
-            self.items.push(item);
+            return Err(OmError::Rejected(format!(
+                "a cart line of product {} holds at most {MAX_QUANTITY} units",
+                item.product
+            )));
         }
+        match existing {
+            Some(line) => {
+                line.quantity += item.quantity;
+                line.unit_price = item.unit_price;
+                line.product_version = line.product_version.max(item.product_version);
+            }
+            None => self.items.push(item),
+        }
+        Ok(())
     }
 
     /// Removes the line for `product`, returning it if present.
@@ -448,8 +471,8 @@ mod tests {
     #[test]
     fn cart_merges_same_product_lines() {
         let mut cart = Cart::new(CustomerId(1));
-        cart.add_item(item(5, 1, 100));
-        cart.add_item(item(5, 2, 110));
+        cart.add_item(item(5, 1, 100)).unwrap();
+        cart.add_item(item(5, 2, 110)).unwrap();
         assert_eq!(cart.items.len(), 1);
         assert_eq!(cart.items[0].quantity, 3);
         assert_eq!(cart.items[0].unit_price, Money::from_cents(110));
@@ -458,13 +481,33 @@ mod tests {
     #[test]
     fn cart_remove_and_total() {
         let mut cart = Cart::new(CustomerId(1));
-        cart.add_item(item(1, 2, 100));
-        cart.add_item(item(2, 1, 50));
+        cart.add_item(item(1, 2, 100)).unwrap();
+        cart.add_item(item(2, 1, 50)).unwrap();
         assert_eq!(cart.total(), Money::from_cents(250));
         let removed = cart.remove_item(ProductId(1)).unwrap();
         assert_eq!(removed.quantity, 2);
         assert_eq!(cart.total(), Money::from_cents(50));
         assert!(cart.remove_item(ProductId(99)).is_none());
+    }
+
+    #[test]
+    fn a_cart_line_holds_at_most_max_quantity_units() {
+        let mut cart = Cart::new(CustomerId(1));
+        cart.add_item(item(5, MAX_QUANTITY - 1, 100)).unwrap();
+        cart.add_item(item(5, 1, 100)).unwrap();
+        for qty in [1, u32::MAX] {
+            assert!(cart.add_item(item(5, qty, 100)).is_err(), "{qty}");
+        }
+        assert_eq!(cart.items[0].quantity, MAX_QUANTITY);
+    }
+
+    #[test]
+    fn stock_is_not_replenished_past_u32_max() {
+        let mut s = StockItem::new(StockKey::new(SellerId(1), ProductId(1)), 10);
+        assert!(s.try_reserve(4));
+        s.replenish(u32::MAX - 10).unwrap();
+        assert!(s.replenish(1).is_err(), "reserved units count too");
+        assert_eq!((s.qty_available, s.qty_reserved), (u32::MAX - 4, 4));
     }
 
     #[test]

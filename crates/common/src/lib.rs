@@ -30,6 +30,7 @@ pub mod entity;
 pub mod error;
 pub mod event;
 pub mod ids;
+pub mod limits;
 pub mod money;
 pub mod pool;
 pub mod rng;

@@ -24,11 +24,17 @@
 //! Routes are one `match` over the path's non-empty segments (a trailing
 //! `/` or doubled `//` does not matter): no route's shape is 404, a
 //! shape's other methods 405 with `allow`, a non-numeric `{id}` 400.
+//!
+//! Every number a client sends is bounded by `om_common::limits`: an
+//! `{id}` or a body field past its limit is answered `400` with the
+//! field's name, before the platform sees it, so no workflow arithmetic
+//! on it can overflow.
 
 use crate::request::{Method, Request};
 use crate::response::Response;
 use om_common::entity::{Customer, Product, Seller};
 use om_common::ids::{CustomerId, ProductId, SellerId};
+use om_common::limits::{within, MAX_AMOUNT, MAX_COUNT, MAX_ID, MAX_PRICE, MAX_QUANTITY};
 use om_common::{Money, OmError};
 use om_marketplace::api::{CheckoutItem, CheckoutOutcome, CheckoutRequest, MarketplacePlatform};
 use serde::{Deserialize, Serialize};
@@ -126,6 +132,76 @@ pub struct CheckoutBody {
 pub struct PriceUpdateBody {
     /// New price in cents.
     pub price: Money,
+}
+
+/// A request body whose numbers are checked against `om_common::limits`.
+trait Bounded {
+    /// The first field past its limit, if any.
+    fn out_of_range(&self) -> Option<&'static str>;
+}
+
+/// The first field whose check failed.
+fn first_failed(checks: &[(&'static str, bool)]) -> Option<&'static str> {
+    checks.iter().find(|(_, ok)| !ok).map(|(field, _)| *field)
+}
+
+impl Bounded for Seller {
+    fn out_of_range(&self) -> Option<&'static str> {
+        first_failed(&[
+            ("id", self.id.0 <= MAX_ID),
+            ("order_entry_count", self.order_entry_count <= MAX_COUNT),
+            ("delivered_package_count", self.delivered_package_count <= MAX_COUNT),
+            ("revenue", within(self.revenue, MAX_AMOUNT)),
+        ])
+    }
+}
+
+impl Bounded for Customer {
+    fn out_of_range(&self) -> Option<&'static str> {
+        first_failed(&[
+            ("id", self.id.0 <= MAX_ID),
+            ("success_payment_count", self.success_payment_count <= MAX_COUNT),
+            ("failed_payment_count", self.failed_payment_count <= MAX_COUNT),
+            ("delivery_count", self.delivery_count <= MAX_COUNT),
+            ("abandoned_cart_count", self.abandoned_cart_count <= MAX_COUNT),
+            ("total_spent", within(self.total_spent, MAX_AMOUNT)),
+        ])
+    }
+}
+
+impl Bounded for IngestProductBody {
+    fn out_of_range(&self) -> Option<&'static str> {
+        let p = &self.product;
+        first_failed(&[
+            ("product.id", p.id.0 <= MAX_ID),
+            ("product.seller", p.seller.0 <= MAX_ID),
+            ("product.price", within(p.price, MAX_PRICE)),
+            ("product.freight_value", within(p.freight_value, MAX_PRICE)),
+            ("product.version", p.version <= MAX_COUNT),
+        ])
+    }
+}
+
+impl Bounded for CheckoutItem {
+    fn out_of_range(&self) -> Option<&'static str> {
+        first_failed(&[
+            ("seller", self.seller.0 <= MAX_ID),
+            ("product", self.product.0 <= MAX_ID),
+            ("quantity", self.quantity <= MAX_QUANTITY),
+        ])
+    }
+}
+
+impl Bounded for CheckoutBody {
+    fn out_of_range(&self) -> Option<&'static str> {
+        self.items.iter().find_map(Bounded::out_of_range)
+    }
+}
+
+impl Bounded for PriceUpdateBody {
+    fn out_of_range(&self) -> Option<&'static str> {
+        first_failed(&[("price", within(self.price, MAX_PRICE))])
+    }
 }
 
 /// Response of `PATCH /shipments/delivery`.
@@ -360,13 +436,17 @@ impl MarketplaceGateway {
 }
 
 /// The id segment `{name}`, captured as `raw`; a 400 names both when it
-/// is not a number.
+/// is not a number or past [`MAX_ID`].
 fn path_id(name: &str, raw: &str) -> Result<u64, Response> {
     raw.parse()
-        .map_err(|_| Response::text(400, format!("bad path parameter {{{name}}}: {raw:?}")))
+        .ok()
+        .filter(|&id| id <= MAX_ID)
+        .ok_or_else(|| Response::text(400, format!("bad path parameter {{{name}}}: {raw:?}")))
 }
 
-fn parse_body<T: serde::de::DeserializeOwned>(req: &Request) -> Result<T, Response> {
+/// The request's JSON body as a `T`; a 400 when it is not one, or when
+/// a number in it is past its limit.
+fn parse_body<T: serde::de::DeserializeOwned + Bounded>(req: &Request) -> Result<T, Response> {
     if let Some(ct) = req.headers.get("content-type") {
         const JSON: &[u8] = b"application/json";
         if !ct
@@ -380,8 +460,12 @@ fn parse_body<T: serde::de::DeserializeOwned>(req: &Request) -> Result<T, Respon
             ));
         }
     }
-    serde_json::from_slice(&req.body)
-        .map_err(|e| Response::text(400, format!("invalid JSON body: {e}")))
+    let body: T = serde_json::from_slice(&req.body)
+        .map_err(|e| Response::text(400, format!("invalid JSON body: {e}")))?;
+    match body.out_of_range() {
+        None => Ok(body),
+        Some(field) => Err(Response::text(400, format!("body field `{field}` out of range"))),
+    }
 }
 
 /// Maps platform errors onto HTTP status codes.

@@ -301,14 +301,6 @@ fn make_order_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Reply>
             Msg::OrderGetAll => {
                 Reply::Orders(part.committed().orders.values().cloned().collect())
             }
-            Msg::OrderGet(order) => Reply::Orders(
-                part.committed()
-                    .orders
-                    .get(&order)
-                    .cloned()
-                    .into_iter()
-                    .collect(),
-            ),
             Msg::OrderStuckAssemblies => {
                 Reply::Count(part.committed().stuck_assemblies() as u64)
             }

@@ -48,8 +48,6 @@ pub enum Msg {
 
     // ---- order grain (key = customer id) --------------------------------
     OrderGetAll,
-    /// Fetches one order by id.
-    OrderGet(OrderId),
     OrderStuckAssemblies,
 
     // ---- payment grain (key = customer id) -------------------------------

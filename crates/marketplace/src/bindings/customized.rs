@@ -43,9 +43,8 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use super::actor_core::unexpected;
-use super::actor_grains::{cart_grain, order_grain};
-use super::actor_msg::{Msg, Reply};
+use super::actor_grains::cart_grain;
+use super::actor_msg::Msg;
 use super::transactional::TransactionalPlatform;
 use crate::api::{
     CheckoutItem, CheckoutOutcome, CheckoutRequest, MarketSnapshot, MarketplacePlatform,
@@ -381,32 +380,14 @@ impl MarketplacePlatform for CustomizedPlatform {
 
     fn checkout(&self, request: CheckoutRequest) -> OmResult<CheckoutOutcome> {
         let customer = request.customer;
-        let outcome = self.inner.checkout(request)?;
-        if let CheckoutOutcome::Placed {
-            order: Some(order_id),
-            ..
-        } = &outcome
-        {
+        let checkout = self.inner.checkout_placing(request)?;
+        if let Some(order) = &checkout.placed {
             // Offload the dashboard projection to the backend, and append
             // the audit record (Fig. 1 pipeline).
-            let order = match self
-                .inner
-                .core()
-                .cluster
-                .call(order_grain(customer), Msg::OrderGet(*order_id))?
-            {
-                Reply::Orders(mut v) if !v.is_empty() => v.remove(0),
-                Reply::Orders(_) => {
-                    return Err(OmError::Internal(format!(
-                        "committed order {order_id} not found"
-                    )))
-                }
-                other => return unexpected(other),
-            };
-            self.project_add_order(&order, order.status)?;
-            self.audit_append(format!("checkout customer={customer} order={order_id}"));
+            self.project_add_order(order, OrderStatus::InTransit)?;
+            self.audit_append(format!("checkout customer={customer} order={}", order.id));
         }
-        Ok(outcome)
+        Ok(checkout.outcome)
     }
 
     /// Price updates go to the authoritative product grain **and** the

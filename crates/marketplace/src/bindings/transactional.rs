@@ -34,7 +34,9 @@
 
 use om_actor::tx::{Coordinator, Participants};
 use om_actor::{Cluster, GrainId};
-use om_common::entity::{CartItem, Customer, OrderStatus, Product, Seller, SellerDashboard};
+use om_common::entity::{
+    CartItem, Customer, Order, OrderStatus, Product, Seller, SellerDashboard,
+};
 use om_common::ids::*;
 use om_common::{Money, OmError, OmResult};
 
@@ -145,11 +147,7 @@ impl TransactionalPlatform {
 
     /// The checkout transaction over the sealed cart's `items`, admitted
     /// over every grain it may lock.
-    fn checkout_tx(
-        &self,
-        request: &CheckoutRequest,
-        items: &[CartItem],
-    ) -> OmResult<CheckoutOutcome> {
+    fn checkout_tx(&self, request: &CheckoutRequest, items: &[CartItem]) -> OmResult<Checkout> {
         let mut declared = vec![
             order_grain(request.customer),
             payment_grain(request.customer),
@@ -182,7 +180,7 @@ impl TransactionalPlatform {
         request: &CheckoutRequest,
         items: &[CartItem],
         participants: &mut Vec<GrainId>,
-    ) -> OmResult<CheckoutOutcome> {
+    ) -> OmResult<Checkout> {
         // Reserve stock.
         let reserves: Vec<(GrainId, Msg)> = items
             .iter()
@@ -210,7 +208,7 @@ impl TransactionalPlatform {
             // Release the write locks the failed reservations still
             // hold before surfacing the rejection.
             self.abort_all(tid, participants);
-            return Ok(CheckoutOutcome::Rejected("no line could be reserved".into()));
+            return Ok(Checkout::rejected("no line could be reserved"));
         }
 
         // Create the order.
@@ -322,12 +320,64 @@ impl TransactionalPlatform {
         )?;
 
         if payment.approved {
-            Ok(CheckoutOutcome::Placed {
-                order: Some(order.id),
-                total: Some(order.total_invoice()),
+            Ok(Checkout {
+                outcome: CheckoutOutcome::Placed {
+                    order: Some(order.id),
+                    total: Some(order.total_invoice()),
+                },
+                placed: Some(order),
             })
         } else {
-            Ok(CheckoutOutcome::Rejected("payment declined".into()))
+            Ok(Checkout::rejected("payment declined"))
+        }
+    }
+
+    /// Customer Checkout, with the order it placed: the order as phase 3
+    /// created it, committed `InTransit` (the Customized binding projects
+    /// it without reading it back).
+    pub(crate) fn checkout_placing(&self, request: CheckoutRequest) -> OmResult<Checkout> {
+        // Seal the cart and take its items.
+        let items = match self
+            .core
+            .cluster
+            .call(cart_grain(request.customer), Msg::CartBeginCheckout)?
+        {
+            Reply::Items(items) => items,
+            Reply::Err(e) if e.label() == "rejected" => return Ok(Checkout::rejected(e)),
+            Reply::Err(e) => return Err(e),
+            other => return unexpected(other),
+        };
+
+        let cart = cart_grain(request.customer);
+        match self.checkout_tx(&request, &items) {
+            Ok(checkout) => {
+                self.core.cluster.call(cart, Msg::CartFinishCheckout)?.ok()?;
+                self.core.counters.incr(match &checkout.outcome {
+                    CheckoutOutcome::Placed { .. } => "checkouts_committed",
+                    CheckoutOutcome::Rejected(_) => "checkouts_rejected",
+                });
+                Ok(checkout)
+            }
+            Err(e) => {
+                self.core.cluster.call(cart, Msg::CartAbortCheckout)?.ok()?;
+                self.core.counters.incr("checkouts_failed");
+                Err(e)
+            }
+        }
+    }
+}
+
+/// What a checkout answers, and the order it placed, if any.
+pub(crate) struct Checkout {
+    pub outcome: CheckoutOutcome,
+    pub placed: Option<Order>,
+}
+
+impl Checkout {
+    fn rejected(reason: impl ToString) -> Self {
+        Checkout {
+            outcome: CheckoutOutcome::Rejected(reason.to_string()),
+            placed: None,
         }
     }
 }
@@ -375,36 +425,7 @@ impl MarketplacePlatform for TransactionalPlatform {
     }
 
     fn checkout(&self, request: CheckoutRequest) -> OmResult<CheckoutOutcome> {
-        // Seal the cart and take its items.
-        let items = match self
-            .core
-            .cluster
-            .call(cart_grain(request.customer), Msg::CartBeginCheckout)?
-        {
-            Reply::Items(items) => items,
-            Reply::Err(e) if e.label() == "rejected" => {
-                return Ok(CheckoutOutcome::Rejected(e.to_string()))
-            }
-            Reply::Err(e) => return Err(e),
-            other => return unexpected(other),
-        };
-
-        let cart = cart_grain(request.customer);
-        match self.checkout_tx(&request, &items) {
-            Ok(outcome) => {
-                self.core.cluster.call(cart, Msg::CartFinishCheckout)?.ok()?;
-                self.core.counters.incr(match &outcome {
-                    CheckoutOutcome::Placed { .. } => "checkouts_committed",
-                    CheckoutOutcome::Rejected(_) => "checkouts_rejected",
-                });
-                Ok(outcome)
-            }
-            Err(e) => {
-                self.core.cluster.call(cart, Msg::CartAbortCheckout)?.ok()?;
-                self.core.counters.incr("checkouts_failed");
-                Err(e)
-            }
-        }
+        Ok(self.checkout_placing(request)?.outcome)
     }
 
     fn price_update(&self, seller: SellerId, product: ProductId, price: Money) -> OmResult<()> {

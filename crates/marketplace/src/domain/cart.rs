@@ -31,8 +31,7 @@ impl CartService {
                 self.cart.customer
             )));
         }
-        self.cart.add_item(item);
-        Ok(())
+        self.cart.add_item(item)
     }
 
     /// Removes a product's line.

@@ -309,7 +309,7 @@ impl Step for Option<StockService> {
             Msg::IngestStock { key, qty } => self
                 .get_or_insert_with(|| StockService::new(key, 0))
                 .item
-                .replenish(qty),
+                .replenish(qty)?,
             // No stock, or none to spare, answers `reserved: false`.
             Msg::Reserve {
                 tid,

@@ -82,7 +82,7 @@ proptest! {
                 1 => svc.confirm(qty),
                 2 => svc.cancel(qty),
                 3 => {
-                    svc.item.replenish(qty);
+                    svc.item.replenish(qty).unwrap();
                     expected_total += qty as u64;
                 }
                 _ => svc.apply_product_delete(99),
