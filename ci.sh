@@ -45,10 +45,10 @@
 #     this script (nightly-depth runs) re-runs the harness sweeping
 #     EVERY boundary with wider workloads and more seeds,
 #   * a stress slice: `scripts/stress.sh` runs the HTTP engine's
-#     `event_engine` and `large_requests` suites, the contended
-#     transactional checkout and delivery (`tx_fanout`), the cross-binding
-#     suite (`platforms`, whose Customized dashboard readers race the
-#     projection's read-modify-write), the admission
+#     `event_engine` and `large_requests` suites, the cross-binding
+#     suite (`platforms`: a Customized dashboard read beside checkouts
+#     and deliveries is never torn, and a checkout whose dashboard
+#     projection cannot commit places nothing), the admission
 #     suites (`lock_props`, `tx_integration`), the actor runtime's
 #     scheduling and silo-kill suites (`runtime`, `failure_modes`) and the
 #     storage contract's
@@ -58,7 +58,12 @@
 #     before its last version (`si_backend_never_exposes_torn_commits`
 #     holds only under the snapshot backend's commit lock) shows far more
 #     often than in the one workspace run; the `backend_props` step takes
-#     about 0.5 s once its binary is built,
+#     about 0.5 s once its binary is built. The contended transactional
+#     checkout and delivery (`tx_fanout`) get their own step of 20 runs x
+#     2 loops (about 10 s): no delivered line may stay in a seller's grain
+#     entries or Customized dashboard, which a delivery that retired the
+#     entries outside the checkout's admission broke in about 1 % of runs,
+#     too rarely for 3 x 2 runs to catch,
 #   * `om_http`'s tests run once more pinned to the first allowed CPU
 #     (`taskset`), where the engine starts one event loop whatever
 #     `workers` asks for: the shape every marketbench cell measures,
@@ -112,9 +117,10 @@ cargo build --release --offline
 echo "==> cargo test -q --workspace (functional crates + shim self-tests + torture slice)"
 cargo test -q --offline --workspace
 
-echo "==> stress slice: om_http event_engine + large_requests, om_marketplace tx_fanout + platforms, om_actor lock_props + tx_integration + runtime + failure_modes, om_storage backend_props; 3 runs x 2 loops side by side"
+echo "==> stress slice: om_http event_engine + large_requests, om_marketplace platforms, om_actor lock_props + tx_integration + runtime + failure_modes, om_storage backend_props; 3 runs x 2 loops side by side; om_marketplace tx_fanout 20 runs x 2 loops"
 scripts/stress.sh om_http 3 2 event_engine large_requests
-scripts/stress.sh om_marketplace 3 2 tx_fanout platforms
+scripts/stress.sh om_marketplace 3 2 platforms
+scripts/stress.sh om_marketplace 20 2 tx_fanout
 scripts/stress.sh om_actor 3 2 lock_props tx_integration runtime failure_modes
 scripts/stress.sh om_storage 3 2 backend_props
 

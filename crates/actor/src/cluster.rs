@@ -195,6 +195,10 @@ impl<M: Payload, R: Send + 'static> Router<M> for Arc<Inner<M, R>> {
     fn on_processed(&self, n: u64) {
         self.in_flight.fetch_sub(n as i64, Ordering::AcqRel);
     }
+
+    fn on_panic(&self) {
+        self.counters.incr("grain_panics");
+    }
 }
 
 /// Marker trait bundle for cluster payloads.
@@ -334,7 +338,8 @@ impl<M: Payload, R: Send + 'static> Cluster<M, R> {
     /// Diagnostics counters: `calls` (messages sent by `call`/`call_all`),
     /// `waits` (one per `call` or non-empty `call_all`: a protocol step),
     /// `parks` (the waits whose caller parked because a grain was mid-turn
-    /// on another thread), `events_routed`, `events_dropped`, ...
+    /// on another thread), `grain_panics` (turns whose handler panicked),
+    /// `events_routed`, `events_dropped`, ...
     pub fn counters(&self) -> &CounterSet {
         &self.inner.counters
     }

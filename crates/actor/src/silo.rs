@@ -23,6 +23,8 @@ pub(crate) trait Router<M>: Send + Sync {
     fn save_state(&self, id: GrainId, snapshot: Option<Vec<u8>>, rows: Vec<RowWrite>);
     /// Reports `n` messages handled (quiescence accounting).
     fn on_processed(&self, n: u64);
+    /// Reports a turn whose handler panicked.
+    fn on_panic(&self);
 }
 
 /// A silo hosting grain activations.
@@ -64,6 +66,7 @@ impl<M: Send + 'static, R: Send + 'static> Silo<M, R> {
             router.save_state(activation.id, result.persisted, result.rows);
         }
         if result.panicked {
+            router.on_panic();
             // The next message to the grain reactivates it from storage.
             let mut map = self.activations.write();
             if map

@@ -127,6 +127,12 @@ impl TxLog {
 /// transactions never share a grain, so a lock is always free when its
 /// transaction stages on it, no wait-for cycle can form, and nothing is
 /// ever killed or restarted.
+///
+/// **Last agent.** [`Coordinator::run_2pc`] takes one more participant
+/// that is not a grain: work that commits on its own (a projection into
+/// a store) once every grain has voted yes, and whose failure aborts
+/// them all. It runs admitted, so what the declared grains guard guards
+/// it too.
 #[derive(Default)]
 pub struct Coordinator {
     log: TxLog,
@@ -198,16 +204,21 @@ impl Coordinator {
         self.admission_waits.load(Ordering::Relaxed)
     }
 
-    /// Runs two-phase commit for `tid` across `participants`.
+    /// Runs two-phase commit for `tid` across `participants`, with
+    /// `last_agent` as the last participant.
     ///
-    /// Returns `Ok(())` if all voted yes and committed; otherwise aborts
-    /// everywhere and returns [`OmError::TxAborted`] with the first
-    /// refusal in participant order. A participant error during prepare
-    /// counts as a no vote.
+    /// The last agent runs only once every participant has voted yes, and
+    /// before the decision: its commit is its vote (Samaras et al.,
+    /// "Two-Phase Commit Optimizations and Tradeoffs in the Commercial
+    /// Environment", ICDE 1993). Returns `Ok(())` if all voted yes and
+    /// committed. Otherwise aborts everywhere and returns the last agent's
+    /// own error, or [`OmError::TxAborted`] with the first refusal in
+    /// participant order; a participant error in prepare is a no vote.
     pub fn run_2pc<P: Participants + ?Sized>(
         &self,
         tid: TransactionId,
         participants: &P,
+        last_agent: impl FnOnce() -> OmResult<()>,
     ) -> OmResult<()> {
         self.log.record(tid, TxPhase::Preparing);
         let refusal = participants
@@ -218,26 +229,25 @@ impl Coordinator {
                 Ok(false) => Some("participant voted no".to_string()),
                 Err(e) => Some(format!("prepare failed: {e}")),
             });
-        match refusal {
-            None => {
-                self.log.record(tid, TxPhase::Committed);
-                // Prepared participants must obey the decision; an error
-                // here is a bug in the participant, surfaced loudly.
-                for outcome in participants.commit(tid) {
-                    outcome.map_err(|e| {
-                        OmError::Internal(format!("commit after prepare failed: {e}"))
-                    })?;
-                }
-                self.log.record(tid, TxPhase::Done);
-                Ok(())
-            }
-            Some(reason) => {
-                self.log.record(tid, TxPhase::Aborted);
-                let _ = participants.abort(tid); // idempotent; best effort
-                self.log.record(tid, TxPhase::Done);
-                Err(OmError::TxAborted(reason))
-            }
+        let vote = match refusal {
+            None => last_agent(),
+            Some(reason) => Err(OmError::TxAborted(reason)),
+        };
+        if let Err(e) = vote {
+            self.log.record(tid, TxPhase::Aborted);
+            let _ = participants.abort(tid); // idempotent; best effort
+            self.log.record(tid, TxPhase::Done);
+            return Err(e);
         }
+        self.log.record(tid, TxPhase::Committed);
+        // Prepared participants must obey the decision; an error here is
+        // a bug in the participant, surfaced loudly.
+        for outcome in participants.commit(tid) {
+            outcome
+                .map_err(|e| OmError::Internal(format!("commit after prepare failed: {e}")))?;
+        }
+        self.log.record(tid, TxPhase::Done);
+        Ok(())
     }
 
     /// The decision log.
@@ -330,7 +340,7 @@ mod tests {
         let c = Coordinator::new();
         let set = Set(vec![Scripted::yes(), Scripted::yes()]);
         let tid = c.begin();
-        c.run_2pc(tid, &set).unwrap();
+        c.run_2pc(tid, &set, || Ok(())).unwrap();
         for p in &set.0 {
             assert_eq!(p.committed.lock().as_slice(), &[tid]);
             assert!(p.aborted.lock().is_empty());
@@ -345,7 +355,7 @@ mod tests {
         let c = Coordinator::new();
         let set = Set(vec![Scripted::yes(), Scripted::no()]);
         let tid = c.begin();
-        let err = c.run_2pc(tid, &set).unwrap_err();
+        let err = c.run_2pc(tid, &set, || Ok(())).unwrap_err();
         assert_eq!(err.label(), "tx_aborted");
         for p in &set.0 {
             assert!(p.committed.lock().is_empty(), "nothing may commit");
@@ -360,7 +370,7 @@ mod tests {
         let c = Coordinator::new();
         let set = Set(vec![Scripted::crashing(), Scripted::yes()]);
         let tid = c.begin();
-        let err = c.run_2pc(tid, &set).unwrap_err();
+        let err = c.run_2pc(tid, &set, || Ok(())).unwrap_err();
         assert_eq!(err.label(), "tx_aborted");
         assert!(err.to_string().contains("participant down"), "{err}");
         assert!(set.0[1].committed.lock().is_empty());
@@ -375,7 +385,7 @@ mod tests {
         let c = Coordinator::new();
         let set = Set(vec![Scripted::no(), Scripted::yes(), Scripted::crashing()]);
         let tid = c.begin();
-        let err = c.run_2pc(tid, &set).unwrap_err();
+        let err = c.run_2pc(tid, &set, || Ok(())).unwrap_err();
         assert!(
             err.to_string().contains("voted no"),
             "first refusal wins: {err}"
@@ -393,7 +403,8 @@ mod tests {
             ]
         );
         let tid2 = c.begin();
-        c.run_2pc(tid2, &Set(vec![Scripted::yes()])).unwrap();
+        c.run_2pc(tid2, &Set(vec![Scripted::yes()]), || Ok(()))
+            .unwrap();
         assert_eq!(
             c.log().records.read()[3..],
             [
@@ -402,6 +413,57 @@ mod tests {
                 (tid2, TxPhase::Done)
             ]
         );
+    }
+
+    #[test]
+    fn the_last_agent_is_not_asked_when_a_participant_votes_no() {
+        let c = Coordinator::new();
+        let set = Set(vec![Scripted::yes(), Scripted::no()]);
+        let tid = c.begin();
+        let mut asked = false;
+        let err = c
+            .run_2pc(tid, &set, || {
+                asked = true;
+                Ok(())
+            })
+            .unwrap_err();
+        assert_eq!(err.label(), "tx_aborted");
+        assert!(!asked, "the last agent ran after a no vote");
+    }
+
+    #[test]
+    fn the_last_agent_runs_after_every_yes_and_before_any_commit() {
+        let c = Coordinator::new();
+        let set = Set(vec![Scripted::yes(), Scripted::yes()]);
+        let tid = c.begin();
+        let mut asked = false;
+        c.run_2pc(tid, &set, || {
+            assert!(set.0.iter().all(|p| p.prepared.load(Ordering::Relaxed)));
+            assert!(set.0.iter().all(|p| p.committed.lock().is_empty()));
+            assert_eq!(c.log().decision(tid), None, "decided before the last vote");
+            asked = true;
+            Ok(())
+        })
+        .unwrap();
+        assert!(asked);
+        assert!(set.0.iter().all(|p| p.committed.lock().as_slice() == [tid]));
+    }
+
+    #[test]
+    fn a_failing_last_agent_aborts_everywhere_with_its_own_error() {
+        let c = Coordinator::new();
+        let set = Set(vec![Scripted::yes(), Scripted::yes()]);
+        let tid = c.begin();
+        let err = c
+            .run_2pc(tid, &set, || Err(OmError::Internal("projection".into())))
+            .unwrap_err();
+        assert!(matches!(&err, OmError::Internal(m) if m == "projection"), "{err:?}");
+        for p in &set.0 {
+            assert!(p.committed.lock().is_empty(), "nothing may commit");
+            assert_eq!(p.aborted.lock().as_slice(), &[tid]);
+        }
+        assert_eq!(c.log().decision(tid), Some(TxPhase::Aborted));
+        assert_eq!((c.log().commits(), c.log().aborts()), (0, 1));
     }
 
     #[test]

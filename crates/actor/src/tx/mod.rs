@@ -15,7 +15,9 @@
 //!   form. It reaches its participants through
 //!   [`coordinator::Participants`], which sends each protocol message to
 //!   all of them at once: PREPARE to every participant in one fan-out,
-//!   then COMMIT or ABORT to every participant in one more.
+//!   then COMMIT or ABORT to every participant in one more. Between the
+//!   two, a **last agent** (work outside the grains, such as a projection
+//!   commit) votes by committing, still admitted; its failure aborts.
 //! * [`coordinator::TxLog`] — the decision log; the auditor replays it to
 //!   verify no transaction committed at one participant and aborted at
 //!   another (the all-or-nothing criterion of paper §II).

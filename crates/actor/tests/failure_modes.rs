@@ -193,6 +193,7 @@ fn a_panicking_call_fails_unavailable_and_its_silo_keeps_serving() {
     // Calls queued behind the panic in the same fan-out fail too.
     let replies = c.call_all(vec![(victim, Msg::IncrAndPanic), (victim, Msg::Get)]);
     assert!(replies.iter().all(|r| r.as_ref().unwrap_err().label() == "unavailable"));
+    assert_eq!(c.counters().get("grain_panics"), 2, "one per panicked turn");
     silo_survives_a_panic(&c, victim);
 }
 
@@ -204,5 +205,7 @@ fn a_panicking_event_leaves_the_silo_worker_alive() {
     // The event runs on the silo's only worker.
     c.notify(victim, Msg::IncrAndPanic);
     assert!(c.drain(Duration::from_secs(5)), "must quiesce");
+    // No caller hears of an event's panic; the counter does.
+    assert_eq!(c.counters().get("grain_panics"), 1);
     silo_survives_a_panic(&c, victim);
 }

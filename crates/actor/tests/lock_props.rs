@@ -314,7 +314,7 @@ proptest! {
                 // Stage something, taking the lock, so prepare has work.
                 part.inner.lock().stage(tid, |s| *s += 1).unwrap();
             }
-            let outcome = coordinator.run_2pc(tid, &parts);
+            let outcome = coordinator.run_2pc(tid, &parts, || Ok(()));
             if votes.iter().all(|&v| v) {
                 prop_assert!(outcome.is_ok(), "all-yes must commit");
                 expected_commits += 1;

@@ -122,7 +122,7 @@ fn transfer(
         cluster,
         ids: vec![a, b],
     };
-    coordinator.run_2pc(tid, &accounts).unwrap();
+    coordinator.run_2pc(tid, &accounts, || Ok(())).unwrap();
 }
 
 #[test]
@@ -211,7 +211,7 @@ fn aborted_transaction_leaves_no_trace() {
         cluster: &cluster,
         ids: vec![g],
     };
-    coordinator.run_2pc(tid2, &p).unwrap();
+    coordinator.run_2pc(tid2, &p, || Ok(())).unwrap();
     assert_eq!(balance(&cluster, 9), 5);
 }
 
@@ -238,7 +238,7 @@ fn locks_block_conflicting_transactions_until_decision() {
                 Reply::Ok => {}
                 other => panic!("t2 found the lock taken: {other:?}"),
             }
-            coordinator.run_2pc(t2, &p).unwrap();
+            coordinator.run_2pc(t2, &p, || Ok(())).unwrap();
         });
         while coordinator.admission_waits() == 0 {
             std::thread::yield_now();
@@ -247,7 +247,7 @@ fn locks_block_conflicting_transactions_until_decision() {
             !second_admitted.load(std::sync::atomic::Ordering::SeqCst),
             "admitted while t1 holds the grain"
         );
-        coordinator.run_2pc(t1, &p).unwrap();
+        coordinator.run_2pc(t1, &p, || Ok(())).unwrap();
         assert_eq!(balance(&cluster, 3), 10, "t2 staged nothing before t1's decision");
         drop(first);
         second.join().unwrap();

@@ -13,8 +13,9 @@
 //! *Transactional*/*Customized* bindings (which additionally drive the
 //! `Tx*` message surface under 2PL + 2PC). A transaction's write lock
 //! refuses a workflow message, which is then dropped — except that a
-//! stock reservation answers `reserved: false` and a product deletion
-//! waits at the stock for the lock to go.
+//! product deletion waits at the stock for the lock to go. A message
+//! the bindings send while admitted over the grain (a delivery's seller
+//! status, a seller's ingestion on Customized) always finds it free.
 
 use om_actor::tx::TxParticipant;
 use om_actor::{Cluster, FaultConfig, GrainContext, GrainId};
@@ -22,7 +23,7 @@ use om_common::entity::{Customer, Product};
 use om_common::ids::*;
 use om_common::{OmError, OmResult};
 use serde::Serialize;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 use super::actor_msg::{Msg, Reply};
@@ -232,10 +233,6 @@ fn make_stock_grain(root: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, Reply
                 deferred_delete = Some(deferred_delete.map_or(version, |v| v.max(version)));
                 Reply::Ok
             }
-            // To the workflow, a locked stock is one with nothing to
-            // reserve: a reservation answers `reserved: false`, and the
-            // step drops the rest.
-            Msg::Flow(m) if part.is_locked() => answer(None::<StockService>.step(m, ctx)),
             Msg::Flow(m) => {
                 let done = step_committed(&mut part, ctx, m);
                 if done.is_ok() {
@@ -415,18 +412,20 @@ fn make_shipment_grain(seller: SellerId) -> Box<dyn om_actor::Grain<Msg, Reply>>
 fn make_seller_grain(stored: StoredRows) -> Box<dyn om_actor::Grain<Msg, Reply>> {
     let mut part: TxParticipant<Option<SellerView>> =
         TxParticipant::new(SellerView::load_all(&stored).ok().flatten());
-    // The orders each open transaction staged, so its commit stores their
-    // rows and nothing else.
-    let mut touched: HashMap<TransactionId, BTreeSet<OrderId>> = HashMap::new();
+    // The orders the lock holder staged, so its commit stores their rows
+    // and nothing else. Admission lets one transaction at a time hold the
+    // grain, so one set serves them all.
+    let mut touched: BTreeSet<OrderId> = BTreeSet::new();
     Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| {
+        // The holder's decision settles its set; any other tid's is ignored.
+        let decided = match &msg {
+            Msg::TxCommit { tid } | Msg::TxAbort { tid } if part.prepare(*tid) => {
+                std::mem::take(&mut touched)
+            }
+            _ => BTreeSet::new(),
+        };
         let delta = match (&msg, part.committed()) {
-            (Msg::TxCommit { tid }, Some(view)) => {
-                SellerDelta::of(view, touched.remove(tid).unwrap_or_default())
-            }
-            (Msg::TxAbort { tid }, _) => {
-                touched.remove(tid);
-                SellerDelta::default()
-            }
+            (Msg::TxCommit { .. }, Some(view)) => SellerDelta::of(view, decided),
             // A workflow message stores the header and the rows of the
             // order it names — or, re-ingesting the seller, retires every
             // row of the old view.
@@ -468,7 +467,7 @@ fn make_seller_grain(stored: StoredRows) -> Box<dyn om_actor::Grain<Msg, Reply>>
                     ingested(v, kinds::SELLER).map(|v| v.add_entry(entry.clone()))
                 });
                 if matches!(reply, Reply::Ok) {
-                    touched.entry(tid).or_default().insert(order);
+                    touched.insert(order);
                 }
                 reply
             }
@@ -477,7 +476,7 @@ fn make_seller_grain(stored: StoredRows) -> Box<dyn om_actor::Grain<Msg, Reply>>
                     ingested(v, kinds::SELLER).map(|v| v.apply_status(order, status))
                 });
                 if matches!(reply, Reply::Ok) {
-                    touched.entry(tid).or_default().insert(order);
+                    touched.insert(order);
                 }
                 reply
             }

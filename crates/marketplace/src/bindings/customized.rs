@@ -14,7 +14,11 @@
 //!   fixed-width records of `domain::rows` sorted by order id, maintained
 //!   with one multi-key backend commit per business transaction and read
 //!   back with one prefix scan that lists the entries in order, with no
-//!   sort (the paper's PostgreSQL offload);
+//!   sort (the paper's PostgreSQL offload). Each checkout's or delivery's
+//!   projection commit is its 2PC's **last agent**, run once every grain
+//!   voted yes, still admitted over the sellers' grains: its failure
+//!   aborts the transaction, and admission is the one lock over a
+//!   seller's dashboard;
 //! * `om-log` as the audit log of committed business transactions
 //!   (Fig. 1's "log storage").
 //!
@@ -43,7 +47,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use super::actor_grains::cart_grain;
+use super::actor_grains::{cart_grain, seller_grain};
 use super::actor_msg::Msg;
 use super::transactional::TransactionalPlatform;
 use crate::api::{
@@ -135,11 +139,6 @@ pub struct CustomizedPlatform {
     /// dashboard projection and replica cache live in their own key
     /// namespaces inside it.
     backend: Arc<dyn StateBackend>,
-    /// Serializes the projection's read-modify-write sections (there is
-    /// one projection writer per platform instance). The *visibility* of
-    /// each multi-key commit is still the backend's discipline — atomic
-    /// under snapshot isolation, per-key under eventual.
-    projection_write: Mutex<()>,
     /// Newest replica version each customer has observed per product —
     /// the session context that makes customer reads **monotonic**: a
     /// lagging backend session read below this floor falls back to the
@@ -160,7 +159,6 @@ impl CustomizedPlatform {
         Self {
             inner,
             backend,
-            projection_write: Mutex::new(()),
             replica_floors: Mutex::new(HashMap::new()),
             audit,
             audit_producer,
@@ -175,13 +173,12 @@ impl CustomizedPlatform {
         let _ = self.audit_producer.send(0, line);
     }
 
-    /// Runs one projection read-modify-write: `build` assembles the batch
-    /// from current backend state, and it commits once. Every `cdash!/`
-    /// write runs here under `projection_write`, so no other writer can
-    /// invalidate what `build` read.
-    fn project(&self, build: impl FnOnce() -> OmResult<WriteBatch>) -> OmResult<()> {
-        let _writer = self.projection_write.lock();
-        let batch = build()?;
+    /// Commits one projection batch, if it writes anything. Its builder
+    /// read the rows it rewrites from current backend state: every
+    /// `cdash!/<s>/` read-modify-write runs while its caller is admitted
+    /// over `seller_grain(s)`, so no other writer can invalidate what it
+    /// read. The backend's discipline decides when the commit shows.
+    fn project(&self, batch: WriteBatch) -> OmResult<()> {
         if !batch.is_empty() {
             self.backend.commit(batch)?;
         }
@@ -214,64 +211,62 @@ impl CustomizedPlatform {
         order: &om_common::entity::Order,
         status: OrderStatus,
     ) -> OmResult<()> {
-        self.project(|| {
-            let mut by_seller: std::collections::BTreeMap<u64, Vec<OrderEntry>> =
-                Default::default();
-            for entry in order.entries(status) {
-                by_seller.entry(entry.seller.0).or_default().push(entry);
-            }
-            let mut batch = WriteBatch::new();
-            for (seller, mut added) in by_seller {
-                let seller = SellerId(seller);
-                let amount: i64 = added.iter().map(|e| e.total_amount.cents()).sum();
-                let count = added.len() as u64;
-                let key = page_key(seller, order.id);
-                let mut page = self.read_page(seller, &key)?;
-                added.sort_unstable_by_key(|e| e.product);
-                let at = page.partition_point(|e| e.order < order.id);
-                page.splice(at..at, added);
-                let (cur_amount, cur_count) = self.read_agg(seller)?;
-                let (Some(amount), Some(count)) =
-                    (cur_amount.checked_add(amount), cur_count.checked_add(count))
-                else {
-                    return Err(OmError::Internal(format!(
-                        "dashboard aggregate of {seller} overflows"
-                    )));
-                };
-                batch = batch
-                    .put(key, rows::encode_entry_page(&page))
-                    .put(agg_key(seller), encode_agg(amount, count));
-            }
-            Ok(batch)
-        })
+        let mut by_seller: std::collections::BTreeMap<u64, Vec<OrderEntry>> = Default::default();
+        for entry in order.entries(status) {
+            by_seller.entry(entry.seller.0).or_default().push(entry);
+        }
+        let mut batch = WriteBatch::new();
+        for (seller, mut added) in by_seller {
+            let seller = SellerId(seller);
+            let amount: i64 = added.iter().map(|e| e.total_amount.cents()).sum();
+            let count = added.len() as u64;
+            let key = page_key(seller, order.id);
+            let mut page = self.read_page(seller, &key)?;
+            added.sort_unstable_by_key(|e| e.product);
+            let at = page.partition_point(|e| e.order < order.id);
+            page.splice(at..at, added);
+            let (cur_amount, cur_count) = self.read_agg(seller)?;
+            let (Some(amount), Some(count)) =
+                (cur_amount.checked_add(amount), cur_count.checked_add(count))
+            else {
+                return Err(OmError::Internal(format!(
+                    "dashboard aggregate of {seller} overflows"
+                )));
+            };
+            batch = batch
+                .put(key, rows::encode_entry_page(&page))
+                .put(agg_key(seller), encode_agg(amount, count));
+        }
+        self.project(batch)
     }
 
-    /// Retires an order's entries for one seller (delivery/terminal).
-    fn project_retire_order(&self, seller: SellerId, order: OrderId) -> OmResult<()> {
-        self.project(|| {
+    /// Retires the entries of each delivered `(seller, order)`, one order
+    /// per seller, in one commit.
+    fn project_retire_orders(&self, delivered: &[(SellerId, OrderId)]) -> OmResult<()> {
+        let mut batch = WriteBatch::new();
+        for &(seller, order) in delivered {
             let key = page_key(seller, order);
             let page = self.read_page(seller, &key)?;
             // Partitioning keeps each side in page order.
             let (retired, kept): (Vec<OrderEntry>, Vec<OrderEntry>) =
                 page.into_iter().partition(|e| e.order == order);
             if retired.is_empty() {
-                return Ok(WriteBatch::new());
+                continue;
             }
             let amount: i64 = retired.iter().map(|e| e.total_amount.cents()).sum();
             let (cur_amount, cur_count) = self.read_agg(seller)?;
             let amount = cur_amount.checked_sub(amount).ok_or_else(|| {
                 OmError::Internal(format!("dashboard aggregate of {seller} overflows"))
             })?;
-            let batch = if kept.is_empty() {
-                WriteBatch::new().delete(key)
+            batch = if kept.is_empty() {
+                batch.delete(key)
             } else {
-                WriteBatch::new().put(key, rows::encode_entry_page(&kept))
+                batch.put(key, rows::encode_entry_page(&kept))
             };
-            Ok(batch.put(
-                agg_key(seller),
-                encode_agg(amount, cur_count.saturating_sub(retired.len() as u64)),
-            ))
-        })
+            let count = cur_count.saturating_sub(retired.len() as u64);
+            batch = batch.put(agg_key(seller), encode_agg(amount, count));
+        }
+        self.project(batch)
     }
 
     fn read_replica(&self, product: ProductId) -> Option<ProductReplica> {
@@ -299,16 +294,16 @@ impl MarketplacePlatform for CustomizedPlatform {
     /// Seeds the seller's aggregate row, so dashboards never miss, and
     /// deletes the entry pages of a seller ingested before in the same
     /// commit: re-ingesting resets both halves of the dashboard at once.
+    /// Both run admitted over the seller's grain, like every projection.
     fn ingest_seller(&self, seller: Seller) -> OmResult<()> {
         let id = seller.id;
+        let _admitted = self.inner.coordinator.admit(&[seller_grain(id)]);
         self.inner.ingest_seller(seller)?;
-        self.project(|| {
-            let mut batch = WriteBatch::new().put(agg_key(id), encode_agg(0, 0));
-            for (page, _) in self.backend.scan_prefix(&pages_prefix(id)) {
-                batch = batch.delete(page);
-            }
-            Ok(batch)
-        })
+        let mut batch = WriteBatch::new().put(agg_key(id), encode_agg(0, 0));
+        for (page, _) in self.backend.scan_prefix(&pages_prefix(id)) {
+            batch = batch.delete(page);
+        }
+        self.project(batch)
     }
 
     fn ingest_customer(&self, customer: Customer) -> OmResult<()> {
@@ -378,16 +373,18 @@ impl MarketplacePlatform for CustomizedPlatform {
             .ok()
     }
 
+    /// The transactional checkout with the dashboard projection as its
+    /// 2PC's last agent (offloaded to the backend), then the audit record
+    /// (Fig. 1 pipeline).
     fn checkout(&self, request: CheckoutRequest) -> OmResult<CheckoutOutcome> {
         let customer = request.customer;
-        let checkout = self.inner.checkout_placing(request)?;
-        if let Some(order) = &checkout.placed {
-            // Offload the dashboard projection to the backend, and append
-            // the audit record (Fig. 1 pipeline).
-            self.project_add_order(order, OrderStatus::InTransit)?;
-            self.audit_append(format!("checkout customer={customer} order={}", order.id));
+        let outcome = self.inner.checkout_with(request, |order| {
+            self.project_add_order(order, OrderStatus::InTransit)
+        })?;
+        if let CheckoutOutcome::Placed { order: Some(order), .. } = &outcome {
+            self.audit_append(format!("checkout customer={customer} order={order}"));
         }
-        Ok(checkout.outcome)
+        Ok(outcome)
     }
 
     /// Price updates go to the authoritative product grain **and** the
@@ -414,15 +411,14 @@ impl MarketplacePlatform for CustomizedPlatform {
         Ok(())
     }
 
+    /// The transactional delivery, retiring the delivered orders'
+    /// dashboard entries as its 2PC's last agent.
     fn update_delivery(&self, max_sellers: usize) -> OmResult<u32> {
-        // Snapshot the shipment state before delivery so we can retire the
-        // right projection entries afterwards.
-        let before = self.inner.update_delivery_with_detail(max_sellers)?;
-        for (seller, order) in &before.delivered_orders {
-            self.project_retire_order(*seller, *order)?;
-        }
-        self.audit_append(format!("update_delivery packages={}", before.packages));
-        Ok(before.packages)
+        let packages = self
+            .inner
+            .deliver(max_sellers, |delivered| self.project_retire_orders(delivered))?;
+        self.audit_append(format!("update_delivery packages={packages}"));
+        Ok(packages)
     }
 
     /// The consistent dashboard: **one prefix scan** returns the seller's
@@ -583,6 +579,13 @@ mod tests {
                 "row {key:?} was rewritten"
             );
         }
+        let snap = platform.snapshot().unwrap();
+        assert_eq!(
+            (snap.orders.len(), snap.payments.len()),
+            (0, 0),
+            "a checkout that failed placed its order"
+        );
+        assert!(snap.stock.iter().all(|s| s.qty_sold == 0), "{:?}", snap.stock);
     }
 
     /// Nothing is sized or summed unchecked from the stored entry count:

@@ -11,10 +11,15 @@
 //! Locking is conservative 2PL: before its first phase a transaction
 //! declares every grain it may lock — a checkout its customer's order,
 //! payment and customer grains and each item's stock, seller and
-//! shipment grain; a delivery its chosen shipment grains — and
-//! [`Coordinator::admit`] lets it in once no admitted transaction holds
-//! any of them. Its ops then always find their locks free: no op waits,
-//! retries or restarts, and no transaction dies.
+//! shipment grain; a delivery its chosen sellers' shipment and seller
+//! grains — and [`Coordinator::admit`] lets it in once no admitted
+//! transaction holds any of them. Its ops then always find their locks
+//! free: no op waits, retries or restarts, and no transaction dies.
+//!
+//! A checkout or delivery takes its 2PC's **last agent**
+//! ([`Coordinator::run_2pc`]; the Customized dashboard projection, a
+//! no-op here). A delivery applies its sellers' `Delivered` status after
+//! the commit, still admitted; its orders' status is still an event.
 //!
 //! The client waits once per protocol phase, not once per grain op: each
 //! phase is one [`Cluster::call_all`] fan-out, so a checkout is eight
@@ -28,7 +33,7 @@
 //!    confirmation (or release), every seller entry, the customer's
 //!    payment stats, every shipment, and then seller and order
 //!    `InTransit` (approved payments only);
-//! 6. every 2PC prepare;
+//! 6. every 2PC prepare, then the last agent on the calling thread;
 //! 7. every 2PC commit;
 //! 8. cart finish.
 
@@ -94,18 +99,10 @@ impl Participants for Grains<'_> {
     }
 }
 
-/// Outcome of a transactional Update Delivery.
-#[derive(Debug, Clone, Default)]
-pub struct DeliveryDetail {
-    pub packages: u32,
-    /// `(seller, order)` pairs whose packages were delivered.
-    pub delivered_orders: Vec<(SellerId, OrderId)>,
-}
-
 /// The ACID actor platform.
 pub struct TransactionalPlatform {
     core: ActorCore,
-    coordinator: Coordinator,
+    pub(crate) coordinator: Coordinator,
 }
 
 impl TransactionalPlatform {
@@ -136,18 +133,25 @@ impl TransactionalPlatform {
         self.core.cluster.call_all(calls).into_iter().map(settle)
     }
 
+    /// `ids` as one transaction's 2PC participants.
+    fn grains<'a>(&'a self, ids: &'a [GrainId]) -> Grains<'a> {
+        let cluster = &self.core.cluster;
+        Grains { cluster, ids }
+    }
+
     /// Releases `tid`'s locks on every participant, in one fan-out.
     fn abort_all(&self, tid: TransactionId, participants: &[GrainId]) {
-        let _ = Grains {
-            cluster: &self.core.cluster,
-            ids: participants,
-        }
-        .abort(tid);
+        let _ = self.grains(participants).abort(tid);
     }
 
     /// The checkout transaction over the sealed cart's `items`, admitted
     /// over every grain it may lock.
-    fn checkout_tx(&self, request: &CheckoutRequest, items: &[CartItem]) -> OmResult<Checkout> {
+    fn checkout_tx(
+        &self,
+        request: &CheckoutRequest,
+        items: &[CartItem],
+        last_agent: impl FnOnce(&Order) -> OmResult<()>,
+    ) -> OmResult<CheckoutOutcome> {
         let mut declared = vec![
             order_grain(request.customer),
             payment_grain(request.customer),
@@ -165,7 +169,7 @@ impl TransactionalPlatform {
         // Every grain a phase calls joins the participants before the
         // phase is sent, so a failure anywhere aborts every lock taken.
         let mut participants: Vec<GrainId> = Vec::new();
-        let result = self.checkout_phases(tid, request, items, &mut participants);
+        let result = self.checkout_phases(tid, request, items, &mut participants, last_agent);
         if result.is_err() {
             // Whatever failed, no lock may outlive the transaction.
             self.abort_all(tid, &participants);
@@ -180,7 +184,8 @@ impl TransactionalPlatform {
         request: &CheckoutRequest,
         items: &[CartItem],
         participants: &mut Vec<GrainId>,
-    ) -> OmResult<Checkout> {
+        last_agent: impl FnOnce(&Order) -> OmResult<()>,
+    ) -> OmResult<CheckoutOutcome> {
         // Reserve stock.
         let reserves: Vec<(GrainId, Msg)> = items
             .iter()
@@ -208,7 +213,7 @@ impl TransactionalPlatform {
             // Release the write locks the failed reservations still
             // hold before surfacing the rejection.
             self.abort_all(tid, participants);
-            return Ok(Checkout::rejected("no line could be reserved"));
+            return Ok(CheckoutOutcome::Rejected("no line could be reserved".into()));
         }
 
         // Create the order.
@@ -310,32 +315,29 @@ impl TransactionalPlatform {
             }
         }
 
-        // Two-phase commit: prepare everywhere, then commit everywhere.
-        self.coordinator.run_2pc(
-            tid,
-            &Grains {
-                cluster: &self.core.cluster,
-                ids: participants,
-            },
-        )?;
-
-        if payment.approved {
-            Ok(Checkout {
-                outcome: CheckoutOutcome::Placed {
-                    order: Some(order.id),
-                    total: Some(order.total_invoice()),
-                },
-                placed: Some(order),
-            })
-        } else {
-            Ok(Checkout::rejected("payment declined"))
+        // Two-phase commit: prepare everywhere, then a placed order's last
+        // agent, then commit everywhere.
+        let grains = self.grains(participants);
+        if !payment.approved {
+            self.coordinator.run_2pc(tid, &grains, || Ok(()))?;
+            return Ok(CheckoutOutcome::Rejected("payment declined".into()));
         }
+        self.coordinator.run_2pc(tid, &grains, || last_agent(&order))?;
+        Ok(CheckoutOutcome::Placed {
+            order: Some(order.id),
+            total: Some(order.total_invoice()),
+        })
     }
 
-    /// Customer Checkout, with the order it placed: the order as phase 3
-    /// created it, committed `InTransit` (the Customized binding projects
-    /// it without reading it back).
-    pub(crate) fn checkout_placing(&self, request: CheckoutRequest) -> OmResult<Checkout> {
+    /// Customer Checkout. `last_agent` is the 2PC's last agent for an
+    /// approved payment: it gets the order as phase 3 created it, to be
+    /// committed `InTransit` (the Customized binding projects it without
+    /// reading it back), while every grain the checkout declared is held.
+    pub(crate) fn checkout_with(
+        &self,
+        request: CheckoutRequest,
+        last_agent: impl FnOnce(&Order) -> OmResult<()>,
+    ) -> OmResult<CheckoutOutcome> {
         // Seal the cart and take its items.
         let items = match self
             .core
@@ -343,41 +345,28 @@ impl TransactionalPlatform {
             .call(cart_grain(request.customer), Msg::CartBeginCheckout)?
         {
             Reply::Items(items) => items,
-            Reply::Err(e) if e.label() == "rejected" => return Ok(Checkout::rejected(e)),
+            Reply::Err(e) if e.label() == "rejected" => {
+                return Ok(CheckoutOutcome::Rejected(e.to_string()))
+            }
             Reply::Err(e) => return Err(e),
             other => return unexpected(other),
         };
 
         let cart = cart_grain(request.customer);
-        match self.checkout_tx(&request, &items) {
-            Ok(checkout) => {
+        match self.checkout_tx(&request, &items, last_agent) {
+            Ok(outcome) => {
                 self.core.cluster.call(cart, Msg::CartFinishCheckout)?.ok()?;
-                self.core.counters.incr(match &checkout.outcome {
+                self.core.counters.incr(match &outcome {
                     CheckoutOutcome::Placed { .. } => "checkouts_committed",
                     CheckoutOutcome::Rejected(_) => "checkouts_rejected",
                 });
-                Ok(checkout)
+                Ok(outcome)
             }
             Err(e) => {
                 self.core.cluster.call(cart, Msg::CartAbortCheckout)?.ok()?;
                 self.core.counters.incr("checkouts_failed");
                 Err(e)
             }
-        }
-    }
-}
-
-/// What a checkout answers, and the order it placed, if any.
-pub(crate) struct Checkout {
-    pub outcome: CheckoutOutcome,
-    pub placed: Option<Order>,
-}
-
-impl Checkout {
-    fn rejected(reason: impl ToString) -> Self {
-        Checkout {
-            outcome: CheckoutOutcome::Rejected(reason.to_string()),
-            placed: None,
         }
     }
 }
@@ -425,7 +414,7 @@ impl MarketplacePlatform for TransactionalPlatform {
     }
 
     fn checkout(&self, request: CheckoutRequest) -> OmResult<CheckoutOutcome> {
-        Ok(self.checkout_placing(request)?.outcome)
+        self.checkout_with(request, |_| Ok(()))
     }
 
     fn price_update(&self, seller: SellerId, product: ProductId, price: Money) -> OmResult<()> {
@@ -437,7 +426,7 @@ impl MarketplacePlatform for TransactionalPlatform {
     }
 
     fn update_delivery(&self, max_sellers: usize) -> OmResult<u32> {
-        Ok(self.update_delivery_with_detail(max_sellers)?.packages)
+        self.deliver(max_sellers, |_| Ok(()))
     }
 
     fn seller_dashboard(&self, seller: SellerId) -> OmResult<SellerDashboard> {
@@ -462,33 +451,40 @@ impl MarketplacePlatform for TransactionalPlatform {
 }
 
 impl TransactionalPlatform {
-    /// Update Delivery as a transaction across the selected shipment
-    /// grains; order/seller status propagation happens post-commit as
-    /// events (the paper's tx binding cannot make those causally atomic
-    /// either — shipment state is the transactional footprint). Returns
-    /// the delivered `(seller, order)` detail for downstream projections
-    /// (the customized binding retires MVCC entries from it).
-    pub fn update_delivery_with_detail(&self, max_sellers: usize) -> OmResult<DeliveryDetail> {
+    /// Update Delivery as a transaction across the chosen sellers'
+    /// shipment grains, admitted over their seller grains too. The 2PC's
+    /// `last_agent` gets the delivered `(seller, order)` pairs, one order
+    /// per seller (the Customized binding retires their dashboard
+    /// entries). After the commit, and still admitted, the sellers apply
+    /// the `Delivered` status in one fan-out; each order's
+    /// `PackagesDelivered` goes on as an event. Returns the packages
+    /// delivered.
+    pub(crate) fn deliver(
+        &self,
+        max_sellers: usize,
+        last_agent: impl FnOnce(&[(SellerId, OrderId)]) -> OmResult<()>,
+    ) -> OmResult<u32> {
         let chosen = self.core.sellers_by_oldest_undelivered(max_sellers)?;
         if chosen.is_empty() {
-            return Ok(DeliveryDetail::default());
+            return Ok(0);
         }
 
         let participants: Vec<GrainId> = chosen.iter().map(|&s| shipment_grain(s)).collect();
-        let _admitted = self.coordinator.admit(&participants);
+        let mut declared = participants.clone();
+        declared.extend(chosen.iter().map(|&s| seller_grain(s)));
+        let _admitted = self.coordinator.admit(&declared);
         let tid = self.coordinator.begin();
         let calls = participants
             .iter()
             .map(|&g| (g, Msg::TxShipDeliverOldest { tid }))
             .collect();
-        let mut delivered: Vec<(SellerId, OrderId, u32)> = Vec::new();
+        let (mut delivered, mut packages) = (Vec::new(), 0);
         for (&s, outcome) in chosen.iter().zip(self.tx_call_all(calls)) {
             match outcome {
-                Ok(Reply::Delivered {
-                    order: Some(order),
-                    packages,
-                }) => delivered.push((s, order, packages)),
-                Ok(Reply::Delivered { order: None, .. }) => {}
+                Ok(Reply::Delivered { order, packages: n }) => {
+                    delivered.extend(order.map(|order| (s, order)));
+                    packages += n;
+                }
                 Ok(other) => {
                     self.abort_all(tid, &participants);
                     return unexpected(other);
@@ -499,31 +495,22 @@ impl TransactionalPlatform {
                 }
             }
         }
-        self.coordinator.run_2pc(
-            tid,
-            &Grains {
-                cluster: &self.core.cluster,
-                ids: &participants,
-            },
-        )?;
+        self.coordinator
+            .run_2pc(tid, &self.grains(&participants), || last_agent(&delivered))?;
 
-        // Post-commit propagation to order and seller views.
-        let mut detail = DeliveryDetail::default();
         let at = self.core.cluster.clock().tick();
-        for (seller, order, n) in delivered {
-            detail.packages += n;
-            detail.delivered_orders.push((seller, order));
+        let status = OrderStatus::Delivered;
+        let mut applied = Vec::with_capacity(delivered.len());
+        for (seller, order) in delivered {
             self.core.cluster.notify(
                 order_grain(customer_of_order(order)),
                 Msg::Flow(flow::Msg::PackagesDelivered { order, seller, at }),
             );
-            let status = OrderStatus::Delivered;
-            self.core.cluster.notify(
-                seller_grain(seller),
-                Msg::Flow(flow::Msg::ApplyStatus { order, status }),
-            );
+            let apply = flow::Msg::ApplyStatus { order, status };
+            applied.push((seller_grain(seller), Msg::Flow(apply)));
         }
+        self.tx_call_all(applied).try_for_each(|reply| reply.map(drop))?;
         self.core.counters.incr("update_deliveries");
-        Ok(detail)
+        Ok(packages)
     }
 }

@@ -329,6 +329,39 @@ fn dashboard_pages_hold_each_entry_once(customers: u64) {
     assert_eq!(seller_rows(2), 1);
 }
 
+/// A Customized checkout whose dashboard projection cannot commit (the
+/// seller's entry page is damaged) answers `Internal` and places nothing:
+/// the projection votes in the checkout's two-phase commit, so no order,
+/// payment or sale commits without it.
+#[test]
+fn a_customized_checkout_over_a_damaged_entry_page_places_nothing() {
+    let p = CustomizedPlatform::new(&spec(
+        PlatformKind::Customized,
+        BackendKind::SnapshotIsolation,
+    ));
+    ingest(&p);
+    // Seller 1's page of order ids below 16 × ORDERS_PER_CUSTOMER, which
+    // holds every order customer 1 can place.
+    let mut page = b"cdash!/".to_vec();
+    page.extend_from_slice(&1u64.to_be_bytes());
+    page.extend_from_slice(b"/e/");
+    page.extend_from_slice(&0u64.to_be_bytes());
+    p.store().unwrap().put(&page, b"\xff\xff\xff");
+
+    checkout_items(&p, 1, &[(1, 1, 1)]);
+    let checkout = p.checkout(CheckoutRequest {
+        customer: CustomerId(1),
+        items: vec![],
+        method: PaymentMethod::CreditCard,
+    });
+    assert!(matches!(checkout, Err(OmError::Internal(_))), "{checkout:?}");
+    p.quiesce();
+    let snap = p.snapshot().unwrap();
+    assert_eq!((snap.orders.len(), snap.payments.len()), (0, 0), "placed anyway");
+    assert!(snap.stock.iter().all(|s| s.qty_sold == 0), "{:?}", snap.stock);
+    assert_eq!(p.store().unwrap().get(&page), Some(b"\xff\xff\xff".to_vec()));
+}
+
 /// Every binding under test, fresh, with no payment declined.
 fn all_platforms() -> Vec<Box<dyn MarketplacePlatform>> {
     platforms(0.0, BackendKind::Eventual)

@@ -272,10 +272,8 @@ fn contended_checkouts_stay_atomic(
     );
     assert!(delivered > 0, "{kind:?}: no delivery delivered anything");
 
-    // Every line in its seller's grain entries and dashboard at most
-    // once, in transit, and nothing else; every undelivered line there.
-    // A delivered line may stay: the delivery's status event is dropped
-    // by a seller grain a checkout holds.
+    // Every undelivered line in its seller's grain entries and dashboard
+    // once, in transit, and nothing else: no delivered line stays.
     let mut entries: Vec<OrderEntry> = Vec::new();
     let mut dashboard_keys: Vec<(u64, u64)> = Vec::new();
     for s in 1..=2 {
@@ -314,6 +312,11 @@ fn contended_checkouts_stay_atomic(
         assert!(
             undelivered.iter().all(|k| keys.binary_search(k).is_ok()),
             "{kind:?}: an undelivered line missing from {what}"
+        );
+        assert_eq!(
+            keys.len(),
+            undelivered.len(),
+            "{kind:?}: delivered lines still in {what}"
         );
     }
 
