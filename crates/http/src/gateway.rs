@@ -428,8 +428,8 @@ impl MarketplaceGateway {
             }
             Endpoint::SellerDashboard { seller } => {
                 let seller = SellerId(path_id("seller", seller)?);
-                let dashboard = map_platform(self.platform.seller_dashboard(seller))?;
-                Ok(Response::json(200, &dashboard))
+                let dashboard = map_platform(self.platform.seller_dashboard_json(seller))?;
+                Ok(Response::json_encoded(200, dashboard))
             }
         }
     }

@@ -38,9 +38,14 @@ impl Response {
 
     /// A response whose body is the JSON encoding of `value`.
     pub fn json<T: Serialize>(status: u16, value: &T) -> Self {
+        Response::json_encoded(status, json_bytes(value))
+    }
+
+    /// A response whose body is `body`, JSON text already encoded.
+    pub fn json_encoded(status: u16, body: impl Into<Bytes>) -> Self {
         let mut resp = Response::new(status);
         resp.headers.insert("content-type", "application/json");
-        resp.body = json_bytes(value);
+        resp.body = body.into();
         resp
     }
 

@@ -588,3 +588,86 @@ fn wedged_ingress_log_answers_503_and_the_loop_keeps_serving() {
     client.close();
     server.shutdown();
 }
+
+/// The dashboard route answers the platform's JSON dashboard with the
+/// same framing on every binding: a GET's body is serde's bytes of the
+/// typed dashboard, a HEAD its status and headers with no body, and an
+/// unknown seller a 404.
+#[test]
+fn dashboard_framing_is_the_same_on_every_binding() {
+    for (kind, backend) in [
+        (PlatformKind::Eventual, BackendKind::Eventual),
+        (PlatformKind::Transactional, BackendKind::SnapshotIsolation),
+        (PlatformKind::Customized, BackendKind::SnapshotIsolation),
+        (PlatformKind::Dataflow, BackendKind::SnapshotIsolation),
+    ] {
+        let platform: Arc<dyn om_marketplace::api::MarketplacePlatform> = Arc::from(
+            om_marketplace::build_platform(&PlatformSpec::new(kind, backend).decline_rate(0.0)),
+        );
+        let server = start(Arc::new(MarketplaceGateway::new(platform.clone())));
+        let mut client = server.connect();
+        for s in 1..=2u64 {
+            let resp = client
+                .request(Method::Post, "/ingest/sellers", Some(&seller_json(s)))
+                .unwrap();
+            assert_eq!(resp.status, 201);
+        }
+        for c in 1..=2u64 {
+            let resp = client
+                .request(Method::Post, "/ingest/customers", Some(&customer_json(c)))
+                .unwrap();
+            assert_eq!(resp.status, 201);
+        }
+        for p in 1..=2u64 {
+            let resp = client
+                .request(
+                    Method::Post,
+                    "/ingest/products",
+                    Some(&product_json(p, 1, 1_000)),
+                )
+                .unwrap();
+            assert_eq!(resp.status, 201);
+        }
+        platform.quiesce();
+        for (customer, product) in [(1, 1), (2, 2), (1, 2)] {
+            let resp = add_and_checkout(&mut client, customer, product, 1);
+            assert_eq!(
+                resp.status,
+                200,
+                "{kind:?}: {}",
+                String::from_utf8_lossy(&resp.body)
+            );
+        }
+        platform.quiesce();
+
+        for s in 1..=2u64 {
+            let path = format!("/sellers/{s}/dashboard");
+            let typed = platform
+                .seller_dashboard(om_common::ids::SellerId(s))
+                .unwrap();
+            let get = client.request(Method::Get, &path, None).unwrap();
+            assert_eq!(get.status, 200, "{kind:?} {path}");
+            assert_eq!(
+                get.body.as_ref(),
+                serde_json::to_vec(&typed).unwrap().as_slice(),
+                "{kind:?} {path}: the body is not serde's bytes of the dashboard"
+            );
+            assert_eq!(get.headers.get("content-type"), Some("application/json"));
+            let length = get.body.len().to_string();
+            assert_eq!(get.headers.get("content-length"), Some(length.as_str()));
+            let head = client.request(Method::Head, &path, None).unwrap();
+            assert_eq!(head.status, 200, "{kind:?} HEAD {path}");
+            assert!(head.body.is_empty(), "{kind:?}: HEAD must not carry a body");
+            assert_eq!(
+                head.headers, get.headers,
+                "{kind:?}: HEAD headers differ from GET's"
+            );
+        }
+        let unknown = client
+            .request(Method::Get, "/sellers/9/dashboard", None)
+            .unwrap();
+        assert_eq!(unknown.status, 404, "{kind:?}");
+        client.close();
+        server.shutdown();
+    }
+}

@@ -7,7 +7,7 @@ use om_common::entity::{
     SellerDashboard, StockItem,
 };
 use om_common::ids::{CustomerId, OrderId, ProductId, SellerId};
-use om_common::{Money, OmResult};
+use om_common::{Money, OmError, OmResult};
 use om_storage::StateBackend;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -206,6 +206,15 @@ pub trait MarketplacePlatform: Send + Sync {
     /// it. Whether the two halves reflect one snapshot is exactly the
     /// benchmark's consistent-querying criterion.
     fn seller_dashboard(&self, seller: SellerId) -> OmResult<SellerDashboard>;
+
+    /// The Seller Dashboard as the JSON body the gateway sends: the bytes
+    /// of `serde_json::to_vec(&self.seller_dashboard(seller)?)`, which is
+    /// the default. A binding may build the same bytes a cheaper way.
+    fn seller_dashboard_json(&self, seller: SellerId) -> OmResult<Vec<u8>> {
+        let dashboard = self.seller_dashboard(seller)?;
+        serde_json::to_vec(&dashboard)
+            .map_err(|e| OmError::Internal(format!("encode the dashboard of {seller}: {e}")))
+    }
 
     // ---- lifecycle ------------------------------------------------------
     /// Blocks until asynchronous work has drained (best effort).

@@ -18,7 +18,11 @@
 //!   projection commit is its 2PC's **last agent**, run once every grain
 //!   voted yes, still admitted over the sellers' grains: its failure
 //!   aborts the transaction, and admission is the one lock over a
-//!   seller's dashboard;
+//!   seller's dashboard. The gateway's JSON dashboard reads the same
+//!   scan, but prints only the pages whose bytes changed since the
+//!   seller's last JSON dashboard: it keeps each page's JSON, rendered by
+//!   serde, beside the page bytes it came from, and joins the renders
+//!   under a header serde prints for the aggregate;
 //! * `om-log` as the audit log of committed business transactions
 //!   (Fig. 1's "log storage").
 //!
@@ -132,6 +136,24 @@ fn decode_agg(raw: &[u8]) -> OmResult<(i64, u64)> {
     ))
 }
 
+/// Appends the JSON of `value` to `out`, serde's printer writing in place.
+fn write_json<T: serde::Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> OmResult<()> {
+    serde_json::to_writer(out, value)
+        .map_err(|e| OmError::Internal(format!("encode a dashboard: {e}")))
+}
+
+/// About the JSON length of one dashboard entry (≈ 97 bytes each in
+/// marketbench's dashboards), to size a JSON dashboard's buffer once.
+const ENTRY_JSON: usize = 112;
+
+/// One scanned row: key and value.
+type Row = (Vec<u8>, Vec<u8>);
+
+/// One entry page as a dashboard last rendered it: the page's key, the
+/// bytes it was rendered from, and the JSON of its entries as a dashboard
+/// lists them, comma-separated, without the array's brackets.
+type RenderedPage = (Vec<u8>, Vec<u8>, Arc<[u8]>);
+
 /// The full-featured stack.
 pub struct CustomizedPlatform {
     inner: TransactionalPlatform,
@@ -145,6 +167,10 @@ pub struct CustomizedPlatform {
     /// authoritative copy (counted, because the fallback is the cost the
     /// weaker replication discipline charges).
     replica_floors: Mutex<HashMap<(CustomerId, u64), u64>>,
+    /// Each seller's last JSON dashboard, as the pages it scanned, in key
+    /// order: the next one reuses the render of every page whose bytes
+    /// are unchanged ([`MarketplacePlatform::seller_dashboard_json`]).
+    renders: Mutex<HashMap<SellerId, Vec<RenderedPage>>>,
     /// Audit log of committed business transactions (log storage role).
     audit: Arc<om_log::Topic<String>>,
     audit_producer: om_log::ProducerHandle<String>,
@@ -160,6 +186,7 @@ impl CustomizedPlatform {
             inner,
             backend,
             replica_floors: Mutex::new(HashMap::new()),
+            renders: Mutex::new(HashMap::new()),
             audit,
             audit_producer,
         }
@@ -267,6 +294,29 @@ impl CustomizedPlatform {
             batch = batch.put(agg_key(seller), encode_agg(amount, count));
         }
         self.project(batch)
+    }
+
+    /// One prefix scan of the seller's dashboard: the aggregate row,
+    /// decoded, and the entry pages after it. Under the snapshot-isolation
+    /// backend the scan reads a single MVCC snapshot — torn reads are
+    /// impossible by construction (paper: "offloads consistent querying
+    /// ... to PostgreSQL"). Under the eventual backend the same scan can
+    /// race a per-key commit and observe a torn dashboard — the anomaly
+    /// the criteria audit counts.
+    ///
+    /// The aggregate row sorts first; `ingest_seller` always writes it, so
+    /// a seller without one is unknown. The pages follow in order-id order,
+    /// each sorted within, so decoding them one after another lists the
+    /// entries by order, then product, with no sort.
+    fn scan_dashboard(&self, seller: SellerId) -> OmResult<((i64, u64), Vec<Row>)> {
+        let mut scanned = self.backend.scan_prefix(&dashboard_prefix(seller));
+        let aggregate = match scanned.first() {
+            Some((key, raw)) if *key == agg_key(seller) => decode_agg(raw)?,
+            _ => return Err(OmError::NotFound(format!("{seller}"))),
+        };
+        scanned.remove(0);
+        self.inner.core().counters.incr("dashboards");
+        Ok((aggregate, scanned))
     }
 
     fn read_replica(&self, product: ProductId) -> Option<ProductReplica> {
@@ -422,27 +472,12 @@ impl MarketplacePlatform for CustomizedPlatform {
     }
 
     /// The consistent dashboard: **one prefix scan** returns the seller's
-    /// aggregate row and entry pages together. Under the snapshot-isolation
-    /// backend the scan reads a single MVCC snapshot — torn reads are
-    /// impossible by construction (paper: "offloads consistent querying
-    /// ... to PostgreSQL"). Under the eventual backend the same scan can
-    /// race a per-key commit and observe a torn dashboard — the anomaly
-    /// the criteria audit counts.
-    ///
-    /// The aggregate row sorts first; `ingest_seller` always writes it, so
-    /// a seller without one is unknown. The pages follow in order-id order,
-    /// each sorted within, so decoding them one after another lists the
-    /// entries by order, then product, with no sort.
+    /// aggregate row and entry pages together (`scan_dashboard`).
     fn seller_dashboard(&self, seller: SellerId) -> OmResult<SellerDashboard> {
-        let scanned = self.backend.scan_prefix(&dashboard_prefix(seller));
-        let (amount, count) = match scanned.first() {
-            Some((key, raw)) if *key == agg_key(seller) => decode_agg(raw)?,
-            _ => return Err(OmError::NotFound(format!("{seller}"))),
-        };
-        let pages = &scanned[1..];
+        let ((amount, count), pages) = self.scan_dashboard(seller)?;
         let records = pages.iter().map(|(_, raw)| raw.len()).sum::<usize>() / rows::PAGE_RECORD;
         let mut entries = Vec::with_capacity(records);
-        for (_, raw) in pages {
+        for (_, raw) in &pages {
             rows::decode_entry_page(raw, seller, &mut entries)?;
         }
         debug_assert!(
@@ -451,13 +486,80 @@ impl MarketplacePlatform for CustomizedPlatform {
                 .all(|w| (w[0].order, w[0].product) < (w[1].order, w[1].product)),
             "entry pages of {seller} out of order"
         );
-        self.inner.core().counters.incr("dashboards");
         Ok(SellerDashboard {
             seller,
             in_progress_amount: Money::from_cents(amount),
             in_progress_count: count,
             entries,
         })
+    }
+
+    /// The same scan as [`seller_dashboard`](Self::seller_dashboard),
+    /// answered as the bytes serde prints for it without decoding or
+    /// printing every entry: the seller's last JSON dashboard left one
+    /// render per page it scanned, and a page whose bytes are identical to
+    /// the ones rendered reuses that render. Only new or rewritten pages
+    /// are decoded and printed, by serde, one page at a time, straight
+    /// into the body. The body is the header serde prints for the
+    /// aggregate, then the page renders joined by commas inside the
+    /// entries' brackets, then the object's end.
+    ///
+    /// The pages rendered replace the seller's slot, so the map holds at
+    /// most each seller's last dashboard. The slot is taken out while the
+    /// pages render, and the lock is never held across a backend call: a
+    /// concurrent dashboard of the same seller renders its pages afresh.
+    fn seller_dashboard_json(&self, seller: SellerId) -> OmResult<Vec<u8>> {
+        let ((amount, count), pages) = self.scan_dashboard(seller)?;
+        let held = self.renders.lock().remove(&seller).unwrap_or_default();
+        let records = pages.iter().map(|(_, raw)| raw.len()).sum::<usize>() / rows::PAGE_RECORD;
+        let mut body = Vec::with_capacity(128 + records * ENTRY_JSON);
+        let header = SellerDashboard {
+            seller,
+            in_progress_amount: Money::from_cents(amount),
+            in_progress_count: count,
+            entries: Vec::new(),
+        };
+        write_json(&mut body, &header)?;
+        debug_assert!(
+            body.ends_with(b"[]}"),
+            "entries are the dashboard's last field"
+        );
+        // Each page opens the entries' array, or goes on after a comma.
+        body.truncate(body.len() - 3);
+        let open = body.len();
+
+        let mut rendered: Vec<RenderedPage> = Vec::with_capacity(pages.len());
+        let mut entries = Vec::new();
+        for (key, raw) in pages {
+            let at = body.len();
+            // `held` is in key order, as the scan that rendered it was.
+            let json = match held.binary_search_by(|(k, _, _)| k.cmp(&key)) {
+                Ok(i) if held[i].1 == raw => {
+                    body.push(b'[');
+                    body.extend_from_slice(&held[i].2);
+                    held[i].2.clone()
+                }
+                _ => {
+                    entries.clear();
+                    rows::decode_entry_page(&raw, seller, &mut entries)?;
+                    write_json(&mut body, &entries)?;
+                    body.pop(); // the page's `]`
+                    Arc::from(&body[at + 1..])
+                }
+            };
+            if json.is_empty() {
+                body.truncate(at);
+            } else if at > open {
+                body[at] = b',';
+            }
+            rendered.push((key, raw, json));
+        }
+        if body.len() == open {
+            body.push(b'[');
+        }
+        body.extend_from_slice(b"]}");
+        self.renders.lock().insert(seller, rendered);
+        Ok(body)
     }
 
     fn quiesce(&self) {
@@ -479,18 +581,18 @@ impl MarketplacePlatform for CustomizedPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factory::{build_platform, PlatformSpec};
+    use crate::factory::PlatformSpec;
     use om_common::config::BackendKind;
     use om_common::entity::PaymentMethod;
 
     /// A Customized platform over its own snapshot backend with sellers
     /// `1..=sellers`, customer `s` and product `s` of seller `s` each.
-    fn platform_with(sellers: u64) -> (Arc<dyn StateBackend>, Box<dyn MarketplacePlatform>) {
+    fn platform_with(sellers: u64) -> (Arc<dyn StateBackend>, CustomizedPlatform) {
         let backend = om_storage::make_backend(BackendKind::SnapshotIsolation, 8);
         let spec = PlatformSpec::new(PlatformKind::Customized, BackendKind::SnapshotIsolation)
             .decline_rate(0.0)
             .backend_instance(backend.clone());
-        let platform = build_platform(&spec);
+        let platform = CustomizedPlatform::new(&spec);
         for s in 1..=sellers {
             platform
                 .ingest_seller(Seller::new(
@@ -529,17 +631,149 @@ mod tests {
 
     /// Customer `s` checks out one unit of product `s`.
     fn check_out(platform: &dyn MarketplacePlatform, s: u64) -> OmResult<CheckoutOutcome> {
+        buy(platform, CustomerId(s), s)
+    }
+
+    /// `customer` checks out one unit of product `s`, of seller `s`.
+    fn buy(
+        platform: &dyn MarketplacePlatform,
+        customer: CustomerId,
+        s: u64,
+    ) -> OmResult<CheckoutOutcome> {
         let item = CheckoutItem {
             seller: SellerId(s),
             product: ProductId(s),
             quantity: 1,
         };
-        platform.add_to_cart(CustomerId(s), item).unwrap();
+        platform.add_to_cart(customer, item).unwrap();
         platform.checkout(CheckoutRequest {
-            customer: CustomerId(s),
+            customer,
             items: vec![],
             method: PaymentMethod::CreditCard,
         })
+    }
+
+    /// The renders the seller's last JSON dashboard left: key and JSON of
+    /// each page it scanned.
+    fn held(platform: &CustomizedPlatform, seller: SellerId) -> Vec<(Vec<u8>, Arc<[u8]>)> {
+        platform
+            .renders
+            .lock()
+            .get(&seller)
+            .map_or_else(Vec::new, |pages| {
+                pages
+                    .iter()
+                    .map(|(key, _, json)| (key.clone(), json.clone()))
+                    .collect()
+            })
+    }
+
+    /// Which of `after`'s pages were rendered afresh rather than reused
+    /// from `before`, by key.
+    fn rerendered(before: &[(Vec<u8>, Arc<[u8]>)], after: &[(Vec<u8>, Arc<[u8]>)]) -> Vec<Vec<u8>> {
+        after
+            .iter()
+            .filter(|(key, json)| !before.iter().any(|(k, j)| k == key && Arc::ptr_eq(j, json)))
+            .map(|(key, _)| key.clone())
+            .collect()
+    }
+
+    /// The JSON dashboard of `seller`, checked against serde's bytes of
+    /// the typed one.
+    fn json_dashboard(platform: &CustomizedPlatform, seller: SellerId) -> Vec<u8> {
+        let json = platform.seller_dashboard_json(seller).unwrap();
+        let typed = serde_json::to_vec(&platform.seller_dashboard(seller).unwrap()).unwrap();
+        assert_eq!(
+            String::from_utf8_lossy(&json),
+            String::from_utf8_lossy(&typed),
+            "the JSON dashboard of {seller} is not serde's"
+        );
+        json
+    }
+
+    /// Seller 1 with entries in two pages: customer 1's orders fall in
+    /// page 0 and customer 17's in page 1.
+    fn two_pages() -> (Arc<dyn StateBackend>, CustomizedPlatform) {
+        let (backend, platform) = platform_with(1);
+        platform
+            .ingest_customer(Customer::new(CustomerId(17), "c-17".into(), "addr".into()))
+            .unwrap();
+        for customer in [1, 17] {
+            buy(&platform, CustomerId(customer), 1).unwrap();
+        }
+        assert_ne!(
+            page_key(SellerId(1), OrderId(ORDERS_PER_CUSTOMER)),
+            page_key(SellerId(1), OrderId(17 * ORDERS_PER_CUSTOMER))
+        );
+        (backend, platform)
+    }
+
+    #[test]
+    fn an_unchanged_dashboard_renders_no_page() {
+        let (_, platform) = two_pages();
+        let seller = SellerId(1);
+        let first = json_dashboard(&platform, seller);
+        let before = held(&platform, seller);
+        assert_eq!(before.len(), 2);
+        let second = json_dashboard(&platform, seller);
+        assert_eq!(first, second);
+        let after = held(&platform, seller);
+        assert_eq!(rerendered(&before, &after), Vec::<Vec<u8>>::new());
+    }
+
+    #[test]
+    fn a_checkout_rerenders_only_the_page_it_rewrote() {
+        let (_, platform) = two_pages();
+        let seller = SellerId(1);
+        json_dashboard(&platform, seller);
+        let before = held(&platform, seller);
+        buy(&platform, CustomerId(1), 1).unwrap();
+        json_dashboard(&platform, seller);
+        let after = held(&platform, seller);
+        assert_eq!(after.len(), 2);
+        assert_eq!(
+            rerendered(&before, &after),
+            vec![page_key(seller, OrderId(ORDERS_PER_CUSTOMER))]
+        );
+    }
+
+    #[test]
+    fn a_page_rewritten_to_the_same_length_is_rerendered() {
+        let (backend, platform) = two_pages();
+        let seller = SellerId(1);
+        json_dashboard(&platform, seller);
+        let before = held(&platform, seller);
+        let key = page_key(seller, OrderId(17 * ORDERS_PER_CUSTOMER));
+        let mut entries = Vec::new();
+        rows::decode_entry_page(&backend.get(&key).unwrap(), seller, &mut entries).unwrap();
+        entries[0].quantity += 1;
+        let rewritten = rows::encode_entry_page(&entries);
+        assert_eq!(rewritten.len(), backend.get(&key).unwrap().len());
+        backend.put(&key, &rewritten);
+        let json = json_dashboard(&platform, seller);
+        assert_eq!(rerendered(&before, &held(&platform, seller)), vec![key]);
+        let dash: SellerDashboard = serde_json::from_slice(&json).unwrap();
+        assert_eq!(dash.entries.last().unwrap().quantity, 2);
+    }
+
+    #[test]
+    fn a_retired_page_leaves_the_sellers_renders() {
+        let (_, platform) = two_pages();
+        let seller = SellerId(1);
+        json_dashboard(&platform, seller);
+        assert_eq!(held(&platform, seller).len(), 2);
+        // The oldest order, customer 1's, is delivered: its page empties
+        // and is deleted.
+        assert_eq!(platform.update_delivery(10).unwrap(), 1);
+        json_dashboard(&platform, seller);
+        let keys: Vec<Vec<u8>> = held(&platform, seller)
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(
+            keys,
+            vec![page_key(seller, OrderId(17 * ORDERS_PER_CUSTOMER))]
+        );
     }
 
     /// A damaged projection row fails the write that would overwrite it
@@ -548,6 +782,20 @@ mod tests {
     #[test]
     fn damaged_dashboard_rows_fail_loudly_and_stay_untouched() {
         let (backend, platform) = platform_with(2);
+
+        // A JSON dashboard holds the render of seller 1's page while its
+        // bytes are whole.
+        let whole = rows::encode_entry_page(&[OrderEntry {
+            order: OrderId(ORDERS_PER_CUSTOMER),
+            seller: SellerId(1),
+            product: ProductId(1),
+            quantity: 1,
+            total_amount: Money::from_cents(100),
+            status: OrderStatus::InTransit,
+        }]);
+        backend.put(&page_key(SellerId(1), OrderId(ORDERS_PER_CUSTOMER)), &whole);
+        json_dashboard(&platform, SellerId(1));
+        assert_eq!(held(&platform, SellerId(1)).len(), 1);
 
         // Seller 1's entry page of customer 1's orders (every order id
         // customer 1 can place falls in one page) and seller 2's aggregate
@@ -562,7 +810,7 @@ mod tests {
         }
 
         for s in 1..=2 {
-            let checkout = check_out(platform.as_ref(), s);
+            let checkout = check_out(&platform, s);
             assert!(
                 matches!(checkout, Err(OmError::Internal(_))),
                 "seller {s}: a checkout over a damaged row fails, got {checkout:?}"
@@ -570,6 +818,11 @@ mod tests {
             assert!(
                 platform.seller_dashboard(SellerId(s)).is_err(),
                 "seller {s}: the dashboard reports the damaged row"
+            );
+            let json = platform.seller_dashboard_json(SellerId(s));
+            assert!(
+                matches!(json, Err(OmError::Internal(_))),
+                "seller {s}: the JSON dashboard reports the damaged row, got {json:?}"
             );
         }
         for key in &damaged {
@@ -602,7 +855,7 @@ mod tests {
             Ok(dash) => assert!(!dash.is_snapshot_consistent(), "{dash:?}"),
             Err(e) => assert!(matches!(e, OmError::Internal(_)), "{e:?}"),
         }
-        let checkout = check_out(platform.as_ref(), 1);
+        let checkout = check_out(&platform, 1);
         assert!(
             matches!(checkout, Err(OmError::Internal(_))),
             "{checkout:?}"

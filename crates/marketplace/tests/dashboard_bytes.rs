@@ -6,18 +6,24 @@
 //! isolation backend. Order ids are `customer × ORDERS_PER_CUSTOMER +
 //! seq`, so 48 customers place every seller's entries in several order-id
 //! ranges. Each seller's dashboard is then encoded as the gateway answers
-//! it (JSON), and `dashboard_bytes.golden` lists one line per seller: its
-//! entry count and an FNV-1a digest of those bytes. The golden was
+//! it (`seller_dashboard_json`), and `dashboard_bytes.golden` lists one
+//! line per seller: its entry count and an FNV-1a digest of those bytes,
+//! which must also be serde's bytes of the typed dashboard. The golden was
 //! generated once and checked in: a difference is a change of what a
 //! dashboard answers (its entries, their order or the aggregate), not a
 //! fixture to regenerate.
+//!
+//! The same history, then a seller's re-ingest and more checkouts, runs on
+//! every binding over its memory backend and on Customized over the
+//! eventual and file-durable backends: on each, the JSON dashboard of
+//! every seller is serde's bytes of the typed one.
 
 use om_common::config::BackendKind;
 use om_common::entity::{Customer, PaymentMethod, Product, Seller};
 use om_common::ids::{CustomerId, ProductId, SellerId};
 use om_common::rng::SplitMix64;
-use om_common::Money;
-use om_marketplace::api::{CheckoutItem, CheckoutRequest};
+use om_common::{Money, OmError};
+use om_marketplace::api::{CheckoutItem, CheckoutRequest, MarketplacePlatform};
 use om_marketplace::{build_platform, PlatformKind, PlatformSpec};
 
 const SELLERS: u64 = 6;
@@ -46,15 +52,16 @@ fn digest(bytes: &[u8]) -> u64 {
     })
 }
 
-/// One line per seller: `seller <id> entries <n> <digest>`.
-fn dashboards() -> Vec<String> {
-    let spec =
-        PlatformSpec::new(PlatformKind::Customized, BackendKind::SnapshotIsolation).parallelism(2);
-    let platform = build_platform(&spec);
+fn seller(s: u64) -> Seller {
+    Seller::new(SellerId(s), format!("s{s}"), "c".into())
+}
+
+/// A platform of `spec` after the seeded history: ingestion, then
+/// [`CHECKOUTS`] checkouts with a delivery round after every 40th.
+fn seeded(spec: &PlatformSpec) -> Box<dyn MarketplacePlatform> {
+    let platform = build_platform(spec);
     for s in 1..=SELLERS {
-        platform
-            .ingest_seller(Seller::new(SellerId(s), format!("s{s}"), "c".into()))
-            .unwrap();
+        platform.ingest_seller(seller(s)).unwrap();
     }
     for c in 1..=CUSTOMERS {
         let customer = Customer::new(CustomerId(c), format!("c{c}"), "a".into());
@@ -64,9 +71,14 @@ fn dashboards() -> Vec<String> {
         platform.ingest_product(product(p), 1_000_000).unwrap();
     }
     platform.quiesce();
+    check_out(platform.as_ref(), &mut SplitMix64::new(63), CHECKOUTS);
+    platform
+}
 
-    let mut rng = SplitMix64::new(63);
-    for n in 1..=CHECKOUTS {
+/// `checkouts` seeded checkouts from `rng`, with a delivery round after
+/// every 40th, each followed by `quiesce()`.
+fn check_out(platform: &dyn MarketplacePlatform, rng: &mut SplitMix64, checkouts: u64) {
+    for n in 1..=checkouts {
         let customer = CustomerId(rng.range_inclusive(1, CUSTOMERS));
         for _ in 0..rng.range_inclusive(2, 4) {
             let p = product(rng.range_inclusive(1, PRODUCTS));
@@ -95,12 +107,42 @@ fn dashboards() -> Vec<String> {
             platform.quiesce();
         }
     }
+}
 
+/// Every seller's JSON dashboard, checked against serde's bytes of the
+/// typed one (twice, so the second read is also the one a Customized
+/// platform answers from the renders the first left).
+fn json_dashboards(platform: &dyn MarketplacePlatform) -> Vec<Vec<u8>> {
     (1..=SELLERS)
         .map(|s| {
+            let seller = SellerId(s);
+            let typed = serde_json::to_vec(&platform.seller_dashboard(seller).unwrap()).unwrap();
+            for _ in 0..2 {
+                let json = platform.seller_dashboard_json(seller).unwrap();
+                assert!(
+                    json == typed,
+                    "{:?}: the JSON dashboard of {seller} is not serde's bytes:\n{}\n{}",
+                    platform.kind(),
+                    String::from_utf8_lossy(&json),
+                    String::from_utf8_lossy(&typed)
+                );
+            }
+            typed
+        })
+        .collect()
+}
+
+/// One line per seller: `seller <id> entries <n> <digest>`.
+fn dashboards() -> Vec<String> {
+    let spec =
+        PlatformSpec::new(PlatformKind::Customized, BackendKind::SnapshotIsolation).parallelism(2);
+    let platform = seeded(&spec);
+    json_dashboards(platform.as_ref())
+        .into_iter()
+        .zip(1..=SELLERS)
+        .map(|(json, s)| {
             let dash = platform.seller_dashboard(SellerId(s)).unwrap();
             assert!(dash.is_snapshot_consistent(), "seller {s}: {dash:?}");
-            let json = serde_json::to_vec(&dash).unwrap();
             format!(
                 "seller {s} entries {} {:016x}",
                 dash.entries.len(),
@@ -119,4 +161,50 @@ fn customized_dashboards_match_the_golden_bytes() {
         "a Customized dashboard answers different bytes:\n{}",
         actual.join("\n")
     );
+}
+
+/// The seeded history, then seller 2's re-ingest and more checkouts: the
+/// JSON dashboard is serde's bytes after each, and an unknown seller is
+/// `NotFound` from both methods.
+fn json_is_serde_bytes(spec: &PlatformSpec) {
+    let platform = seeded(spec);
+    json_dashboards(platform.as_ref());
+    platform.ingest_seller(seller(2)).unwrap();
+    platform.quiesce();
+    json_dashboards(platform.as_ref());
+    check_out(platform.as_ref(), &mut SplitMix64::new(64), 40);
+    json_dashboards(platform.as_ref());
+
+    let unknown = SellerId(SELLERS + 1);
+    let typed = platform.seller_dashboard(unknown);
+    assert!(matches!(typed, Err(OmError::NotFound(_))), "{typed:?}");
+    let json = platform.seller_dashboard_json(unknown);
+    assert!(matches!(json, Err(OmError::NotFound(_))), "{json:?}");
+}
+
+#[test]
+fn every_binding_answers_serde_bytes_on_its_memory_backend() {
+    for (kind, backend) in [
+        (PlatformKind::Eventual, BackendKind::Eventual),
+        (PlatformKind::Transactional, BackendKind::SnapshotIsolation),
+        (PlatformKind::Customized, BackendKind::SnapshotIsolation),
+        (PlatformKind::Dataflow, BackendKind::SnapshotIsolation),
+    ] {
+        json_is_serde_bytes(&PlatformSpec::new(kind, backend).parallelism(2));
+    }
+}
+
+#[test]
+fn customized_answers_serde_bytes_on_every_backend() {
+    json_is_serde_bytes(
+        &PlatformSpec::new(PlatformKind::Customized, BackendKind::Eventual).parallelism(2),
+    );
+    let dir = std::env::temp_dir().join(format!("om-dashboard-bytes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    json_is_serde_bytes(
+        &PlatformSpec::new(PlatformKind::Customized, BackendKind::FileDurable)
+            .parallelism(2)
+            .data_dir(&dir),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

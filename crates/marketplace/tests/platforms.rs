@@ -2,7 +2,7 @@
 //! functional scenario, while their *consistency* behaviours are allowed
 //! to differ exactly along the axes the paper evaluates.
 
-use om_common::entity::{Customer, OrderStatus, PaymentMethod, Product, Seller};
+use om_common::entity::{Customer, OrderStatus, PaymentMethod, Product, Seller, SellerDashboard};
 use om_common::ids::{CustomerId, OrderId, ProductId, SellerId};
 use om_common::time::EventTime;
 use om_common::{Money, OmError};
@@ -223,9 +223,28 @@ fn customized_dashboard_is_always_snapshot_consistent() {
         BackendKind::SnapshotIsolation,
     ));
     ingest(&p);
-    // Interleave checkouts with dashboard reads from another thread.
+    // Interleave checkouts and deliveries with dashboard reads from two
+    // other threads: one reads the typed dashboard, one the JSON the
+    // gateway sends, which reuses the renders of pages it read before.
+    let churned = &std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|scope| {
         let p = &p;
+        let json_reader = scope.spawn(move || {
+            let mut checked = 0;
+            while checked == 0 || !churned.load(std::sync::atomic::Ordering::Acquire) {
+                let json = p.seller_dashboard_json(SellerId(1)).unwrap();
+                let dash: SellerDashboard = serde_json::from_slice(&json).unwrap();
+                assert!(
+                    dash.is_snapshot_consistent(),
+                    "customized JSON dashboard torn: amount={} count={} entries={}",
+                    dash.in_progress_amount,
+                    dash.in_progress_count,
+                    dash.entries.len()
+                );
+                checked += 1;
+            }
+            checked
+        });
         let churn = scope.spawn(move || {
             for i in 0..30 {
                 let c = (i % 4) + 1;
@@ -239,6 +258,7 @@ fn customized_dashboard_is_always_snapshot_consistent() {
                     let _ = p.update_delivery(10);
                 }
             }
+            churned.store(true, std::sync::atomic::Ordering::Release);
         });
         let mut checked = 0;
         while !churn.is_finished() {
@@ -254,6 +274,7 @@ fn customized_dashboard_is_always_snapshot_consistent() {
         }
         churn.join().unwrap();
         assert!(checked > 0);
+        assert!(json_reader.join().unwrap() > 0);
     });
 }
 

@@ -1350,7 +1350,16 @@ impl<'de> de::VariantAccess<'de> for Variant<'_, '_> {
 // ---------------------------------------------------------------------------
 
 pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
-    print(value, None)
+    let mut out = Vec::with_capacity(128);
+    to_writer(&mut out, value)?;
+    Ok(out)
+}
+
+/// Appends the JSON of `value` to `writer`. Real `serde_json` takes any
+/// `io::Write`; the workspace writes into vectors only, so this one
+/// prints straight into the caller's `Vec`, after what it holds.
+pub fn to_writer<T: Serialize + ?Sized>(writer: &mut Vec<u8>, value: &T) -> Result<(), Error> {
+    print(writer, value, None)
 }
 
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
@@ -1359,18 +1368,26 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 
 /// Key-sorted and indented by two spaces.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let text = print(&to_value(value)?, Some(2))?;
+    let mut text = Vec::with_capacity(128);
+    print(&mut text, &to_value(value)?, Some(2))?;
     Ok(String::from_utf8(text).expect("the serializer writes UTF-8"))
 }
 
-fn print<T: Serialize + ?Sized>(value: &T, indent: Option<usize>) -> Result<Vec<u8>, Error> {
+/// Prints `value` after what `out` holds (the serializer owns the vector
+/// while it writes and hands it back, error or not).
+fn print<T: Serialize + ?Sized>(
+    out: &mut Vec<u8>,
+    value: &T,
+    indent: Option<usize>,
+) -> Result<(), Error> {
     let mut ser = Serializer {
-        out: Vec::with_capacity(128),
+        out: std::mem::take(out),
         indent,
         depth: 0,
     };
-    value.serialize(&mut ser)?;
-    Ok(ser.out)
+    let result = value.serialize(&mut ser);
+    *out = ser.out;
+    result
 }
 
 pub fn from_str<T: DeserializeOwned>(s: &str) -> Result<T, Error> {
@@ -2229,6 +2246,15 @@ mod tests {
         let text = to_string(&v).unwrap();
         let back: Value = from_str(&text).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn to_writer_appends_what_to_vec_prints() {
+        let v = json!({"a": [1, 2.5, "tre"], "b": {"c": -9}});
+        let mut out = b"head:".to_vec();
+        to_writer(&mut out, &v).unwrap();
+        assert_eq!(&out[..5], b"head:");
+        assert_eq!(out[5..], to_vec(&v).unwrap()[..]);
     }
 
     #[test]
