@@ -241,7 +241,7 @@ pub trait MarketplacePlatform: Send + Sync {
 
     /// Whether the platform's durable store is **wedged** — a storage
     /// fault left it rejecting every commit with
-    /// [`OmError::Wedged`](om_common::OmError::Wedged) until repaired.
+    /// [`OmError::Wedged`] until repaired.
     /// Always `false` on memory-only platforms.
     fn is_wedged(&self) -> bool {
         self.store().is_some_and(|store| store.is_wedged())

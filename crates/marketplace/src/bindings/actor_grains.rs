@@ -30,7 +30,7 @@ use super::actor_msg::{Msg, Reply};
 use super::kinds;
 use crate::api::{PackageSnapshot, StockSnapshot};
 use crate::domain::flow::{self, from_basis_points, ingested, Step};
-use crate::domain::rows::{load_root, store_root, SellerDelta, StoredRows};
+use crate::domain::rows::{load_root, store_root, StoredRows};
 use crate::domain::{
     CartService, OrderService, PaymentService, ProductReplica, SellerView, ShipmentService,
     StockService,
@@ -424,17 +424,26 @@ fn make_seller_grain(stored: StoredRows) -> Box<dyn om_actor::Grain<Msg, Reply>>
             }
             _ => BTreeSet::new(),
         };
-        let delta = match (&msg, part.committed()) {
-            (Msg::TxCommit { .. }, Some(view)) => SellerDelta::of(view, decided),
-            // A workflow message stores the header and the rows of the
-            // order it names — or, re-ingesting the seller, retires every
-            // row of the old view.
-            (Msg::Flow(flow::Msg::IngestSeller(_)), Some(old)) => SellerDelta::replace(old),
-            (Msg::Flow(m), Some(view)) => SellerDelta::of(view, m.order()),
-            _ => SellerDelta::default(),
+        // The orders whose rows the change rewrites: the holder's, the one
+        // a workflow message adds an entry to or changes the status of — or,
+        // re-ingesting the seller, every order of the old view, whose rows
+        // the new one deletes.
+        let orders = match (&msg, part.committed()) {
+            (Msg::TxCommit { .. }, _) => decided,
+            (Msg::Flow(flow::Msg::IngestSeller(_)), Some(old)) => {
+                old.entries.keys().map(|&(order, _)| order).collect()
+            }
+            (Msg::Flow(flow::Msg::AddEntry(entry)), _) => BTreeSet::from([entry.order]),
+            (Msg::Flow(flow::Msg::ApplyStatus { order, .. }), Some(view))
+                if view.order_entries(*order).next().is_some() =>
+            {
+                BTreeSet::from([*order])
+            }
+            _ => BTreeSet::new(),
         };
         let store = |view: &Option<SellerView>, ctx: &mut GrainContext<'_, Msg>| {
-            view.as_ref().map_or(Ok(()), |v| delta.store(v, ctx))
+            view.as_ref()
+                .map_or(Ok(()), |v| v.store_orders(orders.iter().copied(), ctx))
         };
         if let Some(reply) = handle_tx_protocol(&mut part, &msg, ctx, store) {
             return reply;
@@ -462,12 +471,13 @@ fn make_seller_grain(stored: StoredRows) -> Box<dyn om_actor::Grain<Msg, Reply>>
                 Reply::SellerProfile(part.committed().as_ref().map(|v| v.seller.clone()))
             }
             Msg::TxSellerAddEntry { tid, entry } => {
-                let order = entry.order;
+                // A terminal entry is counted but joins no order's row.
+                let joins = entry.status.in_progress().then_some(entry.order);
                 let reply = stage(&mut part, tid, move |v| {
                     ingested(v, kinds::SELLER).map(|v| v.add_entry(entry.clone()))
                 });
                 if matches!(reply, Reply::Ok) {
-                    touched.insert(order);
+                    touched.extend(joins);
                 }
                 reply
             }

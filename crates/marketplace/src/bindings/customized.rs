@@ -282,15 +282,19 @@ impl CustomizedPlatform {
             }
             let amount: i64 = retired.iter().map(|e| e.total_amount.cents()).sum();
             let (cur_amount, cur_count) = self.read_agg(seller)?;
-            let amount = cur_amount.checked_sub(amount).ok_or_else(|| {
-                OmError::Internal(format!("dashboard aggregate of {seller} overflows"))
-            })?;
+            let (Some(amount), Some(count)) = (
+                cur_amount.checked_sub(amount),
+                cur_count.checked_sub(retired.len() as u64),
+            ) else {
+                return Err(OmError::Internal(format!(
+                    "dashboard aggregate of {seller} is below the entries it retires"
+                )));
+            };
             batch = if kept.is_empty() {
                 batch.delete(key)
             } else {
                 batch.put(key, rows::encode_entry_page(&kept))
             };
-            let count = cur_count.saturating_sub(retired.len() as u64);
             batch = batch.put(agg_key(seller), encode_agg(amount, count));
         }
         self.project(batch)
@@ -861,5 +865,29 @@ mod tests {
             "{checkout:?}"
         );
         assert_eq!(backend.get(&agg_key(seller)), Some(claim));
+    }
+
+    /// A delivery that would retire more entries than the aggregate row
+    /// counts fails typed, naming the seller, and writes nothing: the
+    /// count is not clamped at zero, and the delivery's 2PC aborts.
+    #[test]
+    fn a_stored_count_below_the_retired_entries_fails_the_delivery() {
+        let (backend, platform) = platform_with(1);
+        let seller = SellerId(1);
+        check_out(&platform, 1).unwrap();
+        let (amount, count) = decode_agg(&backend.get(&agg_key(seller)).unwrap()).unwrap();
+        assert_eq!((amount, count), (100, 1));
+        let damaged = encode_agg(amount, 0);
+        backend.put(&agg_key(seller), &damaged);
+        let key = page_key(seller, OrderId(ORDERS_PER_CUSTOMER));
+        let page = backend.get(&key);
+        assert!(page.is_some());
+
+        match platform.update_delivery(10) {
+            Err(OmError::Internal(msg)) => assert!(msg.contains(&seller.to_string()), "{msg}"),
+            other => panic!("a delivery over a damaged count answered {other:?}"),
+        }
+        assert_eq!(backend.get(&agg_key(seller)), Some(damaged));
+        assert_eq!(backend.get(&key), page);
     }
 }

@@ -13,10 +13,11 @@
 //!
 //! Function state is **row-keyed** (`om_dataflow`'s `StateView` /
 //! `put_row`): the four aggregates that grow with the run — a seller's
-//! dashboard entries, a customer's orders and payments, a seller's
-//! packages — keep one row per entity beside a small header row, so an
-//! invocation decodes and re-encodes the entities its message names and a
-//! checkpoint commits the rows that changed, never the history.
+//! dashboard entries (one entry page per order), a customer's orders and
+//! payments, a seller's packages — keep one row per entity beside a small
+//! header row, so an invocation decodes and re-encodes the entities its
+//! message names and a checkpoint commits the rows that changed, never the
+//! history.
 //!
 //! A function is an adapter over its service's workflow step
 //! ([`crate::domain::flow`], shared with the grains): it loads the rows
@@ -51,7 +52,7 @@ use crate::api::{
     PackageSnapshot, PlatformKind, StockSnapshot,
 };
 use crate::domain::flow::{to_basis_points, Eg, Msg, Step};
-use crate::domain::rows::{self, load_root, store_root, CustomerOrders, SellerDelta, StoredRows};
+use crate::domain::rows::{self, load_root, store_root, CustomerOrders, StoredRows};
 use crate::domain::{
     CartService, PaymentService, ProductReplica, SellerView, ShipmentService, StockService,
 };
@@ -382,23 +383,18 @@ fn shipment_fn(key: u64, state: StateView<'_>, msg: Msg, out: &mut Out) -> OmRes
 
 fn seller_fn(_key: u64, state: StateView<'_>, msg: Msg, out: &mut Out) -> OmResult<()> {
     // The header row is the view with no entries in it (profile and the
-    // continuous aggregate); a status change loads the entries of the one
-    // order it names, so `SellerView`'s own methods maintain both.
+    // continuous aggregate); an entry or a status change loads the entry
+    // row of the one order it names, so `SellerView`'s own methods maintain
+    // both and the order's row is rewritten whole.
     let mut view: Option<SellerView> = load_root(&state)?;
-    let delta = match (&msg, view.as_mut()) {
-        (Msg::IngestSeller(_), _) => {
-            SellerView::delete_entries(&state, out);
-            SellerDelta::default()
-        }
-        (Msg::AddEntry(entry), Some(view)) => SellerDelta::of(view, [entry.order]),
-        (Msg::ApplyStatus { order, .. }, Some(view)) => {
-            view.load_order(&state, *order)?;
-            SellerDelta::of(view, [*order])
-        }
-        _ => SellerDelta::default(),
-    };
+    let order = msg.order();
+    match (&msg, view.as_mut(), order) {
+        (Msg::IngestSeller(_), _, _) => SellerView::delete_entries(&state, out),
+        (_, Some(view), Some(order)) => view.load_order(&state, order)?,
+        _ => {}
+    }
     match (view.step(msg, out), &view) {
-        (Ok(_), Some(view)) => delta.store(view, out),
+        (Ok(_), Some(view)) => view.store_orders(order, out),
         _ => Ok(()),
     }
 }
@@ -864,7 +860,8 @@ impl MarketplacePlatform for DataflowPlatform {
     }
 
     /// Two reads of the committed seller state: the aggregate from the
-    /// header row, then the entry rows in one ordered scan. The pump may
+    /// header row, then the entry rows — one entry page per order — in one
+    /// ordered scan, decoded one after another with no sort. The pump may
     /// commit a checkpoint between them, so the halves can disagree — the
     /// consistent-querying criterion Statefun does not provide.
     fn seller_dashboard(&self, seller: SellerId) -> OmResult<SellerDashboard> {
@@ -872,8 +869,10 @@ impl MarketplacePlatform for DataflowPlatform {
             .committed(kinds::SELLER, seller.0)?
             .ok_or_else(|| OmError::NotFound(format!("{seller}")))?;
         let (amount, count) = header.aggregate();
-        let entries =
-            rows::seller_entries(&self.committed_rows(kinds::SELLER, seller.0, rows::ENTRY))?;
+        let entries = rows::seller_entries(
+            &self.committed_rows(kinds::SELLER, seller.0, rows::ENTRY),
+            seller,
+        )?;
         self.core.counters.incr("dashboards");
         Ok(SellerDashboard {
             seller: header.seller.id,

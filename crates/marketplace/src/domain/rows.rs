@@ -17,14 +17,15 @@
 //! byte followed by big-endian ids, so a prefix scan of a tag returns rows
 //! in id order and a change touches only the rows of the entities it
 //! names. Values are the workspace's binary codec (`om_common::codec`),
-//! except the Customized projection's entry pages, whose fixed-width
-//! records decode with no codec at all.
+//! except dashboard entries: a seller's and the Customized projection's
+//! are both entry pages, whose fixed-width records decode with no codec
+//! at all.
 //!
 //! | service | row | name | value |
 //! |---|---|---|---|
 //! | product, replica, stock, cart, customer, delivery coordinator | root | empty | the whole state: `Product`, [`ProductReplica`](super::ProductReplica), [`StockService`](super::StockService), [`CartService`](super::CartService), `Customer`, the coordinator's state |
 //! | seller ([`SellerView`]) | header | empty | the view with no entries |
-//! | | entry | [`ENTRY`] + order + product | `OrderEntry` |
+//! | | entry | [`ENTRY`] + order | the order's entry page: its `OrderEntry`s, sorted by product ([`SellerView::store_orders`]) |
 //! | order ([`OrderService`]) | header | empty | the service with no orders, no assemblies and no deliveries |
 //! | | order | [`ORDER`] + order | the order and the sellers that delivered it, while it is in transit |
 //! | | assembly | [`PENDING`] + transaction | `PendingCheckout` |
@@ -33,7 +34,15 @@
 //! | shipment ([`ShipmentService`]) | header | empty | the service with no packages |
 //! | | package | [`PACKAGE`] + order + package | `Package` |
 //! | | open order | [`OPEN`] + shipped-at + order | empty; one per order with an undelivered package, so the first row is the seller's oldest |
-//! | Customized dashboard projection | entry page | the binding's page key: seller + order-id range | [`PAGE_RECORD`]-byte records, one per `OrderEntry`, sorted by `(order, product)`: order `u64`, product `u64`, quantity `u32`, total cents `i64`, status byte; the seller is in the key ([`encode_entry_page`]) |
+//! | Customized dashboard projection | entry page | the binding's page key: seller + order-id range | the range's entry page |
+//!
+//! An entry page is [`PAGE_RECORD`]-byte records, one per `OrderEntry`,
+//! sorted by `(order, product)`: order `u64`, product `u64`, quantity
+//! `u32`, total cents `i64`, status byte; the seller is in the key
+//! ([`encode_entry_page`]). The seller keys its pages by order, so that a
+//! change rewrites only the orders it touched, whatever the seller's
+//! history; the Customized projection keys its by a range of 16
+//! customers' orders, so that a dashboard scans few rows.
 //!
 //! The dataflow functions keep every service this way. The actor grains
 //! persist product, replica, stock and customer as their root row and the
@@ -75,7 +84,8 @@ pub mod kinds {
 
 /// The name of an entity's root row: its header, or its whole state.
 pub const ROOT: &[u8] = b"";
-/// Seller: one row per `(order, product)` dashboard entry.
+/// Seller: one row per order with dashboard entries, holding its entry
+/// page.
 pub const ENTRY: u8 = b'e';
 /// Order: one row per order.
 pub const ORDER: u8 = b'o';
@@ -202,26 +212,51 @@ pub fn store_root<T: Serialize>(out: &mut impl RowWriter, value: &T) -> OmResult
 
 // ---- seller -------------------------------------------------------------
 
-/// `((order, product), entry)` of every entry row under `prefix`.
-fn entry_rows<'a>(
-    rows: &'a impl RowReader,
-    prefix: &'a [u8],
-) -> impl Iterator<Item = OmResult<((OrderId, u64), OrderEntry)>> + 'a {
-    rows.prefix(prefix).map(|(name, bytes)| {
-        let key = (OrderId(row_id(name, 0)?), row_id(name, 1)?);
-        Ok((key, decode(bytes)?))
-    })
+/// Appends the entries of every entry row under `prefix` to `out`, in row
+/// order: one order's entry page each. A row whose name is shorter than
+/// its order id, whose page does not decode, or whose page holds another
+/// order's entries fails with `OmError::Internal` — or, `skip_damaged`, is
+/// left out, costing its order's entries and not the others'.
+fn read_entry_rows(
+    rows: &impl RowReader,
+    prefix: &[u8],
+    seller: SellerId,
+    skip_damaged: bool,
+    out: &mut Vec<OrderEntry>,
+) -> OmResult<()> {
+    for (name, page) in rows.prefix(prefix) {
+        let start = out.len();
+        let read = row_id(name, 0).and_then(|order| {
+            decode_entry_page(page, seller, out)?;
+            match out[start..].iter().find(|e| e.order.0 != order) {
+                Some(e) => Err(OmError::Internal(format!(
+                    "entry row of order {order} of {seller} holds {}",
+                    e.order
+                ))),
+                None => Ok(()),
+            }
+        });
+        if let Err(e) = read {
+            out.truncate(start);
+            if !skip_damaged {
+                return Err(e);
+            }
+        }
+    }
+    Ok(())
 }
 
 impl SellerView {
     /// The header and every entry that reads: a seller's whole view, as a
-    /// grain activates it. An entry row whose name or value does not read
-    /// is left out, so a damaged row costs its entry, not the seller.
+    /// grain activates it. An entry row that does not read is left out, so
+    /// a damaged row costs its order's entries, not the seller.
     pub fn load_all(rows: &impl RowReader) -> OmResult<Option<SellerView>> {
         let Some(mut view) = load_root::<SellerView>(rows)? else {
             return Ok(None);
         };
-        view.entries = entry_rows(rows, &[ENTRY]).flatten().collect();
+        let mut entries = Vec::new();
+        read_entry_rows(rows, &[ENTRY], view.seller.id, true, &mut entries)?;
+        view.entries = entries.into_iter().map(|e| ((e.order, e.product.0), e)).collect();
         Ok(Some(view))
     }
 
@@ -233,73 +268,53 @@ impl SellerView {
         }
     }
 
-    /// Adds `order`'s entry rows to the view.
+    /// Adds `order`'s entries to the view, from its entry row.
     pub fn load_order(&mut self, rows: &impl RowReader, order: OrderId) -> OmResult<()> {
-        for entry in entry_rows(rows, &row(ENTRY, &[order.0])) {
-            let (key, entry) = entry?;
-            self.entries.insert(key, entry);
+        let mut entries = Vec::new();
+        read_entry_rows(rows, &row(ENTRY, &[order.0]), self.seller.id, false, &mut entries)?;
+        for e in entries {
+            self.entries.insert((e.order, e.product.0), e);
         }
         Ok(())
     }
-}
 
-/// A seller's entries in row order: the dashboard's detail query.
-pub fn seller_entries(rows: &impl RowReader) -> OmResult<Vec<OrderEntry>> {
-    decode_all(rows, &[ENTRY]).collect()
-}
-
-/// The entry keys some orders of a seller view held before a change.
-/// Storing the changed view through it writes the header and those
-/// orders' entry rows, and deletes every key of theirs the change retired
-/// — a change stores the orders it touched, not the seller's history.
-#[derive(Debug, Default)]
-pub struct SellerDelta {
-    orders: Vec<OrderId>,
-    before: Vec<(OrderId, u64)>,
-}
-
-impl SellerDelta {
-    /// Captures the entry keys `orders` hold in `view`, before the change.
-    pub fn of(view: &SellerView, orders: impl IntoIterator<Item = OrderId>) -> Self {
-        let orders: Vec<OrderId> = orders.into_iter().collect();
-        let before = orders
-            .iter()
-            .flat_map(|&o| view.entries.range((o, 0)..=(o, u64::MAX)).map(|(k, _)| *k))
-            .collect();
-        Self { orders, before }
-    }
-
-    /// Captures every entry key of `view`, which a new view replaces:
-    /// storing the new view through it deletes all of the old one's rows.
-    pub fn replace(view: &SellerView) -> Self {
-        Self {
-            orders: Vec::new(),
-            before: view.entries.keys().copied().collect(),
-        }
-    }
-
-    /// Writes `view`'s row delta: the retired keys deleted, the captured
-    /// orders' entries put, then the header.
-    pub fn store(&self, view: &SellerView, out: &mut impl RowWriter) -> OmResult<()> {
-        for &(order, product) in self.before.iter().filter(|k| !view.entries.contains_key(k)) {
-            out.delete_row(row(ENTRY, &[order.0, product]));
-        }
-        for &order in &self.orders {
-            for (&(_, product), entry) in view.entries.range((order, 0)..=(order, u64::MAX)) {
-                out.put_row(row(ENTRY, &[order.0, product]), encode(entry)?);
+    /// Writes the entry rows of `orders` from the view, then the header: an
+    /// order's entries as one entry page, by product, or its row deleted
+    /// when the view holds none of them. A change stores the orders it
+    /// touched, not the seller's history.
+    pub fn store_orders(
+        &self,
+        orders: impl IntoIterator<Item = OrderId>,
+        out: &mut impl RowWriter,
+    ) -> OmResult<()> {
+        for order in orders {
+            let name = row(ENTRY, &[order.0]);
+            let page = encode_entry_page(self.order_entries(order));
+            if page.is_empty() {
+                out.delete_row(name);
+            } else {
+                out.put_row(name, page);
             }
         }
         let header = SellerView {
-            seller: view.seller.clone(),
-            in_progress_amount: view.in_progress_amount,
-            in_progress_count: view.in_progress_count,
+            seller: self.seller.clone(),
+            in_progress_amount: self.in_progress_amount,
+            in_progress_count: self.in_progress_count,
             entries: BTreeMap::new(),
         };
         store_root(out, &header)
     }
 }
 
-// ---- dashboard entry pages ----------------------------------------------
+/// `seller`'s entries in row order, which is `(order, product)` order: the
+/// dashboard's detail query.
+pub fn seller_entries(rows: &impl RowReader, seller: SellerId) -> OmResult<Vec<OrderEntry>> {
+    let mut entries = Vec::new();
+    read_entry_rows(rows, &[ENTRY], seller, false, &mut entries)?;
+    Ok(entries)
+}
+
+// ---- entry pages ----------------------------------------------------------
 
 /// Bytes of one entry in an entry page: order `u64`, product `u64`,
 /// quantity `u32`, total cents `i64` and the status byte, little-endian.
@@ -316,11 +331,12 @@ const STATUS_BYTES: [OrderStatus; 6] = [
     OrderStatus::Canceled,
 ];
 
-/// An entry page holding `entries`, in the order given. The writer keeps
+/// An entry page holding `entries`, in the order given. Its writers keep
 /// them sorted by `(order, product)`, so that pages read in key order list
 /// a seller's entries in that order with no sort.
-pub fn encode_entry_page(entries: &[OrderEntry]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(entries.len() * PAGE_RECORD);
+pub fn encode_entry_page<'a>(entries: impl IntoIterator<Item = &'a OrderEntry>) -> Vec<u8> {
+    let entries = entries.into_iter();
+    let mut out = Vec::with_capacity(entries.size_hint().0 * PAGE_RECORD);
     for e in entries {
         // A status missing from the map writes a byte that never decodes.
         let status = STATUS_BYTES.iter().position(|&s| s == e.status);

@@ -23,34 +23,11 @@ pub struct SellerView {
     /// Continuous aggregate: financial amount of in-progress orders.
     pub in_progress_amount: Money,
     pub in_progress_count: u64,
-    /// The tuples behind the aggregate, keyed by (order, product).
-    ///
-    /// Serialized as a sequence of `(key, entry)` pairs, so the view also
-    /// encodes in formats whose map keys must be strings (JSON). The
-    /// bindings persist the view with the binary codec, row-keyed: the
-    /// view with this map empty is the header, and each entry is a row.
-    #[serde(with = "entries_as_pairs")]
+    /// The tuples behind the aggregate, keyed by (order, product). The
+    /// bindings persist the view row-keyed (`domain::rows`): the view with
+    /// this map empty is the header, and each order's entries are an entry
+    /// page.
     pub entries: BTreeMap<(OrderId, u64), OrderEntry>,
-}
-
-/// Serde adapter representing the tuple-keyed entry map as a pair list.
-mod entries_as_pairs {
-    use super::*;
-    use serde::{Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(
-        map: &BTreeMap<(OrderId, u64), OrderEntry>,
-        serializer: S,
-    ) -> Result<S::Ok, S::Error> {
-        serializer.collect_seq(map.iter())
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        deserializer: D,
-    ) -> Result<BTreeMap<(OrderId, u64), OrderEntry>, D::Error> {
-        let pairs = Vec::<((OrderId, u64), OrderEntry)>::deserialize(deserializer)?;
-        Ok(pairs.into_iter().collect())
-    }
 }
 
 impl SellerView {
@@ -103,6 +80,13 @@ impl SellerView {
         }
     }
 
+    /// `order`'s entries, by product.
+    pub fn order_entries(&self, order: OrderId) -> impl Iterator<Item = &OrderEntry> {
+        self.entries
+            .range((order, 0)..=(order, u64::MAX))
+            .map(|(_, e)| e)
+    }
+
     /// The dashboard assembled **from this view alone** (both queries over
     /// one state — consistent by construction; bindings that answer the
     /// two queries from different components may still produce torn
@@ -149,20 +133,18 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrips_with_populated_entries() {
-        // Regression: tuple map keys are not valid JSON map keys; the
-        // entries map must survive a JSON round-trip.
+    fn codec_roundtrips_with_populated_entries() {
         let mut v = SellerView::new(seller_named(SellerId(1), "s"));
         v.add_entry(entry(1, 1, 100));
         v.add_entry(entry(2, 7, 50));
-        let json = serde_json::to_string(&v).expect("serializes with non-empty entries");
-        let back: SellerView = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.entries.len(), 2);
+        let bytes = om_common::codec::to_bytes(&v).expect("encodes with non-empty entries");
+        let back: SellerView = om_common::codec::from_bytes(&bytes).unwrap();
         assert_eq!(back.in_progress_amount, v.in_progress_amount);
         assert_eq!(
             back.entries.keys().copied().collect::<Vec<_>>(),
             vec![(OrderId(1), 1), (OrderId(2), 7)]
         );
+        assert_eq!(back.dashboard(), v.dashboard());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The actor bindings' row-keyed seller grain, end to end: a seller grain's
 //! storage commit costs the order it touched, not the seller's history —
-//! and storing the view as a header plus entry rows changed no dashboard.
+//! and storing the view as a header plus one entry row per order (the
+//! order's entry page) changed no dashboard.
 //!
 //! Each actor binding (Eventual, Transactional, Customized) persists its
 //! grains through a recording in-memory backend while one thread
@@ -439,7 +440,6 @@ fn an_aborted_transaction_writes_no_seller_row() {
     key.extend_from_slice(&1u64.to_be_bytes());
     key.push(b'e');
     key.extend_from_slice(&78u64.to_be_bytes());
-    key.extend_from_slice(&1u64.to_be_bytes());
     assert_eq!(rows[0].key, key);
     assert!(rows[0].value.is_some());
 

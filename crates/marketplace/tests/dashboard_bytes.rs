@@ -1,17 +1,19 @@
-//! The Customized dashboard's answer, pinned byte for byte.
+//! Every seller's dashboard answer, pinned byte for byte, on five cells.
 //!
 //! One thread drives seeded checkouts from 48 customers, with carts that
 //! span sellers, and a few delivery rounds, one operation at a time with
-//! `quiesce()` after each, on the Customized binding over the snapshot
-//! isolation backend. Order ids are `customer × ORDERS_PER_CUSTOMER +
-//! seq`, so 48 customers place every seller's entries in several order-id
-//! ranges. Each seller's dashboard is then encoded as the gateway answers
-//! it (`seller_dashboard_json`), and `dashboard_bytes.golden` lists one
-//! line per seller: its entry count and an FNV-1a digest of those bytes,
-//! which must also be serde's bytes of the typed dashboard. The golden was
-//! generated once and checked in: a difference is a change of what a
-//! dashboard answers (its entries, their order or the aggregate), not a
-//! fixture to regenerate.
+//! `quiesce()` after each: on Customized over the snapshot isolation
+//! backend, on Eventual, Transactional and Dataflow over their memory
+//! backends, and on Dataflow over the file-durable backend. Order ids are
+//! `customer × ORDERS_PER_CUSTOMER + seq`, so 48 customers place every
+//! seller's entries in several order-id ranges. Each seller's dashboard is
+//! then encoded as the gateway answers it (`seller_dashboard_json`), and
+//! `dashboard_bytes.golden` holds one section per cell, a `== <binding>
+//! <backend>` line, then one line per seller: its entry count and an
+//! FNV-1a digest of those bytes, which must also be serde's bytes of the
+//! typed dashboard. The golden was generated once and checked in: a
+//! difference is a change of what a dashboard answers (its entries, their
+//! order or the aggregate), not a fixture to regenerate.
 //!
 //! The same history, then a seller's re-ingest and more checkouts, runs on
 //! every binding over its memory backend and on Customized over the
@@ -132,34 +134,87 @@ fn json_dashboards(platform: &dyn MarketplacePlatform) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// One line per seller: `seller <id> entries <n> <digest>`.
-fn dashboards() -> Vec<String> {
-    let spec =
-        PlatformSpec::new(PlatformKind::Customized, BackendKind::SnapshotIsolation).parallelism(2);
-    let platform = seeded(&spec);
-    json_dashboards(platform.as_ref())
-        .into_iter()
-        .zip(1..=SELLERS)
-        .map(|(json, s)| {
-            let dash = platform.seller_dashboard(SellerId(s)).unwrap();
-            assert!(dash.is_snapshot_consistent(), "seller {s}: {dash:?}");
-            format!(
-                "seller {s} entries {} {:016x}",
-                dash.entries.len(),
-                digest(&json)
-            )
-        })
-        .collect()
+/// The golden's section of `spec`'s cell: its `== <binding> <backend>`
+/// line, then one line per seller, `seller <id> entries <n> <digest>`.
+fn dashboards(spec: &PlatformSpec) -> Vec<String> {
+    let platform = seeded(spec);
+    let mut section = vec![format!(
+        "== {} {}",
+        spec.kind.label(),
+        spec.backend.label()
+    )];
+    for (json, s) in json_dashboards(platform.as_ref()).into_iter().zip(1..=SELLERS) {
+        let dash = platform.seller_dashboard(SellerId(s)).unwrap();
+        assert!(dash.is_snapshot_consistent(), "seller {s}: {dash:?}");
+        section.push(format!(
+            "seller {s} entries {} {:016x}",
+            dash.entries.len(),
+            digest(&json)
+        ));
+    }
+    section
+}
+
+/// Compares the dashboards of `spec`'s cell with its golden section.
+fn matches_the_golden(spec: &PlatformSpec) {
+    let actual = dashboards(spec);
+    let golden = include_str!("dashboard_bytes.golden");
+    let expected: Vec<&str> = golden
+        .lines()
+        .skip_while(|line| *line != actual[0])
+        .take(1 + SELLERS as usize)
+        .collect();
+    assert!(
+        actual == expected,
+        "{} dashboards answer different bytes:\n{}",
+        actual[0],
+        actual.join("\n")
+    );
+}
+
+/// `spec` over its own empty data directory, which `run` may fill.
+fn in_data_dir(spec: PlatformSpec, name: &str, run: impl FnOnce(&PlatformSpec)) {
+    let dir = std::env::temp_dir().join(format!("om-dashboard-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    run(&spec.data_dir(&dir));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn customized_dashboards_match_the_golden_bytes() {
-    let expected: Vec<&str> = include_str!("dashboard_bytes.golden").lines().collect();
-    let actual = dashboards();
-    assert!(
-        actual == expected,
-        "a Customized dashboard answers different bytes:\n{}",
-        actual.join("\n")
+    matches_the_golden(
+        &PlatformSpec::new(PlatformKind::Customized, BackendKind::SnapshotIsolation).parallelism(2),
+    );
+}
+
+#[test]
+fn eventual_dashboards_match_the_golden_bytes() {
+    matches_the_golden(
+        &PlatformSpec::new(PlatformKind::Eventual, BackendKind::Eventual).parallelism(2),
+    );
+}
+
+#[test]
+fn transactional_dashboards_match_the_golden_bytes() {
+    matches_the_golden(
+        &PlatformSpec::new(PlatformKind::Transactional, BackendKind::SnapshotIsolation)
+            .parallelism(2),
+    );
+}
+
+#[test]
+fn dataflow_dashboards_match_the_golden_bytes() {
+    matches_the_golden(
+        &PlatformSpec::new(PlatformKind::Dataflow, BackendKind::SnapshotIsolation).parallelism(2),
+    );
+}
+
+#[test]
+fn durable_dataflow_dashboards_match_the_golden_bytes() {
+    in_data_dir(
+        PlatformSpec::new(PlatformKind::Dataflow, BackendKind::FileDurable).parallelism(2),
+        "golden",
+        matches_the_golden,
     );
 }
 
@@ -199,12 +254,9 @@ fn customized_answers_serde_bytes_on_every_backend() {
     json_is_serde_bytes(
         &PlatformSpec::new(PlatformKind::Customized, BackendKind::Eventual).parallelism(2),
     );
-    let dir = std::env::temp_dir().join(format!("om-dashboard-bytes-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    json_is_serde_bytes(
-        &PlatformSpec::new(PlatformKind::Customized, BackendKind::FileDurable)
-            .parallelism(2)
-            .data_dir(&dir),
+    in_data_dir(
+        PlatformSpec::new(PlatformKind::Customized, BackendKind::FileDurable).parallelism(2),
+        "bytes",
+        json_is_serde_bytes,
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }

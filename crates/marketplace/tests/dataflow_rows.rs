@@ -9,6 +9,10 @@
 //! `update_delivery` per 20 checkouts). The same operation stream is
 //! applied, one operation after another, to the plain domain services;
 //! `snapshot()` and every seller's dashboard must agree with that model.
+//!
+//! A seller function keeps an order's dashboard entries as one row, the
+//! order's entry page: two products of one order, added in one epoch, are
+//! one row in product order.
 
 use om_common::config::BackendKind;
 use om_common::entity::{
@@ -22,6 +26,8 @@ use om_common::Money;
 use om_dataflow::BackendCheckpointStore;
 use om_marketplace::api::*;
 use om_marketplace::bindings::dataflow::{DataflowPlatform, DataflowPlatformConfig};
+use om_marketplace::bindings::kinds;
+use om_marketplace::domain::rows;
 use om_marketplace::domain::{
     CartService, OrderService, PaymentService, SellerView, ShipmentService, StockService,
 };
@@ -443,4 +449,71 @@ fn checkpoint_commits_cost_the_delta_and_outcomes_match_the_domain_model() {
             "dashboard of seller {s}"
         );
     }
+}
+
+/// The row name of a seller function's entry row under the checkpoint
+/// key `key`: `df!/s/`, partition (u32 BE), fn-type length (u16 BE),
+/// fn-type, key (u64 BE), then the row.
+fn seller_entry_row(key: &[u8]) -> Option<&[u8]> {
+    let rest = key.strip_prefix(b"df!/s/")?;
+    let len = u16::from_be_bytes([rest[4], rest[5]]) as usize;
+    let row = &rest[14 + len..];
+    (&rest[6..6 + len] == kinds::SELLER.as_bytes() && row.first() == Some(&rows::ENTRY))
+        .then_some(row)
+}
+
+#[test]
+fn two_products_of_one_order_land_in_one_row_through_one_epoch() {
+    let backend = RecordingBackend::new(BackendKind::SnapshotIsolation);
+    let platform = DataflowPlatform::new(DataflowPlatformConfig {
+        partitions: 2,
+        workers: 1,
+        decline_rate: 0.0,
+        checkpoint_store: Some(Arc::new(BackendCheckpointStore::new(backend.clone()))),
+        ..Default::default()
+    });
+    platform.ingest_seller(seller(1)).unwrap();
+    platform.ingest_customer(customer(1)).unwrap();
+    // Products 11 and 1 are both seller 1's, added in that order.
+    for p in [11, 1] {
+        platform.ingest_product(product(p), 100).unwrap();
+    }
+    platform.quiesce();
+    let from = backend.log().len();
+    for p in [11, 1] {
+        let item = CheckoutItem {
+            seller: SellerId(1),
+            product: ProductId(p),
+            quantity: 1,
+        };
+        platform.add_to_cart(CustomerId(1), item).unwrap();
+    }
+    platform
+        .checkout(CheckoutRequest {
+            customer: CustomerId(1),
+            items: vec![],
+            method: PaymentMethod::CreditCard,
+        })
+        .unwrap();
+    platform.quiesce();
+
+    // The two entries reach the seller function in one epoch, and its
+    // first checkpoint commit of the order's row holds them both.
+    let log = backend.log();
+    let writes: Vec<(&[u8], Option<&Vec<u8>>)> = log[from..]
+        .iter()
+        .flat_map(|w| &w.ops)
+        .filter_map(|op| Some((seller_entry_row(&op.key)?, op.value.as_ref())))
+        .collect();
+    let (row, page) = writes.first().expect("the order's entry row is written");
+    assert!(writes.iter().all(|(r, _)| r == row), "one row: {writes:?}");
+    let order = u64::from_be_bytes(row[1..].try_into().unwrap());
+    let mut entries = Vec::new();
+    rows::decode_entry_page(page.expect("a put"), SellerId(1), &mut entries).unwrap();
+    assert_eq!(
+        entries.iter().map(|e| (e.order.0, e.product)).collect::<Vec<_>>(),
+        vec![(order, ProductId(1)), (order, ProductId(11))]
+    );
+    let dashboard = platform.seller_dashboard(SellerId(1)).unwrap();
+    assert_eq!(dashboard.entries.len(), 2);
 }

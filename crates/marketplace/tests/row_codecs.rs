@@ -2,9 +2,10 @@
 //! gives the same service state for the rows touched, and rows read back
 //! from storage — outside input at checkpoint recovery and grain
 //! activation — give a typed error, never a panic, whatever they hold. A
-//! seller's activation leaves out the entry rows that do not read. The
-//! Customized projection's entry pages round-trip, read back in order, and
-//! fail typed when damaged.
+//! seller's entries are one entry page per order, rewritten from the view
+//! by the change that touched the order, and its activation leaves out
+//! the entry rows that do not read. Entry pages round-trip, read back in
+//! order, and fail typed when damaged.
 
 use om_common::entity::{CartItem, Customer, OrderEntry, OrderStatus, PaymentMethod, Seller};
 use om_common::event::OrderLineRef;
@@ -12,7 +13,7 @@ use om_common::ids::{CustomerId, OrderId, ProductId, SellerId, ShipmentId, Trans
 use om_common::time::EventTime;
 use om_common::{Money, OmResult};
 use om_marketplace::domain::rows::{self, load_root, store_root, CustomerOrders, RowWriter};
-use om_marketplace::domain::rows::{SellerDelta, StoredRows};
+use om_marketplace::domain::rows::StoredRows;
 use om_marketplace::domain::{OrderService, PaymentService, SellerView, ShipmentService};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -83,47 +84,132 @@ fn line(product: u64) -> OrderLineRef {
     }
 }
 
+/// The entries of `order`'s entry row in `store`, decoded.
+fn order_row(store: &Store, order: u64) -> Option<Vec<OrderEntry>> {
+    let page = store.0.get(&[[rows::ENTRY].as_slice(), &order.to_be_bytes()].concat())?;
+    let mut entries = Vec::new();
+    rows::decode_entry_page(page, SellerId(1), &mut entries).unwrap();
+    Some(entries)
+}
+
 #[test]
 fn a_seller_view_round_trips_through_header_and_entry_rows() {
     let mut view = seller();
-    for (order, product) in [(10, 1), (10, 2), (11, 1), (12, 3)] {
+    for (order, product) in [(10, 2), (10, 1), (11, 1), (12, 3)] {
         view.add_entry(entry(order, product));
     }
     let mut store = Store::default();
-    SellerDelta::of(&seller(), [10, 11, 12].map(OrderId))
-        .store(&view, &mut store)
-        .unwrap();
+    view.store_orders([10, 11, 12].map(OrderId), &mut store).unwrap();
+    assert_eq!(store.0.len(), 1 + 3, "the header and one row per order");
+    assert_eq!(order_row(&store, 10), Some(vec![entry(10, 1), entry(10, 2)]));
     let back = SellerView::load_all(&store.read()).unwrap().unwrap();
     assert_eq!(back.dashboard(), view.dashboard());
     assert_eq!(
-        rows::seller_entries(&store.read()).unwrap(),
+        rows::seller_entries(&store.read(), SellerId(1)).unwrap(),
         view.entry_list()
     );
 
-    // A change to one order stores that order: its retired entries go.
-    let delta = SellerDelta::of(&view, [OrderId(10)]);
+    // A change to one order stores that order: a terminal status deletes
+    // its row.
     view.apply_status(OrderId(10), OrderStatus::Delivered);
-    delta.store(&view, &mut store).unwrap();
+    view.store_orders([OrderId(10)], &mut store).unwrap();
     assert_eq!(store.0.len(), 1 + 2, "the header and orders 11 and 12");
+    assert_eq!(order_row(&store, 10), None);
     let back = SellerView::load_all(&store.read()).unwrap().unwrap();
     assert_eq!(back.dashboard(), view.dashboard());
     assert_eq!(back.seller, view.seller);
 
-    // The header alone, then one order's rows.
+    // The header alone, then one order's row.
     let mut part: SellerView = load_root(&store.read()).unwrap().unwrap();
     assert!(part.entries.is_empty());
     part.load_order(&store.read(), OrderId(12)).unwrap();
     assert_eq!(part.entry_list(), vec![entry(12, 3)]);
 
-    // A new view replaces every row of the old one: from the view a grain
-    // holds, or from the stored rows' names.
+    // A new view replaces every row of the old one: from the orders of
+    // the view a grain holds, or from the stored rows' names.
     let mut by_name = Store(store.0.clone());
     SellerView::delete_entries(&store.read(), &mut by_name);
-    SellerDelta::replace(&view)
-        .store(&seller(), &mut store)
+    seller()
+        .store_orders(view.entries.keys().map(|&(order, _)| order), &mut store)
         .unwrap();
     assert_eq!(store.0.len(), 1, "only the header");
     assert_eq!(by_name.0.keys().collect::<Vec<_>>(), vec![rows::ROOT]);
+}
+
+#[test]
+fn an_in_progress_status_rewrites_the_orders_row_with_its_status_byte() {
+    let mut view = seller();
+    view.add_entry(entry(10, 1));
+    view.add_entry(entry(11, 1));
+    let mut store = Store::default();
+    view.store_orders([10, 11].map(OrderId), &mut store).unwrap();
+    let other = order_row(&store, 11);
+
+    view.apply_status(OrderId(10), OrderStatus::Paid);
+    view.store_orders([OrderId(10)], &mut store).unwrap();
+    let page = &store.0[&[[rows::ENTRY].as_slice(), &10u64.to_be_bytes()].concat()];
+    assert_eq!(page.len(), rows::PAGE_RECORD);
+    assert_eq!(page[rows::PAGE_RECORD - 1], 1, "Paid is status byte 1");
+    let mut paid = entry(10, 1);
+    paid.status = OrderStatus::Paid;
+    assert_eq!(order_row(&store, 10), Some(vec![paid]));
+    assert_eq!(order_row(&store, 11), other, "order 11's row is left as it was");
+}
+
+#[test]
+fn a_terminal_status_deletes_the_orders_row() {
+    for status in [OrderStatus::PaymentFailed, OrderStatus::Delivered, OrderStatus::Canceled] {
+        let mut view = seller();
+        view.add_entry(entry(10, 1));
+        view.add_entry(entry(10, 2));
+        let mut store = Store::default();
+        view.store_orders([OrderId(10)], &mut store).unwrap();
+        assert!(order_row(&store, 10).is_some());
+        view.apply_status(OrderId(10), status);
+        view.store_orders([OrderId(10)], &mut store).unwrap();
+        assert_eq!(order_row(&store, 10), None, "{status:?}");
+        assert_eq!(store.0.len(), 1, "{status:?}: only the header");
+    }
+}
+
+#[test]
+fn two_products_of_one_order_land_in_one_row_in_product_order() {
+    // Added one message at a time, as a dataflow function does: each loads
+    // the order's row, adds its entry and rewrites the row.
+    let mut store = Store::default();
+    seller().store_orders([], &mut store).unwrap();
+    for product in [7, 3] {
+        let mut view: SellerView = load_root(&store.read()).unwrap().unwrap();
+        view.load_order(&store.read(), OrderId(10)).unwrap();
+        view.add_entry(entry(10, product));
+        view.store_orders([OrderId(10)], &mut store).unwrap();
+    }
+    assert_eq!(store.0.len(), 1 + 1, "the header and order 10's row");
+    assert_eq!(order_row(&store, 10), Some(vec![entry(10, 3), entry(10, 7)]));
+    let header: SellerView = load_root(&store.read()).unwrap().unwrap();
+    assert_eq!(header.aggregate(), (Money::from_cents(1_000), 2));
+}
+
+/// The header row's bytes, as the seller rows stored them when every
+/// entry was a row of its own: the per-order entry pages left them as
+/// they were.
+#[test]
+fn a_seller_header_row_keeps_its_bytes() {
+    let mut view = seller();
+    for (order, product) in [(10, 1), (10, 2), (11, 3)] {
+        view.add_entry(entry(order, product));
+    }
+    view.apply_status(OrderId(10), OrderStatus::Paid);
+    view.apply_status(OrderId(11), OrderStatus::Delivered);
+    let mut store = Store::default();
+    view.store_orders([10, 11].map(OrderId), &mut store).unwrap();
+    let header = store.read().root.unwrap();
+    let hex: String = header.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(
+        hex,
+        "0100000000000000010000000000000073010000000000000063030000000000000001000000000000002c01\
+         0000000000002c0100000000000002000000000000000000000000000000"
+    );
 }
 
 #[test]
@@ -232,9 +318,9 @@ fn a_row_name_shorter_than_its_ids_is_a_typed_error() {
     let short = |tag, id: u8| vec![tag, 0, 0, 0, 0, 0, 0, 0, id];
     let entries = StoredRows {
         root: Some(encode(&seller())),
-        rows: vec![(short(rows::ENTRY, 1), encode(&entry(1, 1)))],
+        rows: vec![(vec![rows::ENTRY, 0, 0, 1], rows::encode_entry_page(&[entry(1, 1)]))],
     };
-    let err = seller().load_order(&entries, OrderId(1)).unwrap_err();
+    let err = rows::seller_entries(&entries, SellerId(1)).unwrap_err();
     assert_eq!(err.label(), "internal");
     let shipment = StoredRows {
         root: None,
@@ -248,21 +334,25 @@ fn a_row_name_shorter_than_its_ids_is_a_typed_error() {
 fn a_seller_activates_without_the_entry_rows_that_do_not_read() {
     let mut store = Store::default();
     let mut view = seller();
-    view.add_entry(entry(1, 1));
-    view.add_entry(entry(2, 2));
-    SellerDelta::of(&seller(), [OrderId(1), OrderId(2)])
-        .store(&view, &mut store)
-        .unwrap();
+    for (order, product) in [(1, 1), (1, 2), (2, 2), (3, 1)] {
+        view.add_entry(entry(order, product));
+    }
+    view.store_orders([1, 2, 3].map(OrderId), &mut store).unwrap();
     let mut stored = store.read();
-    // Order 2's row holds bytes that do not decode; a third row's name is
-    // shorter than its ids.
+    // Order 2's row holds bytes that do not decode, order 3's holds order
+    // 1's entries, and a fourth row's name is shorter than its order id.
     stored.rows[1].1 = vec![0xff; 3];
+    stored.rows[2].1 = rows::encode_entry_page(&[entry(1, 1)]);
     stored
         .rows
-        .push((vec![rows::ENTRY, 9], encode(&entry(9, 9))));
+        .push((vec![rows::ENTRY, 9], rows::encode_entry_page(&[entry(9, 9)])));
 
     let back = SellerView::load_all(&stored).unwrap().unwrap();
-    assert_eq!(back.entry_list(), vec![entry(1, 1)]);
+    assert_eq!(back.entry_list(), vec![entry(1, 1), entry(1, 2)]);
+    for order in [2, 3] {
+        let err = seller().load_order(&stored, OrderId(order)).unwrap_err();
+        assert_eq!(err.label(), "internal", "order {order}");
+    }
     assert_eq!(back.seller, view.seller);
 }
 
@@ -356,11 +446,15 @@ proptest! {
 
     #[test]
     fn prop_seller_rows_from_outside_read_or_fail_typed(
-        stored in rows_from_outside(vec![rows::ENTRY, b'x'], encode(&seller()), encode(&entry(1, 2))),
+        stored in rows_from_outside(
+            vec![rows::ENTRY, b'x'],
+            encode(&seller()),
+            rows::encode_entry_page(&[entry(1, 2), entry(1, 3)]),
+        ),
         order in 0u64..3,
     ) {
         typed(SellerView::load_all(&stored))?;
-        typed(rows::seller_entries(&stored))?;
+        typed(rows::seller_entries(&stored, SellerId(1)))?;
         typed(seller().load_order(&stored, OrderId(order)))?;
     }
 
@@ -424,7 +518,7 @@ proptest! {
         for e in sorted.values() {
             pages.entry(e.order.0 / 16).or_default().push(e.clone());
         }
-        let encoded: Vec<Vec<u8>> = pages.values().map(|p| rows::encode_entry_page(p)).collect();
+        let encoded: Vec<Vec<u8>> = pages.values().map(rows::encode_entry_page).collect();
 
         let mut all = Vec::new();
         for (page, raw) in pages.values().zip(&encoded) {
@@ -463,3 +557,4 @@ const STATUSES: [OrderStatus; 6] = [
     OrderStatus::Delivered,
     OrderStatus::Canceled,
 ];
+

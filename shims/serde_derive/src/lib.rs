@@ -5,9 +5,8 @@
 //! `syn`/`quote`) and emitting impls against the sibling `serde` shim's
 //! data model. Supported shapes are exactly what this workspace uses:
 //! non-generic structs (named / tuple / unit) and enums (all four
-//! variant shapes), plus the `#[serde(transparent)]` and
-//! `#[serde(with = "module")]` attributes. Anything else panics at
-//! compile time rather than silently mis-serializing.
+//! variant shapes), plus the `#[serde(transparent)]` attribute. Anything
+//! else panics at compile time rather than silently mis-serializing.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -19,7 +18,6 @@ struct Field {
     /// `None` for tuple fields.
     name: Option<String>,
     ty: String,
-    with: Option<String>,
 }
 
 struct Variant {
@@ -55,13 +53,6 @@ struct Input {
 // Token-stream parsing
 // ---------------------------------------------------------------------------
 
-/// Serde-relevant attribute content gathered while skipping attributes.
-#[derive(Default)]
-struct SerdeAttrs {
-    transparent: bool,
-    with: Option<String>,
-}
-
 fn is_punct(tree: &TokenTree, ch: char) -> bool {
     matches!(tree, TokenTree::Punct(p) if p.as_char() == ch)
 }
@@ -70,10 +61,10 @@ fn is_ident(tree: &TokenTree, word: &str) -> bool {
     matches!(tree, TokenTree::Ident(i) if i.to_string() == word)
 }
 
-/// Consumes leading `#[...]` attributes, folding any `#[serde(...)]`
-/// content into the returned attrs.
-fn skip_attributes(tokens: &[TokenTree], mut idx: usize) -> (usize, SerdeAttrs) {
-    let mut attrs = SerdeAttrs::default();
+/// Consumes leading `#[...]` attributes; the flag is whether one of them
+/// is `#[serde(transparent)]`.
+fn skip_attributes(tokens: &[TokenTree], mut idx: usize) -> (usize, bool) {
+    let mut transparent = false;
     while idx < tokens.len() && is_punct(&tokens[idx], '#') {
         let TokenTree::Group(group) = &tokens[idx + 1] else {
             panic!("expected [...] after # in attribute");
@@ -83,39 +74,20 @@ fn skip_attributes(tokens: &[TokenTree], mut idx: usize) -> (usize, SerdeAttrs) 
             let TokenTree::Group(args) = &inner[1] else {
                 panic!("expected parenthesized args in #[serde(...)]");
             };
-            parse_serde_args(&args.stream().into_iter().collect::<Vec<_>>(), &mut attrs);
+            for arg in args.stream() {
+                match arg {
+                    TokenTree::Ident(id) if id.to_string() == "transparent" => transparent = true,
+                    TokenTree::Punct(p) if p.as_char() == ',' => {}
+                    other => panic!(
+                        "unsupported #[serde({other})] attribute — the offline serde shim \
+                         supports only `transparent`"
+                    ),
+                }
+            }
         }
         idx += 2;
     }
-    (idx, attrs)
-}
-
-fn parse_serde_args(args: &[TokenTree], attrs: &mut SerdeAttrs) {
-    let mut i = 0;
-    while i < args.len() {
-        match &args[i] {
-            TokenTree::Ident(id) if id.to_string() == "transparent" => {
-                attrs.transparent = true;
-                i += 1;
-            }
-            TokenTree::Ident(id) if id.to_string() == "with" => {
-                assert!(
-                    is_punct(&args[i + 1], '='),
-                    "expected `with = \"path\"` in #[serde(...)]"
-                );
-                let lit = args[i + 2].to_string();
-                attrs.with = Some(lit.trim_matches('"').to_string());
-                i += 3;
-            }
-            other => panic!(
-                "unsupported #[serde({other})] attribute — the offline serde shim \
-                 supports only `transparent` and `with = \"module\"`"
-            ),
-        }
-        if i < args.len() && is_punct(&args[i], ',') {
-            i += 1;
-        }
-    }
+    (idx, transparent)
 }
 
 /// Consumes an optional `pub` / `pub(...)` visibility.
@@ -158,7 +130,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut idx = 0;
     while idx < tokens.len() {
-        let (next, attrs) = skip_attributes(&tokens, idx);
+        let (next, _) = skip_attributes(&tokens, idx);
         idx = skip_visibility(&tokens, next);
         let name = tokens[idx].to_string();
         idx += 1;
@@ -172,7 +144,6 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
         fields.push(Field {
             name: Some(name),
             ty,
-            with: attrs.with,
         });
     }
     fields
@@ -183,18 +154,14 @@ fn parse_tuple_fields(stream: TokenStream) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut idx = 0;
     while idx < tokens.len() {
-        let (next, attrs) = skip_attributes(&tokens, idx);
+        let (next, _) = skip_attributes(&tokens, idx);
         idx = skip_visibility(&tokens, next);
         let (next, ty) = collect_type(&tokens, idx);
         idx = next;
         if idx < tokens.len() && is_punct(&tokens[idx], ',') {
             idx += 1;
         }
-        fields.push(Field {
-            name: None,
-            ty,
-            with: attrs.with,
-        });
+        fields.push(Field { name: None, ty });
     }
     fields
 }
@@ -240,7 +207,7 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
 
 fn parse_input(input: TokenStream) -> Input {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
-    let (idx, attrs) = skip_attributes(&tokens, 0);
+    let (idx, transparent) = skip_attributes(&tokens, 0);
     let mut idx = skip_visibility(&tokens, idx);
 
     let is_struct = if is_ident(&tokens[idx], "struct") {
@@ -266,7 +233,7 @@ fn parse_input(input: TokenStream) -> Input {
                 kind: Kind::Struct {
                     style: Style::Named,
                     fields: parse_named_fields(g.stream()),
-                    transparent: attrs.transparent,
+                    transparent,
                 },
             },
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => Input {
@@ -274,7 +241,7 @@ fn parse_input(input: TokenStream) -> Input {
                 kind: Kind::Struct {
                     style: Style::Tuple,
                     fields: parse_tuple_fields(g.stream()),
-                    transparent: attrs.transparent,
+                    transparent,
                 },
             },
             Some(t) if is_punct(t, ';') => Input {
@@ -328,34 +295,11 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     out.parse().expect("serialize impl should parse")
 }
 
-/// Emits `__st.serialize_field(...)` (or element) for one field, routing
-/// `#[serde(with = ...)]` through a local wrapper type.
-fn ser_field(target: &str, idx: usize, field: &Field, method: &str) -> String {
-    let access = match &field.name {
-        Some(n) => format!("&self.{n}"),
-        None => format!("&self.{idx}"),
-    };
-    let key = match (&field.name, method) {
-        (Some(n), "serialize_field") => format!("\"{n}\", "),
-        _ => String::new(),
-    };
-    match &field.with {
-        None => format!("{target}.{method}({key}{access})?;"),
-        Some(path) => {
-            let ty = &field.ty;
-            format!(
-                "{{\n\
-                     struct __With{idx}<'__a>(&'__a {ty});\n\
-                     impl<'__a> serde::ser::Serialize for __With{idx}<'__a> {{\n\
-                         fn serialize<__S2: serde::ser::Serializer>(&self, __s: __S2)\n\
-                             -> ::std::result::Result<__S2::Ok, __S2::Error> {{\n\
-                             {path}::serialize(self.0, __s)\n\
-                         }}\n\
-                     }}\n\
-                     {target}.{method}({key}&__With{idx}({access}))?;\n\
-                 }}"
-            )
-        }
+/// Emits `__st.serialize_field(...)` for one field of a struct.
+fn ser_field(idx: usize, field: &Field) -> String {
+    match &field.name {
+        Some(n) => format!("__st.serialize_field(\"{n}\", &self.{n})?;"),
+        None => format!("__st.serialize_field(&self.{idx})?;"),
     }
 }
 
@@ -378,7 +322,7 @@ fn serialize_struct_body(name: &str, style: Style, fields: &[Field], transparent
                  let mut __st = serde::ser::Serializer::serialize_tuple_struct(__serializer, \"{name}\", {n})?;\n"
             );
             for (i, f) in fields.iter().enumerate() {
-                body.push_str(&ser_field("__st", i, f, "serialize_field"));
+                body.push_str(&ser_field(i, f));
                 body.push('\n');
             }
             body.push_str("__st.end()");
@@ -399,7 +343,7 @@ fn serialize_struct_body(name: &str, style: Style, fields: &[Field], transparent
                  let mut __st = serde::ser::Serializer::serialize_struct(__serializer, \"{name}\", {n})?;\n"
             );
             for (i, f) in fields.iter().enumerate() {
-                body.push_str(&ser_field("__st", i, f, "serialize_field"));
+                body.push_str(&ser_field(i, f));
                 body.push('\n');
             }
             body.push_str("__st.end()");
@@ -495,27 +439,6 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     out.parse().expect("deserialize impl should parse")
 }
 
-/// Emits per-`with`-field `DeserializeSeed` types named `__Seed{i}`.
-fn with_seeds(fields: &[Field]) -> String {
-    let mut out = String::new();
-    for (i, f) in fields.iter().enumerate() {
-        if let Some(path) = &f.with {
-            let ty = &f.ty;
-            out.push_str(&format!(
-                "struct __Seed{i};\n\
-                 impl<'de> serde::de::DeserializeSeed<'de> for __Seed{i} {{\n\
-                     type Value = {ty};\n\
-                     fn deserialize<__D2: serde::de::Deserializer<'de>>(self, __d: __D2)\n\
-                         -> ::std::result::Result<Self::Value, __D2::Error> {{\n\
-                         {path}::deserialize(__d)\n\
-                     }}\n\
-                 }}\n"
-            ));
-        }
-    }
-    out
-}
-
 /// `visit_seq` body constructing `ctor` from positional fields.
 /// `named` distinguishes braced from tuple/unit construction when the
 /// field list is empty (`Name {}` vs `Name`).
@@ -523,12 +446,8 @@ fn visit_seq_body(ctor: &str, expect: &str, fields: &[Field], named: bool) -> St
     let mut body = String::new();
     for (i, f) in fields.iter().enumerate() {
         let ty = &f.ty;
-        let next = match &f.with {
-            None => format!("serde::de::SeqAccess::next_element::<{ty}>(&mut __seq)?"),
-            Some(_) => format!("serde::de::SeqAccess::next_element_seed(&mut __seq, __Seed{i})?"),
-        };
         body.push_str(&format!(
-            "let __f{i}: {ty} = match {next} {{\n\
+            "let __f{i}: {ty} = match serde::de::SeqAccess::next_element::<{ty}>(&mut __seq)? {{\n\
                  Some(__v) => __v,\n\
                  None => return Err(serde::de::Error::invalid_length({i}usize, &\"{expect}\")),\n\
              }};\n"
@@ -578,12 +497,9 @@ fn visit_map_body(ctor: &str, fields: &[Field]) -> String {
     );
     for (i, f) in fields.iter().enumerate() {
         let fname = f.name.as_ref().unwrap();
-        let next = match &f.with {
-            None => "serde::de::MapAccess::next_value(&mut __map)?".to_string(),
-            Some(_) => format!("serde::de::MapAccess::next_value_seed(&mut __map, __Seed{i})?"),
-        };
         body.push_str(&format!(
-            "\"{fname}\" => {{ __f{i} = ::std::option::Option::Some({next}); }}\n"
+            "\"{fname}\" => {{ __f{i} = ::std::option::Option::Some(\
+                 serde::de::MapAccess::next_value(&mut __map)?); }}\n"
         ));
     }
     body.push_str(
@@ -665,11 +581,9 @@ fn deserialize_struct_body(
         }
         Style::Tuple => {
             let n = fields.len();
-            let seeds = with_seeds(fields);
             let seq = visit_seq_body(name, &format!("tuple struct {name}"), fields, false);
             format!(
-                "{seeds}\n\
-                 struct __Visitor;\n\
+                "struct __Visitor;\n\
                  impl<'de> serde::de::Visitor<'de> for __Visitor {{\n\
                      type Value = {name};\n\
                      fn expecting(&self, __f: &mut ::std::fmt::Formatter<'_>) -> ::std::fmt::Result {{\n\
@@ -690,7 +604,6 @@ fn deserialize_struct_body(
             )
         }
         Style::Named => {
-            let seeds = with_seeds(fields);
             let seq = visit_seq_body(name, &format!("struct {name}"), fields, true);
             let map = visit_map_body(name, fields);
             let field_names: Vec<String> = fields
@@ -698,8 +611,7 @@ fn deserialize_struct_body(
                 .map(|f| format!("\"{}\"", f.name.as_ref().unwrap()))
                 .collect();
             format!(
-                "{seeds}\n\
-                 const __FIELDS: &'static [&'static str] = &[{field_list}];\n\
+                "const __FIELDS: &'static [&'static str] = &[{field_list}];\n\
                  struct __Visitor;\n\
                  impl<'de> serde::de::Visitor<'de> for __Visitor {{\n\
                      type Value = {name};\n\
