@@ -63,7 +63,11 @@
 #     2 loops (about 10 s): no delivered line may stay in a seller's grain
 #     entries or Customized dashboard, which a delivery that retired the
 #     entries outside the checkout's admission broke in about 1 % of runs,
-#     too rarely for 3 x 2 runs to catch,
+#     too rarely for 3 x 2 runs to catch; and every order whose packages
+#     are all delivered must read `Delivered`, with each customer's
+#     `delivery_count` equal to its delivered orders (a delivery event
+#     that reaches an order or customer grain a checkout holds waits for
+#     the lock, then runs),
 #   * `om_http`'s tests run once more pinned to the first allowed CPU
 #     (`taskset`), where the engine starts one event loop whatever
 #     `workers` asks for: the shape every marketbench cell measures,

@@ -7,14 +7,16 @@
 //! format. Beside that, a grain answers queries and the transactional
 //! surface.
 //!
-//! Every stateful service grain wraps its domain state in a
-//! [`TxParticipant`] so the same cluster serves both the *Eventual*
-//! binding (which only touches committed state via events/calls) and the
-//! *Transactional*/*Customized* bindings (which additionally drive the
-//! `Tx*` message surface under 2PL + 2PC). A transaction's write lock
-//! refuses a workflow message, which is then dropped — except that a
-//! product deletion waits at the stock for the lock to go. A message
-//! the bindings send while admitted over the grain (a delivery's seller
+//! The six participant grains (stock, order, payment, shipment, seller,
+//! customer) run behind one adapter, `TxGrain`, which wraps the domain
+//! state in a [`TxParticipant`] so the same cluster serves both the
+//! *Eventual* binding (which only touches committed state via
+//! events/calls) and the *Transactional*/*Customized* bindings (which
+//! additionally drive the `Tx*` message surface under 2PL + 2PC). A
+//! workflow event that reaches a grain a transaction holds waits in the
+//! grain's queue, then runs when the holder's commit or abort releases
+//! the lock; a workflow call there is answered `Conflict`. A message the
+//! bindings send while admitted over the grain (a delivery's seller
 //! status, a seller's ingestion on Customized) always finds it free.
 
 use om_actor::tx::TxParticipant;
@@ -23,7 +25,7 @@ use om_common::entity::{Customer, Product};
 use om_common::ids::*;
 use om_common::{OmError, OmResult};
 use serde::Serialize;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::time::Duration;
 
 use super::actor_msg::{Msg, Reply};
@@ -71,42 +73,6 @@ fn not_mine(id: GrainId, msg: &Msg) -> Reply {
     )))
 }
 
-/// Runs a 2PC surface message against a participant; `commit_hook` runs on
-/// commit with the newly committed state (to store it). A hook that fails
-/// leaves the commit applied in memory only, as a failed store does on
-/// every other grain turn.
-fn handle_tx_protocol<S: Clone, M>(
-    part: &mut TxParticipant<S>,
-    msg: &Msg,
-    ctx: &mut GrainContext<'_, M>,
-    commit_hook: impl FnOnce(&S, &mut GrainContext<'_, M>) -> OmResult<()>,
-) -> Option<Reply> {
-    match msg {
-        Msg::TxPrepare { tid } => Some(Reply::Vote(part.prepare(*tid))),
-        Msg::TxCommit { tid } => {
-            part.commit(*tid);
-            let _ = commit_hook(part.committed(), ctx);
-            Some(Reply::Ok)
-        }
-        Msg::TxAbort { tid } => {
-            part.abort(*tid);
-            Some(Reply::Ok)
-        }
-        _ => None,
-    }
-}
-
-/// Runs a workflow step on a participant's committed state, sending on
-/// as grain events. A transaction's write lock refuses it, and the
-/// message is dropped.
-fn step_committed<S: Step + Clone>(
-    part: &mut TxParticipant<S>,
-    ctx: &mut GrainContext<'_, Msg>,
-    msg: flow::Msg,
-) -> OmResult<u64> {
-    part.mutate_committed(|s| s.step(msg, ctx))?
-}
-
 /// Stores an entity's whole state as its root row, once ingested.
 fn store_entity<T: Serialize>(entity: &Option<T>, ctx: &mut GrainContext<'_, Msg>) -> OmResult<()> {
     entity.as_ref().map_or(Ok(()), |e| store_root(ctx, e))
@@ -125,6 +91,108 @@ fn stage<S: Clone>(
     match part.stage(tid, op).flatten() {
         Ok(()) => Reply::Ok,
         Err(e) => Reply::Err(e),
+    }
+}
+
+/// What a participant grain's service adds to [`TxGrain`]: how a change
+/// is stored, and the grain's own messages.
+trait Service: Step + Clone + Send + 'static {
+    /// Notes in `orders` the orders whose rows `msg` rewrites, on the
+    /// state it is about to run on. Only the seller stores a row per
+    /// order.
+    fn note(&self, _msg: &flow::Msg, _orders: &mut BTreeSet<OrderId>) {}
+
+    /// Stores the state after a change; `orders` are the orders it
+    /// rewrote. A failed store leaves the change applied in memory only.
+    fn store(&self, _orders: &BTreeSet<OrderId>, _: &mut GrainContext<'_, Msg>) -> OmResult<()> {
+        Ok(())
+    }
+
+    /// Answers a query, or stages a `Tx*` op under its transaction's
+    /// lock (noting in `grain.staged` the orders the op rewrites).
+    fn own(grain: &mut TxGrain<Self>, ctx: &mut GrainContext<'_, Msg>, msg: Msg) -> Reply;
+}
+
+/// The one adapter of the participant grains: it answers the 2PC surface
+/// and runs the workflow, and hands every other message to the service.
+///
+/// A workflow message to a free grain runs its step on the committed
+/// state, which is then stored. While a transaction holds the lock, a
+/// workflow event (no reply expected) waits in `waiting`, and a workflow
+/// call is answered `Conflict`: its reply is the turn's return value, so
+/// it cannot wait. The commit or abort that releases the lock steps
+/// every waiting event, in arrival order, in the same turn, and stores
+/// the state once for the holder's changes and theirs. A silo kill
+/// loses the queue together with the lock and the activation.
+struct TxGrain<S> {
+    part: TxParticipant<S>,
+    /// Workflow events that reached the grain while it was held.
+    waiting: VecDeque<flow::Msg>,
+    /// The orders the lock holder's staged ops rewrite.
+    staged: BTreeSet<OrderId>,
+}
+
+impl<S: Service> TxGrain<S> {
+    fn boxed(initial: S) -> Box<dyn om_actor::Grain<Msg, Reply>> {
+        Box::new(Self {
+            part: TxParticipant::new(initial),
+            waiting: VecDeque::new(),
+            staged: BTreeSet::new(),
+        })
+    }
+
+    /// Steps `msgs` on the committed state in order, noting the orders
+    /// each rewrites, then stores the state once if `changed` or a step
+    /// succeeded. Answers the last step: `Conflict` while a transaction
+    /// holds the lock.
+    fn run(
+        &mut self,
+        msgs: impl IntoIterator<Item = flow::Msg>,
+        mut orders: BTreeSet<OrderId>,
+        mut changed: bool,
+        ctx: &mut GrainContext<'_, Msg>,
+    ) -> OmResult<u64> {
+        let mut last = Ok(0);
+        for msg in msgs {
+            self.part.committed().note(&msg, &mut orders);
+            last = self.part.mutate_committed(|s| s.step(msg, ctx)).and_then(|done| done);
+            changed |= last.is_ok();
+        }
+        if changed {
+            let _ = self.part.committed().store(&orders, ctx);
+        }
+        last
+    }
+}
+
+impl<S: Service> om_actor::Grain<Msg, Reply> for TxGrain<S> {
+    fn handle(&mut self, ctx: &mut GrainContext<'_, Msg>, msg: Msg, reply_expected: bool) -> Reply {
+        match msg {
+            Msg::TxPrepare { tid } => Reply::Vote(self.part.prepare(tid)),
+            // The holder's decision releases the lock, then the waiting
+            // events run; another tid's changes nothing.
+            Msg::TxCommit { tid } | Msg::TxAbort { tid } if self.part.prepare(tid) => {
+                let commit = matches!(msg, Msg::TxCommit { .. });
+                let staged = std::mem::take(&mut self.staged);
+                let orders = if commit {
+                    self.part.commit(tid);
+                    staged
+                } else {
+                    self.part.abort(tid);
+                    BTreeSet::new()
+                };
+                let waiting = std::mem::take(&mut self.waiting);
+                let _ = self.run(waiting, orders, commit, ctx);
+                Reply::Ok
+            }
+            Msg::TxCommit { .. } | Msg::TxAbort { .. } => Reply::Ok,
+            Msg::Flow(m) if self.part.is_locked() && !reply_expected => {
+                self.waiting.push_back(m);
+                Reply::Ok
+            }
+            Msg::Flow(m) => answer(self.run([m], BTreeSet::new(), false, ctx)),
+            other => S::own(self, ctx, other),
+        }
     }
 }
 
@@ -156,19 +224,19 @@ pub fn build_cluster(
         .storage_backend(backend)
         .register(kinds::PRODUCT, |_id, root| make_product_grain(root))
         .register(kinds::REPLICA, |_id, root| make_replica_grain(root))
-        .register(kinds::STOCK, |_id, root| make_stock_grain(root))
+        .register(kinds::STOCK, |_id, root| {
+            TxGrain::boxed(load_root::<StockService>(&StoredRows::root(root)).ok().flatten())
+        })
         .register(kinds::CART, |id, _snap| make_cart_grain(CustomerId(id.key)))
-        .register(kinds::ORDER, |id, _snap| make_order_grain(CustomerId(id.key)))
-        .register(kinds::PAYMENT, |id, _snap| {
-            make_payment_grain(CustomerId(id.key))
-        })
-        .register(kinds::SHIPMENT, |id, _snap| {
-            make_shipment_grain(SellerId(id.key))
-        })
+        .register(kinds::ORDER, |id, _| TxGrain::boxed(OrderService::new(CustomerId(id.key))))
+        .register(kinds::PAYMENT, |id, _| TxGrain::boxed(PaymentService::new(CustomerId(id.key))))
+        .register(kinds::SHIPMENT, |id, _| TxGrain::boxed(ShipmentService::new(SellerId(id.key))))
         .register_rows(kinds::SELLER, |_id, root, rows| {
-            make_seller_grain(StoredRows { root, rows })
+            TxGrain::boxed(SellerView::load_all(&StoredRows { root, rows }).ok().flatten())
         })
-        .register(kinds::CUSTOMER, |_id, root| make_customer_grain(root))
+        .register(kinds::CUSTOMER, |_id, root| {
+            TxGrain::boxed(load_root::<Customer>(&StoredRows::root(root)).ok().flatten())
+        })
         .build()
 }
 
@@ -207,56 +275,30 @@ fn make_replica_grain(root: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, Rep
 // Stock
 // ---------------------------------------------------------------------
 
-fn make_stock_grain(root: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, Reply>> {
-    // Reactivation: restore the last committed state saved by a previous
-    // activation, if the backend holds one.
-    let mut part: TxParticipant<Option<StockService>> =
-        TxParticipant::new(load_root(&StoredRows::root(root)).ok().flatten());
-    // A replicated product deletion arriving while a checkout transaction
-    // holds the write lock cannot touch committed state; it parks here and
-    // applies as soon as the lock is released (commit or abort). Dropping
-    // it instead would permanently violate the stock→product integrity
-    // criterion even on the full-featured stack.
-    let mut deferred_delete: Option<u64> = None;
-    Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| {
-        if let Some(reply) = handle_tx_protocol(&mut part, &msg, ctx, store_entity) {
-            if let Some(version) = deferred_delete.filter(|_| !part.is_locked()) {
-                deferred_delete = None;
-                if step_committed(&mut part, ctx, flow::Msg::StockDelete { version }).is_ok() {
-                    let _ = store_entity(part.committed(), ctx);
-                }
-            }
-            return reply;
-        }
+impl Service for Option<StockService> {
+    fn store(&self, _: &BTreeSet<OrderId>, ctx: &mut GrainContext<'_, Msg>) -> OmResult<()> {
+        store_entity(self, ctx)
+    }
+
+    fn own(grain: &mut TxGrain<Self>, ctx: &mut GrainContext<'_, Msg>, msg: Msg) -> Reply {
+        let part = &mut grain.part;
         match msg {
-            Msg::Flow(flow::Msg::StockDelete { version }) if part.is_locked() => {
-                deferred_delete = Some(deferred_delete.map_or(version, |v| v.max(version)));
-                Reply::Ok
-            }
-            Msg::Flow(m) => {
-                let done = step_committed(&mut part, ctx, m);
-                if done.is_ok() {
-                    let _ = store_entity(part.committed(), ctx);
-                }
-                answer(done)
-            }
             Msg::StockGet => Reply::Stock(part.committed().as_ref().map(|s| StockSnapshot {
                 item: s.item.clone(),
                 qty_sold: s.qty_sold,
             })),
-            // Transactional surface.
-            Msg::TxStockReserve { tid, qty } => stage(&mut part, tid, move |s| {
+            Msg::TxStockReserve { tid, qty } => stage(part, tid, move |s| {
                 ingested(s, kinds::STOCK)?.reserve(qty)
             }),
-            Msg::TxStockConfirm { tid, qty } => stage(&mut part, tid, move |s| {
+            Msg::TxStockConfirm { tid, qty } => stage(part, tid, move |s| {
                 ingested(s, kinds::STOCK).map(|s| s.confirm(qty))
             }),
-            Msg::TxStockCancel { tid, qty } => stage(&mut part, tid, move |s| {
+            Msg::TxStockCancel { tid, qty } => stage(part, tid, move |s| {
                 ingested(s, kinds::STOCK).map(|s| s.cancel(qty))
             }),
             other => not_mine(ctx.id(), &other),
         }
-    })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -287,47 +329,37 @@ fn make_cart_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Reply>>
 // Order
 // ---------------------------------------------------------------------
 
-fn make_order_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Reply>> {
-    let mut part = TxParticipant::new(OrderService::new(customer));
-    Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| {
-        if let Some(reply) = handle_tx_protocol(&mut part, &msg, ctx, |_, _| Ok(())) {
-            return reply;
-        }
+impl Service for OrderService {
+    fn own(grain: &mut TxGrain<Self>, ctx: &mut GrainContext<'_, Msg>, msg: Msg) -> Reply {
+        let part = &mut grain.part;
         match msg {
-            Msg::Flow(m) => answer(step_committed(&mut part, ctx, m)),
             Msg::OrderGetAll => {
                 Reply::Orders(part.committed().orders.values().cloned().collect())
             }
             Msg::OrderStuckAssemblies => {
                 Reply::Count(part.committed().stuck_assemblies() as u64)
             }
-            Msg::TxOrderCreate { tid, items, at } => {
-                match part.stage(tid, move |s| s.create_order(&items, at)).flatten() {
-                    Ok(order) => Reply::Order(order),
-                    Err(e) => Reply::Err(e),
-                }
-            }
+            Msg::TxOrderCreate { tid, items, at } => part
+                .stage(tid, move |s| s.create_order(&items, at))
+                .flatten()
+                .map_or_else(Reply::Err, Reply::Order),
             Msg::TxOrderSetStatus { tid, order, status } => {
                 let at = ctx.tick();
-                stage(&mut part, tid, move |s| s.set_status(order, status, at))
+                stage(part, tid, move |s| s.set_status(order, status, at))
             }
             other => not_mine(ctx.id(), &other),
         }
-    })
+    }
 }
 
 // ---------------------------------------------------------------------
 // Payment
 // ---------------------------------------------------------------------
 
-fn make_payment_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Reply>> {
-    let mut part = TxParticipant::new(PaymentService::new(customer));
-    Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| {
-        if let Some(reply) = handle_tx_protocol(&mut part, &msg, ctx, |_, _| Ok(())) {
-            return reply;
-        }
+impl Service for PaymentService {
+    fn own(grain: &mut TxGrain<Self>, ctx: &mut GrainContext<'_, Msg>, msg: Msg) -> Reply {
+        let part = &mut grain.part;
         match msg {
-            Msg::Flow(m) => answer(step_committed(&mut part, ctx, m)),
             Msg::PaymentGetAll => {
                 Reply::Payments(part.committed().payments.values().cloned().collect())
             }
@@ -339,30 +371,24 @@ fn make_payment_grain(customer: CustomerId) -> Box<dyn om_actor::Grain<Msg, Repl
                 decline_rate_bp,
             } => {
                 let at = ctx.tick();
-                match part.stage(tid, move |s| {
+                part.stage(tid, move |s| {
                     s.process(order, method, amount, from_basis_points(decline_rate_bp), at)
-                }) {
-                    Ok(p) => Reply::Payment(p),
-                    Err(e) => Reply::Err(e),
-                }
+                })
+                .map_or_else(Reply::Err, Reply::Payment)
             }
             other => not_mine(ctx.id(), &other),
         }
-    })
+    }
 }
 
 // ---------------------------------------------------------------------
 // Shipment
 // ---------------------------------------------------------------------
 
-fn make_shipment_grain(seller: SellerId) -> Box<dyn om_actor::Grain<Msg, Reply>> {
-    let mut part = TxParticipant::new(ShipmentService::new(seller));
-    Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| {
-        if let Some(reply) = handle_tx_protocol(&mut part, &msg, ctx, |_, _| Ok(())) {
-            return reply;
-        }
+impl Service for ShipmentService {
+    fn own(grain: &mut TxGrain<Self>, ctx: &mut GrainContext<'_, Msg>, msg: Msg) -> Reply {
+        let part = &mut grain.part;
         match msg {
-            Msg::Flow(m) => answer(step_committed(&mut part, ctx, m)),
             Msg::ShipOldest => Reply::OldestUndelivered(part.committed().oldest_undelivered()),
             Msg::ShipGetPackages => Reply::Packages(
                 part.committed()
@@ -379,83 +405,58 @@ fn make_shipment_grain(seller: SellerId) -> Box<dyn om_actor::Grain<Msg, Reply>>
                 lines,
             } => {
                 let at = ctx.tick();
-                match part.stage(tid, move |s| {
-                    s.create_packages(shipment, order, customer, &lines, at).len()
-                }) {
-                    Ok(n) => Reply::Count(n as u64),
-                    Err(e) => Reply::Err(e),
-                }
+                part.stage(tid, move |s| {
+                    s.create_packages(shipment, order, customer, &lines, at).len() as u64
+                })
+                .map_or_else(Reply::Err, Reply::Count)
             }
             Msg::TxShipDeliverOldest { tid } => {
                 let at = ctx.tick();
-                match part.stage(tid, move |s| s.deliver_oldest_order(at)) {
-                    Ok(Some((order, pkgs))) => Reply::Delivered {
-                        order: Some(order),
-                        packages: pkgs.len() as u32,
-                    },
-                    Ok(None) => Reply::Delivered {
-                        order: None,
-                        packages: 0,
-                    },
-                    Err(e) => Reply::Err(e),
-                }
+                let delivered = part.stage(tid, move |s| s.deliver_oldest_order(at));
+                delivered.map_or_else(Reply::Err, |d| Reply::Delivered {
+                    order: d.as_ref().map(|(order, _)| *order),
+                    packages: d.map_or(0, |(_, pkgs)| pkgs.len() as u32),
+                })
             }
             other => not_mine(ctx.id(), &other),
         }
-    })
+    }
 }
 
 // ---------------------------------------------------------------------
 // Seller
 // ---------------------------------------------------------------------
 
-fn make_seller_grain(stored: StoredRows) -> Box<dyn om_actor::Grain<Msg, Reply>> {
-    let mut part: TxParticipant<Option<SellerView>> =
-        TxParticipant::new(SellerView::load_all(&stored).ok().flatten());
-    // The orders the lock holder staged, so its commit stores their rows
-    // and nothing else. Admission lets one transaction at a time hold the
-    // grain, so one set serves them all.
-    let mut touched: BTreeSet<OrderId> = BTreeSet::new();
-    Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| {
-        // The holder's decision settles its set; any other tid's is ignored.
-        let decided = match &msg {
-            Msg::TxCommit { tid } | Msg::TxAbort { tid } if part.prepare(*tid) => {
-                std::mem::take(&mut touched)
+/// A seller stores its header and the entry rows of the orders a change
+/// rewrote, not its history.
+impl Service for Option<SellerView> {
+    /// The order a workflow entry joins or whose entries a status changes
+    /// — or, re-ingesting the seller, every order of the old view, whose
+    /// rows the new one deletes.
+    fn note(&self, msg: &flow::Msg, orders: &mut BTreeSet<OrderId>) {
+        match (msg, self) {
+            (flow::Msg::IngestSeller(_), Some(old)) => {
+                orders.extend(old.entries.keys().map(|&(order, _)| order));
             }
-            _ => BTreeSet::new(),
-        };
-        // The orders whose rows the change rewrites: the holder's, the one
-        // a workflow message adds an entry to or changes the status of — or,
-        // re-ingesting the seller, every order of the old view, whose rows
-        // the new one deletes.
-        let orders = match (&msg, part.committed()) {
-            (Msg::TxCommit { .. }, _) => decided,
-            (Msg::Flow(flow::Msg::IngestSeller(_)), Some(old)) => {
-                old.entries.keys().map(|&(order, _)| order).collect()
+            (flow::Msg::AddEntry(entry), _) => {
+                orders.insert(entry.order);
             }
-            (Msg::Flow(flow::Msg::AddEntry(entry)), _) => BTreeSet::from([entry.order]),
-            (Msg::Flow(flow::Msg::ApplyStatus { order, .. }), Some(view))
+            (flow::Msg::ApplyStatus { order, .. }, Some(view))
                 if view.order_entries(*order).next().is_some() =>
             {
-                BTreeSet::from([*order])
+                orders.insert(*order);
             }
-            _ => BTreeSet::new(),
-        };
-        let store = |view: &Option<SellerView>, ctx: &mut GrainContext<'_, Msg>| {
-            view.as_ref()
-                .map_or(Ok(()), |v| v.store_orders(orders.iter().copied(), ctx))
-        };
-        if let Some(reply) = handle_tx_protocol(&mut part, &msg, ctx, store) {
-            return reply;
+            _ => {}
         }
+    }
+
+    fn store(&self, orders: &BTreeSet<OrderId>, ctx: &mut GrainContext<'_, Msg>) -> OmResult<()> {
+        self.as_ref().map_or(Ok(()), |v| v.store_orders(orders.iter().copied(), ctx))
+    }
+
+    fn own(grain: &mut TxGrain<Self>, ctx: &mut GrainContext<'_, Msg>, msg: Msg) -> Reply {
+        let part = &mut grain.part;
         match msg {
-            Msg::Flow(m) => {
-                let done = step_committed(&mut part, ctx, m);
-                if done.is_ok() {
-                    let _ = store(part.committed(), ctx);
-                }
-                answer(done)
-            }
             Msg::SellerGetAggregate => match part.committed() {
                 Some(view) => {
                     let (amount, count) = view.aggregate();
@@ -473,56 +474,49 @@ fn make_seller_grain(stored: StoredRows) -> Box<dyn om_actor::Grain<Msg, Reply>>
             Msg::TxSellerAddEntry { tid, entry } => {
                 // A terminal entry is counted but joins no order's row.
                 let joins = entry.status.in_progress().then_some(entry.order);
-                let reply = stage(&mut part, tid, move |v| {
+                let reply = stage(part, tid, move |v| {
                     ingested(v, kinds::SELLER).map(|v| v.add_entry(entry.clone()))
                 });
                 if matches!(reply, Reply::Ok) {
-                    touched.extend(joins);
+                    grain.staged.extend(joins);
                 }
                 reply
             }
             Msg::TxSellerApplyStatus { tid, order, status } => {
-                let reply = stage(&mut part, tid, move |v| {
+                let reply = stage(part, tid, move |v| {
                     ingested(v, kinds::SELLER).map(|v| v.apply_status(order, status))
                 });
                 if matches!(reply, Reply::Ok) {
-                    touched.insert(order);
+                    grain.staged.insert(order);
                 }
                 reply
             }
             other => not_mine(ctx.id(), &other),
         }
-    })
+    }
 }
 
 // ---------------------------------------------------------------------
 // Customer
 // ---------------------------------------------------------------------
 
-fn make_customer_grain(root: Option<Vec<u8>>) -> Box<dyn om_actor::Grain<Msg, Reply>> {
-    let mut part: TxParticipant<Option<Customer>> =
-        TxParticipant::new(load_root(&StoredRows::root(root)).ok().flatten());
-    Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| {
-        if let Some(reply) = handle_tx_protocol(&mut part, &msg, ctx, store_entity) {
-            return reply;
-        }
+impl Service for Option<Customer> {
+    fn store(&self, _: &BTreeSet<OrderId>, ctx: &mut GrainContext<'_, Msg>) -> OmResult<()> {
+        store_entity(self, ctx)
+    }
+
+    fn own(grain: &mut TxGrain<Self>, ctx: &mut GrainContext<'_, Msg>, msg: Msg) -> Reply {
+        let part = &mut grain.part;
         match msg {
-            Msg::Flow(m) => {
-                let done = step_committed(&mut part, ctx, m);
-                if done.is_ok() {
-                    let _ = store_entity(part.committed(), ctx);
-                }
-                answer(done)
-            }
             Msg::CustomerGet => Reply::CustomerProfile(part.committed().clone()),
             Msg::TxCustomerPaymentResult {
                 tid,
                 approved,
                 amount,
-            } => stage(&mut part, tid, move |c| {
+            } => stage(part, tid, move |c| {
                 ingested(c, kinds::CUSTOMER).map(|c| c.record_payment(approved, amount))
             }),
             other => not_mine(ctx.id(), &other),
         }
-    })
+    }
 }

@@ -457,7 +457,8 @@ impl TransactionalPlatform {
     /// per seller (the Customized binding retires their dashboard
     /// entries). After the commit, and still admitted, the sellers apply
     /// the `Delivered` status in one fan-out; each order's
-    /// `PackagesDelivered` goes on as an event. Returns the packages
+    /// `PackagesDelivered` goes on as an event, which waits at an order
+    /// grain a checkout holds until its lock goes. Returns the packages
     /// delivered.
     pub(crate) fn deliver(
         &self,

@@ -466,10 +466,11 @@ impl Step for PaymentService {
             amount: payment.amount,
         };
         out.send(kinds::CUSTOMER, customer.0, result);
-        for line in &lines {
-            out.send(kinds::SELLER, line.seller.0, Msg::ApplyStatus { order, status });
+        let by_seller = lines_by_seller(lines);
+        for seller in by_seller.keys() {
+            out.send(kinds::SELLER, seller.0, Msg::ApplyStatus { order, status });
         }
-        for line in &lines {
+        for line in by_seller.values().flatten() {
             let qty = line.quantity;
             let settle = if payment.approved {
                 Msg::StockConfirm { qty }
@@ -482,7 +483,7 @@ impl Step for PaymentService {
             reject(out, tid, Some(order), "payment declined".into());
             return Ok(0);
         }
-        for (seller, lines) in lines_by_seller(lines) {
+        for (seller, lines) in by_seller {
             let packages = Msg::CreatePackages {
                 shipment: ShipmentId(order.0),
                 order,
@@ -706,6 +707,35 @@ mod tests {
         deterministic(seller, Msg::AddEntry(entry));
         let customer = Some(Customer::new(CustomerId(3), "c".into(), "a".into()));
         deterministic(customer, Msg::PaymentResult { approved: true, amount: Money::from_cents(5) });
+    }
+
+    #[test]
+    fn a_payment_sends_one_status_per_seller() {
+        // Three lines from two sellers: products 1 and 9 are seller 2's.
+        let mut orders = OrderService::new(CustomerId(3));
+        let items = [item(1), item(2), item(9)];
+        let lines = orders.create_order(&items, EventTime(1)).unwrap().lines();
+        for (decline_rate_bp, status) in
+            [(0, OrderStatus::Paid), (10_000, OrderStatus::PaymentFailed)]
+        {
+            let payment = Msg::ProcessPayment {
+                tid: TransactionId(5),
+                order: OrderId(3_000_000),
+                method: PaymentMethod::CreditCard,
+                amount: Money::from_cents(1_000),
+                decline_rate_bp,
+                lines: lines.clone(),
+                at: EventTime(10),
+            };
+            let mut out = Recorded::default();
+            PaymentService::new(CustomerId(3)).step(payment, &mut out).unwrap();
+            let to = |kind: &str| -> Vec<(u64, &Msg)> {
+                out.sends.iter().filter(|s| s.0 == kind).map(|s| (s.1, &s.2)).collect()
+            };
+            let apply = Msg::ApplyStatus { order: OrderId(3_000_000), status };
+            assert_eq!(to(kinds::SELLER), [(2, &apply), (3, &apply)], "{status:?}");
+            assert_eq!(to(kinds::STOCK).len(), 3, "one settlement per line");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use om_common::config::BackendKind;
 use om_marketplace::bindings::actor_grains::seller_grain;
 use om_marketplace::bindings::actor_msg::{Msg, Reply};
 use om_marketplace::{CustomizedPlatform, PlatformSpec, TransactionalPlatform};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The hot products, `(seller, product)`: two from seller 1, one from
 /// seller 2.
@@ -232,12 +232,8 @@ fn contended_checkouts_stay_atomic(
         );
     }
 
-    // Every placed order, once, in transit or delivered.
+    // Every placed order, once.
     assert_eq!(snap.orders.len(), placed.len(), "{kind:?}");
-    assert!(snap
-        .orders
-        .iter()
-        .all(|o| matches!(o.status, OrderStatus::InTransit | OrderStatus::Delivered)));
 
     // Every line of every placed order has exactly one package, and the
     // delivered ones are exactly what the deliveries reported.
@@ -271,6 +267,25 @@ fn contended_checkouts_stay_atomic(
         "{kind:?}: delivered packages"
     );
     assert!(delivered > 0, "{kind:?}: no delivery delivered anything");
+
+    // An order reads `Delivered` once all its packages are, in transit
+    // before, and each customer counts its delivered orders.
+    let open: BTreeSet<u64> = undelivered.iter().map(|&(order, _)| order).collect();
+    let mut delivered_orders: BTreeMap<u64, u64> = BTreeMap::new();
+    for o in &snap.orders {
+        let status = if open.contains(&o.id.0) {
+            OrderStatus::InTransit
+        } else {
+            *delivered_orders.entry(o.customer.0).or_default() += 1;
+            OrderStatus::Delivered
+        };
+        assert_eq!(o.status, status, "{kind:?}: order {}", o.id);
+    }
+    assert_eq!(snap.customers.len() as u64, THREADS);
+    for c in &snap.customers {
+        let count = delivered_orders.get(&c.id.0).copied().unwrap_or(0);
+        assert_eq!(c.delivery_count, count, "{kind:?}: customer {}", c.id);
+    }
 
     // Every undelivered line in its seller's grain entries and dashboard
     // once, in transit, and nothing else: no delivered line stays.
