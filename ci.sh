@@ -40,7 +40,11 @@
 #   * the crash-consistency torture slice (docs/FAULTS.md) runs inside
 #     `cargo test --workspace` — the storage/log/driver `torture`
 #     targets sweep power loss over recorded write boundaries with a
-#     seeded FaultVfs; failures print their seed/boundary coordinates
+#     seeded FaultVfs, over the full-size zero-filled segments written in
+#     place; each crash image lands a prefix of every file's unsynced
+#     writes and, on a per-file coin, keeps an extended file's length
+#     with its lost bytes reading as zeros (XFS, ext4 data=writeback);
+#     failures print their seed/boundary coordinates
 #     and replay with OM_TORTURE_SEED=<n>. Setting OM_TORTURE_FULL=1 on
 #     this script (nightly-depth runs) re-runs the harness sweeping
 #     EVERY boundary with wider workloads and more seeds,

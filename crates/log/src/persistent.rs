@@ -8,7 +8,8 @@
 //!
 //! ```text
 //! <dir>/topic.meta            name + partition count (validated on open)
-//! <dir>/p<i>/seg-<base>.log   framed records, <base> = offset of the first
+//! <dir>/p<i>/seg-<base>.log   framed records, <base> = offset of the first,
+//!                             zero-padded to segment_bytes
 //! ```
 //!
 //! Every record is appended as one CRC-framed blob (`om_common::checksum`)
@@ -26,7 +27,7 @@
 //! deduplicating retransmissions against records still staged.
 //!
 //! Recovery on [`PersistentTopic::open`] replays all segments in order,
-//! truncating a torn tail of the final segment. Reads are served from
+//! zeroing a torn tail of the final segment. Reads are served from
 //! the in-memory mirror that replay rebuilds; `seg-<base>.idx`
 //! offset-index files left by older builds are ignored.
 //!
@@ -94,7 +95,9 @@ impl<T: Serialize + DeserializeOwned> RecordCodec<T> for SerdeCodec {
 /// Tuning knobs of a [`PersistentTopic`].
 #[derive(Debug, Clone, Copy)]
 pub struct PersistentTopicOptions {
-    /// Segment roll threshold in bytes per partition.
+    /// Segment size in bytes per partition: each segment is created
+    /// holding this many zeros, and an append that reaches its end
+    /// starts a new one.
     pub segment_bytes: u64,
     /// The one group-flush policy, [`GroupCommitPolicy::Cohort`]: every
     /// append goes through the partition log's commit barrier (see
@@ -364,14 +367,19 @@ fn corrupt(path: &Path, at: usize) -> OmError {
 /// Validates (or writes) `topic.meta`: a reopened directory must agree on
 /// name and partition count, otherwise offsets would be meaningless. The
 /// file is written unsynced, so a power loss can leave a strict prefix
-/// of it; that is a meta this open would have written, and it is
-/// written again.
+/// of it, or (XFS, ext4 `data=writeback`) a prefix followed by zeros up
+/// to its length; that is a meta this open would have written, and it
+/// is written again.
 fn check_meta(vfs: &dyn Vfs, dir: &Path, name: &str, partitions: usize) -> OmResult<()> {
     let meta_path = dir.join("topic.meta");
     let expected = format!("om-topic-v1\n{name}\n{partitions}\n");
+    let cut_short = |existing: &[u8]| {
+        let landed = existing.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+        existing.len() <= expected.len() && expected.as_bytes().starts_with(&existing[..landed])
+    };
     match vfs.read(&meta_path) {
         Ok(existing) if existing == expected.as_bytes() => Ok(()),
-        Ok(existing) if !expected.as_bytes().starts_with(&existing) => {
+        Ok(existing) if !cut_short(&existing) => {
             Err(OmError::Rejected(format!(
                 "persistent topic {dir:?} was created as {:?} but opened as \
                  name={name} partitions={partitions}",
@@ -418,7 +426,7 @@ impl<T: Clone + Send> EventLog<T> for PersistentTopic<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use om_common::checksum::push_frame;
+    use om_common::checksum::{parse_frame, push_frame};
     use std::fs;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -439,6 +447,15 @@ mod tests {
 
     fn open(dir: &Path, partitions: usize) -> PersistentTopic<u64> {
         PersistentTopic::open_serde(dir, "t", partitions).unwrap()
+    }
+
+    /// The end of a segment's written region: its last whole frame.
+    fn written_end(bytes: &[u8]) -> usize {
+        let mut end = 0;
+        while let Ok(Some((_, next))) = parse_frame(bytes, end) {
+            end = next;
+        }
+        end
     }
 
     #[test]
@@ -478,9 +495,10 @@ mod tests {
                 t.append_raw(0, 1, i + 1, i).unwrap();
             }
         }
+        // A crash that kept a strict prefix of the segment's bytes.
         let seg = dir.join("p0").join("seg-0.log");
         let bytes = fs::read(&seg).unwrap();
-        fs::write(&seg, &bytes[..bytes.len() - 5]).unwrap();
+        fs::write(&seg, &bytes[..written_end(&bytes) - 5]).unwrap();
 
         let t = open(&dir, 1);
         assert_eq!(EventLog::len(&t), 3, "torn final record discarded");
@@ -492,6 +510,37 @@ mod tests {
         let read = t.read_from(0, 0, 10);
         assert_eq!(read.len(), 4);
         assert_eq!(read[3].payload, 77);
+    }
+
+    /// A segment tail that reads back as zeros is the end of the log,
+    /// not a record too short for its header.
+    #[test]
+    fn a_segment_tail_of_zeros_is_the_end_of_the_log() {
+        use std::io::Write as _;
+        let dir = scratch("zero-tail");
+        let _guard = DirGuard(dir.clone());
+        {
+            let t = open(&dir, 1);
+            for i in 0..5u64 {
+                t.append_raw(0, 1, i + 1, i).unwrap();
+            }
+        }
+        let seg = dir.join("p0").join("seg-0.log");
+        let mut f = fs::OpenOptions::new().append(true).open(&seg).unwrap();
+        f.write_all(&[0; 4_096]).unwrap();
+        drop(f);
+        let t = open(&dir, 1);
+        assert_eq!(EventLog::len(&t), 5);
+        assert_eq!(
+            t.counters()["log.torn_tail_bytes"],
+            0,
+            "zeros are not torn bytes"
+        );
+        assert_eq!(t.append_raw(0, 2, 1, 5).unwrap(), 5);
+        drop(t);
+        let t = open(&dir, 1);
+        let payloads: Vec<u64> = t.read_from(0, 0, 10).iter().map(|e| e.payload).collect();
+        assert_eq!(payloads, (0..6).collect::<Vec<_>>());
     }
 
     /// Appends `records` records, round-robin over `partitions`, into a
@@ -614,6 +663,12 @@ mod tests {
             fs::write(&meta, &full[..cut]).unwrap();
             drop(open(&dir, 2));
             assert_eq!(fs::read(&meta).unwrap(), full, "cut={cut}");
+            // The lost bytes read back as zeros, the length kept.
+            let mut zeroed = full.clone();
+            zeroed[cut..].fill(0);
+            fs::write(&meta, &zeroed).unwrap();
+            drop(open(&dir, 2));
+            assert_eq!(fs::read(&meta).unwrap(), full, "cut={cut}, zeros");
         }
         // A whole meta of another shape is still a mismatch, not a cut.
         fs::write(&meta, b"om-topic-v1\nt\n1\n").unwrap();
@@ -694,7 +749,8 @@ mod tests {
     fn sync_failure_wedges_and_unwedge_repairs_in_place() {
         let dir = scratch("wedge");
         let _guard = DirGuard(dir.clone());
-        let fault = om_storage::FaultVfs::new(7).fail_nth_sync(2);
+        // Sync 1 is the segment's zero fill, sync 2 record 1's.
+        let fault = om_storage::FaultVfs::new(7).fail_nth_sync(3);
         let opts = PersistentTopicOptions {
             sync_appends: true,
             ..Default::default()
@@ -737,7 +793,8 @@ mod tests {
     fn grouped_write_failure_wedges_and_unwedge_recovers() {
         let dir = scratch("wedge-group");
         let _guard = DirGuard(dir.clone());
-        let fault = om_storage::FaultVfs::new(11).fail_nth_sync(2);
+        // Sync 1 is the segment's zero fill.
+        let fault = om_storage::FaultVfs::new(11).fail_nth_sync(3);
         let opts = PersistentTopicOptions {
             sync_appends: true,
             ..Default::default()
@@ -764,29 +821,47 @@ mod tests {
         let dir = scratch("disk-full");
         let _guard = DirGuard(dir.clone());
         let vfs = om_storage::FaultVfs::new(17);
+        // Two 32-byte frames fit the 80-byte segment, half the third
+        // does: only that half would grow the file.
+        const FRAME: u64 = 32;
         let t: PersistentTopic<u64> = PersistentTopic::open_with_vfs(
             &dir,
             "t",
             1,
             Arc::new(SerdeCodec),
-            PersistentTopicOptions::default(),
+            PersistentTopicOptions {
+                segment_bytes: 2 * FRAME + FRAME / 2,
+                ..Default::default()
+            },
             Arc::new(vfs.clone()),
         )
         .unwrap();
         t.append_raw(0, 1, 1, 10).unwrap();
         t.append_raw(0, 1, 2, 20).unwrap();
-        let frame = t.counters()["log.appended_bytes"] / 2;
-        // Clones share one fault schedule: half of the next frame fits.
-        let _ = vfs.clone().disk_full_after(2 * frame + frame / 2);
+        assert_eq!(t.counters()["log.appended_bytes"], 2 * FRAME);
+        // Clones share one fault schedule: the disk is full from the
+        // segment's size on, so the third frame lands only in place.
+        let _ = vfs.clone().disk_full_after(2 * FRAME + FRAME / 2);
         assert_eq!(t.append_raw(0, 1, 3, 30).unwrap_err().label(), "wedged");
         let seg = dir.join("p0").join("seg-0.log");
-        assert_eq!(fs::metadata(&seg).unwrap().len(), 2 * frame + frame / 2);
+        let bytes = fs::read(&seg).unwrap();
+        assert_eq!(
+            bytes.len() as u64,
+            2 * FRAME + FRAME / 2,
+            "the file did not grow"
+        );
+        assert_eq!(written_end(&bytes) as u64, 2 * FRAME);
         assert_eq!(
             t.unwedge().unwrap(),
-            frame / 2,
-            "exactly the partial frame goes"
+            FRAME,
+            "exactly the frame it tried goes"
         );
-        assert_eq!(fs::metadata(&seg).unwrap().len(), 2 * frame);
+        let bytes = fs::read(&seg).unwrap();
+        assert_eq!(bytes.len() as u64, 2 * FRAME + FRAME / 2);
+        assert!(
+            bytes[2 * FRAME as usize..].iter().all(|&b| b == 0),
+            "the partial frame is zeroed"
+        );
         // The disk is still full: the next append wedges again, typed.
         assert_eq!(t.append_raw(0, 1, 4, 40).unwrap_err().label(), "wedged");
         drop(t);
@@ -799,9 +874,10 @@ mod tests {
     fn torn_write_after_a_roll_is_cut_back_inside_the_new_segment() {
         let dir = scratch("torn-roll");
         let _guard = DirGuard(dir.clone());
-        // Writes 1-2 fill the first 48-byte segment, write 3 opens the
-        // second, write 4 tears.
-        let vfs = om_storage::FaultVfs::new(19).torn_write(4);
+        // Write 1 zero-fills the first 48-byte segment, writes 2-3 fill
+        // it, write 4 zero-fills the second, write 5 is record 3 and
+        // write 6 tears.
+        let vfs = om_storage::FaultVfs::new(19).torn_write(6);
         let t: PersistentTopic<u64> = PersistentTopic::open_with_vfs(
             &dir,
             "t",
@@ -894,7 +970,8 @@ mod tests {
             sync_appends: true,
             ..Default::default()
         };
-        let fault = om_storage::FaultVfs::new(13).fail_nth_sync(3);
+        // Sync 1 is the segment's zero fill.
+        let fault = om_storage::FaultVfs::new(13).fail_nth_sync(4);
         let t: PersistentTopic<u64> = PersistentTopic::open_with_vfs(
             &dir,
             "t",
@@ -911,7 +988,7 @@ mod tests {
         // back to the mirror would now keep a damaged record.
         let seg = dir.join("p0").join("seg-0.log");
         let mut bytes = fs::read(&seg).unwrap();
-        let one_frame = bytes.len() / 3;
+        let one_frame = written_end(&bytes) / 3;
         bytes[one_frame + one_frame / 2] ^= 0x40;
         fs::write(&seg, &bytes).unwrap();
         let err = t.unwedge().unwrap_err();

@@ -13,8 +13,14 @@
 //! after every phase. `durable_files.golden` is that listing: a
 //! difference is a change of the on-disk layout or bytes, not a fixture
 //! to regenerate.
+//!
+//! A log segment is created full-size and zero-filled, so its length and
+//! CRC cover the padding too; its line adds the length and CRC of its
+//! written region (its frames, up to the first zero length field). Those
+//! two columns read what the whole file read when segments were
+//! append-only: the frames are byte-identical, only the padding is new.
 
-use om_common::checksum::crc32;
+use om_common::checksum::{crc32, parse_frame};
 use om_log::{PersistentTopic, PersistentTopicOptions, SerdeCodec};
 use om_storage::{FaultVfs, FileBackend, FileBackendOptions, StateBackend, VfsOp, WriteBatch};
 use std::path::{Path, PathBuf};
@@ -39,7 +45,8 @@ fn topic_options() -> PersistentTopicOptions {
 }
 
 /// Every file under `root`, recursively, as `relative-name length
-/// crc32` lines in name order.
+/// crc32` lines in name order; a `.log` segment's line ends with
+/// `written <length> <crc32>` of its frames.
 fn listing(root: &Path) -> String {
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
         for entry in std::fs::read_dir(dir).unwrap() {
@@ -58,7 +65,15 @@ fn listing(root: &Path) -> String {
     for path in files {
         let bytes = std::fs::read(&path).unwrap();
         let name = path.strip_prefix(root).unwrap().to_string_lossy().replace('\\', "/");
-        text.push_str(&format!("{name} {} {:08x}\n", bytes.len(), crc32(&bytes)));
+        text.push_str(&format!("{name} {} {:08x}", bytes.len(), crc32(&bytes)));
+        if name.ends_with(".log") {
+            let mut end = 0;
+            while let Ok(Some((_, next))) = parse_frame(&bytes, end) {
+                end = next;
+            }
+            text.push_str(&format!(" written {end} {:08x}", crc32(&bytes[..end])));
+        }
+        text.push('\n');
     }
     text
 }

@@ -216,8 +216,23 @@ fn concurrent_appenders_never_ack_past_a_failed_fsync() {
     for n in 1..=20u64 {
         let root = scratch("ack-wedge");
         let _g = DirGuard(root.clone());
-        let vfs = FaultVfs::new(torture_seed().wrapping_add(n)).fail_nth_sync(n);
-        let topic = open_topic(&root, Arc::new(vfs.clone()));
+        let vfs = FaultVfs::new(torture_seed().wrapping_add(n));
+        // One segment holds every record: each fsync after the open's
+        // (the segment's zero fill) is a cohort's. Clones share one
+        // fault schedule.
+        let topic: PersistentTopic<u64> = PersistentTopic::open_with_vfs(
+            &root,
+            "orders",
+            1,
+            Arc::new(SerdeCodec),
+            PersistentTopicOptions {
+                segment_bytes: 1 << 16,
+                ..topic_options()
+            },
+            Arc::new(vfs.clone()),
+        )
+        .unwrap();
+        let _ = vfs.clone().fail_nth_sync(vfs.syncs_seen() + n);
         let (mut acked, mut wedged) = (Vec::new(), Vec::new());
         std::thread::scope(|s| {
             let producers: Vec<_> = (1..=PRODUCERS)

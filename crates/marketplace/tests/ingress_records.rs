@@ -107,7 +107,8 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// The segment bytes one record leaves in a fresh topic.
+/// The segment bytes one record leaves in a fresh topic: its frames, up
+/// to the zero padding of the pre-allocated segment.
 fn segment_bytes(scratch: &std::path::Path, name: &str, to: Address, msg: Msg) -> Vec<u8> {
     let dir = scratch.join(name);
     let topic = persistent_ingress(&dir, 1).unwrap();
@@ -121,7 +122,14 @@ fn segment_bytes(scratch: &std::path::Path, name: &str, to: Address, msg: Msg) -
     segments.sort();
     segments
         .iter()
-        .flat_map(|p| std::fs::read(p).unwrap())
+        .flat_map(|p| {
+            let bytes = std::fs::read(p).unwrap();
+            let mut end = 0;
+            while let Ok(Some((_, next))) = om_common::checksum::parse_frame(&bytes, end) {
+                end = next;
+            }
+            bytes[..end].to_vec()
+        })
         .collect()
 }
 

@@ -2,9 +2,8 @@
 //! snapshot store whose state survives a full process crash.
 //!
 //! This is the only [`StateBackend`] whose contents outlive the process:
-//! every commit — single-key writes included — is appended to an
-//! append-only WAL segment as **one framed, checksummed batch** before it
-//! becomes visible, so recovery can never observe half of a multi-key
+//! every commit — single-key writes included — is written to the WAL
+//! as **one framed, checksummed batch** before it becomes visible, so recovery can never observe half of a multi-key
 //! commit. The WAL is one [`SegmentLog`] (`crate::segment_log`, shared
 //! with `om-log`'s persistent topic), built around **group commit**:
 //! committers stage their frame and park on a commit barrier; a single
@@ -22,7 +21,8 @@
 //! byte-for-byte in `docs/DURABILITY.md`):
 //!
 //! ```text
-//! <dir>/wal/wal-<first_seq>.log     append-only framed commit batches
+//! <dir>/wal/wal-<first_seq>.log     framed commit batches, zero-padded
+//!                                  to segment_bytes
 //! <dir>/snap/snap-<seq>.snap       full state as of commit <seq>
 //! <dir>/snap/delta-<seq>.delta     keys dirtied since the previous
 //!                                  snapshot file, chained on the base
@@ -36,7 +36,7 @@
 //! Recovery ([`FileBackend::open`] over an existing directory) loads the
 //! newest base snapshot, applies the deltas chained above it in order,
 //! and replays every WAL frame with a higher commit sequence. The log
-//! **truncates a torn tail** of its last segment — the point where the
+//! **zeroes a torn tail** of its last segment — from the point where the
 //! previous process died mid-append — landing the store exactly on the
 //! last fully-committed batch; a torn frame in any non-final segment is
 //! real corruption and refuses to open.
@@ -80,8 +80,9 @@ pub struct FileBackendOptions {
     /// grows unboundedly — useful only for tests that inspect the raw
     /// log).
     pub snapshot_every: u64,
-    /// WAL segment roll threshold in bytes: an append that leaves the
-    /// current segment beyond this size starts a new one.
+    /// WAL segment size in bytes: each segment is created holding this
+    /// many zeros and written in place, and a commit that reaches its
+    /// end starts a new one.
     pub segment_bytes: u64,
     /// `fsync` every commit cohort before acknowledging it. Off by
     /// default: a commit is pushed to the operating system before it is
@@ -504,7 +505,9 @@ impl Mirror {
                 loaded += 1;
                 at = next_at;
             }
-            if loaded != section.n {
+            // A zero length field ends the frames early: the section
+            // must still be consumed whole.
+            if loaded != section.n || at != slice.len() {
                 return Err(corrupt());
             }
         }
@@ -591,7 +594,7 @@ fn load_snapshot_chain(
 impl FileBackend {
     /// Opens (or initialises) a durable store in `dir`, recovering any
     /// state a previous process left there: newest base snapshot +
-    /// delta chain + WAL replay + torn-tail truncation. The directory
+    /// delta chain + WAL replay + torn-tail repair. The directory
     /// is created if absent and is **kept** on drop.
     pub fn open(dir: impl AsRef<Path>, options: FileBackendOptions) -> OmResult<Self> {
         Self::build(dir.as_ref().to_path_buf(), options, false, real_vfs())
@@ -1183,27 +1186,72 @@ mod tests {
             b.put(b"k1", b"v1");
             b.put(b"k2", b"v2");
         }
-        // Chop bytes off the single WAL segment: a torn final append.
+        // Zero the last bytes of the single WAL segment's written
+        // region: a torn final append.
         let seg = fs::read_dir(dir.join("wal"))
             .unwrap()
             .map(|e| e.unwrap().path())
             .find(|p| p.extension().is_some_and(|e| e == "log"))
             .unwrap();
-        let bytes = fs::read(&seg).unwrap();
-        fs::write(&seg, &bytes[..bytes.len() - 3]).unwrap();
+        let mut bytes = fs::read(&seg).unwrap();
+        let (mut end, len) = (0, bytes.len());
+        while let Ok(Some((_, next))) = parse_frame(&bytes, end) {
+            end = next;
+        }
+        bytes[end - 3..end].fill(0);
+        fs::write(&seg, &bytes).unwrap();
 
         let b = FileBackend::open(&dir, opts).unwrap();
         assert_eq!(b.get(b"k1"), Some(b"v1".to_vec()), "first commit intact");
         assert_eq!(b.get(b"k2"), None, "torn commit discarded");
         assert!(b.counters()["backend.torn_tail_bytes"] > 0);
-        // The truncated tail was physically removed: a further reopen is
-        // clean and the next commit lands after the valid prefix.
+        // The torn tail was zeroed on disk and the segment kept its
+        // size: a further reopen is clean and the next commit lands
+        // after the valid prefix.
         b.put(b"k3", b"v3");
         drop(b);
+        assert_eq!(fs::read(&seg).unwrap().len(), len);
         let b = FileBackend::open(&dir, opts).unwrap();
         assert_eq!(b.get(b"k1"), Some(b"v1".to_vec()));
         assert_eq!(b.get(b"k3"), Some(b"v3".to_vec()));
         assert_eq!(b.counters()["backend.torn_tail_bytes"], 0);
+    }
+
+    /// A WAL tail that reads back as zeros (a pre-allocated segment's
+    /// padding, or what XFS or ext4 `data=writeback` can show after a
+    /// crash) is the end of the log, not an undecodable empty batch.
+    #[test]
+    fn a_wal_tail_of_zeros_is_the_end_of_the_log() {
+        use std::io::Write as _;
+        let dir = scratch_path("zero-tail");
+        let _guard = DirGuard(dir.clone());
+        let opts = FileBackendOptions::default();
+        {
+            let b = FileBackend::open(&dir, opts).unwrap();
+            for i in 0..5u8 {
+                b.put(&[b'k', i], b"v");
+            }
+        }
+        let last = fs::read_dir(dir.join("wal"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "log"))
+            .max()
+            .unwrap();
+        let mut f = fs::OpenOptions::new().append(true).open(&last).unwrap();
+        f.write_all(&[0; 4_096]).unwrap();
+        drop(f);
+        let b = FileBackend::open(&dir, opts).unwrap();
+        assert_eq!(b.len(), 5);
+        assert_eq!(
+            b.counters()["backend.torn_tail_bytes"],
+            0,
+            "zeros are not torn bytes"
+        );
+        b.put(b"k5", b"v");
+        drop(b);
+        let b = FileBackend::open(&dir, opts).unwrap();
+        assert_eq!(b.len(), 6);
     }
 
     #[test]
@@ -1478,7 +1526,8 @@ mod tests {
             snapshot_every: 0,
             ..FileBackendOptions::default()
         };
-        let vfs = FaultVfs::new(42).fail_nth_sync(2);
+        // Sync 1 is the first segment's zero fill, sync 2 k1's cohort.
+        let vfs = FaultVfs::new(42).fail_nth_sync(3);
         let b = FileBackend::open_with_vfs(&dir, opts, Arc::new(vfs.clone())).unwrap();
         b.commit(WriteBatch::new().put(b"k1".to_vec(), b"v1".to_vec())).unwrap();
         // The second cohort's fsync fails: the commit errors with the
@@ -1521,7 +1570,8 @@ mod tests {
             snapshot_every: 0,
             ..FileBackendOptions::default()
         };
-        let vfs = FaultVfs::new(44).fail_nth_sync(3);
+        // Sync 1 is the first segment's zero fill.
+        let vfs = FaultVfs::new(44).fail_nth_sync(4);
         let b = FileBackend::open_with_vfs(&dir, opts, Arc::new(vfs)).unwrap();
         b.put(b"k1", b"v1");
         b.put(b"k2", b"v2");
@@ -1572,7 +1622,8 @@ mod tests {
             snapshot_every: 0,
             ..FileBackendOptions::default()
         };
-        let vfs = FaultVfs::new(43).fail_nth_sync(2);
+        // Sync 1 is the first segment's zero fill.
+        let vfs = FaultVfs::new(43).fail_nth_sync(3);
         let b = FileBackend::open_with_vfs(&dir, opts, Arc::new(vfs)).unwrap();
         b.put(b"k1", b"v1");
         let err = b.commit(WriteBatch::new().put(b"k2".to_vec(), b"v2".to_vec()));
@@ -1802,6 +1853,25 @@ mod tests {
             let (dir, _guard) = dir_with_chain_file(tag, "snap-2.snap", &bytes);
             assert_refused_as_corrupt(&dir);
         }
+    }
+
+    /// A zero length field ends the frames, so a section must still be
+    /// consumed whole: bytes after its last entry are damage.
+    #[test]
+    fn a_section_with_bytes_after_a_zero_length_field_is_refused() {
+        let good = build_snapshot_file(true, 2, &[vec![put_entry(b"a", 1)]]);
+        let body = header_len(1);
+        // Widen the one section by 12 bytes: a zero length field and junk.
+        let mut header = good[8..body].to_vec();
+        let len_at = 28 + 8;
+        let len = u64::from_le_bytes(header[len_at..len_at + 8].try_into().unwrap()) + 12;
+        header[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+        let mut bad = Vec::new();
+        push_frame(&mut bad, &header);
+        bad.extend_from_slice(&good[body..]);
+        bad.extend_from_slice(&[0, 0, 0, 0, 9, 9, 9, 9, 9, 9, 9, 9]);
+        let (dir, _guard) = dir_with_chain_file("zero-len", "snap-2.snap", &bad);
+        assert_refused_as_corrupt(&dir);
     }
 
     #[test]

@@ -10,6 +10,29 @@
 //! applies a batch to its shards; the topic mirrors a record into its
 //! in-memory partition).
 //!
+//! A segment is **created full-size**: `<prefix><n>.tmp` is filled with
+//! [`LogConfig::segment_bytes`] zeros and renamed into place (a syncing
+//! log syncs the zeros before the rename and the directory after it).
+//! Records are then written **in place** from its first byte, through
+//! one [`Vfs::open_write`] handle, so a cohort's `fdatasync` flushes
+//! data blocks the file already owns and never a new file size or block
+//! map. Only a cohort that overruns the end grows the file, once per
+//! segment: the roll that follows starts the next one.
+//!
+//! **The end of the log.** No frame has an empty payload, so a segment's
+//! written region ends at the first frame length that reads zero; the
+//! zeros after it are padding. On open, every segment but the final one
+//! must hold whole frames and then only zeros; damage there refuses the
+//! open. In the final segment a frame that does not validate is a torn
+//! tail: it and every byte after it are set to zero, the file is brought
+//! back to its full size (an overrun's tail cut, a segment an older
+//! build appended re-filled), and the log **resumes in that segment**: a
+//! fresh handle rewrites the identical written prefix, which positions
+//! it at the end of the log. Resuming, rather than starting a new
+//! segment on every open, keeps one segment per `segment_bytes` of
+//! records however often a store reopens, and the numbering a never
+//! reopened log would have.
+//!
 //! The write path is split across two locks, always taken segment
 //! before stage:
 //!
@@ -63,11 +86,12 @@ pub struct LogConfig {
     pub dir: PathBuf,
     /// Segment file name prefix (`"wal-"`, `"seg-"`).
     pub prefix: &'static str,
-    /// Roll threshold: a segment at or beyond this size is closed by
-    /// the next [`Held::roll_if_due`].
+    /// Segment size: each segment is created holding this many zeros,
+    /// and one whose records reach it is closed by the next
+    /// [`Held::roll_if_due`].
     pub segment_bytes: u64,
-    /// `fdatasync` every cohort, and sync the directory when a segment
-    /// is created.
+    /// `fdatasync` every cohort, and sync a new segment's zeros and then
+    /// the directory when a segment is created.
     pub sync: bool,
 }
 
@@ -91,7 +115,9 @@ pub struct LogStats {
     pub appended_bytes: u64,
     /// Segments started by a roll.
     pub segments_rolled: u64,
-    /// Torn-tail bytes the open truncated.
+    /// Torn-tail bytes the open zeroed: those from the end of the final
+    /// segment's written region to its last non-zero byte (the padding
+    /// does not count).
     pub torn_tail_bytes: u64,
     /// Successful unwedges.
     pub unwedges: u64,
@@ -183,10 +209,14 @@ impl<R> Stage<R> {
 
 /// The durable half, guarded by the segment lock.
 struct Segment {
+    /// Positioned at `durable_len`.
     file: Box<dyn VfsFile>,
     path: PathBuf,
-    /// Bytes of the open segment known written.
+    /// Bytes of the open segment known written: its written region.
     durable_len: u64,
+    /// End of the bytes a failed write tried to put after
+    /// `durable_len` (0 while no write has failed).
+    tried_len: u64,
     /// Frames of the open segment whose records were applied: what an
     /// unwedge keeps.
     applied_frames: u64,
@@ -226,9 +256,10 @@ impl<R> Held<'_, R> {
     pub fn roll(&mut self) -> OmResult<()> {
         self.drain()?;
         let path = segment_path(&self.log.cfg, self.stage.next);
-        self.seg.file = open_segment(&self.log.cfg, &*self.log.vfs, &path)?;
+        self.seg.file = create_segment(&self.log.cfg, &*self.log.vfs, &path)?;
         self.seg.path = path;
         self.seg.durable_len = 0;
+        self.seg.tried_len = 0;
         self.seg.applied_frames = 0;
         self.stage.seg_len = 0;
         self.stage.stats.segments_rolled += 1;
@@ -303,7 +334,8 @@ impl<R> SegmentLog<R> {
     /// `replay` returns the number of the record a frame holds; the log
     /// resumes one past the highest, and at `first` when that is higher
     /// (or the directory is empty). A torn tail of the final segment is
-    /// truncated; damage in any other segment refuses the open.
+    /// zeroed and writing resumes at its start; damage in any other
+    /// segment refuses the open (see the module docs).
     pub fn open(
         cfg: LogConfig,
         vfs: Arc<dyn Vfs>,
@@ -317,8 +349,9 @@ impl<R> SegmentLog<R> {
         let mut tail = None;
         for (i, (base, path)) in segments.iter().enumerate() {
             let bytes = vfs.read(path).map_err(|e| io_err(&cfg, path, e))?;
+            let last = i + 1 == segments.len();
             let (mut at, mut frames) = (0usize, 0u64);
-            loop {
+            let end = loop {
                 match parse_frame(&bytes, at) {
                     Ok(Some((payload, end))) => {
                         let number = base + frames;
@@ -333,26 +366,34 @@ impl<R> SegmentLog<R> {
                         frames += 1;
                         at = end;
                     }
-                    Ok(None) => break,
-                    Err(torn_at) if i + 1 == segments.len() => {
-                        // Torn tail: the previous process died
-                        // mid-append. Everything before it is whole.
-                        torn = (bytes.len() - torn_at) as u64;
-                        truncate(&cfg, &*vfs, path, torn_at)?;
-                        break;
-                    }
-                    Err(torn_at) => {
-                        return Err(OmError::Internal(format!(
-                            "{} {:?}: segment {path:?} is corrupt at byte {torn_at} but is \
-                             not the final segment",
-                            cfg.kind, cfg.dir
-                        )))
-                    }
+                    // The end of the frames, or (final segment) a torn
+                    // tail: the previous process died mid-append.
+                    // Everything before it is whole.
+                    Ok(None) => break at,
+                    Err(torn_at) if last => break torn_at,
+                    Err(torn_at) => return Err(not_final(&cfg, path, torn_at)),
                 }
+            };
+            let junk = last_nonzero(&bytes[end..]);
+            if last {
+                torn = junk as u64;
+                tail = Some((path.clone(), bytes, end, frames));
+            } else if junk > 0 {
+                return Err(not_final(&cfg, path, end));
             }
-            tail = Some((path.clone(), at as u64, frames));
         }
-        let (path, len, frames) = tail.unwrap_or_else(|| (segment_path(&cfg, first), 0, 0));
+        let (file, path, len, frames) = match tail {
+            Some((path, bytes, end, frames)) => (
+                reopen(&cfg, &*vfs, &path, &bytes, end)?,
+                path,
+                end as u64,
+                frames,
+            ),
+            None => {
+                let path = segment_path(&cfg, first);
+                (create_segment(&cfg, &*vfs, &path)?, path, 0, 0)
+            }
+        };
         let group = CommitGroup::new();
         // The ticket of record `n` starts as `n + 1`; flooring the
         // barrier at `next` keeps the replayed history out of the first
@@ -371,9 +412,10 @@ impl<R> SegmentLog<R> {
                 },
             }),
             segment: Mutex::new(Segment {
-                file: open_segment(&cfg, &*vfs, &path)?,
+                file,
                 path,
                 durable_len: len,
+                tried_len: 0,
                 applied_frames: frames,
                 applied: next,
                 applied_ticket: next,
@@ -455,12 +497,14 @@ impl<R> SegmentLog<R> {
     }
 
     /// Repairs a wedged log in place and returns the bytes cut (`0`,
-    /// untouched, when the log is not wedged). The staged records are
-    /// dropped and their waiters fail. The open segment is cut back to
-    /// the end of its last applied frame, after checking that each kept
-    /// frame parses within the written bytes and passes `verify`;
-    /// otherwise the damage reaches acknowledged records and the log
-    /// stays wedged. Numbering resumes at the first dropped record.
+    /// untouched, when the log is not wedged): those the log wrote or
+    /// tried to write after its last applied frame, not the padding.
+    /// The staged records are dropped and their waiters fail. Every byte
+    /// of the open segment past the end of its last applied frame is
+    /// set to zero, after checking that each kept frame parses within
+    /// the written bytes and passes `verify`; otherwise the damage
+    /// reaches acknowledged records and the log stays wedged. Numbering
+    /// resumes at the first dropped record.
     pub fn unwedge(&self, verify: impl Fn(&[u8]) -> bool) -> OmResult<u64> {
         let mut seg = self.segment.lock();
         let mut stage = self.stage.lock();
@@ -492,9 +536,10 @@ impl<R> SegmentLog<R> {
                 }
             }
         }
-        truncate(&self.cfg, &*self.vfs, &path, cut)?;
-        seg.file = open_segment(&self.cfg, &*self.vfs, &path)?;
+        let tried = seg.durable_len.max(seg.tried_len);
+        seg.file = reopen(&self.cfg, &*self.vfs, &path, &on_disk, cut)?;
         seg.durable_len = cut as u64;
+        seg.tried_len = 0;
         seg.applied_ticket = stage.tickets;
         stage.buf.clear();
         stage.records.clear();
@@ -502,7 +547,7 @@ impl<R> SegmentLog<R> {
         stage.next = seg.applied;
         stage.stats.unwedges += 1;
         self.wedged.store(false, Ordering::Release);
-        Ok((on_disk.len() - cut) as u64)
+        Ok(tried - cut as u64)
     }
 
     /// This log's counters.
@@ -538,6 +583,7 @@ impl<R> SegmentLog<R> {
             }
         });
         if let Err(e) = written {
+            seg.tried_len = seg.durable_len + bytes.len() as u64;
             // Release pairs with the Acquire in `check_wedge`.
             self.wedged.store(true, Ordering::Release);
             return Err(OmError::Wedged(format!(
@@ -555,23 +601,114 @@ fn segment_path(cfg: &LogConfig, first: u64) -> PathBuf {
     cfg.dir.join(format!("{}{first}.log", cfg.prefix))
 }
 
-/// Opens a segment for appending. When the log syncs, the directory is
-/// synced too: fsyncing records into a file whose name power loss can
-/// erase would sync nothing.
-fn open_segment(cfg: &LogConfig, vfs: &dyn Vfs, path: &Path) -> OmResult<Box<dyn VfsFile>> {
-    let file = vfs.open_append(path).map_err(|e| io_err(cfg, path, e))?;
+/// Creates segment `path` full-size and opens it at its first byte:
+/// `segment_bytes` zeros are written to `<path>.tmp`, which is renamed
+/// into place. When the log syncs, the zeros are synced before the
+/// rename and the directory after it, so the segment's size and blocks
+/// are durable before a record is written to it: a commit's
+/// `fdatasync` then flushes data alone. Fsyncing records into a file
+/// whose name power loss can erase would sync nothing. A failure after
+/// the rename removes the segment again, so no record-less segment is
+/// left behind a segment that goes on taking records.
+fn create_segment(cfg: &LogConfig, vfs: &dyn Vfs, path: &Path) -> OmResult<Box<dyn VfsFile>> {
+    let tmp = path.with_extension("tmp");
+    let len = segment_len(cfg)?;
+    let mut file = vfs.create(&tmp).map_err(|e| io_err(cfg, &tmp, e))?;
+    write_zeros(file.as_mut(), len).map_err(|e| io_err(cfg, &tmp, e))?;
     if cfg.sync {
-        vfs.dir_sync(&cfg.dir)
-            .map_err(|e| io_err(cfg, &cfg.dir, e))?;
+        file.sync_data().map_err(|e| io_err(cfg, &tmp, e))?;
     }
+    drop(file);
+    vfs.rename(&tmp, path).map_err(|e| io_err(cfg, path, e))?;
+    let opened = if cfg.sync {
+        vfs.dir_sync(&cfg.dir).map_err(|e| io_err(cfg, &cfg.dir, e))
+    } else {
+        Ok(())
+    }
+    .and_then(|()| vfs.open_write(path).map_err(|e| io_err(cfg, path, e)));
+    if opened.is_err() {
+        let _ = vfs.remove_file(path);
+    }
+    opened
+}
+
+/// Opens the segment at `path`, which holds `bytes`, to write on at
+/// `end`. Every byte past `end` is made zero and the file brought to
+/// its full size first (an overrun's tail cut, a short segment
+/// re-filled) and synced, unless it already is. The returned handle has
+/// rewritten the identical `bytes[..end]`, which leaves it at `end`.
+fn reopen(
+    cfg: &LogConfig,
+    vfs: &dyn Vfs,
+    path: &Path,
+    bytes: &[u8],
+    end: usize,
+) -> OmResult<Box<dyn VfsFile>> {
+    let err = |e| io_err(cfg, path, e);
+    let len = segment_len(cfg)?.max(end);
+    let junk = last_nonzero(&bytes[end..]);
+    if junk > 0 || bytes.len() != len {
+        let zero_to = if bytes.len() < len { len } else { end + junk };
+        let mut file = vfs.open_write(path).map_err(err)?;
+        write_all_retry(file.as_mut(), &bytes[..end]).map_err(err)?;
+        write_zeros(file.as_mut(), zero_to - end).map_err(err)?;
+        if bytes.len() > len {
+            file.set_len(len as u64).map_err(err)?;
+        }
+        file.sync_data().map_err(err)?;
+    }
+    let mut file = vfs.open_write(path).map_err(err)?;
+    write_all_retry(file.as_mut(), &bytes[..end]).map_err(err)?;
     Ok(file)
 }
 
-/// Cuts `path` to `len` bytes and syncs the cut.
-fn truncate(cfg: &LogConfig, vfs: &dyn Vfs, path: &Path, len: usize) -> OmResult<()> {
-    let mut file = vfs.open_write(path).map_err(|e| io_err(cfg, path, e))?;
-    file.set_len(len as u64).map_err(|e| io_err(cfg, path, e))?;
-    file.sync_data().map_err(|e| io_err(cfg, path, e))
+/// Zeros are written this many bytes at a time. The page cache then
+/// holds a segment in folios no larger than this, so a record written
+/// in place dirties one small folio and its `fdatasync` writes back only
+/// that; one whole-segment write can leave large folios that each small
+/// write walks and each `fdatasync` writes back whole.
+const ZERO_CHUNK: usize = 64 << 10;
+
+fn write_zeros(file: &mut dyn VfsFile, mut n: usize) -> std::io::Result<()> {
+    static ZEROS: [u8; ZERO_CHUNK] = [0; ZERO_CHUNK];
+    while n > 0 {
+        let chunk = n.min(ZERO_CHUNK);
+        write_all_retry(file, &ZEROS[..chunk])?;
+        n -= chunk;
+    }
+    Ok(())
+}
+
+/// `segment_bytes`, refused when it could not be held in memory:
+/// replay reads a segment whole.
+fn segment_len(cfg: &LogConfig) -> OmResult<usize> {
+    usize::try_from(cfg.segment_bytes)
+        .ok()
+        .filter(|&n| Vec::<u8>::new().try_reserve_exact(n).is_ok())
+        .ok_or_else(|| {
+            OmError::Internal(format!(
+                "{} {:?}: cannot allocate a {}-byte segment",
+                cfg.kind, cfg.dir, cfg.segment_bytes
+            ))
+        })
+}
+
+/// The length of `bytes` up to and including its last non-zero byte.
+/// A segment's padding is skipped 64 bytes per comparison.
+pub(crate) fn last_nonzero(bytes: &[u8]) -> usize {
+    const ZEROS: [u8; 64] = [0; 64];
+    let mut end = bytes.len();
+    while end >= ZEROS.len() && bytes[end - ZEROS.len()..end] == ZEROS {
+        end -= ZEROS.len();
+    }
+    bytes[..end].iter().rposition(|&b| b != 0).map_or(0, |i| i + 1)
+}
+
+fn not_final(cfg: &LogConfig, path: &Path, at: usize) -> OmError {
+    OmError::Internal(format!(
+        "{} {:?}: segment {path:?} is corrupt at byte {at} but is not the final segment",
+        cfg.kind, cfg.dir
+    ))
 }
 
 fn io_err(cfg: &LogConfig, path: &Path, e: std::io::Error) -> OmError {
@@ -688,7 +825,8 @@ mod tests {
     #[test]
     fn unwedge_rewinds_numbers_but_never_reuses_a_ticket() {
         let (dir, _guard) = scratch("unwedge");
-        let vfs = FaultVfs::new(5).fail_nth_sync(2);
+        // Sync 1 is the first segment's zero fill, sync 2 record 0's.
+        let vfs = FaultVfs::new(5).fail_nth_sync(3);
         let log = open(&dir, Arc::new(vfs.clone()), 0, &mut Vec::new());
         let applied = Mutex::new(Vec::new());
         assert_eq!(append(&log, &applied).unwrap(), 0);
@@ -741,12 +879,13 @@ mod tests {
     #[test]
     fn unwedge_refuses_a_kept_frame_that_fails_verification() {
         let (dir, _guard) = scratch("verify");
-        let vfs = FaultVfs::new(6).fail_nth_sync(3);
+        let vfs = FaultVfs::new(6).fail_nth_sync(4);
         let log = open(&dir, Arc::new(vfs), 0, &mut Vec::new());
         let applied = Mutex::new(Vec::new());
         append(&log, &applied).unwrap();
         append(&log, &applied).unwrap();
         assert!(append(&log, &applied).is_err());
+        let before = std::fs::read(dir.join("log-0.log")).unwrap();
         let err = log
             .unwedge(|payload| payload != 1u64.to_le_bytes())
             .unwrap_err();
@@ -756,9 +895,267 @@ mod tests {
             "a failed verification leaves the log wedged"
         );
         assert_eq!(
-            std::fs::read(dir.join("log-0.log")).unwrap().len(),
-            48,
+            std::fs::read(dir.join("log-0.log")).unwrap(),
+            before,
             "nothing cut"
         );
+    }
+
+    /// [`open`] with `segment_bytes`-byte segments, failing softly.
+    fn open_sized(dir: &Path, vfs: Arc<dyn Vfs>, segment_bytes: u64) -> OmResult<SegmentLog<u64>> {
+        open_seen(dir, vfs, segment_bytes, &mut Vec::new())
+    }
+
+    fn open_seen(
+        dir: &Path,
+        vfs: Arc<dyn Vfs>,
+        segment_bytes: u64,
+        seen: &mut Vec<u64>,
+    ) -> OmResult<SegmentLog<u64>> {
+        let cfg = LogConfig {
+            segment_bytes,
+            ..config(dir, true)
+        };
+        SegmentLog::open(cfg, vfs, 0, |frame| {
+            let record = u64::from_le_bytes(frame.payload.try_into().unwrap());
+            seen.push(record);
+            Ok(record)
+        })
+    }
+
+    fn segments(dir: &Path) -> Vec<(u64, PathBuf)> {
+        list(&*real_vfs(), dir, "log-", ".log").unwrap()
+    }
+
+    /// The mechanism of the full-size layout, read off the op log: from
+    /// a segment's creation to its roll, a record write extends the
+    /// file at most once (the cohort that overruns its end), and the
+    /// overrun is the segment's last write.
+    #[test]
+    fn records_are_written_in_place_and_only_an_overrun_grows_a_segment() {
+        use crate::vfs::VfsOp;
+        use std::collections::HashMap;
+        let (dir, _guard) = scratch("in-place");
+        let vfs = FaultVfs::new(9).recording();
+        let log = open_sized(&dir, Arc::new(vfs.clone()), 100).unwrap();
+        let applied = Mutex::new(Vec::new());
+        for _ in 0..40 {
+            append(&log, &applied).unwrap();
+        }
+        assert!(log.stats().segments_rolled >= 5, "{:?}", log.stats());
+        // Replay the op log's file sizes and handle positions.
+        let (mut size, mut cursor) = (HashMap::new(), HashMap::new());
+        let (mut grew, mut in_place) = (HashMap::<PathBuf, u32>::new(), 0);
+        for op in vfs.take_log() {
+            match op {
+                VfsOp::Create(p) => {
+                    size.insert(p.clone(), 0);
+                    cursor.insert(p, 0);
+                }
+                VfsOp::OpenWrite(p) => {
+                    cursor.insert(p, 0);
+                }
+                VfsOp::Rename(from, to) => {
+                    let n = size.remove(&from).unwrap();
+                    size.insert(to, n);
+                }
+                VfsOp::Write(p, bytes) => {
+                    let at = cursor[&p];
+                    let end = at + bytes.len();
+                    cursor.insert(p.clone(), end);
+                    let is_segment = p.extension().is_some_and(|x| x == "log");
+                    assert!(
+                        !grew.contains_key(&p),
+                        "{p:?}: a write after the overrun that should have rolled it"
+                    );
+                    if end > size[&p] {
+                        size.insert(p.clone(), end);
+                        if is_segment {
+                            grew.insert(p, 1);
+                        }
+                    } else if is_segment {
+                        in_place += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert!(in_place >= 30, "most cohorts write in place: {in_place}");
+        assert!(grew.values().all(|&n| n == 1));
+        for (_, path) in segments(&dir) {
+            let bytes = std::fs::read(&path).unwrap();
+            assert!(bytes.len() >= 100, "{path:?} was created full-size");
+        }
+        drop(log);
+        let mut seen = Vec::new();
+        open(&dir, real_vfs(), 0, &mut seen);
+        assert_eq!(seen, (0..40).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_reopen_resumes_in_the_final_segment() {
+        use crate::vfs::VfsOp;
+        let (dir, _guard) = scratch("resume");
+        let applied = Mutex::new(Vec::new());
+        let log = open_sized(&dir, real_vfs(), 4_096).unwrap();
+        for _ in 0..3 {
+            append(&log, &applied).unwrap();
+        }
+        drop(log);
+        let vfs = FaultVfs::new(1).recording();
+        let log = open_sized(&dir, Arc::new(vfs.clone()), 4_096).unwrap();
+        let seg = dir.join("log-0.log");
+        // A clean tail needs no repair: one handle, whose first write
+        // is the identical 48-byte prefix, and no sync.
+        assert_eq!(
+            vfs.take_log(),
+            [
+                VfsOp::OpenWrite(seg.clone()),
+                VfsOp::Write(seg.clone(), std::fs::read(&seg).unwrap()[..48].to_vec())
+            ]
+        );
+        append(&log, &applied).unwrap();
+        append(&log, &applied).unwrap();
+        drop(log);
+        assert_eq!(segments(&dir).len(), 1, "no segment per open");
+        let bytes = std::fs::read(&seg).unwrap();
+        assert_eq!(bytes.len(), 4_096);
+        let mut seen = Vec::new();
+        open(&dir, real_vfs(), 0, &mut seen);
+        assert_eq!(seen, [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn the_final_segment_is_zeroed_past_its_end_and_brought_to_full_size() {
+        let (dir, _guard) = scratch("tail");
+        let applied = Mutex::new(Vec::new());
+        let log = open_sized(&dir, real_vfs(), 256).unwrap();
+        for _ in 0..3 {
+            append(&log, &applied).unwrap();
+        }
+        drop(log);
+        let seg = dir.join("log-0.log");
+        let pristine = std::fs::read(&seg).unwrap();
+        // (case, the segment as a crash or an older build left it, the
+        // torn bytes counted: up to the last non-zero one)
+        let cases: [(&str, Vec<u8>, u64); 4] = [
+            (
+                "short, as an older build appended it",
+                pristine[..48].to_vec(),
+                0,
+            ),
+            // Record 2's header and the first byte of its payload.
+            ("torn frame, then zeros", pristine[..41].to_vec(), 9),
+            (
+                "junk after a zero gap",
+                {
+                    let mut b = pristine.clone();
+                    b[200] = 9;
+                    b
+                },
+                200 - 48 + 1,
+            ),
+            (
+                "an overrun's tail",
+                [&pristine[..], &[5u8; 10][..]].concat(),
+                256 - 48 + 10,
+            ),
+        ];
+        for (case, bytes, torn) in cases {
+            std::fs::write(&seg, &bytes).unwrap();
+            let mut seen = Vec::new();
+            let log = open_seen(&dir, real_vfs(), 256, &mut seen).unwrap();
+            let kept = if case.starts_with("torn") { 2 } else { 3 };
+            assert_eq!(seen.len(), kept, "{case}");
+            assert_eq!(log.stats().torn_tail_bytes, torn, "{case}");
+            let on_disk = std::fs::read(&seg).unwrap();
+            assert_eq!(on_disk.len(), 256, "{case}: full size");
+            assert_eq!(on_disk[..kept * 16], pristine[..kept * 16], "{case}");
+            assert!(
+                on_disk[kept * 16..].iter().all(|&b| b == 0),
+                "{case}: zero past the end"
+            );
+            drop(log);
+            std::fs::write(&seg, &pristine).unwrap();
+        }
+    }
+
+    /// A tail that reads back as zeros is the end of the log, not an
+    /// empty frame; in a segment before the final one, any non-zero
+    /// byte past its frames is damage.
+    #[test]
+    fn zero_padding_ends_a_segment_and_junk_after_it_is_damage() {
+        let (dir, _guard) = scratch("padding");
+        let applied = Mutex::new(Vec::new());
+        let log = open_sized(&dir, real_vfs(), 64).unwrap();
+        for _ in 0..6 {
+            append(&log, &applied).unwrap();
+        }
+        drop(log);
+        let segs = segments(&dir);
+        assert!(segs.len() >= 2);
+        let first = &segs[0].1;
+        let mut bytes = std::fs::read(first).unwrap();
+        bytes.extend_from_slice(&[0; 4_096]);
+        std::fs::write(first, &bytes).unwrap();
+        let mut seen = Vec::new();
+        open(&dir, real_vfs(), 0, &mut seen);
+        assert_eq!(
+            seen,
+            (0..6).collect::<Vec<_>>(),
+            "zero padding is no record"
+        );
+        *bytes.last_mut().unwrap() = 1;
+        std::fs::write(first, &bytes).unwrap();
+        let err = open_sized(&dir, real_vfs(), 64).err().unwrap();
+        assert!(
+            err.to_string().contains("is not the final segment"),
+            "{err}"
+        );
+    }
+
+    /// A failed fsync of a new segment's zeros fails the roll — a
+    /// counted maintenance error, retried by the next cohort — and no
+    /// commit: the records go on in the old segment.
+    #[test]
+    fn a_failed_segment_creation_fails_the_roll_not_a_commit() {
+        let (dir, _guard) = scratch("roll-fail");
+        // Sync 1 zero-fills the first 32-byte segment, syncs 2-3 are
+        // records 0-1, sync 4 the zeros of the segment record 1's roll
+        // creates.
+        let vfs = FaultVfs::new(3).fail_nth_sync(4);
+        let log = open_sized(&dir, Arc::new(vfs.clone()), 32).unwrap();
+        let applied = Mutex::new(Vec::new());
+        for _ in 0..4 {
+            append(&log, &applied).unwrap();
+        }
+        assert_eq!(vfs.fired(), ["fsync failure"]);
+        let stats = log.stats();
+        assert_eq!((stats.maintenance_errors, stats.segments_rolled), (1, 1));
+        assert!(!log.is_wedged());
+        drop(log);
+        let names: Vec<_> = segments(&dir).into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, [0, 3], "record 2 overran the first segment");
+        let mut seen = Vec::new();
+        open(&dir, real_vfs(), 0, &mut seen);
+        assert_eq!(seen, [0, 1, 2, 3]);
+        let leftovers = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| {
+                e.as_ref()
+                    .unwrap()
+                    .path()
+                    .extension()
+                    .is_some_and(|x| x == "tmp")
+            })
+            .count();
+        assert_eq!(leftovers, 0, "the open removed the unfinished segment");
+    }
+
+    #[test]
+    fn a_segment_size_beyond_memory_fails_the_open() {
+        let (dir, _guard) = scratch("huge");
+        let err = open_sized(&dir, real_vfs(), u64::MAX).err().unwrap();
+        assert!(err.to_string().contains("cannot allocate"), "{err}");
     }
 }

@@ -21,9 +21,15 @@
 //!
 //!   - bytes covered by an `fsync` (`sync_data`/`sync_all`) are
 //!     guaranteed on media;
-//!   - unsynced bytes survive only as a seed-chosen **prefix** (write
-//!     order is preserved, amount is arbitrary — this is what makes
-//!     torn frames);
+//!   - the writes since a file's last `fsync` land as a seed-chosen
+//!     **prefix** of their byte stream (write order is preserved,
+//!     amount is arbitrary — this is what makes torn frames): each one
+//!     lands whole, torn or not at all, and a lost in-place write
+//!     leaves the bytes it would have overwritten;
+//!   - on a seed-chosen coin, a file that unsynced writes extended
+//!     keeps its extended length with every lost byte past the synced
+//!     length reading back as **zeros** — how XFS, or ext4 with
+//!     `data=writeback`, can expose an extended file after a crash;
 //!   - directory entries (creates, renames, unlinks) are guaranteed
 //!     once a `dir_sync` of their parent follows, and otherwise survive
 //!     or vanish on a seed-chosen coin;
@@ -35,15 +41,18 @@
 
 use om_common::rng::SplitMix64;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write as _};
+use std::io::{self, Seek as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// One open file of a [`Vfs`] — the write-side handle surface the
-/// durable stores use (they never seek; segments are append-only and
-/// snapshots are written whole).
+/// durable stores use. They never seek: a handle writes from where it
+/// was opened (the end of the file for [`Vfs::open_append`], its first
+/// byte for [`Vfs::create`] and [`Vfs::open_write`]), and each write
+/// moves it past its bytes. Snapshots are written whole; a log segment
+/// is created full-size and zero-filled, then written in place.
 pub trait VfsFile: Send {
     /// Writes the whole buffer (the stores' single write primitive —
     /// one cohort, snapshot or record per call).
@@ -63,8 +72,10 @@ pub trait Vfs: Send + Sync {
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>>;
     /// Opens `path` in append mode, creating it if absent.
     fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>>;
-    /// Opens an existing `path` writable without truncating (the
-    /// torn-tail truncation handle).
+    /// Opens an existing `path` writable without truncating, positioned
+    /// at its first byte: the handle a log segment is written in place
+    /// through (a resumed segment's first write rewrites the bytes it
+    /// keeps), and that a repair zeroes a torn tail with.
     fn open_write(&self, path: &Path) -> io::Result<Box<dyn VfsFile>>;
     /// Reads the whole file — the replay/recovery read path (and the
     /// read-side corruption hook).
@@ -165,7 +176,11 @@ pub enum VfsOp {
     Create(PathBuf),
     /// `open_append(path)` — creates the file if absent.
     OpenAppend(PathBuf),
-    /// `write_all(buf)` on the handle of `path`.
+    /// `open_write(path)` — an existing file, written from its first
+    /// byte.
+    OpenWrite(PathBuf),
+    /// `write_all(buf)` on the handle of `path`, at that handle's
+    /// position.
     Write(PathBuf, Vec<u8>),
     /// `write_file(path, bytes)` — whole-file replace, unsynced.
     WriteFile(PathBuf, Vec<u8>),
@@ -198,8 +213,13 @@ enum Fault {
     /// On the `nth` `write_all`, write nothing and return a transient
     /// `Interrupted` error (the `EINTR` class; retryable).
     Interrupt { nth: u64 },
-    /// Once cumulative written bytes reach `after_bytes`, every write
-    /// fails with a disk-full error (bytes up to the budget land).
+    /// Only bytes written past a file's end count against the budget
+    /// `after_bytes`: a write that would take their total past it lands
+    /// up to the budget and fails with a disk-full error. A write inside
+    /// a file's length allocates nothing and succeeds while the budget
+    /// holds, so a pre-allocated segment's records cannot run out of
+    /// space; a budget below what has already grown (scheduled late)
+    /// refuses every write, as a copy-on-write filesystem would.
     DiskFull { after_bytes: u64 },
     /// Flip one seed-chosen bit in the result of the `nth` `read`.
     CorruptRead { nth: u64 },
@@ -213,7 +233,8 @@ struct FaultState {
     writes_seen: u64,
     syncs_seen: u64,
     reads_seen: u64,
-    bytes_written: u64,
+    /// Bytes written past the end of a file, summed over every file.
+    bytes_grown: u64,
     rng: SplitMix64,
 }
 
@@ -265,7 +286,7 @@ impl FaultVfs {
                 writes_seen: 0,
                 syncs_seen: 0,
                 reads_seen: 0,
-                bytes_written: 0,
+                bytes_grown: 0,
                 rng: SplitMix64::new(seed),
             })),
         }
@@ -299,8 +320,10 @@ impl FaultVfs {
         self
     }
 
-    /// Schedules disk-full behaviour once `after_bytes` total bytes
-    /// have been written through this VFS.
+    /// Schedules disk-full behaviour once writes through this VFS have
+    /// grown its files by `after_bytes` bytes in total; writes inside a
+    /// file's length still succeed unless the files have already grown
+    /// past the budget.
     pub fn disk_full_after(self, after_bytes: u64) -> Self {
         self.state.lock().faults.push(Fault::DiskFull { after_bytes });
         self
@@ -333,6 +356,13 @@ impl FaultVfs {
         self.state.lock().syncs_seen
     }
 
+    /// Total `write_all` calls observed (interrupted and torn ones
+    /// included): schedule a write fault after a store's open with
+    /// `writes_seen() + n`.
+    pub fn writes_seen(&self) -> u64 {
+        self.state.lock().writes_seen
+    }
+
     fn err(kind: io::ErrorKind, label: &str, st: &mut FaultState) -> io::Error {
         st.fired.push(label.to_string());
         io::Error::new(kind, format!("injected fault: {label}"))
@@ -344,11 +374,28 @@ impl FaultVfs {
 struct FaultFile {
     path: PathBuf,
     file: File,
+    /// Opened by `open_append`: every write lands at the end.
+    append: bool,
     state: Arc<Mutex<FaultState>>,
+}
+
+impl FaultFile {
+    /// How many of the next `n` bytes written land inside the file's
+    /// current length (the rest grow it).
+    fn room(&mut self, n: usize) -> io::Result<u64> {
+        let len = self.file.metadata()?.len();
+        let at = if self.append {
+            len
+        } else {
+            self.file.stream_position()?
+        };
+        Ok(len.saturating_sub(at).min(n as u64))
+    }
 }
 
 impl VfsFile for FaultFile {
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+        let room = self.room(buf.len())?;
         let mut st = self.state.lock();
         st.writes_seen += 1;
         st.record(VfsOp::Write(self.path.clone(), buf.to_vec()));
@@ -359,7 +406,7 @@ impl VfsFile for FaultFile {
         if st.take_fault(|f| matches!(f, Fault::TornWrite { nth } if *nth == n)).is_some() {
             // Strict prefix: at least 0, at most len-1 bytes land.
             let k = st.rng.next_bounded(buf.len().max(1) as u64) as usize;
-            st.bytes_written += k as u64;
+            st.bytes_grown += (k as u64).saturating_sub(room);
             let torn = self.file.write_all(&buf[..k]);
             let e = FaultVfs::err(io::ErrorKind::Other, "torn write", &mut st);
             drop(st);
@@ -369,11 +416,15 @@ impl VfsFile for FaultFile {
         if let Some(Fault::DiskFull { after_bytes }) =
             st.faults.iter().find(|f| matches!(f, Fault::DiskFull { .. })).cloned()
         {
-            if st.bytes_written + buf.len() as u64 > after_bytes {
-                // Fill to the budget, then refuse. The fault stays
-                // scheduled: a full disk stays full.
-                let k = (after_bytes.saturating_sub(st.bytes_written)) as usize;
-                st.bytes_written = after_bytes;
+            if st.bytes_grown + (buf.len() as u64 - room) > after_bytes {
+                // Fill to the budget, then refuse; a budget already
+                // overspent takes nothing. The fault stays scheduled: a
+                // full disk stays full.
+                let k = match after_bytes.checked_sub(st.bytes_grown) {
+                    Some(left) => (room + left) as usize,
+                    None => 0,
+                };
+                st.bytes_grown = st.bytes_grown.max(after_bytes);
                 let partial = self.file.write_all(&buf[..k.min(buf.len())]);
                 let e = FaultVfs::err(io::ErrorKind::Other, "disk full", &mut st);
                 drop(st);
@@ -381,7 +432,7 @@ impl VfsFile for FaultFile {
                 return Err(e);
             }
         }
-        st.bytes_written += buf.len() as u64;
+        st.bytes_grown += buf.len() as u64 - room;
         drop(st);
         self.file.write_all(buf)
     }
@@ -422,6 +473,7 @@ impl Vfs for FaultVfs {
         Ok(Box::new(FaultFile {
             path: path.to_path_buf(),
             file: File::create(path)?,
+            append: false,
             state: self.state.clone(),
         }))
     }
@@ -431,14 +483,19 @@ impl Vfs for FaultVfs {
         Ok(Box::new(FaultFile {
             path: path.to_path_buf(),
             file: OpenOptions::new().create(true).append(true).open(path)?,
+            append: true,
             state: self.state.clone(),
         }))
     }
 
     fn open_write(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        self.state
+            .lock()
+            .record(VfsOp::OpenWrite(path.to_path_buf()));
         Ok(Box::new(FaultFile {
             path: path.to_path_buf(),
             file: OpenOptions::new().write(true).open(path)?,
+            append: false,
             state: self.state.clone(),
         }))
     }
@@ -485,12 +542,80 @@ impl Vfs for FaultVfs {
 
 // -- crash-image materializer ------------------------------------------------
 
-/// Simulated inode: logical content plus the fsync floor.
+/// Simulated inode: what a reader sees, what is on media, and the
+/// writes in between.
 #[derive(Default, Clone)]
 struct SimInode {
+    /// Logical content (what the page cache holds).
     content: Vec<u8>,
-    /// Bytes guaranteed on media (monotone except truncation).
-    synced: usize,
+    /// Content guaranteed on media: `content` as of the last fsync,
+    /// less any later truncation.
+    durable: Vec<u8>,
+    /// Writes since the last fsync, in order: `(offset, bytes)`.
+    pending: Vec<(usize, Vec<u8>)>,
+    /// Where the file's most recently opened handle writes next (`None`
+    /// for an append handle). The model keeps one position per file:
+    /// the stores write a file through the handle they opened last.
+    cursor: Option<usize>,
+}
+
+/// Copies `bytes` into `buf` at `at`, zero-extending `buf` as needed.
+fn overlay(buf: &mut Vec<u8>, at: usize, bytes: &[u8]) {
+    if buf.len() < at {
+        buf.resize(at, 0);
+    }
+    let inside = (buf.len() - at).min(bytes.len());
+    buf[at..at + inside].copy_from_slice(&bytes[..inside]);
+    buf.extend_from_slice(&bytes[inside..]);
+}
+
+impl SimInode {
+    fn write(&mut self, bytes: &[u8]) {
+        let at = self.cursor.unwrap_or(self.content.len());
+        overlay(&mut self.content, at, bytes);
+        if let Some(cursor) = &mut self.cursor {
+            *cursor = at + bytes.len();
+        }
+        self.pending.push((at, bytes.to_vec()));
+    }
+
+    fn set_len(&mut self, len: usize) {
+        self.content.resize(len, 0);
+        // A cut is durable at once (the stores sync it before relying
+        // on it); an extension is not.
+        self.durable.truncate(len);
+        self.pending.retain_mut(|(at, bytes)| {
+            bytes.truncate(len.saturating_sub(*at));
+            !bytes.is_empty()
+        });
+    }
+
+    fn sync(&mut self) {
+        for (at, bytes) in self.pending.drain(..) {
+            overlay(&mut self.durable, at, &bytes);
+        }
+        self.durable.resize(self.content.len(), 0);
+    }
+
+    /// The file as power loss leaves it: the durable content, then a
+    /// seeded prefix of the pending byte stream; on a seeded coin the
+    /// file keeps its full length, lost bytes past the durable length
+    /// reading zero.
+    fn after_power_loss(&self, rng: &mut SplitMix64) -> Vec<u8> {
+        let stream: usize = self.pending.iter().map(|(_, b)| b.len()).sum();
+        let mut land = rng.next_bounded(stream as u64 + 1) as usize;
+        let zeros = rng.chance(0.5);
+        let mut image = self.durable.clone();
+        for (at, bytes) in &self.pending {
+            let n = land.min(bytes.len());
+            land -= n;
+            overlay(&mut image, *at, &bytes[..n]);
+        }
+        if zeros && image.len() < self.content.len() {
+            image.resize(self.content.len(), 0);
+        }
+        image
+    }
 }
 
 /// One pending namespace mutation, durable once a `dir_sync` of its
@@ -519,8 +644,9 @@ impl CrashImage {
     /// Builds, under `out`, the directory tree a machine that lost
     /// power after `boundary` ops (a prefix of `log`) could reboot
     /// with. Paths in the log are rebased from `root` onto `out`.
-    /// `seed` decides every non-guaranteed outcome (unsynced-tail
-    /// length per file, uncovered entry-op coins) — the same
+    /// `seed` decides every non-guaranteed outcome (how much of each
+    /// file's unsynced writes lands, whether its lost extension reads
+    /// back as zeros, uncovered entry-op coins) — the same
     /// `(log, boundary, seed)` always yields the same image.
     pub fn materialize(
         log: &[VfsOp],
@@ -540,9 +666,12 @@ impl CrashImage {
             match op {
                 VfsOp::Create(p) | VfsOp::WriteFile(p, _) => {
                     let ino = inodes.len();
-                    inodes.push(SimInode::default());
+                    inodes.push(SimInode {
+                        cursor: Some(0),
+                        ..SimInode::default()
+                    });
                     if let VfsOp::WriteFile(_, bytes) = op {
-                        inodes[ino].content = bytes.clone();
+                        inodes[ino].write(bytes);
                     }
                     let fresh = names.insert(p.clone(), ino).is_none();
                     // An overwrite replaces the inode behind an existing
@@ -554,9 +683,8 @@ impl CrashImage {
                             durable: false,
                             kind: NameEventKind::Link(p.clone(), ino),
                         });
-                    } else if let Some(ino) = names.get(p) {
+                    } else {
                         // Keep the namespace pointing at the new inode.
-                        let ino = *ino;
                         for e in events.iter_mut() {
                             if let NameEventKind::Link(name, target) = &mut e.kind {
                                 if name == p {
@@ -566,8 +694,9 @@ impl CrashImage {
                         }
                     }
                 }
-                VfsOp::OpenAppend(p) => {
-                    if !names.contains_key(p) {
+                VfsOp::OpenAppend(p) => match names.get(p) {
+                    Some(&ino) => inodes[ino].cursor = None,
+                    None => {
                         let ino = inodes.len();
                         inodes.push(SimInode::default());
                         names.insert(p.clone(), ino);
@@ -578,22 +707,25 @@ impl CrashImage {
                             kind: NameEventKind::Link(p.clone(), ino),
                         });
                     }
+                },
+                VfsOp::OpenWrite(p) => {
+                    if let Some(&ino) = names.get(p) {
+                        inodes[ino].cursor = Some(0);
+                    }
                 }
                 VfsOp::Write(p, bytes) => {
                     if let Some(&ino) = names.get(p) {
-                        inodes[ino].content.extend_from_slice(bytes);
+                        inodes[ino].write(bytes);
                     }
                 }
                 VfsOp::SetLen(p, len) => {
                     if let Some(&ino) = names.get(p) {
-                        let inode = &mut inodes[ino];
-                        inode.content.truncate(*len as usize);
-                        inode.synced = inode.synced.min(*len as usize);
+                        inodes[ino].set_len(*len as usize);
                     }
                 }
                 VfsOp::SyncData(p) | VfsOp::SyncAll(p) => {
                     if let Some(&ino) = names.get(p) {
-                        inodes[ino].synced = inodes[ino].content.len();
+                        inodes[ino].sync();
                     }
                 }
                 VfsOp::Rename(from, to) => {
@@ -631,7 +763,7 @@ impl CrashImage {
         // guaranteed ones always apply, uncovered ones flip a
         // deterministic coin.
         let mut rng = SplitMix64::new(seed ^ (boundary as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut durable_names: HashMap<PathBuf, usize> = HashMap::new();
+        let mut durable_names: BTreeMap<PathBuf, usize> = BTreeMap::new();
         for e in &events {
             let applies = e.durable || rng.chance(0.5);
             if !applies {
@@ -652,13 +784,10 @@ impl CrashImage {
             }
         }
 
-        // Write the image: synced floor always; an arbitrary seeded
-        // prefix of the unsynced tail on top.
+        // Write the image, in name order so the seed alone decides it.
         fs::create_dir_all(out)?;
         for (name, ino) in &durable_names {
-            let inode = &inodes[*ino];
-            let unsynced = inode.content.len() - inode.synced;
-            let survive = inode.synced + rng.next_bounded(unsynced as u64 + 1) as usize;
+            let image = inodes[*ino].after_power_loss(&mut rng);
             let rel = name.strip_prefix(root).map_err(|_| {
                 io::Error::new(
                     io::ErrorKind::InvalidInput,
@@ -669,7 +798,12 @@ impl CrashImage {
             if let Some(dir) = target.parent() {
                 fs::create_dir_all(dir)?;
             }
-            fs::write(&target, &inode.content[..survive])?;
+            // A zero tail becomes a hole: a segment's padding costs the
+            // image no disk writes.
+            let data = crate::segment_log::last_nonzero(&image);
+            let mut file = File::create(&target)?;
+            file.write_all(&image[..data])?;
+            file.set_len(image.len() as u64)?;
         }
         Ok(())
     }
@@ -767,6 +901,11 @@ mod tests {
         assert!(f.write_all(b"def").is_err(), "crossing the budget fails");
         assert!(f.write_all(b"g").is_err(), "a full disk stays full");
         assert_eq!(fs::read(dir.join("seg")).unwrap(), b"abcd", "filled to the budget");
+        // Overwriting allocates nothing: a full disk still takes it.
+        let mut f = vfs.open_write(&dir.join("seg")).unwrap();
+        f.write_all(b"ABCD").unwrap();
+        assert!(f.write_all(b"E").is_err(), "growing the file does not");
+        assert_eq!(fs::read(dir.join("seg")).unwrap(), b"ABCD");
     }
 
     #[test]
@@ -812,12 +951,93 @@ mod tests {
                 if boundary >= 4 {
                     assert!(bytes.starts_with(b"synced"), "fsynced bytes are guaranteed");
                 }
+                // A prefix of what was written, then (the zeros outcome)
+                // zeros up to at most the written length.
+                let written = b"synced-unsynced-tail";
+                let landed = bytes.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
                 assert!(
-                    b"synced-unsynced-tail".starts_with(&bytes[..]),
-                    "crash content is a prefix of what was written"
+                    written.starts_with(&bytes[..landed]) && bytes.len() <= written.len(),
+                    "crash content is a prefix of what was written, zero-padded: {bytes:?}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn crash_image_can_read_a_lost_extension_back_as_zeros() {
+        let root = PathBuf::from("/z");
+        let f = root.join("f");
+        let log = vec![
+            VfsOp::OpenAppend(f.clone()),
+            VfsOp::DirSync(root.clone()),
+            VfsOp::Write(f.clone(), b"synced".to_vec()),
+            VfsOp::SyncData(f.clone()),
+            VfsOp::Write(f.clone(), b"-tail".to_vec()),
+        ];
+        let (mut short, mut zero_filled) = (false, false);
+        for seed in 0..32u64 {
+            let out = scratch("zeros");
+            let _g = DirGuard(out.clone());
+            CrashImage::materialize(&log, log.len(), seed, &root, &out).unwrap();
+            let bytes = fs::read(out.join("f")).unwrap();
+            let landed = bytes.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+            assert!(b"synced-tail".starts_with(&bytes[..landed]), "{bytes:?}");
+            assert!(bytes[landed..].iter().all(|&b| b == 0));
+            short |= bytes.len() < 11;
+            zero_filled |= bytes.len() == 11 && landed < 11;
+        }
+        assert!(
+            short && zero_filled,
+            "seeds explore both lost-extension outcomes"
+        );
+    }
+
+    #[test]
+    fn crash_image_writes_in_place_at_the_open_write_cursor() {
+        let root = PathBuf::from("/w");
+        let (tmp, seg) = (root.join("seg.tmp"), root.join("seg"));
+        let log = vec![
+            // A segment created full-size and zero-filled...
+            VfsOp::Create(tmp.clone()),
+            VfsOp::Write(tmp.clone(), vec![0; 16]),
+            VfsOp::SyncData(tmp.clone()),
+            VfsOp::Rename(tmp.clone(), seg.clone()),
+            VfsOp::DirSync(root.clone()),
+            // ...then written in place from its first byte.
+            VfsOp::OpenWrite(seg.clone()),
+            VfsOp::Write(seg.clone(), b"abc".to_vec()),
+            VfsOp::SyncData(seg.clone()),
+            VfsOp::Write(seg.clone(), b"defg".to_vec()),
+        ];
+        let mut outcomes = std::collections::BTreeSet::new();
+        for seed in 0..32u64 {
+            let out = scratch("inplace");
+            let _g = DirGuard(out.clone());
+            CrashImage::materialize(&log, log.len(), seed, &root, &out).unwrap();
+            assert!(!out.join("seg.tmp").exists());
+            let bytes = fs::read(out.join("seg")).unwrap();
+            assert_eq!(bytes.len(), 16, "in-place writes never change the length");
+            assert_eq!(&bytes[..3], b"abc", "synced bytes are guaranteed");
+            // The unsynced write is lost (the zeros stay), torn or whole.
+            let landed = bytes[3..].iter().take_while(|&&b| b != 0).count();
+            assert!(b"defg".starts_with(&bytes[3..3 + landed]));
+            assert!(bytes[3 + landed..].iter().all(|&b| b == 0));
+            outcomes.insert(landed);
+        }
+        assert!(
+            outcomes.contains(&0) && outcomes.contains(&4),
+            "seeds explore lost and whole in-place writes: {outcomes:?}"
+        );
+        // Synced, the write is guaranteed in place.
+        let mut synced = log.clone();
+        synced.push(VfsOp::SyncData(seg.clone()));
+        let out = scratch("inplace-synced");
+        let _g = DirGuard(out.clone());
+        CrashImage::materialize(&synced, synced.len(), 3, &root, &out).unwrap();
+        assert_eq!(
+            fs::read(out.join("seg")).unwrap(),
+            b"abcdefg\0\0\0\0\0\0\0\0\0"
+        );
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! committed batch is lost, and recovery is deterministic.
 //!
 //! The workload commits multi-key batches (every batch writes one round
-//! marker to several keys), then simulates a crash by chopping the WAL
-//! at an arbitrary byte. The recovered store must equal the reference
-//! model after exactly the batches whose frames survived in full.
+//! marker to several keys), then simulates a crash by losing the WAL's
+//! frames from an arbitrary byte on: the file ends there, or (the zeros
+//! outcome of XFS and ext4 `data=writeback`) the lost bytes read back as
+//! zeros. The recovered store must equal the reference model after
+//! exactly the batches whose frames survived in full.
 
 use om_common::checksum::parse_frame;
 use om_storage::{FileBackend, FileBackendOptions, StateBackend, WriteBatch};
@@ -46,12 +48,13 @@ fn key_bytes(k: u8) -> Vec<u8> {
     vec![b'k', k]
 }
 
-/// The WAL-only options the torn-tail property needs: no snapshots, one
-/// segment, so every committed batch is exactly one frame in one file.
+/// The WAL-only options the torn-tail property needs: no snapshots, and
+/// segments larger than any workload here writes, so every committed
+/// batch is exactly one frame in one file.
 const WAL_ONLY: FileBackendOptions = FileBackendOptions {
     shards: 4,
     snapshot_every: 0,
-    segment_bytes: u64::MAX,
+    segment_bytes: 1 << 16,
     sync_commits: false,
     compact_max_deltas: 16,
     compact_ratio_pct: 100,
@@ -65,6 +68,29 @@ fn wal_segment(dir: &std::path::Path) -> PathBuf {
         .collect();
     assert_eq!(logs.len(), 1, "WAL_ONLY options must yield a single segment");
     logs.pop().unwrap()
+}
+
+/// The end of a segment's frames, where its zero padding starts.
+fn written_end(bytes: &[u8]) -> usize {
+    let mut at = 0;
+    while let Ok(Some((_, next))) = parse_frame(bytes, at) {
+        at = next;
+    }
+    at
+}
+
+/// Power loss after the first `cut` bytes of the segment `seg`, which
+/// holds `bytes`: the rest is lost — the file ends at `cut`, or keeps
+/// its length with the lost bytes reading zero. Returns the segment as
+/// the crash left it. (A lost byte that was zero anyway changes
+/// nothing: a frame can survive a cut inside its zero bytes.)
+fn crash(seg: &std::path::Path, bytes: &[u8], cut: usize, zeros: bool) -> Vec<u8> {
+    let mut image = bytes[..cut].to_vec();
+    if zeros {
+        image.resize(bytes.len(), 0);
+    }
+    std::fs::write(seg, &image).unwrap();
+    image
 }
 
 /// Applies the first `n` batches to a reference model.
@@ -94,6 +120,7 @@ proptest! {
     fn truncation_at_any_byte_recovers_the_last_full_commit(
         batches in prop::collection::vec(batch_strategy(), 1..10),
         cut_ratio in 0.0f64..1.0,
+        zeros in any::<bool>(),
     ) {
         let dir = scratch("any-byte");
         let _guard = DirGuard(dir.clone());
@@ -112,19 +139,19 @@ proptest! {
         }
         let seg = wal_segment(&dir);
         let bytes = std::fs::read(&seg).unwrap();
-        let cut = ((bytes.len() as f64) * cut_ratio) as usize;
+        let cut = ((written_end(&bytes) as f64) * cut_ratio) as usize;
 
+        // Crash: the tail after `cut` never reached the disk.
+        let image = crash(&seg, &bytes, cut, zeros);
         // How many whole frames survive the cut — each frame is exactly
         // one committed batch, in commit order.
         let mut survivors = 0usize;
         let mut at = 0usize;
-        while let Ok(Some((_, next))) = parse_frame(&bytes[..cut], at) {
+        while let Ok(Some((_, next))) = parse_frame(&image, at) {
             survivors += 1;
             at = next;
         }
 
-        // Crash: the tail after `cut` never reached the disk.
-        std::fs::write(&seg, &bytes[..cut]).unwrap();
         let recovered = FileBackend::open(&dir, WAL_ONLY).unwrap();
         let model = model_after(&batches, survivors);
         prop_assert_eq!(recovered.len(), model.len(), "cut={} survivors={}", cut, survivors);
@@ -153,6 +180,7 @@ proptest! {
         before in prop::collection::vec(batch_strategy(), 1..6),
         after in prop::collection::vec(batch_strategy(), 1..6),
         cut_ratio in 0.0f64..1.0,
+        zeros in any::<bool>(),
     ) {
         let dir = scratch("snap-tail");
         let _guard = DirGuard(dir.clone());
@@ -181,14 +209,14 @@ proptest! {
         // post-snapshot batches; cut inside it.
         let seg = wal_segment(&dir);
         let bytes = std::fs::read(&seg).unwrap();
-        let cut = ((bytes.len() as f64) * cut_ratio) as usize;
+        let cut = ((written_end(&bytes) as f64) * cut_ratio) as usize;
+        let image = crash(&seg, &bytes, cut, zeros);
         let mut survivors = 0usize;
         let mut at = 0usize;
-        while let Ok(Some((_, next))) = parse_frame(&bytes[..cut], at) {
+        while let Ok(Some((_, next))) = parse_frame(&image, at) {
             survivors += 1;
             at = next;
         }
-        std::fs::write(&seg, &bytes[..cut]).unwrap();
 
         let recovered = FileBackend::open(&dir, opts).unwrap();
         let mut all: Vec<Batch> = before.clone();
@@ -217,6 +245,7 @@ proptest! {
     fn concurrent_group_commits_truncate_to_a_prefix_at_any_byte(
         commits_per_writer in 1u8..6,
         cut_ratio in 0.0f64..1.0,
+        zeros in any::<bool>(),
     ) {
         const WRITERS: u8 = 4;
         let dir = scratch("group");
@@ -247,13 +276,14 @@ proptest! {
         }
         let seg = wal_segment(&dir);
         let bytes = std::fs::read(&seg).unwrap();
-        let cut = ((bytes.len() as f64) * cut_ratio) as usize;
+        let cut = ((written_end(&bytes) as f64) * cut_ratio) as usize;
+        let image = crash(&seg, &bytes, cut, zeros);
 
         // The reference model: replay the whole frames that survive the
         // cut, in file order (== commit order).
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         let mut at = 0usize;
-        while let Ok(Some((payload, next))) = parse_frame(&bytes[..cut], at) {
+        while let Ok(Some((payload, next))) = parse_frame(&image, at) {
             // seq u64 ++ n_ops u32 ++ ops — decode just enough to apply.
             let n_ops = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
             let mut p = 12usize;
@@ -275,7 +305,6 @@ proptest! {
             at = next;
         }
 
-        std::fs::write(&seg, &bytes[..cut]).unwrap();
         let recovered = FileBackend::open(&dir, opts).unwrap();
         let live: BTreeMap<Vec<u8>, Vec<u8>> =
             recovered.scan_prefix(b"").into_iter().collect();

@@ -413,9 +413,12 @@ fn matrix_options() -> FileBackendOptions {
 fn torn_write_wedges_and_unwedge_truncates_the_torn_tail() {
     let root = scratch("torn");
     let _g = DirGuard(root.clone());
-    let vfs = FaultVfs::new(torture_seed()).torn_write(2);
+    let vfs = FaultVfs::new(torture_seed());
     let backend =
         FileBackend::open_with_vfs(&root, matrix_options(), Arc::new(vfs.clone())).unwrap();
+    // Counted from the open's last write (the segment's zero fill):
+    // commit 2's write tears. Clones share one fault schedule.
+    let _ = vfs.clone().torn_write(vfs.writes_seen() + 2);
     commit_one(&backend, 1);
     let err = backend
         .commit(WriteBatch::new().put(wkey(2), wvalue(2)).put(&b"seq"[..], 2u64.to_le_bytes().to_vec()))
@@ -441,9 +444,11 @@ fn torn_write_wedges_and_unwedge_truncates_the_torn_tail() {
 fn interrupted_writes_are_retried_transparently() {
     let root = scratch("eintr");
     let _g = DirGuard(root.clone());
-    let vfs = FaultVfs::new(torture_seed()).interrupt_write(2);
+    let vfs = FaultVfs::new(torture_seed());
     let backend =
         FileBackend::open_with_vfs(&root, matrix_options(), Arc::new(vfs.clone())).unwrap();
+    // Commit 2's write, counted past the open's zero fill.
+    let _ = vfs.clone().interrupt_write(vfs.writes_seen() + 2);
     commit_one(&backend, 1);
     commit_one(&backend, 2);
     assert!(!backend.is_wedged(), "a retried interrupt must not wedge");
@@ -454,14 +459,22 @@ fn interrupted_writes_are_retried_transparently() {
 }
 
 /// Disk-full wedges the store exactly like any other failed write: the
-/// acked prefix stays durable and readable after a cold reopen.
+/// acked prefix stays durable and readable after a cold reopen. Records
+/// written inside a pre-allocated segment need no space, so the disk
+/// fills at a segment's creation: the roll fails (a maintenance error),
+/// the commits after it overrun the full segment, and the first write
+/// that would grow it wedges.
 #[test]
 fn disk_full_wedges_and_the_acked_prefix_survives() {
     let root = scratch("full");
     let _g = DirGuard(root.clone());
+    // Two 256-byte segments fit, the third does not.
     let vfs = FaultVfs::new(torture_seed()).disk_full_after(600);
-    let backend =
-        FileBackend::open_with_vfs(&root, matrix_options(), Arc::new(vfs.clone())).unwrap();
+    let options = FileBackendOptions {
+        segment_bytes: 256,
+        ..matrix_options()
+    };
+    let backend = FileBackend::open_with_vfs(&root, options, Arc::new(vfs.clone())).unwrap();
     let mut acked = 0u64;
     for k in 1..=20u64 {
         let batch = WriteBatch::new()
@@ -478,6 +491,7 @@ fn disk_full_wedges_and_the_acked_prefix_survives() {
     assert!(acked >= 1, "the byte budget admits at least one commit");
     assert!(backend.is_wedged());
     assert!(vfs.fired().iter().any(|f| f == "disk full"), "{:?}", vfs.fired());
+    assert!(backend.counters()["backend.maintenance_errors"] >= 1, "the roll failed first");
     drop(backend);
     let reborn = FileBackend::open(&root, matrix_options()).unwrap();
     assert_eq!(dump(&reborn), model_at(acked), "acked prefix survives disk-full");
@@ -541,9 +555,12 @@ fn concurrent_writers_never_ack_past_a_failed_fsync() {
     for n in 1..=20u64 {
         let root = scratch("ack-wedge");
         let _g = DirGuard(root.clone());
-        let vfs = FaultVfs::new(torture_seed().wrapping_add(n)).fail_nth_sync(n);
+        let vfs = FaultVfs::new(torture_seed().wrapping_add(n));
         let backend =
             FileBackend::open_with_vfs(&root, matrix_options(), Arc::new(vfs.clone())).unwrap();
+        // Counted from the first cohort: the open synced the new
+        // segment's zeros. Clones share one fault schedule.
+        let _ = vfs.clone().fail_nth_sync(vfs.syncs_seen() + n);
         let (mut acked, mut wedged) = (Vec::new(), Vec::new());
         std::thread::scope(|s| {
             let writers: Vec<_> = (0..WRITERS)
