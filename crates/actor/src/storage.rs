@@ -22,11 +22,12 @@ use om_storage::{make_backend, StateBackend, WriteBatch, WriteOp};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Shard count for grain-storage backends. Grain saves are the actor hot
-/// path (every persisting grain writes per turn), so this leans high;
-/// power-of-two masking makes routing cheap. Callers injecting their own
-/// backend (the platform bindings) reuse this so the injected and default
-/// configurations agree on lock-domain count.
+/// Shard count for grain-storage backends (only the eventual backend is
+/// sharded; the snapshot and file backends keep one image). Grain saves
+/// are the actor hot path (every persisting grain writes per turn), so
+/// this leans high; power-of-two masking makes routing cheap. Callers
+/// injecting their own backend (the platform bindings) reuse this so the
+/// injected and default configurations agree on lock-domain count.
 pub const GRAIN_STORAGE_SHARDS: usize = 64;
 
 /// Cluster-wide grain state storage over a pluggable backend.

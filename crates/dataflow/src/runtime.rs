@@ -66,11 +66,10 @@
 //!    completes first, and a late poison can still discard all of it.
 
 use crate::checkpoint::{BackendCheckpointStore, StateDelta, StateRow};
-use om_common::config::BackendKind;
 use om_common::pool::{WorkQueue, WorkerPool};
 use om_common::{OmError, OmResult};
 use om_log::{EventLog, Topic};
-use om_storage::make_backend;
+use om_storage::SnapshotBackend;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -165,10 +164,6 @@ fn rows_with_prefix<'a>(
     .take_while(move |(row, _)| row.starts_with(prefix))
     .map(|(row, bytes)| (row.as_slice(), bytes.as_slice()))
 }
-
-/// Lock domains of the snapshot-isolation backend a runtime built
-/// without a checkpoint store commits into.
-const DEFAULT_STORE_SHARDS: usize = 4;
 
 /// Read access to the invoked instance's rows: the last checkpoint plus
 /// every write of the running epoch's earlier invocations.
@@ -378,10 +373,9 @@ impl<M: Send + Clone + 'static> DataflowBuilder<M> {
                 offsets: vec![0; partitions],
             }),
             store: self.store.unwrap_or_else(|| {
-                Arc::new(BackendCheckpointStore::new(make_backend(
-                    BackendKind::SnapshotIsolation,
-                    DEFAULT_STORE_SHARDS,
-                )))
+                Arc::new(BackendCheckpointStore::new(
+                    Arc::new(SnapshotBackend::new()),
+                ))
             }),
             committed_egress: Mutex::new(Vec::new()),
             epoch_mutex: Mutex::new(()),

@@ -144,7 +144,6 @@ fn disk_fault_drill_mid_flash_sale_wedges_then_unwedge_restores_a_clean_audit() 
 
     fn options() -> FileBackendOptions {
         FileBackendOptions {
-            shards: 2,
             snapshot_every: 0,
             segment_bytes: 1 << 20,
             sync_commits: true,

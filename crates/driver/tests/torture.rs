@@ -73,7 +73,6 @@ impl Drop for DirGuard {
 
 fn backend_options() -> FileBackendOptions {
     FileBackendOptions {
-        shards: 2,
         snapshot_every: 4,
         segment_bytes: 1024,
         sync_commits: true,

@@ -94,7 +94,6 @@ fn disk_fault_mid_flash_sale_sheds_503_and_unwedge_resumes_checkouts() {
             FileBackend::open_with_vfs(
                 dir.join("state"),
                 FileBackendOptions {
-                    shards: 2,
                     snapshot_every: 0,
                     segment_bytes: 1 << 20,
                     sync_commits: true,

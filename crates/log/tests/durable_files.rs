@@ -14,6 +14,11 @@
 //! difference is a change of the on-disk layout or bytes, not a fixture
 //! to regenerate.
 //!
+//! A base or delta snapshot is written with one section holding every
+//! entry in key order (builds that kept sharded in-memory maps wrote one
+//! section per shard; the loader still takes any number, which
+//! `parent_format.rs` pins).
+//!
 //! A log segment is created full-size and zero-filled, so its length and
 //! CRC cover the padding too; its line adds the length and CRC of its
 //! written region (its frames, up to the first zero length field). Those
@@ -28,7 +33,6 @@ use std::sync::Arc;
 
 fn backend_options() -> FileBackendOptions {
     FileBackendOptions {
-        shards: 2,
         snapshot_every: 6,
         segment_bytes: 160,
         sync_commits: false,

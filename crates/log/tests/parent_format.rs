@@ -21,7 +21,6 @@ const RECORDS: u64 = 15;
 
 fn backend_options() -> FileBackendOptions {
     FileBackendOptions {
-        shards: 2,
         snapshot_every: 6,
         segment_bytes: 160,
         sync_commits: true,

@@ -56,7 +56,6 @@ impl Drop for DirGuard {
 
 fn backend_options() -> FileBackendOptions {
     FileBackendOptions {
-        shards: 2,
         snapshot_every: 5,
         segment_bytes: 512,
         sync_commits: true,

@@ -214,14 +214,18 @@ fn customized_platform_lifecycle() {
 
 #[test]
 fn customized_dashboard_is_always_snapshot_consistent() {
-    // The consistent-dashboard guarantee is the snapshot-isolation
-    // backend's: one prefix scan reads one MVCC snapshot of the aggregate
-    // and its entries. (Under `eventual_kv` the same platform exposes
-    // torn dashboards — the trade the platform×backend matrix measures.)
-    let p = CustomizedPlatform::new(&spec(
-        PlatformKind::Customized,
-        BackendKind::SnapshotIsolation,
-    ));
+    // The consistent-dashboard guarantee is the atomic backends': one
+    // prefix scan reads one committed state of the aggregate and its
+    // entries, on the snapshot backend and on the file backend's durable
+    // state alike. (Under `eventual_kv` the same platform exposes torn
+    // dashboards — the trade the platform×backend matrix measures.)
+    for backend in [BackendKind::SnapshotIsolation, BackendKind::FileDurable] {
+        dashboard_is_always_snapshot_consistent(backend);
+    }
+}
+
+fn dashboard_is_always_snapshot_consistent(backend: BackendKind) {
+    let p = CustomizedPlatform::new(&spec(PlatformKind::Customized, backend));
     ingest(&p);
     // Interleave checkouts and deliveries with dashboard reads from two
     // other threads: one reads the typed dashboard, one the JSON the
@@ -236,7 +240,8 @@ fn customized_dashboard_is_always_snapshot_consistent() {
                 let dash: SellerDashboard = serde_json::from_slice(&json).unwrap();
                 assert!(
                     dash.is_snapshot_consistent(),
-                    "customized JSON dashboard torn: amount={} count={} entries={}",
+                    "customized JSON dashboard torn on {:?}: amount={} count={} entries={}",
+                    backend,
                     dash.in_progress_amount,
                     dash.in_progress_count,
                     dash.entries.len()
@@ -265,7 +270,8 @@ fn customized_dashboard_is_always_snapshot_consistent() {
             let dash = p.seller_dashboard(SellerId(1)).unwrap();
             assert!(
                 dash.is_snapshot_consistent(),
-                "customized dashboard torn: amount={} count={} entries={}",
+                "customized dashboard torn on {:?}: amount={} count={} entries={}",
+                backend,
                 dash.in_progress_amount,
                 dash.in_progress_count,
                 dash.entries.len()

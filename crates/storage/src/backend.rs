@@ -106,7 +106,11 @@ pub trait StateSession: Send {
 /// | | [`commit`](StateBackend::commit) | [`get_many`](StateBackend::get_many) |
 /// |---|---|---|
 /// | eventual | applied per key (torn states observable) | independent reads |
-/// | snapshot isolation | atomic, never aborts | one consistent snapshot |
+/// | snapshot isolation | atomic, never aborts | one committed state |
+/// | file durable | atomic, durable before visible | one committed state |
+///
+/// The two atomic stores keep one in-memory image: a batch applies under
+/// its write lock and each read call runs under its read lock.
 ///
 /// ```
 /// use om_common::config::BackendKind;
@@ -181,9 +185,10 @@ pub trait StateBackend: Send + Sync {
         None
     }
 
-    /// Multi-key read. The snapshot backend serves all keys from one
-    /// snapshot; the eventual backend reads each key independently, so a
-    /// concurrent commit may be observed half-applied.
+    /// Multi-key read. The snapshot and file backends read every key in
+    /// one step, from one committed state; the eventual backend reads
+    /// each key independently, so a concurrent commit may be observed
+    /// half-applied.
     fn get_many(&self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>>;
 
     /// All live `(key, value)` pairs whose key starts with `prefix`,
@@ -191,7 +196,7 @@ pub trait StateBackend: Send + Sync {
     fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)>;
 
     /// Applies a multi-key batch of blind writes; within a batch the last
-    /// write to a key wins. The snapshot backend installs the batch
+    /// write to a key wins. The snapshot backend applies the batch
     /// atomically and never aborts: a batch reads nothing, so there is no
     /// conflict to validate. The eventual backend applies
     /// last-writer-wins per key. Only the file backend returns `Err`:
@@ -226,9 +231,11 @@ pub trait StateBackend: Send + Sync {
     fn counters(&self) -> BTreeMap<String, u64>;
 }
 
-/// Constructs the backend for `kind` with at least `shards` lock domains
-/// (rounded up to a power of two). This is the single seam `RunConfig`
-/// drives: everything above it holds an `Arc<dyn StateBackend>`.
+/// Constructs the backend for `kind`. `shards` sizes the eventual
+/// backend's store (rounded up to a power of two); the snapshot and file
+/// backends keep one image and ignore it. This is the single seam
+/// `RunConfig` drives: everything above it holds an
+/// `Arc<dyn StateBackend>`.
 ///
 /// A [`BackendKind::FileDurable`] backend built here lives in a scratch
 /// directory that is removed when the backend drops; pass a concrete
@@ -270,7 +277,7 @@ pub fn make_backend_with(
 ) -> OmResult<Arc<dyn StateBackend>> {
     Ok(match kind {
         BackendKind::Eventual => Arc::new(crate::eventual::EventualBackend::new(shards)),
-        BackendKind::SnapshotIsolation => Arc::new(crate::snapshot::SnapshotBackend::new(shards)),
+        BackendKind::SnapshotIsolation => Arc::new(crate::snapshot::SnapshotBackend::new()),
         BackendKind::FileDurable => {
             let options = crate::file::FileBackendOptions::from_durable(shards, durable);
             match data_dir {
@@ -279,16 +286,6 @@ pub fn make_backend_with(
             }
         }
     })
-}
-
-/// Routes `key` to one of `1 << bits`-style power-of-two shard arrays.
-/// Shared by both backends so a key lands on the same shard index in
-/// either discipline (useful when comparing shard balance).
-pub(crate) fn shard_of(key: &[u8], mask: u64) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() & mask) as usize
 }
 
 #[cfg(test)]
@@ -316,15 +313,6 @@ mod tests {
             b.put(b"k", b"v");
             assert_eq!(b.get(b"k"), Some(b"v".to_vec()));
             assert_eq!(b.len(), 1);
-        }
-    }
-
-    #[test]
-    fn shard_routing_is_stable_and_masked() {
-        for mask in [0u64, 1, 3, 7, 63] {
-            let s = shard_of(b"some-key", mask);
-            assert_eq!(s, shard_of(b"some-key", mask));
-            assert!(s as u64 <= mask);
         }
     }
 }

@@ -18,7 +18,6 @@
 use crate::backend::{StateBackend, StateSession, WriteBatch, WriteOp};
 use crate::kv_replication::{Applier, ReplicationRecord, ReplicationStats};
 use crate::kv_store::{Store, VersionedValue};
-use crate::shards_pow2;
 use om_common::config::BackendKind;
 use om_common::OmResult;
 use parking_lot::Mutex;
@@ -45,7 +44,7 @@ impl EventualBackend {
     /// Builds the replica pair with at least `shards` lock domains each
     /// (rounded up to a power of two).
     pub fn new(shards: usize) -> Self {
-        let shards = shards_pow2(shards);
+        let shards = shards.max(1).next_power_of_two();
         let primary = Arc::new(Store::new(shards));
         let secondary = Arc::new(Store::new(shards));
         let stats = Arc::new(ReplicationStats::default());

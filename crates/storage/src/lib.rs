@@ -16,10 +16,11 @@
 //!   in-memory store, with an asynchronous secondary replica (Redis role). Multi-key
 //!   commits are applied key by key: concurrent readers can observe torn
 //!   subsets, and the secondary only converges after [`StateBackend::quiesce`].
-//! * [`SnapshotBackend`] — snapshot isolation over sharded version chains
-//!   and a timestamp oracle (PostgreSQL role). Multi-key commits install
-//!   under one commit lock and are atomic: no reader snapshot ever
-//!   observes a torn subset, and a commit never aborts.
+//! * [`SnapshotBackend`] — one in-memory image, an ordered map under one
+//!   reader-writer lock (PostgreSQL role). A multi-key commit applies
+//!   under the write lock and each read call under the read lock, so no
+//!   reader ever observes a torn subset (serializable, which is stronger
+//!   than snapshot isolation), and a commit never aborts.
 //! * [`FileBackend`] — file-backed durability (RocksDB role): every commit
 //!   is one framed, checksummed write-ahead-log batch on disk, incremental
 //!   snapshots bound replay, and a cold restart over the same directory
@@ -27,16 +28,20 @@
 //!   only backend whose state survives a process crash; see
 //!   `docs/DURABILITY.md` for the file formats and recovery rules.
 //!
-//! Both implementations are **sharded** — a fixed power-of-two shard array
-//! keyed by hash, with per-shard locks — so the backend never reintroduces
-//! the single global `RwLock<HashMap>` hot spot the actor runtime's grain
-//! storage started with.
+//! The two atomic stores keep the same in-memory image (`image`): the
+//! snapshot backend's whole state, and the file backend's read path over
+//! its write-ahead log. Both already order every commit behind one lock,
+//! so one map under one lock costs them no concurrency their single-call
+//! API could use. The eventual backend keeps a **sharded** per-key store
+//! (a power-of-two shard array keyed by hash, with per-shard locks): it
+//! has no global writer lock, and per-key last-writer-wins with a lagging
+//! replica is what its cell measures.
 //!
 //! The parts with one user stay private: the eventual backend's sharded
 //! store and its replication applier (`kv_store`, `kv_replication`), the
-//! snapshot backend's version chains and oracle (`versions`), and the
-//! group-commit barrier (`commit_group`) under [`segment_log`], the one
-//! log both durable stores write through.
+//! atomic stores' image (`image`), and the group-commit barrier
+//! (`commit_group`) under [`segment_log`], the one log both durable
+//! stores write through.
 //!
 //! Everything stateful in the workspace persists through this layer:
 //! actor grain snapshots (`om-actor`), the customized binding's dashboard
@@ -50,13 +55,13 @@ pub mod backend;
 mod commit_group;
 pub mod eventual;
 pub mod file;
+mod image;
 mod kv_replication;
 #[cfg(test)]
 mod kv_replication_props;
 mod kv_store;
 pub mod segment_log;
 pub mod snapshot;
-mod versions;
 pub mod vfs;
 
 pub use backend::{
@@ -68,9 +73,3 @@ pub use file::{FileBackend, FileBackendOptions};
 pub use segment_log::CommitGroupStats;
 pub use snapshot::SnapshotBackend;
 pub use vfs::{real_vfs, CrashImage, FaultVfs, RealVfs, Vfs, VfsFile, VfsOp};
-
-/// Rounds a requested shard count up to a power of two (minimum 1), the
-/// invariant both backends rely on for hash-and-mask routing.
-pub(crate) fn shards_pow2(shards: usize) -> usize {
-    shards.max(1).next_power_of_two()
-}

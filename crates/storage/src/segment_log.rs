@@ -7,7 +7,7 @@
 //! number of the segment's first record, each a run of CRC frames
 //! (`om_common::checksum`). The caller owns what a record means: its
 //! payload codec, and what applying a durable record does (the backend
-//! applies a batch to its shards; the topic mirrors a record into its
+//! applies a batch to its in-memory image; the topic mirrors a record into its
 //! in-memory partition).
 //!
 //! A segment is **created full-size**: `<prefix><n>.tmp` is filled with

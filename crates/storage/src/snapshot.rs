@@ -1,22 +1,22 @@
-//! The snapshot-isolation backend: sharded version chains under one
-//! commit lock and timestamp oracle.
+//! The snapshot-isolation backend: one in-memory image (`crate::image`),
+//! one ordered map under one reader-writer lock.
 //!
-//! A commit takes the oracle's commit lock, draws the next timestamp,
-//! appends one version per write to its key's shard and then publishes
-//! the timestamp. Every read registers a snapshot at the newest published
-//! commit and sees, per key, the newest version at or below it — so a
-//! multi-key commit is **atomic across shards**: a snapshot sees all of
-//! its writes or none of them. The backend offers only blind writes (a
-//! batch reads nothing), so there is nothing to validate: a commit never
-//! aborts and never retries. Within a batch the last write to a key wins.
+//! A commit applies its whole batch under the image's write lock, and
+//! every read call runs under its read lock, so a multi-key commit is
+//! **atomic**: a read sees all of its writes or none of them, and a
+//! multi-key read or scan sees one committed state. That is serializable,
+//! which is stronger than the snapshot isolation this backend stands in
+//! for. The backend offers only blind writes (a batch reads nothing), so
+//! there is nothing to validate: a commit never aborts and never
+//! retries. Within a batch the last write to a key wins. A key holds one
+//! value, so there are no old versions to collect and `quiesce` has
+//! nothing to do.
 
-use crate::backend::{shard_of, StateBackend, StateSession, WriteBatch, WriteOp};
-use crate::shards_pow2;
-use crate::versions::{prefix_end, Shard, TsOracle};
+use crate::backend::{StateBackend, StateSession, WriteBatch, WriteOp};
+use crate::image::Image;
 use om_common::config::BackendKind;
 use om_common::OmResult;
 use std::collections::BTreeMap;
-use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The snapshot-isolation implementation of [`StateBackend`].
@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// ```
 /// use om_storage::{SnapshotBackend, StateBackend, WriteBatch};
 ///
-/// let backend = SnapshotBackend::new(4);
+/// let backend = SnapshotBackend::new();
 /// // One commit, never an abort: the last write to a key wins.
 /// let batch = WriteBatch::new()
 ///     .put(b"order/1".to_vec(), b"placed".to_vec())
@@ -37,44 +37,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// );
 /// assert_eq!(backend.counters()["backend.commits"], 1);
 /// ```
+#[derive(Default)]
 pub struct SnapshotBackend {
-    oracle: TsOracle,
-    /// Power-of-two shard array, each with its own row lock.
-    shards: Vec<Shard>,
-    mask: u64,
+    image: Image,
     commits: AtomicU64,
 }
 
 impl SnapshotBackend {
-    /// Builds the backend with at least `shards` shards (rounded up to a
-    /// power of two).
-    pub fn new(shards: usize) -> Self {
-        let shards = shards_pow2(shards);
-        Self {
-            oracle: TsOracle::default(),
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            mask: shards as u64 - 1,
-            commits: AtomicU64::new(0),
-        }
+    /// An empty backend.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    fn shard(&self, key: &[u8]) -> &Shard {
-        &self.shards[shard_of(key, self.mask)]
-    }
-
-    /// Installs `ops` as one commit; returns how many.
-    fn install(&self, ops: impl IntoIterator<Item = WriteOp>) -> usize {
-        let installed = self.oracle.commit(|ts| {
-            ops.into_iter()
-                .map(|WriteOp { key, value }| self.shard(&key).install(key, value, ts))
-                .count()
-        });
+    /// Applies `ops` as one commit; returns how many.
+    fn install(&self, ops: Vec<WriteOp>) -> usize {
+        let installed = self.image.apply(ops);
         self.commits.fetch_add(1, Ordering::Relaxed);
         installed
     }
 
     fn write(&self, key: &[u8], value: Option<&[u8]>) {
-        self.install([WriteOp {
+        self.install(vec![WriteOp {
             key: key.to_vec(),
             value: value.map(<[u8]>::to_vec),
         }]);
@@ -87,8 +70,7 @@ impl StateBackend for SnapshotBackend {
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        let snapshot = self.oracle.snapshot();
-        self.shard(key).get(key, snapshot.ts)
+        self.image.get(key)
     }
 
     fn put(&self, key: &[u8], value: &[u8]) {
@@ -100,31 +82,11 @@ impl StateBackend for SnapshotBackend {
     }
 
     fn get_many(&self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>> {
-        // One snapshot serves every key: torn multi-key commits are
-        // unobservable by construction.
-        let snapshot = self.oracle.snapshot();
-        keys.iter()
-            .map(|k| self.shard(k).get(k, snapshot.ts))
-            .collect()
+        self.image.get_many(keys)
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let snapshot = self.oracle.snapshot();
-        let end = prefix_end(prefix);
-        let range = (Bound::Included(prefix), end.as_ref().map(Vec::as_slice));
-        let mut out = Vec::new();
-        let mut contributing = 0;
-        for shard in &self.shards {
-            let before = out.len();
-            shard.scan(range, snapshot.ts, &mut out);
-            contributing += usize::from(out.len() > before);
-        }
-        // Each shard's rows arrive in key order and a key lives on one
-        // shard, so only a result drawn from several shards needs sorting.
-        if contributing > 1 {
-            out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        }
-        out
+        self.image.scan_prefix(prefix)
     }
 
     fn commit(&self, batch: WriteBatch) -> OmResult<usize> {
@@ -132,7 +94,7 @@ impl StateBackend for SnapshotBackend {
     }
 
     fn commit_ops(&self, ops: &[WriteOp]) -> OmResult<usize> {
-        Ok(self.install(ops.iter().cloned()))
+        Ok(self.install(ops.to_vec()))
     }
 
     fn session(&self) -> Box<dyn StateSession + '_> {
@@ -140,16 +102,11 @@ impl StateBackend for SnapshotBackend {
     }
 
     fn quiesce(&self) {
-        // Nothing is asynchronous; reclaim superseded versions instead.
-        let horizon = self.oracle.gc_horizon();
-        for shard in &self.shards {
-            shard.gc(horizon);
-        }
+        // Nothing is asynchronous, and nothing is left to collect.
     }
 
     fn len(&self) -> usize {
-        let snapshot = self.oracle.snapshot();
-        self.shards.iter().map(|s| s.live(snapshot.ts)).sum()
+        self.image.len()
     }
 
     fn counters(&self) -> BTreeMap<String, u64> {
@@ -158,14 +115,13 @@ impl StateBackend for SnapshotBackend {
             "backend.commits".into(),
             self.commits.load(Ordering::Relaxed),
         );
-        out.insert("backend.shards".into(), self.shards.len() as u64);
         out
     }
 }
 
-/// Sessions are trivial under snapshot isolation: every write is
-/// committed before `put` returns, so a later read (fresh snapshot)
-/// always observes it. No fallback path exists.
+/// Sessions are trivial here: every write is committed before `put`
+/// returns, so a later read always observes it. No fallback path
+/// exists.
 struct SnapshotSession<'a> {
     backend: &'a SnapshotBackend,
 }
@@ -194,23 +150,9 @@ mod tests {
     use proptest::prelude::*;
     use std::sync::Arc;
 
-    fn versions(b: &SnapshotBackend) -> usize {
-        b.shards.iter().map(Shard::versions).sum()
-    }
-
-    /// Every live row at snapshot `ts`, in key order.
-    fn rows_at(b: &SnapshotBackend, ts: u64) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut out = Vec::new();
-        for shard in &b.shards {
-            shard.scan((Bound::Unbounded, Bound::Unbounded), ts, &mut out);
-        }
-        out.sort();
-        out
-    }
-
     #[test]
     fn put_get_delete_roundtrip() {
-        let b = SnapshotBackend::new(4);
+        let b = SnapshotBackend::new();
         assert!(b.get(b"k").is_none());
         b.put(b"k", b"v1");
         b.put(b"k", b"v2");
@@ -221,8 +163,8 @@ mod tests {
     }
 
     #[test]
-    fn commit_is_atomic_across_shards() {
-        let b = Arc::new(SnapshotBackend::new(8));
+    fn a_commit_is_atomic_to_a_concurrent_reader() {
+        let b = Arc::new(SnapshotBackend::new());
         let keys: Vec<Vec<u8>> = (0..16u8).map(|i| vec![b'k', i]).collect();
         let writer = {
             let b = b.clone();
@@ -243,38 +185,15 @@ mod tests {
             let distinct: std::collections::HashSet<_> = values.iter().collect();
             assert!(
                 distinct.len() <= 1,
-                "snapshot read observed a torn commit: {distinct:?}"
+                "a read observed a torn commit: {distinct:?}"
             );
         }
         writer.join().unwrap();
     }
 
     #[test]
-    fn a_snapshot_is_repeatable_and_sees_deletes_only_after_it() {
-        let b = SnapshotBackend::new(4);
-        b.put(b"a", b"1");
-        b.put(b"b", b"1");
-        let reader = b.oracle.snapshot();
-        for i in 2..10u8 {
-            b.put(b"a", &[i]);
-            b.commit(WriteBatch::new().put(b"c".to_vec(), vec![i]))
-                .unwrap();
-        }
-        b.delete(b"b");
-        assert_eq!(b.shard(b"a").get(b"a", reader.ts), Some(b"1".to_vec()));
-        assert_eq!(b.shard(b"b").get(b"b", reader.ts), Some(b"1".to_vec()));
-        assert_eq!(b.shard(b"c").get(b"c", reader.ts), None);
-        assert_eq!(b.get(b"a"), Some(vec![9]));
-        assert_eq!(b.get(b"b"), None, "a later snapshot sees the delete");
-        assert_eq!(
-            b.scan_prefix(b""),
-            vec![(b"a".to_vec(), vec![9]), (b"c".to_vec(), vec![9])]
-        );
-    }
-
-    #[test]
     fn the_last_write_to_a_key_in_a_batch_wins() {
-        let b = SnapshotBackend::new(2);
+        let b = SnapshotBackend::new();
         let batch = WriteBatch::new()
             .put(b"k".to_vec(), b"first".to_vec())
             .delete(b"gone".to_vec())
@@ -289,152 +208,43 @@ mod tests {
             value: None,
         }])
         .unwrap();
-        b.quiesce();
-        assert_eq!((b.get(b"k"), b.len(), versions(&b)), (None, 1, 1));
+        assert_eq!((b.get(b"k"), b.len()), (None, 1));
     }
 
     #[test]
-    fn concurrent_commits_are_published_in_timestamp_order() {
-        let b = SnapshotBackend::new(8);
+    fn concurrent_commits_are_visible_before_they_return() {
+        let b = SnapshotBackend::new();
         std::thread::scope(|scope| {
             for w in 0..4u8 {
                 let b = &b;
                 scope.spawn(move || {
                     for i in 0..50u8 {
                         b.put(&[w, i], &[i]);
-                        // A commit is published before it returns.
                         assert_eq!(b.get(&[w, i]), Some(vec![i]));
                     }
                 });
             }
         });
-        assert_eq!(b.oracle.snapshot().ts, 200, "one timestamp per commit");
         assert_eq!(b.counters()["backend.commits"], 200);
         assert_eq!(b.len(), 200);
     }
 
+    /// Without any `quiesce`, a hot key keeps one value, not one per
+    /// overwrite.
     #[test]
-    fn every_read_releases_its_snapshot() {
-        let b = SnapshotBackend::new(4);
-        b.put(b"k", b"v");
-        b.get(b"k");
-        b.get_many(&[b"k", b"j"]);
-        b.scan_prefix(b"k");
-        b.len();
-        b.session().get(b"k");
-        b.put(b"k", b"w");
-        assert_eq!(b.oracle.gc_horizon(), 2, "no read left a snapshot open");
-        b.quiesce();
-        assert_eq!(versions(&b), 1);
-    }
-
-    #[test]
-    fn scan_prefix_spans_shards_in_order() {
-        let b = SnapshotBackend::new(8);
-        for i in 0..20u8 {
-            b.put(&[b'p', b'/', i], &[i]);
+    fn a_key_overwritten_10_000_times_holds_one_stored_value() {
+        let b = SnapshotBackend::new();
+        for i in 0..10_000u32 {
+            b.put(b"hot", &i.to_le_bytes());
         }
-        b.put(b"q/1", b"other");
-        let hits = b.scan_prefix(b"p/");
-        assert_eq!(hits.len(), 20);
-        assert!(hits.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn quiesce_collects_versions_no_open_snapshot_sees() {
-        let b = SnapshotBackend::new(2);
-        for i in 0..10u8 {
-            b.put(b"hot", &[i]);
-        }
-        let reader = b.oracle.snapshot();
-        b.put(b"hot", b"new");
-        b.quiesce();
-        assert_eq!(versions(&b), 2, "the reader's version and the newest");
-        assert_eq!(b.shard(b"hot").get(b"hot", reader.ts), Some(vec![9]));
-        drop(reader);
-        b.quiesce();
-        assert_eq!(versions(&b), 1);
-        assert_eq!(b.get(b"hot"), Some(b"new".to_vec()));
-    }
-
-    #[test]
-    fn snapshot_reads_are_repeatable_across_concurrent_commits() {
-        let b = SnapshotBackend::new(4);
-        b.put(b"k", &0u32.to_le_bytes());
-        let reader = b.oracle.snapshot();
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for i in 1..=300u32 {
-                    b.put(b"k", &i.to_le_bytes());
-                }
-            });
-            for _ in 0..300 {
-                assert_eq!(
-                    b.shard(b"k").get(b"k", reader.ts),
-                    Some(0u32.to_le_bytes().to_vec())
-                );
-            }
-        });
-        assert_eq!(b.get(b"k"), Some(300u32.to_le_bytes().to_vec()));
-    }
-
-    #[test]
-    fn deletes_become_visible_only_after_commit() {
-        let b = SnapshotBackend::new(8);
-        let keys: Vec<Vec<u8>> = (0..32u8).map(|i| vec![b'd', i]).collect();
-        let mut batch = WriteBatch::new();
-        for k in &keys {
-            batch = batch.put(k.clone(), b"v".to_vec());
-        }
-        b.commit(batch).unwrap();
-        let before = b.oracle.snapshot();
-        let mut batch = WriteBatch::new();
-        for k in &keys {
-            batch = batch.delete(k.clone());
-        }
-        b.commit(batch).unwrap();
-        assert_eq!(rows_at(&b, before.ts).len(), 32, "the delete is newer");
-        assert!(b.scan_prefix(b"d").is_empty());
-        assert!(b.is_empty());
-        b.quiesce();
-        assert_eq!(versions(&b), 64, "the open snapshot keeps the puts");
-        drop(before);
-        b.quiesce();
-        assert_eq!(versions(&b), 0);
-    }
-
-    #[test]
-    fn commits_are_ordered_by_timestamp() {
-        let b = SnapshotBackend::new(4);
-        let mut readers = vec![b.oracle.snapshot()];
-        for i in 0..10u8 {
-            b.commit(
-                WriteBatch::new()
-                    .put(vec![i], vec![i])
-                    .put(b"last".to_vec(), vec![i]),
-            )
-            .unwrap();
-            readers.push(b.oracle.snapshot());
-        }
-        for (n, reader) in readers.iter().enumerate() {
-            assert_eq!(reader.ts, n as u64);
-            let rows = rows_at(&b, reader.ts);
-            // The snapshot after `n` commits sees exactly those `n`.
-            let firsts: Vec<u8> = (0..n as u8).collect();
-            let seen: Vec<u8> = rows
-                .iter()
-                .filter(|(k, _)| k.len() == 1)
-                .map(|(k, _)| k[0])
-                .collect();
-            assert_eq!(seen, firsts);
-            let last = b.shard(b"last").get(b"last", reader.ts);
-            assert_eq!(last, n.checked_sub(1).map(|i| vec![i as u8]));
-        }
+        assert_eq!(b.image.stored_bytes(), b"hot".len() + 4);
+        assert_eq!(b.get(b"hot"), Some(9_999u32.to_le_bytes().to_vec()));
+        assert_eq!(b.counters()["backend.commits"], 10_000);
     }
 
     #[test]
     fn a_scan_never_sees_a_torn_commit() {
-        let b = SnapshotBackend::new(8);
+        let b = SnapshotBackend::new();
         let keys: Vec<Vec<u8>> = (0..16u8).map(|i| vec![b's', b'/', i]).collect();
         let round = |r: u32| {
             let mut batch = WriteBatch::new();
@@ -467,57 +277,18 @@ mod tests {
     }
 
     #[test]
-    fn len_counts_one_snapshot_while_rows_move() {
-        let b = SnapshotBackend::new(8);
-        for i in 0..10u8 {
-            b.put(&[b'a', i], b"v");
-        }
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for _ in 0..100 {
-                    for i in 0..10u8 {
-                        let (from, to) = match b.get(&[b'a', i]) {
-                            Some(_) => ([b'a', i], [b'b', i]),
-                            None => ([b'b', i], [b'a', i]),
-                        };
-                        b.commit(
-                            WriteBatch::new()
-                                .delete(from.to_vec())
-                                .put(to.to_vec(), b"v".to_vec()),
-                        )
-                        .unwrap();
-                    }
-                }
-            });
-            for _ in 0..500 {
-                assert_eq!(b.len(), 10);
-            }
-        });
-    }
-
-    #[test]
     fn an_empty_batch_commits_nothing() {
-        let b = SnapshotBackend::new(4);
+        let b = SnapshotBackend::new();
         b.put(b"k", b"v");
         assert_eq!(b.commit(WriteBatch::new()).unwrap(), 0);
         assert_eq!(b.commit_ops(&[]).unwrap(), 0);
         assert_eq!((b.get(b"k"), b.len()), (Some(b"v".to_vec()), 1));
-        b.quiesce();
-        assert_eq!(versions(&b), 1);
-    }
-
-    #[test]
-    fn the_shard_count_rounds_up_to_a_power_of_two() {
-        for (asked, built) in [(0, 1), (1, 1), (3, 4), (8, 8), (9, 16)] {
-            let b = SnapshotBackend::new(asked);
-            assert_eq!(b.counters()["backend.shards"], built, "asked for {asked}");
-            assert_eq!(b.kind(), BackendKind::SnapshotIsolation);
-        }
+        assert_eq!(b.image.stored_bytes(), 2);
     }
 
     #[test]
     fn a_session_sees_every_commit_at_once() {
-        let b = SnapshotBackend::new(4);
+        let b = SnapshotBackend::new();
         let mut session = b.session();
         b.commit(WriteBatch::new().put(b"k".to_vec(), b"outside".to_vec()))
             .unwrap();
@@ -533,7 +304,7 @@ mod tests {
 
     #[test]
     fn get_many_answers_in_the_order_asked() {
-        let b = SnapshotBackend::new(8);
+        let b = SnapshotBackend::new();
         b.put(b"a", b"1");
         b.put(b"b", b"2");
         assert_eq!(
@@ -549,57 +320,18 @@ mod tests {
     }
 
     #[test]
-    fn gc_preserves_open_snapshots_under_concurrent_commits() {
-        let b = SnapshotBackend::new(4);
-        for k in 0..8u8 {
-            b.put(&[k], &[0]);
-        }
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for round in 1..=100u8 {
-                    b.put(&[round % 8], &[round]);
-                }
-            });
-            scope.spawn(|| {
-                for _ in 0..100 {
-                    b.quiesce();
-                }
-            });
-            for _ in 0..50 {
-                let reader = b.oracle.snapshot();
-                let first = rows_at(&b, reader.ts);
-                b.quiesce();
-                assert_eq!(rows_at(&b, reader.ts), first);
-                assert_eq!(first.len(), 8);
-            }
-        });
-    }
-
-    #[test]
-    fn deleting_an_absent_key_leaves_only_a_collectable_tombstone() {
-        let b = SnapshotBackend::new(4);
+    fn deleting_an_absent_key_stores_nothing() {
+        let b = SnapshotBackend::new();
         b.delete(b"never");
-        assert_eq!((b.get(b"never"), b.len(), versions(&b)), (None, 0, 1));
-        b.quiesce();
-        assert_eq!(versions(&b), 0);
-    }
-
-    #[test]
-    fn a_key_put_again_after_its_delete_survives_gc() {
-        let b = SnapshotBackend::new(4);
-        b.put(b"k", b"1");
-        b.delete(b"k");
-        b.put(b"k", b"2");
-        b.quiesce();
         assert_eq!(
-            (b.get(b"k"), b.len(), versions(&b)),
-            (Some(b"2".to_vec()), 1, 1)
+            (b.get(b"never"), b.len(), b.image.stored_bytes()),
+            (None, 0, 0)
         );
     }
 
     #[test]
     fn the_commit_counter_counts_commits_not_writes() {
-        let b = SnapshotBackend::new(4);
+        let b = SnapshotBackend::new();
         let mut batch = WriteBatch::new();
         for i in 0..5u8 {
             batch = batch.put(vec![i], vec![i]);
@@ -609,71 +341,181 @@ mod tests {
         b.delete(b"a");
         b.session().put(b"b", b"1");
         assert_eq!(b.counters()["backend.commits"], 4);
-        assert_eq!(b.oracle.snapshot().ts, 4, "one timestamp per commit");
     }
 
     #[test]
-    fn a_batch_spanning_every_shard_is_one_commit() {
-        let b = SnapshotBackend::new(16);
-        let before = b.oracle.snapshot();
-        let mut batch = WriteBatch::new();
-        for i in 0..1000u16 {
-            batch = batch.put(i.to_be_bytes().to_vec(), vec![1]);
+    fn a_key_put_again_after_its_delete_survives_quiesce() {
+        let b = SnapshotBackend::new();
+        b.put(b"k", b"1");
+        b.delete(b"k");
+        b.quiesce();
+        assert_eq!(b.get(b"k"), None);
+        b.put(b"k", b"2");
+        b.quiesce();
+        assert_eq!((b.get(b"k"), b.len()), (Some(b"2".to_vec()), 1));
+        assert_eq!(b.scan_prefix(b"k"), [(b"k".to_vec(), b"2".to_vec())]);
+    }
+
+    /// `quiesce`, called while commits run, changes no read: a scan
+    /// taken around it is one committed state each time.
+    #[test]
+    fn quiesce_changes_no_read() {
+        let b = SnapshotBackend::new();
+        for i in 0..32u8 {
+            b.put(&[i], &[0]);
         }
-        assert_eq!(b.commit(batch).unwrap(), 1000);
-        assert!(b.shards.iter().all(|s| s.live(1) > 0), "every shard written");
-        assert_eq!((b.oracle.snapshot().ts, b.len()), (1, 1000));
-        assert!(rows_at(&b, before.ts).is_empty());
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for round in 1..=100u8 {
+                    let ops: Vec<WriteOp> = (0..32u8)
+                        .map(|i| WriteOp {
+                            key: vec![i],
+                            value: Some(vec![round]),
+                        })
+                        .collect();
+                    b.commit_ops(&ops).unwrap();
+                }
+            });
+            for _ in 0..100 {
+                b.quiesce();
+                let rows = b.scan_prefix(b"");
+                assert_eq!(rows.len(), 32);
+                assert!(rows.iter().all(|(_, v)| *v == rows[0].1), "torn: {rows:?}");
+            }
+        });
+        let before = b.scan_prefix(b"");
+        b.quiesce();
+        assert_eq!(b.scan_prefix(b""), before);
+        assert!(before.iter().all(|(_, v)| v == &[100]));
+    }
+
+    #[test]
+    fn a_batch_of_a_thousand_keys_is_one_commit() {
+        let b = SnapshotBackend::new();
+        let batch = (0..1_000u16).fold(WriteBatch::new(), |batch, i| {
+            batch.put(i.to_be_bytes().to_vec(), i.to_le_bytes().to_vec())
+        });
+        assert_eq!(b.commit(batch).unwrap(), 1_000);
+        assert_eq!(b.counters()["backend.commits"], 1);
+        assert_eq!(b.len(), 1_000);
+        let rows = b.scan_prefix(b"");
+        assert!(rows
+            .iter()
+            .zip(0..1_000u16)
+            .all(|((k, v), i)| *k == i.to_be_bytes() && *v == i.to_le_bytes()));
+    }
+
+    /// Keys written in a scrambled order scan back in key order.
+    #[test]
+    fn scan_prefix_returns_rows_in_key_order_whatever_the_write_order() {
+        let b = SnapshotBackend::new();
+        for i in 0..512u32 {
+            let k = i.wrapping_mul(2_654_435_761) % 512;
+            b.put(&[&b"row/"[..], &k.to_be_bytes()].concat(), &k.to_le_bytes());
+        }
+        b.put(b"rov", b"before the prefix");
+        b.put(b"rox", b"after the prefix");
+        let rows = b.scan_prefix(b"row/");
+        assert_eq!(rows.len(), 512);
+        for (i, (k, v)) in (0..512u32).zip(&rows) {
+            assert_eq!(&k[4..], i.to_be_bytes());
+            assert_eq!(v[..], i.to_le_bytes());
+        }
+    }
+
+    /// A batch that deletes many keys takes them away together: a
+    /// concurrent reader sees all of them or none.
+    #[test]
+    fn a_delete_batch_is_atomic_to_a_concurrent_reader() {
+        let b = SnapshotBackend::new();
+        let keys: Vec<Vec<u8>> = (0..16u8).map(|i| vec![b'd', i]).collect();
+        let key_refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for round in 0..200u8 {
+                    let fill = keys.iter().fold(WriteBatch::new(), |batch, k| {
+                        batch.put(k.clone(), vec![round])
+                    });
+                    b.commit(fill).unwrap();
+                    let drain = keys
+                        .iter()
+                        .fold(WriteBatch::new(), |batch, k| batch.delete(k.clone()));
+                    b.commit(drain).unwrap();
+                }
+            });
+            for _ in 0..500 {
+                let present = b.get_many(&key_refs).iter().filter(|v| v.is_some()).count();
+                assert!(present == 0 || present == 16, "a torn delete: {present} of 16");
+                let len = b.len();
+                assert!(len == 0 || len == 16, "a torn count: {len}");
+            }
+        });
+        assert!(b.is_empty());
+    }
+
+    #[test]
+    fn a_later_commit_overwrites_an_earlier_one() {
+        let b = SnapshotBackend::new();
+        b.commit(
+            WriteBatch::new()
+                .put(b"a".to_vec(), b"1".to_vec())
+                .put(b"b".to_vec(), b"1".to_vec()),
+        )
+        .unwrap();
+        b.commit(
+            WriteBatch::new()
+                .put(b"b".to_vec(), b"2".to_vec())
+                .put(b"c".to_vec(), b"2".to_vec())
+                .delete(b"a".to_vec()),
+        )
+        .unwrap();
+        assert_eq!(
+            b.scan_prefix(b""),
+            [
+                (b"b".to_vec(), b"2".to_vec()),
+                (b"c".to_vec(), b"2".to_vec())
+            ]
+        );
+        assert_eq!(b.counters()["backend.commits"], 2);
+    }
+
+    /// Many threads overwriting one key leave one value, the last one a
+    /// thread wrote, and nothing else stored.
+    #[test]
+    fn concurrent_overwrites_of_one_key_leave_one_value() {
+        let b = SnapshotBackend::new();
+        std::thread::scope(|scope| {
+            for t in 0..4u8 {
+                let b = &b;
+                scope.spawn(move || {
+                    for i in 0..1_000u16 {
+                        b.put(b"hot", &[&[t][..], &i.to_le_bytes()].concat());
+                    }
+                });
+            }
+        });
+        let last = b.get(b"hot").unwrap();
+        assert_eq!(last[1..], 999u16.to_le_bytes(), "{last:?}");
+        assert_eq!((b.len(), b.image.stored_bytes()), (1, 3 + 3));
+        assert_eq!(b.counters()["backend.commits"], 4_000);
+    }
+
+    /// Deleted rows give their bytes back at once, without a `quiesce`.
+    #[test]
+    fn deleted_rows_give_their_bytes_back() {
+        let b = SnapshotBackend::new();
+        for i in 0..100u8 {
+            b.put(&[i], &[i; 64]);
+        }
+        assert_eq!(b.image.stored_bytes(), 100 * 65);
+        for i in 0..100u8 {
+            b.delete(&[i]);
+        }
+        assert_eq!((b.len(), b.image.stored_bytes()), (0, 0));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Garbage collection never changes what a new snapshot reads.
-        #[test]
-        fn gc_is_invisible_to_a_new_snapshot(
-            writes in prop::collection::vec((0u8..6, prop::option::of(0u8..50)), 1..60)
-        ) {
-            let b = SnapshotBackend::new(2);
-            for (k, v) in &writes {
-                match v {
-                    Some(v) => b.put(&[*k], &[*v]),
-                    None => b.delete(&[*k]),
-                }
-            }
-            let before = b.scan_prefix(b"");
-            b.quiesce();
-            prop_assert_eq!(b.scan_prefix(b""), before);
-        }
-
-        /// A pinned snapshot reads the same rows whatever commits and
-        /// garbage collection follow it, and a new snapshot reads them
-        /// all.
-        #[test]
-        fn a_pinned_snapshot_is_stable_under_commits_and_gc(
-            writes in prop::collection::vec((0u8..16, 0u16..1000), 1..32)
-        ) {
-            let b = SnapshotBackend::new(4);
-            let mut model: BTreeMap<Vec<u8>, Vec<u8>> =
-                (0u8..16).map(|k| (vec![k], vec![0])).collect();
-            let mut batch = WriteBatch::new();
-            for (k, v) in &model {
-                batch = batch.put(k.clone(), v.clone());
-            }
-            b.commit(batch).unwrap();
-            let reader = b.oracle.snapshot();
-            let pinned = rows_at(&b, reader.ts);
-            for (k, v) in &writes {
-                b.put(&[*k], &v.to_le_bytes());
-                model.insert(vec![*k], v.to_le_bytes().to_vec());
-                b.quiesce();
-                prop_assert_eq!(&rows_at(&b, reader.ts), &pinned);
-            }
-            drop(reader);
-            b.quiesce();
-            prop_assert_eq!(b.scan_prefix(b""), model.into_iter().collect::<Vec<_>>());
-            prop_assert_eq!(versions(&b), 16, "one version a key once nothing pins");
-        }
 
         /// Batches applied in commit order, the last write to a key in a
         /// batch winning, give the final state; `commit` and
@@ -685,7 +527,7 @@ mod tests {
                 1..20,
             )
         ) {
-            let (by_value, by_ref) = (SnapshotBackend::new(4), SnapshotBackend::new(2));
+            let (by_value, by_ref) = (SnapshotBackend::new(), SnapshotBackend::new());
             let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
             for ops in &batches {
                 let ops: Vec<WriteOp> = ops
@@ -714,7 +556,7 @@ mod tests {
         fn len_and_a_full_scan_agree_after_every_write(
             writes in prop::collection::vec((0u8..12, prop::option::of(any::<u8>())), 1..48)
         ) {
-            let b = SnapshotBackend::new(4);
+            let b = SnapshotBackend::new();
             for (k, v) in &writes {
                 match v {
                     Some(v) => b.put(&[*k], &[*v]),

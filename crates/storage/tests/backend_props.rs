@@ -2,9 +2,9 @@
 //!
 //! * both backends agree with a plain `BTreeMap` reference model over
 //!   randomized sequential op streams (puts, deletes, multi-key commits);
-//! * the snapshot-isolation backend **never exposes a torn multi-key
-//!   commit** to a concurrent snapshot read, whatever the writer/reader
-//!   interleaving;
+//! * the two atomic backends (snapshot isolation, file durable) **never
+//!   expose a torn multi-key commit** to a concurrent multi-key read, and
+//!   count one committed state, whatever the writer/reader interleaving;
 //! * the eventual backend's secondary replica **converges to the primary
 //!   after quiesce**, whatever write sequence (including overwrites and
 //!   deletes) preceded it;
@@ -12,9 +12,7 @@
 //!   the eventual backend's replica lags arbitrarily.
 
 use om_common::config::BackendKind;
-use om_storage::{
-    make_backend, EventualBackend, SnapshotBackend, StateBackend, WriteBatch, WriteOp,
-};
+use om_storage::{make_backend, EventualBackend, StateBackend, WriteBatch, WriteOp};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -169,7 +167,8 @@ fn scan_prefix_agrees_with_the_model_on_every_backend() {
     for kind in BackendKind::ALL {
         let backend = make_backend(kind, 8);
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        // 256 keys under one prefix land on every one of the 8 shards.
+        // 256 keys under one prefix land on every one of the eventual
+        // backend's 8 shards.
         let mut keys: Vec<Vec<u8>> = (0..=255u8).map(|i| vec![b'p', b'/', i]).collect();
         keys.extend([
             b"p".to_vec(),
@@ -387,12 +386,22 @@ proptest! {
     }
 }
 
-/// The snapshot-isolation backend must never expose a torn multi-key
-/// commit: every commit writes one round number to *all* keys, so any
-/// consistent snapshot sees a single distinct value across them.
+/// The backends whose commits are atomic: snapshot isolation, and the
+/// file backend's durable state.
+const ATOMIC: [BackendKind; 2] = [BackendKind::SnapshotIsolation, BackendKind::FileDurable];
+
+/// An atomic backend must never expose a torn multi-key commit: every
+/// commit writes one round number to *all* keys, so any read of one
+/// committed state sees a single distinct value across them.
 #[test]
 fn si_backend_never_exposes_torn_commits() {
-    let backend = Arc::new(SnapshotBackend::new(8));
+    for kind in ATOMIC {
+        never_exposes_torn_commits(make_backend(kind, 8));
+    }
+}
+
+fn never_exposes_torn_commits(backend: Arc<dyn StateBackend>) {
+    let kind = backend.kind();
     let keys: Vec<Vec<u8>> = (0..12u8).map(key_bytes).collect();
     // Seed so readers always see a full row.
     {
@@ -442,7 +451,7 @@ fn si_backend_never_exposes_torn_commits() {
                 let distinct: std::collections::HashSet<_> = values.iter().collect();
                 assert!(
                     distinct.len() == 1,
-                    "torn commit observed under snapshot isolation: {values:?}"
+                    "torn commit observed on {kind:?}: {values:?}"
                 );
                 observed += 1;
                 if observed == 1 {
@@ -461,6 +470,225 @@ fn si_backend_never_exposes_torn_commits() {
         total_reads += r.join().unwrap();
     }
     assert!(total_reads > 0, "readers must have raced the writers");
+}
+
+/// `len` counts one committed state on an atomic backend: while batches
+/// move rows (one delete and one put each), every count is the same.
+#[test]
+fn len_counts_one_snapshot_while_rows_move() {
+    for kind in ATOMIC {
+        let b = make_backend(kind, 8);
+        for i in 0..10u8 {
+            b.put(&[b'a', i], b"v");
+        }
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for _ in 0..100 {
+                    for i in 0..10u8 {
+                        let (from, to) = match b.get(&[b'a', i]) {
+                            Some(_) => ([b'a', i], [b'b', i]),
+                            None => ([b'b', i], [b'a', i]),
+                        };
+                        b.commit(
+                            WriteBatch::new()
+                                .delete(from.to_vec())
+                                .put(to.to_vec(), b"v".to_vec()),
+                        )
+                        .unwrap();
+                    }
+                }
+            });
+            for _ in 0..500 {
+                assert_eq!(b.len(), 10, "{kind:?}");
+            }
+        });
+    }
+}
+
+/// A prefix scan on an atomic backend reads one committed state: each
+/// batch moves a row from `a/` to `b/` (or back) and stamps every row
+/// with its round, so a scan never sees a row twice, a row missing, or
+/// two rounds.
+#[test]
+fn a_scan_never_sees_a_torn_commit_on_the_atomic_backends() {
+    for kind in ATOMIC {
+        let b = make_backend(kind, 8);
+        let stamp = |round: u16, moving: &[u8]| {
+            (0..8u8).fold(WriteBatch::new(), |batch, i| {
+                batch.put(vec![b's', b'/', i], val_bytes(round))
+            })
+            .put(moving.to_vec(), val_bytes(round))
+        };
+        b.commit(stamp(0, b"s/a")).unwrap();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for round in 1..=200u16 {
+                    let (from, to): (&[u8], &[u8]) =
+                        if round % 2 == 1 { (b"s/a", b"s/b") } else { (b"s/b", b"s/a") };
+                    b.commit(stamp(round, to).delete(from.to_vec())).unwrap();
+                }
+            });
+            for _ in 0..300 {
+                let rows = b.scan_prefix(b"s/");
+                assert_eq!(rows.len(), 9, "{kind:?}: {rows:?}");
+                assert!(
+                    rows.iter().all(|(_, v)| *v == rows[0].1),
+                    "{kind:?}: torn scan {rows:?}"
+                );
+            }
+        });
+    }
+}
+
+/// A batch of deletes on an atomic backend takes every key away at
+/// once: a concurrent `get_many` or `len` sees all of them or none.
+#[test]
+fn a_delete_batch_is_atomic_on_the_atomic_backends() {
+    for kind in ATOMIC {
+        let b = make_backend(kind, 8);
+        let keys: Vec<Vec<u8>> = (0..12u8).map(key_bytes).collect();
+        let key_refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for round in 0..100u16 {
+                    let fill = keys.iter().fold(WriteBatch::new(), |batch, k| {
+                        batch.put(k.clone(), val_bytes(round))
+                    });
+                    b.commit(fill).unwrap();
+                    let drain = keys
+                        .iter()
+                        .fold(WriteBatch::new(), |batch, k| batch.delete(k.clone()));
+                    b.commit(drain).unwrap();
+                }
+            });
+            for _ in 0..300 {
+                let present = b.get_many(&key_refs).iter().flatten().count();
+                assert!(present == 0 || present == 12, "{kind:?}: {present} of 12");
+                let len = b.len();
+                assert!(len == 0 || len == 12, "{kind:?}: len {len}");
+            }
+        });
+        assert!(b.is_empty(), "{kind:?}");
+    }
+}
+
+/// A key overwritten many times reads its last value and counts once,
+/// on every backend.
+#[test]
+fn a_key_overwritten_many_times_reads_its_last_value_on_every_backend() {
+    for kind in BackendKind::ALL {
+        let backend = make_backend(kind, 4);
+        for i in 0..2_000u16 {
+            backend.put(b"hot", &val_bytes(i));
+        }
+        backend.quiesce();
+        assert_eq!(backend.get(b"hot"), Some(val_bytes(1_999)), "{kind:?}");
+        assert_eq!(backend.len(), 1, "{kind:?}");
+        assert_eq!(
+            backend.scan_prefix(b"h"),
+            [(b"hot".to_vec(), val_bytes(1_999))],
+            "{kind:?}"
+        );
+    }
+}
+
+/// Deleting a key that was never written changes no read, on every
+/// backend.
+#[test]
+fn deleting_an_absent_key_changes_nothing_on_every_backend() {
+    for kind in BackendKind::ALL {
+        let backend = make_backend(kind, 4);
+        backend.put(&key_bytes(1), &val_bytes(1));
+        backend.delete(&key_bytes(2));
+        backend
+            .commit(WriteBatch::new().delete(key_bytes(3)).delete(key_bytes(2)))
+            .unwrap();
+        backend.quiesce();
+        assert_eq!(backend.len(), 1, "{kind:?}");
+        assert_eq!(
+            backend.scan_prefix(b""),
+            [(key_bytes(1), val_bytes(1))],
+            "{kind:?}"
+        );
+        assert_eq!(
+            backend.get_many(&[&key_bytes(2), &key_bytes(3)]),
+            [None, None],
+            "{kind:?}"
+        );
+    }
+}
+
+/// A later commit's writes replace an earlier commit's, key by key, on
+/// every backend.
+#[test]
+fn a_later_commit_overwrites_an_earlier_one_on_every_backend() {
+    for kind in BackendKind::ALL {
+        let backend = make_backend(kind, 4);
+        backend
+            .commit(
+                WriteBatch::new()
+                    .put(key_bytes(1), val_bytes(1))
+                    .put(key_bytes(2), val_bytes(1)),
+            )
+            .unwrap();
+        backend
+            .commit(
+                WriteBatch::new()
+                    .put(key_bytes(2), val_bytes(2))
+                    .put(key_bytes(3), val_bytes(2))
+                    .delete(key_bytes(1)),
+            )
+            .unwrap();
+        backend.quiesce();
+        assert_eq!(
+            backend.scan_prefix(b""),
+            [(key_bytes(2), val_bytes(2)), (key_bytes(3), val_bytes(2))],
+            "{kind:?}"
+        );
+    }
+}
+
+/// Writers on several threads, each to its own keys, all land, on
+/// every backend.
+#[test]
+fn concurrent_writers_to_distinct_keys_all_land_on_every_backend() {
+    for kind in BackendKind::ALL {
+        let backend = make_backend(kind, 8);
+        std::thread::scope(|scope| {
+            for w in 0..4u8 {
+                let backend = &backend;
+                scope.spawn(move || {
+                    for i in 0..50u8 {
+                        backend.put(&[w, i], &[i]);
+                    }
+                });
+            }
+        });
+        backend.quiesce();
+        assert_eq!(backend.len(), 200, "{kind:?}");
+        for w in 0..4u8 {
+            let rows = backend.scan_prefix(&[w]);
+            assert_eq!(rows.len(), 50, "{kind:?}");
+            assert!(rows.iter().all(|(k, v)| k[1] == v[0]), "{kind:?}");
+        }
+    }
+}
+
+/// On an atomic backend a session reads a commit made outside it as
+/// soon as that commit returns.
+#[test]
+fn a_session_sees_outside_commits_at_once_on_the_atomic_backends() {
+    for kind in ATOMIC {
+        let backend = make_backend(kind, 4);
+        let mut session = backend.session();
+        backend
+            .commit(WriteBatch::new().put(key_bytes(1), val_bytes(1)))
+            .unwrap();
+        assert_eq!(session.get(&key_bytes(1)), Some(val_bytes(1)), "{kind:?}");
+        backend.delete(&key_bytes(1));
+        assert_eq!(session.get(&key_bytes(1)), None, "{kind:?}");
+        assert_eq!(session.fallbacks(), 0, "{kind:?}");
+    }
 }
 
 /// Contrast case documenting the semantic gap the matrix measures: the

@@ -225,7 +225,6 @@ fn power_loss_at_every_boundary_recovers_an_acked_prefix_incremental() {
         "incremental",
         commits,
         FileBackendOptions {
-            shards: 2,
             snapshot_every: 6,
             segment_bytes: 512,
             sync_commits: true,
@@ -244,7 +243,6 @@ fn power_loss_sweep_covers_the_group_commit_write_path() {
         "grouped",
         commits,
         FileBackendOptions {
-            shards: 2,
             snapshot_every: 8,
             segment_bytes: 1 << 20,
             sync_commits: true,
@@ -263,7 +261,6 @@ fn wal_with_frames(commits: u64) -> (PathBuf, DirGuard, PathBuf, Vec<(usize, usi
     let root = scratch("flip");
     let guard = DirGuard(root.clone());
     let options = FileBackendOptions {
-        shards: 2,
         snapshot_every: 0,
         sync_commits: true,
         ..FileBackendOptions::default()
@@ -316,7 +313,6 @@ fn wal_byte_flip_in_each_frame_section_truncates_at_the_damaged_frame() {
         let recovered = FileBackend::open(
             &root,
             FileBackendOptions {
-                shards: 2,
                 snapshot_every: 0,
                 sync_commits: true,
                 ..FileBackendOptions::default()
@@ -339,7 +335,6 @@ fn wal_byte_flip_in_each_frame_section_truncates_at_the_damaged_frame() {
         let reopened = FileBackend::open(
             &root,
             FileBackendOptions {
-                shards: 2,
                 snapshot_every: 0,
                 sync_commits: true,
                 ..FileBackendOptions::default()
@@ -361,7 +356,6 @@ fn wal_corruption_in_a_non_final_segment_fails_loudly() {
     let root = scratch("midflip");
     let _g = DirGuard(root.clone());
     let options = FileBackendOptions {
-        shards: 2,
         snapshot_every: 0,
         segment_bytes: 256, // force several segments
         sync_commits: true,
@@ -400,7 +394,6 @@ fn wal_corruption_in_a_non_final_segment_fails_loudly() {
 
 fn matrix_options() -> FileBackendOptions {
     FileBackendOptions {
-        shards: 2,
         snapshot_every: 0,
         sync_commits: true,
         ..FileBackendOptions::default()

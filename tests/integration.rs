@@ -101,7 +101,7 @@ fn umbrella_reexports_compose() {
     use online_marketplace::storage::{SnapshotBackend, StateBackend, WriteBatch};
     use std::sync::Arc;
 
-    let backend = SnapshotBackend::new(4);
+    let backend = SnapshotBackend::new();
     backend
         .commit(WriteBatch::new().put(b"t/1".to_vec(), b"42".to_vec()))
         .unwrap();
