@@ -30,7 +30,7 @@
 #     platform rebuild), and so do http_gateway (it asserts the
 #     status of every endpoint through the HTTP engine) and quickstart
 #     (it asserts a 2PL + 2PC checkout end to end: placed, delivered,
-#     and a consistent decision log with no aborts), and so does
+#     and a nonzero tx_commits count with no tx_aborts), and so does
 #     criteria_audit (the anomaly-hunting mix on all four bindings; it
 #     asserts the customized cell satisfies every criterion),
 #   * the shim crates' own unit tests run via --workspace,
@@ -54,9 +54,11 @@
 #     and deliveries is never torn, and a checkout whose dashboard
 #     projection cannot commit places nothing), the admission
 #     suites (`lock_props`, `tx_integration`), the actor runtime's
-#     scheduling and silo-kill suites (`runtime`, `failure_modes`) and the
+#     scheduling and silo-kill suites (`runtime`, `failure_modes`), the
 #     storage contract's
-#     `backend_props` and `session_guarantees` 3 times each in 2 loops
+#     `backend_props` and `session_guarantees`, and the log's `log_props`
+#     (producers on threads of their own, each keeping its own sequence
+#     counter, appending to one partition) 3 times each in 2 loops
 #     side by side, where a lost ready-list mark, a grain admitted twice,
 #     a torn Customized dashboard or a read that sees part of a batch
 #     (`si_backend_never_exposes_torn_commits` and
@@ -126,12 +128,13 @@ cargo build --release --offline
 echo "==> cargo test -q --workspace (functional crates + shim self-tests + torture slice)"
 cargo test -q --offline --workspace
 
-echo "==> stress slice: om_http event_engine + large_requests, om_marketplace platforms, om_actor lock_props + tx_integration + runtime + failure_modes, om_storage backend_props + session_guarantees; 3 runs x 2 loops side by side; om_marketplace tx_fanout 20 runs x 2 loops"
+echo "==> stress slice: om_http event_engine + large_requests, om_marketplace platforms, om_actor lock_props + tx_integration + runtime + failure_modes, om_storage backend_props + session_guarantees, om_log log_props; 3 runs x 2 loops side by side; om_marketplace tx_fanout 20 runs x 2 loops"
 scripts/stress.sh om_http 3 2 event_engine large_requests
 scripts/stress.sh om_marketplace 3 2 platforms
 scripts/stress.sh om_marketplace 20 2 tx_fanout
 scripts/stress.sh om_actor 3 2 lock_props tx_integration runtime failure_modes
 scripts/stress.sh om_storage 3 2 backend_props session_guarantees
+scripts/stress.sh om_log 3 2 log_props
 
 cpu=$(python3 -c 'import os; print(min(os.sched_getaffinity(0)))')
 echo "==> om_http on one core (taskset -c $cpu): one event loop, as in every marketbench cell"
@@ -174,7 +177,7 @@ cargo run --release --offline --example failure_recovery >/dev/null
 echo "==> smoke: http_gateway example (asserts every endpoint's status through the engine)"
 cargo run --release --offline --example http_gateway >/dev/null
 
-echo "==> smoke: quickstart example (asserts a 2PL + 2PC checkout, its delivery and the decision log)"
+echo "==> smoke: quickstart example (asserts a 2PL + 2PC checkout, its delivery and the commit and abort counts)"
 cargo run --release --offline --example quickstart >/dev/null
 
 echo "==> smoke: criteria_audit example (the whole choreography on all four bindings; asserts the customized cell meets every criterion)"

@@ -53,7 +53,7 @@
 //! **conservative 2PL** — a transaction is admitted only once every grain
 //! it declared is free, so it never waits for a lock and never deadlocks —
 //! staged writes ([`tx::participant`]), and a client-side **two-phase
-//! commit** coordinator writing a durable decision log
+//! commit** coordinator that keeps nothing per finished transaction
 //! ([`tx::coordinator`]). The overhead this machinery adds
 //! over bare eventual messaging is exactly what experiment E5 measures.
 

@@ -1,14 +1,16 @@
-//! The two-phase-commit coordinator, its admission gate and its durable
-//! decision log.
+//! The two-phase-commit coordinator and its admission gate.
 //!
 //! Like the textbook coordinator, it sends PREPARE to every participant at
 //! once and then COMMIT (or ABORT) to every participant at once: a round
-//! costs two waits however many participants there are.
+//! costs two waits however many participants there are. It keeps nothing
+//! per finished transaction (in-memory presumed abort: a tid it holds no
+//! record of was not committed; Mohan, Lindsay & Obermarck, TODS 1986),
+//! only the grains its admitted transactions hold and three counts.
 
 use crate::grain::GrainId;
 use om_common::ids::{IdSequence, TransactionId};
 use om_common::{OmError, OmResult};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -25,97 +27,6 @@ pub trait Participants {
     fn commit(&self, tid: TransactionId) -> Vec<OmResult<()>>;
     /// Phase two, abort path. Must be idempotent.
     fn abort(&self, tid: TransactionId) -> Vec<OmResult<()>>;
-}
-
-/// Phases recorded in the decision log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxPhase {
-    /// PREPARE went out to the participants.
-    Preparing,
-    /// Every participant voted yes: the decision is commit.
-    Committed,
-    /// A participant refused or failed: the decision is abort.
-    Aborted,
-    /// The decision reached every participant.
-    Done,
-}
-
-/// The durable decision log. In a real deployment this is the
-/// force-written coordinator log that makes 2PC recoverable; here it is an
-/// in-memory append-only record the auditor checks for atomicity
-/// violations (a tid must never be both `Committed` and `Aborted`).
-#[derive(Debug, Default)]
-pub struct TxLog {
-    records: RwLock<Vec<(TransactionId, TxPhase)>>,
-    commits: AtomicU64,
-    aborts: AtomicU64,
-}
-
-impl TxLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends `tid`'s move to `phase`.
-    pub fn record(&self, tid: TransactionId, phase: TxPhase) {
-        match phase {
-            TxPhase::Committed => {
-                self.commits.fetch_add(1, Ordering::Relaxed);
-            }
-            TxPhase::Aborted => {
-                self.aborts.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
-        self.records.write().push((tid, phase));
-    }
-
-    /// Commit decisions recorded.
-    pub fn commits(&self) -> u64 {
-        self.commits.load(Ordering::Relaxed)
-    }
-
-    /// Abort decisions recorded.
-    pub fn aborts(&self) -> u64 {
-        self.aborts.load(Ordering::Relaxed)
-    }
-
-    /// Final decision for `tid`, if any.
-    pub fn decision(&self, tid: TransactionId) -> Option<TxPhase> {
-        self.records
-            .read()
-            .iter()
-            .rev()
-            .find(|(t, p)| *t == tid && matches!(p, TxPhase::Committed | TxPhase::Aborted))
-            .map(|(_, p)| *p)
-    }
-
-    /// Verifies no transaction has contradictory decisions.
-    pub fn is_consistent(&self) -> bool {
-        use std::collections::HashMap;
-        let mut decided: HashMap<TransactionId, TxPhase> = HashMap::new();
-        for (tid, phase) in self.records.read().iter() {
-            if matches!(phase, TxPhase::Committed | TxPhase::Aborted) {
-                if let Some(prev) = decided.insert(*tid, *phase) {
-                    if prev != *phase {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Number of log records (diagnostics).
-    pub fn len(&self) -> usize {
-        self.records.read().len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.read().is_empty()
-    }
 }
 
 /// The client-side 2PC coordinator, which also admits its transactions.
@@ -135,13 +46,16 @@ impl TxLog {
 /// it too.
 #[derive(Default)]
 pub struct Coordinator {
-    log: TxLog,
     seq: IdSequence,
     /// Grains held by admitted transactions. Changed only under its
     /// mutex, as the `parking_lot` shim's sleeper count requires.
     held: Mutex<HashSet<GrainId>>,
     /// Notified when an admitted transaction frees its grains.
     freed: Condvar,
+    /// Commit decisions taken.
+    commits: AtomicU64,
+    /// Abort decisions taken.
+    aborts: AtomicU64,
     /// Admissions that found a declared grain held and slept.
     admission_waits: AtomicU64,
 }
@@ -166,7 +80,7 @@ impl Drop for Admitted<'_> {
 }
 
 impl Coordinator {
-    /// A coordinator with an empty log, minting tids from 1.
+    /// A coordinator holding no grains, minting tids from 1.
     pub fn new() -> Self {
         Self {
             seq: IdSequence::new(1),
@@ -204,6 +118,16 @@ impl Coordinator {
         self.admission_waits.load(Ordering::Relaxed)
     }
 
+    /// Commit decisions taken so far.
+    pub fn commits(&self) -> u64 {
+        self.commits.load(Ordering::Relaxed)
+    }
+
+    /// Abort decisions taken so far.
+    pub fn aborts(&self) -> u64 {
+        self.aborts.load(Ordering::Relaxed)
+    }
+
     /// Runs two-phase commit for `tid` across `participants`, with
     /// `last_agent` as the last participant.
     ///
@@ -220,7 +144,6 @@ impl Coordinator {
         participants: &P,
         last_agent: impl FnOnce() -> OmResult<()>,
     ) -> OmResult<()> {
-        self.log.record(tid, TxPhase::Preparing);
         let refusal = participants
             .prepare(tid)
             .into_iter()
@@ -234,25 +157,18 @@ impl Coordinator {
             Some(reason) => Err(OmError::TxAborted(reason)),
         };
         if let Err(e) = vote {
-            self.log.record(tid, TxPhase::Aborted);
+            self.aborts.fetch_add(1, Ordering::Relaxed);
             let _ = participants.abort(tid); // idempotent; best effort
-            self.log.record(tid, TxPhase::Done);
             return Err(e);
         }
-        self.log.record(tid, TxPhase::Committed);
+        self.commits.fetch_add(1, Ordering::Relaxed);
         // Prepared participants must obey the decision; an error here is
         // a bug in the participant, surfaced loudly.
         for outcome in participants.commit(tid) {
             outcome
                 .map_err(|e| OmError::Internal(format!("commit after prepare failed: {e}")))?;
         }
-        self.log.record(tid, TxPhase::Done);
         Ok(())
-    }
-
-    /// The decision log.
-    pub fn log(&self) -> &TxLog {
-        &self.log
     }
 }
 
@@ -265,6 +181,7 @@ mod tests {
     struct Scripted {
         vote: bool,
         fail_prepare: bool,
+        fail_commit: bool,
         prepared: std::sync::atomic::AtomicBool,
         committed: Mutex<Vec<TransactionId>>,
         aborted: Mutex<Vec<TransactionId>>,
@@ -275,6 +192,7 @@ mod tests {
             Self {
                 vote: true,
                 fail_prepare: false,
+                fail_commit: false,
                 prepared: std::sync::atomic::AtomicBool::new(false),
                 committed: Mutex::new(vec![]),
                 aborted: Mutex::new(vec![]),
@@ -291,6 +209,13 @@ mod tests {
         fn crashing() -> Self {
             Self {
                 fail_prepare: true,
+                ..Self::yes()
+            }
+        }
+
+        fn failing_commit() -> Self {
+            Self {
+                fail_commit: true,
                 ..Self::yes()
             }
         }
@@ -318,6 +243,9 @@ mod tests {
             self.0
                 .iter()
                 .map(|p| {
+                    if p.fail_commit {
+                        return Err(OmError::Unavailable("participant lost".into()));
+                    }
                     p.committed.lock().push(tid);
                     Ok(())
                 })
@@ -345,9 +273,8 @@ mod tests {
             assert_eq!(p.committed.lock().as_slice(), &[tid]);
             assert!(p.aborted.lock().is_empty());
         }
-        assert_eq!(c.log().commits(), 1);
-        assert_eq!(c.log().decision(tid), Some(TxPhase::Committed));
-        assert!(c.log().is_consistent());
+        assert!(set.0.iter().all(|p| p.prepared.load(Ordering::Relaxed)));
+        assert_eq!((c.commits(), c.aborts()), (1, 0));
     }
 
     #[test]
@@ -361,8 +288,7 @@ mod tests {
             assert!(p.committed.lock().is_empty(), "nothing may commit");
             assert_eq!(p.aborted.lock().as_slice(), &[tid]);
         }
-        assert_eq!(c.log().aborts(), 1);
-        assert_eq!(c.log().decision(tid), Some(TxPhase::Aborted));
+        assert_eq!((c.commits(), c.aborts()), (0, 1));
     }
 
     #[test]
@@ -378,10 +304,10 @@ mod tests {
     }
 
     #[test]
-    fn prepare_reaches_every_participant_and_the_log_runs_in_order() {
+    fn prepare_reaches_every_participant_and_the_decision_reaches_them_all() {
         // A no vote does not cut phase one short: every participant is
-        // asked in the same fan-out, and the log still reads Preparing ->
-        // Aborted -> Done.
+        // asked in the same fan-out, and every one of them, the refuser
+        // and the crashed one too, hears the abort.
         let c = Coordinator::new();
         let set = Set(vec![Scripted::no(), Scripted::yes(), Scripted::crashing()]);
         let tid = c.begin();
@@ -390,29 +316,17 @@ mod tests {
             err.to_string().contains("voted no"),
             "first refusal wins: {err}"
         );
-        assert!(set
-            .0
-            .iter()
-            .all(|p| p.prepared.load(std::sync::atomic::Ordering::Relaxed)));
-        assert_eq!(
-            *c.log().records.read(),
-            vec![
-                (tid, TxPhase::Preparing),
-                (tid, TxPhase::Aborted),
-                (tid, TxPhase::Done)
-            ]
-        );
+        for p in &set.0 {
+            assert!(p.prepared.load(Ordering::Relaxed));
+            assert_eq!(p.aborted.lock().as_slice(), &[tid]);
+            assert!(p.committed.lock().is_empty());
+        }
         let tid2 = c.begin();
-        c.run_2pc(tid2, &Set(vec![Scripted::yes()]), || Ok(()))
-            .unwrap();
-        assert_eq!(
-            c.log().records.read()[3..],
-            [
-                (tid2, TxPhase::Preparing),
-                (tid2, TxPhase::Committed),
-                (tid2, TxPhase::Done)
-            ]
-        );
+        let set2 = Set(vec![Scripted::yes()]);
+        c.run_2pc(tid2, &set2, || Ok(())).unwrap();
+        assert_eq!(set2.0[0].committed.lock().as_slice(), &[tid2]);
+        assert!(set2.0[0].aborted.lock().is_empty());
+        assert_eq!((c.commits(), c.aborts()), (1, 1));
     }
 
     #[test]
@@ -440,7 +354,7 @@ mod tests {
         c.run_2pc(tid, &set, || {
             assert!(set.0.iter().all(|p| p.prepared.load(Ordering::Relaxed)));
             assert!(set.0.iter().all(|p| p.committed.lock().is_empty()));
-            assert_eq!(c.log().decision(tid), None, "decided before the last vote");
+            assert_eq!((c.commits(), c.aborts()), (0, 0), "decided before the last vote");
             asked = true;
             Ok(())
         })
@@ -462,8 +376,25 @@ mod tests {
             assert!(p.committed.lock().is_empty(), "nothing may commit");
             assert_eq!(p.aborted.lock().as_slice(), &[tid]);
         }
-        assert_eq!(c.log().decision(tid), Some(TxPhase::Aborted));
-        assert_eq!((c.log().commits(), c.log().aborts()), (0, 1));
+        assert_eq!((c.commits(), c.aborts()), (0, 1));
+    }
+
+    #[test]
+    fn a_participant_failing_its_commit_is_a_loud_error_after_a_commit_decision() {
+        // Prepared participants may not change their mind: the decision
+        // stands and counts as a commit, the others still commit, and the
+        // failure surfaces as an internal error rather than an abort.
+        let c = Coordinator::new();
+        let set = Set(vec![Scripted::failing_commit(), Scripted::yes()]);
+        let tid = c.begin();
+        let err = c.run_2pc(tid, &set, || Ok(())).unwrap_err();
+        assert!(
+            matches!(&err, OmError::Internal(m) if m.contains("participant lost")),
+            "{err:?}"
+        );
+        assert_eq!(set.0[1].committed.lock().as_slice(), &[tid]);
+        assert!(set.0.iter().all(|p| p.aborted.lock().is_empty()));
+        assert_eq!((c.commits(), c.aborts()), (1, 0));
     }
 
     #[test]
@@ -507,22 +438,5 @@ mod tests {
         });
         assert_eq!(c.admission_waits(), 1, "one admission waited, whatever its wake-ups");
         assert!(c.held.lock().is_empty());
-    }
-
-    #[test]
-    fn log_consistency_detection() {
-        let log = TxLog::new();
-        log.record(TransactionId(1), TxPhase::Preparing);
-        log.record(TransactionId(1), TxPhase::Committed);
-        assert!(log.is_consistent());
-        log.record(TransactionId(1), TxPhase::Aborted);
-        assert!(!log.is_consistent(), "contradictory decisions detected");
-    }
-
-    #[test]
-    fn decision_for_unknown_tid_is_none() {
-        let c = Coordinator::new();
-        assert_eq!(c.log().decision(TransactionId(99)), None);
-        assert!(c.log().is_empty());
     }
 }

@@ -1,12 +1,9 @@
 //! # om-log
 //!
-//! A Kafka-like partitioned, append-only **event log** used as:
-//!
-//! * the replayable ingress/egress transport of the Statefun-like dataflow
-//!   runtime (`om-dataflow`) — recovery rewinds consumers to the offsets
-//!   recorded in the last checkpoint and replays;
-//! * the audit-log storage of the *Customized* binding (paper Fig. 1,
-//!   "log storage to store audit logging").
+//! A Kafka-like partitioned, append-only **event log**: the replayable
+//! ingress/egress transport of the Statefun-like dataflow runtime
+//! (`om-dataflow`) — recovery rewinds consumers to the offsets recorded in
+//! the last checkpoint and replays.
 //!
 //! Two flavours implement the [`EventLog`] contract:
 //!
@@ -23,10 +20,12 @@
 //! * **Partitioned topics** — each topic has a fixed number of
 //!   partitions; an entry's partition is chosen by the producer (typically
 //!   by key hash) and ordering is guaranteed *within* a partition only.
-//! * **Idempotent producers** — every append carries a `(producer, seq)`
-//!   pair; a partition remembers the highest sequence per producer and
-//!   silently deduplicates retransmissions, which is what makes
-//!   at-least-once retries upgrade to effectively-once appends. The
+//! * **Idempotent appends** — every append carries a `(producer, seq)`
+//!   pair that the caller assigns and keeps ([`EventLog::append_raw`]; the
+//!   dataflow runtime keeps one producer id and one sequence counter); a
+//!   partition remembers the highest sequence per producer and silently
+//!   deduplicates retransmissions, which is what makes at-least-once
+//!   retries upgrade to effectively-once appends. The
 //!   persistent topic checks the fence *before* writing, so
 //!   retransmissions never hit disk, and rebuilds the fence from the
 //!   segments on reopen — the guarantee holds across restarts.
@@ -42,4 +41,4 @@ pub mod topic;
 
 pub use event_log::EventLog;
 pub use persistent::{PersistentTopic, PersistentTopicOptions, RecordCodec, SerdeCodec};
-pub use topic::{Entry, ProducerHandle, Topic};
+pub use topic::{Entry, Topic};

@@ -35,15 +35,15 @@
 //! use om_log::{EventLog, PersistentTopic};
 //!
 //! let dir = std::env::temp_dir().join(format!("om-doc-topic-{}", std::process::id()));
-//! let topic: PersistentTopic<String> =
+//! let topic: PersistentTopic<u64> =
 //!     PersistentTopic::open_serde(&dir, "orders", 2).unwrap();
-//! topic.append_raw(0, 1, 1, "checkout".to_string()).unwrap();
+//! topic.append_raw(0, 1, 1, 42).unwrap();
 //! drop(topic);
 //!
 //! // A cold restart replays the segments: the record is still there.
-//! let reborn: PersistentTopic<String> =
+//! let reborn: PersistentTopic<u64> =
 //!     PersistentTopic::open_serde(&dir, "orders", 2).unwrap();
-//! assert_eq!(reborn.read_from(0, 0, 10)[0].payload, "checkout");
+//! assert_eq!(reborn.read_from(0, 0, 10)[0].payload, 42);
 //! # drop(reborn);
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```

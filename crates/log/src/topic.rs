@@ -1,10 +1,9 @@
-//! Topics, partitions and idempotent producers.
+//! Topics, partitions and idempotent appends.
 
 use om_common::{OmError, OmResult};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// One record in a partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,7 +80,6 @@ impl<T: Clone> Partition<T> {
 pub struct Topic<T> {
     name: String,
     partitions: Vec<Mutex<Partition<T>>>,
-    next_producer: AtomicU64,
     duplicates: AtomicU64,
 }
 
@@ -92,7 +90,6 @@ impl<T: Clone> Topic<T> {
         Self {
             name: name.into(),
             partitions: (0..partitions).map(|_| Mutex::new(Partition::default())).collect(),
-            next_producer: AtomicU64::new(1),
             duplicates: AtomicU64::new(0),
         }
     }
@@ -124,17 +121,10 @@ impl<T: Clone> Topic<T> {
         Ok(p.lock().duplicate_of(producer, seq))
     }
 
-    /// Registers a new producer with its own sequence counter.
-    pub fn producer(self: &Arc<Self>) -> ProducerHandle<T> {
-        ProducerHandle {
-            topic: self.clone(),
-            id: self.next_producer.fetch_add(1, Ordering::Relaxed),
-            seq: AtomicU64::new(0),
-        }
-    }
-
-    /// Raw append used by [`ProducerHandle`]; exposed for tests that need
-    /// to simulate retransmissions explicitly.
+    /// Appends `payload` to `partition` as `producer`'s record `seq`,
+    /// unless that pair is already there; returns the record's offset,
+    /// the original one for a retransmission. The caller keeps its own
+    /// producer id and sequence counter.
     pub fn append_raw(
         &self,
         partition: usize,
@@ -196,47 +186,38 @@ impl<T: Clone> Topic<T> {
     }
 }
 
-/// An idempotent producer bound to a topic.
-pub struct ProducerHandle<T> {
-    topic: Arc<Topic<T>>,
-    id: u64,
-    seq: AtomicU64,
-}
-
-impl<T: Clone> ProducerHandle<T> {
-    /// The topic-assigned producer id (the dedup namespace).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Appends `payload` to `partition`, assigning the next sequence.
-    /// Returns `(seq, offset)` — retransmit with [`ProducerHandle::resend`]
-    /// using the same seq if the ack is lost.
-    pub fn send(&self, partition: usize, payload: T) -> OmResult<(u64, u64)> {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let offset = self.topic.append_raw(partition, self.id, seq, payload)?;
-        Ok((seq, offset))
-    }
-
-    /// Retransmits a previously attempted `(seq, payload)`; deduplicated by
-    /// the partition if the original append succeeded.
-    pub fn resend(&self, partition: usize, seq: u64, payload: T) -> OmResult<u64> {
-        self.topic.append_raw(partition, self.id, seq, payload)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A test producer: an id and the sequence counter it keeps itself,
+    /// appending through [`Topic::append_raw`].
+    struct Producer {
+        id: u64,
+        seq: u64,
+    }
+
+    impl Producer {
+        fn new(id: u64) -> Self {
+            Self { id, seq: 0 }
+        }
+
+        /// Appends `payload` as this producer's next record; returns
+        /// `(seq, offset)`.
+        fn send<T: Clone>(&mut self, t: &Topic<T>, partition: usize, payload: T) -> (u64, u64) {
+            self.seq += 1;
+            (self.seq, t.append_raw(partition, self.id, self.seq, payload).unwrap())
+        }
+    }
+
     #[test]
     fn append_and_read_roundtrip() {
-        let t: Arc<Topic<String>> = Arc::new(Topic::new("orders", 2));
-        let p = t.producer();
-        p.send(0, "a".into()).unwrap();
-        p.send(0, "b".into()).unwrap();
-        p.send(1, "c".into()).unwrap();
+        let t: Topic<&'static str> = Topic::new("orders", 2);
+        let mut p = Producer::new(1);
+        p.send(&t, 0, "a");
+        p.send(&t, 0, "b");
+        p.send(&t, 1, "c");
         assert_eq!(t.len(), 3);
         let read = t.read_from(0, 0, 10);
         assert_eq!(read.len(), 2);
@@ -248,10 +229,10 @@ mod tests {
 
     #[test]
     fn read_from_middle_and_bounds() {
-        let t: Arc<Topic<u32>> = Arc::new(Topic::new("t", 1));
-        let p = t.producer();
+        let t: Topic<u32> = Topic::new("t", 1);
+        let mut p = Producer::new(1);
         for i in 0..10 {
-            p.send(0, i).unwrap();
+            p.send(&t, 0, i);
         }
         let read = t.read_from(0, 7, 100);
         assert_eq!(read.iter().map(|e| e.payload).collect::<Vec<_>>(), vec![7, 8, 9]);
@@ -262,12 +243,12 @@ mod tests {
 
     #[test]
     fn retransmissions_are_deduplicated() {
-        let t: Arc<Topic<&'static str>> = Arc::new(Topic::new("t", 1));
-        let p = t.producer();
-        let (seq, offset) = p.send(0, "payment").unwrap();
+        let t: Topic<&'static str> = Topic::new("t", 1);
+        let mut p = Producer::new(1);
+        let (seq, offset) = p.send(&t, 0, "payment");
         // Ack lost; producer retries the same seq three times.
         for _ in 0..3 {
-            let off2 = p.resend(0, seq, "payment").unwrap();
+            let off2 = t.append_raw(0, p.id, seq, "payment").unwrap();
             assert_eq!(off2, offset, "dedup must return original offset");
         }
         assert_eq!(t.len(), 1, "no duplicate records");
@@ -281,7 +262,7 @@ mod tests {
         // seq 1. Seq 1 is below the fence but was never appended — it
         // is a first transmission and must be stored, while a real
         // retransmission of either seq still deduplicates.
-        let t: Arc<Topic<&'static str>> = Arc::new(Topic::new("t", 1));
+        let t: Topic<&'static str> = Topic::new("t", 1);
         t.append_raw(0, 7, 2, "second").unwrap();
         let offset = t.append_raw(0, 7, 1, "first").unwrap();
         assert_eq!(offset, 1, "late-arriving first transmission appended");
@@ -296,38 +277,35 @@ mod tests {
 
     #[test]
     fn independent_producers_do_not_fence_each_other() {
-        let t: Arc<Topic<u32>> = Arc::new(Topic::new("t", 1));
-        let p1 = t.producer();
-        let p2 = t.producer();
-        p1.send(0, 1).unwrap();
-        p2.send(0, 2).unwrap(); // p2's seq 1 must not be fenced by p1's
+        let t: Topic<u32> = Topic::new("t", 1);
+        let (mut p1, mut p2) = (Producer::new(1), Producer::new(2));
+        p1.send(&t, 0, 1);
+        p2.send(&t, 0, 2); // p2's seq 1 must not be fenced by p1's
         assert_eq!(t.len(), 2);
         assert_eq!(t.duplicate_count(), 0);
     }
 
     #[test]
     fn invalid_partition_is_an_error() {
-        let t: Arc<Topic<u32>> = Arc::new(Topic::new("t", 2));
+        let t: Topic<u32> = Topic::new("t", 2);
         let err = t.append_raw(5, 1, 1, 42).unwrap_err();
         assert_eq!(err.label(), "not_found");
     }
 
     #[test]
     fn concurrent_producers_preserve_all_records() {
-        let t: Arc<Topic<u64>> = Arc::new(Topic::new("t", 4));
-        let mut handles = vec![];
-        for w in 0..4u64 {
-            let t = t.clone();
-            handles.push(std::thread::spawn(move || {
-                let p = t.producer();
-                for i in 0..500 {
-                    p.send((i % 4) as usize, w * 1000 + i).unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        let t: Topic<u64> = Topic::new("t", 4);
+        std::thread::scope(|scope| {
+            for w in 0..4u64 {
+                let t = &t;
+                scope.spawn(move || {
+                    let mut p = Producer::new(w + 1);
+                    for i in 0..500 {
+                        p.send(t, (i % 4) as usize, w * 1000 + i);
+                    }
+                });
+            }
+        });
         assert_eq!(t.len(), 2000);
         // Offsets within each partition must be dense.
         for part in 0..4 {
@@ -344,15 +322,15 @@ mod tests {
         /// order.
         #[test]
         fn prop_idempotent_append(resend_mask in proptest::collection::vec(0u8..4, 1..50)) {
-            let t: Arc<Topic<u64>> = Arc::new(Topic::new("t", 1));
-            let p = t.producer();
+            let t: Topic<u64> = Topic::new("t", 1);
+            let mut p = Producer::new(1);
             let mut sent = Vec::new();
             for (i, &resends) in resend_mask.iter().enumerate() {
                 let payload = i as u64;
-                let (seq, _) = p.send(0, payload).unwrap();
+                let (seq, _) = p.send(&t, 0, payload);
                 sent.push(payload);
                 for _ in 0..resends {
-                    p.resend(0, seq, payload).unwrap();
+                    t.append_raw(0, p.id, seq, payload).unwrap();
                 }
             }
             let stored: Vec<u64> =

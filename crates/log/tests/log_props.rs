@@ -1,8 +1,10 @@
 //! Property-based tests of the partitioned log (the Kafka stand-in).
 //!
-//! Invariants under arbitrary send/retransmit schedules:
+//! Invariants under arbitrary send/retransmit schedules, each producer
+//! an explicit id with the sequence counter it keeps itself, appending
+//! through `Topic::append_raw`:
 //!
-//! * idempotent producers — however often a `(producer, seq)` pair is
+//! * idempotent appends — however often a `(producer, seq)` pair is
 //!   retransmitted, exactly one record lands, and per-producer records
 //!   appear in sequence order;
 //! * offsets are dense (0..n) per partition;
@@ -12,7 +14,6 @@
 use om_log::Topic;
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -26,21 +27,21 @@ proptest! {
         // positions to retransmit *earlier* sequences from, late
         late_retx in prop::collection::vec(any::<prop::sample::Index>(), 0..10),
     ) {
-        let topic: Arc<Topic<u32>> = Arc::new(Topic::new("t", 1));
-        let producer = topic.producer();
+        let topic: Topic<u32> = Topic::new("t", 1);
+        const PRODUCER: u64 = 1;
         let mut sent: Vec<(u64, u32)> = Vec::new();
 
-        for (payload, retx) in &records {
-            let (seq, _offset) = producer.send(0, *payload).unwrap();
+        for (seq, (payload, retx)) in (1u64..).zip(&records) {
+            let offset = topic.append_raw(0, PRODUCER, seq, *payload).unwrap();
             sent.push((seq, *payload));
             for _ in 0..*retx {
-                producer.resend(0, seq, *payload).unwrap();
+                prop_assert_eq!(topic.append_raw(0, PRODUCER, seq, *payload).unwrap(), offset);
             }
         }
         // Late retransmissions of randomly chosen old sequences.
         for idx in &late_retx {
             let (seq, payload) = sent[idx.index(sent.len())];
-            producer.resend(0, seq, payload).unwrap();
+            topic.append_raw(0, PRODUCER, seq, payload).unwrap();
         }
 
         let entries = topic.read_from(0, 0, usize::MAX);
@@ -62,23 +63,19 @@ proptest! {
         per_producer in 1usize..80,
         producers in 2usize..5,
     ) {
-        let topic: Arc<Topic<(u64, usize)>> = Arc::new(Topic::new("t", 1));
-        let handles: Vec<_> = (0..producers)
-            .map(|_| {
-                let producer = topic.producer();
-                std::thread::spawn(move || {
-                    let id = producer.id();
-                    for i in 0..per_producer {
-                        producer.send(0, (id, i)).unwrap();
+        let topic: Topic<(u64, usize)> = Topic::new("t", 1);
+        let ids: Vec<u64> = (1..=producers as u64).collect();
+        std::thread::scope(|scope| {
+            for &id in &ids {
+                let topic = &topic;
+                scope.spawn(move || {
+                    // This thread's own sequence counter.
+                    for (seq, i) in (1u64..).zip(0..per_producer) {
+                        topic.append_raw(0, id, seq, (id, i)).unwrap();
                     }
-                    id
-                })
-            })
-            .collect();
-        let mut ids = Vec::new();
-        for h in handles {
-            ids.push(h.join().unwrap());
-        }
+                });
+            }
+        });
 
         let entries = topic.read_from(0, 0, usize::MAX);
         prop_assert_eq!(entries.len(), per_producer * producers);
@@ -99,11 +96,11 @@ proptest! {
     fn partitions_are_independent(
         sends in prop::collection::vec((0usize..4, any::<u16>()), 1..120)
     ) {
-        let topic: Arc<Topic<u16>> = Arc::new(Topic::new("t", 4));
-        let producer = topic.producer();
+        let topic: Topic<u16> = Topic::new("t", 4);
         let mut per_partition: Vec<Vec<u16>> = vec![Vec::new(); 4];
-        for (p, v) in &sends {
-            producer.send(*p, *v).unwrap();
+        // One producer's sequence spans every partition it appends to.
+        for (seq, (p, v)) in (1u64..).zip(&sends) {
+            topic.append_raw(*p, 1, seq, *v).unwrap();
             per_partition[*p].push(*v);
         }
         for (p, expected) in per_partition.iter().enumerate() {

@@ -22,7 +22,7 @@ pub enum PlatformKind {
     /// Apache Flink Statefun — exactly-once dataflow.
     Dataflow,
     /// Customized Orleans — transactions + MVCC querying + a product
-    /// replica read through monotonic backend sessions + audit log.
+    /// replica read through monotonic backend sessions + an audit count.
     Customized,
 }
 

@@ -23,8 +23,9 @@
 //!   seller's last JSON dashboard: it keeps each page's JSON, rendered by
 //!   serde, beside the page bytes it came from, and joins the renders
 //!   under a header serde prints for the aggregate;
-//! * `om-log` as the audit log of committed business transactions
-//!   (Fig. 1's "log storage").
+//! * an audit count of committed business transactions (the
+//!   `audit.records` counter). Fig. 1's "log storage" for audit logging
+//!   is not modelled: nothing reads an audit line back, so none is kept.
 //!
 //! Since PR 3 the projection and the replica cache live in the **same
 //! pluggable [`StateBackend`] instance as the grain snapshots**, so
@@ -49,6 +50,7 @@ use om_common::{Money, OmError, OmResult};
 use om_storage::{StateBackend, WriteBatch};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use super::actor_grains::{cart_grain, seller_grain};
@@ -171,24 +173,21 @@ pub struct CustomizedPlatform {
     /// order: the next one reuses the render of every page whose bytes
     /// are unchanged ([`MarketplacePlatform::seller_dashboard_json`]).
     renders: Mutex<HashMap<SellerId, Vec<RenderedPage>>>,
-    /// Audit log of committed business transactions (log storage role).
-    audit: Arc<om_log::Topic<String>>,
-    audit_producer: om_log::ProducerHandle<String>,
+    /// Committed business transactions: placed checkouts, price updates,
+    /// product deletes and deliveries (`audit.records`).
+    audit_records: AtomicU64,
 }
 
 impl CustomizedPlatform {
     pub fn new(spec: &PlatformSpec) -> Self {
         let inner = TransactionalPlatform::new(spec);
         let backend = inner.core().cluster.storage().backend().clone();
-        let audit: Arc<om_log::Topic<String>> = Arc::new(om_log::Topic::new("audit", 1));
-        let audit_producer = audit.producer();
         Self {
             inner,
             backend,
             replica_floors: Mutex::new(HashMap::new()),
             renders: Mutex::new(HashMap::new()),
-            audit,
-            audit_producer,
+            audit_records: AtomicU64::new(0),
         }
     }
 
@@ -196,8 +195,8 @@ impl CustomizedPlatform {
         &self.inner
     }
 
-    fn audit_append(&self, line: String) {
-        let _ = self.audit_producer.send(0, line);
+    fn audit(&self) {
+        self.audit_records.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Commits one projection batch, if it writes anything. Its builder
@@ -428,15 +427,14 @@ impl MarketplacePlatform for CustomizedPlatform {
     }
 
     /// The transactional checkout with the dashboard projection as its
-    /// 2PC's last agent (offloaded to the backend), then the audit record
+    /// 2PC's last agent (offloaded to the backend), then the audit count
     /// (Fig. 1 pipeline).
     fn checkout(&self, request: CheckoutRequest) -> OmResult<CheckoutOutcome> {
-        let customer = request.customer;
         let outcome = self.inner.checkout_with(request, |order| {
             self.project_add_order(order, OrderStatus::InTransit)
         })?;
-        if let CheckoutOutcome::Placed { order: Some(order), .. } = &outcome {
-            self.audit_append(format!("checkout customer={customer} order={order}"));
+        if matches!(outcome, CheckoutOutcome::Placed { order: Some(_), .. }) {
+            self.audit();
         }
         Ok(outcome)
     }
@@ -450,7 +448,7 @@ impl MarketplacePlatform for CustomizedPlatform {
             replica.apply_update(price, version);
             self.write_replica(product, &replica)?;
         }
-        self.audit_append(format!("price_update product={product}"));
+        self.audit();
         Ok(())
     }
 
@@ -461,7 +459,7 @@ impl MarketplacePlatform for CustomizedPlatform {
             replica.apply_delete(version);
             self.write_replica(product, &replica)?;
         }
-        self.audit_append(format!("product_delete product={product}"));
+        self.audit();
         Ok(())
     }
 
@@ -471,7 +469,7 @@ impl MarketplacePlatform for CustomizedPlatform {
         let packages = self
             .inner
             .deliver(max_sellers, |delivered| self.project_retire_orders(delivered))?;
-        self.audit_append(format!("update_delivery packages={packages}"));
+        self.audit();
         Ok(packages)
     }
 
@@ -577,7 +575,7 @@ impl MarketplacePlatform for CustomizedPlatform {
 
     fn counters(&self) -> std::collections::BTreeMap<String, u64> {
         let mut out = self.inner.counters();
-        out.insert("audit.records".into(), self.audit.len() as u64);
+        out.insert("audit.records".into(), self.audit_records.load(Ordering::Relaxed));
         out
     }
 }

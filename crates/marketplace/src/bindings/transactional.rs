@@ -117,11 +117,6 @@ impl TransactionalPlatform {
         &self.core
     }
 
-    /// The 2PC decision log (atomicity auditing).
-    pub fn tx_log(&self) -> &om_actor::tx::TxLog {
-        self.coordinator.log()
-    }
-
     /// Sends one transactional grain op.
     fn tx_call(&self, id: GrainId, msg: Msg) -> OmResult<Reply> {
         settle(self.core.cluster.call(id, msg))
@@ -443,8 +438,8 @@ impl MarketplacePlatform for TransactionalPlatform {
 
     fn counters(&self) -> std::collections::BTreeMap<String, u64> {
         let mut out = self.core.counters();
-        out.insert("tx_commits".into(), self.coordinator.log().commits());
-        out.insert("tx_aborts".into(), self.coordinator.log().aborts());
+        out.insert("tx_commits".into(), self.coordinator.commits());
+        out.insert("tx_aborts".into(), self.coordinator.aborts());
         out.insert("admission_waits".into(), self.coordinator.admission_waits());
         out
     }

@@ -11,7 +11,7 @@
 //! | [`bindings::eventual`] | `om-actor` | eventual consistency, async events (may drop/duplicate under fault injection) |
 //! | [`bindings::transactional`] | `om-actor` + [`om_actor::tx`] | ACID checkout via conservative 2PL (admission) + 2PC |
 //! | [`bindings::dataflow`] | `om-dataflow` | exactly-once event processing |
-//! | [`bindings::customized`] | `om-actor` tx + `om-storage` + `om-log` | + snapshot-consistent dashboard, monotonic replica reads, audit log |
+//! | [`bindings::customized`] | `om-actor` tx + `om-storage` | + snapshot-consistent dashboard, monotonic replica reads, audit count |
 //!
 //! All bindings implement [`api::MarketplacePlatform`], the uniform surface
 //! the benchmark driver (`om-driver`) submits the five business

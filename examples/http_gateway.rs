@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 fn main() {
     // 1. The full-featured platform (transactions + MVCC dashboard +
-    //    monotonic replica reads + audit log) behind the HTTP engine:
+    //    monotonic replica reads + audit count) behind the HTTP engine:
     //    `workers` event loops, each running its connections' requests
     //    inline.
     let spec = PlatformSpec::new(PlatformKind::Customized, BackendKind::Eventual);

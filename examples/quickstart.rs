@@ -101,12 +101,8 @@ fn main() {
             .map(|s| (s.item.key.to_string(), s.qty_sold))
             .collect::<Vec<_>>()
     );
-    let log = platform.tx_log();
-    assert!(log.is_consistent() && log.commits() > 0 && log.aborts() == 0);
-    println!(
-        "2PC decision log: {} commits, {} aborts, consistent: {}",
-        log.commits(),
-        log.aborts(),
-        log.is_consistent()
-    );
+    let counters = platform.counters();
+    let (commits, aborts) = (counters["tx_commits"], counters["tx_aborts"]);
+    assert!(commits > 0 && aborts == 0);
+    println!("2PC decisions: {commits} commits, {aborts} aborts");
 }

@@ -99,7 +99,6 @@ fn umbrella_reexports_compose() {
     // interoperate (storage + log in one program).
     use online_marketplace::log::Topic;
     use online_marketplace::storage::{SnapshotBackend, StateBackend, WriteBatch};
-    use std::sync::Arc;
 
     let backend = SnapshotBackend::new();
     backend
@@ -107,9 +106,8 @@ fn umbrella_reexports_compose() {
         .unwrap();
     assert_eq!(backend.get(b"t/1"), Some(b"42".to_vec()));
 
-    let topic: Arc<Topic<u64>> = Arc::new(Topic::new("t", 2));
-    let producer = topic.producer();
-    producer.send(0, 7).unwrap();
+    let topic: Topic<u64> = Topic::new("t", 2);
+    topic.append_raw(0, 1, 1, 7).unwrap();
     assert_eq!(topic.len(), 1);
 }
 
