@@ -56,9 +56,12 @@
 #     suites (`lock_props`, `tx_integration`), the actor runtime's
 #     scheduling and silo-kill suites (`runtime`, `failure_modes`), the
 #     storage contract's
-#     `backend_props` and `session_guarantees`, and the log's `log_props`
-#     (producers on threads of their own, each keeping its own sequence
-#     counter, appending to one partition) 3 times each in 2 loops
+#     `backend_props` and `session_guarantees`, the log's `log_props`
+#     (repeated and out-of-order `(producer, seq)` pairs each stored once
+#     in arrival order, producers racing on threads into one partition,
+#     a reopened persistent topic reading back what was appended) and
+#     the dataflow's `concurrency` (two submitters racing epochs, so
+#     ingress appends land out of seq order) 3 times each in 2 loops
 #     side by side, where a lost ready-list mark, a grain admitted twice,
 #     a torn Customized dashboard or a read that sees part of a batch
 #     (`si_backend_never_exposes_torn_commits` and
@@ -128,13 +131,14 @@ cargo build --release --offline
 echo "==> cargo test -q --workspace (functional crates + shim self-tests + torture slice)"
 cargo test -q --offline --workspace
 
-echo "==> stress slice: om_http event_engine + large_requests, om_marketplace platforms, om_actor lock_props + tx_integration + runtime + failure_modes, om_storage backend_props + session_guarantees, om_log log_props; 3 runs x 2 loops side by side; om_marketplace tx_fanout 20 runs x 2 loops"
+echo "==> stress slice: om_http event_engine + large_requests, om_marketplace platforms, om_actor lock_props + tx_integration + runtime + failure_modes, om_storage backend_props + session_guarantees, om_log log_props, om_dataflow concurrency; 3 runs x 2 loops side by side; om_marketplace tx_fanout 20 runs x 2 loops"
 scripts/stress.sh om_http 3 2 event_engine large_requests
 scripts/stress.sh om_marketplace 3 2 platforms
 scripts/stress.sh om_marketplace 20 2 tx_fanout
 scripts/stress.sh om_actor 3 2 lock_props tx_integration runtime failure_modes
 scripts/stress.sh om_storage 3 2 backend_props session_guarantees
 scripts/stress.sh om_log 3 2 log_props
+scripts/stress.sh om_dataflow 3 2 concurrency
 
 cpu=$(python3 -c 'import os; print(min(os.sched_getaffinity(0)))')
 echo "==> om_http on one core (taskset -c $cpu): one event loop, as in every marketbench cell"

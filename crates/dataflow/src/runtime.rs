@@ -349,9 +349,8 @@ impl<M: Send + Clone + 'static> DataflowBuilder<M> {
         let ingress = self.ingress.unwrap_or_else(|| {
             Arc::new(Topic::new("ingress", partitions)) as Arc<dyn EventLog<(Address, M)>>
         });
-        // Producer sequences must stay monotonic across restarts on a
-        // shared log, or the idempotence fence would drop fresh records
-        // as retransmissions.
+        // Producer sequences resume past the log's highest, so a record's
+        // `seq` stays unique on a log shared across restarts.
         let max_seq = (0..partitions)
             .map(|p| ingress.max_seq(p))
             .max()

@@ -244,8 +244,8 @@ fn rebuilt_runtime_restarts_from_last_committed_epoch() {
                     "{kind:?}/w{workers}: in-flight records applied exactly once"
                 );
             }
-            // New submissions keep working (producer sequences stayed
-            // monotonic across the restart).
+            // New submissions keep working after the restart, and are
+            // applied once.
             second
                 .submit(Address::new("counter", 0), Msg::Add(1))
                 .unwrap();

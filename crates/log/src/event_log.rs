@@ -10,24 +10,23 @@
 use crate::topic::{Entry, Topic};
 use om_common::OmResult;
 
-/// A partitioned, append-only, offset-addressed record log with
-/// idempotent appends — the contract shared by [`Topic`] and
+/// A partitioned, append-only, offset-addressed record log — the
+/// contract shared by [`Topic`] and
 /// [`PersistentTopic`](crate::PersistentTopic).
 ///
-/// Appends carry an explicit `(producer, seq)` pair; a partition
-/// remembers the highest sequence per producer and deduplicates
-/// retransmissions, which is what lets at-least-once producers achieve
-/// effectively-once appends. Offsets are dense per partition and never
-/// change once assigned, so a consumer that checkpoints `(partition,
-/// offset)` can always resume by replay.
+/// A log appends what it is given: each append carries a `(producer,
+/// seq)` pair that is stored with the record, and a repeated pair is a
+/// new record. Offsets are dense per partition and never change once
+/// assigned, so a consumer that checkpoints `(partition, offset)` with
+/// its state can always resume by replay; that, not the log, is what
+/// makes processing exactly-once.
 pub trait EventLog<T>: Send + Sync {
     /// Fixed number of partitions.
     fn partition_count(&self) -> usize;
 
-    /// Appends `(producer, seq, payload)` to `partition`, deduplicating
-    /// retransmissions; returns the offset of the (existing or new)
-    /// record. Durable implementations persist the record *before*
-    /// acknowledging.
+    /// Appends `(producer, seq, payload)` to `partition` at its next
+    /// offset and returns that offset. Durable implementations persist
+    /// the record *before* acknowledging.
     fn append_raw(&self, partition: usize, producer: u64, seq: u64, payload: T) -> OmResult<u64>;
 
     /// Reads up to `max` records of `partition` starting at `offset`.
@@ -37,8 +36,8 @@ pub trait EventLog<T>: Send + Sync {
     fn end_offset(&self, partition: usize) -> u64;
 
     /// Highest producer-assigned sequence number ever appended to
-    /// `partition` (0 when empty) — consumers resuming a shared log use
-    /// this to keep their sequences monotonic across restarts.
+    /// `partition` (0 when empty) — a producer resuming a shared log
+    /// uses this to keep its sequences unique across restarts.
     fn max_seq(&self, partition: usize) -> u64;
 
     /// Total records across partitions.
@@ -49,8 +48,11 @@ pub trait EventLog<T>: Send + Sync {
         self.len() == 0
     }
 
-    /// Number of deduplicated (dropped) appends so far.
-    fn duplicate_count(&self) -> u64;
+    /// Always 0: no log drops an append. Kept only because the
+    /// benchmark's timing decorator forwards it.
+    fn duplicate_count(&self) -> u64 {
+        0
+    }
 }
 
 impl<T: Clone + Send> EventLog<T> for Topic<T> {
@@ -76,9 +78,5 @@ impl<T: Clone + Send> EventLog<T> for Topic<T> {
 
     fn len(&self) -> usize {
         Topic::len(self)
-    }
-
-    fn duplicate_count(&self) -> u64 {
-        Topic::duplicate_count(self)
     }
 }

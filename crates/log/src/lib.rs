@@ -20,18 +20,18 @@
 //! * **Partitioned topics** — each topic has a fixed number of
 //!   partitions; an entry's partition is chosen by the producer (typically
 //!   by key hash) and ordering is guaranteed *within* a partition only.
-//! * **Idempotent appends** — every append carries a `(producer, seq)`
-//!   pair that the caller assigns and keeps ([`EventLog::append_raw`]; the
-//!   dataflow runtime keeps one producer id and one sequence counter); a
-//!   partition remembers the highest sequence per producer and silently
-//!   deduplicates retransmissions, which is what makes at-least-once
-//!   retries upgrade to effectively-once appends. The
-//!   persistent topic checks the fence *before* writing, so
-//!   retransmissions never hit disk, and rebuilds the fence from the
-//!   segments on reopen — the guarantee holds across restarts.
+//! * **Plain appends** — every append carries a `(producer, seq)` pair
+//!   that the caller assigns ([`EventLog::append_raw`]; the dataflow
+//!   runtime keeps one producer id and one sequence counter) and that is
+//!   stored with the record as given: the log appends what it is given,
+//!   and a repeated pair is a new record. Each partition keeps the
+//!   highest `seq` appended ([`EventLog::max_seq`]; the persistent
+//!   topic rebuilds it from its segments on reopen), so a restarted
+//!   producer resumes past it.
 //! * **Consumer offsets** — a consumer reads from an offset it keeps
 //!   itself; `om-dataflow` commits its offsets atomically with its state
-//!   checkpoint, which layers exactly-once processing on top.
+//!   checkpoint, and exactly-once processing comes from that, not from
+//!   the appends.
 
 #![deny(missing_docs)]
 

@@ -16,15 +16,13 @@
 //! containing `(producer, seq, payload)` and is flushed **before** the
 //! append is acknowledged or mirrored in memory — so an offset a consumer
 //! has seen can never point at a record that would vanish in a crash.
-//! Retransmissions are deduplicated *before* touching disk; the
-//! idempotence fence therefore holds across restarts too, because it is
-//! rebuilt from the persisted records themselves.
+//! Every append is written: a repeated `(producer, seq)` pair is a new
+//! record at the next offset.
 //!
 //! Each partition is one `om_storage::segment_log::SegmentLog` — the
 //! same append, group-flush, replay, roll and unwedge code as the file
 //! backend's WAL. This module keeps what is the topic's own: the record
-//! codec, mirroring a written record into the in-memory [`Topic`], and
-//! deduplicating retransmissions against records still staged.
+//! codec and mirroring a written record into the in-memory [`Topic`].
 //!
 //! Recovery on [`PersistentTopic::open`] replays all segments in order,
 //! zeroing a torn tail of the final segment. Reads are served from
@@ -58,7 +56,6 @@ use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Serializes one record type to and from segment-file bytes.
@@ -128,8 +125,8 @@ impl Default for PersistentTopicOptions {
 /// A [`Topic`] whose records live in segment files: the durable flavour
 /// of the event log. See the module docs for layout and recovery rules.
 pub struct PersistentTopic<T> {
-    /// In-memory mirror (read path + idempotence fences), rebuilt from
-    /// the segments on open.
+    /// In-memory mirror (read path + `max_seq`), rebuilt from the
+    /// segments on open.
     mem: Topic<T>,
     /// One segment log per partition, of `(producer, seq, record)`.
     logs: Vec<SegmentLog<(u64, u64, T)>>,
@@ -139,7 +136,6 @@ pub struct PersistentTopic<T> {
     _lock: std::fs::File,
     dir: PathBuf,
     codec: Arc<dyn RecordCodec<T>>,
-    duplicates: AtomicU64,
     recovered_records: u64,
 }
 
@@ -205,8 +201,8 @@ impl<T: Clone + Send> PersistentTopic<T> {
                 segment_bytes: options.segment_bytes,
                 sync: options.sync_appends,
             };
-            // Replay rebuilds entries *and* producer fences; a record
-            // must sit at the offset its segment's name implies.
+            // Replay rebuilds the mirror; a record must sit at the
+            // offset its segment's name implies.
             logs.push(SegmentLog::open(cfg, vfs.clone(), 0, |frame| {
                 let corrupt = || corrupt(frame.path, frame.at);
                 let (header, body) = frame.payload.split_at_checked(16).ok_or_else(corrupt)?;
@@ -228,7 +224,6 @@ impl<T: Clone + Send> PersistentTopic<T> {
             _lock: lock,
             dir,
             codec,
-            duplicates: AtomicU64::new(0),
             recovered_records,
         })
     }
@@ -256,13 +251,12 @@ impl<T: Clone + Send> PersistentTopic<T> {
         self.mem.name()
     }
 
-    /// Appends `(producer, seq, payload)` to `partition`: deduplicated
-    /// against the fence first (retransmissions never touch disk), then
-    /// written as one frame **before** the record becomes readable. The
-    /// write is batched: the record is staged on the partition's log and
-    /// the caller parks until a cohort leader has written (and mirrored)
-    /// it — one write shared by every record staged meanwhile. Returns
-    /// the record's offset.
+    /// Appends `(producer, seq, payload)` to `partition` as one frame,
+    /// written **before** the record becomes readable. The write is
+    /// batched: the record is staged on the partition's log and the
+    /// caller parks until a cohort leader has written (and mirrored) it
+    /// — one write shared by every record staged meanwhile. Returns the
+    /// record's offset.
     pub fn append_raw(
         &self,
         partition: usize,
@@ -274,36 +268,14 @@ impl<T: Clone + Send> PersistentTopic<T> {
             .logs
             .get(partition)
             .ok_or_else(|| OmError::NotFound(format!("partition {partition}")))?;
-        let (offset, ticket) = log.stage(|stage| {
-            if let Some(offset) = self.mem.duplicate_of(partition, producer, seq)? {
-                // Mirrored implies written: no need to wait.
-                self.duplicates.fetch_add(1, Ordering::Relaxed);
-                return Ok((offset, None));
-            }
-            // A retransmission can also race its original while the
-            // original is still staged (or mid-write — the log leaves
-            // records staged until their bytes are down): resolve it to
-            // the staged offset and wait for the same write, so it is
-            // never written twice (which would derail replay's offset
-            // accounting).
-            let staged = stage.records().iter().position(|(p, s, _)| (*p, *s) == (producer, seq));
-            if let Some(i) = staged {
-                self.duplicates.fetch_add(1, Ordering::Relaxed);
-                let ticket = stage.ticket_of(i);
-                return Ok((ticket.number, Some(ticket)));
-            }
-            let body = self.codec.encode(&payload)?;
-            let record = [&producer.to_le_bytes()[..], &seq.to_le_bytes(), &body].concat();
-            let ticket = stage.push(&record, (producer, seq, payload));
-            Ok((ticket.number, Some(ticket)))
-        })?;
-        if let Some(ticket) = ticket {
-            let mirror = |(producer, seq, payload)| {
-                self.mem.append_raw(partition, producer, seq, payload).map(drop)
-            };
-            log.wait(ticket, &mirror, &|held| held.roll_if_due())?;
-        }
-        Ok(offset)
+        let body = self.codec.encode(&payload)?;
+        let record = [&producer.to_le_bytes()[..], &seq.to_le_bytes(), &body].concat();
+        let ticket = log.stage(|stage| Ok(stage.push(&record, (producer, seq, payload))))?;
+        let mirror = |(producer, seq, payload)| {
+            self.mem.append_raw(partition, producer, seq, payload).map(drop)
+        };
+        log.wait(ticket, &mirror, &|held| held.roll_if_due())?;
+        Ok(ticket.number)
     }
 
     /// Group-flush statistics summed over all partitions.
@@ -344,7 +316,6 @@ impl<T: Clone + Send> PersistentTopic<T> {
         out.insert("log.recovered_records".into(), self.recovered_records);
         out.insert("log.torn_tail_bytes".into(), stats.torn_tail_bytes);
         out.insert("log.segments_rolled".into(), stats.segments_rolled);
-        out.insert("log.duplicates".into(), self.duplicates.load(Ordering::Relaxed));
         out.insert("log.wedged".into(), u64::from(self.is_wedged()));
         out.insert("log.unwedges".into(), stats.unwedges);
         out.insert("log.group_flushes".into(), stats.group.flushes);
@@ -417,10 +388,6 @@ impl<T: Clone + Send> EventLog<T> for PersistentTopic<T> {
     fn len(&self) -> usize {
         self.mem.len()
     }
-
-    fn duplicate_count(&self) -> u64 {
-        self.duplicates.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -428,6 +395,7 @@ mod tests {
     use super::*;
     use om_common::checksum::{parse_frame, push_frame};
     use std::fs;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn scratch(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
@@ -476,13 +444,96 @@ mod tests {
         assert_eq!(read[0].payload, 0);
         assert_eq!(read[4].payload, 56);
         assert!(read.iter().enumerate().all(|(i, e)| e.offset == i as u64));
-        // Fences were rebuilt: the old sequences are still deduplicated,
-        // and max_seq lets a resuming producer stay monotonic.
-        assert_eq!(t.max_seq(0), 9);
-        let again = t.append_raw(0, 1, 9, 999).unwrap();
-        assert_eq!(again, 4, "retransmission resolves to the original offset");
-        assert_eq!(EventLog::len(&t), 10, "no duplicate record");
-        assert_eq!(t.duplicate_count(), 1);
+        assert_eq!(
+            read.iter().map(|e| (e.producer, e.seq)).collect::<Vec<_>>(),
+            (0..5).map(|o| (1, 2 * o + 1)).collect::<Vec<_>>(),
+            "the record header survives"
+        );
+        // max_seq was rebuilt, so a resuming producer stays monotonic,
+        // and appends resume at the next offset.
+        assert_eq!((t.max_seq(0), t.max_seq(1)), (9, 10));
+        assert_eq!(t.append_raw(0, 1, 11, 77).unwrap(), 5);
+        assert_eq!(t.max_seq(0), 11);
+    }
+
+    #[test]
+    fn a_repeated_pair_is_written_again_and_both_copies_survive_a_reopen() {
+        let dir = scratch("repeat");
+        let _guard = DirGuard(dir.clone());
+        {
+            let t = open(&dir, 1);
+            assert_eq!(t.append_raw(0, 1, 1, 42).unwrap(), 0);
+            let bytes_after_first = t.counters()["log.appended_bytes"];
+            assert_eq!(t.append_raw(0, 1, 1, 42).unwrap(), 1);
+            assert_eq!(
+                t.counters()["log.appended_bytes"],
+                2 * bytes_after_first,
+                "the repeat is written like any record"
+            );
+        }
+        let t = open(&dir, 1);
+        assert_eq!(t.counters()["log.recovered_records"], 2);
+        let read = t.read_from(0, 0, 10);
+        assert_eq!(
+            read.iter()
+                .map(|e| (e.offset, e.producer, e.seq, e.payload))
+                .collect::<Vec<_>>(),
+            vec![(0, 1, 1, 42), (1, 1, 1, 42)]
+        );
+        assert_eq!(t.max_seq(0), 1);
+    }
+
+    /// Two threads draw seqs from one counter and append to one
+    /// partition, as two callers of the dataflow runtime's `submit` do,
+    /// so seqs land out of order: seq 2 is forced in before seq 1, the
+    /// rest race. Each append gets its own offset, and a reopen reads
+    /// the same partition back.
+    #[test]
+    fn racing_seqs_into_one_partition_are_each_stored_once() {
+        const PER_THREAD: u64 = 200;
+        let dir = scratch("race");
+        let _guard = DirGuard(dir.clone());
+        let seqs = &AtomicU64::new(1);
+        let (drawn, landed) = (&std::sync::Barrier::new(2), &std::sync::Barrier::new(2));
+        let topic = open(&dir, 1);
+        let t = &topic;
+        let acked: Vec<(u64, u64)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(move || {
+                        let append = |seq: u64| (t.append_raw(0, 0, seq, seq * 10).unwrap(), seq);
+                        let first = seqs.fetch_add(1, Ordering::Relaxed);
+                        drawn.wait();
+                        if first == 1 {
+                            landed.wait();
+                        }
+                        let mut acked = vec![append(first)];
+                        if first == 2 {
+                            landed.wait();
+                        }
+                        for _ in 1..PER_THREAD {
+                            acked.push(append(seqs.fetch_add(1, Ordering::Relaxed)));
+                        }
+                        acked
+                    })
+                })
+                .collect();
+            workers.into_iter().flat_map(|w| w.join().unwrap()).collect()
+        });
+        let mut offsets: Vec<u64> = acked.iter().map(|&(offset, _)| offset).collect();
+        offsets.sort_unstable();
+        assert_eq!(offsets, (0..2 * PER_THREAD).collect::<Vec<_>>(), "dense, each acked once");
+        let read = t.read_from(0, 0, usize::MAX);
+        for &(offset, seq) in &acked {
+            let e = &read[offset as usize];
+            assert_eq!((e.offset, e.seq, e.payload), (offset, seq, seq * 10));
+        }
+        assert_eq!((read[0].seq, read[1].seq), (2, 1), "seq 1 landed after seq 2");
+        assert_eq!(t.max_seq(0), 2 * PER_THREAD);
+        drop(topic);
+        let t = open(&dir, 1);
+        assert_eq!(t.read_from(0, 0, usize::MAX), read, "a reopen reads the same partition");
+        assert_eq!(t.max_seq(0), 2 * PER_THREAD);
     }
 
     #[test]
@@ -681,7 +732,7 @@ mod tests {
         let dir = scratch("group");
         let _guard = DirGuard(dir.clone());
         let opts = PersistentTopicOptions::default();
-        {
+        let written = {
             let t: Arc<PersistentTopic<u64>> =
                 Arc::new(PersistentTopic::open_with(&dir, "t", 1, Arc::new(SerdeCodec), opts).unwrap());
             const WRITERS: u64 = 4;
@@ -706,17 +757,14 @@ mod tests {
             let read = t.read_from(0, 0, 1000);
             assert_eq!(read.len(), (WRITERS * RECORDS) as usize);
             assert!(read.iter().enumerate().all(|(i, e)| e.offset == i as u64));
-            // A retransmission resolves to the original offset and
-            // never grows the log.
-            let off = t.append_raw(0, 1, 1, 0).unwrap();
-            assert!(off < WRITERS * RECORDS);
-            assert_eq!(EventLog::len(&*t), (WRITERS * RECORDS) as usize);
-        }
+            read
+        };
         // Cold reopen recovers everything the group path flushed.
         let t: PersistentTopic<u64> =
             PersistentTopic::open_with(&dir, "t", 1, Arc::new(SerdeCodec), opts).unwrap();
-        assert_eq!(EventLog::len(&t), 100);
         assert_eq!(t.counters()["log.recovered_records"], 100);
+        assert_eq!(t.read_from(0, 0, 1000), written);
+        assert_eq!(t.max_seq(0), 25);
     }
 
     #[test]
@@ -1000,19 +1048,5 @@ mod tests {
         );
         assert_eq!(t.append_raw(0, 1, 4, 8).unwrap_err().label(), "wedged");
         assert_eq!(fs::read(&seg).unwrap(), bytes, "nothing was truncated");
-    }
-
-    #[test]
-    fn retransmissions_never_reach_disk() {
-        let dir = scratch("dedup");
-        let _guard = DirGuard(dir.clone());
-        let t = open(&dir, 1);
-        t.append_raw(0, 1, 1, 42).unwrap();
-        let bytes_after_first = t.counters()["log.appended_bytes"];
-        for _ in 0..5 {
-            assert_eq!(t.append_raw(0, 1, 1, 42).unwrap(), 0);
-        }
-        assert_eq!(t.counters()["log.appended_bytes"], bytes_after_first);
-        assert_eq!(t.duplicate_count(), 5);
     }
 }

@@ -1,9 +1,7 @@
-//! Topics, partitions and idempotent appends.
+//! Topics, partitions and appends.
 
 use om_common::{OmError, OmResult};
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One record in a partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -12,7 +10,7 @@ pub struct Entry<T> {
     pub offset: u64,
     /// Producer that appended the record.
     pub producer: u64,
-    /// Producer-assigned sequence number (dedup key).
+    /// Producer-assigned sequence number, stored as given.
     pub seq: u64,
     /// The record itself.
     pub payload: T,
@@ -21,57 +19,15 @@ pub struct Entry<T> {
 #[derive(Debug)]
 struct Partition<T> {
     entries: Vec<Entry<T>>,
-    /// Highest sequence seen per producer (idempotence fence).
-    producer_fence: HashMap<u64, u64>,
+    /// Highest sequence number appended (0 when empty).
+    max_seq: u64,
 }
 
 impl<T> Default for Partition<T> {
     fn default() -> Self {
         Self {
             entries: Vec::new(),
-            producer_fence: HashMap::new(),
-        }
-    }
-}
-
-impl<T: Clone> Partition<T> {
-    /// Offset of the already-appended `(producer, seq)` record, or `None`
-    /// when appending it would not be a duplicate (the idempotence
-    /// check). The fence is only a fast filter: a sequence at or below
-    /// it that is **not actually present** is an out-of-order first
-    /// transmission (two threads of one logical producer raced seq
-    /// assignment against the partition lock), not a retransmission —
-    /// it must be appended, never dropped.
-    fn duplicate_of(&self, producer: u64, seq: u64) -> Option<u64> {
-        match self.producer_fence.get(&producer) {
-            Some(&last) if seq <= last => self
-                .entries
-                .iter()
-                .rev()
-                .find(|e| e.producer == producer && e.seq == seq)
-                .map(|e| e.offset),
-            _ => None,
-        }
-    }
-
-    /// Appends unless `(producer, seq)` was already seen. Returns the
-    /// offset of the (existing or new) record and whether it was a
-    /// duplicate.
-    fn append(&mut self, producer: u64, seq: u64, payload: T) -> (u64, bool) {
-        match self.duplicate_of(producer, seq) {
-            Some(offset) => (offset, true),
-            None => {
-                let offset = self.entries.len() as u64;
-                self.entries.push(Entry {
-                    offset,
-                    producer,
-                    seq,
-                    payload,
-                });
-                let fence = self.producer_fence.entry(producer).or_insert(0);
-                *fence = (*fence).max(seq);
-                (offset, false)
-            }
+            max_seq: 0,
         }
     }
 }
@@ -80,7 +36,6 @@ impl<T: Clone> Partition<T> {
 pub struct Topic<T> {
     name: String,
     partitions: Vec<Mutex<Partition<T>>>,
-    duplicates: AtomicU64,
 }
 
 impl<T: Clone> Topic<T> {
@@ -90,7 +45,6 @@ impl<T: Clone> Topic<T> {
         Self {
             name: name.into(),
             partitions: (0..partitions).map(|_| Mutex::new(Partition::default())).collect(),
-            duplicates: AtomicU64::new(0),
         }
     }
 
@@ -104,27 +58,9 @@ impl<T: Clone> Topic<T> {
         self.partitions.len()
     }
 
-    /// Offset of the already-appended `(producer, seq)` record of
-    /// `partition`, or `None` when appending it would not be a duplicate.
-    /// The persistent topic asks this *before* writing to disk so
-    /// retransmissions are never persisted twice.
-    pub(crate) fn duplicate_of(
-        &self,
-        partition: usize,
-        producer: u64,
-        seq: u64,
-    ) -> OmResult<Option<u64>> {
-        let p = self
-            .partitions
-            .get(partition)
-            .ok_or_else(|| OmError::NotFound(format!("partition {partition}")))?;
-        Ok(p.lock().duplicate_of(producer, seq))
-    }
-
-    /// Appends `payload` to `partition` as `producer`'s record `seq`,
-    /// unless that pair is already there; returns the record's offset,
-    /// the original one for a retransmission. The caller keeps its own
-    /// producer id and sequence counter.
+    /// Appends `payload` to `partition` as `producer`'s record `seq` at
+    /// the next offset, and returns that offset. The pair is stored as
+    /// given: a repeated pair is a new record.
     pub fn append_raw(
         &self,
         partition: usize,
@@ -132,14 +68,19 @@ impl<T: Clone> Topic<T> {
         seq: u64,
         payload: T,
     ) -> OmResult<u64> {
-        let p = self
+        let mut p = self
             .partitions
             .get(partition)
-            .ok_or_else(|| OmError::NotFound(format!("partition {partition}")))?;
-        let (offset, dup) = p.lock().append(producer, seq, payload);
-        if dup {
-            self.duplicates.fetch_add(1, Ordering::Relaxed);
-        }
+            .ok_or_else(|| OmError::NotFound(format!("partition {partition}")))?
+            .lock();
+        let offset = p.entries.len() as u64;
+        p.entries.push(Entry {
+            offset,
+            producer,
+            seq,
+            payload,
+        });
+        p.max_seq = p.max_seq.max(seq);
         Ok(offset)
     }
 
@@ -157,17 +98,10 @@ impl<T: Clone> Topic<T> {
     }
 
     /// Highest producer-assigned sequence number ever appended to
-    /// `partition` (0 when empty). Served from the idempotence fences, so
-    /// no payloads are copied — consumers resuming a shared log use this
-    /// to keep their sequences monotonic.
+    /// `partition` (0 when empty), kept as a high-water mark so no
+    /// payloads are copied.
     pub fn max_seq(&self, partition: usize) -> u64 {
-        self.partitions[partition]
-            .lock()
-            .producer_fence
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(0)
+        self.partitions[partition].lock().max_seq
     }
 
     /// Total records across partitions.
@@ -179,17 +113,11 @@ impl<T: Clone> Topic<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Number of deduplicated (dropped) appends so far.
-    pub fn duplicate_count(&self) -> u64 {
-        self.duplicates.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     /// A test producer: an id and the sequence counter it keeps itself,
     /// appending through [`Topic::append_raw`].
@@ -242,47 +170,35 @@ mod tests {
     }
 
     #[test]
-    fn retransmissions_are_deduplicated() {
+    fn a_repeated_pair_is_stored_again_at_the_next_offset() {
         let t: Topic<&'static str> = Topic::new("t", 1);
-        let mut p = Producer::new(1);
-        let (seq, offset) = p.send(&t, 0, "payment");
-        // Ack lost; producer retries the same seq three times.
-        for _ in 0..3 {
-            let off2 = t.append_raw(0, p.id, seq, "payment").unwrap();
-            assert_eq!(off2, offset, "dedup must return original offset");
-        }
-        assert_eq!(t.len(), 1, "no duplicate records");
-        assert_eq!(t.duplicate_count(), 3);
+        assert_eq!(t.append_raw(0, 1, 1, "payment").unwrap(), 0);
+        assert_eq!(t.append_raw(0, 1, 1, "payment").unwrap(), 1);
+        assert_eq!(t.append_raw(0, 1, 1, "payment").unwrap(), 2);
+        let read = t.read_from(0, 0, 10);
+        assert_eq!(
+            read.iter()
+                .map(|e| (e.offset, e.producer, e.seq, e.payload))
+                .collect::<Vec<_>>(),
+            (0..3).map(|o| (o, 1, 1, "payment")).collect::<Vec<_>>()
+        );
+        assert_eq!(t.max_seq(0), 1);
     }
 
     #[test]
     fn out_of_order_first_appends_are_not_dropped_as_duplicates() {
         // Two threads of one logical producer can race sequence
         // assignment against the partition lock: seq 2 lands before
-        // seq 1. Seq 1 is below the fence but was never appended — it
-        // is a first transmission and must be stored, while a real
-        // retransmission of either seq still deduplicates.
+        // seq 1, and both are stored in arrival order.
         let t: Topic<&'static str> = Topic::new("t", 1);
+        assert_eq!(t.max_seq(0), 0, "an empty partition");
         t.append_raw(0, 7, 2, "second").unwrap();
         let offset = t.append_raw(0, 7, 1, "first").unwrap();
         assert_eq!(offset, 1, "late-arriving first transmission appended");
         assert_eq!(t.len(), 2);
-        assert_eq!(t.duplicate_count(), 0);
-        assert_eq!(t.append_raw(0, 7, 1, "first").unwrap(), 1, "true dup resolves");
-        assert_eq!(t.append_raw(0, 7, 2, "second").unwrap(), 0);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.duplicate_count(), 2);
-        assert_eq!(t.max_seq(0), 2);
-    }
-
-    #[test]
-    fn independent_producers_do_not_fence_each_other() {
-        let t: Topic<u32> = Topic::new("t", 1);
-        let (mut p1, mut p2) = (Producer::new(1), Producer::new(2));
-        p1.send(&t, 0, 1);
-        p2.send(&t, 0, 2); // p2's seq 1 must not be fenced by p1's
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.duplicate_count(), 0);
+        let seqs: Vec<u64> = t.read_from(0, 0, 10).iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![2, 1]);
+        assert_eq!(t.max_seq(0), 2, "a lower seq never lowers the mark");
     }
 
     #[test]
@@ -313,29 +229,6 @@ mod tests {
             for (i, e) in entries.iter().enumerate() {
                 assert_eq!(e.offset, i as u64);
             }
-        }
-    }
-
-    proptest! {
-        /// However a producer interleaves sends and random retransmissions,
-        /// the partition contains exactly the distinct payload sequence in
-        /// order.
-        #[test]
-        fn prop_idempotent_append(resend_mask in proptest::collection::vec(0u8..4, 1..50)) {
-            let t: Topic<u64> = Topic::new("t", 1);
-            let mut p = Producer::new(1);
-            let mut sent = Vec::new();
-            for (i, &resends) in resend_mask.iter().enumerate() {
-                let payload = i as u64;
-                let (seq, _) = p.send(&t, 0, payload);
-                sent.push(payload);
-                for _ in 0..resends {
-                    t.append_raw(0, p.id, seq, payload).unwrap();
-                }
-            }
-            let stored: Vec<u64> =
-                t.read_from(0, 0, usize::MAX).into_iter().map(|e| e.payload).collect();
-            prop_assert_eq!(stored, sent);
         }
     }
 }

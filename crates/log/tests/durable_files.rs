@@ -134,8 +134,6 @@ fn topic_phases(dir: &Path, out: &mut String) {
         for i in 0..14u64 {
             topic.append_raw((i % 2) as usize, 1, i + 1, i * 1_000).unwrap();
         }
-        // A retransmission never reaches disk.
-        topic.append_raw(0, 1, 3, 2_000).unwrap();
     }
     out.push_str("## ingress: 14 records, closed\n");
     out.push_str(&listing(dir));

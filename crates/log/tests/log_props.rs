@@ -1,59 +1,46 @@
 //! Property-based tests of the partitioned log (the Kafka stand-in).
 //!
-//! Invariants under arbitrary send/retransmit schedules, each producer
-//! an explicit id with the sequence counter it keeps itself, appending
-//! through `Topic::append_raw`:
+//! Invariants under arbitrary append schedules, each append an explicit
+//! `(producer, seq)` pair stored as given:
 //!
-//! * idempotent appends — however often a `(producer, seq)` pair is
-//!   retransmitted, exactly one record lands, and per-producer records
-//!   appear in sequence order;
+//! * the log appends what it is given — repeated and out-of-order pairs
+//!   each land once, in arrival order, and `max_seq` is the largest seq;
 //! * offsets are dense (0..n) per partition;
 //! * concurrent producers interleave without losing or duplicating
-//!   records.
+//!   records;
+//! * a reopened `PersistentTopic` reads back exactly what was appended.
 
-use om_log::Topic;
+use om_log::{EventLog, PersistentTopic, PersistentTopicOptions, SerdeCodec, Topic};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// An append schedule: `(partition, producer, seq, payload)`. The small
+/// seq range makes repeated pairs and seqs below an earlier one common.
+fn schedule(partitions: usize) -> impl Strategy<Value = Vec<(usize, u64, u64, u32)>> {
+    prop::collection::vec((0..partitions, 0u64..3, 0u64..16, any::<u32>()), 1..60)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Appends with randomized duplicate retransmissions: the log must
-    /// contain each sequence exactly once, in order.
+    /// Repeated and out-of-order pairs: the partition is exactly the
+    /// appended sequence, at dense offsets.
     #[test]
-    fn retransmissions_never_duplicate(
-        // (payload, extra_retransmits) per logical record
-        records in prop::collection::vec((any::<u32>(), 0usize..3), 1..60),
-        // positions to retransmit *earlier* sequences from, late
-        late_retx in prop::collection::vec(any::<prop::sample::Index>(), 0..10),
-    ) {
+    fn every_append_lands_once_in_arrival_order(appends in schedule(1)) {
         let topic: Topic<u32> = Topic::new("t", 1);
-        const PRODUCER: u64 = 1;
-        let mut sent: Vec<(u64, u32)> = Vec::new();
-
-        for (seq, (payload, retx)) in (1u64..).zip(&records) {
-            let offset = topic.append_raw(0, PRODUCER, seq, *payload).unwrap();
-            sent.push((seq, *payload));
-            for _ in 0..*retx {
-                prop_assert_eq!(topic.append_raw(0, PRODUCER, seq, *payload).unwrap(), offset);
-            }
+        for (i, &(_, producer, seq, payload)) in appends.iter().enumerate() {
+            prop_assert_eq!(topic.append_raw(0, producer, seq, payload).unwrap(), i as u64);
         }
-        // Late retransmissions of randomly chosen old sequences.
-        for idx in &late_retx {
-            let (seq, payload) = sent[idx.index(sent.len())];
-            topic.append_raw(0, PRODUCER, seq, payload).unwrap();
-        }
-
         let entries = topic.read_from(0, 0, usize::MAX);
-        prop_assert_eq!(entries.len(), records.len(), "one record per logical send");
-        for (i, entry) in entries.iter().enumerate() {
+        prop_assert_eq!(entries.len(), appends.len(), "one record per append");
+        for (i, (entry, &(_, producer, seq, payload))) in entries.iter().zip(&appends).enumerate() {
             prop_assert_eq!(entry.offset, i as u64, "offsets are dense");
-            prop_assert_eq!(entry.seq, sent[i].0, "sequence order preserved");
-            prop_assert_eq!(entry.payload, sent[i].1);
+            prop_assert_eq!((entry.producer, entry.seq, entry.payload), (producer, seq, payload));
         }
-        let expected_dups: u64 =
-            records.iter().map(|(_, r)| *r as u64).sum::<u64>() + late_retx.len() as u64;
-        prop_assert_eq!(topic.duplicate_count(), expected_dups);
+        let largest = appends.iter().map(|&(_, _, seq, _)| seq).max().unwrap();
+        prop_assert_eq!(topic.max_seq(0), largest);
     }
 
     /// Concurrent producers on one partition: every send lands exactly
@@ -113,5 +100,57 @@ proptest! {
             }
         }
         prop_assert_eq!(topic.len(), sends.len());
+    }
+}
+
+/// A fresh directory for one case, removed when dropped.
+struct Scratch(std::path::PathBuf);
+
+impl Scratch {
+    fn new() -> Self {
+        static N: AtomicU64 = AtomicU64::new(0);
+        Self(std::env::temp_dir().join(format!(
+            "om-log-props-{}-{}",
+            std::process::id(),
+            N.fetch_add(1, Ordering::Relaxed)
+        )))
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The same schedule into a `PersistentTopic` (segments small enough
+    /// to roll) and an in-memory `Topic`: after a reopen, every
+    /// partition reads back the same records and `max_seq`.
+    #[test]
+    fn a_reopened_persistent_topic_reads_back_what_was_appended(appends in schedule(2)) {
+        let dir = Scratch::new();
+        let open = || {
+            let options = PersistentTopicOptions { segment_bytes: 128, ..Default::default() };
+            PersistentTopic::<u32>::open_with(&dir.0, "t", 2, Arc::new(SerdeCodec), options)
+                .unwrap()
+        };
+        let expected: Topic<u32> = Topic::new("t", 2);
+        {
+            let topic = open();
+            for &(p, producer, seq, payload) in &appends {
+                let offset = topic.append_raw(p, producer, seq, payload).unwrap();
+                prop_assert_eq!(offset, expected.append_raw(p, producer, seq, payload).unwrap());
+            }
+        }
+        let topic = open();
+        prop_assert_eq!(topic.len(), appends.len());
+        for p in 0..2 {
+            let read = topic.read_from(p, 0, usize::MAX);
+            prop_assert_eq!(read, expected.read_from(p, 0, usize::MAX));
+            prop_assert_eq!(topic.max_seq(p), expected.max_seq(p));
+        }
     }
 }

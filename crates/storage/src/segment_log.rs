@@ -47,8 +47,8 @@
 //!   `fdatasync` when the log syncs.
 //!   Only then are the records applied, in order, and every covered
 //!   appender released. Records stay staged while their bytes are in
-//!   flight, so a caller can still find them (the topic deduplicates
-//!   retransmissions against them).
+//!   flight and are applied from there, so an unwedge after a failed
+//!   write finds every record it must drop in one place.
 //!
 //! After each cohort the leader, still holding both locks, hands the
 //! caller a [`Held`] log for maintenance: drain the rest of the stage,
@@ -178,20 +178,6 @@ impl<R> Stage<R> {
         self.next
     }
 
-    /// Records staged and not yet applied, oldest first.
-    pub fn records(&self) -> &[R] {
-        &self.records
-    }
-
-    /// The ticket of `records()[i]`.
-    pub fn ticket_of(&self, i: usize) -> Ticket {
-        let back = (self.records.len() - i) as u64;
-        Ticket {
-            number: self.next - back,
-            ticket: self.tickets + 1 - back,
-        }
-    }
-
     /// Stages `payload` as one frame and `record` as what applying it
     /// does; the record takes number [`next`](Self::next).
     pub fn push(&mut self, payload: &[u8], record: R) -> Ticket {
@@ -203,7 +189,10 @@ impl<R> Stage<R> {
         self.records.push(record);
         self.next += 1;
         self.tickets += 1;
-        self.ticket_of(self.records.len() - 1)
+        Ticket {
+            number: self.next - 1,
+            ticket: self.tickets,
+        }
     }
 }
 
@@ -427,8 +416,8 @@ impl<R> SegmentLog<R> {
         })
     }
 
-    /// Runs `f` under the stage lock: it may inspect the staged records
-    /// and [`Stage::push`] one. Fails fast on a wedged log.
+    /// Runs `f` under the stage lock: it may read [`Stage::next`] and
+    /// [`Stage::push`] a record. Fails fast on a wedged log.
     pub fn stage<T>(&self, f: impl FnOnce(&mut Stage<R>) -> OmResult<T>) -> OmResult<T> {
         // Acquire pairs with the Release store of a failed write: an
         // appender that sees the flag also sees the failure.

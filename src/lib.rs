@@ -12,7 +12,8 @@
 //!   pluggable storage interface (Redis-like replicated KV with an
 //!   asynchronous last-writer-wins replica / snapshot isolation /
 //!   file-durable) behind every platform binding.
-//! * [`log`] — Kafka-like partitioned event log (idempotent producers).
+//! * [`log`] — Kafka-like partitioned event log, replayed from the
+//!   consumer offsets a dataflow checkpoint commits.
 //! * [`actor`] — Orleans-like virtual actor runtime with a distributed
 //!   transaction layer (2PL + 2PC).
 //! * [`dataflow`] — Statefun-like exactly-once stateful dataflow runtime.
