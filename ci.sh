@@ -54,8 +54,10 @@
 #     and deliveries is never torn, and a checkout whose dashboard
 #     projection cannot commit places nothing), the admission
 #     suites (`lock_props`, `tx_integration`), the actor runtime's
-#     scheduling and silo-kill suites (`runtime`, `failure_modes`), the
-#     storage contract's
+#     scheduling and silo-kill suites (`runtime`, and `failure_modes`:
+#     silo kills racing activations and traffic leave every grain one
+#     activation, which never answers below a value it acknowledged),
+#     the storage contract's
 #     `backend_props` and `session_guarantees`, the log's `log_props`
 #     (repeated and out-of-order `(producer, seq)` pairs each stored once
 #     in arrival order, producers racing on threads into one partition,
@@ -63,8 +65,8 @@
 #     the dataflow's `concurrency` (two submitters racing epochs, so
 #     ingress appends land out of seq order) 3 times each in 2 loops
 #     side by side, where a lost ready-list mark, a grain admitted twice,
-#     a torn Customized dashboard or a read that sees part of a batch
-#     (`si_backend_never_exposes_torn_commits` and
+#     a grain activated twice, a torn Customized dashboard or a read that
+#     sees part of a batch (`si_backend_never_exposes_torn_commits` and
 #     `len_counts_one_snapshot_while_rows_move` hold only because the
 #     snapshot and file backends apply a batch and serve a read under one
 #     image lock) shows far more often than in the one workspace run; the

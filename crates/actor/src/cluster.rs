@@ -1,9 +1,21 @@
-//! The cluster: grain directory, placement, messaging API, fault
-//! injection and the worker pool that runs every turn no caller runs.
+//! The cluster: the grain table, placement, the turn runner, messaging
+//! API, fault injection and the worker pool that runs every turn no caller
+//! runs.
+//!
+//! A silo is a host the table places grains on, with an alive flag; it
+//! owns no thread and no queue. The table keeps one entry per activated
+//! grain, its silo and its activation, beside the alive flags, under one
+//! lock: a call to an active grain takes its read lock for one lookup,
+//! and placing a grain, killing a silo and restarting one take its write
+//! lock, so no grain is ever installed on a dead silo and none is left
+//! behind on one. Killing a silo retires its activations (see
+//! [`crate::mailbox`]): each fails every message it gets from then on,
+//! and a restart never revives one. A kill does not wait for a turn it
+//! interrupts; the grain's next activation does, so it loads the state
+//! that turn stored.
 
-use crate::grain::{GrainFactory, GrainId, Row, RowWrite};
+use crate::grain::{GrainFactory, GrainId, Row};
 use crate::mailbox::{Activation, ActivationRef, Envelope, Gather, ReplyTo};
-use crate::silo::{Router, Silo};
 use crate::storage::StorageMap;
 use om_common::pool::{PoolHandle, WorkerPool};
 use om_common::rng::SplitMix64;
@@ -67,9 +79,20 @@ struct Kind<M, R> {
     rows: bool,
 }
 
+/// Where every activated grain lives, and which silos are alive.
+struct Table<M, R> {
+    alive: Vec<bool>,
+    /// One entry per activated grain: its silo and its activation there.
+    /// No entry names a dead silo.
+    grains: HashMap<GrainId, (usize, ActivationRef<M, R>)>,
+    /// Retired activations a kill caught mid-turn. Their grain is not
+    /// activated again until that turn has stored its state, so the new
+    /// activation never loads a state older than one the old one answered.
+    retiring: HashMap<GrainId, ActivationRef<M, R>>,
+}
+
 struct Inner<M, R> {
-    silos: Vec<Silo<M, R>>,
-    directory: RwLock<HashMap<GrainId, usize>>,
+    table: RwLock<Table<M, R>>,
     factories: HashMap<&'static str, Kind<M, R>>,
     storage: StorageMap,
     clock: LogicalClock,
@@ -84,89 +107,126 @@ struct Inner<M, R> {
 }
 
 impl<M: Payload, R: Send + 'static> Inner<M, R> {
-    /// Chooses/there-registers the hosting silo for `id`, skipping dead
-    /// silos.
-    fn place(&self, id: GrainId) -> OmResult<usize> {
-        if let Some(&s) = self.directory.read().get(&id) {
-            if self.silos[s].is_alive() {
-                return Ok(s);
+    /// The activation of `id`, activating the grain if it has none.
+    ///
+    /// Every grain call runs this lookup. Its callers are instantiated in
+    /// the crate that names the cluster's message types, and whether the
+    /// lookup was inlined there depended on how that crate happened to be
+    /// split into codegen units; left out of line, it cost marketbench's
+    /// `checkout_tx_mem` cell 16 % of its `peak_rps` (alternating pairs,
+    /// one core of a 2-vCPU host).
+    #[inline]
+    fn activation(&self, id: GrainId) -> OmResult<ActivationRef<M, R>> {
+        if let Some((_, activation)) = self.table.read().grains.get(&id) {
+            return Ok(activation.clone());
+        }
+        self.activate(id)
+    }
+
+    /// Activates `id` on its hash-preferred silo, or the next live one
+    /// after it, unless another thread got there first. The grain is built
+    /// and installed under the table's write lock, so no kill comes
+    /// between the choice of its silo and the install.
+    fn activate(&self, id: GrainId) -> OmResult<ActivationRef<M, R>> {
+        let mut table = self.table.write();
+        // A kill caught the grain's last activation mid-turn: wait, off the
+        // lock, until that turn has stored its state.
+        while let Some(old) = table.retiring.get(&id).cloned() {
+            drop(table);
+            old.wait_for_turn();
+            table = self.table.write();
+            if table
+                .retiring
+                .get(&id)
+                .is_some_and(|a| Arc::ptr_eq(a, &old))
+            {
+                table.retiring.remove(&id);
             }
         }
-        let mut dir = self.directory.write();
-        // Re-check under the write lock (another thread may have placed).
-        if let Some(&s) = dir.get(&id) {
-            if self.silos[s].is_alive() {
-                return Ok(s);
-            }
+        if let Some((_, activation)) = table.grains.get(&id) {
+            return Ok(activation.clone());
         }
-        let n = self.silos.len();
+        let n = table.alive.len();
         let preferred = {
             use std::hash::{Hash, Hasher};
             let mut h = std::collections::hash_map::DefaultHasher::new();
             id.hash(&mut h);
             (h.finish() % n as u64) as usize
         };
-        let chosen = (0..n)
+        let silo = (0..n)
             .map(|off| (preferred + off) % n)
-            .find(|&s| self.silos[s].is_alive())
+            .find(|&s| table.alive[s])
             .ok_or_else(|| OmError::Unavailable("no silo alive".into()))?;
-        dir.insert(id, chosen);
-        Ok(chosen)
-    }
-
-    /// The silo hosting `id` and its activation there, activating the
-    /// grain if it has none.
-    fn activation(&self, id: GrainId) -> OmResult<(usize, ActivationRef<M, R>)> {
-        let silo_idx = self.place(id)?;
         let kind = self
             .factories
             .get(id.kind)
             .ok_or_else(|| OmError::NotFound(format!("no factory for grain kind '{}'", id.kind)))?;
-        let activation = self.silos[silo_idx].activation_or_insert(id, || {
-            // Only row-keyed kinds pay for the prefix scan; the others
-            // reactivate from a point read of their snapshot.
-            let (snapshot, rows) = if kind.rows {
-                self.storage.load_rows(&id)
-            } else {
-                (self.storage.load(&id), Vec::new())
-            };
-            Arc::new(Activation::new(id, (kind.factory)(id, snapshot, rows)))
-        });
-        Ok((silo_idx, activation))
+        // Only row-keyed kinds pay for the prefix scan; the others
+        // reactivate from a point read of their snapshot.
+        let (snapshot, rows) = if kind.rows {
+            self.storage.load_rows(&id)
+        } else {
+            (self.storage.load(&id), Vec::new())
+        };
+        let activation = Arc::new(Activation::new(id, (kind.factory)(id, snapshot, rows)));
+        table.grains.insert(id, (silo, activation.clone()));
+        Ok(activation)
     }
 
     /// Delivers an envelope, queueing the grain's turn if this made it
     /// runnable.
     fn deliver(self: &Arc<Self>, id: GrainId, env: Envelope<M, R>) -> OmResult<()> {
-        let (silo_idx, activation) = self.activation(id)?;
+        let activation = self.activation(id)?;
         self.in_flight.fetch_add(1, Ordering::AcqRel);
         if activation.enqueue(env) {
-            self.schedule(silo_idx, activation);
+            self.schedule(activation);
         }
         Ok(())
     }
 
     /// Queues a turn of `activation`, whose next turn the caller owns, on
     /// the worker pool; a turn that leaves messages behind queues the next.
-    fn schedule(self: &Arc<Self>, silo_idx: usize, activation: ActivationRef<M, R>) {
+    fn schedule(self: &Arc<Self>, activation: ActivationRef<M, R>) {
         let inner = self.clone();
         self.pool.execute(move || {
-            if inner.silos[silo_idx].run_turn(&activation, &inner.clock, &inner) {
-                inner.schedule(silo_idx, activation);
+            if inner.run_turn(&activation) {
+                inner.schedule(activation);
             }
         });
     }
 
-    fn notify_inner(self: &Arc<Self>, id: GrainId, msg: M) {
-        if self.deliver(id, Envelope { msg, reply: None }).is_err() {
-            self.counters.incr("events_undeliverable");
+    /// Runs one turn of `activation`, which the calling thread owns (its
+    /// enqueue or a pool job made it runnable); returns whether it must be
+    /// scheduled again for messages still queued. The one turn runner, for
+    /// pool threads and calling threads alike.
+    fn run_turn(self: &Arc<Self>, activation: &ActivationRef<M, R>) -> bool {
+        let result = activation.run_turn(&self.clock, |snapshot, rows| {
+            self.storage.save(activation.id, snapshot, rows)
+        });
+        if result.panicked {
+            self.counters.incr("grain_panics");
+            // The next message to the grain activates it afresh from
+            // storage.
+            let mut table = self.table.write();
+            if table
+                .grains
+                .get(&activation.id)
+                .is_some_and(|(_, a)| Arc::ptr_eq(a, activation))
+            {
+                table.grains.remove(&activation.id);
+            }
         }
+        let reschedule = activation.end_turn();
+        for out in result.outbox {
+            self.route_event(out.target, out.msg);
+        }
+        self.in_flight
+            .fetch_sub(result.processed as i64, Ordering::AcqRel);
+        reschedule
     }
-}
 
-impl<M: Payload, R: Send + 'static> Router<M> for Arc<Inner<M, R>> {
-    fn route_event(&self, target: GrainId, msg: M) {
-        // Fault injection applies to grain-to-grain events.
+    /// Sends a grain-to-grain event, through fault injection.
+    fn route_event(self: &Arc<Self>, target: GrainId, msg: M) {
         if self.faults.is_active() {
             let (drop_it, duplicate) = {
                 let mut rng = self.fault_rng.lock();
@@ -188,16 +248,10 @@ impl<M: Payload, R: Send + 'static> Router<M> for Arc<Inner<M, R>> {
         self.notify_inner(target, msg);
     }
 
-    fn save_state(&self, id: GrainId, snapshot: Option<Vec<u8>>, rows: Vec<RowWrite>) {
-        self.storage.save(id, snapshot, rows);
-    }
-
-    fn on_processed(&self, n: u64) {
-        self.in_flight.fetch_sub(n as i64, Ordering::AcqRel);
-    }
-
-    fn on_panic(&self) {
-        self.counters.incr("grain_panics");
+    fn notify_inner(self: &Arc<Self>, id: GrainId, msg: M) {
+        if self.deliver(id, Envelope { msg, reply: None }).is_err() {
+            self.counters.incr("events_undeliverable");
+        }
     }
 }
 
@@ -244,7 +298,7 @@ impl<M: Payload, R: Send + 'static> Cluster<M, R> {
     ///
     /// Every envelope is enqueued first. Then the calling thread runs one
     /// turn of each activation its own enqueue made runnable, through the
-    /// pool's turn runner: a call to an idle grain costs no hand-off to a
+    /// pool's own turn runner: a call to an idle grain costs no hand-off to a
     /// worker and no park. An activation with messages left after its
     /// turn queues its next turn on the pool, and the caller parks on the
     /// gather latch only for calls to grains that were mid-turn on
@@ -265,19 +319,19 @@ impl<M: Payload, R: Send + 'static> Cluster<M, R> {
         let mut runnable = Vec::new();
         for (slot, (id, msg)) in calls.into_iter().enumerate() {
             match inner.activation(id) {
-                Ok((silo_idx, activation)) => {
+                Ok(activation) => {
                     inner.in_flight.fetch_add(1, Ordering::AcqRel);
                     let reply = Some(ReplyTo::new(gather.clone(), slot));
                     if activation.enqueue(Envelope { msg, reply }) {
-                        runnable.push((silo_idx, activation));
+                        runnable.push(activation);
                     }
                 }
                 Err(e) => gather.fill(slot, Err(e)),
             }
         }
-        for (silo_idx, activation) in runnable {
-            if inner.silos[silo_idx].run_turn(&activation, &inner.clock, inner) {
-                inner.schedule(silo_idx, activation);
+        for activation in runnable {
+            if inner.run_turn(&activation) {
+                inner.schedule(activation);
             }
         }
         if !gather.is_filled() {
@@ -309,25 +363,42 @@ impl<M: Payload, R: Send + 'static> Cluster<M, R> {
         }
     }
 
-    /// Kills silo `i`: activations are dropped (volatile state lost),
-    /// queued messages fail and leave the in-flight count, directory
-    /// entries are lazily re-placed.
+    /// Kills silo `i`: its activations are retired (volatile state lost),
+    /// their queued messages fail and leave the in-flight count, and their
+    /// grains are placed afresh on their next message, once any turn the
+    /// kill interrupted has stored its state.
     pub fn kill_silo(&self, i: usize) {
-        let failed = self.inner.silos[i].kill();
-        self.inner.on_processed(failed);
+        let mut failed = 0;
+        {
+            let mut table = self.inner.table.write();
+            let table = &mut *table;
+            table.alive[i] = false;
+            table.retiring.retain(|_, a| a.mid_turn());
+            table.grains.retain(|&id, (silo, activation)| {
+                if *silo != i {
+                    return true;
+                }
+                failed += activation.retire();
+                if activation.mid_turn() {
+                    table.retiring.insert(id, activation.clone());
+                }
+                false
+            });
+        }
+        self.inner
+            .in_flight
+            .fetch_sub(failed as i64, Ordering::AcqRel);
         self.inner.counters.incr("silos_killed");
-        // Re-placement happens on next access; drop stale directory entries.
-        self.inner.directory.write().retain(|_, &mut s| s != i);
     }
 
     /// Restarts silo `i`; grains reactivate lazily from storage.
     pub fn restart_silo(&self, i: usize) {
-        self.inner.silos[i].restart();
+        self.inner.table.write().alive[i] = true;
     }
 
     /// Number of silos.
     pub fn silo_count(&self) -> usize {
-        self.inner.silos.len()
+        self.inner.table.read().alive.len()
     }
 
     /// Cluster-wide grain storage.
@@ -351,11 +422,12 @@ impl<M: Payload, R: Send + 'static> Cluster<M, R> {
 
     /// Activations currently hosted per silo (diagnostics).
     pub fn activation_counts(&self) -> Vec<usize> {
-        self.inner
-            .silos
-            .iter()
-            .map(|s| s.activation_count())
-            .collect()
+        let table = self.inner.table.read();
+        let mut counts = vec![0; table.alive.len()];
+        for &(silo, _) in table.grains.values() {
+            counts[silo] += 1;
+        }
+        counts
     }
 }
 
@@ -464,8 +536,11 @@ impl<M: Payload, R: Send + 'static> ClusterBuilder<M, R> {
         };
         let pool = WorkerPool::named("om-actor", self.workers);
         let inner = Arc::new(Inner {
-            silos: (0..self.silos).map(|_| Silo::new()).collect(),
-            directory: RwLock::new(HashMap::new()),
+            table: RwLock::new(Table {
+                alive: vec![true; self.silos],
+                grains: HashMap::new(),
+                retiring: HashMap::new(),
+            }),
             factories: self.factories,
             storage,
             clock: LogicalClock::new(),

@@ -9,9 +9,11 @@
 //!
 //! * A [`grain::GrainId`] names a virtual actor: a `(kind, key)` pair.
 //!   Grains are *virtual* — callers never create them; the first message
-//!   activates the grain on some silo (hash placement recorded in the
-//!   cluster directory), mirroring Orleans' location and lifecycle
-//!   transparency (paper Fig. 1).
+//!   activates the grain on the silo its hash picks (the next live one if
+//!   that silo is dead), mirroring Orleans' location and lifecycle
+//!   transparency (paper Fig. 1). The cluster's grain table keeps one
+//!   entry per active grain, its silo and its activation, so a grain has
+//!   at most one activation at a time.
 //! * Each activation processes messages **single-threaded, turn by turn**
 //!   from its mailbox; concurrency exists only *across* grains. Orleans
 //!   promises one turn at a time per activation, not a thread to run it:
@@ -23,10 +25,13 @@
 //!   batch. A handler that panics fails its call with
 //!   `Unavailable` and retires its activation; the grain reactivates from
 //!   storage on its next message, and the thread that ran the turn
-//!   carries on. Killing a silo drops its activations and their volatile
-//!   state; grains that persisted state via
-//!   [`grain::GrainContext::persist`] recover it on reactivation
-//!   (grain storage survives silo failures, as in Fig. 1's storage layer).
+//!   carries on. Killing a silo retires its activations, with their
+//!   volatile state: each fails every message it gets from then on, and
+//!   restarting the silo never revives one. Grains that persisted state
+//!   via [`grain::GrainContext::persist`] recover it on reactivation
+//!   (grain storage survives silo failures, as in Fig. 1's storage
+//!   layer); a grain whose turn a kill interrupted reactivates once that
+//!   turn has stored its state.
 //!   A grain whose state grows keeps a small snapshot plus one row per
 //!   entity ([`grain::GrainContext::put_row`]), so a turn stores what it
 //!   changed rather than everything the grain holds.
@@ -62,7 +67,6 @@
 pub mod cluster;
 pub mod grain;
 pub mod mailbox;
-pub mod silo;
 pub mod storage;
 pub mod tx;
 

@@ -11,10 +11,12 @@
 //! bounded batch of messages per turn and queues another turn on the pool
 //! if messages remain.
 //!
-//! A handler that panics fails its own call with `Unavailable` and retires
-//! the activation: its grain is dropped, every message still queued to it
-//! fails the same way, and its silo forgets it, so the next message
-//! reactivates the grain from storage.
+//! A retired activation fails every message it gets with `Unavailable`,
+//! unhandled, from then on. Two things retire one: a handler that panics
+//! (its own call fails the same way), and the kill of its silo, which also
+//! fails the messages already queued to it. Either way the cluster's grain
+//! table drops it, so the next message reactivates the grain from storage,
+//! and nothing ever revives a retired activation.
 //!
 //! Every call — one, or a fan-out of many — answers into a gather latch:
 //! one slot per message, and only the reply that fills the last slot wakes
@@ -127,21 +129,26 @@ impl<R> Drop for ReplyTo<R> {
 /// An activated grain plus its mailbox.
 pub(crate) struct Activation<M, R> {
     pub id: GrainId,
-    /// `None` once a handler panicked: the activation is retired.
-    grain: Mutex<Option<Box<dyn Grain<M, R>>>>,
+    grain: Mutex<Box<dyn Grain<M, R>>>,
     mailbox: Mutex<VecDeque<Envelope<M, R>>>,
     /// True from the enqueue that made the activation runnable until its
     /// turn ends: while its turn waits on the pool or a thread drains it.
     scheduled: AtomicBool,
+    /// Set once by a handler panic or a kill of the silo, never cleared. A
+    /// kill sets it before it asks [`Activation::mid_turn`], and a turn
+    /// reads it with the grain held, so a turn that takes the grain after
+    /// a kill found it free handles nothing.
+    retired: AtomicBool,
 }
 
 impl<M: Send + 'static, R: Send + 'static> Activation<M, R> {
     pub fn new(id: GrainId, grain: Box<dyn Grain<M, R>>) -> Self {
         Self {
             id,
-            grain: Mutex::new(Some(grain)),
+            grain: Mutex::new(grain),
             mailbox: Mutex::new(VecDeque::new()),
             scheduled: AtomicBool::new(false),
+            retired: AtomicBool::new(false),
         }
     }
 
@@ -160,17 +167,23 @@ impl<M: Send + 'static, R: Send + 'static> Activation<M, R> {
     }
 
     /// Runs one turn: drains up to [`TURN_BATCH`] messages through the
-    /// grain. Returns the buffered outgoing events, the latest persisted
-    /// snapshot if the grain saved one, and the row writes of every message
-    /// in the order they were made. The activation stays scheduled until
-    /// [`Activation::end_turn`], so the caller can store the turn's state
-    /// before any later turn of the same grain runs.
+    /// grain, and returns the buffered outgoing events. If the turn saved
+    /// anything, it hands `store` the latest persisted snapshot and the row
+    /// writes of every message in the order they were made, before it lets
+    /// go of the grain: so saves of one grain land in turn order, and an
+    /// activation that waits for the turn ([`Activation::wait_for_turn`])
+    /// loads what it stored. The activation stays scheduled until
+    /// [`Activation::end_turn`].
     ///
     /// A handler that panics leaves no effects: its call fails with
-    /// `Unavailable`, the grain is dropped and the result says so
+    /// `Unavailable`, the activation is retired and the result says so
     /// ([`TurnResult::panicked`]). Messages to a retired activation fail
     /// the same way, unhandled.
-    pub fn run_turn(&self, clock: &om_common::time::LogicalClock) -> TurnResult<M> {
+    pub fn run_turn(
+        &self,
+        clock: &om_common::time::LogicalClock,
+        store: impl FnOnce(Option<Vec<u8>>, Vec<RowWrite>),
+    ) -> TurnResult<M> {
         let mut grain = self.grain.lock();
         let mut outbox = Vec::new();
         let mut persisted = None;
@@ -184,16 +197,16 @@ impl<M: Send + 'static, R: Send + 'static> Activation<M, R> {
             };
             processed += 1;
             let Envelope { msg, reply } = env;
-            let Some(handler) = grain.as_mut() else {
-                self.fail(reply, "was retired after a handler panic");
+            if self.retired.load(Ordering::Acquire) {
+                self.fail(reply, "was retired");
                 continue;
-            };
+            }
             let mut ctx = GrainContext::new(self.id, clock);
             let reply_expected = reply.is_some();
             let Ok(answer) = catch_unwind(AssertUnwindSafe(|| {
-                handler.handle(&mut ctx, msg, reply_expected)
+                grain.handle(&mut ctx, msg, reply_expected)
             })) else {
-                *grain = None;
+                self.retired.store(true, Ordering::Release);
                 panicked = true;
                 self.fail(reply, "panicked handling a message");
                 continue;
@@ -207,13 +220,25 @@ impl<M: Send + 'static, R: Send + 'static> Activation<M, R> {
             }
             rows.extend(ctx.rows);
         }
+        if persisted.is_some() || !rows.is_empty() {
+            store(persisted, rows);
+        }
         TurnResult {
             outbox,
-            persisted,
-            rows,
             processed,
             panicked,
         }
+    }
+
+    /// Whether a turn is running: it holds the grain until it has stored
+    /// its state.
+    pub fn mid_turn(&self) -> bool {
+        self.grain.try_lock().is_none()
+    }
+
+    /// Blocks until the running turn, if any, has stored its state.
+    pub fn wait_for_turn(&self) {
+        drop(self.grain.lock());
     }
 
     /// Ends the turn [`Activation::run_turn`] began: clears the scheduled
@@ -227,9 +252,11 @@ impl<M: Send + 'static, R: Send + 'static> Activation<M, R> {
         !mb.is_empty() && !self.scheduled.swap(true, Ordering::AcqRel)
     }
 
-    /// Fails all queued messages (silo kill): callers get `Unavailable`.
-    /// Returns how many it failed, for the in-flight accounting.
-    pub fn poison(&self) -> u64 {
+    /// Retires the activation (its silo was killed) and fails the messages
+    /// queued to it: callers get `Unavailable`. Returns how many it failed,
+    /// for the in-flight accounting.
+    pub fn retire(&self) -> u64 {
+        self.retired.store(true, Ordering::Release);
         let mut mb = self.mailbox.lock();
         let failed = mb.len() as u64;
         for env in mb.drain(..) {
@@ -251,9 +278,6 @@ impl<M: Send + 'static, R: Send + 'static> Activation<M, R> {
 
 pub(crate) struct TurnResult<M> {
     pub outbox: Vec<Outgoing<M>>,
-    pub persisted: Option<Vec<u8>>,
-    /// Row writes of every message of the turn, in order.
-    pub rows: Vec<RowWrite>,
     /// Messages taken from the mailbox this turn, handled or failed
     /// (in-flight accounting).
     pub processed: u64,
@@ -296,7 +320,7 @@ mod tests {
             msg: 7,
             reply: Some(ReplyTo::new(gather.clone(), 0)),
         });
-        let result = a.run_turn(&clock);
+        let result = a.run_turn(&clock, |_, _| {});
         assert_eq!(result.processed, 2);
         assert!(!a.end_turn());
         let mut replies = gather.wait(Instant::now());
@@ -311,10 +335,10 @@ mod tests {
         for i in 0..(TURN_BATCH + 3) as u32 {
             a.enqueue(Envelope { msg: i, reply: None });
         }
-        a.run_turn(&clock);
+        a.run_turn(&clock, |_, _| {});
         assert!(a.end_turn(), "remaining messages need another turn");
         assert_eq!(a.queue_len(), 3);
-        a.run_turn(&clock);
+        a.run_turn(&clock, |_, _| {});
         assert!(!a.end_turn());
         assert_eq!(a.queue_len(), 0);
     }
@@ -324,7 +348,7 @@ mod tests {
         let clock = LogicalClock::new();
         let a = Activation::new(GrainId::new("t", 1), counter_grain());
         assert!(a.enqueue(Envelope { msg: 1, reply: None }));
-        a.run_turn(&clock);
+        a.run_turn(&clock, |_, _| {});
         // A message arriving while the turn's state is being stored must
         // not start a second turn of the same grain.
         assert!(!a.enqueue(Envelope { msg: 2, reply: None }));
@@ -348,31 +372,46 @@ mod tests {
         for msg in [0, 1, 2] {
             a.enqueue(Envelope { msg, reply: None });
         }
-        let result = a.run_turn(&clock);
+        let mut stored = None;
+        a.run_turn(&clock, |snapshot, rows| stored = Some((snapshot, rows)));
+        let (snapshot, rows) = stored.expect("the turn stores its writes");
         assert_eq!(
-            result.rows,
+            rows,
             vec![
                 (vec![b'r', 0], Some(vec![0])),
                 (vec![b'r', 0], None),
                 (vec![b'r', 1], Some(vec![2])),
             ]
         );
-        assert_eq!(result.persisted, Some(vec![1]), "the turn's last snapshot");
+        assert_eq!(snapshot, Some(vec![1]), "the turn's last snapshot");
     }
 
     #[test]
-    fn poison_fails_pending_calls() {
+    fn retire_fails_pending_calls_and_every_later_message() {
+        let clock = LogicalClock::new();
         let a = Activation::new(GrainId::new("t", 9), counter_grain());
-        let gather = Gather::new(1);
-        a.enqueue(Envelope {
+        let gather = Gather::new(2);
+        assert!(a.enqueue(Envelope {
             msg: 1,
             reply: Some(ReplyTo::new(gather.clone(), 0)),
-        });
-        assert_eq!(a.poison(), 1);
-        let mut replies = gather.wait(Instant::now());
-        let err = replies.remove(0).unwrap().unwrap_err();
-        assert_eq!(err.label(), "unavailable");
+        }));
+        assert_eq!(a.retire(), 1);
         assert_eq!(a.queue_len(), 0);
+        // A message that reaches the activation after it was retired (its
+        // sender looked it up before the kill) fails in its turn, which
+        // ends the turn like any other.
+        a.enqueue(Envelope {
+            msg: 2,
+            reply: Some(ReplyTo::new(gather.clone(), 1)),
+        });
+        let result = a.run_turn(&clock, |_, _| {});
+        assert_eq!(result.processed, 1);
+        assert!(!a.end_turn());
+        let replies = gather.wait(Instant::now());
+        for reply in replies {
+            assert_eq!(reply.unwrap().unwrap_err().label(), "unavailable");
+        }
+        assert!(a.enqueue(Envelope { msg: 3, reply: None }), "not left scheduled");
     }
 
     #[test]
@@ -426,7 +465,7 @@ mod tests {
         );
         let a = Activation::new(GrainId::new("t", 1), forwarding);
         a.enqueue(Envelope { msg: 10, reply: None });
-        let result = a.run_turn(&clock);
+        let result = a.run_turn(&clock, |_, _| {});
         assert_eq!(result.outbox.len(), 1);
         assert_eq!(result.outbox[0].msg, 11);
         assert_eq!(result.outbox[0].target, GrainId::new("next", 1));

@@ -1,9 +1,12 @@
 //! Failure-mode tests for the actor runtime: silo restarts mid-traffic,
-//! directory re-placement, at-most-once event semantics under combined
+//! re-placement after a kill, the one-activation rule when a kill races
+//! an activation, at-most-once event semantics under combined
 //! drop+duplicate faults, and panicking grain handlers.
 
-use om_actor::{Cluster, FaultConfig, GrainContext, GrainId};
-use std::sync::Arc;
+use om_actor::{Cluster, FaultConfig, Grain, GrainContext, GrainId};
+use om_common::rng::SplitMix64;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 #[derive(Debug, Clone)]
@@ -30,30 +33,33 @@ fn cluster_with(
         .workers(workers)
         .faults(faults)
         .call_timeout(call_timeout)
-        .register("c", |_id, snapshot| {
-            let mut value: u64 = snapshot
-                .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-                .unwrap_or(0);
-            Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| match msg {
-                Msg::IncrPersist => {
-                    value += 1;
-                    ctx.persist(value.to_le_bytes().to_vec());
-                    value
-                }
-                Msg::Get => value,
-                Msg::Fanout(count, base) => {
-                    for i in 0..count {
-                        ctx.send(GrainId::new("c", base + i), Msg::IncrPersist);
-                    }
-                    count
-                }
-                Msg::IncrAndPanic => {
-                    value += 1;
-                    panic!("grain handler bug on {}", ctx.id());
-                }
-            })
-        })
+        .register("c", |_id, snapshot| counter(snapshot))
         .build()
+}
+
+/// A `c` grain: a counter that `IncrPersist` persists.
+fn counter(snapshot: Option<Vec<u8>>) -> Box<dyn Grain<Msg, u64>> {
+    let mut value: u64 = snapshot
+        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        .unwrap_or(0);
+    Box::new(move |ctx: &mut GrainContext<'_, Msg>, msg: Msg, _| match msg {
+        Msg::IncrPersist => {
+            value += 1;
+            ctx.persist(value.to_le_bytes().to_vec());
+            value
+        }
+        Msg::Get => value,
+        Msg::Fanout(count, base) => {
+            for i in 0..count {
+                ctx.send(GrainId::new("c", base + i), Msg::IncrPersist);
+            }
+            count
+        }
+        Msg::IncrAndPanic => {
+            value += 1;
+            panic!("grain handler bug on {}", ctx.id());
+        }
+    })
 }
 
 #[test]
@@ -106,6 +112,169 @@ fn all_grains_reachable_after_full_rolling_restart() {
             1,
             "grain {k} lost persisted state across rolling restart"
         );
+    }
+}
+
+/// The `c` grains from key `from` up that activate on `silo`, found by
+/// calling each and watching the per-silo activation counts.
+fn grains_on(c: &Cluster<Msg, u64>, silo: usize, from: u64) -> impl Iterator<Item = GrainId> + '_ {
+    (from..)
+        .map(|key| GrainId::new("c", key))
+        .filter(move |&id| {
+            let before = c.activation_counts()[silo];
+            c.call(id, Msg::Get).unwrap();
+            c.activation_counts()[silo] > before
+        })
+}
+
+#[test]
+fn a_kill_during_an_activation_on_its_silo_leaves_one_activation() {
+    // Building the grain whose key is armed (once) parks its activation
+    // on the gate twice: once to say it is parked, once to be let go.
+    const UNARMED: u64 = u64::MAX;
+    let armed = Arc::new(AtomicU64::new(UNARMED));
+    let gate = Arc::new(Barrier::new(2));
+    let c = Arc::new({
+        let (armed, gate) = (armed.clone(), gate.clone());
+        Cluster::builder()
+            .silos(2)
+            .workers(2)
+            .call_timeout(Duration::from_millis(500))
+            .register("c", move |id: GrainId, snapshot| {
+                let fire =
+                    armed.compare_exchange(id.key, UNARMED, Ordering::SeqCst, Ordering::SeqCst);
+                if fire.is_ok() {
+                    gate.wait();
+                    gate.wait();
+                }
+                counter(snapshot)
+            })
+            .build()
+    });
+    let mut on_0 = grains_on(&c, 0, 0);
+    let (g, h) = (on_0.next().unwrap(), on_0.next().unwrap());
+    drop(on_0);
+    for _ in 0..3 {
+        c.call(g, Msg::IncrPersist).unwrap();
+    }
+    for silo in 0..2 {
+        c.kill_silo(silo);
+        c.restart_silo(silo);
+    }
+    assert_eq!(c.activation_counts(), vec![0, 0]);
+
+    armed.store(h.key, Ordering::SeqCst);
+    let a = {
+        let c = c.clone();
+        std::thread::spawn(move || c.call(h, Msg::Get))
+    };
+    gate.wait(); // A is inside h's activation, on silo 0
+    let b = {
+        let c = c.clone();
+        std::thread::spawn(move || c.call(g, Msg::Get))
+    };
+    std::thread::sleep(Duration::from_millis(50));
+    let killer = {
+        let c = c.clone();
+        std::thread::spawn(move || c.kill_silo(0))
+    };
+    std::thread::sleep(Duration::from_millis(50));
+    gate.wait(); // let A install h
+    killer.join().unwrap();
+    let _ = a.join().unwrap(); // h's call may lose its silo
+    assert_eq!(
+        b.join().unwrap().unwrap(),
+        3,
+        "g answers its persisted value"
+    );
+    assert_eq!(
+        c.activation_counts().iter().sum::<usize>(),
+        1,
+        "g's one activation, and nothing left on the killed silo: {:?}",
+        c.activation_counts()
+    );
+    c.restart_silo(0);
+    c.kill_silo(1);
+    let started = Instant::now();
+    assert_eq!(c.call(g, Msg::Get).unwrap(), 3, "g re-placed from storage");
+    assert!(started.elapsed() < Duration::from_millis(500));
+}
+
+#[test]
+fn silo_kills_under_traffic_keep_one_activation_per_grain() {
+    const GRAINS: u64 = 64;
+    const ROUNDS: u64 = 300;
+    let c = Arc::new(cluster_with(
+        2,
+        2,
+        FaultConfig::reliable(),
+        Duration::from_millis(200),
+    ));
+    let grain = |k: u64| GrainId::new("c", k);
+    // The highest value each grain has acknowledged to any caller.
+    let acked: Arc<Vec<AtomicU64>> = Arc::new((0..GRAINS).map(|_| AtomicU64::new(0)).collect());
+    let check = |k: u64, v: u64, what: &str| {
+        let floor = acked[k as usize].fetch_max(v, Ordering::SeqCst);
+        assert!(
+            v >= floor,
+            "{what}: c/{k} answered {v} after acknowledging {floor}"
+        );
+    };
+    for round in 0..ROUNDS {
+        let calls = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let callers: Vec<_> = (0..3)
+            .map(|caller| {
+                let (c, acked, calls, stop) =
+                    (c.clone(), acked.clone(), calls.clone(), stop.clone());
+                std::thread::spawn(move || {
+                    let mut rng = SplitMix64::new(round * 3 + caller);
+                    while !stop.load(Ordering::Relaxed) {
+                        let k = rng.next_bounded(GRAINS);
+                        let floor = acked[k as usize].load(Ordering::SeqCst);
+                        // A call may fail while a silo is down; an answer
+                        // never goes back on an acknowledged value.
+                        if let Ok(v) = c.call(GrainId::new("c", k), Msg::IncrPersist) {
+                            assert!(v > floor, "c/{k} answered {v} after acknowledging {floor}");
+                            acked[k as usize].fetch_max(v, Ordering::SeqCst);
+                        }
+                        calls.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+            })
+            .collect();
+        // A caller that failed its check stops; its join reports it.
+        let wait_for = |n: u64| {
+            while calls.load(Ordering::SeqCst) < n && !callers.iter().any(|t| t.is_finished()) {
+                std::thread::yield_now();
+            }
+        };
+        wait_for(20);
+        c.kill_silo(0);
+        wait_for(40);
+        c.restart_silo(0);
+        wait_for(60);
+        stop.store(true, Ordering::Relaxed);
+        for caller in callers {
+            caller.join().unwrap();
+        }
+        for k in 0..GRAINS {
+            let v = c.call(grain(k), Msg::Get).unwrap();
+            check(k, v, "after the restart");
+        }
+        assert_eq!(
+            c.activation_counts().iter().sum::<usize>(),
+            GRAINS as usize,
+            "round {round}: one activation per grain"
+        );
+        c.kill_silo(1);
+        for k in 0..GRAINS {
+            let v = c
+                .call(grain(k), Msg::Get)
+                .unwrap_or_else(|e| panic!("round {round}: c/{k} with silo 1 down: {e}"));
+            check(k, v, "with silo 1 down");
+        }
+        c.restart_silo(1);
     }
 }
 

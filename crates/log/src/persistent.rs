@@ -504,10 +504,12 @@ mod tests {
                         let append = |seq: u64| (t.append_raw(0, 0, seq, seq * 10).unwrap(), seq);
                         let first = seqs.fetch_add(1, Ordering::Relaxed);
                         drawn.wait();
+                        // Seq 2 lands, then seq 1, then both threads race.
                         if first == 1 {
                             landed.wait();
                         }
                         let mut acked = vec![append(first)];
+                        landed.wait();
                         if first == 2 {
                             landed.wait();
                         }

@@ -1,6 +1,7 @@
 //! The platforms' background threads. Every actor binding's cluster is
-//! two silos whose turns run on one pool of `parallelism` threads,
-//! named `om-actor-{i}`, whatever its backend; the dataflow binding's
+//! two silos, which own no thread: the turns no caller runs go to one
+//! pool of `parallelism` threads, named `om-actor-{i}`, whatever its
+//! backend; the dataflow binding's
 //! pump and epoch-group threads are pool threads too. Every one of them
 //! runs as `SCHED_BATCH`.
 //!

@@ -22,6 +22,11 @@ set -euo pipefail
 rev=$1 workload=$2
 shift 2
 change=$(cd "$(dirname "$0")/.." && pwd)
+# Each tree builds into its own target directory. Two copies of this
+# workspace hash to the same artifact names, so with one shared
+# CARGO_TARGET_DIR cargo can take one tree's build for the other's and
+# both sides run the same code.
+unset CARGO_TARGET_DIR
 # The parent tree is kept per commit, so a later call reuses its build.
 parent=${TMPDIR:-/tmp}/marketbench-pairs-$(git -C "$change" rev-parse "$rev^{commit}")
 if [[ ! -d $parent ]]; then
